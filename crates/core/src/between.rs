@@ -80,6 +80,8 @@ where
     // Per-sample probes (hunt + binary search) — the BETWEEN analogue of
     // QFilter's O(lg k) location cost.
     let mut filter_probes = 0u64;
+    // Verdict scratch shared by every batch of this query.
+    let mut verdicts: Vec<bool> = Vec::new();
 
     if k > 0 {
         // Phase 1: hunt for a positive sample, rank by rank.
@@ -137,14 +139,14 @@ where
                 middle_true.extend((r + 1..high_lo).filter(|q| !scan_set.contains(q)));
 
                 for &rank in &scan_set {
-                    scans.push(scan_rank(kb, oracle, pred, rank)?);
+                    scans.push(scan_rank(kb, oracle, pred, rank, &mut verdicts)?);
                 }
             }
             None => {
                 // No positive sample anywhere: the range may still hide
                 // inside one partition — fall back to a full scan.
                 for rank in 0..k {
-                    scans.push(scan_rank(kb, oracle, pred, rank)?);
+                    scans.push(scan_rank(kb, oracle, pred, rank, &mut verdicts)?);
                 }
             }
         }
@@ -162,7 +164,6 @@ where
     let overflow_scanned = overflow.len();
     let mut overflow_batches = 0u64;
     if !overflow.is_empty() {
-        let mut verdicts = Vec::new();
         oracle.try_eval_batch(pred, &overflow, &mut verdicts)?;
         overflow_batches = 1;
         tuples.extend(
@@ -208,6 +209,7 @@ fn scan_rank<O: SelectionOracle>(
     oracle: &O,
     pred: &O::Pred,
     rank: usize,
+    verdicts: &mut Vec<bool>,
 ) -> Result<RankScan, OracleError>
 where
     O::Pred: SpPredicate,
@@ -215,11 +217,10 @@ where
     // Full partition scan: every member is evaluated unconditionally, so a
     // single batch gives the exact per-tuple QPF count.
     let members = kb.pop().members_at(rank);
-    let mut verdicts = Vec::new();
-    oracle.try_eval_batch(pred, members, &mut verdicts)?;
+    oracle.try_eval_batch(pred, members, verdicts)?;
     let mut true_half = Vec::new();
     let mut false_half = Vec::new();
-    for (&t, v) in members.iter().zip(verdicts) {
+    for (&t, &v) in members.iter().zip(verdicts.iter()) {
         if v {
             true_half.push(t);
         } else {

@@ -9,18 +9,37 @@ use crate::traits::SpPredicate;
 use crate::update::order_halves;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::HashMap;
+
+/// One partition of a trapdoor's NS pair: its rank, its QFilter sample
+/// label, and the verdicts this query has tested in it, in candidate order.
+struct NsSide {
+    rank: usize,
+    label: bool,
+    tested: Vec<(TupleId, bool)>,
+    trues: usize,
+}
+
+impl NsSide {
+    fn new(rank: usize, label: bool) -> Self {
+        NsSide {
+            rank,
+            label,
+            tested: Vec::new(),
+            trues: 0,
+        }
+    }
+
+    /// Both outcomes seen: this is the separating partition.
+    fn mixed(&self) -> bool {
+        self.trues > 0 && self.trues < self.tested.len()
+    }
+}
 
 /// Early-stop inference state for one trapdoor's NS pair.
 struct NsState {
-    a: usize,
-    b: usize,
-    label_a: bool,
-    label_b: bool,
-    a_true: usize,
-    a_false: usize,
-    b_true: usize,
-    b_false: usize,
+    a: NsSide,
+    /// `None` for a single-partition POP (`a == b`).
+    b: Option<NsSide>,
     /// Rank that proved non-homogeneous (the separating partition).
     resolved: Option<usize>,
 }
@@ -29,16 +48,18 @@ impl NsState {
     fn from_filter(f: &FilterResult) -> Option<Self> {
         let (a, b) = f.ns?;
         Some(NsState {
-            a,
-            b,
-            label_a: f.label_a,
-            label_b: f.label_b,
-            a_true: 0,
-            a_false: 0,
-            b_true: 0,
-            b_false: 0,
+            a: NsSide::new(a, f.label_a),
+            b: (b != a).then(|| NsSide::new(b, f.label_b)),
             resolved: None,
         })
+    }
+
+    fn sides(&self) -> impl Iterator<Item = &NsSide> {
+        std::iter::once(&self.a).chain(&self.b)
+    }
+
+    fn in_pair(&self, rank: usize) -> bool {
+        self.sides().any(|s| s.rank == rank)
     }
 
     /// Implied outcome for a tuple at `rank`, when the pair partner already
@@ -48,38 +69,76 @@ impl NsState {
         if rank == s {
             return None; // the separating partition itself must be tested
         }
-        if rank == self.a {
-            Some(self.label_a)
-        } else if rank == self.b {
-            Some(self.label_b)
-        } else {
-            None
-        }
+        self.sides().find(|s| s.rank == rank).map(|s| s.label)
     }
 
-    fn record(&mut self, rank: usize, out: bool) {
-        if rank == self.a {
-            if out {
-                self.a_true += 1;
-            } else {
-                self.a_false += 1;
+    fn record(&mut self, rank: usize, t: TupleId, out: bool) {
+        let side = if rank == self.a.rank {
+            &mut self.a
+        } else {
+            match &mut self.b {
+                Some(b) if b.rank == rank => b,
+                _ => return,
             }
-            if self.a_true > 0 && self.a_false > 0 {
-                self.resolved = Some(self.a);
-            }
-        }
-        // A single-partition POP has a == b: count both sides once.
-        if rank == self.b && self.a != self.b {
-            if out {
-                self.b_true += 1;
-            } else {
-                self.b_false += 1;
-            }
-            if self.b_true > 0 && self.b_false > 0 {
-                self.resolved = Some(self.b);
-            }
+        };
+        side.tested.push((t, out));
+        side.trues += usize::from(out);
+        if side.mixed() {
+            self.resolved = Some(rank);
         }
     }
+}
+
+/// Survivors of the current wave awaiting one oracle batch, with their
+/// positions in the wave.
+#[derive(Default)]
+struct Pending {
+    tuples: Vec<TupleId>,
+    at: Vec<usize>,
+    verdicts: Vec<bool>,
+}
+
+impl Pending {
+    fn push(&mut self, t: TupleId, at: usize) {
+        self.tuples.push(t);
+        self.at.push(at);
+    }
+
+    /// Evaluates the pending tuples as one oracle batch (none pending: no
+    /// call), writes each verdict at its wave position, hands it to `each`
+    /// in candidate order, and empties the list.
+    fn eval<O: SelectionOracle>(
+        &mut self,
+        oracle: &O,
+        pred: &O::Pred,
+        wave: &mut [bool],
+        batches: &mut u64,
+        mut each: impl FnMut(TupleId, bool),
+    ) -> Result<(), OracleError> {
+        if self.tuples.is_empty() {
+            return Ok(());
+        }
+        *batches += 1;
+        oracle.try_eval_batch(pred, &self.tuples, &mut self.verdicts)?;
+        for ((&t, &i), &v) in self.tuples.iter().zip(&self.at).zip(&self.verdicts) {
+            wave[i] = v;
+            each(t, v);
+        }
+        self.tuples.clear();
+        self.at.clear();
+        Ok(())
+    }
+}
+
+/// What phase 1 hands to the candidate walk and the refinement.
+struct Prepared {
+    /// The oracle's QPF counter when the query started.
+    qpf_before: u64,
+    filters: Vec<[FilterResult; 2]>,
+    classes: Vec<Vec<RankClass>>,
+    ns_states: Vec<[Option<NsState>; 2]>,
+    /// The fields phase 1 decides; the walk adds `oracle_batches`.
+    stats: QueryStats,
 }
 
 /// Runs the MD pipeline. Abort-safe by construction: phases 1–2 and the
@@ -97,12 +156,43 @@ where
     O::Pred: SpPredicate,
     R: Rng,
 {
-    let qpf_before = oracle.qpf_uses();
-    let k_before: usize = dims.iter().map(|d| d.knowledge.k()).sum();
-    let d = dims.len();
+    let (mut p, survivors) = prepare(dims, oracle, rng)?;
+    let tuples = walk(
+        dims,
+        oracle,
+        &p.classes,
+        &mut p.ns_states,
+        survivors,
+        &mut p.stats.oracle_batches,
+    )?;
+    let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
+    Ok(Selection {
+        tuples,
+        stats: QueryStats {
+            qpf_uses: oracle.qpf_uses().saturating_sub(p.qpf_before),
+            k_after: dims.iter().map(|d| d.knowledge.k()).sum(),
+            splits,
+            ..p.stats
+        },
+    })
+}
 
-    // Phase 1: QFilter every trapdoor, classify every partition (per rank —
-    // O(k), never O(n)).
+/// Phase 1 — QFilter every trapdoor and classify every partition (per rank:
+/// O(k), never O(n)) — then the candidate list with the free pruning pass
+/// applied: the live tuples not provably out in any dimension, in driver
+/// order.
+fn prepare<O, R>(
+    dims: &[MdDim<O::Pred>],
+    oracle: &O,
+    rng: &mut R,
+) -> Result<(Prepared, Vec<TupleId>), OracleError>
+where
+    O: SelectionOracle,
+    O::Pred: SpPredicate,
+    R: Rng,
+{
+    let qpf_before = oracle.qpf_uses();
+    let d = dims.len();
     let mut filters: Vec<[FilterResult; 2]> = Vec::with_capacity(d);
     for dim in dims.iter() {
         let f0 = try_qfilter(dim.knowledge.pop(), oracle, &dim.preds[0], rng)?;
@@ -142,21 +232,17 @@ where
         .iter()
         .map(|cs| cs.iter().filter(|c| c.known_false()).count())
         .sum();
-    let mut oracle_batches = 0u64;
 
-    let mut ns_states: Vec<[Option<NsState>; 2]> = filters
+    let ns_states: Vec<[Option<NsState>; 2]> = filters
         .iter()
         .map(|f| [NsState::from_filter(&f[0]), NsState::from_filter(&f[1])])
         .collect();
-    // Tested outcomes per (dim, predicate), for the update phase.
-    let mut outcomes: Vec<[Vec<(TupleId, bool)>; 2]> =
-        (0..d).map(|_| [Vec::new(), Vec::new()]).collect();
 
-    // Phase 2: walk the candidate region — only the *driver* dimension's
-    // non-F partitions (its T ∪ NS band) plus its unplaced (overflow)
-    // tuples. Every winner must lie in that band, so nothing is missed, and
-    // per-query work is proportional to the band, not the table (the
-    // paper's Fig. 6b grid pruning).
+    // The candidate region is only the *driver* dimension's non-F partitions
+    // (its T ∪ NS band) plus its unplaced (overflow) tuples. Every winner
+    // must lie in that band, so nothing is missed, and per-query work is
+    // proportional to the band, not the table (the paper's Fig. 6b grid
+    // pruning).
     let driver = (0..d)
         .min_by_key(|&di| {
             let pop = dims[di].knowledge.pop();
@@ -182,7 +268,7 @@ where
 
     // Free pass first: a tuple provably out in *any* dimension is discarded
     // before a single QPF is spent on it (Fig. 6b pruning). Classes are
-    // fixed for the whole phase, so this prunes the candidate list upfront.
+    // fixed for the whole query, so this prunes the candidate list upfront.
     let mut survivors: Vec<TupleId> = Vec::new();
     'cands: for t in candidates {
         if !oracle.is_live(t) {
@@ -198,131 +284,164 @@ where
         survivors.push(t);
     }
 
-    // Evaluate wave-major: one wave per (dimension, trapdoor), each over the
-    // tuples that survived every earlier wave. This is QPF-count-identical
-    // to the tuple-major loop with per-tuple short-circuit: the early-stop
-    // state of a (dim, trapdoor) pair is only read and written by its own
-    // wave, and in the same candidate order the per-tuple loop would visit.
-    // Within a wave, only tuples in the NS pair itself can flip from
-    // "evaluate" to "inferred" (when an earlier tuple resolves the pair), so
-    // they run sequentially through the state machine; tuples at every
-    // other rank — and overflow tuples — are evaluated unconditionally and
-    // go through one lock-hoisted oracle batch.
+    let prepared = Prepared {
+        qpf_before,
+        filters,
+        classes,
+        ns_states,
+        stats: QueryStats {
+            k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
+            filter_probes,
+            ns_width,
+            pruned_true,
+            pruned_false,
+            overflow_scanned,
+            ..QueryStats::default()
+        },
+    };
+    Ok((prepared, survivors))
+}
+
+/// Phase 2 — evaluates the survivors wave-major, one wave per (dimension,
+/// trapdoor), each over the tuples that survived every earlier wave, and
+/// returns the winners. This is QPF-count-identical to a tuple-major loop
+/// with per-tuple short-circuit: the early-stop state of a (dim, trapdoor)
+/// pair is only read and written by its own wave, in the candidate order
+/// the per-tuple loop would visit.
+///
+/// No tuple costs an oracle round trip of its own. Outside the NS pair an
+/// outcome is never inferred and never resolves the pair, so those tuples —
+/// and overflow tuples — go through one batch per wave. Inside the pair,
+/// consecutive survivors of the *same rank* form a run whose evaluation is
+/// just as unconditional: recording rank-`r` outcomes can only resolve `r`
+/// itself, and `inferred(r)` is `None` while `r` is the resolved rank, so no
+/// verdict of the run can turn a later tuple of the run into an inference.
+/// Each run is one batch, fed to the state in candidate order, and settled
+/// when the rank changes — before the next rank asks `inferred`. On the
+/// driver dimension candidates arrive rank-grouped (one batch per NS
+/// partition); elsewhere ranks interleave and runs are short.
+fn walk<O>(
+    dims: &[MdDim<O::Pred>],
+    oracle: &O,
+    classes: &[Vec<RankClass>],
+    ns_states: &mut [[Option<NsState>; 2]],
+    mut survivors: Vec<TupleId>,
+    oracle_batches: &mut u64,
+) -> Result<Vec<TupleId>, OracleError>
+where
+    O: SelectionOracle,
+    O::Pred: SpPredicate,
+{
     let mut wave: Vec<bool> = Vec::new();
-    let mut batch: Vec<TupleId> = Vec::new();
-    let mut batch_meta: Vec<(usize, bool)> = Vec::new();
-    let mut verdicts: Vec<bool> = Vec::new();
+    let mut run = Pending::default();
+    let mut rest = Pending::default();
     for (di, dim) in dims.iter().enumerate() {
         let pop = dim.knowledge.pop();
-        for j in 0..2 {
+        for (j, (pred, state)) in dim.preds.iter().zip(&mut ns_states[di]).enumerate() {
             if survivors.is_empty() {
                 break;
             }
+            let mut state = state.as_mut();
+            let mut run_rank = usize::MAX;
             wave.clear();
             wave.resize(survivors.len(), true);
-            batch.clear();
-            batch_meta.clear();
             for (i, &t) in survivors.iter().enumerate() {
                 let rank = pop.rank_of_tuple(t);
-                let class = rank.map(|r| classes[di][r]);
-                if let Some(c) = class {
+                if let Some(c) = rank.map(|r| classes[di][r]) {
                     debug_assert!(!c.known_false(), "filtered by the free pass");
-                    if c.known_true() {
-                        continue;
-                    }
-                    if c.pred(j) == Some(true) {
+                    if c.known_true() || c.pred(j) == Some(true) {
                         continue;
                     }
                 }
-                match (&ns_states[di][j], rank) {
-                    (Some(st), Some(r)) if r == st.a || r == st.b => {
-                        // NS-pair tuple: may be inferred, and a tested
-                        // outcome feeds the early-stop state for the tuples
-                        // after it — keep strictly in candidate order.
-                        wave[i] = if let Some(v) = st.inferred(r) {
-                            v
-                        } else {
-                            let v = oracle.try_eval(&dim.preds[j], t)?;
-                            outcomes[di][j].push((t, v));
-                            ns_states[di][j]
-                                .as_mut()
-                                .expect("state present")
-                                .record(r, v);
-                            v
-                        };
+                match (state.as_deref_mut(), rank) {
+                    (Some(st), Some(r)) if st.in_pair(r) => {
+                        if r != run_rank {
+                            run.eval(oracle, pred, &mut wave, oracle_batches, |t, v| {
+                                st.record(run_rank, t, v);
+                            })?;
+                            run_rank = r;
+                        }
+                        match st.inferred(r) {
+                            Some(v) => wave[i] = v,
+                            None => run.push(t, i),
+                        }
                     }
-                    (st, rank) => {
-                        // Outside the NS pair the outcome is never inferred
-                        // (and never resolves the pair), so the evaluation
-                        // is unconditional: batch it. The outcome is kept
-                        // for the update phase only when the tuple sits in
-                        // a partition (overflow outcomes cannot feed a
-                        // split).
-                        batch.push(t);
-                        batch_meta.push((i, st.is_some() && rank.is_some()));
-                    }
+                    _ => rest.push(t, i),
                 }
             }
-            if !batch.is_empty() {
-                oracle_batches += 1;
-                oracle.try_eval_batch(&dim.preds[j], &batch, &mut verdicts)?;
-                for (k, &v) in verdicts.iter().enumerate() {
-                    let (i, keep_outcome) = batch_meta[k];
-                    wave[i] = v;
-                    if keep_outcome {
-                        outcomes[di][j].push((batch[k], v));
-                    }
-                }
+            if let Some(st) = state {
+                run.eval(oracle, pred, &mut wave, oracle_batches, |t, v| {
+                    st.record(run_rank, t, v);
+                })?;
             }
+            rest.eval(oracle, pred, &mut wave, oracle_batches, |_, _| {})?;
             let mut keep = wave.iter().copied();
             survivors.retain(|_| keep.next().expect("one verdict per survivor"));
         }
     }
-    let winners = survivors;
+    Ok(survivors)
+}
 
-    // Phase 3: refine each dimension's POP from fully-decided partitions.
-    // Pending splits are *collected* for every dimension first (the only
-    // phase-3 step that can touch the oracle, under CompleteSplits), and
-    // committed only once the whole query has evaluated cleanly — an error
-    // in dimension i must not leave dimensions 0..i already refined.
-    let mut splits = 0usize;
-    if policy != MdUpdatePolicy::Frozen {
-        let mut all_pending: Vec<Vec<PendingSplit>> = Vec::with_capacity(d);
-        for di in 0..d {
-            all_pending.push(collect_dim_updates(
-                &dims[di],
-                oracle,
-                &filters[di],
-                &ns_states[di],
-                &outcomes[di],
-                policy,
-            )?);
-        }
-        // ---- Commit phase: infallible, no oracle calls past this point. ----
-        for (dim, pending) in dims.iter_mut().zip(all_pending) {
-            splits += commit_dim_updates(dim, pending);
-        }
+/// Phase 3 — refines each dimension's POP from fully-decided partitions and
+/// returns the number of splits. Pending splits are *collected* for every
+/// dimension first (the only phase-3 step that can touch the oracle, under
+/// CompleteSplits), and committed only once the whole query has evaluated
+/// cleanly — an error in dimension i must not leave dimensions 0..i already
+/// refined.
+fn refine<O>(
+    dims: &mut [MdDim<O::Pred>],
+    oracle: &O,
+    filters: &[[FilterResult; 2]],
+    ns_states: &[[Option<NsState>; 2]],
+    policy: MdUpdatePolicy,
+) -> Result<usize, OracleError>
+where
+    O: SelectionOracle,
+    O::Pred: SpPredicate,
+{
+    if policy == MdUpdatePolicy::Frozen {
+        return Ok(0);
     }
-
-    Ok(Selection {
-        tuples: winners,
-        stats: QueryStats {
-            qpf_uses: oracle.qpf_uses().saturating_sub(qpf_before),
-            k_before,
-            k_after: dims.iter().map(|d| d.knowledge.k()).sum(),
-            splits,
-            filter_probes,
-            ns_width,
-            oracle_batches,
-            pruned_true,
-            pruned_false,
-            overflow_scanned,
-        },
-    })
+    let mut all_pending: Vec<Vec<PendingSplit>> = Vec::with_capacity(dims.len());
+    for (di, dim) in dims.iter().enumerate() {
+        all_pending.push(collect_dim_updates(
+            dim,
+            oracle,
+            &filters[di],
+            &ns_states[di],
+            policy,
+        )?);
+    }
+    // ---- Commit phase: infallible, no oracle calls past this point. ----
+    Ok(dims
+        .iter_mut()
+        .zip(all_pending)
+        .map(|(dim, pending)| commit_dim_updates(dim, pending))
+        .sum())
 }
 
 /// A staged split: (rank, left, right, left_label, pred_idx).
 type PendingSplit = (usize, Vec<TupleId>, Vec<TupleId>, bool, usize);
+
+/// The verdict of each of `members`, in member order, from the verdicts
+/// `tested` in candidate order; `None` where the member was not tested.
+fn member_verdicts(members: &[TupleId], tested: &[(TupleId, bool)]) -> Vec<Option<bool>> {
+    // The driver dimension tests a whole partition in member order.
+    if tested.len() == members.len() && members.iter().zip(tested).all(|(m, e)| *m == e.0) {
+        return tested.iter().map(|e| Some(e.1)).collect();
+    }
+    let mut by_tuple = tested.to_vec();
+    by_tuple.sort_unstable_by_key(|e| e.0);
+    members
+        .iter()
+        .map(|m| {
+            by_tuple
+                .binary_search_by_key(m, |e| e.0)
+                .ok()
+                .map(|i| by_tuple[i].1)
+        })
+        .collect()
+}
 
 /// Gathers the sound refinements for one dimension without mutating it.
 /// Under [`MdUpdatePolicy::CompleteSplits`] this may spend QPF uses to
@@ -332,7 +451,6 @@ fn collect_dim_updates<O>(
     oracle: &O,
     filters: &[FilterResult; 2],
     ns_states: &[Option<NsState>; 2],
-    outcomes: &[Vec<(TupleId, bool)>; 2],
     policy: MdUpdatePolicy,
 ) -> Result<Vec<PendingSplit>, OracleError>
 where
@@ -344,38 +462,23 @@ where
     for j in 0..2 {
         let Some(st) = &ns_states[j] else { continue };
         let filter = &filters[j];
-        let ranks: Vec<usize> = if st.a == st.b {
-            vec![st.a]
-        } else {
-            vec![st.a, st.b]
-        };
-        for &r in &ranks {
-            let members = dim.knowledge.pop().members_at(r);
-            let mut map: HashMap<TupleId, bool> = HashMap::new();
-            for &(t, v) in &outcomes[j] {
-                if dim.knowledge.pop().rank_of_tuple(t) == Some(r) {
-                    map.insert(t, v);
-                }
-            }
-            let t_cnt = map.values().filter(|v| **v).count();
-            let f_cnt = map.len() - t_cnt;
-            if t_cnt == 0 || f_cnt == 0 {
+        for side in st.sides() {
+            if !side.mixed() {
                 continue; // homogeneous so far: nothing to refine
             }
-            if map.len() < members.len() {
-                if policy != MdUpdatePolicy::CompleteSplits {
-                    continue; // partial knowledge: a split would be unsound
-                }
-                // Ablation mode: pay the missing QPF to finish the split.
-                for &t in members {
-                    if let std::collections::hash_map::Entry::Vacant(e) = map.entry(t) {
-                        e.insert(oracle.try_eval(&dim.preds[j], t)?);
-                    }
-                }
+            let r = side.rank;
+            let members = dim.knowledge.pop().members_at(r);
+            if side.tested.len() < members.len() && policy != MdUpdatePolicy::CompleteSplits {
+                continue; // partial knowledge: a split would be unsound
             }
             let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
-            for &t in dim.knowledge.pop().members_at(r) {
-                if map[&t] {
+            for (&t, v) in members.iter().zip(member_verdicts(members, &side.tested)) {
+                let out = match v {
+                    Some(out) => out,
+                    // Ablation mode: pay the missing QPF to finish the split.
+                    None => oracle.try_eval(&dim.preds[j], t)?,
+                };
+                if out {
                     true_half.push(t);
                 } else {
                     false_half.push(t);
@@ -384,15 +487,10 @@ where
             // Neighbour labels for the ordering rule. This rank is mixed, so
             // it *is* the separating partition — the pair partner is
             // homogeneous with its sampled label (Lemma 4.5).
-            let other = if r == st.a { st.b } else { st.a };
-            let other_label = Some(if other == st.a {
-                st.label_a
-            } else {
-                st.label_b
-            });
+            let other = st.sides().find(|s| s.rank != r).unwrap_or(side);
             let label_of = |q: usize| {
-                if q == other {
-                    other_label
+                if q == other.rank {
+                    Some(other.label)
                 } else {
                     filter.known_label(q)
                 }
@@ -423,4 +521,360 @@ fn commit_dim_updates<P: SpPredicate>(dim: &mut MdDim<P>, mut pending: Vec<Pendi
         dim.knowledge.apply_split(rank, left, right, Some(sep));
     }
     n
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::knowledge::Knowledge;
+    use crate::sd::process_comparison;
+    use crate::snapshot;
+    use prkb_edbms::testing::PlainOracle;
+    use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The tuple-major NS-pair loop that `walk` replaced, kept as its
+    /// reference: every NS-pair survivor goes through the early-stop state
+    /// on its own, paying its own `try_eval`.
+    fn walk_reference<O>(
+        dims: &[MdDim<O::Pred>],
+        oracle: &O,
+        classes: &[Vec<RankClass>],
+        ns_states: &mut [[Option<NsState>; 2]],
+        mut survivors: Vec<TupleId>,
+        oracle_batches: &mut u64,
+    ) -> Result<Vec<TupleId>, OracleError>
+    where
+        O: SelectionOracle,
+        O::Pred: SpPredicate,
+    {
+        let mut wave: Vec<bool> = Vec::new();
+        let mut batch: Vec<TupleId> = Vec::new();
+        let mut batch_at: Vec<usize> = Vec::new();
+        let mut verdicts: Vec<bool> = Vec::new();
+        for (di, dim) in dims.iter().enumerate() {
+            let pop = dim.knowledge.pop();
+            for (j, (pred, state)) in dim.preds.iter().zip(&mut ns_states[di]).enumerate() {
+                if survivors.is_empty() {
+                    break;
+                }
+                wave.clear();
+                wave.resize(survivors.len(), true);
+                batch.clear();
+                batch_at.clear();
+                for (i, &t) in survivors.iter().enumerate() {
+                    let rank = pop.rank_of_tuple(t);
+                    if let Some(c) = rank.map(|r| classes[di][r]) {
+                        if c.known_true() || c.pred(j) == Some(true) {
+                            continue;
+                        }
+                    }
+                    match (state.as_mut(), rank) {
+                        (Some(st), Some(r)) if st.in_pair(r) => {
+                            wave[i] = if let Some(v) = st.inferred(r) {
+                                v
+                            } else {
+                                let v = oracle.try_eval(pred, t)?;
+                                st.record(r, t, v);
+                                v
+                            };
+                        }
+                        _ => {
+                            batch.push(t);
+                            batch_at.push(i);
+                        }
+                    }
+                }
+                if !batch.is_empty() {
+                    *oracle_batches += 1;
+                    oracle.try_eval_batch(pred, &batch, &mut verdicts)?;
+                    for (&i, &v) in batch_at.iter().zip(&verdicts) {
+                        wave[i] = v;
+                    }
+                }
+                let mut keep = wave.iter().copied();
+                survivors.retain(|_| keep.next().expect("one verdict per survivor"));
+            }
+        }
+        Ok(survivors)
+    }
+
+    /// `run` with the reference walk in place of `walk`.
+    fn run_reference(
+        dims: &mut [MdDim<Predicate>],
+        oracle: &impl SelectionOracle<Pred = Predicate>,
+        rng: &mut StdRng,
+        policy: MdUpdatePolicy,
+    ) -> Result<Selection, OracleError> {
+        let (mut p, survivors) = prepare(dims, oracle, rng)?;
+        let tuples = walk_reference(
+            dims,
+            oracle,
+            &p.classes,
+            &mut p.ns_states,
+            survivors,
+            &mut p.stats.oracle_batches,
+        )?;
+        let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
+        Ok(Selection {
+            tuples,
+            stats: QueryStats {
+                qpf_uses: oracle.qpf_uses().saturating_sub(p.qpf_before),
+                k_after: dims.iter().map(|d| d.knowledge.k()).sum(),
+                splits,
+                ..p.stats
+            },
+        })
+    }
+
+    /// Counts how evaluations arrive: one at a time, or in batches.
+    struct Counting<'a> {
+        inner: &'a PlainOracle,
+        singles: AtomicU64,
+        batches: AtomicU64,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a PlainOracle) -> Self {
+            Counting {
+                inner,
+                singles: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl SelectionOracle for Counting<'_> {
+        type Pred = Predicate;
+
+        fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+            self.singles.fetch_add(1, Ordering::Relaxed);
+            self.inner.try_eval(pred, t)
+        }
+
+        fn try_eval_batch(
+            &self,
+            pred: &Predicate,
+            tuples: &[TupleId],
+            out: &mut Vec<bool>,
+        ) -> Result<(), OracleError> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.try_eval_batch(pred, tuples, out)
+        }
+
+        fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+            self.inner.kind_of(pred)
+        }
+
+        fn n_slots(&self) -> usize {
+            self.inner.n_slots()
+        }
+
+        fn is_live(&self, t: TupleId) -> bool {
+            self.inner.is_live(t)
+        }
+
+        fn qpf_uses(&self) -> u64 {
+            self.inner.qpf_uses()
+        }
+    }
+
+    const DOMAIN: u64 = 200;
+
+    /// `d` knowledge bases over `n` random rows, each warmed with `cuts`
+    /// comparison cuts (`cuts == 0` leaves k = 1, so a == b), then
+    /// disturbed the ways a served table is: a row deleted everywhere, a
+    /// row tombstoned in the table but still indexed, and two late rows —
+    /// one parked (overflow) in dimension 0 and placed elsewhere, one
+    /// parked in every dimension.
+    fn scenario(
+        n: usize,
+        d: usize,
+        cuts: usize,
+        seed: u64,
+    ) -> (Vec<Knowledge<Predicate>>, PlainOracle) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let columns: Vec<Vec<u64>> = (0..d)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect())
+            .collect();
+        let mut oracle = PlainOracle::from_columns(columns);
+        let mut kbs: Vec<Knowledge<Predicate>> = (0..d).map(|_| Knowledge::init(n)).collect();
+        for (a, kb) in kbs.iter_mut().enumerate() {
+            for _ in 0..cuts {
+                let p = Predicate::cmp(a as u32, ComparisonOp::Lt, rng.gen_range(0..DOMAIN));
+                process_comparison(kb, &oracle, &p, &mut rng, true);
+            }
+        }
+        let gone = rng.gen_range(0..n as TupleId);
+        oracle.delete(gone);
+        for kb in &mut kbs {
+            kb.delete(gone);
+        }
+        oracle.delete(rng.gen_range(0..n as TupleId));
+        for placed_elsewhere in [true, false] {
+            let row: Vec<u64> = (0..d).map(|_| rng.gen_range(0..DOMAIN)).collect();
+            let t = oracle.insert(&row);
+            for (a, kb) in kbs.iter_mut().enumerate() {
+                if a > 0 && placed_elsewhere {
+                    crate::insert::insert_tuple(kb, &oracle, t);
+                } else {
+                    kb.park(t, 0, kb.k() - 1);
+                }
+            }
+        }
+        (kbs, oracle)
+    }
+
+    fn to_dims(kbs: Vec<Knowledge<Predicate>>, ranges: &[(u64, u64)]) -> Vec<MdDim<Predicate>> {
+        kbs.into_iter()
+            .zip(ranges)
+            .enumerate()
+            .map(|(a, (knowledge, &(lo, hi)))| MdDim {
+                knowledge,
+                preds: [
+                    Predicate::cmp(a as u32, ComparisonOp::Gt, lo),
+                    Predicate::cmp(a as u32, ComparisonOp::Lt, hi),
+                ],
+            })
+            .collect()
+    }
+
+    fn kb_bytes(dims: &[MdDim<Predicate>]) -> Vec<Vec<u8>> {
+        dims.iter().map(|d| snapshot::save(&d.knowledge)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The run-batched walk is the tuple-major walk: same winners in the
+        /// same order, same QPF count, same splits, byte-identical
+        /// knowledge — query after query, as the KB grows from k = 1.
+        #[test]
+        fn run_batched_walk_matches_tuple_major_reference(
+            seed in proptest::prelude::any::<u64>(),
+            n in 40usize..160,
+            d in 1usize..3,
+            cuts in 0usize..6,
+            complete in proptest::prelude::any::<bool>(),
+        ) {
+            let policy = if complete {
+                MdUpdatePolicy::CompleteSplits
+            } else {
+                MdUpdatePolicy::PartialOnly
+            };
+            let (mut kbs_new, oracle_new) = scenario(n, d, cuts, seed);
+            let (mut kbs_ref, oracle_ref) = scenario(n, d, cuts, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1);
+            for q in 0..5u64 {
+                // Every third query is wide in all dimensions, so that a
+                // non-driver NS partition can lie wholly inside the band
+                // (fully tested, but not in member order).
+                let wide = q % 3 == 2;
+                let ranges: Vec<(u64, u64)> = (0..d)
+                    .map(|_| {
+                        if wide {
+                            let margin = DOMAIN / 8;
+                            (rng.gen_range(0..margin), DOMAIN - rng.gen_range(0..margin))
+                        } else {
+                            let lo = rng.gen_range(0..DOMAIN);
+                            (lo, lo + rng.gen_range(2..DOMAIN / 2))
+                        }
+                    })
+                    .collect();
+                let mut dims_new = to_dims(kbs_new, &ranges);
+                let mut dims_ref = to_dims(kbs_ref, &ranges);
+                let mut rng_new = StdRng::seed_from_u64(seed ^ q);
+                let mut rng_ref = StdRng::seed_from_u64(seed ^ q);
+                let new = run(&mut dims_new, &oracle_new, &mut rng_new, policy).expect("clean");
+                let reference =
+                    run_reference(&mut dims_ref, &oracle_ref, &mut rng_ref, policy).expect("clean");
+                proptest::prop_assert_eq!(&new.tuples, &reference.tuples, "winners, query {}", q);
+                proptest::prop_assert_eq!(
+                    QueryStats { oracle_batches: 0, ..new.stats },
+                    QueryStats { oracle_batches: 0, ..reference.stats },
+                    "stats, query {}", q
+                );
+                proptest::prop_assert_eq!(oracle_new.qpf_uses(), oracle_ref.qpf_uses());
+                proptest::prop_assert_eq!(kb_bytes(&dims_new), kb_bytes(&dims_ref), "KB, query {}", q);
+                let expected: Vec<Predicate> =
+                    dims_new.iter().flat_map(|d| d.preds).collect();
+                proptest::prop_assert_eq!(new.sorted(), oracle_new.expected_conjunction(&expected));
+                kbs_new = dims_new.into_iter().map(|d| d.knowledge).collect();
+                kbs_ref = dims_ref.into_iter().map(|d| d.knowledge).collect();
+                for kb in &kbs_new {
+                    kb.check_invariants();
+                }
+            }
+        }
+
+        /// `member_verdicts` is a by-tuple lookup, whatever order the
+        /// verdicts were tested in and however many are missing.
+        #[test]
+        fn member_verdicts_is_a_lookup(
+            members in proptest::collection::vec(0u32..500, 0..60),
+            seed in proptest::prelude::any::<u64>(),
+            shuffle in proptest::prelude::any::<bool>(),
+            partial in proptest::prelude::any::<bool>(),
+        ) {
+            let mut members = members;
+            members.sort_unstable();
+            members.dedup();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tested: Vec<(TupleId, bool)> = Vec::new();
+            for &t in &members {
+                if !partial || rng.gen_range(0..4) > 0 {
+                    tested.push((t, rng.gen_range(0..2) == 1));
+                }
+            }
+            if shuffle {
+                for i in (1..tested.len()).rev() {
+                    tested.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            let map: HashMap<TupleId, bool> = tested.iter().copied().collect();
+            let expected: Vec<Option<bool>> = members.iter().map(|t| map.get(t).copied()).collect();
+            proptest::prop_assert_eq!(member_verdicts(&members, &tested), expected);
+        }
+    }
+
+    #[test]
+    fn cold_one_dimensional_range_is_one_batch_per_trapdoor() {
+        let n = 500usize;
+        let oracle = PlainOracle::single_column((0..n as u64).collect());
+        let counting = Counting::new(&oracle);
+        let mut dims = to_dims(vec![Knowledge::init(n)], &[(99, 300)]);
+        let mut rng = StdRng::seed_from_u64(1);
+        let sel = run(&mut dims, &counting, &mut rng, MdUpdatePolicy::PartialOnly).expect("clean");
+        assert_eq!(sel.sorted(), (100..300).collect::<Vec<_>>());
+        // k = 1: no probes; wave 0 tests all n, wave 1 its 400 survivors.
+        assert_eq!(sel.stats.qpf_uses, 500 + 400);
+        assert_eq!(sel.stats.oracle_batches, 2);
+        assert_eq!(counting.batches.load(Ordering::Relaxed), 2);
+        assert_eq!(counting.singles.load(Ordering::Relaxed), 0);
+        assert_eq!(sel.stats.splits, 1, "only wave 0 decided every member");
+    }
+
+    #[test]
+    fn single_evaluations_are_qfilter_probes_only() {
+        for policy in [MdUpdatePolicy::PartialOnly, MdUpdatePolicy::Frozen] {
+            let (kbs, oracle) = scenario(400, 2, 8, 5);
+            let counting = Counting::new(&oracle);
+            let mut dims = to_dims(kbs, &[(40, 120), (60, 150)]);
+            let mut rng = StdRng::seed_from_u64(6);
+            let sel = run(&mut dims, &counting, &mut rng, policy).expect("clean");
+            assert!(sel.stats.filter_probes > 0, "warmed KBs are probed");
+            assert_eq!(
+                counting.singles.load(Ordering::Relaxed),
+                sel.stats.filter_probes,
+                "the walk must not evaluate tuple by tuple"
+            );
+            assert_eq!(
+                counting.batches.load(Ordering::Relaxed),
+                sel.stats.oracle_batches
+            );
+        }
+    }
 }

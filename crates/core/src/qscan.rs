@@ -78,7 +78,8 @@ pub fn try_qscan<O: SelectionOracle>(
     };
 
     // Scan P_a fully.
-    let (a_true, a_false) = scan_partition(pop, oracle, pred, a)?;
+    let mut verdicts = Vec::new();
+    let (a_true, a_false) = scan_partition(pop, oracle, pred, a, &mut verdicts)?;
 
     if !a_true.is_empty() && !a_false.is_empty() {
         // P_a is non-homogeneous: s = a; early stop. P_b is implied
@@ -120,7 +121,7 @@ pub fn try_qscan<O: SelectionOracle>(
     }
 
     // P_a homogeneous: scan P_b as well.
-    let (b_true, b_false) = scan_partition(pop, oracle, pred, b)?;
+    let (b_true, b_false) = scan_partition(pop, oracle, pred, b, &mut verdicts)?;
     winners.extend_from_slice(&b_true);
     let split = if !b_true.is_empty() && !b_false.is_empty() {
         Some(Split {
@@ -146,19 +147,20 @@ pub fn try_qscan<O: SelectionOracle>(
 
 /// Fully scans the partition at `rank` as one oracle batch (every member is
 /// evaluated unconditionally, so batching cannot change the QPF count) and
-/// separates members by verdict.
+/// separates members by verdict. `verdicts` is scratch shared by the scans
+/// of one query.
 fn scan_partition<O: SelectionOracle>(
     pop: &Pop,
     oracle: &O,
     pred: &O::Pred,
     rank: usize,
+    verdicts: &mut Vec<bool>,
 ) -> Result<(Vec<TupleId>, Vec<TupleId>), OracleError> {
     let members = pop.members_at(rank);
-    let mut verdicts = Vec::new();
-    oracle.try_eval_batch(pred, members, &mut verdicts)?;
+    oracle.try_eval_batch(pred, members, verdicts)?;
     let mut t_half = Vec::new();
     let mut f_half = Vec::new();
-    for (&t, v) in members.iter().zip(verdicts) {
+    for (&t, &v) in members.iter().zip(verdicts.iter()) {
         if v {
             t_half.push(t);
         } else {

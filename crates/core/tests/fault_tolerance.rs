@@ -444,3 +444,79 @@ fn mid_batch_fault_leaks_no_partial_verdicts() {
     engine.knowledge(0).expect("indexed").check_invariants();
     engine.knowledge(1).expect("indexed").check_invariants();
 }
+
+/// PRKB(MD) evaluates an NS partition's survivors as one run (one oracle
+/// batch). A fault striking in the *middle* of a run must abort the query
+/// with every knowledge base byte-identical, and the same query retried over
+/// a faulty-but-retryable boundary must equal the fault-free run.
+#[test]
+fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
+    use prkb_edbms::{OracleError, SelectionOracle};
+
+    let n = 300usize;
+    let cols = columns(n, 0, 83);
+    let clean = PlainOracle::from_columns(cols.clone());
+    let mut faulted = two_attr_engine(n);
+    let mut twin = two_attr_engine(n);
+    let mut rng = StdRng::seed_from_u64(83);
+
+    // A 1-D range on the cold attribute: k = 1, so no probes, and the first
+    // wave is one run over all n tuples — evaluations 0..n of the injector.
+    let range = [[
+        Predicate::cmp(1, ComparisonOp::Gt, 200),
+        Predicate::cmp(1, ComparisonOp::Lt, 650),
+    ]];
+    let corrupting = FaultInjector::new(
+        PlainOracle::from_columns(cols.clone()),
+        FaultConfig {
+            seed: 1,
+            transient_per_mille: 0,
+            timeout_per_mille: 0,
+            corruption_per_mille: 8,
+            max_consecutive: 0,
+        },
+    );
+    let before = kb_bytes(&faulted);
+    let err = faulted
+        .try_select_range_md(&corrupting, &range, &mut rng)
+        .expect_err("a corruption inside the run aborts the query");
+    assert!(
+        matches!(
+            err,
+            prkb_core::QueryError::Oracle(OracleError::Corruption(_))
+        ),
+        "unexpected error class: {err}"
+    );
+    let struck_at = corrupting.calls();
+    assert!(
+        (2..n as u64).contains(&struck_at),
+        "the schedule must strike inside the run, not at its edges: call {struck_at} of {n}"
+    );
+    assert_eq!(
+        corrupting.inner().qpf_uses(),
+        struck_at,
+        "QPF = evaluations performed"
+    );
+    assert_eq!(
+        before,
+        kb_bytes(&faulted),
+        "a failed run leaked verdicts into the KB"
+    );
+
+    // Retried over a lossy boundary ≡ fault-free, winners in the same order.
+    let retrying = RetryOracle::new(
+        FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(83)),
+        RetryPolicy::fast(4),
+    );
+    let mut r1 = StdRng::seed_from_u64(85);
+    let mut r2 = StdRng::seed_from_u64(85);
+    let got = faulted
+        .try_select_range_md(&retrying, &range, &mut r1)
+        .expect("retries recover every injected fault");
+    let want = twin.select_range_md(&clean, &range, &mut r2);
+    assert!(retrying.inner().injected() > 0, "no fault was injected");
+    assert_eq!(got.tuples, want.tuples);
+    assert_eq!(got.stats.splits, want.stats.splits);
+    assert_eq!(got.stats.oracle_batches, want.stats.oracle_batches);
+    assert_eq!(kb_bytes(&faulted), kb_bytes(&twin));
+}

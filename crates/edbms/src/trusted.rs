@@ -14,8 +14,9 @@ use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use parking_lot::RwLock;
 use prkb_crypto::chacha20;
 use prkb_crypto::{CipherSuite, KeyPurpose, MasterKey, ValueCipher};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Trusted-machine configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,6 +48,46 @@ impl DecodedPred {
     }
 }
 
+/// Most decoded trapdoors the TM keeps. PRKB retains one separator trapdoor
+/// per partition boundary and probes them on every insert, so the cap sits
+/// well above any knowledge base this repository builds; past it the oldest
+/// entry goes and is simply decoded again on its next use.
+const DECODED_CACHE_CAP: usize = 1 << 16;
+
+/// Everything one evaluation of a trapdoor needs, found by trapdoor id.
+struct CachedTrapdoor {
+    /// The trapdoor this entry was decoded from. Ids restart when the data
+    /// owner does, so an id alone does not name a trapdoor: the entry
+    /// answers only for an equal one.
+    pred: EncryptedPredicate,
+    decoded: DecodedPred,
+    /// Value cipher of the trapdoor's (table, attribute).
+    cipher: Arc<ValueCipher>,
+}
+
+/// Decoded trapdoors by id, bounded first-in-first-out (a real enclave
+/// would do the same: decode once per query, not once per tuple).
+#[derive(Default)]
+struct DecodedCache {
+    by_id: HashMap<u64, CachedTrapdoor>,
+    /// Ids in insertion order, for eviction.
+    order: VecDeque<u64>,
+}
+
+impl DecodedCache {
+    fn insert(&mut self, entry: CachedTrapdoor) {
+        let id = entry.pred.id();
+        if self.by_id.insert(id, entry).is_none() {
+            self.order.push_back(id);
+            if self.order.len() > DECODED_CACHE_CAP {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.by_id.remove(&oldest);
+                }
+            }
+        }
+    }
+}
+
 /// The trusted machine. Thread-safe: all interior state is behind locks or
 /// atomics so concurrent scans can share one TM.
 pub struct TrustedMachine {
@@ -54,12 +95,10 @@ pub struct TrustedMachine {
     cfg: TmConfig,
     qpf_uses: AtomicU64,
     /// Per-table value ciphers, derived lazily: table → per-attribute.
-    value_ciphers: RwLock<HashMap<String, Vec<ValueCipher>>>,
+    value_ciphers: RwLock<HashMap<String, Vec<Arc<ValueCipher>>>>,
     /// Trapdoor-payload ciphers, derived lazily per (table, attr).
     trapdoor_ciphers: RwLock<HashMap<(String, AttrId), ValueCipher>>,
-    /// Decoded trapdoors, cached by trapdoor id (a real enclave would do the
-    /// same: decode once per query, not once per tuple).
-    decoded: RwLock<HashMap<u64, DecodedPred>>,
+    decoded: RwLock<DecodedCache>,
 }
 
 impl TrustedMachine {
@@ -71,7 +110,7 @@ impl TrustedMachine {
             qpf_uses: AtomicU64::new(0),
             value_ciphers: RwLock::new(HashMap::new()),
             trapdoor_ciphers: RwLock::new(HashMap::new()),
-            decoded: RwLock::new(HashMap::new()),
+            decoded: RwLock::new(DecodedCache::default()),
         }
     }
 
@@ -82,16 +121,18 @@ impl TrustedMachine {
     }
 
     /// The query processing function Θ (paper §3.1): returns whether the
-    /// encrypted cell satisfies the trapdoor's hidden predicate.
+    /// encrypted cell satisfies the trapdoor's hidden predicate. After a
+    /// trapdoor's first use this is one read lock and one id lookup; the
+    /// cell is decrypted under the lock with the cached cipher.
     ///
     /// # Errors
     /// Fails on corrupted ciphertexts or malformed trapdoors.
     pub fn qpf(&self, pred: &EncryptedPredicate, cell: &[u8]) -> Result<bool, EdbmsError> {
         self.qpf_uses.fetch_add(1, Ordering::Relaxed);
         self.emulated_work();
-        let value = self.decrypt_cell_internal(pred.table(), pred.attr(), cell)?;
-        let decoded = self.decode(pred)?;
-        Ok(decoded.matches(value))
+        self.with_trapdoor(pred, |decoded, cipher| {
+            Ok(decoded.matches(cipher.decrypt_slice(cell)?))
+        })?
     }
 
     /// Opens a batch-evaluation session for `pred`: resolves the value
@@ -99,14 +140,17 @@ impl TrustedMachine {
     /// without touching any TM lock. The session does NOT advance the
     /// QPF-use counter per call — the batch driver settles the whole batch
     /// with one [`QpfSession::settle`], which keeps counts identical to
-    /// per-tuple [`TrustedMachine::qpf`] while avoiding 3·n lock round-trips.
+    /// per-tuple [`TrustedMachine::qpf`] while avoiding a lock round-trip
+    /// per tuple.
     ///
     /// # Errors
     /// Fails on a malformed trapdoor.
     pub fn session(&self, pred: &EncryptedPredicate) -> Result<QpfSession<'_>, EdbmsError> {
-        let cipher = self.value_cipher(pred.table(), pred.attr());
-        let decoded = self.decode(pred)?;
-        Ok(QpfSession { tm: self, cipher, decoded })
+        self.with_trapdoor(pred, |decoded, cipher| QpfSession {
+            tm: self,
+            cipher: Arc::clone(cipher),
+            decoded,
+        })
     }
 
     /// Confirmation path used by index competitors (e.g. Logarithmic-SRC-i's
@@ -125,48 +169,31 @@ impl TrustedMachine {
     pub fn decrypt_cell(&self, table: &str, attr: AttrId, cell: &[u8]) -> Result<u64, EdbmsError> {
         self.qpf_uses.fetch_add(1, Ordering::Relaxed);
         self.emulated_work();
-        self.decrypt_cell_internal(table, attr, cell)
-    }
-
-    fn decrypt_cell_internal(
-        &self,
-        table: &str,
-        attr: AttrId,
-        cell: &[u8],
-    ) -> Result<u64, EdbmsError> {
-        {
-            let ciphers = self.value_ciphers.read();
-            if let Some(per_attr) = ciphers.get(table) {
-                if let Some(c) = per_attr.get(attr as usize) {
-                    return Ok(c.decrypt_slice(cell)?);
-                }
-            }
-        }
         Ok(self.value_cipher(table, attr).decrypt_slice(cell)?)
     }
 
     /// Returns (deriving and caching on first use) the value cipher for
-    /// `(table, attr)`. Cloning a cipher is copying key material — cheap
-    /// relative to one decryption.
-    fn value_cipher(&self, table: &str, attr: AttrId) -> ValueCipher {
+    /// `(table, attr)`.
+    fn value_cipher(&self, table: &str, attr: AttrId) -> Arc<ValueCipher> {
         {
             let ciphers = self.value_ciphers.read();
-            if let Some(per_attr) = ciphers.get(table) {
-                if let Some(c) = per_attr.get(attr as usize) {
-                    return c.clone();
-                }
+            if let Some(c) = ciphers
+                .get(table)
+                .and_then(|per_attr| per_attr.get(attr as usize))
+            {
+                return Arc::clone(c);
             }
         }
         let mut ciphers = self.value_ciphers.write();
         let per_attr = ciphers.entry(table.to_string()).or_default();
         while per_attr.len() <= attr as usize {
             let a = per_attr.len() as AttrId;
-            per_attr.push(ValueCipher::with_suite(
+            per_attr.push(Arc::new(ValueCipher::with_suite(
                 self.master.derive(KeyPurpose::ValueEncryption, table, a),
                 self.cfg.suite,
-            ));
+            )));
         }
-        per_attr[attr as usize].clone()
+        Arc::clone(&per_attr[attr as usize])
     }
 
     fn trapdoor_cipher(&self, table: &str, attr: AttrId) -> ValueCipher {
@@ -186,29 +213,48 @@ impl TrustedMachine {
         c
     }
 
-    fn decode(&self, pred: &EncryptedPredicate) -> Result<DecodedPred, EdbmsError> {
+    /// Runs `f` on `pred`'s decoded form and value cipher. A trapdoor seen
+    /// before costs one read lock and one lookup by id — no table-name
+    /// hashing, nothing cloned; a new one (or a new trapdoor reusing an id)
+    /// is decoded and takes the id's entry.
+    fn with_trapdoor<R>(
+        &self,
+        pred: &EncryptedPredicate,
+        f: impl FnOnce(DecodedPred, &Arc<ValueCipher>) -> R,
+    ) -> Result<R, EdbmsError> {
         {
             let cache = self.decoded.read();
-            if let Some(d) = cache.get(&pred.id()) {
-                return Ok(*d);
+            if let Some(e) = cache.by_id.get(&pred.id()) {
+                if e.pred == *pred {
+                    return Ok(f(e.decoded, &e.cipher));
+                }
             }
         }
+        let decoded = self.decode(pred)?;
+        let cipher = self.value_cipher(pred.table(), pred.attr());
+        let out = f(decoded, &cipher);
+        self.decoded.write().insert(CachedTrapdoor {
+            pred: pred.clone(),
+            decoded,
+            cipher,
+        });
+        Ok(out)
+    }
+
+    fn decode(&self, pred: &EncryptedPredicate) -> Result<DecodedPred, EdbmsError> {
         let cipher = self.trapdoor_cipher(pred.table(), pred.attr());
         let words: Result<Vec<u64>, _> = pred
             .payload_words()
             .map(|w| cipher.decrypt_slice(w))
             .collect();
-        let words = words?;
-        let decoded = match (pred.kind(), words.as_slice()) {
+        match (pred.kind(), words?.as_slice()) {
             (PredicateKind::Comparison, [code, bound]) => {
                 let op = ComparisonOp::from_code(*code).ok_or(EdbmsError::MalformedTrapdoor)?;
-                DecodedPred::Comparison { op, bound: *bound }
+                Ok(DecodedPred::Comparison { op, bound: *bound })
             }
-            (PredicateKind::Between, [lo, hi]) => DecodedPred::Between { lo: *lo, hi: *hi },
-            _ => return Err(EdbmsError::MalformedTrapdoor),
-        };
-        self.decoded.write().insert(pred.id(), decoded);
-        Ok(decoded)
+            (PredicateKind::Between, [lo, hi]) => Ok(DecodedPred::Between { lo: *lo, hi: *hi }),
+            _ => Err(EdbmsError::MalformedTrapdoor),
+        }
     }
 
     #[inline]
@@ -230,7 +276,7 @@ impl TrustedMachine {
 /// A per-(predicate, table) evaluation handle opened by
 /// [`TrustedMachine::session`].
 ///
-/// Holds a private copy of the value cipher and the decoded trapdoor, so
+/// Holds the decoded trapdoor and a handle on the value cipher, so
 /// [`QpfSession::eval`] is lock-free: it pays only the real per-tuple cost
 /// (emulated enclave work + decrypt + compare). Sessions are `Sync` — one
 /// session can be shared by every worker thread of a batch.
@@ -241,7 +287,7 @@ impl TrustedMachine {
 /// exactly.
 pub struct QpfSession<'a> {
     tm: &'a TrustedMachine,
-    cipher: ValueCipher,
+    cipher: Arc<ValueCipher>,
     decoded: DecodedPred,
 }
 
@@ -370,6 +416,59 @@ mod tests {
         // And the per-tuple path still counts as before.
         assert!(tm.qpf(&p, enc.cell(0, 15).unwrap()).unwrap());
         assert_eq!(tm.qpf_uses(), 51);
+    }
+
+    #[test]
+    fn restarted_owner_reusing_an_id_is_not_answered_from_the_old_trapdoor() {
+        // A restarted owner holds the same key but numbers its trapdoors
+        // from 0 again: same id, different predicate.
+        let mut rng = StdRng::seed_from_u64(9);
+        let first = DataOwner::with_seed(9);
+        let plain = PlainTable::single_column("t", "x", vec![5]);
+        let enc = first.encrypt_table(&plain, &mut rng);
+        let tm = first.trusted_machine(TmConfig::default());
+        let cell = enc.cell(0, 0).unwrap();
+        let lt = first
+            .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 7), &mut rng)
+            .unwrap();
+        assert!(tm.qpf(&lt, cell).unwrap(), "5 < 7");
+
+        let restarted = DataOwner::with_seed(9);
+        let gt = restarted
+            .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Gt, 7), &mut rng)
+            .unwrap();
+        assert_eq!(gt.id(), lt.id(), "the restarted owner reuses the id");
+        assert!(!tm.qpf(&gt, cell).unwrap(), "5 > 7 must be false");
+        assert!(!tm.session(&gt).unwrap().eval(cell).unwrap());
+        // The first trapdoor may live on as a PRKB separator: still right.
+        assert!(tm.qpf(&lt, cell).unwrap());
+        assert!(tm.session(&lt).unwrap().eval(cell).unwrap());
+    }
+
+    #[test]
+    fn decoded_cache_is_capped_and_evicted_trapdoors_still_evaluate() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let owner = DataOwner::with_seed(11);
+        let plain = PlainTable::single_column("t", "x", vec![5]);
+        let enc = owner.encrypt_table(&plain, &mut rng);
+        let tm = owner.trusted_machine(TmConfig::default());
+        let cell = enc.cell(0, 0).unwrap();
+        let first = owner
+            .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 7), &mut rng)
+            .unwrap();
+        assert!(tm.qpf(&first, cell).unwrap());
+        for bound in 0..DECODED_CACHE_CAP as u64 + 9 {
+            let p = owner
+                .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Gt, bound), &mut rng)
+                .unwrap();
+            assert_eq!(tm.qpf(&p, cell).unwrap(), 5 > bound);
+        }
+        let cache = tm.decoded.read();
+        assert_eq!(cache.by_id.len(), DECODED_CACHE_CAP);
+        assert_eq!(cache.order.len(), DECODED_CACHE_CAP);
+        assert!(!cache.by_id.contains_key(&first.id()), "oldest goes first");
+        drop(cache);
+        assert!(tm.qpf(&first, cell).unwrap(), "decoded again on next use");
     }
 
     #[test]
