@@ -19,6 +19,7 @@ pub mod exp_fig11_fig12;
 pub mod exp_fig13;
 pub mod exp_fig8;
 pub mod exp_fig9_fig10;
+pub mod exp_layers;
 pub mod exp_server_conns;
 pub mod exp_shard_commit;
 pub mod exp_table2;

@@ -436,6 +436,27 @@ mod tests {
     }
 
     #[test]
+    fn golden_segment_validates_and_reencodes_byte_for_byte() {
+        // Segment 7 over blocks (2, "block two") and (0, "block zero!"), as
+        // written by the commit before the slice-by-16 CRC kernel: five
+        // stored checksums (two blocks, index, bloom, footer) must not move.
+        let golden: &[u8] = include_bytes!("../../tests/fixtures/parent_segment.bin");
+        validate_segment_bytes(golden).expect("parent-written segment validates");
+        let blocks = [(2, b"block two".to_vec()), (0, b"block zero!".to_vec())];
+        assert_eq!(encode_segment(7, &blocks), golden);
+
+        let dir = tmpdir("golden");
+        std::fs::write(dir.join(segment_file_name(7)), golden).expect("write");
+        let meta = SegmentMeta::open(real_fs().as_ref(), &dir, 7).expect("footer opens");
+        let entry = *meta.find(0).expect("attr 0 indexed");
+        assert_eq!(
+            meta.read_block(real_fs().as_ref(), &entry).expect("block"),
+            b"block zero!"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn name_roundtrip_and_rejects() {
         assert_eq!(parse_segment_name(&segment_file_name(42)), Some(42));
         assert_eq!(parse_segment_name("segment.0.seg"), Some(0));

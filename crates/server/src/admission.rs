@@ -18,10 +18,11 @@
 //!   retried mutations idempotent. A client that loses its connection
 //!   after sending `Insert`/`Delete` cannot know whether the commit
 //!   happened; it retries with the *same* request id, and the window
-//!   replays the stored response bytes (byte-identical, original commit
+//!   replays the stored response frame (byte-identical, original commit
 //!   sequence number included) instead of committing twice. The window is
-//!   server-global, so replay works across reconnects, and FIFO-bounded,
-//!   sized to cover a client's retry horizon rather than all history.
+//!   server-global, so replay works across reconnects, and FIFO-bounded —
+//!   by entries and by the bytes those entries pin — sized to cover a
+//!   client's retry horizon rather than all history.
 //!
 //! The in-flight case is handled, not raced: while a request id is being
 //! executed, a duplicate arrival parks on a condvar until the first
@@ -30,8 +31,8 @@
 //! panics mid-request never wedges the id.
 
 use crate::proto::{code, Response};
-use crate::wire::write_frame;
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -101,20 +102,20 @@ impl AdmissionGate {
 /// timeout so a dead peer cannot stall the reactor.
 pub(crate) fn shed_busy(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout.max(Duration::from_millis(1))));
-    let payload = Response::Error {
+    let frame = Response::Error {
         code: code::BUSY,
         message: "server at capacity; retry with backoff".into(),
     }
-    .encode();
-    let _ = write_frame(&mut stream, &payload);
+    .encode_framed();
+    let _ = stream.write_all(&frame);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 enum Entry {
     /// A worker is executing this request id right now.
     Pending,
-    /// Executed: the exact encoded [`Response`] payload that was (or would
-    /// have been) written back.
+    /// Executed: the exact framed [`Response`] that was (or would have
+    /// been) written back — the buffer the reactor wrote from, shared.
     Done(Arc<Vec<u8>>),
 }
 
@@ -125,7 +126,15 @@ struct DedupState {
     /// Pending ids are *not* here: an in-flight request is never evicted
     /// (in-flight count is bounded by the worker pool anyway).
     order: VecDeque<u64>,
+    /// Bytes held by the `Done` frames.
+    bytes: usize,
 }
+
+/// Reply bytes the window may pin per slot of capacity. Ordinary replies
+/// (insert/delete acks, narrow selections) are far smaller, so the entry
+/// bound is what they meet; a stream of 120 KB selections meets this one
+/// first and keeps its last few dozen instead of its last thousand.
+const DEDUP_BYTES_PER_SLOT: usize = 4096;
 
 /// Bounded request-id → response memo for idempotent retries (module docs).
 pub struct DedupWindow {
@@ -138,7 +147,7 @@ pub struct DedupWindow {
 pub enum DedupClaim<'a> {
     /// Request id 0 — the client opted out of tracking.
     Untracked,
-    /// Already executed: write these exact payload bytes back, do not
+    /// Already executed: write this exact response frame back, do not
     /// re-execute.
     Replay(Arc<Vec<u8>>),
     /// First arrival (or the prior attempt aborted): execute, then either
@@ -159,7 +168,8 @@ pub struct ExecuteClaim<'a> {
 
 impl DedupWindow {
     /// A window remembering the last `capacity` completed responses
-    /// (clamped to at least 1).
+    /// (clamped to at least 1), or as many of the latest as fit in
+    /// `capacity` × 4 KiB — whichever is fewer, but always the newest.
     pub fn new(capacity: usize) -> Self {
         DedupWindow {
             state: Mutex::new(DedupState::default()),
@@ -205,15 +215,23 @@ impl DedupWindow {
 }
 
 impl ExecuteClaim<'_> {
-    /// Records the response bytes for replay and releases waiters.
-    pub fn complete(mut self, payload: Arc<Vec<u8>>) {
+    /// Records the response frame for replay and releases waiters.
+    pub fn complete(mut self, frame: Arc<Vec<u8>>) {
         self.done = true;
         let mut st = self.window.lock();
-        st.entries.insert(self.rid, Entry::Done(payload));
+        st.bytes += frame.len();
+        st.entries.insert(self.rid, Entry::Done(frame));
         st.order.push_back(self.rid);
-        while st.order.len() > self.window.capacity {
-            if let Some(old) = st.order.pop_front() {
-                st.entries.remove(&old);
+        // FIFO-evict while over either bound. Pending ids are not in
+        // `order`, and the entry just recorded is never evicted: a retry
+        // of the latest request replays whatever its size.
+        let capacity = self.window.capacity;
+        while st.order.len() > capacity
+            || (st.bytes > capacity * DEDUP_BYTES_PER_SLOT && st.order.len() > 1)
+        {
+            let old = st.order.pop_front().expect("order is non-empty");
+            if let Some(Entry::Done(frame)) = st.entries.remove(&old) {
+                st.bytes -= frame.len();
             }
         }
         drop(st);
@@ -303,6 +321,43 @@ mod tests {
         // horizon it is sized for).
         assert!(matches!(window.begin(1), DedupClaim::Execute(_)));
         assert!(matches!(window.begin(3), DedupClaim::Replay(_)));
+    }
+
+    #[test]
+    fn dedup_window_is_bounded_by_bytes_but_keeps_the_newest() {
+        // 8 slots → 32 KiB budget: two 20 KiB replies do not both fit.
+        let window = DedupWindow::new(8);
+        let big = Arc::new(vec![0xAB; 20 * 1024]);
+        for rid in 1..=5u64 {
+            let DedupClaim::Execute(claim) = window.begin(rid) else {
+                panic!("fresh id must execute");
+            };
+            claim.complete(Arc::clone(&big));
+            assert_eq!(window.lock().bytes, big.len(), "after rid {rid}");
+            // The latest request's retry replays; the one before it fell out.
+            assert!(matches!(window.begin(rid), DedupClaim::Replay(_)));
+            if rid > 1 {
+                assert!(matches!(window.begin(rid - 1), DedupClaim::Execute(_)));
+            }
+        }
+        // A reply larger than the whole budget is still kept while newest…
+        let DedupClaim::Execute(claim) = window.begin(10) else {
+            panic!("fresh id must execute");
+        };
+        claim.complete(Arc::new(vec![0; 100 * 1024]));
+        assert!(matches!(window.begin(10), DedupClaim::Replay(_)));
+        // …and small replies still fill the window by entries.
+        for rid in 20..28u64 {
+            let DedupClaim::Execute(claim) = window.begin(rid) else {
+                panic!("fresh id must execute");
+            };
+            claim.complete(Arc::new(vec![1; 64]));
+        }
+        assert!(matches!(window.begin(10), DedupClaim::Execute(_)));
+        for rid in 20..28u64 {
+            assert!(matches!(window.begin(rid), DedupClaim::Replay(_)), "{rid}");
+        }
+        assert_eq!(window.lock().bytes, 8 * 64);
     }
 
     #[test]

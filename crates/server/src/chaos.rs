@@ -516,7 +516,7 @@ fn pump(
             break;
         }
         match reader.poll(&mut src, max_frame_len) {
-            Ok(ReadStep::Frame { payload, .. }) => match out.forward_frame(&payload) {
+            Ok(ReadStep::Frame { payload, .. }) => match out.forward_frame(payload) {
                 Ok(false) => {}
                 Ok(true) | Err(_) => break,
             },

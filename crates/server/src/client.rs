@@ -332,7 +332,7 @@ impl<P: WireCodec> PrkbClient<P> {
         let deadline = Instant::now() + self.config.read_timeout;
         loop {
             match self.reader.poll(stream, self.config.max_frame_len)? {
-                ReadStep::Frame { payload, .. } => return Ok(Response::decode(&payload)?),
+                ReadStep::Frame { payload, .. } => return Ok(Response::decode(payload)?),
                 ReadStep::Closed => return Err(ClientError::ConnectionClosed),
                 ReadStep::Idle | ReadStep::Stalled => {
                     if Instant::now() >= deadline {
@@ -637,7 +637,7 @@ impl<P: WireCodec> PipelinedClient<P> {
             {
                 ReadStep::Frame { payload, .. } => {
                     self.in_flight -= 1;
-                    return Ok(Response::decode(&payload)?);
+                    return Ok(Response::decode(payload)?);
                 }
                 ReadStep::Closed => return Err(ClientError::ConnectionClosed),
                 ReadStep::Idle | ReadStep::Stalled => {

@@ -2,7 +2,7 @@
 //!
 //! I/O lives in [`crate::reactor`]; this module is the compute side. A
 //! worker thread receives one decoded frame payload, runs [`process`], and
-//! hands the encoded response back to the reactor. Failure handling is
+//! hands the response back to the reactor already framed. Failure handling is
 //! two-tier, mirroring the WAL's trust model:
 //!
 //! * **frame damage** (bad CRC, oversized length, truncation) destroys
@@ -26,7 +26,7 @@
 //! cancellation probe. "No deadline" is encoded as absence (`None`), not
 //! as a zero sentinel. A non-zero `request_id` consults the server-global
 //! [`DedupWindow`] so a retried mutation replays its original response
-//! bytes instead of committing twice.
+//! frame instead of committing twice.
 
 use crate::admission::{DedupClaim, DedupWindow};
 use crate::proto::{code, Request, Response};
@@ -104,8 +104,10 @@ impl<P: SpPredicate + WireCodec, O> Shared<P, O> {
 }
 
 /// Decodes one request payload, applies the resilience header (deadline
-/// budget, idempotent-replay window), and dispatches. Returns the encoded
-/// response payload and whether the connection must close afterwards.
+/// budget, idempotent-replay window), and dispatches. Returns the response
+/// as a complete wire frame — built and checksummed here, on the worker,
+/// so the reactor only moves its bytes — and whether the connection must
+/// close afterwards.
 pub(crate) fn process<P, O>(shared: &Shared<P, O>, payload: &[u8]) -> (Arc<Vec<u8>>, bool)
 where
     P: SpPredicate + WireCodec,
@@ -118,7 +120,7 @@ where
                 code: e.wire_code(),
                 message: e.to_string(),
             };
-            return (Arc::new(resp.encode()), false);
+            return (Arc::new(resp.encode_framed()), false);
         }
     };
     let deadline = hdr
@@ -133,7 +135,7 @@ where
             message: "deadline expired before dispatch".into(),
         };
         observe_deadline(shared, &resp);
-        return (Arc::new(resp.encode()), false);
+        return (Arc::new(resp.encode_framed()), false);
     }
 
     // Only engine operations are tracked: Ping/Metrics/Shutdown have no
@@ -150,7 +152,7 @@ where
     if !tracked {
         let (resp, close) = handle(shared, req, deadline);
         observe_deadline(shared, &resp);
-        return (Arc::new(resp.encode()), close);
+        return (Arc::new(resp.encode_framed()), close);
     }
 
     match shared.dedup.begin(hdr.request_id) {
@@ -162,7 +164,7 @@ where
         DedupClaim::Execute(claim) => {
             let (resp, close) = handle(shared, req, deadline);
             observe_deadline(shared, &resp);
-            let bytes = Arc::new(resp.encode());
+            let bytes = Arc::new(resp.encode_framed());
             // Memoize only committed outcomes. An error releases the id
             // (claim drops → abort) so the client's retry re-executes.
             if matches!(

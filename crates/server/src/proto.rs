@@ -20,6 +20,7 @@
 //! body is rejected — malformed input must never take the server down
 //! (mirroring the snapshot/WAL hardening).
 
+use crate::wire::{begin_frame, seal_frame};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
 use prkb_edbms::{AttrId, TupleId};
@@ -389,6 +390,9 @@ impl<P: WireCodec> Request<P> {
 // Responses
 // ---------------------------------------------------------------------------
 
+/// Encoded length of a [`QueryStats`]: ten `u64` fields.
+const STATS_LEN: usize = 80;
+
 fn encode_stats(stats: &QueryStats, out: &mut Vec<u8>) {
     for v in [
         stats.qpf_uses,
@@ -428,7 +432,43 @@ fn decode_stats(bytes: &[u8], pos: &mut usize) -> Result<QueryStats, ProtoError>
 impl Response {
     /// Encodes this response as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![PROTO_VERSION];
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes this response in its final wire form: the payload written
+    /// once, with exact capacity, behind a reserved frame header whose
+    /// `len`/`crc` are then filled in place. The buffer a worker builds
+    /// here is the buffer the dedup window keeps and the socket is written
+    /// from.
+    pub fn encode_framed(&self) -> Vec<u8> {
+        let mut frame = begin_frame(self.encoded_len());
+        self.encode_into(&mut frame);
+        seal_frame(&mut frame);
+        frame
+    }
+
+    /// Exact length of [`encode`](Self::encode)'s output.
+    fn encoded_len(&self) -> usize {
+        2 + match self {
+            Response::Ok => 0,
+            Response::Selection { tuples, .. } => 8 + 4 + 4 * tuples.len() + STATS_LEN,
+            Response::Inserted { outcomes, .. } => {
+                let body = |o: &InsertOutcome| match o {
+                    InsertOutcome::Placed { .. } => 4 + 1 + 8,
+                    InsertOutcome::Parked { .. } => 4 + 1 + 16,
+                };
+                8 + 4 + outcomes.iter().map(|(_, o)| body(o)).sum::<usize>()
+            }
+            Response::Deleted { .. } => 8,
+            Response::Metrics { json } => 4 + json.len(),
+            Response::Error { message, .. } => 2 + 4 + message.len(),
+        }
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(PROTO_VERSION);
         match self {
             Response::Ok => out.push(0),
             Response::Selection { seq, tuples, stats } => {
@@ -438,7 +478,7 @@ impl Response {
                 for t in tuples {
                     out.extend_from_slice(&t.to_le_bytes());
                 }
-                encode_stats(stats, &mut out);
+                encode_stats(stats, out);
             }
             Response::Inserted { seq, outcomes } => {
                 out.push(2);
@@ -475,7 +515,6 @@ impl Response {
                 out.extend_from_slice(message.as_bytes());
             }
         }
-        out
     }
 
     /// Decodes one response payload.
@@ -497,10 +536,11 @@ impl Response {
                 if count > bytes.len().saturating_sub(pos) / 4 {
                     return Err(ProtoError::Malformed("tuple count lies"));
                 }
-                let mut tuples = Vec::with_capacity(count);
-                for _ in 0..count {
-                    tuples.push(take_u32(bytes, &mut pos)?);
-                }
+                // One length check (above) covers the whole id block.
+                let tuples = take(bytes, &mut pos, 4 * count)?
+                    .chunks_exact(4)
+                    .map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")))
+                    .collect();
                 let stats = decode_stats(bytes, &mut pos)?;
                 Response::Selection { seq, tuples, stats }
             }
@@ -646,6 +686,65 @@ mod tests {
             code: code::MALFORMED,
             message: "nope".into(),
         });
+    }
+
+    #[test]
+    fn framed_encoding_is_exact_and_wraps_the_payload() {
+        let responses = [
+            Response::Ok,
+            Response::Selection {
+                seq: 9,
+                tuples: (0..1000).collect(),
+                stats: QueryStats::default(),
+            },
+            Response::Inserted {
+                seq: 4,
+                outcomes: vec![
+                    (0, InsertOutcome::Placed { rank: 3 }),
+                    (1, InsertOutcome::Parked { lo: 1, hi: 5 }),
+                ],
+            },
+            Response::Deleted { seq: 5 },
+            Response::Metrics { json: "{}".into() },
+            Response::Error {
+                code: code::BUSY,
+                message: "later".into(),
+            },
+        ];
+        for resp in responses {
+            let payload = resp.encode();
+            assert_eq!(payload.len(), resp.encoded_len(), "{resp:?}");
+            let frame = resp.encode_framed();
+            assert_eq!(frame.capacity(), frame.len(), "one exact allocation");
+            assert_eq!(frame, crate::wire::encode_frame(&payload));
+        }
+    }
+
+    #[test]
+    fn malformed_selection_errors() {
+        let full = Response::Selection {
+            seq: 1,
+            tuples: vec![7, 8, 9],
+            stats: QueryStats::default(),
+        }
+        .encode();
+        for cut in 0..full.len() {
+            assert!(Response::decode(&full[..cut]).is_err(), "cut {cut}");
+        }
+        // The count sits after ver, tag and seq. One id too many for the
+        // bytes behind it still fits the length check, and runs into the
+        // stats; far too many is refused before anything is allocated.
+        let mut lying = full.clone();
+        lying[10..14].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            Response::decode(&lying),
+            Err(ProtoError::Malformed("truncated field"))
+        );
+        lying[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Response::decode(&lying),
+            Err(ProtoError::Malformed("tuple count lies"))
+        );
     }
 
     #[test]

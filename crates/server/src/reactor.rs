@@ -14,6 +14,10 @@
 //!   responses come back through a completion list plus an eventfd wake,
 //!   and are flushed with explicit `EPOLLOUT` re-arm when a peer's socket
 //!   buffer fills;
+//! * workers frame, the reactor moves bytes: a response arrives here as
+//!   the finished wire frame its worker built and checksummed, and the
+//!   socket is written from that same shared buffer by offset — this
+//!   thread, which every connection shares, copies and checksums nothing;
 //! * a connection may pipeline: frames decoded while a request is in
 //!   flight park in a per-connection inbox and are submitted FIFO, one at
 //!   a time, so responses come back in request order and byte-identical
@@ -26,8 +30,8 @@
 //!   [open] ───────────▶ FrameReader ───────────────▶ submit / inbox
 //!     ▲                     │                              │
 //!     │ flushed             │ frame error / EOF            ▼ completion
-//!     │                     ▼                        append response
-//!   [flushing] ◀────── [read-closed] ◀───────────────── to out-buffer
+//!     │                     ▼                         queue response
+//!   [flushing] ◀────── [read-closed] ◀───────────────── frame to write
 //!     │    ▲                                               │
 //!     │    └── WouldBlock: arm EPOLLOUT, wait ◀────────────┘
 //!     ▼
@@ -50,7 +54,7 @@
 use crate::admission::{shed_busy, AdmissionGate, Admit};
 use crate::conn::Shared;
 use crate::epoll::{Event, Poller};
-use crate::wire::{encode_frame, FrameReader, ReadStep, FRAME_HEADER_LEN};
+use crate::wire::{FrameReader, ReadStep};
 use prkb_core::metrics::{self, HistogramId, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::SpPredicate;
@@ -86,8 +90,9 @@ pub(crate) struct Completion {
     pub token: usize,
     /// Generation the request was submitted under.
     pub gen: u64,
-    /// Encoded response payload.
-    pub bytes: Arc<Vec<u8>>,
+    /// The response as a complete wire frame (the buffer the dedup window
+    /// may also be holding).
+    pub frame: Arc<Vec<u8>>,
     /// Close the connection after this response flushes.
     pub close: bool,
 }
@@ -104,8 +109,9 @@ struct Conn {
     inbox: VecDeque<Vec<u8>>,
     /// One request from this connection is with the workers.
     busy: bool,
-    /// Unflushed response bytes (already counted in the wire totals).
-    out: Vec<u8>,
+    /// Unflushed response frames (already counted in the wire totals),
+    /// oldest first; `out_pos` bytes of the front one are written.
+    out: VecDeque<Arc<Vec<u8>>>,
     out_pos: usize,
     /// EPOLLOUT currently armed.
     want_write: bool,
@@ -128,7 +134,7 @@ struct Conn {
 
 impl Conn {
     fn flushed(&self) -> bool {
-        self.out_pos >= self.out.len()
+        self.out.is_empty()
     }
 
     /// Nothing left to do for this connection once the out-buffer drains.
@@ -287,7 +293,7 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
             reader: FrameReader::new(),
             inbox: VecDeque::new(),
             busy: false,
-            out: Vec::new(),
+            out: VecDeque::new(),
             out_pos: 0,
             want_write: false,
             read_open: true,
@@ -341,6 +347,9 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
                     payload,
                     bytes_consumed,
                 }) => {
+                    // Requests are small; the copy is what lets the
+                    // payload cross to a worker thread.
+                    let payload = payload.to_vec();
                     conn.last_frame = now;
                     conn.last_byte = now;
                     self.shared
@@ -425,12 +434,12 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
             return;
         }
         if let Some(message) = conn.pending_error.take() {
-            let payload = crate::proto::Response::Error {
+            let frame = crate::proto::Response::Error {
                 code: crate::proto::code::FRAME,
                 message,
             }
-            .encode();
-            self.append_response(idx, &payload);
+            .encode_framed();
+            self.append_response(idx, Arc::new(frame));
         }
         if let Some(conn) = self.slab[idx].as_mut() {
             conn.close_after_flush = true;
@@ -438,16 +447,15 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
         self.try_flush(idx);
     }
 
-    /// Appends one framed response to the out-buffer and counts its wire
-    /// bytes.
-    fn append_response(&mut self, idx: usize, payload: &[u8]) {
+    /// Queues one response frame for writing and counts its wire bytes.
+    fn append_response(&mut self, idx: usize, frame: Arc<Vec<u8>>) {
         let Some(conn) = self.slab[idx].as_mut() else {
             return;
         };
-        let wire_len = (payload.len() + FRAME_HEADER_LEN) as u64;
+        let wire_len = frame.len() as u64;
         self.shared.bytes.fetch_add(wire_len, Ordering::Relaxed);
         metrics::global().add(Metric::ServerBytes, wire_len);
-        conn.out.extend_from_slice(&encode_frame(payload));
+        conn.out.push_back(frame);
     }
 
     fn drain_completions(&mut self) {
@@ -469,7 +477,7 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
             let conn = self.slab[c.token].as_mut().expect("validated above");
             conn.busy = false;
             conn.last_frame = Instant::now();
-            self.append_response(c.token, &c.bytes);
+            self.append_response(c.token, c.frame);
             let conn = self.slab[c.token].as_mut().expect("validated above");
             if c.close || self.draining {
                 conn.inbox.clear();
@@ -483,20 +491,26 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
         }
     }
 
-    /// Writes as much of the out-buffer as the socket accepts, arming or
-    /// disarming `EPOLLOUT` as the residue dictates, and closes the
+    /// Writes as much of the queued frames as the socket accepts, arming
+    /// or disarming `EPOLLOUT` as the residue dictates, and closes the
     /// connection once a close-after-flush has fully drained.
     fn try_flush(&mut self, idx: usize) {
         let Some(conn) = self.slab[idx].as_mut() else {
             return;
         };
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
+        while let Some(frame) = conn.out.front() {
+            match conn.stream.write(&frame[conn.out_pos..]) {
                 Ok(0) => {
                     self.close(idx);
                     return;
                 }
-                Ok(n) => conn.out_pos += n,
+                Ok(n) => {
+                    conn.out_pos += n;
+                    if conn.out_pos == frame.len() {
+                        conn.out.pop_front();
+                        conn.out_pos = 0;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -506,8 +520,6 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
             }
         }
         if conn.flushed() {
-            conn.out.clear();
-            conn.out_pos = 0;
             conn.write_since = None;
             let done = conn.close_after_flush || conn.finished_reading();
             if done {

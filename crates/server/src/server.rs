@@ -327,7 +327,7 @@ where
                                     u64::try_from(item.enqueued.elapsed().as_micros())
                                         .unwrap_or(u64::MAX),
                                 );
-                                let (bytes, close) = conn::process(&shared, &item.payload);
+                                let (frame, close) = conn::process(&shared, &item.payload);
                                 {
                                     let mut q = match completions.lock() {
                                         Ok(g) => g,
@@ -336,7 +336,7 @@ where
                                     q.push(Completion {
                                         token: item.token,
                                         gen: item.gen,
-                                        bytes,
+                                        frame,
                                         close,
                                     });
                                 }

@@ -136,7 +136,7 @@ fn read_n_frames(stream: &mut TcpStream, n: usize) -> Vec<Vec<u8>> {
     let deadline = Instant::now() + Duration::from_secs(30);
     while out.len() < n {
         match reader.poll(stream, DEFAULT_MAX_FRAME_LEN) {
-            Ok(ReadStep::Frame { payload, .. }) => out.push(payload),
+            Ok(ReadStep::Frame { payload, .. }) => out.push(payload.to_vec()),
             Ok(ReadStep::Closed) => {
                 panic!("server closed with {} of {n} responses read", out.len())
             }

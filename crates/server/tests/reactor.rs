@@ -71,7 +71,7 @@ fn read_frame_or_eof(stream: &mut TcpStream, deadline: Duration) -> Option<Vec<u
     let until = Instant::now() + deadline;
     loop {
         match reader.poll(stream, DEFAULT_MAX_FRAME_LEN) {
-            Ok(ReadStep::Frame { payload, .. }) => return Some(payload),
+            Ok(ReadStep::Frame { payload, .. }) => return Some(payload.to_vec()),
             Ok(ReadStep::Closed) => return None,
             Ok(_) => {}
             Err(_) => {}

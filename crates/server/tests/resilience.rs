@@ -59,7 +59,7 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
             .poll(stream, DEFAULT_MAX_FRAME_LEN)
             .expect("framed answer")
         {
-            ReadStep::Frame { payload, .. } => return payload,
+            ReadStep::Frame { payload, .. } => return payload.to_vec(),
             ReadStep::Closed => panic!("connection closed instead of answering"),
             _ => continue,
         }

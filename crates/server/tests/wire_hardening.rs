@@ -203,7 +203,7 @@ fn hostile_headers_on_a_live_server_are_contained() {
                 .poll(&mut raw, DEFAULT_MAX_FRAME_LEN)
                 .expect("framed answer")
             {
-                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload,
+                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload.to_vec(),
                 prkb_server::wire::ReadStep::Closed => panic!("closed instead of answering"),
                 _ => continue,
             }
@@ -273,7 +273,7 @@ fn garbage_streams_get_error_frames_and_server_survives() {
                 .poll(&mut raw, DEFAULT_MAX_FRAME_LEN)
                 .expect("framed answer")
             {
-                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload,
+                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload.to_vec(),
                 prkb_server::wire::ReadStep::Closed => panic!("closed instead of answering"),
                 _ => continue,
             }
@@ -290,7 +290,7 @@ fn garbage_streams_get_error_frames_and_server_survives() {
                 .poll(&mut raw, DEFAULT_MAX_FRAME_LEN)
                 .expect("framed answer")
             {
-                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload,
+                prkb_server::wire::ReadStep::Frame { payload, .. } => break payload.to_vec(),
                 prkb_server::wire::ReadStep::Closed => panic!("connection should be alive"),
                 _ => continue,
             }
