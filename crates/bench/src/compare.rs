@@ -61,6 +61,8 @@ fn exceeds(current: f64, baseline: f64, tol: f64) -> bool {
 ///
 /// A row missing from `current` that exists in `baseline` is a regression
 /// (coverage shrank); extra rows in `current` are allowed (coverage grew).
+/// Baseline rows whose id starts with `parent/` are history — the numbers
+/// of a variant or commit the experiment no longer runs — and are skipped.
 pub fn compare(baseline: &BenchFile, current: &BenchFile, config: CompareConfig) -> CompareReport {
     let mut regressions = Vec::new();
     let mut rows_compared = 0usize;
@@ -75,7 +77,11 @@ pub fn compare(baseline: &BenchFile, current: &BenchFile, config: CompareConfig)
         });
     }
 
-    for base in &baseline.rows {
+    for base in baseline
+        .rows
+        .iter()
+        .filter(|r| !r.id.starts_with("parent/"))
+    {
         let Some(cur) = current.row(&base.id) else {
             regressions.push(Regression {
                 id: base.id.clone(),
@@ -176,6 +182,15 @@ mod tests {
         let report = compare(&base, &cur, CompareConfig::default());
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].id, "q2");
+    }
+
+    #[test]
+    fn parent_rows_in_the_baseline_are_history_not_coverage() {
+        let base = file(vec![("q1", 100, 1.0), ("parent/gone", 5_000, 9.0)]);
+        let cur = file(vec![("q1", 100, 1.0)]);
+        let report = compare(&base, &cur, CompareConfig::default());
+        assert!(report.passed(), "{:?}", report.regressions);
+        assert_eq!(report.rows_compared, 1);
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! **shard_commit** — durable commit throughput under write contention:
-//! the coarse single-WAL engine vs the sharded pool with per-shard group
-//! commit (DESIGN.md §13). Not a paper figure — this gates the repo's own
-//! durability layer.
+//! **shard_commit** — durable commit throughput under write contention
+//! through the sharded pool with per-shard group commit (DESIGN.md §13).
+//! Not a paper figure — this gates the repo's own durability layer.
 //!
 //! Eight writer threads hammer eight attributes chosen to land on eight
 //! *distinct* shards, every commit made durable before it is acknowledged:
 //!
-//! * `coarse_w8` — `Mutex<DurableEngine>`: requests serialized end to end,
-//!   one fsync per committed operation (the pre-sharding baseline the
-//!   server's `Backend::Durable` still offers);
-//! * `sharded_s1_w8` — one shard: evaluation still funnels through one
-//!   lock, but the committer batches concurrent commits into shared fsyncs
-//!   (isolates the group-commit win);
+//! * `sharded_s1_w8` — one shard: checkout funnels through one lock and
+//!   the committer batches concurrent commits into shared fsyncs;
 //! * `sharded_s8_w8` — eight shards: disjoint footprints check out in
 //!   parallel *and* each shard's WAL group-commits independently.
 //!
@@ -22,14 +17,14 @@
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::metrics::{self, Metric};
-use prkb_core::{DurableEngine, EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate, SelectionOracle};
 use prkb_server::scheduler::{SessionOracle, SessionScheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 const WRITERS: usize = 8;
@@ -40,7 +35,7 @@ const VALUE_DOMAIN: u64 = 1_000_000;
 /// One measured variant.
 #[derive(Debug, Clone)]
 pub struct ShardCommitPoint {
-    /// Row id (`coarse_w8`, `sharded_s1_w8`, `sharded_s8_w8`).
+    /// Row id (`sharded_s1_w8`, `sharded_s8_w8`).
     pub id: String,
     /// Committed (durably acknowledged) operations in the timed phase.
     pub commits: u64,
@@ -58,7 +53,7 @@ pub struct ShardCommitPoint {
 
 /// Raw measurement output.
 pub struct ShardCommitData {
-    /// Per-variant measurements, baseline first.
+    /// Per-variant measurements, one shard first.
     pub points: Vec<ShardCommitPoint>,
     /// Dataset rows per attribute.
     pub n: usize,
@@ -137,66 +132,6 @@ fn total_k(engine: &PrkbEngine<Predicate>) -> u64 {
         .sum()
 }
 
-fn run_coarse(
-    oracle: &Arc<PlainOracle>,
-    attrs: &[AttrId],
-    n: usize,
-    ops: usize,
-) -> ShardCommitPoint {
-    let dir = TmpDir::new("coarse");
-    let (mut durable, _) =
-        DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default()).expect("open");
-    for &a in attrs {
-        durable.init_attr(a, n).expect("init");
-    }
-    for &a in attrs {
-        for p in warm_preds(a) {
-            durable
-                .try_select(&**oracle, &p, &mut StdRng::seed_from_u64(u64::from(a)))
-                .expect("warm select");
-        }
-    }
-    let engine = Arc::new(Mutex::new(durable));
-
-    let qpf_before = oracle.qpf_uses();
-    let fsyncs_before = metrics::global().get(Metric::WalTxns);
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for (w, &attr) in attrs.iter().enumerate() {
-        let engine = Arc::clone(&engine);
-        let oracle = Arc::clone(oracle);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..ops {
-                let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound(w, i));
-                let mut rng = StdRng::seed_from_u64((w * ops + i) as u64);
-                let mut engine = engine.lock().expect("engine lock");
-                engine
-                    .try_select(&*oracle, &pred, &mut rng)
-                    .expect("select");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("writer");
-    }
-    let ms = start.elapsed().as_secs_f64() * 1_000.0;
-    let commits = (attrs.len() * ops) as u64;
-    let engine = Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| panic!("writers joined"))
-        .into_inner()
-        .expect("engine lock");
-    ShardCommitPoint {
-        id: format!("coarse_w{WRITERS}"),
-        commits,
-        ms,
-        throughput: commits as f64 / (ms / 1_000.0),
-        qpf: oracle.qpf_uses() - qpf_before,
-        // The coarse engine fsyncs once per WAL transaction.
-        fsyncs: metrics::global().get(Metric::WalTxns) - fsyncs_before,
-        k: total_k(engine.engine()),
-    }
-}
-
 fn run_sharded(
     oracle: &Arc<PlainOracle>,
     attrs: &[AttrId],
@@ -262,7 +197,7 @@ fn run_sharded(
     }
 }
 
-/// Runs all three variants.
+/// Runs both variants.
 pub fn measure(scale: Scale) -> ShardCommitData {
     // Commit-throughput benchmark: n stays modest so per-op evaluation is
     // cheap and the durable commit path (WAL append + fsync) dominates —
@@ -277,7 +212,6 @@ pub fn measure(scale: Scale) -> ShardCommitData {
     let oracle = Arc::new(dataset(n, &attrs));
 
     let points = vec![
-        run_coarse(&oracle, &attrs, n, ops_per_writer),
         run_sharded(&oracle, &attrs, n, ops_per_writer, 1),
         run_sharded(&oracle, &attrs, n, ops_per_writer, SHARDS),
     ];
@@ -312,11 +246,11 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
             p.qpf
         ));
     }
-    let coarse = &data.points[0];
-    let sharded = data.points.last().expect("three variants");
+    let one = &data.points[0];
+    let sharded = data.points.last().expect("two variants");
     out.push_str(&format!(
-        "\nspeedup (sharded_s{SHARDS} vs coarse): {:.2}x\n",
-        sharded.throughput / coarse.throughput
+        "\nspeedup (sharded_s{SHARDS} vs sharded_s1): {:.2}x\n",
+        sharded.throughput / one.throughput
     ));
 
     let rows = data

@@ -1,33 +1,41 @@
-//! Durable, crash-recoverable PRKB: [`DurableEngine`].
+//! Durable, crash-recoverable PRKB: one WAL-backed commit path.
 //!
 //! A [`PrkbEngine`](crate::engine::PrkbEngine) whose whole value is
 //! *accumulated* (every answered query refines the index, §5.3) must not
-//! lose that accumulation to a process crash. This module wraps the engine
-//! with the storage primitives from [`prkb_edbms::durability`]:
+//! lose that accumulation to a process crash. One engine directory holds a
+//! checkpoint (immutable segment files behind an atomically swapped
+//! manifest, [`crate::lsm`]) and the epoch-tagged WAL that follows it, and
+//! one type writes both — [`ShardCommitter`]. [`ShardedDurablePool`] is a
+//! directory of such directories behind a pinned shard count;
+//! [`DurableEngine`] is the single-owner handle over one.
 //!
-//! * every committed mutation is journaled as [`RefinementOp`]s and written
-//!   as **one write-ahead-log transaction per committed operation**,
-//!   fsync'd *before* the query result is returned — an acknowledged
-//!   refinement is never lost;
+//! * every committed mutation is journaled as [`RefinementOp`]s and
+//!   enqueued as **one write-ahead-log transaction per committed
+//!   operation**; the covering result is released only after
+//!   [`ShardCommitter::wait_durable`] reports the record fsync'd, so an
+//!   acknowledged refinement is never lost. Commits that arrive while an
+//!   fsync is in flight share the next one (group commit);
 //! * the WAL is **checkpoint-rotated** by policy
 //!   ([`EngineConfig::checkpoint_wal_records`] /
-//!   [`EngineConfig::checkpoint_wal_bytes`]): the full per-attribute
-//!   snapshot ([`snapshot::save`]) is written to a temp file, atomically
-//!   renamed over the previous checkpoint, and only then is a fresh,
-//!   higher-**epoch** WAL started and the stale one removed;
-//! * **recovery** ([`DurableEngine::open`]) loads the last checkpoint,
-//!   replays the matching epoch's WAL, silently discards a torn tail
-//!   (partial final record — the residue of a crash mid-append), and
-//!   refuses to open on mid-log corruption (a bad record *followed by*
+//!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
+//!   the last rotation are written as one new segment, the manifest is
+//!   swapped to epoch `E+1`, and only then is a fresh `wal.<E+1>.log`
+//!   started and the stale one removed;
+//! * **recovery** loads the newest version of every partition from the
+//!   segment set, replays the manifest epoch's WAL, silently discards a
+//!   torn tail (partial final record — the residue of a crash mid-append),
+//!   and refuses to open on mid-log corruption (a bad record *followed by*
 //!   valid ones) — restoring an engine equivalent to some prefix of the
-//!   committed operations, `validate()`d before use.
+//!   committed operations, `validate()`d before use. A directory that
+//!   still holds a monolithic v1 `checkpoint.bin` is folded into segment 0
+//!   at the same epoch on its first open.
 //!
 //! Epochs make the checkpoint/WAL pair crash-consistent without ever
-//! truncating a live log: the checkpoint at epoch `E+1` subsumes
-//! `wal.<E>.log` *by construction* (it serializes the in-memory state that
-//! log produced), so a crash between the checkpoint rename and the old
-//! log's removal cannot double-replay — recovery only ever reads the WAL
-//! whose epoch matches the checkpoint.
+//! truncating a live log: the manifest at epoch `E+1` subsumes
+//! `wal.<E>.log` *by construction* (its segments serialize the in-memory
+//! state that log produced), so a crash between the manifest swap and the
+//! old log's removal cannot double-replay — recovery only ever reads the
+//! WAL whose epoch matches the manifest.
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::knowledge::{Knowledge, RefinementOp, Separator};
@@ -39,26 +47,24 @@ use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::selection::Selection;
 use crate::shard::ShardMap;
-use crate::snapshot::{self, SnapshotError, WireCodec};
+use crate::snapshot::{self, WireCodec};
 use crate::storage::{real_fs, StorageFs};
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{
-    crc32, write_checkpoint_on, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal,
-};
+use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{AttrId, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Checkpoint file name inside the engine directory.
+/// File name of a monolithic v1 checkpoint. Never written any more; read
+/// once by the upgrade path and classified by the scrubber.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
-/// Checkpoint magic.
+/// v1 checkpoint magic.
 const CKPT_MAGIC: &[u8; 4] = b"PCKP";
-/// Checkpoint format version.
+/// v1 checkpoint format version.
 const CKPT_VERSION: u16 = 1;
 
 /// Errors raised by the durable engine.
@@ -69,24 +75,24 @@ pub enum DurableError {
     /// The query itself failed (oracle, uninitialized attribute). The
     /// in-memory engine is abort-safe and nothing was logged.
     Query(QueryError),
-    /// The checkpoint file is damaged. Checkpoints are written atomically,
-    /// so damage here is real corruption — the engine refuses to open.
+    /// A v1 `checkpoint.bin` awaiting migration is damaged. It was written
+    /// atomically, so damage here is real corruption — the engine refuses
+    /// to open.
     CorruptCheckpoint(&'static str),
     /// A CRC-valid WAL record failed to decode or to replay cleanly —
     /// corruption that slipped past framing; the engine refuses to open.
     CorruptWal(&'static str),
-    /// The sharded-pool manifest is damaged. Like checkpoints it is
-    /// written atomically, so damage here is real corruption.
+    /// The sharded-pool manifest is damaged. Like segments it is written
+    /// atomically, so damage here is real corruption.
     CorruptManifest(&'static str),
-    /// A segment file or the segment manifest of the LSM-style checkpoint
-    /// backend ([`crate::lsm`]) is damaged: torn framing, a CRC-failing
-    /// block, or a manifest referencing a missing segment. Published
-    /// segments are immutable and manifests swap atomically, so damage
-    /// here is real corruption, never crash residue.
+    /// A checkpoint segment or the segment manifest ([`crate::lsm`]) is
+    /// damaged: torn framing, a CRC-failing block, or a manifest
+    /// referencing a missing segment. Published segments are immutable and
+    /// manifests swap atomically, so this is corruption, never crash residue.
     CorruptSegment(&'static str),
     /// A previous durability failure left the in-memory state possibly
     /// ahead of the disk; this handle refuses further work. Reopen from
-    /// disk ([`DurableEngine::open`]) to resume from the durable state.
+    /// disk to resume from the durable state.
     Poisoned,
 }
 
@@ -129,16 +135,7 @@ impl From<QueryError> for DurableError {
     }
 }
 
-impl From<SnapshotError> for DurableError {
-    fn from(e: SnapshotError) -> Self {
-        DurableError::CorruptCheckpoint(match e {
-            SnapshotError::BadHeader => "bad snapshot header",
-            SnapshotError::Truncated(w) | SnapshotError::Inconsistent(w) => w,
-        })
-    }
-}
-
-/// What [`DurableEngine::open`] found on disk.
+/// What opening one engine directory found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Whether a checkpoint was loaded (false ⇒ cold directory or
@@ -150,14 +147,9 @@ pub struct RecoveryReport {
     pub tail: TailStatus,
     /// The active checkpoint/WAL epoch.
     pub epoch: u64,
-    /// Segmented backend: live segment files referenced by the manifest
-    /// (0 for the monolithic backend or a cold directory).
+    /// Live segment files referenced by the manifest (0 on a cold
+    /// directory).
     pub segments_live: u64,
-    /// Segmented backend: partitions actually deserialized during
-    /// recovery — only those the WAL tail touched. Everything else stays
-    /// on disk until a query asks for it, which is what keeps restart
-    /// cost O(manifest + tail) instead of O(KB).
-    pub partitions_loaded: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -391,39 +383,20 @@ pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, Durabl
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: checkpoints
+// Wire codec: v1 checkpoints (read-only)
 // ---------------------------------------------------------------------------
 
-/// Serializes the full engine state:
+/// A decoded v1 checkpoint: its epoch and the per-attribute snapshot
+/// images, each verified to load.
+pub(crate) type V1Checkpoint = (u64, Vec<(AttrId, Vec<u8>)>);
+
+/// Parses a v1 checkpoint file —
 /// `"PCKP" | version u16 | epoch u64 | n_attrs u32 |`
-/// `(attr u32 | len u64 | snapshot bytes)* | crc32 u32` — the checksum
-/// covers everything before it.
-fn encode_checkpoint<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>, epoch: u64) -> Vec<u8> {
-    let mut attrs: Vec<AttrId> = engine.attrs().collect();
-    attrs.sort_unstable();
-    let mut out = Vec::new();
-    out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
-    for attr in attrs {
-        let snap = snapshot::save(engine.knowledge(attr).expect("attr enumerated above"));
-        out.extend_from_slice(&attr.to_le_bytes());
-        out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-        out.extend_from_slice(&snap);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Restored checkpoint payload: epoch + per-attribute knowledge.
-pub(crate) type CheckpointState<P> = (u64, Vec<(AttrId, Knowledge<P>)>);
-
-/// Parses a checkpoint file: `(epoch, per-attribute knowledge)`.
+/// `(attr u32 | len u64 | snapshot bytes)* | crc32 u32`, the checksum
+/// covering everything before it — into a [`V1Checkpoint`].
 pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
     bytes: &[u8],
-) -> Result<CheckpointState<P>, DurableError> {
+) -> Result<V1Checkpoint, DurableError> {
     let body_len = bytes
         .len()
         .checked_sub(4)
@@ -457,9 +430,9 @@ pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
         let attr = take_u32(bytes, &mut pos).map_err(fail)?;
         let len = take_u64(bytes, &mut pos).map_err(fail)? as usize;
         let snap = take(bytes, &mut pos, len).map_err(fail)?;
-        let kb: Knowledge<P> = snapshot::load(snap)
+        snapshot::load::<P>(snap)
             .map_err(|_| DurableError::CorruptCheckpoint("embedded snapshot"))?;
-        kbs.push((attr, kb));
+        kbs.push((attr, snap.to_vec()));
     }
     if pos != body_len {
         return Err(DurableError::CorruptCheckpoint("trailing bytes"));
@@ -468,10 +441,10 @@ pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
 }
 
 // ---------------------------------------------------------------------------
-// The durable engine
+// One engine directory: recovery and checkpoint flush
 // ---------------------------------------------------------------------------
 
-pub(crate) fn wal_name(epoch: u64) -> String {
+fn wal_name(epoch: u64) -> String {
     format!("wal.{epoch}.log")
 }
 
@@ -486,44 +459,11 @@ fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
     }
 }
 
-/// Bumps the storage-failure counters for an error that is about to poison
-/// a handle: every poison transition counts once, sync-class failures
-/// additionally count as `sync_failures`.
-fn note_poison(e: &DurableError) {
-    let m = crate::metrics::global();
-    m.add(Metric::WalPoisoned, 1);
-    if matches!(e, DurableError::Storage(DurabilityError::SyncFailed(_))) {
-        m.add(Metric::SyncFailures, 1);
-    }
-}
-
-/// The sync-failure reason inside `e`, when it is one.
-fn sync_reason(e: &DurableError) -> Option<String> {
-    match e {
-        DurableError::Storage(DurabilityError::SyncFailed(why)) => Some(why.clone()),
-        _ => None,
-    }
-}
-
-/// Result of [`recover_dir`]: the rebuilt engine, the live WAL, and what
-/// recovery found on disk.
-struct RecoveredDir<P> {
-    engine: PrkbEngine<P>,
-    wal: Wal,
-    report: RecoveryReport,
-    /// Segmented backend: the open read handle over the live segment set
-    /// (`None` under the monolithic backend or on a cold directory).
-    store: Option<SegmentStore>,
-    /// Attrs whose newest version lives only in `store` — present in its
-    /// index but never touched by the WAL tail, so never deserialized.
-    unloaded: Vec<AttrId>,
-}
-
 /// Folds a monolithic v1 `checkpoint.bin` into segment 0 plus a manifest
-/// at the same epoch, so a directory written before segmented checkpoints
-/// upgrades in place on its first segmented open. The caller removes the
-/// checkpoint file after this returns; a crash in between just re-runs the
-/// removal on the next open (the manifest already won).
+/// at the same epoch, so a directory written before segments were the
+/// checkpoint format upgrades in place on its first open. The caller
+/// removes the checkpoint file after this returns; a crash in between just
+/// re-runs the removal on the next open (the manifest already won).
 fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -532,11 +472,9 @@ fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
     let bytes = fs
         .read(&dir.join(CHECKPOINT_FILE))
         .map_err(DurabilityError::Io)?;
-    let (epoch, kbs) = decode_checkpoint::<P>(&bytes)?;
-    let blocks: Vec<(AttrId, Vec<u8>)> = kbs
-        .iter()
-        .map(|(attr, kb)| (*attr, snapshot::save(kb)))
-        .collect();
+    // A segment block is verbatim a snapshot image, so the embedded
+    // images move over as they are.
+    let (epoch, blocks) = decode_checkpoint::<P>(&bytes)?;
     let flushed = write_segment(fs, dir, 0, &blocks, crash)?;
     write_segment_manifest(
         fs,
@@ -552,22 +490,17 @@ fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
     Ok(())
 }
 
-/// The shared recovery routine: load the checkpoint (monolithic file or
-/// segment manifest), open or create the matching epoch's WAL, replay its
-/// committed transactions, validate every attribute, and drop stale-epoch
-/// logs. Used by both the coarse [`DurableEngine`] and each shard of a
-/// [`ShardedDurablePool`].
-///
-/// Under the segmented backend only the partitions the WAL tail touches
-/// are deserialized; everything else stays on disk behind the returned
-/// [`SegmentStore`], which is what keeps restart cost O(manifest + tail)
-/// instead of O(KB).
+/// Recovers one engine directory: load the newest version of every
+/// partition from the segment set (migrating a v1 checkpoint first), open
+/// or create the manifest epoch's WAL, replay its committed transactions,
+/// validate every attribute, and drop stale-epoch logs. Returns the rebuilt
+/// engine (journaling armed), the live WAL, and what was found on disk.
 fn recover_dir<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
     config: EngineConfig,
     crash: &CrashInjector,
-) -> Result<RecoveredDir<P>, DurableError> {
+) -> Result<(PrkbEngine<P>, Wal, RecoveryReport), DurableError> {
     let started = Instant::now();
     fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
     // Leftover temp files are writes whose publishing rename never
@@ -586,43 +519,29 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         }
     }
 
-    let has_segment_manifest = fs.exists(&dir.join(SEGMENT_MANIFEST_FILE));
-    if has_segment_manifest && !config.segmented_checkpoints {
-        // Refusing here is load-bearing: the monolithic path below would
-        // settle on epoch 0 and its stale-epoch sweep would delete the
-        // segmented store's live WAL — silent data loss, not a recovery.
-        return Err(DurableError::CorruptSegment(
-            "directory holds a segmented store but segmented_checkpoints is off",
-        ));
+    let ckpt_path = dir.join(CHECKPOINT_FILE);
+    if fs.exists(&ckpt_path) && !fs.exists(&dir.join(SEGMENT_MANIFEST_FILE)) {
+        migrate_v1_checkpoint::<P>(fs.as_ref(), dir, crash)?;
     }
+    // Superseded by the manifest — either by the migration above or by
+    // one an earlier open crashed out of before this removal.
+    remove_stale(fs.as_ref(), &ckpt_path)?;
 
     let mut engine = PrkbEngine::new(config);
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
     let mut epoch = 0u64;
-    let mut checkpoint_loaded = false;
-    let mut partitions_loaded = 0u64;
-    let mut store: Option<SegmentStore> = None;
-    if config.segmented_checkpoints {
-        if !has_segment_manifest && fs.exists(&ckpt_path) {
-            migrate_v1_checkpoint::<P>(fs.as_ref(), dir, crash)?;
-        }
-        // Superseded by the manifest — either by the migration above or by
-        // one an earlier open crashed out of before this removal.
-        remove_stale(fs.as_ref(), &ckpt_path)?;
-        store = SegmentStore::open(Arc::clone(fs), dir)?;
-        if let Some(s) = &store {
-            epoch = s.manifest().epoch;
-            checkpoint_loaded = true;
-        }
-    } else if fs.exists(&ckpt_path) {
-        let bytes = fs.read(&ckpt_path).map_err(DurabilityError::Io)?;
-        let (e, kbs) = decode_checkpoint::<P>(&bytes)?;
-        epoch = e;
-        partitions_loaded = kbs.len() as u64;
-        for (attr, kb) in kbs {
+    let mut segments_live = 0u64;
+    let store = SegmentStore::open(Arc::clone(fs), dir)?;
+    if let Some(store) = &store {
+        epoch = store.manifest().epoch;
+        segments_live = store.segments_live() as u64;
+        for attr in store.attrs() {
+            let bytes = store
+                .load_attr(attr)?
+                .ok_or(DurableError::CorruptSegment("indexed attr vanished"))?;
+            let kb: Knowledge<P> = snapshot::load(&bytes)
+                .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
             engine.restore_attr(attr, kb);
         }
-        checkpoint_loaded = true;
     }
 
     let wal_path = dir.join(wal_name(epoch));
@@ -640,31 +559,12 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         for entry in decode_txn::<P>(&payload)? {
             match entry {
                 TxnEntry::Init { attr, n } => engine.init_attr(attr, n as usize),
-                TxnEntry::Op { attr, op } => {
-                    if engine.knowledge(attr).is_none() {
-                        if let Some(bytes) = store
-                            .as_ref()
-                            .map(|s| s.load_attr(attr))
-                            .transpose()?
-                            .flatten()
-                        {
-                            let mut kb: Knowledge<P> = snapshot::load(&bytes).map_err(|_| {
-                                DurableError::CorruptSegment("stored partition snapshot")
-                            })?;
-                            // Arm journaling before attaching: restore_attr
-                            // leaves the partition clean, and the replayed
-                            // ops below (via knowledge_mut) are exactly its
-                            // divergence from the stored version.
-                            kb.set_recording(true);
-                            engine.restore_attr(attr, kb);
-                            partitions_loaded += 1;
-                        }
-                    }
-                    engine
-                        .knowledge_mut(attr)
-                        .ok_or(DurableError::CorruptWal("op for unknown attribute"))?
-                        .apply_op(op);
-                }
+                // `knowledge_mut` marks the partition dirty: the replayed
+                // tail is exactly its divergence from the stored version.
+                TxnEntry::Op { attr, op } => engine
+                    .knowledge_mut(attr)
+                    .ok_or(DurableError::CorruptWal("op for unknown attribute"))?
+                    .apply_op(op),
             }
         }
     }
@@ -696,17 +596,6 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     }
 
     engine.set_recording(true);
-    let loaded: BTreeSet<AttrId> = engine.attrs().collect();
-    let unloaded: Vec<AttrId> = store
-        .as_ref()
-        .map(|s| {
-            s.attrs()
-                .into_iter()
-                .filter(|a| !loaded.contains(a))
-                .collect()
-        })
-        .unwrap_or_default();
-    let segments_live = store.as_ref().map_or(0, |s| s.segments_live() as u64);
     let m = crate::metrics::global();
     m.add(
         Metric::RecoveryMs,
@@ -715,23 +604,17 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     if store.is_some() {
         m.set(Metric::SegmentsLive, segments_live);
     }
-    Ok(RecoveredDir {
-        engine,
-        wal,
-        report: RecoveryReport {
-            checkpoint_loaded,
-            records_replayed,
-            tail,
-            epoch,
-            segments_live,
-            partitions_loaded,
-        },
-        store,
-        unloaded,
-    })
+    let report = RecoveryReport {
+        checkpoint_loaded: store.is_some(),
+        records_replayed,
+        tail,
+        epoch,
+        segments_live,
+    };
+    Ok((engine, wal, report))
 }
 
-/// Segmented checkpoint: writes the engine's dirtied partitions as one new
+/// Checkpoint flush: writes the engine's dirtied partitions as one new
 /// segment and swaps in a manifest at `next_epoch` that appends it to the
 /// live set. Writes O(dirty) bytes, never O(KB). An empty dirty set still
 /// publishes an (empty) segment so epoch, manifest, and WAL rotate in
@@ -771,457 +654,9 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     Ok(())
 }
 
-/// A [`PrkbEngine`] whose every committed mutation is made durable before
-/// the covering result is returned, and which recovers that state on
-/// [`open`](Self::open).
-///
-/// All query entry points mirror the engine's fallible API
-/// (`try_select*` / `try_insert` / `delete`), with one extra failure mode:
-/// a [`DurableError::Storage`] *after* the in-memory engine committed a
-/// refinement poisons the handle, because memory may now be ahead of disk.
-/// The on-disk state is still a consistent committed prefix — reopen to
-/// resume from it.
-#[derive(Debug)]
-pub struct DurableEngine<P> {
-    engine: PrkbEngine<P>,
-    wal: Wal,
-    dir: PathBuf,
-    epoch: u64,
-    crash: CrashInjector,
-    fs: Arc<dyn StorageFs>,
-    poisoned: bool,
-    /// When the poisoning failure was a sync failure, its reason — later
-    /// calls surface it as [`DurabilityError::SyncFailed`] rather than the
-    /// generic [`DurableError::Poisoned`].
-    sync_poison: Option<String>,
-    /// Segmented backend: the open read handle over the live segment set
-    /// (`None` under the monolithic backend).
-    store: Option<SegmentStore>,
-    /// Attrs whose newest version lives only in `store`, materialized on
-    /// first touch — what lets a KB bigger than RAM open instantly.
-    unloaded: BTreeSet<AttrId>,
-}
-
-impl<P: SpPredicate + WireCodec> DurableEngine<P> {
-    /// Opens (or creates) a durable engine rooted at `dir`, recovering any
-    /// previous state. Crash injection is armed from the
-    /// `PRKB_CRASH_POINT` environment variable (unset ⇒ disabled).
-    ///
-    /// # Errors
-    /// Storage errors, plus [`DurableError::CorruptCheckpoint`] /
-    /// [`DurableError::CorruptWal`] when the on-disk state is damaged
-    /// beyond the torn-tail case (which is silently discarded).
-    pub fn open(dir: &Path, config: EngineConfig) -> Result<(Self, RecoveryReport), DurableError> {
-        Self::open_with_crash(dir, config, CrashInjector::from_env())
-    }
-
-    /// [`open`](Self::open) with an explicit crash-injection schedule
-    /// (tests sweep every [`CrashPoint`]).
-    pub fn open_with_crash(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-    ) -> Result<(Self, RecoveryReport), DurableError> {
-        Self::open_with_storage(dir, config, crash, real_fs())
-    }
-
-    /// [`open`](Self::open) on an arbitrary [`StorageFs`] — the hook the
-    /// storage-fault sweep uses to make every write/fsync/rename lie.
-    pub fn open_with_storage(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-        fs: Arc<dyn StorageFs>,
-    ) -> Result<(Self, RecoveryReport), DurableError> {
-        let recovered = recover_dir::<P>(&fs, dir, config, &crash)?;
-        let epoch = recovered.report.epoch;
-        Ok((
-            DurableEngine {
-                engine: recovered.engine,
-                wal: recovered.wal,
-                dir: dir.to_path_buf(),
-                epoch,
-                crash,
-                fs,
-                poisoned: false,
-                sync_poison: None,
-                store: recovered.store,
-                unloaded: recovered.unloaded.into_iter().collect(),
-            },
-            recovered.report,
-        ))
-    }
-
-    /// The wrapped engine (read-only introspection). Under the segmented
-    /// backend, partitions not yet materialized from the segment store are
-    /// invisible here — call
-    /// [`ensure_all_loaded`](Self::ensure_all_loaded) first when comparing
-    /// whole-KB state.
-    pub fn engine(&self) -> &PrkbEngine<P> {
-        &self.engine
-    }
-
-    /// Materializes `attr` from the segment store if it is still lazy.
-    fn ensure_attr(&mut self, attr: AttrId) -> Result<(), DurableError> {
-        if !self.unloaded.contains(&attr) {
-            return Ok(());
-        }
-        let store = self.store.as_ref().expect("unloaded attrs imply a store");
-        let bytes = store.load_attr(attr)?.ok_or(DurableError::CorruptSegment(
-            "unloaded attr missing from store",
-        ))?;
-        let mut kb: Knowledge<P> = snapshot::load(&bytes)
-            .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
-        // Arm journaling before attaching: restore_attr leaves the
-        // partition clean, and only post-load refinements should dirty it
-        // or reach the WAL.
-        kb.set_recording(true);
-        self.engine.restore_attr(attr, kb);
-        self.unloaded.remove(&attr);
-        Ok(())
-    }
-
-    fn ensure_all(&mut self) -> Result<(), DurableError> {
-        while let Some(attr) = self.unloaded.iter().next().copied() {
-            self.ensure_attr(attr)?;
-        }
-        Ok(())
-    }
-
-    /// Loads every still-lazy partition from the segment store (no-op on
-    /// the monolithic backend). Whole-KB introspection and state
-    /// comparisons need this; per-predicate queries materialize only what
-    /// they touch.
-    ///
-    /// # Errors
-    /// [`DurableError::CorruptSegment`] when a stored partition fails its
-    /// CRC or snapshot decode.
-    pub fn ensure_all_loaded(&mut self) -> Result<(), DurableError> {
-        self.ensure_all()
-    }
-
-    /// Attrs still waiting in the segment store, not yet deserialized
-    /// (always empty on the monolithic backend).
-    pub fn unloaded_attrs(&self) -> Vec<AttrId> {
-        self.unloaded.iter().copied().collect()
-    }
-
-    /// The active checkpoint/WAL epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Records in the active WAL (each = one committed operation).
-    pub fn wal_records(&self) -> u64 {
-        self.wal.records()
-    }
-
-    /// Whether an earlier durability failure poisoned this handle.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    fn check_poison(&self) -> Result<(), DurableError> {
-        if let Some(why) = &self.sync_poison {
-            Err(DurableError::Storage(DurabilityError::SyncFailed(
-                why.clone(),
-            )))
-        } else if self.poisoned {
-            Err(DurableError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn poison_with(&mut self, e: &DurableError) {
-        if !self.poisoned {
-            note_poison(e);
-        }
-        self.poisoned = true;
-        if self.sync_poison.is_none() {
-            self.sync_poison = sync_reason(e);
-        }
-    }
-
-    /// Integrity-scrubs this engine's directory (see [`crate::scrub`]).
-    /// With `quarantine`, hard-corrupt files are moved into `quarantine/`
-    /// — never do that on a directory another live handle is using.
-    pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
-        crate::scrub::scrub_engine_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
-    }
-
-    /// Drains the journaled ops of the operation that just committed
-    /// in-memory and makes them durable as one WAL transaction, then
-    /// rotates the checkpoint if the policy says so. Every committed
-    /// operation writes exactly one record — also when it refined nothing —
-    /// so the WAL record count equals the committed-operation count.
-    fn commit(&mut self) -> Result<(), DurableError> {
-        let entries: Vec<TxnEntry<P>> = self
-            .engine
-            .take_ops()
-            .into_iter()
-            .map(|(attr, op)| TxnEntry::Op { attr, op })
-            .collect();
-        self.log_txn(&entries)
-    }
-
-    fn log_txn(&mut self, entries: &[TxnEntry<P>]) -> Result<(), DurableError> {
-        let payload = encode_txn(entries);
-        let bytes_before = self.wal.bytes();
-        if let Err(e) = self.wal.append(&payload) {
-            // In-memory state is ahead of the log now; only a reopen can
-            // re-establish the memory == disk-prefix invariant.
-            let e = DurableError::from(e);
-            self.poison_with(&e);
-            return Err(e);
-        }
-        crate::metrics::global().record_wal_txn(self.wal.bytes().saturating_sub(bytes_before));
-        self.maybe_checkpoint()
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), DurableError> {
-        let by_records = self.engine.config.checkpoint_wal_records;
-        let by_bytes = self.engine.config.checkpoint_wal_bytes;
-        if (by_records > 0 && self.wal.records() >= by_records)
-            || (by_bytes > 0 && self.wal.bytes() >= by_bytes)
-        {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Forces a checkpoint rotation.
-    ///
-    /// Monolithic backend: snapshot → temp file → fsync → atomic rename →
-    /// fresh higher-epoch WAL → stale WAL removed. Segmented backend
-    /// ([`EngineConfig::segmented_checkpoints`]): only the partitions
-    /// dirtied since the last rotation are written, as one immutable
-    /// segment appended to the manifest — O(delta), not O(KB) — and the
-    /// segment set is folded down when it crosses
-    /// [`EngineConfig::compact_segment_threshold`]. A crash at any
-    /// boundary recovers: before the publishing rename the old state is
-    /// intact; after it the new checkpoint subsumes the old WAL.
-    ///
-    /// # Errors
-    /// Any storage failure poisons the handle (disk state is still a
-    /// consistent committed prefix; reopen to resume).
-    pub fn checkpoint(&mut self) -> Result<(), DurableError> {
-        self.check_poison()?;
-        let next = self.epoch + 1;
-        let fs = Arc::clone(&self.fs);
-        let segmented = self.engine.config.segmented_checkpoints;
-        let result: Result<(), DurableError> = (|| {
-            if segmented {
-                flush_segments(fs.as_ref(), &self.dir, &self.engine, next, &self.crash)?;
-            } else {
-                let payload = encode_checkpoint(&self.engine, next);
-                write_checkpoint_on(
-                    fs.as_ref(),
-                    &self.dir,
-                    CHECKPOINT_FILE,
-                    &payload,
-                    &self.crash,
-                )?;
-            }
-            let new_wal = Wal::create_on(
-                fs.as_ref(),
-                &self.dir.join(wal_name(next)),
-                self.crash.clone(),
-            )?;
-            self.crash.fire(CrashPoint::BeforeWalRetire)?;
-            let old_path = self.wal.path().to_path_buf();
-            self.wal = new_wal;
-            self.epoch = next;
-            self.engine.clear_dirty();
-            remove_stale(fs.as_ref(), &old_path)?;
-            self.crash.fire(CrashPoint::AfterWalRetire)?;
-            if segmented {
-                self.maybe_compact(&fs)?;
-            }
-            Ok(())
-        })();
-        match &result {
-            Err(e) => self.poison_with(e),
-            Ok(()) => crate::metrics::global().add(crate::metrics::Metric::Checkpoints, 1),
-        }
-        result
-    }
-
-    /// Folds the segment set once it reaches the configured threshold,
-    /// then refreshes the read handle the lazy loads go through (the
-    /// folded files are gone after a compaction).
-    fn maybe_compact(&mut self, fs: &Arc<dyn StorageFs>) -> Result<(), DurableError> {
-        let threshold = self.engine.config.compact_segment_threshold;
-        if threshold == 0 {
-            return Ok(());
-        }
-        let live =
-            read_segment_manifest(fs.as_ref(), &self.dir)?.map_or(0, |m| m.segments.len() as u64);
-        if live < threshold {
-            return Ok(());
-        }
-        compact_dir(fs, &self.dir, &self.crash)?;
-        self.store = SegmentStore::open(Arc::clone(fs), &self.dir)?;
-        if let Some(s) = &self.store {
-            crate::metrics::global().set(Metric::SegmentsLive, s.segments_live() as u64);
-        }
-        Ok(())
-    }
-
-    /// Durable `initPRKB`: initializes the attribute and logs the
-    /// initialization before returning.
-    ///
-    /// # Errors
-    /// Storage failures (which poison the handle).
-    pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
-        self.check_poison()?;
-        // A re-init supersedes any stored version: drop the lazy marker so
-        // a later touch can't clobber the fresh state with segment bytes.
-        // init marks the attr dirty, so the next flush shadows the store.
-        self.unloaded.remove(&attr);
-        self.engine.init_attr(attr, n);
-        // The fresh knowledge base starts with journaling off; re-arm it.
-        self.engine.set_recording(true);
-        self.log_txn(&[TxnEntry::Init { attr, n: n as u64 }])
-    }
-
-    /// Durable single-predicate selection: the refinement this query made
-    /// is on disk before the result is returned.
-    ///
-    /// # Errors
-    /// [`DurableError::Query`] leaves both memory and disk untouched
-    /// (abort-safe engine); [`DurableError::Storage`] poisons the handle.
-    pub fn try_select<O, R>(
-        &mut self,
-        oracle: &O,
-        pred: &P,
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.check_poison()?;
-        self.ensure_attr(pred.attr())?;
-        let sel = self.engine.try_select(oracle, pred, rng)?;
-        self.commit()?;
-        Ok(sel)
-    }
-
-    /// Durable conjunction selection (see
-    /// [`PrkbEngine::try_select_conjunction`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_conjunction<O, R>(
-        &mut self,
-        oracle: &O,
-        preds: &[P],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.check_poison()?;
-        for pred in preds {
-            self.ensure_attr(pred.attr())?;
-        }
-        let sel = self.engine.try_select_conjunction(oracle, preds, rng)?;
-        self.commit()?;
-        Ok(sel)
-    }
-
-    /// Durable PRKB(MD) range selection (see
-    /// [`PrkbEngine::try_select_range_md`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_range_md<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.check_poison()?;
-        for dim in dims {
-            self.ensure_attr(dim[0].attr())?;
-        }
-        let sel = self.engine.try_select_range_md(oracle, dims, rng)?;
-        self.commit()?;
-        Ok(sel)
-    }
-
-    /// Durable PRKB(SD+) range selection (see
-    /// [`PrkbEngine::try_select_range_sdplus`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.check_poison()?;
-        for dim in dims {
-            self.ensure_attr(dim[0].attr())?;
-        }
-        let sel = self.engine.try_select_range_sdplus(oracle, dims, rng)?;
-        self.commit()?;
-        Ok(sel)
-    }
-
-    /// Durable insert routing (see [`PrkbEngine::try_insert`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_insert<O>(
-        &mut self,
-        oracle: &O,
-        t: TupleId,
-    ) -> Result<Vec<(AttrId, crate::insert::InsertOutcome)>, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-    {
-        self.check_poison()?;
-        // Inserts and deletes touch every attribute's partitions.
-        self.ensure_all()?;
-        let outcomes = self.engine.try_insert(oracle, t)?;
-        self.commit()?;
-        Ok(outcomes)
-    }
-
-    /// Durable delete (see [`PrkbEngine::delete`]).
-    ///
-    /// # Errors
-    /// Storage failures (which poison the handle).
-    pub fn delete(&mut self, t: TupleId) -> Result<(), DurableError> {
-        self.check_poison()?;
-        self.ensure_all()?;
-        self.engine.delete(t);
-        self.commit()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Sharded durability: per-shard WALs with group commit
+// The durable engine: one directory's WAL, group commit and rotation
 // ---------------------------------------------------------------------------
-
-/// Manifest file of a [`ShardedDurablePool`] directory.
-pub const MANIFEST_FILE: &str = "manifest.bin";
-/// Manifest magic.
-const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
-/// Manifest format version.
-const MANIFEST_VERSION: u16 = 1;
 
 /// Ack handle for one record enqueued on a [`ShardCommitter`]: redeem it
 /// with [`ShardCommitter::wait_durable`] before acknowledging the commit
@@ -1275,10 +710,11 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
     }
 }
 
-/// A shard-local **group commit** pipeline: callers enqueue encoded WAL
-/// transactions (atomically with the in-memory mutation, under the shard's
-/// engine lock) and then block on [`wait_durable`](Self::wait_durable)
-/// *after* releasing that lock. The first waiter to find the WAL idle
+/// The durable engine of one directory: its WAL behind a **group commit**
+/// pipeline, its checkpoint rotation, and its poison state. Callers
+/// enqueue encoded WAL transactions (atomically with the in-memory
+/// mutation, under the shard's engine lock) and then block on
+/// [`wait_durable`](Self::wait_durable) *after* releasing that lock. The first waiter to find the WAL idle
 /// elects itself **leader** immediately, takes the WAL and up to
 /// [`EngineConfig::group_commit_records`] pending payloads out of the
 /// lock, appends them all, and pays **one** fsync for the lot — then wakes
@@ -1319,52 +755,28 @@ impl fmt::Debug for CommitterState {
 }
 
 impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
-    /// Opens (or creates) one shard directory, recovering its engine from
-    /// checkpoint + WAL replay exactly like [`DurableEngine::open`], and
-    /// returns the recovered engine alongside the committer that will make
-    /// its future mutations durable.
+    /// Opens (or creates) one engine directory on `fs`, recovering its
+    /// engine from checkpoint + WAL replay, and returns the recovered
+    /// engine alongside the committer that will make its future mutations
+    /// durable.
     ///
     /// # Errors
-    /// As [`DurableEngine::open`].
-    pub fn open(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-    ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        Self::open_with_storage(dir, config, crash, real_fs())
-    }
-
-    /// [`open`](Self::open) on an arbitrary [`StorageFs`].
+    /// Storage errors, plus [`DurableError::CorruptSegment`] /
+    /// [`DurableError::CorruptCheckpoint`] / [`DurableError::CorruptWal`]
+    /// when the on-disk state is damaged beyond the torn-tail case (which
+    /// is silently discarded).
     pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
         crash: CrashInjector,
         fs: Arc<dyn StorageFs>,
     ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let recovered = recover_dir::<P>(&fs, dir, config, &crash)?;
-        let durable = recovered.wal.records();
-        let mut engine = recovered.engine;
-        // Shard engines are handed out by value and the session scheduler
-        // moves partitions between worker footprints with detach/attach, so
-        // a shard cannot carry lazy holes the way DurableEngine can:
-        // hydrate everything the segment store holds before handing the
-        // engine out. The recovery *replay* above still deserialized only
-        // the WAL-touched partitions (what the report counts).
-        if let Some(store) = &recovered.store {
-            for attr in recovered.unloaded {
-                let bytes = store.load_attr(attr)?.ok_or(DurableError::CorruptSegment(
-                    "unloaded attr missing from store",
-                ))?;
-                let mut kb: Knowledge<P> = snapshot::load(&bytes)
-                    .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
-                kb.set_recording(true);
-                engine.restore_attr(attr, kb);
-            }
-        }
+        let (engine, wal, report) = recover_dir::<P>(&fs, dir, config, &crash)?;
+        let durable = wal.records();
         let committer = ShardCommitter {
             state: Mutex::new(CommitterState {
-                wal: Some(recovered.wal),
-                epoch: recovered.report.epoch,
+                wal: Some(wal),
+                epoch: report.epoch,
                 pending: Vec::new(),
                 next_seq: durable + 1,
                 durable_seq: durable,
@@ -1379,11 +791,37 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             max_wait: Duration::from_micros(config.group_commit_max_wait_us),
             _pred: PhantomData,
         };
-        Ok((engine, committer, recovered.report))
+        Ok((engine, committer, report))
     }
 
     fn lock(&self) -> MutexGuard<'_, CommitterState> {
         self.state.lock().expect("committer lock poisoned")
+    }
+
+    /// Poisons the shard with `e` and hands `e` back for the caller to
+    /// return: memory may now be ahead of disk. The first failure counts
+    /// in the storage-failure metrics (sync-class ones additionally as
+    /// `sync_failures`) and, when it is a sync failure, its reason is kept
+    /// so every later caller gets [`DurabilityError::SyncFailed`] — never
+    /// a durable ack for a failed fsync. Wakes every queued waiter.
+    fn poison(&self, st: &mut CommitterState, e: DurableError) -> DurableError {
+        let sync_reason = match &e {
+            DurableError::Storage(DurabilityError::SyncFailed(why)) => Some(why.clone()),
+            _ => None,
+        };
+        if !st.poisoned {
+            let m = crate::metrics::global();
+            m.add(Metric::WalPoisoned, 1);
+            if sync_reason.is_some() {
+                m.add(Metric::SyncFailures, 1);
+            }
+        }
+        st.poisoned = true;
+        if st.sync_poison.is_none() {
+            st.sync_poison = sync_reason;
+        }
+        self.cv.notify_all();
+        e
     }
 
     /// Enqueues one encoded WAL transaction ([`encode_txn`]) for the next
@@ -1404,6 +842,33 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             epoch: st.epoch,
             seq,
         }
+    }
+
+    /// Journals one committed operation: encodes the ops drained from the
+    /// engine ([`PrkbEngine::take_ops`]) as a single WAL transaction and
+    /// [`enqueue`](Self::enqueue)s it. Every committed operation enqueues
+    /// exactly one record — also when it refined nothing — so the WAL
+    /// record count equals the committed-operation count.
+    pub fn enqueue_journal(&self, ops: Vec<(AttrId, RefinementOp<P>)>) -> GroupCommitTicket {
+        let entries: Vec<TxnEntry<P>> = ops
+            .into_iter()
+            .map(|(attr, op)| TxnEntry::Op { attr, op })
+            .collect();
+        self.enqueue(encode_txn(&entries))
+    }
+
+    /// `initPRKB` with its WAL record: initializes `attr` on `engine` and
+    /// enqueues the initialization.
+    fn enqueue_init(
+        &self,
+        engine: &mut PrkbEngine<P>,
+        attr: AttrId,
+        n: usize,
+    ) -> GroupCommitTicket {
+        engine.init_attr(attr, n);
+        // The fresh knowledge base starts with journaling off; re-arm it.
+        engine.set_recording(true);
+        self.enqueue(encode_txn::<P>(&[TxnEntry::Init { attr, n: n as u64 }]))
     }
 
     /// Blocks until the ticket's record is fsync-durable and returns its
@@ -1484,20 +949,33 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
                 self.cv.notify_all();
                 Ok(st)
             }
-            Err(e) => {
-                // The WAL handle is dropped: its file may hold a torn or
-                // unsynced suffix. Recovery discards that suffix and lands
-                // on the committed prefix. Queued waiters all get the
-                // poison error — never a durable ack for a failed fsync.
-                if !st.poisoned {
-                    note_poison(&e);
+            // The WAL handle is dropped: its file may hold a torn or
+            // unsynced suffix. Recovery discards that suffix and lands on
+            // the committed prefix.
+            Err(e) => Err(self.poison(&mut st, e)),
+        }
+    }
+
+    /// Leads flushes until nothing is pending and the WAL is back under
+    /// the lock, which the returned guard still holds.
+    fn drain<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, CommitterState>,
+    ) -> Result<MutexGuard<'a, CommitterState>, DurableError> {
+        loop {
+            if st.poisoned {
+                return Err(poisoned_err(&st));
+            }
+            match &st.wal {
+                Some(_) if st.pending.is_empty() => return Ok(st),
+                Some(_) => st = self.lead_flush(st)?,
+                None => {
+                    st = self
+                        .cv
+                        .wait_timeout(st, Duration::from_millis(50))
+                        .expect("committer lock poisoned")
+                        .0;
                 }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
             }
         }
     }
@@ -1509,23 +987,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed.
     pub fn flush(&self) -> Result<(), DurableError> {
-        let mut st = self.lock();
-        loop {
-            if st.poisoned {
-                return Err(poisoned_err(&st));
-            }
-            match &st.wal {
-                Some(_) if st.pending.is_empty() => return Ok(()),
-                Some(_) => st = self.lead_flush(st)?,
-                None => {
-                    st = self
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("committer lock poisoned")
-                        .0;
-                }
-            }
-        }
+        self.drain(self.lock()).map(drop)
     }
 
     /// Whether the checkpoint policy asks for a rotation (counting both
@@ -1541,52 +1003,26 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         (by_records > 0 && records >= by_records) || (by_bytes > 0 && wal.bytes() >= by_bytes)
     }
 
-    /// Rotates the shard's checkpoint: flush pending, persist `engine`
-    /// (monolithic snapshot, or one O(dirty) segment under
-    /// [`EngineConfig::segmented_checkpoints`]), start a fresh WAL at
-    /// epoch + 1, retire the old log, and reset the sequence. The caller
+    /// Rotates the checkpoint: flush pending, write the partitions `engine`
+    /// dirtied since the last rotation as one segment — O(delta), not
+    /// O(KB) — swap the manifest to epoch + 1, start a fresh WAL, retire
+    /// the old log, reset the sequence, and fold the segment set once it
+    /// reaches [`EngineConfig::compact_segment_threshold`]. The caller
     /// must hold the shard's engine lock and guarantee the shard is
     /// quiescent, so `engine` is exactly the state the flushed WAL
-    /// produced. (`&mut` because a successful segmented rotation clears
-    /// the engine's dirty-partition set.)
+    /// produced. (`&mut` because a successful rotation clears the engine's
+    /// dirty-partition set.) A crash at any boundary recovers: before the
+    /// manifest swap the old segment set + WAL are intact; after it the
+    /// new segment subsumes the old WAL.
     ///
     /// # Errors
     /// Storage failures poison the committer (disk keeps a consistent
-    /// committed prefix; reopen the pool to resume).
+    /// committed prefix; reopen to resume).
     pub fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
-        let mut st = self.lock();
-        loop {
-            if st.poisoned {
-                return Err(poisoned_err(&st));
-            }
-            match &st.wal {
-                Some(_) if st.pending.is_empty() => break,
-                Some(_) => st = self.lead_flush(st)?,
-                None => {
-                    st = self
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("committer lock poisoned")
-                        .0;
-                }
-            }
-        }
-
+        let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
-        let segmented = engine.config.segmented_checkpoints;
-        let result = (|| -> Result<Wal, DurableError> {
-            if segmented {
-                flush_segments(self.fs.as_ref(), &self.dir, engine, next, &self.crash)?;
-            } else {
-                let payload = encode_checkpoint(engine, next);
-                write_checkpoint_on(
-                    self.fs.as_ref(),
-                    &self.dir,
-                    CHECKPOINT_FILE,
-                    &payload,
-                    &self.crash,
-                )?;
-            }
+        let rotated = (|| -> Result<Wal, DurableError> {
+            flush_segments(self.fs.as_ref(), &self.dir, engine, next, &self.crash)?;
             let new_wal = Wal::create_on(
                 self.fs.as_ref(),
                 &self.dir.join(wal_name(next)),
@@ -1595,95 +1031,52 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             self.crash.fire(CrashPoint::BeforeWalRetire)?;
             Ok(new_wal)
         })();
-        match result {
-            Ok(new_wal) => {
-                let old = st
-                    .wal
-                    .take()
-                    .expect("wal present after flush loop")
-                    .path()
-                    .to_path_buf();
-                st.wal = Some(new_wal);
-                st.epoch = next;
-                st.durable_seq = 0;
-                st.next_seq = 1;
-                engine.clear_dirty();
-                if let Err(e) = remove_stale(self.fs.as_ref(), &old) {
-                    // The checkpoint at `next` is durable, so the stale WAL is
-                    // harmless on disk — but a failing unlink signals a sick
-                    // volume; poison rather than limp along.
-                    if !st.poisoned {
-                        note_poison(&e);
-                    }
-                    st.poisoned = true;
-                    if st.sync_poison.is_none() {
-                        st.sync_poison = sync_reason(&e);
-                    }
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-                self.cv.notify_all();
-                if let Err(e) = self.crash.fire(CrashPoint::AfterWalRetire) {
-                    let e = DurableError::from(e);
-                    if !st.poisoned {
-                        note_poison(&e);
-                    }
-                    st.poisoned = true;
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-                crate::metrics::global().add(Metric::Checkpoints, 1);
-                if segmented {
-                    let threshold = engine.config.compact_segment_threshold;
-                    if threshold > 0 {
-                        if let Err(e) = self.compact_if_at_least(threshold) {
-                            if !st.poisoned {
-                                note_poison(&e);
-                            }
-                            st.poisoned = true;
-                            if st.sync_poison.is_none() {
-                                st.sync_poison = sync_reason(&e);
-                            }
-                            self.cv.notify_all();
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if !st.poisoned {
-                    note_poison(&e);
-                }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
-            }
-        }
+        let new_wal = match rotated {
+            Ok(wal) => wal,
+            Err(e) => return Err(self.poison(&mut st, e)),
+        };
+        let old = st
+            .wal
+            .replace(new_wal)
+            .expect("wal present after drain")
+            .path()
+            .to_path_buf();
+        st.epoch = next;
+        st.durable_seq = 0;
+        st.next_seq = 1;
+        engine.clear_dirty();
+        self.cv.notify_all();
+        // The checkpoint at `next` is durable, so a stale WAL left on disk
+        // is harmless — but a failing unlink or fold signals a sick
+        // volume; poison rather than limp along.
+        let retired = (|| -> Result<(), DurableError> {
+            remove_stale(self.fs.as_ref(), &old)?;
+            self.crash.fire(CrashPoint::AfterWalRetire)?;
+            crate::metrics::global().add(Metric::Checkpoints, 1);
+            self.compact_if_at_least(engine.config.compact_segment_threshold)
+        })();
+        retired.map_err(|e| self.poison(&mut st, e))
     }
 
-    /// Folds the shard's segment set when at least `threshold` segments
-    /// are live. Shard engines are fully hydrated, so no read handle needs
-    /// refreshing afterwards.
+    /// Folds the segment set when at least `threshold` segments are live
+    /// (`0` disables the automatic fold).
     fn compact_if_at_least(&self, threshold: u64) -> Result<(), DurableError> {
+        if threshold == 0 {
+            return Ok(());
+        }
         let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
             .map_or(0, |m| m.segments.len() as u64);
         if live >= threshold && compact_dir(&self.fs, &self.dir, &self.crash)?.is_some() {
-            let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
-                .map_or(0, |m| m.segments.len() as u64);
-            crate::metrics::global().set(Metric::SegmentsLive, live);
+            // A fold leaves exactly one live segment.
+            crate::metrics::global().set(Metric::SegmentsLive, 1);
         }
         Ok(())
     }
 
-    /// Forces a compaction of this shard's segment set regardless of the
-    /// threshold (`None` under the monolithic backend or when at most one
-    /// segment is live). Holds the committer lock for the duration, so
-    /// commits on this shard queue behind the fold; in-memory queries are
-    /// unaffected.
+    /// Forces a compaction of the segment set regardless of the threshold
+    /// (`None` when at most one segment is live). Holds the committer lock
+    /// for the duration, so commits on this shard queue behind the fold;
+    /// in-memory queries are unaffected.
     ///
     /// # Errors
     /// Storage failures poison the committer.
@@ -1692,20 +1085,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         if st.poisoned {
             return Err(poisoned_err(&st));
         }
-        match compact_dir(&self.fs, &self.dir, &self.crash) {
-            Ok(stats) => Ok(stats),
-            Err(e) => {
-                if !st.poisoned {
-                    note_poison(&e);
-                }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
-            }
-        }
+        compact_dir(&self.fs, &self.dir, &self.crash).map_err(|e| self.poison(&mut st, e))
     }
 
     /// The active checkpoint/WAL epoch.
@@ -1734,6 +1114,249 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Single-owner handle
+// ---------------------------------------------------------------------------
+
+/// A [`PrkbEngine`] and the [`ShardCommitter`] of its directory behind one
+/// `&mut` owner: every committed mutation is durable before the covering
+/// result is returned, and [`open`](Self::open) recovers that state.
+///
+/// The query entry points mirror the engine's fallible API (`try_select*`
+/// / `try_insert` / `delete`) and add only the commit discipline a
+/// concurrent scheduler follows per shard: drain the journal into one WAL
+/// record, wait for it to be durable, rotate the checkpoint when the policy
+/// asks. A [`DurableError::Storage`] *after* the in-memory engine committed
+/// a refinement poisons the handle, because memory may now be ahead of
+/// disk. The on-disk state is still a consistent committed prefix — reopen
+/// to resume from it.
+#[derive(Debug)]
+pub struct DurableEngine<P> {
+    engine: PrkbEngine<P>,
+    committer: ShardCommitter<P>,
+}
+
+impl<P: SpPredicate + WireCodec> DurableEngine<P> {
+    /// Opens (or creates) a durable engine rooted at `dir`, recovering any
+    /// previous state. Crash injection is armed from the
+    /// `PRKB_CRASH_POINT` environment variable (unset ⇒ disabled).
+    ///
+    /// # Errors
+    /// As [`ShardCommitter::open_with_storage`].
+    pub fn open(dir: &Path, config: EngineConfig) -> Result<(Self, RecoveryReport), DurableError> {
+        Self::open_with_crash(dir, config, CrashInjector::from_env())
+    }
+
+    /// [`open`](Self::open) with an explicit crash-injection schedule
+    /// (tests sweep every [`CrashPoint`]).
+    pub fn open_with_crash(
+        dir: &Path,
+        config: EngineConfig,
+        crash: CrashInjector,
+    ) -> Result<(Self, RecoveryReport), DurableError> {
+        Self::open_with_storage(dir, config, crash, real_fs())
+    }
+
+    /// [`open`](Self::open) on an arbitrary [`StorageFs`] — the hook the
+    /// storage-fault sweeps use to make every write/fsync/rename lie.
+    pub fn open_with_storage(
+        dir: &Path,
+        config: EngineConfig,
+        crash: CrashInjector,
+        fs: Arc<dyn StorageFs>,
+    ) -> Result<(Self, RecoveryReport), DurableError> {
+        let (engine, committer, report) =
+            ShardCommitter::open_with_storage(dir, config, crash, fs)?;
+        Ok((DurableEngine { engine, committer }, report))
+    }
+
+    /// The wrapped engine (read-only introspection).
+    pub fn engine(&self) -> &PrkbEngine<P> {
+        &self.engine
+    }
+
+    /// The active checkpoint/WAL epoch.
+    pub fn epoch(&self) -> u64 {
+        self.committer.epoch()
+    }
+
+    /// Records in the active WAL (each = one committed operation).
+    pub fn wal_records(&self) -> u64 {
+        self.committer.wal_records()
+    }
+
+    /// Whether an earlier durability failure poisoned this handle.
+    pub fn is_poisoned(&self) -> bool {
+        self.committer.is_poisoned()
+    }
+
+    /// Integrity-scrubs this engine's directory (see [`crate::scrub`]).
+    /// With `quarantine`, hard-corrupt files are moved into `quarantine/`
+    /// — never do that on a directory another live handle is using.
+    pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
+        let c = &self.committer;
+        crate::scrub::scrub_engine_dir::<P>(c.fs.as_ref(), &c.dir, quarantine)
+    }
+
+    /// Forces a checkpoint rotation (see [`ShardCommitter::checkpoint`]).
+    ///
+    /// # Errors
+    /// Any storage failure poisons the handle.
+    pub fn checkpoint(&mut self) -> Result<(), DurableError> {
+        self.committer.checkpoint(&mut self.engine)
+    }
+
+    /// Refuses new work on a poisoned handle.
+    fn check_poison(&self) -> Result<(), DurableError> {
+        self.committer.poison_error().map_or(Ok(()), Err)
+    }
+
+    /// Makes the enqueued record durable, then rotates the checkpoint if
+    /// the policy says so.
+    fn settle(&mut self, ticket: GroupCommitTicket) -> Result<(), DurableError> {
+        self.committer.wait_durable(ticket)?;
+        if self.committer.wants_checkpoint(&self.engine.config) {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Runs one operation on the in-memory engine and commits what it
+    /// journaled. A failing `op` leaves memory and disk untouched (the
+    /// engine is abort-safe) and logs nothing.
+    fn commit<T>(
+        &mut self,
+        op: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
+    ) -> Result<T, DurableError> {
+        self.check_poison()?;
+        let out = op(&mut self.engine)?;
+        let ticket = self.committer.enqueue_journal(self.engine.take_ops());
+        self.settle(ticket)?;
+        Ok(out)
+    }
+
+    /// Durable `initPRKB`: initializes the attribute and logs the
+    /// initialization before returning.
+    ///
+    /// # Errors
+    /// Storage failures (which poison the handle).
+    pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
+        self.check_poison()?;
+        let ticket = self.committer.enqueue_init(&mut self.engine, attr, n);
+        self.settle(ticket)
+    }
+
+    /// Durable single-predicate selection: the refinement this query made
+    /// is on disk before the result is returned.
+    ///
+    /// # Errors
+    /// [`DurableError::Query`] leaves both memory and disk untouched
+    /// (abort-safe engine); [`DurableError::Storage`] poisons the handle.
+    pub fn try_select<O, R>(
+        &mut self,
+        oracle: &O,
+        pred: &P,
+        rng: &mut R,
+    ) -> Result<Selection, DurableError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        self.commit(|engine| engine.try_select(oracle, pred, rng))
+    }
+
+    /// Durable conjunction selection (see
+    /// [`PrkbEngine::try_select_conjunction`]).
+    ///
+    /// # Errors
+    /// As [`try_select`](Self::try_select).
+    pub fn try_select_conjunction<O, R>(
+        &mut self,
+        oracle: &O,
+        preds: &[P],
+        rng: &mut R,
+    ) -> Result<Selection, DurableError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        self.commit(|engine| engine.try_select_conjunction(oracle, preds, rng))
+    }
+
+    /// Durable PRKB(MD) range selection (see
+    /// [`PrkbEngine::try_select_range_md`]).
+    ///
+    /// # Errors
+    /// As [`try_select`](Self::try_select).
+    pub fn try_select_range_md<O, R>(
+        &mut self,
+        oracle: &O,
+        dims: &[[P; 2]],
+        rng: &mut R,
+    ) -> Result<Selection, DurableError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        self.commit(|engine| engine.try_select_range_md(oracle, dims, rng))
+    }
+
+    /// Durable PRKB(SD+) range selection (see
+    /// [`PrkbEngine::try_select_range_sdplus`]).
+    ///
+    /// # Errors
+    /// As [`try_select`](Self::try_select).
+    pub fn try_select_range_sdplus<O, R>(
+        &mut self,
+        oracle: &O,
+        dims: &[[P; 2]],
+        rng: &mut R,
+    ) -> Result<Selection, DurableError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        self.commit(|engine| engine.try_select_range_sdplus(oracle, dims, rng))
+    }
+
+    /// Durable insert routing (see [`PrkbEngine::try_insert`]).
+    ///
+    /// # Errors
+    /// As [`try_select`](Self::try_select).
+    pub fn try_insert<O>(
+        &mut self,
+        oracle: &O,
+        t: TupleId,
+    ) -> Result<Vec<(AttrId, crate::insert::InsertOutcome)>, DurableError>
+    where
+        O: SelectionOracle<Pred = P>,
+    {
+        self.commit(|engine| engine.try_insert(oracle, t))
+    }
+
+    /// Durable delete (see [`PrkbEngine::delete`]).
+    ///
+    /// # Errors
+    /// Storage failures (which poison the handle).
+    pub fn delete(&mut self, t: TupleId) -> Result<(), DurableError> {
+        self.commit(|engine| {
+            engine.delete(t);
+            Ok(())
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sharded pool: a directory of engine directories behind a pinned shard count
+// ---------------------------------------------------------------------------
+
+/// Manifest file of a [`ShardedDurablePool`] directory.
+pub const MANIFEST_FILE: &str = "manifest.bin";
+/// Manifest magic.
+const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
+/// Manifest format version.
+const MANIFEST_VERSION: u16 = 1;
+
 fn write_manifest(fs: &dyn StorageFs, dir: &Path, shards: usize) -> Result<(), DurableError> {
     let mut out = Vec::new();
     out.extend_from_slice(MANIFEST_MAGIC);
@@ -1744,13 +1367,17 @@ fn write_manifest(fs: &dyn StorageFs, dir: &Path, shards: usize) -> Result<(), D
     let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
     fs.write(&tmp, &out).map_err(DurabilityError::Io)?;
     let mut f = fs.open_file(&tmp).map_err(DurabilityError::Io)?;
-    f.sync_all().map_err(DurabilityError::Io)?;
+    f.sync_all().map_err(|e| {
+        DurabilityError::SyncFailed(format!("manifest sync_all on {}: {e}", tmp.display()))
+    })?;
     drop(f);
     fs.rename(&tmp, &dir.join(MANIFEST_FILE))
         .map_err(DurabilityError::Io)?;
     // Without the directory fsync the rename itself can be lost on crash,
     // leaving a pool that silently re-partitions on reopen. Never swallow it.
-    fs.sync_dir(dir).map_err(DurabilityError::Io)?;
+    fs.sync_dir(dir).map_err(|e| {
+        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
+    })?;
     Ok(())
 }
 
@@ -1787,11 +1414,11 @@ fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, Durabl
     decode_manifest(&bytes).map(Some)
 }
 
-/// A directory of `shard.<i>/` sub-engines, each with its own checkpoint,
-/// epoch-tagged WAL, and [`ShardCommitter`]. The shard count is pinned by
-/// an atomically-written manifest at creation time: reopening under a
-/// different `PRKB_SHARDS` keeps the persisted partitioning, so every
-/// attribute keeps routing to the WAL that holds its history.
+/// A directory of `shard.<i>/` engine directories, each with its own
+/// segment set, epoch-tagged WAL, and [`ShardCommitter`]. The shard count
+/// is pinned by an atomically-written manifest at creation time: reopening
+/// under a different `PRKB_SHARDS` keeps the persisted partitioning, so
+/// every attribute keeps routing to the WAL that holds its history.
 ///
 /// Recovery replays each shard's WAL independently — shard `i`'s recovered
 /// state is a committed prefix of shard `i`'s history regardless of what
@@ -1817,7 +1444,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// `PRKB_CRASH_POINT` (unset ⇒ disabled).
     ///
     /// # Errors
-    /// As [`DurableEngine::open`], plus
+    /// As [`ShardCommitter::open_with_storage`], plus
     /// [`DurableError::CorruptManifest`].
     pub fn open(
         dir: &Path,
@@ -1877,7 +1504,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         })
     }
 
-    /// CRC-walks every shard's checkpoint, WAL, and the pool manifest,
+    /// CRC-walks every shard's segments, WAL, and the pool manifest,
     /// classifying damage without mutating healthy state. With
     /// `quarantine` set, corrupt artifacts are renamed into a
     /// `quarantine/` sibling directory (never deleted) so a reopen can
@@ -1904,10 +1531,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
         let sid = self.map.shard_of(attr);
         let (engine, committer) = &mut self.shards[sid];
-        engine.init_attr(attr, n);
-        // The fresh knowledge base starts with journaling off; re-arm it.
-        engine.set_recording(true);
-        let ticket = committer.enqueue(encode_txn::<P>(&[TxnEntry::Init { attr, n: n as u64 }]));
+        let ticket = committer.enqueue_init(engine, attr, n);
         committer.wait_durable(ticket).map(|_| ())
     }
 

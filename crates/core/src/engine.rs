@@ -70,19 +70,18 @@ pub struct EngineConfig {
     pub threads: Option<usize>,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
-    /// rotation). Consulted only by
-    /// [`DurableEngine`](crate::durability::DurableEngine); a plain
-    /// [`PrkbEngine`] never checkpoints.
+    /// rotation). This and the four fields below are read by the
+    /// durability layer
+    /// ([`ShardCommitter`](crate::durability::ShardCommitter) and whoever
+    /// drives it); a plain [`PrkbEngine`] never logs or checkpoints.
     pub checkpoint_wal_records: u64,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// exceeds this many bytes (`0` disables size-based rotation).
     pub checkpoint_wal_bytes: u64,
     /// Group commit: the most refinement records one fsync covers. A flush
     /// leader takes at most this many pending payloads per batch, bounding
-    /// tail latency and crash-exposure granularity under burst. Consulted
-    /// only by [`ShardCommitter`](crate::durability::ShardCommitter); the
-    /// coarse [`DurableEngine`](crate::durability::DurableEngine) always
-    /// fsyncs per record. Clamped to at least 1.
+    /// tail latency and crash-exposure granularity under burst. Clamped to
+    /// at least 1.
     pub group_commit_records: u64,
     /// Group commit: how long (in microseconds) a committer parked behind
     /// an in-flight flush sleeps before re-checking for leadership — a
@@ -91,17 +90,9 @@ pub struct EngineConfig {
     /// and batches form from commits that arrived during the previous
     /// flush.
     pub group_commit_max_wait_us: u64,
-    /// Use the LSM-style segmented checkpoint backend
-    /// ([`lsm`](crate::lsm)): checkpoints flush only dirtied partitions
-    /// into immutable segment files (O(delta)) and recovery opens the
-    /// segment manifest instead of deserializing a monolithic image.
-    /// `false` keeps the v1 `checkpoint.bin` format. A directory written
-    /// by one backend refuses to open under the other (see
-    /// [`DurableEngine::open`](crate::durability::DurableEngine::open)
-    /// for the one-way migration).
-    pub segmented_checkpoints: bool,
-    /// Segmented backend: fold the live segment set into one segment once
-    /// it reaches this many files (`0` disables automatic compaction).
+    /// Checkpoint compaction: fold the live segment set ([`lsm`](crate::lsm))
+    /// into one segment once a rotation leaves it with this many files
+    /// (`0` disables automatic compaction).
     pub compact_segment_threshold: u64,
 }
 
@@ -115,7 +106,6 @@ impl Default for EngineConfig {
             checkpoint_wal_bytes: 4 << 20,
             group_commit_records: 32,
             group_commit_max_wait_us: 200,
-            segmented_checkpoints: false,
             compact_segment_threshold: 6,
         }
     }
@@ -126,9 +116,9 @@ impl Default for EngineConfig {
 pub struct PrkbEngine<P> {
     kbs: HashMap<AttrId, Knowledge<P>>,
     /// Attributes whose in-memory knowledge may have diverged from the
-    /// last segment flush — the segmented checkpoint backend's O(delta)
-    /// working set. Maintained unconditionally (a `BTreeSet` insert per
-    /// mutation batch); the monolithic backend simply never reads it.
+    /// last segment flush — a checkpoint's O(delta) working set.
+    /// Maintained unconditionally (a `BTreeSet` insert per mutation
+    /// batch); only the durability layer reads it.
     dirty: BTreeSet<AttrId>,
     /// Engine configuration (mutable between queries).
     pub config: EngineConfig,
@@ -700,7 +690,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     }
 
     /// Attributes whose knowledge may have diverged from the last segment
-    /// flush, sorted. The segmented checkpoint writes exactly these.
+    /// flush, sorted. A checkpoint writes exactly these.
     pub fn dirty_attrs(&self) -> Vec<AttrId> {
         self.dirty.iter().copied().collect()
     }

@@ -1,8 +1,8 @@
 //! Per-segment bloom filter over partition (attribute) ids.
 //!
 //! A segment holds a handful to a few thousand partition blocks; the read
-//! path probes *every* live segment newest-first when materializing a
-//! partition on demand. The bloom filter answers "definitely not here" from
+//! path probes *every* live segment newest-first when loading a
+//! partition. The bloom filter answers "definitely not here" from
 //! a few bytes in memory, so a miss never touches the segment's index or
 //! payload bytes — the probe economics the related SST literature leans on.
 //! Standard double hashing (Kirsch–Mitzenmacher) over two splitmix64

@@ -154,7 +154,7 @@ pub fn write_segment_manifest(
 }
 
 /// Reads the manifest from `dir`, `None` if the directory has none (a
-/// fresh or still-monolithic engine).
+/// fresh engine, or a v1 checkpoint not yet migrated).
 pub fn read_segment_manifest(
     fs: &dyn StorageFs,
     dir: &Path,

@@ -1,9 +1,9 @@
-//! LSM-style segment storage for the PRKB checkpoint path (DESIGN.md §17).
+//! LSM-style segment storage: the PRKB checkpoint format (DESIGN.md §17).
 //!
 //! The paper's knowledge base only grows — every answered query refines the
-//! index forever — so the monolithic checkpoint (rewrite the whole KB,
-//! reload it all on recovery) is the scaling wall. This module family
-//! replaces it with **immutable SST-like segment files**:
+//! index forever — so a checkpoint that rewrites the whole KB is the
+//! scaling wall. A checkpoint is instead a set of **immutable SST-like
+//! segment files**:
 //!
 //! * [`segment`] — the on-disk segment format: attr-sorted partition
 //!   blocks (each a [`snapshot`](crate::snapshot) image) with per-block
@@ -14,14 +14,14 @@
 //!   segment set, the epoch, and the next segment id, swapped atomically
 //!   (temp + fsync + rename + directory fsync);
 //! * [`reader`] — [`SegmentStore`](reader::SegmentStore): opens the live
-//!   set's indexes and blooms *without* touching partition payloads, and
-//!   deserializes one partition on demand — the larger-than-RAM read path;
+//!   set's indexes and blooms and reads the newest CRC-verified block of
+//!   any one partition — what recovery and compaction load through;
 //! * [`compaction`] — folds the newest version of every partition into one
 //!   fresh segment and retires the superseded files, off the query path.
 //!
-//! Checkpointing becomes *flush only the partitions dirtied since the last
-//! flush* (O(delta), see [`PrkbEngine::dirty_attrs`]); recovery becomes
-//! manifest-load + segment-open + short WAL replay. Every byte flows
+//! Checkpointing is *flush only the partitions dirtied since the last
+//! flush* (O(delta), see [`PrkbEngine::dirty_attrs`]); recovery is
+//! manifest-load + newest block of every partition + short WAL replay. Every byte flows
 //! through the [`StorageFs`](prkb_edbms::StorageFs) seam, and every
 //! write/rename/fsync boundary fires a dedicated
 //! [`CrashPoint`](prkb_edbms::durability::CrashPoint) segment hook.

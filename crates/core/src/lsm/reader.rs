@@ -1,16 +1,16 @@
-//! [`SegmentStore`]: the lazy, larger-than-RAM read path.
+//! [`SegmentStore`]: the read path over a live segment set.
 //!
 //! A store is the opened form of one manifest: every live segment's index
 //! and bloom filter in memory, zero partition payloads. Looking up a
 //! partition scans segments **newest first** (a later flush supersedes an
 //! earlier one), consults the bloom filter before touching the index, and
 //! reads exactly one CRC-verified block from disk on a hit. Recovery and
-//! the on-demand query path both go through [`load_attr`]; nothing in the
-//! subsystem ever deserializes a partition it was not asked for.
+//! compaction both go through [`load_attr`], so a superseded partition
+//! version is never read.
 //!
 //! [`load_attr`]: SegmentStore::load_attr
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use prkb_edbms::{AttrId, StorageFs};
@@ -24,7 +24,6 @@ use crate::metrics::{global, Metric};
 #[derive(Debug, Clone)]
 pub struct SegmentStore {
     fs: Arc<dyn StorageFs>,
-    dir: PathBuf,
     manifest: SegmentManifest,
     /// Newest first — the probe order.
     segments: Vec<SegmentMeta>,
@@ -32,7 +31,8 @@ pub struct SegmentStore {
 
 impl SegmentStore {
     /// Opens the manifest in `dir` and every segment it references.
-    /// `None` if the directory has no manifest (monolithic or fresh).
+    /// `None` if the directory has no manifest (fresh, or a v1 checkpoint
+    /// not yet migrated).
     ///
     /// # Errors
     /// A manifest entry whose segment file is missing or damaged is
@@ -46,7 +46,6 @@ impl SegmentStore {
         segments.reverse();
         Ok(Some(SegmentStore {
             fs,
-            dir: dir.to_path_buf(),
             manifest,
             segments,
         }))
@@ -60,15 +59,6 @@ impl SegmentStore {
     /// Number of live segments.
     pub fn segments_live(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Re-opens the store from the current on-disk manifest (after a flush
-    /// or compaction swapped it).
-    pub fn reopen(&mut self) -> Result<(), DurableError> {
-        let reopened = SegmentStore::open(Arc::clone(&self.fs), &self.dir)?
-            .ok_or(DurableError::CorruptSegment("manifest vanished on reopen"))?;
-        *self = reopened;
-        Ok(())
     }
 
     /// The newest stored snapshot image for `attr`, or `None` if no live
@@ -113,6 +103,7 @@ mod tests {
     use crate::lsm::segment::write_segment;
     use prkb_edbms::durability::CrashInjector;
     use prkb_edbms::real_fs;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prkb-lsm-store-{}-{tag}", std::process::id()));
@@ -205,37 +196,6 @@ mod tests {
             assert_eq!(store.load_attr(attr).unwrap(), None);
         }
         assert!(global().get(Metric::BloomNegativeProbes) > before);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reopen_sees_swapped_manifest() {
-        let dir = tmpdir("reopen");
-        let fs = real_fs();
-        let crash = CrashInjector::disabled();
-        write_segment(fs.as_ref(), &dir, 0, &[(1, b"a".to_vec())], &crash).unwrap();
-        publish(
-            fs.as_ref(),
-            &dir,
-            &SegmentManifest {
-                epoch: 1,
-                next_segment_id: 1,
-                segments: vec![0],
-            },
-        );
-        let mut store = SegmentStore::open(fs.clone(), &dir).unwrap().unwrap();
-        write_segment(fs.as_ref(), &dir, 1, &[(1, b"b".to_vec())], &crash).unwrap();
-        publish(
-            fs.as_ref(),
-            &dir,
-            &SegmentManifest {
-                epoch: 2,
-                next_segment_id: 2,
-                segments: vec![0, 1],
-            },
-        );
-        store.reopen().unwrap();
-        assert_eq!(store.load_attr(1).unwrap().unwrap(), b"b");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

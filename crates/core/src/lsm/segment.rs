@@ -1,4 +1,4 @@
-//! Immutable segment files: the on-disk unit of the segmented checkpoint.
+//! Immutable segment files: the on-disk unit of a checkpoint.
 //!
 //! A segment holds the partitions (attributes) that were dirty at one flush,
 //! each as a raw [`snapshot`](crate::snapshot) image. Layout:
@@ -160,13 +160,11 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
 /// firing the four segment [`CrashPoint`] hooks. Returns the number of
 /// bytes written (the published file's length).
 ///
-/// Boundary semantics mirror [`write_checkpoint_on`]: a crash at
+/// Boundary semantics: a crash at
 /// [`MidSegmentWrite`](CrashPoint::MidSegmentWrite) leaves a torn *temp*
 /// file (half the image, synced so reopen sees it); a failed `sync_all` or
 /// directory fsync surfaces as [`DurabilityError::SyncFailed`] and leaves
 /// the previous manifest + segment set untouched.
-///
-/// [`write_checkpoint_on`]: prkb_edbms::durability::write_checkpoint_on
 pub fn write_segment(
     fs: &dyn StorageFs,
     dir: &Path,

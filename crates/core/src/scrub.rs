@@ -1,9 +1,10 @@
 //! KB integrity scrubber: offline verification of everything the
 //! durability layer ever wrote.
 //!
-//! [`scrub_engine_dir`] CRC-walks one engine directory (checkpoint +
-//! epoch-tagged WAL); [`scrub_pool_dir`] walks a sharded pool (manifest +
-//! every `shard.<i>/` subdirectory). Each artifact gets a
+//! [`scrub_engine_dir`] CRC-walks one engine directory (segment set +
+//! manifest + epoch-tagged WAL, plus a v1 `checkpoint.bin` should one
+//! remain); [`scrub_pool_dir`] walks a sharded pool (manifest + every
+//! `shard.<i>/` subdirectory). Each artifact gets a
 //! [`ScrubDamage`] classification:
 //!
 //! * **Clean** — checksums verify and payloads decode;
@@ -12,7 +13,8 @@
 //! * **MidLogCorruption** — a damaged frame *inside* the committed prefix
 //!   (bitrot or tampering), or a CRC-valid frame whose payload no longer
 //!   decodes; recovery refuses such a log;
-//! * **CheckpointRot** — the checkpoint image fails its checksum or codec;
+//! * **CheckpointRot** — a v1 `checkpoint.bin` (never written any more,
+//!   migrated on open) fails its checksum or codec;
 //! * **ManifestMismatch** — the pool manifest is rotted, missing, or
 //!   disagrees with the shard directories actually present; also a
 //!   segment manifest that fails validation or references a segment file
@@ -70,7 +72,7 @@ pub enum ScrubDamage {
     /// Damage inside the WAL's committed prefix, an unrecognizable WAL
     /// header, or a CRC-valid frame whose payload fails to decode.
     MidLogCorruption,
-    /// The checkpoint image fails its checksum or codec.
+    /// A v1 `checkpoint.bin` fails its checksum or codec.
     CheckpointRot,
     /// The pool manifest is rotted, missing, or disagrees with the shard
     /// directories present; or a segment manifest fails validation or
@@ -232,8 +234,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Scrubs a [`DurableEngine`](crate::DurableEngine) directory: its
-/// checkpoint, its epoch-tagged WAL(s), and any stray temp files.
+/// Scrubs one engine directory: its segment set and manifest, its
+/// epoch-tagged WAL(s), a v1 `checkpoint.bin` awaiting migration, and any
+/// stray temp files.
 pub fn scrub_engine_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,

@@ -10,17 +10,21 @@
 //! 2. **Torn tail vs mid-log corruption** — a partial/checksum-failing
 //!    *final* WAL record is silently discarded and the engine opens; a bad
 //!    record with valid data after it refuses to open, as does a damaged
-//!    checkpoint.
+//!    checkpoint segment.
 //! 3. **Atomic checkpoint rotation** — a crash at any boundary of the
-//!    rotation (temp write, fsync, rename, WAL retirement) still recovers
-//!    exactly the live committed state.
+//!    rotation (segment temp write, fsync, rename, manifest swap, WAL
+//!    retirement, compaction's retire) still recovers exactly the live
+//!    committed state, and compaction keeps the live segment set bounded
+//!    without changing what recovers.
 
 use prkb_core::durability::{DurableEngine, DurableError};
+use prkb_core::lsm::manifest::read_segment_manifest;
+use prkb_core::lsm::segment_file_name;
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::{EngineConfig, MdUpdatePolicy, PrkbEngine, SpPredicate};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{ComparisonOp, Predicate};
+use prkb_edbms::{real_fs, ComparisonOp, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,10 +154,14 @@ fn no_rotation() -> EngineConfig {
     }
 }
 
+/// Rotates every `records` WAL records. Threshold 2 keeps compaction hot,
+/// so the retire hook (which only compaction reaches) is on every swept
+/// path.
 fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
+        compact_segment_threshold: 2,
         ..EngineConfig::default()
     }
 }
@@ -475,16 +483,21 @@ fn corrupt_checkpoint_refuses_to_open() {
     let config = rotate_every(3);
     let run = drive(&dir, 17, config, CrashInjector::disabled());
     assert!(!run.crashed);
-    let ckpt = dir.0.join("checkpoint.bin");
-    let mut bytes = std::fs::read(&ckpt).expect("checkpoint exists after rotation");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    std::fs::write(&ckpt, &bytes).expect("write");
+    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
+        .expect("manifest reads")
+        .expect("manifest exists after rotation");
+    let newest = *manifest.segments.last().expect("non-empty live set");
+    let seg = dir.0.join(segment_file_name(newest));
+    let mut bytes = std::fs::read(&seg).expect("segment exists after rotation");
+    // Inside the first partition block (payload starts after the 16-byte
+    // header): framing stays valid, the block's CRC does not.
+    bytes[20] ^= 0x10;
+    std::fs::write(&seg, &bytes).expect("write");
     let err =
         DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
             .expect_err("damaged checkpoint must refuse to open");
     assert!(
-        matches!(err, DurableError::CorruptCheckpoint(_)),
+        matches!(err, DurableError::CorruptSegment(_)),
         "unexpected error class: {err}"
     );
 }
@@ -525,31 +538,72 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
 }
 
 /// An injected crash at every rotation boundary still recovers the exact
-/// live state: before the rename the old checkpoint+WAL pair is intact;
-/// after it the new checkpoint subsumes the old WAL.
+/// live state: the record that triggered the rotation was appended +
+/// fsync'd before any segment byte moved, so the full committed history is
+/// durable at every hook — before the manifest swap the old segment set +
+/// WAL replay reproduce it, after the swap the new segment subsumes the
+/// old WAL.
 #[test]
 fn checkpoint_crash_sweep_recovers_live_state() {
-    for point in [
-        CrashPoint::BeforeCheckpointWrite,
-        CrashPoint::MidCheckpointWrite,
-        CrashPoint::AfterCheckpointWrite,
-        CrashPoint::AfterCheckpointSync,
-        CrashPoint::AfterCheckpointRename,
-        CrashPoint::BeforeWalRetire,
-        CrashPoint::AfterWalRetire,
-    ] {
-        let dir = TmpDir::new("ckptsweep");
-        let config = rotate_every(4);
-        let run = drive(&dir, 23, config, CrashInjector::at(point));
-        assert!(run.crashed, "{point} never fired");
-        let (recovered, _, _) = recover(&dir, config);
-        // The record triggering the rotation was appended+fsync'd before the
-        // rotation began, so the full live state is durable at every hook.
+    let rotation_hooks = CrashPoint::SEGMENT_HOOKS
+        .into_iter()
+        .chain([CrashPoint::BeforeWalRetire, CrashPoint::AfterWalRetire]);
+    for point in rotation_hooks {
+        for nth in [1u64, 2, 5] {
+            let dir = TmpDir::new("ckptsweep");
+            let config = rotate_every(4);
+            let run = drive(&dir, 23, config, CrashInjector::at_nth(point, nth));
+            if nth == 1 {
+                assert!(run.crashed, "{point}:1 never fired");
+            }
+            let (engine, report) = DurableEngine::<Predicate>::open_with_crash(
+                &dir.0,
+                config,
+                CrashInjector::disabled(),
+            )
+            .expect("recovery must open after a crash");
+            assert_eq!(
+                kb_bytes(engine.engine()),
+                run.live,
+                "{point}:{nth}: rotation crash lost committed state"
+            );
+            if run.crashed {
+                assert!(
+                    report.epoch > 0 || report.segments_live == 0,
+                    "{point}:{nth}: a crash after any flush must leave a manifest epoch"
+                );
+            }
+        }
+    }
+}
+
+/// The post-checkpoint compaction keeps the live set bounded by the
+/// threshold and preserves the recovered bytes exactly.
+#[test]
+fn compaction_bounds_live_segments_and_preserves_state() {
+    let dir = TmpDir::new("compact");
+    let config = rotate_every(3);
+    let run = drive(&dir, 23, config, CrashInjector::disabled());
+    assert!(!run.crashed);
+    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
+        .expect("manifest reads")
+        .expect("rotation must have flushed segments");
+    assert!(
+        manifest.segments.len() <= 2,
+        "threshold-2 compaction must fold the live set, got {:?}",
+        manifest.segments
+    );
+    // Folded files are really gone from the directory.
+    for id in 0..manifest.next_segment_id {
+        let on_disk = dir.0.join(segment_file_name(id)).exists();
         assert_eq!(
-            recovered, run.live,
-            "{point}: rotation crash lost committed state"
+            on_disk,
+            manifest.segments.contains(&id),
+            "segment {id}: disk presence must match the manifest"
         );
     }
+    let (recovered, _, _) = recover(&dir, config);
+    assert_eq!(recovered, run.live, "compaction altered recovered state");
 }
 
 #[test]

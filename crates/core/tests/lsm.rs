@@ -1,43 +1,33 @@
-//! Segmented (LSM-style) checkpoint storage properties (DESIGN.md §17).
+//! Checkpoint segment storage properties (DESIGN.md §17).
 //!
-//! Pinned guarantees:
+//! Pinned guarantees (the crash, fault and rotation sweeps over this
+//! storage live in `durability.rs`, `shard_durability.rs` and
+//! `storage_faults.rs` — every durable engine checkpoints into segments):
 //!
-//! 1. **Segment-hook replay equivalence** — for every segment crash hook
-//!    (torn segment temp, pre/post manifest swap, retire, compaction
-//!    included), reopening recovers exactly the live committed state: the
-//!    record that triggered the rotation was durable before any segment
-//!    byte moved, so nothing acknowledged is ever lost.
-//! 2. **O(delta) flush** — a checkpoint after touching `k` of `N`
+//! 1. **O(delta) flush** — a checkpoint after touching `k` of `N`
 //!    partitions writes a segment holding exactly those `k` blocks, not
 //!    the whole KB.
-//! 3. **Lazy recovery** — reopening materializes only the partitions the
-//!    WAL tail touches; everything else stays in the segment store until a
-//!    query (or `ensure_all_loaded`) pulls it in, byte-identical either
-//!    way.
-//! 4. **Compaction correctness** — folding the live set down races
+//! 2. **Compaction correctness** — folding the live set down races
 //!    concurrent queries and group commits without disturbing either, and
 //!    the folded store recovers the same bytes.
-//! 5. **Backend migration** — a v1 monolithic `checkpoint.bin` is migrated
-//!    into segment 0 on first segmented open; a segmented directory
-//!    refuses a monolithic open instead of silently dropping its WAL.
-//! 6. **Storage-fault equivalence** — seeded EIO/ENOSPC/short-write faults
-//!    against the segmented store (segment write, manifest swap, retire
-//!    included) surface as clean errors; reopening over the real fs
-//!    recovers the acknowledged prefix or the in-flight state, never less.
+//! 3. **Upgrade path** — a pool directory written by the commit before
+//!    segments became the only checkpoint format (monolithic v1
+//!    `checkpoint.bin` per shard) migrates each shard into segment 0 at
+//!    the same epoch, replays its WAL tail and recovers the images that
+//!    commit served — also when the migration itself is interrupted; a
+//!    segmented directory written by that commit opens unchanged.
 
-use prkb_core::durability::{encode_txn, DurableEngine, DurableError, RecoveryReport, TxnEntry};
+use prkb_core::durability::DurableEngine;
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{segment_file_name, SegmentMeta, SEGMENT_MANIFEST_FILE};
 use prkb_core::snapshot::{self, WireCodec};
-use prkb_core::storage::{FaultFs, StorageFs};
 use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool, SpPredicate};
 use prkb_edbms::durability::{CrashInjector, CrashPoint};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,272 +74,18 @@ fn columns(cols: usize, n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Segmented config rotating every `records` WAL records, compacting once
-/// the live set reaches `threshold` segments (0 disables compaction).
-fn segmented(records: u64, threshold: u64) -> EngineConfig {
+/// Explicit checkpoints and explicit compaction only.
+fn manual() -> EngineConfig {
     EngineConfig {
-        checkpoint_wal_records: records,
+        checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
-        segmented_checkpoints: true,
-        compact_segment_threshold: threshold,
+        compact_segment_threshold: 0,
         ..EngineConfig::default()
     }
 }
 
-/// Mixed workload over everything that can mutate knowledge (same shape as
-/// the monolithic twin in `durability.rs`).
-#[derive(Debug, Clone)]
-enum Step {
-    Cmp(Predicate),
-    Md([[Predicate; 2]; 2]),
-    Sdplus([[Predicate; 2]; 2]),
-    Conjunction(Vec<Predicate>),
-    Insert(u32),
-    Delete(u32),
-}
-
-fn workload(n: usize, extra: usize, seed: u64) -> Vec<Step> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut steps = Vec::new();
-    let mut next_insert = n as u32;
-    for round in 0..16 {
-        let lo = rng.gen_range(0..800u64);
-        let hi = lo + rng.gen_range(50..200u64);
-        let attr = (round % 2) as u32;
-        let step = match round % 7 {
-            0 => Step::Cmp(Predicate::cmp(attr, ComparisonOp::Lt, hi)),
-            1 => Step::Cmp(Predicate::between(attr, lo, hi)),
-            2 | 3 => {
-                let dims = [
-                    [
-                        Predicate::cmp(0, ComparisonOp::Gt, lo),
-                        Predicate::cmp(0, ComparisonOp::Lt, hi),
-                    ],
-                    [
-                        Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
-                        Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
-                    ],
-                ];
-                if round % 7 == 2 {
-                    Step::Md(dims)
-                } else {
-                    Step::Sdplus(dims)
-                }
-            }
-            4 => Step::Conjunction(vec![
-                Predicate::cmp(0, ComparisonOp::Gt, lo),
-                Predicate::cmp(0, ComparisonOp::Lt, hi),
-                Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
-                Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
-                Predicate::between(0, lo, hi),
-            ]),
-            5 => Step::Delete(rng.gen_range(0..n as u32 / 2)),
-            _ => {
-                let t = next_insert;
-                next_insert += 1;
-                if (t as usize) < n + extra {
-                    Step::Insert(t)
-                } else {
-                    Step::Cmp(Predicate::cmp(attr, ComparisonOp::Ge, lo))
-                }
-            }
-        };
-        steps.push(step);
-    }
-    steps
-}
-
-fn step_rng(seed: u64, i: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn apply_durable(
-    engine: &mut DurableEngine<Predicate>,
-    oracle: &PlainOracle,
-    step: &Step,
-    rng: &mut StdRng,
-) -> Result<(), DurableError> {
-    match step {
-        Step::Cmp(p) => engine.try_select(oracle, p, rng).map(|_| ()),
-        Step::Md(dims) => engine.try_select_range_md(oracle, dims, rng).map(|_| ()),
-        Step::Sdplus(dims) => engine
-            .try_select_range_sdplus(oracle, dims, rng)
-            .map(|_| ()),
-        Step::Conjunction(ps) => engine.try_select_conjunction(oracle, ps, rng).map(|_| ()),
-        Step::Insert(t) => engine.try_insert(oracle, *t).map(|_| ()),
-        Step::Delete(t) => engine.delete(*t),
-    }
-}
-
-/// Outcome of driving the crash-armed workload.
-struct CrashRun {
-    /// State captured *before* the failing call (last acknowledged state).
-    acked: Vec<Vec<u8>>,
-    /// In-memory state right after the crash error.
-    live: Vec<Vec<u8>>,
-    crashed: bool,
-}
-
-/// Drives the mixed workload against a crash-armed segmented engine over
-/// the real filesystem, stopping at the first storage error.
-fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) -> CrashRun {
-    drive_with_fs(dir, seed, config, crash, real_fs())
-        .expect("the real fs cannot fail the open of a fresh dir")
-}
-
-/// Same workload over an arbitrary storage backend (fault injection);
-/// `None` when the fault killed the open itself — nothing acknowledged.
-fn drive_with_fs(
-    dir: &TmpDir,
-    seed: u64,
-    config: EngineConfig,
-    crash: CrashInjector,
-    fs: Arc<dyn StorageFs>,
-) -> Option<CrashRun> {
-    let (n, extra) = (180usize, 3usize);
-    let oracle = PlainOracle::from_columns(columns(2, n, extra, seed));
-    let (mut durable, _) = match DurableEngine::open_with_storage(&dir.0, config, crash, fs) {
-        Ok(v) => v,
-        Err(_) => return None,
-    };
-    let mut acked = kb_bytes(durable.engine());
-    for attr in 0..2u32 {
-        if durable.init_attr(attr, n).is_err() {
-            return Some(CrashRun {
-                live: kb_bytes(durable.engine()),
-                acked,
-                crashed: true,
-            });
-        }
-        acked = kb_bytes(durable.engine());
-    }
-    for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
-        acked = kb_bytes(durable.engine());
-        if apply_durable(&mut durable, &oracle, step, &mut step_rng(seed, i)).is_err() {
-            return Some(CrashRun {
-                live: kb_bytes(durable.engine()),
-                acked,
-                crashed: true,
-            });
-        }
-    }
-    Some(CrashRun {
-        acked: kb_bytes(durable.engine()),
-        live: kb_bytes(durable.engine()),
-        crashed: false,
-    })
-}
-
-/// Reopens with injection disabled, materializes every lazy partition, and
-/// returns the recovered byte state plus the recovery report.
-fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, RecoveryReport) {
-    let (mut engine, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("recovery must open after a crash");
-    engine
-        .ensure_all_loaded()
-        .expect("segment store must materialize every partition");
-    for attr in engine.engine().attrs().collect::<Vec<_>>() {
-        engine
-            .engine()
-            .knowledge(attr)
-            .expect("attr indexed")
-            .check_invariants();
-    }
-    (kb_bytes(engine.engine()), report)
-}
-
 // ---------------------------------------------------------------------------
-// 1. Segment-hook crash sweep (DurableEngine path)
-// ---------------------------------------------------------------------------
-
-/// A crash at every segment hook still recovers the exact live state: the
-/// record that triggered the rotation was appended + fsync'd before any
-/// segment byte moved, so the full committed history is durable at every
-/// boundary — before the manifest swap the old segment set + WAL replay
-/// reproduce it, after the swap the new segment subsumes the old WAL.
-#[test]
-fn segment_crash_sweep_recovers_live_state() {
-    for point in CrashPoint::SEGMENT_HOOKS {
-        for nth in [1u64, 2, 5] {
-            let dir = TmpDir::new("segsweep");
-            // Threshold 2 keeps compaction hot so the retire hook (which
-            // only compaction reaches) actually fires.
-            let config = segmented(4, 2);
-            let run = drive(&dir, 42, config, CrashInjector::at_nth(point, nth));
-            if nth == 1 {
-                assert!(run.crashed, "{point}:1 never fired");
-            }
-            let (recovered, report) = recover(&dir, config);
-            assert_eq!(
-                recovered, run.live,
-                "{point}:{nth}: segment rotation crash lost committed state"
-            );
-            if run.crashed {
-                assert!(
-                    report.epoch > 0 || report.segments_live == 0,
-                    "{point}:{nth}: a crash after any flush must leave a manifest epoch"
-                );
-            }
-        }
-    }
-}
-
-/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
-/// production would, with the segmented backend on — the sweep the `lsm`
-/// CI job iterates over the segment hooks.
-#[test]
-fn env_driven_segmented_crash_recovers() {
-    let injector = CrashInjector::from_env();
-    let dir = TmpDir::new("env");
-    let config = segmented(5, 3);
-    let run = drive(&dir, 7, config, injector);
-    let (recovered, _) = recover(&dir, config);
-    if run.crashed {
-        assert!(
-            recovered == run.acked || recovered == run.live,
-            "recovered state diverged under env-armed crash injection"
-        );
-    } else {
-        assert_eq!(recovered, run.live, "clean run must recover final state");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Randomized sweep over *every* crash point — WAL, monolithic-era and
-    /// segment hooks alike — with the segmented backend live: whatever
-    /// fires wherever (nth included), the recovered engine validates and
-    /// is byte-identical to the acknowledged state or to the acknowledged
-    /// state plus the one in-flight operation.
-    fn randomized_segmented_crash_recovery(
-        seed in 0u64..1_000_000,
-        point_idx in 0usize..CrashPoint::ALL.len(),
-        nth in 1u64..8,
-    ) {
-        let point = CrashPoint::ALL[point_idx];
-        let dir = TmpDir::new("prop");
-        let config = segmented(5, 3);
-        let run = drive(&dir, seed, config, CrashInjector::at_nth(point, nth));
-        let (recovered, _) = recover(&dir, config);
-        if run.crashed {
-            prop_assert!(
-                recovered == run.acked || recovered == run.live,
-                "{}:{}: recovered state is neither the acknowledged prefix nor the in-flight state",
-                point, nth
-            );
-        } else {
-            prop_assert_eq!(
-                recovered, run.live,
-                "{}:{}: clean shutdown must recover the final state", point, nth
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 2. O(delta) flush: only dirtied partitions reach the segment
+// 1. O(delta) flush: only dirtied partitions reach the segment
 // ---------------------------------------------------------------------------
 
 /// Checkpointing after touching `k` of `N` partitions writes a segment
@@ -359,7 +95,7 @@ proptest! {
 fn checkpoint_flushes_only_the_dirty_partitions() {
     const ATTRS: u32 = 8;
     let dir = TmpDir::new("odelta");
-    let config = segmented(0, 0); // explicit checkpoints only, no compaction
+    let config = manual();
     let oracle = PlainOracle::from_columns(columns(ATTRS as usize, 160, 0, 5));
     let (mut durable, _) =
         DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
@@ -426,12 +162,8 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
     const N: usize = 120;
     let dir = TmpDir::new("bigdirty");
     let config = EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
         group_commit_records: 3, // far smaller than the 8-partition dirty set
-        segmented_checkpoints: true,
-        compact_segment_threshold: 0,
-        ..EngineConfig::default()
+        ..manual()
     };
     let mut pool = ShardedDurablePool::<Predicate>::open_with_crash(
         &dir.0,
@@ -476,119 +208,8 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Lazy recovery: the WAL tail decides what materializes
+// 2. Compaction
 // ---------------------------------------------------------------------------
-
-/// Recovery deserializes only the partitions the WAL tail touches; the
-/// rest stay in the segment store until a query pulls them in — and both
-/// paths land on the same bytes as a fully-loaded reference.
-#[test]
-fn recovery_materializes_only_wal_touched_partitions() {
-    const ATTRS: u32 = 6;
-    const N: usize = 160;
-    let dir = TmpDir::new("lazy");
-    let config = segmented(0, 0);
-    let oracle = PlainOracle::from_columns(columns(ATTRS as usize, N, 0, 9));
-    let full_state = {
-        let (mut durable, _) =
-            DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-                .expect("open");
-        for a in 0..ATTRS {
-            durable.init_attr(a, N).expect("init");
-        }
-        durable.checkpoint().expect("flush all partitions");
-        // Post-checkpoint WAL tail touches attr 0 only.
-        let mut rng = StdRng::seed_from_u64(3);
-        durable
-            .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, 300), &mut rng)
-            .expect("select");
-        kb_bytes(durable.engine())
-    };
-
-    let (mut durable, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
-    assert!(report.segments_live >= 1, "segment store must be live");
-    assert_eq!(
-        report.partitions_loaded, 1,
-        "replay must materialize only the WAL-touched partition"
-    );
-    let mut unloaded = durable.unloaded_attrs();
-    unloaded.sort_unstable();
-    assert_eq!(
-        unloaded,
-        (1..ATTRS).collect::<Vec<_>>(),
-        "untouched partitions stay in the segment store"
-    );
-
-    // A query against a lazy partition materializes exactly that one.
-    let mut rng = StdRng::seed_from_u64(4);
-    let sel = durable
-        .try_select(&oracle, &Predicate::cmp(3, ComparisonOp::Lt, 700), &mut rng)
-        .expect("lazy select");
-    assert_eq!(
-        sel.sorted(),
-        oracle.expected_select(&Predicate::cmp(3, ComparisonOp::Lt, 700))
-    );
-    assert!(
-        !durable.unloaded_attrs().contains(&3),
-        "queried partition must be materialized"
-    );
-    assert!(
-        durable.unloaded_attrs().contains(&5),
-        "unqueried partition must stay lazy"
-    );
-
-    // Full materialization equals the pre-shutdown state plus the one
-    // refinement the lazy select above committed to the WAL.
-    durable.ensure_all_loaded().expect("materialize all");
-    assert!(durable.unloaded_attrs().is_empty());
-    let expected = kb_bytes(durable.engine());
-    assert_ne!(
-        expected, full_state,
-        "the lazy select must have refined attr 3"
-    );
-    drop(durable);
-    let mut check =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("fresh reopen")
-            .0;
-    check.ensure_all_loaded().expect("materialize all");
-    assert_eq!(kb_bytes(check.engine()), expected);
-}
-
-// ---------------------------------------------------------------------------
-// 4. Compaction
-// ---------------------------------------------------------------------------
-
-/// The post-checkpoint compaction keeps the live set bounded by the
-/// threshold and preserves the recovered bytes exactly.
-#[test]
-fn compaction_bounds_live_segments_and_preserves_state() {
-    let dir = TmpDir::new("compact");
-    let config = segmented(3, 2);
-    let run = drive(&dir, 23, config, CrashInjector::disabled());
-    assert!(!run.crashed);
-    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
-        .expect("manifest reads")
-        .expect("rotation must have flushed segments");
-    assert!(
-        manifest.segments.len() <= 2,
-        "threshold-2 compaction must fold the live set, got {:?}",
-        manifest.segments
-    );
-    // Folded files are really gone from the directory.
-    for id in 0..manifest.next_segment_id {
-        let on_disk = dir.0.join(segment_file_name(id)).exists();
-        assert_eq!(
-            on_disk,
-            manifest.segments.contains(&id),
-            "segment {id}: disk presence must match the manifest"
-        );
-    }
-    let (recovered, _) = recover(&dir, config);
-    assert_eq!(recovered, run.live, "compaction altered recovered state");
-}
 
 /// Compaction racing live queries and group commits on every shard: each
 /// select still answers exactly, and the folded store recovers the same
@@ -603,13 +224,7 @@ fn compaction_races_concurrent_queries_without_divergence() {
     const ATTRS: u32 = 8;
     const N: usize = 140;
     let dir = TmpDir::new("race");
-    let config = EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        segmented_checkpoints: true,
-        compact_segment_threshold: 0, // explicit compaction only
-        ..EngineConfig::default()
-    };
+    let config = manual();
     let oracle = Arc::new(PlainOracle::from_columns(columns(ATTRS as usize, N, 0, 31)));
     let mut pool = ShardedDurablePool::<Predicate>::open_with_crash(
         &dir.0,
@@ -657,12 +272,7 @@ fn compaction_races_concurrent_queries_without_divergence() {
                         oracle.expected_select(&pred),
                         "query diverged while compaction raced"
                     );
-                    let entries: Vec<TxnEntry<Predicate>> = engine
-                        .take_ops()
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    committer.enqueue(encode_txn(&entries))
+                    committer.enqueue_journal(engine.take_ops())
                 };
                 committer.wait_durable(ticket).expect("durable ack");
                 if i % 3 == 2 {
@@ -717,350 +327,182 @@ fn compaction_races_concurrent_queries_without_divergence() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Backend migration and mismatch refusal
+// 3. Upgrade path from parent-written bytes
 // ---------------------------------------------------------------------------
 
-/// A directory written by the monolithic v1 backend migrates on first
-/// segmented open: `checkpoint.bin` becomes segment 0, the manifest takes
-/// over, and the recovered bytes are identical.
-#[test]
-fn v1_checkpoint_migrates_into_segment_store() {
-    let dir = TmpDir::new("migrate");
-    let v1 = EngineConfig {
-        checkpoint_wal_records: 4,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    };
-    let run = drive(&dir, 19, v1, CrashInjector::disabled());
-    assert!(!run.crashed);
-    assert!(
-        dir.0.join("checkpoint.bin").exists(),
-        "precondition: the monolithic run checkpointed"
-    );
-
-    let v2 = EngineConfig {
-        segmented_checkpoints: true,
-        ..v1
-    };
-    let (recovered, report) = recover(&dir, v2);
-    assert_eq!(recovered, run.live, "migration altered the recovered KB");
-    assert!(
-        report.segments_live >= 1,
-        "migration must publish a segment"
-    );
-    assert!(
-        !dir.0.join("checkpoint.bin").exists(),
-        "the v1 checkpoint must be retired after migration"
-    );
-    assert!(
-        dir.0.join(SEGMENT_MANIFEST_FILE).exists(),
-        "the segment manifest must take over"
-    );
-    // The migrated store keeps working: flush a delta on top of segment 0.
-    let (mut durable, _) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, v2, CrashInjector::disabled())
-            .expect("reopen migrated");
-    durable.ensure_all_loaded().expect("materialize");
-    durable.checkpoint().expect("post-migration checkpoint");
+/// Pool directories written by the parent commit (the last one with a
+/// monolithic writer): 2 shards, 4 attributes of 48 tuples, every shard
+/// rotated once (epoch 1) and then given a non-empty WAL tail.
+/// `parent_pool_v1` under its default config (`shard.<i>/checkpoint.bin`),
+/// `parent_pool_seg` under its opt-in segmented flag. `attr.<a>.snap` is
+/// `snapshot::save` of what that commit held in memory for attribute `a`
+/// (identical for both runs).
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
-/// A segmented directory refuses a monolithic open outright: silently
-/// recovering at epoch 0 would sweep the live WAL as stale — an
-/// unacceptable data-loss path, so it is a hard error instead.
-#[test]
-fn monolithic_open_of_segmented_directory_refuses() {
-    let dir = TmpDir::new("mismatch");
-    let config = segmented(4, 0);
-    let run = drive(&dir, 29, config, CrashInjector::disabled());
-    assert!(!run.crashed);
-    let err = DurableEngine::<Predicate>::open_with_crash(
-        &dir.0,
-        EngineConfig::default(),
-        CrashInjector::disabled(),
-    )
-    .expect_err("a segmented store must not open monolithically");
-    assert!(
-        matches!(err, DurableError::CorruptSegment(_)),
-        "unexpected error class: {err}"
-    );
-}
+const FIXTURE_ATTRS: u32 = 4;
+const FIXTURE_TAILS: [u64; 2] = [7, 3];
 
-// ---------------------------------------------------------------------------
-// 6. Sharded segment-hook sweep
-// ---------------------------------------------------------------------------
-
-const POOL_ATTRS: u32 = 5;
-const POOL_N: usize = 160;
-
-fn pool_oracle() -> PlainOracle {
-    PlainOracle::from_columns(columns(POOL_ATTRS as usize, POOL_N, 0, 0xC0FFEE))
-}
-
-fn commit_pool(
-    committer: &prkb_core::durability::ShardCommitter<Predicate>,
-    engine: &mut PrkbEngine<Predicate>,
-) -> Result<(), DurableError> {
-    let entries: Vec<TxnEntry<Predicate>> = engine
-        .take_ops()
-        .into_iter()
-        .map(|(attr, op)| TxnEntry::Op { attr, op })
-        .collect();
-    let ticket = committer.enqueue(encode_txn(&entries));
-    committer.wait_durable(ticket).map(|_| ())
-}
-
-struct PoolRun {
-    acked: Vec<Vec<Vec<u8>>>,
-    live: Vec<Vec<Vec<u8>>>,
-    crashed: bool,
-}
-
-fn drive_pool(dir: &TmpDir, config: EngineConfig, crash: CrashInjector, shards: usize) -> PoolRun {
-    drive_pool_with_fs(dir, config, crash, shards, real_fs())
-        .expect("the real fs cannot fail the open of a fresh pool")
-}
-
-/// Pool twin of [`drive_with_fs`]: `None` when the fault killed the open.
-fn drive_pool_with_fs(
-    dir: &TmpDir,
-    config: EngineConfig,
-    crash: CrashInjector,
-    shards: usize,
-    fs: Arc<dyn StorageFs>,
-) -> Option<PoolRun> {
-    let oracle = pool_oracle();
-    let mut pool = match ShardedDurablePool::<Predicate>::open_with_storage(
-        &dir.0,
-        config,
-        ShardMap::new(shards),
-        crash,
-        fs,
-    ) {
-        Ok(p) => p,
-        Err(_) => return None,
-    };
-    let map = pool.map();
-    let mut acked: Vec<Vec<Vec<u8>>> = (0..map.shards())
-        .map(|s| kb_bytes(pool.shard_engine(s)))
-        .collect();
-    for a in 0..POOL_ATTRS {
-        let sid = map.shard_of(a);
-        if pool.init_attr(a, POOL_N).is_err() {
-            let (_, parts) = pool.into_parts();
-            return Some(PoolRun {
-                live: parts.iter().map(|(e, _)| kb_bytes(e)).collect(),
-                acked,
-                crashed: true,
-            });
-        }
-        acked[sid] = kb_bytes(pool.shard_engine(sid));
-    }
-    let (_, mut parts) = pool.into_parts();
-    let finish = |parts: &[(
-        PrkbEngine<Predicate>,
-        prkb_core::durability::ShardCommitter<Predicate>,
-    )],
-                  acked: Vec<Vec<Vec<u8>>>,
-                  crashed: bool| PoolRun {
-        live: parts.iter().map(|(e, _)| kb_bytes(e)).collect(),
-        acked,
-        crashed,
-    };
-    for round in 0..24u64 {
-        let attr = (round % u64::from(POOL_ATTRS)) as u32;
-        let sid = map.shard_of(attr);
-        let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0x9E37_79B9) + 1);
-        let lo = (round * 37) % 700;
-        let hi = lo + 120;
-        let (engine, committer) = &mut parts[sid];
-        let pred = if round % 3 == 0 {
-            Predicate::between(attr, lo, hi)
-        } else {
-            Predicate::cmp(attr, ComparisonOp::Lt, hi)
-        };
-        engine
-            .try_select(&oracle, &pred, &mut rng)
-            .expect("plain selects cannot hit storage");
-        if commit_pool(committer, engine).is_err() {
-            return Some(finish(&parts, acked, true));
-        }
-        acked[sid] = kb_bytes(engine);
-        if committer.wants_checkpoint(&config) && committer.checkpoint(engine).is_err() {
-            return Some(finish(&parts, acked, true));
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create dir");
+    for entry in std::fs::read_dir(from).expect("list fixture") {
+        let path = entry.expect("entry").path();
+        let dest = to.join(path.file_name().expect("named entry"));
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else if path.extension().and_then(|e| e.to_str()) != Some("snap") {
+            std::fs::copy(&path, &dest).expect("copy fixture file");
         }
     }
-    Some(finish(&parts, acked, false))
 }
 
-fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec<Vec<u8>>> {
-    let pool = ShardedDurablePool::<Predicate>::open_with_crash(
-        &dir.0,
-        config,
-        ShardMap::new(requested),
-        CrashInjector::disabled(),
-    )
-    .expect("recovery must open after a crash");
-    (0..pool.map().shards())
-        .map(|s| {
-            let engine = pool.shard_engine(s);
-            for attr in engine.attrs().collect::<Vec<_>>() {
-                engine
-                    .knowledge(attr)
-                    .expect("attr indexed")
-                    .check_invariants();
-            }
-            kb_bytes(engine)
+fn served_images() -> Vec<Vec<u8>> {
+    (0..FIXTURE_ATTRS)
+        .map(|a| {
+            std::fs::read(fixture("parent_pool_v1").join(format!("attr.{a}.snap")))
+                .expect("served image")
         })
         .collect()
 }
 
-/// Per-shard replay equivalence with the segmented backend: every segment
-/// hook, on pools of 1 and 8 shards (the matrix the `lsm` CI job sweeps).
-/// One shard's segment-flush crash never bleeds into another's history.
+fn open_pool(dir: &Path, crash: CrashInjector) -> ShardedDurablePool<Predicate> {
+    // Requesting one shard: the parent-written manifest must win.
+    ShardedDurablePool::open_with_crash(dir, EngineConfig::default(), ShardMap::new(1), crash)
+        .expect("a parent-written pool opens")
+}
+
+/// Attribute-ordered images across every shard of the pool.
+fn pool_images(pool: &ShardedDurablePool<Predicate>) -> Vec<Vec<u8>> {
+    let mut images: Vec<(u32, Vec<u8>)> = (0..pool.map().shards())
+        .flat_map(|sid| {
+            let engine = pool.shard_engine(sid);
+            engine
+                .attrs()
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(move |a| {
+                    let kb = engine.knowledge(a).expect("attr indexed");
+                    kb.check_invariants();
+                    (a, snapshot::save(kb))
+                })
+        })
+        .collect();
+    images.sort();
+    images.into_iter().map(|(_, bytes)| bytes).collect()
+}
+
 #[test]
-fn sharded_segment_crash_sweep_recovers_committed_prefix_per_shard() {
-    for shards in [1usize, 8] {
-        for point in CrashPoint::SEGMENT_HOOKS {
-            for nth in [1u64, 2] {
-                let dir = TmpDir::new("shardseg");
-                let config = segmented(4, 2);
-                let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
-                let recovered = recover_pool(&dir, config, shards);
+fn parent_written_v1_pool_migrates_and_recovers_the_served_images() {
+    let dir = TmpDir::new("upgrade");
+    copy_tree(&fixture("parent_pool_v1"), &dir.0);
+
+    let pool = open_pool(&dir.0, CrashInjector::disabled());
+    assert_eq!(pool.map().shards(), 2);
+    for (sid, report) in pool.reports().iter().enumerate() {
+        assert!(report.checkpoint_loaded, "shard {sid}");
+        assert_eq!(report.epoch, 1, "shard {sid}: migration keeps the epoch");
+        assert_eq!(report.segments_live, 1, "shard {sid}: segment 0");
+        assert_eq!(report.records_replayed, FIXTURE_TAILS[sid], "shard {sid}");
+        let shard = dir.0.join(format!("shard.{sid}"));
+        assert!(!shard.join("checkpoint.bin").exists(), "shard {sid}");
+        assert!(shard.join(SEGMENT_MANIFEST_FILE).exists(), "shard {sid}");
+        assert!(shard.join(segment_file_name(0)).exists(), "shard {sid}");
+    }
+    assert_eq!(pool_images(&pool), served_images());
+    let scrub = pool.scrub(false);
+    assert!(scrub.is_clean(), "{}", scrub.to_json());
+    let before: Vec<_> = pool.reports().to_vec();
+    drop(pool);
+
+    // A second reopen finds nothing left to migrate.
+    let pool = open_pool(&dir.0, CrashInjector::disabled());
+    assert_eq!(pool.reports(), before.as_slice());
+    assert_eq!(pool_images(&pool), served_images());
+
+    // The upgraded pool keeps working: a delta on top of segment 0.
+    let (_, mut parts) = pool.into_parts();
+    for (engine, committer) in &mut parts {
+        engine.delete(9);
+        let ticket = committer.enqueue_journal(engine.take_ops());
+        committer.wait_durable(ticket).expect("durable ack");
+        committer
+            .checkpoint(engine)
+            .expect("post-migration checkpoint");
+        assert_eq!(committer.epoch(), 2);
+    }
+}
+
+/// A crash at any segment or manifest hook *during* the migration reopens
+/// to the same state: `checkpoint.bin` stays authoritative until the
+/// manifest swap, and is only swept once the manifest has won.
+#[test]
+fn interrupted_migration_reopens_to_the_same_state() {
+    for point in CrashPoint::SEGMENT_HOOKS {
+        // Shard 0 migrates at the first firing, shard 1 at the second.
+        for nth in [1u64, 2] {
+            let dir = TmpDir::new("upgrade-crash");
+            copy_tree(&fixture("parent_pool_v1"), &dir.0);
+            let crashed = ShardedDurablePool::<Predicate>::open_with_crash(
+                &dir.0,
+                EngineConfig::default(),
+                ShardMap::new(2),
+                CrashInjector::at_nth(point, nth),
+            );
+            // Only compaction reaches the retire hook; a migration never does.
+            assert_eq!(
+                crashed.is_err(),
+                point != CrashPoint::AfterSegmentRetire,
+                "{point}:{nth}"
+            );
+            drop(crashed);
+            let pool = open_pool(&dir.0, CrashInjector::disabled());
+            assert_eq!(pool_images(&pool), served_images(), "{point}:{nth}");
+            for (sid, report) in pool.reports().iter().enumerate() {
+                assert_eq!(report.epoch, 1, "{point}:{nth} shard {sid}");
                 assert_eq!(
-                    recovered.len(),
-                    run.live.len(),
-                    "{point}:{nth}: shard count"
+                    report.records_replayed, FIXTURE_TAILS[sid],
+                    "{point}:{nth} shard {sid}"
                 );
-                for (sid, rec) in recovered.iter().enumerate() {
-                    if run.crashed {
-                        assert!(
-                            *rec == run.acked[sid] || *rec == run.live[sid],
-                            "{shards} shards, {point}:{nth}, shard {sid}: recovered state \
-                             is neither the acknowledged prefix nor the in-flight state"
-                        );
-                    } else {
-                        assert_eq!(
-                            *rec, run.live[sid],
-                            "{shards} shards, {point}:{nth}, shard {sid}: clean run must \
-                             recover final state"
-                        );
-                    }
-                }
             }
+            let scrub = pool.scrub(false);
+            assert!(
+                !scrub.has_corruption(),
+                "{point}:{nth}: {}",
+                scrub.to_json()
+            );
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// 7. Storage faults against the segmented store
-// ---------------------------------------------------------------------------
-
-/// Seeded EIO/ENOSPC/short-write faults over the whole segmented write
-/// path: every run either finishes clean (recovery == live) or stops at a
-/// clean error with the acknowledged-or-in-flight state recoverable over
-/// the real fs. Segment publishes and manifest swaps are atomic renames,
-/// so a failed rotation never costs the previous checkpoint.
 #[test]
-fn seeded_io_fault_sweep_segmented_store_never_loses_a_durable_ack() {
-    // Threshold 2 keeps compaction in the faulted path too.
-    let config = segmented(4, 2);
-    for seed in 1..=10u64 {
-        let dir = TmpDir::new("iofault");
-        let faults = FaultFs::seeded(real_fs(), seed);
-        let run = drive_with_fs(
-            &dir,
-            seed,
-            config,
-            CrashInjector::disabled(),
-            faults.handle(),
+fn parent_written_segmented_pool_opens_unchanged() {
+    let dir = TmpDir::new("parent-seg");
+    copy_tree(&fixture("parent_pool_seg"), &dir.0);
+    let listing = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list shard")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before: Vec<_> = (0..2)
+        .map(|sid| listing(&dir.0.join(format!("shard.{sid}"))))
+        .collect();
+    let pool = open_pool(&dir.0, CrashInjector::disabled());
+    for (sid, report) in pool.reports().iter().enumerate() {
+        assert_eq!(report.epoch, 1, "shard {sid}");
+        assert_eq!(report.segments_live, 1, "shard {sid}");
+        assert_eq!(report.records_replayed, FIXTURE_TAILS[sid], "shard {sid}");
+        assert_eq!(
+            listing(&dir.0.join(format!("shard.{sid}"))),
+            before[sid],
+            "shard {sid}: nothing to migrate, nothing rewritten"
         );
-        let (recovered, _) = recover(&dir, config);
-        match run {
-            None => {
-                // The fault killed the open; nothing was acknowledged.
-                assert!(
-                    faults.injected() >= 1,
-                    "seed {seed}: open failed without an injected fault"
-                );
-            }
-            Some(run) if run.crashed => {
-                assert!(
-                    recovered == run.acked || recovered == run.live,
-                    "seed {seed}: recovered segmented state is neither the \
-                     acknowledged prefix nor the in-flight state"
-                );
-            }
-            Some(run) => {
-                assert_eq!(
-                    recovered, run.live,
-                    "seed {seed}: clean run must recover its final state"
-                );
-            }
-        }
     }
-}
-
-/// CI hook: `PRKB_IO_FAULT_SEED=<n>` arms the injector over the segmented
-/// sharded pool, `PRKB_SHARDS` sizes it (the `lsm` job fans seeds 1–4 over
-/// shards 1 and 8). Unset, the run is clean and replay equality still pins.
-#[test]
-fn env_driven_segmented_storage_fault_recovers() {
-    let shards: usize = std::env::var("PRKB_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(4);
-    let dir = TmpDir::new("envio");
-    let config = segmented(4, 2);
-    let fs: Arc<dyn StorageFs> = match FaultFs::from_env(real_fs()) {
-        Some(faults) => faults.handle(),
-        None => real_fs(),
-    };
-    let run = drive_pool_with_fs(&dir, config, CrashInjector::disabled(), shards, fs);
-    let recovered = recover_pool(&dir, config, shards);
-    let Some(run) = run else {
-        return; // fault at pool creation: clean error, nothing acknowledged
-    };
-    for (sid, rec) in recovered.iter().enumerate() {
-        if run.crashed {
-            assert!(
-                *rec == run.acked[sid] || *rec == run.live[sid],
-                "shard {sid}: recovered state diverged under env-armed I/O faults"
-            );
-        } else {
-            assert_eq!(
-                *rec, run.live[sid],
-                "shard {sid}: clean run must recover final state"
-            );
-        }
-    }
-}
-
-/// CI hook for the sharded matrix: `PRKB_CRASH_POINT` arms the injector,
-/// `PRKB_SHARDS` sizes the pool — exactly what the `lsm` CI job exports.
-#[test]
-fn env_driven_segmented_sharded_crash_recovers() {
-    let injector = CrashInjector::from_env();
-    let shards: usize = std::env::var("PRKB_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(4);
-    let dir = TmpDir::new("envshard");
-    let config = segmented(5, 3);
-    let run = drive_pool(&dir, config, injector, shards);
-    let recovered = recover_pool(&dir, config, shards);
-    for (sid, rec) in recovered.iter().enumerate() {
-        if run.crashed {
-            assert!(
-                *rec == run.acked[sid] || *rec == run.live[sid],
-                "shard {sid}: recovered state diverged under env-armed crash injection"
-            );
-        } else {
-            assert_eq!(
-                *rec, run.live[sid],
-                "shard {sid}: clean run must recover final state"
-            );
-        }
-    }
+    assert_eq!(pool_images(&pool), served_images());
+    assert!(pool.scrub(false).is_clean());
 }

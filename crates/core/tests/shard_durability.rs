@@ -80,27 +80,25 @@ fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> 
         .collect()
 }
 
+/// Rotates every `records` WAL records. Threshold 2 keeps compaction hot,
+/// so the retire hook (which only compaction reaches) is on the swept path.
 fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
+        compact_segment_threshold: 2,
         ..EngineConfig::default()
     }
 }
 
-/// One committed operation: drain the journaled ops into a single WAL
+/// One committed operation: journal the drained ops as a single WAL
 /// transaction and redeem the ticket — the exact discipline the session
 /// scheduler follows (enqueue under the shard lock, wait after).
 fn commit(
     committer: &ShardCommitter<Predicate>,
     engine: &mut PrkbEngine<Predicate>,
 ) -> Result<(), DurableError> {
-    let entries: Vec<TxnEntry<Predicate>> = engine
-        .take_ops()
-        .into_iter()
-        .map(|(attr, op)| TxnEntry::Op { attr, op })
-        .collect();
-    let ticket = committer.enqueue(encode_txn(&entries));
+    let ticket = committer.enqueue_journal(engine.take_ops());
     committer.wait_durable(ticket).map(|_| ())
 }
 
@@ -220,61 +218,57 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
 // 1. Per-shard replay equivalence across every crash point
 // ---------------------------------------------------------------------------
 
+/// Every hook × pools of 1, 4 and 8 shards (the counts CI sweeps): one
+/// shard's crash — in its WAL, its segment flush, its manifest swap or its
+/// compaction — never bleeds into another's history.
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
-    for point in CrashPoint::ALL {
-        for nth in [1u64, 2, 5] {
-            let dir = TmpDir::new("sweep");
-            let config = rotate_every(4);
-            let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), 4);
-            let recovered = recover_pool(&dir, config, 4);
-            assert_eq!(
-                recovered.len(),
-                run.live.len(),
-                "{point}:{nth}: shard count"
-            );
-            for (sid, rec) in recovered.iter().enumerate() {
-                if run.crashed {
-                    assert!(
-                        *rec == run.acked[sid] || *rec == run.live[sid],
-                        "{point}:{nth} shard {sid}: recovered state is neither the \
-                         acknowledged prefix nor the in-flight state"
-                    );
-                } else {
-                    assert_eq!(
-                        *rec, run.live[sid],
-                        "{point}:{nth} shard {sid}: clean run must recover final state"
-                    );
-                }
+    for shards in [1usize, 4, 8] {
+        for point in CrashPoint::ALL {
+            for nth in [1u64, 2, 5] {
+                let dir = TmpDir::new("sweep");
+                let config = rotate_every(4);
+                let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
+                let recovered = recover_pool(&dir, config, shards);
+                assert_pool_run(&run, &recovered, &format!("{shards} shards, {point}:{nth}"));
             }
         }
     }
 }
 
-/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
-/// production would. Unlike the `DurableEngine` twin in `durability.rs`,
-/// this drives the *group-commit* path, so the `before_group_flush` sweep
-/// entry actually fires here.
-#[test]
-fn env_driven_sharded_crash_recovers() {
-    let injector = CrashInjector::from_env();
-    let dir = TmpDir::new("env");
-    let config = rotate_every(5);
-    let run = drive_pool(&dir, config, injector, 4);
-    let recovered = recover_pool(&dir, config, 4);
+fn assert_pool_run(run: &PoolRun, recovered: &[Vec<Vec<u8>>], tag: &str) {
+    assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
     for (sid, rec) in recovered.iter().enumerate() {
         if run.crashed {
             assert!(
                 *rec == run.acked[sid] || *rec == run.live[sid],
-                "shard {sid}: recovered state diverged under env-armed crash injection"
+                "{tag} shard {sid}: recovered state is neither the acknowledged \
+                 prefix nor the in-flight state"
             );
         } else {
             assert_eq!(
                 *rec, run.live[sid],
-                "shard {sid}: clean run must recover final state"
+                "{tag} shard {sid}: clean run must recover final state"
             );
         }
     }
+}
+
+/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
+/// production would, `PRKB_SHARDS` sizes the pool.
+#[test]
+fn env_driven_sharded_crash_recovers() {
+    let injector = CrashInjector::from_env();
+    let shards: usize = std::env::var("PRKB_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&s| s > 0)
+        .unwrap_or(4);
+    let dir = TmpDir::new("env");
+    let config = rotate_every(5);
+    let run = drive_pool(&dir, config, injector, shards);
+    let recovered = recover_pool(&dir, config, shards);
+    assert_pool_run(&run, &recovered, "env");
 }
 
 // ---------------------------------------------------------------------------
@@ -344,12 +338,7 @@ fn drive_drain(dir: &TmpDir, crash_at_drain: bool) -> (Vec<Vec<Vec<u8>>>, bool) 
                 &mut rng,
             )
             .expect("select");
-        let entries: Vec<TxnEntry<Predicate>> = engine
-            .take_ops()
-            .into_iter()
-            .map(|(attr, op)| TxnEntry::Op { attr, op })
-            .collect();
-        committer.enqueue(encode_txn(&entries));
+        committer.enqueue_journal(engine.take_ops());
     }
     let mut drain_failed = false;
     for (_, committer) in &parts {
@@ -494,12 +483,7 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
                     engine
                         .try_select(&*oracle, &pred, &mut rng)
                         .expect("select");
-                    let entries: Vec<TxnEntry<Predicate>> = engine
-                        .take_ops()
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    committer.enqueue(encode_txn(&entries))
+                    committer.enqueue_journal(engine.take_ops())
                 };
                 committer.wait_durable(ticket).expect("durable ack");
             }

@@ -11,16 +11,17 @@
 //!    poisons the WAL/shard: no retry-and-assume-durable, every later
 //!    commit attempt surfaces `SyncFailed`, and only a reopen resumes.
 //! 3. **ENOSPC-safe rotation** — a full disk mid-checkpoint aborts the
-//!    rotation with the previous checkpoint + WAL pair intact; reopen
-//!    recovers the exact committed prefix and leaves no stray `*.tmp`.
+//!    rotation with the previous segment set + manifest + WAL intact;
+//!    reopen recovers the exact committed prefix and leaves no stray
+//!    `*.tmp`. A failed sync of the pool manifest is `SyncFailed` too.
 //! 4. **Scrub verdicts** — the scrubber classifies deliberate rot
-//!    (torn tail / mid-log / checkpoint rot / manifest mismatch) exactly,
+//!    (torn tail / mid-log / v1 checkpoint rot / manifest mismatch) exactly,
 //!    quarantines rather than deletes, and over every `CrashInjector`
 //!    survivor state reports only crash residue, never corruption.
 //! 5. **Blast radius** — a poisoned shard rejects new commits with
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
-use prkb_core::durability::{encode_txn, DurableEngine, DurableError, TxnEntry};
+use prkb_core::durability::{DurableEngine, DurableError};
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
@@ -82,10 +83,13 @@ fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> 
         .collect()
 }
 
+/// Rotates every `records` WAL records; threshold 2 keeps compaction in
+/// the faulted path too.
 fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
+        compact_segment_threshold: 2,
         ..EngineConfig::default()
     }
 }
@@ -244,12 +248,7 @@ fn commit_shard(
     committer: &prkb_core::ShardCommitter<Predicate>,
     engine: &mut PrkbEngine<Predicate>,
 ) -> Result<(), DurableError> {
-    let entries: Vec<TxnEntry<Predicate>> = engine
-        .take_ops()
-        .into_iter()
-        .map(|(attr, op)| TxnEntry::Op { attr, op })
-        .collect();
-    let ticket = committer.enqueue(encode_txn(&entries));
+    let ticket = committer.enqueue_journal(engine.take_ops());
     committer.wait_durable(ticket).map(|_| ())
 }
 
@@ -483,7 +482,12 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
             .expect("select");
         durable.checkpoint().expect("clean rotation");
     }
-    let old_checkpoint = std::fs::read(dir.0.join("checkpoint.bin")).expect("checkpoint exists");
+    // The previous checkpoint: segment 0 behind the manifest.
+    let checkpoint_files = ["segments.manifest", "segment.0.seg"];
+    let old_checkpoint: Vec<Vec<u8>> = checkpoint_files
+        .iter()
+        .map(|f| std::fs::read(dir.0.join(f)).expect("checkpoint exists"))
+        .collect();
 
     // Phase 2: reopen over a disk that fills up exactly when the *next*
     // rotation tries to sync its temp file — sticky, like real ENOSPC.
@@ -491,7 +495,7 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
         real_fs(),
         vec![IoFaultRule {
             op: Some(IoOp::SyncAll),
-            path_contains: Some("checkpoint.bin.tmp".into()),
+            path_contains: Some("segment.1.seg.tmp".into()),
             nth: 1,
             kind: IoFaultKind::Enospc,
             sticky: true,
@@ -517,11 +521,17 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     assert!(durable.is_poisoned());
     drop(durable);
 
-    // The previous checkpoint + WAL pair must be byte-identical…
-    assert_eq!(
-        std::fs::read(dir.0.join("checkpoint.bin")).expect("still there"),
-        old_checkpoint,
-        "aborted rotation must leave the old checkpoint untouched"
+    // The previous checkpoint + WAL must be byte-identical and still live…
+    for (f, old) in checkpoint_files.iter().zip(&old_checkpoint) {
+        assert_eq!(
+            &std::fs::read(dir.0.join(f)).expect("still there"),
+            old,
+            "aborted rotation must leave {f} untouched"
+        );
+    }
+    assert!(
+        !dir.0.join("segment.1.seg").exists(),
+        "the aborted segment must never be published"
     );
     // …recovery must be exactly the committed prefix…
     let recovered = recover_engine(&dir.0, config);
@@ -530,12 +540,47 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     no_stray_tmp(&dir.0);
 }
 
+/// The pool manifest is published like every other durable file: a failed
+/// barrier is `SyncFailed` (the disk lied), not a plain I/O error.
+#[test]
+fn failed_pool_manifest_sync_is_sync_failed() {
+    for (op, path) in [
+        (IoOp::SyncAll, Some("manifest.bin.tmp".to_string())),
+        (IoOp::SyncDir, None),
+    ] {
+        let dir = TmpDir::new("manifest-sync");
+        let faults = FaultFs::scripted(
+            real_fs(),
+            vec![IoFaultRule {
+                op: Some(op),
+                path_contains: path,
+                nth: 1,
+                kind: IoFaultKind::Eio,
+                sticky: false,
+            }],
+        );
+        let err = ShardedDurablePool::<Predicate>::open_with_storage(
+            &dir.0,
+            EngineConfig::default(),
+            ShardMap::new(2),
+            CrashInjector::disabled(),
+            faults.handle(),
+        )
+        .expect_err("the armed manifest barrier must fail pool creation");
+        assert!(
+            matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
+            "{op:?}: got {err:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 5. Scrub verdicts over deliberately rotted artifacts
 // ---------------------------------------------------------------------------
 
-/// Builds a real engine directory with a non-trivial checkpoint and a WAL
-/// holding several frames, returning its committed byte state.
+/// Builds a real engine directory with a non-trivial checkpoint (one
+/// segment behind the manifest) and a WAL holding several frames, returning
+/// its committed byte state.
 fn build_engine_dir(dir: &Path) -> Vec<Vec<u8>> {
     let oracle = oracle();
     let config = EngineConfig {
@@ -583,7 +628,10 @@ fn scrub_reports_clean_on_an_intact_directory() {
     build_engine_dir(&dir.0);
     let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
     assert!(report.is_clean(), "{}", report.to_json());
-    assert!(report.files_scanned >= 2, "checkpoint + WAL scanned");
+    assert!(
+        report.files_scanned >= 3,
+        "segment manifest + segment + WAL scanned"
+    );
     assert_eq!(report.quarantined, 0);
 }
 
@@ -651,18 +699,32 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
         .expect("quarantine unblocks reopen");
 }
 
+/// A v1 `checkpoint.bin` is never written any more, but a directory that
+/// still holds one (not yet migrated, or stray) is classified all the same.
 #[test]
-fn scrub_classifies_checkpoint_rot() {
+fn scrub_classifies_v1_checkpoint_rot() {
     let dir = TmpDir::new("scrub-ckpt");
-    build_engine_dir(&dir.0);
+    // One shard of the parent-written default-config pool.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_pool_v1/shard.0");
+    for file in ["checkpoint.bin", "wal.1.log"] {
+        std::fs::copy(fixture.join(file), dir.0.join(file)).expect("copy fixture");
+    }
+    let clean = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
+    assert!(clean.is_clean(), "{}", clean.to_json());
+
     let ckpt = dir.0.join("checkpoint.bin");
     let mut bytes = std::fs::read(&ckpt).expect("read");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&ckpt, &bytes).expect("rot");
 
-    DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
-        .expect_err("rotted checkpoint must refuse to open");
+    let err = DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
+        .expect_err("rotted checkpoint must refuse to migrate");
+    assert!(
+        matches!(err, DurableError::CorruptCheckpoint(_)),
+        "got {err:?}"
+    );
 
     let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
     let f = report
@@ -743,7 +805,8 @@ fn pool_scrub_via_handle_walks_every_shard() {
 
 /// Whatever state a crash leaves behind is, by the §10 recovery contract,
 /// openable — so the scrubber must classify it as crash residue (clean,
-/// torn tail, or a stray temp), never as corruption.
+/// torn tail, a stray temp, or a published segment the manifest swap never
+/// reached), never as corruption.
 #[test]
 fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
     let oracle = oracle();
@@ -785,7 +848,10 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
                 assert!(
                     matches!(
                         f.damage,
-                        ScrubDamage::Clean | ScrubDamage::TornTail | ScrubDamage::StrayTemp
+                        ScrubDamage::Clean
+                            | ScrubDamage::TornTail
+                            | ScrubDamage::StrayTemp
+                            | ScrubDamage::StraySegment
                     ),
                     "{point}:{nth}: crash residue misclassified as {} at {} ({})",
                     f.damage.name(),

@@ -1,4 +1,4 @@
-//! Durable-storage primitives: write-ahead log, atomic checkpoints, and
+//! Durable-storage primitives: write-ahead log, checksums and framing, and
 //! crash-point injection.
 //!
 //! The PRKB's whole value is *accumulated* state — every answered query
@@ -14,15 +14,15 @@
 //!   the expected shape of a crash mid-append; silently truncated) from
 //!   **mid-log corruption** (a bad record *followed by* valid ones — bitrot
 //!   or tampering; a hard error, the log refuses to open).
-//! * [`write_checkpoint`] — full-snapshot rotation: write to a temp file,
-//!   fsync, atomically rename over the previous checkpoint, fsync the
-//!   directory. A crash at any boundary leaves either the old or the new
-//!   checkpoint fully intact, never a mix.
 //! * [`CrashInjector`] — simulated process death at every write / fsync /
 //!   rename boundary ([`CrashPoint`]), including torn writes (a partial
 //!   record reaches the disk before the "crash"). Deterministic and
 //!   env-drivable via `PRKB_CRASH_POINT` (mirroring `PRKB_FAULT_SEED` from
 //!   the resilience layer), which is what the CI crash-sweep job uses.
+//!
+//! Checkpoints themselves (immutable segment files behind an atomically
+//! swapped manifest) live in `prkb-core::lsm`; they fire the segment and
+//! manifest hooks declared here.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -219,16 +219,6 @@ pub enum CrashPoint {
     AfterWalAppend,
     /// The frame is written and fsync'd (the commit point).
     AfterWalSync,
-    /// Before any byte of the checkpoint temp file is written.
-    BeforeCheckpointWrite,
-    /// Mid-checkpoint: a prefix of the snapshot reaches the temp file.
-    MidCheckpointWrite,
-    /// The temp file is fully written but not yet fsync'd.
-    AfterCheckpointWrite,
-    /// The temp file is fsync'd but not yet renamed into place.
-    AfterCheckpointSync,
-    /// The rename happened; the old WAL has not been retired yet.
-    AfterCheckpointRename,
     /// The fresh epoch's WAL exists; the stale one has not been removed.
     BeforeWalRetire,
     /// Checkpoint rotation fully complete.
@@ -239,8 +229,7 @@ pub enum CrashPoint {
     /// shutdown drain included — so a sweep proves that losing a whole
     /// *unacknowledged* batch still recovers a committed prefix.
     BeforeGroupFlush,
-    /// Before any byte of a segment temp file is written (segmented
-    /// checkpoint backend).
+    /// Before any byte of a checkpoint segment's temp file is written.
     BeforeSegmentWrite,
     /// Mid-segment: a prefix of the segment image reaches the temp file
     /// (torn write).
@@ -263,16 +252,11 @@ pub enum CrashPoint {
 impl CrashPoint {
     /// Every hook point, in pipeline order — the sweep the CI job and the
     /// replay-equivalence proptest iterate over.
-    pub const ALL: [CrashPoint; 19] = [
+    pub const ALL: [CrashPoint; 14] = [
         CrashPoint::BeforeWalAppend,
         CrashPoint::MidWalAppend,
         CrashPoint::AfterWalAppend,
         CrashPoint::AfterWalSync,
-        CrashPoint::BeforeCheckpointWrite,
-        CrashPoint::MidCheckpointWrite,
-        CrashPoint::AfterCheckpointWrite,
-        CrashPoint::AfterCheckpointSync,
-        CrashPoint::AfterCheckpointRename,
         CrashPoint::BeforeWalRetire,
         CrashPoint::AfterWalRetire,
         CrashPoint::BeforeGroupFlush,
@@ -285,8 +269,8 @@ impl CrashPoint {
         CrashPoint::AfterSegmentRetire,
     ];
 
-    /// The hooks specific to the segmented (LSM-style) checkpoint backend —
-    /// the sweep the `lsm` CI job iterates over.
+    /// The hooks a checkpoint's segment write, manifest swap and compaction
+    /// cross (the rotation sweep adds the two WAL-retire hooks).
     pub const SEGMENT_HOOKS: [CrashPoint; 7] = [
         CrashPoint::BeforeSegmentWrite,
         CrashPoint::MidSegmentWrite,
@@ -304,11 +288,6 @@ impl CrashPoint {
             CrashPoint::MidWalAppend => "mid_wal_append",
             CrashPoint::AfterWalAppend => "after_wal_append",
             CrashPoint::AfterWalSync => "after_wal_sync",
-            CrashPoint::BeforeCheckpointWrite => "before_checkpoint_write",
-            CrashPoint::MidCheckpointWrite => "mid_checkpoint_write",
-            CrashPoint::AfterCheckpointWrite => "after_checkpoint_write",
-            CrashPoint::AfterCheckpointSync => "after_checkpoint_sync",
-            CrashPoint::AfterCheckpointRename => "after_checkpoint_rename",
             CrashPoint::BeforeWalRetire => "before_wal_retire",
             CrashPoint::AfterWalRetire => "after_wal_retire",
             CrashPoint::BeforeGroupFlush => "before_group_flush",
@@ -355,8 +334,6 @@ pub enum DurabilityError {
         /// What failed.
         reason: &'static str,
     },
-    /// A checkpoint file failed its integrity or structural checks.
-    CorruptCheckpoint(String),
     /// A durability barrier (`sync_data`/`sync_all`) failed, or the handle
     /// was already poisoned by an earlier write/sync failure. After a failed
     /// fsync the kernel may have *dropped* the dirty pages (the fsyncgate
@@ -381,7 +358,6 @@ impl fmt::Display for DurabilityError {
                 "WAL corrupt at record {record} (offset {offset}): {reason}; \
                  valid records follow, refusing to discard committed state"
             ),
-            DurabilityError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
             DurabilityError::SyncFailed(why) => write!(
                 f,
                 "durability barrier failed ({why}); no durable ack — \
@@ -438,19 +414,33 @@ impl CrashInjector {
     }
 
     /// Reads `PRKB_CRASH_POINT` (`<name>` or `<name>:<nth>`), the hook the
-    /// CI crash-sweep job sets. Unset or unparsable ⇒ disabled.
+    /// CI crash-sweep job sets. Unset ⇒ disabled.
+    ///
+    /// # Panics
+    /// Panics when the variable is set but names no [`CrashPoint`] or
+    /// carries an unparsable `nth`: a misspelt sweep entry must not pass as
+    /// a run with injection off.
     pub fn from_env() -> Self {
-        let Ok(spec) = std::env::var("PRKB_CRASH_POINT") else {
-            return Self::disabled();
-        };
-        let (name, nth) = match spec.split_once(':') {
-            Some((n, c)) => (n, c.trim().parse::<u64>().unwrap_or(1)),
-            None => (spec.as_str(), 1),
-        };
-        match CrashPoint::parse(name) {
-            Some(p) => Self::at_nth(p, nth),
-            None => Self::disabled(),
+        match std::env::var("PRKB_CRASH_POINT") {
+            Err(std::env::VarError::NotPresent) => Self::disabled(),
+            Err(e) => panic!("PRKB_CRASH_POINT: {e}"),
+            Ok(spec) => Self::parse_spec(&spec).unwrap_or_else(|e| panic!("{e}")),
         }
+    }
+
+    /// Parses a `PRKB_CRASH_POINT` value: `<name>` or `<name>:<nth>`.
+    fn parse_spec(spec: &str) -> Result<Self, String> {
+        let (name, nth) = spec.split_once(':').unwrap_or((spec, "1"));
+        let valid = || {
+            let names: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.name()).collect();
+            format!(
+                "PRKB_CRASH_POINT={spec:?} is not `<name>[:<nth>]`; valid names: {}",
+                names.join(", ")
+            )
+        };
+        let point = CrashPoint::parse(name).ok_or_else(valid)?;
+        let nth = nth.trim().parse::<u64>().map_err(|_| valid())?;
+        Ok(Self::at_nth(point, nth))
     }
 
     /// Whether any crash is scheduled.
@@ -928,59 +918,6 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     }
 }
 
-/// Atomically replaces `final_name` in `dir` with `payload`: temp write,
-/// fsync, rename, directory fsync. A crash at any hook leaves either the
-/// previous file or the new one fully intact — never a mix — because the
-/// rename only happens after the temp file is durable.
-pub fn write_checkpoint(
-    dir: &Path,
-    final_name: &str,
-    payload: &[u8],
-    crash: &CrashInjector,
-) -> Result<PathBuf, DurabilityError> {
-    write_checkpoint_on(&RealFs, dir, final_name, payload, crash)
-}
-
-/// [`write_checkpoint`] on an arbitrary [`StorageFs`].
-///
-/// Any failed sync (`sync_all` on the temp file, or the directory fsync
-/// that makes the rename durable) surfaces as
-/// [`DurabilityError::SyncFailed`]: the rotation is aborted and — because
-/// the rename is the last fallible publish step for the file sync — the
-/// previous checkpoint + WAL pair stays intact and readable.
-pub fn write_checkpoint_on(
-    fs: &dyn StorageFs,
-    dir: &Path,
-    final_name: &str,
-    payload: &[u8],
-    crash: &CrashInjector,
-) -> Result<PathBuf, DurabilityError> {
-    let tmp = dir.join(format!("{final_name}.tmp"));
-    let dst = dir.join(final_name);
-    crash.fire(CrashPoint::BeforeCheckpointWrite)?;
-    let mut file = fs.create_file(&tmp)?;
-    if let Err(e) = crash.fire(CrashPoint::MidCheckpointWrite) {
-        let torn = (payload.len() / 2).min(payload.len().saturating_sub(1));
-        file.write_all(&payload[..torn])?;
-        file.sync_all()?;
-        return Err(e);
-    }
-    file.write_all(payload)?;
-    crash.fire(CrashPoint::AfterCheckpointWrite)?;
-    file.sync_all().map_err(|e| {
-        DurabilityError::SyncFailed(format!("checkpoint sync_all on {}: {e}", tmp.display()))
-    })?;
-    drop(file);
-    crash.fire(CrashPoint::AfterCheckpointSync)?;
-    fs.rename(&tmp, &dst)?;
-    crash.fire(CrashPoint::AfterCheckpointRename)?;
-    // Make the rename itself durable.
-    fs.sync_dir(dir).map_err(|e| {
-        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
-    })?;
-    Ok(dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1277,48 +1214,6 @@ mod tests {
         assert_eq!(CrashPoint::parse("nonsense"), None);
     }
 
-    #[test]
-    fn checkpoint_write_is_atomic_under_crashes() {
-        let dir = tmpdir("ckpt");
-        // Seed an old checkpoint.
-        write_checkpoint(&dir, "checkpoint.bin", b"OLD", &CrashInjector::disabled()).expect("seed");
-        for point in [
-            CrashPoint::BeforeCheckpointWrite,
-            CrashPoint::MidCheckpointWrite,
-            CrashPoint::AfterCheckpointWrite,
-            CrashPoint::AfterCheckpointSync,
-        ] {
-            let err = write_checkpoint(
-                &dir,
-                "checkpoint.bin",
-                b"NEW-CHECKPOINT-PAYLOAD",
-                &CrashInjector::at(point),
-            )
-            .expect_err("must crash");
-            assert!(matches!(err, DurabilityError::Crash(_)));
-            let on_disk = std::fs::read(dir.join("checkpoint.bin")).expect("read");
-            assert_eq!(
-                on_disk, b"OLD",
-                "crash at {point} must keep the old file whole"
-            );
-        }
-        // Crash after the rename: the NEW file is fully in place.
-        let err = write_checkpoint(
-            &dir,
-            "checkpoint.bin",
-            b"NEW-CHECKPOINT-PAYLOAD",
-            &CrashInjector::at(CrashPoint::AfterCheckpointRename),
-        )
-        .expect_err("must crash");
-        assert!(matches!(
-            err,
-            DurabilityError::Crash(CrashPoint::AfterCheckpointRename)
-        ));
-        let on_disk = std::fs::read(dir.join("checkpoint.bin")).expect("read");
-        assert_eq!(on_disk, b"NEW-CHECKPOINT-PAYLOAD");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A [`StorageFs`] whose files fail every sync after the first
     /// `ok_syncs` — the smallest possible model of a dying disk.
     #[derive(Debug)]
@@ -1441,32 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_checkpoint_sync_aborts_rotation_with_old_file_intact() {
-        let dir = tmpdir("ckptsyncfail");
-        write_checkpoint(&dir, "checkpoint.bin", b"OLD", &CrashInjector::disabled()).expect("seed");
-        // The temp-file sync_all is the first sync in the rotation.
-        let fs = FlakySyncFs {
-            ok_syncs: 0,
-            counter: Arc::new(AtomicU64::new(0)),
-        };
-        let err = write_checkpoint_on(
-            &fs,
-            &dir,
-            "checkpoint.bin",
-            b"NEW",
-            &CrashInjector::disabled(),
-        )
-        .expect_err("sync must fail");
-        assert!(matches!(err, DurabilityError::SyncFailed(_)));
-        assert_eq!(
-            std::fs::read(dir.join("checkpoint.bin")).expect("read"),
-            b"OLD",
-            "aborted rotation must leave the previous checkpoint live"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn scan_frames_classifies_every_damage_shape() {
         let dir = tmpdir("frames");
         let path = dir.join("wal.0.log");
@@ -1506,15 +1375,30 @@ mod tests {
     }
 
     #[test]
-    fn env_spec_parsing() {
-        // Parsed manually (no process-global env mutation in tests): the
-        // spec grammar is `<name>` or `<name>:<nth>`.
-        let inj = CrashInjector::at_nth(CrashPoint::AfterWalSync, 2);
-        assert!(inj.is_armed());
-        assert!(!CrashInjector::disabled().is_armed());
-        assert_eq!(
-            CrashPoint::parse(" after_wal_sync "),
-            Some(CrashPoint::AfterWalSync)
-        );
+    fn env_spec_parses_or_fails_with_the_valid_names() {
+        // `parse_spec` is what `from_env` runs on a *set* variable (no
+        // process-global env mutation in tests); unset never reaches it.
+        let inj = CrashInjector::parse_spec("after_wal_sync:2").expect("name:nth");
+        assert_eq!(inj.target, Some((CrashPoint::AfterWalSync, 2)));
+        let inj = CrashInjector::parse_spec(" before_group_flush ").expect("bare name");
+        assert_eq!(inj.target, Some((CrashPoint::BeforeGroupFlush, 1)));
+        if std::env::var_os("PRKB_CRASH_POINT").is_none() {
+            assert!(!CrashInjector::from_env().is_armed(), "unset ⇒ disabled");
+        }
+
+        // A hook name that does not exist, a typo and a bad count all fail —
+        // none of them may read as "injection off".
+        for bad in [
+            "before_checkpoint:1",
+            "after_wal_synk",
+            "after_wal_sync:x",
+            "",
+        ] {
+            let err = CrashInjector::parse_spec(bad).expect_err(bad);
+            assert!(
+                err.contains("mid_segment_write"),
+                "lists valid names: {err}"
+            );
+        }
     }
 }

@@ -50,12 +50,11 @@
 //! wraps the shared oracle with a per-query counter so stats stay exact
 //! under concurrency.
 
-use prkb_core::durability::{encode_txn, GroupCommitTicket, TxnEntry};
 use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{
-    DurableEngine, DurableError, EngineConfig, InsertOutcome, PrkbEngine, QueryError, Selection,
-    ShardCommitter, ShardMap, ShardedDurablePool, SpPredicate,
+    DurableError, EngineConfig, GroupCommitTicket, InsertOutcome, PrkbEngine, QueryError,
+    Selection, ShardCommitter, ShardMap, ShardedDurablePool, SpPredicate,
 };
 use prkb_edbms::trapdoor::PredicateKind;
 use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
@@ -103,20 +102,11 @@ impl ServeError {
     pub fn wire_code(&self) -> u16 {
         use crate::proto::code;
         match self {
-            ServeError::Query(QueryError::AttrNotInitialized(_))
-            | ServeError::Durable(DurableError::Query(QueryError::AttrNotInitialized(_))) => {
-                code::ATTR_NOT_INITIALIZED
-            }
+            ServeError::Query(QueryError::AttrNotInitialized(_)) => code::ATTR_NOT_INITIALIZED,
             // The deadline budget is a wire-level concern, not an oracle
             // fault class: it gets its own top-level code.
-            ServeError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
-            | ServeError::Durable(DurableError::Query(QueryError::Oracle(
-                OracleError::DeadlineExceeded,
-            ))) => code::DEADLINE,
-            ServeError::Query(QueryError::Oracle(e))
-            | ServeError::Durable(DurableError::Query(QueryError::Oracle(e))) => {
-                oracle_wire_code(e)
-            }
+            ServeError::Query(QueryError::Oracle(OracleError::DeadlineExceeded)) => code::DEADLINE,
+            ServeError::Query(QueryError::Oracle(e)) => oracle_wire_code(e),
             // fsyncgate class: the disk lied about a durability barrier.
             // Distinguished on the wire so clients know the shard is down
             // until reopen (vs. a one-off durability error).
@@ -616,11 +606,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             }
             if committed {
                 if let Some(committer) = &shard.committer {
-                    let entries: Vec<TxnEntry<P>> = ops
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    tickets.push((*sid, committer.enqueue(encode_txn(&entries))));
+                    tickets.push((*sid, committer.enqueue_journal(ops)));
                 }
             }
             // Precise wakeups: only sessions parked on an attribute this
@@ -741,11 +727,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             st.exclusive = false;
             if committed {
                 if let Some(committer) = &shard.committer {
-                    let entries: Vec<TxnEntry<P>> = ops
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    tickets.push((sid, committer.enqueue(encode_txn(&entries))));
+                    tickets.push((sid, committer.enqueue_journal(ops)));
                 }
             }
             drop(st);
@@ -969,39 +951,12 @@ impl<P: SpPredicate> Drop for ExclusiveCheckin<'_, P> {
     }
 }
 
-/// The engine a server fronts: either a (possibly durable) sharded pool
-/// behind the checkout/checkin scheduler, or a [`DurableEngine`] behind a
-/// coarse lock — the pre-sharding durability path, kept as the baseline the
-/// group-commit benchmarks compare against.
-pub enum Backend<P: SpPredicate + WireCodec> {
-    /// Sharded engine pool; durable when built from a
-    /// [`ShardedDurablePool`] (see [`SessionScheduler::durable`]).
-    Shared(SessionScheduler<P>),
-    /// Coarse-locked durable engine, serialized end to end: one fsync per
-    /// committed operation, no evaluate-phase concurrency.
-    Durable(Box<Mutex<DurableSlot<P>>>),
-}
-
-/// A durable engine plus its commit sequence counter.
-pub struct DurableSlot<P: SpPredicate + WireCodec> {
-    /// The WAL-backed engine.
-    pub engine: DurableEngine<P>,
-    /// Commit sequence, incremented per committed operation.
-    pub seq: u64,
-}
-
-impl<P: SpPredicate + WireCodec> Backend<P> {
-    fn durable_lock<'a>(slot: &'a Mutex<DurableSlot<P>>) -> MutexGuard<'a, DurableSlot<P>> {
-        match slot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
+/// The four deadline-bounded operations a server dispatches. `deadline`
+/// bounds the whole operation: checkout waits and every oracle batch check
+/// it, and expiry aborts with [`OracleError::DeadlineExceeded`] leaving the
+/// KB untouched.
+impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Single-predicate selection (comparison or BETWEEN trapdoor).
-    /// `deadline` bounds the whole operation: checkout waits and every
-    /// oracle batch check it, and expiry aborts with
-    /// [`OracleError::DeadlineExceeded`] leaving the KB untouched.
     ///
     /// # Errors
     /// [`ServeError`] on engine or durability failure.
@@ -1016,25 +971,11 @@ impl<P: SpPredicate + WireCodec> Backend<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        match self {
-            Backend::Shared(sched) => {
-                let session = SessionOracle::new(oracle);
-                let bounded = DeadlineOracle::new(&session, deadline);
-                sched.with_detached_deadline(&[pred.attr()], deadline, |sub| {
-                    sub.try_select(&bounded, pred, rng)
-                })
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let bounded = DeadlineOracle::new(oracle, deadline);
-                let sel = slot.engine.try_select(&bounded, pred, rng)?;
-                slot.seq += 1;
-                Ok((sel, slot.seq))
-            }
-        }
+        let session = SessionOracle::new(oracle);
+        let bounded = DeadlineOracle::new(&session, deadline);
+        self.with_detached_deadline(&[pred.attr()], deadline, |sub| {
+            sub.try_select(&bounded, pred, rng)
+        })
     }
 
     /// Multi-dimensional range selection (PRKB(MD)). Callers must have
@@ -1054,26 +995,12 @@ impl<P: SpPredicate + WireCodec> Backend<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        match self {
-            Backend::Shared(sched) => {
-                let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
-                let session = SessionOracle::new(oracle);
-                let bounded = DeadlineOracle::new(&session, deadline);
-                sched.with_detached_deadline(&attrs, deadline, |sub| {
-                    sub.try_select_range_md(&bounded, dims, rng)
-                })
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let bounded = DeadlineOracle::new(oracle, deadline);
-                let sel = slot.engine.try_select_range_md(&bounded, dims, rng)?;
-                slot.seq += 1;
-                Ok((sel, slot.seq))
-            }
-        }
+        let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
+        let session = SessionOracle::new(oracle);
+        let bounded = DeadlineOracle::new(&session, deadline);
+        self.with_detached_deadline(&attrs, deadline, |sub| {
+            sub.try_select_range_md(&bounded, dims, rng)
+        })
     }
 
     /// Insert routing across every indexed attribute (whole-engine
@@ -1090,67 +1017,18 @@ impl<P: SpPredicate + WireCodec> Backend<P> {
     where
         O: SelectionOracle<Pred = P>,
     {
-        match self {
-            Backend::Shared(sched) => {
-                let (result, seq) = sched
-                    .with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
-                Ok((result?, seq))
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let outcomes = slot.engine.try_insert(oracle, t)?;
-                slot.seq += 1;
-                Ok((outcomes, slot.seq))
-            }
-        }
+        let (result, seq) =
+            self.with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
+        Ok((result?, seq))
     }
 
     /// Delete across every indexed attribute.
     ///
     /// # Errors
-    /// [`ServeError::Durable`] in durable mode; infallible when shared and
-    /// in-memory.
+    /// [`ServeError::Durable`] on a durable pool; infallible in memory.
     pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
-        match self {
-            Backend::Shared(sched) => {
-                let ((), seq) =
-                    sched.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
-                Ok(seq)
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                slot.engine.delete(t)?;
-                slot.seq += 1;
-                Ok(slot.seq)
-            }
-        }
-    }
-
-    /// Read access to the quiescent engine (validation, storage accounting).
-    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        match self {
-            Backend::Shared(sched) => sched.inspect(f),
-            Backend::Durable(slot) => f(Self::durable_lock(slot).engine.engine()),
-        }
-    }
-
-    /// Flushes every pending group-commit batch (graceful drain). A no-op
-    /// for in-memory pools and for the coarse durable path, whose commits
-    /// are already fsync'd one by one.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] when a shard's flush fails.
-    pub fn flush_durable(&self) -> Result<(), ServeError> {
-        match self {
-            Backend::Shared(sched) => sched.flush_durable(),
-            Backend::Durable(_) => Ok(()),
-        }
+        let ((), seq) = self.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
+        Ok(seq)
     }
 }
 

@@ -12,7 +12,7 @@
 //!   surface as stable wire codes, never as dead workers.
 
 use prkb_core::snapshot;
-use prkb_core::{DurableEngine, EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate, TupleId};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
@@ -286,7 +286,7 @@ fn four_clients_match_sequential_replay() {
 }
 
 // ---------------------------------------------------------------------------
-// Durable backend: shutdown loses nothing
+// Durable pool: shutdown loses nothing
 // ---------------------------------------------------------------------------
 
 struct TmpDir(PathBuf);
@@ -309,40 +309,6 @@ impl Drop for TmpDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-#[test]
-fn durable_backend_survives_restart() {
-    let dir = TmpDir::new("durable");
-    let oracle = PlainOracle::from_columns(columns());
-    let (mut durable, _report) =
-        DurableEngine::open(&dir.0, EngineConfig::default()).expect("open");
-    durable.init_attr(0, ROWS).expect("init");
-    durable.init_attr(1, ROWS).expect("init");
-
-    let server = PrkbServer::bind_durable("127.0.0.1:0", durable, oracle, ServerConfig::default())
-        .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let handle = server.spawn().expect("spawn");
-
-    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
-    for (i, bound) in [100u64, 40, 170, 90].into_iter().enumerate() {
-        let reply = client
-            .select(i as u64, Predicate::cmp(0, ComparisonOp::Lt, bound))
-            .expect("select");
-        assert_eq!(reply.tuples.len(), bound as usize);
-    }
-    client.shutdown().expect("shutdown");
-    let report = handle.join().expect("join");
-    let k_live = report.inspect(|e| e.knowledge(0).expect("attr 0").k());
-    assert!(k_live > 1, "queries refined the index (k = {k_live})");
-    drop(report);
-
-    // Reopen from disk: every committed refinement must still be there.
-    let (reopened, _) =
-        DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default()).expect("reopen");
-    let k_disk = reopened.engine().knowledge(0).expect("attr 0").k();
-    assert_eq!(k_disk, k_live, "no committed refinement lost to shutdown");
 }
 
 #[test]

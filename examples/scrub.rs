@@ -1,9 +1,10 @@
 //! scrub — walk a PRKB durability directory and classify every artifact.
 //!
-//! CRC-walks the checkpoint, every `wal.<epoch>.log` frame, and (for
-//! sharded pools) the manifest, then reports per-file verdicts: clean,
-//! torn tail, mid-log corruption, checkpoint rot, manifest mismatch, or a
-//! stray temp file. With `--quarantine`, damaged artifacts are *moved*
+//! CRC-walks the checkpoint segments and their manifest (and a v1
+//! `checkpoint.bin`, should one remain), every `wal.<epoch>.log` frame,
+//! and (for sharded pools) the pool manifest, then reports per-file
+//! verdicts: clean, torn tail, mid-log corruption, segment or checkpoint
+//! rot, manifest mismatch, or a stray temp file. With `--quarantine`, damaged artifacts are *moved*
 //! into a sibling `quarantine/` directory — never deleted — so a later
 //! reopen proceeds from whatever survives while the evidence is kept.
 //!

@@ -5,8 +5,8 @@
 //! refinement operations, then reports how the log ends — clean, with a
 //! torn (discarded) tail, or with hard mid-log corruption.
 //!
-//! When pointed at a directory that holds a segmented checkpoint store
-//! (DESIGN.md §17), the segment manifest and every `segment.<id>.seg`
+//! When pointed at an engine directory that has checkpointed (DESIGN.md
+//! §17), the segment manifest and every `segment.<id>.seg`
 //! file are deep-verified too — torn framing, rotted partition blocks,
 //! manifest references to missing segments, and stray publish residue
 //! each get their scrub classification.
