@@ -25,7 +25,7 @@ use crate::trajectory::BenchRow;
 use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::Predicate;
-use prkb_server::{PipelinedClient, PrkbClient, PrkbServer, ServerConfig};
+use prkb_server::{PrkbClient, PrkbServer, Request, RequestHeader, ServerConfig};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -140,14 +140,14 @@ pub fn measure(scale: Scale) -> ServerConnsData {
     let mut workers = Vec::with_capacity(ACTIVE_CLIENTS);
     for _ in 0..ACTIVE_CLIENTS {
         workers.push(std::thread::spawn(move || {
-            let mut client: PipelinedClient<Predicate> =
-                PipelinedClient::connect(addr).expect("pipelined connect");
+            let mut client: PrkbClient<Predicate> =
+                PrkbClient::connect(addr).expect("pipelined connect");
             let mut per_ping_us = Vec::with_capacity(bursts_per_client);
             for _ in 0..bursts_per_client {
                 let start = Instant::now();
                 for _ in 0..PIPELINE_DEPTH {
                     client
-                        .submit_untracked(&prkb_server::Request::Ping)
+                        .submit(RequestHeader::default(), &Request::Ping)
                         .expect("submit");
                 }
                 let responses = client.drain().expect("drain");

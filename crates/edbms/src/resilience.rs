@@ -289,12 +289,83 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
+
+    /// The pause before retry number `attempt` (1-based), the `n`-th backoff
+    /// its caller takes: `base_delay` doubled per attempt, capped at
+    /// `max_delay`, jittered deterministically into `[capped/2, capped)` so
+    /// synchronized retriers decorrelate. Pure: callers keep `n` and sleep.
+    pub fn backoff(&self, attempt: u32, n: u64) -> Duration {
+        let factor = 1u32 << attempt.saturating_sub(1).min(16);
+        let exp = self.base_delay.saturating_mul(factor);
+        let capped = exp.min(self.max_delay).max(self.base_delay);
+        let j = mix(self.jitter_seed ^ n) % 1000;
+        let nanos = capped.as_nanos() as u64;
+        Duration::from_nanos(nanos / 2 + (nanos / 2 / 1000) * j)
+    }
 }
 
 /// Circuit-breaker states (stored in an `AtomicU8`).
 const CLOSED: u8 = 0;
 const OPEN: u8 = 1;
 const HALF_OPEN: u8 = 2;
+
+/// The circuit breaker [`RetryOracle`] and the wire client both hold: after
+/// [`RetryPolicy::trip_after`] consecutive exhausted calls it opens, refuses
+/// the next [`RetryPolicy::cooldown_calls`] calls, then lets one half-open
+/// probe through — success closes it, failure reopens it for another
+/// cooldown. Holders map a refusal to their own error and count their own.
+#[derive(Debug, Default)]
+pub struct Breaker {
+    state: AtomicU8,
+    consecutive_exhausted: AtomicU32,
+    open_calls_left: AtomicU32,
+}
+
+impl Breaker {
+    /// Whether the breaker is currently open (refusing calls).
+    pub fn is_open(&self) -> bool {
+        self.state.load(Ordering::Relaxed) == OPEN
+    }
+
+    /// Gate at the top of every call.
+    ///
+    /// # Errors
+    /// The consecutive-exhaustion count, while open and cooling down; the
+    /// caller must fail fast without touching the guarded resource.
+    pub fn gate(&self, policy: &RetryPolicy) -> Result<(), u32> {
+        if policy.trip_after == 0 || !self.is_open() {
+            return Ok(());
+        }
+        let left = self.open_calls_left.load(Ordering::Relaxed);
+        if left > 0 {
+            self.open_calls_left.store(left - 1, Ordering::Relaxed);
+            return Err(self.consecutive_exhausted.load(Ordering::Relaxed));
+        }
+        self.state.store(HALF_OPEN, Ordering::Relaxed); // cooldown spent: probe
+        Ok(())
+    }
+
+    /// Records a call's outcome (`ok` = it did not exhaust its attempts);
+    /// returns whether this outcome opened the breaker.
+    pub fn record(&self, policy: &RetryPolicy, ok: bool) -> bool {
+        if policy.trip_after == 0 {
+            return false;
+        }
+        if ok {
+            self.consecutive_exhausted.store(0, Ordering::Relaxed);
+            self.state.store(CLOSED, Ordering::Relaxed);
+            return false;
+        }
+        let failed = self.consecutive_exhausted.fetch_add(1, Ordering::Relaxed) + 1;
+        let trips = self.state.load(Ordering::Relaxed) == HALF_OPEN || failed >= policy.trip_after;
+        if trips {
+            self.state.store(OPEN, Ordering::Relaxed);
+            self.open_calls_left
+                .store(policy.cooldown_calls, Ordering::Relaxed);
+        }
+        trips
+    }
+}
 
 /// A fault-tolerant wrapper around any [`SelectionOracle`].
 ///
@@ -305,12 +376,9 @@ const HALF_OPEN: u8 = 2;
 /// QPF cost* — the counter keeps every spent round-trip, so fault-path cost
 /// is visible in the paper's metric, not hidden.
 ///
-/// When [`RetryPolicy::trip_after`] consecutive evaluations exhaust their
-/// attempts, the circuit breaker opens: the next
-/// [`RetryPolicy::cooldown_calls`] evaluations fast-fail with
-/// [`OracleError::Unavailable`] without touching the inner oracle, then one
-/// half-open probe is allowed through — success closes the breaker, failure
-/// reopens it for another cooldown.
+/// A [`Breaker`] guards the inner oracle: while it is open, evaluations
+/// fast-fail with [`OracleError::Unavailable`] without touching the trusted
+/// machine.
 ///
 /// Batches route through the per-tuple path so each tuple gets its own
 /// retry budget (one poisoned tuple cannot consume the whole batch's
@@ -319,9 +387,7 @@ const HALF_OPEN: u8 = 2;
 pub struct RetryOracle<O> {
     inner: O,
     policy: RetryPolicy,
-    state: AtomicU8,
-    consecutive_exhausted: AtomicU32,
-    open_calls_left: AtomicU32,
+    breaker: Breaker,
     retries: AtomicU64,
     trips: AtomicU64,
     fast_fails: AtomicU64,
@@ -334,9 +400,7 @@ impl<O> RetryOracle<O> {
         RetryOracle {
             inner,
             policy,
-            state: AtomicU8::new(CLOSED),
-            consecutive_exhausted: AtomicU32::new(0),
-            open_calls_left: AtomicU32::new(0),
+            breaker: Breaker::default(),
             retries: AtomicU64::new(0),
             trips: AtomicU64::new(0),
             fast_fails: AtomicU64::new(0),
@@ -371,61 +435,7 @@ impl<O> RetryOracle<O> {
 
     /// Whether the breaker is currently open (fast-failing).
     pub fn is_open(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == OPEN
-    }
-
-    /// Gate at the top of every evaluation: fast-fail while open, let a
-    /// half-open probe through once the cooldown is spent.
-    fn gate(&self) -> Result<(), OracleError> {
-        if self.policy.trip_after == 0 || self.state.load(Ordering::Relaxed) != OPEN {
-            return Ok(());
-        }
-        let left = self.open_calls_left.load(Ordering::Relaxed);
-        if left > 0 {
-            self.open_calls_left.store(left - 1, Ordering::Relaxed);
-            self.fast_fails.fetch_add(1, Ordering::Relaxed);
-            return Err(OracleError::Unavailable {
-                failures: self.consecutive_exhausted.load(Ordering::Relaxed),
-            });
-        }
-        self.state.store(HALF_OPEN, Ordering::Relaxed); // cooldown spent: probe
-        Ok(())
-    }
-
-    /// Records an evaluation outcome into the breaker state machine.
-    fn record(&self, ok: bool) {
-        if self.policy.trip_after == 0 {
-            return;
-        }
-        if ok {
-            self.consecutive_exhausted.store(0, Ordering::Relaxed);
-            self.state.store(CLOSED, Ordering::Relaxed);
-        } else {
-            let failed = self.consecutive_exhausted.fetch_add(1, Ordering::Relaxed) + 1;
-            let probing = self.state.load(Ordering::Relaxed) == HALF_OPEN;
-            if probing || failed >= self.policy.trip_after {
-                self.state.store(OPEN, Ordering::Relaxed);
-                self.open_calls_left
-                    .store(self.policy.cooldown_calls, Ordering::Relaxed);
-                self.trips.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Sleeps the exponential backoff for retry number `attempt` (1-based),
-    /// with deterministic ±50% jitter so synchronized retriers decorrelate.
-    fn backoff(&self, attempt: u32) {
-        if self.policy.base_delay.is_zero() {
-            return;
-        }
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        let exp = self.policy.base_delay.saturating_mul(factor);
-        let capped = exp.min(self.policy.max_delay).max(self.policy.base_delay);
-        let n = self.backoffs.fetch_add(1, Ordering::Relaxed);
-        let j = mix(self.policy.jitter_seed ^ n) % 1000;
-        let nanos = capped.as_nanos() as u64;
-        let jittered = nanos / 2 + (nanos / 2 / 1000) * j;
-        std::thread::sleep(Duration::from_nanos(jittered));
+        self.breaker.is_open()
     }
 }
 
@@ -433,22 +443,28 @@ impl<O: SelectionOracle> SelectionOracle for RetryOracle<O> {
     type Pred = O::Pred;
 
     fn try_eval(&self, pred: &Self::Pred, t: TupleId) -> Result<bool, OracleError> {
-        self.gate()?;
+        if let Err(failures) = self.breaker.gate(&self.policy) {
+            self.fast_fails.fetch_add(1, Ordering::Relaxed);
+            return Err(OracleError::Unavailable { failures });
+        }
         let attempts = self.policy.max_attempts.max(1);
         let mut attempt = 1u32;
         loop {
             match self.inner.try_eval(pred, t) {
                 Ok(v) => {
-                    self.record(true);
+                    self.breaker.record(&self.policy, true);
                     return Ok(v);
                 }
                 Err(e) if e.is_retryable() && attempt < attempts => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt);
+                    let n = self.backoffs.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(self.policy.backoff(attempt, n));
                     attempt += 1;
                 }
                 Err(e) => {
-                    self.record(false);
+                    if self.breaker.record(&self.policy, false) {
+                        self.trips.fetch_add(1, Ordering::Relaxed);
+                    }
                     return Err(e);
                 }
             }
@@ -650,7 +666,7 @@ mod tests {
         for _ in 0..4 {
             assert!(matches!(
                 retry.try_eval(&p, 0),
-                Err(OracleError::Unavailable { .. })
+                Err(OracleError::Unavailable { failures: 3 })
             ));
         }
         assert_eq!(retry.fast_fails(), 4);
@@ -670,29 +686,12 @@ mod tests {
 
     #[test]
     fn breaker_closes_on_successful_probe() {
-        // Inner oracle that recovers: we flip the schedule off by using an
-        // injector with zero rates after tripping via a downed one is not
-        // possible with one wrapper, so drive the breaker directly with a
-        // clean oracle after a manufactured trip.
-        let clean = oracle();
         let policy = RetryPolicy {
             trip_after: 1,
             cooldown_calls: 2,
             ..RetryPolicy::fast(1)
         };
-        let retry = RetryOracle::new(
-            FaultInjector::new(
-                clean,
-                FaultConfig {
-                    seed: 9,
-                    transient_per_mille: 0,
-                    timeout_per_mille: 0,
-                    corruption_per_mille: 0,
-                    max_consecutive: 0,
-                },
-            ),
-            policy,
-        );
+        let retry = RetryOracle::new(oracle(), policy);
         let p = pred();
         // Trip via a fatal error (out-of-range tuple exhausts its single
         // attempt immediately).
@@ -701,13 +700,34 @@ mod tests {
         for _ in 0..2 {
             assert!(matches!(
                 retry.try_eval(&p, 0),
-                Err(OracleError::Unavailable { .. })
+                Err(OracleError::Unavailable { failures: 1 })
             ));
         }
         // Half-open probe succeeds and closes the breaker.
         assert_eq!(retry.try_eval(&p, 0), Ok(true));
         assert!(!retry.is_open());
         assert_eq!(retry.try_eval(&p, 60), Ok(false));
+        assert_eq!((retry.trips(), retry.fast_fails()), (1, 2));
+    }
+
+    #[test]
+    fn backoff_is_pure_bounded_and_pinned() {
+        let policy = RetryPolicy::default();
+        // The delays a seed-0x5eed `RetryOracle` has always slept: attempts
+        // 1, 2, 3 of one evaluation, then attempt 1 of the next.
+        let slept: Vec<u64> = [(1, 0), (2, 1), (3, 2), (1, 3)]
+            .map(|(attempt, n)| policy.backoff(attempt, n).as_nanos() as u64)
+            .to_vec();
+        assert_eq!(slept, [2_630_000, 9_780_000, 16_590_000, 4_585_000]);
+        for n in 0..200u64 {
+            for attempt in 1..=8u32 {
+                let d = policy.backoff(attempt, n);
+                assert_eq!(d, policy.backoff(attempt, n), "pure in (attempt, n)");
+                let capped = (policy.base_delay * (1 << (attempt - 1))).min(policy.max_delay);
+                assert!(capped / 2 <= d && d < capped, "attempt {attempt}: {d:?}");
+            }
+        }
+        assert_eq!(RetryPolicy::fast(4).backoff(3, 9), Duration::ZERO);
     }
 
     #[test]

@@ -1,26 +1,32 @@
-//! Blocking client for the `prkb-wire/v2` protocol, with a resilience
-//! layer.
+//! The blocking client for the `prkb-wire/v2` protocol.
 //!
-//! One [`PrkbClient`] wraps one TCP connection at a time; every method
-//! sends one request frame and blocks for the matching response frame.
-//! [`PipelinedClient`] relaxes that to multiple requests in flight on one
-//! connection (the reactor answers them FIFO), and [`ClientPool`] amortizes
-//! connection setup across callers. Two jobs coexist here:
+//! One [`PrkbClient`] wraps one TCP connection at a time and serves two
+//! kinds of traffic over the same stream, frame reader and read-deadline
+//! loop:
 //!
-//! * **Reference peer.** The loopback equivalence tests drive the server
-//!   through this client and compare against the in-process engine byte
-//!   for byte. With a pinned [`ClientConfig::rid_seed`] the request path
-//!   is fully deterministic.
-//! * **Surviving a hostile network.** Every call carries a client-generated
-//!   request id and an optional deadline budget
-//!   ([`ClientConfig::deadline_ms`]); transport failures and transient
-//!   server codes (BUSY, FRAME, oracle transient/timeout) are retried with
-//!   the same deterministic backoff discipline as
-//!   [`prkb_edbms::resilience::RetryOracle`] — reconnecting first, reusing
-//!   the *same* request id so the server's dedup window makes the retry
-//!   exactly-once. A circuit breaker fast-fails with
-//!   [`ClientError::CircuitOpen`] after repeated exhaustion, mirroring
-//!   `RetryOracle`'s CLOSED/OPEN/HALF_OPEN discipline.
+//! * **Resilient calls** ([`select`](PrkbClient::select),
+//!   [`insert`](PrkbClient::insert), …) send one request and block for its
+//!   response. Every call carries a client-generated request id and an
+//!   optional deadline budget ([`ClientConfig::deadline_ms`]); transport
+//!   failures and transient server codes (BUSY, FRAME, oracle
+//!   transient/timeout) are retried — reconnecting first, reusing the
+//!   *same* request id so the server's dedup window makes the retry
+//!   exactly-once — pausing [`RetryPolicy::backoff`] between attempts. A
+//!   [`Breaker`] (the one [`prkb_edbms::resilience::RetryOracle`] holds)
+//!   fast-fails with [`ClientError::CircuitOpen`] after repeated
+//!   exhaustion. With a pinned [`ClientConfig::rid_seed`] the request path
+//!   is fully deterministic, which is what lets the loopback suites compare
+//!   the served engine with the in-process one byte for byte.
+//! * **Pipelining.** [`submit`](PrkbClient::submit) writes a request frame
+//!   without waiting and [`drain_one`](PrkbClient::drain_one) reads the
+//!   oldest outstanding response; the reactor answers each connection
+//!   strictly FIFO, so the k-th submitted request gets the k-th response,
+//!   byte-identical to a sequential replay. Depth is how often the caller
+//!   submits before draining. Submitted requests are the caller's: no
+//!   retry, no breaker, the caller owns each [`RequestHeader`]. A resilient
+//!   call is refused while requests are in flight (its response would be
+//!   misattributed), and a transport failure drops the connection and
+//!   forgets what was in flight.
 //!
 //! Sockets always carry read/connect/write timeouts (defaults in
 //! [`ClientConfig`]): a dead or stalled server surfaces
@@ -31,7 +37,7 @@ use crate::proto::{code, ProtoError, Request, RequestHeader, Response};
 use crate::wire::{write_frame, FrameError, FrameReader, ReadStep};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
-use prkb_edbms::resilience::{mix, RetryPolicy};
+use prkb_edbms::resilience::{mix, Breaker, RetryPolicy};
 use prkb_edbms::{AttrId, TupleId};
 use std::fmt;
 use std::io;
@@ -164,61 +170,6 @@ impl SelectionReply {
     }
 }
 
-/// Circuit-breaker states.
-const CLOSED: u8 = 0;
-const OPEN: u8 = 1;
-const HALF_OPEN: u8 = 2;
-
-/// Per-client breaker mirroring [`RetryOracle`]'s discipline: trip after
-/// `trip_after` consecutive exhausted calls, fast-fail `cooldown_calls`,
-/// then let one half-open probe through.
-///
-/// [`RetryOracle`]: prkb_edbms::resilience::RetryOracle
-struct Breaker {
-    state: u8,
-    consecutive_exhausted: u32,
-    open_calls_left: u32,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            state: CLOSED,
-            consecutive_exhausted: 0,
-            open_calls_left: 0,
-        }
-    }
-
-    fn gate(&mut self, policy: &RetryPolicy) -> Result<(), ClientError> {
-        if policy.trip_after == 0 || self.state != OPEN {
-            return Ok(());
-        }
-        if self.open_calls_left > 0 {
-            self.open_calls_left -= 1;
-            return Err(ClientError::CircuitOpen);
-        }
-        self.state = HALF_OPEN; // cooldown spent: probe
-        Ok(())
-    }
-
-    fn record(&mut self, policy: &RetryPolicy, ok: bool) {
-        if policy.trip_after == 0 {
-            return;
-        }
-        if ok {
-            self.consecutive_exhausted = 0;
-            self.state = CLOSED;
-        } else {
-            self.consecutive_exhausted += 1;
-            let probing = self.state == HALF_OPEN;
-            if probing || self.consecutive_exhausted >= policy.trip_after {
-                self.state = OPEN;
-                self.open_calls_left = policy.cooldown_calls;
-            }
-        }
-    }
-}
-
 /// Blocking client over one connection at a time (see the module docs).
 pub struct PrkbClient<P> {
     addr: SocketAddr,
@@ -230,6 +181,7 @@ pub struct PrkbClient<P> {
     backoffs: u64,
     retries: u64,
     breaker: Breaker,
+    in_flight: usize,
     _pred: PhantomData<P>,
 }
 
@@ -271,7 +223,8 @@ impl<P: WireCodec> PrkbClient<P> {
             rid_counter: 0,
             backoffs: 0,
             retries: 0,
-            breaker: Breaker::new(),
+            breaker: Breaker::default(),
+            in_flight: 0,
             _pred: PhantomData,
         };
         client.establish()?;
@@ -306,10 +259,12 @@ impl<P: WireCodec> PrkbClient<P> {
         Ok(())
     }
 
-    /// Drops the connection so the next attempt redials from scratch.
+    /// Drops the connection — and with it whatever was in flight — so the
+    /// next attempt redials from scratch.
     fn disconnect(&mut self) {
         self.stream = None;
         self.reader = FrameReader::new();
+        self.in_flight = 0;
     }
 
     /// The next non-zero request id from this client's deterministic
@@ -324,42 +279,95 @@ impl<P: WireCodec> PrkbClient<P> {
         }
     }
 
-    /// One wire round trip: write the payload, read one response frame.
-    fn call_once(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
-        self.establish()?;
-        let stream = self.stream.as_mut().expect("established above");
-        write_frame(stream, payload)?;
-        let deadline = Instant::now() + self.config.read_timeout;
-        loop {
-            match self.reader.poll(stream, self.config.max_frame_len)? {
-                ReadStep::Frame { payload, .. } => return Ok(Response::decode(payload)?),
-                ReadStep::Closed => return Err(ClientError::ConnectionClosed),
-                ReadStep::Idle | ReadStep::Stalled => {
-                    if Instant::now() >= deadline {
-                        return Err(ClientError::TimedOut);
-                    }
-                }
-            }
-        }
+    /// Requests submitted but not yet drained.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
     }
 
-    /// Mirror of [`RetryOracle`]'s deterministic jittered backoff.
+    /// Writes one request frame without waiting for its response, dialing
+    /// first if the connection is down.
     ///
-    /// [`RetryOracle`]: prkb_edbms::resilience::RetryOracle
-    fn backoff(&mut self, attempt: u32) {
-        let policy = &self.config.retry;
-        if policy.base_delay.is_zero() {
-            return;
+    /// # Errors
+    /// Connect or socket write failure; the connection is dropped.
+    pub fn submit(&mut self, hdr: RequestHeader, req: &Request<P>) -> Result<(), ClientError> {
+        self.send(&req.encode_with(hdr))
+    }
+
+    fn send(&mut self, payload: &[u8]) -> Result<(), ClientError> {
+        self.establish()?;
+        let stream = self.stream.as_mut().expect("established above");
+        if let Err(e) = write_frame(stream, payload) {
+            self.disconnect();
+            return Err(e.into());
         }
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        let exp = policy.base_delay.saturating_mul(factor);
-        let capped = exp.min(policy.max_delay).max(policy.base_delay);
-        let n = self.backoffs;
+        self.in_flight += 1;
+        Ok(())
+    }
+
+    /// Reads the response to the oldest outstanding request.
+    ///
+    /// # Errors
+    /// [`ClientError::Unexpected`] when nothing is in flight. On a
+    /// transport, framing or timeout failure the connection is dropped and
+    /// every outstanding response is lost.
+    pub fn drain_one(&mut self) -> Result<Response, ClientError> {
+        if self.in_flight == 0 {
+            return Err(ClientError::Unexpected("no request in flight"));
+        }
+        let stream = self.stream.as_mut().expect("in flight implies connected");
+        let deadline = Instant::now() + self.config.read_timeout;
+        let failure = loop {
+            match self.reader.poll(stream, self.config.max_frame_len) {
+                Ok(ReadStep::Frame { payload, .. }) => {
+                    self.in_flight -= 1;
+                    return Ok(Response::decode(payload)?);
+                }
+                Ok(ReadStep::Closed) => break ClientError::ConnectionClosed,
+                Ok(ReadStep::Idle | ReadStep::Stalled) if Instant::now() >= deadline => {
+                    break ClientError::TimedOut;
+                }
+                Ok(ReadStep::Idle | ReadStep::Stalled) => {}
+                Err(e) => break e.into(),
+            }
+        };
+        self.disconnect();
+        Err(failure)
+    }
+
+    /// Drains every outstanding response, oldest first.
+    ///
+    /// # Errors
+    /// As [`drain_one`](Self::drain_one); responses already read are lost
+    /// on error.
+    pub fn drain(&mut self) -> Result<Vec<Response>, ClientError> {
+        let mut out = Vec::with_capacity(self.in_flight);
+        while self.in_flight > 0 {
+            out.push(self.drain_one()?);
+        }
+        Ok(out)
+    }
+
+    /// Refuses a blocking call while submitted requests are outstanding: the
+    /// next response on the wire is theirs, not the call's.
+    fn ensure_drained(&self) -> Result<(), ClientError> {
+        if self.in_flight > 0 {
+            return Err(ClientError::Unexpected("requests in flight: drain first"));
+        }
+        Ok(())
+    }
+
+    /// One wire round trip (callers have checked nothing is in flight).
+    fn call_once(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
+        self.send(payload)?;
+        self.drain_one()
+    }
+
+    /// Drops the connection, counts the retry and sleeps its backoff.
+    fn prepare_retry(&mut self, attempt: u32) {
+        self.disconnect();
+        self.retries += 1;
+        std::thread::sleep(self.config.retry.backoff(attempt, self.backoffs));
         self.backoffs += 1;
-        let j = mix(policy.jitter_seed ^ n) % 1000;
-        let nanos = capped.as_nanos() as u64;
-        let jittered = nanos / 2 + (nanos / 2 / 1000) * j;
-        std::thread::sleep(Duration::from_nanos(jittered));
     }
 
     /// A server code worth retrying: overload shedding, lost framing, and
@@ -387,7 +395,10 @@ impl<P: WireCodec> PrkbClient<P> {
     /// server's dedup window replays instead of re-committing); the header
     /// also carries [`ClientConfig::deadline_ms`].
     fn call(&mut self, req: &Request<P>, idempotent: bool) -> Result<Response, ClientError> {
-        self.breaker.gate(&self.config.retry)?;
+        self.ensure_drained()?;
+        if self.breaker.gate(&self.config.retry).is_err() {
+            return Err(ClientError::CircuitOpen);
+        }
         let hdr = RequestHeader {
             request_id: if idempotent { self.next_rid() } else { 0 },
             deadline_ms: (self.config.deadline_ms > 0).then_some(self.config.deadline_ms),
@@ -401,9 +412,7 @@ impl<P: WireCodec> PrkbClient<P> {
                     if Self::retryable_code(code) && attempt < attempts {
                         // BUSY and FRAME closed the connection server-side;
                         // redial either way so the retry starts clean.
-                        self.disconnect();
-                        self.retries += 1;
-                        self.backoff(attempt);
+                        self.prepare_retry(attempt);
                         attempt += 1;
                         continue;
                     }
@@ -416,9 +425,7 @@ impl<P: WireCodec> PrkbClient<P> {
                     return Ok(resp);
                 }
                 Err(e) if Self::retryable_transport(&e) && attempt < attempts => {
-                    self.disconnect();
-                    self.retries += 1;
-                    self.backoff(attempt);
+                    self.prepare_retry(attempt);
                     attempt += 1;
                 }
                 Err(e) => {
@@ -528,245 +535,11 @@ impl<P: WireCodec> PrkbClient<P> {
     /// # Errors
     /// [`ClientError`] on transport, protocol, or server failure.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
+        self.ensure_drained()?;
         let payload = Request::<P>::Shutdown.encode();
         match self.call_once(&payload)? {
             Response::Ok => Ok(()),
             other => Err(err_of(other, "shutdown ack")),
-        }
-    }
-}
-
-/// Multiple requests in flight on one connection.
-///
-/// The reactor serves each connection's requests strictly FIFO (one with
-/// the workers at a time, the rest parked in a per-connection inbox), so
-/// the k-th submitted request always gets the k-th response — and the
-/// responses are byte-identical to a sequential replay of the same
-/// requests. This client exploits that: [`submit`](Self::submit) writes a
-/// frame without waiting, [`drain_one`](Self::drain_one) reads the oldest
-/// outstanding response.
-///
-/// Deliberately minimal: no retries, no breaker, no id generation — the
-/// caller owns the [`RequestHeader`] of every request. For the
-/// one-at-a-time resilient path use [`PrkbClient`].
-pub struct PipelinedClient<P> {
-    stream: TcpStream,
-    reader: FrameReader,
-    config: ClientConfig,
-    in_flight: usize,
-    _pred: PhantomData<P>,
-}
-
-impl<P: WireCodec> PipelinedClient<P> {
-    /// Connects with default timeouts.
-    ///
-    /// # Errors
-    /// Socket connect failure.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connects with explicit tunables (only the timeout and frame-cap
-    /// fields apply — the retry policy is unused here).
-    ///
-    /// # Errors
-    /// Address resolution or socket connect failure.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: ClientConfig,
-    ) -> Result<Self, ClientError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ClientError::Io(io::Error::other("address resolved to nothing")))?;
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_nodelay(true).ok();
-        let tick = config
-            .read_timeout
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(1));
-        stream.set_read_timeout(Some(tick))?;
-        stream.set_write_timeout(Some(config.write_timeout.max(Duration::from_millis(1))))?;
-        Ok(PipelinedClient {
-            stream,
-            reader: FrameReader::new(),
-            config,
-            in_flight: 0,
-            _pred: PhantomData,
-        })
-    }
-
-    /// Requests submitted but not yet drained.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Writes one request frame without waiting for its response.
-    ///
-    /// # Errors
-    /// Socket write failure.
-    pub fn submit(&mut self, hdr: RequestHeader, req: &Request<P>) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &req.encode_with(hdr))?;
-        self.in_flight += 1;
-        Ok(())
-    }
-
-    /// [`submit`](Self::submit) with a default (untracked, undeadlined)
-    /// header.
-    ///
-    /// # Errors
-    /// Socket write failure.
-    pub fn submit_untracked(&mut self, req: &Request<P>) -> Result<(), ClientError> {
-        self.submit(RequestHeader::default(), req)
-    }
-
-    /// Reads the response to the oldest outstanding request.
-    ///
-    /// # Errors
-    /// [`ClientError::Unexpected`] when nothing is in flight; transport,
-    /// framing, or timeout failures otherwise.
-    pub fn drain_one(&mut self) -> Result<Response, ClientError> {
-        if self.in_flight == 0 {
-            return Err(ClientError::Unexpected("no request in flight"));
-        }
-        let deadline = Instant::now() + self.config.read_timeout;
-        loop {
-            match self
-                .reader
-                .poll(&mut self.stream, self.config.max_frame_len)?
-            {
-                ReadStep::Frame { payload, .. } => {
-                    self.in_flight -= 1;
-                    return Ok(Response::decode(payload)?);
-                }
-                ReadStep::Closed => return Err(ClientError::ConnectionClosed),
-                ReadStep::Idle | ReadStep::Stalled => {
-                    if Instant::now() >= deadline {
-                        return Err(ClientError::TimedOut);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains every outstanding response, oldest first.
-    ///
-    /// # Errors
-    /// As [`drain_one`](Self::drain_one); responses already read are lost
-    /// on error.
-    pub fn drain(&mut self) -> Result<Vec<Response>, ClientError> {
-        let mut out = Vec::with_capacity(self.in_flight);
-        while self.in_flight > 0 {
-            out.push(self.drain_one()?);
-        }
-        Ok(out)
-    }
-}
-
-/// A small pool of ready [`PrkbClient`] connections.
-///
-/// [`get`](Self::get) hands out an idle connection (or dials a fresh one);
-/// dropping the returned [`PooledClient`] puts the connection back, up to
-/// `max_idle`. With the reactor admitting `threads + queue` connections,
-/// pooling keeps a bursty caller inside its admission slots instead of
-/// churning connects into BUSY sheds.
-pub struct ClientPool<P> {
-    addr: SocketAddr,
-    config: ClientConfig,
-    idle: std::sync::Mutex<Vec<PrkbClient<P>>>,
-    max_idle: usize,
-}
-
-impl<P: WireCodec> ClientPool<P> {
-    /// Creates a pool dialing `addr` with `config`; at most `max_idle`
-    /// connections are kept warm (clamped to at least 1). No connection is
-    /// made until the first [`get`](Self::get).
-    ///
-    /// # Errors
-    /// Address resolution failure.
-    pub fn new(
-        addr: impl ToSocketAddrs,
-        config: ClientConfig,
-        max_idle: usize,
-    ) -> Result<Self, ClientError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ClientError::Io(io::Error::other("address resolved to nothing")))?;
-        Ok(ClientPool {
-            addr,
-            config,
-            idle: std::sync::Mutex::new(Vec::new()),
-            max_idle: max_idle.max(1),
-        })
-    }
-
-    /// Connections currently idling in the pool.
-    pub fn idle(&self) -> usize {
-        self.lock_idle().len()
-    }
-
-    /// An idle connection, or a freshly dialed one.
-    ///
-    /// # Errors
-    /// Socket connect failure (only when dialing fresh).
-    pub fn get(&self) -> Result<PooledClient<'_, P>, ClientError> {
-        let reused = self.lock_idle().pop();
-        let client = match reused {
-            Some(c) => c,
-            None => PrkbClient::connect_with(self.addr, self.config.clone())?,
-        };
-        Ok(PooledClient {
-            pool: self,
-            client: Some(client),
-        })
-    }
-}
-
-impl<P> ClientPool<P> {
-    fn lock_idle(&self) -> std::sync::MutexGuard<'_, Vec<PrkbClient<P>>> {
-        match self.idle.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// A pool loan: derefs to [`PrkbClient`], returns to the pool on drop.
-pub struct PooledClient<'a, P> {
-    pool: &'a ClientPool<P>,
-    client: Option<PrkbClient<P>>,
-}
-
-impl<P> PooledClient<'_, P> {
-    /// Takes the connection out of the pool's custody — use for consuming
-    /// operations like [`PrkbClient::shutdown`].
-    pub fn detach(mut self) -> PrkbClient<P> {
-        self.client.take().expect("present until drop")
-    }
-}
-
-impl<P> std::ops::Deref for PooledClient<'_, P> {
-    type Target = PrkbClient<P>;
-
-    fn deref(&self) -> &PrkbClient<P> {
-        self.client.as_ref().expect("present until drop")
-    }
-}
-
-impl<P> std::ops::DerefMut for PooledClient<'_, P> {
-    fn deref_mut(&mut self) -> &mut PrkbClient<P> {
-        self.client.as_mut().expect("present until drop")
-    }
-}
-
-impl<P> Drop for PooledClient<'_, P> {
-    fn drop(&mut self) {
-        if let Some(client) = self.client.take() {
-            let mut idle = self.pool.lock_idle();
-            if idle.len() < self.pool.max_idle {
-                idle.push(client);
-            }
         }
     }
 }

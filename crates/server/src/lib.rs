@@ -24,9 +24,9 @@
 //! * [`conn`] (private) — request decode/dispatch, run on the worker pool;
 //! * [`server`] — server wiring: reactor thread + bounded worker pool +
 //!   graceful drain;
-//! * [`client`] — the blocking client (timeouts, deterministic retries
-//!   with exactly-once request ids, circuit breaker), the pipelined
-//!   multi-request-in-flight client, and a connection pool;
+//! * [`client`] — the blocking client: timeouts, deterministic retries
+//!   with exactly-once request ids, circuit breaker, and pipelined
+//!   submit/drain on the same connection;
 //! * [`chaos`] — the deterministic network-fault harness
 //!   ([`chaos::ChaosProxy`], seeded by `PRKB_NET_FAULT_SEED`).
 //!
@@ -69,10 +69,7 @@ pub mod wire;
 
 pub use admission::QUEUE_ENV;
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStream, FaultAction, FaultPlan, NET_FAULT_SEED_ENV};
-pub use client::{
-    ClientConfig, ClientError, ClientPool, PipelinedClient, PooledClient, PrkbClient,
-    SelectionReply,
-};
+pub use client::{ClientConfig, ClientError, PrkbClient, SelectionReply};
 pub use proto::{ProtoError, Request, RequestHeader, Response, PROTO_VERSION};
 pub use scheduler::{DeadlineOracle, ServeError, SessionOracle, SessionScheduler};
 pub use server::{PrkbServer, ServerConfig, ServerHandle, ServerReport};

@@ -4,7 +4,7 @@
 //! The engine's refinement commits must be serialized *per attribute* — two
 //! queries refining the same attribute's knowledge concurrently would race —
 //! but the *expensive* part of a query is QPF evaluation, which the core
-//! pipelines already split from commit (evaluate-then-commit, PR 2). The
+//! pipelines already split from commit (evaluate-then-commit). The
 //! scheduler exploits that split twice over:
 //!
 //! * **Sharding.** Attributes are hash-partitioned across `PRKB_SHARDS`
@@ -12,25 +12,28 @@
 //!   and (in durable deployments) its own WAL-backed
 //!   [`ShardCommitter`] — so unrelated queries never touch the same mutex
 //!   and durable commits fsync in parallel.
-//! * **Checkout/checkin.** Per shard, a query's attribute footprint is
-//!   *detached* into a private sub-engine
-//!   ([`prkb_core::PrkbEngine::detach_attrs`]) under the shard lock, the
-//!   lock is dropped, and evaluation (all oracle traffic, all QPF spending)
-//!   runs against the detached knowledge, concurrently with any query whose
-//!   footprint is disjoint.
+//! * **Checkout/checkin.** Every operation names an attribute footprint.
+//!   Per shard, the footprint's knowledge is *detached* into a private
+//!   sub-engine ([`prkb_core::PrkbEngine::detach_attrs`]) under the shard
+//!   lock, the lock is dropped, and evaluation (all oracle traffic, all QPF
+//!   spending) runs against the detached knowledge, concurrently with any
+//!   operation whose footprint is disjoint.
 //!
-//! Cross-shard footprints (conjunctions, MD ranges) use a **two-phase
-//! checkout**: shards are reserved strictly in ascending shard-id order,
+//! There is one checkout discipline. A selection's footprint is its
+//! predicate's attribute, an MD range's is one attribute per dimension, and
+//! a whole-table operation (insert, delete, inspection) is the same
+//! checkout with a footprint of *every* attribute — an engine is nothing
+//! but per-attribute knowledge, so that moves the whole pool. The attribute
+//! set is fixed when the scheduler is built (indexing decisions are made at
+//! upload time). Shards are reserved strictly in ascending shard-id order,
 //! holding at most one shard mutex at a time, so lock-order cycles are
 //! impossible by construction — the classic hierarchical resource-ordering
-//! argument. Exclusive operations (insert, delete, inspection) reserve
-//! every shard the same way via a per-shard `exclusive` flag.
+//! argument.
 //!
 //! Waiting is **precise**: each busy attribute keeps its own condvar plus a
 //! waiter count, and a checkin notifies only the condvars of the attributes
-//! it actually freed (plus the shard's quiescence condvar when the busy set
-//! empties) — a checkin of attribute `a` never wakes a session parked on
-//! attribute `b`.
+//! it actually freed — a checkin of attribute `a` never wakes a session
+//! parked on attribute `b`.
 //!
 //! The wire-visible **commit sequence number** is drawn from one global
 //! atomic while holding the *first* (lowest-id) shard lock of the
@@ -39,10 +42,13 @@
 //! order, which gives the scheduler its observable contract: the concurrent
 //! execution is indistinguishable from replaying the operations
 //! sequentially in commit-sequence order — same results, same per-query QPF
-//! spend (the loopback and proptest suites assert exactly this). Internally
-//! a durable shard's commits are positioned by `(shard_epoch, shard_seq)`
-//! ([`prkb_core::GroupCommitTicket::position`]); the global number exists
-//! only for the wire.
+//! spend (the loopback and proptest suites assert exactly this). Only an
+//! operation that succeeds commits: it draws a number and, in a durable
+//! pool, journals one WAL record on each shard of its footprint. A failed,
+//! expired or panicking one checks its knowledge back in untouched and
+//! leaves no trace. Internally a durable shard's commits are positioned by
+//! `(shard_epoch, shard_seq)` ([`prkb_core::GroupCommitTicket::position`]);
+//! the global number exists only for the wire.
 //!
 //! Because per-query cost accounting in the core pipelines is delta-based
 //! over [`SelectionOracle::qpf_uses`], a *shared* oracle counter would bleed
@@ -266,41 +272,37 @@ struct WaitCell {
 }
 
 struct ShardState<P: SpPredicate> {
-    /// The shard's engine; `None` while an exclusive operation has it out.
-    engine: Option<PrkbEngine<P>>,
-    /// Attributes currently checked out by in-flight queries.
+    /// The shard's engine, minus the knowledge of its `busy` attributes.
+    engine: PrkbEngine<P>,
+    /// Attributes currently checked out by in-flight operations.
     busy: HashSet<AttrId>,
     /// Per-attribute waiter registrations (precise wakeups).
     waiters: HashMap<AttrId, WaitCell>,
-    /// Set while an exclusive operation owns the shard.
-    exclusive: bool,
 }
 
 struct Shard<P: SpPredicate> {
     state: Mutex<ShardState<P>>,
-    /// Signals "the shard may be quiescent": busy set emptied, exclusive
-    /// flag cleared, or engine reinstalled.
-    quiescent: Condvar,
     /// Durable deployments: the shard's group-commit pipeline.
     committer: Option<ShardCommitter<P>>,
 }
 
 impl<P: SpPredicate> Shard<P> {
+    fn new(engine: PrkbEngine<P>, committer: Option<ShardCommitter<P>>) -> Self {
+        Shard {
+            state: Mutex::new(ShardState {
+                engine,
+                busy: HashSet::new(),
+                waiters: HashMap::new(),
+            }),
+            committer,
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, ShardState<P>> {
         // A worker that panicked mid-commit cannot be reasoned about; treat
         // the lock as still usable (knowledge moves are two-phase and the
         // engine is abort-safe) rather than cascading the panic.
         match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn wait_quiescent<'g>(
-        &self,
-        guard: MutexGuard<'g, ShardState<P>>,
-    ) -> MutexGuard<'g, ShardState<P>> {
-        match self.quiescent.wait(guard) {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -340,6 +342,9 @@ impl<P: SpPredicate> Shard<P> {
 pub struct SessionScheduler<P: SpPredicate> {
     shards: Vec<Shard<P>>,
     map: ShardMap,
+    /// Every indexed attribute, sorted: the footprint of a whole-table
+    /// operation.
+    attrs: Vec<AttrId>,
     /// Global wire-visible commit sequence (drawn under the first shard
     /// lock of a committing footprint).
     seq: AtomicU64,
@@ -356,36 +361,21 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Wraps `engine` with an explicit shard map (tests and benches pin
     /// their shard count regardless of the environment).
     pub fn with_shards(mut engine: PrkbEngine<P>, map: ShardMap) -> Self {
-        let config = engine.config;
         let attrs: Vec<AttrId> = engine.attrs().collect();
-        let mut shards = Vec::with_capacity(map.shards());
-        for sid in 0..map.shards() {
-            let own: Vec<AttrId> = attrs
-                .iter()
-                .copied()
-                .filter(|&a| map.shard_of(a) == sid)
-                .collect();
-            let sub = engine
-                .detach_attrs(&own)
-                .expect("attrs enumerated from the engine");
-            shards.push(Shard {
-                state: Mutex::new(ShardState {
-                    engine: Some(sub),
-                    busy: HashSet::new(),
-                    waiters: HashMap::new(),
-                    exclusive: false,
-                }),
-                quiescent: Condvar::new(),
-                committer: None,
-            });
-        }
-        metrics::global().set_shards(map.shards() as u64);
-        SessionScheduler {
-            shards,
-            map,
-            seq: AtomicU64::new(0),
-            config,
-        }
+        let parts = (0..map.shards())
+            .map(|sid| {
+                let own: Vec<AttrId> = attrs
+                    .iter()
+                    .copied()
+                    .filter(|&a| map.shard_of(a) == sid)
+                    .collect();
+                let sub = engine
+                    .detach_attrs(&own)
+                    .expect("attrs enumerated from the engine");
+                (sub, None)
+            })
+            .collect();
+        Self::from_parts(map, parts, engine.config)
     }
 
     /// Wraps a recovered [`ShardedDurablePool`]: every shard keeps its own
@@ -398,23 +388,22 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             .first()
             .map(|(engine, _)| engine.config)
             .unwrap_or_default();
-        let shards = parts
-            .into_iter()
-            .map(|(engine, committer)| Shard {
-                state: Mutex::new(ShardState {
-                    engine: Some(engine),
-                    busy: HashSet::new(),
-                    waiters: HashMap::new(),
-                    exclusive: false,
-                }),
-                quiescent: Condvar::new(),
-                committer: Some(committer),
-            })
-            .collect();
+        let parts = parts.into_iter().map(|(e, c)| (e, Some(c))).collect();
+        Self::from_parts(map, parts, config)
+    }
+
+    fn from_parts(
+        map: ShardMap,
+        parts: Vec<(PrkbEngine<P>, Option<ShardCommitter<P>>)>,
+        config: EngineConfig,
+    ) -> Self {
+        let mut attrs: Vec<AttrId> = parts.iter().flat_map(|(e, _)| e.attrs()).collect();
+        attrs.sort_unstable();
         metrics::global().set_shards(map.shards() as u64);
         SessionScheduler {
-            shards,
+            shards: parts.into_iter().map(|(e, c)| Shard::new(e, c)).collect(),
             map,
+            attrs,
             seq: AtomicU64::new(0),
             config,
         }
@@ -428,19 +417,6 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Whether this pool persists commits through shard committers.
     pub fn is_durable(&self) -> bool {
         self.shards.iter().any(|s| s.committer.is_some())
-    }
-
-    /// Refuse new work on a footprint that includes a poisoned shard:
-    /// its memory may be ahead of disk, and only a reopen recovers that.
-    fn check_shard_poison(&self, sids: impl Iterator<Item = usize>) -> Result<(), ServeError> {
-        for sid in sids {
-            if let Some(committer) = &self.shards[sid].committer {
-                if let Some(e) = committer.poison_error() {
-                    return Err(ServeError::Durable(e));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Runs `f` against the detached knowledge of `attrs`, holding each
@@ -459,126 +435,117 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         attrs: &[AttrId],
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
     ) -> Result<(T, u64), ServeError> {
-        self.with_detached_deadline(attrs, None, f)
+        self.checkout(attrs, None, f)
     }
 
-    /// [`with_detached`](Self::with_detached) with a deadline budget: if
-    /// the budget expires while the session was parked waiting for its
-    /// attribute footprint, the checkout is rolled back immediately —
-    /// every reserved attribute is freed, waiters are woken — and the call
-    /// fails with [`OracleError::DeadlineExceeded`] without running `f`.
-    /// A doomed query therefore never pins contended attributes.
+    /// Runs `f` against the whole pool — a checkout whose footprint is every
+    /// attribute, so it waits for every in-flight checkout and holds off
+    /// every later one — and assigns a commit sequence number. For inserts
+    /// and deletes. In durable pools the journaled ops are group-commit
+    /// durable on every attribute-holding shard before this returns.
     ///
-    /// Expiry *during* `f` is the oracle layer's job: wrap the session's
-    /// oracle in a [`DeadlineOracle`] with the same instant.
-    pub fn with_detached_deadline<T>(
+    /// # Errors
+    /// [`ServeError::Durable`] when a durable shard fails; infallible on
+    /// in-memory pools.
+    pub fn with_exclusive<T>(
+        &self,
+        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
+    ) -> Result<(T, u64), ServeError> {
+        self.checkout(&self.attrs, None, |engine| Ok(f(engine)))
+    }
+
+    /// Runs `f` with read access to the quiescent pool, without assigning a
+    /// sequence number. For validation and inspection.
+    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
+        let held = self
+            .reserve(self.map.group_sorted(&self.attrs), None)
+            .expect("own attributes exist and no deadline was set");
+        f(&held.merged)
+    }
+
+    /// The one checkout every operation goes through: reserve `attrs`, run
+    /// `f` outside every lock, then commit if `f` succeeded. A failing `f`
+    /// (or a panicking one) releases the footprint uncommitted: no sequence
+    /// number, no WAL record, no fsync wait.
+    ///
+    /// `deadline` bounds the wait for the footprint, not `f`: a budget that
+    /// expired while the session was parked fails with
+    /// [`OracleError::DeadlineExceeded`] without running `f`, so a doomed
+    /// operation never pins contended attributes. Expiry *during* `f` is the
+    /// oracle layer's job ([`DeadlineOracle`] with the same instant).
+    fn checkout<T>(
         &self,
         attrs: &[AttrId],
         deadline: Option<Instant>,
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
     ) -> Result<(T, u64), ServeError> {
         let groups = self.map.group_sorted(attrs);
-        self.check_shard_poison(groups.iter().map(|(sid, _)| *sid))?;
-
-        // Phase 1: reserve and detach, shards strictly ascending, at most
-        // one shard mutex held at a time — deadlock-free by lock ordering.
-        let mut wait_us = 0u64;
-        let mut parts: Vec<(usize, Vec<AttrId>)> = Vec::with_capacity(groups.len());
-        let mut merged: Option<PrkbEngine<P>> = None;
-        for (sid, shard_attrs) in &groups {
-            let shard = &self.shards[*sid];
-            let reserve_start = Instant::now();
-            let mut st = shard.lock();
-            loop {
-                if st.exclusive || st.engine.is_none() {
-                    st = shard.wait_quiescent(st);
-                } else if let Some(&blocking) = shard_attrs.iter().find(|a| st.busy.contains(a)) {
-                    st = shard.wait_attr(st, blocking);
-                } else {
-                    break;
-                }
-            }
-            wait_us += reserve_start.elapsed().as_micros() as u64;
-            let sub = match st
-                .engine
-                .as_mut()
-                .expect("reservation loop ensured engine present")
-                .detach_attrs(shard_attrs)
-            {
-                Ok(sub) => sub,
-                Err(e) => {
-                    drop(st);
-                    // Roll the earlier reservations back before failing.
-                    self.release_parts(&parts, merged.take(), false);
-                    metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
-                    return Err(e.into());
-                }
-            };
-            st.busy.extend(shard_attrs.iter().copied());
-            drop(st);
-            match &mut merged {
-                None => merged = Some(sub),
-                Some(m) => m.attach(sub),
-            }
-            parts.push((*sid, shard_attrs.clone()));
-        }
-        metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
-        let sub = merged.unwrap_or_else(|| PrkbEngine::new(self.config));
-
-        // The budget may have burned down entirely while we were parked on
-        // busy attributes. Abort before evaluation: check the footprint
-        // straight back in (uncommitted — the KB is untouched) so the
-        // doomed query frees its attributes for live ones.
-        if expired(deadline) {
-            self.release_parts(&parts, Some(sub), false);
-            return Err(deadline_error());
-        }
-        let mut sub = sub;
-
-        // Evaluation happens here, outside every lock. A panic guard checks
-        // the knowledge back in even if `f` unwinds, so one poisoned query
-        // cannot strand an attribute's index.
-        let mut guard = Checkin {
-            sched: self,
-            parts: &parts,
-            merged: None,
-        };
-        let result = f(&mut sub);
-        guard.merged = Some(sub);
-
-        match result {
-            Ok(value) => {
-                let (seq, tickets) = guard.checkin(true);
-                self.settle_commit(&parts, tickets)?;
-                Ok((value, seq))
-            }
-            Err(e) => {
-                guard.checkin(false);
-                Err(e.into())
+        // Refuse new work on a footprint that includes a poisoned shard:
+        // its memory may be ahead of disk, and only a reopen recovers that.
+        for (sid, _) in &groups {
+            let committer = self.shards[*sid].committer.as_ref();
+            if let Some(e) = committer.and_then(ShardCommitter::poison_error) {
+                return Err(ServeError::Durable(e));
             }
         }
+        let mut held = self.reserve(groups, deadline)?;
+        let value = f(&mut held.merged)?;
+        Ok((value, held.commit()?))
     }
 
-    /// Splits `merged` back into its per-shard parts and checks each in,
-    /// ascending. On a committed checkin this draws the global sequence
-    /// number under the first shard's lock and enqueues one WAL record per
-    /// touched durable shard (atomically with the reattach, so each shard's
-    /// WAL order matches its commit order). Returns the sequence number and
-    /// the group-commit tickets still to be awaited.
+    /// Phase 1: reserve and detach, shards strictly ascending, at most one
+    /// shard mutex held at a time — deadlock-free by lock ordering. Every
+    /// early return drops the [`Checkin`], which rolls the reservations so
+    /// far back.
+    fn reserve(
+        &self,
+        groups: Vec<(usize, Vec<AttrId>)>,
+        deadline: Option<Instant>,
+    ) -> Result<Checkin<'_, P>, ServeError> {
+        let mut held = Checkin {
+            sched: self,
+            parts: Vec::with_capacity(groups.len()),
+            merged: PrkbEngine::new(self.config),
+        };
+        let mut wait_us = 0u64;
+        let detached = groups.into_iter().try_for_each(|(sid, shard_attrs)| {
+            let shard = &self.shards[sid];
+            let reserve_start = Instant::now();
+            let mut st = shard.lock();
+            while let Some(&blocking) = shard_attrs.iter().find(|a| st.busy.contains(a)) {
+                st = shard.wait_attr(st, blocking);
+            }
+            wait_us += reserve_start.elapsed().as_micros() as u64;
+            let sub = st.engine.detach_attrs(&shard_attrs)?;
+            st.busy.extend(shard_attrs.iter().copied());
+            drop(st);
+            held.merged.attach(sub);
+            held.parts.push((sid, shard_attrs));
+            Ok::<(), QueryError>(())
+        });
+        metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
+        detached?;
+        if expired(deadline) {
+            return Err(deadline_error());
+        }
+        Ok(held)
+    }
+
+    /// Phase 2, the only split-and-reattach loop: splits `merged` back into
+    /// its per-shard parts and checks each in, ascending. On a committed
+    /// checkin this draws the global sequence number under the first
+    /// shard's lock and enqueues one WAL record per touched durable shard
+    /// (atomically with the reattach, so each shard's WAL order matches its
+    /// commit order). Returns the sequence number and the group-commit
+    /// tickets still to be awaited.
     fn release_parts(
         &self,
         parts: &[(usize, Vec<AttrId>)],
-        merged: Option<PrkbEngine<P>>,
+        mut merged: PrkbEngine<P>,
         committed: bool,
     ) -> (u64, Vec<(usize, GroupCommitTicket)>) {
         let mut tickets = Vec::new();
         let mut seq = 0u64;
-        let Some(mut merged) = merged else {
-            if committed {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            return (seq, tickets);
-        };
         let last = parts.len().saturating_sub(1);
         for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
             let mut sub = if i == last {
@@ -597,13 +564,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             if committed && i == 0 {
                 seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             }
-            st.engine
-                .as_mut()
-                .expect("busy attrs pin the engine in place")
-                .attach(sub);
-            for a in shard_attrs {
-                st.busy.remove(a);
-            }
+            st.engine.attach(sub);
             if committed {
                 if let Some(committer) = &shard.committer {
                     tickets.push((*sid, committer.enqueue_journal(ops)));
@@ -612,41 +573,16 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             // Precise wakeups: only sessions parked on an attribute this
             // checkin actually freed.
             for a in shard_attrs {
+                st.busy.remove(a);
                 if let Some(cell) = st.waiters.get(a) {
                     cell.cv.notify_all();
                 }
-            }
-            let now_quiescent = st.busy.is_empty();
-            drop(st);
-            if now_quiescent {
-                shard.quiescent.notify_all();
             }
         }
         if committed && parts.is_empty() {
             seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         }
         (seq, tickets)
-    }
-
-    /// Awaits group-commit durability for every ticket, then lets any
-    /// touched shard that crossed its checkpoint threshold rotate.
-    fn settle_commit(
-        &self,
-        parts: &[(usize, Vec<AttrId>)],
-        tickets: Vec<(usize, GroupCommitTicket)>,
-    ) -> Result<(), ServeError> {
-        for (sid, ticket) in tickets {
-            self.shards[sid]
-                .committer
-                .as_ref()
-                .expect("ticket issued by this shard's committer")
-                .wait_durable(ticket)
-                .map_err(ServeError::Durable)?;
-        }
-        for (sid, _) in parts {
-            self.maybe_checkpoint_shard(*sid)?;
-        }
-        Ok(())
     }
 
     /// Rotates one shard's checkpoint if its policy asks for it and the
@@ -661,151 +597,15 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             return Ok(());
         }
         let mut st = shard.lock();
-        if st.exclusive || !st.busy.is_empty() {
+        if !st.busy.is_empty() {
             return Ok(());
         }
-        let Some(engine) = st.engine.as_mut() else {
-            return Ok(());
-        };
         // The shard lock is held across the rotation: no checkout can
         // mutate or enqueue while the snapshot is serialized, so the
         // checkpoint is exactly the state the flushed WAL produced.
-        committer.checkpoint(engine).map_err(ServeError::Durable)
-    }
-
-    /// Reserves every shard exclusively (ascending id order) and merges the
-    /// pool into one engine for a whole-table operation.
-    fn reserve_all(&self) -> PrkbEngine<P> {
-        let reserve_start = Instant::now();
-        let mut merged = PrkbEngine::new(self.config);
-        for shard in &self.shards {
-            let mut st = shard.lock();
-            while st.exclusive || st.engine.is_none() || !st.busy.is_empty() {
-                st = shard.wait_quiescent(st);
-            }
-            st.exclusive = true;
-            let engine = st.engine.take().expect("loop ensured engine present");
-            drop(st);
-            merged.attach(engine);
-        }
-        metrics::global().observe(
-            HistogramId::ShardLockWaitUs,
-            reserve_start.elapsed().as_micros() as u64,
-        );
-        merged
-    }
-
-    /// Splits a merged whole-pool engine back into its shards, clearing the
-    /// exclusive flags (ascending order; the sequence number, if any, is
-    /// drawn under shard 0's lock).
-    fn reinstall_all(
-        &self,
-        mut merged: PrkbEngine<P>,
-        committed: bool,
-    ) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let mut tickets = Vec::new();
-        let mut seq = 0u64;
-        let last = self.shards.len() - 1;
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let mut sub = if sid == last {
-                std::mem::replace(&mut merged, PrkbEngine::new(self.config))
-            } else {
-                let own: Vec<AttrId> = merged
-                    .attrs()
-                    .filter(|&a| self.map.shard_of(a) == sid)
-                    .collect();
-                merged
-                    .detach_attrs(&own)
-                    .expect("attrs enumerated from merged engine")
-            };
-            let ops = sub.take_ops();
-            let mut st = shard.lock();
-            if committed && sid == 0 {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            st.engine = Some(sub);
-            st.exclusive = false;
-            if committed {
-                if let Some(committer) = &shard.committer {
-                    tickets.push((sid, committer.enqueue_journal(ops)));
-                }
-            }
-            drop(st);
-            shard.quiescent.notify_all();
-        }
-        (seq, tickets)
-    }
-
-    /// Runs `f` with exclusive access to the whole pool (waits for every
-    /// in-flight checkout on every shard first) and assigns a commit
-    /// sequence number. For operations whose footprint is every attribute:
-    /// inserts, deletes. In durable pools the journaled ops are
-    /// group-commit durable on every shard before this returns.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] when a durable shard fails; infallible on
-    /// in-memory pools.
-    pub fn with_exclusive<T>(
-        &self,
-        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
-    ) -> Result<(T, u64), ServeError> {
-        self.with_exclusive_deadline(None, f)
-    }
-
-    /// [`with_exclusive`](Self::with_exclusive) with a deadline budget:
-    /// if the budget expired by the time the pool quiesces, the
-    /// reservation is released uncommitted and the call fails with
-    /// [`OracleError::DeadlineExceeded`] without running `f`. Exclusive
-    /// operations are not interrupted mid-`f` — once evaluation starts the
-    /// commit is all-or-nothing, so the only deadline point is checkout.
-    pub fn with_exclusive_deadline<T>(
-        &self,
-        deadline: Option<Instant>,
-        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
-    ) -> Result<(T, u64), ServeError> {
-        self.check_shard_poison(0..self.shards.len())?;
-        let merged = self.reserve_all();
-        if expired(deadline) {
-            let mut guard = ExclusiveCheckin {
-                sched: self,
-                merged: Some(merged),
-            };
-            guard.checkin(false);
-            return Err(deadline_error());
-        }
-        let mut merged = merged;
-        let mut guard = ExclusiveCheckin {
-            sched: self,
-            merged: None,
-        };
-        let value = f(&mut merged);
-        guard.merged = Some(merged);
-        let (seq, tickets) = guard.checkin(true);
-        for (sid, ticket) in tickets {
-            self.shards[sid]
-                .committer
-                .as_ref()
-                .expect("ticket issued by this shard's committer")
-                .wait_durable(ticket)
-                .map_err(ServeError::Durable)?;
-        }
-        for sid in 0..self.shards.len() {
-            self.maybe_checkpoint_shard(sid)?;
-        }
-        Ok((value, seq))
-    }
-
-    /// Runs `f` with read access to the quiescent pool, without assigning a
-    /// sequence number. For validation and inspection.
-    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        let merged = self.reserve_all();
-        let mut guard = ExclusiveCheckin {
-            sched: self,
-            merged: Some(merged),
-        };
-        let value = f(guard.merged.as_ref().expect("set above"));
-        guard.checkin(false);
-        value
+        committer
+            .checkpoint(&mut st.engine)
+            .map_err(ServeError::Durable)
     }
 
     /// Flushes and fsyncs every shard's pending group-commit batch — the
@@ -824,9 +624,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         Ok(())
     }
 
-    /// Waits for all checkouts to return, then hands the merged engine back
-    /// for single-threaded use (server shutdown). Durable pools flush
-    /// their pending batches first.
+    /// Hands the merged engine back for single-threaded use (server
+    /// shutdown). Owning `self` proves no checkout is outstanding — a
+    /// [`Checkin`] borrows the scheduler. Durable pools flush their pending
+    /// batches first.
     pub fn into_engine(self) -> PrkbEngine<P> {
         // The signature can't carry the flush error (shutdown proceeds
         // regardless — the WAL keeps whatever prefix made it to disk), but
@@ -835,126 +636,73 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if let Err(e) = self.flush_durable() {
             eprintln!("prkb-server: final durable flush failed during shutdown: {e}");
         }
-        self.reserve_all()
+        let mut merged = PrkbEngine::new(self.config);
+        for shard in self.shards {
+            let st = match shard.state.into_inner() {
+                Ok(st) => st,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            merged.attach(st.engine);
+        }
+        merged
     }
 }
 
-/// Panic-safe checkin for a detached footprint: reattaches the knowledge
-/// and frees the busy attributes on drop. The happy path calls
-/// [`Checkin::checkin`] explicitly to also obtain a sequence number and the
-/// durability tickets.
-struct Checkin<'a, P: SpPredicate> {
+/// A reserved footprint: the detached knowledge of `parts`, merged into one
+/// engine. Dropping it checks the knowledge back in uncommitted — the path
+/// a failed, expired or panicking operation takes;
+/// [`commit`](Checkin::commit) is the path a successful one takes.
+struct Checkin<'a, P: SpPredicate + WireCodec> {
     sched: &'a SessionScheduler<P>,
-    parts: &'a [(usize, Vec<AttrId>)],
-    merged: Option<PrkbEngine<P>>,
+    /// `(shard id, that shard's footprint attributes)`, ascending.
+    parts: Vec<(usize, Vec<AttrId>)>,
+    merged: PrkbEngine<P>,
 }
 
 impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
-    fn checkin(&mut self, committed: bool) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let merged = self.merged.take();
-        self.sched.release_parts(self.parts, merged, committed)
+    /// Moves the footprint out, leaving nothing for `Drop` to release.
+    fn take(&mut self) -> (Vec<(usize, Vec<AttrId>)>, PrkbEngine<P>) {
+        let merged = std::mem::replace(&mut self.merged, PrkbEngine::new(self.sched.config));
+        (std::mem::take(&mut self.parts), merged)
+    }
+
+    /// Checks the footprint in as one committed operation, awaits
+    /// group-commit durability on every shard that journaled, then lets any
+    /// touched shard that crossed its checkpoint threshold rotate.
+    fn commit(mut self) -> Result<u64, ServeError> {
+        let sched = self.sched;
+        let (parts, merged) = self.take();
+        let (seq, tickets) = sched.release_parts(&parts, merged, true);
+        for (sid, ticket) in tickets {
+            sched.shards[sid]
+                .committer
+                .as_ref()
+                .expect("ticket issued by this shard's committer")
+                .wait_durable(ticket)
+                .map_err(ServeError::Durable)?;
+        }
+        for (sid, _) in &parts {
+            sched.maybe_checkpoint_shard(*sid)?;
+        }
+        Ok(seq)
     }
 }
 
-impl<P: SpPredicate> Drop for Checkin<'_, P> {
+impl<P: SpPredicate + WireCodec> Drop for Checkin<'_, P> {
     fn drop(&mut self) {
-        if let Some(merged) = self.merged.take() {
-            // Only reachable when `f` panicked: WireCodec is not needed for
-            // an uncommitted release, but the bound lives on the shared
-            // helper, so reattach inline.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                release_uncommitted(self.sched, self.parts, merged);
-            }));
-        }
-    }
-}
-
-/// Uncommitted reattach used by the panic guards (no sequence number, no
-/// WAL records — abort-safe pipelines left no ops to journal).
-fn release_uncommitted<P: SpPredicate>(
-    sched: &SessionScheduler<P>,
-    parts: &[(usize, Vec<AttrId>)],
-    mut merged: PrkbEngine<P>,
-) {
-    let last = parts.len().saturating_sub(1);
-    for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
-        let mut sub = if i == last {
-            std::mem::replace(&mut merged, PrkbEngine::new(sched.config))
-        } else {
-            merged
-                .detach_attrs(shard_attrs)
-                .expect("footprint attrs present in merged sub-engine")
-        };
-        let _ = sub.take_ops();
-        let shard = &sched.shards[*sid];
-        let mut st = shard.lock();
-        st.engine
-            .as_mut()
-            .expect("busy attrs pin the engine in place")
-            .attach(sub);
-        for a in shard_attrs {
-            st.busy.remove(a);
-        }
-        for a in shard_attrs {
-            if let Some(cell) = st.waiters.get(a) {
-                cell.cv.notify_all();
-            }
-        }
-        let now_quiescent = st.busy.is_empty();
-        drop(st);
-        if now_quiescent {
-            shard.quiescent.notify_all();
-        }
-    }
-}
-
-/// Panic-safe exclusive checkin: reinstalls the merged pool on drop.
-struct ExclusiveCheckin<'a, P: SpPredicate> {
-    sched: &'a SessionScheduler<P>,
-    merged: Option<PrkbEngine<P>>,
-}
-
-impl<P: SpPredicate + WireCodec> ExclusiveCheckin<'_, P> {
-    fn checkin(&mut self, committed: bool) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let merged = self
-            .merged
-            .take()
-            .expect("checkin called once, with sub set");
-        self.sched.reinstall_all(merged, committed)
-    }
-}
-
-impl<P: SpPredicate> Drop for ExclusiveCheckin<'_, P> {
-    fn drop(&mut self) {
-        if let Some(mut merged) = self.merged.take() {
-            let sched = self.sched;
-            let last = sched.shards.len() - 1;
-            for (sid, shard) in sched.shards.iter().enumerate() {
-                let sub = if sid == last {
-                    std::mem::replace(&mut merged, PrkbEngine::new(sched.config))
-                } else {
-                    let own: Vec<AttrId> = merged
-                        .attrs()
-                        .filter(|&a| sched.map.shard_of(a) == sid)
-                        .collect();
-                    merged
-                        .detach_attrs(&own)
-                        .expect("attrs enumerated from merged engine")
-                };
-                let mut st = shard.lock();
-                st.engine = Some(sub);
-                st.exclusive = false;
-                drop(st);
-                shard.quiescent.notify_all();
-            }
-        }
+        let (parts, merged) = self.take();
+        // May run while `f` unwinds: a second panic would abort.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.sched.release_parts(&parts, merged, false);
+        }));
     }
 }
 
 /// The four deadline-bounded operations a server dispatches. `deadline`
-/// bounds the whole operation: checkout waits and every oracle batch check
-/// it, and expiry aborts with [`OracleError::DeadlineExceeded`] leaving the
-/// KB untouched.
+/// bounds the whole operation: the checkout wait and every oracle batch
+/// check it, and expiry aborts with [`OracleError::DeadlineExceeded`]
+/// leaving the KB untouched. (Insert routing passes `oracle` through as is,
+/// so for whole-table operations the only deadline point is checkout.)
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Single-predicate selection (comparison or BETWEEN trapdoor).
     ///
@@ -973,7 +721,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     {
         let session = SessionOracle::new(oracle);
         let bounded = DeadlineOracle::new(&session, deadline);
-        self.with_detached_deadline(&[pred.attr()], deadline, |sub| {
+        self.checkout(&[pred.attr()], deadline, |sub| {
             sub.try_select(&bounded, pred, rng)
         })
     }
@@ -998,13 +746,13 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
         let session = SessionOracle::new(oracle);
         let bounded = DeadlineOracle::new(&session, deadline);
-        self.with_detached_deadline(&attrs, deadline, |sub| {
+        self.checkout(&attrs, deadline, |sub| {
             sub.try_select_range_md(&bounded, dims, rng)
         })
     }
 
-    /// Insert routing across every indexed attribute (whole-engine
-    /// footprint, hence exclusive).
+    /// Insert routing across every indexed attribute (whole-table
+    /// footprint). An oracle failure commits nothing.
     ///
     /// # Errors
     /// [`ServeError`] on engine or durability failure.
@@ -1017,9 +765,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     where
         O: SelectionOracle<Pred = P>,
     {
-        let (result, seq) =
-            self.with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
-        Ok((result?, seq))
+        self.checkout(&self.attrs, deadline, |engine| engine.try_insert(oracle, t))
     }
 
     /// Delete across every indexed attribute.
@@ -1027,7 +773,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// # Errors
     /// [`ServeError::Durable`] on a durable pool; infallible in memory.
     pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
-        let ((), seq) = self.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
+        let ((), seq) = self.checkout(&self.attrs, deadline, |engine| {
+            engine.delete(t);
+            Ok(())
+        })?;
         Ok(seq)
     }
 }
@@ -1110,7 +859,7 @@ mod tests {
         // before `f` ever runs.
         let past = Instant::now() - std::time::Duration::from_millis(1);
         let err = sched
-            .with_detached_deadline(&[0], Some(past), |_sub| -> Result<(), QueryError> {
+            .checkout(&[0], Some(past), |_sub| -> Result<(), QueryError> {
                 panic!("closure must not run once the budget expired")
             })
             .expect_err("expired budget");
@@ -1131,12 +880,10 @@ mod tests {
         assert_eq!(sel.tuples.len(), 25);
         assert_eq!(seq, 1, "aborted checkout must not draw a sequence number");
 
-        // Exclusive checkout honours the budget the same way.
+        // A whole-table checkout honours the budget the same way.
         let err = sched
-            .with_exclusive_deadline(Some(past), |_engine| {
-                panic!("closure must not run once the budget expired")
-            })
-            .expect_err("expired exclusive budget");
+            .delete(3, Some(past))
+            .expect_err("expired whole-table budget");
         assert_eq!(err.wire_code(), crate::proto::code::DEADLINE);
         let ((), seq) = sched
             .with_exclusive(|engine| engine.delete(3))
@@ -1286,5 +1033,88 @@ mod tests {
         });
         let engine = sched.into_engine();
         assert_eq!(engine.attrs().count(), 4);
+    }
+
+    #[test]
+    fn panicking_closure_frees_its_footprint_under_both_wrappers() {
+        type Run = fn(&SessionScheduler<Predicate>);
+        let cases: [(&str, Run); 2] = [
+            ("with_detached", |s| {
+                let _ = s.with_detached(&[0, 2], |_| -> Result<(), QueryError> { panic!("boom") });
+            }),
+            ("with_exclusive", |s| {
+                let _ = s.with_exclusive(|_| panic!("boom"));
+            }),
+        ];
+        let oracle = PlainOracle::from_columns(vec![(0..40).collect(); 4]);
+        for (name, run) in cases {
+            let sched = SessionScheduler::with_shards(engine_with(&oracle, 4), ShardMap::new(8));
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&sched)));
+            assert!(unwound.is_err(), "{name}: the panic propagates");
+            for shard in &sched.shards {
+                assert!(shard.lock().busy.is_empty(), "{name}: attribute leaked");
+            }
+            sched.inspect(|engine| assert_eq!(engine.attrs().count(), 4, "{name}"));
+            let ((), seq) = sched.with_exclusive(|e| e.delete(1)).expect("delete");
+            assert_eq!(seq, 1, "{name}: the unwound operation drew no number");
+        }
+    }
+
+    /// Spins until some session is parked on `attr` — the deterministic
+    /// "it is waiting" signal (a checkout that wrongly ran would never park).
+    fn await_parked(sched: &SessionScheduler<Predicate>, attr: AttrId) {
+        let give_up = Instant::now() + std::time::Duration::from_secs(10);
+        while !sched.shards[0].lock().waiters.contains_key(&attr) {
+            assert!(Instant::now() < give_up, "nobody parked on attr {attr}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn exclusive_waits_for_held_attr_and_holds_off_later_checkouts() {
+        use std::sync::mpsc::channel;
+        let oracle = PlainOracle::from_columns(vec![(0..40).collect(); 2]);
+        // One shard, so attributes 0 and 1 share it.
+        let sched = SessionScheduler::with_shards(engine_with(&oracle, 2), ShardMap::new(1));
+        let order = Mutex::new(Vec::new());
+        let (sched, order) = (&sched, &order);
+        let (a_held, a_is_held) = channel();
+        let (release_a, a_released) = channel::<()>();
+        let (x_runs, x_is_running) = channel();
+        let (release_x, x_released) = channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                sched.with_detached(&[0], |_| {
+                    a_held.send(()).expect("main listens");
+                    a_released.recv().expect("main releases");
+                    order.lock().expect("order").push("a");
+                    Ok(())
+                })
+            });
+            a_is_held.recv().expect("attr 0 checked out");
+            s.spawn(move || {
+                sched.with_exclusive(|_| {
+                    order.lock().expect("order").push("x-start");
+                    x_runs.send(()).expect("main listens");
+                    x_released.recv().expect("main releases");
+                    order.lock().expect("order").push("x-end");
+                })
+            });
+            await_parked(sched, 0);
+            release_a.send(()).expect("a's holder listens");
+            x_is_running.recv().expect("exclusive got the pool");
+            s.spawn(move || {
+                sched.with_detached(&[1], |_| {
+                    order.lock().expect("order").push("b");
+                    Ok(())
+                })
+            });
+            await_parked(sched, 1);
+            release_x.send(()).expect("exclusive listens");
+        });
+        assert_eq!(
+            *order.lock().expect("order"),
+            ["a", "x-start", "x-end", "b"]
+        );
     }
 }

@@ -1,0 +1,122 @@
+//! What one checkout leaves on disk: a committed operation journals one
+//! WAL record on each shard of its footprint and nowhere else; an
+//! operation that fails commits nothing at all.
+
+use prkb_core::snapshot;
+use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_edbms::resilience::{FaultConfig, FaultInjector};
+use prkb_edbms::testing::PlainOracle;
+use prkb_edbms::{ComparisonOp, Predicate};
+use prkb_server::scheduler::SessionScheduler;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::path::{Path, PathBuf};
+
+const ROWS: usize = 50;
+
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("prkb-checkout-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TmpDir(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn open_pool(dir: &Path, shards: usize) -> ShardedDurablePool<Predicate> {
+    ShardedDurablePool::open(dir, EngineConfig::default(), ShardMap::new(shards)).expect("open")
+}
+
+/// WAL records per shard, as a reopen replays them.
+fn records(dir: &Path, shards: usize) -> Vec<u64> {
+    let pool = open_pool(dir, shards);
+    pool.reports().iter().map(|r| r.records_replayed).collect()
+}
+
+fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
+    let mut attrs: Vec<_> = engine.attrs().collect();
+    attrs.sort_unstable();
+    attrs
+        .iter()
+        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
+        .collect()
+}
+
+#[test]
+fn failed_insert_draws_no_sequence_number_and_journals_nothing() {
+    let dir = TmpDir::new("failed-insert");
+    let mut oracle = PlainOracle::single_column((0..ROWS as u64).collect());
+    let uploaded = oracle.insert(&[17]);
+    let mut pool = open_pool(&dir.0, 1);
+    pool.init_attr(0, ROWS).expect("init");
+    let sched = SessionScheduler::durable(pool);
+
+    // Two partitions, so routing an insert has a boundary to ask about.
+    let pred = Predicate::cmp(0, ComparisonOp::Lt, 25);
+    let (_, seq) = sched
+        .select(&oracle, &pred, None, &mut StdRng::seed_from_u64(1))
+        .expect("select");
+    assert_eq!(seq, 1);
+
+    let always_down = FaultConfig {
+        seed: 5,
+        transient_per_mille: 1000,
+        timeout_per_mille: 0,
+        corruption_per_mille: 0,
+        max_consecutive: 0,
+    };
+    let down = FaultInjector::new(oracle, always_down);
+    sched
+        .insert(&down, uploaded, None)
+        .expect_err("the trusted machine is unreachable");
+    assert!(down.injected() > 0, "the insert did reach the oracle");
+
+    assert_eq!(
+        sched.delete(3, None).expect("delete"),
+        2,
+        "next dense number"
+    );
+    drop(sched.into_engine());
+    assert_eq!(records(&dir.0, 1), [3], "init + select + delete, no insert");
+}
+
+#[test]
+fn whole_table_commit_journals_on_attribute_holding_shards_only() {
+    const SHARDS: usize = 8;
+    let dir = TmpDir::new("footprint-shards");
+    let mut oracle = PlainOracle::from_columns(vec![(0..ROWS as u64).collect(); 2]);
+    let uploaded = oracle.insert(&[7, 31]);
+    let mut pool = open_pool(&dir.0, SHARDS);
+    let map = pool.map();
+    for attr in 0..2 {
+        pool.init_attr(attr, ROWS).expect("init");
+    }
+    let sched = SessionScheduler::durable(pool);
+    sched.insert(&oracle, uploaded, None).expect("insert");
+    let live = sched.inspect(kb_bytes);
+    drop(sched.into_engine());
+
+    // One init record per attribute, then the insert: one more record on
+    // each shard that holds an attribute, none on the six that do not.
+    let mut expected = vec![0u64; SHARDS];
+    for attr in 0..2 {
+        expected[map.shard_of(attr)] += 1;
+    }
+    for n in expected.iter_mut().filter(|n| **n > 0) {
+        *n += 1;
+    }
+    assert_eq!(records(&dir.0, SHARDS), expected);
+
+    let mut reopened = PrkbEngine::new(EngineConfig::default());
+    for (engine, _committer) in open_pool(&dir.0, SHARDS).into_parts().1 {
+        reopened.attach(engine);
+    }
+    assert_eq!(kb_bytes(&reopened), live, "reopen ≡ live");
+}

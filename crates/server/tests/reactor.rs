@@ -27,9 +27,7 @@ use prkb_edbms::Predicate;
 use prkb_server::chaos::{ChaosProxy, FaultAction, FaultPlan};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
 use prkb_server::wire::{encode_frame, ReadStep, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::{
-    FrameReader, PipelinedClient, PrkbClient, PrkbServer, ServerConfig, ServerHandle,
-};
+use prkb_server::{FrameReader, PrkbClient, PrkbServer, ServerConfig, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -375,10 +373,11 @@ fn hundreds_of_idle_connections_do_not_degrade_service() {
     );
 
     // Pipelining still works through the crowd too.
-    let mut piped: PipelinedClient<Predicate> =
-        PipelinedClient::connect(addr).expect("pipelined connect");
+    let mut piped: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("pipelined connect");
     for _ in 0..8 {
-        piped.submit_untracked(&Request::Ping).expect("submit");
+        piped
+            .submit(RequestHeader::default(), &Request::Ping)
+            .expect("submit");
     }
     for resp in piped.drain().expect("drain") {
         assert!(matches!(resp, Response::Ok));
