@@ -7,7 +7,8 @@
 //! * `seg_flush` — the steady state the paper's ever-growing KB reaches:
 //!   every round touches 2 of the 12 attributes and forces a rotation,
 //!   which writes one small segment holding only the two dirtied
-//!   partitions.
+//!   partitions and retires the segments that one supersedes — the live
+//!   set stays at or below the attribute count.
 //! * `seg_recover` — reopen cost after the run: manifest, segment
 //!   indexes, the newest block of every partition, the WAL tail.
 //!
@@ -62,6 +63,10 @@ pub struct CheckpointData {
     pub n: usize,
     /// Forced rotations in the flush phase.
     pub rounds: usize,
+    /// Live segments in the manifest when the flush phase ended.
+    segments_live: usize,
+    /// Bytes of every file in the directory when the flush phase ended.
+    dir_bytes: u64,
 }
 
 struct TmpDir(PathBuf);
@@ -125,22 +130,32 @@ fn total_k(engine: &PrkbEngine<Predicate>) -> u64 {
         .sum()
 }
 
+fn live_segments(dir: &Path) -> Vec<u64> {
+    read_segment_manifest(real_fs().as_ref(), dir)
+        .expect("manifest reads")
+        .expect("manifest exists after a checkpoint")
+        .segments
+}
+
 /// Bytes the last rotation left on disk: the newest published segment.
 fn last_flush_bytes(dir: &Path) -> u64 {
-    let manifest = read_segment_manifest(real_fs().as_ref(), dir)
-        .expect("manifest reads")
-        .expect("manifest exists after a checkpoint");
-    let newest = *manifest.segments.last().expect("non-empty live set");
+    let newest = *live_segments(dir).last().expect("non-empty live set");
     std::fs::metadata(dir.join(segment_file_name(newest)))
         .map(|m| m.len())
         .unwrap_or(0)
+}
+
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("list bench dir")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum()
 }
 
 fn config() -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: 0, // rotations are forced explicitly
         checkpoint_wal_bytes: 0,
-        compact_segment_threshold: 0, // measure pure flush cost
         ..EngineConfig::default()
     }
 }
@@ -222,6 +237,7 @@ pub fn measure(scale: Scale) -> CheckpointData {
 
     let dir = TmpDir::new("seg");
     let (flush, kb_bytes) = run_flush(&dir, &oracle, n, rounds);
+    let (segments_live, dir_bytes) = (live_segments(&dir.0).len(), dir_bytes(&dir.0));
     let recover = run_recover(&dir);
     assert_eq!(flush.k, recover.k, "reopen must recover the same KB");
     CheckpointData {
@@ -229,6 +245,8 @@ pub fn measure(scale: Scale) -> CheckpointData {
         kb_bytes,
         n,
         rounds,
+        segments_live,
+        dir_bytes,
     }
 }
 
@@ -262,9 +280,13 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     }
     let flush = &data.points[0];
     out.push_str(&format!(
-        "\nwhole KB: {} bytes — {:.1}x one checkpoint's delta\n",
+        "\nwhole KB: {} bytes — {:.1}x one checkpoint's delta\n\
+         flush phase ended with {} live segment(s) (bound: {ATTRS} attrs), \
+         {} bytes in the directory\n",
         data.kb_bytes,
-        data.kb_bytes as f64 * flush.checkpoints as f64 / flush.volume.max(1) as f64
+        data.kb_bytes as f64 * flush.checkpoints as f64 / flush.volume.max(1) as f64,
+        data.segments_live,
+        data.dir_bytes
     ));
 
     let rows = data

@@ -55,15 +55,6 @@ impl EncSetup {
         SpOracle::new(&self.table, &self.tm)
     }
 
-    /// The service-provider oracle honoring an engine config's batch-eval
-    /// thread knob (falls back to `PRKB_THREADS` when the knob is unset).
-    pub fn oracle_for(&self, config: &EngineConfig) -> SpOracle<'_> {
-        match config.threads {
-            Some(t) => self.oracle().with_threads(t),
-            None => self.oracle(),
-        }
-    }
-
     /// Issues the two comparison trapdoors of an exclusive range
     /// `lo < X < hi` on `attr`.
     pub fn range_trapdoors<Rn: rand::Rng>(
@@ -368,18 +359,6 @@ mod tests {
             "span delta == per-query stats"
         );
         assert!(faulty.retries() > 0, "schedule must actually fault");
-    }
-
-    #[test]
-    fn oracle_for_honors_thread_knob() {
-        let cols = vec![(0..10u64).collect::<Vec<_>>()];
-        let setup = EncSetup::new("t", cols, 7);
-        let cfg = EngineConfig {
-            threads: Some(4),
-            ..EngineConfig::default()
-        };
-        assert_eq!(setup.oracle_for(&cfg).threads(), Some(4));
-        assert_eq!(setup.oracle_for(&EngineConfig::default()).threads(), None);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   ([`EngineConfig::checkpoint_wal_records`] /
 //!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
 //!   the last rotation are written as one new segment, the manifest is
-//!   swapped to epoch `E+1`, and only then is a fresh `wal.<E+1>.log`
-//!   started and the stale one removed;
+//!   swapped to epoch `E+1` listing only the segments that still hold the
+//!   newest version of some partition, and only then is a fresh
+//!   `wal.<E+1>.log` started and the stale log and superseded segments
+//!   removed;
 //! * **recovery** loads the newest version of every partition from the
 //!   segment set, replays the manifest epoch's WAL, silently discards a
 //!   torn tail (partial final record — the residue of a crash mid-append),
@@ -39,10 +41,9 @@
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::knowledge::{Knowledge, RefinementOp, Separator};
-use crate::lsm::compaction::compact_dir;
-use crate::lsm::manifest::{read_segment_manifest, write_segment_manifest, SegmentManifest};
+use crate::lsm::manifest::{write_segment_manifest, SegmentManifest};
 use crate::lsm::reader::SegmentStore;
-use crate::lsm::segment::write_segment;
+use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::selection::Selection;
@@ -510,14 +511,6 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         fs.as_ref(),
         &dir.join(format!("{SEGMENT_MANIFEST_FILE}.tmp")),
     )?;
-    for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.starts_with("segment.") && name.ends_with(".seg.tmp") {
-            remove_stale(fs.as_ref(), &path)?;
-        }
-    }
 
     let ckpt_path = dir.join(CHECKPOINT_FILE);
     if fs.exists(&ckpt_path) && !fs.exists(&dir.join(SEGMENT_MANIFEST_FILE)) {
@@ -576,22 +569,28 @@ fn recover_dir<P: SpPredicate + WireCodec>(
             .map_err(|_| DurableError::CorruptWal("replayed state fails validation"))?;
     }
 
-    // Stale epochs (left by a crash inside checkpoint rotation) are
-    // subsumed by the checkpoint; drop them. Enumeration and removal
-    // failures surface — silently keeping a stale log would replay it
-    // against the wrong checkpoint on some future recovery.
+    // One sweep for everything a crash inside a rotation leaves behind:
+    // segment temps whose publishing rename never happened, stale-epoch
+    // logs (subsumed by the checkpoint) and — once a manifest has been
+    // read — segment files it does not list (superseded, or published but
+    // never swapped in). Enumeration and removal failures surface —
+    // silently keeping a stale log would replay it against the wrong
+    // checkpoint on some future recovery.
+    let listed = store.as_ref().map(|s| &s.manifest().segments);
     for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if let Some(e) = name
+        let wal_epoch = name
             .strip_prefix("wal.")
             .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok())
+            .and_then(|s| s.parse::<u64>().ok());
+        let unlisted = |id| listed.is_some_and(|live| !live.contains(&id));
+        if (name.starts_with("segment.") && name.ends_with(".seg.tmp"))
+            || wal_epoch.is_some_and(|e| e != epoch)
+            || parse_segment_name(name).is_some_and(unlisted)
         {
-            if e != epoch {
-                remove_stale(fs.as_ref(), &path)?;
-            }
+            remove_stale(fs.as_ref(), &path)?;
         }
     }
 
@@ -615,43 +614,48 @@ fn recover_dir<P: SpPredicate + WireCodec>(
 }
 
 /// Checkpoint flush: writes the engine's dirtied partitions as one new
-/// segment and swaps in a manifest at `next_epoch` that appends it to the
-/// live set. Writes O(dirty) bytes, never O(KB). An empty dirty set still
-/// publishes an (empty) segment so epoch, manifest, and WAL rotate in
-/// lockstep.
+/// segment — O(dirty) bytes, never O(KB); nothing dirty, no segment — and
+/// swaps in a manifest at `next_epoch` that lists it on top of the
+/// segments still holding the newest version of some other partition
+/// ([`SegmentStore::supersede`]). Returns the ids the swap dropped, for the
+/// caller to unlink once the rotation is complete.
 fn flush_segments<P: SpPredicate + WireCodec>(
-    fs: &dyn StorageFs,
+    fs: &Arc<dyn StorageFs>,
     dir: &Path,
     engine: &PrkbEngine<P>,
     next_epoch: u64,
     crash: &CrashInjector,
-) -> Result<(), DurableError> {
-    let manifest = read_segment_manifest(fs, dir)?.unwrap_or_else(SegmentManifest::empty);
-    let id = manifest.next_segment_id;
+) -> Result<Vec<u64>, DurableError> {
+    let store = SegmentStore::open(Arc::clone(fs), dir)?;
+    let mut next_segment_id = store.as_ref().map_or(0, |s| s.manifest().next_segment_id);
     let mut blocks = Vec::new();
     for attr in engine.dirty_attrs() {
         if let Some(kb) = engine.knowledge(attr) {
             blocks.push((attr, snapshot::save(kb)));
         }
     }
-    let flushed = write_segment(fs, dir, id, &blocks, crash)?;
-    let mut segments = manifest.segments;
-    segments.push(id);
+    let fresh: Vec<AttrId> = blocks.iter().map(|(attr, _)| *attr).collect();
+    let (mut segments, retired) = store.map_or_else(Default::default, |s| s.supersede(&fresh));
+    let m = crate::metrics::global();
+    if !blocks.is_empty() {
+        let flushed = write_segment(fs.as_ref(), dir, next_segment_id, &blocks, crash)?;
+        m.add(Metric::SegmentFlushBytes, flushed);
+        segments.push(next_segment_id);
+        next_segment_id += 1;
+    }
     let segments_live = segments.len() as u64;
     write_segment_manifest(
-        fs,
+        fs.as_ref(),
         dir,
         &SegmentManifest {
             epoch: next_epoch,
-            next_segment_id: id + 1,
+            next_segment_id,
             segments,
         },
         crash,
     )?;
-    let m = crate::metrics::global();
-    m.add(Metric::SegmentFlushBytes, flushed);
     m.set(Metric::SegmentsLive, segments_live);
-    Ok(())
+    Ok(retired)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,10 +726,10 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 /// flush is in flight accumulate and become the next leader's batch, so a
 /// lone committer pays exactly one fsync with no added latency while a
 /// contended shard amortizes each fsync over every commit that landed
-/// during the previous one. [`EngineConfig::group_commit_max_wait_us`]
-/// bounds how long a follower sleeps between leadership checks when a
-/// flush is in flight (a missed-wakeup guard — followers are normally
-/// notified the moment the leader finishes).
+/// during the previous one. A follower parked behind an in-flight flush
+/// re-checks for leadership every [`FOLLOWER_RECHECK`] (a missed-wakeup
+/// guard — followers are normally notified the moment the leader
+/// finishes).
 ///
 /// Commit positions are `(shard_epoch, shard_seq)`; a checkpoint rotation
 /// starts a new epoch and resets the sequence, and every record of an older
@@ -738,9 +742,12 @@ pub struct ShardCommitter<P> {
     dir: PathBuf,
     fs: Arc<dyn StorageFs>,
     group_records: u64,
-    max_wait: Duration,
     _pred: PhantomData<fn() -> P>,
 }
+
+/// How long a committer parked behind an in-flight flush sleeps before
+/// re-checking for leadership.
+const FOLLOWER_RECHECK: Duration = Duration::from_micros(200);
 
 impl fmt::Debug for CommitterState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -788,7 +795,6 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             dir: dir.to_path_buf(),
             fs,
             group_records: config.group_commit_records.max(1),
-            max_wait: Duration::from_micros(config.group_commit_max_wait_us),
             _pred: PhantomData,
         };
         Ok((engine, committer, report))
@@ -899,12 +905,9 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             }
             // A leader is mid-flush; it notifies on completion. The
             // timeout only guards against a missed wakeup.
-            let wait = self
-                .max_wait
-                .clamp(Duration::from_micros(50), Duration::from_millis(50));
             st = self
                 .cv
-                .wait_timeout(st, wait)
+                .wait_timeout(st, FOLLOWER_RECHECK)
                 .expect("committer lock poisoned")
                 .0;
         }
@@ -1005,15 +1008,16 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
 
     /// Rotates the checkpoint: flush pending, write the partitions `engine`
     /// dirtied since the last rotation as one segment — O(delta), not
-    /// O(KB) — swap the manifest to epoch + 1, start a fresh WAL, retire
-    /// the old log, reset the sequence, and fold the segment set once it
-    /// reaches [`EngineConfig::compact_segment_threshold`]. The caller
-    /// must hold the shard's engine lock and guarantee the shard is
-    /// quiescent, so `engine` is exactly the state the flushed WAL
-    /// produced. (`&mut` because a successful rotation clears the engine's
-    /// dirty-partition set.) A crash at any boundary recovers: before the
-    /// manifest swap the old segment set + WAL are intact; after it the
-    /// new segment subsumes the old WAL.
+    /// O(KB) — swap the manifest to epoch + 1 over the segments that are
+    /// still some partition's newest holder, start a fresh WAL, reset the
+    /// sequence, then retire the old log and the segments the swap
+    /// dropped. The caller must hold the shard's engine lock and guarantee
+    /// the shard is quiescent, so `engine` is exactly the state the
+    /// flushed WAL produced. (`&mut` because a successful rotation clears
+    /// the engine's dirty-partition set.) A crash at any boundary
+    /// recovers: before the manifest swap the old segment set + WAL are
+    /// intact; after it the new set subsumes the old WAL, and recovery
+    /// sweeps whatever was not yet unlinked.
     ///
     /// # Errors
     /// Storage failures poison the committer (disk keeps a consistent
@@ -1021,18 +1025,18 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     pub fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
         let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
-        let rotated = (|| -> Result<Wal, DurableError> {
-            flush_segments(self.fs.as_ref(), &self.dir, engine, next, &self.crash)?;
+        let rotated = (|| -> Result<(Wal, Vec<u64>), DurableError> {
+            let retired = flush_segments(&self.fs, &self.dir, engine, next, &self.crash)?;
             let new_wal = Wal::create_on(
                 self.fs.as_ref(),
                 &self.dir.join(wal_name(next)),
                 self.crash.clone(),
             )?;
             self.crash.fire(CrashPoint::BeforeWalRetire)?;
-            Ok(new_wal)
+            Ok((new_wal, retired))
         })();
-        let new_wal = match rotated {
-            Ok(wal) => wal,
+        let (new_wal, retired) = match rotated {
+            Ok(rotated) => rotated,
             Err(e) => return Err(self.poison(&mut st, e)),
         };
         let old = st
@@ -1047,45 +1051,17 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         engine.clear_dirty();
         self.cv.notify_all();
         // The checkpoint at `next` is durable, so a stale WAL left on disk
-        // is harmless — but a failing unlink or fold signals a sick
-        // volume; poison rather than limp along.
-        let retired = (|| -> Result<(), DurableError> {
+        // is harmless — but a failing unlink of it signals a sick volume;
+        // poison rather than limp along. Superseded segments are plain
+        // garbage: their removal is best effort.
+        let retire = (|| -> Result<(), DurableError> {
             remove_stale(self.fs.as_ref(), &old)?;
             self.crash.fire(CrashPoint::AfterWalRetire)?;
             crate::metrics::global().add(Metric::Checkpoints, 1);
-            self.compact_if_at_least(engine.config.compact_segment_threshold)
+            retire_segments(self.fs.as_ref(), &self.dir, &retired);
+            Ok(self.crash.fire(CrashPoint::AfterSegmentRetire)?)
         })();
-        retired.map_err(|e| self.poison(&mut st, e))
-    }
-
-    /// Folds the segment set when at least `threshold` segments are live
-    /// (`0` disables the automatic fold).
-    fn compact_if_at_least(&self, threshold: u64) -> Result<(), DurableError> {
-        if threshold == 0 {
-            return Ok(());
-        }
-        let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
-            .map_or(0, |m| m.segments.len() as u64);
-        if live >= threshold && compact_dir(&self.fs, &self.dir, &self.crash)?.is_some() {
-            // A fold leaves exactly one live segment.
-            crate::metrics::global().set(Metric::SegmentsLive, 1);
-        }
-        Ok(())
-    }
-
-    /// Forces a compaction of the segment set regardless of the threshold
-    /// (`None` when at most one segment is live). Holds the committer lock
-    /// for the duration, so commits on this shard queue behind the fold;
-    /// in-memory queries are unaffected.
-    ///
-    /// # Errors
-    /// Storage failures poison the committer.
-    pub fn compact(&self) -> Result<Option<crate::lsm::CompactionStats>, DurableError> {
-        let mut st = self.lock();
-        if st.poisoned {
-            return Err(poisoned_err(&st));
-        }
-        compact_dir(&self.fs, &self.dir, &self.crash).map_err(|e| self.poison(&mut st, e))
+        retire.map_err(|e| self.poison(&mut st, e))
     }
 
     /// The active checkpoint/WAL epoch.

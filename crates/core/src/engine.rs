@@ -62,15 +62,9 @@ pub struct EngineConfig {
     pub update: bool,
     /// Refinement policy for multi-dimensional queries.
     pub md_policy: MdUpdatePolicy,
-    /// Worker threads for batched QPF evaluation (`None` defers to the
-    /// `PRKB_THREADS` environment variable). The engine itself is
-    /// oracle-agnostic: deployments apply this knob when pairing the engine
-    /// with its oracle, e.g. `SpOracle::with_threads`. Thread count never
-    /// affects results or QPF-use counts — only wall-clock time.
-    pub threads: Option<usize>,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
-    /// rotation). This and the four fields below are read by the
+    /// rotation). This and the two fields below are read by the
     /// durability layer
     /// ([`ShardCommitter`](crate::durability::ShardCommitter) and whoever
     /// drives it); a plain [`PrkbEngine`] never logs or checkpoints.
@@ -83,17 +77,6 @@ pub struct EngineConfig {
     /// tail latency and crash-exposure granularity under burst. Clamped to
     /// at least 1.
     pub group_commit_records: u64,
-    /// Group commit: how long (in microseconds) a committer parked behind
-    /// an in-flight flush sleeps before re-checking for leadership — a
-    /// missed-wakeup guard, clamped to 50µs..=50ms. Leadership itself is
-    /// immediate: the first waiter to find the WAL idle flushes right away,
-    /// and batches form from commits that arrived during the previous
-    /// flush.
-    pub group_commit_max_wait_us: u64,
-    /// Checkpoint compaction: fold the live segment set ([`lsm`](crate::lsm))
-    /// into one segment once a rotation leaves it with this many files
-    /// (`0` disables automatic compaction).
-    pub compact_segment_threshold: u64,
 }
 
 impl Default for EngineConfig {
@@ -101,12 +84,9 @@ impl Default for EngineConfig {
         EngineConfig {
             update: true,
             md_policy: MdUpdatePolicy::PartialOnly,
-            threads: None,
             checkpoint_wal_records: 4096,
             checkpoint_wal_bytes: 4 << 20,
             group_commit_records: 32,
-            group_commit_max_wait_us: 200,
-            compact_segment_threshold: 6,
         }
     }
 }

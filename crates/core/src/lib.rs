@@ -86,7 +86,7 @@ pub use engine::{EngineConfig, PrkbEngine, QueryError};
 pub use extremes::{extreme_candidates, top_m_candidates};
 pub use insert::{InsertDecision, InsertOutcome};
 pub use knowledge::{Knowledge, RefinementOp, Separator};
-pub use lsm::{Bloom, CompactionStats, SegmentManifest, SegmentStore};
+pub use lsm::{SegmentManifest, SegmentStore};
 pub use md::{MdDim, MdUpdatePolicy};
 pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot, QueryKind};
 pub use pop::{PartId, Pop};

@@ -1,8 +1,8 @@
 //! The segment manifest: the single source of truth for a shard's live
 //! segment set.
 //!
-//! `segments.manifest` is tiny and rewritten whole on every flush,
-//! compaction, and migration — the atomicity point of the subsystem.
+//! `segments.manifest` is tiny and rewritten whole on every rotation and
+//! migration — the atomicity point of the subsystem.
 //! Layout: `"PSGM" | version u16 | epoch u64 | next_segment_id u64 |
 //! n u32 | (segment id u64)* | crc32 u32`.
 //!
@@ -15,9 +15,12 @@
 //!   *stray* segment: present on disk, referenced by nothing. Its id was
 //!   never recorded in `next_segment_id`, so the next flush reuses the id
 //!   and atomically overwrites the stray.
-//! * `epoch` in the manifest equals the live WAL epoch: flushing bumps
-//!   both together, compaction changes the segment list but **not** the
-//!   epoch.
+//! * A swap may also *drop* ids: segments no longer the newest holder of
+//!   any partition. They are unlinked after the swap; a crash in between
+//!   leaves them on disk, referenced by nothing. Recovery deletes every
+//!   `segment.<id>.seg` the manifest it read does not list.
+//! * `epoch` in the manifest equals the live WAL epoch: a rotation bumps
+//!   both together, also when nothing was dirty and no segment is written.
 
 use std::path::Path;
 
@@ -39,7 +42,7 @@ const MANIFEST_VERSION: u16 = 1;
 pub struct SegmentManifest {
     /// WAL epoch the segment set corresponds to.
     pub epoch: u64,
-    /// Next segment id a flush or compaction may allocate.
+    /// Next segment id a flush may allocate.
     pub next_segment_id: u64,
     /// Live segments, oldest first — the read path scans newest first.
     pub segments: Vec<u64>,

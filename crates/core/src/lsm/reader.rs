@@ -1,24 +1,25 @@
 //! [`SegmentStore`]: the read path over a live segment set.
 //!
 //! A store is the opened form of one manifest: every live segment's index
-//! and bloom filter in memory, zero partition payloads. Looking up a
-//! partition scans segments **newest first** (a later flush supersedes an
-//! earlier one), consults the bloom filter before touching the index, and
-//! reads exactly one CRC-verified block from disk on a hit. Recovery and
-//! compaction both go through [`load_attr`], so a superseded partition
-//! version is never read.
+//! in memory, zero partition payloads. Looking up a partition scans
+//! segments **newest first** (a later flush supersedes an earlier one),
+//! binary-searches each index, and reads exactly one CRC-verified block
+//! from disk on a hit. The same order decides which segments a rotation
+//! keeps ([`supersede`]): a segment is live only while it is the newest
+//! holder of some attribute, so the scan is over at most as many segments
+//! as the directory has attributes.
 //!
-//! [`load_attr`]: SegmentStore::load_attr
+//! [`supersede`]: SegmentStore::supersede
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
 use prkb_edbms::{AttrId, StorageFs};
 
 use super::manifest::{read_segment_manifest, SegmentManifest};
-use super::segment::{open_all, SegmentMeta};
+use super::segment::SegmentMeta;
 use crate::durability::DurableError;
-use crate::metrics::{global, Metric};
 
 /// An opened live segment set: routing structures only, payloads on disk.
 #[derive(Debug, Clone)]
@@ -42,8 +43,12 @@ impl SegmentStore {
         let Some(manifest) = read_segment_manifest(fs.as_ref(), dir)? else {
             return Ok(None);
         };
-        let mut segments = open_all(&fs, dir, &manifest.segments)?;
-        segments.reverse();
+        let segments = manifest
+            .segments
+            .iter()
+            .rev()
+            .map(|&id| SegmentMeta::open(fs.as_ref(), dir, id))
+            .collect::<Result<_, _>>()?;
         Ok(Some(SegmentStore {
             fs,
             manifest,
@@ -62,17 +67,11 @@ impl SegmentStore {
     }
 
     /// The newest stored snapshot image for `attr`, or `None` if no live
-    /// segment holds it. Bloom misses bump
-    /// [`Metric::BloomNegativeProbes`] — the work the filter saved.
+    /// segment holds it.
     pub fn load_attr(&self, attr: AttrId) -> Result<Option<Vec<u8>>, DurableError> {
         for seg in &self.segments {
-            if !seg.bloom.maybe_contains(attr) {
-                global().add(Metric::BloomNegativeProbes, 1);
-                continue;
-            }
             if let Some(entry) = seg.find(attr) {
-                let entry = *entry;
-                return seg.read_block(self.fs.as_ref(), &entry).map(Some);
+                return seg.read_block(self.fs.as_ref(), entry).map(Some);
             }
         }
         Ok(None)
@@ -90,9 +89,28 @@ impl SegmentStore {
         out
     }
 
-    /// Total bytes across the live segment files (compaction accounting).
-    pub fn total_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.file_len).sum()
+    /// The supersede rule: splits the live set into the segments that stay
+    /// live once a segment holding `fresh` is published on top of them and
+    /// the ones it retires — `(kept, retired)`, ids oldest first. A segment
+    /// stays iff it is the newest holder of at least one attribute, so
+    /// `kept.len()` never exceeds the number of attributes stored.
+    pub(crate) fn supersede(&self, fresh: &[AttrId]) -> (Vec<u64>, Vec<u64>) {
+        let mut seen: BTreeSet<AttrId> = fresh.iter().copied().collect();
+        let (mut kept, mut retired) = (Vec::new(), Vec::new());
+        for seg in &self.segments {
+            let mut newest_holder = false;
+            for e in &seg.index {
+                newest_holder |= seen.insert(e.attr);
+            }
+            if newest_holder {
+                kept.push(seg.id);
+            } else {
+                retired.push(seg.id);
+            }
+        }
+        kept.reverse();
+        retired.reverse();
+        (kept, retired)
     }
 }
 
@@ -146,6 +164,11 @@ mod tests {
         assert_eq!(store.load_attr(2).unwrap().unwrap(), b"two-v1");
         assert_eq!(store.load_attr(3).unwrap(), None);
         assert_eq!(store.attrs(), vec![1, 2]);
+        // Supersede: a segment stays while it is some attribute's newest holder.
+        assert_eq!(store.supersede(&[]), (vec![0, 1], vec![]));
+        assert_eq!(store.supersede(&[1]), (vec![1], vec![0]));
+        assert_eq!(store.supersede(&[2]), (vec![0], vec![1]));
+        assert_eq!(store.supersede(&[1, 2]), (vec![], vec![0, 1]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -170,32 +193,6 @@ mod tests {
             },
         );
         assert!(SegmentStore::open(fs, &dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bloom_negative_probes_counted() {
-        let dir = tmpdir("bloomneg");
-        let fs = real_fs();
-        let crash = CrashInjector::disabled();
-        write_segment(fs.as_ref(), &dir, 0, &[(5, b"five".to_vec())], &crash).unwrap();
-        publish(
-            fs.as_ref(),
-            &dir,
-            &SegmentManifest {
-                epoch: 1,
-                next_segment_id: 1,
-                segments: vec![0],
-            },
-        );
-        let store = SegmentStore::open(fs, &dir).unwrap().unwrap();
-        let before = global().get(Metric::BloomNegativeProbes);
-        // A tight filter over one key rejects almost everything; at least
-        // one of many absent probes must short-circuit through the bloom.
-        for attr in 1_000..1_064 {
-            assert_eq!(store.load_attr(attr).unwrap(), None);
-        }
-        assert!(global().get(Metric::BloomNegativeProbes) > before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

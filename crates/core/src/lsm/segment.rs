@@ -7,33 +7,39 @@
 //! "PSEG" | version u16 | reserved u16 | segment_id u64        header, 16 B
 //! block[0] .. block[n-1]                                      raw snapshots
 //! n u32 | (attr u32 | offset u64 | len u64 | crc u32)*        index block
-//! k u32 | n_bytes u32 | bits                                  bloom block
 //! index_off u64 | index_len u64 | index_crc u32
-//!   | bloom_off u64 | bloom_len u64 | bloom_crc u32
+//!   | aux_off u64 | aux_len u64 | aux_crc u32
 //!   | footer_crc u32 (over the 40 bytes above) | "GESP"       footer, 48 B
 //! ```
 //!
-//! Everything a reader needs to *route* a partition probe — index entries
-//! and the bloom filter — sits behind the fixed-size footer, so opening a
-//! segment reads O(index) bytes via [`StorageFs::read_at`] and never
-//! touches a partition payload. Per-block CRC32 lives in the index entry
-//! (the block itself is a verbatim snapshot image), verified on every
+//! The `aux` extent sits between the index block and the footer. Version 2
+//! (what this code writes) requires it to be zero-length. Version 1 files
+//! stored a per-segment bloom filter there; they still open — the extent
+//! is bounds- and CRC-checked, its contents never decoded — and are
+//! superseded by the directory's next rotations. Any other version is
+//! refused, as a version-1 reader refuses a version-2 file.
+//!
+//! Everything a reader needs to *route* a partition probe — the index
+//! entries — sits behind the fixed-size footer, so opening a segment reads
+//! O(index) bytes via [`StorageFs::read_at`] and never touches a partition
+//! payload. Per-block CRC32 lives in the index entry (the block itself is
+//! a verbatim snapshot image), verified on every
 //! [`read_block`](SegmentMeta::read_block).
 //!
 //! Segments are never modified after the publishing rename; the only
 //! mutations in the subsystem are manifest swaps and whole-file removals.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError};
 use prkb_edbms::{AttrId, StorageFs};
 
-use super::bloom::Bloom;
 use crate::durability::DurableError;
 
-/// Segment format version.
-pub const SEGMENT_VERSION: u16 = 1;
+/// Segment format version written by [`encode_segment`].
+pub const SEGMENT_VERSION: u16 = 2;
+/// The read-only legacy version (non-empty `aux` extent, ignored).
+const SEGMENT_VERSION_V1: u16 = 1;
 /// Segment header magic.
 const SEG_MAGIC: &[u8; 4] = b"PSEG";
 /// Footer trailer magic (reversed header magic, marks a complete file).
@@ -84,8 +90,6 @@ pub struct SegmentMeta {
     pub path: PathBuf,
     /// Attr-sorted index of partition blocks.
     pub index: Vec<BlockEntry>,
-    /// Partition-membership bloom filter.
-    pub bloom: Bloom,
     /// Total file length in bytes.
     pub file_len: u64,
 }
@@ -114,7 +118,6 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
     out.extend_from_slice(&id.to_le_bytes());
 
     let mut index = Vec::with_capacity(sorted.len());
-    let mut bloom = Bloom::with_capacity(sorted.len());
     for (attr, bytes) in sorted {
         index.push(BlockEntry {
             attr: *attr,
@@ -122,7 +125,6 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
             len: bytes.len() as u64,
             crc: crc32(bytes),
         });
-        bloom.insert(*attr);
         out.extend_from_slice(bytes);
     }
 
@@ -137,18 +139,16 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
     let index_len = out.len() as u64 - index_off;
     let index_crc = crc32(&out[index_off as usize..]);
 
-    let bloom_off = out.len() as u64;
-    bloom.encode_into(&mut out);
-    let bloom_len = out.len() as u64 - bloom_off;
-    let bloom_crc = crc32(&out[bloom_off as usize..]);
+    // Version 2: the aux extent is empty and starts where the footer does.
+    let aux_off = out.len() as u64;
 
     let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
     footer.extend_from_slice(&index_off.to_le_bytes());
     footer.extend_from_slice(&index_len.to_le_bytes());
     footer.extend_from_slice(&index_crc.to_le_bytes());
-    footer.extend_from_slice(&bloom_off.to_le_bytes());
-    footer.extend_from_slice(&bloom_len.to_le_bytes());
-    footer.extend_from_slice(&bloom_crc.to_le_bytes());
+    footer.extend_from_slice(&aux_off.to_le_bytes());
+    footer.extend_from_slice(&0u64.to_le_bytes());
+    footer.extend_from_slice(&crc32(&[]).to_le_bytes());
     let fcrc = crc32(&footer);
     footer.extend_from_slice(&fcrc.to_le_bytes());
     footer.extend_from_slice(SEG_TRAILER);
@@ -200,10 +200,69 @@ pub fn write_segment(
     Ok(image.len() as u64)
 }
 
+/// A segment's decoded framing: the header and footer fields, validated
+/// against each other and the file length.
+struct Footer {
+    /// Format version the file was written with (1 or 2).
+    version: u16,
+    /// Segment id recorded in the header.
+    id: u64,
+    index_off: u64,
+    index_len: u64,
+    index_crc: u32,
+    /// The extent between index and footer: empty in version 2, the
+    /// legacy bloom block in version 1.
+    aux_off: u64,
+    aux_len: u64,
+    aux_crc: u32,
+}
+
+/// Decodes and cross-checks a segment's 16-byte header and 48-byte footer
+/// — the one framing parser behind [`SegmentMeta::open`] and
+/// [`validate_segment_bytes`]. The version is checked before any extent.
+fn parse_footer(header: &[u8], footer: &[u8], file_len: u64) -> Result<Footer, &'static str> {
+    if &header[0..4] != SEG_MAGIC {
+        return Err("bad header magic");
+    }
+    let version = u16::from_le_bytes(header[4..6].try_into().expect("2 bytes"));
+    if version != SEGMENT_VERSION && version != SEGMENT_VERSION_V1 {
+        return Err("unknown version");
+    }
+    if &footer[44..48] != SEG_TRAILER {
+        return Err("missing trailer magic");
+    }
+    if crc32(&footer[..40]) != u32::from_le_bytes(footer[40..44].try_into().expect("4 bytes")) {
+        return Err("footer checksum mismatch");
+    }
+    let u64_at = |at: usize| u64::from_le_bytes(footer[at..at + 8].try_into().expect("8 bytes"));
+    let u32_at = |at: usize| u32::from_le_bytes(footer[at..at + 4].try_into().expect("4 bytes"));
+    let f = Footer {
+        version,
+        id: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
+        index_off: u64_at(0),
+        index_len: u64_at(8),
+        index_crc: u32_at(16),
+        aux_off: u64_at(20),
+        aux_len: u64_at(28),
+        aux_crc: u32_at(36),
+    };
+    if f.index_off < HEADER_LEN
+        || f.index_off.checked_add(f.index_len) != Some(f.aux_off)
+        || f.aux_off.checked_add(f.aux_len) != Some(file_len - FOOTER_LEN)
+    {
+        return Err("footer offsets inconsistent");
+    }
+    if version == SEGMENT_VERSION && f.aux_len != 0 {
+        return Err("version 2 segment with a non-empty aux extent");
+    }
+    Ok(f)
+}
+
 impl SegmentMeta {
-    /// Opens segment `id` in `dir`, reading only the footer, index, and
-    /// bloom blocks (three bounded [`read_at`](StorageFs::read_at) calls —
-    /// no partition payload is touched).
+    /// Opens segment `id` in `dir`, reading only the header, footer and
+    /// index block (plus a version-1 file's bloom block, to verify its
+    /// checksum) through bounded [`read_at`](StorageFs::read_at) calls — no
+    /// partition payload is touched.
     ///
     /// # Errors
     /// [`DurableError::CorruptSegment`] on any structural damage; I/O
@@ -214,65 +273,26 @@ impl SegmentMeta {
         if file_len < HEADER_LEN + FOOTER_LEN {
             return Err(DurableError::CorruptSegment("file shorter than framing"));
         }
-        let footer = fs
-            .read_at(&path, file_len - FOOTER_LEN, FOOTER_LEN)
-            .map_err(DurabilityError::Io)?;
-        if &footer[44..48] != SEG_TRAILER {
-            return Err(DurableError::CorruptSegment("missing trailer magic"));
-        }
-        let stored_fcrc = u32::from_le_bytes(footer[40..44].try_into().expect("4 bytes"));
-        if crc32(&footer[..40]) != stored_fcrc {
-            return Err(DurableError::CorruptSegment("footer checksum mismatch"));
-        }
-        let index_off = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
-        let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
-        let index_crc = u32::from_le_bytes(footer[16..20].try_into().expect("4 bytes"));
-        let bloom_off = u64::from_le_bytes(footer[20..28].try_into().expect("8 bytes"));
-        let bloom_len = u64::from_le_bytes(footer[28..36].try_into().expect("8 bytes"));
-        let bloom_crc = u32::from_le_bytes(footer[36..40].try_into().expect("4 bytes"));
-        if index_off < HEADER_LEN
-            || index_off.checked_add(index_len) != Some(bloom_off)
-            || bloom_off.checked_add(bloom_len) != Some(file_len - FOOTER_LEN)
-        {
-            return Err(DurableError::CorruptSegment("footer offsets inconsistent"));
-        }
-
-        let header = fs
-            .read_at(&path, 0, HEADER_LEN)
-            .map_err(DurabilityError::Io)?;
-        if &header[0..4] != SEG_MAGIC {
-            return Err(DurableError::CorruptSegment("bad header magic"));
-        }
-        if u16::from_le_bytes(header[4..6].try_into().expect("2 bytes")) != SEGMENT_VERSION {
-            return Err(DurableError::CorruptSegment("unknown version"));
-        }
-        let stored_id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        if stored_id != id {
+        let read = |offset, len| fs.read_at(&path, offset, len).map_err(DurabilityError::Io);
+        let footer = read(file_len - FOOTER_LEN, FOOTER_LEN)?;
+        let f = parse_footer(&read(0, HEADER_LEN)?, &footer, file_len)
+            .map_err(DurableError::CorruptSegment)?;
+        if f.id != id {
             return Err(DurableError::CorruptSegment("id does not match file name"));
         }
-
-        let index_bytes = fs
-            .read_at(&path, index_off, index_len)
-            .map_err(DurabilityError::Io)?;
-        if crc32(&index_bytes) != index_crc {
+        let index_bytes = read(f.index_off, f.index_len)?;
+        if crc32(&index_bytes) != f.index_crc {
             return Err(DurableError::CorruptSegment("index checksum mismatch"));
         }
-        let index = decode_index(&index_bytes, index_off, file_len)?;
-
-        let bloom_bytes = fs
-            .read_at(&path, bloom_off, bloom_len)
-            .map_err(DurabilityError::Io)?;
-        if crc32(&bloom_bytes) != bloom_crc {
-            return Err(DurableError::CorruptSegment("bloom checksum mismatch"));
+        let index =
+            decode_index(&index_bytes, f.index_off).map_err(DurableError::CorruptSegment)?;
+        if f.aux_len > 0 && crc32(&read(f.aux_off, f.aux_len)?) != f.aux_crc {
+            return Err(DurableError::CorruptSegment("aux checksum mismatch"));
         }
-        let bloom = Bloom::decode(&bloom_bytes)
-            .ok_or(DurableError::CorruptSegment("bloom block malformed"))?;
-
         Ok(SegmentMeta {
             id,
             path,
             index,
-            bloom,
             file_len,
         })
     }
@@ -304,23 +324,16 @@ impl SegmentMeta {
 
 /// Decodes and validates an index block (offsets must be sorted by attr,
 /// in-bounds, and non-overlapping with the framing).
-fn decode_index(
-    bytes: &[u8],
-    index_off: u64,
-    file_len: u64,
-) -> Result<Vec<BlockEntry>, DurableError> {
+fn decode_index(bytes: &[u8], index_off: u64) -> Result<Vec<BlockEntry>, &'static str> {
     if bytes.len() < 4 {
-        return Err(DurableError::CorruptSegment("index block truncated"));
+        return Err("index block truncated");
     }
     let n = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
     if bytes.len() != 4 + n * INDEX_ENTRY_LEN {
-        return Err(DurableError::CorruptSegment("index length mismatch"));
+        return Err("index length mismatch");
     }
-    let mut index = Vec::with_capacity(n);
-    let mut pos = 4usize;
-    for _ in 0..n {
-        let e = &bytes[pos..pos + INDEX_ENTRY_LEN];
-        pos += INDEX_ENTRY_LEN;
+    let mut index: Vec<BlockEntry> = Vec::with_capacity(n);
+    for e in bytes[4..].chunks_exact(INDEX_ENTRY_LEN) {
         let entry = BlockEntry {
             attr: u32::from_le_bytes(e[0..4].try_into().expect("4 bytes")),
             offset: u64::from_le_bytes(e[4..12].try_into().expect("8 bytes")),
@@ -333,84 +346,53 @@ fn decode_index(
                 .checked_add(entry.len)
                 .is_none_or(|end| end > index_off)
         {
-            return Err(DurableError::CorruptSegment("block extent out of bounds"));
+            return Err("block extent out of bounds");
         }
-        if let Some(prev) = index.last() {
-            let prev: &BlockEntry = prev;
-            if prev.attr >= entry.attr {
-                return Err(DurableError::CorruptSegment("index not attr-sorted"));
-            }
+        if index.last().is_some_and(|prev| prev.attr >= entry.attr) {
+            return Err("index not attr-sorted");
         }
         index.push(entry);
     }
-    let _ = file_len;
     Ok(index)
 }
 
-/// Validates raw segment bytes end to end — header, footer, index, bloom,
-/// and every block CRC. The scrubber's deep check; the hot path never calls
+/// Validates raw segment bytes end to end — framing, index, a version-1
+/// file's bloom block checksum, and every block CRC — and returns the
+/// format version. The scrubber's deep check; the hot path never calls
 /// this.
-pub(crate) fn validate_segment_bytes(bytes: &[u8]) -> Result<(), &'static str> {
+pub(crate) fn validate_segment_bytes(bytes: &[u8]) -> Result<u16, &'static str> {
     let file_len = bytes.len() as u64;
     if file_len < HEADER_LEN + FOOTER_LEN {
         return Err("file shorter than framing");
     }
-    if &bytes[0..4] != SEG_MAGIC {
-        return Err("bad header magic");
-    }
-    if u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")) != SEGMENT_VERSION {
-        return Err("unknown version");
-    }
-    let footer = &bytes[(file_len - FOOTER_LEN) as usize..];
-    if &footer[44..48] != SEG_TRAILER {
-        return Err("missing trailer magic");
-    }
-    if crc32(&footer[..40]) != u32::from_le_bytes(footer[40..44].try_into().expect("4 bytes")) {
-        return Err("footer checksum mismatch");
-    }
-    let index_off = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes"));
-    let index_len = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
-    let index_crc = u32::from_le_bytes(footer[16..20].try_into().expect("4 bytes"));
-    let bloom_off = u64::from_le_bytes(footer[20..28].try_into().expect("8 bytes"));
-    let bloom_len = u64::from_le_bytes(footer[28..36].try_into().expect("8 bytes"));
-    let bloom_crc = u32::from_le_bytes(footer[36..40].try_into().expect("4 bytes"));
-    if index_off < HEADER_LEN
-        || index_off.checked_add(index_len) != Some(bloom_off)
-        || bloom_off.checked_add(bloom_len) != Some(file_len - FOOTER_LEN)
-    {
-        return Err("footer offsets inconsistent");
-    }
-    let index_bytes = &bytes[index_off as usize..(index_off + index_len) as usize];
-    if crc32(index_bytes) != index_crc {
+    let f = parse_footer(
+        &bytes[..HEADER_LEN as usize],
+        &bytes[(file_len - FOOTER_LEN) as usize..],
+        file_len,
+    )?;
+    let extent = |off: u64, len: u64| &bytes[off as usize..(off + len) as usize];
+    let index_bytes = extent(f.index_off, f.index_len);
+    if crc32(index_bytes) != f.index_crc {
         return Err("index checksum mismatch");
     }
-    let bloom_bytes = &bytes[bloom_off as usize..(bloom_off + bloom_len) as usize];
-    if crc32(bloom_bytes) != bloom_crc {
-        return Err("bloom checksum mismatch");
+    if f.aux_len > 0 && crc32(extent(f.aux_off, f.aux_len)) != f.aux_crc {
+        return Err("aux checksum mismatch");
     }
-    if Bloom::decode(bloom_bytes).is_none() {
-        return Err("bloom block malformed");
-    }
-    let index =
-        decode_index(index_bytes, index_off, file_len).map_err(|_| "index block malformed")?;
-    for e in &index {
-        let block = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-        if crc32(block) != e.crc {
+    for e in decode_index(index_bytes, f.index_off)? {
+        if crc32(extent(e.offset, e.len)) != e.crc {
             return Err("block checksum mismatch");
         }
     }
-    Ok(())
+    Ok(f.version)
 }
 
-/// Opens every segment in `ids` (convenience for store/compaction paths).
-pub(crate) fn open_all(
-    fs: &Arc<dyn StorageFs>,
-    dir: &Path,
-    ids: &[u64],
-) -> Result<Vec<SegmentMeta>, DurableError> {
-    ids.iter()
-        .map(|&id| SegmentMeta::open(fs.as_ref(), dir, id))
-        .collect()
+/// Best-effort removal of superseded segment files: once the manifest no
+/// longer lists them they are garbage, and a failed unlink must not fail
+/// the rotation (the recovery sweep or the scrubber picks the file up).
+pub(crate) fn retire_segments(fs: &dyn StorageFs, dir: &Path, ids: &[u64]) {
+    for &id in ids {
+        let _ = fs.remove_file(&dir.join(segment_file_name(id)));
+    }
 }
 
 #[cfg(test)]
@@ -433,25 +415,67 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn golden_segment_validates_and_reencodes_byte_for_byte() {
-        // Segment 7 over blocks (2, "block two") and (0, "block zero!"), as
-        // written by the commit before the slice-by-16 CRC kernel: five
-        // stored checksums (two blocks, index, bloom, footer) must not move.
-        let golden: &[u8] = include_bytes!("../../tests/fixtures/parent_segment.bin");
-        validate_segment_bytes(golden).expect("parent-written segment validates");
-        let blocks = [(2, b"block two".to_vec()), (0, b"block zero!".to_vec())];
-        assert_eq!(encode_segment(7, &blocks), golden);
+    /// The blocks both golden files hold, as segment 7.
+    fn golden_blocks() -> [(AttrId, Vec<u8>); 2] {
+        [(2, b"block two".to_vec()), (0, b"block zero!".to_vec())]
+    }
 
-        let dir = tmpdir("golden");
-        std::fs::write(dir.join(segment_file_name(7)), golden).expect("write");
-        let meta = SegmentMeta::open(real_fs().as_ref(), &dir, 7).expect("footer opens");
-        let entry = *meta.find(0).expect("attr 0 indexed");
-        assert_eq!(
-            meta.read_block(real_fs().as_ref(), &entry).expect("block"),
-            b"block zero!"
-        );
+    fn open_golden(tag: &str, bytes: &[u8]) -> Result<Vec<u8>, DurableError> {
+        let dir = tmpdir(tag);
+        std::fs::write(dir.join(segment_file_name(7)), bytes).expect("write");
+        let block = SegmentMeta::open(real_fs().as_ref(), &dir, 7).and_then(|meta| {
+            let entry = *meta.find(0).expect("attr 0 indexed");
+            meta.read_block(real_fs().as_ref(), &entry)
+        });
         std::fs::remove_dir_all(&dir).ok();
+        block
+    }
+
+    #[test]
+    fn golden_v1_segment_still_validates_and_decodes() {
+        // Written by the last commit whose segments carried a bloom block
+        // (and before the slice-by-16 CRC kernel): its five stored
+        // checksums verify, the bloom bytes are never decoded.
+        let golden: &[u8] = include_bytes!("../../tests/fixtures/parent_segment.bin");
+        assert_eq!(validate_segment_bytes(golden), Ok(1));
+        assert_eq!(open_golden("golden-v1", golden).unwrap(), b"block zero!");
+        assert_ne!(encode_segment(7, &golden_blocks()), golden);
+
+        // Its 16 bloom bytes (just before the footer) are still checksummed.
+        let mut rotted = golden.to_vec();
+        rotted[golden.len() - FOOTER_LEN as usize - 1] ^= 1;
+        assert_eq!(
+            validate_segment_bytes(&rotted),
+            Err("aux checksum mismatch")
+        );
+
+        // Relabelled version 2, the non-empty aux extent is refused.
+        let mut relabelled = golden.to_vec();
+        relabelled[4] = 2;
+        let why = "version 2 segment with a non-empty aux extent";
+        assert_eq!(validate_segment_bytes(&relabelled), Err(why));
+        assert!(matches!(
+            open_golden("golden-v1-as-v2", &relabelled),
+            Err(DurableError::CorruptSegment(w)) if w == why
+        ));
+    }
+
+    #[test]
+    fn golden_v2_segment_encodes_byte_for_byte() {
+        let golden: &[u8] = include_bytes!("../../tests/fixtures/segment_v2.bin");
+        assert_eq!(encode_segment(7, &golden_blocks()), golden);
+        assert_eq!(validate_segment_bytes(golden), Ok(SEGMENT_VERSION));
+        assert_eq!(open_golden("golden-v2", golden).unwrap(), b"block zero!");
+
+        // A version this reader does not know is refused on sight — the
+        // way a version-1 reader refuses this file.
+        let mut v3 = golden.to_vec();
+        v3[4] = 3;
+        assert_eq!(validate_segment_bytes(&v3), Err("unknown version"));
+        assert!(matches!(
+            open_golden("golden-v3", &v3),
+            Err(DurableError::CorruptSegment("unknown version"))
+        ));
     }
 
     #[test]
@@ -485,7 +509,6 @@ mod tests {
         for (attr, bytes) in &blocks {
             let e = meta.find(*attr).expect("indexed");
             assert_eq!(&meta.read_block(fs.as_ref(), e).unwrap(), bytes);
-            assert!(meta.bloom.maybe_contains(*attr));
         }
         assert!(meta.find(99).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -498,7 +521,6 @@ mod tests {
         write_segment(fs.as_ref(), &dir, 0, &[], &CrashInjector::disabled()).unwrap();
         let meta = SegmentMeta::open(fs.as_ref(), &dir, 0).unwrap();
         assert!(meta.index.is_empty());
-        assert!(!meta.bloom.maybe_contains(0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

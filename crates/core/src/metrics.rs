@@ -7,13 +7,14 @@
 //! zero-dependency and cheap: every counter is a relaxed [`AtomicU64`]
 //! increment (~1 ns, no locks, no allocation), so leaving the registry
 //! unread costs nothing measurable. Snapshots ([`MetricsSnapshot`]) render
-//! to a stable, hand-rolled JSON schema (`prkb-metrics/v6`) suitable for
+//! to a stable, hand-rolled JSON schema (`prkb-metrics/v7`) suitable for
 //! dashboards and CI artifacts.
 //!
-//! Schema history: **v6** added the segmented-checkpoint counters
-//! (`segments_live`, `segment_flush_bytes`, `compactions`,
-//! `compaction_bytes_reclaimed`, `recovery_ms`, `bloom_negative_probes`)
-//! for the LSM-style storage backend; **v5** added the reactor counters (`epoll_wakeups`) and
+//! Schema history: **v7** removed three v6 counters whose code is gone
+//! (listed once in DESIGN.md §11) — the only version that shrank the key
+//! set; **v6** added the segmented-checkpoint
+//! counters (`segments_live`, `segment_flush_bytes`, `recovery_ms`);
+//! **v5** added the reactor counters (`epoll_wakeups`) and
 //! histograms (`pipelined_depth`, `reactor_queue_wait_us`) for the
 //! epoll-based server front end; **v4** added the storage-robustness counters
 //! (`io_faults_injected`, `sync_failures`, `wal_poisoned`, `scrub_runs`,
@@ -33,7 +34,7 @@
 //! reg.add(metrics::Metric::QueriesComparison, 1);
 //! let snap = reg.snapshot();
 //! assert!(snap.counter("queries_comparison").unwrap() >= 1);
-//! assert!(snap.to_json().starts_with("{\"schema\":\"prkb-metrics/v6\""));
+//! assert!(snap.to_json().starts_with("{\"schema\":\"prkb-metrics/v7\""));
 //! ```
 
 use crate::selection::QueryStats;
@@ -41,10 +42,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Number of counter metrics (length of [`Metric::ALL`]).
-const COUNTER_COUNT: usize = 48;
+const COUNTER_COUNT: usize = 45;
 
 /// Every counter the registry tracks. Names (via [`Metric::name`]) are part
-/// of the `prkb-metrics/v6` JSON schema: never rename, only append.
+/// of the `prkb-metrics/v7` JSON schema: never rename, only append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Single-comparison selections processed by the engine.
@@ -148,19 +149,12 @@ pub enum Metric {
     /// retiring per-connection poll ticks).
     EpollWakeups,
     /// Live segment files across open durable engines — a gauge kept
-    /// current via [`MetricsRegistry::set`] after every flush/compaction.
+    /// current via [`MetricsRegistry::set`] after every rotation.
     SegmentsLive,
     /// Bytes written into published segment files by O(delta) flushes.
     SegmentFlushBytes,
-    /// Segment compactions completed (live set folded to one segment).
-    Compactions,
-    /// Bytes reclaimed by compactions (superseded partition versions).
-    CompactionBytesReclaimed,
     /// Milliseconds spent in recovery (`recover_dir`), cumulative.
     RecoveryMs,
-    /// Partition probes answered "definitely absent" by a segment bloom
-    /// filter without touching the segment's index or payload.
-    BloomNegativeProbes,
 }
 
 impl Metric {
@@ -210,10 +204,7 @@ impl Metric {
         Metric::EpollWakeups,
         Metric::SegmentsLive,
         Metric::SegmentFlushBytes,
-        Metric::Compactions,
-        Metric::CompactionBytesReclaimed,
         Metric::RecoveryMs,
-        Metric::BloomNegativeProbes,
     ];
 
     /// Stable snake_case name used in the JSON schema.
@@ -263,10 +254,7 @@ impl Metric {
             Metric::EpollWakeups => "epoll_wakeups",
             Metric::SegmentsLive => "segments_live",
             Metric::SegmentFlushBytes => "segment_flush_bytes",
-            Metric::Compactions => "compactions",
-            Metric::CompactionBytesReclaimed => "compaction_bytes_reclaimed",
             Metric::RecoveryMs => "recovery_ms",
-            Metric::BloomNegativeProbes => "bloom_negative_probes",
         }
     }
 
@@ -439,7 +427,7 @@ impl MetricsRegistry {
     }
 
     /// Publishes the engine-pool shard count into the snapshot header
-    /// (`"shards"` in `prkb-metrics/v6`). A gauge, not a counter: set at
+    /// (`"shards"` in `prkb-metrics/v7`). A gauge, not a counter: set at
     /// pool construction, untouched by [`reset`](Self::reset).
     pub fn set_shards(&self, n: u64) {
         self.shards.store(n, Ordering::Relaxed);
@@ -548,7 +536,7 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// A point-in-time copy of the registry, renderable as `prkb-metrics/v6`
+/// A point-in-time copy of the registry, renderable as `prkb-metrics/v7`
 /// JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -578,10 +566,10 @@ impl MetricsSnapshot {
             .map(|(_, b)| b.as_slice())
     }
 
-    /// Renders the stable `prkb-metrics/v6` JSON document:
+    /// Renders the stable `prkb-metrics/v7` JSON document:
     ///
     /// ```json
-    /// {"schema":"prkb-metrics/v6",
+    /// {"schema":"prkb-metrics/v7",
     ///  "shards":8,
     ///  "counters":{"queries_comparison":3,...},
     ///  "histograms":{"qpf_per_query":[0,1,2],...}}
@@ -589,14 +577,14 @@ impl MetricsSnapshot {
     ///
     /// Counter names never change meaning; new names may be appended.
     /// Histogram arrays are log₂ buckets (index 0 = value 0, index i =
-    /// values in `[2^(i-1), 2^i)`), trailing zeros trimmed. v6 added the
-    /// segmented-checkpoint counters; v5 the server-reactor metrics; v4
-    /// the storage-robustness counters; v3 the service-resilience
+    /// values in `[2^(i-1), 2^i)`), trailing zeros trimmed. v7 removed
+    /// three v6 counters; v6 added the segmented-checkpoint counters; v5
+    /// the server-reactor metrics; v4 the storage-robustness counters; v3 the service-resilience
     /// counters; v2 added the `shards` header field and the
     /// group-commit/shard-wait metrics; v1 documents differ only by
     /// schema tag and the absent header field.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"prkb-metrics/v6\",\"shards\":");
+        let mut s = String::from("{\"schema\":\"prkb-metrics/v7\",\"shards\":");
         s.push_str(&self.shards.to_string());
         s.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -703,13 +691,10 @@ mod tests {
         reg.record_fault_events(1, 0, 2, 3);
         reg.set_shards(8);
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v6\",\"shards\":8,\"counters\":{"));
+        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v7\",\"shards\":8,\"counters\":{"));
         assert!(json.contains("\"segments_live\":0"));
         assert!(json.contains("\"segment_flush_bytes\":0"));
-        assert!(json.contains("\"compactions\":0"));
-        assert!(json.contains("\"compaction_bytes_reclaimed\":0"));
         assert!(json.contains("\"recovery_ms\":0"));
-        assert!(json.contains("\"bloom_negative_probes\":0"));
         assert!(json.contains("\"inserts\":1"));
         assert!(json.contains("\"inserts_parked\":1"));
         assert!(json.contains("\"insert_qpf_uses\":6"));

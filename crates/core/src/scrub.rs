@@ -20,18 +20,20 @@
 //!   segment manifest that fails validation or references a segment file
 //!   that does not exist;
 //! * **TornSegment** — a published segment file with broken framing
-//!   (short file, bad magic, failing footer/index/bloom checksum).
+//!   (short file, bad magic, unknown version, failing footer/index
+//!   checksum — or, in a version-1 file, a failing bloom-block checksum).
 //!   Unlike a WAL torn tail this *is* corruption: segments are renamed
 //!   into place only after their fsync, so a damaged published segment
 //!   was damaged after the fact;
 //! * **SegmentRot** — a segment whose framing verifies but where some
 //!   partition block fails its CRC (bitrot inside the payload);
-//! * **StraySegment** — a structurally valid segment no manifest
-//!   references: residue of a crash between segment publish and manifest
-//!   swap; harmless (its id is reused and the file overwritten) but
-//!   quarantined for tidiness;
+//! * **StraySegment** — a structurally valid segment (either format
+//!   version) no manifest references: residue of a crash between segment
+//!   publish and manifest swap, or between a swap and the unlink of what
+//!   it superseded; harmless (the next reopen deletes it) — a finding only
+//!   in directories not reopened since — but quarantined for tidiness;
 //! * **StrayTemp** — a leftover `*.tmp` (checkpoint, manifest, or
-//!   segment/compaction temp) from an interrupted atomic publish;
+//!   segment temp) from an interrupted atomic publish;
 //!   harmless but quarantined so reopen sees a tidy directory;
 //! * **Unreadable** — the file could not be read at all (I/O error).
 //!
@@ -79,14 +81,16 @@ pub enum ScrubDamage {
     /// references a segment file that does not exist.
     ManifestMismatch,
     /// A published segment file with broken framing (short file, bad
-    /// magic, failing footer/index/bloom checksum). Segments rename into
-    /// place only after their fsync, so this is real corruption.
+    /// magic, unknown version, failing footer/index checksum). Segments
+    /// rename into place only after their fsync, so this is real
+    /// corruption.
     TornSegment,
     /// A segment whose framing verifies but where a partition block fails
     /// its CRC — bitrot inside the payload.
     SegmentRot,
     /// A structurally valid segment no manifest references — residue of a
-    /// crash between segment publish and manifest swap, not corruption.
+    /// crash between segment publish and manifest swap, or between a swap
+    /// and the unlink of the segments it superseded; not corruption.
     StraySegment,
     /// A leftover `*.tmp` from an interrupted atomic publish.
     StrayTemp,
@@ -478,13 +482,16 @@ fn scrub_segment(
     };
     let referenced = manifest.is_some_and(|m| m.segments.contains(&id));
     let (damage, detail) = match validate_segment_bytes(&bytes) {
-        Ok(()) if referenced => (
+        Ok(v) if referenced => (
             ScrubDamage::Clean,
-            format!("segment {id}, {} byte(s)", bytes.len()),
+            format!("segment {id} (format v{v}), {} byte(s)", bytes.len()),
         ),
-        Ok(()) => (
+        Ok(v) => (
             ScrubDamage::StraySegment,
-            format!("valid segment {id} not referenced by the manifest (interrupted publish)"),
+            format!(
+                "valid segment {id} (format v{v}) not referenced by the manifest \
+                 (superseded or never swapped in; the next reopen removes it)"
+            ),
         ),
         Err(what @ "block checksum mismatch") => {
             (ScrubDamage::SegmentRot, format!("segment {id}: {what}"))
@@ -861,10 +868,10 @@ mod tests {
     }
 
     #[test]
-    fn stray_compaction_temp_is_quarantined() {
+    fn stray_segment_temp_is_quarantined() {
         let dir = tmp("seg-tmp");
         seed_segment_store(&dir);
-        std::fs::write(dir.join("segment.1.seg.tmp"), b"half a compaction").unwrap();
+        std::fs::write(dir.join("segment.1.seg.tmp"), b"half a segment").unwrap();
         let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings

@@ -7,29 +7,38 @@
 //! 1. **O(delta) flush** — a checkpoint after touching `k` of `N`
 //!    partitions writes a segment holding exactly those `k` blocks, not
 //!    the whole KB.
-//! 2. **Compaction correctness** — folding the live set down races
-//!    concurrent queries and group commits without disturbing either, and
-//!    the folded store recovers the same bytes.
+//! 2. **Supersede, don't accumulate** — after every rotation the
+//!    manifest lists exactly the segments that are the newest holder of at
+//!    least one partition (so never more than there are attributes), no
+//!    other segment file survives a rotation or a reopen, an all-clean
+//!    rotation writes no segment, and a crash at any segment hook of a
+//!    rotation reopens to the live state.
 //! 3. **Upgrade path** — a pool directory written by the commit before
 //!    segments became the only checkpoint format (monolithic v1
 //!    `checkpoint.bin` per shard) migrates each shard into segment 0 at
 //!    the same epoch, replays its WAL tail and recovers the images that
 //!    commit served — also when the migration itself is interrupted; a
-//!    segmented directory written by that commit opens unchanged.
+//!    segmented directory written by that commit (version-1 segments)
+//!    opens unchanged, and its first rotation supersedes them with
+//!    version-2 files.
 
 use prkb_core::durability::DurableEngine;
 use prkb_core::lsm::manifest::read_segment_manifest;
-use prkb_core::lsm::{segment_file_name, SegmentMeta, SEGMENT_MANIFEST_FILE};
+use prkb_core::lsm::{
+    parse_segment_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
+    SEGMENT_VERSION,
+};
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool, SpPredicate};
 use prkb_edbms::durability::{CrashInjector, CrashPoint};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -74,14 +83,47 @@ fn columns(cols: usize, n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Explicit checkpoints and explicit compaction only.
+/// Explicit checkpoints only.
 fn manual() -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
-        compact_segment_threshold: 0,
         ..EngineConfig::default()
     }
+}
+
+fn open_manual(dir: &Path, crash: CrashInjector) -> DurableEngine<Predicate> {
+    DurableEngine::open_with_crash(dir, manual(), crash)
+        .expect("open")
+        .0
+}
+
+/// The supersede invariant of one engine directory: every live segment is
+/// the newest holder of at least one attribute (so the live set is no
+/// larger than the attribute count), and the directory holds no other
+/// `segment.<id>.seg`. Returns the manifest (empty before any rotation).
+fn assert_live_set(dir: &Path, tag: &str) -> SegmentManifest {
+    let fs = real_fs();
+    let manifest = read_segment_manifest(fs.as_ref(), dir)
+        .expect("manifest reads")
+        .unwrap_or_else(SegmentManifest::empty);
+    let mut seen = BTreeSet::new();
+    for &id in manifest.segments.iter().rev() {
+        let meta = SegmentMeta::open(fs.as_ref(), dir, id).expect("live segment opens");
+        let newest_of = meta.index.iter().filter(|e| seen.insert(e.attr)).count();
+        assert!(
+            newest_of > 0,
+            "{tag}: live segment {id} holds nothing newest"
+        );
+    }
+    assert!(manifest.segments.len() <= seen.len(), "{tag}: live > attrs");
+    let mut on_disk: Vec<u64> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .filter_map(|e| parse_segment_name(e.expect("entry").file_name().to_str()?))
+        .collect();
+    on_disk.sort_unstable();
+    assert_eq!(on_disk, manifest.segments, "{tag}: unlisted segment file");
+    manifest
 }
 
 // ---------------------------------------------------------------------------
@@ -208,121 +250,108 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Compaction
+// 2. Supersede at flush: the live set is the newest holders, nothing else
 // ---------------------------------------------------------------------------
 
-/// Compaction racing live queries and group commits on every shard: each
-/// select still answers exactly, and the folded store recovers the same
-/// bytes the engines held. `PRKB_SHARDS` sizes the pool (CI sweeps 1, 8).
-#[test]
-fn compaction_races_concurrent_queries_without_divergence() {
-    let shards: usize = std::env::var("PRKB_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(8);
-    const ATTRS: u32 = 8;
-    const N: usize = 140;
-    let dir = TmpDir::new("race");
-    let config = manual();
-    let oracle = Arc::new(PlainOracle::from_columns(columns(ATTRS as usize, N, 0, 31)));
-    let mut pool = ShardedDurablePool::<Predicate>::open_with_crash(
-        &dir.0,
-        config,
-        ShardMap::new(shards),
-        CrashInjector::disabled(),
-    )
-    .expect("create");
-    let map = pool.map();
-    for a in 0..ATTRS {
-        pool.init_attr(a, N).expect("init");
-    }
-    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); map.shards()];
-    for a in 0..ATTRS {
-        owned[map.shard_of(a)].push(a);
-    }
-    let (_, parts) = pool.into_parts();
-    let (engines, committers): (Vec<_>, Vec<_>) = parts
-        .into_iter()
-        .map(|(e, c)| (Arc::new(Mutex::new(e)), Arc::new(c)))
-        .unzip();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    let mut handles = Vec::new();
-    for (sid, attrs) in owned.iter().enumerate() {
-        if attrs.is_empty() {
-            continue;
+    /// Random sequences of {refine a subset of the attributes, checkpoint,
+    /// reopen}, always ending in two checkpoints (the second all-clean):
+    /// the invariant holds after every rotation and every reopen, a reopen
+    /// recovers the live bytes, and a rotation with nothing dirty writes
+    /// no segment yet still moves the epoch and the WAL.
+    #[test]
+    fn live_set_is_exactly_the_newest_holders(
+        attrs in 1u32..=8,
+        steps in proptest::collection::vec((0u8..4, any::<u8>(), 0u64..1_000), 1..20),
+    ) {
+        const N: usize = 60;
+        let dir = TmpDir::new("supersede");
+        let oracle = PlainOracle::from_columns(columns(attrs as usize, N, 0, 3));
+        let mut durable = open_manual(&dir.0, CrashInjector::disabled());
+        for a in 0..attrs {
+            durable.init_attr(a, N).expect("init");
         }
-        let engine = Arc::clone(&engines[sid]);
-        let committer = Arc::clone(&committers[sid]);
-        let oracle = Arc::clone(&oracle);
-        let attrs = attrs.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(sid as u64 + 17);
-            for i in 0..12u64 {
-                let attr = attrs[(i as usize) % attrs.len()];
-                let bound = rng.gen_range(100..900u64);
-                let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound);
-                let ticket = {
-                    let mut engine = engine.lock().expect("engine lock");
-                    let sel = engine
-                        .try_select(&*oracle, &pred, &mut rng)
-                        .expect("select");
-                    assert_eq!(
-                        sel.sorted(),
-                        oracle.expected_select(&pred),
-                        "query diverged while compaction raced"
-                    );
-                    committer.enqueue_journal(engine.take_ops())
-                };
-                committer.wait_durable(ticket).expect("durable ack");
-                if i % 3 == 2 {
-                    let mut engine = engine.lock().expect("engine lock");
-                    committer.checkpoint(&mut engine).expect("checkpoint");
+        let mut rng = StdRng::seed_from_u64(7);
+        for (kind, mask, bound) in steps.into_iter().chain([(2, 0, 0), (2, 0, 0)]) {
+            match kind {
+                0 | 1 => {
+                    for a in (0..attrs).filter(|a| mask >> a & 1 == 1) {
+                        durable
+                            .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, bound), &mut rng)
+                            .expect("select");
+                    }
+                }
+                2 => {
+                    let clean = durable.engine().dirty_attrs().is_empty();
+                    let before = assert_live_set(&dir.0, "before checkpoint");
+                    durable.checkpoint().expect("checkpoint");
+                    let after = assert_live_set(&dir.0, "after checkpoint");
+                    prop_assert_eq!(after.epoch, before.epoch + 1);
+                    prop_assert_eq!(after.epoch, durable.epoch());
+                    prop_assert!(dir.0.join(format!("wal.{}.log", after.epoch)).exists());
+                    prop_assert!(!dir.0.join(format!("wal.{}.log", before.epoch)).exists());
+                    if clean {
+                        prop_assert_eq!(after.segments, before.segments);
+                        prop_assert_eq!(after.next_segment_id, before.next_segment_id);
+                    } else {
+                        prop_assert_eq!(after.segments.last(), Some(&before.next_segment_id));
+                    }
+                }
+                _ => {
+                    let live = kb_bytes(durable.engine());
+                    drop(durable);
+                    durable = open_manual(&dir.0, CrashInjector::disabled());
+                    prop_assert_eq!(kb_bytes(durable.engine()), live);
+                    assert_live_set(&dir.0, "after reopen");
                 }
             }
-        }));
-    }
-    // The racing folder: repeatedly compacts every shard while the query
-    // threads checkpoint fresh segments into the live sets.
-    let compactors: Vec<_> = committers.iter().map(Arc::clone).collect();
-    let folder = std::thread::spawn(move || {
-        for _ in 0..24 {
-            for c in &compactors {
-                c.compact().expect("compaction must not fail mid-race");
-            }
-            std::thread::yield_now();
         }
-    });
-    for h in handles {
-        h.join().expect("query thread");
     }
-    folder.join().expect("folder thread");
-    for c in &committers {
-        c.flush().expect("drain");
-    }
-    let live: Vec<Vec<Vec<u8>>> = engines
-        .iter()
-        .map(|e| kb_bytes(&e.lock().expect("engine lock")))
-        .collect();
-    drop(committers);
-    drop(engines);
+}
 
-    let pool = ShardedDurablePool::<Predicate>::open_with_crash(
-        &dir.0,
-        config,
-        ShardMap::new(shards),
-        CrashInjector::disabled(),
-    )
-    .expect("reopen after race");
-    for (sid, want) in live.iter().enumerate() {
-        let engine = pool.shard_engine(sid);
-        for attr in engine.attrs().collect::<Vec<_>>() {
-            engine
-                .knowledge(attr)
-                .expect("attr indexed")
-                .check_invariants();
+/// A crash at any of the seven segment hooks of a plain rotation — the
+/// third here, which keeps one older segment and supersedes another —
+/// reopens to the live state, and the reopen leaves no file the manifest
+/// does not list.
+#[test]
+fn rotation_crash_at_every_segment_hook_recovers_live_and_leaves_no_stray() {
+    const N: usize = 90;
+    let oracle = PlainOracle::from_columns(columns(3, N, 0, 13));
+    for point in CrashPoint::SEGMENT_HOOKS {
+        let dir = TmpDir::new("rotation-crash");
+        // Every hook fires once per rotation.
+        let mut durable = open_manual(&dir.0, CrashInjector::at_nth(point, 3));
+        for a in 0..3 {
+            durable.init_attr(a, N).expect("init");
         }
-        assert_eq!(&kb_bytes(engine), want, "shard {sid} diverged after race");
+        let mut rng = StdRng::seed_from_u64(5);
+        // Segment 0 = {0, 1, 2}, segment 1 = {0, 1}; the armed rotation
+        // writes {2}, which keeps segment 1 and supersedes segment 0.
+        for (round, touched) in [&[][..], &[0, 1], &[2]].into_iter().enumerate() {
+            for &a in touched {
+                durable
+                    .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, 500), &mut rng)
+                    .expect("select");
+            }
+            assert_eq!(durable.checkpoint().is_err(), round == 2, "{point}");
+        }
+        let live = kb_bytes(durable.engine());
+        drop(durable);
+        let reopened = open_manual(&dir.0, CrashInjector::disabled());
+        assert_eq!(kb_bytes(reopened.engine()), live, "{point}");
+        let manifest = assert_live_set(&dir.0, point.name());
+        // Before the swap the old set stands; from the swap on, the new one.
+        let swapped = matches!(
+            point,
+            CrashPoint::AfterManifestSwap | CrashPoint::AfterSegmentRetire
+        );
+        assert_eq!(
+            manifest.segments,
+            if swapped { vec![1, 2] } else { vec![0, 1] },
+            "{point}"
+        );
     }
 }
 
@@ -422,17 +451,37 @@ fn parent_written_v1_pool_migrates_and_recovers_the_served_images() {
     assert_eq!(pool.reports(), before.as_slice());
     assert_eq!(pool_images(&pool), served_images());
 
-    // The upgraded pool keeps working: a delta on top of segment 0.
+    first_rotation_supersedes_segment_0(&dir.0, pool);
+}
+
+/// The first rotation after an upgrade, with every partition dirtied: each
+/// shard publishes one version-2 segment and retires segment 0, whichever
+/// version that was.
+fn first_rotation_supersedes_segment_0(dir: &Path, pool: ShardedDurablePool<Predicate>) {
     let (_, mut parts) = pool.into_parts();
-    for (engine, committer) in &mut parts {
-        engine.delete(9);
+    for (sid, (engine, committer)) in parts.iter_mut().enumerate() {
+        engine.delete(9); // touches, hence dirties, every attribute
         let ticket = committer.enqueue_journal(engine.take_ops());
         committer.wait_durable(ticket).expect("durable ack");
         committer
             .checkpoint(engine)
-            .expect("post-migration checkpoint");
+            .expect("post-upgrade checkpoint");
         assert_eq!(committer.epoch(), 2);
+        let shard = dir.join(format!("shard.{sid}"));
+        let manifest = assert_live_set(&shard, &format!("shard {sid}"));
+        assert_eq!(
+            manifest.segments,
+            vec![1],
+            "shard {sid}: segment 0 superseded"
+        );
+        assert_eq!(segment_version(&shard, 1), SEGMENT_VERSION, "shard {sid}");
     }
+}
+
+/// The format version in a segment file's header (bytes 4..6).
+fn segment_version(dir: &Path, id: u64) -> u16 {
+    let bytes = std::fs::read(dir.join(segment_file_name(id))).expect("segment file");
+    u16::from_le_bytes([bytes[4], bytes[5]])
 }
 
 /// A crash at any segment or manifest hook *during* the migration reopens
@@ -451,7 +500,7 @@ fn interrupted_migration_reopens_to_the_same_state() {
                 ShardMap::new(2),
                 CrashInjector::at_nth(point, nth),
             );
-            // Only compaction reaches the retire hook; a migration never does.
+            // Only a rotation reaches the retire hook; a migration never does.
             assert_eq!(
                 crashed.is_err(),
                 point != CrashPoint::AfterSegmentRetire,
@@ -497,12 +546,22 @@ fn parent_written_segmented_pool_opens_unchanged() {
         assert_eq!(report.epoch, 1, "shard {sid}");
         assert_eq!(report.segments_live, 1, "shard {sid}");
         assert_eq!(report.records_replayed, FIXTURE_TAILS[sid], "shard {sid}");
+        let shard = dir.0.join(format!("shard.{sid}"));
         assert_eq!(
-            listing(&dir.0.join(format!("shard.{sid}"))),
+            listing(&shard),
             before[sid],
             "shard {sid}: nothing to migrate, nothing rewritten"
         );
+        // The parent wrote version 1 (bloom block and all): every block
+        // still reads back and loads.
+        assert_eq!(segment_version(&shard, 0), 1, "shard {sid}");
+        let meta = SegmentMeta::open(real_fs().as_ref(), &shard, 0).expect("v1 segment opens");
+        for entry in &meta.index {
+            let block = meta.read_block(real_fs().as_ref(), entry).expect("block");
+            snapshot::load::<Predicate>(&block).expect("stored image loads");
+        }
     }
     assert_eq!(pool_images(&pool), served_images());
     assert!(pool.scrub(false).is_clean());
+    first_rotation_supersedes_segment_0(&dir.0, pool);
 }

@@ -80,13 +80,12 @@ fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> 
         .collect()
 }
 
-/// Rotates every `records` WAL records. Threshold 2 keeps compaction hot,
-/// so the retire hook (which only compaction reaches) is on the swept path.
+/// Rotates every `records` WAL records; every rotation crosses all seven
+/// segment hooks, the retire hook included.
 fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
-        compact_segment_threshold: 2,
         ..EngineConfig::default()
     }
 }
@@ -220,7 +219,7 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
 
 /// Every hook × pools of 1, 4 and 8 shards (the counts CI sweeps): one
 /// shard's crash — in its WAL, its segment flush, its manifest swap or its
-/// compaction — never bleeds into another's history.
+/// segment retirement — never bleeds into another's history.
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
     for shards in [1usize, 4, 8] {
@@ -283,7 +282,6 @@ fn lazy_group() -> EngineConfig {
         checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
         group_commit_records: 1_000,
-        group_commit_max_wait_us: 60_000_000,
         ..EngineConfig::default()
     }
 }
@@ -444,7 +442,6 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
         checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
         group_commit_records: 8,
-        group_commit_max_wait_us: 2_000,
         ..EngineConfig::default()
     };
     let oracle = Arc::new(oracle());

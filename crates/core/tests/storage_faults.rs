@@ -83,13 +83,12 @@ fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> 
         .collect()
 }
 
-/// Rotates every `records` WAL records; threshold 2 keeps compaction in
-/// the faulted path too.
+/// Rotates every `records` WAL records; every rotation retires what it
+/// supersedes, so unlinks are on the faulted path too.
 fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
-        compact_segment_threshold: 2,
         ..EngineConfig::default()
     }
 }

@@ -244,8 +244,8 @@ pub enum CrashPoint {
     /// The new segment manifest is durable; superseded segments and the
     /// stale WAL have not been retired yet.
     AfterManifestSwap,
-    /// Compaction (or a flush) finished removing every superseded segment
-    /// file.
+    /// The rotation finished unlinking the segment files its manifest swap
+    /// superseded (fires on every rotation, also when there were none).
     AfterSegmentRetire,
 }
 
@@ -269,8 +269,8 @@ impl CrashPoint {
         CrashPoint::AfterSegmentRetire,
     ];
 
-    /// The hooks a checkpoint's segment write, manifest swap and compaction
-    /// cross (the rotation sweep adds the two WAL-retire hooks).
+    /// The hooks a checkpoint's segment write, manifest swap and segment
+    /// retirement cross (the rotation sweep adds the two WAL-retire hooks).
     pub const SEGMENT_HOOKS: [CrashPoint; 7] = [
         CrashPoint::BeforeSegmentWrite,
         CrashPoint::MidSegmentWrite,
@@ -696,36 +696,28 @@ impl Wal {
 /// [`DurabilityError::CorruptRecord`] when a bad record is followed by
 /// valid data (mid-log corruption).
 pub fn scan_records(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
-    if bytes.len() < WAL_HEADER_LEN as usize
-        || &bytes[..4] != WAL_MAGIC
-        || u16::from_le_bytes([bytes[4], bytes[5]]) != WAL_VERSION
-    {
-        return Err(DurabilityError::BadWalHeader);
-    }
-    let mut payloads = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    loop {
-        match frame_at(bytes, pos) {
-            FrameStatus::End => return Ok((payloads, pos as u64, TailStatus::Clean)),
-            FrameStatus::Valid { payload, next } => {
-                payloads.push(payload.to_vec());
-                pos = next;
-            }
-            FrameStatus::Bad { reason, skip_to } => {
-                // Tail damage or mid-log corruption? If any *valid* frame
-                // exists past the bad one, committed records would be lost
-                // by truncating here — that is corruption, not a torn tail.
-                if skip_to.is_some_and(|o| chain_has_valid_frame(bytes, o)) {
-                    return Err(DurabilityError::CorruptRecord {
-                        record: payloads.len() as u64,
-                        offset: pos as u64,
-                        reason,
-                    });
-                }
-                return Ok((payloads, pos as u64, TailStatus::TornDiscarded));
-            }
+    let scan = scan_frames(bytes);
+    let tail = match scan.verdict {
+        WalVerdict::BadHeader => return Err(DurabilityError::BadWalHeader),
+        // Truncating at the bad frame would lose the committed records
+        // after it — that is corruption, not a torn tail.
+        WalVerdict::MidLogCorruption => {
+            let bad = scan.bad.expect("mid-log corruption reports its bad frame");
+            return Err(DurabilityError::CorruptRecord {
+                record: bad.index,
+                offset: bad.offset,
+                reason: bad.reason,
+            });
         }
-    }
+        WalVerdict::Clean => TailStatus::Clean,
+        WalVerdict::TornTail => TailStatus::TornDiscarded,
+    };
+    let payloads = scan
+        .frames
+        .iter()
+        .map(|f| bytes[f.offset as usize + FRAME_HEADER_LEN..][..f.len as usize].to_vec())
+        .collect();
+    Ok((payloads, scan.valid_len, tail))
 }
 
 enum FrameStatus<'a> {
@@ -898,6 +890,8 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
                 pos = next;
             }
             FrameStatus::Bad { reason, skip_to } => {
+                // Tail damage or mid-log corruption? Any *valid* frame past
+                // the bad one means committed records lie beyond it.
                 let verdict = if skip_to.is_some_and(|o| chain_has_valid_frame(bytes, o)) {
                     WalVerdict::MidLogCorruption
                 } else {

@@ -516,7 +516,7 @@ impl<P: WireCodec> PrkbClient<P> {
         }
     }
 
-    /// Fetches the server's `prkb-metrics/v6` JSON snapshot.
+    /// Fetches the server's `prkb-metrics/v7` JSON snapshot.
     ///
     /// # Errors
     /// [`ClientError`] on transport, protocol, or server failure.

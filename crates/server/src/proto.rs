@@ -134,7 +134,7 @@ pub enum Request<P> {
         /// The tuple to forget.
         tuple: TupleId,
     },
-    /// Fetch the `prkb-metrics/v6` JSON snapshot.
+    /// Fetch the `prkb-metrics/v7` JSON snapshot.
     MetricsSnapshot,
     /// Graceful shutdown: drain in-flight queries, then stop.
     Shutdown,
@@ -166,7 +166,7 @@ pub enum Response {
         /// Global commit sequence number.
         seq: u64,
     },
-    /// The `prkb-metrics/v6` JSON document.
+    /// The `prkb-metrics/v7` JSON document.
     Metrics {
         /// The rendered snapshot.
         json: String,
@@ -680,7 +680,7 @@ mod tests {
         });
         roundtrip_resp(Response::Deleted { seq: 5 });
         roundtrip_resp(Response::Metrics {
-            json: "{\"schema\":\"prkb-metrics/v6\"}".into(),
+            json: "{\"schema\":\"prkb-metrics/v7\"}".into(),
         });
         roundtrip_resp(Response::Error {
             code: code::MALFORMED,

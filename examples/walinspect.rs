@@ -7,9 +7,10 @@
 //!
 //! When pointed at an engine directory that has checkpointed (DESIGN.md
 //! §17), the segment manifest and every `segment.<id>.seg`
-//! file are deep-verified too — torn framing, rotted partition blocks,
-//! manifest references to missing segments, and stray publish residue
-//! each get their scrub classification.
+//! file are deep-verified too — each with its format version (1 or 2);
+//! torn framing, rotted partition blocks, manifest references to missing
+//! segments, and stray segments (unlisted: superseded or never swapped
+//! in) each get their scrub classification.
 //!
 //! Run with: `cargo run --example walinspect -- <wal-file | directory>`
 //! (a directory is searched for `wal.<epoch>.log` files).

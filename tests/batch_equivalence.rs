@@ -106,7 +106,7 @@ proptest! {
         let mut engine_seq: PrkbEngine<EncryptedPredicate> =
             PrkbEngine::new(EngineConfig::default());
         let mut engine_par: PrkbEngine<EncryptedPredicate> =
-            PrkbEngine::new(EngineConfig { threads: Some(8), ..EngineConfig::default() });
+            PrkbEngine::new(EngineConfig::default());
         for a in 0..2u32 {
             engine_seq.init_attr(a, w.n);
             engine_par.init_attr(a, w.n);

@@ -56,10 +56,7 @@ fn engine_pair(
     PrkbEngine<EncryptedPredicate>,
 ) {
     let mut a: PrkbEngine<EncryptedPredicate> = PrkbEngine::new(EngineConfig::default());
-    let mut b: PrkbEngine<EncryptedPredicate> = PrkbEngine::new(EngineConfig {
-        threads: Some(4),
-        ..EngineConfig::default()
-    });
+    let mut b: PrkbEngine<EncryptedPredicate> = PrkbEngine::new(EngineConfig::default());
     for attr in 0..2u32 {
         a.init_attr(attr, w.n);
         b.init_attr(attr, w.n);
