@@ -16,11 +16,14 @@
 //! safe to gate in CI; the bytes-per-checkpoint column carries the
 //! O(delta) story against the whole-KB size printed beside it.
 
+use crate::harness::TmpDir;
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
-use prkb_core::{snapshot, DurableEngine, EngineConfig, PrkbEngine};
+use prkb_core::{
+    snapshot, EngineConfig, PrkbEngine, SessionScheduler, ShardMap, ShardedDurablePool,
+};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, AttrId, ComparisonOp, Predicate, SelectionOracle};
 use rand::rngs::StdRng;
@@ -67,26 +70,6 @@ pub struct CheckpointData {
     segments_live: usize,
     /// Bytes of every file in the directory when the flush phase ended.
     dir_bytes: u64,
-}
-
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-bench-checkpoint-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn dataset(n: usize) -> PlainOracle {
@@ -160,6 +143,16 @@ fn config() -> EngineConfig {
     }
 }
 
+/// A one-shard pool rooted at `dir`: the single-owner durable engine.
+fn open_pool(dir: &TmpDir) -> ShardedDurablePool<Predicate> {
+    ShardedDurablePool::open(&dir.0, config(), ShardMap::new(1)).expect("open")
+}
+
+/// The engine directory of that pool's only shard.
+fn shard_dir(dir: &TmpDir) -> PathBuf {
+    dir.0.join("shard.0")
+}
+
 /// Warm + flush phase; leaves the directory populated for the recovery
 /// measurement and returns the flush row plus the whole-KB size.
 fn run_flush(
@@ -168,15 +161,19 @@ fn run_flush(
     n: usize,
     rounds: usize,
 ) -> (CheckpointPoint, u64) {
-    let (mut durable, _) = DurableEngine::<Predicate>::open(&dir.0, config()).expect("open");
+    let mut pool = open_pool(dir);
     for a in 0..ATTRS {
-        durable.init_attr(a, n).expect("init");
+        pool.init_attr(a, n).expect("init");
     }
+    let durable = SessionScheduler::durable(pool);
+    let select = |pred: &Predicate, seed: u64| {
+        durable
+            .select(oracle, pred, None, &mut StdRng::seed_from_u64(seed))
+            .expect("select");
+    };
     for a in 0..ATTRS {
         for p in warm_preds(a) {
-            durable
-                .try_select(oracle, &p, &mut StdRng::seed_from_u64(u64::from(a)))
-                .expect("warm select");
+            select(&p, u64::from(a));
         }
     }
     durable.checkpoint().expect("baseline rotation");
@@ -186,26 +183,26 @@ fn run_flush(
     let start = Instant::now();
     for r in 0..rounds {
         for (_, pred) in touch_preds(r) {
-            durable
-                .try_select(oracle, &pred, &mut StdRng::seed_from_u64(r as u64))
-                .expect("touch select");
+            select(&pred, r as u64);
         }
         durable.checkpoint().expect("forced rotation");
-        volume += last_flush_bytes(&dir.0);
+        volume += last_flush_bytes(&shard_dir(dir));
     }
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
-    let engine = durable.engine();
-    let kb_bytes = engine
-        .attrs()
-        .map(|a| snapshot::save(engine.knowledge(a).expect("attr indexed")).len() as u64)
-        .sum();
+    let (kb_bytes, k) = durable.inspect(|engine| {
+        let kb_bytes = engine
+            .attrs()
+            .map(|a| snapshot::save(engine.knowledge(a).expect("attr indexed")).len() as u64)
+            .sum();
+        (kb_bytes, total_k(engine))
+    });
     let point = CheckpointPoint {
         id: "seg_flush".into(),
         ms,
         qpf: oracle.qpf_uses() - qpf_before,
         checkpoints: rounds as u64,
         volume,
-        k: total_k(engine),
+        k,
     };
     (point, kb_bytes)
 }
@@ -213,15 +210,16 @@ fn run_flush(
 /// Reopen cost over the directory `run_flush` left behind.
 fn run_recover(dir: &TmpDir) -> CheckpointPoint {
     let start = Instant::now();
-    let (durable, _) = DurableEngine::<Predicate>::open(&dir.0, config()).expect("reopen");
+    let pool = open_pool(dir);
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
+    let engine = pool.shard_engine(0);
     CheckpointPoint {
         id: "seg_recover".into(),
         ms,
         qpf: 0,
         checkpoints: 0,
-        volume: durable.engine().attrs().count() as u64,
-        k: total_k(durable.engine()),
+        volume: engine.attrs().count() as u64,
+        k: total_k(engine),
     }
 }
 
@@ -235,9 +233,10 @@ pub fn measure(scale: Scale) -> CheckpointData {
     let rounds = scale.queries(60);
     let oracle = dataset(n);
 
-    let dir = TmpDir::new("seg");
+    let dir = TmpDir::new("checkpoint");
     let (flush, kb_bytes) = run_flush(&dir, &oracle, n, rounds);
-    let (segments_live, dir_bytes) = (live_segments(&dir.0).len(), dir_bytes(&dir.0));
+    let shard = shard_dir(&dir);
+    let (segments_live, dir_bytes) = (live_segments(&shard).len(), dir_bytes(&shard));
     let recover = run_recover(&dir);
     assert_eq!(flush.k, recover.k, "reopen must recover the same KB");
     CheckpointData {

@@ -1,5 +1,5 @@
 //! **shard_commit** — durable commit throughput under write contention
-//! through the sharded pool with per-shard group commit (DESIGN.md §13).
+//! through the sharded pool with per-shard group commit (DESIGN.md §10).
 //! Not a paper figure — this gates the repo's own durability layer.
 //!
 //! Eight writer threads hammer eight attributes chosen to land on eight
@@ -14,16 +14,17 @@
 //! deterministic, so total QPF is seed-stable (safe to gate in CI); the
 //! wall-clock columns carry the throughput story.
 
+use crate::harness::TmpDir;
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::metrics::{self, Metric};
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_core::{
+    EngineConfig, PrkbEngine, SessionOracle, SessionScheduler, ShardMap, ShardedDurablePool,
+};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate, SelectionOracle};
-use prkb_server::scheduler::{SessionOracle, SessionScheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,26 +60,6 @@ pub struct ShardCommitData {
     pub n: usize,
     /// Committed operations per writer.
     pub ops_per_writer: usize,
-}
-
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-bench-shard-commit-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// First eight attribute ids that land on eight distinct shards, so the
@@ -139,7 +120,7 @@ fn run_sharded(
     ops: usize,
     shards: usize,
 ) -> ShardCommitPoint {
-    let dir = TmpDir::new(&format!("sharded-{shards}"));
+    let dir = TmpDir::new(&format!("shard-commit-{shards}"));
     let mut pool = ShardedDurablePool::<Predicate>::open(
         &dir.0,
         EngineConfig::default(),

@@ -10,7 +10,26 @@ use prkb_edbms::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// A scratch directory for a durable experiment, removed on drop.
+pub(crate) struct TmpDir(pub(crate) PathBuf);
+
+impl TmpDir {
+    pub(crate) fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("prkb-bench-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
+        TmpDir(dir)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// A fully provisioned encrypted pipeline: owner, encrypted table, TM, and
 /// the plaintext columns (owner-side knowledge used to build workloads).

@@ -5,16 +5,19 @@
 //! lose that accumulation to a process crash. One engine directory holds a
 //! checkpoint (immutable segment files behind an atomically swapped
 //! manifest, [`crate::lsm`]) and the epoch-tagged WAL that follows it, and
-//! one type writes both — [`ShardCommitter`]. [`ShardedDurablePool`] is a
-//! directory of such directories behind a pinned shard count;
-//! [`DurableEngine`] is the single-owner handle over one.
+//! one crate-private type writes both — `ShardCommitter`.
+//! [`ShardedDurablePool`] is a directory of such directories behind a
+//! pinned shard count: it opens and recovers them, and hands them to the
+//! one driver of the commit protocol,
+//! [`SessionScheduler::durable`](crate::scheduler::SessionScheduler::durable)
+//! (a single-owner durable engine is that scheduler over a one-shard pool).
 //!
 //! * every committed mutation is journaled as [`RefinementOp`]s and
 //!   enqueued as **one write-ahead-log transaction per committed
-//!   operation**; the covering result is released only after
-//!   [`ShardCommitter::wait_durable`] reports the record fsync'd, so an
-//!   acknowledged refinement is never lost. Commits that arrive while an
-//!   fsync is in flight share the next one (group commit);
+//!   operation**; the covering result is released only after the
+//!   committer reports the record fsync'd, so an acknowledged refinement
+//!   is never lost. Commits that arrive while an fsync is in flight share
+//!   the next one (group commit);
 //! * the WAL is **checkpoint-rotated** by policy
 //!   ([`EngineConfig::checkpoint_wal_records`] /
 //!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
@@ -46,14 +49,12 @@ use crate::lsm::reader::SegmentStore;
 use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
-use crate::selection::Selection;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::storage::{real_fs, StorageFs};
 use crate::traits::SpPredicate;
 use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
-use prkb_edbms::{AttrId, SelectionOracle, TupleId};
-use rand::Rng;
+use prkb_edbms::{AttrId, TupleId};
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -68,7 +69,7 @@ const CKPT_MAGIC: &[u8; 4] = b"PCKP";
 /// v1 checkpoint format version.
 const CKPT_VERSION: u16 = 1;
 
-/// Errors raised by the durable engine.
+/// Errors raised by a durable (or scheduled) operation.
 #[derive(Debug)]
 pub enum DurableError {
     /// The storage layer failed (I/O, injected crash, WAL framing).
@@ -92,7 +93,7 @@ pub enum DurableError {
     /// manifests swap atomically, so this is corruption, never crash residue.
     CorruptSegment(&'static str),
     /// A previous durability failure left the in-memory state possibly
-    /// ahead of the disk; this handle refuses further work. Reopen from
+    /// ahead of the disk; the shard refuses further work. Reopen from
     /// disk to resume from the durable state.
     Poisoned,
 }
@@ -328,7 +329,7 @@ fn decode_op<P: WireCodec>(bytes: &[u8], pos: &mut usize) -> Result<RefinementOp
 
 /// Encodes one WAL transaction payload: `count u32 | entries`, entry =
 /// `kind u8` (0 = Init `attr u32 | n u64`, 1 = Op `attr u32 | op`).
-pub fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
+pub(crate) fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * 16);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
@@ -662,22 +663,16 @@ fn flush_segments<P: SpPredicate + WireCodec>(
 // The durable engine: one directory's WAL, group commit and rotation
 // ---------------------------------------------------------------------------
 
-/// Ack handle for one record enqueued on a [`ShardCommitter`]: redeem it
-/// with [`ShardCommitter::wait_durable`] before acknowledging the commit
-/// to a client.
+/// Ack handle for one record enqueued on a [`ShardCommitter`] — its
+/// `(shard_epoch, shard_seq)` commit position: redeem it with
+/// [`ShardCommitter::wait_durable`] before acknowledging the commit to a
+/// client.
 #[derive(Debug, Clone, Copy)]
-pub struct GroupCommitTicket {
+pub(crate) struct GroupCommitTicket {
     /// Shard epoch the record was enqueued under.
     epoch: u64,
     /// Sequence number within that epoch (1-based).
     seq: u64,
-}
-
-impl GroupCommitTicket {
-    /// The `(shard_epoch, shard_seq)` commit position this ticket covers.
-    pub fn position(&self) -> (u64, u64) {
-        (self.epoch, self.seq)
-    }
 }
 
 /// Mutable committer state, guarded by [`ShardCommitter::state`].
@@ -715,10 +710,12 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 }
 
 /// The durable engine of one directory: its WAL behind a **group commit**
-/// pipeline, its checkpoint rotation, and its poison state. Callers
-/// enqueue encoded WAL transactions (atomically with the in-memory
-/// mutation, under the shard's engine lock) and then block on
-/// [`wait_durable`](Self::wait_durable) *after* releasing that lock. The first waiter to find the WAL idle
+/// pipeline, its checkpoint rotation, and its poison state. Its one
+/// caller, the session scheduler ([`crate::scheduler`]), enqueues encoded
+/// WAL transactions (atomically with the in-memory mutation, under the
+/// shard's engine lock) and then blocks on
+/// [`wait_durable`](Self::wait_durable) *after* releasing that lock. The
+/// first waiter to find the WAL idle
 /// elects itself **leader** immediately, takes the WAL and up to
 /// [`EngineConfig::group_commit_records`] pending payloads out of the
 /// lock, appends them all, and pays **one** fsync for the lot — then wakes
@@ -735,7 +732,7 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 /// starts a new epoch and resets the sequence, and every record of an older
 /// epoch is durable by construction (the checkpoint serialized its effect).
 #[derive(Debug)]
-pub struct ShardCommitter<P> {
+pub(crate) struct ShardCommitter<P> {
     state: Mutex<CommitterState>,
     cv: Condvar,
     crash: CrashInjector,
@@ -772,7 +769,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// [`DurableError::CorruptCheckpoint`] / [`DurableError::CorruptWal`]
     /// when the on-disk state is damaged beyond the torn-tail case (which
     /// is silently discarded).
-    pub fn open_with_storage(
+    fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
         crash: CrashInjector,
@@ -835,7 +832,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// call it while still holding the shard's engine lock so the WAL
     /// order matches the in-memory commit order, then redeem the ticket
     /// with [`wait_durable`](Self::wait_durable) after releasing it.
-    pub fn enqueue(&self, payload: Vec<u8>) -> GroupCommitTicket {
+    fn enqueue(&self, payload: Vec<u8>) -> GroupCommitTicket {
         let mut st = self.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -855,7 +852,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// [`enqueue`](Self::enqueue)s it. Every committed operation enqueues
     /// exactly one record — also when it refined nothing — so the WAL
     /// record count equals the committed-operation count.
-    pub fn enqueue_journal(&self, ops: Vec<(AttrId, RefinementOp<P>)>) -> GroupCommitTicket {
+    pub(crate) fn enqueue_journal(&self, ops: Vec<(AttrId, RefinementOp<P>)>) -> GroupCommitTicket {
         let entries: Vec<TxnEntry<P>> = ops
             .into_iter()
             .map(|(attr, op)| TxnEntry::Op { attr, op })
@@ -877,21 +874,20 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         self.enqueue(encode_txn::<P>(&[TxnEntry::Init { attr, n: n as u64 }]))
     }
 
-    /// Blocks until the ticket's record is fsync-durable and returns its
-    /// `(shard_epoch, shard_seq)` position. The calling thread may be
-    /// elected flush leader and do the I/O itself.
+    /// Blocks until the ticket's record is fsync-durable. The calling
+    /// thread may be elected flush leader and do the I/O itself.
     ///
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed; the
     /// in-memory shard may then be ahead of disk and the pool must be
     /// reopened to resume from the durable prefix.
-    pub fn wait_durable(&self, ticket: GroupCommitTicket) -> Result<(u64, u64), DurableError> {
+    pub(crate) fn wait_durable(&self, ticket: GroupCommitTicket) -> Result<(), DurableError> {
         let mut st = self.lock();
         loop {
             // A rotation past the ticket's epoch subsumes it: the
             // checkpoint serialized the record's in-memory effect.
             if st.epoch > ticket.epoch || st.durable_seq >= ticket.seq {
-                return Ok((ticket.epoch, ticket.seq));
+                return Ok(());
             }
             if st.poisoned {
                 return Err(poisoned_err(&st));
@@ -989,13 +985,13 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     ///
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed.
-    pub fn flush(&self) -> Result<(), DurableError> {
+    pub(crate) fn flush(&self) -> Result<(), DurableError> {
         self.drain(self.lock()).map(drop)
     }
 
     /// Whether the checkpoint policy asks for a rotation (counting both
     /// appended and still-pending records against the thresholds).
-    pub fn wants_checkpoint(&self, config: &EngineConfig) -> bool {
+    pub(crate) fn wants_checkpoint(&self, config: &EngineConfig) -> bool {
         let st = self.lock();
         let Some(wal) = st.wal.as_ref() else {
             return false;
@@ -1022,7 +1018,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// # Errors
     /// Storage failures poison the committer (disk keeps a consistent
     /// committed prefix; reopen to resume).
-    pub fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
+    pub(crate) fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
         let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
         let rotated = (|| -> Result<(Wal, Vec<u64>), DurableError> {
@@ -1064,261 +1060,14 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         retire.map_err(|e| self.poison(&mut st, e))
     }
 
-    /// The active checkpoint/WAL epoch.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Records appended to the active WAL (pending excluded).
-    pub fn wal_records(&self) -> u64 {
-        self.lock().wal.as_ref().map_or(0, Wal::records)
-    }
-
-    /// Whether an earlier flush or rotation failure poisoned this shard.
-    pub fn is_poisoned(&self) -> bool {
-        self.lock().poisoned
-    }
-
     /// The error a poisoned shard returns for new work, or `None` if the
     /// shard is healthy. Sync-class poison (a failed fsync) is reported as
     /// [`DurabilityError::SyncFailed`] with the original reason so callers
     /// — and the wire protocol — can distinguish "your disk lied about
     /// durability" from a crash-injection or codec poison.
-    pub fn poison_error(&self) -> Option<DurableError> {
+    pub(crate) fn poison_error(&self) -> Option<DurableError> {
         let st = self.lock();
         st.poisoned.then(|| poisoned_err(&st))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Single-owner handle
-// ---------------------------------------------------------------------------
-
-/// A [`PrkbEngine`] and the [`ShardCommitter`] of its directory behind one
-/// `&mut` owner: every committed mutation is durable before the covering
-/// result is returned, and [`open`](Self::open) recovers that state.
-///
-/// The query entry points mirror the engine's fallible API (`try_select*`
-/// / `try_insert` / `delete`) and add only the commit discipline a
-/// concurrent scheduler follows per shard: drain the journal into one WAL
-/// record, wait for it to be durable, rotate the checkpoint when the policy
-/// asks. A [`DurableError::Storage`] *after* the in-memory engine committed
-/// a refinement poisons the handle, because memory may now be ahead of
-/// disk. The on-disk state is still a consistent committed prefix — reopen
-/// to resume from it.
-#[derive(Debug)]
-pub struct DurableEngine<P> {
-    engine: PrkbEngine<P>,
-    committer: ShardCommitter<P>,
-}
-
-impl<P: SpPredicate + WireCodec> DurableEngine<P> {
-    /// Opens (or creates) a durable engine rooted at `dir`, recovering any
-    /// previous state. Crash injection is armed from the
-    /// `PRKB_CRASH_POINT` environment variable (unset ⇒ disabled).
-    ///
-    /// # Errors
-    /// As [`ShardCommitter::open_with_storage`].
-    pub fn open(dir: &Path, config: EngineConfig) -> Result<(Self, RecoveryReport), DurableError> {
-        Self::open_with_crash(dir, config, CrashInjector::from_env())
-    }
-
-    /// [`open`](Self::open) with an explicit crash-injection schedule
-    /// (tests sweep every [`CrashPoint`]).
-    pub fn open_with_crash(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-    ) -> Result<(Self, RecoveryReport), DurableError> {
-        Self::open_with_storage(dir, config, crash, real_fs())
-    }
-
-    /// [`open`](Self::open) on an arbitrary [`StorageFs`] — the hook the
-    /// storage-fault sweeps use to make every write/fsync/rename lie.
-    pub fn open_with_storage(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-        fs: Arc<dyn StorageFs>,
-    ) -> Result<(Self, RecoveryReport), DurableError> {
-        let (engine, committer, report) =
-            ShardCommitter::open_with_storage(dir, config, crash, fs)?;
-        Ok((DurableEngine { engine, committer }, report))
-    }
-
-    /// The wrapped engine (read-only introspection).
-    pub fn engine(&self) -> &PrkbEngine<P> {
-        &self.engine
-    }
-
-    /// The active checkpoint/WAL epoch.
-    pub fn epoch(&self) -> u64 {
-        self.committer.epoch()
-    }
-
-    /// Records in the active WAL (each = one committed operation).
-    pub fn wal_records(&self) -> u64 {
-        self.committer.wal_records()
-    }
-
-    /// Whether an earlier durability failure poisoned this handle.
-    pub fn is_poisoned(&self) -> bool {
-        self.committer.is_poisoned()
-    }
-
-    /// Integrity-scrubs this engine's directory (see [`crate::scrub`]).
-    /// With `quarantine`, hard-corrupt files are moved into `quarantine/`
-    /// — never do that on a directory another live handle is using.
-    pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
-        let c = &self.committer;
-        crate::scrub::scrub_engine_dir::<P>(c.fs.as_ref(), &c.dir, quarantine)
-    }
-
-    /// Forces a checkpoint rotation (see [`ShardCommitter::checkpoint`]).
-    ///
-    /// # Errors
-    /// Any storage failure poisons the handle.
-    pub fn checkpoint(&mut self) -> Result<(), DurableError> {
-        self.committer.checkpoint(&mut self.engine)
-    }
-
-    /// Refuses new work on a poisoned handle.
-    fn check_poison(&self) -> Result<(), DurableError> {
-        self.committer.poison_error().map_or(Ok(()), Err)
-    }
-
-    /// Makes the enqueued record durable, then rotates the checkpoint if
-    /// the policy says so.
-    fn settle(&mut self, ticket: GroupCommitTicket) -> Result<(), DurableError> {
-        self.committer.wait_durable(ticket)?;
-        if self.committer.wants_checkpoint(&self.engine.config) {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Runs one operation on the in-memory engine and commits what it
-    /// journaled. A failing `op` leaves memory and disk untouched (the
-    /// engine is abort-safe) and logs nothing.
-    fn commit<T>(
-        &mut self,
-        op: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
-    ) -> Result<T, DurableError> {
-        self.check_poison()?;
-        let out = op(&mut self.engine)?;
-        let ticket = self.committer.enqueue_journal(self.engine.take_ops());
-        self.settle(ticket)?;
-        Ok(out)
-    }
-
-    /// Durable `initPRKB`: initializes the attribute and logs the
-    /// initialization before returning.
-    ///
-    /// # Errors
-    /// Storage failures (which poison the handle).
-    pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
-        self.check_poison()?;
-        let ticket = self.committer.enqueue_init(&mut self.engine, attr, n);
-        self.settle(ticket)
-    }
-
-    /// Durable single-predicate selection: the refinement this query made
-    /// is on disk before the result is returned.
-    ///
-    /// # Errors
-    /// [`DurableError::Query`] leaves both memory and disk untouched
-    /// (abort-safe engine); [`DurableError::Storage`] poisons the handle.
-    pub fn try_select<O, R>(
-        &mut self,
-        oracle: &O,
-        pred: &P,
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.commit(|engine| engine.try_select(oracle, pred, rng))
-    }
-
-    /// Durable conjunction selection (see
-    /// [`PrkbEngine::try_select_conjunction`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_conjunction<O, R>(
-        &mut self,
-        oracle: &O,
-        preds: &[P],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.commit(|engine| engine.try_select_conjunction(oracle, preds, rng))
-    }
-
-    /// Durable PRKB(MD) range selection (see
-    /// [`PrkbEngine::try_select_range_md`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_range_md<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.commit(|engine| engine.try_select_range_md(oracle, dims, rng))
-    }
-
-    /// Durable PRKB(SD+) range selection (see
-    /// [`PrkbEngine::try_select_range_sdplus`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        self.commit(|engine| engine.try_select_range_sdplus(oracle, dims, rng))
-    }
-
-    /// Durable insert routing (see [`PrkbEngine::try_insert`]).
-    ///
-    /// # Errors
-    /// As [`try_select`](Self::try_select).
-    pub fn try_insert<O>(
-        &mut self,
-        oracle: &O,
-        t: TupleId,
-    ) -> Result<Vec<(AttrId, crate::insert::InsertOutcome)>, DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-    {
-        self.commit(|engine| engine.try_insert(oracle, t))
-    }
-
-    /// Durable delete (see [`PrkbEngine::delete`]).
-    ///
-    /// # Errors
-    /// Storage failures (which poison the handle).
-    pub fn delete(&mut self, t: TupleId) -> Result<(), DurableError> {
-        self.commit(|engine| {
-            engine.delete(t);
-            Ok(())
-        })
     }
 }
 
@@ -1391,7 +1140,7 @@ fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, Durabl
 }
 
 /// A directory of `shard.<i>/` engine directories, each with its own
-/// segment set, epoch-tagged WAL, and [`ShardCommitter`]. The shard count
+/// segment set, epoch-tagged WAL, and group-commit committer. The shard count
 /// is pinned by an atomically-written manifest at creation time: reopening
 /// under a different `PRKB_SHARDS` keeps the persisted partitioning, so
 /// every attribute keeps routing to the WAL that holds its history.
@@ -1411,7 +1160,7 @@ pub struct ShardedDurablePool<P> {
 /// Per-shard `(engine, committer)` pairs in shard-id order — what
 /// [`ShardedDurablePool::into_parts`] yields and the session scheduler
 /// consumes.
-pub type ShardParts<P> = Vec<(PrkbEngine<P>, ShardCommitter<P>)>;
+pub(crate) type ShardParts<P> = Vec<(PrkbEngine<P>, ShardCommitter<P>)>;
 
 impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// Opens (or creates) a sharded pool rooted at `dir`. On creation the
@@ -1420,8 +1169,10 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// `PRKB_CRASH_POINT` (unset ⇒ disabled).
     ///
     /// # Errors
-    /// As [`ShardCommitter::open_with_storage`], plus
-    /// [`DurableError::CorruptManifest`].
+    /// Storage errors, plus [`DurableError::CorruptManifest`] /
+    /// [`DurableError::CorruptSegment`] / [`DurableError::CorruptCheckpoint`]
+    /// / [`DurableError::CorruptWal`] when the on-disk state is damaged
+    /// beyond the torn-tail case (which is silently discarded).
     pub fn open(
         dir: &Path,
         config: EngineConfig,
@@ -1508,7 +1259,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         let sid = self.map.shard_of(attr);
         let (engine, committer) = &mut self.shards[sid];
         let ticket = committer.enqueue_init(engine, attr, n);
-        committer.wait_durable(ticket).map(|_| ())
+        committer.wait_durable(ticket)
     }
 
     /// Read-only view of one shard's engine (tests and introspection).
@@ -1519,7 +1270,198 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// Splits the pool into its shard map and per-shard
     /// `(engine, committer)` pairs, in shard-id order — the form the
     /// session scheduler consumes.
-    pub fn into_parts(self) -> (ShardMap, ShardParts<P>) {
+    pub(crate) fn into_parts(self) -> (ShardMap, ShardParts<P>) {
         (self.map, self.shards)
+    }
+}
+
+/// Committer behaviour no scheduler call can reach: the scheduler awaits
+/// every record it enqueues, so a record that is enqueued and *not* awaited
+/// — what a drain may find pending, what a crash at the flush boundary may
+/// lose — is driven here, against the committer itself.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lsm::manifest::read_segment_manifest;
+    use prkb_edbms::testing::PlainOracle;
+    use prkb_edbms::{ComparisonOp, Predicate};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    const ATTRS: u32 = 5;
+    const N: usize = 160;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("prkb-committer-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn oracle() -> PlainOracle {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        PlainOracle::from_columns(
+            (0..ATTRS)
+                .map(|_| (0..N).map(|_| rng.gen_range(0..1_000u64)).collect())
+                .collect(),
+        )
+    }
+
+    fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
+        let mut attrs: Vec<_> = engine.attrs().collect();
+        attrs.sort_unstable();
+        attrs
+            .iter()
+            .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
+            .collect()
+    }
+
+    /// Group-commit config under which nothing flushes on its own: the
+    /// driver below never redeems a ticket, and only waiters (or an
+    /// explicit `flush()`) ever lead a flush.
+    fn lazy_group() -> EngineConfig {
+        EngineConfig {
+            checkpoint_wal_records: 0,
+            checkpoint_wal_bytes: 0,
+            group_commit_records: 1_000,
+            ..EngineConfig::default()
+        }
+    }
+
+    fn open(dir: &Path, shards: usize, crash: CrashInjector) -> ShardedDurablePool<Predicate> {
+        ShardedDurablePool::open_with_crash(dir, lazy_group(), ShardMap::new(shards), crash)
+            .expect("pool opens")
+    }
+
+    /// Runs two un-awaited commits (pending, never acknowledged), then
+    /// drains. `crash_at_drain` arms the injector for the first *drain*
+    /// flush — the init flushes before it are counted off so the hook lands
+    /// exactly on the flush boundary the shutdown path crosses. Returns the
+    /// per-shard state after the (acknowledged) inits and whether the drain
+    /// failed.
+    fn drive_drain(dir: &Path, crash_at_drain: bool) -> (Vec<Vec<Vec<u8>>>, bool) {
+        // Nothing is ever awaited, so nothing flushes until `flush()` forces
+        // it: inits flush once per shard that owns attributes, and the first
+        // drain flush is the firing right after those.
+        let map = ShardMap::new(2);
+        let init_flushes = (0..ATTRS)
+            .map(|a| map.shard_of(a))
+            .collect::<HashSet<_>>()
+            .len() as u64;
+        let crash = if crash_at_drain {
+            CrashInjector::at_nth(CrashPoint::BeforeGroupFlush, init_flushes + 1)
+        } else {
+            CrashInjector::disabled()
+        };
+        let oracle = oracle();
+        let (map, mut parts) = open(dir, 2, crash).into_parts();
+        for a in 0..ATTRS {
+            let (engine, committer) = &mut parts[map.shard_of(a)];
+            committer.enqueue_init(engine, a, N);
+        }
+        for (_, committer) in &parts {
+            committer.flush().expect("init flushes are not armed");
+        }
+        let post_init = parts.iter().map(|(e, _)| kb_bytes(e)).collect();
+        // Two mutations on different shards, enqueued but never awaited:
+        // acknowledged to nobody, exactly what a drain may lose.
+        let mut rng = StdRng::seed_from_u64(9);
+        for attr in [0u32, 1] {
+            let (engine, committer) = &mut parts[map.shard_of(attr)];
+            engine
+                .try_select(
+                    &oracle,
+                    &Predicate::cmp(attr, ComparisonOp::Lt, 500),
+                    &mut rng,
+                )
+                .expect("select");
+            committer.enqueue_journal(engine.take_ops());
+        }
+        let drain_failed = parts.iter().any(|(_, c)| c.flush().is_err());
+        (post_init, drain_failed)
+    }
+
+    /// Reopens with injection disabled; every shard must validate.
+    fn recover(dir: &Path) -> Vec<Vec<Vec<u8>>> {
+        let pool = open(dir, 2, CrashInjector::disabled());
+        (0..pool.map().shards())
+            .map(|s| {
+                let engine = pool.shard_engine(s);
+                for attr in engine.attrs() {
+                    engine
+                        .knowledge(attr)
+                        .expect("attr indexed")
+                        .check_invariants();
+                }
+                kb_bytes(engine)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clean_drain_persists_every_pending_record() {
+        let dir = tmpdir("drain-clean");
+        let (post_init, failed) = drive_drain(&dir, false);
+        assert!(!failed, "unarmed drain must flush cleanly");
+        // Both pending selects must have survived the drain: the recovered
+        // shards hold more than the post-init state (knowledge was refined).
+        assert_ne!(
+            recover(&dir),
+            post_init,
+            "drained records must be visible after reopen"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
+        let dir = tmpdir("drain-crash");
+        let (post_init, failed) = drive_drain(&dir, true);
+        assert!(failed, "armed drain flush must report the failure");
+        // Nothing past the last acknowledged state (post-init) may appear,
+        // and nothing acknowledged may be missing: the recovered pool is
+        // exactly the acked prefix on every shard.
+        assert_eq!(
+            recover(&dir),
+            post_init,
+            "crash at the drain boundary must recover exactly the acked prefix"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commit positions are `(shard_epoch, shard_seq)`: dense within an
+    /// epoch, restarted by a rotation — whose epoch is the manifest's — and
+    /// a ticket from before the rotation is durable by construction.
+    #[test]
+    fn tickets_are_dense_per_epoch_and_a_rotation_starts_the_next() {
+        let dir = tmpdir("positions");
+        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (engine, committer) = &mut parts[0];
+        let first = committer.enqueue_init(engine, 0, N);
+        let second = committer.enqueue_init(engine, 1, N);
+        assert_eq!((first.epoch, first.seq), (0, 1));
+        assert_eq!((second.epoch, second.seq), (0, 2));
+        // One flush covers both; the earlier ticket needs no second one.
+        committer.wait_durable(second).expect("durable");
+        committer
+            .wait_durable(first)
+            .expect("covered by the same flush");
+        assert_eq!(committer.lock().wal.as_ref().map(Wal::records), Some(2));
+
+        committer.checkpoint(engine).expect("rotate");
+        let manifest = read_segment_manifest(real_fs().as_ref(), &dir.join("shard.0"))
+            .expect("manifest reads")
+            .expect("manifest exists after a rotation");
+        assert_eq!(committer.lock().epoch, 1);
+        assert_eq!(manifest.epoch, 1, "the committer's epoch is the manifest's");
+        committer
+            .wait_durable(first)
+            .expect("subsumed by the rotation");
+
+        let third = committer.enqueue_journal(Vec::new());
+        assert_eq!((third.epoch, third.seq), (1, 1));
+        committer.wait_durable(third).expect("durable");
+        assert_eq!(committer.lock().wal.as_ref().map(Wal::records), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -65,9 +65,10 @@ pub struct EngineConfig {
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
     /// rotation). This and the two fields below are read by the
-    /// durability layer
-    /// ([`ShardCommitter`](crate::durability::ShardCommitter) and whoever
-    /// drives it); a plain [`PrkbEngine`] never logs or checkpoints.
+    /// durability layer (a durable
+    /// [`SessionScheduler`](crate::scheduler::SessionScheduler) and the
+    /// shard committers it drives); a plain [`PrkbEngine`] never logs or
+    /// checkpoints.
     pub checkpoint_wal_records: u64,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// exceeds this many bytes (`0` disables size-based rotation).
@@ -522,7 +523,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// # Errors
     /// [`QueryError::AttrNotInitialized`] if any attribute is absent; no
     /// knowledge is moved in that case.
-    pub fn detach_attrs(&mut self, attrs: &[AttrId]) -> Result<PrkbEngine<P>, QueryError> {
+    pub(crate) fn detach_attrs(&mut self, attrs: &[AttrId]) -> Result<PrkbEngine<P>, QueryError> {
         let mut wanted: Vec<AttrId> = attrs.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
@@ -547,7 +548,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Moves every attribute of a detached sub-engine (see
     /// [`detach_attrs`](Self::detach_attrs)) back into this engine,
     /// replacing any same-named attribute wholesale.
-    pub fn attach(&mut self, sub: PrkbEngine<P>) {
+    pub(crate) fn attach(&mut self, sub: PrkbEngine<P>) {
         self.dirty.extend(sub.dirty.iter().copied());
         for (attr, kb) in sub.kbs {
             self.kbs.insert(attr, kb);
@@ -626,7 +627,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// (see [`Knowledge::set_recording`]). Attributes initialized later
     /// start with journaling off; durable wrappers re-enable it after each
     /// [`init_attr`](Self::init_attr).
-    pub fn set_recording(&mut self, on: bool) {
+    pub(crate) fn set_recording(&mut self, on: bool) {
         for kb in self.kbs.values_mut() {
             kb.set_recording(on);
         }
@@ -636,7 +637,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// attributes are independent — each applies to its own knowledge base —
     /// so sorting keeps the drained sequence deterministic while preserving
     /// each attribute's commit order).
-    pub fn take_ops(&mut self) -> Vec<(AttrId, crate::knowledge::RefinementOp<P>)> {
+    pub(crate) fn take_ops(&mut self) -> Vec<(AttrId, crate::knowledge::RefinementOp<P>)> {
         let mut attrs: Vec<AttrId> = self.kbs.keys().copied().collect();
         attrs.sort_unstable();
         let mut out = Vec::new();
@@ -671,7 +672,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
     /// Attributes whose knowledge may have diverged from the last segment
     /// flush, sorted. A checkpoint writes exactly these.
-    pub fn dirty_attrs(&self) -> Vec<AttrId> {
+    pub(crate) fn dirty_attrs(&self) -> Vec<AttrId> {
         self.dirty.iter().copied().collect()
     }
 

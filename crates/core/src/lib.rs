@@ -19,6 +19,8 @@
 //! * [`md`] / [`sdplus`] — multi-dimensional range queries (§6);
 //! * [`insert`] / [`knowledge`] — database updates (§7);
 //! * [`engine`] — the per-table façade tying it all together;
+//! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
+//!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/
 //!   Top-m and 2-D skyline candidate pruning from the same POP knowledge.
 //!
@@ -67,6 +69,7 @@ pub mod metrics;
 pub mod pop;
 pub mod qfilter;
 pub mod qscan;
+pub mod scheduler;
 pub mod scrub;
 pub mod sd;
 pub mod sdplus;
@@ -78,10 +81,7 @@ pub mod storage;
 pub mod traits;
 mod update;
 
-pub use durability::{
-    DurableEngine, DurableError, GroupCommitTicket, RecoveryReport, ShardCommitter,
-    ShardedDurablePool,
-};
+pub use durability::{DurableError, RecoveryReport, ShardedDurablePool};
 pub use engine::{EngineConfig, PrkbEngine, QueryError};
 pub use extremes::{extreme_candidates, top_m_candidates};
 pub use insert::{InsertDecision, InsertOutcome};
@@ -90,6 +90,7 @@ pub use lsm::{SegmentManifest, SegmentStore};
 pub use md::{MdDim, MdUpdatePolicy};
 pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot, QueryKind};
 pub use pop::{PartId, Pop};
+pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use scrub::{ScrubDamage, ScrubFinding, ScrubReport};
 pub use selection::{QueryStats, Selection};
 pub use shard::ShardMap;

@@ -41,282 +41,168 @@ use crate::selection::QueryStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Number of counter metrics (length of [`Metric::ALL`]).
-const COUNTER_COUNT: usize = 45;
+/// Declares a schema enum from one table of `/// doc  Variant => "name"`
+/// rows: the enum itself (a variant's discriminant is its row number, so
+/// it indexes the registry's arrays directly), `ALL` in table order, and
+/// the stable snake_case `name()` the JSON schema uses. A metric is stated
+/// here once; nothing else lists them.
+macro_rules! schema_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident { $($(#[$doc:meta])* $variant:ident => $name:literal,)+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty { $($(#[$doc])* $variant,)+ }
 
-/// Every counter the registry tracks. Names (via [`Metric::name`]) are part
-/// of the `prkb-metrics/v7` JSON schema: never rename, only append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Single-comparison selections processed by the engine.
-    QueriesComparison,
-    /// BETWEEN selections processed by the engine.
-    QueriesBetween,
-    /// Multi-dimensional (MD grid) range selections.
-    QueriesMd,
-    /// SD+ (per-dimension intersection) range selections.
-    QueriesSdplus,
-    /// Conjunction selections (mixed predicate lists).
-    QueriesConjunction,
-    /// Total QPF uses spent by engine queries (sum of per-query deltas).
-    QueryQpfUses,
-    /// QPF uses spent locating NS-pairs (QFilter probes + BETWEEN hunts).
-    FilterProbes,
-    /// Tuples inside NS-pair partitions handed to QScan (the paper's
-    /// "not-sure" width — the irreducible per-query work).
-    NsWidth,
-    /// `try_eval_batch` calls issued by the core pipelines.
-    OracleBatches,
-    /// Partitions resolved by label to *true* without scanning.
-    PartitionsPrunedTrue,
-    /// Partitions resolved by label to *false* without scanning.
-    PartitionsPrunedFalse,
-    /// Overflow (parked) tuples scanned per query.
-    OverflowScanned,
-    /// Partition splits applied by `updatePRKB`.
-    Splits,
-    /// Tuples inserted through the engine.
-    Inserts,
-    /// Inserts that could not be pinned to a partition and were parked.
-    InsertsParked,
-    /// QPF uses spent deciding insert positions.
-    InsertQpfUses,
-    /// Transactions appended to the durability WAL.
-    WalTxns,
-    /// Bytes appended to the durability WAL.
-    WalBytes,
-    /// Checkpoints written by the durable engine.
-    Checkpoints,
-    /// Oracle calls retried by a `RetryOracle`-style wrapper.
-    OracleRetries,
-    /// Circuit-breaker trips observed at the oracle boundary.
-    CircuitTrips,
-    /// Calls rejected fast by an open circuit.
-    FastFails,
-    /// Faults injected by a `FaultInjector` (test/chaos runs).
-    FaultsInjected,
-    /// Warm-up runs that hit their query cap below the target k.
-    WarmupUnderTarget,
-    /// Requests served by `prkb-server` (every decoded wire request).
-    ServerRequests,
-    /// Bytes moved across the server's wire protocol (frames in + out,
-    /// headers included).
-    ServerBytes,
-    /// Malformed wire frames rejected by the server (bad CRC, oversized,
-    /// truncated, or undecodable payloads).
-    FrameErrors,
-    /// Group-commit batches flushed by shard committers (one fsync each
-    /// unless retried).
-    GroupCommitBatches,
-    /// Refinement records made durable through group-commit batches.
-    GroupCommitRecords,
-    /// fsyncs issued by group-commit flushes (`records / fsyncs` is the
-    /// amortization factor the sharded pool exists for).
-    GroupCommitFsyncs,
-    /// Connections shed with `BUSY` by the server's admission gate instead
-    /// of queueing beyond its bound.
-    BusyRejections,
-    /// Requests that exceeded their `deadline_ms` budget and were answered
-    /// with `DEADLINE` (checked at scheduler checkout and between oracle
-    /// batches).
-    DeadlineTimeouts,
-    /// Wire-level attempts retried by a `PrkbClient` retry policy
-    /// (reconnects after transport faults, `BUSY`, or frame damage).
-    NetRetries,
-    /// Requests answered by replaying a committed response from the
-    /// server's idempotency window instead of re-executing.
-    DedupHits,
-    /// Network faults injected by the chaos harness (test/chaos runs).
-    NetFaultsInjected,
-    /// Storage I/O faults injected by `FaultFs` (test/fault-sweep runs).
-    IoFaultsInjected,
-    /// Failed `sync_data`/`sync_all` barriers surfaced as
-    /// `DurabilityError::SyncFailed` (never acknowledged as durable).
-    SyncFailures,
-    /// WAL / shard-committer handles permanently poisoned by an I/O or
-    /// injected-crash failure (each transition counted once).
-    WalPoisoned,
-    /// Integrity-scrub passes started (`scrub()` or `examples/scrub`).
-    ScrubRuns,
-    /// Hard damage found by scrub passes: mid-log corruption, checkpoint
-    /// rot, manifest mismatch, or unreadable files (torn tails are normal
-    /// crash residue and not counted).
-    ScrubCorruptions,
-    /// Files moved into a `quarantine/` subdirectory by scrub passes.
-    QuarantinedFiles,
-    /// Times the server reactor's `epoll_wait` returned with events (each
-    /// return may carry many connections' readiness — the whole point of
-    /// retiring per-connection poll ticks).
-    EpollWakeups,
-    /// Live segment files across open durable engines — a gauge kept
-    /// current via [`MetricsRegistry::set`] after every rotation.
-    SegmentsLive,
-    /// Bytes written into published segment files by O(delta) flushes.
-    SegmentFlushBytes,
-    /// Milliseconds spent in recovery (`recover_dir`), cumulative.
-    RecoveryMs,
-}
+        impl $ty {
+            /// Every variant, in schema order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$variant),+];
 
-impl Metric {
-    /// All counters, in schema order.
-    pub const ALL: [Metric; COUNTER_COUNT] = [
-        Metric::QueriesComparison,
-        Metric::QueriesBetween,
-        Metric::QueriesMd,
-        Metric::QueriesSdplus,
-        Metric::QueriesConjunction,
-        Metric::QueryQpfUses,
-        Metric::FilterProbes,
-        Metric::NsWidth,
-        Metric::OracleBatches,
-        Metric::PartitionsPrunedTrue,
-        Metric::PartitionsPrunedFalse,
-        Metric::OverflowScanned,
-        Metric::Splits,
-        Metric::Inserts,
-        Metric::InsertsParked,
-        Metric::InsertQpfUses,
-        Metric::WalTxns,
-        Metric::WalBytes,
-        Metric::Checkpoints,
-        Metric::OracleRetries,
-        Metric::CircuitTrips,
-        Metric::FastFails,
-        Metric::FaultsInjected,
-        Metric::WarmupUnderTarget,
-        Metric::ServerRequests,
-        Metric::ServerBytes,
-        Metric::FrameErrors,
-        Metric::GroupCommitBatches,
-        Metric::GroupCommitRecords,
-        Metric::GroupCommitFsyncs,
-        Metric::BusyRejections,
-        Metric::DeadlineTimeouts,
-        Metric::NetRetries,
-        Metric::DedupHits,
-        Metric::NetFaultsInjected,
-        Metric::IoFaultsInjected,
-        Metric::SyncFailures,
-        Metric::WalPoisoned,
-        Metric::ScrubRuns,
-        Metric::ScrubCorruptions,
-        Metric::QuarantinedFiles,
-        Metric::EpollWakeups,
-        Metric::SegmentsLive,
-        Metric::SegmentFlushBytes,
-        Metric::RecoveryMs,
-    ];
+            /// Stable snake_case name used in the JSON schema.
+            pub fn name(self) -> &'static str {
+                match self { $($ty::$variant => $name,)+ }
+            }
 
-    /// Stable snake_case name used in the JSON schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::QueriesComparison => "queries_comparison",
-            Metric::QueriesBetween => "queries_between",
-            Metric::QueriesMd => "queries_md",
-            Metric::QueriesSdplus => "queries_sdplus",
-            Metric::QueriesConjunction => "queries_conjunction",
-            Metric::QueryQpfUses => "query_qpf_uses",
-            Metric::FilterProbes => "filter_probes",
-            Metric::NsWidth => "ns_width",
-            Metric::OracleBatches => "oracle_batches",
-            Metric::PartitionsPrunedTrue => "partitions_pruned_true",
-            Metric::PartitionsPrunedFalse => "partitions_pruned_false",
-            Metric::OverflowScanned => "overflow_scanned",
-            Metric::Splits => "splits",
-            Metric::Inserts => "inserts",
-            Metric::InsertsParked => "inserts_parked",
-            Metric::InsertQpfUses => "insert_qpf_uses",
-            Metric::WalTxns => "wal_txns",
-            Metric::WalBytes => "wal_bytes",
-            Metric::Checkpoints => "checkpoints",
-            Metric::OracleRetries => "oracle_retries",
-            Metric::CircuitTrips => "circuit_trips",
-            Metric::FastFails => "fast_fails",
-            Metric::FaultsInjected => "faults_injected",
-            Metric::WarmupUnderTarget => "warmup_under_target",
-            Metric::ServerRequests => "server_requests",
-            Metric::ServerBytes => "server_bytes",
-            Metric::FrameErrors => "frame_errors",
-            Metric::GroupCommitBatches => "group_commit_batches",
-            Metric::GroupCommitRecords => "group_commit_records",
-            Metric::GroupCommitFsyncs => "group_commit_fsyncs",
-            Metric::BusyRejections => "busy_rejections",
-            Metric::DeadlineTimeouts => "deadline_timeouts",
-            Metric::NetRetries => "net_retries",
-            Metric::DedupHits => "dedup_hits",
-            Metric::NetFaultsInjected => "net_faults_injected",
-            Metric::IoFaultsInjected => "io_faults_injected",
-            Metric::SyncFailures => "sync_failures",
-            Metric::WalPoisoned => "wal_poisoned",
-            Metric::ScrubRuns => "scrub_runs",
-            Metric::ScrubCorruptions => "scrub_corruptions",
-            Metric::QuarantinedFiles => "quarantined_files",
-            Metric::EpollWakeups => "epoll_wakeups",
-            Metric::SegmentsLive => "segments_live",
-            Metric::SegmentFlushBytes => "segment_flush_bytes",
-            Metric::RecoveryMs => "recovery_ms",
+            fn index(self) -> usize {
+                self as usize
+            }
         }
-    }
+    };
+}
 
-    fn index(self) -> usize {
-        Metric::ALL
-            .iter()
-            .position(|&m| m == self)
-            .expect("metric listed in ALL")
+schema_enum! {
+    /// Every counter the registry tracks. Names (via [`Metric::name`]) are
+    /// part of the `prkb-metrics/v7` JSON schema: never rename, only append.
+    pub enum Metric {
+        /// Single-comparison selections processed by the engine.
+        QueriesComparison => "queries_comparison",
+        /// BETWEEN selections processed by the engine.
+        QueriesBetween => "queries_between",
+        /// Multi-dimensional (MD grid) range selections.
+        QueriesMd => "queries_md",
+        /// SD+ (per-dimension intersection) range selections.
+        QueriesSdplus => "queries_sdplus",
+        /// Conjunction selections (mixed predicate lists).
+        QueriesConjunction => "queries_conjunction",
+        /// Total QPF uses spent by engine queries (sum of per-query deltas).
+        QueryQpfUses => "query_qpf_uses",
+        /// QPF uses spent locating NS-pairs (QFilter probes + BETWEEN hunts).
+        FilterProbes => "filter_probes",
+        /// Tuples inside NS-pair partitions handed to QScan (the paper's
+        /// "not-sure" width — the irreducible per-query work).
+        NsWidth => "ns_width",
+        /// `try_eval_batch` calls issued by the core pipelines.
+        OracleBatches => "oracle_batches",
+        /// Partitions resolved by label to *true* without scanning.
+        PartitionsPrunedTrue => "partitions_pruned_true",
+        /// Partitions resolved by label to *false* without scanning.
+        PartitionsPrunedFalse => "partitions_pruned_false",
+        /// Overflow (parked) tuples scanned per query.
+        OverflowScanned => "overflow_scanned",
+        /// Partition splits applied by `updatePRKB`.
+        Splits => "splits",
+        /// Tuples inserted through the engine.
+        Inserts => "inserts",
+        /// Inserts that could not be pinned to a partition and were parked.
+        InsertsParked => "inserts_parked",
+        /// QPF uses spent deciding insert positions.
+        InsertQpfUses => "insert_qpf_uses",
+        /// Transactions appended to the durability WAL.
+        WalTxns => "wal_txns",
+        /// Bytes appended to the durability WAL.
+        WalBytes => "wal_bytes",
+        /// Checkpoints written by the durable engine.
+        Checkpoints => "checkpoints",
+        /// Oracle calls retried by a `RetryOracle`-style wrapper.
+        OracleRetries => "oracle_retries",
+        /// Circuit-breaker trips observed at the oracle boundary.
+        CircuitTrips => "circuit_trips",
+        /// Calls rejected fast by an open circuit.
+        FastFails => "fast_fails",
+        /// Faults injected by a `FaultInjector` (test/chaos runs).
+        FaultsInjected => "faults_injected",
+        /// Warm-up runs that hit their query cap below the target k.
+        WarmupUnderTarget => "warmup_under_target",
+        /// Requests served by `prkb-server` (every decoded wire request).
+        ServerRequests => "server_requests",
+        /// Bytes moved across the server's wire protocol (frames in + out,
+        /// headers included).
+        ServerBytes => "server_bytes",
+        /// Malformed wire frames rejected by the server (bad CRC, oversized,
+        /// truncated, or undecodable payloads).
+        FrameErrors => "frame_errors",
+        /// Group-commit batches flushed by shard committers (one fsync each
+        /// unless retried).
+        GroupCommitBatches => "group_commit_batches",
+        /// Refinement records made durable through group-commit batches.
+        GroupCommitRecords => "group_commit_records",
+        /// fsyncs issued by group-commit flushes (`records / fsyncs` is the
+        /// amortization factor the sharded pool exists for).
+        GroupCommitFsyncs => "group_commit_fsyncs",
+        /// Connections shed with `BUSY` by the server's admission gate instead
+        /// of queueing beyond its bound.
+        BusyRejections => "busy_rejections",
+        /// Requests that exceeded their `deadline_ms` budget and were answered
+        /// with `DEADLINE` (checked at scheduler checkout and between oracle
+        /// batches).
+        DeadlineTimeouts => "deadline_timeouts",
+        /// Wire-level attempts retried by a `PrkbClient` retry policy
+        /// (reconnects after transport faults, `BUSY`, or frame damage).
+        NetRetries => "net_retries",
+        /// Requests answered by replaying a committed response from the
+        /// server's idempotency window instead of re-executing.
+        DedupHits => "dedup_hits",
+        /// Network faults injected by the chaos harness (test/chaos runs).
+        NetFaultsInjected => "net_faults_injected",
+        /// Storage I/O faults injected by `FaultFs` (test/fault-sweep runs).
+        IoFaultsInjected => "io_faults_injected",
+        /// Failed `sync_data`/`sync_all` barriers surfaced as
+        /// `DurabilityError::SyncFailed` (never acknowledged as durable).
+        SyncFailures => "sync_failures",
+        /// WAL / shard-committer handles permanently poisoned by an I/O or
+        /// injected-crash failure (each transition counted once).
+        WalPoisoned => "wal_poisoned",
+        /// Integrity-scrub passes started (`scrub()` or `examples/scrub`).
+        ScrubRuns => "scrub_runs",
+        /// Hard damage found by scrub passes: mid-log corruption, checkpoint
+        /// rot, manifest mismatch, or unreadable files (torn tails are normal
+        /// crash residue and not counted).
+        ScrubCorruptions => "scrub_corruptions",
+        /// Files moved into a `quarantine/` subdirectory by scrub passes.
+        QuarantinedFiles => "quarantined_files",
+        /// Times the server reactor's `epoll_wait` returned with events (each
+        /// return may carry many connections' readiness — the whole point of
+        /// retiring per-connection poll ticks).
+        EpollWakeups => "epoll_wakeups",
+        /// Live segment files across open durable engines — a gauge kept
+        /// current via [`MetricsRegistry::set`] after every rotation.
+        SegmentsLive => "segments_live",
+        /// Bytes written into published segment files by O(delta) flushes.
+        SegmentFlushBytes => "segment_flush_bytes",
+        /// Milliseconds spent in recovery (`recover_dir`), cumulative.
+        RecoveryMs => "recovery_ms",
     }
 }
 
-/// The log-scale histograms the registry tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistogramId {
-    /// QPF uses per engine query.
-    QpfPerQuery,
-    /// NS-pair tuple count per engine query.
-    NsWidthPerQuery,
-    /// Bytes per WAL transaction.
-    WalTxnBytes,
-    /// Microseconds a session spent waiting to check out its shard locks
-    /// (summed over the shards of one checkout).
-    ShardLockWaitUs,
-    /// Pipelined requests already queued on a connection when one more
-    /// frame arrived (0 = strictly request/response clients).
-    PipelinedDepth,
-    /// Microseconds a decoded request waited in the reactor's bounded work
-    /// queue before a worker picked it up.
-    ReactorQueueWaitUs,
-}
-
-/// Number of histograms (length of [`HistogramId::ALL`]).
-const HISTOGRAM_COUNT: usize = 6;
-
-impl HistogramId {
-    /// All histograms, in schema order.
-    pub const ALL: [HistogramId; HISTOGRAM_COUNT] = [
-        HistogramId::QpfPerQuery,
-        HistogramId::NsWidthPerQuery,
-        HistogramId::WalTxnBytes,
-        HistogramId::ShardLockWaitUs,
-        HistogramId::PipelinedDepth,
-        HistogramId::ReactorQueueWaitUs,
-    ];
-
-    /// Stable snake_case name used in the JSON schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistogramId::QpfPerQuery => "qpf_per_query",
-            HistogramId::NsWidthPerQuery => "ns_width_per_query",
-            HistogramId::WalTxnBytes => "wal_txn_bytes",
-            HistogramId::ShardLockWaitUs => "shard_lock_wait_us",
-            HistogramId::PipelinedDepth => "pipelined_depth",
-            HistogramId::ReactorQueueWaitUs => "reactor_queue_wait_us",
-        }
-    }
-
-    fn index(self) -> usize {
-        HistogramId::ALL
-            .iter()
-            .position(|&h| h == self)
-            .expect("histogram listed in ALL")
+schema_enum! {
+    /// The log-scale histograms the registry tracks.
+    pub enum HistogramId {
+        /// QPF uses per engine query.
+        QpfPerQuery => "qpf_per_query",
+        /// NS-pair tuple count per engine query.
+        NsWidthPerQuery => "ns_width_per_query",
+        /// Bytes per WAL transaction.
+        WalTxnBytes => "wal_txn_bytes",
+        /// Microseconds a session spent waiting to check out its shard locks
+        /// (summed over the shards of one checkout).
+        ShardLockWaitUs => "shard_lock_wait_us",
+        /// Pipelined requests already queued on a connection when one more
+        /// frame arrived (0 = strictly request/response clients).
+        PipelinedDepth => "pipelined_depth",
+        /// Microseconds a decoded request waited in the reactor's bounded work
+        /// queue before a worker picked it up.
+        ReactorQueueWaitUs => "reactor_queue_wait_us",
     }
 }
 
@@ -404,8 +290,8 @@ impl QueryKind {
 /// for isolated tests.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: [AtomicU64; COUNTER_COUNT],
-    histograms: [Histogram; HISTOGRAM_COUNT],
+    counters: [AtomicU64; Metric::ALL.len()],
+    histograms: [Histogram; HistogramId::ALL.len()],
     /// Engine-pool shard count gauge (0 = no pool registered yet).
     shards: AtomicU64,
 }
@@ -710,6 +596,41 @@ mod tests {
         assert!(json.contains("\"net_faults_injected\":0"));
         assert!(json.contains("\"wal_txn_bytes\":[0,0,0,0,0,0,0,1]"));
         assert!(json.ends_with("}}"));
+    }
+
+    /// The whole `prkb-metrics/v7` document, as the commit before the
+    /// declarative table rendered it: every name, in schema order, once.
+    #[test]
+    fn v7_document_is_pinned_byte_for_byte() {
+        let reg = MetricsRegistry::new();
+        for (i, &m) in Metric::ALL.iter().enumerate() {
+            assert_eq!(m.index(), i, "a variant's discriminant is its row");
+            reg.add(m, i as u64 + 1);
+        }
+        for (i, &h) in HistogramId::ALL.iter().enumerate() {
+            assert_eq!(h.index(), i, "a variant's discriminant is its row");
+            reg.observe(h, 1 << i);
+        }
+        reg.set_shards(2);
+        let expected = concat!(
+            r#"{"schema":"prkb-metrics/v7","shards":2,"counters":{"queries_comparison":1"#,
+            r#","queries_between":2,"queries_md":3,"queries_sdplus":4,"queries_conjunction":5"#,
+            r#","query_qpf_uses":6,"filter_probes":7,"ns_width":8,"oracle_batches":9"#,
+            r#","partitions_pruned_true":10,"partitions_pruned_false":11,"overflow_scanned":12"#,
+            r#","splits":13,"inserts":14,"inserts_parked":15,"insert_qpf_uses":16,"wal_txns":17"#,
+            r#","wal_bytes":18,"checkpoints":19,"oracle_retries":20,"circuit_trips":21"#,
+            r#","fast_fails":22,"faults_injected":23,"warmup_under_target":24,"server_requests":25"#,
+            r#","server_bytes":26,"frame_errors":27,"group_commit_batches":28"#,
+            r#","group_commit_records":29,"group_commit_fsyncs":30,"busy_rejections":31"#,
+            r#","deadline_timeouts":32,"net_retries":33,"dedup_hits":34,"net_faults_injected":35"#,
+            r#","io_faults_injected":36,"sync_failures":37,"wal_poisoned":38,"scrub_runs":39"#,
+            r#","scrub_corruptions":40,"quarantined_files":41,"epoll_wakeups":42,"segments_live":43"#,
+            r#","segment_flush_bytes":44,"recovery_ms":45},"histograms":{"qpf_per_query":[0,1]"#,
+            r#","ns_width_per_query":[0,0,1],"wal_txn_bytes":[0,0,0,1]"#,
+            r#","shard_lock_wait_us":[0,0,0,0,1],"pipelined_depth":[0,0,0,0,0,1]"#,
+            r#","reactor_queue_wait_us":[0,0,0,0,0,0,1]}}"#,
+        );
+        assert_eq!(reg.snapshot().to_json(), expected);
     }
 
     #[test]

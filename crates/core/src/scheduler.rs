@@ -1,5 +1,5 @@
-//! Session scheduler: multiplexes concurrent connections onto a sharded
-//! pool of PRKB engines.
+//! Session scheduler: the one driver of the durable commit protocol, and
+//! the multiplexer of concurrent sessions onto a sharded pool of engines.
 //!
 //! The engine's refinement commits must be serialized *per attribute* — two
 //! queries refining the same attribute's knowledge concurrently would race —
@@ -8,16 +8,16 @@
 //! scheduler exploits that split twice over:
 //!
 //! * **Sharding.** Attributes are hash-partitioned across `PRKB_SHARDS`
-//!   shards ([`prkb_core::ShardMap`]), each with its own lock, busy set,
-//!   and (in durable deployments) its own WAL-backed
-//!   [`ShardCommitter`] — so unrelated queries never touch the same mutex
-//!   and durable commits fsync in parallel.
+//!   shards ([`ShardMap`]), each with its own lock, busy set, and (in
+//!   durable deployments) its own WAL-backed committer — so unrelated
+//!   queries never touch the same mutex and durable commits fsync in
+//!   parallel.
 //! * **Checkout/checkin.** Every operation names an attribute footprint.
 //!   Per shard, the footprint's knowledge is *detached* into a private
-//!   sub-engine ([`prkb_core::PrkbEngine::detach_attrs`]) under the shard
-//!   lock, the lock is dropped, and evaluation (all oracle traffic, all QPF
-//!   spending) runs against the detached knowledge, concurrently with any
-//!   operation whose footprint is disjoint.
+//!   sub-engine under the shard lock, the lock is dropped, and evaluation
+//!   (all oracle traffic, all QPF spending) runs against the detached
+//!   knowledge, concurrently with any operation whose footprint is
+//!   disjoint.
 //!
 //! There is one checkout discipline. A selection's footprint is its
 //! predicate's attribute, an MD range's is one attribute per dimension, and
@@ -30,12 +30,21 @@
 //! impossible by construction — the classic hierarchical resource-ordering
 //! argument.
 //!
+//! There is also one **commit sequence**, and nothing outside this crate
+//! can run its steps: a successful operation's journaled ops are drained
+//! per shard and enqueued on that shard's WAL *under the shard lock* (so
+//! WAL order is commit order), the fsync is awaited *after* the lock is
+//! released (so commits landing meanwhile share the next one), and a shard
+//! that crossed its checkpoint threshold rotates while momentarily
+//! quiescent. A single-owner durable engine is this scheduler over a
+//! one-shard pool.
+//!
 //! Waiting is **precise**: each busy attribute keeps its own condvar plus a
 //! waiter count, and a checkin notifies only the condvars of the attributes
 //! it actually freed — a checkin of attribute `a` never wakes a session
 //! parked on attribute `b`.
 //!
-//! The wire-visible **commit sequence number** is drawn from one global
+//! The caller-visible **commit sequence number** is drawn from one global
 //! atomic while holding the *first* (lowest-id) shard lock of the
 //! footprint, before any of the footprint's attributes are freed. Two
 //! operations that share an attribute therefore draw in their serialization
@@ -47,8 +56,7 @@
 //! pool, journals one WAL record on each shard of its footprint. A failed,
 //! expired or panicking one checks its knowledge back in untouched and
 //! leaves no trace. Internally a durable shard's commits are positioned by
-//! `(shard_epoch, shard_seq)` ([`prkb_core::GroupCommitTicket::position`]);
-//! the global number exists only for the wire.
+//! `(shard_epoch, shard_seq)`; the global number exists only for callers.
 //!
 //! Because per-query cost accounting in the core pipelines is delta-based
 //! over [`SelectionOracle::qpf_uses`], a *shared* oracle counter would bleed
@@ -56,86 +64,30 @@
 //! wraps the shared oracle with a per-query counter so stats stay exact
 //! under concurrency.
 
-use prkb_core::metrics::{self, HistogramId};
-use prkb_core::snapshot::WireCodec;
-use prkb_core::{
-    DurableError, EngineConfig, GroupCommitTicket, InsertOutcome, PrkbEngine, QueryError,
-    Selection, ShardCommitter, ShardMap, ShardedDurablePool, SpPredicate,
-};
+use crate::durability::{DurableError, GroupCommitTicket, ShardCommitter, ShardedDurablePool};
+use crate::engine::{EngineConfig, PrkbEngine, QueryError};
+use crate::insert::InsertOutcome;
+use crate::metrics::{self, HistogramId};
+use crate::selection::Selection;
+use crate::shard::ShardMap;
+use crate::snapshot::WireCodec;
+use crate::traits::SpPredicate;
 use prkb_edbms::trapdoor::PredicateKind;
-use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
+use prkb_edbms::{AttrId, OracleError, SelectionOracle, TupleId};
 use rand::Rng;
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Failures a scheduled request can produce.
-#[derive(Debug)]
-pub enum ServeError {
-    /// The query failed in the engine (oracle fault, unknown attribute).
-    Query(QueryError),
-    /// The durable backing store failed; nothing was committed.
-    Durable(DurableError),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Query(e) => write!(f, "{e}"),
-            ServeError::Durable(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<QueryError> for ServeError {
-    fn from(e: QueryError) -> Self {
-        ServeError::Query(e)
-    }
-}
-
-impl From<DurableError> for ServeError {
-    fn from(e: DurableError) -> Self {
-        ServeError::Durable(e)
-    }
-}
-
-impl ServeError {
-    /// Maps this failure onto its stable `prkb-wire/v2` error code.
-    pub fn wire_code(&self) -> u16 {
-        use crate::proto::code;
-        match self {
-            ServeError::Query(QueryError::AttrNotInitialized(_)) => code::ATTR_NOT_INITIALIZED,
-            // The deadline budget is a wire-level concern, not an oracle
-            // fault class: it gets its own top-level code.
-            ServeError::Query(QueryError::Oracle(OracleError::DeadlineExceeded)) => code::DEADLINE,
-            ServeError::Query(QueryError::Oracle(e)) => oracle_wire_code(e),
-            // fsyncgate class: the disk lied about a durability barrier.
-            // Distinguished on the wire so clients know the shard is down
-            // until reopen (vs. a one-off durability error).
-            ServeError::Durable(DurableError::Storage(DurabilityError::SyncFailed(_))) => {
-                code::SYNC_FAILED
-            }
-            ServeError::Durable(_) => code::DURABILITY,
-        }
-    }
-}
-
 /// The canonical "budget expired" failure, raised at scheduler checkout and
 /// by [`DeadlineOracle`] between evaluation batches.
-fn deadline_error() -> ServeError {
-    ServeError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
+fn deadline_error() -> DurableError {
+    DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
 }
 
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-fn oracle_wire_code(e: &OracleError) -> u16 {
-    crate::proto::code::ORACLE_BASE + e.wire_code()
 }
 
 /// Per-session QPF counting wrapper over a shared oracle.
@@ -345,7 +297,7 @@ pub struct SessionScheduler<P: SpPredicate> {
     /// Every indexed attribute, sorted: the footprint of a whole-table
     /// operation.
     attrs: Vec<AttrId>,
-    /// Global wire-visible commit sequence (drawn under the first shard
+    /// Global caller-visible commit sequence (drawn under the first shard
     /// lock of a committing footprint).
     seq: AtomicU64,
     config: EngineConfig,
@@ -379,9 +331,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     }
 
     /// Wraps a recovered [`ShardedDurablePool`]: every shard keeps its own
-    /// WAL-backed [`ShardCommitter`], and each committed operation is acked
-    /// only after its records are group-commit durable on every shard it
-    /// touched.
+    /// WAL-backed committer, and each committed operation is acked only
+    /// after its records are group-commit durable on every shard it
+    /// touched. Over a `ShardMap::new(1)` pool this is the single-owner
+    /// durable engine.
     pub fn durable(pool: ShardedDurablePool<P>) -> Self {
         let (map, parts) = pool.into_parts();
         let config = parts
@@ -409,16 +362,6 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         }
     }
 
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether this pool persists commits through shard committers.
-    pub fn is_durable(&self) -> bool {
-        self.shards.iter().any(|s| s.committer.is_some())
-    }
-
     /// Runs `f` against the detached knowledge of `attrs`, holding each
     /// shard's lock only for checkout and checkin (two-phase, ascending
     /// shard-id order). Returns `f`'s result and the commit sequence number
@@ -429,12 +372,12 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// [`QueryError::AttrNotInitialized`] if any attribute is unknown (all
     /// knowledge is reattached), whatever `f` reports (the knowledge is
     /// still reattached — the core pipelines leave it untouched on abort),
-    /// or [`ServeError::Durable`] when a durable shard fails.
+    /// or [`DurableError`] when a durable shard fails.
     pub fn with_detached<T>(
         &self,
         attrs: &[AttrId],
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
-    ) -> Result<(T, u64), ServeError> {
+    ) -> Result<(T, u64), DurableError> {
         self.checkout(attrs, None, f)
     }
 
@@ -445,12 +388,12 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// durable on every attribute-holding shard before this returns.
     ///
     /// # Errors
-    /// [`ServeError::Durable`] when a durable shard fails; infallible on
+    /// [`DurableError`] when a durable shard fails; infallible on
     /// in-memory pools.
     pub fn with_exclusive<T>(
         &self,
         f: impl FnOnce(&mut PrkbEngine<P>) -> T,
-    ) -> Result<(T, u64), ServeError> {
+    ) -> Result<(T, u64), DurableError> {
         self.checkout(&self.attrs, None, |engine| Ok(f(engine)))
     }
 
@@ -478,14 +421,14 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         attrs: &[AttrId],
         deadline: Option<Instant>,
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
-    ) -> Result<(T, u64), ServeError> {
+    ) -> Result<(T, u64), DurableError> {
         let groups = self.map.group_sorted(attrs);
         // Refuse new work on a footprint that includes a poisoned shard:
         // its memory may be ahead of disk, and only a reopen recovers that.
         for (sid, _) in &groups {
             let committer = self.shards[*sid].committer.as_ref();
             if let Some(e) = committer.and_then(ShardCommitter::poison_error) {
-                return Err(ServeError::Durable(e));
+                return Err(e);
             }
         }
         let mut held = self.reserve(groups, deadline)?;
@@ -501,7 +444,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         &self,
         groups: Vec<(usize, Vec<AttrId>)>,
         deadline: Option<Instant>,
-    ) -> Result<Checkin<'_, P>, ServeError> {
+    ) -> Result<Checkin<'_, P>, DurableError> {
         let mut held = Checkin {
             sched: self,
             parts: Vec::with_capacity(groups.len()),
@@ -585,27 +528,42 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         (seq, tickets)
     }
 
-    /// Rotates one shard's checkpoint if its policy asks for it and the
-    /// shard is momentarily quiescent (otherwise a later commit retries —
-    /// the threshold check is cheap).
-    fn maybe_checkpoint_shard(&self, sid: usize) -> Result<(), ServeError> {
+    /// Rotates one shard's checkpoint. Unforced (after a commit), only if
+    /// its policy asks for it and the shard is momentarily quiescent —
+    /// otherwise a later commit retries, the threshold check is cheap.
+    /// Forced, it waits for the shard's in-flight checkouts instead.
+    fn checkpoint_shard(&self, sid: usize, forced: bool) -> Result<(), DurableError> {
         let shard = &self.shards[sid];
         let Some(committer) = &shard.committer else {
             return Ok(());
         };
-        if !committer.wants_checkpoint(&self.config) {
+        if !forced && !committer.wants_checkpoint(&self.config) {
             return Ok(());
         }
         let mut st = shard.lock();
-        if !st.busy.is_empty() {
-            return Ok(());
+        while let Some(&blocking) = st.busy.iter().next() {
+            if !forced {
+                return Ok(());
+            }
+            st = shard.wait_attr(st, blocking);
         }
         // The shard lock is held across the rotation: no checkout can
         // mutate or enqueue while the snapshot is serialized, so the
         // checkpoint is exactly the state the flushed WAL produced.
-        committer
-            .checkpoint(&mut st.engine)
-            .map_err(ServeError::Durable)
+        committer.checkpoint(&mut st.engine)
+    }
+
+    /// Forces a checkpoint rotation on every durable shard, whatever the
+    /// [`EngineConfig`] thresholds say: each shard in turn waits out its
+    /// in-flight checkouts, flushes its pending batch, writes the
+    /// partitions dirtied since its last rotation as one segment and starts
+    /// a fresh WAL epoch. A no-op on in-memory pools.
+    ///
+    /// # Errors
+    /// A storage failure poisons the shard it hit (the disk keeps a
+    /// consistent committed prefix; reopen to resume) and stops the sweep.
+    pub fn checkpoint(&self) -> Result<(), DurableError> {
+        (0..self.shards.len()).try_for_each(|sid| self.checkpoint_shard(sid, true))
     }
 
     /// Flushes and fsyncs every shard's pending group-commit batch — the
@@ -614,18 +572,17 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// at shutdown regardless of timing.
     ///
     /// # Errors
-    /// [`ServeError::Durable`] when a shard's flush fails.
-    pub fn flush_durable(&self) -> Result<(), ServeError> {
+    /// [`DurableError`] when a shard's flush fails.
+    pub fn flush_durable(&self) -> Result<(), DurableError> {
         for shard in &self.shards {
             if let Some(committer) = &shard.committer {
-                committer.flush().map_err(ServeError::Durable)?;
+                committer.flush()?;
             }
         }
         Ok(())
     }
 
-    /// Hands the merged engine back for single-threaded use (server
-    /// shutdown). Owning `self` proves no checkout is outstanding — a
+    /// Hands the merged engine back for single-threaded use (shutdown). Owning `self` proves no checkout is outstanding — a
     /// [`Checkin`] borrows the scheduler. Durable pools flush their pending
     /// batches first.
     pub fn into_engine(self) -> PrkbEngine<P> {
@@ -634,7 +591,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         // it must not vanish silently: a failed final flush means the last
         // unacknowledged batch died with the process.
         if let Err(e) = self.flush_durable() {
-            eprintln!("prkb-server: final durable flush failed during shutdown: {e}");
+            eprintln!("prkb: final durable flush failed during shutdown: {e}");
         }
         let mut merged = PrkbEngine::new(self.config);
         for shard in self.shards {
@@ -669,7 +626,7 @@ impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
     /// Checks the footprint in as one committed operation, awaits
     /// group-commit durability on every shard that journaled, then lets any
     /// touched shard that crossed its checkpoint threshold rotate.
-    fn commit(mut self) -> Result<u64, ServeError> {
+    fn commit(mut self) -> Result<u64, DurableError> {
         let sched = self.sched;
         let (parts, merged) = self.take();
         let (seq, tickets) = sched.release_parts(&parts, merged, true);
@@ -678,11 +635,10 @@ impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
                 .committer
                 .as_ref()
                 .expect("ticket issued by this shard's committer")
-                .wait_durable(ticket)
-                .map_err(ServeError::Durable)?;
+                .wait_durable(ticket)?;
         }
         for (sid, _) in &parts {
-            sched.maybe_checkpoint_shard(*sid)?;
+            sched.checkpoint_shard(*sid, false)?;
         }
         Ok(seq)
     }
@@ -698,7 +654,8 @@ impl<P: SpPredicate + WireCodec> Drop for Checkin<'_, P> {
     }
 }
 
-/// The four deadline-bounded operations a server dispatches. `deadline`
+/// The four deadline-bounded operations a server dispatches (and the
+/// durability suites drive). `deadline`
 /// bounds the whole operation: the checkout wait and every oracle batch
 /// check it, and expiry aborts with [`OracleError::DeadlineExceeded`]
 /// leaving the KB untouched. (Insert routing passes `oracle` through as is,
@@ -707,14 +664,15 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Single-predicate selection (comparison or BETWEEN trapdoor).
     ///
     /// # Errors
-    /// [`ServeError`] on engine or durability failure.
+    /// [`DurableError::Query`] when the engine fails (nothing committed),
+    /// any other [`DurableError`] when a durable shard does.
     pub fn select<O, R>(
         &self,
         oracle: &O,
         pred: &P,
         deadline: Option<Instant>,
         rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
+    ) -> Result<(Selection, u64), DurableError>
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
@@ -731,14 +689,15 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// them as a programmer error).
     ///
     /// # Errors
-    /// [`ServeError`] on engine or durability failure.
+    /// [`DurableError::Query`] when the engine fails (nothing committed),
+    /// any other [`DurableError`] when a durable shard does.
     pub fn select_range_md<O, R>(
         &self,
         oracle: &O,
         dims: &[[P; 2]],
         deadline: Option<Instant>,
         rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
+    ) -> Result<(Selection, u64), DurableError>
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
@@ -755,13 +714,14 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// footprint). An oracle failure commits nothing.
     ///
     /// # Errors
-    /// [`ServeError`] on engine or durability failure.
+    /// [`DurableError::Query`] when the engine fails (nothing committed),
+    /// any other [`DurableError`] when a durable shard does.
     pub fn insert<O>(
         &self,
         oracle: &O,
         t: TupleId,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<(AttrId, InsertOutcome)>, u64), ServeError>
+    ) -> Result<(Vec<(AttrId, InsertOutcome)>, u64), DurableError>
     where
         O: SelectionOracle<Pred = P>,
     {
@@ -771,8 +731,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Delete across every indexed attribute.
     ///
     /// # Errors
-    /// [`ServeError::Durable`] on a durable pool; infallible in memory.
-    pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
+    /// [`DurableError`] on a durable pool; infallible in memory.
+    pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, DurableError> {
         let ((), seq) = self.checkout(&self.attrs, deadline, |engine| {
             engine.delete(t);
             Ok(())
@@ -784,7 +744,6 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prkb_core::EngineConfig;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -865,9 +824,8 @@ mod tests {
             .expect_err("expired budget");
         assert!(matches!(
             err,
-            ServeError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
+            DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
         ));
-        assert_eq!(err.wire_code(), crate::proto::code::DEADLINE);
 
         // The footprint was checked back in: the same attribute is
         // immediately available, knowledge intact, and the failed attempt
@@ -884,7 +842,10 @@ mod tests {
         let err = sched
             .delete(3, Some(past))
             .expect_err("expired whole-table budget");
-        assert_eq!(err.wire_code(), crate::proto::code::DEADLINE);
+        assert!(matches!(
+            err,
+            DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
+        ));
         let ((), seq) = sched
             .with_exclusive(|engine| engine.delete(3))
             .expect("pool not wedged after aborted exclusive");
@@ -927,7 +888,7 @@ mod tests {
             .expect_err("attr 9 unknown");
         assert!(matches!(
             err,
-            ServeError::Query(QueryError::AttrNotInitialized(9))
+            DurableError::Query(QueryError::AttrNotInitialized(9))
         ));
         // Attribute 0 must still be attached and queryable.
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 25);
@@ -992,7 +953,7 @@ mod tests {
             .collect();
         let oracle = PlainOracle::from_columns(columns);
         let sched = SessionScheduler::with_shards(engine_with(&oracle, 6), ShardMap::new(8));
-        assert_eq!(sched.shards(), 8);
+        assert_eq!(sched.shards.len(), 8);
         let attrs: Vec<AttrId> = (0..6).collect();
         let session = SessionOracle::new(&oracle);
         let preds: Vec<Predicate> = (0..6)

@@ -156,6 +156,26 @@ pub struct ScrubFinding {
     pub quarantined_to: Option<PathBuf>,
 }
 
+impl ScrubFinding {
+    /// A verdict on the artifact at `path`: not a WAL (no frame count), not
+    /// quarantined (a finished scrub pass fills that in).
+    pub fn new(path: impl Into<PathBuf>, damage: ScrubDamage, detail: impl Into<String>) -> Self {
+        ScrubFinding {
+            path: path.into(),
+            damage,
+            detail: detail.into(),
+            frames_valid: None,
+            quarantined_to: None,
+        }
+    }
+
+    /// For a WAL: records how many CRC-valid frames the image holds.
+    pub fn frames(mut self, n: u64) -> Self {
+        self.frames_valid = Some(n);
+        self
+    }
+}
+
 /// Machine-readable result of one scrub pass.
 #[derive(Debug, Clone)]
 pub struct ScrubReport {
@@ -262,13 +282,11 @@ pub fn scrub_pool_dir<P: SpPredicate + WireCodec>(
     let entries = match fs.read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
-            findings.push(ScrubFinding {
-                path: dir.to_path_buf(),
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot list pool directory: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+            findings.push(ScrubFinding::new(
+                dir,
+                ScrubDamage::Unreadable,
+                format!("cannot list pool directory: {e}"),
+            ));
             return finalize(fs, dir, findings, quarantine);
         }
     };
@@ -287,61 +305,49 @@ pub fn scrub_pool_dir<P: SpPredicate + WireCodec>(
         } else if name == MANIFEST_FILE {
             manifest_bytes = Some(fs.read(path));
         } else if name.ends_with(".tmp") {
-            findings.push(ScrubFinding {
-                path: path.clone(),
-                damage: ScrubDamage::StrayTemp,
-                detail: "leftover atomic-publish temp file".into(),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+            findings.push(ScrubFinding::new(
+                path,
+                ScrubDamage::StrayTemp,
+                "leftover atomic-publish temp file",
+            ));
         }
     }
     shard_dirs.sort_unstable_by_key(|(i, _)| *i);
 
     let manifest_path = dir.join(MANIFEST_FILE);
     match manifest_bytes {
-        None => findings.push(ScrubFinding {
-            path: manifest_path,
-            damage: ScrubDamage::ManifestMismatch,
-            detail: format!(
+        None => findings.push(ScrubFinding::new(
+            manifest_path,
+            ScrubDamage::ManifestMismatch,
+            format!(
                 "manifest missing ({} shard directories present)",
                 shard_dirs.len()
             ),
-            frames_valid: None,
-            quarantined_to: None,
-        }),
-        Some(Err(e)) => findings.push(ScrubFinding {
-            path: manifest_path,
-            damage: ScrubDamage::Unreadable,
-            detail: format!("cannot read manifest: {e}"),
-            frames_valid: None,
-            quarantined_to: None,
-        }),
+        )),
+        Some(Err(e)) => findings.push(ScrubFinding::new(
+            manifest_path,
+            ScrubDamage::Unreadable,
+            format!("cannot read manifest: {e}"),
+        )),
         Some(Ok(bytes)) => match decode_manifest(&bytes) {
-            Err(e) => findings.push(ScrubFinding {
-                path: manifest_path,
-                damage: ScrubDamage::ManifestMismatch,
-                detail: format!("manifest fails validation: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            }),
-            Ok(declared) if declared != shard_dirs.len() => findings.push(ScrubFinding {
-                path: manifest_path,
-                damage: ScrubDamage::ManifestMismatch,
-                detail: format!(
+            Err(e) => findings.push(ScrubFinding::new(
+                manifest_path,
+                ScrubDamage::ManifestMismatch,
+                format!("manifest fails validation: {e}"),
+            )),
+            Ok(declared) if declared != shard_dirs.len() => findings.push(ScrubFinding::new(
+                manifest_path,
+                ScrubDamage::ManifestMismatch,
+                format!(
                     "manifest declares {declared} shards but {} shard directories present",
                     shard_dirs.len()
                 ),
-                frames_valid: None,
-                quarantined_to: None,
-            }),
-            Ok(declared) => findings.push(ScrubFinding {
-                path: manifest_path,
-                damage: ScrubDamage::Clean,
-                detail: format!("{declared} shards"),
-                frames_valid: None,
-                quarantined_to: None,
-            }),
+            )),
+            Ok(declared) => findings.push(ScrubFinding::new(
+                manifest_path,
+                ScrubDamage::Clean,
+                format!("{declared} shards"),
+            )),
         },
     }
 
@@ -360,13 +366,11 @@ fn scan_engine_dir<P: SpPredicate + WireCodec>(
     let entries = match fs.read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
-            findings.push(ScrubFinding {
-                path: dir.to_path_buf(),
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot list directory: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+            findings.push(ScrubFinding::new(
+                dir,
+                ScrubDamage::Unreadable,
+                format!("cannot list directory: {e}"),
+            ));
             return;
         }
     };
@@ -382,13 +386,11 @@ fn scan_engine_dir<P: SpPredicate + WireCodec>(
             continue;
         }
         if name.ends_with(".tmp") {
-            findings.push(ScrubFinding {
+            findings.push(ScrubFinding::new(
                 path,
-                damage: ScrubDamage::StrayTemp,
-                detail: "leftover atomic-publish temp file".into(),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+                ScrubDamage::StrayTemp,
+                "leftover atomic-publish temp file",
+            ));
         } else if name == CHECKPOINT_FILE {
             findings.push(scrub_checkpoint::<P>(fs, path));
         } else if name.starts_with("wal.") && name.ends_with(".log") {
@@ -414,47 +416,39 @@ fn scrub_segment_manifest(
     let bytes = match fs.read(&path) {
         Ok(b) => b,
         Err(e) => {
-            findings.push(ScrubFinding {
+            findings.push(ScrubFinding::new(
                 path,
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot read segment manifest: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+                ScrubDamage::Unreadable,
+                format!("cannot read segment manifest: {e}"),
+            ));
             return None;
         }
     };
     match SegmentManifest::decode(&bytes) {
         Err(e) => {
-            findings.push(ScrubFinding {
+            findings.push(ScrubFinding::new(
                 path,
-                damage: ScrubDamage::ManifestMismatch,
-                detail: format!("segment manifest fails validation: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+                ScrubDamage::ManifestMismatch,
+                format!("segment manifest fails validation: {e}"),
+            ));
             None
         }
         Ok(m) => {
             for &id in &m.segments {
                 let seg = dir.join(segment_file_name(id));
                 if !fs.exists(&seg) {
-                    findings.push(ScrubFinding {
-                        path: seg,
-                        damage: ScrubDamage::ManifestMismatch,
-                        detail: format!("segment {id} referenced by manifest is missing"),
-                        frames_valid: None,
-                        quarantined_to: None,
-                    });
+                    findings.push(ScrubFinding::new(
+                        seg,
+                        ScrubDamage::ManifestMismatch,
+                        format!("segment {id} referenced by manifest is missing"),
+                    ));
                 }
             }
-            findings.push(ScrubFinding {
+            findings.push(ScrubFinding::new(
                 path,
-                damage: ScrubDamage::Clean,
-                detail: format!("epoch {}, {} segment(s)", m.epoch, m.segments.len()),
-                frames_valid: None,
-                quarantined_to: None,
-            });
+                ScrubDamage::Clean,
+                format!("epoch {}, {} segment(s)", m.epoch, m.segments.len()),
+            ));
             Some(m)
         }
     }
@@ -471,13 +465,11 @@ fn scrub_segment(
     let bytes = match fs.read(&path) {
         Ok(b) => b,
         Err(e) => {
-            return ScrubFinding {
+            return ScrubFinding::new(
                 path,
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot read segment: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            }
+                ScrubDamage::Unreadable,
+                format!("cannot read segment: {e}"),
+            )
         }
     };
     let referenced = manifest.is_some_and(|m| m.segments.contains(&id));
@@ -498,43 +490,31 @@ fn scrub_segment(
         }
         Err(what) => (ScrubDamage::TornSegment, format!("segment {id}: {what}")),
     };
-    ScrubFinding {
-        path,
-        damage,
-        detail,
-        frames_valid: None,
-        quarantined_to: None,
-    }
+    ScrubFinding::new(path, damage, detail)
 }
 
 fn scrub_checkpoint<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> ScrubFinding {
     let bytes = match fs.read(&path) {
         Ok(b) => b,
         Err(e) => {
-            return ScrubFinding {
+            return ScrubFinding::new(
                 path,
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot read checkpoint: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            }
+                ScrubDamage::Unreadable,
+                format!("cannot read checkpoint: {e}"),
+            )
         }
     };
     match decode_checkpoint::<P>(&bytes) {
-        Ok((epoch, kbs)) => ScrubFinding {
+        Ok((epoch, kbs)) => ScrubFinding::new(
             path,
-            damage: ScrubDamage::Clean,
-            detail: format!("epoch {epoch}, {} attribute(s)", kbs.len()),
-            frames_valid: None,
-            quarantined_to: None,
-        },
-        Err(e) => ScrubFinding {
+            ScrubDamage::Clean,
+            format!("epoch {epoch}, {} attribute(s)", kbs.len()),
+        ),
+        Err(e) => ScrubFinding::new(
             path,
-            damage: ScrubDamage::CheckpointRot,
-            detail: format!("checkpoint fails validation: {e}"),
-            frames_valid: None,
-            quarantined_to: None,
-        },
+            ScrubDamage::CheckpointRot,
+            format!("checkpoint fails validation: {e}"),
+        ),
     }
 }
 
@@ -545,43 +525,39 @@ fn scrub_wal<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> S
     let bytes = match fs.read(&path) {
         Ok(b) => b,
         Err(e) => {
-            return ScrubFinding {
+            return ScrubFinding::new(
                 path,
-                damage: ScrubDamage::Unreadable,
-                detail: format!("cannot read WAL: {e}"),
-                frames_valid: None,
-                quarantined_to: None,
-            }
+                ScrubDamage::Unreadable,
+                format!("cannot read WAL: {e}"),
+            )
         }
     };
     if (bytes.len() as u64) < prkb_edbms::durability::WAL_HEADER_LEN {
         // Torn creation: the 8-byte header never completed. Recovery
         // rebuilds such a file empty (nothing was ever acknowledged
         // through it), so this is crash residue, not corruption.
-        return ScrubFinding {
+        return ScrubFinding::new(
             path,
-            damage: ScrubDamage::TornTail,
-            detail: format!("torn creation: {} byte(s), header incomplete", bytes.len()),
-            frames_valid: Some(0),
-            quarantined_to: None,
-        };
+            ScrubDamage::TornTail,
+            format!("torn creation: {} byte(s), header incomplete", bytes.len()),
+        )
+        .frames(0);
     }
     let scan = scan_frames(&bytes);
-    let frames_valid = Some(scan.frames.len() as u64);
+    let frames_valid = scan.frames.len() as u64;
     for f in &scan.frames {
         let start = f.offset as usize + 8;
         let payload = &bytes[start..start + f.len as usize];
         if let Err(e) = decode_txn::<P>(payload) {
-            return ScrubFinding {
+            return ScrubFinding::new(
                 path,
-                damage: ScrubDamage::MidLogCorruption,
-                detail: format!(
+                ScrubDamage::MidLogCorruption,
+                format!(
                     "frame {} (offset {}) passes CRC but payload fails to decode: {e}",
                     f.index, f.offset
                 ),
-                frames_valid,
-                quarantined_to: None,
-            };
+            )
+            .frames(frames_valid);
         }
     }
     let (damage, detail) = match scan.verdict {
@@ -614,13 +590,7 @@ fn scrub_wal<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> S
             "unrecognizable WAL header".into(),
         ),
     };
-    ScrubFinding {
-        path,
-        damage,
-        detail,
-        frames_valid,
-        quarantined_to: None,
-    }
+    ScrubFinding::new(path, damage, detail).frames(frames_valid)
 }
 
 /// Sorts findings, optionally quarantines, bumps metrics, builds the report.
@@ -887,13 +857,12 @@ mod tests {
     fn json_report_is_stable_and_escaped() {
         let report = ScrubReport {
             root: PathBuf::from("/tmp/x"),
-            findings: vec![ScrubFinding {
-                path: PathBuf::from("/tmp/x/wal.1.log"),
-                damage: ScrubDamage::TornTail,
-                detail: "say \"torn\"".into(),
-                frames_valid: Some(3),
-                quarantined_to: None,
-            }],
+            findings: vec![ScrubFinding::new(
+                "/tmp/x/wal.1.log",
+                ScrubDamage::TornTail,
+                "say \"torn\"",
+            )
+            .frames(3)],
             files_scanned: 1,
             corruptions: 0,
             quarantined: 0,

@@ -2,51 +2,27 @@
 //! WAL record on each shard of its footprint and nowhere else; an
 //! operation that fails commits nothing at all.
 
-use prkb_core::snapshot;
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+mod common;
+
+use common::{kb_bytes, reopen_pool, Pool, TmpDir};
+use prkb_core::{EngineConfig, SessionScheduler};
 use prkb_edbms::resilience::{FaultConfig, FaultInjector};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
-use prkb_server::scheduler::SessionScheduler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const ROWS: usize = 50;
 
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("prkb-checkout-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn open_pool(dir: &Path, shards: usize) -> ShardedDurablePool<Predicate> {
-    ShardedDurablePool::open(dir, EngineConfig::default(), ShardMap::new(shards)).expect("open")
+fn open_pool(dir: &Path, shards: usize) -> Pool {
+    reopen_pool(dir, EngineConfig::default(), shards).expect("open")
 }
 
 /// WAL records per shard, as a reopen replays them.
 fn records(dir: &Path, shards: usize) -> Vec<u64> {
     let pool = open_pool(dir, shards);
     pool.reports().iter().map(|r| r.records_replayed).collect()
-}
-
-fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
 }
 
 #[test]
@@ -114,9 +90,6 @@ fn whole_table_commit_journals_on_attribute_holding_shards_only() {
     }
     assert_eq!(records(&dir.0, SHARDS), expected);
 
-    let mut reopened = PrkbEngine::new(EngineConfig::default());
-    for (engine, _committer) in open_pool(&dir.0, SHARDS).into_parts().1 {
-        reopened.attach(engine);
-    }
-    assert_eq!(kb_bytes(&reopened), live, "reopen ≡ live");
+    let reopened = SessionScheduler::durable(open_pool(&dir.0, SHARDS));
+    assert_eq!(reopened.inspect(kb_bytes), live, "reopen ≡ live");
 }

@@ -1,0 +1,257 @@
+//! What the durability suites share: scratch directories, byte images of
+//! an engine, seeded datasets, rotation configs, and the one way a test
+//! opens a durable engine — a pool behind its [`SessionScheduler`], the
+//! driver production runs. `prkb-server`'s suites include this file too.
+
+// Every test binary compiles its own copy of this module and uses a subset.
+#![allow(dead_code)]
+
+use prkb_core::snapshot::{self, WireCodec};
+use prkb_core::{
+    DurableError, EngineConfig, PrkbEngine, SessionScheduler, ShardMap, ShardedDurablePool,
+    SpPredicate,
+};
+use prkb_edbms::durability::CrashInjector;
+use prkb_edbms::testing::PlainOracle;
+use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh scratch directory (unique per test invocation, removed by the
+/// guard on drop so repeated `cargo test` runs don't accrete state).
+pub struct TmpDir(pub PathBuf);
+
+impl TmpDir {
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "prkb-test-{}-{}-{tag}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        TmpDir(dir)
+    }
+
+    /// The engine directory of shard `sid` — where a pool rooted here keeps
+    /// that shard's manifest, segments and WAL.
+    pub fn shard(&self, sid: usize) -> PathBuf {
+        self.0.join(format!("shard.{sid}"))
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `snapshot::save` of every attribute, in attribute order: the byte state
+/// two engines must share to count as equal.
+pub fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
+    let mut attrs: Vec<_> = engine.attrs().collect();
+    attrs.sort_unstable();
+    attrs
+        .iter()
+        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
+        .collect()
+}
+
+/// [`kb_bytes`] split by shard: what each shard's own engine reports for
+/// the attributes `map` routes to it.
+pub fn kb_bytes_by_shard<P: SpPredicate + WireCodec>(
+    engine: &PrkbEngine<P>,
+    map: ShardMap,
+) -> Vec<Vec<Vec<u8>>> {
+    let mut attrs: Vec<_> = engine.attrs().collect();
+    attrs.sort_unstable();
+    let mut shards = vec![Vec::new(); map.shards()];
+    for a in attrs {
+        let kb = engine.knowledge(a).expect("attr indexed");
+        shards[map.shard_of(a)].push(snapshot::save(kb));
+    }
+    shards
+}
+
+/// `cols` seeded columns of `n + extra` values in `0..1000` (`extra` rows
+/// are there to be inserted later).
+pub fn columns(cols: usize, n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..cols)
+        .map(|_| (0..n + extra).map(|_| rng.gen_range(0..1_000u64)).collect())
+        .collect()
+}
+
+/// Two columns that are permutations of `0..rows` (strides 37 and 101):
+/// the fixed table the wire-level suites serve.
+pub fn strided_columns(rows: usize) -> Vec<Vec<u64>> {
+    let rows = rows as u64;
+    [37, 101]
+        .iter()
+        .map(|stride| (0..rows).map(|i| (i * stride) % rows).collect())
+        .collect()
+}
+
+/// A plaintext oracle over [`columns`]`(cols, n, 0, seed)`.
+pub fn oracle(cols: usize, n: usize, seed: u64) -> PlainOracle {
+    PlainOracle::from_columns(columns(cols, n, 0, seed))
+}
+
+/// Rotates every `records` WAL records — every rotation crosses all seven
+/// segment hooks, the retire hook included. `0`: explicit checkpoints only.
+pub fn rotate_every(records: u64) -> EngineConfig {
+    EngineConfig {
+        checkpoint_wal_records: records,
+        checkpoint_wal_bytes: 0,
+        ..EngineConfig::default()
+    }
+}
+
+/// How many shards a sweep uses; CI fans `PRKB_SHARDS` over 1 and 8.
+pub fn shards_from_env(default: usize) -> usize {
+    std::env::var("PRKB_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&s| s > 0)
+        .unwrap_or(default)
+}
+
+pub type Pool = ShardedDurablePool<Predicate>;
+pub type Sched = SessionScheduler<Predicate>;
+
+pub fn open_pool(
+    dir: &Path,
+    config: EngineConfig,
+    shards: usize,
+    crash: CrashInjector,
+    fs: Arc<dyn StorageFs>,
+) -> Result<Pool, DurableError> {
+    ShardedDurablePool::open_with_storage(dir, config, ShardMap::new(shards), crash, fs)
+}
+
+/// [`open_pool`] the way recovery does: the real filesystem, no injection.
+pub fn reopen_pool(dir: &Path, config: EngineConfig, shards: usize) -> Result<Pool, DurableError> {
+    open_pool(dir, config, shards, CrashInjector::disabled(), real_fs())
+}
+
+/// A single-owner durable engine: the scheduler over a one-shard pool
+/// rooted at `dir` (its files live in `dir/shard.0/`).
+pub fn open_single(
+    dir: &Path,
+    config: EngineConfig,
+    crash: CrashInjector,
+    fs: Arc<dyn StorageFs>,
+) -> Result<Sched, DurableError> {
+    open_pool(dir, config, 1, crash, fs).map(SessionScheduler::durable)
+}
+
+/// [`open_single`] on a fresh directory, with attributes `0..attrs` of `n`
+/// tuples durably initialized first (the attribute set is fixed once the
+/// scheduler is built).
+pub fn create_single(
+    dir: &Path,
+    config: EngineConfig,
+    crash: CrashInjector,
+    fs: Arc<dyn StorageFs>,
+    attrs: u32,
+    n: usize,
+) -> Result<Sched, DurableError> {
+    let mut pool = open_pool(dir, config, 1, crash, fs)?;
+    for attr in 0..attrs {
+        pool.init_attr(attr, n)?;
+    }
+    Ok(SessionScheduler::durable(pool))
+}
+
+/// One committed `attr < bound` selection through the scheduler.
+pub fn select_lt(sched: &Sched, oracle: &PlainOracle, attr: u32, bound: u64, rng: &mut StdRng) {
+    let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound);
+    sched.select(oracle, &pred, None, rng).expect("select");
+}
+
+/// The byte state of a reopened pool, shard by shard, every knowledge base
+/// checked against its invariants on the way.
+pub fn pool_bytes(pool: &Pool) -> Vec<Vec<Vec<u8>>> {
+    (0..pool.map().shards())
+        .map(|sid| {
+            let engine = pool.shard_engine(sid);
+            for attr in engine.attrs() {
+                engine
+                    .knowledge(attr)
+                    .expect("attr indexed")
+                    .check_invariants();
+            }
+            kb_bytes(engine)
+        })
+        .collect()
+}
+
+/// Per-shard byte states of a crash- or fault-armed run.
+pub struct Run {
+    /// `acked[sid]` = shard `sid`'s state at the last acknowledged commit.
+    pub acked: Vec<Vec<Vec<u8>>>,
+    /// `live[sid]` = shard `sid`'s in-memory state when the run stopped
+    /// (ahead of `acked[sid]` only where the failure hit after the
+    /// in-memory commit).
+    pub live: Vec<Vec<Vec<u8>>>,
+    /// Whether an operation failed (the run stopped early).
+    pub failed: bool,
+}
+
+/// Drives an armed pool the way a deployment does: attributes `0..attrs`
+/// initialized on the pool, then `ops` through its scheduler. `ops` calls
+/// its second argument after every operation that was acknowledged and
+/// returns at the first error.
+pub fn drive(
+    mut pool: Pool,
+    attrs: u32,
+    n: usize,
+    ops: impl FnOnce(&Sched, &mut dyn FnMut()) -> Result<(), DurableError>,
+) -> Run {
+    let map = pool.map();
+    let mut acked = pool_bytes(&pool);
+    for attr in 0..attrs {
+        if pool.init_attr(attr, n).is_err() {
+            return Run {
+                live: pool_bytes(&pool),
+                acked,
+                failed: true,
+            };
+        }
+        acked = pool_bytes(&pool);
+    }
+    let sched = SessionScheduler::durable(pool);
+    let by_shard = |engine: &PrkbEngine<Predicate>| kb_bytes_by_shard(engine, map);
+    let failed = ops(&sched, &mut || acked = sched.inspect(by_shard)).is_err();
+    Run {
+        live: sched.inspect(by_shard),
+        acked,
+        failed,
+    }
+}
+
+/// The recovery contract, shard by shard: a clean run recovers its final
+/// state; a failed one recovers the acknowledged prefix or that plus the
+/// single in-flight operation — never less, never a third state.
+pub fn assert_recovered(run: &Run, recovered: &[Vec<Vec<u8>>], tag: &str) {
+    assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
+    for (sid, rec) in recovered.iter().enumerate() {
+        if run.failed {
+            assert!(
+                *rec == run.acked[sid] || *rec == run.live[sid],
+                "{tag} shard {sid}: recovered state is neither the acknowledged \
+                 prefix nor the in-flight state"
+            );
+        } else {
+            assert_eq!(
+                *rec, run.live[sid],
+                "{tag} shard {sid}: clean run must recover final state"
+            );
+        }
+    }
+}

@@ -1,4 +1,5 @@
-//! Durability properties of the PRKB (DESIGN.md §10).
+//! Durability properties of the PRKB (DESIGN.md §10), driven the way a
+//! server drives them: a one-shard pool behind its `SessionScheduler`.
 //!
 //! Pinned guarantees:
 //!
@@ -17,63 +18,41 @@
 //!    exactly the live committed state, and after the reopen the directory
 //!    holds exactly the segments the manifest lists.
 
-use prkb_core::durability::{DurableEngine, DurableError};
+mod common;
+
+use common::{
+    kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every, Sched, TmpDir,
+};
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
-use prkb_core::snapshot::{self, WireCodec};
-use prkb_core::{EngineConfig, MdUpdatePolicy, PrkbEngine, SpPredicate};
-use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus};
+use prkb_core::{DurableError, EngineConfig, MdUpdatePolicy, PrkbEngine, SessionScheduler};
+use prkb_edbms::durability::{
+    CrashInjector, CrashPoint, DurabilityError, TailStatus, WAL_HEADER_LEN,
+};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh scratch directory (unique per test invocation, removed by the
-/// guard on drop so repeated `cargo test` runs don't accrete state).
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-durability-{}-{}-{tag}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
-}
-
+/// Two columns of `n + extra` values: the table every test here indexes.
 fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..2)
-        .map(|_| (0..n + extra).map(|_| rng.gen_range(0..1_000u64)).collect())
-        .collect()
+    common::columns(2, n, extra, seed)
+}
+
+/// A fresh one-shard pool with both attributes initialized, behind the
+/// scheduler.
+fn create(dir: &TmpDir, config: EngineConfig, crash: CrashInjector, n: usize) -> Sched {
+    common::create_single(&dir.0, config, crash, real_fs(), 2, n).expect("open + init")
+}
+
+fn reopen(dir: &TmpDir, config: EngineConfig) -> Sched {
+    open_single(&dir.0, config, CrashInjector::disabled(), real_fs()).expect("reopen")
 }
 
 /// Mixed workload over everything that can mutate knowledge: comparisons,
@@ -147,21 +126,7 @@ fn step_rng(seed: u64, i: usize) -> StdRng {
 }
 
 fn no_rotation() -> EngineConfig {
-    EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    }
-}
-
-/// Rotates every `records` WAL records; every rotation crosses all seven
-/// segment hooks, the retire hook included.
-fn rotate_every(records: u64) -> EngineConfig {
-    EngineConfig {
-        checkpoint_wal_records: records,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    }
+    rotate_every(0)
 }
 
 /// Applies one step to a plain (reference) engine. Infallible.
@@ -193,29 +158,37 @@ fn apply_ref(
     }
 }
 
-/// Applies one step to a durable engine.
+/// Applies one step through the scheduler, with the footprint a server
+/// would name for it.
 fn apply_durable(
-    engine: &mut DurableEngine<Predicate>,
+    sched: &Sched,
     oracle: &PlainOracle,
     step: &Step,
     rng: &mut StdRng,
 ) -> Result<(), DurableError> {
     match step {
-        Step::Cmp(p) => engine.try_select(oracle, p, rng).map(|_| ()),
-        Step::Md(dims) => engine.try_select_range_md(oracle, dims, rng).map(|_| ()),
-        Step::Sdplus(dims) => engine
-            .try_select_range_sdplus(oracle, dims, rng)
-            .map(|_| ()),
-        Step::Conjunction(ps) => engine.try_select_conjunction(oracle, ps, rng).map(|_| ()),
-        Step::Insert(t) => engine.try_insert(oracle, *t).map(|_| ()),
-        Step::Delete(t) => engine.delete(*t),
+        Step::Cmp(p) => sched
+            .with_detached(&[p.attr()], |e| e.try_select(oracle, p, rng))
+            .map(drop),
+        Step::Md(dims) => sched
+            .with_detached(&[0, 1], |e| e.try_select_range_md(oracle, dims, rng))
+            .map(drop),
+        Step::Sdplus(dims) => sched
+            .with_detached(&[0, 1], |e| e.try_select_range_sdplus(oracle, dims, rng))
+            .map(drop),
+        Step::Conjunction(ps) => sched
+            .with_detached(&[0, 1], |e| e.try_select_conjunction(oracle, ps, rng))
+            .map(drop),
+        Step::Insert(t) => sched.insert(oracle, *t, None).map(drop),
+        Step::Delete(t) => sched.delete(*t, None).map(drop),
     }
 }
 
 /// Outcome of driving the crash-armed workload.
 struct CrashRun {
     /// `history[r]` = reference state after `r` WAL records were committed
-    /// (valid only when rotation is disabled).
+    /// (valid only when rotation is disabled), up to and including the
+    /// operation the run stopped in.
     history: Vec<Vec<Vec<u8>>>,
     /// State captured *before* the failing call, i.e. the last acknowledged
     /// state (always valid).
@@ -226,66 +199,44 @@ struct CrashRun {
     crashed: bool,
 }
 
-/// Drives the workload against a crash-armed durable engine and a plain
+/// Drives the workload against a crash-armed one-shard pool — inits on
+/// the pool, everything after through its scheduler — and a plain
 /// reference engine in lockstep, stopping at the first storage error.
 fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) -> CrashRun {
     let (n, extra) = (180usize, 3usize);
     let oracle = PlainOracle::from_columns(columns(n, extra, seed));
     let mut reference = PrkbEngine::new(config);
-    let (mut durable, _) =
-        DurableEngine::open_with_crash(&dir.0, config, crash).expect("fresh dir opens");
-
     let mut history = vec![kb_bytes(&reference)];
-    let mut acked = kb_bytes(&reference);
     for attr in 0..2u32 {
         reference.init_attr(attr, n);
         history.push(kb_bytes(&reference));
-        acked.clone_from(&history[history.len() - 2]);
-        if durable.init_attr(attr, n).is_err() {
-            return CrashRun {
-                live: kb_bytes(durable.engine()),
-                history,
-                acked,
-                crashed: true,
-            };
-        }
     }
-    for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
-        apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
-        history.push(kb_bytes(&reference));
-        acked = kb_bytes(durable.engine());
-        if apply_durable(&mut durable, &oracle, step, &mut step_rng(seed, i)).is_err() {
-            return CrashRun {
-                live: kb_bytes(durable.engine()),
-                history,
-                acked,
-                crashed: true,
-            };
+    let pool = open_pool(&dir.0, config, 1, crash, real_fs()).expect("fresh dir opens");
+    let mut run = common::drive(pool, 2, n, |durable, ack| {
+        for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
+            apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
+            history.push(kb_bytes(&reference));
+            apply_durable(durable, &oracle, step, &mut step_rng(seed, i))?;
+            ack();
         }
-    }
+        Ok(())
+    });
     CrashRun {
-        acked: kb_bytes(durable.engine()),
-        live: kb_bytes(durable.engine()),
         history,
-        crashed: false,
+        acked: run.acked.remove(0),
+        live: run.live.remove(0),
+        crashed: run.failed,
     }
 }
 
-/// Reopens with injection disabled and returns the recovered byte state and
-/// the number of records replayed.
+/// Reopens with injection disabled and returns the recovered byte state
+/// (every knowledge base checked against its invariants), the number of
+/// records replayed and the tail verdict.
 fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus) {
-    let (engine, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("recovery must open after a crash");
-    for attr in engine.engine().attrs().collect::<Vec<_>>() {
-        engine
-            .engine()
-            .knowledge(attr)
-            .expect("attr indexed")
-            .check_invariants();
-    }
+    let pool = reopen_pool(&dir.0, config, 1).expect("recovery must open after a crash");
+    let report = pool.reports()[0];
     (
-        kb_bytes(engine.engine()),
+        pool_bytes(&pool).remove(0),
         report.records_replayed,
         report.tail,
     )
@@ -404,7 +355,12 @@ fn env_driven_crash_point_recovers() {
 // ---------------------------------------------------------------------------
 
 fn wal_path(dir: &TmpDir, epoch: u64) -> PathBuf {
-    dir.0.join(format!("wal.{epoch}.log"))
+    dir.shard(0).join(format!("wal.{epoch}.log"))
+}
+
+/// Opens the directory as recovery would, injection disabled.
+fn try_open(dir: &TmpDir, config: EngineConfig) -> Result<common::Pool, DurableError> {
+    reopen_pool(&dir.0, config, 1)
 }
 
 /// Runs a short clean workload with rotation disabled and returns the WAL
@@ -421,20 +377,9 @@ fn torn_tail_is_discarded_and_engine_opens() {
     let bytes = clean_run(&dir, 11);
     // Chop mid-way into the final record.
     std::fs::write(wal_path(&dir, 0), &bytes[..bytes.len() - 3]).expect("write");
-    let (engine, report) = DurableEngine::<Predicate>::open_with_crash(
-        &dir.0,
-        no_rotation(),
-        CrashInjector::disabled(),
-    )
-    .expect("torn tail must not prevent opening");
-    assert_eq!(report.tail, TailStatus::TornDiscarded);
-    for attr in engine.engine().attrs().collect::<Vec<_>>() {
-        engine
-            .engine()
-            .knowledge(attr)
-            .expect("indexed")
-            .check_invariants();
-    }
+    let pool = try_open(&dir, no_rotation()).expect("torn tail must not prevent opening");
+    assert_eq!(pool.reports()[0].tail, TailStatus::TornDiscarded);
+    pool_bytes(&pool); // checks every knowledge base's invariants
 }
 
 #[test]
@@ -447,24 +392,15 @@ fn tail_bit_flip_is_discarded_but_mid_log_flip_refuses_to_open() {
     let at = good.len() - 2;
     tail_flip[at] ^= 0x40;
     std::fs::write(wal_path(&dir, 0), &tail_flip).expect("write");
-    let (_, report) = DurableEngine::<Predicate>::open_with_crash(
-        &dir.0,
-        no_rotation(),
-        CrashInjector::disabled(),
-    )
-    .expect("tail corruption is discarded");
-    assert_eq!(report.tail, TailStatus::TornDiscarded);
+    let pool = try_open(&dir, no_rotation()).expect("tail corruption is discarded");
+    assert_eq!(pool.reports()[0].tail, TailStatus::TornDiscarded);
+    drop(pool);
 
     // Bit-flip early in the log (valid records follow): hard error.
     let mut mid_flip = good.clone();
     mid_flip[40] ^= 0x01; // inside the first records, far from the tail
     std::fs::write(wal_path(&dir, 0), &mid_flip).expect("write");
-    let err = DurableEngine::<Predicate>::open_with_crash(
-        &dir.0,
-        no_rotation(),
-        CrashInjector::disabled(),
-    )
-    .expect_err("mid-log corruption must refuse to open");
+    let err = try_open(&dir, no_rotation()).expect_err("mid-log corruption must refuse to open");
     assert!(
         matches!(
             err,
@@ -481,19 +417,17 @@ fn corrupt_checkpoint_refuses_to_open() {
     let config = rotate_every(3);
     let run = drive(&dir, 17, config, CrashInjector::disabled());
     assert!(!run.crashed);
-    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
+    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.shard(0))
         .expect("manifest reads")
         .expect("manifest exists after rotation");
     let newest = *manifest.segments.last().expect("non-empty live set");
-    let seg = dir.0.join(segment_file_name(newest));
+    let seg = dir.shard(0).join(segment_file_name(newest));
     let mut bytes = std::fs::read(&seg).expect("segment exists after rotation");
     // Inside the first partition block (payload starts after the 16-byte
     // header): framing stays valid, the block's CRC does not.
     bytes[20] ^= 0x10;
     std::fs::write(&seg, &bytes).expect("write");
-    let err =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect_err("damaged checkpoint must refuse to open");
+    let err = try_open(&dir, config).expect_err("damaged checkpoint must refuse to open");
     assert!(
         matches!(err, DurableError::CorruptSegment(_)),
         "unexpected error class: {err}"
@@ -510,9 +444,8 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
     let config = rotate_every(4);
     let run = drive(&dir, 19, config, CrashInjector::disabled());
     assert!(!run.crashed);
-    let (engine, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+    let pool = try_open(&dir, config).expect("reopen");
+    let report = pool.reports()[0];
     assert!(report.checkpoint_loaded, "rotation must have checkpointed");
     assert!(report.epoch > 0, "rotation must bump the epoch");
     assert!(
@@ -520,9 +453,9 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
         "rotation must keep the replayed suffix short, got {}",
         report.records_replayed
     );
-    assert_eq!(kb_bytes(engine.engine()), run.live);
+    assert_eq!(kb_bytes(pool.shard_engine(0)), run.live);
     // Exactly one WAL file — the active epoch's — survives rotation.
-    let wals: Vec<String> = std::fs::read_dir(&dir.0)
+    let wals: Vec<String> = std::fs::read_dir(dir.shard(0))
         .expect("dir")
         .flatten()
         .filter_map(|e| e.file_name().to_str().map(String::from))
@@ -554,14 +487,10 @@ fn checkpoint_crash_sweep_recovers_live_state() {
             if nth == 1 {
                 assert!(run.crashed, "{point}:1 never fired");
             }
-            let (engine, report) = DurableEngine::<Predicate>::open_with_crash(
-                &dir.0,
-                config,
-                CrashInjector::disabled(),
-            )
-            .expect("recovery must open after a crash");
+            let pool = try_open(&dir, config).expect("recovery must open after a crash");
+            let report = pool.reports()[0];
             assert_eq!(
-                kb_bytes(engine.engine()),
+                kb_bytes(pool.shard_engine(0)),
                 run.live,
                 "{point}:{nth}: rotation crash lost committed state"
             );
@@ -574,12 +503,12 @@ fn checkpoint_crash_sweep_recovers_live_state() {
             // Whatever the crash left unlinked, the reopen swept: once a
             // manifest exists, a segment id is on disk iff it is live.
             if let Some(manifest) =
-                read_segment_manifest(real_fs().as_ref(), &dir.0).expect("manifest reads")
+                read_segment_manifest(real_fs().as_ref(), &dir.shard(0)).expect("manifest reads")
             {
                 assert!(manifest.segments.len() <= 2, "{point}:{nth}: live > attrs");
                 for id in 0..=manifest.next_segment_id {
                     assert_eq!(
-                        dir.0.join(segment_file_name(id)).exists(),
+                        dir.shard(0).join(segment_file_name(id)).exists(),
                         manifest.segments.contains(&id),
                         "{point}:{nth}: segment {id}: disk presence must match the manifest"
                     );
@@ -594,34 +523,32 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
     let dir = TmpDir::new("poison");
     let config = no_rotation();
     let oracle = PlainOracle::from_columns(columns(64, 0, 29));
-    let (mut durable, _) = DurableEngine::open_with_crash(
-        &dir.0,
+    // The two inits are appends 1 and 2.
+    let durable = create(
+        &dir,
         config,
         CrashInjector::at_nth(CrashPoint::AfterWalAppend, 3),
-    )
-    .expect("open");
-    durable.init_attr(0, 64).expect("init");
-    durable.init_attr(1, 64).expect("init");
+        64,
+    );
     let mut rng = StdRng::seed_from_u64(1);
     let p = Predicate::cmp(0, ComparisonOp::Lt, 500);
     let err = durable
-        .try_select(&oracle, &p, &mut rng)
+        .select(&oracle, &p, None, &mut rng)
         .expect_err("3rd append crashes");
     assert!(matches!(
         err,
         DurableError::Storage(DurabilityError::Crash(_))
     ));
-    assert!(durable.is_poisoned());
+    // The shard is poisoned: new work is refused before it runs.
     assert!(matches!(
-        durable.try_select(&oracle, &p, &mut rng),
+        durable.select(&oracle, &p, None, &mut rng),
         Err(DurableError::Poisoned)
     ));
     drop(durable);
     // Reopening resumes from the durable prefix and accepts work again.
-    let (mut durable, _) =
-        DurableEngine::open_with_crash(&dir.0, config, CrashInjector::disabled()).expect("reopen");
-    let sel = durable
-        .try_select(&oracle, &p, &mut rng)
+    let durable = reopen(&dir, config);
+    let (sel, _) = durable
+        .select(&oracle, &p, None, &mut rng)
         .expect("works again");
     let expected = oracle.expected_select(&p);
     assert_eq!(sel.sorted(), expected);
@@ -645,29 +572,23 @@ fn restart_continuity_matches_uninterrupted_reference() {
     let mut reference = PrkbEngine::new(config);
     reference.init_attr(0, n);
     reference.init_attr(1, n);
-    {
-        let (mut d, _) =
-            DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-                .expect("open");
-        d.init_attr(0, n).expect("init");
-        d.init_attr(1, n).expect("init");
-    } // dropped: simulated shutdown right after initialization
+    // Dropped at once: simulated shutdown right after initialization.
+    drop(create(&dir, config, CrashInjector::disabled(), n));
 
     let mut at = 0usize;
     for stop in [5usize, 11, steps.len()] {
-        let (mut d, _) = DurableEngine::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+        let d = reopen(&dir, config);
         assert_eq!(
-            kb_bytes(d.engine()),
+            d.inspect(kb_bytes),
             kb_bytes(&reference),
             "state diverged on reopen at step {at}"
         );
         while at < stop {
             apply_ref(&mut reference, &oracle, &steps[at], &mut step_rng(seed, at));
-            apply_durable(&mut d, &oracle, &steps[at], &mut step_rng(seed, at)).expect("clean run");
+            apply_durable(&d, &oracle, &steps[at], &mut step_rng(seed, at)).expect("clean run");
             at += 1;
         }
-        assert_eq!(kb_bytes(d.engine()), kb_bytes(&reference));
+        assert_eq!(d.inspect(kb_bytes), kb_bytes(&reference));
     }
 }
 
@@ -676,11 +597,10 @@ fn empty_and_single_partition_kbs_roundtrip_through_wal_and_checkpoint() {
     let dir = TmpDir::new("edge");
     let config = no_rotation();
     {
-        let (mut d, _) =
-            DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-                .expect("open");
-        d.init_attr(0, 0).expect("empty attr"); // zero tuples: k == 0
-        d.init_attr(1, 40).expect("single-partition attr"); // k == 1, never split
+        let mut pool = try_open(&dir, config).expect("open");
+        pool.init_attr(0, 0).expect("empty attr"); // zero tuples: k == 0
+        pool.init_attr(1, 40).expect("single-partition attr"); // k == 1, never split
+        let d = SessionScheduler::durable(pool);
         d.checkpoint().expect("explicit checkpoint");
         // Add post-checkpoint WAL records on top: the first tuple of the
         // empty attribute opens a solo partition (the Solo op).
@@ -688,17 +608,22 @@ fn empty_and_single_partition_kbs_roundtrip_through_wal_and_checkpoint() {
             (0..41u64).collect(),
             (0..41u64).map(|v| v * 3).collect(),
         ]);
-        d.try_insert(&oracle, 40).expect("solo insert");
-        assert_eq!(d.epoch(), 1);
-        assert!(d.wal_records() > 0, "insert must land in the new WAL");
+        d.insert(&oracle, 40, None).expect("solo insert");
+        let manifest = read_segment_manifest(real_fs().as_ref(), &dir.shard(0))
+            .expect("manifest reads")
+            .expect("manifest exists after the checkpoint");
+        assert_eq!(manifest.epoch, 1);
+        let wal_len = std::fs::metadata(wal_path(&dir, 1))
+            .expect("epoch-1 WAL")
+            .len();
+        assert!(wal_len > WAL_HEADER_LEN, "insert must land in the new WAL");
     }
-    let (d, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+    let pool = try_open(&dir, config).expect("reopen");
+    let report = pool.reports()[0];
     assert!(report.checkpoint_loaded);
     assert_eq!(report.epoch, 1);
-    let kb0 = d.engine().knowledge(0).expect("indexed");
-    let kb1 = d.engine().knowledge(1).expect("indexed");
+    let kb0 = pool.shard_engine(0).knowledge(0).expect("indexed");
+    let kb1 = pool.shard_engine(0).knowledge(1).expect("indexed");
     kb0.check_invariants();
     kb1.check_invariants();
     assert_eq!(kb0.k(), 1, "solo partition must survive recovery");
@@ -718,16 +643,15 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
     let oracle = PlainOracle::from_columns(cols);
     let config = EngineConfig {
         md_policy: MdUpdatePolicy::CompleteSplits,
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
+        ..no_rotation()
     };
     let dir = TmpDir::new("mdgrid");
     let live = {
-        let (mut d, _) = DurableEngine::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("open");
-        d.init_attr(0, n).expect("init");
-        d.init_attr(1, n).expect("init");
+        let d = create(&dir, config, CrashInjector::disabled(), n);
+        let select_md = |dims: &[[Predicate; 2]; 2], rng: &mut StdRng| {
+            d.with_detached(&[0, 1], |e| e.try_select_range_md(&oracle, dims, rng))
+                .expect("clean");
+        };
         let mut qrng = StdRng::seed_from_u64(38);
         for i in 0..8u64 {
             let lo = i * 100;
@@ -741,8 +665,7 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
                     Predicate::cmp(1, ComparisonOp::Lt, lo + 400),
                 ],
             ];
-            d.try_select_range_md(&oracle, &dims, &mut qrng)
-                .expect("clean");
+            select_md(&dims, &mut qrng);
         }
         // Split state across a checkpoint AND trailing WAL records.
         d.checkpoint().expect("rotate");
@@ -757,17 +680,18 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
                 Predicate::cmp(1, ComparisonOp::Lt, 888),
             ],
         ];
-        d.try_select_range_md(&oracle, &dims, &mut qrng2)
-            .expect("clean");
+        select_md(&dims, &mut qrng2);
         assert!(
-            d.engine().knowledge(0).expect("indexed").k() > 8,
+            d.inspect(|e| e.knowledge(0).expect("indexed").k()) > 8,
             "grid too coarse to be a fan-out test"
         );
-        kb_bytes(d.engine())
+        d.inspect(kb_bytes)
     };
-    let (d, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
-    assert!(report.checkpoint_loaded);
-    assert_eq!(kb_bytes(d.engine()), live, "fan-out grid diverged");
+    let pool = try_open(&dir, config).expect("reopen");
+    assert!(pool.reports()[0].checkpoint_loaded);
+    assert_eq!(
+        kb_bytes(pool.shard_engine(0)),
+        live,
+        "fan-out grid diverged"
+    );
 }

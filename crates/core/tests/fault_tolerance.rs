@@ -12,31 +12,18 @@
 //!    knowledge base is byte-identical to its pre-query state: no partial
 //!    splits, no stranded overflow entries, no half-routed inserts.
 
-use prkb_core::snapshot::{self, WireCodec};
-use prkb_core::{EngineConfig, PrkbEngine, SpPredicate};
+mod common;
+
+use common::kb_bytes;
+use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, FaultConfig, FaultInjector, Predicate, RetryOracle, RetryPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Canonical serialized form of every attribute's knowledge, in attribute
-/// order — byte equality here is the paper-index equivalent of "the KB is
-/// in the same state".
-fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
-}
-
 fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..2)
-        .map(|_| (0..n + extra).map(|_| rng.gen_range(0..1_000u64)).collect())
-        .collect()
+    common::columns(2, n, extra, seed)
 }
 
 fn two_attr_engine(n: usize) -> PrkbEngine<Predicate> {

@@ -22,80 +22,41 @@
 //!    opens unchanged, and its first rotation supersedes them with
 //!    version-2 files.
 
-use prkb_core::durability::DurableEngine;
+mod common;
+
+use common::{columns, kb_bytes, reopen_pool, rotate_every, select_lt, Pool, Sched, TmpDir};
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{
     parse_segment_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
     SEGMENT_VERSION,
 };
-use prkb_core::snapshot::{self, WireCodec};
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool, SpPredicate};
+use prkb_core::{snapshot, EngineConfig, SessionScheduler};
 use prkb_edbms::durability::{CrashInjector, CrashPoint};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{real_fs, ComparisonOp, Predicate};
+use prkb_edbms::{real_fs, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-lsm-{}-{}-{tag}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
-}
-
-fn columns(cols: usize, n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..cols)
-        .map(|_| (0..n + extra).map(|_| rng.gen_range(0..1_000u64)).collect())
-        .collect()
-}
-
 /// Explicit checkpoints only.
 fn manual() -> EngineConfig {
-    EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    }
+    rotate_every(0)
 }
 
-fn open_manual(dir: &Path, crash: CrashInjector) -> DurableEngine<Predicate> {
-    DurableEngine::open_with_crash(dir, manual(), crash)
-        .expect("open")
-        .0
+/// A fresh one-shard pool under [`manual`] with attributes `0..attrs`
+/// initialized, behind the scheduler.
+fn create_manual(dir: &TmpDir, crash: CrashInjector, attrs: u32, n: usize) -> Sched {
+    common::create_single(&dir.0, manual(), crash, real_fs(), attrs, n).expect("open + init")
+}
+
+fn reopen_manual(dir: &TmpDir) -> Sched {
+    common::open_single(&dir.0, manual(), CrashInjector::disabled(), real_fs()).expect("reopen")
 }
 
 /// The supersede invariant of one engine directory: every live segment is
@@ -137,22 +98,14 @@ fn assert_live_set(dir: &Path, tag: &str) -> SegmentManifest {
 fn checkpoint_flushes_only_the_dirty_partitions() {
     const ATTRS: u32 = 8;
     let dir = TmpDir::new("odelta");
-    let config = manual();
     let oracle = PlainOracle::from_columns(columns(ATTRS as usize, 160, 0, 5));
-    let (mut durable, _) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("open");
-    for a in 0..ATTRS {
-        durable.init_attr(a, 160).expect("init");
-    }
+    let durable = create_manual(&dir, CrashInjector::disabled(), ATTRS, 160);
     durable.checkpoint().expect("full first flush");
 
     // Touch exactly two partitions, then flush.
     let mut rng = StdRng::seed_from_u64(1);
     for a in [0u32, 1] {
-        durable
-            .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, 400), &mut rng)
-            .expect("select");
+        select_lt(&durable, &oracle, a, 400, &mut rng);
     }
     let flushed_before = prkb_core::metrics::global()
         .snapshot()
@@ -165,12 +118,13 @@ fn checkpoint_flushes_only_the_dirty_partitions() {
         .unwrap_or(0);
 
     let fs = real_fs();
-    let manifest = read_segment_manifest(fs.as_ref(), &dir.0)
+    let shard = dir.shard(0);
+    let manifest = read_segment_manifest(fs.as_ref(), &shard)
         .expect("manifest reads")
         .expect("manifest exists after checkpoints");
     assert_eq!(manifest.segments, vec![0, 1], "two flushes, two segments");
-    let full = SegmentMeta::open(fs.as_ref(), &dir.0, 0).expect("segment 0 opens");
-    let delta = SegmentMeta::open(fs.as_ref(), &dir.0, 1).expect("segment 1 opens");
+    let full = SegmentMeta::open(fs.as_ref(), &shard, 0).expect("segment 0 opens");
+    let delta = SegmentMeta::open(fs.as_ref(), &shard, 1).expect("segment 1 opens");
     assert_eq!(
         full.index.iter().map(|e| e.attr).collect::<Vec<_>>(),
         (0..ATTRS).collect::<Vec<_>>(),
@@ -207,27 +161,25 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
         group_commit_records: 3, // far smaller than the 8-partition dirty set
         ..manual()
     };
-    let mut pool = ShardedDurablePool::<Predicate>::open_with_crash(
-        &dir.0,
-        config,
-        ShardMap::new(1),
-        CrashInjector::disabled(),
-    )
-    .expect("create");
-    for a in 0..ATTRS {
-        pool.init_attr(a, N).expect("init");
-    }
-    let (_, mut parts) = pool.into_parts();
-    let (engine, committer) = &mut parts[0];
+    // Every init dirties its attribute and nothing has rotated yet.
     assert!(
-        engine.dirty_attrs().len() as u64 > config.group_commit_records,
+        u64::from(ATTRS) > config.group_commit_records,
         "precondition: dirty set exceeds the batch cap"
     );
-    committer.checkpoint(engine).expect("checkpoint");
-    let live = kb_bytes(engine);
+    let durable = common::create_single(
+        &dir.0,
+        config,
+        CrashInjector::disabled(),
+        real_fs(),
+        ATTRS,
+        N,
+    )
+    .expect("create");
+    durable.checkpoint().expect("checkpoint");
+    let live = durable.inspect(kb_bytes);
 
     let fs = real_fs();
-    let shard_dir = dir.0.join("shard.0");
+    let shard_dir = dir.shard(0);
     let manifest = read_segment_manifest(fs.as_ref(), &shard_dir)
         .expect("manifest reads")
         .expect("manifest exists");
@@ -238,14 +190,8 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
         (0..ATTRS).collect::<Vec<_>>(),
         "every dirty partition must reach the segment in one flush"
     );
-    drop(parts);
-    let pool = ShardedDurablePool::<Predicate>::open_with_crash(
-        &dir.0,
-        config,
-        ShardMap::new(1),
-        CrashInjector::disabled(),
-    )
-    .expect("reopen");
+    drop(durable);
+    let pool = reopen_pool(&dir.0, config, 1).expect("reopen");
     assert_eq!(kb_bytes(pool.shard_engine(0)), live);
 }
 
@@ -259,7 +205,8 @@ proptest! {
     /// Random sequences of {refine a subset of the attributes, checkpoint,
     /// reopen}, always ending in two checkpoints (the second all-clean):
     /// the invariant holds after every rotation and every reopen, a reopen
-    /// recovers the live bytes, and a rotation with nothing dirty writes
+    /// recovers the live bytes, and a rotation with nothing dirty — the
+    /// knowledge is byte for byte what the last rotation stored — writes
     /// no segment yet still moves the epoch and the WAL.
     #[test]
     fn live_set_is_exactly_the_newest_holders(
@@ -268,43 +215,42 @@ proptest! {
     ) {
         const N: usize = 60;
         let dir = TmpDir::new("supersede");
+        let shard = dir.shard(0);
         let oracle = PlainOracle::from_columns(columns(attrs as usize, N, 0, 3));
-        let mut durable = open_manual(&dir.0, CrashInjector::disabled());
-        for a in 0..attrs {
-            durable.init_attr(a, N).expect("init");
-        }
+        let mut durable = create_manual(&dir, CrashInjector::disabled(), attrs, N);
+        // What the last rotation stored; the inits have not been stored yet.
+        let mut stored: Option<Vec<Vec<u8>>> = None;
         let mut rng = StdRng::seed_from_u64(7);
         for (kind, mask, bound) in steps.into_iter().chain([(2, 0, 0), (2, 0, 0)]) {
             match kind {
                 0 | 1 => {
                     for a in (0..attrs).filter(|a| mask >> a & 1 == 1) {
-                        durable
-                            .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, bound), &mut rng)
-                            .expect("select");
+                        select_lt(&durable, &oracle, a, bound, &mut rng);
                     }
                 }
                 2 => {
-                    let clean = durable.engine().dirty_attrs().is_empty();
-                    let before = assert_live_set(&dir.0, "before checkpoint");
+                    let live = durable.inspect(kb_bytes);
+                    let clean = stored.as_ref() == Some(&live);
+                    let before = assert_live_set(&shard, "before checkpoint");
                     durable.checkpoint().expect("checkpoint");
-                    let after = assert_live_set(&dir.0, "after checkpoint");
+                    let after = assert_live_set(&shard, "after checkpoint");
                     prop_assert_eq!(after.epoch, before.epoch + 1);
-                    prop_assert_eq!(after.epoch, durable.epoch());
-                    prop_assert!(dir.0.join(format!("wal.{}.log", after.epoch)).exists());
-                    prop_assert!(!dir.0.join(format!("wal.{}.log", before.epoch)).exists());
+                    prop_assert!(shard.join(format!("wal.{}.log", after.epoch)).exists());
+                    prop_assert!(!shard.join(format!("wal.{}.log", before.epoch)).exists());
                     if clean {
                         prop_assert_eq!(after.segments, before.segments);
                         prop_assert_eq!(after.next_segment_id, before.next_segment_id);
                     } else {
                         prop_assert_eq!(after.segments.last(), Some(&before.next_segment_id));
                     }
+                    stored = Some(live);
                 }
                 _ => {
-                    let live = kb_bytes(durable.engine());
+                    let live = durable.inspect(kb_bytes);
                     drop(durable);
-                    durable = open_manual(&dir.0, CrashInjector::disabled());
-                    prop_assert_eq!(kb_bytes(durable.engine()), live);
-                    assert_live_set(&dir.0, "after reopen");
+                    durable = reopen_manual(&dir);
+                    prop_assert_eq!(durable.inspect(kb_bytes), live);
+                    assert_live_set(&shard, "after reopen");
                 }
             }
         }
@@ -322,26 +268,21 @@ fn rotation_crash_at_every_segment_hook_recovers_live_and_leaves_no_stray() {
     for point in CrashPoint::SEGMENT_HOOKS {
         let dir = TmpDir::new("rotation-crash");
         // Every hook fires once per rotation.
-        let mut durable = open_manual(&dir.0, CrashInjector::at_nth(point, 3));
-        for a in 0..3 {
-            durable.init_attr(a, N).expect("init");
-        }
+        let durable = create_manual(&dir, CrashInjector::at_nth(point, 3), 3, N);
         let mut rng = StdRng::seed_from_u64(5);
         // Segment 0 = {0, 1, 2}, segment 1 = {0, 1}; the armed rotation
         // writes {2}, which keeps segment 1 and supersedes segment 0.
         for (round, touched) in [&[][..], &[0, 1], &[2]].into_iter().enumerate() {
             for &a in touched {
-                durable
-                    .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, 500), &mut rng)
-                    .expect("select");
+                select_lt(&durable, &oracle, a, 500, &mut rng);
             }
             assert_eq!(durable.checkpoint().is_err(), round == 2, "{point}");
         }
-        let live = kb_bytes(durable.engine());
+        let live = durable.inspect(kb_bytes);
         drop(durable);
-        let reopened = open_manual(&dir.0, CrashInjector::disabled());
-        assert_eq!(kb_bytes(reopened.engine()), live, "{point}");
-        let manifest = assert_live_set(&dir.0, point.name());
+        let reopened = reopen_manual(&dir);
+        assert_eq!(reopened.inspect(kb_bytes), live, "{point}");
+        let manifest = assert_live_set(&dir.shard(0), point.name());
         // Before the swap the old set stands; from the swap on, the new one.
         let swapped = matches!(
             point,
@@ -397,14 +338,14 @@ fn served_images() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn open_pool(dir: &Path, crash: CrashInjector) -> ShardedDurablePool<Predicate> {
+fn open_pool(dir: &Path, crash: CrashInjector) -> Pool {
     // Requesting one shard: the parent-written manifest must win.
-    ShardedDurablePool::open_with_crash(dir, EngineConfig::default(), ShardMap::new(1), crash)
+    common::open_pool(dir, EngineConfig::default(), 1, crash, real_fs())
         .expect("a parent-written pool opens")
 }
 
 /// Attribute-ordered images across every shard of the pool.
-fn pool_images(pool: &ShardedDurablePool<Predicate>) -> Vec<Vec<u8>> {
+fn pool_images(pool: &Pool) -> Vec<Vec<u8>> {
     let mut images: Vec<(u32, Vec<u8>)> = (0..pool.map().shards())
         .flat_map(|sid| {
             let engine = pool.shard_engine(sid);
@@ -457,18 +398,15 @@ fn parent_written_v1_pool_migrates_and_recovers_the_served_images() {
 /// The first rotation after an upgrade, with every partition dirtied: each
 /// shard publishes one version-2 segment and retires segment 0, whichever
 /// version that was.
-fn first_rotation_supersedes_segment_0(dir: &Path, pool: ShardedDurablePool<Predicate>) {
-    let (_, mut parts) = pool.into_parts();
-    for (sid, (engine, committer)) in parts.iter_mut().enumerate() {
-        engine.delete(9); // touches, hence dirties, every attribute
-        let ticket = committer.enqueue_journal(engine.take_ops());
-        committer.wait_durable(ticket).expect("durable ack");
-        committer
-            .checkpoint(engine)
-            .expect("post-upgrade checkpoint");
-        assert_eq!(committer.epoch(), 2);
+fn first_rotation_supersedes_segment_0(dir: &Path, pool: Pool) {
+    let shards = pool.map().shards();
+    let sched = SessionScheduler::durable(pool);
+    sched.delete(9, None).expect("durable ack"); // touches, hence dirties, every attribute
+    sched.checkpoint().expect("post-upgrade checkpoint");
+    for sid in 0..shards {
         let shard = dir.join(format!("shard.{sid}"));
         let manifest = assert_live_set(&shard, &format!("shard {sid}"));
+        assert_eq!(manifest.epoch, 2, "shard {sid}");
         assert_eq!(
             manifest.segments,
             vec![1],
@@ -494,11 +432,12 @@ fn interrupted_migration_reopens_to_the_same_state() {
         for nth in [1u64, 2] {
             let dir = TmpDir::new("upgrade-crash");
             copy_tree(&fixture("parent_pool_v1"), &dir.0);
-            let crashed = ShardedDurablePool::<Predicate>::open_with_crash(
+            let crashed = common::open_pool(
                 &dir.0,
                 EngineConfig::default(),
-                ShardMap::new(2),
+                2,
                 CrashInjector::at_nth(point, nth),
+                real_fs(),
             );
             // Only a rotation reaches the retire hook; a migration never does.
             assert_eq!(

@@ -1,4 +1,5 @@
-//! Storage-fault semantics and KB integrity scrubbing (DESIGN.md §15).
+//! Storage-fault semantics and KB integrity scrubbing (DESIGN.md §15),
+//! every commit made through the `SessionScheduler`.
 //!
 //! Pinned guarantees:
 //!
@@ -21,163 +22,73 @@
 //! 5. **Blast radius** — a poisoned shard rejects new commits with
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
-use prkb_core::durability::{DurableEngine, DurableError};
+mod common;
+
+use common::{
+    assert_recovered, kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every,
+    select_lt, shards_from_env, Run, Sched, TmpDir,
+};
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
-use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool, SpPredicate};
+use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-storage-faults-{}-{}-{tag}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 const ATTRS: u32 = 3;
 const N: usize = 140;
 
 fn oracle() -> PlainOracle {
-    let mut rng = StdRng::seed_from_u64(0xFA_11);
-    PlainOracle::from_columns(
-        (0..ATTRS)
-            .map(|_| (0..N).map(|_| rng.gen_range(0..1_000u64)).collect())
-            .collect(),
-    )
+    common::oracle(ATTRS as usize, N, 0xFA_11)
 }
 
-fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
+/// A fresh one-shard pool with every attribute initialized, behind the
+/// scheduler.
+fn create(dir: &Path, config: EngineConfig, crash: CrashInjector, fs: Arc<dyn StorageFs>) -> Sched {
+    common::create_single(dir, config, crash, fs, ATTRS, N).expect("open + init")
 }
 
-/// Rotates every `records` WAL records; every rotation retires what it
-/// supersedes, so unlinks are on the faulted path too.
-fn rotate_every(records: u64) -> EngineConfig {
-    EngineConfig {
-        checkpoint_wal_records: records,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    }
-}
-
-/// How many shards the sweeps use; CI fans `PRKB_SHARDS` over 1 and 8.
-fn shards_from_env() -> usize {
-    std::env::var("PRKB_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(2)
-}
-
-/// Outcome of a fault-armed engine run. `None` when the fault killed the
-/// open itself (a clean error — nothing was acknowledged).
-struct EngineRun {
-    /// State at the last acknowledged (durable) commit.
-    acked: Vec<Vec<u8>>,
-    /// In-memory state when the run stopped (ahead of `acked` only when
-    /// the fault hit after the in-memory commit).
-    live: Vec<Vec<u8>>,
-    /// Whether an operation failed (the run stopped early).
-    failed: bool,
-}
-
-/// Drives a deterministic select/BETWEEN/delete workload against a durable
-/// engine opened over `fs`, stopping cleanly at the first storage error.
-fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>, config: EngineConfig) -> Option<EngineRun> {
+/// Drives a deterministic select/BETWEEN/delete workload through the
+/// scheduler of a one-shard pool opened over `fs`, stopping cleanly at the
+/// first storage error. `None` when the fault killed the open itself (a
+/// clean error — nothing was acknowledged).
+fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
     let oracle = oracle();
-    let (mut durable, _) = match DurableEngine::<Predicate>::open_with_storage(
-        dir,
-        config,
-        CrashInjector::disabled(),
-        fs,
-    ) {
-        Ok(v) => v,
-        Err(_) => return None,
-    };
-    let mut acked = kb_bytes(durable.engine());
-    let run = |durable: &DurableEngine<Predicate>, acked: Vec<Vec<u8>>, failed| EngineRun {
-        live: kb_bytes(durable.engine()),
-        acked,
-        failed,
-    };
-    for attr in 0..ATTRS {
-        if durable.init_attr(attr, N).is_err() {
-            return Some(run(&durable, acked, true));
+    let pool = open_pool(dir, rotate_every(4), 1, CrashInjector::disabled(), fs).ok()?;
+    Some(common::drive(pool, ATTRS, N, |durable, ack| {
+        for round in 0..20u64 {
+            let attr = (round % u64::from(ATTRS)) as u32;
+            let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0x9E37_79B9) + 7);
+            let lo = (round * 41) % 700;
+            let pred = if round % 3 == 0 {
+                Predicate::between(attr, lo, lo + 150)
+            } else {
+                Predicate::cmp(attr, ComparisonOp::Lt, lo + 150)
+            };
+            if round % 7 == 6 {
+                durable.delete((round % 60) as u32, None)?;
+            } else {
+                durable.select(&oracle, &pred, None, &mut rng)?;
+            }
+            ack();
         }
-        acked = kb_bytes(durable.engine());
-    }
-    for round in 0..20u64 {
-        let attr = (round % u64::from(ATTRS)) as u32;
-        let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0x9E37_79B9) + 7);
-        let lo = (round * 41) % 700;
-        let pred = if round % 3 == 0 {
-            Predicate::between(attr, lo, lo + 150)
-        } else {
-            Predicate::cmp(attr, ComparisonOp::Lt, lo + 150)
-        };
-        let res = if round % 7 == 6 {
-            durable.delete((round % 60) as u32).map(|_| ())
-        } else {
-            durable.try_select(&oracle, &pred, &mut rng).map(|_| ())
-        };
-        if res.is_err() {
-            return Some(run(&durable, acked, true));
-        }
-        acked = kb_bytes(durable.engine());
-    }
-    Some(run(&durable, acked, false))
+        Ok(())
+    }))
 }
 
 /// Reopens over the real filesystem; recovery must validate.
 fn recover_engine(dir: &Path, config: EngineConfig) -> Vec<Vec<u8>> {
-    let (engine, _) = DurableEngine::<Predicate>::open_with_storage(
-        dir,
-        config,
-        CrashInjector::disabled(),
-        real_fs(),
-    )
-    .expect("recovery over the real fs must open after an injected fault");
-    for attr in engine.engine().attrs().collect::<Vec<_>>() {
-        engine
-            .engine()
-            .knowledge(attr)
-            .expect("attr indexed")
-            .check_invariants();
-    }
-    kb_bytes(engine.engine())
+    let pool = reopen_pool(dir, config, 1)
+        .expect("recovery over the real fs must open after an injected fault");
+    pool_bytes(&pool).remove(0)
 }
 
 fn no_stray_tmp(dir: &Path) {
@@ -203,31 +114,16 @@ fn seeded_fault_sweep_engine_never_loses_a_durable_ack() {
     for seed in 1..=16u64 {
         let dir = TmpDir::new("sweep-engine");
         let faults = FaultFs::seeded(real_fs(), seed);
-        let config = rotate_every(4);
-        let run = drive_engine(&dir.0, faults.handle(), config);
-        let recovered = recover_engine(&dir.0, config);
+        let run = drive_engine(&dir.0, faults.handle());
+        let recovered = recover_pool(&dir.0, 1);
         match run {
-            None => {
-                // The fault killed the open; nothing was ever acknowledged,
-                // so an empty recovery is the only acceptable state.
-                assert!(
-                    faults.injected() >= 1,
-                    "seed {seed}: open failed without an injected fault"
-                );
-            }
-            Some(run) if run.failed => {
-                assert!(
-                    recovered == run.acked || recovered == run.live,
-                    "seed {seed}: recovered state is neither the acknowledged \
-                     prefix nor the in-flight state"
-                );
-            }
-            Some(run) => {
-                assert_eq!(
-                    recovered, run.live,
-                    "seed {seed}: clean run must recover its final state"
-                );
-            }
+            // The fault killed the open; nothing was ever acknowledged, so
+            // an empty recovery is the only acceptable state.
+            None => assert!(
+                faults.injected() >= 1,
+                "seed {seed}: open failed without an injected fault"
+            ),
+            Some(run) => assert_recovered(&run, &recovered, &format!("seed {seed}")),
         }
         no_stray_tmp(&dir.0);
     }
@@ -237,135 +133,40 @@ fn seeded_fault_sweep_engine_never_loses_a_durable_ack() {
 // 2. Seeded fault sweep: sharded group-commit path
 // ---------------------------------------------------------------------------
 
-struct PoolRun {
-    acked: Vec<Vec<Vec<u8>>>,
-    live: Vec<Vec<Vec<u8>>>,
-    failed: bool,
-}
-
-fn commit_shard(
-    committer: &prkb_core::ShardCommitter<Predicate>,
-    engine: &mut PrkbEngine<Predicate>,
-) -> Result<(), DurableError> {
-    let ticket = committer.enqueue_journal(engine.take_ops());
-    committer.wait_durable(ticket).map(|_| ())
-}
-
-fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<PoolRun> {
+fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> {
     let oracle = oracle();
-    let config = rotate_every(4);
-    let mut pool = match ShardedDurablePool::<Predicate>::open_with_storage(
-        dir,
-        config,
-        ShardMap::new(shards),
-        CrashInjector::disabled(),
-        fs,
-    ) {
-        Ok(p) => p,
-        Err(_) => return None,
-    };
-    let map = pool.map();
-    let mut acked: Vec<Vec<Vec<u8>>> = (0..map.shards())
-        .map(|s| kb_bytes(pool.shard_engine(s)))
-        .collect();
-    for a in 0..ATTRS {
-        let sid = map.shard_of(a);
-        if pool.init_attr(a, N).is_err() {
-            let (_, parts) = pool.into_parts();
-            return Some(PoolRun {
-                live: parts.iter().map(|(e, _)| kb_bytes(e)).collect(),
-                acked,
-                failed: true,
-            });
+    let pool = open_pool(dir, rotate_every(4), shards, CrashInjector::disabled(), fs).ok()?;
+    Some(common::drive(pool, ATTRS, N, |sched, ack| {
+        for round in 0..16u64 {
+            let attr = (round % u64::from(ATTRS)) as u32;
+            let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0xA5A5) + 3);
+            let lo = (round * 53) % 650;
+            let pred = Predicate::cmp(attr, ComparisonOp::Lt, lo + 120);
+            sched.select(&oracle, &pred, None, &mut rng)?;
+            ack();
         }
-        acked[sid] = kb_bytes(pool.shard_engine(sid));
-    }
-    let (_, mut parts) = pool.into_parts();
-    let finish = |parts: &[(PrkbEngine<Predicate>, prkb_core::ShardCommitter<Predicate>)],
-                  acked: Vec<Vec<Vec<u8>>>,
-                  failed: bool| PoolRun {
-        live: parts.iter().map(|(e, _)| kb_bytes(e)).collect(),
-        acked,
-        failed,
-    };
-    for round in 0..16u64 {
-        let attr = (round % u64::from(ATTRS)) as u32;
-        let sid = map.shard_of(attr);
-        let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0xA5A5) + 3);
-        let lo = (round * 53) % 650;
-        let (engine, committer) = &mut parts[sid];
-        engine
-            .try_select(
-                &oracle,
-                &Predicate::cmp(attr, ComparisonOp::Lt, lo + 120),
-                &mut rng,
-            )
-            .expect("plain selects cannot hit storage");
-        if commit_shard(committer, engine).is_err() {
-            return Some(finish(&parts, acked, true));
-        }
-        acked[sid] = kb_bytes(engine);
-        if committer.wants_checkpoint(&config) && committer.checkpoint(engine).is_err() {
-            return Some(finish(&parts, acked, true));
-        }
-    }
-    Some(finish(&parts, acked, false))
+        Ok(())
+    }))
 }
 
 fn recover_pool(dir: &Path, shards: usize) -> Vec<Vec<Vec<u8>>> {
-    let pool = ShardedDurablePool::<Predicate>::open_with_storage(
-        dir,
-        rotate_every(4),
-        ShardMap::new(shards),
-        CrashInjector::disabled(),
-        real_fs(),
-    )
-    .expect("recovery over the real fs must open");
-    (0..pool.map().shards())
-        .map(|s| {
-            let engine = pool.shard_engine(s);
-            for attr in engine.attrs().collect::<Vec<_>>() {
-                engine
-                    .knowledge(attr)
-                    .expect("attr indexed")
-                    .check_invariants();
-            }
-            kb_bytes(engine)
-        })
-        .collect()
-}
-
-fn assert_pool_run(run: Option<PoolRun>, recovered: &[Vec<Vec<u8>>], tag: &str) {
-    let Some(run) = run else {
-        // Fault at pool creation: clean error, nothing acknowledged.
-        return;
-    };
-    assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
-    for (sid, rec) in recovered.iter().enumerate() {
-        if run.failed {
-            assert!(
-                *rec == run.acked[sid] || *rec == run.live[sid],
-                "{tag} shard {sid}: recovered state is neither the acknowledged \
-                 prefix nor the in-flight state"
-            );
-        } else {
-            assert_eq!(
-                *rec, run.live[sid],
-                "{tag} shard {sid}: clean run must recover final state"
-            );
-        }
-    }
+    let pool =
+        reopen_pool(dir, rotate_every(4), shards).expect("recovery over the real fs must open");
+    pool_bytes(&pool)
 }
 
 #[test]
 fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
-    let shards = shards_from_env();
+    let shards = shards_from_env(2);
     for seed in 1..=10u64 {
         let dir = TmpDir::new("sweep-pool");
         let faults = FaultFs::seeded(real_fs(), seed);
         let run = drive_pool(&dir.0, faults.handle(), shards);
         let recovered = recover_pool(&dir.0, shards);
-        assert_pool_run(run, &recovered, &format!("seed {seed}"));
+        // A fault at pool creation is a clean error: nothing acknowledged.
+        if let Some(run) = run {
+            assert_recovered(&run, &recovered, &format!("seed {seed}"));
+        }
         no_stray_tmp(&dir.0);
     }
 }
@@ -375,7 +176,7 @@ fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
 /// pins replay equivalence.
 #[test]
 fn env_driven_storage_fault_recovers() {
-    let shards = shards_from_env();
+    let shards = shards_from_env(2);
     let dir = TmpDir::new("env");
     let fs: Arc<dyn StorageFs> = match FaultFs::from_env(real_fs()) {
         Some(faults) => faults.handle(),
@@ -383,13 +184,22 @@ fn env_driven_storage_fault_recovers() {
     };
     let run = drive_pool(&dir.0, fs, shards);
     let recovered = recover_pool(&dir.0, shards);
-    assert_pool_run(run, &recovered, "env");
+    if let Some(run) = run {
+        assert_recovered(&run, &recovered, "env");
+    }
     no_stray_tmp(&dir.0);
 }
 
 // ---------------------------------------------------------------------------
 // 3. fsync-failure semantics: poison, no durable ack, SyncFailed class
 // ---------------------------------------------------------------------------
+
+fn is_sync_failed<T>(res: &Result<T, DurableError>) -> bool {
+    matches!(
+        res,
+        Err(DurableError::Storage(DurabilityError::SyncFailed(_)))
+    )
+}
 
 #[test]
 fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
@@ -406,32 +216,36 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
             sticky: false,
         }],
     );
-    let (mut durable, _) = DurableEngine::<Predicate>::open_with_storage(
+    // Inits precede the armed sync.
+    let durable = create(
         &dir.0,
         EngineConfig::default(),
         CrashInjector::disabled(),
         faults.handle(),
-    )
-    .expect("open");
-    for a in 0..ATTRS {
-        durable
-            .init_attr(a, N)
-            .expect("inits precede the armed sync");
-    }
-    let acked = kb_bytes(durable.engine());
-    let mut rng = StdRng::seed_from_u64(1);
-    let err = durable
-        .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, 500), &mut rng)
-        .expect_err("the armed sync must fail the commit");
-    assert!(
-        matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
-        "failed fsync must surface as SyncFailed, got {err:?}"
     );
-    assert!(durable.is_poisoned(), "failed fsync must poison the handle");
-    // The non-sticky rule is spent: the disk "works" again. A poisoned
-    // handle must still refuse — no retry-and-assume-durable, ever.
+    let acked = durable.inspect(kb_bytes);
+    let mut rng = StdRng::seed_from_u64(1);
+    let failed = durable.select(
+        &oracle,
+        &Predicate::cmp(0, ComparisonOp::Lt, 500),
+        None,
+        &mut rng,
+    );
+    assert!(
+        is_sync_failed(&failed),
+        "failed fsync must surface as SyncFailed, got {:?}",
+        failed.err()
+    );
+    // The non-sticky rule is spent: the disk "works" again. The failed
+    // fsync poisoned the shard, and a poisoned shard must still refuse —
+    // no retry-and-assume-durable, ever.
     let err = durable
-        .try_select(&oracle, &Predicate::cmp(1, ComparisonOp::Lt, 400), &mut rng)
+        .select(
+            &oracle,
+            &Predicate::cmp(1, ComparisonOp::Lt, 400),
+            None,
+            &mut rng,
+        )
         .expect_err("poisoned handle must refuse new work");
     assert!(
         format!("{err}").contains("no durable ack"),
@@ -440,7 +254,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
     // A failed fsync means durability is *unknown*: the record was written
     // but never acknowledged, so recovery may land on either side of it —
     // just never lose the acked prefix or invent a third state.
-    let live = kb_bytes(durable.engine());
+    let live = durable.inspect(kb_bytes);
     drop(durable);
     let recovered = recover_engine(&dir.0, EngineConfig::default());
     assert!(
@@ -457,35 +271,20 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
 #[test]
 fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     let dir = TmpDir::new("enospc");
+    let shard = dir.shard(0);
     let oracle = oracle();
-    let config = EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    };
+    let config = rotate_every(0);
     // Phase 1: a clean first checkpoint over the real fs.
     {
-        let (mut durable, _) = DurableEngine::<Predicate>::open_with_storage(
-            &dir.0,
-            config,
-            CrashInjector::disabled(),
-            real_fs(),
-        )
-        .expect("open");
-        for a in 0..ATTRS {
-            durable.init_attr(a, N).expect("init");
-        }
-        let mut rng = StdRng::seed_from_u64(2);
-        durable
-            .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, 300), &mut rng)
-            .expect("select");
+        let durable = create(&dir.0, config, CrashInjector::disabled(), real_fs());
+        select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(2));
         durable.checkpoint().expect("clean rotation");
     }
     // The previous checkpoint: segment 0 behind the manifest.
     let checkpoint_files = ["segments.manifest", "segment.0.seg"];
     let old_checkpoint: Vec<Vec<u8>> = checkpoint_files
         .iter()
-        .map(|f| std::fs::read(dir.0.join(f)).expect("checkpoint exists"))
+        .map(|f| std::fs::read(shard.join(f)).expect("checkpoint exists"))
         .collect();
 
     // Phase 2: reopen over a disk that fills up exactly when the *next*
@@ -500,36 +299,31 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
             sticky: true,
         }],
     );
-    let (mut durable, _) = DurableEngine::<Predicate>::open_with_storage(
-        &dir.0,
-        config,
-        CrashInjector::disabled(),
-        faults.handle(),
-    )
-    .expect("reopen");
-    let mut rng = StdRng::seed_from_u64(3);
-    durable
-        .try_select(&oracle, &Predicate::cmp(1, ComparisonOp::Lt, 600), &mut rng)
-        .expect("commit before the armed rotation");
-    let acked = kb_bytes(durable.engine());
-    let err = durable.checkpoint().expect_err("rotation must abort");
+    let durable =
+        open_single(&dir.0, config, CrashInjector::disabled(), faults.handle()).expect("reopen");
+    // A commit before the armed rotation.
+    select_lt(&durable, &oracle, 1, 600, &mut StdRng::seed_from_u64(3));
+    let acked = durable.inspect(kb_bytes);
+    let aborted = durable.checkpoint();
     assert!(
-        matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
-        "ENOSPC at the checkpoint barrier is a sync failure, got {err:?}"
+        is_sync_failed(&aborted),
+        "ENOSPC at the checkpoint barrier is a sync failure, got {:?}",
+        aborted.err()
     );
-    assert!(durable.is_poisoned());
+    // …which poisons the shard: new work is refused before it runs.
+    assert!(is_sync_failed(&durable.delete(0, None)));
     drop(durable);
 
     // The previous checkpoint + WAL must be byte-identical and still live…
     for (f, old) in checkpoint_files.iter().zip(&old_checkpoint) {
         assert_eq!(
-            &std::fs::read(dir.0.join(f)).expect("still there"),
+            &std::fs::read(shard.join(f)).expect("still there"),
             old,
             "aborted rotation must leave {f} untouched"
         );
     }
     assert!(
-        !dir.0.join("segment.1.seg").exists(),
+        !shard.join("segment.1.seg").exists(),
         "the aborted segment must never be published"
     );
     // …recovery must be exactly the committed prefix…
@@ -558,18 +352,15 @@ fn failed_pool_manifest_sync_is_sync_failed() {
                 sticky: false,
             }],
         );
-        let err = ShardedDurablePool::<Predicate>::open_with_storage(
+        // The armed manifest barrier must fail pool creation.
+        let created = open_pool(
             &dir.0,
             EngineConfig::default(),
-            ShardMap::new(2),
+            2,
             CrashInjector::disabled(),
             faults.handle(),
-        )
-        .expect_err("the armed manifest barrier must fail pool creation");
-        assert!(
-            matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
-            "{op:?}: got {err:?}"
         );
+        assert!(is_sync_failed(&created), "{op:?}: got {:?}", created.err());
     }
 }
 
@@ -577,35 +368,29 @@ fn failed_pool_manifest_sync_is_sync_failed() {
 // 5. Scrub verdicts over deliberately rotted artifacts
 // ---------------------------------------------------------------------------
 
-/// Builds a real engine directory with a non-trivial checkpoint (one
-/// segment behind the manifest) and a WAL holding several frames, returning
-/// its committed byte state.
-fn build_engine_dir(dir: &Path) -> Vec<Vec<u8>> {
+/// Builds a real engine directory — `dir.shard(0)` of a one-shard pool —
+/// with a non-trivial checkpoint (one segment behind the manifest) and a
+/// WAL holding several frames, returning its committed byte state.
+fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
     let oracle = oracle();
-    let config = EngineConfig {
-        checkpoint_wal_records: 0,
-        checkpoint_wal_bytes: 0,
-        ..EngineConfig::default()
-    };
-    let (mut durable, _) = DurableEngine::<Predicate>::open(dir, config).expect("open");
-    for a in 0..ATTRS {
-        durable.init_attr(a, N).expect("init");
-    }
+    let durable = create(
+        &dir.0,
+        rotate_every(0),
+        CrashInjector::disabled(),
+        real_fs(),
+    );
     let mut rng = StdRng::seed_from_u64(5);
-    durable
-        .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, 400), &mut rng)
-        .expect("select");
+    select_lt(&durable, &oracle, 0, 400, &mut rng);
     durable.checkpoint().expect("rotate");
     for bound in [200u64, 500, 800] {
-        durable
-            .try_select(
-                &oracle,
-                &Predicate::cmp(1, ComparisonOp::Lt, bound),
-                &mut rng,
-            )
-            .expect("select");
+        select_lt(&durable, &oracle, 1, bound, &mut rng);
     }
-    kb_bytes(durable.engine())
+    durable.inspect(kb_bytes)
+}
+
+/// Opens `dir` as recovery would: the default config over the real fs.
+fn try_open(dir: &TmpDir) -> Result<common::Pool, DurableError> {
+    reopen_pool(&dir.0, EngineConfig::default(), 1)
 }
 
 fn wal_path(dir: &Path) -> PathBuf {
@@ -624,8 +409,8 @@ fn wal_path(dir: &Path) -> PathBuf {
 #[test]
 fn scrub_reports_clean_on_an_intact_directory() {
     let dir = TmpDir::new("scrub-clean");
-    build_engine_dir(&dir.0);
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
+    build_engine_dir(&dir);
+    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
     assert!(report.is_clean(), "{}", report.to_json());
     assert!(
         report.files_scanned >= 3,
@@ -637,14 +422,14 @@ fn scrub_reports_clean_on_an_intact_directory() {
 #[test]
 fn scrub_classifies_torn_tail_and_leaves_it_alone() {
     let dir = TmpDir::new("scrub-torn");
-    let committed = build_engine_dir(&dir.0);
-    let wal = wal_path(&dir.0);
+    let committed = build_engine_dir(&dir);
+    let wal = wal_path(&dir.shard(0));
     // Append a partial frame: the torn-write shape a crash leaves behind.
     let mut bytes = std::fs::read(&wal).expect("read wal");
     bytes.extend_from_slice(&[0xAB; 7]);
     std::fs::write(&wal, &bytes).expect("tear");
 
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
+    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
     let f = report
         .findings
         .iter()
@@ -664,8 +449,8 @@ fn scrub_classifies_torn_tail_and_leaves_it_alone() {
 #[test]
 fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     let dir = TmpDir::new("scrub-midlog");
-    build_engine_dir(&dir.0);
-    let wal = wal_path(&dir.0);
+    build_engine_dir(&dir);
+    let wal = wal_path(&dir.shard(0));
     let mut bytes = std::fs::read(&wal).expect("read wal");
     // Flip one payload byte inside the *first* frame: valid frames follow,
     // so this is damage inside the committed prefix.
@@ -674,10 +459,9 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     std::fs::write(&wal, &bytes).expect("rot");
 
     // Recovery must refuse the damaged log outright.
-    DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
-        .expect_err("mid-log corruption must refuse to open");
+    try_open(&dir).expect_err("mid-log corruption must refuse to open");
 
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
+    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
     let f = report
         .findings
         .iter()
@@ -685,7 +469,7 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
         .expect("mid-log finding");
     assert!(report.has_corruption());
     let moved = f.quarantined_to.as_ref().expect("quarantined");
-    assert!(moved.starts_with(dir.0.join(QUARANTINE_DIR)));
+    assert!(moved.starts_with(dir.shard(0).join(QUARANTINE_DIR)));
     assert_eq!(
         std::fs::read(moved).expect("evidence preserved"),
         bytes,
@@ -694,8 +478,7 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     assert!(!wal.exists());
 
     // With the rotted WAL out of the way the checkpoint still opens.
-    DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
-        .expect("quarantine unblocks reopen");
+    try_open(&dir).expect("quarantine unblocks reopen");
 }
 
 /// A v1 `checkpoint.bin` is never written any more, but a directory that
@@ -703,29 +486,30 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
 #[test]
 fn scrub_classifies_v1_checkpoint_rot() {
     let dir = TmpDir::new("scrub-ckpt");
+    let shard = dir.shard(0);
+    std::fs::create_dir_all(&shard).expect("shard dir");
     // One shard of the parent-written default-config pool.
     let fixture =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_pool_v1/shard.0");
     for file in ["checkpoint.bin", "wal.1.log"] {
-        std::fs::copy(fixture.join(file), dir.0.join(file)).expect("copy fixture");
+        std::fs::copy(fixture.join(file), shard.join(file)).expect("copy fixture");
     }
-    let clean = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
+    let clean = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, false);
     assert!(clean.is_clean(), "{}", clean.to_json());
 
-    let ckpt = dir.0.join("checkpoint.bin");
+    let ckpt = shard.join("checkpoint.bin");
     let mut bytes = std::fs::read(&ckpt).expect("read");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&ckpt, &bytes).expect("rot");
 
-    let err = DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
-        .expect_err("rotted checkpoint must refuse to migrate");
+    let err = try_open(&dir).expect_err("rotted checkpoint must refuse to migrate");
     assert!(
         matches!(err, DurableError::CorruptCheckpoint(_)),
         "got {err:?}"
     );
 
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
+    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, true);
     let f = report
         .findings
         .iter()
@@ -735,24 +519,22 @@ fn scrub_classifies_v1_checkpoint_rot() {
     assert!(f.quarantined_to.is_some());
     assert!(report.has_corruption());
 
-    DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
-        .expect("quarantine unblocks reopen");
+    try_open(&dir).expect("quarantine unblocks reopen");
+}
+
+/// A fresh pool of `shards` shards with every attribute initialized.
+fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
+    let mut pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("create");
+    for a in 0..ATTRS {
+        pool.init_attr(a, N).expect("init");
+    }
+    pool
 }
 
 #[test]
 fn scrub_classifies_manifest_rot_on_pools() {
     let dir = TmpDir::new("scrub-manifest");
-    {
-        let mut pool = ShardedDurablePool::<Predicate>::open(
-            &dir.0,
-            EngineConfig::default(),
-            ShardMap::new(2),
-        )
-        .expect("create");
-        for a in 0..ATTRS {
-            pool.init_attr(a, N).expect("init");
-        }
-    }
+    drop(create_pool(&dir, 2));
     let clean = scrub_pool_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
     assert!(clean.is_clean(), "{}", clean.to_json());
 
@@ -772,22 +554,14 @@ fn scrub_classifies_manifest_rot_on_pools() {
 
     // With the rotted manifest quarantined the pool re-creates one; the
     // shard count is the caller's requested count again.
-    let pool =
-        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(2))
-            .expect("reopen after quarantine");
+    let pool = reopen_pool(&dir.0, EngineConfig::default(), 2).expect("reopen after quarantine");
     assert_eq!(pool.map().shards(), 2);
 }
 
 #[test]
 fn pool_scrub_via_handle_walks_every_shard() {
     let dir = TmpDir::new("scrub-pool-handle");
-    let mut pool =
-        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(4))
-            .expect("create");
-    for a in 0..ATTRS {
-        pool.init_attr(a, N).expect("init");
-    }
-    let report = pool.scrub(false);
+    let report = create_pool(&dir, 4).scrub(false);
     assert!(report.is_clean(), "{}", report.to_json());
     // Manifest + one WAL per shard that owns at least one attribute... at
     // minimum every shard directory contributes its WAL.
@@ -812,37 +586,33 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
     for point in CrashPoint::ALL {
         for nth in [1u64, 3] {
             let dir = TmpDir::new("crash-survivor");
-            let config = rotate_every(3);
-            let (mut durable, _) = DurableEngine::<Predicate>::open_with_crash(
-                &dir.0,
-                config,
-                CrashInjector::at_nth(point, nth),
-            )
-            .expect("fresh dir opens");
             let mut rng = StdRng::seed_from_u64(11);
+            // Runs until the armed hook kills it (or to the end), then
+            // drops the pool as a dying process would.
             'run: {
+                let mut pool = open_pool(
+                    &dir.0,
+                    rotate_every(3),
+                    1,
+                    CrashInjector::at_nth(point, nth),
+                    real_fs(),
+                )
+                .expect("fresh dir opens");
                 for a in 0..ATTRS {
-                    if durable.init_attr(a, N).is_err() {
+                    if pool.init_attr(a, N).is_err() {
                         break 'run;
                     }
                 }
+                let durable = SessionScheduler::durable(pool);
                 for round in 0..14u64 {
                     let attr = (round % u64::from(ATTRS)) as u32;
-                    let bound = (round * 67) % 900;
-                    if durable
-                        .try_select(
-                            &oracle,
-                            &Predicate::cmp(attr, ComparisonOp::Lt, bound),
-                            &mut rng,
-                        )
-                        .is_err()
-                    {
+                    let pred = Predicate::cmp(attr, ComparisonOp::Lt, (round * 67) % 900);
+                    if durable.select(&oracle, &pred, None, &mut rng).is_err() {
                         break 'run;
                     }
                 }
             }
-            drop(durable);
-            let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
+            let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
             for f in &report.findings {
                 assert!(
                     matches!(
@@ -888,10 +658,10 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
             sticky: false,
         }],
     );
-    let mut pool = ShardedDurablePool::<Predicate>::open_with_storage(
+    let mut pool = open_pool(
         &dir.0,
         EngineConfig::default(),
-        map,
+        shards,
         CrashInjector::disabled(),
         faults.handle(),
     )
@@ -899,68 +669,35 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("inits precede the armed sync");
     }
-    let (map, mut parts) = pool.into_parts();
+    let sched = SessionScheduler::durable(pool);
     let mut rng = StdRng::seed_from_u64(21);
+    let mut commit = |attr: u32, op: ComparisonOp, bound: u64| {
+        sched
+            .select(&oracle, &Predicate::cmp(attr, op, bound), None, &mut rng)
+            .map(drop)
+    };
 
     // First commit on the doomed shard trips the armed fsync.
-    let (engine, committer) = &mut parts[poisoned_sid];
-    engine
-        .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, 500), &mut rng)
-        .expect("select");
-    let err = commit_shard(committer, engine).expect_err("armed fsync fails the commit");
-    assert!(
-        matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
-        "got {err:?}"
-    );
-    assert!(committer.is_poisoned());
-    assert!(
-        matches!(
-            committer.poison_error(),
-            Some(DurableError::Storage(DurabilityError::SyncFailed(_)))
-        ),
-        "poison class must be remembered as SyncFailed"
-    );
-    // Retry on the poisoned shard: still SyncFailed, never a durable ack.
-    engine
-        .try_select(&oracle, &Predicate::cmp(0, ComparisonOp::Gt, 100), &mut rng)
-        .expect("in-memory select still works");
-    let err = commit_shard(committer, engine).expect_err("poisoned shard refuses");
-    assert!(
-        matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
-        "got {err:?}"
-    );
+    let failed = commit(0, ComparisonOp::Lt, 500);
+    assert!(is_sync_failed(&failed), "got {:?}", failed.err());
+    // Retry on the poisoned shard (the rule is spent, the disk "works"):
+    // the poison class is remembered as SyncFailed — never a durable ack.
+    let refused = commit(0, ComparisonOp::Gt, 100);
+    assert!(is_sync_failed(&refused), "got {:?}", refused.err());
 
-    // Every *other* shard keeps committing durably.
+    // Every *other* shard keeps committing durably, commit after commit.
     for a in 1..ATTRS {
-        let sid = map.shard_of(a);
-        if sid == poisoned_sid {
+        if map.shard_of(a) == poisoned_sid {
             continue;
         }
-        let (engine, committer) = &mut parts[sid];
-        engine
-            .try_select(&oracle, &Predicate::cmp(a, ComparisonOp::Lt, 700), &mut rng)
-            .expect("select");
-        commit_shard(committer, engine).expect("healthy shards keep serving");
-        assert!(!committer.is_poisoned());
+        for bound in [700, 300] {
+            commit(a, ComparisonOp::Lt, bound).expect("healthy shards keep serving");
+        }
     }
 
     // Reopen over the real fs: the poisoned shard recovers its committed
     // prefix; healthy shards recover everything they acknowledged.
-    drop(parts);
-    let pool = ShardedDurablePool::<Predicate>::open_with_storage(
-        &dir.0,
-        EngineConfig::default(),
-        ShardMap::new(shards),
-        CrashInjector::disabled(),
-        real_fs(),
-    )
-    .expect("reopen");
-    for sid in 0..shards {
-        for attr in pool.shard_engine(sid).attrs().collect::<Vec<_>>() {
-            pool.shard_engine(sid)
-                .knowledge(attr)
-                .expect("attr indexed")
-                .check_invariants();
-        }
-    }
+    drop(sched);
+    let pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("reopen");
+    pool_bytes(&pool); // checks every knowledge base's invariants
 }

@@ -33,8 +33,8 @@ use crate::proto::{code, Request, Response};
 use crate::scheduler::SessionScheduler;
 use prkb_core::metrics::{self, Metric};
 use prkb_core::snapshot::WireCodec;
-use prkb_core::SpPredicate;
-use prkb_edbms::{AttrId, SelectionOracle};
+use prkb_core::{DurableError, QueryError, SpPredicate};
+use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -294,10 +294,32 @@ fn read_oracle<O>(oracle: &RwLock<O>) -> std::sync::RwLockReadGuard<'_, O> {
     }
 }
 
-fn error_of(e: &crate::scheduler::ServeError) -> Response {
+fn error_of(e: &DurableError) -> Response {
     Response::Error {
-        code: e.wire_code(),
+        code: wire_code(e),
         message: e.to_string(),
+    }
+}
+
+/// Maps a scheduled operation's failure onto its stable `prkb-wire/v2`
+/// error code.
+fn wire_code(e: &DurableError) -> u16 {
+    match e {
+        DurableError::Query(QueryError::AttrNotInitialized(_)) => code::ATTR_NOT_INITIALIZED,
+        // The deadline budget is a wire-level concern, not an oracle
+        // fault class: it gets its own top-level code.
+        DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded)) => code::DEADLINE,
+        DurableError::Query(QueryError::Oracle(e)) => code::ORACLE_BASE + e.wire_code(),
+        // fsyncgate class: the disk lied about a durability barrier.
+        // Distinguished on the wire so clients know the shard is down
+        // until reopen (vs. a one-off durability error).
+        DurableError::Storage(DurabilityError::SyncFailed(_)) => code::SYNC_FAILED,
+        DurableError::Storage(_)
+        | DurableError::CorruptCheckpoint(_)
+        | DurableError::CorruptWal(_)
+        | DurableError::CorruptManifest(_)
+        | DurableError::CorruptSegment(_)
+        | DurableError::Poisoned => code::DURABILITY,
     }
 }
 
@@ -331,4 +353,30 @@ fn validate_dims<P: SpPredicate>(dims: &[[P; 2]]) -> Result<(), Response> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scheduler_failures_map_to_their_wire_codes() {
+        let oracle = |e| DurableError::Query(QueryError::Oracle(e));
+        assert_eq!(
+            wire_code(&oracle(OracleError::DeadlineExceeded)),
+            code::DEADLINE
+        );
+        let transient = OracleError::Transient("tm down".into());
+        assert_eq!(
+            wire_code(&oracle(transient.clone())),
+            code::ORACLE_BASE + transient.wire_code()
+        );
+        assert_eq!(
+            wire_code(&DurableError::Query(QueryError::AttrNotInitialized(9))),
+            code::ATTR_NOT_INITIALIZED
+        );
+        let sync = DurabilityError::SyncFailed("fsync lied".into());
+        assert_eq!(wire_code(&DurableError::Storage(sync)), code::SYNC_FAILED);
+        assert_eq!(wire_code(&DurableError::Poisoned), code::DURABILITY);
+    }
 }

@@ -12,8 +12,9 @@
 //!
 //! * [`wire`] — framing, reusing the WAL's discipline (`len | crc | payload`);
 //! * [`proto`] — requests, responses, stable error codes;
-//! * [`scheduler`] — the checkout/checkin concurrency discipline: the
-//!   engine lock is held only to move knowledge, never while QPF is spent;
+//! * [`scheduler`] — re-export of [`prkb_core::scheduler`], the
+//!   checkout/commit discipline the server dispatches into: the engine
+//!   lock is held only to move knowledge, never while QPF is spent;
 //! * [`admission`] — the bounded admission gate (BUSY shedding) and the
 //!   idempotent-replay dedup window;
 //! * `epoll` (private) — the thin epoll/eventfd syscall wrapper, the
@@ -63,14 +64,19 @@ mod conn;
 mod epoll;
 pub mod proto;
 mod reactor;
-pub mod scheduler;
 pub mod server;
 pub mod wire;
+
+/// The session scheduler lives in `prkb-core`, beside the pool it drives;
+/// these are the names a deployment needs from it.
+pub mod scheduler {
+    pub use prkb_core::scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
+}
 
 pub use admission::QUEUE_ENV;
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStream, FaultAction, FaultPlan, NET_FAULT_SEED_ENV};
 pub use client::{ClientConfig, ClientError, PrkbClient, SelectionReply};
 pub use proto::{ProtoError, Request, RequestHeader, Response, PROTO_VERSION};
-pub use scheduler::{DeadlineOracle, ServeError, SessionOracle, SessionScheduler};
+pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use server::{PrkbServer, ServerConfig, ServerHandle, ServerReport};
 pub use wire::{FrameError, FrameReader, DEFAULT_MAX_FRAME_LEN};

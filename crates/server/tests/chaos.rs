@@ -12,10 +12,14 @@
 //! * `PRKB_NET_FAULT_SEED` wires the same schedules up from the
 //!   environment, which is how CI fans the seeds out.
 
-use prkb_core::{snapshot, EngineConfig, PrkbEngine, QueryStats};
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{kb_bytes, strided_columns};
+use prkb_core::{EngineConfig, PrkbEngine, QueryStats};
 use prkb_edbms::resilience::RetryPolicy;
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{AttrId, ComparisonOp, Predicate, TupleId};
+use prkb_edbms::{ComparisonOp, Predicate, TupleId};
 use prkb_server::wire::DEFAULT_MAX_FRAME_LEN;
 use prkb_server::{
     ChaosConfig, ChaosProxy, ClientConfig, FaultAction, FaultPlan, PrkbClient, PrkbServer,
@@ -32,13 +36,6 @@ use std::time::Duration;
 
 const ROWS: usize = 240;
 
-fn columns() -> Vec<Vec<u64>> {
-    vec![
-        (0..ROWS as u64).map(|i| (i * 37) % ROWS as u64).collect(),
-        (0..ROWS as u64).map(|i| (i * 101) % ROWS as u64).collect(),
-    ]
-}
-
 fn fresh_engine() -> PrkbEngine<Predicate> {
     let mut engine = PrkbEngine::new(EngineConfig::default());
     engine.init_attr(0, ROWS);
@@ -50,7 +47,7 @@ fn start_server() -> (std::net::SocketAddr, ServerHandle<Predicate, PlainOracle>
     let server = PrkbServer::bind(
         "127.0.0.1:0",
         fresh_engine(),
-        PlainOracle::from_columns(columns()),
+        PlainOracle::from_columns(strided_columns(ROWS)),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -97,15 +94,6 @@ fn replay(
     }
 }
 
-fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<AttrId> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
-}
-
 fn workload() -> Vec<Spec> {
     vec![
         Spec::Single(11, Predicate::cmp(0, ComparisonOp::Lt, 120)),
@@ -140,7 +128,7 @@ fn converges_under(config: ChaosConfig) {
     let proxy =
         ChaosProxy::spawn(addr, Arc::clone(&plan), DEFAULT_MAX_FRAME_LEN).expect("spawn proxy");
 
-    let mut inline_oracle = PlainOracle::from_columns(columns());
+    let mut inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine();
     let mut client: PrkbClient<Predicate> =
         PrkbClient::connect_with(proxy.addr(), chaos_client_config()).expect("connect via proxy");
@@ -289,7 +277,7 @@ fn dropped_response_is_replayed_not_reexecuted() {
     assert!(report.dedup_hits() >= 1, "the retry hit the dedup window");
     assert_eq!(plan.injected(), 1, "exactly the scripted drop fired");
 
-    let inline_oracle = PlainOracle::from_columns(columns());
+    let inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine();
     let (t1, s1) = replay(&mut inline, &inline_oracle, &Spec::Single(41, pred));
     assert_eq!(first.sorted(), t1);

@@ -11,15 +11,16 @@
 //! * failures (unknown attributes, hostile ids, bad dimension lists)
 //!   surface as stable wire codes, never as dead workers.
 
-use prkb_core::snapshot;
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{kb_bytes, strided_columns, TmpDir};
 use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{AttrId, ComparisonOp, Predicate, TupleId};
+use prkb_edbms::{ComparisonOp, Predicate, TupleId};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -27,13 +28,6 @@ use std::sync::{Arc, Mutex};
 // ---------------------------------------------------------------------------
 
 const ROWS: usize = 240;
-
-fn columns() -> Vec<Vec<u64>> {
-    vec![
-        (0..ROWS as u64).map(|i| (i * 37) % ROWS as u64).collect(),
-        (0..ROWS as u64).map(|i| (i * 101) % ROWS as u64).collect(),
-    ]
-}
 
 fn fresh_engine(n: usize, attrs: u32) -> PrkbEngine<Predicate> {
     let mut engine = PrkbEngine::new(EngineConfig::default());
@@ -47,7 +41,7 @@ fn start_server() -> (
     std::net::SocketAddr,
     prkb_server::ServerHandle<Predicate, PlainOracle>,
 ) {
-    let oracle = PlainOracle::from_columns(columns());
+    let oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let server = PrkbServer::bind(
         "127.0.0.1:0",
         fresh_engine(ROWS, 2),
@@ -88,15 +82,6 @@ fn replay(
     }
 }
 
-fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<AttrId> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Sequential equivalence
 // ---------------------------------------------------------------------------
@@ -107,7 +92,7 @@ fn single_client_matches_in_process_engine() {
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
     client.ping().expect("ping");
 
-    let mut inline_oracle = PlainOracle::from_columns(columns());
+    let mut inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine(ROWS, 2);
 
     let queries: Vec<Spec> = vec![
@@ -258,7 +243,7 @@ fn four_clients_match_sequential_replay() {
     // Replaying in commit order on a fresh engine reproduces every reply —
     // results and per-query QPF spend — so the concurrent total equals the
     // sequential total (and in particular never exceeds it).
-    let inline_oracle = PlainOracle::from_columns(columns());
+    let inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine(ROWS, 2);
     let mut concurrent_total = 0u64;
     for (seq, spec, tuples, stats) in &records {
@@ -289,32 +274,10 @@ fn four_clients_match_sequential_replay() {
 // Durable pool: shutdown loses nothing
 // ---------------------------------------------------------------------------
 
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-server-{}-{}-{tag}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 #[test]
 fn durable_pool_backend_survives_restart() {
     let dir = TmpDir::new("durable-pool");
-    let oracle = PlainOracle::from_columns(columns());
+    let oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let map = ShardMap::new(4);
     let mut pool =
         ShardedDurablePool::open(&dir.0, EngineConfig::default(), map).expect("open pool");

@@ -1,4 +1,4 @@
-//! Sharded-execution equivalence (DESIGN.md §13).
+//! Sharded-execution equivalence (DESIGN.md §10).
 //!
 //! The scheduler's observable contract: a random multi-attribute workload —
 //! conjunctions whose footprints span shards, BETWEENs, single-attribute
@@ -12,7 +12,10 @@
 //!    result tuples, identical per-query (hence total) QPF spend, identical
 //!    final knowledge-base bytes.
 
-use prkb_core::snapshot;
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::kb_bytes;
 use prkb_core::{EngineConfig, PrkbEngine, ShardMap};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate};
@@ -76,15 +79,6 @@ fn columns(seed: u64) -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     (0..ATTRS)
         .map(|_| (0..ROWS).map(|_| rng.gen_range(0..1_000u64)).collect())
-        .collect()
-}
-
-fn kb_bytes(engine: &PrkbEngine<Predicate>) -> Vec<Vec<u8>> {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    attrs
-        .iter()
-        .map(|&a| snapshot::save(engine.knowledge(a).expect("attr indexed")))
         .collect()
 }
 

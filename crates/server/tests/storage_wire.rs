@@ -2,51 +2,23 @@
 //! stable error code on the connection — never a connection drop — while
 //! requests routed to healthy shards keep succeeding on the same socket.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::{strided_columns, TmpDir};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp};
 use prkb_core::{EngineConfig, ShardMap, ShardedDurablePool};
 use prkb_edbms::durability::CrashInjector;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const ROWS: usize = 200;
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-struct TmpDir(PathBuf);
-
-impl TmpDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "prkb-storage-wire-{}-{}-{tag}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TmpDir(dir)
-    }
-}
-
-impl Drop for TmpDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn columns() -> Vec<Vec<u64>> {
-    vec![
-        (0..ROWS as u64).map(|i| (i * 37) % ROWS as u64).collect(),
-        (0..ROWS as u64).map(|i| (i * 101) % ROWS as u64).collect(),
-    ]
-}
 
 #[test]
 fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     let dir = TmpDir::new("poison");
-    let oracle = PlainOracle::from_columns(columns());
+    let oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let map = ShardMap::new(4);
     let (sick_attr, healthy_attr) = (0u32, 1u32);
     let sick_shard = map.shard_of(sick_attr);
