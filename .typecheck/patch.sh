@@ -13,7 +13,6 @@ src = open('Cargo.toml').read()
 repl = {
     'rand': 'rand = { path = ".typecheck/rand" }',
     'proptest': 'proptest = { path = ".typecheck/proptest" }',
-    'criterion': 'criterion = { path = ".typecheck/criterion" }',
     'crossbeam': '# crossbeam stubbed out for offline typecheck',
     'parking_lot': 'parking_lot = { path = ".typecheck/parking_lot" }',
     'bytes': 'bytes = { path = ".typecheck/bytes" }',

@@ -12,11 +12,11 @@
 
 use prkb_bench::trajectory::{bench_dir, BenchFile, BenchRow};
 use prkb_bench::{
-    exp_checkpoint, exp_fig11_fig12, exp_fig13, exp_fig8, exp_fig9_fig10, exp_layers,
-    exp_server_conns, exp_shard_commit, exp_table2, exp_table3, exp_table4, Scale,
+    exp_ablations, exp_checkpoint, exp_fig11_fig12, exp_fig13, exp_fig8, exp_fig9_fig10,
+    exp_layers, exp_server_conns, exp_shard_commit, exp_table2, exp_table3, exp_table4, Scale,
 };
 
-const ALL: [&str; 12] = [
+const ALL: [&str; 13] = [
     "table2",
     "fig8",
     "table3",
@@ -29,6 +29,7 @@ const ALL: [&str; 12] = [
     "server_conns",
     "checkpoint",
     "layers",
+    "ablations",
 ];
 
 fn main() {
@@ -58,6 +59,7 @@ fn main() {
             "server_conns" => exp_server_conns::run_bench(scale),
             "checkpoint" => exp_checkpoint::run_bench(scale),
             "layers" => exp_layers::run_bench(scale),
+            "ablations" => exp_ablations::run_bench(scale),
             "table4" => (exp_table4::run(scale), Vec::new()),
             other => {
                 eprintln!("unknown experiment {other:?}; known: {ALL:?} + table4 | all");

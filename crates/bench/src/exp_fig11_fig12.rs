@@ -4,12 +4,12 @@
 //! Logarithmic-SRC-i (paper §8.2.5). Static PRKB with 250 partitions per
 //! attribute.
 
-use crate::harness::{fresh_engine, timed, warm_to_k, EncSetup, Report};
+use crate::harness::{fresh_engine, measure_span, timed, warm_to_k, EncSetup, Report};
 use crate::scale::Scale;
 use crate::trajectory::{effective_threads, BenchRow};
 use prkb_core::MdUpdatePolicy;
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
-use prkb_edbms::{AttrId, EncryptedPredicate, SelectionOracle};
+use prkb_edbms::{AttrId, EncryptedPredicate};
 use prkb_srci::{confirm, MultiDimSrci, SrciClient, SrciConfig, SrciIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,15 +106,15 @@ pub fn measure_cell(n: usize, d: usize, reps: usize, warm_k: usize, seed: u64) -
             .collect();
         let flat: Vec<EncryptedPredicate> = dims.iter().flatten().cloned().collect();
 
-        let before = oracle.qpf_uses();
-        let (_, t) = timed(|| engine.select_range_md(&oracle, &dims, &mut rng));
-        mq += oracle.qpf_uses().saturating_sub(before);
-        mt += t.as_secs_f64() * 1e3;
+        let (_, m) = measure_span(&oracle, || engine.select_range_md(&oracle, &dims, &mut rng));
+        mq += m.qpf_uses;
+        mt += m.ms;
 
-        let before = oracle.qpf_uses();
-        let (_, t) = timed(|| engine.select_range_sdplus(&oracle, &dims, &mut rng));
-        sq += oracle.qpf_uses().saturating_sub(before);
-        st += t.as_secs_f64() * 1e3;
+        let (_, m) = measure_span(&oracle, || {
+            engine.select_range_sdplus(&oracle, &dims, &mut rng)
+        });
+        sq += m.qpf_uses;
+        st += m.ms;
 
         if let Some(srci) = &srci {
             let (_, t) = timed(|| {
@@ -194,12 +194,8 @@ fn bench_rows(cells: &[MdCell], vary_d: bool) -> Vec<BenchRow> {
         .collect()
 }
 
-/// Fig. 11: d = 3, vary dataset size.
-pub fn run_fig11(scale: Scale) -> String {
-    run_fig11_bench(scale).0
-}
-
-/// Fig. 11 with machine-readable trajectory rows (PRKB(MD), one per size).
+/// Fig. 11: d = 3, vary dataset size. The trajectory rows are PRKB(MD)'s,
+/// one per size.
 pub fn run_fig11_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let reps = match scale {
         Scale::Ci => 3,
@@ -226,12 +222,8 @@ pub fn run_fig11_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     (out, rows)
 }
 
-/// Fig. 12: 5M tuples, vary dimensionality.
-pub fn run_fig12(scale: Scale) -> String {
-    run_fig12_bench(scale).0
-}
-
-/// Fig. 12 with machine-readable trajectory rows (PRKB(MD), one per d).
+/// Fig. 12: 5M tuples, vary dimensionality. The trajectory rows are
+/// PRKB(MD)'s, one per d.
 pub fn run_fig12_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let reps = match scale {
         Scale::Ci => 3,

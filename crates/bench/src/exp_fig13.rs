@@ -3,12 +3,12 @@
 //! 1 km window"), growing PRKB(MD) vs Logarithmic-SRC-i, plus the storage
 //! ratios the section quotes (PRKB < 1% of the encrypted data; SRC-i > 43%).
 
-use crate::harness::{fresh_engine, timed, EncSetup, Report};
+use crate::harness::{fresh_engine, measure_span, timed, EncSetup, Report};
 use crate::scale::Scale;
 use crate::trajectory::{effective_threads, BenchRow};
 use prkb_core::MdUpdatePolicy;
 use prkb_datagen::realsim;
-use prkb_edbms::{AttrId, EncryptedPredicate, SelectionOracle};
+use prkb_edbms::{AttrId, EncryptedPredicate};
 use prkb_srci::{confirm, MultiDimSrci, SrciClient, SrciConfig, SrciIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,10 +104,7 @@ pub fn measure(scale: Scale) -> Fig13Data {
         ];
         let flat: Vec<EncryptedPredicate> = dims.iter().flatten().cloned().collect();
 
-        let before = oracle.qpf_uses();
-        let (_, t) = timed(|| engine.select_range_md(&oracle, &dims, &mut rng));
-        let prkb_qpf = oracle.qpf_uses().saturating_sub(before);
-        let prkb_ms = t.as_secs_f64() * 1e3;
+        let (_, prkb) = measure_span(&oracle, || engine.select_range_md(&oracle, &dims, &mut rng));
 
         let (_, t) = timed(|| {
             let cands = srci.candidates(&client, &[(0, ylo, yhi), (1, xlo, xhi)]);
@@ -115,8 +112,8 @@ pub fn measure(scale: Scale) -> Fig13Data {
         });
         points.push(Fig13Point {
             query: q,
-            prkb_qpf,
-            prkb_ms,
+            prkb_qpf: prkb.qpf_uses,
+            prkb_ms: prkb.ms,
             srci_ms: t.as_secs_f64() * 1e3,
             k: (0..2)
                 .map(|a| engine.knowledge(a).map_or(0, |k| k.k()))
@@ -135,13 +132,8 @@ pub fn measure(scale: Scale) -> Fig13Data {
     }
 }
 
-/// Runs and formats the Fig. 13 experiment.
-pub fn run(scale: Scale) -> String {
-    run_bench(scale).0
-}
-
-/// Like [`run`], but also returns machine-readable trajectory rows (one per
-/// paper checkpoint) for `BENCH_fig13.json`.
+/// Runs and formats the Fig. 13 experiment, with one machine-readable
+/// trajectory row per paper checkpoint for `BENCH_fig13.json`.
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let n = match scale {
         Scale::Ci => realsim::BUILDINGS_ROWS / 100,

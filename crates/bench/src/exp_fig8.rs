@@ -3,7 +3,7 @@
 //! i-th query's `# QPF use` and execution time for PRKB(SD), with
 //! Logarithmic-SRC-i and the index-less Baseline as references.
 
-use crate::harness::{fmt_ms, fresh_engine, measure_span, EncSetup, Report};
+use crate::harness::{fresh_engine, measure_span, EncSetup, Report};
 use crate::scale::Scale;
 use crate::trajectory::{effective_threads, BenchRow};
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
@@ -103,13 +103,8 @@ pub fn measure(scale: Scale) -> Fig8Data {
     }
 }
 
-/// Runs the experiment and formats the paper-figure checkpoints.
-pub fn run(scale: Scale) -> String {
-    run_bench(scale).0
-}
-
-/// Like [`run`], but also returns machine-readable trajectory rows (one per
-/// paper checkpoint) for `BENCH_fig8.json`.
+/// Runs the experiment and formats the paper-figure checkpoints, with one
+/// machine-readable trajectory row per checkpoint for `BENCH_fig8.json`.
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let n = scale.tuples(10_000_000);
     let data = measure(scale);
@@ -159,9 +154,8 @@ fn render(scale: Scale, n: usize, data: &Fig8Data) -> String {
         ]);
     }
     report.line(format!(
-        "Baseline (every query): #QPF = {}, time = {} ms",
-        data.baseline_qpf,
-        fmt_ms(std::time::Duration::from_secs_f64(data.baseline_ms / 1e3))
+        "Baseline (every query): #QPF = {}, time = {:.3} ms",
+        data.baseline_qpf, data.baseline_ms
     ));
     report.line(format!("final PRKB partitions k = {}", data.k_final));
     report.line("shape check (paper): PRKB starts at Baseline cost, drops ~10× by");

@@ -3,12 +3,11 @@
 //! **Fig. 10** — varying selectivity (1–10%, 10M tuples): `# QPF use` and
 //! time for PRKB(SD) vs Logarithmic-SRC-i vs Baseline (paper §8.2.4).
 
-use crate::harness::{fresh_engine, timed, warm_to_k, EncSetup, Report};
+use crate::harness::{fresh_engine, measure_span, timed, warm_to_k, EncSetup, Report};
 use crate::scale::Scale;
 use crate::trajectory::{effective_threads, BenchRow};
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::select::conjunctive_scan;
-use prkb_edbms::SelectionOracle;
 use prkb_srci::{confirm, SrciClient, SrciConfig, SrciIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,14 +69,13 @@ pub fn measure_cell(n: usize, selectivity: f64, reps: usize, seed: u64) -> SdCel
         let r = gen.range_with_selectivity(selectivity, &mut rng);
         let preds = setup.range_trapdoors(0, r.lo, r.hi, &mut rng);
 
-        let before = oracle.qpf_uses();
-        let (_, t) = timed(|| {
+        let ((), m) = measure_span(&oracle, || {
             for p in &preds {
                 engine.select(&oracle, p, &mut rng);
             }
         });
-        pq += oracle.qpf_uses().saturating_sub(before);
-        pt += t.as_secs_f64() * 1e3;
+        pq += m.qpf_uses;
+        pt += m.ms;
 
         if let Some(srci) = &srci {
             let (_, t) = timed(|| {
@@ -89,10 +87,9 @@ pub fn measure_cell(n: usize, selectivity: f64, reps: usize, seed: u64) -> SdCel
 
         // Baseline every few reps (it is size-bound, not query-bound).
         if i < 3 {
-            let before = oracle.qpf_uses();
-            let (_, t) = timed(|| conjunctive_scan(&oracle, &preds));
-            bq += oracle.qpf_uses().saturating_sub(before);
-            bt += t.as_secs_f64() * 1e3;
+            let (_, m) = measure_span(&oracle, || conjunctive_scan(&oracle, &preds));
+            bq += m.qpf_uses;
+            bt += m.ms;
         }
     }
     SdCell {
@@ -163,12 +160,7 @@ fn bench_rows(cells: &[SdCell], vary_sel: bool) -> Vec<BenchRow> {
         .collect()
 }
 
-/// Fig. 9: vary dataset size at 1% selectivity.
-pub fn run_fig9(scale: Scale) -> String {
-    run_fig9_bench(scale).0
-}
-
-/// Fig. 9 with machine-readable trajectory rows (one per dataset size).
+/// Fig. 9: vary dataset size at 1% selectivity; one trajectory row per size.
 pub fn run_fig9_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let reps = match scale {
         Scale::Ci => 5,
@@ -198,12 +190,8 @@ pub fn run_fig9_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     (out, rows)
 }
 
-/// Fig. 10: vary selectivity on one dataset.
-pub fn run_fig10(scale: Scale) -> String {
-    run_fig10_bench(scale).0
-}
-
-/// Fig. 10 with machine-readable trajectory rows (one per selectivity).
+/// Fig. 10: vary selectivity on one dataset; one trajectory row per
+/// selectivity.
 pub fn run_fig10_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let reps = match scale {
         Scale::Ci => 5,

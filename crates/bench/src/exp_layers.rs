@@ -1,11 +1,25 @@
-//! **layers** — per-byte cost of the checksum-and-framing layer that the
-//! wire, the WAL and the checkpoint codecs share (ROADMAP item 2's layer
-//! microbench). Not a paper figure: it prices what shipping a result
-//! costs once PRKB has made finding it cheap.
+//! **layers** — what one unit of work costs in each layer under a query.
+//! Not a paper figure: it prices the paper's premise and what shipping a
+//! result costs once PRKB has made finding it cheap.
 //!
-//! Every row is a public function in a loop over a buffer of the size the
-//! served workloads use — 64 B (a request), 1.3 KB (a narrow selection's
-//! reply), 120 KB (half the table, and a cold-start WAL record):
+//! **Oracle rows** substantiate §3.2 ("a comparison can be done extremely
+//! fast … QPF evaluation is relatively more expensive"), which is why
+//! saving QPF uses saves query time:
+//!
+//! * `plain_compare_ns` — `x < y` on two `u64`s;
+//! * `qpf_ns` / `qpf_wf16_ns` — [`TrustedMachine::qpf`] (decrypt inside the
+//!   TM + compare) as built, and with `work_factor` 16 emulating an
+//!   enclave round trip;
+//! * `scan_ns_per_tuple_wf{0,8}_t{1,2,4,8}` — [`linear_scan`] over the
+//!   whole table at 1/2/4/8 batch-evaluation threads. The QPF count is the
+//!   table size at every thread count by construction (asserted); only the
+//!   wall clock may move, and only where the box has the cores.
+//!
+//! **Checksum-and-framing rows** are the layer the wire, the WAL and the
+//! checkpoint codecs share. Each is a public function in a loop over a
+//! buffer of the size the served workloads use — 64 B (a request), 1.3 KB
+//! (a narrow selection's reply), 120 KB (half the table, and a cold-start
+//! WAL record):
 //!
 //! * `crc32_ns_per_byte_{64,1300,120k}` — [`crc32`];
 //! * `copy_ns_per_byte_120k` — `to_vec`, the floor one copy sets;
@@ -15,15 +29,20 @@
 //! * `wal_append_ns_per_byte` — [`Wal::append_unsynced`] of 120 KB
 //!   records (no fsync): floor plus the `write` into the page cache.
 //!
-//! A trajectory row carries `ms` per `n` = 1 000 000 bytes, which reads
-//! as ns/byte; it is the fastest of [`SAMPLES`] samples, since the
-//! interest is the code's cost, not the box's noise. `qpf_uses` is 0.
+//! A trajectory row carries `ms` per `n` = 1 000 000 units (bytes,
+//! evaluations or scanned tuples), which reads as ns per unit; it is the
+//! fastest of [`SAMPLES`] samples, since the interest is the code's cost,
+//! not the box's noise. `qpf_uses` is 0.
 
-use crate::harness::Report;
+use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_edbms::durability::{crc32, CrashInjector, Wal};
+use prkb_edbms::select::linear_scan;
+use prkb_edbms::{real_fs, ComparisonOp, SelectionOracle, SpOracle, TmConfig, TrustedMachine};
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,17 +56,19 @@ const WIDE: usize = 120_094;
 #[derive(Debug, Clone)]
 pub struct LayerPoint {
     /// Metric name (row id).
-    pub id: &'static str,
-    /// Bytes per call.
+    pub id: String,
+    /// Units per call: bytes, one evaluation, or a scan's tuples.
     pub len: usize,
-    /// Nanoseconds per byte, fastest sample.
-    pub ns_per_byte: f64,
+    /// Nanoseconds per unit, fastest sample.
+    pub ns_per_unit: f64,
+    /// Batch-evaluation threads (scan rows; 1 elsewhere).
+    pub threads: usize,
 }
 
-/// Fastest-sample ns/byte of `f` over `len`-byte calls, each sample
-/// covering at least `sample_bytes`.
-fn ns_per_byte<T>(len: usize, sample_bytes: usize, mut f: impl FnMut() -> T) -> f64 {
-    let iters = (sample_bytes / len).max(1);
+/// Fastest-sample ns/unit of `f` over `len`-unit calls, each sample
+/// covering at least `sample_units`.
+fn ns_per_unit<T>(len: usize, sample_units: usize, mut f: impl FnMut() -> T) -> f64 {
+    let iters = (sample_units / len).max(1);
     (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();
@@ -57,6 +78,49 @@ fn ns_per_byte<T>(len: usize, sample_bytes: usize, mut f: impl FnMut() -> T) -> 
             start.elapsed().as_nanos() as f64 / (iters * len) as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// The oracle rows: one comparison, one QPF use, one whole-table scan.
+fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, usize, usize, f64)) {
+    // Large enough at every scale that a scan outlives thread start-up.
+    let n = scale.tuples(2_000_000).max(100_000);
+    let setup = EncSetup::new("layers", vec![(0..n as u64).collect()], 41);
+    let mut rng = StdRng::seed_from_u64(42);
+    let pred = setup.cmp_trapdoor(0, ComparisonOp::Lt, n as u64 / 2, &mut rng);
+    let cell = setup.table.cell(0, 1234).expect("cell in range");
+    let tm_with = |work_factor| -> TrustedMachine {
+        setup.owner.trusted_machine(TmConfig {
+            work_factor,
+            ..TmConfig::default()
+        })
+    };
+
+    // An evaluation is ~200 ns where a checksummed byte is ~0.1: fewer
+    // iterations fill a sample.
+    let (x, y) = (black_box(1234u64), black_box(5000u64));
+    let compare = ns_per_unit(1, sample_units, || black_box(x) < black_box(y));
+    push("plain_compare_ns", 1, 1, compare);
+    for (id, work_factor, sample) in [
+        ("qpf_ns", 0, sample_units / 16),
+        ("qpf_wf16_ns", 16, sample_units / 128),
+    ] {
+        let tm = tm_with(work_factor);
+        let qpf = || tm.qpf(black_box(&pred), black_box(cell)).expect("own cell");
+        push(id, 1, 1, ns_per_unit(1, sample, qpf));
+    }
+    for work_factor in [0u32, 8] {
+        let tm = tm_with(work_factor);
+        for threads in [1usize, 2, 4, 8] {
+            let oracle = SpOracle::new(&setup.table, &tm).with_threads(threads);
+            let scan = || {
+                let before = oracle.qpf_uses();
+                assert_eq!(linear_scan(&oracle, &pred).len(), n / 2);
+                assert_eq!(oracle.qpf_uses() - before, n as u64, "thread-invariant");
+            };
+            let id = format!("scan_ns_per_tuple_wf{work_factor}_t{threads}");
+            push(&id, n, threads, ns_per_unit(n, n, scan));
+        }
+    }
 }
 
 /// Runs every row.
@@ -70,13 +134,15 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
         .collect();
     let mut points = Vec::new();
-    let mut push = |id, len, ns_per_byte| {
+    let mut push = |id: &str, len, threads, ns_per_unit| {
         points.push(LayerPoint {
-            id,
+            id: id.to_string(),
             len,
-            ns_per_byte,
+            ns_per_unit,
+            threads,
         });
     };
+    oracle_rows(scale, sample_bytes, &mut push);
 
     for (id, len) in [
         ("crc32_ns_per_byte_64", 64),
@@ -84,46 +150,29 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         ("crc32_ns_per_byte_120k", WIDE),
     ] {
         let bytes = &buf[..len];
-        push(
-            id,
-            len,
-            ns_per_byte(len, sample_bytes, || crc32(black_box(bytes))),
-        );
+        let crc = ns_per_unit(len, sample_bytes, || crc32(black_box(bytes)));
+        push(id, len, 1, crc);
     }
-    push(
-        "copy_ns_per_byte_120k",
-        WIDE,
-        ns_per_byte(WIDE, sample_bytes, || black_box(&buf).to_vec()),
-    );
-    push(
-        "frame_encode_ns_per_byte",
-        WIDE,
-        ns_per_byte(WIDE, sample_bytes, || encode_frame(black_box(&buf))),
-    );
+    let copy = ns_per_unit(WIDE, sample_bytes, || black_box(&buf).to_vec());
+    push("copy_ns_per_byte_120k", WIDE, 1, copy);
+    let encode = ns_per_unit(WIDE, sample_bytes, || encode_frame(black_box(&buf)));
+    push("frame_encode_ns_per_byte", WIDE, 1, encode);
     let frame = encode_frame(&buf);
-    push(
-        "frame_decode_ns_per_byte",
-        WIDE,
-        ns_per_byte(WIDE, sample_bytes, || {
-            decode_frame(black_box(&frame), DEFAULT_MAX_FRAME_LEN).expect("own frame")
-        }),
-    );
+    let decode = ns_per_unit(WIDE, sample_bytes, || {
+        decode_frame(black_box(&frame), DEFAULT_MAX_FRAME_LEN).expect("own frame")
+    });
+    push("frame_decode_ns_per_byte", WIDE, 1, decode);
 
-    let dir = std::env::temp_dir().join(format!("prkb-bench-layers-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-    let mut wal = Wal::create(&dir.join("wal.0.log"), CrashInjector::disabled()).expect("create");
-    push(
-        "wal_append_ns_per_byte",
-        WIDE,
-        // Capped: the log only grows, and the row prices the append, not
-        // the page cache's writeback.
-        ns_per_byte(WIDE, sample_bytes.min(8 << 20), || {
-            wal.append_unsynced(black_box(&buf)).expect("append")
-        }),
-    );
-    drop(wal);
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TmpDir::new("layers");
+    let path = dir.0.join("wal.0.log");
+    let mut wal =
+        Wal::create_on(real_fs().as_ref(), &path, CrashInjector::disabled()).expect("create");
+    // Capped: the log only grows, and the row prices the append, not the
+    // page cache's writeback.
+    let append = ns_per_unit(WIDE, sample_bytes.min(8 << 20), || {
+        wal.append_unsynced(black_box(&buf)).expect("append")
+    });
+    push("wal_append_ns_per_byte", WIDE, 1, append);
     points
 }
 
@@ -131,23 +180,27 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let points = measure(scale);
     let of = |id: &str| {
-        points
-            .iter()
-            .find(|p| p.id == id)
-            .expect("row measured")
-            .ns_per_byte
+        let row = points.iter().find(|p| p.id == id);
+        row.expect("row measured").ns_per_unit
     };
     let floor = of("crc32_ns_per_byte_120k") + of("copy_ns_per_byte_120k");
     let mut report = Report::new(&format!(
-        "layers — checksum and framing, ns/byte (fastest of {SAMPLES} samples)"
+        "layers — the oracle, checksum and framing: ns per unit (fastest of {SAMPLES} samples)"
     ));
     report.line(format!(
-        "{:>28}{:>12}{:>10}",
-        "row", "bytes/call", "ns/byte"
+        "{:>30}{:>12}{:>10}",
+        "row", "units/call", "ns/unit"
     ));
     for p in &points {
-        report.line(format!("{:>28}{:>12}{:>10.3}", p.id, p.len, p.ns_per_byte));
+        report.line(format!("{:>30}{:>12}{:>10.3}", p.id, p.len, p.ns_per_unit));
     }
+    report.line(format!(
+        "a QPF use is {:.0}x a plain comparison ({:.0}x at work factor 16); \
+         {} cores available to the scan rows",
+        of("qpf_ns") / of("plain_compare_ns"),
+        of("qpf_wf16_ns") / of("plain_compare_ns"),
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    ));
     report.line(format!(
         "floor for a framed 120 KB buffer (one checksum pass + one copy): {floor:.3} ns/byte; \
          encode {:.2}x, decode {:.2}x, WAL append {:.2}x of it",
@@ -158,12 +211,12 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let rows = points
         .iter()
         .map(|p| BenchRow {
-            id: p.id.to_string(),
+            id: p.id.clone(),
             qpf_uses: 0,
-            ms: p.ns_per_byte,
+            ms: p.ns_per_unit,
             k: 0,
             n: 1_000_000,
-            threads: 1,
+            threads: p.threads as u64,
         })
         .collect();
     (report.finish(), rows)

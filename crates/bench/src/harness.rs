@@ -123,10 +123,8 @@ pub fn fresh_engine(setup: &EncSetup, update: bool) -> PrkbEngine<EncryptedPredi
 /// Outcome of a [`warm_to_k`] run.
 ///
 /// The warm-up loop caps itself at `target_k * 20` queries; on adversarial
-/// data (tight domains, heavy duplicates) it can give up below the target.
-/// The old API silently returned only a query count, so experiments kept
-/// reporting "warmed to k=250" numbers that were nothing of the sort. This
-/// struct makes the shortfall impossible to drop on the floor.
+/// data (tight domains, heavy duplicates) it can give up below the target,
+/// and a "warmed to k=250" row must not hide that.
 #[must_use = "check reached_k — the warm-up loop may have given up below target_k"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Warmup {
@@ -191,7 +189,7 @@ pub fn warm_to_k(
 }
 
 /// Conservative inclusive domain bounds of a column.
-pub fn column_domain(col: &[u64]) -> (u64, u64) {
+fn column_domain(col: &[u64]) -> (u64, u64) {
     let lo = col.iter().copied().min().unwrap_or(0);
     let hi = col.iter().copied().max().unwrap_or(0);
     (lo, hi)
@@ -212,13 +210,6 @@ pub struct Measured {
     pub qpf_uses: u64,
     /// Wall-clock milliseconds of the span.
     pub ms: f64,
-}
-
-impl Measured {
-    /// The span as two report cells: QPF uses, then milliseconds.
-    pub fn cells(&self) -> [String; 2] {
-        [format!("{}", self.qpf_uses), format!("{:.3}", self.ms)]
-    }
 }
 
 /// Runs a closure, differencing the oracle's QPF counter around it and
@@ -279,11 +270,6 @@ impl Report {
     }
 }
 
-/// Formats a duration in ms with 3 significant decimals.
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,8 +324,6 @@ mod tests {
         assert_eq!(sel.len(), 50);
         assert_eq!(m.qpf_uses, 200, "one use per live tuple");
         assert!(m.ms >= 0.0);
-        let cells = m.cells();
-        assert_eq!(cells[0], "200");
     }
 
     #[test]

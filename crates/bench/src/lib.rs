@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod compare;
+pub mod exp_ablations;
 pub mod exp_checkpoint;
 pub mod exp_fig11_fig12;
 pub mod exp_fig13;

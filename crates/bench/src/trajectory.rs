@@ -162,13 +162,9 @@ pub fn bench_dir() -> PathBuf {
 }
 
 /// The worker-thread count in effect for this process: `PRKB_THREADS`, or 1
-/// (sequential) when unset/unparsable.
+/// (sequential) when unset.
 pub fn effective_threads() -> u64 {
-    std::env::var("PRKB_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(1)
+    prkb_edbms::env_knob::<u64>("PRKB_THREADS").map_or(1, |t| t.max(1))
 }
 
 #[cfg(test)]

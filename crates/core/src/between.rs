@@ -28,37 +28,12 @@ struct RankScan {
 
 /// Processes one BETWEEN trapdoor against the knowledge base.
 ///
-/// Infallible wrapper over [`try_process_between`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use
-/// [`try_process_between`].
-pub fn process_between<O, R>(
-    kb: &mut Knowledge<O::Pred>,
-    oracle: &O,
-    pred: &O::Pred,
-    rng: &mut R,
-    update: bool,
-) -> Selection
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    match try_process_between(kb, oracle, pred, rng, update) {
-        Ok(sel) => sel,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Processes one BETWEEN trapdoor against the knowledge base.
-///
 /// # Errors
 /// Propagates the first oracle failure. **Abort-safe:** the transition hunt,
 /// boundary scans, and overflow batch are all evaluated before
 /// `apply_between_updates` commits any split, so on error `kb` is
 /// byte-identical to its pre-query state.
-pub fn try_process_between<O, R>(
+pub(crate) fn try_process_between<O, R>(
     kb: &mut Knowledge<O::Pred>,
     oracle: &O,
     pred: &O::Pred,
@@ -302,7 +277,7 @@ fn apply_between_updates<P: SpPredicate>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sd::process_comparison;
+    use crate::sd::try_process_comparison;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -314,13 +289,14 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
-            process_comparison(
+            try_process_comparison(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
                 &mut rng,
                 true,
-            );
+            )
+            .unwrap();
         }
         oracle.reset_uses();
         (kb, oracle)
@@ -334,7 +310,7 @@ mod tests {
         seed: u64,
     ) -> Selection {
         let mut rng = StdRng::seed_from_u64(seed);
-        process_between(kb, oracle, &Predicate::between(0, lo, hi), &mut rng, true)
+        try_process_between(kb, oracle, &Predicate::between(0, lo, hi), &mut rng, true).unwrap()
     }
 
     #[test]
@@ -368,7 +344,7 @@ mod tests {
         // The cuts at 300/600 now exist: an aligned comparison is equivalent.
         let mut rng = StdRng::seed_from_u64(5);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 300);
-        let sel = process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+        let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         assert_eq!(sel.sorted(), oracle.expected_select(&p));
         assert_eq!(
             sel.stats.splits, 0,
@@ -427,7 +403,7 @@ mod tests {
             let lo = (i * 53) % 450;
             let hi = lo + 20 + (i * 7) % 60;
             let p = Predicate::between(0, lo, hi);
-            let sel = process_between(&mut kb, &oracle, &p, &mut rng, true);
+            let sel = try_process_between(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(
                 sel.sorted(),
                 oracle.expected_select(&p),

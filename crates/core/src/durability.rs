@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 /// File name of a monolithic v1 checkpoint. Never written any more; read
 /// once by the upgrade path and classified by the scrubber.
-pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// v1 checkpoint magic.
 const CKPT_MAGIC: &[u8; 4] = b"PCKP";
 /// v1 checkpoint format version.
@@ -1076,7 +1076,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
 // ---------------------------------------------------------------------------
 
 /// Manifest file of a [`ShardedDurablePool`] directory.
-pub const MANIFEST_FILE: &str = "manifest.bin";
+pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
 /// Manifest magic.
 const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
 /// Manifest format version.
@@ -1163,10 +1163,10 @@ pub struct ShardedDurablePool<P> {
 pub(crate) type ShardParts<P> = Vec<(PrkbEngine<P>, ShardCommitter<P>)>;
 
 impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
-    /// Opens (or creates) a sharded pool rooted at `dir`. On creation the
-    /// pool is partitioned per `requested`; on reopen the manifest's
-    /// persisted shard count wins. Crash injection is armed from
-    /// `PRKB_CRASH_POINT` (unset ⇒ disabled).
+    /// Opens (or creates) a sharded pool rooted at `dir` on the real
+    /// filesystem, with crash injection off. On creation the pool is
+    /// partitioned per `requested`; on reopen the manifest's persisted
+    /// shard count wins.
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptManifest`] /
@@ -1178,22 +1178,13 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         config: EngineConfig,
         requested: ShardMap,
     ) -> Result<Self, DurableError> {
-        Self::open_with_crash(dir, config, requested, CrashInjector::from_env())
+        Self::open_with_storage(dir, config, requested, CrashInjector::disabled(), real_fs())
     }
 
-    /// [`open`](Self::open) with an explicit crash-injection schedule.
-    pub fn open_with_crash(
-        dir: &Path,
-        config: EngineConfig,
-        requested: ShardMap,
-        crash: CrashInjector,
-    ) -> Result<Self, DurableError> {
-        Self::open_with_storage(dir, config, requested, crash, real_fs())
-    }
-
-    /// [`open_with_crash`](Self::open_with_crash) over an explicit storage
-    /// backend — the hook the seeded I/O fault sweeps use to replace the
-    /// real filesystem with a [`crate::storage::FaultFs`].
+    /// [`open`](Self::open) with an explicit crash-injection schedule and
+    /// storage backend — the hooks the crash sweeps (which arm the schedule
+    /// from `PRKB_CRASH_POINT` themselves) and the seeded I/O fault sweeps
+    /// (a [`crate::storage::FaultFs`] in place of the real filesystem) use.
     pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
@@ -1329,8 +1320,14 @@ mod tests {
     }
 
     fn open(dir: &Path, shards: usize, crash: CrashInjector) -> ShardedDurablePool<Predicate> {
-        ShardedDurablePool::open_with_crash(dir, lazy_group(), ShardMap::new(shards), crash)
-            .expect("pool opens")
+        ShardedDurablePool::open_with_storage(
+            dir,
+            lazy_group(),
+            ShardMap::new(shards),
+            crash,
+            real_fs(),
+        )
+        .expect("pool opens")
     }
 
     /// Runs two un-awaited commits (pending, never acknowledged), then

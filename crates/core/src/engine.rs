@@ -11,7 +11,6 @@ use crate::knowledge::Knowledge;
 use crate::md::{try_process_range_md, MdDim, MdUpdatePolicy};
 use crate::metrics::{self, QueryKind};
 use crate::sd::try_process_comparison;
-use crate::sdplus::try_process_range_sdplus;
 use crate::selection::Selection;
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
@@ -92,6 +91,11 @@ impl Default for EngineConfig {
     }
 }
 
+/// What the infallible entry points do with a failure: panic with it.
+fn or_panic<T>(result: Result<T, QueryError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The per-table PRKB engine.
 #[derive(Debug)]
 pub struct PrkbEngine<P> {
@@ -146,10 +150,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        match self.try_select(oracle, pred, rng) {
-            Ok(sel) => sel,
-            Err(e) => panic!("{e}"),
-        }
+        or_panic(self.try_select(oracle, pred, rng))
     }
 
     /// Processes a single-predicate selection, dispatching on the trapdoor's
@@ -182,7 +183,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Non-recording twin of [`try_select`](Self::try_select): composite
     /// queries (conjunctions) run their parts through this so the global
     /// metrics registry counts each user-visible query exactly once.
-    fn try_select_impl<O, R>(
+    pub(crate) fn try_select_impl<O, R>(
         &mut self,
         oracle: &O,
         pred: &P,
@@ -218,10 +219,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        match self.try_select_range_md(oracle, dims, rng) {
-            Ok(sel) => sel,
-            Err(e) => panic!("{e}"),
-        }
+        or_panic(self.try_select_range_md(oracle, dims, rng))
     }
 
     /// Processes a d-dimensional range query with PRKB(MD) (paper §6.2).
@@ -250,7 +248,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Non-recording twin of
     /// [`try_select_range_md`](Self::try_select_range_md) (see
     /// [`try_select_impl`](Self::try_select_impl)).
-    fn try_select_range_md_impl<O, R>(
+    pub(crate) fn try_select_range_md_impl<O, R>(
         &mut self,
         oracle: &O,
         dims: &[[P; 2]],
@@ -260,75 +258,6 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let policy = self.config.md_policy;
-        self.with_dims(dims, |md_dims| {
-            try_process_range_md(md_dims, oracle, rng, policy)
-        })?
-        .map_err(QueryError::Oracle)
-    }
-
-    /// Processes a d-dimensional range query with the naive PRKB(SD+)
-    /// extension (paper §6, baseline).
-    ///
-    /// Infallible wrapper over
-    /// [`try_select_range_sdplus`](Self::try_select_range_sdplus).
-    ///
-    /// # Panics
-    /// Panics on uninitialized attributes, duplicate dimensions, or oracle
-    /// failure.
-    pub fn select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Selection
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        match self.try_select_range_sdplus(oracle, dims, rng) {
-            Ok(sel) => sel,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Processes a d-dimensional range query with the naive PRKB(SD+)
-    /// extension (paper §6, baseline).
-    ///
-    /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: SD+ snapshots every
-    /// dimension's knowledge and restores it wholesale on error.
-    ///
-    /// # Panics
-    /// Panics on duplicate dimensions (programmer error).
-    pub fn try_select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, QueryError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let update = self.config.update;
-        let sel = self
-            .with_dims(dims, |md_dims| {
-                try_process_range_sdplus(md_dims, oracle, rng, update)
-            })?
-            .map_err(QueryError::Oracle)?;
-        metrics::global().record_query(QueryKind::Sdplus, &sel.stats);
-        Ok(sel)
-    }
-
-    /// Moves the named attributes' knowledge out of the map, runs `f`, and
-    /// reinserts the knowledge unconditionally — also when `f` reports a
-    /// failure, so an abort never strands an attribute's index.
-    fn with_dims<T>(
-        &mut self,
-        dims: &[[P; 2]],
-        f: impl FnOnce(&mut [MdDim<P>]) -> T,
-    ) -> Result<T, QueryError> {
         // Validate before removing anything: a missing attribute must leave
         // the map untouched.
         for pair in dims {
@@ -342,6 +271,9 @@ impl<P: SpPredicate> PrkbEngine<P> {
                 return Err(QueryError::AttrNotInitialized(attr));
             }
         }
+        // The grid owns each dimension's knowledge while it runs; it goes
+        // back unconditionally — also when the query failed, so an abort
+        // never strands an attribute's index.
         let mut md_dims: Vec<MdDim<P>> = Vec::with_capacity(dims.len());
         for pair in dims {
             let attr = pair[0].attr();
@@ -354,11 +286,58 @@ impl<P: SpPredicate> PrkbEngine<P> {
                 preds: pair.clone(),
             });
         }
-        let out = f(&mut md_dims);
-        for (dim, pair) in md_dims.into_iter().zip(dims) {
-            self.kbs.insert(pair[0].attr(), dim.knowledge);
+        let out = try_process_range_md(&mut md_dims, oracle, rng, self.config.md_policy);
+        for dim in md_dims {
+            self.kbs.insert(dim.preds[0].attr(), dim.knowledge);
         }
-        Ok(out)
+        out.map_err(QueryError::Oracle)
+    }
+
+    /// Processes a d-dimensional range query with the naive PRKB(SD+)
+    /// extension (paper §6, baseline).
+    ///
+    /// Infallible wrapper over
+    /// [`try_select_range_sdplus`](Self::try_select_range_sdplus).
+    ///
+    /// # Panics
+    /// Panics on uninitialized attributes or oracle failure.
+    pub fn select_range_sdplus<O, R>(
+        &mut self,
+        oracle: &O,
+        dims: &[[P; 2]],
+        rng: &mut R,
+    ) -> Selection
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        or_panic(self.try_select_range_sdplus(oracle, dims, rng))
+    }
+
+    /// Processes a d-dimensional range query with the naive PRKB(SD+)
+    /// extension (paper §6, baseline): each of the 2d trapdoors runs through
+    /// the single-dimension pipeline on its own, dimension by dimension, and
+    /// the answers are intersected. Much cheaper than a linear scan, but —
+    /// unlike PRKB(MD) — it pays a full NS-pair scan for every trapdoor and
+    /// cannot prune across dimensions.
+    ///
+    /// # Errors
+    /// See [`try_select`](Self::try_select). Abort-safe: see
+    /// [`try_select_conjunction`](Self::try_select_conjunction).
+    pub fn try_select_range_sdplus<O, R>(
+        &mut self,
+        oracle: &O,
+        dims: &[[P; 2]],
+        rng: &mut R,
+    ) -> Result<Selection, QueryError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        let singles: Vec<&P> = dims.iter().flatten().collect();
+        let sel = self.intersect_parts(oracle, &[], &singles, rng)?;
+        metrics::global().record_query(QueryKind::Sdplus, &sel.stats);
+        Ok(sel)
     }
 
     /// Processes an arbitrary conjunction of trapdoors — the execution
@@ -379,10 +358,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        match self.try_select_conjunction(oracle, preds, rng) {
-            Ok(sel) => sel,
-            Err(e) => panic!("{e}"),
-        }
+        or_panic(self.try_select_conjunction(oracle, preds, rng))
     }
 
     /// Fallible twin of [`select_conjunction`](Self::select_conjunction).
@@ -402,8 +378,10 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let n = oracle.n_slots();
+        use std::collections::BTreeMap;
+
         if preds.is_empty() {
+            let n = oracle.n_slots();
             let tuples = (0..n as TupleId).filter(|&t| oracle.is_live(t)).collect();
             return Ok(Selection {
                 tuples,
@@ -411,58 +389,16 @@ impl<P: SpPredicate> PrkbEngine<P> {
             });
         }
 
-        // Rollback snapshot of every attribute the conjunction can touch.
-        let saved: Vec<(AttrId, Knowledge<P>)> = {
-            let mut attrs: Vec<AttrId> = preds.iter().map(SpPredicate::attr).collect();
-            attrs.sort_unstable();
-            attrs.dedup();
-            attrs
-                .into_iter()
-                .filter_map(|a| self.kbs.get(&a).map(|kb| (a, kb.clone())))
-                .collect()
-        };
-        match self.conjunction_inner(oracle, preds, rng) {
-            Ok(sel) => {
-                metrics::global().record_query(QueryKind::Conjunction, &sel.stats);
-                Ok(sel)
-            }
-            Err(e) => {
-                for (attr, kb) in saved {
-                    self.kbs.insert(attr, kb);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn conjunction_inner<O, R>(
-        &mut self,
-        oracle: &O,
-        preds: &[P],
-        rng: &mut R,
-    ) -> Result<Selection, QueryError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        use std::collections::BTreeMap;
-
-        let n = oracle.n_slots();
-        let qpf_before = oracle.qpf_uses();
-        let k_before: usize = self.kbs.values().map(Knowledge::k).sum();
-
         // Group comparison trapdoors per attribute, preserving order.
-        let mut cmp_by_attr: BTreeMap<AttrId, Vec<P>> = BTreeMap::new();
-        let mut singles: Vec<P> = Vec::new();
+        let mut cmp_by_attr: BTreeMap<AttrId, Vec<&P>> = BTreeMap::new();
+        let mut singles: Vec<&P> = Vec::new();
         for p in preds {
             match oracle.kind_of(p) {
-                PredicateKind::Comparison => {
-                    cmp_by_attr.entry(p.attr()).or_default().push(p.clone())
-                }
-                PredicateKind::Between => singles.push(p.clone()),
+                PredicateKind::Comparison => cmp_by_attr.entry(p.attr()).or_default().push(p),
+                PredicateKind::Between => singles.push(p),
             }
         }
-        let mut dims: Vec<[P; 2]> = Vec::new();
+        let mut dims: Vec<[&P; 2]> = Vec::new();
         for (_, mut group) in cmp_by_attr {
             // At most one pair per attribute: the MD grid owns each
             // attribute's knowledge exclusively, so further comparisons on
@@ -474,39 +410,17 @@ impl<P: SpPredicate> PrkbEngine<P> {
             }
             singles.extend(group);
         }
-
-        let mut hits: Vec<u32> = vec![0; n];
-        let mut parts = 0u32;
-        let mut agg = crate::selection::QueryStats::default();
-        if dims.len() >= 2 {
-            let sel = self.try_select_range_md_impl(oracle, &dims, rng)?;
-            agg.absorb(&sel.stats);
-            parts += 1;
-            for t in sel.tuples {
-                hits[t as usize] += 1;
-            }
+        let grid: Vec<[P; 2]> = if dims.len() >= 2 {
+            dims.iter().map(|d| d.map(P::clone)).collect()
         } else {
             // Not enough dimensions for the grid: run them individually.
             singles.extend(dims.into_iter().flatten());
-        }
-        for p in singles {
-            let sel = self.try_select_impl(oracle, &p, rng)?;
-            agg.absorb(&sel.stats);
-            parts += 1;
-            for t in sel.tuples {
-                hits[t as usize] += 1;
-            }
-        }
+            Vec::new()
+        };
 
-        let tuples: Vec<TupleId> = (0..n as TupleId)
-            .filter(|&t| hits[t as usize] == parts)
-            .collect();
-        // Per-part breakdown sums; the envelope figures are measured across
-        // the whole conjunction.
-        agg.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
-        agg.k_before = k_before;
-        agg.k_after = self.kbs.values().map(Knowledge::k).sum();
-        Ok(Selection { tuples, stats: agg })
+        let sel = self.intersect_parts(oracle, &grid, &singles, rng)?;
+        metrics::global().record_query(QueryKind::Conjunction, &sel.stats);
+        Ok(sel)
     }
 
     /// Checks the named attributes' knowledge **out** of this engine into a
@@ -566,10 +480,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     where
         O: SelectionOracle<Pred = P>,
     {
-        match self.try_insert(oracle, t) {
-            Ok(outcomes) => outcomes,
-            Err(e) => panic!("{e}"),
-        }
+        or_panic(self.try_insert(oracle, t))
     }
 
     /// Fallible twin of [`insert`](Self::insert).

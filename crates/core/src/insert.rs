@@ -28,35 +28,11 @@ pub enum InsertOutcome {
     },
 }
 
-/// Routes tuple `t` into the knowledge base.
-///
-/// Infallible wrapper over [`try_insert_tuple`].
-///
-/// # Panics
-/// Panics if `t` is already placed (callers insert each tuple once), or on
-/// oracle failure — fault-tolerant paths use [`try_insert_tuple`].
-pub fn insert_tuple<O>(kb: &mut Knowledge<O::Pred>, oracle: &O, t: TupleId) -> InsertOutcome
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-{
-    match try_insert_tuple(kb, oracle, t) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Routes tuple `t` into the knowledge base.
-///
-/// # Errors
-/// Propagates the first oracle failure. **Abort-safe:** every separator
-/// probe happens in the read-only decision phase ([`decide_insert`]); the
-/// knowledge base is first mutated ([`apply_insert`]) after the last oracle
-/// call, so a failed insert leaves it untouched.
-///
-/// # Panics
-/// Panics if `t` is already placed (callers insert each tuple once).
-pub fn try_insert_tuple<O>(
+/// Routes tuple `t` into one knowledge base: decide, then apply. The engine
+/// runs the two phases itself (every attribute decides before any applies);
+/// this is the single-attribute form the unit tests drive.
+#[cfg(test)]
+pub(crate) fn try_insert_tuple<O>(
     kb: &mut Knowledge<O::Pred>,
     oracle: &O,
     t: TupleId,
@@ -73,7 +49,7 @@ where
 /// knowledge base. Feed to [`apply_insert`] on the same knowledge base the
 /// decision was computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertDecision {
+pub(crate) enum InsertDecision {
     /// The knowledge base was empty: open a fresh solo partition.
     Solo,
     /// The window narrowed to a single rank.
@@ -99,7 +75,7 @@ pub enum InsertDecision {
 ///
 /// # Panics
 /// Panics if `t` is already placed (callers insert each tuple once).
-pub fn decide_insert<O>(
+pub(crate) fn decide_insert<O>(
     kb: &Knowledge<O::Pred>,
     oracle: &O,
     t: TupleId,
@@ -155,7 +131,7 @@ where
 
 /// Commit phase of an insert: applies a decision from [`decide_insert`].
 /// Infallible — no oracle calls.
-pub fn apply_insert<P: SpPredicate>(
+pub(crate) fn apply_insert<P: SpPredicate>(
     kb: &mut Knowledge<P>,
     t: TupleId,
     decision: InsertDecision,
@@ -208,7 +184,7 @@ fn probe_order(mid: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sd::process_comparison;
+    use crate::sd::try_process_comparison;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -221,13 +197,14 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
-            process_comparison(
+            try_process_comparison(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
                 &mut rng,
                 true,
-            );
+            )
+            .unwrap();
         }
         oracle.reset_uses();
         (kb, oracle)
@@ -256,7 +233,7 @@ mod tests {
         for v in [50u64, 150, 250, 350, 450, 550, 650, 750, 850, 950] {
             let t = oracle.insert(&[v]);
             oracle.reset_uses();
-            let outcome = insert_tuple(&mut kb, &oracle, t);
+            let outcome = try_insert_tuple(&mut kb, &oracle, t).unwrap();
             let InsertOutcome::Placed { rank } = outcome else {
                 panic!("pure comparison PRKB must always place, got {outcome:?}");
             };
@@ -280,7 +257,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(0);
         let t = oracle.insert(&[42]);
         assert_eq!(
-            insert_tuple(&mut kb, &oracle, t),
+            try_insert_tuple(&mut kb, &oracle, t).unwrap(),
             InsertOutcome::Placed { rank: 0 }
         );
         assert_eq!(kb.k(), 1);
@@ -292,7 +269,7 @@ mod tests {
         let (mut kb, mut oracle) = warmed(10, &[]);
         let t = oracle.insert(&[5]);
         oracle.reset_uses();
-        insert_tuple(&mut kb, &oracle, t);
+        try_insert_tuple(&mut kb, &oracle, t).unwrap();
         assert_eq!(oracle.qpf_uses(), 0);
         assert_eq!(kb.pop().rank_of_tuple(t), Some(0));
     }
@@ -303,11 +280,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for v in [10u64, 120, 260, 410, 499] {
             let t = oracle.insert(&[v]);
-            insert_tuple(&mut kb, &oracle, t);
+            try_insert_tuple(&mut kb, &oracle, t).unwrap();
         }
         for bound in [50u64, 150, 300, 450] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
-            let sel = process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+            let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(sel.sorted(), oracle.expected_select(&p), "bound {bound}");
             kb.check_invariants();
         }
@@ -320,12 +297,12 @@ mod tests {
         for i in 0..100u64 {
             let v = (i * 37) % 200;
             let t = oracle.insert(&[v]);
-            insert_tuple(&mut kb, &oracle, t);
+            try_insert_tuple(&mut kb, &oracle, t).unwrap();
         }
         kb.check_invariants();
         for bound in [30u64, 90, 150, 199] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
-            let sel = process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+            let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(sel.sorted(), oracle.expected_select(&p), "bound {bound}");
         }
     }

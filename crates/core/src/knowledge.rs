@@ -51,7 +51,7 @@ pub enum Separator<P> {
 
 /// Answer of probing a separator with a new tuple's QPF output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+pub(crate) enum Side {
     /// The tuple's value lies left of the cut (lower ranks).
     Left,
     /// The tuple's value lies right of the cut (higher ranks).
@@ -62,14 +62,14 @@ pub enum Side {
 
 impl<P: SpPredicate> Separator<P> {
     /// The retained trapdoor.
-    pub fn pred(&self) -> &P {
+    pub(crate) fn pred(&self) -> &P {
         match self {
             Separator::Cmp { pred, .. } | Separator::Between { pred, .. } => pred,
         }
     }
 
     /// Interprets QPF output `out` for a new tuple probed at this separator.
-    pub fn side_of(&self, out: bool) -> Side {
+    pub(crate) fn side_of(&self, out: bool) -> Side {
         match self {
             Separator::Cmp { left_label, .. } => {
                 if out == *left_label {
@@ -89,14 +89,14 @@ impl<P: SpPredicate> Separator<P> {
     }
 
     /// Storage footprint of retaining this separator.
-    pub fn storage_bytes(&self) -> usize {
+    pub(crate) fn storage_bytes(&self) -> usize {
         self.pred().storage_bytes() + 1
     }
 }
 
 /// An unplaced tuple with its candidate rank interval (inclusive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverflowEntry {
+pub(crate) struct OverflowEntry {
     /// The parked tuple.
     pub tuple: TupleId,
     /// Lowest candidate rank.
@@ -109,12 +109,12 @@ pub struct OverflowEntry {
 ///
 /// Every public mutator of [`Knowledge`] corresponds to exactly one variant;
 /// applying a recorded op to a byte-identical knowledge base (via
-/// [`Knowledge::apply_op`]) reproduces the mutation exactly. This is the
+/// `Knowledge::apply_op`) reproduces the mutation exactly. This is the
 /// unit the durability layer journals: a committed query drains its ops into
 /// one write-ahead-log transaction, and recovery replays them.
 #[derive(Debug, Clone)]
 pub enum RefinementOp<P> {
-    /// [`Knowledge::apply_split`]: split the partition at `rank`.
+    /// `Knowledge::apply_split`: split the partition at `rank`.
     Split {
         /// Rank of the split partition.
         rank: usize,
@@ -139,19 +139,19 @@ pub enum RefinementOp<P> {
         /// Highest candidate rank.
         hi: usize,
     },
-    /// [`Knowledge::place`]: place a tuple at a known rank.
+    /// `Knowledge::place`: place a tuple at a known rank.
     Place {
         /// The placed tuple.
         tuple: TupleId,
         /// Rank of the receiving partition.
         rank: usize,
     },
-    /// [`Knowledge::apply_solo`]: first tuple of an empty knowledge base.
+    /// `Knowledge::apply_solo`: first tuple of an empty knowledge base.
     Solo {
         /// The tuple opening the solo partition.
         tuple: TupleId,
     },
-    /// [`Knowledge::refine_overflow`], with the oracle outputs that were
+    /// `Knowledge::refine_overflow`, with the oracle outputs that were
     /// actually consumed materialized as `(tuple, Θ(p, t))` pairs — replay
     /// must not (and cannot) re-ask the oracle.
     Refine {
@@ -201,17 +201,12 @@ impl<P: SpPredicate> Knowledge<P> {
 
     /// The separator at boundary `i` (between ranks `i` and `i + 1`), if
     /// one is retained there.
-    pub fn sep(&self, i: usize) -> Option<&Separator<P>> {
+    pub(crate) fn sep(&self, i: usize) -> Option<&Separator<P>> {
         self.seps.get(i).and_then(Option::as_ref)
     }
 
-    /// Number of boundary slots (`k - 1`, or 0 when `k <= 1`).
-    pub fn n_boundaries(&self) -> usize {
-        self.seps.len()
-    }
-
     /// Currently parked overflow tuples.
-    pub fn overflow(&self) -> &[OverflowEntry] {
+    pub(crate) fn overflow(&self) -> &[OverflowEntry] {
         &self.overflow
     }
 
@@ -221,7 +216,7 @@ impl<P: SpPredicate> Knowledge<P> {
     /// Maintains separator alignment and overflow intervals. Callers are
     /// responsible for having ordered `left`/`right` per the update rule
     /// (§5.3 / DESIGN.md §7).
-    pub fn apply_split(
+    pub(crate) fn apply_split(
         &mut self,
         rank: usize,
         left: Vec<TupleId>,
@@ -314,7 +309,7 @@ impl<P: SpPredicate> Knowledge<P> {
     }
 
     /// Places a tuple directly into the partition at `rank`.
-    pub fn place(&mut self, t: TupleId, rank: usize) {
+    pub(crate) fn place(&mut self, t: TupleId, rank: usize) {
         if self.recording {
             self.journal.push(RefinementOp::Place { tuple: t, rank });
         }
@@ -326,7 +321,7 @@ impl<P: SpPredicate> Knowledge<P> {
     ///
     /// # Panics
     /// Panics if the knowledge base already has partitions.
-    pub fn apply_solo(&mut self, t: TupleId) {
+    pub(crate) fn apply_solo(&mut self, t: TupleId) {
         if self.recording {
             self.journal.push(RefinementOp::Solo { tuple: t });
         }
@@ -345,7 +340,7 @@ impl<P: SpPredicate> Knowledge<P> {
     /// thresholds can differ from the boundary's retained separator inside
     /// a deletion gap, and a parked tuple dwelling in that gap would receive
     /// contradictory index-space claims (violating `lo ≤ hi`).
-    pub fn refine_overflow(
+    pub(crate) fn refine_overflow(
         &mut self,
         cut: usize,
         left_label: bool,
@@ -395,17 +390,12 @@ impl<P: SpPredicate> Knowledge<P> {
     /// Turns op journaling on or off. Off (the default), the mutators record
     /// nothing and non-durable engines pay no overhead; on, every committed
     /// mutation is queued for [`take_ops`](Self::take_ops).
-    pub fn set_recording(&mut self, on: bool) {
+    pub(crate) fn set_recording(&mut self, on: bool) {
         self.recording = on;
     }
 
-    /// Whether the op journal is recording.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
     /// Drains the ops recorded since the previous drain, in commit order.
-    pub fn take_ops(&mut self) -> Vec<RefinementOp<P>> {
+    pub(crate) fn take_ops(&mut self) -> Vec<RefinementOp<P>> {
         std::mem::take(&mut self.journal)
     }
 
@@ -419,7 +409,7 @@ impl<P: SpPredicate> Knowledge<P> {
     /// only replayable against a base byte-identical to the one they were
     /// recorded on (the recovery path `validate()`s and surfaces corruption
     /// errors before this can happen).
-    pub fn apply_op(&mut self, op: RefinementOp<P>) {
+    pub(crate) fn apply_op(&mut self, op: RefinementOp<P>) {
         let was = self.recording;
         self.recording = false;
         match op {
@@ -534,7 +524,7 @@ mod tests {
         assert_eq!(kb.k(), 1);
         kb.apply_split(0, vec![0, 1], vec![2, 3], Some(sep(5, true)));
         assert_eq!(kb.k(), 2);
-        assert_eq!(kb.n_boundaries(), 1);
+        assert_eq!(kb.seps.len(), 1);
         assert!(kb.sep(0).is_some());
         kb.check_invariants();
     }
@@ -544,7 +534,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
         kb.apply_split(0, vec![0, 1], vec![2, 3], None);
         assert!(kb.sep(0).is_none());
-        assert_eq!(kb.n_boundaries(), 1);
+        assert_eq!(kb.seps.len(), 1);
         kb.check_invariants();
     }
 
@@ -557,7 +547,7 @@ mod tests {
         // Empty the middle partition: its right separator (index 1) dies.
         kb.delete(1);
         assert_eq!(kb.k(), 2);
-        assert_eq!(kb.n_boundaries(), 1);
+        assert_eq!(kb.seps.len(), 1);
         assert!(matches!(
             kb.sep(0),
             Some(Separator::Cmp {
@@ -617,7 +607,7 @@ mod tests {
         kb.apply_split(0, vec![0], vec![1], Some(sep(5, true)));
         kb.delete(1);
         assert_eq!(kb.k(), 1);
-        assert_eq!(kb.n_boundaries(), 0);
+        assert_eq!(kb.seps.len(), 0);
         kb.check_invariants();
     }
 

@@ -15,10 +15,11 @@
 //! * [`qfilter`] — Algorithm 1: binary search for the NS-pair;
 //! * [`qscan`] — Algorithm 2: early-stop confirmation scan;
 //! * [`sd`] — the §5 pipeline plus `updatePRKB` (§5.3);
-//! * [`between`] — the BETWEEN operator (Appendix A);
-//! * [`md`] / [`sdplus`] — multi-dimensional range queries (§6);
-//! * [`insert`] / [`knowledge`] — database updates (§7);
-//! * [`engine`] — the per-table façade tying it all together;
+//! * `between`, `md`, `insert` (crate-private) — the BETWEEN operator
+//!   (Appendix A), multi-dimensional range queries (§6) and database
+//!   updates (§7), all reached through [`PrkbEngine`], the per-table façade;
+//!   PRKB(SD+) and SQL conjunctions are its methods over one
+//!   intersect-and-rollback driver;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
 //!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/
@@ -57,39 +58,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod between;
+pub(crate) mod between;
 pub mod durability;
-pub mod engine;
+pub(crate) mod engine;
 pub mod extremes;
-pub mod insert;
-pub mod knowledge;
+pub(crate) mod insert;
+pub(crate) mod knowledge;
 pub mod lsm;
-pub mod md;
+pub(crate) mod md;
 pub mod metrics;
-pub mod pop;
+pub(crate) mod pop;
 pub mod qfilter;
 pub mod qscan;
 pub mod scheduler;
 pub mod scrub;
 pub mod sd;
-pub mod sdplus;
-pub mod selection;
-pub mod shard;
+mod sdplus;
+pub(crate) mod selection;
+pub(crate) mod shard;
 pub mod skyline;
 pub mod snapshot;
 pub mod storage;
-pub mod traits;
+pub(crate) mod traits;
 mod update;
 
 pub use durability::{DurableError, RecoveryReport, ShardedDurablePool};
 pub use engine::{EngineConfig, PrkbEngine, QueryError};
 pub use extremes::{extreme_candidates, top_m_candidates};
-pub use insert::{InsertDecision, InsertOutcome};
+pub use insert::InsertOutcome;
 pub use knowledge::{Knowledge, RefinementOp, Separator};
-pub use lsm::{SegmentManifest, SegmentStore};
-pub use md::{MdDim, MdUpdatePolicy};
-pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot, QueryKind};
-pub use pop::{PartId, Pop};
+pub use lsm::SegmentManifest;
+pub use md::MdUpdatePolicy;
+pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
+pub use pop::Pop;
 pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use scrub::{ScrubDamage, ScrubFinding, ScrubReport};
 pub use selection::{QueryStats, Selection};

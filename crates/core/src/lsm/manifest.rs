@@ -59,7 +59,7 @@ impl SegmentManifest {
     }
 
     /// Serializes the manifest (CRC-trailed).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(26 + self.segments.len() * 8 + 4);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
@@ -79,7 +79,7 @@ impl SegmentManifest {
     /// # Errors
     /// [`DurableError::CorruptSegment`] describing the first failed check —
     /// the manifest is swapped atomically, so damage here is real.
-    pub fn decode(bytes: &[u8]) -> Result<SegmentManifest, DurableError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<SegmentManifest, DurableError> {
         if bytes.len() < 30 {
             return Err(DurableError::CorruptSegment("manifest truncated"));
         }
@@ -132,7 +132,7 @@ impl SegmentManifest {
 ///
 /// [`BeforeManifestSwap`]: CrashPoint::BeforeManifestSwap
 /// [`AfterManifestSwap`]: CrashPoint::AfterManifestSwap
-pub fn write_segment_manifest(
+pub(crate) fn write_segment_manifest(
     fs: &dyn StorageFs,
     dir: &Path,
     manifest: &SegmentManifest,

@@ -5,14 +5,14 @@
 //! scaling wall. A checkpoint is instead a set of **immutable segment
 //! files**, and a rotation *supersedes* rather than accumulates:
 //!
-//! * [`segment`] — the on-disk segment format: attr-sorted partition
+//! * `segment` — the on-disk segment format: attr-sorted partition
 //!   blocks (each a [`snapshot`](crate::snapshot) image) with per-block
 //!   CRC32 and an index block for binary search, behind a CRC'd
 //!   fixed-size footer;
 //! * [`manifest`] — the CRC'd `segments.manifest` recording the live
 //!   segment set, the epoch, and the next segment id, swapped atomically
 //!   (temp + fsync + rename + directory fsync);
-//! * [`reader`] — [`SegmentStore`](reader::SegmentStore): opens the live
+//! * `reader` — `SegmentStore`: opens the live
 //!   set's indexes, reads the newest CRC-verified block of any one
 //!   partition, and applies the supersede rule that decides which
 //!   segments a rotation keeps.
@@ -30,11 +30,10 @@
 //! [`CrashPoint`](prkb_edbms::durability::CrashPoint) segment hook.
 
 pub mod manifest;
-pub mod reader;
-pub mod segment;
+pub(crate) mod reader;
+pub(crate) mod segment;
 
 pub use manifest::{SegmentManifest, SEGMENT_MANIFEST_FILE};
-pub use reader::SegmentStore;
 pub use segment::{
     parse_segment_name, segment_file_name, BlockEntry, SegmentMeta, SEGMENT_VERSION,
 };

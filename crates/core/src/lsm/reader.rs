@@ -23,7 +23,7 @@ use crate::durability::DurableError;
 
 /// An opened live segment set: routing structures only, payloads on disk.
 #[derive(Debug, Clone)]
-pub struct SegmentStore {
+pub(crate) struct SegmentStore {
     fs: Arc<dyn StorageFs>,
     manifest: SegmentManifest,
     /// Newest first — the probe order.
@@ -39,7 +39,10 @@ impl SegmentStore {
     /// A manifest entry whose segment file is missing or damaged is
     /// [`DurableError::CorruptSegment`] — segments are published before
     /// the manifest references them, so this is never a crash artifact.
-    pub fn open(fs: Arc<dyn StorageFs>, dir: &Path) -> Result<Option<SegmentStore>, DurableError> {
+    pub(crate) fn open(
+        fs: Arc<dyn StorageFs>,
+        dir: &Path,
+    ) -> Result<Option<SegmentStore>, DurableError> {
         let Some(manifest) = read_segment_manifest(fs.as_ref(), dir)? else {
             return Ok(None);
         };
@@ -57,18 +60,18 @@ impl SegmentStore {
     }
 
     /// The manifest this store was opened from.
-    pub fn manifest(&self) -> &SegmentManifest {
+    pub(crate) fn manifest(&self) -> &SegmentManifest {
         &self.manifest
     }
 
     /// Number of live segments.
-    pub fn segments_live(&self) -> usize {
+    pub(crate) fn segments_live(&self) -> usize {
         self.segments.len()
     }
 
     /// The newest stored snapshot image for `attr`, or `None` if no live
     /// segment holds it.
-    pub fn load_attr(&self, attr: AttrId) -> Result<Option<Vec<u8>>, DurableError> {
+    pub(crate) fn load_attr(&self, attr: AttrId) -> Result<Option<Vec<u8>>, DurableError> {
         for seg in &self.segments {
             if let Some(entry) = seg.find(attr) {
                 return seg.read_block(self.fs.as_ref(), entry).map(Some);
@@ -78,7 +81,7 @@ impl SegmentStore {
     }
 
     /// Every attribute stored across the live set (deduplicated, sorted).
-    pub fn attrs(&self) -> Vec<AttrId> {
+    pub(crate) fn attrs(&self) -> Vec<AttrId> {
         let mut out: Vec<AttrId> = self
             .segments
             .iter()

@@ -36,7 +36,7 @@ use prkb_edbms::{AttrId, StorageFs};
 
 use crate::durability::DurableError;
 
-/// Segment format version written by [`encode_segment`].
+/// Segment format version written by `encode_segment`.
 pub const SEGMENT_VERSION: u16 = 2;
 /// The read-only legacy version (non-empty `aux` extent, ignored).
 const SEGMENT_VERSION_V1: u16 = 1;
@@ -97,7 +97,7 @@ pub struct SegmentMeta {
 /// Builds the complete on-disk image of segment `id` from raw snapshot
 /// blocks. Blocks are sorted by attribute; duplicate attributes are a
 /// caller bug (the dirty set is a set).
-pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
+pub(crate) fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
     let mut sorted: Vec<&(AttrId, Vec<u8>)> = blocks.iter().collect();
     sorted.sort_by_key(|(attr, _)| *attr);
     debug_assert!(
@@ -165,7 +165,7 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
 /// file (half the image, synced so reopen sees it); a failed `sync_all` or
 /// directory fsync surfaces as [`DurabilityError::SyncFailed`] and leaves
 /// the previous manifest + segment set untouched.
-pub fn write_segment(
+pub(crate) fn write_segment(
     fs: &dyn StorageFs,
     dir: &Path,
     id: u64,
@@ -298,7 +298,7 @@ impl SegmentMeta {
     }
 
     /// Binary-searches the index for `attr`.
-    pub fn find(&self, attr: AttrId) -> Option<&BlockEntry> {
+    pub(crate) fn find(&self, attr: AttrId) -> Option<&BlockEntry> {
         self.index
             .binary_search_by_key(&attr, |e| e.attr)
             .ok()

@@ -527,7 +527,7 @@ fn commit_dim_updates<P: SpPredicate>(dim: &mut MdDim<P>, mut pending: Vec<Pendi
 mod tests {
     use super::*;
     use crate::knowledge::Knowledge;
-    use crate::sd::process_comparison;
+    use crate::sd::try_process_comparison;
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
@@ -705,7 +705,7 @@ mod tests {
         for (a, kb) in kbs.iter_mut().enumerate() {
             for _ in 0..cuts {
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, rng.gen_range(0..DOMAIN));
-                process_comparison(kb, &oracle, &p, &mut rng, true);
+                try_process_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         let gone = rng.gen_range(0..n as TupleId);
@@ -719,7 +719,7 @@ mod tests {
             let t = oracle.insert(&row);
             for (a, kb) in kbs.iter_mut().enumerate() {
                 if a > 0 && placed_elsewhere {
-                    crate::insert::insert_tuple(kb, &oracle, t);
+                    crate::insert::try_insert_tuple(kb, &oracle, t).unwrap();
                 } else {
                     kb.park(t, 0, kb.k() - 1);
                 }

@@ -21,10 +21,6 @@ pub(crate) mod exec;
 pub(crate) mod zones;
 
 use crate::knowledge::Knowledge;
-use crate::selection::Selection;
-use crate::traits::SpPredicate;
-use prkb_edbms::{OracleError, SelectionOracle};
-use rand::Rng;
 
 /// What to do with partially-scanned NS partitions after an MD query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,62 +37,21 @@ pub enum MdUpdatePolicy {
 /// One dimension of a range query: the attribute's knowledge base plus its
 /// two comparison trapdoors. The engine moves knowledge in and out by value.
 #[derive(Debug)]
-pub struct MdDim<P> {
+pub(crate) struct MdDim<P> {
     /// PRKB state of this attribute.
     pub knowledge: Knowledge<P>,
     /// The two comparison trapdoors of this dimension.
     pub preds: [P; 2],
 }
 
-/// Processes a d-dimensional range query with the PRKB(MD) algorithm.
-///
-/// Infallible wrapper over [`try_process_range_md`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use
-/// [`try_process_range_md`].
-pub fn process_range_md<O, R>(
-    dims: &mut [MdDim<O::Pred>],
-    oracle: &O,
-    rng: &mut R,
-    policy: MdUpdatePolicy,
-) -> Selection
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    match try_process_range_md(dims, oracle, rng, policy) {
-        Ok(sel) => sel,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Processes a d-dimensional range query with the PRKB(MD) algorithm.
-///
-/// # Errors
-/// Propagates the first oracle failure. **Abort-safe:** pending splits are
-/// staged per dimension and committed only after every oracle evaluation of
-/// the whole query (all dimensions) has succeeded, so on error every
-/// dimension's `Knowledge` is byte-identical to its pre-query state.
-pub fn try_process_range_md<O, R>(
-    dims: &mut [MdDim<O::Pred>],
-    oracle: &O,
-    rng: &mut R,
-    policy: MdUpdatePolicy,
-) -> Result<Selection, OracleError>
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    exec::run(dims, oracle, rng, policy)
-}
+pub(crate) use exec::run as try_process_range_md;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sd::process_comparison;
+    use crate::sd::try_process_comparison;
+    use crate::selection::Selection;
+    use rand::Rng;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -120,7 +75,7 @@ mod tests {
                 let bound = rng.gen_range(0..10_000u64);
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, bound);
                 let _ = c;
-                process_comparison(kb, &oracle, &p, &mut rng, true);
+                try_process_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         oracle.reset_uses();
@@ -150,7 +105,7 @@ mod tests {
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let sel = process_range_md(&mut dims, oracle, &mut rng, policy);
+        let sel = try_process_range_md(&mut dims, oracle, &mut rng, policy).unwrap();
         (dims.into_iter().map(|d| d.knowledge).collect(), sel)
     }
 

@@ -23,19 +23,19 @@ pub(crate) struct RankClass {
 impl RankClass {
     /// The rank provably fails this dimension (some predicate known false).
     #[inline]
-    pub fn known_false(self) -> bool {
+    pub(crate) fn known_false(self) -> bool {
         self.p0 == Some(false) || self.p1 == Some(false)
     }
 
     /// The rank provably passes this dimension (both predicates true).
     #[inline]
-    pub fn known_true(self) -> bool {
+    pub(crate) fn known_true(self) -> bool {
         self.p0 == Some(true) && self.p1 == Some(true)
     }
 
     /// Known label of predicate `j`.
     #[inline]
-    pub fn pred(self, j: usize) -> Option<bool> {
+    pub(crate) fn pred(self, j: usize) -> Option<bool> {
         if j == 0 {
             self.p0
         } else {
@@ -58,7 +58,7 @@ pub(crate) fn rank_classes(k: usize, filters: &[FilterResult; 2]) -> Vec<RankCla
 mod tests {
     use super::*;
     use crate::pop::Pop;
-    use crate::qfilter::qfilter;
+    use crate::qfilter::try_qfilter;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -101,8 +101,8 @@ mod tests {
         let p_lo = Predicate::cmp(0, ComparisonOp::Gt, 25);
         let p_hi = Predicate::cmp(0, ComparisonOp::Lt, 65);
         let f = [
-            qfilter(&pop, &oracle, &p_lo, &mut rng),
-            qfilter(&pop, &oracle, &p_hi, &mut rng),
+            try_qfilter(&pop, &oracle, &p_lo, &mut rng).unwrap(),
+            try_qfilter(&pop, &oracle, &p_hi, &mut rng).unwrap(),
         ];
         let classes = rank_classes(pop.k(), &f);
         // Rank 4 (values 40..49) is proven true for both predicates.

@@ -10,22 +10,8 @@
 //! to a stable, hand-rolled JSON schema (`prkb-metrics/v7`) suitable for
 //! dashboards and CI artifacts.
 //!
-//! Schema history: **v7** removed three v6 counters whose code is gone
-//! (listed once in DESIGN.md §11) — the only version that shrank the key
-//! set; **v6** added the segmented-checkpoint
-//! counters (`segments_live`, `segment_flush_bytes`, `recovery_ms`);
-//! **v5** added the reactor counters (`epoll_wakeups`) and
-//! histograms (`pipelined_depth`, `reactor_queue_wait_us`) for the
-//! epoll-based server front end; **v4** added the storage-robustness counters
-//! (`io_faults_injected`, `sync_failures`, `wal_poisoned`, `scrub_runs`,
-//! `scrub_corruptions`, `quarantined_files`); **v3** added the
-//! service-resilience counters
-//! (`busy_rejections`, `deadline_timeouts`, `net_retries`, `dedup_hits`,
-//! `net_faults_injected`); **v2** added the `shards` header field (the
-//! sharded engine-pool topology, see [`MetricsRegistry::set_shards`]), the
-//! `group_commit_*` counters, and the `shard_lock_wait_us` histogram; v1
-//! counter and histogram names are unchanged — names never change meaning,
-//! new names only append.
+//! Names never change meaning; the schema version moves when the key set
+//! does (CHANGES.md, PR 19, lists what each version added or removed).
 //!
 //! ```
 //! use prkb_core::metrics;
@@ -176,7 +162,7 @@ schema_enum! {
         /// retiring per-connection poll ticks).
         EpollWakeups => "epoll_wakeups",
         /// Live segment files across open durable engines — a gauge kept
-        /// current via [`MetricsRegistry::set`] after every rotation.
+        /// current via `MetricsRegistry::set` after every rotation.
         SegmentsLive => "segments_live",
         /// Bytes written into published segment files by O(delta) flushes.
         SegmentFlushBytes => "segment_flush_bytes",
@@ -208,7 +194,7 @@ schema_enum! {
 
 /// Number of log₂ buckets per histogram. Bucket `i > 0` counts values `v`
 /// with `2^(i-1) <= v < 2^i`; bucket 0 counts `v == 0`.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Maps a value to its log₂ bucket index.
 fn bucket_of(v: u64) -> usize {
@@ -221,7 +207,7 @@ fn bucket_of(v: u64) -> usize {
 
 /// A fixed-size log₂ histogram over `u64` values.
 #[derive(Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
@@ -233,7 +219,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&self, v: u64) {
+    pub(crate) fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -259,7 +245,7 @@ impl Histogram {
 /// What kind of query a [`QueryStats`] breakdown came from; selects the
 /// `queries_*` counter bumped by [`MetricsRegistry::record_query`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
+pub(crate) enum QueryKind {
     /// Single comparison (`<`, `<=`, `>`, `>=`).
     Comparison,
     /// BETWEEN range on one attribute.
@@ -315,12 +301,12 @@ impl MetricsRegistry {
     /// Publishes the engine-pool shard count into the snapshot header
     /// (`"shards"` in `prkb-metrics/v7`). A gauge, not a counter: set at
     /// pool construction, untouched by [`reset`](Self::reset).
-    pub fn set_shards(&self, n: u64) {
+    pub(crate) fn set_shards(&self, n: u64) {
         self.shards.store(n, Ordering::Relaxed);
     }
 
     /// The published engine-pool shard count (0 = none registered).
-    pub fn shards(&self) -> u64 {
+    pub(crate) fn shards(&self) -> u64 {
         self.shards.load(Ordering::Relaxed)
     }
 
@@ -338,7 +324,7 @@ impl MetricsRegistry {
 
     /// Stores an absolute value — for the few metrics that are gauges
     /// (e.g. [`Metric::SegmentsLive`]) rather than monotonic counters.
-    pub fn set(&self, m: Metric, v: u64) {
+    pub(crate) fn set(&self, m: Metric, v: u64) {
         self.counters[m.index()].store(v, Ordering::Relaxed);
     }
 
@@ -349,7 +335,7 @@ impl MetricsRegistry {
 
     /// Records a finished engine query: bumps the per-kind counter, the
     /// cost breakdown counters, and the per-query histograms.
-    pub fn record_query(&self, kind: QueryKind, stats: &QueryStats) {
+    pub(crate) fn record_query(&self, kind: QueryKind, stats: &QueryStats) {
         self.add(kind.counter(), 1);
         self.add(Metric::QueryQpfUses, stats.qpf_uses);
         self.add(Metric::FilterProbes, stats.filter_probes);
@@ -364,7 +350,7 @@ impl MetricsRegistry {
     }
 
     /// Records a finished engine insert.
-    pub fn record_insert(&self, qpf_uses: u64, parked: bool) {
+    pub(crate) fn record_insert(&self, qpf_uses: u64, parked: bool) {
         self.add(Metric::Inserts, 1);
         self.add(Metric::InsertQpfUses, qpf_uses);
         if parked {
@@ -373,7 +359,7 @@ impl MetricsRegistry {
     }
 
     /// Records one WAL transaction append of `bytes` bytes.
-    pub fn record_wal_txn(&self, bytes: u64) {
+    pub(crate) fn record_wal_txn(&self, bytes: u64) {
         self.add(Metric::WalTxns, 1);
         self.add(Metric::WalBytes, bytes);
         self.observe(HistogramId::WalTxnBytes, bytes);

@@ -13,7 +13,7 @@ use prkb_edbms::TupleId;
 use rand::Rng;
 
 /// Stable identifier of a partition (survives rank shifts; never reused).
-pub type PartId = u32;
+pub(crate) type PartId = u32;
 
 /// Sentinel: tuple is not placed in any partition.
 const NO_PART: PartId = PartId::MAX;
@@ -38,7 +38,7 @@ pub struct Pop {
 impl Pop {
     /// `initPRKB`: all `n` tuples in one big partition (POP₁). With `n == 0`
     /// the structure starts with zero partitions.
-    pub fn init(n: usize) -> Self {
+    pub(crate) fn init(n: usize) -> Self {
         if n == 0 {
             return Pop {
                 order: Vec::new(),
@@ -62,21 +62,8 @@ impl Pop {
         self.order.len()
     }
 
-    /// Number of placed tuples.
-    pub fn placed(&self) -> usize {
-        self.placed
-    }
-
-    /// Partition id at `rank`.
-    ///
-    /// # Panics
-    /// Panics if `rank >= k()`.
-    pub fn part_at(&self, rank: usize) -> PartId {
-        self.order[rank]
-    }
-
     /// Current rank of partition `id`, or `None` if it no longer exists.
-    pub fn rank_of(&self, id: PartId) -> Option<usize> {
+    pub(crate) fn rank_of(&self, id: PartId) -> Option<usize> {
         match self.rank.get(id as usize) {
             Some(&r) if r != DEAD_RANK => Some(r as usize),
             _ => None,
@@ -102,7 +89,7 @@ impl Pop {
     }
 
     /// Partition id containing tuple `t`, or `None` if unplaced.
-    pub fn locate(&self, t: TupleId) -> Option<PartId> {
+    pub(crate) fn locate(&self, t: TupleId) -> Option<PartId> {
         match self.locate.get(t as usize) {
             Some(&p) if p != NO_PART => Some(p),
             _ => None,
@@ -115,7 +102,7 @@ impl Pop {
     }
 
     /// Ensures the locate array covers tuple id `t` (grows with the table).
-    pub fn ensure_slot(&mut self, t: TupleId) {
+    pub(crate) fn ensure_slot(&mut self, t: TupleId) {
         if t as usize >= self.locate.len() {
             self.locate.resize(t as usize + 1, NO_PART);
         }
@@ -133,7 +120,7 @@ impl Pop {
     ///
     /// # Panics
     /// Panics if the halves are empty or do not repartition the members.
-    pub fn split_at(
+    pub(crate) fn split_at(
         &mut self,
         rank: usize,
         first: Vec<TupleId>,
@@ -170,7 +157,7 @@ impl Pop {
     ///
     /// # Panics
     /// Panics if `t` is already placed.
-    pub fn place(&mut self, t: TupleId, rank: usize) {
+    pub(crate) fn place(&mut self, t: TupleId, rank: usize) {
         self.ensure_slot(t);
         assert_eq!(self.locate[t as usize], NO_PART, "tuple {t} already placed");
         let id = self.order[rank];
@@ -186,7 +173,7 @@ impl Pop {
     ///
     /// # Errors
     /// Returns a description of the first structural violation found.
-    pub fn from_ranks(ranks: &[u32], k: usize) -> Result<Self, &'static str> {
+    pub(crate) fn from_ranks(ranks: &[u32], k: usize) -> Result<Self, &'static str> {
         let mut members: Vec<Vec<TupleId>> = vec![Vec::new(); k];
         let mut locate = vec![NO_PART; ranks.len()];
         let mut placed = 0usize;
@@ -214,7 +201,7 @@ impl Pop {
     }
 
     /// Per-tuple ranks in snapshot form (`u32::MAX` = unplaced).
-    pub fn to_ranks(&self) -> Vec<u32> {
+    pub(crate) fn to_ranks(&self) -> Vec<u32> {
         self.locate
             .iter()
             .map(|&p| {
@@ -233,7 +220,7 @@ impl Pop {
     /// # Panics
     /// Panics if the POP already has partitions — with existing partitions a
     /// new tuple must be routed by separators, never appended blindly.
-    pub fn add_solo_partition(&mut self, t: TupleId) {
+    pub(crate) fn add_solo_partition(&mut self, t: TupleId) {
         assert_eq!(self.k(), 0, "solo partition only seeds an empty POP");
         self.ensure_slot(t);
         let id = self.members.len() as PartId;
@@ -246,7 +233,7 @@ impl Pop {
 
     /// Removes tuple `t`. If its partition becomes empty the partition is
     /// dropped and the former rank is returned in `RemoveOutcome::Emptied`.
-    pub fn remove(&mut self, t: TupleId) -> RemoveOutcome {
+    pub(crate) fn remove(&mut self, t: TupleId) -> RemoveOutcome {
         let Some(id) = self.locate(t) else {
             return RemoveOutcome::NotPlaced;
         };
@@ -275,30 +262,18 @@ impl Pop {
     /// is one partition id per tuple slot (4 bytes) plus the order list
     /// (4 bytes per partition) — the member lists are derivable and not
     /// counted, matching the paper's "partition information" accounting.
-    pub fn storage_bytes(&self) -> usize {
+    pub(crate) fn storage_bytes(&self) -> usize {
         self.locate.len() * 4 + self.order.len() * 4
     }
 
-    /// Validates all structural invariants (test/debug aid): partitions
-    /// non-empty, disjoint, rank table consistent, locate consistent.
-    ///
-    /// # Panics
-    /// Panics (with a description) on any violation. Untrusted input paths
-    /// use the non-panicking [`validate`](Self::validate) instead.
-    pub fn check_invariants(&self) {
-        if let Err(what) = self.validate() {
-            panic!("POP invariant violated: {what}");
-        }
-    }
-
-    /// Non-panicking twin of [`check_invariants`](Self::check_invariants):
-    /// reports the first violated invariant instead of asserting, so
-    /// untrusted input (e.g. a snapshot read from disk) can be rejected
-    /// gracefully.
+    /// Validates all structural invariants — partitions non-empty, disjoint,
+    /// rank table consistent, locate consistent — reporting the first
+    /// violated one instead of asserting, so untrusted input (e.g. a
+    /// snapshot read from disk) can be rejected gracefully.
     ///
     /// # Errors
     /// A short description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
         let mut seen = std::collections::HashSet::new();
         for (r, &id) in self.order.iter().enumerate() {
             if self.rank.get(id as usize).copied() != Some(r as u32) {
@@ -333,7 +308,7 @@ impl Pop {
 
 /// Result of [`Pop::remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoveOutcome {
+pub(crate) enum RemoveOutcome {
     /// The tuple was not placed anywhere (overflow or already deleted).
     NotPlaced,
     /// Removed; the partition still has members.
@@ -356,18 +331,18 @@ mod tests {
     fn init_single_partition() {
         let pop = Pop::init(5);
         assert_eq!(pop.k(), 1);
-        assert_eq!(pop.placed(), 5);
+        assert_eq!(pop.placed, 5);
         assert_eq!(pop.members_at(0), &[0, 1, 2, 3, 4]);
         assert_eq!(pop.rank_of_tuple(3), Some(0));
-        pop.check_invariants();
+        pop.validate().unwrap();
     }
 
     #[test]
     fn init_empty() {
         let pop = Pop::init(0);
         assert_eq!(pop.k(), 0);
-        assert_eq!(pop.placed(), 0);
-        pop.check_invariants();
+        assert_eq!(pop.placed, 0);
+        pop.validate().unwrap();
     }
 
     #[test]
@@ -380,7 +355,7 @@ mod tests {
         assert_eq!(pop.rank_of(left), Some(0));
         assert_eq!(pop.rank_of(right), Some(1));
         assert_eq!(pop.rank_of_tuple(4), Some(1));
-        pop.check_invariants();
+        pop.validate().unwrap();
 
         // Split the middle; ranks shift.
         let (a, b) = pop.split_at(1, vec![4], vec![3, 5]);
@@ -389,7 +364,7 @@ mod tests {
         assert_eq!(pop.members_at(2), &[3, 5]);
         assert_eq!(pop.rank_of(a), Some(1));
         assert_eq!(pop.rank_of(b), Some(2));
-        pop.check_invariants();
+        pop.validate().unwrap();
 
         // Splitting rank 0 shifts everything after it.
         pop.split_at(0, vec![0], vec![1, 2]);
@@ -398,7 +373,7 @@ mod tests {
         assert_eq!(pop.members_at(1), &[1, 2]);
         assert_eq!(pop.members_at(2), &[4]);
         assert_eq!(pop.members_at(3), &[3, 5]);
-        pop.check_invariants();
+        pop.validate().unwrap();
     }
 
     #[test]
@@ -430,8 +405,8 @@ mod tests {
         assert_eq!(pop.remove(0), RemoveOutcome::Emptied { rank: 0 });
         assert_eq!(pop.k(), 1);
         assert_eq!(pop.members_at(0), &[3, 2]); // swap_remove order
-        assert_eq!(pop.placed(), 2);
-        pop.check_invariants();
+        assert_eq!(pop.placed, 2);
+        pop.validate().unwrap();
     }
 
     #[test]
@@ -440,8 +415,8 @@ mod tests {
         pop.split_at(0, vec![0], vec![1, 2]);
         pop.place(7, 1);
         assert_eq!(pop.rank_of_tuple(7), Some(1));
-        assert_eq!(pop.placed(), 4);
-        pop.check_invariants();
+        assert_eq!(pop.placed, 4);
+        pop.validate().unwrap();
     }
 
     #[test]
@@ -466,7 +441,7 @@ mod tests {
         let ranks = pop.to_ranks();
         assert_eq!(ranks[2], u32::MAX, "removed tuple unplaced");
         let rebuilt = Pop::from_ranks(&ranks, pop.k()).expect("roundtrip");
-        rebuilt.check_invariants();
+        rebuilt.validate().unwrap();
         assert_eq!(rebuilt.k(), pop.k());
         for t in 0..6u32 {
             assert_eq!(rebuilt.rank_of_tuple(t), pop.rank_of_tuple(t), "tuple {t}");
@@ -490,6 +465,6 @@ mod tests {
         assert_eq!(pop.rank_of_tuple(1), Some(0));
         assert_eq!(pop.remove(2), RemoveOutcome::Emptied { rank: 1 });
         assert_eq!(pop.k(), 1);
-        pop.check_invariants();
+        pop.validate().unwrap();
     }
 }

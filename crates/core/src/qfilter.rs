@@ -29,7 +29,7 @@ pub struct FilterResult {
 
 impl FilterResult {
     /// All winner tuples (`T_W`), flattened from the winner ranks.
-    pub fn winner_tuples(&self, pop: &Pop) -> Vec<TupleId> {
+    pub(crate) fn winner_tuples(&self, pop: &Pop) -> Vec<TupleId> {
         let mut out = Vec::new();
         for &r in &self.winner_ranks {
             out.extend_from_slice(pop.members_at(r));
@@ -39,7 +39,7 @@ impl FilterResult {
 
     /// The sampled label of an arbitrary rank outside the NS pair, derived
     /// from the winner/false classification. `None` for NS ranks.
-    pub fn known_label(&self, rank: usize) -> Option<bool> {
+    pub(crate) fn known_label(&self, rank: usize) -> Option<bool> {
         let (a, b) = self.ns?;
         if rank == a || rank == b {
             return None;
@@ -54,24 +54,6 @@ impl FilterResult {
         } else {
             None
         }
-    }
-}
-
-/// Runs `QFilter` over the POP for trapdoor `pred`.
-///
-/// Infallible wrapper over [`try_qfilter`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use [`try_qfilter`].
-pub fn qfilter<O: SelectionOracle, R: Rng>(
-    pop: &Pop,
-    oracle: &O,
-    pred: &O::Pred,
-    rng: &mut R,
-) -> FilterResult {
-    match try_qfilter(pop, oracle, pred, rng) {
-        Ok(r) => r,
-        Err(e) => panic!("oracle failure: {e}"),
     }
 }
 
@@ -200,7 +182,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // Cut at 37: partitions 0..=2 fully below, partition 3 straddles.
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 37);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(!r.boundary);
         let (a, b) = r.ns.unwrap();
         assert_eq!(b, a + 1);
@@ -225,7 +207,7 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(2);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 1000);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(r.boundary);
         assert_eq!(r.ns, Some((0, 9)));
         assert_eq!(r.winner_ranks, (1..9).collect::<Vec<_>>());
@@ -238,7 +220,7 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(3);
         let pred = Predicate::cmp(0, ComparisonOp::Gt, 1000);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(r.boundary);
         assert!(r.winner_ranks.is_empty());
         assert_eq!(r.false_ranks, (1..9).collect::<Vec<_>>());
@@ -249,7 +231,7 @@ mod tests {
         let (pop, oracle) = ascending_pop(10, 1);
         let mut rng = StdRng::seed_from_u64(4);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 5);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert_eq!(r.ns, Some((0, 0)));
         assert_eq!(oracle.qpf_uses(), 0, "nothing to learn from samples");
     }
@@ -260,7 +242,7 @@ mod tests {
         let oracle = PlainOracle::single_column(vec![]);
         let mut rng = StdRng::seed_from_u64(5);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 5);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert_eq!(r.ns, None);
     }
 
@@ -283,7 +265,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         // Cut at 55: straddles rank 4 (values 50..60).
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 55);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         let (a, b) = r.ns.unwrap();
         assert!(a == 4 || b == 4, "ns=({a},{b})");
     }
@@ -293,7 +275,7 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(7);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 1000);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         let mut w = r.winner_tuples(&pop);
         w.sort_unstable();
         assert_eq!(w, (10..90).collect::<Vec<_>>());
@@ -304,7 +286,7 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(8);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 37);
-        let r = qfilter(&pop, &oracle, &pred, &mut rng);
+        let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         let (a, b) = r.ns.unwrap();
         assert_eq!(r.known_label(a), None);
         assert_eq!(r.known_label(b), None);

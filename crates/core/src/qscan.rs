@@ -38,24 +38,6 @@ pub struct ScanResult {
 
 /// Runs `QScan` over the NS pair in `filter`.
 ///
-/// Infallible wrapper over [`try_qscan`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use [`try_qscan`].
-pub fn qscan<O: SelectionOracle>(
-    pop: &Pop,
-    oracle: &O,
-    pred: &O::Pred,
-    filter: &FilterResult,
-) -> ScanResult {
-    match try_qscan(pop, oracle, pred, filter) {
-        Ok(r) => r,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Runs `QScan` over the NS pair in `filter`.
-///
 /// Returns an empty result if the POP was empty (no NS pair).
 ///
 /// # Errors
@@ -173,7 +155,7 @@ fn scan_partition<O: SelectionOracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qfilter::qfilter;
+    use crate::qfilter::try_qfilter;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -198,8 +180,8 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(1);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 37);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         let split = s.split.expect("cut at 37 is inside partition 3");
         assert_eq!(split.rank, 3);
         let mut th = split.true_half.clone();
@@ -220,10 +202,10 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(1);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 37);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         let (a, b) = f.ns.unwrap();
         oracle.reset_uses();
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         if s.split.as_ref().map(|sp| sp.rank) == Some(a) && a != b {
             // Early stop: only P_a scanned.
             assert_eq!(oracle.qpf_uses() as usize, pop.members_at(a).len());
@@ -243,8 +225,8 @@ mod tests {
         // Cut exactly on an existing partition boundary (value 30): both NS
         // partitions scan homogeneous.
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 30);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         assert!(s.split.is_none(), "boundary-aligned cut must not split");
         assert!(s.label_a_full.is_some());
         let mut result = f.winner_tuples(&pop);
@@ -258,9 +240,9 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(3);
         let pred = Predicate::cmp(0, ComparisonOp::Ge, 0);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(f.boundary);
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         assert!(s.split.is_none());
         let mut result = f.winner_tuples(&pop);
         result.extend_from_slice(&s.winners);
@@ -273,8 +255,8 @@ mod tests {
         let (pop, oracle) = ascending_pop(100, 10);
         let mut rng = StdRng::seed_from_u64(4);
         let pred = Predicate::cmp(0, ComparisonOp::Gt, 1000);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         assert!(s.split.is_none());
         assert!(s.winners.is_empty());
         assert!(f.winner_tuples(&pop).is_empty());
@@ -285,8 +267,8 @@ mod tests {
         let (pop, oracle) = ascending_pop(20, 1);
         let mut rng = StdRng::seed_from_u64(5);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 7);
-        let f = qfilter(&pop, &oracle, &pred, &mut rng);
-        let s = qscan(&pop, &oracle, &pred, &f);
+        let f = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
+        let s = try_qscan(&pop, &oracle, &pred, &f).unwrap();
         let split = s.split.expect("interior cut splits the only partition");
         assert_eq!(split.rank, 0);
         assert_eq!(split.true_half.len(), 7);

@@ -583,7 +583,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     }
 
     /// Hands the merged engine back for single-threaded use (shutdown). Owning `self` proves no checkout is outstanding — a
-    /// [`Checkin`] borrows the scheduler. Durable pools flush their pending
+    /// `Checkin` borrows the scheduler. Durable pools flush their pending
     /// batches first.
     pub fn into_engine(self) -> PrkbEngine<P> {
         // The signature can't carry the flush error (shutdown proceeds

@@ -159,7 +159,11 @@ pub struct ScrubFinding {
 impl ScrubFinding {
     /// A verdict on the artifact at `path`: not a WAL (no frame count), not
     /// quarantined (a finished scrub pass fills that in).
-    pub fn new(path: impl Into<PathBuf>, damage: ScrubDamage, detail: impl Into<String>) -> Self {
+    pub(crate) fn new(
+        path: impl Into<PathBuf>,
+        damage: ScrubDamage,
+        detail: impl Into<String>,
+    ) -> Self {
         ScrubFinding {
             path: path.into(),
             damage,
@@ -170,7 +174,7 @@ impl ScrubFinding {
     }
 
     /// For a WAL: records how many CRC-valid frames the image holds.
-    pub fn frames(mut self, n: u64) -> Self {
+    pub(crate) fn frames(mut self, n: u64) -> Self {
         self.frames_valid = Some(n);
         self
     }

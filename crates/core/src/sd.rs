@@ -17,31 +17,6 @@ use std::collections::HashMap;
 
 /// Processes one comparison trapdoor against the knowledge base.
 ///
-/// Infallible wrapper over [`try_process_comparison`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use
-/// [`try_process_comparison`].
-pub fn process_comparison<O, R>(
-    kb: &mut Knowledge<O::Pred>,
-    oracle: &O,
-    pred: &O::Pred,
-    rng: &mut R,
-    update: bool,
-) -> Selection
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    match try_process_comparison(kb, oracle, pred, rng, update) {
-        Ok(sel) => sel,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Processes one comparison trapdoor against the knowledge base.
-///
 /// When `update` is true (the normal mode), an inequivalent trapdoor splits
 /// the non-homogeneous partition and is retained as a separator; overflow
 /// tuples are refined and possibly promoted. With `update` false the PRKB is
@@ -190,7 +165,7 @@ mod tests {
         seed: u64,
     ) -> Selection {
         let mut rng = StdRng::seed_from_u64(seed);
-        process_comparison(kb, oracle, &pred, &mut rng, true)
+        try_process_comparison(kb, oracle, &pred, &mut rng, true).unwrap()
     }
 
     #[test]
@@ -211,13 +186,14 @@ mod tests {
         let mut costs = Vec::new();
         for i in 0..50u64 {
             let bound = (i * 37 + 13) % 1000;
-            let sel = process_comparison(
+            let sel = try_process_comparison(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, bound),
                 &mut rng,
                 true,
-            );
+            )
+            .unwrap();
             assert_eq!(
                 sel.sorted(),
                 oracle.expected_select(&Predicate::cmp(0, ComparisonOp::Lt, bound)),
@@ -275,7 +251,7 @@ mod tests {
         let k = kb.k();
         let mut rng = StdRng::seed_from_u64(9);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 23);
-        let sel = process_comparison(&mut kb, &oracle, &p, &mut rng, false);
+        let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, false).unwrap();
         assert_eq!(sel.sorted(), oracle.expected_select(&p));
         assert_eq!(kb.k(), k, "static PRKB must not grow");
     }
@@ -309,13 +285,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for i in 0..40u64 {
             let bound = (i * 97 + 31) % 500;
-            process_comparison(
+            try_process_comparison(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, bound),
                 &mut rng,
                 true,
-            );
+            )
+            .unwrap();
         }
         kb.check_invariants();
         // Collect per-rank (min, max) plain values; ranges must be disjoint
@@ -350,7 +327,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         for bound in [7u64, 15, 3, 25, 10, 5, 20] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
-            let sel = process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+            let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(sel.sorted(), oracle.expected_select(&p), "bound {bound}");
             kb.check_invariants();
         }

@@ -1,175 +1,177 @@
-//! PRKB(SD+): the naive multi-dimensional baseline (paper §6, "baseline
-//! method").
+//! Intersecting independently processed parts: PRKB(SD+) — the naive
+//! multi-dimensional baseline of paper §6 — and the SQL conjunction that
+//! generalises it.
 //!
-//! Each of the 2d comparison trapdoors is processed independently with the
-//! single-dimension pipeline (§5); the final answer is the intersection of
-//! the per-trapdoor results. Much cheaper than a raw linear scan, but —
-//! unlike PRKB(MD) — it pays full NS-pair scans for every trapdoor and
-//! cannot exploit cross-dimension pruning.
+//! SD+ runs each of a range query's 2d comparison trapdoors through the
+//! single-dimension pipeline (§5) and intersects the answers; a conjunction
+//! does the same with whatever trapdoors it was given, after handing the
+//! attributes that form a range grid to PRKB(MD) as one part. Both are
+//! [`PrkbEngine::intersect_parts`]: SD+ is that driver with the grid off.
 
-use crate::md::MdDim;
-use crate::sd::try_process_comparison;
+use crate::engine::{PrkbEngine, QueryError};
+use crate::knowledge::Knowledge;
+use crate::md::MdUpdatePolicy;
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
-use prkb_edbms::{OracleError, SelectionOracle, TupleId};
+use prkb_edbms::{AttrId, SelectionOracle, TupleId};
 use rand::Rng;
 
-/// Processes a d-dimensional range query by intersecting 2d independent
-/// single-predicate selections.
-///
-/// Infallible wrapper over [`try_process_range_sdplus`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use
-/// [`try_process_range_sdplus`].
-pub fn process_range_sdplus<O, R>(
-    dims: &mut [MdDim<O::Pred>],
-    oracle: &O,
-    rng: &mut R,
-    update: bool,
-) -> Selection
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    match try_process_range_sdplus(dims, oracle, rng, update) {
-        Ok(sel) => sel,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
+impl<P: SpPredicate> PrkbEngine<P> {
+    /// Runs `grid` (when non-empty) as one PRKB(MD) query, then every
+    /// trapdoor of `singles` through its own single-dimension pipeline, in
+    /// order, and returns the tuples every part selected.
+    ///
+    /// The stats sum the parts' breakdowns; `qpf_uses` is measured across
+    /// the whole query and `k_before`/`k_after` total the attributes the
+    /// query names, so they read the same on a whole engine and on a
+    /// checked-out sub-engine.
+    ///
+    /// # Errors
+    /// [`QueryError::AttrNotInitialized`] before anything is spent;
+    /// [`QueryError::Oracle`] from any part. **Abort-safe:** each part
+    /// commits its own refinement as it finishes, so a failure in a later
+    /// part would strand the earlier commits; when the configuration lets
+    /// any part refine, every named attribute's knowledge is cloned up
+    /// front and restored wholesale on error.
+    pub(crate) fn intersect_parts<O, R>(
+        &mut self,
+        oracle: &O,
+        grid: &[[P; 2]],
+        singles: &[&P],
+        rng: &mut R,
+    ) -> Result<Selection, QueryError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        let qpf_before = oracle.qpf_uses();
+        let mut attrs: Vec<AttrId> = grid
+            .iter()
+            .flatten()
+            .chain(singles.iter().copied())
+            .map(SpPredicate::attr)
+            .collect();
+        attrs.sort_unstable();
+        attrs.dedup();
 
-/// Processes a d-dimensional range query by intersecting 2d independent
-/// single-predicate selections.
-///
-/// # Errors
-/// Propagates the first oracle failure. **Abort-safe:** each trapdoor's
-/// single-dimension pipeline commits its refinement as soon as that trapdoor
-/// finishes, so a failure on a later trapdoor could strand earlier commits.
-/// To keep the all-or-nothing contract, when `update` is set every
-/// dimension's `Knowledge` is snapshotted up front and restored wholesale on
-/// error. (With `update = false` nothing is mutated and no snapshot is
-/// taken.)
-pub fn try_process_range_sdplus<O, R>(
-    dims: &mut [MdDim<O::Pred>],
-    oracle: &O,
-    rng: &mut R,
-    update: bool,
-) -> Result<Selection, OracleError>
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    let qpf_before = oracle.qpf_uses();
-    let k_before: usize = dims.iter().map(|d| d.knowledge.k()).sum();
-    let n = oracle.n_slots();
-    let total_preds = dims.len() * 2;
-
-    // Rollback snapshot: SD+ commits per trapdoor, so cross-trapdoor
-    // staging is not possible without replaying the intermediate states.
-    let saved: Option<Vec<_>> = update.then(|| dims.iter().map(|d| d.knowledge.clone()).collect());
-
-    let mut hits: Vec<u8> = vec![0; n];
-    let mut agg = QueryStats::default();
-    let mut run = || -> Result<(), OracleError> {
-        for dim in dims.iter_mut() {
-            for j in 0..2 {
-                let pred = dim.preds[j].clone();
-                let sel = try_process_comparison(&mut dim.knowledge, oracle, &pred, rng, update)?;
-                agg.absorb(&sel.stats);
-                for t in sel.tuples {
-                    hits[t as usize] += 1;
-                }
+        let refines = self.config.update
+            || (!grid.is_empty() && self.config.md_policy != MdUpdatePolicy::Frozen);
+        let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
+        let mut k_before = 0usize;
+        for &attr in &attrs {
+            let kb = self
+                .knowledge(attr)
+                .ok_or(QueryError::AttrNotInitialized(attr))?;
+            k_before += kb.k();
+            if refines {
+                saved.push((attr, kb.clone()));
             }
         }
-        Ok(())
-    };
-    if let Err(e) = run() {
-        if let Some(saved) = saved {
-            for (dim, kb) in dims.iter_mut().zip(saved) {
-                dim.knowledge = kb;
+
+        let mut hits: Vec<u32> = vec![0; oracle.n_slots()];
+        let mut parts = 0u32;
+        let mut stats = QueryStats::default();
+        let mut tally = |sel: Selection| {
+            stats.absorb(&sel.stats);
+            parts += 1;
+            for t in sel.tuples {
+                hits[t as usize] += 1;
             }
+        };
+        let ran = (|| -> Result<(), QueryError> {
+            if !grid.is_empty() {
+                tally(self.try_select_range_md_impl(oracle, grid, rng)?);
+            }
+            for pred in singles {
+                tally(self.try_select_impl(oracle, pred, rng)?);
+            }
+            Ok(())
+        })();
+        if let Err(e) = ran {
+            for (attr, kb) in saved {
+                self.restore_attr(attr, kb);
+            }
+            return Err(e);
         }
-        return Err(e);
+
+        stats.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
+        stats.k_before = k_before;
+        stats.k_after = attrs
+            .iter()
+            .filter_map(|&a| self.knowledge(a))
+            .map(Knowledge::k)
+            .sum();
+        let tuples = (0..hits.len() as TupleId)
+            .filter(|&t| hits[t as usize] == parts)
+            .collect();
+        Ok(Selection { tuples, stats })
     }
-
-    let tuples: Vec<TupleId> = (0..n as TupleId)
-        .filter(|&t| hits[t as usize] as usize == total_preds)
-        .collect();
-
-    // The per-trapdoor breakdown sums; the envelope figures come from the
-    // whole-query measurement.
-    agg.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
-    agg.k_before = k_before;
-    agg.k_after = dims.iter().map(|d| d.knowledge.k()).sum();
-    Ok(Selection { tuples, stats: agg })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::Knowledge;
-    use crate::md::{process_range_md, MdUpdatePolicy};
-    use crate::sd::process_comparison;
+    use crate::engine::EngineConfig;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(n: usize, d: usize, seed: u64) -> (Vec<Knowledge<Predicate>>, PlainOracle) {
+    fn setup(n: usize, d: usize, seed: u64) -> (PrkbEngine<Predicate>, PlainOracle) {
         let mut rng = StdRng::seed_from_u64(seed);
         let columns: Vec<Vec<u64>> = (0..d)
             .map(|_| (0..n).map(|_| rng.gen_range(0..10_000u64)).collect())
             .collect();
         let oracle = PlainOracle::from_columns(columns);
-        let kbs = (0..d).map(|_| Knowledge::init(n)).collect();
-        (kbs, oracle)
+        let mut engine = PrkbEngine::new(EngineConfig::default());
+        for a in 0..d {
+            engine.init_attr(a as AttrId, n);
+        }
+        (engine, oracle)
     }
 
-    fn dims_for(kbs: Vec<Knowledge<Predicate>>, ranges: &[(u64, u64)]) -> Vec<MdDim<Predicate>> {
-        kbs.into_iter()
+    fn dims_for(ranges: &[(u64, u64)]) -> Vec<[Predicate; 2]> {
+        ranges
+            .iter()
             .enumerate()
-            .map(|(a, knowledge)| MdDim {
-                knowledge,
-                preds: [
-                    Predicate::cmp(a as u32, ComparisonOp::Gt, ranges[a].0),
-                    Predicate::cmp(a as u32, ComparisonOp::Lt, ranges[a].1),
-                ],
+            .map(|(a, &(lo, hi))| {
+                [
+                    Predicate::cmp(a as u32, ComparisonOp::Gt, lo),
+                    Predicate::cmp(a as u32, ComparisonOp::Lt, hi),
+                ]
             })
             .collect()
     }
 
+    fn check_invariants(engine: &PrkbEngine<Predicate>) {
+        for a in engine.attrs() {
+            engine.knowledge(a).expect("listed").check_invariants();
+        }
+    }
+
     #[test]
     fn sdplus_matches_ground_truth() {
-        let (kbs, oracle) = setup(2000, 2, 1);
-        let ranges = [(1000, 4000), (3000, 7000)];
-        let mut dims = dims_for(kbs, &ranges);
+        let (mut engine, oracle) = setup(2000, 2, 1);
+        let dims = dims_for(&[(1000, 4000), (3000, 7000)]);
         let mut rng = StdRng::seed_from_u64(2);
-        let sel = process_range_sdplus(&mut dims, &oracle, &mut rng, true);
-        let preds: Vec<Predicate> = dims.iter().flat_map(|d| d.preds).collect();
+        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
         assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
-        for d in &dims {
-            d.knowledge.check_invariants();
-        }
+        check_invariants(&engine);
     }
 
     #[test]
     fn sdplus_and_md_agree() {
         for d in [2usize, 3] {
-            let (kbs, oracle) = setup(1500, d, 3);
+            let (mut engine, oracle) = setup(1500, d, 3);
             let ranges: Vec<(u64, u64)> =
                 (0..d as u64).map(|i| (i * 500, 5000 + i * 500)).collect();
-
-            // Warm both engines identically first.
-            let mut dims = dims_for(kbs, &ranges);
+            let dims = dims_for(&ranges);
             let mut rng = StdRng::seed_from_u64(4);
-            let a = process_range_sdplus(&mut dims, &oracle, &mut rng, true);
-            let b = process_range_md(&mut dims, &oracle, &mut rng, MdUpdatePolicy::PartialOnly);
+            let a = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+            let b = engine.select_range_md(&oracle, &dims, &mut rng);
             assert_eq!(a.sorted(), b.sorted(), "d={d}");
-            for dd in &dims {
-                dd.knowledge.check_invariants();
-            }
+            check_invariants(&engine);
         }
     }
 
@@ -177,30 +179,28 @@ mod tests {
     fn md_beats_sdplus_on_warmed_knowledge() {
         // With warmed PRKBs, PRKB(MD) must use fewer QPF than PRKB(SD+)
         // because it only tests NS tuples inside the candidate band.
-        let (kbs, oracle) = setup(6000, 3, 5);
-        let warm_ranges = [(0u64, 10_000u64); 3];
-        let mut dims = dims_for(kbs, &warm_ranges);
+        let (mut engine, oracle) = setup(6000, 3, 5);
         let mut rng = StdRng::seed_from_u64(6);
         // Warm with random single-dim queries.
         for round in 0..25u64 {
             for a in 0..3u32 {
                 let bound = (round * 397 + a as u64 * 131) % 10_000;
-                let p = Predicate::cmp(a, ComparisonOp::Lt, bound);
-                process_comparison(&mut dims[a as usize].knowledge, &oracle, &p, &mut rng, true);
+                engine.select(
+                    &oracle,
+                    &Predicate::cmp(a, ComparisonOp::Lt, bound),
+                    &mut rng,
+                );
             }
         }
-        // Narrow query.
-        for (a, dim) in dims.iter_mut().enumerate() {
-            let lo = 2000 + a as u64 * 700;
-            dim.preds = [
-                Predicate::cmp(a as u32, ComparisonOp::Gt, lo),
-                Predicate::cmp(a as u32, ComparisonOp::Lt, lo + 600),
-            ];
-        }
-        oracle.reset_uses();
-        let md = process_range_md(&mut dims, &oracle, &mut rng, MdUpdatePolicy::Frozen);
-        oracle.reset_uses();
-        let sdp = process_range_sdplus(&mut dims, &oracle, &mut rng, false);
+        // Narrow query against the now-static index.
+        engine.config.update = false;
+        engine.config.md_policy = MdUpdatePolicy::Frozen;
+        let ranges: Vec<(u64, u64)> = (0..3u64)
+            .map(|a| (2000 + a * 700, 2600 + a * 700))
+            .collect();
+        let dims = dims_for(&ranges);
+        let md = engine.select_range_md(&oracle, &dims, &mut rng);
+        let sdp = engine.select_range_sdplus(&oracle, &dims, &mut rng);
         assert_eq!(md.sorted(), sdp.sorted());
         assert!(
             md.stats.qpf_uses < sdp.stats.qpf_uses,
@@ -208,5 +208,31 @@ mod tests {
             md.stats.qpf_uses,
             sdp.stats.qpf_uses
         );
+    }
+
+    #[test]
+    fn sdplus_counts_past_255_parts() {
+        // 128 dimensions are 256 parts: one more than a byte-wide hit
+        // counter holds, so a tuple inside every range used to wrap to 0.
+        let d = 128usize;
+        let columns: Vec<Vec<u64>> = (0..d as u64)
+            .map(|a| (0..8u64).map(|t| 1 + (t * 7 + a) % 8).collect())
+            .collect();
+        let oracle = PlainOracle::from_columns(columns);
+        let mut engine = PrkbEngine::new(EngineConfig::default());
+        for a in 0..d {
+            engine.init_attr(a as AttrId, 8);
+        }
+        // Values are 1..=8: everything but 8 in dimension 0, everything
+        // elsewhere.
+        let mut ranges = vec![(0u64, 9u64); d];
+        ranges[0] = (0, 8);
+        let dims = dims_for(&ranges);
+        let mut rng = StdRng::seed_from_u64(7);
+        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
+        let want = oracle.expected_conjunction(&preds);
+        assert_eq!(want.len(), 7, "the test's ranges select all rows but one");
+        assert_eq!(sel.sorted(), want);
     }
 }

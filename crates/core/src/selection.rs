@@ -39,7 +39,7 @@ impl QueryStats {
     /// summed and `k_after` is taken from `other` (the later measurement);
     /// `k_before` is kept. Used by SD+/conjunction to aggregate their
     /// constituent single-predicate passes.
-    pub fn absorb(&mut self, other: &QueryStats) {
+    pub(crate) fn absorb(&mut self, other: &QueryStats) {
         self.qpf_uses += other.qpf_uses;
         self.splits += other.splits;
         self.filter_probes += other.filter_probes;

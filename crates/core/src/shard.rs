@@ -22,13 +22,10 @@
 
 use prkb_edbms::AttrId;
 
-/// Environment variable overriding the default shard count.
-pub const SHARDS_ENV: &str = "PRKB_SHARDS";
-
 /// Upper bound on the *default* shard count (explicit settings may exceed
 /// it). Matches the keystonedb observation that stripe counts past the
 /// fsync-parallelism of the disk stop paying.
-pub const MAX_DEFAULT_SHARDS: usize = 16;
+pub(crate) const MAX_DEFAULT_SHARDS: usize = 16;
 
 /// A fixed hash partitioning of attributes across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +42,13 @@ impl ShardMap {
     }
 
     /// Reads `PRKB_SHARDS`, falling back to
-    /// [`default_shards`](Self::default_shards).
-    pub fn from_env() -> Self {
-        let shards = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
+    /// [`default_shards`](Self::default_shards) when it is unset or 0.
+    ///
+    /// # Panics
+    /// Panics when the variable is set but is not a count (see
+    /// [`prkb_edbms::env_knob`]).
+    pub(crate) fn from_env() -> Self {
+        let shards = prkb_edbms::env_knob::<usize>("PRKB_SHARDS")
             .filter(|&s| s > 0)
             .unwrap_or_else(Self::default_shards);
         Self::new(shards)
@@ -57,7 +56,7 @@ impl ShardMap {
 
     /// `min(16, available cores)` — one shard per core until the
     /// [`MAX_DEFAULT_SHARDS`] cap.
-    pub fn default_shards() -> usize {
+    pub(crate) fn default_shards() -> usize {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -78,7 +77,7 @@ impl ShardMap {
 
     /// Groups `attrs` by shard, shards in ascending order (the lock-
     /// acquisition order every multi-shard operation must use).
-    pub fn group_sorted(&self, attrs: &[AttrId]) -> Vec<(usize, Vec<AttrId>)> {
+    pub(crate) fn group_sorted(&self, attrs: &[AttrId]) -> Vec<(usize, Vec<AttrId>)> {
         let mut by_shard: Vec<(usize, Vec<AttrId>)> = Vec::new();
         let mut sorted: Vec<AttrId> = attrs.to_vec();
         sorted.sort_unstable();

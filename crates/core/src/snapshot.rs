@@ -273,8 +273,8 @@ pub fn load<P: SpPredicate + WireCodec>(bytes: &[u8]) -> Result<Knowledge<P>, Sn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insert::insert_tuple;
-    use crate::sd::process_comparison;
+    use crate::insert::try_insert_tuple;
+    use crate::sd::try_process_comparison;
     use prkb_edbms::testing::PlainOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -286,13 +286,14 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..cuts {
             let c = rng.gen_range(0..10_000u64);
-            process_comparison(
+            try_process_comparison(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
                 &mut rng,
                 true,
-            );
+            )
+            .unwrap();
         }
         (kb, oracle)
     }
@@ -311,14 +312,14 @@ mod tests {
         let mut kb1 = kb;
         for c in [100u64, 5_000, 9_999] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, c);
-            let a = process_comparison(&mut kb1, &oracle, &p, &mut rng, false);
-            let b = process_comparison(&mut kb2, &oracle, &p, &mut rng, false);
+            let a = try_process_comparison(&mut kb1, &oracle, &p, &mut rng, false).unwrap();
+            let b = try_process_comparison(&mut kb2, &oracle, &p, &mut rng, false).unwrap();
             assert_eq!(a.sorted(), b.sorted());
         }
         // …and keep supporting inserts via the restored separators.
         let mut oracle = oracle;
         let t = oracle.insert(&[4242]);
-        insert_tuple(&mut kb2, &oracle, t);
+        try_insert_tuple(&mut kb2, &oracle, t).unwrap();
         kb2.check_invariants();
     }
 
@@ -445,7 +446,7 @@ mod tests {
             let p = owner
                 .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, c), &mut rng)
                 .expect("valid");
-            process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         let restored: Knowledge<EncryptedPredicate> = load(&save(&kb)).expect("roundtrip");
         assert_eq!(restored.k(), kb.k());
@@ -457,7 +458,7 @@ mod tests {
         let t = table.push_encrypted_row(&refs).expect("arity");
         let oracle = SpOracle::new(&table, &tm);
         let mut restored = restored;
-        insert_tuple(&mut restored, &oracle, t);
+        try_insert_tuple(&mut restored, &oracle, t).unwrap();
         restored.check_invariants();
     }
 }

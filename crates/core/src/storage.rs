@@ -29,9 +29,6 @@ pub use prkb_edbms::storage::{real_fs, RealFs, StorageFile, StorageFs};
 
 use crate::metrics::{self, Metric};
 
-/// Environment variable seeding a one-shot random I/O fault.
-pub const IO_FAULT_SEED_ENV: &str = "PRKB_IO_FAULT_SEED";
-
 /// The storage operation classes a rule can match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoOp {
@@ -59,7 +56,7 @@ pub enum IoOp {
 
 impl IoOp {
     /// Stable lowercase name (reports and debugging).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IoOp::Open => "open",
             IoOp::Read => "read",
@@ -107,7 +104,7 @@ pub struct IoFaultRule {
 
 impl IoFaultRule {
     /// A one-shot rule failing the `nth` operation of any class, any path.
-    pub fn nth_any(nth: u64, kind: IoFaultKind) -> Self {
+    pub(crate) fn nth_any(nth: u64, kind: IoFaultKind) -> Self {
         IoFaultRule {
             op: None,
             path_contains: None,
@@ -220,15 +217,14 @@ impl FaultFs {
         Self::scripted(inner, vec![IoFaultRule::nth_any(nth, kind)])
     }
 
-    /// Reads `PRKB_IO_FAULT_SEED`; unset or unparsable ⇒ `None`. Tests
-    /// (and only tests) call this to opt in to the CI fault sweep.
+    /// Reads `PRKB_IO_FAULT_SEED`; unset ⇒ `None`. Tests (and only tests)
+    /// call this to opt in to the CI fault sweep.
+    ///
+    /// # Panics
+    /// Panics when the variable is set but is not a `u64` (see
+    /// [`prkb_edbms::env_knob`]).
     pub fn from_env(inner: Arc<dyn StorageFs>) -> Option<Self> {
-        let seed = std::env::var(IO_FAULT_SEED_ENV)
-            .ok()?
-            .trim()
-            .parse::<u64>()
-            .ok()?;
-        Some(Self::seeded(inner, seed))
+        prkb_edbms::env_knob("PRKB_IO_FAULT_SEED").map(|seed| Self::seeded(inner, seed))
     }
 
     /// Faults injected so far (all rules, all clones).

@@ -112,11 +112,6 @@ impl Ciphertext {
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
     }
-
-    /// Serialized size in bytes (used for storage accounting).
-    pub const fn serialized_len() -> usize {
-        CIPHERTEXT_LEN
-    }
 }
 
 fn tag_key(key: &SubKey) -> SipKey {

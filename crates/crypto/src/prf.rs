@@ -49,15 +49,6 @@ impl Prf {
     pub fn eval64(&self, input: &[u8]) -> u64 {
         siphash24(&self.sip_key, input)
     }
-
-    /// Fast 64-bit PRF output of a `(tag, counter)` pair — the hot label
-    /// derivation in the encrypted multimap.
-    pub fn label64(&self, tag: u64, counter: u64) -> u64 {
-        let mut buf = [0u8; 16];
-        buf[..8].copy_from_slice(&tag.to_le_bytes());
-        buf[8..].copy_from_slice(&counter.to_le_bytes());
-        siphash24(&self.sip_key, &buf)
-    }
 }
 
 impl std::fmt::Debug for Prf {
@@ -76,7 +67,6 @@ mod tests {
         let prf = Prf::new([5u8; 32]);
         assert_eq!(prf.eval(b"x"), prf.eval(b"x"));
         assert_eq!(prf.eval64(b"x"), prf.eval64(b"x"));
-        assert_eq!(prf.label64(1, 2), prf.label64(1, 2));
     }
 
     #[test]
@@ -84,8 +74,6 @@ mod tests {
         let prf = Prf::new([5u8; 32]);
         assert_ne!(prf.eval(b"x"), prf.eval(b"y"));
         assert_ne!(prf.eval64(b"x"), prf.eval64(b"y"));
-        assert_ne!(prf.label64(1, 2), prf.label64(1, 3));
-        assert_ne!(prf.label64(1, 2), prf.label64(2, 2));
     }
 
     #[test]

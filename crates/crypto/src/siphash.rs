@@ -65,11 +65,6 @@ pub fn siphash24(key: &SipKey, data: &[u8]) -> u64 {
     v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
-/// Convenience: SipHash of a `u64` message (little-endian encoded).
-pub fn siphash24_u64(key: &SipKey, value: u64) -> u64 {
-    siphash24(key, &value.to_le_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +112,8 @@ mod tests {
     fn distinct_keys_distinct_outputs() {
         let k1 = [1u8; 16];
         let k2 = [2u8; 16];
-        assert_ne!(siphash24_u64(&k1, 42), siphash24_u64(&k2, 42));
+        let msg = 42u64.to_le_bytes();
+        assert_ne!(siphash24(&k1, &msg), siphash24(&k2, &msg));
     }
 
     #[test]

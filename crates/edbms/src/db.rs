@@ -39,11 +39,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drops a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<EncryptedTable> {
-        self.tables.remove(name)
-    }
-
     /// Borrows a table.
     pub fn table(&self, name: &str) -> Option<&EncryptedTable> {
         self.tables.get(name)
@@ -54,14 +49,12 @@ impl Catalog {
         self.tables.get_mut(name)
     }
 
-    /// Iterates over table names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
     /// Total ciphertext bytes stored across tables.
     pub fn storage_bytes(&self) -> usize {
-        self.tables.values().map(EncryptedTable::storage_bytes).sum()
+        self.tables
+            .values()
+            .map(EncryptedTable::storage_bytes)
+            .sum()
     }
 
     /// Deletes a tuple in a named table.
@@ -92,24 +85,21 @@ mod tests {
     fn enc(name: &str, values: Vec<u64>) -> EncryptedTable {
         let owner = DataOwner::with_seed(1);
         let mut rng = StdRng::seed_from_u64(1);
-        let plain = PlainTable::from_columns(Schema::new(name, &["x"]), vec![values])
-            .expect("rectangular");
+        let plain =
+            PlainTable::from_columns(Schema::new(name, &["x"]), vec![values]).expect("rectangular");
         owner.encrypt_table(&plain, &mut rng)
     }
 
     #[test]
-    fn register_lookup_drop() {
+    fn register_and_lookup() {
         let mut cat = Catalog::new();
         cat.register(enc("a", vec![1, 2])).expect("fresh name");
         cat.register(enc("b", vec![3])).expect("fresh name");
         assert!(cat.register(enc("a", vec![9])).is_err(), "duplicate name");
         assert_eq!(cat.table("a").map(EncryptedTable::len), Some(2));
-        let mut names: Vec<&str> = cat.names().collect();
-        names.sort_unstable();
-        assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(cat.table("b").map(EncryptedTable::len), Some(1));
         assert!(cat.storage_bytes() > 0);
-        assert!(cat.drop_table("a").is_some());
-        assert!(cat.table("a").is_none());
+        assert!(cat.table("zzz").is_none());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`CrashInjector`] — simulated process death at every write / fsync /
 //!   rename boundary ([`CrashPoint`]), including torn writes (a partial
 //!   record reaches the disk before the "crash"). Deterministic and
-//!   env-drivable via `PRKB_CRASH_POINT` (mirroring `PRKB_FAULT_SEED` from
-//!   the resilience layer), which is what the CI crash-sweep job uses.
+//!   env-drivable via `PRKB_CRASH_POINT`, which is what the CI crash-sweep
+//!   job uses.
 //!
 //! Checkpoints themselves (immutable segment files behind an atomically
 //! swapped manifest) live in `prkb-core::lsm`; they fire the segment and
@@ -29,17 +29,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::storage::{RealFs, StorageFile, StorageFs};
+use crate::storage::{StorageFile, StorageFs};
 
 /// WAL file magic.
-pub const WAL_MAGIC: &[u8; 4] = b"PWAL";
+pub(crate) const WAL_MAGIC: &[u8; 4] = b"PWAL";
 /// WAL format version.
-pub const WAL_VERSION: u16 = 1;
+pub(crate) const WAL_VERSION: u16 = 1;
 /// WAL header length: magic, version, two reserved bytes.
 pub const WAL_HEADER_LEN: u64 = 8;
 /// Upper bound on a single record's payload; a length field above this is
 /// treated as damage, not as a 4 GiB allocation request.
-pub const MAX_RECORD_LEN: u32 = 1 << 30;
+pub(crate) const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// The 8-byte WAL file header: `"PWAL" | version u16 | reserved u16`.
 fn wal_header() -> [u8; WAL_HEADER_LEN as usize] {
@@ -88,7 +88,7 @@ const CRC_TABLES: [[u32; 256]; 16] = {
 /// feeding it whole, so a frame's `len || payload` coverage needs no
 /// contiguous copy.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -100,12 +100,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// A checksum over no bytes yet.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Crc32 { state: !0 }
     }
 
     /// Folds `bytes` into the checksum, sixteen at a time.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let t = &CRC_TABLES;
         let mut crc = self.state;
         let mut blocks = bytes.chunks_exact(16);
@@ -135,7 +135,7 @@ impl Crc32 {
     }
 
     /// The checksum of everything fed so far.
-    pub const fn finish(self) -> u32 {
+    pub(crate) const fn finish(self) -> u32 {
         !self.state
     }
 }
@@ -490,13 +490,8 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates a fresh, empty log at `path` (truncating any existing file),
-    /// with the header already durable, on the production filesystem.
-    pub fn create(path: &Path, crash: CrashInjector) -> Result<Wal, DurabilityError> {
-        Self::create_on(&RealFs, path, crash)
-    }
-
-    /// [`create`](Self::create) on an arbitrary [`StorageFs`].
+    /// Creates a fresh, empty log at `path` on `fs` (truncating any
+    /// existing file), with the header already durable.
     pub fn create_on(
         fs: &dyn StorageFs,
         path: &Path,
@@ -522,14 +517,6 @@ impl Wal {
     /// truncated away and reported as [`TailStatus::TornDiscarded`]. A bad
     /// record with valid data after it is [`DurabilityError::CorruptRecord`]
     /// — recovery refuses to reorder or skip committed history.
-    pub fn open(
-        path: &Path,
-        crash: CrashInjector,
-    ) -> Result<(Wal, Vec<Vec<u8>>, TailStatus), DurabilityError> {
-        Self::open_on(&RealFs, path, crash)
-    }
-
-    /// [`open`](Self::open) on an arbitrary [`StorageFs`].
     pub fn open_on(
         fs: &dyn StorageFs,
         path: &Path,
@@ -583,15 +570,9 @@ impl Wal {
         ))
     }
 
-    /// Appends one record and makes it durable. On `Ok`, the payload
-    /// survives any subsequent crash; callers release the covered result
-    /// only after this returns.
-    pub fn append(&mut self, payload: &[u8]) -> Result<(), DurabilityError> {
-        self.append_unsynced(payload)?;
-        self.sync()
-    }
-
-    /// Appends one record **without** fsync'ing it. The record is framed and
+    /// Appends one record **without** fsync'ing it: the payload survives a
+    /// crash only once a later [`sync`](Self::sync) returns `Ok`, and callers
+    /// release the covered result only after that. The record is framed and
     /// written, but a crash before the next [`sync`](Self::sync) may lose it
     /// (recovery sees at most a torn tail, never misframing — writes land in
     /// append order). Group commit uses this to write a whole batch and pay
@@ -649,11 +630,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Whether a failed write or sync has permanently poisoned this handle.
-    pub fn is_poisoned(&self) -> bool {
-        self.poison.is_some()
-    }
-
     fn check_poison(&self) -> Result<(), DurabilityError> {
         match &self.poison {
             Some(why) => Err(DurabilityError::SyncFailed(why.clone())),
@@ -681,11 +657,6 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// The injector this log fires.
-    pub fn crash_injector(&self) -> &CrashInjector {
-        &self.crash
-    }
 }
 
 /// Scans a WAL byte image: returns the valid payloads, the byte length of
@@ -695,7 +666,9 @@ impl Wal {
 /// [`DurabilityError::BadWalHeader`] on a bad header;
 /// [`DurabilityError::CorruptRecord`] when a bad record is followed by
 /// valid data (mid-log corruption).
-pub fn scan_records(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
+pub(crate) fn scan_records(
+    bytes: &[u8],
+) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
     let scan = scan_frames(bytes);
     let tail = match scan.verdict {
         WalVerdict::BadHeader => return Err(DurabilityError::BadWalHeader),
@@ -815,18 +788,6 @@ pub enum WalVerdict {
     BadHeader,
 }
 
-impl WalVerdict {
-    /// Stable lowercase name (scrub reports, `walinspect` output).
-    pub fn name(self) -> &'static str {
-        match self {
-            WalVerdict::Clean => "clean",
-            WalVerdict::TornTail => "torn_tail",
-            WalVerdict::MidLogCorruption => "mid_log_corruption",
-            WalVerdict::BadHeader => "bad_header",
-        }
-    }
-}
-
 /// Details of the first damaged frame, when any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadFrame {
@@ -840,7 +801,7 @@ pub struct BadFrame {
 
 /// Frame-by-frame scan result: every valid frame plus a damage verdict.
 ///
-/// Unlike [`scan_records`], producing this never errors — the scrubber and
+/// Unlike `scan_records`, producing this never errors — the scrubber and
 /// `walinspect` need to *classify* a damaged image, not refuse to look
 /// at it.
 #[derive(Debug, Clone)]
@@ -915,6 +876,13 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::RealFs;
+
+    /// One durable append: the record, then the barrier.
+    fn append(wal: &mut Wal, payload: &[u8]) -> Result<(), DurabilityError> {
+        wal.append_unsynced(payload)?;
+        wal.sync()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prkb-edbms-dur-{}-{tag}", std::process::id()));
@@ -988,9 +956,9 @@ mod tests {
 
         let dir = tmpdir("golden");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
         for p in &payloads {
-            wal.append(p).expect("append");
+            append(&mut wal, p).expect("append");
         }
         drop(wal);
         assert_eq!(std::fs::read(&path).expect("read back"), golden);
@@ -1000,13 +968,14 @@ mod tests {
     fn append_and_reopen_roundtrip() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
         for i in 0..20u32 {
-            wal.append(&i.to_le_bytes()).expect("append");
+            append(&mut wal, &i.to_le_bytes()).expect("append");
         }
         assert_eq!(wal.records(), 20);
         drop(wal);
-        let (wal, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (wal, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(wal.records(), 20);
         let expect: Vec<Vec<u8>> = (0..20u32).map(|i| i.to_le_bytes().to_vec()).collect();
@@ -1018,11 +987,12 @@ mod tests {
     fn empty_payloads_are_legal_records() {
         let dir = tmpdir("empty");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(&[]).expect("append empty");
-        wal.append(b"x").expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, &[]).expect("append empty");
+        append(&mut wal, b"x").expect("append");
         drop(wal);
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(payloads, vec![Vec::new(), b"x".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -1032,21 +1002,23 @@ mod tests {
     fn torn_tail_is_discarded_and_truncated() {
         let dir = tmpdir("torn");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(b"first").expect("append");
-        wal.append(b"second").expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, b"first").expect("append");
+        append(&mut wal, b"second").expect("append");
         drop(wal);
         // Chop the last record in half.
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("write");
-        let (wal, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (wal, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![b"first".to_vec()]);
         // The torn bytes are physically gone; a fresh append lands cleanly.
         let mut wal = wal;
-        wal.append(b"third").expect("append after truncate");
+        append(&mut wal, b"third").expect("append after truncate");
         drop(wal);
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen 2");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen 2");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(payloads, vec![b"first".to_vec(), b"third".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -1056,10 +1028,10 @@ mod tests {
     fn tail_bit_flip_is_discarded_but_mid_log_flip_is_fatal() {
         let dir = tmpdir("flips");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(&[0xAA; 32]).expect("append");
-        wal.append(&[0xBB; 32]).expect("append");
-        wal.append(&[0xCC; 32]).expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, &[0xAA; 32]).expect("append");
+        append(&mut wal, &[0xBB; 32]).expect("append");
+        append(&mut wal, &[0xCC; 32]).expect("append");
         drop(wal);
         let good = std::fs::read(&path).expect("read");
 
@@ -1068,7 +1040,8 @@ mod tests {
         let last_payload_mid = good.len() - 16;
         tail_flip[last_payload_mid] ^= 0x01;
         std::fs::write(&path, &tail_flip).expect("write");
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads.len(), 2, "first two records survive");
 
@@ -1077,7 +1050,7 @@ mod tests {
         let mut mid_flip = good.clone();
         mid_flip[WAL_HEADER_LEN as usize + 8 + 4] ^= 0x01;
         std::fs::write(&path, &mid_flip).expect("write");
-        let err = Wal::open(&path, CrashInjector::disabled()).expect_err("must refuse");
+        let err = Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect_err("must refuse");
         assert!(
             matches!(err, DurabilityError::CorruptRecord { record: 0, .. }),
             "unexpected: {err}"
@@ -1089,16 +1062,17 @@ mod tests {
     fn length_field_damage_on_tail_is_discarded() {
         let dir = tmpdir("lenflip");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(&[1u8; 16]).expect("append");
-        wal.append(&[2u8; 16]).expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, &[1u8; 16]).expect("append");
+        append(&mut wal, &[2u8; 16]).expect("append");
         drop(wal);
         let mut bytes = std::fs::read(&path).expect("read");
         // Blow up the last record's length field to an absurd value.
         let last_frame = bytes.len() - 24;
         bytes[last_frame..last_frame + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![vec![1u8; 16]]);
         std::fs::remove_dir_all(&dir).ok();
@@ -1111,12 +1085,12 @@ mod tests {
         // A complete header with wrong magic or version is corruption.
         std::fs::write(&path, b"nope\x00\x00\x00\x00").expect("write");
         assert!(matches!(
-            Wal::open(&path, CrashInjector::disabled()),
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()),
             Err(DurabilityError::BadWalHeader)
         ));
         std::fs::write(&path, b"PWAL\xFF\xFF\x00\x00").expect("write");
         assert!(matches!(
-            Wal::open(&path, CrashInjector::disabled()),
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()),
             Err(DurabilityError::BadWalHeader)
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1130,12 +1104,13 @@ mod tests {
         // nothing was ever acknowledged, so reopen rebuilds an empty log.
         std::fs::write(&path, b"PWA").expect("write");
         let (mut wal, payloads, tail) =
-            Wal::open(&path, CrashInjector::disabled()).expect("torn creation reopens");
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("torn creation reopens");
         assert!(payloads.is_empty());
         assert_eq!(tail, TailStatus::TornDiscarded);
-        wal.append(b"first").expect("rebuilt log accepts appends");
+        append(&mut wal, b"first").expect("rebuilt log accepts appends");
         drop(wal);
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert_eq!(payloads, vec![b"first".to_vec()]);
         assert_eq!(tail, TailStatus::Clean);
         std::fs::remove_dir_all(&dir).ok();
@@ -1145,15 +1120,14 @@ mod tests {
     fn injected_torn_write_recovers_previous_records() {
         let dir = tmpdir("injtorn");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(b"committed").expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, b"committed").expect("append");
         drop(wal);
         // Reopen with a scheduled torn write on the next append.
         let (mut wal, _, _) =
-            Wal::open(&path, CrashInjector::at(CrashPoint::MidWalAppend)).expect("reopen");
-        let err = wal
-            .append(b"doomed-record-payload")
-            .expect_err("must crash");
+            Wal::open_on(&RealFs, &path, CrashInjector::at(CrashPoint::MidWalAppend))
+                .expect("reopen");
+        let err = append(&mut wal, b"doomed-record-payload").expect_err("must crash");
         assert!(matches!(
             err,
             DurabilityError::Crash(CrashPoint::MidWalAppend)
@@ -1164,17 +1138,19 @@ mod tests {
         let torn = std::fs::read(&path).expect("read torn log");
         let whole_dir = tmpdir("injtorn-whole");
         let whole_path = whole_dir.join("wal.0.log");
-        let mut whole = Wal::create(&whole_path, CrashInjector::disabled()).expect("create");
-        whole.append(b"committed").expect("append");
+        let mut whole =
+            Wal::create_on(&RealFs, &whole_path, CrashInjector::disabled()).expect("create");
+        append(&mut whole, b"committed").expect("append");
         let committed_len = whole.bytes() as usize;
-        whole.append(b"doomed-record-payload").expect("append");
+        append(&mut whole, b"doomed-record-payload").expect("append");
         drop(whole);
         let whole = std::fs::read(&whole_path).expect("read whole log");
         assert!(torn.len() > committed_len && torn.len() < whole.len());
         assert_eq!(torn, whole[..torn.len()]);
         std::fs::remove_dir_all(&whole_dir).ok();
         // The torn record is on disk; recovery discards exactly it.
-        let (_, payloads, tail) = Wal::open(&path, CrashInjector::disabled()).expect("recover");
+        let (_, payloads, tail) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("recover");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![b"committed".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -1308,12 +1284,11 @@ mod tests {
             counter: Arc::new(AtomicU64::new(0)),
         };
         let mut wal = Wal::create_on(&fs, &path, CrashInjector::disabled()).expect("create");
-        let err = wal.append(b"doomed").expect_err("sync must fail");
+        let err = append(&mut wal, b"doomed").expect_err("sync must fail");
         assert!(
             matches!(err, DurabilityError::SyncFailed(_)),
             "unexpected: {err}"
         );
-        assert!(wal.is_poisoned());
         // Poisoned handles refuse everything, even operations whose own
         // syscalls would succeed: no retry-and-assume-durable.
         let err = wal.append_unsynced(b"after").expect_err("poisoned");
@@ -1324,7 +1299,8 @@ mod tests {
         // Reopen on a healthy filesystem: the unacknowledged record may or
         // may not have reached the platter; either way the log opens and
         // holds only whole frames.
-        let (_, payloads, _) = Wal::open(&path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, _) =
+            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
         assert!(payloads.len() <= 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1333,10 +1309,10 @@ mod tests {
     fn scan_frames_classifies_every_damage_shape() {
         let dir = tmpdir("frames");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create(&path, CrashInjector::disabled()).expect("create");
-        wal.append(&[0xAA; 24]).expect("append");
-        wal.append(&[0xBB; 24]).expect("append");
-        wal.append(&[0xCC; 24]).expect("append");
+        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        append(&mut wal, &[0xAA; 24]).expect("append");
+        append(&mut wal, &[0xBB; 24]).expect("append");
+        append(&mut wal, &[0xCC; 24]).expect("append");
         drop(wal);
         let good = std::fs::read(&path).expect("read");
 

@@ -11,31 +11,21 @@ use prkb_crypto::cipher::CIPHERTEXT_LEN;
 
 /// One encrypted column: a flat buffer of fixed-width ciphertext cells.
 #[derive(Debug, Clone, Default)]
-pub struct EncryptedColumn {
+pub(crate) struct EncryptedColumn {
     data: Vec<u8>,
 }
 
 impl EncryptedColumn {
-    /// Creates an empty column.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an empty column with capacity for `n` cells.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         EncryptedColumn {
             data: Vec::with_capacity(n * CIPHERTEXT_LEN),
         }
     }
 
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len() / CIPHERTEXT_LEN
-    }
-
-    /// Whether the column holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Appends an already-encrypted cell (exactly one ciphertext width).
@@ -43,7 +33,7 @@ impl EncryptedColumn {
     /// # Panics
     /// Panics if `cell` is not exactly [`CIPHERTEXT_LEN`] bytes — cells are
     /// produced by the owner-side cipher, so any other width is a bug.
-    pub fn push_cell(&mut self, cell: &[u8]) {
+    pub(crate) fn push_cell(&mut self, cell: &[u8]) {
         assert_eq!(cell.len(), CIPHERTEXT_LEN, "cell width");
         self.data.extend_from_slice(cell);
     }
@@ -55,13 +45,13 @@ impl EncryptedColumn {
     }
 
     /// Borrows cell `t`.
-    pub fn cell(&self, t: TupleId) -> Option<&[u8]> {
+    pub(crate) fn cell(&self, t: TupleId) -> Option<&[u8]> {
         let start = t as usize * CIPHERTEXT_LEN;
         self.data.get(start..start + CIPHERTEXT_LEN)
     }
 
     /// Storage consumed by this column in bytes.
-    pub fn storage_bytes(&self) -> usize {
+    pub(crate) fn storage_bytes(&self) -> usize {
         self.data.len()
     }
 }
@@ -77,19 +67,10 @@ pub struct EncryptedTable {
 }
 
 impl EncryptedTable {
-    /// Creates an empty encrypted table (used by the data owner during
-    /// encryption; the service provider receives the result).
-    pub fn new(schema: Schema) -> Self {
-        let columns = (0..schema.arity()).map(|_| EncryptedColumn::new()).collect();
-        EncryptedTable {
-            schema,
-            columns,
-            live: Vec::new(),
-        }
-    }
-
-    /// Creates an empty table pre-sized for `n` rows.
-    pub fn with_capacity(schema: Schema, n: usize) -> Self {
+    /// Creates an empty encrypted table pre-sized for `n` rows (used by the
+    /// data owner during encryption; the service provider receives the
+    /// result).
+    pub(crate) fn with_capacity(schema: Schema, n: usize) -> Self {
         let columns = (0..schema.arity())
             .map(|_| EncryptedColumn::with_capacity(n))
             .collect();
@@ -101,7 +82,7 @@ impl EncryptedTable {
     }
 
     /// The schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
@@ -162,10 +143,10 @@ impl EncryptedTable {
     pub(crate) fn bulk_load(&mut self, fill: impl FnOnce(&mut [EncryptedColumn]) -> usize) {
         let n = fill(&mut self.columns);
         self.live.extend(std::iter::repeat_n(true, n));
-        debug_assert!(self
-            .columns
-            .iter()
-            .all(|c| c.len() == self.live.len()), "ragged bulk load");
+        debug_assert!(
+            self.columns.iter().all(|c| c.len() == self.live.len()),
+            "ragged bulk load"
+        );
     }
 
     /// Borrows the ciphertext cell for (`attr`, `t`).
@@ -186,18 +167,13 @@ impl EncryptedTable {
         })
     }
 
-    /// Iterator over live tuple ids.
-    pub fn live_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.then_some(i as TupleId))
-    }
-
     /// Storage consumed by the encrypted data in bytes (used as the
     /// denominator in the paper's §8.2.6 index-overhead ratios).
     pub fn storage_bytes(&self) -> usize {
-        self.columns.iter().map(EncryptedColumn::storage_bytes).sum::<usize>()
+        self.columns
+            .iter()
+            .map(EncryptedColumn::storage_bytes)
+            .sum::<usize>()
             + self.live.len() / 8
     }
 }
@@ -213,7 +189,7 @@ mod tests {
 
     #[test]
     fn push_and_access() {
-        let mut t = EncryptedTable::new(Schema::new("t", &["x", "y"]));
+        let mut t = EncryptedTable::with_capacity(Schema::new("t", &["x", "y"]), 0);
         let c0 = fake_cell(1);
         let c1 = fake_cell(2);
         let id = t.push_encrypted_row(&[&c0, &c1]).unwrap();
@@ -228,7 +204,7 @@ mod tests {
 
     #[test]
     fn arity_checked() {
-        let mut t = EncryptedTable::new(Schema::new("t", &["x", "y"]));
+        let mut t = EncryptedTable::with_capacity(Schema::new("t", &["x", "y"]), 0);
         let c0 = fake_cell(1);
         assert!(matches!(
             t.push_encrypted_row(&[&c0]),
@@ -238,7 +214,7 @@ mod tests {
 
     #[test]
     fn tombstones() {
-        let mut t = EncryptedTable::new(Schema::new("t", &["x"]));
+        let mut t = EncryptedTable::with_capacity(Schema::new("t", &["x"]), 0);
         let c = fake_cell(7);
         t.push_encrypted_row(&[&c]).unwrap();
         t.push_encrypted_row(&[&c]).unwrap();
@@ -247,7 +223,6 @@ mod tests {
         assert!(t.is_live(1));
         assert_eq!(t.live_count(), 1);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.live_ids().collect::<Vec<_>>(), vec![1]);
         assert!(t.delete(5).is_err());
         // The cell bytes are still addressable (tombstone, not compaction).
         assert!(t.cell(0, 0).is_ok());
@@ -255,12 +230,12 @@ mod tests {
 
     #[test]
     fn column_cell_width_enforced() {
-        let mut c = EncryptedColumn::new();
+        let mut c = EncryptedColumn::default();
         c.push_cell(&fake_cell(1));
         assert_eq!(c.len(), 1);
         assert_eq!(c.storage_bytes(), CIPHERTEXT_LEN);
         let r = std::panic::catch_unwind(move || {
-            let mut c2 = EncryptedColumn::new();
+            let mut c2 = EncryptedColumn::default();
             c2.push_cell(&[0u8; 3]);
         });
         assert!(r.is_err());

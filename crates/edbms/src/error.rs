@@ -47,22 +47,6 @@ pub enum EdbmsError {
     },
 }
 
-impl EdbmsError {
-    /// Stable numeric code for the `prkb-wire/v2` protocol. Part of the
-    /// wire contract: codes are never reused, only appended.
-    pub fn wire_code(&self) -> u16 {
-        match self {
-            EdbmsError::Crypto(_) => 1,
-            EdbmsError::TupleOutOfRange { .. } => 2,
-            EdbmsError::AttrOutOfRange { .. } => 3,
-            EdbmsError::TableMismatch { .. } => 4,
-            EdbmsError::ArityMismatch { .. } => 5,
-            EdbmsError::MalformedTrapdoor => 6,
-            EdbmsError::EmptyRange { .. } => 7,
-        }
-    }
-}
-
 impl fmt::Display for EdbmsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

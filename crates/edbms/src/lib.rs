@@ -25,32 +25,34 @@
 
 pub mod db;
 pub mod durability;
-pub mod encrypted;
-pub mod error;
-pub mod oracle;
-pub mod owner;
-pub mod parallel;
-pub mod predicate;
+pub(crate) mod encrypted;
+mod env;
+pub(crate) mod error;
+pub(crate) mod oracle;
+pub(crate) mod owner;
+pub(crate) mod parallel;
+pub(crate) mod predicate;
 pub mod resilience;
-pub mod schema;
+pub(crate) mod schema;
 pub mod select;
-pub mod sql;
+pub(crate) mod sql;
 pub mod storage;
-pub mod table;
+pub(crate) mod table;
 pub mod testing;
 pub mod trapdoor;
-pub mod trusted;
+pub(crate) mod trusted;
 
 pub use db::Catalog;
 pub use durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
-pub use encrypted::{EncryptedColumn, EncryptedTable};
+pub use encrypted::EncryptedTable;
+pub use env::env_knob;
 pub use error::EdbmsError;
 pub use oracle::{OracleError, SelectionOracle, SpOracle};
 pub use owner::DataOwner;
 pub use predicate::{ComparisonOp, Predicate};
 pub use resilience::{FaultConfig, FaultInjector, RetryOracle, RetryPolicy};
 pub use schema::{AttrId, Schema, TupleId};
-pub use select::{conjunctive_scan, linear_scan, try_conjunctive_scan, try_linear_scan};
+pub use select::{conjunctive_scan, linear_scan};
 pub use sql::{parse as parse_sql, ParsedQuery, SqlError};
 pub use storage::{real_fs, RealFs, StorageFile, StorageFs};
 pub use table::PlainTable;

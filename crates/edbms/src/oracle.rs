@@ -67,7 +67,7 @@ pub enum OracleError {
 impl OracleError {
     /// Whether retrying the same call can succeed ([`OracleError::Transient`]
     /// and [`OracleError::Timeout`] only).
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(self, OracleError::Transient(_) | OracleError::Timeout(_))
     }
 
@@ -226,21 +226,6 @@ impl<'a> SpOracle<'a> {
         self
     }
 
-    /// The batch-evaluation worker override, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &'a EncryptedTable {
-        self.table
-    }
-
-    /// The underlying trusted machine.
-    pub fn tm(&self) -> &'a TrustedMachine {
-        self.tm
-    }
-
     /// One lock-free evaluation through an open session, crediting the
     /// performed decrypt to `guard` *before* propagating any failure so the
     /// QPF counter stays exact on every path (error, cancel, unwind).
@@ -270,7 +255,7 @@ impl SelectionOracle for SpOracle<'_> {
     /// batch resolves the value cipher and decoded trapdoor (one lock
     /// round-trip instead of 3·n), per-tuple evaluation is lock-free, and
     /// the QPF counter is settled per worker with one atomic add. Batches of
-    /// at least [`parallel::MIN_PARALLEL_BATCH`] tuples are split across
+    /// at least `parallel::MIN_PARALLEL_BATCH` tuples are split across
     /// scoped worker threads when the oracle (or `PRKB_THREADS`) asks for
     /// more than one; chunks are carved and written back in input order, so
     /// the output is bit-identical at every thread count.
@@ -279,7 +264,7 @@ impl SelectionOracle for SpOracle<'_> {
     /// A failing worker raises a cancellation flag; the other workers stop
     /// at their next tuple, the scope joins everyone (no orphaned threads),
     /// and the first error propagates. Each worker settles its performed
-    /// evaluations through a [`SettleOnDrop`] guard, so the QPF counter is
+    /// evaluations through a `SettleOnDrop` guard, so the QPF counter is
     /// exact even when the batch is cancelled mid-flight.
     fn try_eval_batch(
         &self,

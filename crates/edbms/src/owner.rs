@@ -26,7 +26,7 @@ pub struct DataOwner {
 
 impl DataOwner {
     /// Creates an owner with an explicit master key (ChaCha20 suite).
-    pub fn new(master: MasterKey) -> Self {
+    pub(crate) fn new(master: MasterKey) -> Self {
         DataOwner {
             master,
             suite: CipherSuite::default(),
@@ -179,24 +179,30 @@ mod tests {
     use crate::predicate::ComparisonOp;
     use crate::schema::Schema;
 
+    /// Whether `cell` (attribute `attr` of table `t`) encrypts `value`: the
+    /// TM's verdict on a point trapdoor.
+    fn holds(owner: &DataOwner, attr: AttrId, cell: &[u8], value: u64) -> bool {
+        let mut rng = StdRng::seed_from_u64(value);
+        let point = owner
+            .trapdoor("t", &Predicate::between(attr, value, value), &mut rng)
+            .unwrap();
+        owner
+            .trusted_machine(TmConfig::default())
+            .qpf(&point, cell)
+            .unwrap()
+    }
+
     #[test]
     fn encrypt_table_roundtrips_through_tm() {
         let owner = DataOwner::with_seed(42);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut plain = PlainTable::new(Schema::new("t", &["x", "y"]));
-        plain.push_row(&[10, 100]).unwrap();
-        plain.push_row(&[20, 200]).unwrap();
+        let schema = Schema::new("t", &["x", "y"]);
+        let plain = PlainTable::from_columns(schema, vec![vec![10, 20], vec![100, 200]]).unwrap();
         let enc = owner.encrypt_table(&plain, &mut rng);
         assert_eq!(enc.len(), 2);
-        let tm = owner.trusted_machine(TmConfig::default());
-        assert_eq!(
-            tm.decrypt_cell("t", 0, enc.cell(0, 0).unwrap()).unwrap(),
-            10
-        );
-        assert_eq!(
-            tm.decrypt_cell("t", 1, enc.cell(1, 1).unwrap()).unwrap(),
-            200
-        );
+        assert!(holds(&owner, 0, enc.cell(0, 0).unwrap(), 10));
+        assert!(holds(&owner, 1, enc.cell(1, 1).unwrap(), 200));
+        assert!(!holds(&owner, 1, enc.cell(1, 0).unwrap(), 200));
     }
 
     #[test]
@@ -204,9 +210,8 @@ mod tests {
         let owner = DataOwner::with_seed(43);
         let mut rng = StdRng::seed_from_u64(0);
         let cells = owner.encrypt_row("t", &[7, 8], &mut rng);
-        let tm = owner.trusted_machine(TmConfig::default());
-        assert_eq!(tm.decrypt_cell("t", 0, &cells[0]).unwrap(), 7);
-        assert_eq!(tm.decrypt_cell("t", 1, &cells[1]).unwrap(), 8);
+        assert!(holds(&owner, 0, &cells[0], 7));
+        assert!(holds(&owner, 1, &cells[1], 8));
     }
 
     #[test]

@@ -20,26 +20,23 @@ use std::sync::OnceLock;
 
 /// Smallest batch worth spawning threads for: below this the per-thread
 /// setup cost dominates any decrypt/work-factor parallelism.
-pub const MIN_PARALLEL_BATCH: usize = 256;
+pub(crate) const MIN_PARALLEL_BATCH: usize = 256;
 
 /// Hard cap on workers per batch, to keep `PRKB_THREADS=99999` from
 /// degenerating into thread-spawn thrash.
-pub const MAX_THREADS: usize = 64;
+pub(crate) const MAX_THREADS: usize = 64;
 
 fn env_threads() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
     *ENV.get_or_init(|| {
-        std::env::var("PRKB_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, MAX_THREADS))
+        crate::env_knob::<usize>("PRKB_THREADS").map_or(1, |n| n.clamp(1, MAX_THREADS))
     })
 }
 
 /// Resolves the worker count for a batch of `batch_len` tuples given an
 /// optional per-oracle override. Returns at least 1 and never more workers
 /// than tuples.
-pub fn effective_threads(override_threads: Option<usize>, batch_len: usize) -> usize {
+pub(crate) fn effective_threads(override_threads: Option<usize>, batch_len: usize) -> usize {
     let configured = override_threads.map_or_else(env_threads, |n| n.clamp(1, MAX_THREADS));
     if configured <= 1 || batch_len < MIN_PARALLEL_BATCH {
         1
@@ -53,7 +50,7 @@ pub fn effective_threads(override_threads: Option<usize>, batch_len: usize) -> u
 /// Implemented by [`crate::trusted::QpfSession`] (the real counter) and by
 /// [`AtomicU64`] (so the settlement machinery is unit-testable without a
 /// trusted machine).
-pub trait SettleTarget {
+pub(crate) trait SettleTarget {
     /// Credits `uses` evaluations to the underlying counter.
     fn settle(&self, uses: u64);
 }
@@ -79,14 +76,14 @@ impl SettleTarget for AtomicU64 {
 /// cancelled mid-flight: work already performed is real paper-cost and must
 /// never be lost to an abandoned settle call at the end of the batch.
 #[derive(Debug)]
-pub struct SettleOnDrop<'a, T: SettleTarget> {
+pub(crate) struct SettleOnDrop<'a, T: SettleTarget> {
     target: &'a T,
     count: Cell<u64>,
 }
 
 impl<'a, T: SettleTarget> SettleOnDrop<'a, T> {
     /// Starts a guard crediting `target` on drop.
-    pub fn new(target: &'a T) -> Self {
+    pub(crate) fn new(target: &'a T) -> Self {
         SettleOnDrop {
             target,
             count: Cell::new(0),
@@ -94,13 +91,8 @@ impl<'a, T: SettleTarget> SettleOnDrop<'a, T> {
     }
 
     /// Records `n` performed evaluations.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.count.set(self.count.get() + n);
-    }
-
-    /// Evaluations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.get()
     }
 }
 
@@ -143,7 +135,7 @@ mod tests {
             let guard = SettleOnDrop::new(&counter);
             guard.add(3);
             guard.add(4);
-            assert_eq!(guard.count(), 7);
+            assert_eq!(guard.count.get(), 7);
             assert_eq!(counter.load(Ordering::Relaxed), 0, "settled only on drop");
         }
         assert_eq!(counter.load(Ordering::Relaxed), 7);

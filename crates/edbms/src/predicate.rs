@@ -21,7 +21,7 @@ pub enum ComparisonOp {
 impl ComparisonOp {
     /// Evaluates `value op bound`.
     #[inline]
-    pub fn eval(self, value: u64, bound: u64) -> bool {
+    pub(crate) fn eval(self, value: u64, bound: u64) -> bool {
         match self {
             ComparisonOp::Gt => value > bound,
             ComparisonOp::Lt => value < bound,

@@ -91,21 +91,11 @@ impl FaultConfig {
             max_consecutive: 0,
         }
     }
-
-    /// Reads `PRKB_FAULT_SEED` and, when set, builds the standard retryable
-    /// schedule with that seed. This is the hook the CI fault-injection job
-    /// uses to rerun the tier-1 suite with deterministic faults on.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("PRKB_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Self::retryable)
-    }
 }
 
 /// A deterministic fault-injecting wrapper around any [`SelectionOracle`].
 ///
-/// QPF accounting is faithful to the fault class: a [`Fault::Transient`]
+/// QPF accounting is faithful to the fault class: a `Fault::Transient`
 /// fault models a request that never reached the trusted machine (the inner
 /// oracle is *not* called — no QPF spent), while timeout and corruption
 /// faults model a lost or garbled *response* (the inner oracle *is* called
@@ -138,11 +128,6 @@ impl<O> FaultInjector<O> {
     /// The wrapped oracle.
     pub fn inner(&self) -> &O {
         &self.inner
-    }
-
-    /// Unwraps, returning the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
     }
 
     /// Total evaluations requested through this injector.
@@ -323,7 +308,7 @@ pub struct Breaker {
 
 impl Breaker {
     /// Whether the breaker is currently open (refusing calls).
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         self.state.load(Ordering::Relaxed) == OPEN
     }
 
@@ -370,7 +355,7 @@ impl Breaker {
 /// A fault-tolerant wrapper around any [`SelectionOracle`].
 ///
 /// Each evaluation gets up to [`RetryPolicy::max_attempts`] tries; only
-/// [retryable](OracleError::is_retryable) errors (transient, timeout) are
+/// retryable errors (transient, timeout) are
 /// retried, with exponential backoff and deterministic jitter between
 /// attempts. Retried evaluations that reach the trusted machine are *real
 /// QPF cost* — the counter keeps every spent round-trip, so fault-path cost
@@ -413,11 +398,6 @@ impl<O> RetryOracle<O> {
         &self.inner
     }
 
-    /// Unwraps, returning the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     /// Total retry attempts performed (beyond first attempts).
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
@@ -431,11 +411,6 @@ impl<O> RetryOracle<O> {
     /// Calls fast-failed while the breaker was open.
     pub fn fast_fails(&self) -> u64 {
         self.fast_fails.load(Ordering::Relaxed)
-    }
-
-    /// Whether the breaker is currently open (fast-failing).
-    pub fn is_open(&self) -> bool {
-        self.breaker.is_open()
     }
 }
 
@@ -659,7 +634,7 @@ mod tests {
                 Err(OracleError::Transient(_))
             ));
         }
-        assert!(retry.is_open());
+        assert!(retry.breaker.is_open());
         assert_eq!(retry.trips(), 1);
         let calls_at_trip = retry.inner().calls();
         // …then the cooldown fast-fails without touching the inner oracle…
@@ -681,7 +656,7 @@ mod tests {
             Err(OracleError::Transient(_))
         ));
         assert_eq!(retry.trips(), 2);
-        assert!(retry.is_open());
+        assert!(retry.breaker.is_open());
     }
 
     #[test]
@@ -696,7 +671,7 @@ mod tests {
         // Trip via a fatal error (out-of-range tuple exhausts its single
         // attempt immediately).
         assert!(retry.try_eval(&p, 10_000).is_err());
-        assert!(retry.is_open());
+        assert!(retry.breaker.is_open());
         for _ in 0..2 {
             assert!(matches!(
                 retry.try_eval(&p, 0),
@@ -705,7 +680,7 @@ mod tests {
         }
         // Half-open probe succeeds and closes the breaker.
         assert_eq!(retry.try_eval(&p, 0), Ok(true));
-        assert!(!retry.is_open());
+        assert!(!retry.breaker.is_open());
         assert_eq!(retry.try_eval(&p, 60), Ok(false));
         assert_eq!((retry.trips(), retry.fast_fails()), (1, 2));
     }
@@ -731,9 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn from_env_config_shape() {
-        // Not testing the env var itself (process-global); just the parser's
-        // output shape for a representative seed.
+    fn retryable_config_shape() {
         let cfg = FaultConfig::retryable(99);
         assert_eq!(cfg.seed, 99);
         assert!(

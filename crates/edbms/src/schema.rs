@@ -40,18 +40,16 @@ impl Schema {
     }
 
     /// Number of attributes.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.attrs.len()
     }
 
-    /// Attribute name for `attr`, if in range.
-    pub fn attr_name(&self, attr: AttrId) -> Option<&str> {
-        self.attrs.get(attr as usize).map(String::as_str)
-    }
-
     /// Looks up an attribute id by name.
-    pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        self.attrs.iter().position(|a| a == name).map(|i| i as AttrId)
+    pub(crate) fn attr_id(&self, name: &str) -> Option<AttrId> {
+        self.attrs
+            .iter()
+            .position(|a| a == name)
+            .map(|i| i as AttrId)
     }
 
     /// Iterates over `(id, name)` pairs.
@@ -75,8 +73,6 @@ mod tests {
         assert_eq!(s.attr_id("lat"), Some(0));
         assert_eq!(s.attr_id("lon"), Some(1));
         assert_eq!(s.attr_id("alt"), None);
-        assert_eq!(s.attr_name(0), Some("lat"));
-        assert_eq!(s.attr_name(2), None);
         let pairs: Vec<_> = s.attrs().collect();
         assert_eq!(pairs, vec![(0, "lat"), (1, "lon")]);
     }

@@ -6,58 +6,28 @@
 //! predicate fails — the paper's footnote 5 behaviour, so the measured QPF
 //! count matches "up to 2dn".
 
-use crate::oracle::{OracleError, SelectionOracle};
+use crate::oracle::SelectionOracle;
 use crate::schema::TupleId;
 
-/// Linear scan: evaluates `pred` on every live tuple, as one batch.
-///
-/// Infallible wrapper over [`try_linear_scan`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use [`try_linear_scan`].
-pub fn linear_scan<O: SelectionOracle>(oracle: &O, pred: &O::Pred) -> Vec<TupleId> {
-    match try_linear_scan(oracle, pred) {
-        Ok(tuples) => tuples,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
-}
-
-/// Linear scan: evaluates `pred` on every live tuple, as one batch.
+/// Linear scan: evaluates `pred` on every live tuple.
 ///
 /// Every live tuple is evaluated unconditionally, so the whole scan is a
-/// single [`SelectionOracle::try_eval_batch`] — same answers and QPF count
-/// as the per-tuple loop, minus the per-tuple lock traffic.
+/// single [`SelectionOracle::eval_batch`] — same answers and QPF count as
+/// the per-tuple loop, minus the per-tuple lock traffic.
 ///
-/// # Errors
-/// Propagates the first oracle failure; no partial result is returned.
-pub fn try_linear_scan<O: SelectionOracle>(
-    oracle: &O,
-    pred: &O::Pred,
-) -> Result<Vec<TupleId>, OracleError> {
+/// # Panics
+/// Panics on oracle failure: the baseline has no knowledge to protect, so
+/// it has no fallible form.
+pub fn linear_scan<O: SelectionOracle>(oracle: &O, pred: &O::Pred) -> Vec<TupleId> {
     let live: Vec<TupleId> = (0..oracle.n_slots() as TupleId)
         .filter(|&t| oracle.is_live(t))
         .collect();
     let mut verdicts = Vec::new();
-    oracle.try_eval_batch(pred, &live, &mut verdicts)?;
-    Ok(live
-        .into_iter()
+    oracle.eval_batch(pred, &live, &mut verdicts);
+    live.into_iter()
         .zip(verdicts)
         .filter_map(|(t, v)| v.then_some(t))
-        .collect())
-}
-
-/// Conjunctive scan with per-tuple short-circuit.
-///
-/// Infallible wrapper over [`try_conjunctive_scan`].
-///
-/// # Panics
-/// Panics on oracle failure — fault-tolerant paths use
-/// [`try_conjunctive_scan`].
-pub fn conjunctive_scan<O: SelectionOracle>(oracle: &O, preds: &[O::Pred]) -> Vec<TupleId> {
-    match try_conjunctive_scan(oracle, preds) {
-        Ok(tuples) => tuples,
-        Err(e) => panic!("oracle failure: {e}"),
-    }
+        .collect()
 }
 
 /// Conjunctive scan, batched predicate-by-predicate over survivors: a tuple
@@ -69,12 +39,9 @@ pub fn conjunctive_scan<O: SelectionOracle>(oracle: &O, preds: &[O::Pred]) -> Ve
 /// the QPF count matches the paper's footnote-5 "up to 2dn" accounting
 /// use for use.
 ///
-/// # Errors
-/// Propagates the first oracle failure; no partial result is returned.
-pub fn try_conjunctive_scan<O: SelectionOracle>(
-    oracle: &O,
-    preds: &[O::Pred],
-) -> Result<Vec<TupleId>, OracleError> {
+/// # Panics
+/// Panics on oracle failure, like [`linear_scan`].
+pub fn conjunctive_scan<O: SelectionOracle>(oracle: &O, preds: &[O::Pred]) -> Vec<TupleId> {
     let mut survivors: Vec<TupleId> = (0..oracle.n_slots() as TupleId)
         .filter(|&t| oracle.is_live(t))
         .collect();
@@ -83,12 +50,12 @@ pub fn try_conjunctive_scan<O: SelectionOracle>(
         if survivors.is_empty() {
             break;
         }
-        oracle.try_eval_batch(p, &survivors, &mut verdicts)?;
+        oracle.eval_batch(p, &survivors, &mut verdicts);
         debug_assert_eq!(verdicts.len(), survivors.len());
         let mut keep = verdicts.iter().copied();
         survivors.retain(|_| keep.next().expect("one verdict per survivor"));
     }
-    Ok(survivors)
+    survivors
 }
 
 #[cfg(test)]

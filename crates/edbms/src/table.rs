@@ -1,7 +1,7 @@
 //! Plaintext tables as they exist at the data owner before encryption.
 
 use crate::error::EdbmsError;
-use crate::schema::{AttrId, Schema, TupleId};
+use crate::schema::{AttrId, Schema};
 
 /// A plaintext relational table (column-major storage).
 ///
@@ -15,12 +15,6 @@ pub struct PlainTable {
 }
 
 impl PlainTable {
-    /// Creates an empty table for `schema`.
-    pub fn new(schema: Schema) -> Self {
-        let columns = vec![Vec::new(); schema.arity()];
-        PlainTable { schema, columns }
-    }
-
     /// Creates a table directly from columns.
     ///
     /// # Errors
@@ -54,62 +48,21 @@ impl PlainTable {
         }
     }
 
-    /// Appends a row; returns its [`TupleId`].
-    ///
-    /// # Errors
-    /// Returns [`EdbmsError::ArityMismatch`] on a wrong-width row.
-    pub fn push_row(&mut self, row: &[u64]) -> Result<TupleId, EdbmsError> {
-        if row.len() != self.schema.arity() {
-            return Err(EdbmsError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: row.len(),
-            });
-        }
-        let id = self.len() as TupleId;
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(*v);
-        }
-        Ok(id)
-    }
-
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.columns.first().map_or(0, Vec::len)
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The value of attribute `attr` in tuple `t`.
-    ///
-    /// # Errors
-    /// Returns an out-of-range error for bad ids.
-    pub fn value(&self, attr: AttrId, t: TupleId) -> Result<u64, EdbmsError> {
-        let col = self
-            .columns
-            .get(attr as usize)
-            .ok_or(EdbmsError::AttrOutOfRange {
-                attr,
-                n_attrs: self.schema.arity(),
-            })?;
-        col.get(t as usize).copied().ok_or(EdbmsError::TupleOutOfRange {
-            tuple: t,
-            len: self.len(),
-        })
     }
 
     /// Borrow a whole column.
     ///
     /// # Errors
     /// Returns [`EdbmsError::AttrOutOfRange`] for a bad attribute id.
-    pub fn column(&self, attr: AttrId) -> Result<&[u64], EdbmsError> {
+    pub(crate) fn column(&self, attr: AttrId) -> Result<&[u64], EdbmsError> {
         self.columns
             .get(attr as usize)
             .map(Vec::as_slice)
@@ -126,19 +79,14 @@ mod tests {
 
     #[test]
     fn build_and_access() {
-        let mut t = PlainTable::new(Schema::new("t", &["x", "y"]));
-        assert!(t.is_empty());
-        assert_eq!(t.push_row(&[1, 10]).unwrap(), 0);
-        assert_eq!(t.push_row(&[2, 20]).unwrap(), 1);
+        let s = Schema::new("t", &["x", "y"]);
+        let t = PlainTable::from_columns(s, vec![vec![1, 2], vec![10, 20]]).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value(0, 1).unwrap(), 2);
-        assert_eq!(t.value(1, 0).unwrap(), 10);
+        assert_eq!(t.column(0).unwrap(), &[1, 2]);
         assert_eq!(t.column(1).unwrap(), &[10, 20]);
-        assert!(matches!(t.value(2, 0), Err(EdbmsError::AttrOutOfRange { .. })));
-        assert!(matches!(t.value(0, 9), Err(EdbmsError::TupleOutOfRange { .. })));
         assert!(matches!(
-            t.push_row(&[1]),
-            Err(EdbmsError::ArityMismatch { .. })
+            t.column(2),
+            Err(EdbmsError::AttrOutOfRange { .. })
         ));
     }
 
@@ -155,6 +103,6 @@ mod tests {
         let t = PlainTable::single_column("t", "x", vec![5, 6, 7]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.schema().arity(), 1);
-        assert_eq!(t.value(0, 2).unwrap(), 7);
+        assert_eq!(t.column(0).unwrap(), &[5, 6, 7]);
     }
 }

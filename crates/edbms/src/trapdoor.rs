@@ -51,12 +51,12 @@ impl EncryptedPredicate {
     }
 
     /// Unique trapdoor identity (SP-visible; lets caches key on it).
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Table this trapdoor was issued for.
-    pub fn table(&self) -> &str {
+    pub(crate) fn table(&self) -> &str {
         &self.table
     }
 
@@ -158,7 +158,10 @@ mod tests {
         assert_eq!(consumed, buf.len() - start);
         // Truncations fail cleanly at every length.
         for cut in 0..consumed {
-            assert!(EncryptedPredicate::decode(&buf[start..start + cut]).is_none(), "cut {cut}");
+            assert!(
+                EncryptedPredicate::decode(&buf[start..start + cut]).is_none(),
+                "cut {cut}"
+            );
         }
         // Bad kind byte.
         let mut bad = buf[start..].to_vec();

@@ -103,7 +103,7 @@ pub struct TrustedMachine {
 
 impl TrustedMachine {
     /// Provisions a TM with the data owner's master key.
-    pub fn new(master: MasterKey, cfg: TmConfig) -> Self {
+    pub(crate) fn new(master: MasterKey, cfg: TmConfig) -> Self {
         TrustedMachine {
             master,
             cfg,
@@ -139,7 +139,7 @@ impl TrustedMachine {
     /// cipher and the decoded trapdoor once, so per-tuple evaluation runs
     /// without touching any TM lock. The session does NOT advance the
     /// QPF-use counter per call — the batch driver settles the whole batch
-    /// with one [`QpfSession::settle`], which keeps counts identical to
+    /// with one `QpfSession::settle`, which keeps counts identical to
     /// per-tuple [`TrustedMachine::qpf`] while avoiding a lock round-trip
     /// per tuple.
     ///
@@ -151,25 +151,6 @@ impl TrustedMachine {
             cipher: Arc::clone(cipher),
             decoded,
         })
-    }
-
-    /// Confirmation path used by index competitors (e.g. Logarithmic-SRC-i's
-    /// false-positive filtering): same cost accounting as a QPF use, per the
-    /// paper's §8.2.1 adaptation.
-    pub fn confirm(&self, pred: &EncryptedPredicate, cell: &[u8]) -> Result<bool, EdbmsError> {
-        self.qpf(pred, cell)
-    }
-
-    /// Decrypts a stored cell *inside the TM* for maintenance tasks
-    /// performed on behalf of the data owner (e.g. SRC-i index builds).
-    /// Counted as a QPF use: it is the same decrypt round-trip.
-    ///
-    /// # Errors
-    /// Fails on corrupted ciphertexts.
-    pub fn decrypt_cell(&self, table: &str, attr: AttrId, cell: &[u8]) -> Result<u64, EdbmsError> {
-        self.qpf_uses.fetch_add(1, Ordering::Relaxed);
-        self.emulated_work();
-        Ok(self.value_cipher(table, attr).decrypt_slice(cell)?)
     }
 
     /// Returns (deriving and caching on first use) the value cipher for
@@ -204,7 +185,8 @@ impl TrustedMachine {
             }
         }
         let c = ValueCipher::with_suite(
-            self.master.derive(KeyPurpose::TrapdoorEncryption, table, attr),
+            self.master
+                .derive(KeyPurpose::TrapdoorEncryption, table, attr),
             self.cfg.suite,
         );
         self.trapdoor_ciphers
@@ -282,7 +264,7 @@ impl TrustedMachine {
 /// session can be shared by every worker thread of a batch.
 ///
 /// Evaluations through a session are not counted individually; the batch
-/// driver must call [`QpfSession::settle`] with the number of evaluations
+/// driver must call `QpfSession::settle` with the number of evaluations
 /// performed so the TM's QPF-use counter matches per-tuple accounting
 /// exactly.
 pub struct QpfSession<'a> {
@@ -294,7 +276,7 @@ pub struct QpfSession<'a> {
 impl QpfSession<'_> {
     /// Evaluates the session's predicate against one encrypted cell.
     /// Same semantics and per-call work as [`TrustedMachine::qpf`], minus
-    /// the counter bump (see [`QpfSession::settle`]).
+    /// the counter bump (see `QpfSession::settle`).
     ///
     /// # Errors
     /// Fails on corrupted ciphertexts.
@@ -308,7 +290,7 @@ impl QpfSession<'_> {
     /// Credits `uses` evaluations to the TM's QPF-use counter in one atomic
     /// add. Call once per batch with the exact number of [`QpfSession::eval`]
     /// calls made.
-    pub fn settle(&self, uses: u64) {
+    pub(crate) fn settle(&self, uses: u64) {
         self.tm.qpf_uses.fetch_add(uses, Ordering::Relaxed);
     }
 }
@@ -369,7 +351,10 @@ mod tests {
         let owner = DataOwner::with_seed(3);
         let plain = PlainTable::single_column("t", "x", vec![5]);
         let enc = owner.encrypt_table(&plain, &mut rng);
-        let tm = owner.trusted_machine(TmConfig { work_factor: 8, ..TmConfig::default() });
+        let tm = owner.trusted_machine(TmConfig {
+            work_factor: 8,
+            ..TmConfig::default()
+        });
         let p = owner
             .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Gt, 1), &mut rng)
             .unwrap();
@@ -408,7 +393,10 @@ mod tests {
             let cell = enc.cell(0, t).unwrap();
             let via_session = session.eval(cell).unwrap();
             n += 1;
-            assert_eq!(via_session, (10..=30).contains(&plain.column(0).unwrap()[t as usize]));
+            assert_eq!(
+                via_session,
+                (10..=30).contains(&plain.column(0).unwrap()[t as usize])
+            );
         }
         assert_eq!(tm.qpf_uses(), 0, "session evals are settled, not streamed");
         session.settle(n);
@@ -469,16 +457,5 @@ mod tests {
         assert!(!cache.by_id.contains_key(&first.id()), "oldest goes first");
         drop(cache);
         assert!(tm.qpf(&first, cell).unwrap(), "decoded again on next use");
-    }
-
-    #[test]
-    fn decrypt_cell_counts() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let owner = DataOwner::with_seed(5);
-        let plain = PlainTable::single_column("t", "x", vec![42]);
-        let enc = owner.encrypt_table(&plain, &mut rng);
-        let tm = owner.trusted_machine(TmConfig::default());
-        assert_eq!(tm.decrypt_cell("t", 0, enc.cell(0, 0).unwrap()).unwrap(), 42);
-        assert_eq!(tm.qpf_uses(), 1);
     }
 }

@@ -9,10 +9,9 @@
 //!   [`code::BUSY`] error frame and closed, instead of parking in an
 //!   unbounded backlog. Overload therefore degrades into fast, explicit
 //!   rejections the client can back off on — never into silently growing
-//!   latency or hung accepts. The slot count is `threads + queue`, the
-//!   same capacity the old thread-per-connection design admitted (the
+//!   latency or hung accepts. The slot count is `threads + queue` (the
 //!   worker pool plus its queue depth); `queue` comes from
-//!   [`ServerConfig::queue`](crate::ServerConfig) / [`QUEUE_ENV`].
+//!   [`ServerConfig::queue`](crate::ServerConfig) / `PRKB_SERVER_QUEUE`.
 //!
 //! * [`DedupWindow`] — a bounded request-id → response memo that makes
 //!   retried mutations idempotent. A client that loses its connection
@@ -37,15 +36,17 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Environment variable consulted when
-/// [`ServerConfig::queue`](crate::ServerConfig) is `None`: extra
-/// admitted-connection slots beyond the worker-pool size before BUSY
-/// shedding.
-pub const QUEUE_ENV: &str = "PRKB_SERVER_QUEUE";
+/// Completed responses the dedup window remembers — a retry horizon, not
+/// all history.
+pub(crate) const DEDUP_WINDOW: usize = 1024;
+
+/// Write budget: a peer that stops reading keeps its unflushed response (or
+/// its BUSY frame) at most this long before the connection is dropped.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What became of an offered connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admit {
+pub(crate) enum Admit {
     /// A slot was taken; the connection is admitted until released.
     Admitted,
     /// All slots taken: the peer should get a best-effort BUSY frame and
@@ -56,14 +57,14 @@ pub enum Admit {
 /// Bounded connection-slot gate owned by the reactor (see module docs).
 /// Single-threaded by design — only the reactor admits and releases — so
 /// plain counters suffice.
-pub struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     capacity: usize,
     active: usize,
 }
 
 impl AdmissionGate {
     /// A gate with `capacity` connection slots (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         AdmissionGate {
             capacity: capacity.max(1),
             active: 0,
@@ -71,7 +72,7 @@ impl AdmissionGate {
     }
 
     /// Claims a slot for one accepted connection, shedding on overflow.
-    pub fn offer(&mut self) -> Admit {
+    pub(crate) fn offer(&mut self) -> Admit {
         if self.active < self.capacity {
             self.active += 1;
             Admit::Admitted
@@ -81,27 +82,17 @@ impl AdmissionGate {
     }
 
     /// Returns the slot of a closed connection.
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         debug_assert!(self.active > 0, "release without matching offer");
         self.active = self.active.saturating_sub(1);
-    }
-
-    /// Currently admitted connections.
-    pub fn active(&self) -> usize {
-        self.active
-    }
-
-    /// Total connection slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
 /// Tells the shed peer why it was turned away, best effort, then closes.
 /// Runs on the still-blocking just-accepted socket, bounded by the write
 /// timeout so a dead peer cannot stall the reactor.
-pub(crate) fn shed_busy(mut stream: TcpStream, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout.max(Duration::from_millis(1))));
+pub(crate) fn shed_busy(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let frame = Response::Error {
         code: code::BUSY,
         message: "server at capacity; retry with backoff".into(),
@@ -137,14 +128,14 @@ struct DedupState {
 const DEDUP_BYTES_PER_SLOT: usize = 4096;
 
 /// Bounded request-id → response memo for idempotent retries (module docs).
-pub struct DedupWindow {
+pub(crate) struct DedupWindow {
     state: Mutex<DedupState>,
     cv: Condvar,
     capacity: usize,
 }
 
 /// The window's verdict on one arriving request id.
-pub enum DedupClaim<'a> {
+pub(crate) enum DedupClaim<'a> {
     /// Request id 0 — the client opted out of tracking.
     Untracked,
     /// Already executed: write this exact response frame back, do not
@@ -160,7 +151,7 @@ pub enum DedupClaim<'a> {
 /// Dropping without [`complete`](Self::complete) aborts: the id is
 /// released so a retry re-executes — this is what keeps a worker panic or
 /// error from wedging the id forever.
-pub struct ExecuteClaim<'a> {
+pub(crate) struct ExecuteClaim<'a> {
     window: &'a DedupWindow,
     rid: u64,
     done: bool,
@@ -170,7 +161,7 @@ impl DedupWindow {
     /// A window remembering the last `capacity` completed responses
     /// (clamped to at least 1), or as many of the latest as fit in
     /// `capacity` × 4 KiB — whichever is fewer, but always the newest.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         DedupWindow {
             state: Mutex::new(DedupState::default()),
             cv: Condvar::new(),
@@ -187,7 +178,7 @@ impl DedupWindow {
 
     /// Claims `rid`: replay if already executed, wait if in flight,
     /// execute if new.
-    pub fn begin(&self, rid: u64) -> DedupClaim<'_> {
+    pub(crate) fn begin(&self, rid: u64) -> DedupClaim<'_> {
         if rid == 0 {
             return DedupClaim::Untracked;
         }
@@ -216,7 +207,7 @@ impl DedupWindow {
 
 impl ExecuteClaim<'_> {
     /// Records the response frame for replay and releases waiters.
-    pub fn complete(mut self, frame: Arc<Vec<u8>>) {
+    pub(crate) fn complete(mut self, frame: Arc<Vec<u8>>) {
         self.done = true;
         let mut st = self.window.lock();
         st.bytes += frame.len();
@@ -262,20 +253,20 @@ mod tests {
         assert_eq!(gate.offer(), Admit::Admitted);
         assert_eq!(gate.offer(), Admit::Admitted);
         assert_eq!(gate.offer(), Admit::Shed);
-        assert_eq!(gate.active(), 2);
+        assert_eq!(gate.active, 2);
 
         // A released slot is immediately reusable.
         gate.release();
-        assert_eq!(gate.active(), 1);
+        assert_eq!(gate.active, 1);
         assert_eq!(gate.offer(), Admit::Admitted);
         assert_eq!(gate.offer(), Admit::Shed);
-        assert_eq!(gate.capacity(), 2);
+        assert_eq!(gate.capacity, 2);
     }
 
     #[test]
     fn gate_capacity_clamps_to_one() {
         let mut gate = AdmissionGate::new(0);
-        assert_eq!(gate.capacity(), 1);
+        assert_eq!(gate.capacity, 1);
         assert_eq!(gate.offer(), Admit::Admitted);
         assert_eq!(gate.offer(), Admit::Shed);
     }

@@ -8,7 +8,7 @@
 //! counter (via [`prkb_edbms::resilience::mix`]), so a failing schedule
 //! replays exactly from its seed (`PRKB_NET_FAULT_SEED`).
 //!
-//! Faults are injected at *frame* granularity by [`ChaosStream`], either
+//! Faults are injected at *frame* granularity by `ChaosStream`, either
 //! wrapped directly around a client socket or inside [`ChaosProxy`] — an
 //! in-process TCP proxy that sits between a real [`crate::PrkbClient`] and
 //! a real server, relaying whole `prkb-wire/v2` frames and deciding per
@@ -29,7 +29,7 @@
 //!   response. A seeded schedule can therefore harass every retry, but
 //!   never starve a client with a sane retry budget forever.
 
-use crate::wire::{encode_frame, FrameReader, ReadStep};
+use crate::wire::{encode_frame, FrameReader, ReadStep, DEFAULT_MAX_FRAME_LEN};
 use prkb_core::metrics::{self, Metric};
 use prkb_edbms::resilience::mix;
 use std::collections::VecDeque;
@@ -39,10 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// Environment variable carrying the fault-schedule seed. Set by the CI
-/// chaos job (`PRKB_NET_FAULT_SEED=1..4`); unset means no env-driven plan.
-pub const NET_FAULT_SEED_ENV: &str = "PRKB_NET_FAULT_SEED";
 
 /// What to do with one relayed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,13 +132,14 @@ impl ChaosConfig {
         }
     }
 
-    /// The retryable schedule seeded from [`NET_FAULT_SEED_ENV`], or
-    /// `None` when the variable is unset/unparsable.
+    /// The retryable schedule seeded from `PRKB_NET_FAULT_SEED` (the CI
+    /// chaos job sets 1..4), or `None` when the variable is unset.
+    ///
+    /// # Panics
+    /// Panics when the variable is set but is not a `u64` (see
+    /// [`prkb_edbms::env_knob`]).
     pub fn from_env() -> Option<Self> {
-        let seed = std::env::var(NET_FAULT_SEED_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())?;
-        Some(Self::retryable(seed))
+        prkb_edbms::env_knob("PRKB_NET_FAULT_SEED").map(Self::retryable)
     }
 }
 
@@ -206,7 +203,7 @@ impl FaultPlan {
     }
 
     /// Decides the fate of the next frame.
-    pub fn next(&self) -> FaultAction {
+    pub(crate) fn next(&self) -> FaultAction {
         let mut guard = match self.state.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -270,7 +267,7 @@ impl FaultPlan {
 }
 
 /// A writer that applies one [`FaultPlan`] decision per forwarded frame.
-pub struct ChaosStream<S: Write> {
+pub(crate) struct ChaosStream<S: Write> {
     inner: S,
     plan: Arc<FaultPlan>,
 }
@@ -278,12 +275,12 @@ pub struct ChaosStream<S: Write> {
 impl<S: Write> ChaosStream<S> {
     /// Wraps `inner`; every [`forward_frame`](Self::forward_frame) call
     /// consults `plan`.
-    pub fn new(inner: S, plan: Arc<FaultPlan>) -> Self {
+    pub(crate) fn new(inner: S, plan: Arc<FaultPlan>) -> Self {
         ChaosStream { inner, plan }
     }
 
     /// The wrapped writer.
-    pub fn get_mut(&mut self) -> &mut S {
+    pub(crate) fn get_mut(&mut self) -> &mut S {
         &mut self.inner
     }
 
@@ -292,7 +289,7 @@ impl<S: Write> ChaosStream<S> {
     ///
     /// # Errors
     /// Propagated from the underlying writer.
-    pub fn forward_frame(&mut self, payload: &[u8]) -> io::Result<bool> {
+    pub(crate) fn forward_frame(&mut self, payload: &[u8]) -> io::Result<bool> {
         let mut frame = encode_frame(payload);
         match self.plan.next() {
             FaultAction::Forward => {
@@ -365,7 +362,6 @@ pub struct ChaosProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    plan: Arc<FaultPlan>,
 }
 
 impl ChaosProxy {
@@ -373,11 +369,7 @@ impl ChaosProxy {
     ///
     /// # Errors
     /// Socket bind failure.
-    pub fn spawn(
-        upstream: SocketAddr,
-        plan: Arc<FaultPlan>,
-        max_frame_len: u32,
-    ) -> io::Result<Self> {
+    pub fn spawn(upstream: SocketAddr, plan: Arc<FaultPlan>) -> io::Result<Self> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -385,7 +377,6 @@ impl ChaosProxy {
 
         let accept = {
             let stop = Arc::clone(&stop);
-            let plan = Arc::clone(&plan);
             thread::Builder::new()
                 .name("prkb-chaos-accept".into())
                 .spawn(move || {
@@ -402,7 +393,6 @@ impl ChaosProxy {
                                             server,
                                             Arc::clone(&plan),
                                             Arc::clone(&stop),
-                                            max_frame_len,
                                         ));
                                     }
                                     Err(_) => {
@@ -428,18 +418,12 @@ impl ChaosProxy {
             addr,
             stop,
             accept: Some(accept),
-            plan,
         })
     }
 
     /// The proxy's listen address — point the client here.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared plan (for asserting on [`FaultPlan::injected`]).
-    pub fn plan(&self) -> Arc<FaultPlan> {
-        Arc::clone(&self.plan)
     }
 
     /// Stops accepting and joins every relay thread.
@@ -470,7 +454,6 @@ fn relay_pair(
     server: TcpStream,
     plan: Arc<FaultPlan>,
     stop: Arc<AtomicBool>,
-    max_frame_len: u32,
 ) -> Vec<JoinHandle<()>> {
     let mut handles = Vec::with_capacity(2);
     let pairs = [
@@ -488,7 +471,7 @@ fn relay_pair(
         let plan = Arc::clone(&plan);
         let stop = Arc::clone(&stop);
         if let Ok(h) = thread::Builder::new().name(name.into()).spawn(move || {
-            pump(src, dst, plan, stop, max_frame_len);
+            pump(src, dst, plan, stop);
         }) {
             handles.push(h);
         }
@@ -496,13 +479,7 @@ fn relay_pair(
     handles
 }
 
-fn pump(
-    mut src: TcpStream,
-    dst: TcpStream,
-    plan: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-    max_frame_len: u32,
-) {
+fn pump(mut src: TcpStream, dst: TcpStream, plan: Arc<FaultPlan>, stop: Arc<AtomicBool>) {
     if src
         .set_read_timeout(Some(Duration::from_millis(50)))
         .is_err()
@@ -515,7 +492,7 @@ fn pump(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        match reader.poll(&mut src, max_frame_len) {
+        match reader.poll(&mut src, DEFAULT_MAX_FRAME_LEN) {
             Ok(ReadStep::Frame { payload, .. }) => match out.forward_frame(payload) {
                 Ok(false) => {}
                 Ok(true) | Err(_) => break,

@@ -34,7 +34,7 @@
 //! independent of whether retries are enabled.
 
 use crate::proto::{code, ProtoError, Request, RequestHeader, Response};
-use crate::wire::{write_frame, FrameError, FrameReader, ReadStep};
+use crate::wire::{write_frame, FrameError, FrameReader, ReadStep, DEFAULT_MAX_FRAME_LEN};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
 use prkb_edbms::resilience::{mix, Breaker, RetryPolicy};
@@ -109,17 +109,16 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// Client tunables: timeouts, retry policy, request-id stream.
+/// TCP connect budget per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Per-frame write budget.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Client tunables: read budget, retry policy, request-id stream.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// TCP connect budget per attempt.
-    pub connect_timeout: Duration,
     /// End-to-end budget for one response (poll ticks re-check it).
     pub read_timeout: Duration,
-    /// Per-frame write budget.
-    pub write_timeout: Duration,
-    /// Frame payload cap (mirror of the server's).
-    pub max_frame_len: u32,
     /// Retry/backoff/breaker discipline (reused from
     /// [`prkb_edbms::resilience`]). `max_attempts: 1` disables retrying.
     pub retry: RetryPolicy,
@@ -139,10 +138,7 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_secs(10),
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            max_frame_len: crate::wire::DEFAULT_MAX_FRAME_LEN,
             retry: RetryPolicy::default(),
             deadline_ms: 0,
             rid_seed: 0,
@@ -241,7 +237,7 @@ impl<P: WireCodec> PrkbClient<P> {
         if self.stream.is_some() {
             return Ok(());
         }
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true).ok();
         // Poll-tick reads: the overall read budget is enforced per call,
         // the short socket timeout just keeps the loop responsive.
@@ -251,9 +247,7 @@ impl<P: WireCodec> PrkbClient<P> {
             .min(Duration::from_millis(50))
             .max(Duration::from_millis(1));
         stream.set_read_timeout(Some(tick))?;
-        stream.set_write_timeout(Some(
-            self.config.write_timeout.max(Duration::from_millis(1)),
-        ))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         self.stream = Some(stream);
         self.reader = FrameReader::new();
         Ok(())
@@ -317,7 +311,7 @@ impl<P: WireCodec> PrkbClient<P> {
         let stream = self.stream.as_mut().expect("in flight implies connected");
         let deadline = Instant::now() + self.config.read_timeout;
         let failure = loop {
-            match self.reader.poll(stream, self.config.max_frame_len) {
+            match self.reader.poll(stream, DEFAULT_MAX_FRAME_LEN) {
                 Ok(ReadStep::Frame { payload, .. }) => {
                     self.in_flight -= 1;
                     return Ok(Response::decode(payload)?);

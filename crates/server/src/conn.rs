@@ -17,7 +17,7 @@
 //! mismatched dimension attributes, out-of-range tuple ids) are rejected
 //! here, before dispatch.
 //!
-//! The resilience header rides on every request (PR 7): a present
+//! The resilience header rides on every request: a present
 //! `deadline_ms` becomes an absolute [`Instant`] budget threaded into the
 //! scheduler (checkout waits and oracle batches both honour it — expiry
 //! answers [`code::DEADLINE`] and leaves the KB untouched). A deadline of
@@ -34,7 +34,7 @@ use crate::scheduler::SessionScheduler;
 use prkb_core::metrics::{self, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{DurableError, QueryError, SpPredicate};
-use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle};
+use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -53,8 +53,6 @@ pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     /// reactor stops accepting, in-flight requests finish, responses
     /// flush, then everything closes.
     pub shutdown: AtomicBool,
-    /// Frame payload cap for this server.
-    pub max_frame_len: u32,
     /// Close connections with no completed frame for this long (only
     /// consulted between frames — a mid-frame sender answers to
     /// `stall_deadline` instead).
@@ -62,9 +60,6 @@ pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     /// Close connections that buffered a partial frame and then received
     /// no byte for this long.
     pub stall_deadline: Duration,
-    /// Write budget: a peer that stops reading keeps its unflushed
-    /// response at most this long before the connection is dropped.
-    pub write_timeout: Duration,
     /// Request-id → response memo for idempotent retries.
     pub dedup: DedupWindow,
     /// Served requests (every decoded frame counts, errors included).
@@ -80,9 +75,7 @@ pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     /// Requests answered from the dedup window instead of re-executing.
     pub dedup_hits: AtomicU64,
     /// The reactor's eventfd, installed by [`crate::PrkbServer::run`]
-    /// before the reactor starts. Workers and shutdown both bump it; no
-    /// more "connect to your own listener" poke consuming an admission
-    /// slot and inflating the request counters.
+    /// before the reactor starts. Workers and shutdown both bump it.
     pub wake: OnceLock<crate::epoll::Waker>,
 }
 
@@ -244,26 +237,23 @@ where
         }
         Request::Insert { tuple } => {
             let oracle = read_oracle(&shared.oracle);
-            // An id beyond the oracle's slots has no uploaded row behind it;
-            // routing it would be evaluating trapdoors against nothing.
-            if tuple as usize >= oracle.n_slots() {
-                return (
-                    Response::Error {
-                        code: code::MALFORMED,
-                        message: format!("tuple {tuple} beyond table ({} slots)", oracle.n_slots()),
-                    },
-                    false,
-                );
+            if let Err(resp) = validate_tuple(tuple, oracle.n_slots()) {
+                return (resp, false);
             }
             match shared.sched.insert(&*oracle, tuple, deadline) {
                 Ok((outcomes, seq)) => (Response::Inserted { seq, outcomes }, false),
                 Err(e) => (error_of(&e), false),
             }
         }
-        Request::Delete { tuple } => match shared.sched.delete(tuple, deadline) {
-            Ok(seq) => (Response::Deleted { seq }, false),
-            Err(e) => (error_of(&e), false),
-        },
+        Request::Delete { tuple } => {
+            if let Err(resp) = validate_tuple(tuple, read_oracle(&shared.oracle).n_slots()) {
+                return (resp, false);
+            }
+            match shared.sched.delete(tuple, deadline) {
+                Ok(seq) => (Response::Deleted { seq }, false),
+                Err(e) => (error_of(&e), false),
+            }
+        }
         Request::MetricsSnapshot => (
             Response::Metrics {
                 json: metrics::global().snapshot().to_json(),
@@ -321,6 +311,19 @@ fn wire_code(e: &DurableError) -> u16 {
         | DurableError::CorruptSegment(_)
         | DurableError::Poisoned => code::DURABILITY,
     }
+}
+
+/// Rejects a tuple id beyond the oracle's slots: no uploaded row is behind
+/// it, so routing it would evaluate trapdoors against nothing, and deleting
+/// it would take a whole-table checkout to journal a no-op on every shard.
+fn validate_tuple(tuple: TupleId, n_slots: usize) -> Result<(), Response> {
+    if (tuple as usize) < n_slots {
+        return Ok(());
+    }
+    Err(Response::Error {
+        code: code::MALFORMED,
+        message: format!("tuple {tuple} beyond table ({n_slots} slots)"),
+    })
 }
 
 /// Rejects MD dimension lists the engine would treat as programmer error:

@@ -88,7 +88,7 @@ pub(crate) struct Poller {
 
 impl Poller {
     /// Creates a close-on-exec epoll instance.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
             epfd: unsafe { OwnedFd::from_raw_fd(fd) },
@@ -116,25 +116,37 @@ impl Poller {
     }
 
     /// Registers `fd` under `token` with the given interest.
-    pub fn add(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+    pub(crate) fn add(
+        &self,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, Self::interest(readable, writable), token)
     }
 
     /// Replaces the interest set of an already-registered `fd`.
-    pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+    pub(crate) fn modify(
+        &self,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, Self::interest(readable, writable), token)
     }
 
     /// Removes `fd` from the interest list. Harmless if the fd is already
     /// gone (closing an fd deregisters it kernel-side).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until readiness or `timeout` (None = forever), refilling
     /// `out`. A signal interruption returns an empty batch rather than an
     /// error — the caller's loop re-enters wait anyway.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         // Round the timeout up so a 0.4 ms residue does not busy-spin.
         let timeout_ms = match timeout {
@@ -185,7 +197,7 @@ pub(crate) struct Waker {
 
 impl Waker {
     /// Creates a non-blocking, close-on-exec eventfd.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         let owned = unsafe { OwnedFd::from_raw_fd(fd) };
         Ok(Waker {
@@ -194,18 +206,18 @@ impl Waker {
     }
 
     /// The fd to register with a [`Poller`].
-    pub fn as_raw_fd(&self) -> RawFd {
+    pub(crate) fn as_raw_fd(&self) -> RawFd {
         self.file.as_raw_fd()
     }
 
     /// Bumps the counter (coalesced by the kernel; best effort — a full
     /// counter means a wake is already pending, which is all we need).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let _ = (&self.file).write(&1u64.to_ne_bytes());
     }
 
     /// Consumes every pending wake.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 8];
         while matches!((&self.file).read(&mut buf), Ok(n) if n > 0) {}
     }

@@ -15,19 +15,20 @@
 //! * [`scheduler`] — re-export of [`prkb_core::scheduler`], the
 //!   checkout/commit discipline the server dispatches into: the engine
 //!   lock is held only to move knowledge, never while QPF is spent;
-//! * [`admission`] — the bounded admission gate (BUSY shedding) and the
-//!   idempotent-replay dedup window;
+//! * `admission` (private) — the bounded admission gate (BUSY shedding)
+//!   and the idempotent-replay dedup window;
 //! * `epoll` (private) — the thin epoll/eventfd syscall wrapper, the
 //!   crate's only unsafe module;
 //! * `reactor` (private) — the readiness-driven event loop: non-blocking
 //!   accept, per-connection state machines, request pipelining, write
 //!   buffering with EPOLLOUT re-arm;
-//! * [`conn`] (private) — request decode/dispatch, run on the worker pool;
-//! * [`server`] — server wiring: reactor thread + bounded worker pool +
-//!   graceful drain;
-//! * [`client`] — the blocking client: timeouts, deterministic retries
-//!   with exactly-once request ids, circuit breaker, and pipelined
-//!   submit/drain on the same connection;
+//! * `conn` (private) — request decode/dispatch, run on the worker pool;
+//! * `server` (private; [`PrkbServer`] and its config, handle and report
+//!   are re-exported here) — server wiring: reactor thread + bounded
+//!   worker pool + graceful drain;
+//! * `client` (private; [`PrkbClient`]) — the blocking client: timeouts,
+//!   deterministic retries with exactly-once request ids, circuit breaker,
+//!   and pipelined submit/drain on the same connection;
 //! * [`chaos`] — the deterministic network-fault harness
 //!   ([`chaos::ChaosProxy`], seeded by `PRKB_NET_FAULT_SEED`).
 //!
@@ -57,14 +58,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
+pub(crate) mod admission;
 pub mod chaos;
-pub mod client;
+pub(crate) mod client;
 mod conn;
 mod epoll;
 pub mod proto;
 mod reactor;
-pub mod server;
+pub(crate) mod server;
 pub mod wire;
 
 /// The session scheduler lives in `prkb-core`, beside the pool it drives;
@@ -73,10 +74,9 @@ pub mod scheduler {
     pub use prkb_core::scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 }
 
-pub use admission::QUEUE_ENV;
-pub use chaos::{ChaosConfig, ChaosProxy, ChaosStream, FaultAction, FaultPlan, NET_FAULT_SEED_ENV};
+pub use chaos::{ChaosConfig, ChaosProxy, FaultAction, FaultPlan};
 pub use client::{ClientConfig, ClientError, PrkbClient, SelectionReply};
-pub use proto::{ProtoError, Request, RequestHeader, Response, PROTO_VERSION};
+pub use proto::{ProtoError, Request, RequestHeader, Response};
 pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use server::{PrkbServer, ServerConfig, ServerHandle, ServerReport};
 pub use wire::{FrameError, FrameReader, DEFAULT_MAX_FRAME_LEN};

@@ -29,15 +29,15 @@ use std::fmt;
 /// Protocol version carried in every payload's first byte. v2 made the
 /// request deadline an explicit optional (presence flag + `u32`) instead
 /// of a zero-sentinel.
-pub const PROTO_VERSION: u8 = 2;
+pub(crate) const PROTO_VERSION: u8 = 2;
 
 /// Cap on the dimension count of one MD range request — a lying count
 /// field must not become an allocation request.
-pub const MAX_MD_DIMS: usize = 64;
+pub(crate) const MAX_MD_DIMS: usize = 64;
 
 /// Stable wire error codes (`prkb-wire/v2`). Never reused, only appended.
 pub mod code {
-    /// The payload's version byte is not [`super::PROTO_VERSION`].
+    /// The payload's version byte is not `super::PROTO_VERSION`.
     pub const UNSUPPORTED_VERSION: u16 = 1;
     /// The payload failed structural decoding.
     pub const MALFORMED: u16 = 2;
@@ -210,7 +210,7 @@ impl std::error::Error for ProtoError {}
 
 impl ProtoError {
     /// The stable wire code for this decode failure.
-    pub fn wire_code(&self) -> u16 {
+    pub(crate) fn wire_code(&self) -> u16 {
         match self {
             ProtoError::UnsupportedVersion(_) => code::UNSUPPORTED_VERSION,
             ProtoError::UnknownTag(_) => code::UNKNOWN_TAG,
@@ -442,7 +442,7 @@ impl Response {
     /// `len`/`crc` are then filled in place. The buffer a worker builds
     /// here is the buffer the dedup window keeps and the socket is written
     /// from.
-    pub fn encode_framed(&self) -> Vec<u8> {
+    pub(crate) fn encode_framed(&self) -> Vec<u8> {
         let mut frame = begin_frame(self.encoded_len());
         self.encode_into(&mut frame);
         seal_frame(&mut frame);

@@ -1,15 +1,13 @@
 //! The epoll reactor: one thread multiplexing every connection.
 //!
-//! This replaces the old thread-per-connection serve loop and its two
-//! poll-tick warts (a 50 ms read timeout per connection and a 10 ms accept
-//! sleep) with readiness-driven I/O:
+//! All socket I/O is readiness-driven — no per-connection thread, no poll
+//! tick:
 //!
 //! * the listener, an eventfd waker, and every connection are registered
 //!   with one [`Poller`](crate::epoll::Poller); the loop sleeps in
 //!   `epoll_wait` until something is actually ready;
-//! * reads feed the existing [`FrameReader`] incrementally — its
-//!   `Idle`/`Stalled` states, designed for poll ticks, map one-to-one onto
-//!   level-triggered `WouldBlock`;
+//! * reads feed a [`FrameReader`] incrementally — its `Idle`/`Stalled`
+//!   states map one-to-one onto level-triggered `WouldBlock`;
 //! * decoded requests are handed to the worker pool over a bounded queue;
 //!   responses come back through a completion list plus an eventfd wake,
 //!   and are flushed with explicit `EPOLLOUT` re-arm when a peer's socket
@@ -38,23 +36,22 @@
 //!   [closed]  (also: idle/stall/write deadline sweep, drain)
 //! ```
 //!
-//! Two deadlines, reset by different events, replace the old single idle
-//! clock: the **idle deadline** starts at accept and resets on every
+//! Two deadlines are reset by different events: the **idle deadline**
+//! starts at accept and resets on every
 //! *completed* frame (and every response), and only applies between
 //! frames; the **stall deadline** applies while a partial frame is
 //! buffered and resets on every received *byte*. A slow-but-progressing
 //! sender therefore answers to the (short-ish) stall budget, never to the
 //! 30 s idle axe, and a silent connection cannot camp mid-frame forever.
 //!
-//! Admission is connection-slot based and unchanged in effect: at most
-//! `threads + queue` connections are admitted (the worker pool plus its
-//! old queue depth); beyond that, accepts are shed with a best-effort
-//! BUSY frame, exactly like the old gate.
+//! Admission is connection-slot based: at most `threads + queue`
+//! connections are admitted; beyond that, accepts are shed with a
+//! best-effort BUSY frame.
 
-use crate::admission::{shed_busy, AdmissionGate, Admit};
+use crate::admission::{shed_busy, AdmissionGate, Admit, WRITE_TIMEOUT};
 use crate::conn::Shared;
 use crate::epoll::{Event, Poller};
-use crate::wire::{FrameReader, ReadStep};
+use crate::wire::{FrameReader, ReadStep, DEFAULT_MAX_FRAME_LEN};
 use prkb_core::metrics::{self, HistogramId, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::SpPredicate;
@@ -199,7 +196,7 @@ where
     let sweep_every = (shared
         .idle_deadline
         .min(shared.stall_deadline)
-        .min(shared.write_timeout)
+        .min(WRITE_TIMEOUT)
         / 4)
     .clamp(Duration::from_millis(10), Duration::from_secs(1));
     let mut next_sweep = Instant::now() + sweep_every;
@@ -250,7 +247,7 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
                         Admit::Shed => {
                             self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                             metrics::global().add(Metric::BusyRejections, 1);
-                            shed_busy(s, self.shared.write_timeout);
+                            shed_busy(s);
                         }
                     }
                 }
@@ -339,10 +336,7 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
                 return;
             };
             let buffered_before = conn.reader.buffered();
-            match conn
-                .reader
-                .poll(&mut conn.stream, self.shared.max_frame_len)
-            {
+            match conn.reader.poll(&mut conn.stream, DEFAULT_MAX_FRAME_LEN) {
                 Ok(ReadStep::Frame {
                     payload,
                     bytes_consumed,
@@ -569,10 +563,9 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
                 continue;
             };
             if let Some(since) = conn.write_since {
-                if now.duration_since(since) >= self.shared.write_timeout {
+                if now.duration_since(since) >= WRITE_TIMEOUT {
                     // A peer that stopped reading costs one write budget,
-                    // then the connection — exactly the old per-frame
-                    // write-timeout contract.
+                    // then the connection.
                     self.close(idx);
                     continue;
                 }

@@ -12,16 +12,13 @@
 //! finishes (commits included) and its response flushes before the
 //! connection closes, and [`PrkbServer::run`] returns only after both the
 //! reactor and the pool have drained. Committed refinements are never lost
-//! to shutdown; decoded-but-unsubmitted pipelined frames are dropped, just
-//! like queued-but-unserved connections were under the old thread-per-
-//! connection design.
+//! to shutdown; decoded-but-unsubmitted pipelined frames are dropped.
 
-use crate::admission::{DedupWindow, QUEUE_ENV};
+use crate::admission::{DedupWindow, DEDUP_WINDOW};
 use crate::conn::{self, Shared};
 use crate::epoll::Waker;
 use crate::reactor::{self, Completion, CompletionQueue, WorkItem};
 use crate::scheduler::SessionScheduler;
-use crate::wire::DEFAULT_MAX_FRAME_LEN;
 use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{PrkbEngine, ShardedDurablePool, SpPredicate};
@@ -33,25 +30,16 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Environment variable consulted when [`ServerConfig::threads`] is `None`.
-pub const THREADS_ENV: &str = "PRKB_SERVER_THREADS";
-
 /// Worker-pool size used when neither the config nor the environment says
 /// otherwise.
-pub const DEFAULT_THREADS: usize = 4;
-
-/// Completed-response memo size used when the config does not say
-/// otherwise — covers a retry horizon, not all history.
-pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
+const DEFAULT_THREADS: usize = 4;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker-pool size. `None` defers to `PRKB_SERVER_THREADS`, then
-    /// [`DEFAULT_THREADS`]. Clamped to at least 1.
+    /// 4. Clamped to at least 1.
     pub threads: Option<usize>,
-    /// Frame payload cap (larger frames are a protocol error).
-    pub max_frame_len: u32,
     /// Connections with no *completed* frame for this long are closed.
     /// Only consulted between frames; a connection that has buffered a
     /// partial frame answers to [`stall_deadline`](Self::stall_deadline)
@@ -66,23 +54,15 @@ pub struct ServerConfig {
     /// gate sheds new arrivals with BUSY. `None` defers to
     /// `PRKB_SERVER_QUEUE`, then `threads * 2`. Clamped to at least 1.
     pub queue: Option<usize>,
-    /// Write budget: a peer that stops reading keeps its unflushed
-    /// response at most this long before the connection is dropped.
-    pub write_timeout: Duration,
-    /// Completed responses remembered for idempotent replay.
-    pub dedup_window: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             threads: None,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             idle_deadline: Duration::from_secs(30),
             stall_deadline: Duration::from_secs(5),
             queue: None,
-            write_timeout: Duration::from_secs(10),
-            dedup_window: DEFAULT_DEDUP_WINDOW,
         }
     }
 }
@@ -90,22 +70,14 @@ impl Default for ServerConfig {
 impl ServerConfig {
     fn resolve_threads(&self) -> usize {
         self.threads
-            .or_else(|| {
-                std::env::var(THREADS_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
+            .or_else(|| prkb_edbms::env_knob("PRKB_SERVER_THREADS"))
             .unwrap_or(DEFAULT_THREADS)
             .max(1)
     }
 
     fn resolve_queue(&self, threads: usize) -> usize {
         self.queue
-            .or_else(|| {
-                std::env::var(QUEUE_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
+            .or_else(|| prkb_edbms::env_knob("PRKB_SERVER_QUEUE"))
             .unwrap_or(threads * 2)
             .max(1)
     }
@@ -210,11 +182,9 @@ where
             sched,
             oracle: Arc::new(RwLock::new(oracle)),
             shutdown: AtomicBool::new(false),
-            max_frame_len: config.max_frame_len,
             idle_deadline: config.idle_deadline,
             stall_deadline: config.stall_deadline,
-            write_timeout: config.write_timeout,
-            dedup: DedupWindow::new(config.dedup_window),
+            dedup: DedupWindow::new(DEDUP_WINDOW),
             requests: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             frame_errors: AtomicU64::new(0),
@@ -237,12 +207,6 @@ where
     /// Propagated from the socket.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// Handle on the shared oracle, for uploading rows out of band (the
-    /// owner→SP data path; the wire protocol only ever carries tuple ids).
-    pub fn oracle(&self) -> Arc<RwLock<O>> {
-        Arc::clone(&self.shared.oracle)
     }
 
     /// Runs the reactor on the current thread until shutdown, then drains
@@ -340,32 +304,25 @@ where
     /// out-of-band shutdown.
     ///
     /// # Errors
-    /// Propagated from resolving the local address.
+    /// The OS refused the reactor thread.
     pub fn spawn(self) -> io::Result<ServerHandle<P, O>> {
-        let addr = self.local_addr()?;
         let shared = Arc::clone(&self.shared);
         let join = thread::Builder::new()
             .name("prkb-server-reactor".into())
-            .spawn(move || self.run())
-            .expect("spawn reactor thread");
-        Ok(ServerHandle { addr, shared, join })
+            .spawn(move || self.run())?;
+        Ok(ServerHandle { shared, join })
     }
 }
 
 /// Handle on a running server (see [`PrkbServer::spawn`]).
 pub struct ServerHandle<P: SpPredicate + WireCodec, O> {
-    addr: SocketAddr,
     shared: Arc<Shared<P, O>>,
     join: JoinHandle<io::Result<ServerReport<P, O>>>,
 }
 
 impl<P: SpPredicate + WireCodec, O> ServerHandle<P, O> {
-    /// The server's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Handle on the shared oracle (see [`PrkbServer::oracle`]).
+    /// Handle on the shared oracle, for uploading rows out of band (the
+    /// owner→SP data path; the wire protocol only ever carries tuple ids).
     pub fn oracle(&self) -> Arc<RwLock<O>> {
         Arc::clone(&self.shared.oracle)
     }

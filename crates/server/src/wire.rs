@@ -31,8 +31,7 @@ use prkb_edbms::durability::frame_is_intact;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Default cap on a single frame's payload (1 MiB). Configurable per server
-/// via [`crate::ServerConfig::max_frame_len`].
+/// Cap on a single frame's payload (1 MiB), on the server and the client.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Why a frame could not be decoded.
@@ -133,7 +132,7 @@ pub fn decode_frame(bytes: &[u8], max_len: u32) -> Result<Option<(Vec<u8>, usize
 ///
 /// # Errors
 /// Propagates the underlying I/O failure.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(&encode_frame(payload))?;
     w.flush()
 }
@@ -195,13 +194,13 @@ impl FrameReader {
     /// Bytes currently buffered (a partial frame, or zero between frames).
     /// The reactor compares this across polls to detect byte-level
     /// progress for its stall deadline.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.tail - self.head
     }
 
     /// True when a partial frame is buffered — the connection should be
     /// judged by the stall deadline, not the idle deadline.
-    pub fn mid_frame(&self) -> bool {
+    pub(crate) fn mid_frame(&self) -> bool {
         self.buffered() > 0
     }
 

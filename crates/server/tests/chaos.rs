@@ -20,7 +20,6 @@ use prkb_core::{EngineConfig, PrkbEngine, QueryStats};
 use prkb_edbms::resilience::RetryPolicy;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate, TupleId};
-use prkb_server::wire::DEFAULT_MAX_FRAME_LEN;
 use prkb_server::{
     ChaosConfig, ChaosProxy, ClientConfig, FaultAction, FaultPlan, PrkbClient, PrkbServer,
     ServerConfig, ServerHandle,
@@ -125,8 +124,7 @@ fn converges_under(config: ChaosConfig) {
     let expect_faults = config.drop_per_mille > 0;
     let (addr, handle) = start_server();
     let plan = Arc::new(FaultPlan::seeded(config));
-    let proxy =
-        ChaosProxy::spawn(addr, Arc::clone(&plan), DEFAULT_MAX_FRAME_LEN).expect("spawn proxy");
+    let proxy = ChaosProxy::spawn(addr, Arc::clone(&plan)).expect("spawn proxy");
 
     let mut inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine();
@@ -251,8 +249,7 @@ fn dropped_response_is_replayed_not_reexecuted() {
         FaultAction::Forward,
         FaultAction::Drop,
     ]));
-    let proxy =
-        ChaosProxy::spawn(addr, Arc::clone(&plan), DEFAULT_MAX_FRAME_LEN).expect("spawn proxy");
+    let proxy = ChaosProxy::spawn(addr, Arc::clone(&plan)).expect("spawn proxy");
 
     let mut client: PrkbClient<Predicate> =
         PrkbClient::connect_with(proxy.addr(), chaos_client_config()).expect("connect via proxy");

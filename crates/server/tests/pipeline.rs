@@ -238,7 +238,7 @@ proptest! {
             FaultAction::Forward,
             FaultAction::Trickle,
         ]));
-        let proxy = ChaosProxy::spawn(addr_a, plan, DEFAULT_MAX_FRAME_LEN).expect("proxy");
+        let proxy = ChaosProxy::spawn(addr_a, plan).expect("proxy");
         let pipelined = run_pipelined(proxy.addr(), &script);
         proxy.stop();
         handle_a.shutdown();

@@ -146,7 +146,7 @@ fn trickled_frame_outlives_a_shorter_idle_deadline() {
         FaultAction::Trickle,
         FaultAction::Forward,
     ]));
-    let proxy = ChaosProxy::spawn(addr, plan, DEFAULT_MAX_FRAME_LEN).expect("proxy");
+    let proxy = ChaosProxy::spawn(addr, plan).expect("proxy");
 
     let mut client: PrkbClient<Predicate> =
         PrkbClient::connect(proxy.addr()).expect("connect via proxy");

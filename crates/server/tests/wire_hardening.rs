@@ -14,7 +14,7 @@ use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::{PrkbClient, PrkbServer, ServerConfig};
+use prkb_server::{ClientError, PrkbClient, PrkbServer, ServerConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -218,6 +218,28 @@ fn hostile_headers_on_a_live_server_are_contained() {
 
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
     client.ping().expect("server alive after hostile headers");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+/// A tuple id with no uploaded row behind it is a malformed request, for a
+/// delete as for an insert: answered before dispatch, so it takes no
+/// checkout, journals nothing and consumes no commit sequence number.
+#[test]
+fn tuple_ids_beyond_the_table_are_malformed_before_dispatch() {
+    let (addr, handle) = start_server();
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    for err in [
+        client.delete(100).expect_err("delete beyond table"),
+        client.insert(100).expect_err("insert beyond table"),
+    ] {
+        assert!(
+            matches!(&err, ClientError::Server { code: c, .. } if *c == code::MALFORMED),
+            "unexpected: {err}"
+        );
+    }
+    // The last slot is a row; deleting it is the first commit.
+    assert_eq!(client.delete(99).expect("delete in range"), 1);
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
 }

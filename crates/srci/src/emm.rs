@@ -109,11 +109,6 @@ impl Emm {
         Some(out)
     }
 
-    /// Number of distinct labels stored.
-    pub fn n_labels(&self) -> usize {
-        self.store.len()
-    }
-
     /// Server-side storage footprint in bytes (labels + ciphertexts).
     pub fn storage_bytes(&self) -> usize {
         self.store
@@ -138,7 +133,7 @@ mod tests {
         assert_eq!(emm.retrieve(&c, 7).unwrap(), b"hello");
         assert_eq!(emm.retrieve(&c, 9).unwrap(), b"world");
         assert_eq!(emm.retrieve(&c, 8), None);
-        assert_eq!(emm.n_labels(), 2);
+        assert_eq!(emm.store.len(), 2);
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         emm.append(&c, 5, b"cd");
         emm.append(&c, 5, b"ef");
         assert_eq!(emm.retrieve(&c, 5).unwrap(), b"abcdef");
-        assert_eq!(emm.n_labels(), 1);
+        assert_eq!(emm.store.len(), 1);
     }
 
     #[test]

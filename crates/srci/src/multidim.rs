@@ -32,11 +32,6 @@ impl MultiDimSrci {
         self.dims.get(&attr)
     }
 
-    /// Mutable index access (inserts/deletes).
-    pub fn dim_mut(&mut self, attr: AttrId) -> Option<&mut SrciIndex> {
-        self.dims.get_mut(&attr)
-    }
-
     /// Candidates for a conjunctive hyper-rectangle: intersection of the
     /// per-dimension candidate sets. Still contains false positives — run
     /// [`crate::index::confirm`] afterwards.
@@ -75,11 +70,6 @@ impl MultiDimSrci {
     pub fn storage_bytes(&self) -> usize {
         self.dims.values().map(SrciIndex::storage_bytes).sum()
     }
-
-    /// Number of indexed dimensions.
-    pub fn n_dims(&self) -> usize {
-        self.dims.len()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +101,7 @@ mod tests {
         for (a, col) in cols.iter().enumerate() {
             md.add_dim(a as u32, SrciIndex::build(&c, cfg, col));
         }
-        assert_eq!(md.n_dims(), 3);
+        assert_eq!(md.dims.len(), 3);
 
         let ranges = [(0u32, 10_000u64, 20_000u64), (1, 5_000, 30_000), (2, 0, 25_000)];
         let cands = md.candidates(&c, &ranges);

@@ -29,13 +29,14 @@ fn build(
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..cuts {
         let c = rng.gen_range(0..600u64);
-        prkb::core::sd::process_comparison(
+        prkb::core::sd::try_process_comparison(
             &mut kb,
             &oracle,
             &Predicate::cmp(0, ComparisonOp::Lt, c),
             &mut rng,
             true,
-        );
+        )
+        .unwrap();
     }
     // Park up to `park` distinct tuples: delete from their partition, then
     // re-admit as overflow over the full rank range.

@@ -41,7 +41,7 @@ fn snapshot_survives_sp_restart_end_to_end() {
     let p = owner
         .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 50_000), &mut rng)
         .expect("valid");
-    let sel = prkb::core::sd::process_comparison(&mut kb, &oracle, &p, &mut rng, true);
+    let sel = prkb::core::sd::try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
     let expected: Vec<u32> = (0..n as u32)
         .filter(|&t| values[t as usize] < 50_000)
         .collect();
