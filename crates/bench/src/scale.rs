@@ -22,13 +22,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `PRKB_SCALE` (`ci` / `default` / `paper`), defaulting to
-    /// [`Scale::Default`]; unknown values fall back to the default.
+    /// Reads `PRKB_SCALE` (`ci` / `default` / `paper`); unset means
+    /// [`Scale::Default`].
+    ///
+    /// # Panics
+    /// Panics when the variable is set to anything else: a misspelt value
+    /// must not gate a run against another scale's baseline sizes.
     pub fn from_env() -> Self {
-        match env::var("PRKB_SCALE").as_deref() {
-            Ok("ci") => Scale::Ci,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Default,
+        match env::var("PRKB_SCALE") {
+            Err(env::VarError::NotPresent) => Scale::Default,
+            Err(e) => panic!("PRKB_SCALE: {e}"),
+            Ok(value) => Self::parse(&value).unwrap_or_else(|e| panic!("{e}")),
+        }
+    }
+
+    /// Parses a `PRKB_SCALE` value.
+    fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "ci" => Ok(Scale::Ci),
+            "default" => Ok(Scale::Default),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(format!(
+                "PRKB_SCALE={value:?} is not one of ci | default | paper"
+            )),
         }
     }
 
@@ -81,5 +97,17 @@ mod tests {
         assert_eq!(Scale::Default.tuples(1_000), 10_000); // floor
         assert_eq!(Scale::Paper.queries(600), 600);
         assert_eq!(Scale::Ci.queries(600), 60);
+    }
+
+    #[test]
+    fn a_set_but_unknown_scale_is_refused() {
+        // `parse` is what `from_env` runs on a *set* variable.
+        for scale in [Scale::Ci, Scale::Default, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.slug()), Ok(scale));
+        }
+        for bad in ["CI", "cii", "", " ci"] {
+            let err = Scale::parse(bad).expect_err(bad);
+            assert!(err.contains("ci | default | paper"), "{err}");
+        }
     }
 }

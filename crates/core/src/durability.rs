@@ -43,7 +43,7 @@
 //! WAL whose epoch matches the manifest.
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
-use crate::knowledge::{Knowledge, RefinementOp, Separator};
+use crate::knowledge::{Knowledge, RefinementOp};
 use crate::lsm::manifest::{write_segment_manifest, SegmentManifest};
 use crate::lsm::reader::SegmentStore;
 use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
@@ -53,8 +53,10 @@ use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::storage::{real_fs, StorageFs};
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
+use prkb_edbms::codec::{publish, seal, sync_dir, unseal, PublishHooks, Reader};
+use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{AttrId, TupleId};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -178,6 +180,15 @@ pub enum TxnEntry<P> {
     },
 }
 
+impl<P> TxnEntry<P> {
+    /// The attribute the entry initializes or mutates.
+    fn attr(&self) -> AttrId {
+        match self {
+            TxnEntry::Init { attr, .. } | TxnEntry::Op { attr, .. } => *attr,
+        }
+    }
+}
+
 fn encode_op<P: WireCodec>(op: &RefinementOp<P>, out: &mut Vec<u8>) {
     match op {
         RefinementOp::Split {
@@ -234,88 +245,37 @@ fn encode_op<P: WireCodec>(op: &RefinementOp<P>, out: &mut Vec<u8>) {
     }
 }
 
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DurableError> {
-    let s = bytes
-        .get(*pos..*pos + n)
-        .ok_or(DurableError::CorruptWal("record truncated"))?;
-    *pos += n;
-    Ok(s)
+fn decode_tuples(r: &mut Reader<'_>) -> Result<Vec<TupleId>, &'static str> {
+    let n = r.count(4)?;
+    Ok(r.u32s(n)?)
 }
 
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, DurableError> {
-    Ok(u32::from_le_bytes(
-        take(bytes, pos, 4)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, DurableError> {
-    Ok(u64::from_le_bytes(
-        take(bytes, pos, 8)?.try_into().expect("8 bytes"),
-    ))
-}
-
-fn take_tuples(bytes: &[u8], pos: &mut usize) -> Result<Vec<TupleId>, DurableError> {
-    let n = take_u32(bytes, pos)? as usize;
-    // Bound the allocation against the stream before trusting the count.
-    if n > bytes.len().saturating_sub(*pos) / 4 {
-        return Err(DurableError::CorruptWal("tuple list count lies"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(take_u32(bytes, pos)?);
-    }
-    Ok(out)
-}
-
-fn decode_sep<P: WireCodec>(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<Option<Separator<P>>, DurableError> {
-    snapshot::decode_separator(bytes, pos).map_err(|_| DurableError::CorruptWal("separator"))
-}
-
-fn decode_op<P: WireCodec>(bytes: &[u8], pos: &mut usize) -> Result<RefinementOp<P>, DurableError> {
-    let tag = take(bytes, pos, 1)?[0];
-    Ok(match tag {
-        0 => {
-            let rank = take_u64(bytes, pos)? as usize;
-            let sep = decode_sep(bytes, pos)?;
-            let left = take_tuples(bytes, pos)?;
-            let right = take_tuples(bytes, pos)?;
-            RefinementOp::Split {
-                rank,
-                left,
-                right,
-                sep,
-            }
-        }
-        1 => RefinementOp::Delete {
-            tuple: take_u32(bytes, pos)?,
+fn decode_op<P: WireCodec>(r: &mut Reader<'_>) -> Result<RefinementOp<P>, &'static str> {
+    Ok(match r.u8()? {
+        0 => RefinementOp::Split {
+            rank: r.u64()? as usize,
+            sep: snapshot::decode_separator(r).map_err(|_| "separator")?,
+            left: decode_tuples(r)?,
+            right: decode_tuples(r)?,
         },
+        1 => RefinementOp::Delete { tuple: r.u32()? },
         2 => RefinementOp::Park {
-            tuple: take_u32(bytes, pos)?,
-            lo: take_u64(bytes, pos)? as usize,
-            hi: take_u64(bytes, pos)? as usize,
+            tuple: r.u32()?,
+            lo: r.u64()? as usize,
+            hi: r.u64()? as usize,
         },
         3 => RefinementOp::Place {
-            tuple: take_u32(bytes, pos)?,
-            rank: take_u64(bytes, pos)? as usize,
+            tuple: r.u32()?,
+            rank: r.u64()? as usize,
         },
-        4 => RefinementOp::Solo {
-            tuple: take_u32(bytes, pos)?,
-        },
+        4 => RefinementOp::Solo { tuple: r.u32()? },
         5 => {
-            let cut = take_u64(bytes, pos)? as usize;
-            let left_label = take(bytes, pos, 1)?[0] != 0;
-            let n = take_u32(bytes, pos)? as usize;
-            if n > bytes.len().saturating_sub(*pos) / 5 {
-                return Err(DurableError::CorruptWal("refine output count lies"));
-            }
+            let cut = r.u64()? as usize;
+            let left_label = r.u8()? != 0;
+            let n = r.count(5)?;
             let mut outputs = Vec::with_capacity(n);
             for _ in 0..n {
-                let t = take_u32(bytes, pos)?;
-                let o = take(bytes, pos, 1)?[0] != 0;
-                outputs.push((t, o));
+                outputs.push((r.u32()?, r.u8()? != 0));
             }
             RefinementOp::Refine {
                 cut,
@@ -323,7 +283,7 @@ fn decode_op<P: WireCodec>(bytes: &[u8], pos: &mut usize) -> Result<RefinementOp
                 outputs,
             }
         }
-        _ => return Err(DurableError::CorruptWal("unknown op tag")),
+        _ => return Err("unknown op tag"),
     })
 }
 
@@ -355,33 +315,26 @@ pub(crate) fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
 /// [`DurableError::CorruptWal`] on any structural damage (these payloads sit
 /// behind a CRC, so damage here means corruption beyond bit-rot framing).
 pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, DurableError> {
-    let mut pos = 0usize;
-    let count = take_u32(bytes, &mut pos)? as usize;
-    // An Init entry is 13 bytes; every Op is at least 10. Bound by the
-    // smaller before allocating.
-    if count > bytes.len().saturating_sub(pos) / 10 + 1 {
-        return Err(DurableError::CorruptWal("entry count lies"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let kind = take(bytes, &mut pos, 1)?[0];
-        let attr = take_u32(bytes, &mut pos)?;
-        entries.push(match kind {
-            0 => TxnEntry::Init {
-                attr,
-                n: take_u64(bytes, &mut pos)?,
-            },
-            1 => TxnEntry::Op {
-                attr,
-                op: decode_op(bytes, &mut pos)?,
-            },
-            _ => return Err(DurableError::CorruptWal("unknown entry kind")),
-        });
-    }
-    if pos != bytes.len() {
-        return Err(DurableError::CorruptWal("trailing bytes in record"));
-    }
-    Ok(entries)
+    let decode = || -> Result<_, &'static str> {
+        let mut r = Reader::new(bytes);
+        // The smallest entry is an Op holding a Delete: 10 bytes.
+        let count = r.count(10)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (kind, attr) = (r.u8()?, r.u32()?);
+            entries.push(match kind {
+                0 => TxnEntry::Init { attr, n: r.u64()? },
+                1 => TxnEntry::Op {
+                    attr,
+                    op: decode_op(&mut r)?,
+                },
+                _ => return Err("unknown entry kind"),
+            });
+        }
+        r.finish()?;
+        Ok(entries)
+    };
+    decode().map_err(DurableError::CorruptWal)
 }
 
 // ---------------------------------------------------------------------------
@@ -399,47 +352,25 @@ pub(crate) type V1Checkpoint = (u64, Vec<(AttrId, Vec<u8>)>);
 pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
     bytes: &[u8],
 ) -> Result<V1Checkpoint, DurableError> {
-    let body_len = bytes
-        .len()
-        .checked_sub(4)
-        .ok_or(DurableError::CorruptCheckpoint("too short"))?;
-    let stored = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body_len]) != stored {
-        return Err(DurableError::CorruptCheckpoint("checksum mismatch"));
-    }
-    let bytes = &bytes[..body_len];
-    let mut pos = 0usize;
-    let fail = |_| DurableError::CorruptCheckpoint("truncated");
-    if take(bytes, &mut pos, 4).map_err(fail)? != CKPT_MAGIC {
-        return Err(DurableError::CorruptCheckpoint("bad magic"));
-    }
-    let version = u16::from_le_bytes(
-        take(bytes, &mut pos, 2)
-            .map_err(fail)?
-            .try_into()
-            .expect("2 bytes"),
-    );
-    if version != CKPT_VERSION {
-        return Err(DurableError::CorruptCheckpoint("unknown version"));
-    }
-    let epoch = take_u64(bytes, &mut pos).map_err(fail)?;
-    let n_attrs = take_u32(bytes, &mut pos).map_err(fail)? as usize;
-    if n_attrs > bytes.len().saturating_sub(pos) / 12 {
-        return Err(DurableError::CorruptCheckpoint("attr count lies"));
-    }
-    let mut kbs = Vec::with_capacity(n_attrs);
-    for _ in 0..n_attrs {
-        let attr = take_u32(bytes, &mut pos).map_err(fail)?;
-        let len = take_u64(bytes, &mut pos).map_err(fail)? as usize;
-        let snap = take(bytes, &mut pos, len).map_err(fail)?;
-        snapshot::load::<P>(snap)
-            .map_err(|_| DurableError::CorruptCheckpoint("embedded snapshot"))?;
-        kbs.push((attr, snap.to_vec()));
-    }
-    if pos != body_len {
-        return Err(DurableError::CorruptCheckpoint("trailing bytes"));
-    }
-    Ok((epoch, kbs))
+    let decode = || -> Result<_, &'static str> {
+        let (version, mut r) = unseal(bytes, CKPT_MAGIC)?;
+        if version != CKPT_VERSION {
+            return Err("unknown version");
+        }
+        let epoch = r.u64()?;
+        let n_attrs = r.count(12)?;
+        let mut kbs = Vec::with_capacity(n_attrs);
+        for _ in 0..n_attrs {
+            let attr = r.u32()?;
+            let len = r.count64(1)?;
+            let snap = r.bytes(len)?;
+            snapshot::load::<P>(snap).map_err(|_| "embedded snapshot")?;
+            kbs.push((attr, snap.to_vec()));
+        }
+        r.finish()?;
+        Ok((epoch, kbs))
+    };
+    decode().map_err(DurableError::CorruptCheckpoint)
 }
 
 // ---------------------------------------------------------------------------
@@ -496,22 +427,17 @@ fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
 /// partition from the segment set (migrating a v1 checkpoint first), open
 /// or create the manifest epoch's WAL, replay its committed transactions,
 /// validate every attribute, and drop stale-epoch logs. Returns the rebuilt
-/// engine (journaling armed), the live WAL, and what was found on disk.
+/// engine (journaling armed), the live WAL, the attributes the replayed
+/// tail touched (exactly their divergence from the stored segments), and
+/// what was found on disk.
 fn recover_dir<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
     config: EngineConfig,
     crash: &CrashInjector,
-) -> Result<(PrkbEngine<P>, Wal, RecoveryReport), DurableError> {
+) -> Result<(PrkbEngine<P>, Wal, BTreeSet<AttrId>, RecoveryReport), DurableError> {
     let started = Instant::now();
     fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-    // Leftover temp files are writes whose publishing rename never
-    // happened; they are dead weight.
-    remove_stale(fs.as_ref(), &dir.join(format!("{CHECKPOINT_FILE}.tmp")))?;
-    remove_stale(
-        fs.as_ref(),
-        &dir.join(format!("{SEGMENT_MANIFEST_FILE}.tmp")),
-    )?;
 
     let ckpt_path = dir.join(CHECKPOINT_FILE);
     if fs.exists(&ckpt_path) && !fs.exists(&dir.join(SEGMENT_MANIFEST_FILE)) {
@@ -549,12 +475,12 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         )
     };
     let records_replayed = payloads.len() as u64;
+    let mut dirty = BTreeSet::new();
     for payload in payloads {
         for entry in decode_txn::<P>(&payload)? {
+            dirty.insert(entry.attr());
             match entry {
                 TxnEntry::Init { attr, n } => engine.init_attr(attr, n as usize),
-                // `knowledge_mut` marks the partition dirty: the replayed
-                // tail is exactly its divergence from the stored version.
                 TxnEntry::Op { attr, op } => engine
                     .knowledge_mut(attr)
                     .ok_or(DurableError::CorruptWal("op for unknown attribute"))?
@@ -571,7 +497,7 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     }
 
     // One sweep for everything a crash inside a rotation leaves behind:
-    // segment temps whose publishing rename never happened, stale-epoch
+    // temp files whose publishing rename never happened, stale-epoch
     // logs (subsumed by the checkpoint) and — once a manifest has been
     // read — segment files it does not list (superseded, or published but
     // never swapped in). Enumeration and removal failures surface —
@@ -587,7 +513,7 @@ fn recover_dir<P: SpPredicate + WireCodec>(
             .and_then(|s| s.strip_suffix(".log"))
             .and_then(|s| s.parse::<u64>().ok());
         let unlisted = |id| listed.is_some_and(|live| !live.contains(&id));
-        if (name.starts_with("segment.") && name.ends_with(".seg.tmp"))
+        if name.ends_with(".tmp")
             || wal_epoch.is_some_and(|e| e != epoch)
             || parse_segment_name(name).is_some_and(unlisted)
         {
@@ -611,10 +537,10 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         epoch,
         segments_live,
     };
-    Ok((engine, wal, report))
+    Ok((engine, wal, dirty, report))
 }
 
-/// Checkpoint flush: writes the engine's dirtied partitions as one new
+/// Checkpoint flush: writes the `dirty` partitions of `engine` as one new
 /// segment — O(dirty) bytes, never O(KB); nothing dirty, no segment — and
 /// swaps in a manifest at `next_epoch` that lists it on top of the
 /// segments still holding the newest version of some other partition
@@ -624,13 +550,14 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
     engine: &PrkbEngine<P>,
+    dirty: &BTreeSet<AttrId>,
     next_epoch: u64,
     crash: &CrashInjector,
 ) -> Result<Vec<u64>, DurableError> {
     let store = SegmentStore::open(Arc::clone(fs), dir)?;
     let mut next_segment_id = store.as_ref().map_or(0, |s| s.manifest().next_segment_id);
     let mut blocks = Vec::new();
-    for attr in engine.dirty_attrs() {
+    for &attr in dirty {
         if let Some(kb) = engine.knowledge(attr) {
             blocks.push((attr, snapshot::save(kb)));
         }
@@ -688,6 +615,10 @@ struct CommitterState {
     epoch: u64,
     /// Encoded transaction payloads enqueued but not yet appended.
     pending: Vec<Vec<u8>>,
+    /// Attributes whose knowledge has diverged from the last segment flush
+    /// — a rotation's O(delta) working set: every attribute named by a
+    /// record enqueued, or replayed at recovery, since the last rotation.
+    dirty: BTreeSet<AttrId>,
     /// Next sequence number to hand out (1-based within the epoch).
     next_seq: u64,
     /// Highest sequence number known durable in the current epoch.
@@ -775,13 +706,14 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         crash: CrashInjector,
         fs: Arc<dyn StorageFs>,
     ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let (engine, wal, report) = recover_dir::<P>(&fs, dir, config, &crash)?;
+        let (engine, wal, dirty, report) = recover_dir::<P>(&fs, dir, config, &crash)?;
         let durable = wal.records();
         let committer = ShardCommitter {
             state: Mutex::new(CommitterState {
                 wal: Some(wal),
                 epoch: report.epoch,
                 pending: Vec::new(),
+                dirty,
                 next_seq: durable + 1,
                 durable_seq: durable,
                 poisoned: false,
@@ -827,13 +759,16 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         e
     }
 
-    /// Enqueues one encoded WAL transaction ([`encode_txn`]) for the next
-    /// group flush and returns its ack ticket. Cheap and non-blocking —
-    /// call it while still holding the shard's engine lock so the WAL
-    /// order matches the in-memory commit order, then redeem the ticket
-    /// with [`wait_durable`](Self::wait_durable) after releasing it.
-    fn enqueue(&self, payload: Vec<u8>) -> GroupCommitTicket {
+    /// Enqueues one WAL transaction for the next group flush, marks the
+    /// attributes it names dirty, and returns its ack ticket. Cheap and
+    /// non-blocking — call it while still holding the shard's engine lock
+    /// so the WAL order matches the in-memory commit order, then redeem
+    /// the ticket with [`wait_durable`](Self::wait_durable) after
+    /// releasing it.
+    fn enqueue(&self, entries: &[TxnEntry<P>]) -> GroupCommitTicket {
+        let payload = encode_txn(entries);
         let mut st = self.lock();
+        st.dirty.extend(entries.iter().map(TxnEntry::attr));
         let seq = st.next_seq;
         st.next_seq += 1;
         st.pending.push(payload);
@@ -857,7 +792,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             .into_iter()
             .map(|(attr, op)| TxnEntry::Op { attr, op })
             .collect();
-        self.enqueue(encode_txn(&entries))
+        self.enqueue(&entries)
     }
 
     /// `initPRKB` with its WAL record: initializes `attr` on `engine` and
@@ -871,7 +806,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         engine.init_attr(attr, n);
         // The fresh knowledge base starts with journaling off; re-arm it.
         engine.set_recording(true);
-        self.enqueue(encode_txn::<P>(&[TxnEntry::Init { attr, n: n as u64 }]))
+        self.enqueue(&[TxnEntry::Init { attr, n: n as u64 }])
     }
 
     /// Blocks until the ticket's record is fsync-durable. The calling
@@ -1009,8 +944,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// sequence, then retire the old log and the segments the swap
     /// dropped. The caller must hold the shard's engine lock and guarantee
     /// the shard is quiescent, so `engine` is exactly the state the
-    /// flushed WAL produced. (`&mut` because a successful rotation clears
-    /// the engine's dirty-partition set.) A crash at any boundary
+    /// flushed WAL produced. A crash at any boundary
     /// recovers: before the manifest swap the old segment set + WAL are
     /// intact; after it the new set subsumes the old WAL, and recovery
     /// sweeps whatever was not yet unlinked.
@@ -1018,11 +952,12 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// # Errors
     /// Storage failures poison the committer (disk keeps a consistent
     /// committed prefix; reopen to resume).
-    pub(crate) fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
+    pub(crate) fn checkpoint(&self, engine: &PrkbEngine<P>) -> Result<(), DurableError> {
         let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
         let rotated = (|| -> Result<(Wal, Vec<u64>), DurableError> {
-            let retired = flush_segments(&self.fs, &self.dir, engine, next, &self.crash)?;
+            let retired =
+                flush_segments(&self.fs, &self.dir, engine, &st.dirty, next, &self.crash)?;
             let new_wal = Wal::create_on(
                 self.fs.as_ref(),
                 &self.dir.join(wal_name(next)),
@@ -1044,7 +979,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         st.epoch = next;
         st.durable_seq = 0;
         st.next_seq = 1;
-        engine.clear_dirty();
+        st.dirty.clear();
         self.cv.notify_all();
         // The checkpoint at `next` is durable, so a stale WAL left on disk
         // is harmless — but a failing unlink of it signals a sick volume;
@@ -1082,52 +1017,22 @@ const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
 /// Manifest format version.
 const MANIFEST_VERSION: u16 = 1;
 
-fn write_manifest(fs: &dyn StorageFs, dir: &Path, shards: usize) -> Result<(), DurableError> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MANIFEST_MAGIC);
-    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    out.extend_from_slice(&(shards as u32).to_le_bytes());
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    fs.write(&tmp, &out).map_err(DurabilityError::Io)?;
-    let mut f = fs.open_file(&tmp).map_err(DurabilityError::Io)?;
-    f.sync_all().map_err(|e| {
-        DurabilityError::SyncFailed(format!("manifest sync_all on {}: {e}", tmp.display()))
-    })?;
-    drop(f);
-    fs.rename(&tmp, &dir.join(MANIFEST_FILE))
-        .map_err(DurabilityError::Io)?;
-    // Without the directory fsync the rename itself can be lost on crash,
-    // leaving a pool that silently re-partitions on reopen. Never swallow it.
-    fs.sync_dir(dir).map_err(|e| {
-        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
-    })?;
-    Ok(())
-}
-
 /// Validates raw manifest bytes: `"PSHD" | version u16 | shards u32 | crc32`.
 /// Shared by [`read_manifest`] and the scrubber.
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
-    if bytes.len() != 14 {
-        return Err(DurableError::CorruptManifest("bad length"));
-    }
-    let (body, crc_bytes) = bytes.split_at(10);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(DurableError::CorruptManifest("checksum mismatch"));
-    }
-    if &body[..4] != MANIFEST_MAGIC {
-        return Err(DurableError::CorruptManifest("bad magic"));
-    }
-    if u16::from_le_bytes(body[4..6].try_into().expect("2 bytes")) != MANIFEST_VERSION {
-        return Err(DurableError::CorruptManifest("unknown version"));
-    }
-    let shards = u32::from_le_bytes(body[6..10].try_into().expect("4 bytes")) as usize;
-    if shards == 0 {
-        return Err(DurableError::CorruptManifest("zero shards"));
-    }
-    Ok(shards)
+    let decode = || -> Result<_, &'static str> {
+        let (version, mut r) = unseal(bytes, MANIFEST_MAGIC)?;
+        if version != MANIFEST_VERSION {
+            return Err("unknown version");
+        }
+        let shards = r.u32()? as usize;
+        r.finish()?;
+        if shards == 0 {
+            return Err("zero shards");
+        }
+        Ok(shards)
+    };
+    decode().map_err(DurableError::CorruptManifest)
 }
 
 fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, DurableError> {
@@ -1182,9 +1087,9 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     }
 
     /// [`open`](Self::open) with an explicit crash-injection schedule and
-    /// storage backend — the hooks the crash sweeps (which arm the schedule
-    /// from `PRKB_CRASH_POINT` themselves) and the seeded I/O fault sweeps
-    /// (a [`crate::storage::FaultFs`] in place of the real filesystem) use.
+    /// storage backend — the hooks the crash sweeps and the seeded I/O
+    /// fault sweeps (a [`crate::storage::FaultFs`] in place of the real
+    /// filesystem) use.
     pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
@@ -1197,7 +1102,14 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         let map = match read_manifest(fs.as_ref(), dir)? {
             Some(shards) => ShardMap::new(shards),
             None => {
-                write_manifest(fs.as_ref(), dir, requested.shards())?;
+                // Without it a reopen silently re-partitions.
+                let image = seal(
+                    MANIFEST_MAGIC,
+                    MANIFEST_VERSION,
+                    &(requested.shards() as u32).to_le_bytes(),
+                );
+                let no_hooks = PublishHooks::default();
+                publish(fs.as_ref(), dir, MANIFEST_FILE, &image, &crash, no_hooks)?;
                 requested
             }
         };
@@ -1213,6 +1125,10 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
             shards.push((engine, committer));
             reports.push(report);
         }
+        // The opens above may have created `shard.<i>/`: make those
+        // directory entries durable before any commit is acknowledged
+        // into a WAL beneath them.
+        sync_dir(fs.as_ref(), dir)?;
         Ok(ShardedDurablePool {
             dir: dir.to_path_buf(),
             fs,

@@ -15,7 +15,7 @@ use crate::selection::Selection;
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -100,11 +100,6 @@ fn or_panic<T>(result: Result<T, QueryError>) -> T {
 #[derive(Debug)]
 pub struct PrkbEngine<P> {
     kbs: HashMap<AttrId, Knowledge<P>>,
-    /// Attributes whose in-memory knowledge may have diverged from the
-    /// last segment flush — a checkpoint's O(delta) working set.
-    /// Maintained unconditionally (a `BTreeSet` insert per mutation
-    /// batch); only the durability layer reads it.
-    dirty: BTreeSet<AttrId>,
     /// Engine configuration (mutable between queries).
     pub config: EngineConfig,
 }
@@ -114,7 +109,6 @@ impl<P: SpPredicate> PrkbEngine<P> {
     pub fn new(config: EngineConfig) -> Self {
         PrkbEngine {
             kbs: HashMap::new(),
-            dirty: BTreeSet::new(),
             config,
         }
     }
@@ -123,7 +117,6 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// per attribute, right after the encrypted table is uploaded.
     pub fn init_attr(&mut self, attr: AttrId, n: usize) {
         self.kbs.insert(attr, Knowledge::init(n));
-        self.dirty.insert(attr);
     }
 
     /// The knowledge base for `attr`, if initialized.
@@ -450,11 +443,6 @@ impl<P: SpPredicate> PrkbEngine<P> {
         for attr in wanted {
             let kb = self.kbs.remove(&attr).expect("checked above");
             sub.kbs.insert(attr, kb);
-            // Carry the attr's dirty flag with its knowledge so neither
-            // engine over- or under-reports while the checkout is live.
-            if self.dirty.remove(&attr) {
-                sub.dirty.insert(attr);
-            }
         }
         Ok(sub)
     }
@@ -463,10 +451,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// [`detach_attrs`](Self::detach_attrs)) back into this engine,
     /// replacing any same-named attribute wholesale.
     pub(crate) fn attach(&mut self, sub: PrkbEngine<P>) {
-        self.dirty.extend(sub.dirty.iter().copied());
-        for (attr, kb) in sub.kbs {
-            self.kbs.insert(attr, kb);
-        }
+        self.kbs.extend(sub.kbs);
     }
 
     /// Routes a freshly inserted tuple into every indexed attribute
@@ -528,9 +513,8 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
     /// Removes a deleted tuple from every indexed attribute (paper §7.2).
     pub fn delete(&mut self, t: TupleId) {
-        for (attr, kb) in &mut self.kbs {
+        for kb in self.kbs.values_mut() {
             kb.delete(t);
-            self.dirty.insert(*attr);
         }
     }
 
@@ -554,42 +538,20 @@ impl<P: SpPredicate> PrkbEngine<P> {
         let mut out = Vec::new();
         for attr in attrs {
             let kb = self.kbs.get_mut(&attr).expect("attr enumerated above");
-            let ops = kb.take_ops();
-            if !ops.is_empty() {
-                self.dirty.insert(attr);
-            }
-            out.extend(ops.into_iter().map(|op| (attr, op)));
+            out.extend(kb.take_ops().into_iter().map(|op| (attr, op)));
         }
         out
     }
 
     /// Mutable knowledge access for the durability layer's replay path.
-    /// Marks the attribute dirty: replayed WAL-tail ops are exactly the
-    /// divergence from the last segment flush.
     pub(crate) fn knowledge_mut(&mut self, attr: AttrId) -> Option<&mut Knowledge<P>> {
-        let kb = self.kbs.get_mut(&attr);
-        if kb.is_some() {
-            self.dirty.insert(attr);
-        }
-        kb
+        self.kbs.get_mut(&attr)
     }
 
-    /// Installs a knowledge base restored from a checkpoint or segment.
-    /// Does *not* mark the attribute dirty — the restored state matches
-    /// what storage already holds.
+    /// Installs a knowledge base restored from a segment (or rolled back
+    /// to by an aborted multi-part selection).
     pub(crate) fn restore_attr(&mut self, attr: AttrId, kb: Knowledge<P>) {
         self.kbs.insert(attr, kb);
-    }
-
-    /// Attributes whose knowledge may have diverged from the last segment
-    /// flush, sorted. A checkpoint writes exactly these.
-    pub(crate) fn dirty_attrs(&self) -> Vec<AttrId> {
-        self.dirty.iter().copied().collect()
-    }
-
-    /// Clears the dirty set after a successful segment flush.
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
     }
 
     /// Total index storage across attributes (Table 3 accounting).

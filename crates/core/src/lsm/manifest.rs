@@ -24,7 +24,8 @@
 
 use std::path::Path;
 
-use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError};
+use prkb_edbms::codec::{publish, seal, unseal, PublishHooks};
+use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError};
 use prkb_edbms::StorageFs;
 
 use crate::durability::DurableError;
@@ -60,18 +61,14 @@ impl SegmentManifest {
 
     /// Serializes the manifest (CRC-trailed).
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(26 + self.segments.len() * 8 + 4);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.next_segment_id.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        let mut body = Vec::with_capacity(20 + self.segments.len() * 8);
+        body.extend_from_slice(&self.epoch.to_le_bytes());
+        body.extend_from_slice(&self.next_segment_id.to_le_bytes());
+        body.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for id in &self.segments {
-            out.extend_from_slice(&id.to_le_bytes());
+            body.extend_from_slice(&id.to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        seal(MANIFEST_MAGIC, MANIFEST_VERSION, &body)
     }
 
     /// Parses and validates an [`encode`](Self::encode) image.
@@ -80,45 +77,32 @@ impl SegmentManifest {
     /// [`DurableError::CorruptSegment`] describing the first failed check —
     /// the manifest is swapped atomically, so damage here is real.
     pub(crate) fn decode(bytes: &[u8]) -> Result<SegmentManifest, DurableError> {
-        if bytes.len() < 30 {
-            return Err(DurableError::CorruptSegment("manifest truncated"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(DurableError::CorruptSegment("manifest checksum mismatch"));
-        }
-        if &body[0..4] != MANIFEST_MAGIC {
-            return Err(DurableError::CorruptSegment("manifest bad magic"));
-        }
-        if u16::from_le_bytes(body[4..6].try_into().expect("2 bytes")) != MANIFEST_VERSION {
-            return Err(DurableError::CorruptSegment("manifest unknown version"));
-        }
-        let epoch = u64::from_le_bytes(body[6..14].try_into().expect("8 bytes"));
-        let next_segment_id = u64::from_le_bytes(body[14..22].try_into().expect("8 bytes"));
-        let n = u32::from_le_bytes(body[22..26].try_into().expect("4 bytes")) as usize;
-        if body.len() != 26 + n * 8 {
-            return Err(DurableError::CorruptSegment("manifest length mismatch"));
-        }
-        let mut segments = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 26 + i * 8;
-            let id = u64::from_le_bytes(body[off..off + 8].try_into().expect("8 bytes"));
-            if id >= next_segment_id {
-                return Err(DurableError::CorruptSegment(
-                    "manifest references unallocated id",
-                ));
+        let decode = || -> Result<_, &'static str> {
+            let (version, mut r) = unseal(bytes, MANIFEST_MAGIC)?;
+            if version != MANIFEST_VERSION {
+                return Err("manifest unknown version");
             }
-            if segments.contains(&id) {
-                return Err(DurableError::CorruptSegment("manifest duplicate segment"));
+            let (epoch, next_segment_id) = (r.u64()?, r.u64()?);
+            let n = r.count(8)?;
+            let mut segments = Vec::with_capacity(n);
+            for _ in 0..n {
+                let id = r.u64()?;
+                if id >= next_segment_id {
+                    return Err("manifest references unallocated id");
+                }
+                if segments.contains(&id) {
+                    return Err("manifest duplicate segment");
+                }
+                segments.push(id);
             }
-            segments.push(id);
-        }
-        Ok(SegmentManifest {
-            epoch,
-            next_segment_id,
-            segments,
-        })
+            r.finish()?;
+            Ok(SegmentManifest {
+                epoch,
+                next_segment_id,
+                segments,
+            })
+        };
+        decode().map_err(DurableError::CorruptSegment)
     }
 }
 
@@ -138,22 +122,13 @@ pub(crate) fn write_segment_manifest(
     manifest: &SegmentManifest,
     crash: &CrashInjector,
 ) -> Result<(), DurabilityError> {
+    let hooks = PublishHooks {
+        after_sync: Some(CrashPoint::BeforeManifestSwap),
+        after_rename: Some(CrashPoint::AfterManifestSwap),
+        ..PublishHooks::default()
+    };
     let image = manifest.encode();
-    let tmp = dir.join(format!("{SEGMENT_MANIFEST_FILE}.tmp"));
-    let dst = dir.join(SEGMENT_MANIFEST_FILE);
-    let mut file = fs.create_file(&tmp)?;
-    file.write_all(&image)?;
-    file.sync_all().map_err(|e| {
-        DurabilityError::SyncFailed(format!("manifest sync_all on {}: {e}", tmp.display()))
-    })?;
-    drop(file);
-    crash.fire(CrashPoint::BeforeManifestSwap)?;
-    fs.rename(&tmp, &dst)?;
-    crash.fire(CrashPoint::AfterManifestSwap)?;
-    fs.sync_dir(dir).map_err(|e| {
-        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
-    })?;
-    Ok(())
+    publish(fs, dir, SEGMENT_MANIFEST_FILE, &image, crash, hooks)
 }
 
 /// Reads the manifest from `dir`, `None` if the directory has none (a
@@ -197,20 +172,6 @@ mod tests {
 
     #[test]
     fn decode_rejects_damage() {
-        let m = SegmentManifest {
-            epoch: 1,
-            next_segment_id: 2,
-            segments: vec![0, 1],
-        };
-        let good = m.encode();
-        // Bit flip anywhere breaks the CRC.
-        for i in 0..good.len() - 4 {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(SegmentManifest::decode(&bad).is_err(), "flip at {i}");
-        }
-        // Truncation.
-        assert!(SegmentManifest::decode(&good[..good.len() - 1]).is_err());
         assert!(SegmentManifest::decode(&[]).is_err());
         // Unallocated id (id >= next_segment_id) with a fixed-up CRC.
         let bad = SegmentManifest {

@@ -18,7 +18,7 @@
 //!   segments a rotation keeps.
 //!
 //! Checkpointing is *flush only the partitions dirtied since the last
-//! flush* (O(delta): the engine keeps a dirty-attribute set) and list, in the
+//! flush* (O(delta): the committer keeps a dirty-attribute set) and list, in the
 //! swapped manifest, only the segments that are still the newest holder of
 //! some partition; the rest are unlinked once the rotation is durable. The
 //! live set therefore never exceeds the directory's attribute count and no

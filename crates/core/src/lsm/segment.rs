@@ -31,6 +31,7 @@
 
 use std::path::{Path, PathBuf};
 
+use prkb_edbms::codec::{publish, PublishHooks, Reader};
 use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError};
 use prkb_edbms::{AttrId, StorageFs};
 
@@ -172,31 +173,14 @@ pub(crate) fn write_segment(
     blocks: &[(AttrId, Vec<u8>)],
     crash: &CrashInjector,
 ) -> Result<u64, DurabilityError> {
+    let hooks = PublishHooks {
+        before_write: Some(CrashPoint::BeforeSegmentWrite),
+        mid_write: Some(CrashPoint::MidSegmentWrite),
+        after_sync: Some(CrashPoint::AfterSegmentSync),
+        after_rename: Some(CrashPoint::AfterSegmentRename),
+    };
     let image = encode_segment(id, blocks);
-    let final_name = segment_file_name(id);
-    let tmp = dir.join(format!("{final_name}.tmp"));
-    let dst = dir.join(&final_name);
-    crash.fire(CrashPoint::BeforeSegmentWrite)?;
-    let mut file = fs.create_file(&tmp)?;
-    if let Err(e) = crash.fire(CrashPoint::MidSegmentWrite) {
-        // Torn write: a strict prefix of the image reaches the disk before
-        // the process dies.
-        let torn = (image.len() / 2).min(image.len().saturating_sub(1));
-        file.write_all(&image[..torn])?;
-        file.sync_all()?;
-        return Err(e);
-    }
-    file.write_all(&image)?;
-    file.sync_all().map_err(|e| {
-        DurabilityError::SyncFailed(format!("segment sync_all on {}: {e}", tmp.display()))
-    })?;
-    drop(file);
-    crash.fire(CrashPoint::AfterSegmentSync)?;
-    fs.rename(&tmp, &dst)?;
-    crash.fire(CrashPoint::AfterSegmentRename)?;
-    fs.sync_dir(dir).map_err(|e| {
-        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
-    })?;
+    publish(fs, dir, &segment_file_name(id), &image, crash, hooks)?;
     Ok(image.len() as u64)
 }
 
@@ -221,30 +205,34 @@ struct Footer {
 /// — the one framing parser behind [`SegmentMeta::open`] and
 /// [`validate_segment_bytes`]. The version is checked before any extent.
 fn parse_footer(header: &[u8], footer: &[u8], file_len: u64) -> Result<Footer, &'static str> {
-    if &header[0..4] != SEG_MAGIC {
+    let mut h = Reader::new(header);
+    if h.bytes(4)? != SEG_MAGIC {
         return Err("bad header magic");
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().expect("2 bytes"));
+    let version = h.u16()?;
     if version != SEGMENT_VERSION && version != SEGMENT_VERSION_V1 {
         return Err("unknown version");
     }
-    if &footer[44..48] != SEG_TRAILER {
+    let (_reserved, id) = (h.u16()?, h.u64()?);
+    let mut r = Reader::new(footer);
+    let fields = r.bytes(FOOTER_LEN as usize - 8)?;
+    let (footer_crc, trailer) = (r.u32()?, r.bytes(4)?);
+    if trailer != SEG_TRAILER {
         return Err("missing trailer magic");
     }
-    if crc32(&footer[..40]) != u32::from_le_bytes(footer[40..44].try_into().expect("4 bytes")) {
+    if crc32(fields) != footer_crc {
         return Err("footer checksum mismatch");
     }
-    let u64_at = |at: usize| u64::from_le_bytes(footer[at..at + 8].try_into().expect("8 bytes"));
-    let u32_at = |at: usize| u32::from_le_bytes(footer[at..at + 4].try_into().expect("4 bytes"));
+    let mut r = Reader::new(fields);
     let f = Footer {
         version,
-        id: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
-        index_off: u64_at(0),
-        index_len: u64_at(8),
-        index_crc: u32_at(16),
-        aux_off: u64_at(20),
-        aux_len: u64_at(28),
-        aux_crc: u32_at(36),
+        id,
+        index_off: r.u64()?,
+        index_len: r.u64()?,
+        index_crc: r.u32()?,
+        aux_off: r.u64()?,
+        aux_len: r.u64()?,
+        aux_crc: r.u32()?,
     };
     if f.index_off < HEADER_LEN
         || f.index_off.checked_add(f.index_len) != Some(f.aux_off)
@@ -325,20 +313,15 @@ impl SegmentMeta {
 /// Decodes and validates an index block (offsets must be sorted by attr,
 /// in-bounds, and non-overlapping with the framing).
 fn decode_index(bytes: &[u8], index_off: u64) -> Result<Vec<BlockEntry>, &'static str> {
-    if bytes.len() < 4 {
-        return Err("index block truncated");
-    }
-    let n = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    if bytes.len() != 4 + n * INDEX_ENTRY_LEN {
-        return Err("index length mismatch");
-    }
+    let mut r = Reader::new(bytes);
+    let n = r.count(INDEX_ENTRY_LEN)?;
     let mut index: Vec<BlockEntry> = Vec::with_capacity(n);
-    for e in bytes[4..].chunks_exact(INDEX_ENTRY_LEN) {
+    for _ in 0..n {
         let entry = BlockEntry {
-            attr: u32::from_le_bytes(e[0..4].try_into().expect("4 bytes")),
-            offset: u64::from_le_bytes(e[4..12].try_into().expect("8 bytes")),
-            len: u64::from_le_bytes(e[12..20].try_into().expect("8 bytes")),
-            crc: u32::from_le_bytes(e[20..24].try_into().expect("4 bytes")),
+            attr: r.u32()?,
+            offset: r.u64()?,
+            len: r.u64()?,
+            crc: r.u32()?,
         };
         if entry.offset < HEADER_LEN
             || entry
@@ -353,6 +336,7 @@ fn decode_index(bytes: &[u8], index_off: u64) -> Result<Vec<BlockEntry>, &'stati
         }
         index.push(entry);
     }
+    r.finish()?;
     Ok(index)
 }
 

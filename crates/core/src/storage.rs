@@ -1,8 +1,7 @@
 //! Deterministic storage-fault injection over the [`StorageFs`] substrate.
 //!
 //! [`FaultFs`] wraps any inner filesystem and fails chosen operations with
-//! EIO, ENOSPC, or a short write — deterministically, from a seed
-//! (`PRKB_IO_FAULT_SEED`, mirroring `PRKB_NET_FAULT_SEED` one layer up) or
+//! EIO, ENOSPC, or a short write — deterministically, from a seed or
 //! from a scripted list of [`IoFaultRule`]s. The durability layer never
 //! knows it is being lied to; the storage-fault test suite
 //! (`crates/core/tests/storage_faults.rs`) proves that every injected
@@ -10,9 +9,8 @@
 //! recoverable or a poisoned handle — never a lost durable ack.
 //!
 //! Like `ChaosConfig` and `CrashInjector`, a `FaultFs` is consumed
-//! *explicitly* by tests (passed to `open_with_storage`); the environment
-//! variable only parameterizes tests that opt in via
-//! [`FaultFs::from_env`] — production opens are never silently armed.
+//! *explicitly* by tests (passed to `open_with_storage`) — production
+//! opens are never silently armed.
 //!
 //! Schedule format (one rule): *match* = (`op` or any) ∧ (`path_contains`
 //! or any); the rule fires on the `nth` (1-based) matching operation, and —
@@ -205,8 +203,8 @@ impl FaultFs {
     }
 
     /// A one-shot seeded fault: fails the Nth storage operation overall
-    /// (N ∈ [1, 48]) with a seed-chosen kind. Same seed ⇒ same schedule,
-    /// which is what the CI `storage-faults` sweep fans out over.
+    /// (N ∈ [1, 48]) with a seed-chosen kind. Same seed ⇒ same schedule;
+    /// the storage-fault sweeps loop over seeds.
     pub fn seeded(inner: Arc<dyn StorageFs>, seed: u64) -> Self {
         let nth = 1 + mix(seed) % 48;
         let kind = match mix(seed ^ 0x0010_57FA_u64) % 3 {
@@ -215,16 +213,6 @@ impl FaultFs {
             _ => IoFaultKind::ShortWrite,
         };
         Self::scripted(inner, vec![IoFaultRule::nth_any(nth, kind)])
-    }
-
-    /// Reads `PRKB_IO_FAULT_SEED`; unset ⇒ `None`. Tests (and only tests)
-    /// call this to opt in to the CI fault sweep.
-    ///
-    /// # Panics
-    /// Panics when the variable is set but is not a `u64` (see
-    /// [`prkb_edbms::env_knob`]).
-    pub fn from_env(inner: Arc<dyn StorageFs>) -> Option<Self> {
-        prkb_edbms::env_knob("PRKB_IO_FAULT_SEED").map(|seed| Self::seeded(inner, seed))
     }
 
     /// Faults injected so far (all rules, all clones).
@@ -431,12 +419,5 @@ mod tests {
         drop(f);
         assert_eq!(std::fs::read(&p).expect("read").len(), 5, "half landed");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn env_parsing_is_optional() {
-        // Seed parsing is exercised via `seeded`; from_env only reads the
-        // variable when a test opts in, so here just the grammar check.
-        assert!("17".trim().parse::<u64>().is_ok());
     }
 }

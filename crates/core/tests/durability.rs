@@ -325,28 +325,29 @@ proptest! {
     }
 }
 
-/// CI hook (satellite): `PRKB_CRASH_POINT=<name>[:nth]` arms the injector
-/// exactly like production would; the workload must crash-recover (or run
-/// clean when unset) under every point the CI matrix sweeps.
+/// Every hook, early and late (`CrashPoint::ALL × {1, 5}`), on a pool that
+/// rotates every six records: the workload crash-recovers, or runs clean
+/// where the hook's fifth occurrence never comes.
 #[test]
 fn env_driven_crash_point_recovers() {
-    let injector = CrashInjector::from_env();
-    let armed = injector.is_armed();
-    let dir = TmpDir::new("env");
-    let config = rotate_every(6);
-    let run = drive(&dir, 7, config, injector);
-    let (recovered, _, _) = recover(&dir, config);
-    if run.crashed {
-        assert!(
-            recovered == run.acked || recovered == run.live,
-            "recovered state diverged under env-armed crash injection"
-        );
-    } else {
-        assert_eq!(recovered, run.live, "clean run must recover final state");
-        assert!(
-            !armed || run.crashed || recovered == run.live,
-            "armed injector that never fires must still recover cleanly"
-        );
+    for point in CrashPoint::ALL {
+        for nth in [1u64, 5] {
+            let dir = TmpDir::new("hooks");
+            let config = rotate_every(6);
+            let run = drive(&dir, 7, config, CrashInjector::at_nth(point, nth));
+            let (recovered, _, _) = recover(&dir, config);
+            if run.crashed {
+                assert!(
+                    recovered == run.acked || recovered == run.live,
+                    "{point}:{nth}: recovered state diverged under crash injection"
+                );
+            } else {
+                assert_eq!(
+                    recovered, run.live,
+                    "{point}:{nth}: clean run must recover final state"
+                );
+            }
+        }
     }
 }
 

@@ -105,17 +105,21 @@ fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
     }
 }
 
-/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
-/// production would, `PRKB_SHARDS` sizes the pool.
+/// Every hook, early and late (`CrashPoint::ALL × {1, 5}`), on a pool
+/// sized by `PRKB_SHARDS` (CI fans it over 1 and 8) that rotates every five
+/// records.
 #[test]
 fn env_driven_sharded_crash_recovers() {
-    let injector = CrashInjector::from_env();
     let shards = shards_from_env(4);
-    let dir = TmpDir::new("env");
-    let config = rotate_every(5);
-    let run = drive_pool(&dir, config, injector, shards);
-    let recovered = recover_pool(&dir, config, shards);
-    assert_recovered(&run, &recovered, "env");
+    for point in CrashPoint::ALL {
+        for nth in [1u64, 5] {
+            let dir = TmpDir::new("hooks");
+            let config = rotate_every(5);
+            let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
+            let recovered = recover_pool(&dir, config, shards);
+            assert_recovered(&run, &recovered, &format!("{shards} shards, {point}:{nth}"));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

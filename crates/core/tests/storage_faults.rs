@@ -31,6 +31,7 @@ use common::{
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
 use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
+use prkb_edbms::codec::seal;
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
@@ -105,6 +106,19 @@ fn no_stray_tmp(dir: &Path) {
     }
 }
 
+/// A disk that fails the `nth` operation of class `op` on a path containing
+/// `path_contains` — once, with EIO.
+fn eio_on(op: IoOp, path_contains: Option<&str>, nth: u64) -> FaultFs {
+    let rule = IoFaultRule {
+        op: Some(op),
+        path_contains: path_contains.map(String::from),
+        nth,
+        kind: IoFaultKind::Eio,
+        sticky: false,
+    };
+    FaultFs::scripted(real_fs(), vec![rule])
+}
+
 // ---------------------------------------------------------------------------
 // 1. Seeded fault sweep: engine path
 // ---------------------------------------------------------------------------
@@ -171,22 +185,15 @@ fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
     }
 }
 
-/// CI hook: `PRKB_IO_FAULT_SEED=<n>` arms the injector exactly like the
-/// seeded sweep; unset, the run is clean and the recovery assertion still
-/// pins replay equivalence.
+/// The sweep's workload over a healthy disk: nothing fails, and the
+/// recovery assertion pins plain replay equivalence.
 #[test]
 fn env_driven_storage_fault_recovers() {
     let shards = shards_from_env(2);
-    let dir = TmpDir::new("env");
-    let fs: Arc<dyn StorageFs> = match FaultFs::from_env(real_fs()) {
-        Some(faults) => faults.handle(),
-        None => real_fs(),
-    };
-    let run = drive_pool(&dir.0, fs, shards);
-    let recovered = recover_pool(&dir.0, shards);
-    if let Some(run) = run {
-        assert_recovered(&run, &recovered, "env");
-    }
+    let dir = TmpDir::new("clean");
+    let run = drive_pool(&dir.0, real_fs(), shards).expect("a healthy disk opens");
+    assert!(!run.failed, "nothing was injected");
+    assert_recovered(&run, &recover_pool(&dir.0, shards), "clean run");
     no_stray_tmp(&dir.0);
 }
 
@@ -206,16 +213,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
     let dir = TmpDir::new("sync-poison");
     let oracle = oracle();
     // Let engine creation and init through, then fail the WAL's data sync.
-    let faults = FaultFs::scripted(
-        real_fs(),
-        vec![IoFaultRule {
-            op: Some(IoOp::SyncData),
-            path_contains: None,
-            nth: u64::from(ATTRS) + 1,
-            kind: IoFaultKind::Eio,
-            sticky: false,
-        }],
-    );
+    let faults = eio_on(IoOp::SyncData, None, u64::from(ATTRS) + 1);
     // Inits precede the armed sync.
     let durable = create(
         &dir.0,
@@ -333,35 +331,57 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     no_stray_tmp(&dir.0);
 }
 
-/// The pool manifest is published like every other durable file: a failed
-/// barrier is `SyncFailed` (the disk lied), not a plain I/O error.
+/// Every barrier of a pool creation is load-bearing, and a failed one is
+/// `SyncFailed` (the disk lied), not a plain I/O error: the manifest's
+/// temp-file fsync, then four directory fsyncs — the pool's for the
+/// manifest rename, each shard's for its fresh `wal.0.log`, the pool's
+/// again for the `shard.<i>/` entries. There is no fifth.
 #[test]
 fn failed_pool_manifest_sync_is_sync_failed() {
-    for (op, path) in [
-        (IoOp::SyncAll, Some("manifest.bin.tmp".to_string())),
-        (IoOp::SyncDir, None),
-    ] {
+    let barriers = [(IoOp::SyncAll, Some("manifest.bin.tmp"), 1)]
+        .into_iter()
+        .chain((1..=5).map(|nth| (IoOp::SyncDir, None, nth)));
+    for (op, path, nth) in barriers {
         let dir = TmpDir::new("manifest-sync");
-        let faults = FaultFs::scripted(
-            real_fs(),
-            vec![IoFaultRule {
-                op: Some(op),
-                path_contains: path,
-                nth: 1,
-                kind: IoFaultKind::Eio,
-                sticky: false,
-            }],
-        );
-        // The armed manifest barrier must fail pool creation.
+        let faults = eio_on(op, path, nth);
+        let config = EngineConfig::default();
         let created = open_pool(
             &dir.0,
-            EngineConfig::default(),
+            config,
             2,
             CrashInjector::disabled(),
             faults.handle(),
         );
-        assert!(is_sync_failed(&created), "{op:?}: got {:?}", created.err());
+        if nth == 5 {
+            created.expect("a two-shard creation fsyncs four directories");
+        } else {
+            assert!(
+                is_sync_failed(&created),
+                "{op:?} {nth}: {:?}",
+                created.err()
+            );
+        }
     }
+}
+
+/// A rotation's fresh WAL has a durable directory entry before any commit
+/// is acknowledged into it: a failed directory fsync poisons the rotation.
+#[test]
+fn failed_wal_directory_fsync_poisons_the_rotation() {
+    let dir = TmpDir::new("dir-sync-rotate");
+    let oracle = oracle();
+    let config = rotate_every(0);
+    // Under shard.0: one fsync for the open's `wal.0.log`, then the
+    // rotation's for the segment, the manifest swap and `wal.1.log`.
+    let faults = eio_on(IoOp::SyncDir, Some("shard.0"), 4);
+    let durable = create(&dir.0, config, CrashInjector::disabled(), faults.handle());
+    select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(2));
+    let acked = durable.inspect(kb_bytes);
+    let rotated = durable.checkpoint();
+    assert!(is_sync_failed(&rotated), "got {:?}", rotated.err());
+    assert!(is_sync_failed(&durable.delete(0, None)), "poisoned");
+    drop(durable);
+    assert_eq!(recover_engine(&dir.0, config), acked);
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +542,34 @@ fn scrub_classifies_v1_checkpoint_rot() {
     try_open(&dir).expect("quarantine unblocks reopen");
 }
 
+/// A v1 checkpoint whose checksum verifies but whose embedded snapshot
+/// length lies is corruption in both build profiles: the dev profile used
+/// to panic on the offset add, release wrapped it.
+#[test]
+fn hostile_v1_checkpoint_length_is_corruption_not_a_panic() {
+    let dir = TmpDir::new("ckpt-hostile");
+    let shard = dir.shard(0);
+    std::fs::create_dir_all(&shard).expect("shard dir");
+    // epoch 0 | one attribute | attr 0 | snapshot length u64::MAX
+    let mut body = 0u64.to_le_bytes().to_vec();
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.extend_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(shard.join("checkpoint.bin"), seal(b"PCKP", 1, &body)).expect("write");
+
+    let err = try_open(&dir).expect_err("a lying checkpoint must refuse to migrate");
+    assert!(
+        matches!(err, DurableError::CorruptCheckpoint(_)),
+        "got {err:?}"
+    );
+    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, false);
+    let rot = report
+        .findings
+        .iter()
+        .filter(|f| f.damage == ScrubDamage::CheckpointRot);
+    assert_eq!(rot.count(), 1, "{}", report.to_json());
+}
+
 /// A fresh pool of `shards` shards with every attribute initialized.
 fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
     let mut pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("create");
@@ -648,16 +696,8 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
     let inits_on_poisoned = (0..ATTRS)
         .filter(|&a| map.shard_of(a) == poisoned_sid)
         .count() as u64;
-    let faults = FaultFs::scripted(
-        real_fs(),
-        vec![IoFaultRule {
-            op: Some(IoOp::SyncData),
-            path_contains: Some(format!("shard.{poisoned_sid}/")),
-            nth: inits_on_poisoned + 1,
-            kind: IoFaultKind::Eio,
-            sticky: false,
-        }],
-    );
+    let doomed = format!("shard.{poisoned_sid}/");
+    let faults = eio_on(IoOp::SyncData, Some(&doomed), inits_on_poisoned + 1);
     let mut pool = open_pool(
         &dir.0,
         EngineConfig::default(),

@@ -16,9 +16,8 @@
 //!   or tampering; a hard error, the log refuses to open).
 //! * [`CrashInjector`] — simulated process death at every write / fsync /
 //!   rename boundary ([`CrashPoint`]), including torn writes (a partial
-//!   record reaches the disk before the "crash"). Deterministic and
-//!   env-drivable via `PRKB_CRASH_POINT`, which is what the CI crash-sweep
-//!   job uses.
+//!   record reaches the disk before the "crash"). Deterministic: the
+//!   crash sweeps arm one `(point, nth)` per case.
 //!
 //! Checkpoints themselves (immutable segment files behind an atomically
 //! swapped manifest) live in `prkb-core::lsm`; they fire the segment and
@@ -29,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::codec::sync_dir;
 use crate::storage::{StorageFile, StorageFs};
 
 /// WAL file magic.
@@ -250,7 +250,7 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// Every hook point, in pipeline order — the sweep the CI job and the
+    /// Every hook point, in pipeline order — what the crash sweeps and the
     /// replay-equivalence proptest iterate over.
     pub const ALL: [CrashPoint; 14] = [
         CrashPoint::BeforeWalAppend,
@@ -281,7 +281,7 @@ impl CrashPoint {
         CrashPoint::AfterSegmentRetire,
     ];
 
-    /// Stable lowercase name, as accepted by `PRKB_CRASH_POINT`.
+    /// Stable lowercase name (what [`Display`](fmt::Display) prints).
     pub fn name(self) -> &'static str {
         match self {
             CrashPoint::BeforeWalAppend => "before_wal_append",
@@ -299,11 +299,6 @@ impl CrashPoint {
             CrashPoint::AfterManifestSwap => "after_manifest_swap",
             CrashPoint::AfterSegmentRetire => "after_segment_retire",
         }
-    }
-
-    /// Parses a point name (as produced by [`name`](Self::name)).
-    pub fn parse(s: &str) -> Option<CrashPoint> {
-        CrashPoint::ALL.into_iter().find(|p| p.name() == s.trim())
     }
 }
 
@@ -413,41 +408,6 @@ impl CrashInjector {
         }
     }
 
-    /// Reads `PRKB_CRASH_POINT` (`<name>` or `<name>:<nth>`), the hook the
-    /// CI crash-sweep job sets. Unset ⇒ disabled.
-    ///
-    /// # Panics
-    /// Panics when the variable is set but names no [`CrashPoint`] or
-    /// carries an unparsable `nth`: a misspelt sweep entry must not pass as
-    /// a run with injection off.
-    pub fn from_env() -> Self {
-        match std::env::var("PRKB_CRASH_POINT") {
-            Err(std::env::VarError::NotPresent) => Self::disabled(),
-            Err(e) => panic!("PRKB_CRASH_POINT: {e}"),
-            Ok(spec) => Self::parse_spec(&spec).unwrap_or_else(|e| panic!("{e}")),
-        }
-    }
-
-    /// Parses a `PRKB_CRASH_POINT` value: `<name>` or `<name>:<nth>`.
-    fn parse_spec(spec: &str) -> Result<Self, String> {
-        let (name, nth) = spec.split_once(':').unwrap_or((spec, "1"));
-        let valid = || {
-            let names: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.name()).collect();
-            format!(
-                "PRKB_CRASH_POINT={spec:?} is not `<name>[:<nth>]`; valid names: {}",
-                names.join(", ")
-            )
-        };
-        let point = CrashPoint::parse(name).ok_or_else(valid)?;
-        let nth = nth.trim().parse::<u64>().map_err(|_| valid())?;
-        Ok(Self::at_nth(point, nth))
-    }
-
-    /// Whether any crash is scheduled.
-    pub fn is_armed(&self) -> bool {
-        self.target.is_some()
-    }
-
     /// Declares that execution reached `point`; returns the crash error if
     /// the schedule says the process dies here.
     pub fn fire(&self, point: CrashPoint) -> Result<(), DurabilityError> {
@@ -491,15 +451,28 @@ pub struct Wal {
 
 impl Wal {
     /// Creates a fresh, empty log at `path` on `fs` (truncating any
-    /// existing file), with the header already durable.
+    /// existing file), with the header and the file's directory entry
+    /// already durable.
     pub fn create_on(
         fs: &dyn StorageFs,
         path: &Path,
         crash: CrashInjector,
     ) -> Result<Wal, DurabilityError> {
-        let mut file = fs.create_file(path)?;
+        Self::fresh(fs, fs.create_file(path)?, path, crash)
+    }
+
+    /// Makes the empty `file` at `path` a log: the header, fsync'd, then
+    /// the directory fsync'd — an append acknowledged through this log must
+    /// not depend on a directory entry nothing made durable.
+    fn fresh(
+        fs: &dyn StorageFs,
+        mut file: Box<dyn StorageFile>,
+        path: &Path,
+        crash: CrashInjector,
+    ) -> Result<Wal, DurabilityError> {
         file.write_all(&wal_header())?;
         file.sync_all()?;
+        sync_dir(fs, path.parent().expect("a WAL lives in a directory"))?;
         Ok(Wal {
             file,
             path: path.to_path_buf(),
@@ -534,20 +507,8 @@ impl Wal {
             // fails below: that is corruption, not a tear.
             file.set_len(0)?;
             file.seek_start(0)?;
-            file.write_all(&wal_header())?;
-            file.sync_all()?;
-            return Ok((
-                Wal {
-                    file,
-                    path: path.to_path_buf(),
-                    crash,
-                    records: 0,
-                    bytes: WAL_HEADER_LEN,
-                    poison: None,
-                },
-                Vec::new(),
-                TailStatus::TornDiscarded,
-            ));
+            let wal = Self::fresh(fs, file, path, crash)?;
+            return Ok((wal, Vec::new(), TailStatus::TornDiscarded));
         }
         let (payloads, valid_len, tail) = scan_records(&bytes)?;
         if valid_len < bytes.len() as u64 {
@@ -1176,12 +1137,15 @@ mod tests {
         );
     }
 
+    /// A sweep names its failing case by the hook's name.
     #[test]
     fn crash_point_names_roundtrip() {
         for p in CrashPoint::ALL {
-            assert_eq!(CrashPoint::parse(p.name()), Some(p), "{p}");
+            let named = CrashPoint::ALL
+                .into_iter()
+                .find(|q| q.name() == p.to_string());
+            assert_eq!(named, Some(p));
         }
-        assert_eq!(CrashPoint::parse("nonsense"), None);
     }
 
     /// A [`StorageFs`] whose files fail every sync after the first
@@ -1342,33 +1306,5 @@ mod tests {
         // Garbage image: BadHeader.
         assert_eq!(scan_frames(b"nope").verdict, WalVerdict::BadHeader);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn env_spec_parses_or_fails_with_the_valid_names() {
-        // `parse_spec` is what `from_env` runs on a *set* variable (no
-        // process-global env mutation in tests); unset never reaches it.
-        let inj = CrashInjector::parse_spec("after_wal_sync:2").expect("name:nth");
-        assert_eq!(inj.target, Some((CrashPoint::AfterWalSync, 2)));
-        let inj = CrashInjector::parse_spec(" before_group_flush ").expect("bare name");
-        assert_eq!(inj.target, Some((CrashPoint::BeforeGroupFlush, 1)));
-        if std::env::var_os("PRKB_CRASH_POINT").is_none() {
-            assert!(!CrashInjector::from_env().is_armed(), "unset ⇒ disabled");
-        }
-
-        // A hook name that does not exist, a typo and a bad count all fail —
-        // none of them may read as "injection off".
-        for bad in [
-            "before_checkpoint:1",
-            "after_wal_synk",
-            "after_wal_sync:x",
-            "",
-        ] {
-            let err = CrashInjector::parse_spec(bad).expect_err(bad);
-            assert!(
-                err.contains("mid_segment_write"),
-                "lists valid names: {err}"
-            );
-        }
     }
 }

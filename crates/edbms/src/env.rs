@@ -46,7 +46,7 @@ mod tests {
         // process-global env mutation in tests); unset never reaches it.
         assert_eq!(parse::<usize>("PRKB_THREADS", " 4 "), Ok(4));
         assert_eq!(
-            parse::<u64>("PRKB_IO_FAULT_SEED", "20260807"),
+            parse::<u64>("PRKB_SERVER_QUEUE", "20260807"),
             Ok(20_260_807)
         );
         assert_eq!(env_knob::<u64>("NO_SUCH_PRKB_KNOB"), None, "unset ⇒ None");

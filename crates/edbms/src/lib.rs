@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod db;
 pub mod durability;
 pub(crate) mod encrypted;

@@ -6,6 +6,7 @@
 //! BETWEEN (the two are processed by different algorithms) — but never the
 //! operator direction or the parameter values, which travel encrypted.
 
+use crate::codec::Reader;
 use crate::schema::AttrId;
 use prkb_crypto::cipher::CIPHERTEXT_LEN;
 use serde::{Deserialize, Serialize};
@@ -100,40 +101,30 @@ impl EncryptedPredicate {
         out.extend_from_slice(&self.payload);
     }
 
-    /// Decodes a trapdoor from `bytes`, returning it and the bytes consumed.
+    /// Decodes one trapdoor off `r`, leaving it after the last byte read.
     /// Returns `None` on truncated or malformed input.
-    pub fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
-        let mut pos = 0usize;
-        let take = |bytes: &[u8], pos: &mut usize, n: usize| -> Option<Vec<u8>> {
-            let s = bytes.get(*pos..*pos + n)?.to_vec();
-            *pos += n;
-            Some(s)
-        };
-        let id = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().ok()?);
-        let tlen = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().ok()?) as usize;
-        let table = String::from_utf8(take(bytes, &mut pos, tlen)?).ok()?;
-        let attr = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().ok()?);
-        let kind = match *bytes.get(pos)? {
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let id = r.u64().ok()?;
+        let tlen = r.count(1).ok()?;
+        let table = String::from_utf8(r.bytes(tlen).ok()?.to_vec()).ok()?;
+        let attr = r.u32().ok()?;
+        let kind = match r.u8().ok()? {
             0 => PredicateKind::Comparison,
             1 => PredicateKind::Between,
             _ => return None,
         };
-        pos += 1;
-        let plen = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().ok()?) as usize;
+        let plen = r.count(1).ok()?;
         if !plen.is_multiple_of(CIPHERTEXT_LEN) {
             return None;
         }
-        let payload = take(bytes, &mut pos, plen)?;
-        Some((
-            EncryptedPredicate {
-                id,
-                table,
-                attr,
-                kind,
-                payload,
-            },
-            pos,
-        ))
+        let payload = r.bytes(plen).ok()?.to_vec();
+        Some(EncryptedPredicate {
+            id,
+            table,
+            attr,
+            kind,
+            payload,
+        })
     }
 }
 
@@ -153,21 +144,16 @@ mod tests {
         let mut buf = vec![0xAA; 3]; // preceding junk
         let start = buf.len();
         p.encode_into(&mut buf);
-        let (q, consumed) = EncryptedPredicate::decode(&buf[start..]).expect("roundtrip");
-        assert_eq!(q, p);
-        assert_eq!(consumed, buf.len() - start);
-        // Truncations fail cleanly at every length.
-        for cut in 0..consumed {
-            assert!(
-                EncryptedPredicate::decode(&buf[start..start + cut]).is_none(),
-                "cut {cut}"
-            );
-        }
+        // Trailing bytes are the caller's: decode stops after its own.
+        buf.push(0x55);
+        let mut r = Reader::new(&buf[start..]);
+        assert_eq!(EncryptedPredicate::decode(&mut r), Some(p));
+        assert_eq!(r.bytes(1), Ok(&[0x55][..]));
         // Bad kind byte.
         let mut bad = buf[start..].to_vec();
         let kind_off = 8 + 4 + "payroll".len() + 4;
         bad[kind_off] = 9;
-        assert!(EncryptedPredicate::decode(&bad).is_none());
+        assert!(EncryptedPredicate::decode(&mut Reader::new(&bad)).is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hostile network. This module makes the hostile network *reproducible*:
 //! every fault decision is a pure function of a seed and a global event
 //! counter (via [`prkb_edbms::resilience::mix`]), so a failing schedule
-//! replays exactly from its seed (`PRKB_NET_FAULT_SEED`).
+//! replays exactly from its seed.
 //!
 //! Faults are injected at *frame* granularity by `ChaosStream`, either
 //! wrapped directly around a client socket or inside [`ChaosProxy`] — an
@@ -130,16 +130,6 @@ impl ChaosConfig {
             stall: Duration::from_millis(5),
             max_consecutive: 2,
         }
-    }
-
-    /// The retryable schedule seeded from `PRKB_NET_FAULT_SEED` (the CI
-    /// chaos job sets 1..4), or `None` when the variable is unset.
-    ///
-    /// # Panics
-    /// Panics when the variable is set but is not a `u64` (see
-    /// [`prkb_edbms::env_knob`]).
-    pub fn from_env() -> Option<Self> {
-        prkb_edbms::env_knob("PRKB_NET_FAULT_SEED").map(Self::retryable)
     }
 }
 

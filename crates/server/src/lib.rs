@@ -30,7 +30,7 @@
 //!   deterministic retries with exactly-once request ids, circuit breaker,
 //!   and pipelined submit/drain on the same connection;
 //! * [`chaos`] — the deterministic network-fault harness
-//!   ([`chaos::ChaosProxy`], seeded by `PRKB_NET_FAULT_SEED`).
+//!   ([`chaos::ChaosProxy`], seeded per test).
 //!
 //! ```no_run
 //! use prkb_core::{EngineConfig, PrkbEngine};

@@ -23,6 +23,7 @@
 use crate::wire::{begin_frame, seal_frame};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
+use prkb_edbms::codec::{Reader, Truncated};
 use prkb_edbms::{AttrId, TupleId};
 use std::fmt;
 
@@ -219,53 +220,19 @@ impl ProtoError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive readers
-// ---------------------------------------------------------------------------
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], ProtoError> {
-    let s = bytes
-        .get(*pos..*pos + n)
-        .ok_or(ProtoError::Malformed("truncated field"))?;
-    *pos += n;
-    Ok(s)
-}
-
-fn take_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, ProtoError> {
-    Ok(take(bytes, pos, 1)?[0])
-}
-
-fn take_u16(bytes: &[u8], pos: &mut usize) -> Result<u16, ProtoError> {
-    Ok(u16::from_le_bytes(
-        take(bytes, pos, 2)?.try_into().expect("2 bytes"),
-    ))
-}
-
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ProtoError> {
-    Ok(u32::from_le_bytes(
-        take(bytes, pos, 4)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, ProtoError> {
-    Ok(u64::from_le_bytes(
-        take(bytes, pos, 8)?.try_into().expect("8 bytes"),
-    ))
-}
-
-fn take_pred<P: WireCodec>(bytes: &[u8], pos: &mut usize) -> Result<P, ProtoError> {
-    let (p, used) =
-        P::decode(&bytes[*pos..]).ok_or(ProtoError::Malformed("undecodable trapdoor"))?;
-    *pos += used;
-    Ok(p)
-}
-
-fn finish(bytes: &[u8], pos: usize) -> Result<(), ProtoError> {
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(ProtoError::Malformed("trailing bytes"))
+impl From<Truncated> for ProtoError {
+    fn from(e: Truncated) -> Self {
+        ProtoError::Malformed(e.0)
     }
+}
+
+/// Reads the `version u8 | tag u8` every payload starts with.
+fn decode_preamble(r: &mut Reader<'_>) -> Result<u8, ProtoError> {
+    let ver = r.u8()?;
+    if ver != PROTO_VERSION {
+        return Err(ProtoError::UnsupportedVersion(ver));
+    }
+    Ok(r.u8()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -330,58 +297,47 @@ impl<P: WireCodec> Request<P> {
     /// damage. Never panics, never over-allocates on lying counts; hostile
     /// `request_id`/`deadline_ms` values are data, not errors.
     pub fn decode(bytes: &[u8]) -> Result<(RequestHeader, Self), ProtoError> {
-        let mut pos = 0usize;
-        let ver = take_u8(bytes, &mut pos)?;
-        if ver != PROTO_VERSION {
-            return Err(ProtoError::UnsupportedVersion(ver));
-        }
-        let tag = take_u8(bytes, &mut pos)?;
-        let request_id = take_u64(bytes, &mut pos)?;
-        let deadline_ms = match take_u8(bytes, &mut pos)? {
-            0 => None,
-            1 => Some(take_u32(bytes, &mut pos)?),
-            _ => return Err(ProtoError::Malformed("deadline flag")),
-        };
+        let mut r = Reader::new(bytes);
+        let tag = decode_preamble(&mut r)?;
         let hdr = RequestHeader {
-            request_id,
-            deadline_ms,
+            request_id: r.u64()?,
+            deadline_ms: match r.u8()? {
+                0 => None,
+                1 => Some(r.u32()?),
+                _ => return Err(ProtoError::Malformed("deadline flag")),
+            },
         };
+        let pred =
+            |r: &mut Reader<'_>| P::decode(r).ok_or(ProtoError::Malformed("undecodable trapdoor"));
         let req = match tag {
             0 => Request::Ping,
-            1 | 2 => {
-                let seed = take_u64(bytes, &mut pos)?;
-                let pred = take_pred(bytes, &mut pos)?;
-                if tag == 1 {
-                    Request::Select { seed, pred }
-                } else {
-                    Request::Between { seed, pred }
-                }
-            }
+            1 => Request::Select {
+                seed: r.u64()?,
+                pred: pred(&mut r)?,
+            },
+            2 => Request::Between {
+                seed: r.u64()?,
+                pred: pred(&mut r)?,
+            },
             3 => {
-                let seed = take_u64(bytes, &mut pos)?;
-                let ndims = take_u16(bytes, &mut pos)? as usize;
+                let seed = r.u64()?;
+                let ndims = r.u16()? as usize;
                 if ndims > MAX_MD_DIMS {
                     return Err(ProtoError::Malformed("dimension count over cap"));
                 }
                 let mut dims = Vec::with_capacity(ndims);
                 for _ in 0..ndims {
-                    let lo = take_pred(bytes, &mut pos)?;
-                    let hi = take_pred(bytes, &mut pos)?;
-                    dims.push([lo, hi]);
+                    dims.push([pred(&mut r)?, pred(&mut r)?]);
                 }
                 Request::SelectRangeMd { seed, dims }
             }
-            4 => Request::Insert {
-                tuple: take_u32(bytes, &mut pos)?,
-            },
-            5 => Request::Delete {
-                tuple: take_u32(bytes, &mut pos)?,
-            },
+            4 => Request::Insert { tuple: r.u32()? },
+            5 => Request::Delete { tuple: r.u32()? },
             6 => Request::MetricsSnapshot,
             7 => Request::Shutdown,
             t => return Err(ProtoError::UnknownTag(t)),
         };
-        finish(bytes, pos)?;
+        r.finish()?;
         Ok((hdr, req))
     }
 }
@@ -410,22 +366,18 @@ fn encode_stats(stats: &QueryStats, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_stats(bytes: &[u8], pos: &mut usize) -> Result<QueryStats, ProtoError> {
-    let mut f = [0u64; 10];
-    for v in &mut f {
-        *v = take_u64(bytes, pos)?;
-    }
+fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, Truncated> {
     Ok(QueryStats {
-        qpf_uses: f[0],
-        k_before: f[1] as usize,
-        k_after: f[2] as usize,
-        splits: f[3] as usize,
-        filter_probes: f[4],
-        ns_width: f[5],
-        oracle_batches: f[6],
-        pruned_true: f[7] as usize,
-        pruned_false: f[8] as usize,
-        overflow_scanned: f[9] as usize,
+        qpf_uses: r.u64()?,
+        k_before: r.u64()? as usize,
+        k_after: r.u64()? as usize,
+        splits: r.u64()? as usize,
+        filter_probes: r.u64()?,
+        ns_width: r.u64()?,
+        oracle_batches: r.u64()?,
+        pruned_true: r.u64()? as usize,
+        pruned_false: r.u64()? as usize,
+        overflow_scanned: r.u64()? as usize,
     })
 }
 
@@ -522,45 +474,36 @@ impl Response {
     /// # Errors
     /// As [`Request::decode`].
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut pos = 0usize;
-        let ver = take_u8(bytes, &mut pos)?;
-        if ver != PROTO_VERSION {
-            return Err(ProtoError::UnsupportedVersion(ver));
-        }
-        let tag = take_u8(bytes, &mut pos)?;
-        let resp = match tag {
+        let mut r = Reader::new(bytes);
+        let text = |r: &mut Reader<'_>, what| {
+            let len = r.count(1)?;
+            String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| ProtoError::Malformed(what))
+        };
+        let resp = match decode_preamble(&mut r)? {
             0 => Response::Ok,
             1 => {
-                let seq = take_u64(bytes, &mut pos)?;
-                let count = take_u32(bytes, &mut pos)? as usize;
-                if count > bytes.len().saturating_sub(pos) / 4 {
-                    return Err(ProtoError::Malformed("tuple count lies"));
+                let seq = r.u64()?;
+                let count = r.count(4)?;
+                Response::Selection {
+                    seq,
+                    tuples: r.u32s(count)?,
+                    stats: decode_stats(&mut r)?,
                 }
-                // One length check (above) covers the whole id block.
-                let tuples = take(bytes, &mut pos, 4 * count)?
-                    .chunks_exact(4)
-                    .map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")))
-                    .collect();
-                let stats = decode_stats(bytes, &mut pos)?;
-                Response::Selection { seq, tuples, stats }
             }
             2 => {
-                let seq = take_u64(bytes, &mut pos)?;
-                let count = take_u32(bytes, &mut pos)? as usize;
+                let seq = r.u64()?;
                 // Smallest outcome entry: attr u32 + tag u8 + rank u64.
-                if count > bytes.len().saturating_sub(pos) / 13 {
-                    return Err(ProtoError::Malformed("outcome count lies"));
-                }
+                let count = r.count(13)?;
                 let mut outcomes = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let attr = take_u32(bytes, &mut pos)?;
-                    let outcome = match take_u8(bytes, &mut pos)? {
+                    let attr = r.u32()?;
+                    let outcome = match r.u8()? {
                         0 => InsertOutcome::Placed {
-                            rank: take_u64(bytes, &mut pos)? as usize,
+                            rank: r.u64()? as usize,
                         },
                         1 => InsertOutcome::Parked {
-                            lo: take_u64(bytes, &mut pos)? as usize,
-                            hi: take_u64(bytes, &mut pos)? as usize,
+                            lo: r.u64()? as usize,
+                            hi: r.u64()? as usize,
                         },
                         _ => return Err(ProtoError::Malformed("unknown outcome tag")),
                     };
@@ -568,27 +511,17 @@ impl Response {
                 }
                 Response::Inserted { seq, outcomes }
             }
-            3 => Response::Deleted {
-                seq: take_u64(bytes, &mut pos)?,
+            3 => Response::Deleted { seq: r.u64()? },
+            4 => Response::Metrics {
+                json: text(&mut r, "metrics not UTF-8")?,
             },
-            4 => {
-                let len = take_u32(bytes, &mut pos)? as usize;
-                let raw = take(bytes, &mut pos, len)?;
-                let json = String::from_utf8(raw.to_vec())
-                    .map_err(|_| ProtoError::Malformed("metrics not UTF-8"))?;
-                Response::Metrics { json }
-            }
-            5 => {
-                let code = take_u16(bytes, &mut pos)?;
-                let len = take_u32(bytes, &mut pos)? as usize;
-                let raw = take(bytes, &mut pos, len)?;
-                let message = String::from_utf8(raw.to_vec())
-                    .map_err(|_| ProtoError::Malformed("message not UTF-8"))?;
-                Response::Error { code, message }
-            }
+            5 => Response::Error {
+                code: r.u16()?,
+                message: text(&mut r, "message not UTF-8")?,
+            },
             t => return Err(ProtoError::UnknownTag(t)),
         };
-        finish(bytes, pos)?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -728,9 +661,6 @@ mod tests {
             stats: QueryStats::default(),
         }
         .encode();
-        for cut in 0..full.len() {
-            assert!(Response::decode(&full[..cut]).is_err(), "cut {cut}");
-        }
         // The count sits after ver, tag and seq. One id too many for the
         // bytes behind it still fits the length check, and runs into the
         // stats; far too many is refused before anything is allocated.
@@ -738,12 +668,14 @@ mod tests {
         lying[10..14].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             Response::decode(&lying),
-            Err(ProtoError::Malformed("truncated field"))
+            Err(ProtoError::Malformed(
+                "field runs past the end of the input"
+            ))
         );
         lying[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             Response::decode(&lying),
-            Err(ProtoError::Malformed("tuple count lies"))
+            Err(ProtoError::Malformed("count exceeds the bytes that remain"))
         );
     }
 

@@ -8,9 +8,7 @@
 //!   an in-process twin replay, and the final knowledge base is
 //!   byte-identical — retried inserts/deletes applied exactly once;
 //! * a scripted response-drop proves the dedup window replays the stored
-//!   response instead of re-executing the commit;
-//! * `PRKB_NET_FAULT_SEED` wires the same schedules up from the
-//!   environment, which is how CI fans the seeds out.
+//!   response instead of re-executing the commit.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -226,11 +224,9 @@ fn chaos_seed_4_converges() {
     converges_under(ChaosConfig::retryable(4));
 }
 
-/// CI fans seeds out via `PRKB_NET_FAULT_SEED`; locally (variable unset)
-/// this exercises one more fixed seed so the test never silently no-ops.
 #[test]
-fn env_seed_drives_the_schedule() {
-    converges_under(ChaosConfig::from_env().unwrap_or_else(|| ChaosConfig::retryable(9)));
+fn chaos_seed_9_converges() {
+    converges_under(ChaosConfig::retryable(9));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@
 //! error (best effort) and keeps serving other clients; a malformed payload
 //! inside a *valid* frame costs only that one request, not the connection.
 
-use prkb_core::{EngineConfig, PrkbEngine};
+#[path = "../../core/tests/common/hostile.rs"]
+mod hostile;
+
+use hostile::{assert_hostile_inputs_are_refused, Case};
+use prkb_core::{EngineConfig, InsertOutcome, PrkbEngine, QueryStats};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
@@ -112,6 +116,68 @@ proptest! {
             Ok(Some((payload, _))) => prop_assert!(payload.len() <= frame.len()),
         }
     }
+}
+
+/// The request/response table of the hostile-input driver (`prkb-core`'s
+/// `codec_hardening` holds the seven on-disk decoders): one image per body
+/// shape. Payloads carry no checksum of their own — the frame does — so a
+/// flip only has to be handled; every strict prefix is refused.
+#[test]
+fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_allocating() {
+    let range = |attr| {
+        [
+            Predicate::cmp(attr, ComparisonOp::Gt, 1),
+            Predicate::cmp(attr, ComparisonOp::Lt, 9),
+        ]
+    };
+    let deadline = RequestHeader {
+        request_id: 7,
+        deadline_ms: Some(1_500),
+    };
+    let requests = [
+        Request::Select {
+            seed: 7,
+            pred: Predicate::cmp(0, ComparisonOp::Lt, 500),
+        }
+        .encode(),
+        Request::SelectRangeMd {
+            seed: 11,
+            dims: vec![range(0), range(1)],
+        }
+        .encode_with(deadline),
+        Request::<Predicate>::Insert { tuple: 42 }.encode_with(deadline),
+    ];
+    let responses = [
+        Response::Selection {
+            seq: 3,
+            tuples: (0..40).collect(),
+            stats: QueryStats::default(),
+        },
+        Response::Inserted {
+            seq: 4,
+            outcomes: vec![
+                (0, InsertOutcome::Placed { rank: 3 }),
+                (1, InsertOutcome::Parked { lo: 1, hi: 5 }),
+            ],
+        },
+        Response::Metrics { json: "{}".into() },
+        Response::Error {
+            code: code::BUSY,
+            message: "later".into(),
+        },
+    ];
+    let mut cases = Vec::new();
+    for (i, image) in requests.into_iter().enumerate() {
+        cases.push(Case::raw(&format!("request {i}"), image, |b| {
+            Request::<Predicate>::decode(b).is_ok()
+        }));
+    }
+    for (i, resp) in responses.iter().enumerate() {
+        cases.push(Case::raw(&format!("response {i}"), resp.encode(), |b| {
+            Response::decode(b).is_ok()
+        }));
+    }
+    assert_hostile_inputs_are_refused(&cases);
 }
 
 // ---------------------------------------------------------------------------
