@@ -13,11 +13,19 @@
 //! (a single-owner durable engine is that scheduler over a one-shard pool).
 //!
 //! * every committed mutation is journaled as [`RefinementOp`]s and
-//!   enqueued as **one write-ahead-log transaction per committed
-//!   operation**; the covering result is released only after the
-//!   committer reports the record fsync'd, so an acknowledged refinement
-//!   is never lost. Commits that arrive while an fsync is in flight share
-//!   the next one (group commit);
+//!   enqueued as **one write-ahead-log transaction per committed operation
+//!   that changed the shard** (an operation that refined nothing journals
+//!   nothing). Durability is a property of *facts*: a transaction holding
+//!   an insert, a delete or an init is acknowledged only after the
+//!   committer reports it fsync'd, and because the log is sequential that
+//!   fsync carries every earlier refinement with it. A transaction of
+//!   derived ops only (`RefinementOp::is_derived` — knowledge SP can
+//!   re-derive from QPF outputs it will see again, §5.3) is acknowledged
+//!   at once and rides the next fsync; the un-synced tail it joins is
+//!   bounded ([`EngineConfig::group_commit_records`] records or
+//!   `DEFERRED_TAIL_BYTES`), the commit that fills it waits out the
+//!   flush. Commits that arrive while an fsync is in flight share the
+//!   next one (group commit);
 //! * the WAL is **checkpoint-rotated** by policy
 //!   ([`EngineConfig::checkpoint_wal_records`] /
 //!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
@@ -30,8 +38,9 @@
 //!   segment set, replays the manifest epoch's WAL, silently discards a
 //!   torn tail (partial final record — the residue of a crash mid-append),
 //!   and refuses to open on mid-log corruption (a bad record *followed by*
-//!   valid ones) — restoring an engine equivalent to some prefix of the
-//!   committed operations, `validate()`d before use. A directory that
+//!   valid ones) — restoring an engine equivalent to a prefix of the
+//!   shard's commit order that contains every acknowledged insert, delete
+//!   and init, `validate()`d before use. A directory that
 //!   still holds a monolithic v1 `checkpoint.bin` is folded into segment 0
 //!   at the same epoch on its first open.
 //!
@@ -591,9 +600,10 @@ fn flush_segments<P: SpPredicate + WireCodec>(
 // ---------------------------------------------------------------------------
 
 /// Ack handle for one record enqueued on a [`ShardCommitter`] — its
-/// `(shard_epoch, shard_seq)` commit position: redeem it with
-/// [`ShardCommitter::wait_durable`] before acknowledging the commit to a
-/// client.
+/// `(shard_epoch, shard_seq)` commit position. Handed out only for a record
+/// whose commit must wait (it holds a fact, or it filled the deferred
+/// tail): redeem it with [`ShardCommitter::wait_durable`] before
+/// acknowledging the commit to a client.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupCommitTicket {
     /// Shard epoch the record was enqueued under.
@@ -613,7 +623,9 @@ struct CommitterState {
     wal: Option<Wal>,
     /// Active checkpoint/WAL epoch.
     epoch: u64,
-    /// Encoded transaction payloads enqueued but not yet appended.
+    /// Encoded transaction payloads enqueued but not yet appended — the
+    /// un-synced tail. Records nobody waits for (derived refinements) sit
+    /// here until a waiter, a full tail, a rotation or a drain flushes it.
     pending: Vec<Vec<u8>>,
     /// Attributes whose knowledge has diverged from the last segment flush
     /// — a rotation's O(delta) working set: every attribute named by a
@@ -631,6 +643,13 @@ struct CommitterState {
     sync_poison: Option<String>,
 }
 
+impl CommitterState {
+    /// Payload bytes of the un-synced tail.
+    fn pending_bytes(&self) -> u64 {
+        self.pending.iter().map(|p| p.len() as u64).sum()
+    }
+}
+
 /// The error a poisoned committer hands every caller: the sync-failure
 /// reason when the disk lied, the generic poisoned marker otherwise.
 fn poisoned_err(st: &CommitterState) -> DurableError {
@@ -644,20 +663,20 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 /// pipeline, its checkpoint rotation, and its poison state. Its one
 /// caller, the session scheduler ([`crate::scheduler`]), enqueues encoded
 /// WAL transactions (atomically with the in-memory mutation, under the
-/// shard's engine lock) and then blocks on
-/// [`wait_durable`](Self::wait_durable) *after* releasing that lock. The
+/// shard's engine lock) and, *after* releasing that lock, blocks on
+/// [`wait_durable`](Self::wait_durable) — but only for a transaction that
+/// holds a fact or that filled the un-synced tail; a derived one is
+/// acknowledged on enqueue and rides whichever fsync comes next. The
 /// first waiter to find the WAL idle
 /// elects itself **leader** immediately, takes the WAL and up to
 /// [`EngineConfig::group_commit_records`] pending payloads out of the
 /// lock, appends them all, and pays **one** fsync for the lot — then wakes
-/// the followers. Batching is self-clocking: commits that arrive while a
-/// flush is in flight accumulate and become the next leader's batch, so a
-/// lone committer pays exactly one fsync with no added latency while a
-/// contended shard amortizes each fsync over every commit that landed
-/// during the previous one. A follower parked behind an in-flight flush
-/// re-checks for leadership every [`FOLLOWER_RECHECK`] (a missed-wakeup
-/// guard — followers are normally notified the moment the leader
-/// finishes).
+/// the followers. Batching is self-clocking twice over: deferred
+/// refinements accumulate until something must wait, and commits that
+/// arrive while a flush is in flight become the next leader's batch. A
+/// follower parked behind an in-flight flush re-checks for leadership
+/// every [`FOLLOWER_RECHECK`] (a missed-wakeup guard — followers are
+/// normally notified the moment the leader finishes).
 ///
 /// Commit positions are `(shard_epoch, shard_seq)`; a checkpoint rotation
 /// starts a new epoch and resets the sequence, and every record of an older
@@ -676,6 +695,13 @@ pub(crate) struct ShardCommitter<P> {
 /// How long a committer parked behind an in-flight flush sleeps before
 /// re-checking for leadership.
 const FOLLOWER_RECHECK: Duration = Duration::from_micros(200);
+
+/// Byte bound on a shard's un-synced tail, beside the record bound
+/// [`EngineConfig::group_commit_records`]: the deferred commit that brings
+/// the pending payloads to this many bytes waits out their flush, so what a
+/// crash can cost in re-derivable refinements (and what the tail holds in
+/// memory) stays bounded however large the splits are.
+const DEFERRED_TAIL_BYTES: u64 = 256 * 1024;
 
 impl fmt::Debug for CommitterState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -760,43 +786,63 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     }
 
     /// Enqueues one WAL transaction for the next group flush, marks the
-    /// attributes it names dirty, and returns its ack ticket. Cheap and
-    /// non-blocking — call it while still holding the shard's engine lock
-    /// so the WAL order matches the in-memory commit order, then redeem
-    /// the ticket with [`wait_durable`](Self::wait_durable) after
-    /// releasing it.
-    fn enqueue(&self, entries: &[TxnEntry<P>]) -> GroupCommitTicket {
+    /// attributes it names dirty, and returns its ack ticket plus whether
+    /// the enqueue filled the un-synced tail (`group_commit_records`
+    /// records or [`DEFERRED_TAIL_BYTES`]). Cheap and non-blocking — call
+    /// it while still holding the shard's engine lock so the WAL order
+    /// matches the in-memory commit order, then redeem the ticket with
+    /// [`wait_durable`](Self::wait_durable) after releasing it.
+    fn enqueue(&self, entries: &[TxnEntry<P>]) -> (GroupCommitTicket, bool) {
         let payload = encode_txn(entries);
         let mut st = self.lock();
         st.dirty.extend(entries.iter().map(TxnEntry::attr));
         let seq = st.next_seq;
         st.next_seq += 1;
         st.pending.push(payload);
-        if st.pending.len() as u64 >= self.group_records {
+        let full = st.pending.len() as u64 >= self.group_records
+            || st.pending_bytes() >= DEFERRED_TAIL_BYTES;
+        if full {
             // Batch is full: wake any parked waiter to elect a leader now.
             self.cv.notify_all();
         }
-        GroupCommitTicket {
+        let ticket = GroupCommitTicket {
             epoch: st.epoch,
             seq,
-        }
+        };
+        (ticket, full)
     }
 
     /// Journals one committed operation: encodes the ops drained from the
     /// engine ([`PrkbEngine::take_ops`]) as a single WAL transaction and
-    /// [`enqueue`](Self::enqueue)s it. Every committed operation enqueues
-    /// exactly one record — also when it refined nothing — so the WAL
-    /// record count equals the committed-operation count.
-    pub(crate) fn enqueue_journal(&self, ops: Vec<(AttrId, RefinementOp<P>)>) -> GroupCommitTicket {
+    /// [`enqueue`](Self::enqueue)s it. The batch is classified by its
+    /// contents:
+    ///
+    /// * no ops — the operation refined nothing on this shard: nothing is
+    ///   journaled and there is nothing to wait for;
+    /// * derived ops only ([`RefinementOp::is_derived`]) — journaled, but
+    ///   the commit waits (gets a ticket) only when this record filled the
+    ///   un-synced tail, and then leads its flush like any waiter;
+    /// * any fact — journaled and awaited; the WAL is sequential, so that
+    ///   fsync makes every earlier refinement durable too.
+    pub(crate) fn enqueue_journal(
+        &self,
+        ops: Vec<(AttrId, RefinementOp<P>)>,
+    ) -> Option<GroupCommitTicket> {
+        if ops.is_empty() {
+            return None;
+        }
+        let fact = ops.iter().any(|(_, op)| !op.is_derived());
         let entries: Vec<TxnEntry<P>> = ops
             .into_iter()
             .map(|(attr, op)| TxnEntry::Op { attr, op })
             .collect();
-        self.enqueue(&entries)
+        let (ticket, full) = self.enqueue(&entries);
+        (fact || full).then_some(ticket)
     }
 
     /// `initPRKB` with its WAL record: initializes `attr` on `engine` and
-    /// enqueues the initialization.
+    /// enqueues the initialization — a fact, so the ticket is always
+    /// awaited.
     fn enqueue_init(
         &self,
         engine: &mut PrkbEngine<P>,
@@ -806,7 +852,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         engine.init_attr(attr, n);
         // The fresh knowledge base starts with journaling off; re-arm it.
         engine.set_recording(true);
-        self.enqueue(&[TxnEntry::Init { attr, n: n as u64 }])
+        self.enqueue(&[TxnEntry::Init { attr, n: n as u64 }]).0
     }
 
     /// Blocks until the ticket's record is fsync-durable. The calling
@@ -915,8 +961,9 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     }
 
     /// Flushes and fsyncs every pending record before returning — the
-    /// graceful-drain barrier: after `flush()` returns `Ok`, every
-    /// enqueued record is durable.
+    /// clean-shutdown barrier: after `flush()` returns `Ok`, every enqueued
+    /// record, deferred refinements included, is durable. With nothing
+    /// pending it is a lock and an empty-check.
     ///
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed.
@@ -924,17 +971,19 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         self.drain(self.lock()).map(drop)
     }
 
-    /// Whether the checkpoint policy asks for a rotation (counting both
-    /// appended and still-pending records against the thresholds).
+    /// Whether the checkpoint policy asks for a rotation, counting the
+    /// un-synced tail — its records *and* its payload bytes — with what the
+    /// WAL already holds: a deferred tail must not make either rule lag.
     pub(crate) fn wants_checkpoint(&self, config: &EngineConfig) -> bool {
         let st = self.lock();
         let Some(wal) = st.wal.as_ref() else {
             return false;
         };
         let records = wal.records() + st.pending.len() as u64;
+        let bytes = wal.bytes() + st.pending_bytes();
         let by_records = config.checkpoint_wal_records;
         let by_bytes = config.checkpoint_wal_bytes;
-        (by_records > 0 && records >= by_records) || (by_bytes > 0 && wal.bytes() >= by_bytes)
+        (by_records > 0 && records >= by_records) || (by_bytes > 0 && bytes >= by_bytes)
     }
 
     /// Rotates the checkpoint: flush pending, write the partitions `engine`
@@ -1182,10 +1231,10 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     }
 }
 
-/// Committer behaviour no scheduler call can reach: the scheduler awaits
-/// every record it enqueues, so a record that is enqueued and *not* awaited
-/// — what a drain may find pending, what a crash at the flush boundary may
-/// lose — is driven here, against the committer itself.
+/// Committer behaviour pinned against the committer itself, where the
+/// un-synced tail can be looked at: what a drain finds pending, what a
+/// crash at the flush boundary loses, how large the tail may grow, when it
+/// counts against the checkpoint thresholds.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1224,8 +1273,8 @@ mod tests {
     }
 
     /// Group-commit config under which nothing flushes on its own: the
-    /// driver below never redeems a ticket, and only waiters (or an
-    /// explicit `flush()`) ever lead a flush.
+    /// record bound is out of reach, so only waiters (or an explicit
+    /// `flush()`) ever lead a flush.
     fn lazy_group() -> EngineConfig {
         EngineConfig {
             checkpoint_wal_records: 0,
@@ -1246,8 +1295,8 @@ mod tests {
         .expect("pool opens")
     }
 
-    /// Runs two un-awaited commits (pending, never acknowledged), then
-    /// drains. `crash_at_drain` arms the injector for the first *drain*
+    /// Runs two un-awaited commits (refinements: pending in the tail, as a
+    /// select's are after its reply), then drains. `crash_at_drain` arms the injector for the first *drain*
     /// flush — the init flushes before it are counted off so the hook lands
     /// exactly on the flush boundary the shutdown path crosses. Returns the
     /// per-shard state after the (acknowledged) inits and whether the drain
@@ -1276,8 +1325,8 @@ mod tests {
             committer.flush().expect("init flushes are not armed");
         }
         let post_init = parts.iter().map(|(e, _)| kb_bytes(e)).collect();
-        // Two mutations on different shards, enqueued but never awaited:
-        // acknowledged to nobody, exactly what a drain may lose.
+        // Two refinements on different shards, enqueued but never awaited:
+        // the deferred tail, exactly what a crashed drain may lose.
         let mut rng = StdRng::seed_from_u64(9);
         for attr in [0u32, 1] {
             let (engine, committer) = &mut parts[map.shard_of(attr)];
@@ -1288,7 +1337,11 @@ mod tests {
                     &mut rng,
                 )
                 .expect("select");
-            committer.enqueue_journal(engine.take_ops());
+            let ticket = committer.enqueue_journal(engine.take_ops());
+            assert!(
+                ticket.is_none(),
+                "a refinement that fits the tail waits for nothing"
+            );
         }
         let drain_failed = parts.iter().any(|(_, c)| c.flush().is_err());
         (post_init, drain_failed)
@@ -1331,13 +1384,13 @@ mod tests {
         let dir = tmpdir("drain-crash");
         let (post_init, failed) = drive_drain(&dir, true);
         assert!(failed, "armed drain flush must report the failure");
-        // Nothing past the last acknowledged state (post-init) may appear,
-        // and nothing acknowledged may be missing: the recovered pool is
-        // exactly the acked prefix on every shard.
+        // The hook fires before a byte of the tail is appended, so the
+        // recovered prefix ends at the last acknowledged fact (the inits):
+        // no fact is missing, and the refinements are lost, not mangled.
         assert_eq!(
             recover(&dir),
             post_init,
-            "crash at the drain boundary must recover exactly the acked prefix"
+            "crash at the drain boundary must recover the prefix up to the last fact"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1371,10 +1424,122 @@ mod tests {
             .wait_durable(first)
             .expect("subsumed by the rotation");
 
-        let third = committer.enqueue_journal(Vec::new());
+        assert!(
+            committer.enqueue_journal(Vec::new()).is_none(),
+            "an empty batch takes no position"
+        );
+        let third = committer.enqueue_init(engine, 2, N);
         assert_eq!((third.epoch, third.seq), (1, 1));
         committer.wait_durable(third).expect("durable");
         assert_eq!(committer.lock().wal.as_ref().map(Wal::records), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One refining select against `engine`, journaled the way the
+    /// scheduler journals it. Returns the ticket the commit would wait on.
+    fn deferred_select(
+        engine: &mut PrkbEngine<Predicate>,
+        committer: &ShardCommitter<Predicate>,
+        oracle: &PlainOracle,
+        bound: u64,
+    ) -> Option<GroupCommitTicket> {
+        engine
+            .try_select(
+                oracle,
+                &Predicate::cmp(0, ComparisonOp::Lt, bound),
+                &mut StdRng::seed_from_u64(bound),
+            )
+            .expect("select");
+        let ops = engine.take_ops();
+        assert!(
+            !ops.is_empty() && ops.iter().all(|(_, op)| op.is_derived()),
+            "bound {bound} must refine, and a select journals derived ops only"
+        );
+        committer.enqueue_journal(ops)
+    }
+
+    /// The un-synced tail is bounded by records and by bytes: a deferred
+    /// commit gets a ticket exactly when it fills either bound, and
+    /// redeeming it empties the tail.
+    #[test]
+    fn deferred_tail_is_bounded_by_records_and_bytes() {
+        // By records: small refinements, a bound of four.
+        let dir = tmpdir("tail-records");
+        let config = EngineConfig {
+            group_commit_records: 4,
+            ..lazy_group()
+        };
+        let pool = ShardedDurablePool::open(&dir, config, ShardMap::new(1)).expect("pool opens");
+        let (_, mut parts) = pool.into_parts();
+        let (engine, committer) = &mut parts[0];
+        let oracle = oracle();
+        let init = committer.enqueue_init(engine, 0, N);
+        committer.wait_durable(init).expect("durable");
+        for (i, bound) in (1..=12u64).map(|i| i * 75).enumerate() {
+            let ticket = deferred_select(engine, committer, &oracle, bound);
+            let pending = committer.lock().pending.len();
+            assert!(pending <= 4, "tail holds {pending} records, bound is 4");
+            assert_eq!(ticket.is_some(), pending == 4, "select {i}");
+            if let Some(ticket) = ticket {
+                committer.wait_durable(ticket).expect("durable");
+                assert!(committer.lock().pending.is_empty(), "the waiter flushed");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // By bytes: the record bound out of reach, splits of a 40 000-tuple
+        // partition (a 160 KB record, then halves of it).
+        const BIG: usize = 40_000;
+        let dir = tmpdir("tail-bytes");
+        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (engine, committer) = &mut parts[0];
+        let oracle = PlainOracle::single_column((0..BIG as u64).collect());
+        let init = committer.enqueue_init(engine, 0, BIG);
+        committer.wait_durable(init).expect("durable");
+        let mut waited = 0;
+        for shift in 1..=10u32 {
+            let before = committer.lock().pending_bytes();
+            let ticket = deferred_select(engine, committer, &oracle, (BIG as u64) >> shift);
+            let after = committer.lock().pending_bytes();
+            assert!(before < DEFERRED_TAIL_BYTES, "the cap plus one record");
+            assert_eq!(ticket.is_some(), after >= DEFERRED_TAIL_BYTES);
+            if let Some(ticket) = ticket {
+                committer.wait_durable(ticket).expect("durable");
+                assert_eq!(committer.lock().pending_bytes(), 0);
+                waited += 1;
+            }
+        }
+        assert!(waited >= 1, "ten splits of 40 000 tuples cross 256 KiB");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The byte rule counts the tail: a pending payload that crosses
+    /// `checkpoint_wal_bytes` asks for the rotation before it is appended.
+    #[test]
+    fn checkpoint_byte_threshold_counts_the_pending_tail() {
+        let dir = tmpdir("ckpt-bytes");
+        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (engine, committer) = &mut parts[0];
+        let init = committer.enqueue_init(engine, 0, N);
+        committer.wait_durable(init).expect("durable");
+        let ticket = deferred_select(engine, committer, &oracle(), 500);
+        assert!(ticket.is_none(), "deferred: the record stays in the tail");
+        let (appended, pending) = {
+            let st = committer.lock();
+            let wal = st.wal.as_ref().expect("idle");
+            (wal.bytes(), st.pending_bytes())
+        };
+        assert!(pending > 0);
+        let by_bytes = |checkpoint_wal_bytes| EngineConfig {
+            checkpoint_wal_bytes,
+            ..lazy_group()
+        };
+        assert!(!committer.wants_checkpoint(&by_bytes(appended + pending + 1)));
+        assert!(committer.wants_checkpoint(&by_bytes(appended + pending)));
+        assert!(
+            committer.wants_checkpoint(&by_bytes(appended + 1)),
+            "the threshold sits inside the tail: appended bytes alone miss it"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -74,8 +74,10 @@ pub struct EngineConfig {
     pub checkpoint_wal_bytes: u64,
     /// Group commit: the most refinement records one fsync covers. A flush
     /// leader takes at most this many pending payloads per batch, bounding
-    /// tail latency and crash-exposure granularity under burst. Clamped to
-    /// at least 1.
+    /// tail latency and crash-exposure granularity under burst — and it is
+    /// the most deferred refinement records a shard's un-synced tail holds:
+    /// the select that brings the tail to this many waits out its flush.
+    /// Clamped to at least 1.
     pub group_commit_records: u64,
 }
 

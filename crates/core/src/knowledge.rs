@@ -164,6 +164,24 @@ pub enum RefinementOp<P> {
     },
 }
 
+impl<P> RefinementOp<P> {
+    /// Whether the op is *derived* knowledge — a refinement SP can re-derive
+    /// from QPF outputs it will see again (§5.3), so losing it to a crash
+    /// costs QPF, never an answer — as opposed to a *fact* (a tuple arrived
+    /// or left) that nothing can re-derive. The durable commit path defers
+    /// the fsync of a batch of derived ops and waits out a fact's.
+    /// Exhaustive on purpose: a new variant must decide.
+    pub(crate) fn is_derived(&self) -> bool {
+        match self {
+            RefinementOp::Split { .. } | RefinementOp::Refine { .. } => true,
+            RefinementOp::Delete { .. }
+            | RefinementOp::Park { .. }
+            | RefinementOp::Place { .. }
+            | RefinementOp::Solo { .. } => false,
+        }
+    }
+}
+
 /// PRKB state for one attribute.
 #[derive(Debug, Clone)]
 pub struct Knowledge<P> {

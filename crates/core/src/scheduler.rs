@@ -32,12 +32,18 @@
 //!
 //! There is also one **commit sequence**, and nothing outside this crate
 //! can run its steps: a successful operation's journaled ops are drained
-//! per shard and enqueued on that shard's WAL *under the shard lock* (so
-//! WAL order is commit order), the fsync is awaited *after* the lock is
-//! released (so commits landing meanwhile share the next one), and a shard
-//! that crossed its checkpoint threshold rotates while momentarily
-//! quiescent. A single-owner durable engine is this scheduler over a
-//! one-shard pool.
+//! per shard and — unless the shard's batch is empty — enqueued on that
+//! shard's WAL *under the shard lock* (so WAL order is commit order); an
+//! fsync is awaited *after* the lock is released, and only by a batch that
+//! holds a fact (insert, delete) or that filled the shard's bounded
+//! un-synced tail — refinements are a cache SP can re-derive, so a select
+//! replies after the enqueue and its records ride the next fsync; and a
+//! shard that crossed its checkpoint threshold rotates while momentarily
+//! quiescent. What a reopen recovers is, per shard, a prefix of that
+//! shard's commit order containing every acknowledged insert, delete and
+//! init; [`SessionScheduler::flush_durable`] is the clean-shutdown barrier
+//! that makes it the whole order. A single-owner durable engine is this
+//! scheduler over a one-shard pool.
 //!
 //! Waiting is **precise**: each busy attribute keeps its own condvar plus a
 //! waiter count, and a checkin notifies only the condvars of the attributes
@@ -53,10 +59,11 @@
 //! sequentially in commit-sequence order — same results, same per-query QPF
 //! spend (the loopback and proptest suites assert exactly this). Only an
 //! operation that succeeds commits: it draws a number and, in a durable
-//! pool, journals one WAL record on each shard of its footprint. A failed,
-//! expired or panicking one checks its knowledge back in untouched and
-//! leaves no trace. Internally a durable shard's commits are positioned by
-//! `(shard_epoch, shard_seq)`; the global number exists only for callers.
+//! pool, journals one WAL record on each shard of its footprint it
+//! changed. A failed, expired or panicking one checks its knowledge back in
+//! untouched and leaves no trace. Internally a durable shard's commits are
+//! positioned by `(shard_epoch, shard_seq)`; the global number exists only
+//! for callers.
 //!
 //! Because per-query cost accounting in the core pipelines is delta-based
 //! over [`SelectionOracle::qpf_uses`], a *shared* oracle counter would bleed
@@ -331,10 +338,12 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     }
 
     /// Wraps a recovered [`ShardedDurablePool`]: every shard keeps its own
-    /// WAL-backed committer, and each committed operation is acked only
+    /// WAL-backed committer. A committed insert or delete is acked only
     /// after its records are group-commit durable on every shard it
-    /// touched. Over a `ShardMap::new(1)` pool this is the single-owner
-    /// durable engine.
+    /// touched; a select's refinements are journaled before the ack and
+    /// durable by the next fsync on their shard (see
+    /// [`flush_durable`](Self::flush_durable)). Over a `ShardMap::new(1)`
+    /// pool this is the single-owner durable engine.
     pub fn durable(pool: ShardedDurablePool<P>) -> Self {
         let (map, parts) = pool.into_parts();
         let config = parts
@@ -365,8 +374,9 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Runs `f` against the detached knowledge of `attrs`, holding each
     /// shard's lock only for checkout and checkin (two-phase, ascending
     /// shard-id order). Returns `f`'s result and the commit sequence number
-    /// assigned at checkin. In durable pools the refinements are
-    /// group-commit durable on every touched shard before this returns.
+    /// assigned at checkin. In durable pools the journaled ops are enqueued
+    /// on every shard they changed before this returns, and fsync'd too if
+    /// any of them is a fact.
     ///
     /// # Errors
     /// [`QueryError::AttrNotInitialized`] if any attribute is unknown (all
@@ -384,7 +394,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Runs `f` against the whole pool — a checkout whose footprint is every
     /// attribute, so it waits for every in-flight checkout and holds off
     /// every later one — and assigns a commit sequence number. For inserts
-    /// and deletes. In durable pools the journaled ops are group-commit
+    /// and deletes. In durable pools the journaled facts are group-commit
     /// durable on every attribute-holding shard before this returns.
     ///
     /// # Errors
@@ -409,7 +419,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// The one checkout every operation goes through: reserve `attrs`, run
     /// `f` outside every lock, then commit if `f` succeeded. A failing `f`
     /// (or a panicking one) releases the footprint uncommitted: no sequence
-    /// number, no WAL record, no fsync wait.
+    /// number, no WAL record, no fsync wait. A successful one that changed
+    /// nothing draws its number and journals nothing.
     ///
     /// `deadline` bounds the wait for the footprint, not `f`: a budget that
     /// expired while the session was parked fails with
@@ -477,10 +488,11 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Phase 2, the only split-and-reattach loop: splits `merged` back into
     /// its per-shard parts and checks each in, ascending. On a committed
     /// checkin this draws the global sequence number under the first
-    /// shard's lock and enqueues one WAL record per touched durable shard
-    /// (atomically with the reattach, so each shard's WAL order matches its
-    /// commit order). Returns the sequence number and the group-commit
-    /// tickets still to be awaited.
+    /// shard's lock and enqueues one WAL record per durable shard whose
+    /// batch is not empty (atomically with the reattach, so each shard's
+    /// WAL order matches its commit order). Returns the sequence number and
+    /// the group-commit tickets the commit must still await — none for a
+    /// shard whose batch was derived refinements that fit its tail.
     fn release_parts(
         &self,
         parts: &[(usize, Vec<AttrId>)],
@@ -510,7 +522,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             st.engine.attach(sub);
             if committed {
                 if let Some(committer) = &shard.committer {
-                    tickets.push((*sid, committer.enqueue_journal(ops)));
+                    tickets.extend(committer.enqueue_journal(ops).map(|t| (*sid, t)));
                 }
             }
             // Precise wakeups: only sessions parked on an attribute this
@@ -566,20 +578,26 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         (0..self.shards.len()).try_for_each(|sid| self.checkpoint_shard(sid, true))
     }
 
-    /// Flushes and fsyncs every shard's pending group-commit batch — the
-    /// graceful-drain barrier. Acked commits already waited for
-    /// durability, so this is a safety net that guarantees the invariant
-    /// at shutdown regardless of timing.
+    /// Flushes and fsyncs every shard's un-synced tail — *the*
+    /// clean-shutdown barrier. Acknowledged inserts and deletes already
+    /// waited for their fsync; the refinements of acknowledged selects sit
+    /// in a bounded tail until the next fsync on their shard, and this is
+    /// the call that forces it: after `Ok`, a reopen recovers every
+    /// committed operation. Dropping the scheduler without it is a crash
+    /// (recovery lands on a prefix holding every acknowledged fact). A lock
+    /// and an empty-check per shard when nothing is pending.
     ///
     /// # Errors
-    /// [`DurableError`] when a shard's flush fails.
+    /// The first [`DurableError`] a shard's flush met (that shard is
+    /// poisoned: its next checkout gets the same error). Every other shard
+    /// is flushed all the same — one sick shard must not keep its
+    /// siblings' tails off the disk.
     pub fn flush_durable(&self) -> Result<(), DurableError> {
-        for shard in &self.shards {
-            if let Some(committer) = &shard.committer {
-                committer.flush()?;
-            }
-        }
-        Ok(())
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.committer.as_ref())
+            .map(ShardCommitter::flush)
+            .fold(Ok(()), Result::and)
     }
 
     /// Hands the merged engine back for single-threaded use (shutdown). Owning `self` proves no checkout is outstanding — a
@@ -588,8 +606,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     pub fn into_engine(self) -> PrkbEngine<P> {
         // The signature can't carry the flush error (shutdown proceeds
         // regardless — the WAL keeps whatever prefix made it to disk), but
-        // it must not vanish silently: a failed final flush means the last
-        // unacknowledged batch died with the process.
+        // it must not vanish silently: a failed final flush means the
+        // deferred tail of refinements died with the process.
         if let Err(e) = self.flush_durable() {
             eprintln!("prkb: final durable flush failed during shutdown: {e}");
         }
@@ -624,8 +642,9 @@ impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
     }
 
     /// Checks the footprint in as one committed operation, awaits
-    /// group-commit durability on every shard that journaled, then lets any
-    /// touched shard that crossed its checkpoint threshold rotate.
+    /// group-commit durability on every shard that journaled a fact or
+    /// filled its un-synced tail, then lets any touched shard that crossed
+    /// its checkpoint threshold rotate.
     fn commit(mut self) -> Result<u64, DurableError> {
         let sched = self.sched;
         let (parts, merged) = self.take();

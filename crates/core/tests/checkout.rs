@@ -1,6 +1,8 @@
 //! What one checkout leaves on disk: a committed operation journals one
-//! WAL record on each shard of its footprint and nowhere else; an
-//! operation that fails commits nothing at all.
+//! WAL record on each shard of its footprint that it changed and nowhere
+//! else; one that changed nothing draws its number and journals nothing; an
+//! operation that fails commits nothing at all; and an insert's ack carries
+//! every earlier refinement of its shards to disk with it.
 
 mod common;
 
@@ -92,4 +94,70 @@ fn whole_table_commit_journals_on_attribute_holding_shards_only() {
 
     let reopened = SessionScheduler::durable(open_pool(&dir.0, SHARDS));
     assert_eq!(reopened.inspect(kb_bytes), live, "reopen ≡ live");
+}
+
+#[test]
+fn empty_commit_draws_a_number_and_journals_nothing() {
+    let dir = TmpDir::new("empty-commit");
+    let oracle = PlainOracle::single_column((0..ROWS as u64).collect());
+    let mut pool = open_pool(&dir.0, 1);
+    pool.init_attr(0, ROWS).expect("init");
+    let sched = SessionScheduler::durable(pool);
+    let wal_len = || {
+        sched.flush_durable().expect("flush");
+        let wal = dir.shard(0).join("wal.0.log");
+        std::fs::metadata(wal).expect("epoch-0 WAL").len()
+    };
+
+    // Converge: the first time, the cut and the BETWEEN both refine.
+    let cut = Predicate::cmp(0, ComparisonOp::Lt, 25);
+    let between = Predicate::between(0, 10, 30);
+    let mut rng = StdRng::seed_from_u64(1);
+    for (pred, number) in [(&cut, 1), (&between, 2)] {
+        let (_, seq) = sched.select(&oracle, pred, None, &mut rng).expect("select");
+        assert_eq!(seq, number);
+    }
+    let converged = wal_len();
+
+    // The same two again: answered, numbered, not journaled.
+    for (pred, number) in [(&cut, 3), (&between, 4)] {
+        let (sel, seq) = sched.select(&oracle, pred, None, &mut rng).expect("select");
+        assert_eq!(sel.sorted(), oracle.expected_select(pred));
+        assert_eq!(seq, number, "next dense number");
+    }
+    assert_eq!(wal_len(), converged, "an empty commit appends nothing");
+
+    drop(sched.into_engine());
+    assert_eq!(records(&dir.0, 1), [3], "init + the two refining selects");
+}
+
+#[test]
+fn insert_ack_carries_every_earlier_refinement_of_its_shards() {
+    const SHARDS: usize = 8;
+    let dir = TmpDir::new("insert-carries");
+    let mut oracle = PlainOracle::from_columns(vec![(0..ROWS as u64).collect(); 2]);
+    let uploaded = oracle.insert(&[7, 31]);
+    let mut pool = open_pool(&dir.0, SHARDS);
+    for attr in 0..2 {
+        pool.init_attr(attr, ROWS).expect("init");
+    }
+    let sched = SessionScheduler::durable(pool);
+    let mut rng = StdRng::seed_from_u64(2);
+    for (attr, bound) in [(0, 20), (1, 35), (0, 40), (1, 10)] {
+        let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound);
+        sched
+            .select(&oracle, &pred, None, &mut rng)
+            .expect("select");
+    }
+    sched.insert(&oracle, uploaded, None).expect("insert");
+    let served = sched.inspect(kb_bytes);
+    // A crash right after the ack — no flush, no shutdown.
+    drop(sched);
+
+    let recovered = SessionScheduler::durable(open_pool(&dir.0, SHARDS));
+    assert_eq!(
+        recovered.inspect(kb_bytes),
+        served,
+        "the insert's fsync made the deferred refinements before it durable"
+    );
 }

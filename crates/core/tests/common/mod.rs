@@ -51,6 +51,22 @@ impl Drop for TmpDir {
     }
 }
 
+/// Copies a pool directory tree — a fixture into a scratch directory, or a
+/// live pool as a crash would leave it. The `attr.<a>.snap` images that sit
+/// beside the parent-written fixtures are not pool files and stay behind.
+pub fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create dir");
+    for entry in std::fs::read_dir(from).expect("list dir") {
+        let path = entry.expect("entry").path();
+        let dest = to.join(path.file_name().expect("named entry"));
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else if path.extension().and_then(|e| e.to_str()) != Some("snap") {
+            std::fs::copy(&path, &dest).expect("copy file");
+        }
+    }
+}
+
 /// `snapshot::save` of every attribute, in attribute order: the byte state
 /// two engines must share to count as equal.
 pub fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u8>> {
@@ -62,12 +78,15 @@ pub fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u
         .collect()
 }
 
+/// The byte state of a whole pool: `[sid]` = shard `sid`'s [`kb_bytes`].
+pub type PoolBytes = Vec<Vec<Vec<u8>>>;
+
 /// [`kb_bytes`] split by shard: what each shard's own engine reports for
 /// the attributes `map` routes to it.
 pub fn kb_bytes_by_shard<P: SpPredicate + WireCodec>(
     engine: &PrkbEngine<P>,
     map: ShardMap,
-) -> Vec<Vec<Vec<u8>>> {
+) -> PoolBytes {
     let mut attrs: Vec<_> = engine.attrs().collect();
     attrs.sort_unstable();
     let mut shards = vec![Vec::new(); map.shards()];
@@ -174,7 +193,7 @@ pub fn select_lt(sched: &Sched, oracle: &PlainOracle, attr: u32, bound: u64, rng
 
 /// The byte state of a reopened pool, shard by shard, every knowledge base
 /// checked against its invariants on the way.
-pub fn pool_bytes(pool: &Pool) -> Vec<Vec<Vec<u8>>> {
+pub fn pool_bytes(pool: &Pool) -> PoolBytes {
     (0..pool.map().shards())
         .map(|sid| {
             let engine = pool.shard_engine(sid);
@@ -189,66 +208,94 @@ pub fn pool_bytes(pool: &Pool) -> Vec<Vec<Vec<u8>>> {
         .collect()
 }
 
+/// What an acknowledged operation was, as far as recovery is concerned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ack {
+    /// An insert or a delete: its ack waited for the fsync, which carried
+    /// every earlier record of its shards with it.
+    Fact,
+    /// A select: its refinements were journaled, not yet synced.
+    Derived,
+}
+
 /// Per-shard byte states of a crash- or fault-armed run.
 pub struct Run {
-    /// `acked[sid]` = shard `sid`'s state at the last acknowledged commit.
-    pub acked: Vec<Vec<Vec<u8>>>,
-    /// `live[sid]` = shard `sid`'s in-memory state when the run stopped
-    /// (ahead of `acked[sid]` only where the failure hit after the
-    /// in-memory commit).
-    pub live: Vec<Vec<Vec<u8>>>,
-    /// Whether an operation failed (the run stopped early).
+    /// The pool's state after every acknowledged operation, in commit
+    /// order; `history[0]` is the pool as opened.
+    pub history: Vec<PoolBytes>,
+    /// Index into `history` of the last acknowledged fact (init, insert,
+    /// delete): the least a crash may recover.
+    pub fact: usize,
+    /// The in-memory state when the run stopped (ahead of `history`'s last
+    /// entry only where the failure hit after the in-memory commit).
+    pub live: PoolBytes,
+    /// Whether an operation, or the closing flush, failed: the run ended
+    /// in a crash rather than a clean shutdown.
     pub failed: bool,
 }
 
 /// Drives an armed pool the way a deployment does: attributes `0..attrs`
-/// initialized on the pool, then `ops` through its scheduler. `ops` calls
-/// its second argument after every operation that was acknowledged and
-/// returns at the first error.
+/// initialized on the pool, then `ops` through its scheduler, then — if
+/// everything was acknowledged — the clean-shutdown barrier
+/// (`flush_durable`, itself part of the armed run). `ops` calls its second
+/// argument after every operation that was acknowledged and returns at the
+/// first error. Dropping the scheduler afterwards is the crash (or, after
+/// a successful flush, the exit).
 pub fn drive(
     mut pool: Pool,
     attrs: u32,
     n: usize,
-    ops: impl FnOnce(&Sched, &mut dyn FnMut()) -> Result<(), DurableError>,
+    ops: impl FnOnce(&Sched, &mut dyn FnMut(Ack)) -> Result<(), DurableError>,
 ) -> Run {
     let map = pool.map();
-    let mut acked = pool_bytes(&pool);
+    let mut history = vec![pool_bytes(&pool)];
     for attr in 0..attrs {
         if pool.init_attr(attr, n).is_err() {
             return Run {
+                fact: history.len() - 1,
+                history,
                 live: pool_bytes(&pool),
-                acked,
                 failed: true,
             };
         }
-        acked = pool_bytes(&pool);
+        history.push(pool_bytes(&pool));
     }
+    let mut fact = history.len() - 1;
     let sched = SessionScheduler::durable(pool);
     let by_shard = |engine: &PrkbEngine<Predicate>| kb_bytes_by_shard(engine, map);
-    let failed = ops(&sched, &mut || acked = sched.inspect(by_shard)).is_err();
+    let mut ack = |kind| {
+        history.push(sched.inspect(by_shard));
+        if kind == Ack::Fact {
+            fact = history.len() - 1;
+        }
+    };
+    let failed = ops(&sched, &mut ack).is_err() || sched.flush_durable().is_err();
     Run {
         live: sched.inspect(by_shard),
-        acked,
+        history,
+        fact,
         failed,
     }
 }
 
-/// The recovery contract, shard by shard: a clean run recovers its final
-/// state; a failed one recovers the acknowledged prefix or that plus the
-/// single in-flight operation — never less, never a third state.
+/// The recovery contract, shard by shard: a clean shutdown recovers the
+/// final state; a crash recovers a prefix of the shard's commit order that
+/// contains every acknowledged fact — some `history[j]`, `j ≥ fact`, or the
+/// in-flight state — never less, never a state off the history.
 pub fn assert_recovered(run: &Run, recovered: &[Vec<Vec<u8>>], tag: &str) {
     assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
     for (sid, rec) in recovered.iter().enumerate() {
         if run.failed {
+            let on_history = run.history[run.fact..].iter().any(|h| h[sid] == *rec);
             assert!(
-                *rec == run.acked[sid] || *rec == run.live[sid],
-                "{tag} shard {sid}: recovered state is neither the acknowledged \
-                 prefix nor the in-flight state"
+                on_history || *rec == run.live[sid],
+                "{tag} shard {sid}: recovered state is not a commit-order prefix \
+                 holding every acknowledged fact (nor the in-flight state)"
             );
         } else {
             assert_eq!(
                 *rec, run.live[sid],
-                "{tag} shard {sid}: clean run must recover final state"
+                "{tag} shard {sid}: clean shutdown must recover final state"
             );
         }
     }

@@ -5,9 +5,11 @@
 //!
 //! 1. **Replay equivalence** — for every injected crash point, reopening the
 //!    directory recovers an engine that passes `validate()` and is
-//!    byte-identical to one rebuilt from the committed-operation prefix: no
-//!    acknowledged refinement is ever lost, and at most the single
-//!    in-flight (never-acknowledged) operation may be missing.
+//!    byte-identical to a reference engine rebuilt from a prefix of the
+//!    commit order, and that prefix contains every acknowledged insert,
+//!    delete and init: refinements are a cache and a crash may lose a
+//!    bounded tail of them, facts are never lost. A clean shutdown
+//!    (`flush_durable`) recovers the whole order.
 //! 2. **Torn tail vs mid-log corruption** — a partial/checksum-failing
 //!    *final* WAL record is silently discarded and the engine opens; a bad
 //!    record with valid data after it refuses to open, as does a damaged
@@ -21,7 +23,7 @@
 mod common;
 
 use common::{
-    kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every, Sched, TmpDir,
+    kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every, Ack, Sched, TmpDir,
 };
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
@@ -34,6 +36,7 @@ use prkb_edbms::{real_fs, ComparisonOp, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 // ---------------------------------------------------------------------------
@@ -159,49 +162,98 @@ fn apply_ref(
 }
 
 /// Applies one step through the scheduler, with the footprint a server
-/// would name for it.
+/// would name for it. Returns a select's answer, sorted.
 fn apply_durable(
     sched: &Sched,
     oracle: &PlainOracle,
     step: &Step,
     rng: &mut StdRng,
-) -> Result<(), DurableError> {
+) -> Result<Option<Vec<u32>>, DurableError> {
+    let answer = |(sel, _): (prkb_core::Selection, u64)| Some(sel.sorted());
     match step {
         Step::Cmp(p) => sched
             .with_detached(&[p.attr()], |e| e.try_select(oracle, p, rng))
-            .map(drop),
+            .map(answer),
         Step::Md(dims) => sched
             .with_detached(&[0, 1], |e| e.try_select_range_md(oracle, dims, rng))
-            .map(drop),
+            .map(answer),
         Step::Sdplus(dims) => sched
             .with_detached(&[0, 1], |e| e.try_select_range_sdplus(oracle, dims, rng))
-            .map(drop),
+            .map(answer),
         Step::Conjunction(ps) => sched
             .with_detached(&[0, 1], |e| e.try_select_conjunction(oracle, ps, rng))
-            .map(drop),
-        Step::Insert(t) => sched.insert(oracle, *t, None).map(drop),
-        Step::Delete(t) => sched.delete(*t, None).map(drop),
+            .map(answer),
+        Step::Insert(t) => sched.insert(oracle, *t, None).map(|_| None),
+        Step::Delete(t) => sched.delete(*t, None).map(|_| None),
+    }
+}
+
+impl Step {
+    /// Whether the step's ack waits for its fsync (an insert or a delete).
+    fn ack(&self) -> Ack {
+        match self {
+            Step::Insert(_) | Step::Delete(_) => Ack::Fact,
+            _ => Ack::Derived,
+        }
+    }
+
+    /// A select's predicates, as one conjunction (none for a fact).
+    fn conjuncts(&self) -> Vec<Predicate> {
+        match self {
+            Step::Cmp(p) => vec![*p],
+            Step::Md(dims) | Step::Sdplus(dims) => dims.iter().flatten().copied().collect(),
+            Step::Conjunction(ps) => ps.clone(),
+            Step::Insert(_) | Step::Delete(_) => Vec::new(),
+        }
     }
 }
 
 /// Outcome of driving the crash-armed workload.
 struct CrashRun {
-    /// `history[r]` = reference state after `r` WAL records were committed
-    /// (valid only when rotation is disabled), up to and including the
-    /// operation the run stopped in.
+    /// `history[i]` = reference state after the first `i` committed
+    /// operations (counting from wherever the caller started recording), up
+    /// to and including the operation the run stopped in.
     history: Vec<Vec<Vec<u8>>>,
-    /// State captured *before* the failing call, i.e. the last acknowledged
-    /// state (always valid).
-    acked: Vec<Vec<u8>>,
-    /// In-memory state right after the crash error (always valid).
+    /// Index into `history` of the last acknowledged fact (init, insert or
+    /// delete): the least a crash may recover.
+    fact: usize,
+    /// In-memory state when the run stopped (always valid).
     live: Vec<Vec<u8>>,
     /// Whether the injected crash actually fired.
     crashed: bool,
 }
 
+impl CrashRun {
+    /// The recovery contract against the reference history: a clean
+    /// shutdown recovers the final state; a crash recovers `history[j]` for
+    /// some `j ≥ fact` — a prefix of the commit order holding every
+    /// acknowledged fact. Returns that `j` (the latest, where consecutive
+    /// states are equal).
+    fn assert_recovered(&self, recovered: &[Vec<u8>], tag: &str) -> usize {
+        if !self.crashed {
+            assert_eq!(
+                recovered, self.live,
+                "{tag}: clean shutdown must recover the final state"
+            );
+        }
+        let j = self
+            .history
+            .iter()
+            .rposition(|h| h == recovered)
+            .unwrap_or_else(|| panic!("{tag}: recovered state is not on the commit-order history"));
+        assert!(
+            j >= self.fact,
+            "{tag}: recovered history[{j}], but a fact was acknowledged at {}",
+            self.fact
+        );
+        j
+    }
+}
+
 /// Drives the workload against a crash-armed one-shard pool — inits on
-/// the pool, everything after through its scheduler — and a plain
-/// reference engine in lockstep, stopping at the first storage error.
+/// the pool, everything after through its scheduler, a closing
+/// `flush_durable` if nothing failed — and a plain reference engine in
+/// lockstep, stopping at the first storage error.
 fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) -> CrashRun {
     let (n, extra) = (180usize, 3usize);
     let oracle = PlainOracle::from_columns(columns(n, extra, seed));
@@ -217,13 +269,13 @@ fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) ->
             apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
             history.push(kb_bytes(&reference));
             apply_durable(durable, &oracle, step, &mut step_rng(seed, i))?;
-            ack();
+            ack(step.ack());
         }
         Ok(())
     });
     CrashRun {
         history,
-        acked: run.acked.remove(0),
+        fact: run.fact,
         live: run.live.remove(0),
         crashed: run.failed,
     }
@@ -246,41 +298,34 @@ fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus
 // 1. Replay equivalence across crash points
 // ---------------------------------------------------------------------------
 
-/// Exhaustive WAL-path sweep with rotation disabled: the record count is
-/// then exactly the committed-operation count, so the recovered state must
-/// be byte-identical to the reference history at index `records_replayed` —
-/// the strictest possible replay-equivalence statement.
+/// Exhaustive WAL-path sweep with rotation disabled: whichever append or
+/// sync the crash lands in — a fact's own flush, a full tail's, the closing
+/// drain's — the recovered state is byte-identical to the reference history
+/// at some index at or past the last acknowledged fact, and replay never
+/// invents a record.
 #[test]
 fn wal_crash_sweep_recovers_exact_committed_prefix() {
-    for point in [
-        CrashPoint::BeforeWalAppend,
-        CrashPoint::MidWalAppend,
-        CrashPoint::AfterWalAppend,
-        CrashPoint::AfterWalSync,
+    // Appends fire once per record; syncs once per flush, and only the two
+    // inits, the four facts and the closing drain flush.
+    let per_record = [1u64, 2, 7, 13];
+    for (point, nths) in [
+        (CrashPoint::BeforeWalAppend, per_record),
+        (CrashPoint::MidWalAppend, per_record),
+        (CrashPoint::AfterWalAppend, per_record),
+        (CrashPoint::AfterWalSync, [1, 2, 4, 6]),
     ] {
-        for nth in [1u64, 2, 7, 13] {
+        for nth in nths {
             let dir = TmpDir::new("walsweep");
             let run = drive(&dir, 42, no_rotation(), CrashInjector::at_nth(point, nth));
             assert!(run.crashed, "{point}:{nth} never fired");
             let (recovered, replayed, tail) = recover(&dir, no_rotation());
+            let j = run.assert_recovered(&recovered, &format!("{point}:{nth}"));
+            // An operation journals at most one record (none when it
+            // refined nothing), so the prefix is at least as long as the
+            // log that produced it.
             assert!(
-                (replayed as usize) < run.history.len(),
-                "{point}:{nth}: replayed {replayed} past history"
-            );
-            assert_eq!(
-                recovered, run.history[replayed as usize],
-                "{point}:{nth}: recovered state is not the committed prefix"
-            );
-            // The last *acknowledged* state is always a prefix of recovery:
-            // nothing the caller saw succeed may be lost.
-            assert!(
-                replayed as usize
-                    >= run
-                        .history
-                        .iter()
-                        .position(|h| *h == run.acked)
-                        .expect("acked state is on the reference history"),
-                "{point}:{nth}: acknowledged records lost"
+                replayed as usize <= j,
+                "{point}:{nth}: {replayed} records replayed for a {j}-operation prefix"
             );
             if point == CrashPoint::MidWalAppend {
                 assert_eq!(
@@ -298,8 +343,8 @@ proptest! {
 
     /// Randomized sweep over *every* crash point with checkpoint rotation
     /// live: whatever fires wherever, the recovered engine validates and is
-    /// byte-identical to the acknowledged state or to the acknowledged
-    /// state plus the one in-flight (never-acknowledged) operation.
+    /// byte-identical to a commit-order prefix holding every acknowledged
+    /// fact (the in-flight operation at most on top).
     fn randomized_crash_recovery_equivalence(
         seed in 0u64..1_000_000,
         point_idx in 0usize..CrashPoint::ALL.len(),
@@ -310,18 +355,91 @@ proptest! {
         let config = rotate_every(5);
         let run = drive(&dir, seed, config, CrashInjector::at_nth(point, nth));
         let (recovered, _, _) = recover(&dir, config);
-        if run.crashed {
-            prop_assert!(
-                recovered == run.acked || recovered == run.live,
-                "{}:{}: recovered state is neither the acknowledged prefix nor the in-flight state",
-                point, nth
-            );
-        } else {
-            prop_assert_eq!(
-                recovered, run.live,
-                "{}:{}: clean shutdown must recover the final state", point, nth
-            );
+        run.assert_recovered(&recovered, &format!("{point}:{nth}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lost refinements cost QPF, never answers. Crash (a bare drop, no
+    /// flush) after `stop` acknowledged steps of the mixed workload: the
+    /// recovered KB validates and is the uninterrupted run's state after
+    /// some `j ≤ stop` steps, `j` at or past the last acknowledged insert
+    /// or delete; every select of the run, re-asked against a copy of it,
+    /// returns the ground-truth answer over exactly the tuples present at
+    /// the crash; and replaying the lost steps `j..stop` — then the rest —
+    /// with the same per-step RNG lands byte-identical to the
+    /// uninterrupted run.
+    #[test]
+    fn lost_refinements_cost_qpf_never_answers(
+        seed in 0u64..1_000_000,
+        stop in 1usize..=16,
+        rotate in prop_oneof![Just(0u64), Just(5)],
+    ) {
+        let (n, extra) = (180usize, 3usize);
+        let config = rotate_every(rotate);
+        let oracle = PlainOracle::from_columns(columns(n, extra, seed));
+        let steps = workload(n, extra, seed ^ 0x77);
+        let dir = TmpDir::new("lost");
+
+        // `history[i]` = the uninterrupted run after `i` steps.
+        let mut reference = PrkbEngine::new(config);
+        reference.init_attr(0, n);
+        reference.init_attr(1, n);
+        let mut history = vec![kb_bytes(&reference)];
+        let mut present: BTreeSet<u32> = (0..n as u32).collect();
+        let mut fact = 0usize;
+        let durable = create(&dir, config, CrashInjector::disabled(), n);
+        for (i, step) in steps[..stop].iter().enumerate() {
+            apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
+            history.push(kb_bytes(&reference));
+            apply_durable(&durable, &oracle, step, &mut step_rng(seed, i)).expect("healthy disk");
+            match step {
+                Step::Insert(t) => present.insert(*t),
+                Step::Delete(t) => present.remove(t),
+                _ => continue,
+            };
+            fact = i + 1;
         }
+        drop(durable); // the crash
+
+        let probe_dir = TmpDir::new("lost-probe");
+        common::copy_tree(&dir.0, &probe_dir.0);
+
+        // The recovered state is a commit-order prefix holding every fact.
+        let recovered = pool_bytes(&try_open(&dir, config).expect("recovery opens")).remove(0);
+        let run = CrashRun { live: history[stop].clone(), history, fact, crashed: true };
+        let j = run.assert_recovered(&recovered, &format!("crash after {stop} steps"));
+
+        // Answers do not depend on how much of the cache survived.
+        let probe = reopen(&probe_dir, config);
+        let whole_table = (0..2).map(|attr| Step::Cmp(Predicate::cmp(attr, ComparisonOp::Ge, 0)));
+        for (i, step) in steps[..stop].iter().cloned().chain(whole_table).enumerate() {
+            let conjuncts = step.conjuncts();
+            if conjuncts.is_empty() {
+                continue;
+            }
+            let mut truth = oracle.expected_conjunction(&conjuncts);
+            truth.retain(|t| present.contains(t));
+            let answer = apply_durable(&probe, &oracle, &step, &mut step_rng(!seed, i));
+            prop_assert_eq!(answer.expect("healthy disk"), Some(truth), "step {}", i);
+        }
+
+        // Re-deriving what was lost lands where the uninterrupted run is.
+        let resumed = reopen(&dir, config);
+        for (i, step) in steps.iter().enumerate() {
+            if i >= stop {
+                apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
+            }
+            if i >= j {
+                apply_durable(&resumed, &oracle, step, &mut step_rng(seed, i)).expect("healthy disk");
+            }
+            if i + 1 == stop {
+                prop_assert_eq!(&resumed.inspect(kb_bytes), &run.live, "after the lost suffix");
+            }
+        }
+        prop_assert_eq!(resumed.inspect(kb_bytes), kb_bytes(&reference));
     }
 }
 
@@ -336,17 +454,7 @@ fn env_driven_crash_point_recovers() {
             let config = rotate_every(6);
             let run = drive(&dir, 7, config, CrashInjector::at_nth(point, nth));
             let (recovered, _, _) = recover(&dir, config);
-            if run.crashed {
-                assert!(
-                    recovered == run.acked || recovered == run.live,
-                    "{point}:{nth}: recovered state diverged under crash injection"
-                );
-            } else {
-                assert_eq!(
-                    recovered, run.live,
-                    "{point}:{nth}: clean run must recover final state"
-                );
-            }
+            run.assert_recovered(&recovered, &format!("{point}:{nth}"));
         }
     }
 }
@@ -470,9 +578,9 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
 }
 
 /// An injected crash at every rotation boundary still recovers the exact
-/// live state: the record that triggered the rotation was appended +
-/// fsync'd before any segment byte moved, so the full committed history is
-/// durable at every hook — before the manifest swap the old segment set +
+/// live state: a rotation drains the shard's whole un-synced tail before
+/// any segment byte moves, so the full committed history is durable at
+/// every hook — before the manifest swap the old segment set +
 /// WAL replay reproduce it, after the swap the new segment subsumes the
 /// old WAL.
 #[test]
@@ -533,9 +641,12 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
     );
     let mut rng = StdRng::seed_from_u64(1);
     let p = Predicate::cmp(0, ComparisonOp::Lt, 500);
-    let err = durable
+    // The select's record is the 3rd append, but a refinement replies
+    // before it is appended; the delete's flush carries it, and crashes.
+    durable
         .select(&oracle, &p, None, &mut rng)
-        .expect_err("3rd append crashes");
+        .expect("deferred: nothing appended yet");
+    let err = durable.delete(5, None).expect_err("3rd append crashes");
     assert!(matches!(
         err,
         DurableError::Storage(DurabilityError::Crash(_))
@@ -573,7 +684,7 @@ fn restart_continuity_matches_uninterrupted_reference() {
     let mut reference = PrkbEngine::new(config);
     reference.init_attr(0, n);
     reference.init_attr(1, n);
-    // Dropped at once: simulated shutdown right after initialization.
+    // Dropped at once: inits are facts, durable when acknowledged.
     drop(create(&dir, config, CrashInjector::disabled(), n));
 
     let mut at = 0usize;
@@ -590,6 +701,8 @@ fn restart_continuity_matches_uninterrupted_reference() {
             at += 1;
         }
         assert_eq!(d.inspect(kb_bytes), kb_bytes(&reference));
+        // A clean shutdown, not a crash: the tail of refinements goes too.
+        d.flush_durable().expect("clean shutdown");
     }
 }
 
@@ -686,6 +799,7 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
             d.inspect(|e| e.knowledge(0).expect("indexed").k()) > 8,
             "grid too coarse to be a fan-out test"
         );
+        d.flush_durable().expect("clean shutdown");
         d.inspect(kb_bytes)
     };
     let pool = try_open(&dir, config).expect("reopen");

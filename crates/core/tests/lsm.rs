@@ -24,7 +24,9 @@
 
 mod common;
 
-use common::{columns, kb_bytes, reopen_pool, rotate_every, select_lt, Pool, Sched, TmpDir};
+use common::{
+    columns, copy_tree, kb_bytes, reopen_pool, rotate_every, select_lt, Pool, Sched, TmpDir,
+};
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{
     parse_segment_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
@@ -247,6 +249,9 @@ proptest! {
                 }
                 _ => {
                     let live = durable.inspect(kb_bytes);
+                    // A clean shutdown: a bare drop would be a crash, free
+                    // to lose the refinements since the last rotation.
+                    durable.flush_durable().expect("clean shutdown");
                     drop(durable);
                     durable = reopen_manual(&dir);
                     prop_assert_eq!(durable.inspect(kb_bytes), live);
@@ -315,19 +320,6 @@ fn fixture(name: &str) -> PathBuf {
 
 const FIXTURE_ATTRS: u32 = 4;
 const FIXTURE_TAILS: [u64; 2] = [7, 3];
-
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).expect("create dir");
-    for entry in std::fs::read_dir(from).expect("list fixture") {
-        let path = entry.expect("entry").path();
-        let dest = to.join(path.file_name().expect("named entry"));
-        if path.is_dir() {
-            copy_tree(&path, &dest);
-        } else if path.extension().and_then(|e| e.to_str()) != Some("snap") {
-            std::fs::copy(&path, &dest).expect("copy fixture file");
-        }
-    }
-}
 
 fn served_images() -> Vec<Vec<u8>> {
     (0..FIXTURE_ATTRS)

@@ -5,12 +5,13 @@
 //!
 //! 1. **No lost durable ack** — for every seeded I/O fault (EIO / ENOSPC /
 //!    short write on any storage operation), the durability layer yields
-//!    either a clean error with the committed prefix recoverable, or a
-//!    poisoned handle — never a wrong answer, a lost acknowledged record,
-//!    or a panic.
-//! 2. **fsync-failure poison** — a failed durability barrier permanently
-//!    poisons the WAL/shard: no retry-and-assume-durable, every later
-//!    commit attempt surfaces `SyncFailed`, and only a reopen resumes.
+//!    either a clean error with a commit-order prefix recoverable that
+//!    holds every acknowledged delete and init, or a poisoned handle —
+//!    never a wrong answer, a lost acknowledged fact, or a panic.
+//! 2. **fsync-failure poison** — a failed durability barrier, the deferred
+//!    flush of a tail of refinements included, permanently poisons the
+//!    WAL/shard: no retry-and-assume-durable, every later commit attempt
+//!    surfaces `SyncFailed`, and only a reopen resumes.
 //! 3. **ENOSPC-safe rotation** — a full disk mid-checkpoint aborts the
 //!    rotation with the previous segment set + manifest + WAL intact;
 //!    reopen recovers the exact committed prefix and leaves no stray
@@ -26,7 +27,7 @@ mod common;
 
 use common::{
     assert_recovered, kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every,
-    select_lt, shards_from_env, Run, Sched, TmpDir,
+    select_lt, shards_from_env, Ack, Run, Sched, TmpDir,
 };
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
@@ -76,10 +77,11 @@ fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
             };
             if round % 7 == 6 {
                 durable.delete((round % 60) as u32, None)?;
+                ack(Ack::Fact);
             } else {
                 durable.select(&oracle, &pred, None, &mut rng)?;
+                ack(Ack::Derived);
             }
-            ack();
         }
         Ok(())
     }))
@@ -157,7 +159,7 @@ fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> 
             let lo = (round * 53) % 650;
             let pred = Predicate::cmp(attr, ComparisonOp::Lt, lo + 120);
             sched.select(&oracle, &pred, None, &mut rng)?;
-            ack();
+            ack(Ack::Derived);
         }
         Ok(())
     }))
@@ -223,12 +225,10 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
     );
     let acked = durable.inspect(kb_bytes);
     let mut rng = StdRng::seed_from_u64(1);
-    let failed = durable.select(
-        &oracle,
-        &Predicate::cmp(0, ComparisonOp::Lt, 500),
-        None,
-        &mut rng,
-    );
+    // A refinement replies before its fsync; the barrier that syncs the
+    // tail it sits in is the one that meets the armed failure.
+    select_lt(&durable, &oracle, 0, 500, &mut rng);
+    let failed = durable.flush_durable();
     assert!(
         is_sync_failed(&failed),
         "failed fsync must surface as SyncFailed, got {:?}",
@@ -250,14 +250,14 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
         "poison error must carry the sync-failure reason, got: {err}"
     );
     // A failed fsync means durability is *unknown*: the record was written
-    // but never acknowledged, so recovery may land on either side of it —
-    // just never lose the acked prefix or invent a third state.
+    // but never reported durable, so recovery may land on either side of
+    // it — just never lose the acknowledged facts or invent a third state.
     let live = durable.inspect(kb_bytes);
     drop(durable);
     let recovered = recover_engine(&dir.0, EngineConfig::default());
     assert!(
         recovered == acked || recovered == live,
-        "recovery must be the acked prefix or the unacknowledged in-flight state"
+        "recovery must be the synced prefix or that plus the refinement"
     );
     assert!(faults.injected() >= 1);
 }
@@ -405,6 +405,7 @@ fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
     for bound in [200u64, 500, 800] {
         select_lt(&durable, &oracle, 1, bound, &mut rng);
     }
+    durable.flush_durable().expect("clean shutdown");
     durable.inspect(kb_bytes)
 }
 
@@ -717,8 +718,10 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
             .map(drop)
     };
 
-    // First commit on the doomed shard trips the armed fsync.
-    let failed = commit(0, ComparisonOp::Lt, 500);
+    // The first refinement on the doomed shard replies before its fsync;
+    // the barrier that syncs it trips the armed failure.
+    commit(0, ComparisonOp::Lt, 500).expect("deferred");
+    let failed = sched.flush_durable();
     assert!(is_sync_failed(&failed), "got {:?}", failed.err());
     // Retry on the poisoned shard (the rule is spent, the disk "works"):
     // the poison class is remembered as SyncFailed — never a durable ack.
@@ -735,9 +738,15 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
         }
     }
 
-    // Reopen over the real fs: the poisoned shard recovers its committed
-    // prefix; healthy shards recover everything they acknowledged.
+    // The shutdown barrier reports the sick shard and still syncs its
+    // siblings' tails. Reopen over the real fs: the poisoned shard recovers
+    // a committed prefix; healthy shards recover everything they served.
+    assert!(is_sync_failed(&sched.flush_durable()));
+    let live = sched.inspect(|engine| common::kb_bytes_by_shard(engine, map));
     drop(sched);
     let pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("reopen");
-    pool_bytes(&pool); // checks every knowledge base's invariants
+    let recovered = pool_bytes(&pool); // checks every knowledge base's invariants
+    for sid in (0..shards).filter(|&sid| sid != poisoned_sid) {
+        assert_eq!(recovered[sid], live[sid], "healthy shard {sid}");
+    }
 }

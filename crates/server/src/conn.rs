@@ -261,8 +261,8 @@ where
             false,
         ),
         Request::Shutdown => {
-            // Flush every shard's pending group-commit batch before the
-            // acknowledgement goes on the wire: once the client sees Ok,
+            // Flush every shard's un-synced tail (the refinements selects
+            // deferred) before the acknowledgement goes on the wire: once the client sees Ok,
             // the full commit history is on disk even if the process dies
             // right after. The server drains either way — a failed flush
             // is reported, not retried (the committer is poisoned; only a

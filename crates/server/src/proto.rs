@@ -53,12 +53,17 @@ pub mod code {
     pub const ORACLE_BASE: u16 = 20;
     /// An MD range request listed the same attribute in two dimensions.
     pub const DUPLICATE_DIMENSION: u16 = 40;
-    /// The durable backing store failed; the refinement was not committed.
+    /// The durable backing store failed: the operation's record is not
+    /// known to be on disk, and its shard refuses work until its pool is
+    /// reopened.
     pub const DURABILITY: u16 = 50;
-    /// A durability barrier (fsync) failed on a shard the request touches.
-    /// The shard is poisoned until its pool is reopened; no durable ack was
-    /// or will be issued for the lost writes. Requests routed to healthy
-    /// shards keep succeeding on the same connection.
+    /// A durability barrier (fsync) failed on a shard the request touches —
+    /// this request's own, or an earlier one that synced the refinements
+    /// selects had deferred. The shard is poisoned until its pool is
+    /// reopened; no insert or delete was or will be acknowledged over the
+    /// lost writes (a select is acknowledged before its refinements are
+    /// synced; losing those costs QPF, never an answer). Requests routed to
+    /// healthy shards keep succeeding on the same connection.
     pub const SYNC_FAILED: u16 = 51;
     /// The server is draining for shutdown and takes no new queries.
     pub const DRAINING: u16 = 60;

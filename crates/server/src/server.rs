@@ -11,8 +11,11 @@
 //! the eventfd wakes the reactor, accepting stops, every in-flight request
 //! finishes (commits included) and its response flushes before the
 //! connection closes, and [`PrkbServer::run`] returns only after both the
-//! reactor and the pool have drained. Committed refinements are never lost
-//! to shutdown; decoded-but-unsubmitted pipelined frames are dropped.
+//! reactor and the pool have drained and every shard's un-synced tail is
+//! flushed. Committed refinements are never lost to shutdown;
+//! decoded-but-unsubmitted pipelined frames are dropped. An idle server
+//! syncs too: a worker that waits `IDLE_FLUSH_TICK` for a request without
+//! getting one flushes the durable tails before it waits again.
 
 use crate::admission::{DedupWindow, DEDUP_WINDOW};
 use crate::conn::{self, Shared};
@@ -33,6 +36,11 @@ use std::time::Duration;
 /// Worker-pool size used when neither the config nor the environment says
 /// otherwise.
 const DEFAULT_THREADS: usize = 4;
+
+/// How long a worker waits for a request before it flushes the pool's
+/// un-synced tails: a select's refinements reply before their fsync, so
+/// when traffic stops this bounds how long they stay exposed to a crash.
+const IDLE_FLUSH_TICK: Duration = Duration::from_millis(50);
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -156,8 +164,10 @@ where
 
     /// Binds `addr` and fronts a recovered [`ShardedDurablePool`]: the
     /// session scheduler checks footprints out per shard, commits are
-    /// group-committed per shard's WAL, and every reply waits for
-    /// durability on the shards it touched.
+    /// group-committed per shard's WAL, an insert's or delete's reply waits
+    /// for durability on the shards it touched, and a select's refinements
+    /// are durable by the next fsync on their shard — a later fact, a full
+    /// tail, an idle tick or the shutdown drain.
     ///
     /// # Errors
     /// Socket bind failure.
@@ -251,9 +261,17 @@ where
                                 Ok(g) => g,
                                 Err(poisoned) => poisoned.into_inner(),
                             };
-                            rx.recv()
+                            rx.recv_timeout(IDLE_FLUSH_TICK)
                         };
                         match next {
+                            // Nothing to do for a tick: sync what the
+                            // selects deferred (a lock and an empty-check
+                            // per shard when nothing is pending). A failure
+                            // poisons the shard, whose next checkout
+                            // reports it.
+                            Err(mpsc::RecvTimeoutError::Timeout) => {
+                                let _ = shared.sched.flush_durable();
+                            }
                             Ok(item) => {
                                 metrics::global().observe(
                                     HistogramId::ReactorQueueWaitUs,
@@ -275,7 +293,8 @@ where
                                 }
                                 shared.wake_reactor();
                             }
-                            Err(_) => return, // channel closed and drained
+                            // channel closed and drained
+                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
                         }
                     })
                     .expect("spawn worker")
@@ -290,9 +309,9 @@ where
         }
         reactor_result?;
 
-        // Drain barrier: every acked commit already waited for durability,
-        // but flush-and-fsync whatever batch is still pending so the
-        // on-disk state is complete before the report is handed back.
+        // Drain barrier: acked inserts and deletes already waited for
+        // durability; flush-and-fsync the tail of deferred refinements so
+        // the on-disk state is complete before the report is handed back.
         if let Err(e) = shared.sched.flush_durable() {
             return Err(io::Error::other(format!("drain flush failed: {e}")));
         }

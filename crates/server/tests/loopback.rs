@@ -7,15 +7,16 @@
 //!   order on a fresh engine must reproduce every reply exactly — which
 //!   also proves total QPF spend never exceeds the sequential cost;
 //! * shutdown must drain without losing committed refinements (durable
-//!   mode survives a full server restart);
+//!   mode survives a full server restart), and an idle server syncs the
+//!   refinements its selects deferred without being shut down;
 //! * failures (unknown attributes, hostile ids, bad dimension lists)
 //!   surface as stable wire codes, never as dead workers.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
 
-use common::{kb_bytes, strided_columns, TmpDir};
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use common::{copy_tree, kb_bytes, strided_columns, TmpDir};
+use prkb_core::{snapshot, EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate, TupleId};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
@@ -345,6 +346,69 @@ fn durable_pool_backend_survives_restart() {
         k_disk,
         (k0_live, k1_live),
         "no committed refinement lost to restart"
+    );
+}
+
+/// A select replies before its refinements are fsync'd, so a server that
+/// goes quiet must sync them on its own: after a burst of refining selects
+/// and a tick of silence, a *copy* of the pool directory — taken with the
+/// server still up, as a crash would leave it — reopens byte-equal to what
+/// the server holds in memory.
+#[test]
+fn idle_server_syncs_its_deferred_tail() {
+    let dir = TmpDir::new("idle-sync");
+    let oracle = PlainOracle::from_columns(strided_columns(ROWS));
+    let map = ShardMap::new(4);
+    let mut pool =
+        ShardedDurablePool::open(&dir.0, EngineConfig::default(), map).expect("open pool");
+    pool.init_attr(0, ROWS).expect("init");
+    pool.init_attr(1, ROWS).expect("init");
+    let server =
+        PrkbServer::bind_durable_pool("127.0.0.1:0", pool, oracle, ServerConfig::default())
+            .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    // The burst, mirrored on an in-process twin: what the server now holds.
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    let twin_oracle = PlainOracle::from_columns(strided_columns(ROWS));
+    let mut twin = fresh_engine(ROWS, 2);
+    for (i, bound) in [100u64, 40, 170, 90, 20, 130].into_iter().enumerate() {
+        let pred = Predicate::cmp((i % 2) as u32, ComparisonOp::Lt, bound);
+        let reply = client.select(i as u64, pred).expect("select");
+        let (expected, _) = replay(&mut twin, &twin_oracle, &Spec::Single(i as u64, pred));
+        assert_eq!(reply.sorted(), expected);
+    }
+    let served = kb_bytes(&twin);
+
+    // Silence. No request, no shutdown: only the idle tick can sync the
+    // tail, so poll copies of the directory until one recovers it all.
+    let recovered_copy = || {
+        let copy = TmpDir::new("idle-sync-copy");
+        copy_tree(&dir.0, &copy.0);
+        let pool = ShardedDurablePool::<Predicate>::open(&copy.0, EngineConfig::default(), map)
+            .expect("a copy of a live pool reopens");
+        let image = |attr| {
+            let engine = pool.shard_engine(map.shard_of(attr));
+            snapshot::save(engine.knowledge(attr).expect("attr indexed"))
+        };
+        vec![image(0), image(1)]
+    };
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while recovered_copy() != served {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "an idle server never synced its deferred refinements"
+        );
+        std::thread::yield_now();
+    }
+
+    handle.shutdown();
+    let report = handle.join().expect("join");
+    assert_eq!(
+        report.inspect(kb_bytes),
+        served,
+        "the twin is what was served"
     );
 }
 

@@ -27,8 +27,8 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
         map.shard_of(healthy_attr),
         "test needs the two attributes on different shards"
     );
-    // Let the init commit on the doomed shard through, then fail the
-    // durability barrier of the first query commit it receives.
+    // Let the init commit on the doomed shard through, then fail the next
+    // durability barrier it crosses.
     let inits_on_sick = [sick_attr, healthy_attr]
         .iter()
         .filter(|&&a| map.shard_of(a) == sick_shard)
@@ -62,11 +62,18 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
 
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
 
-    // The armed fsync fails the first commit on the sick shard: the reply
-    // is a structured SYNC_FAILED error, and the socket stays up.
-    let err = client
+    // A select replies once its refinements are journaled; the fsync that
+    // carries them — the delete's here, or an idle tick's if the server got
+    // one first — meets the armed failure. Whichever it was, the fact that
+    // needed the barrier gets a structured SYNC_FAILED reply, never a
+    // durable ack, and the socket stays up.
+    let reply = client
         .select(1, Predicate::cmp(sick_attr, ComparisonOp::Lt, 120))
-        .expect_err("sick shard must refuse");
+        .expect("deferred: the reply does not wait for the sick disk");
+    assert_eq!(reply.tuples.len(), 120);
+    let err = client
+        .delete(7)
+        .expect_err("a fact must not be acknowledged over a failed fsync");
     assert!(
         matches!(err, ClientError::Server { code, .. } if code == proto::code::SYNC_FAILED),
         "expected SYNC_FAILED wire code, got {err:?}"
@@ -99,7 +106,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
 
     // Shutdown's final flush honestly reports the poisoned shard instead
     // of acking a drain it cannot guarantee — but the server still drains
-    // and exits; healthy shards' commits are already on disk.
+    // and exits, and the flush still syncs the healthy shards' tails.
     let err = client.shutdown().expect_err("drain over a poisoned shard");
     assert!(
         matches!(err, ClientError::Server { code, .. } if code == proto::code::SYNC_FAILED),
@@ -113,8 +120,8 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
         ),
     }
 
-    // Reopen over the real filesystem: the sick shard recovers its
-    // committed prefix (the init), the healthy shard everything it acked.
+    // Reopen over the real filesystem: the sick shard recovers a committed
+    // prefix (the init at least), the healthy shard everything it served.
     let pool =
         ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(4))
             .expect("reopen");
