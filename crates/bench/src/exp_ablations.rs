@@ -5,6 +5,12 @@
 //!   probes vs one sample per partition until the label flips (O(k));
 //! * **QScan early stop vs scan-both** — Algorithm 2's inference vs
 //!   evaluating every tuple of both NS partitions;
+//! * **BETWEEN wave hunt vs linear hunt** — Appendix A as `prkb-core` runs
+//!   it (waves, early stop per transition, escalating fallback) vs as it was
+//!   first built: one sample per rank from 0 until one answers 1, all four
+//!   boundary partitions scanned, and the whole table when no sample does —
+//!   over 5 % ranges, and over ranges narrower than a partition, which every
+//!   sample usually misses. These rows also count calls to the TM;
 //! * **MD update policy** — `Frozen` vs `PartialOnly` (free, sound) vs
 //!   `CompleteSplits` (extra QPF now, more knowledge later);
 //! * **workload locality** — warming PRKB with cuts concentrated in a
@@ -20,22 +26,37 @@ use crate::scale::Scale;
 use crate::trajectory::{effective_threads, BenchRow};
 use prkb_core::qfilter::{try_qfilter, FilterResult};
 use prkb_core::qscan::try_qscan;
-use prkb_core::MdUpdatePolicy;
+use prkb_core::{MdUpdatePolicy, Pop};
 use prkb_datagen::{synthetic, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
-use prkb_edbms::{ComparisonOp, EncryptedPredicate, SelectionOracle};
+use prkb_edbms::{
+    ComparisonOp, EncryptedPredicate, OracleError, Predicate, PredicateKind, SelectionOracle,
+    SpOracle, TupleId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::ops::Range;
 
-/// One measured alternative: totals over the row's queries.
-fn row(id: &str, cost: Measured, k: usize, n: usize) -> BenchRow {
-    BenchRow {
-        id: id.to_string(),
-        qpf_uses: cost.qpf_uses,
-        ms: cost.ms,
-        k: k as u64,
-        n: n as u64,
-        threads: effective_threads(),
+/// One measured alternative: totals over the row's queries, and — where the
+/// row counts them — the oracle calls those took.
+struct Ablation {
+    /// The gated trajectory row.
+    row: BenchRow,
+    /// Calls across the SP↔TM boundary, single probes and batches alike.
+    tm_calls: Option<u64>,
+}
+
+fn row(id: &str, cost: Measured, k: usize, n: usize) -> Ablation {
+    Ablation {
+        row: BenchRow {
+            id: id.to_string(),
+            qpf_uses: cost.qpf_uses,
+            ms: cost.ms,
+            k: k as u64,
+            n: n as u64,
+            threads: effective_threads(),
+        },
+        tm_calls: None,
     }
 }
 
@@ -55,7 +76,7 @@ fn cut_trapdoors(
 }
 
 /// QFilter and QScan against their alternatives on one warmed, static POP.
-fn filter_and_scan(scale: Scale, rows: &mut Vec<BenchRow>) {
+fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
     let n = scale.tuples(2_000_000);
     let queries = scale.queries(100);
     let setup = EncSetup::new("abl", vec![synthetic::uniform_column(n, 1)], 1);
@@ -115,9 +136,154 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<BenchRow>) {
     }
 }
 
+/// The real oracle, counting the calls made to it.
+struct CountCalls<'a> {
+    inner: SpOracle<'a>,
+    calls: Cell<u64>,
+}
+
+impl SelectionOracle for CountCalls<'_> {
+    type Pred = EncryptedPredicate;
+
+    fn try_eval(&self, pred: &EncryptedPredicate, t: TupleId) -> Result<bool, OracleError> {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.try_eval(pred, t)
+    }
+
+    fn try_eval_batch(
+        &self,
+        pred: &EncryptedPredicate,
+        tuples: &[TupleId],
+        out: &mut Vec<bool>,
+    ) -> Result<(), OracleError> {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.try_eval_batch(pred, tuples, out)
+    }
+
+    fn kind_of(&self, pred: &EncryptedPredicate) -> PredicateKind {
+        self.inner.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.inner.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.inner.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.inner.qpf_uses()
+    }
+}
+
+/// Appendix A as first built, on a static POP: sample rank by rank from 0
+/// until one answers 1, binary-search the high transition, scan every
+/// boundary partition; scan the table when no sample answers 1. Returns the
+/// number of winners.
+fn between_linear(
+    pop: &Pop,
+    oracle: &CountCalls<'_>,
+    p: &EncryptedPredicate,
+    rng: &mut StdRng,
+) -> usize {
+    let k = pop.k();
+    let mut sample = |rank: usize| oracle.eval(p, pop.sample_at(rank, rng));
+    let mut by_label = 0..0;
+    let mut scan_set: Vec<usize> = Vec::new();
+    match (0..k).find(|&rank| sample(rank)) {
+        Some(r) => {
+            scan_set.extend(r.checked_sub(1));
+            scan_set.push(r);
+            let top = if r == k - 1 || sample(k - 1) {
+                scan_set.push(k - 1);
+                k - 1
+            } else {
+                let (mut lo, mut hi) = (r, k - 1);
+                while hi - lo > 1 {
+                    let mid = (lo + hi) / 2;
+                    if sample(mid) {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                scan_set.extend([lo, hi]);
+                lo
+            };
+            scan_set.sort_unstable();
+            scan_set.dedup();
+            by_label = r + 1..top;
+        }
+        None => scan_set.extend(0..k),
+    }
+    let mut verdicts = Vec::new();
+    let unscanned = by_label.filter(|rank| !scan_set.contains(rank));
+    let inside: usize = unscanned.map(|rank| pop.members_at(rank).len()).sum();
+    let scanned = scan_set.iter().map(|&rank| {
+        oracle.eval_batch(p, pop.members_at(rank), &mut verdicts);
+        verdicts.iter().filter(|&&v| v).count()
+    });
+    inside + scanned.sum::<usize>()
+}
+
+/// BETWEEN's location and scan phases against the hunt they displaced, on
+/// one warmed, static POP: ranges that cover ≈ 20 partitions, then ranges an
+/// eighth of a mean partition wide.
+fn between_hunts(scale: Scale, rows: &mut Vec<Ablation>) {
+    let n = scale.tuples(2_000_000);
+    let queries = scale.queries(100);
+    let setup = EncSetup::new("abl", vec![synthetic::uniform_column(n, 9)], 9);
+    let oracle = CountCalls {
+        inner: setup.oracle(),
+        calls: Cell::new(0),
+    };
+    let mut engine = fresh_engine(&setup, true);
+    let _ = warm_to_k(&mut engine, &setup, 0, 400, 0.01, 10);
+    engine.config.update = false;
+    let k = engine.knowledge(0).expect("attribute 0 is indexed").k();
+    let domain = SYNTH_DOMAIN_MAX - SYNTH_DOMAIN_MIN;
+    let mut rng = StdRng::seed_from_u64(11);
+
+    for (ours, displaced, width) in [
+        ("between_waves", "between_linear", domain / 20),
+        (
+            "between_miss_escalate",
+            "between_miss_fullscan",
+            domain / (8 * k as u64),
+        ),
+    ] {
+        let preds: Vec<EncryptedPredicate> = (0..queries)
+            .map(|_| {
+                let lo = rng.gen_range(SYNTH_DOMAIN_MIN..SYNTH_DOMAIN_MAX - width);
+                let range = Predicate::between(0, lo, lo + width);
+                let trapdoor = setup.owner.trapdoor(&setup.name, &range, &mut rng);
+                trapdoor.expect("lo <= hi")
+            })
+            .collect();
+        let mut counted = |id, run: &mut dyn FnMut(&EncryptedPredicate) -> usize| {
+            let calls_before = oracle.calls.get();
+            let (winners, cost) = measure_span(&oracle, || preds.iter().map(run).collect());
+            let mut row = row(id, cost, k, n);
+            row.tm_calls = Some(oracle.calls.get() - calls_before);
+            rows.push(row);
+            winners
+        };
+        let mut rng = StdRng::seed_from_u64(12);
+        let found: Vec<usize> = counted(ours, &mut |p| {
+            engine.select(&oracle, p, &mut rng).tuples.len()
+        });
+        let pop = engine.knowledge(0).expect("attribute 0 is indexed").pop();
+        let scanned: Vec<usize> = counted(displaced, &mut |p| {
+            between_linear(pop, &oracle, p, &mut rng)
+        });
+        assert_eq!(found, scanned, "both hunts select the same tuples");
+    }
+}
+
 /// The same 2-D range workload under each MD refinement policy, from a cold
 /// index.
-fn md_policies(scale: Scale, rows: &mut Vec<BenchRow>) {
+fn md_policies(scale: Scale, rows: &mut Vec<Ablation>) {
     let n = scale.tuples(500_000);
     let queries = scale.queries(100);
     let cols = synthetic::table(n, 2, synthetic::ColumnCorrelation::Independent, 5);
@@ -156,7 +322,7 @@ fn md_policies(scale: Scale, rows: &mut Vec<BenchRow>) {
 
 /// Hotspot queries against an index warmed inside the hotspot only vs one
 /// warmed across the whole domain, at equal warm-up query count.
-fn workload_locality(scale: Scale, rows: &mut Vec<BenchRow>) {
+fn workload_locality(scale: Scale, rows: &mut Vec<Ablation>) {
     let n = scale.tuples(2_000_000);
     let queries = scale.queries(100);
     let hotspot = SYNTH_DOMAIN_MIN..SYNTH_DOMAIN_MAX / 10;
@@ -187,32 +353,35 @@ fn workload_locality(scale: Scale, rows: &mut Vec<BenchRow>) {
 
 /// Runs every ablation; a row's `qpf_uses` and `ms` are totals over its
 /// `Scale::queries(100)` queries.
-pub fn measure(scale: Scale) -> Vec<BenchRow> {
+fn measure(scale: Scale) -> Vec<Ablation> {
     let mut rows = Vec::new();
     filter_and_scan(scale, &mut rows);
     md_policies(scale, &mut rows);
     workload_locality(scale, &mut rows);
+    between_hunts(scale, &mut rows);
     rows
 }
 
 /// Renders the report and the trajectory rows.
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
-    let rows = measure(scale);
+    let ablations = measure(scale);
     let mut report = Report::new(&format!(
         "ablations — each design choice against its alternative, totals over {} queries",
         scale.queries(100)
     ));
     report.line(format!(
-        "{:>28}{:>10}{:>8}{:>14}{:>12}{:>12}",
-        "row", "n", "k", "QPF total", "QPF/query", "ms total"
+        "{:>28}{:>10}{:>8}{:>14}{:>12}{:>10}{:>12}",
+        "row", "n", "k", "QPF total", "QPF/query", "TM calls", "ms total"
     ));
-    for r in &rows {
+    for Ablation { row: r, tm_calls } in &ablations {
         let per_query = r.qpf_uses as f64 / scale.queries(100) as f64;
+        let calls = tm_calls.map_or("-".to_string(), |c| c.to_string());
         report.line(format!(
-            "{:>28}{:>10}{:>8}{:>14}{:>12.1}{:>12.3}",
-            r.id, r.n, r.k, r.qpf_uses, per_query, r.ms
+            "{:>28}{:>10}{:>8}{:>14}{:>12.1}{:>10}{:>12.3}",
+            r.id, r.n, r.k, r.qpf_uses, per_query, calls, r.ms
         ));
     }
+    let rows = ablations.into_iter().map(|a| a.row).collect();
     (report.finish(), rows)
 }
 
@@ -223,12 +392,17 @@ mod tests {
     #[test]
     fn every_choice_beats_its_alternative_in_qpf() {
         let rows = measure(Scale::Ci);
-        let qpf = |id: &str| {
-            let row = rows.iter().find(|r| r.id == id);
-            row.unwrap_or_else(|| panic!("row {id}")).qpf_uses
+        let find = |id: &str| {
+            let found = rows.iter().find(|a| a.row.id == id);
+            found.unwrap_or_else(|| panic!("row {id}"))
         };
+        let qpf = |id: &str| find(id).row.qpf_uses;
+        let calls = |id: &str| find(id).tm_calls.expect("the row counts calls");
         assert!(qpf("qfilter_binary") * 4 < qpf("qfilter_linear"));
         assert!(qpf("qscan_early_stop") < qpf("qscan_scan_both"));
         assert!(qpf("md_policy_partial_only") < qpf("md_policy_frozen"));
+        assert!(qpf("between_waves") * 2 < qpf("between_linear"));
+        assert!(calls("between_waves") * 4 < calls("between_linear"));
+        assert!(qpf("between_miss_escalate") < qpf("between_miss_fullscan"));
     }
 }

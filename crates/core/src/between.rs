@@ -3,36 +3,222 @@
 //! A BETWEEN trapdoor answers 1 exactly inside `[lo, hi]`, so — unlike a
 //! comparison — the *direction* of a positive answer is known, but a
 //! negative answer does not say which side of the range the tuple is on.
+//! What SP can use is that the partitions holding winners form one
+//! contiguous run of ranks, and that every partition strictly inside that
+//! run lies wholly inside the range. Three phases follow from it, all of
+//! them oracle calls that precede the infallible commit phase:
 //!
-//! Processing mirrors `QFilter`/`QScan`: hunt for a partition whose sample
-//! answers 1, binary-search the two transitions, scan the (up to four)
-//! boundary partitions, and take everything strictly between as winners.
-//! Each boundary partition that proves mixed splits exactly like a
+//! 1. **Hunt in waves** for a partition whose sample answers 1: rank 0,
+//!    then the odd multiples of stride `P/2, P/4, …, 1` (`P` the next power
+//!    of two ≥ k), one `try_eval_batch` per wave, stopping after the first
+//!    wave that holds a positive. When the wave of stride `s` finds rank
+//!    `p`, every multiple of `s` has been sampled exactly once and all but
+//!    `p` answered 0, so `p − s` and `p + s` are the nearest negatives and
+//!    each transition is binary-searched inside its own gap of unsampled
+//!    ranks: no rank is sampled twice. A run of `w` whole partitions holds a
+//!    multiple of every stride ≤ `w`, so the hunt stops at a stride > `w/2`:
+//!    ≤ 2k/w + 2 lg k probes and ≤ ⌈lg k⌉ + 1 hunt calls.
+//! 2. **Early stop per transition** (Alg. 2's inference): with `(a, b)` and
+//!    `(c, d)` the adjacent negative/positive sample pairs of the low and
+//!    high transition, the outer partitions `a` and `d` are scanned first.
+//!    If `a` proves mixed the low cut is inside it, so `b` is wholly inside
+//!    the range and passes by label with zero QPF; likewise `c` when `d` is
+//!    mixed. When `b == c` it is skipped only if *both* are mixed.
+//!    Everything strictly between `b` and `c` passes by label as well.
+//! 3. **A miss escalates.** If all k samples answer 0, every partition has
+//!    a member outside the range, so none lies strictly inside the winners'
+//!    run: **at most two adjacent partitions hold winners.** The next
+//!    1, 2, 4, … members of *every* partition are evaluated, one batch per
+//!    round, until some rank `r` shows a positive; winners can then only be
+//!    in `r − 1`, `r`, `r + 1`, whose unevaluated suffixes are completed.
+//!    No member is evaluated twice by the rounds, so an empty range costs
+//!    n + k QPF and a range of selectivity `f` inside its partition about
+//!    k/f.
+//!
+//! Each scanned partition that proves mixed splits exactly like a
 //! comparison split, with the interior half adjacent to the proven-true
-//! side. The paper's exceptional case — both cuts inside one partition, so
-//! the outside half is not value-contiguous — is detected and skipped
-//! (no sound refinement exists there).
+//! side; which partitions are mixed is a property of the range, not of the
+//! samples drawn, so the refinement does not depend on the hunt. The
+//! paper's exceptional case — both cuts inside one partition, so the
+//! outside half is not value-contiguous — is detected and skipped (no
+//! sound refinement exists there).
 
 use crate::knowledge::{BetweenEdge, Knowledge, Separator};
+use crate::pop::Pop;
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
 
-/// Per-rank full-scan outcome.
+/// Outcome of evaluating every member of the partition at `rank`, both
+/// halves in member order.
 struct RankScan {
     rank: usize,
     true_half: Vec<TupleId>,
     false_half: Vec<TupleId>,
 }
 
+impl RankScan {
+    fn is_mixed(&self) -> bool {
+        !self.true_half.is_empty() && !self.false_half.is_empty()
+    }
+}
+
+/// One query's oracle-facing side: the trapdoor, the POP it runs against,
+/// the scratch buffers every batch shares and the cost it has run up.
+struct Probe<'a, O: SelectionOracle> {
+    pop: &'a Pop,
+    oracle: &'a O,
+    pred: &'a O::Pred,
+    batch: Vec<TupleId>,
+    verdicts: Vec<bool>,
+    /// Samples and fallback-round members evaluated (locating the range).
+    filter_probes: u64,
+    /// Members evaluated by partition scans and suffix completions.
+    scanned: u64,
+    /// `try_eval_batch` calls issued.
+    batches: u64,
+}
+
+impl<O: SelectionOracle> Probe<'_, O> {
+    /// Evaluates `self.batch` into `self.verdicts` as location work.
+    fn eval_probes(&mut self) -> Result<(), OracleError> {
+        self.oracle
+            .try_eval_batch(self.pred, &self.batch, &mut self.verdicts)?;
+        self.batches += 1;
+        self.filter_probes += self.batch.len() as u64;
+        Ok(())
+    }
+
+    /// Phase 1. Returns the rank `p` of a positive sample and the stride `s`
+    /// of the wave that found it — every multiple of `s` other than `p` has
+    /// then answered 0 — or `None` once all k samples have.
+    fn hunt<R: Rng>(&mut self, rng: &mut R) -> Result<Option<(usize, usize)>, OracleError> {
+        let (pop, k) = (self.pop, self.pop.k());
+        let top = k.next_power_of_two();
+        let mut stride = top;
+        loop {
+            // The first wave is rank 0 alone (the one multiple of `top`
+            // below k); a later one is the odd multiples of its stride.
+            let first = if stride == top { 0 } else { stride };
+            self.batch.clear();
+            self.batch.extend(
+                (first..k)
+                    .step_by(2 * stride)
+                    .map(|rank| pop.sample_at(rank, rng)),
+            );
+            self.eval_probes()?;
+            if let Some(i) = self.verdicts.iter().position(|&v| v) {
+                return Ok(Some((first + 2 * stride * i, stride)));
+            }
+            if stride == 1 {
+                return Ok(None);
+            }
+            stride /= 2;
+        }
+    }
+
+    /// Phase 1, continued: narrows a rank whose sample answered 0 (or the
+    /// virtual rank k) and one whose sample answered 1 to adjacent ranks,
+    /// every rank strictly between them being unsampled so far.
+    fn bisect<R: Rng>(
+        &mut self,
+        mut neg: usize,
+        mut pos: usize,
+        rng: &mut R,
+    ) -> Result<(usize, usize), OracleError> {
+        while neg.abs_diff(pos) > 1 {
+            let mid = (neg + pos) / 2;
+            self.filter_probes += 1;
+            if self
+                .oracle
+                .try_eval(self.pred, self.pop.sample_at(mid, rng))?
+            {
+                pos = mid;
+            } else {
+                neg = mid;
+            }
+        }
+        Ok((neg, pos))
+    }
+
+    /// Evaluates the members of the partition at `rank` past the `known`
+    /// verdicts of its first members — one batch, none when `known` already
+    /// covers the partition.
+    fn scan(&mut self, rank: usize, known: &[bool]) -> Result<RankScan, OracleError> {
+        let members = self.pop.members_at(rank);
+        let rest = &members[known.len()..];
+        self.verdicts.clear();
+        if !rest.is_empty() {
+            self.oracle
+                .try_eval_batch(self.pred, rest, &mut self.verdicts)?;
+            self.batches += 1;
+            self.scanned += rest.len() as u64;
+        }
+        let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
+        for (&t, &v) in members.iter().zip(known.iter().chain(&self.verdicts)) {
+            if v {
+                true_half.push(t);
+            } else {
+                false_half.push(t);
+            }
+        }
+        Ok(RankScan {
+            rank,
+            true_half,
+            false_half,
+        })
+    }
+
+    /// Phase 3: all k samples answered 0. Returns the completed scans of
+    /// the (≤ 3) partitions that can hold winners, or none when every
+    /// member of the table has answered 0.
+    fn escalate(&mut self) -> Result<Vec<RankScan>, OracleError> {
+        let (pop, k) = (self.pop, self.pop.k());
+        let (mut done, mut chunk) = (0usize, 1usize);
+        // Where each rank's members start in this round's batch.
+        let mut starts = Vec::with_capacity(k + 1);
+        loop {
+            self.batch.clear();
+            starts.clear();
+            for rank in 0..k {
+                starts.push(self.batch.len());
+                let members = pop.members_at(rank);
+                let from = done.min(members.len());
+                let to = (done + chunk).min(members.len());
+                self.batch.extend_from_slice(&members[from..to]);
+            }
+            starts.push(self.batch.len());
+            if self.batch.is_empty() {
+                return Ok(Vec::new());
+            }
+            self.eval_probes()?;
+            if let Some(hit) = self.verdicts.iter().position(|&v| v) {
+                let r = starts.partition_point(|&s| s <= hit) - 1;
+                // Verdicts so far of each partition to complete: 0 for the
+                // earlier rounds' members, then this round's.
+                let known: Vec<(usize, Vec<bool>)> = (r.saturating_sub(1)..(r + 2).min(k))
+                    .map(|rank| {
+                        let mut v = vec![false; done.min(pop.members_at(rank).len())];
+                        v.extend_from_slice(&self.verdicts[starts[rank]..starts[rank + 1]]);
+                        (rank, v)
+                    })
+                    .collect();
+                return known.iter().map(|(rank, v)| self.scan(*rank, v)).collect();
+            }
+            done += chunk;
+            chunk *= 2;
+        }
+    }
+}
+
 /// Processes one BETWEEN trapdoor against the knowledge base.
 ///
 /// # Errors
-/// Propagates the first oracle failure. **Abort-safe:** the transition hunt,
-/// boundary scans, and overflow batch are all evaluated before
-/// `apply_between_updates` commits any split, so on error `kb` is
-/// byte-identical to its pre-query state.
+/// Propagates the first oracle failure. **Abort-safe:** hunt waves,
+/// transition probes, partition scans, fallback rounds and the overflow
+/// batch are all evaluated before `apply_between_updates` commits any
+/// split, so on error `kb` is byte-identical to its pre-query state.
 pub(crate) fn try_process_between<O, R>(
     kb: &mut Knowledge<O::Pred>,
     oracle: &O,
@@ -46,194 +232,135 @@ where
     R: Rng,
 {
     let qpf_before = oracle.qpf_uses();
-    let k_before = kb.k();
     let k = kb.k();
 
-    let mut tuples: Vec<TupleId> = Vec::new();
+    let mut probe = Probe {
+        pop: kb.pop(),
+        oracle,
+        pred,
+        batch: Vec::new(),
+        verdicts: Vec::new(),
+        filter_probes: 0,
+        scanned: 0,
+        batches: 0,
+    };
     let mut scans: Vec<RankScan> = Vec::new();
+    // Ranks wholly inside the range: they pass by label, unscanned.
     let mut middle_true: Vec<usize> = Vec::new();
-    // Per-sample probes (hunt + binary search) — the BETWEEN analogue of
-    // QFilter's O(lg k) location cost.
-    let mut filter_probes = 0u64;
-    // Verdict scratch shared by every batch of this query.
-    let mut verdicts: Vec<bool> = Vec::new();
 
     if k > 0 {
-        // Phase 1: hunt for a positive sample, rank by rank.
-        let mut first_true: Option<usize> = None;
-        for rank in 0..k {
-            filter_probes += 1;
-            if oracle.try_eval(pred, kb.pop().sample_at(rank, rng))? {
-                first_true = Some(rank);
-                break;
-            }
-        }
-
-        match first_true {
-            Some(r) => {
-                // Phase 2: the low transition is (r-1, r) — every earlier
-                // sample answered 0. Find the high transition by binary
-                // search on samples (monotone up to the boundary partition).
-                let mut scan_set: Vec<usize> = Vec::new();
-                if r > 0 {
-                    scan_set.push(r - 1);
-                }
-                scan_set.push(r);
-
-                let high_lo = if r == k - 1 {
-                    k - 1
-                } else {
-                    filter_probes += 1;
-                    if oracle.try_eval(pred, kb.pop().sample_at(k - 1, rng))? {
-                        // Range reaches the top partition.
-                        scan_set.push(k - 1);
-                        k - 1
-                    } else {
-                        let mut lo = r;
-                        let mut hi = k - 1;
-                        while hi - lo > 1 {
-                            let m = (lo + hi) / 2;
-                            filter_probes += 1;
-                            if oracle.try_eval(pred, kb.pop().sample_at(m, rng))? {
-                                lo = m;
-                            } else {
-                                hi = m;
-                            }
-                        }
-                        scan_set.push(lo);
-                        scan_set.push(hi);
-                        lo
+        match probe.hunt(rng)? {
+            Some((p, s)) => {
+                // (a, b) and (c, d): the negative/positive sample pairs of
+                // the two transitions; a or d is missing when the range
+                // reaches that end of the order.
+                let (a, b) = match p {
+                    0 => (None, 0),
+                    _ => {
+                        let (a, b) = probe.bisect(p - s, p, rng)?;
+                        (Some(a), b)
                     }
                 };
+                let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
 
-                scan_set.sort_unstable();
-                scan_set.dedup();
-
-                // Ranks strictly between the low and high scans are fully
-                // inside the range.
-                middle_true.extend((r + 1..high_lo).filter(|q| !scan_set.contains(q)));
-
-                for &rank in &scan_set {
-                    scans.push(scan_rank(kb, oracle, pred, rank, &mut verdicts)?);
+                // Phase 2: outer partitions first — one that proves mixed
+                // holds its transition's cut, so its inner neighbour is
+                // wholly inside the range.
+                let mut outer_is_mixed = |rank: Option<usize>| -> Result<bool, OracleError> {
+                    let Some(rank) = rank else { return Ok(false) };
+                    let scan = probe.scan(rank, &[])?;
+                    let mixed = scan.is_mixed();
+                    scans.push(scan);
+                    Ok(mixed)
+                };
+                let low_cut_in_a = outer_is_mixed(a)?;
+                let high_cut_in_d = outer_is_mixed((d < k).then_some(d))?;
+                let inner = if b == c {
+                    vec![(b, low_cut_in_a && high_cut_in_d)]
+                } else {
+                    vec![(b, low_cut_in_a), (c, high_cut_in_d)]
+                };
+                for (rank, inside) in inner {
+                    if inside {
+                        middle_true.push(rank);
+                    } else {
+                        scans.push(probe.scan(rank, &[])?);
+                    }
                 }
+                middle_true.extend(b + 1..c);
             }
-            None => {
-                // No positive sample anywhere: the range may still hide
-                // inside one partition — fall back to a full scan.
-                for rank in 0..k {
-                    scans.push(scan_rank(kb, oracle, pred, rank, &mut verdicts)?);
-                }
-            }
+            None => scans = probe.escalate()?,
         }
+    }
 
-        for &rank in &middle_true {
-            tuples.extend_from_slice(kb.pop().members_at(rank));
-        }
-        for s in &scans {
-            tuples.extend_from_slice(&s.true_half);
-        }
+    let mut tuples: Vec<TupleId> = Vec::new();
+    for &rank in &middle_true {
+        tuples.extend_from_slice(kb.pop().members_at(rank));
+    }
+    for s in &scans {
+        tuples.extend_from_slice(&s.true_half);
     }
 
     // Overflow tuples are always examined, unconditionally — one batch.
     let overflow: Vec<TupleId> = kb.overflow().iter().map(|e| e.tuple).collect();
     let overflow_scanned = overflow.len();
-    let mut overflow_batches = 0u64;
     if !overflow.is_empty() {
-        oracle.try_eval_batch(pred, &overflow, &mut verdicts)?;
-        overflow_batches = 1;
+        oracle.try_eval_batch(pred, &overflow, &mut probe.verdicts)?;
+        probe.batches += 1;
         tuples.extend(
             overflow
                 .into_iter()
-                .zip(verdicts)
-                .filter_map(|(t, v)| v.then_some(t)),
+                .zip(&probe.verdicts)
+                .filter_map(|(t, &v)| v.then_some(t)),
         );
     }
 
+    // Breakdown: location work is `filter_probes`, members evaluated by
+    // scans the BETWEEN "NS width"; ranks inside the range pass by label
+    // (pruned true), every other unscanned rank was excluded by its
+    // negative sample (pruned false).
+    let mut stats = QueryStats {
+        qpf_uses: oracle.qpf_uses().saturating_sub(qpf_before),
+        k_before: k,
+        k_after: k,
+        splits: 0,
+        filter_probes: probe.filter_probes,
+        ns_width: probe.scanned,
+        oracle_batches: probe.batches,
+        pruned_true: middle_true.len(),
+        pruned_false: k - scans.len() - middle_true.len(),
+        overflow_scanned,
+    };
+
     // ---- Commit phase: infallible, no oracle calls past this point. ----
-    let mut splits = 0usize;
-    if update && !scans.is_empty() {
-        splits = apply_between_updates(kb, pred, &scans, &middle_true);
+    if update {
+        stats.splits = apply_between_updates(kb, pred, scans, &middle_true);
+        stats.k_after = kb.k();
     }
-
-    // Breakdown: scanned boundary partitions are the BETWEEN "NS width";
-    // middle ranks pass by label (pruned true), the remaining unscanned
-    // ranks were excluded by their negative samples (pruned false).
-    let ns_width: u64 = scans
-        .iter()
-        .map(|s| (s.true_half.len() + s.false_half.len()) as u64)
-        .sum();
-    Ok(Selection {
-        tuples,
-        stats: QueryStats {
-            qpf_uses: oracle.qpf_uses().saturating_sub(qpf_before),
-            k_before,
-            k_after: kb.k(),
-            splits,
-            filter_probes,
-            ns_width,
-            oracle_batches: scans.len() as u64 + overflow_batches,
-            pruned_true: middle_true.len(),
-            pruned_false: k.saturating_sub(scans.len() + middle_true.len()),
-            overflow_scanned,
-        },
-    })
+    Ok(Selection { tuples, stats })
 }
 
-fn scan_rank<O: SelectionOracle>(
-    kb: &Knowledge<O::Pred>,
-    oracle: &O,
-    pred: &O::Pred,
-    rank: usize,
-    verdicts: &mut Vec<bool>,
-) -> Result<RankScan, OracleError>
-where
-    O::Pred: SpPredicate,
-{
-    // Full partition scan: every member is evaluated unconditionally, so a
-    // single batch gives the exact per-tuple QPF count.
-    let members = kb.pop().members_at(rank);
-    oracle.try_eval_batch(pred, members, verdicts)?;
-    let mut true_half = Vec::new();
-    let mut false_half = Vec::new();
-    for (&t, &v) in members.iter().zip(verdicts.iter()) {
-        if v {
-            true_half.push(t);
-        } else {
-            false_half.push(t);
-        }
-    }
-    Ok(RankScan {
-        rank,
-        true_half,
-        false_half,
-    })
-}
-
-/// Splits the (≤ 2) mixed boundary partitions. Returns the number of splits.
+/// Splits the (≤ 2) mixed scanned partitions. Returns the number of splits.
 fn apply_between_updates<P: SpPredicate>(
     kb: &mut Knowledge<P>,
     pred: &P,
-    scans: &[RankScan],
+    scans: Vec<RankScan>,
     middle_true: &[usize],
 ) -> usize {
     // The true span: every rank with at least one positive tuple.
-    let mut true_ranks: Vec<usize> = middle_true.to_vec();
-    true_ranks.extend(
-        scans
-            .iter()
-            .filter(|s| !s.true_half.is_empty())
-            .map(|s| s.rank),
-    );
-    let (Some(&min_true), Some(&max_true)) = (true_ranks.iter().min(), true_ranks.iter().max())
-    else {
+    let true_ranks = || {
+        let scanned = scans.iter().filter(|s| !s.true_half.is_empty());
+        middle_true.iter().copied().chain(scanned.map(|s| s.rank))
+    };
+    let (Some(min_true), Some(max_true)) = (true_ranks().min(), true_ranks().max()) else {
         return 0; // nothing satisfied: no refinement possible
     };
 
     // Collect splittable mixed partitions; apply in descending rank order so
     // earlier splits do not shift later ranks.
-    let mut pending: Vec<(usize, Vec<TupleId>, Vec<TupleId>, BetweenEdge)> = Vec::new();
+    let mut pending: Vec<(RankScan, BetweenEdge)> = Vec::new();
     for s in scans {
-        if s.true_half.is_empty() || s.false_half.is_empty() {
+        if !s.is_mixed() {
             continue; // homogeneous: nothing to refine
         }
         if s.rank == min_true && s.rank == max_true {
@@ -243,33 +370,27 @@ fn apply_between_updates<P: SpPredicate>(
         }
         if s.rank == min_true {
             // Low boundary: interior continues to the right.
-            pending.push((
-                s.rank,
-                s.false_half.clone(),
-                s.true_half.clone(),
-                BetweenEdge::InteriorRight,
-            ));
+            pending.push((s, BetweenEdge::InteriorRight));
         } else if s.rank == max_true {
             // High boundary: interior continues to the left.
-            pending.push((
-                s.rank,
-                s.true_half.clone(),
-                s.false_half.clone(),
-                BetweenEdge::InteriorLeft,
-            ));
+            pending.push((s, BetweenEdge::InteriorLeft));
         } else {
             debug_assert!(false, "mixed partition strictly inside the true span");
         }
     }
 
-    pending.sort_by_key(|e| std::cmp::Reverse(e.0));
+    pending.sort_by_key(|(s, _)| std::cmp::Reverse(s.rank));
     let n = pending.len();
-    for (rank, left, right, edge) in pending {
+    for (s, edge) in pending {
+        let (left, right) = match edge {
+            BetweenEdge::InteriorRight => (s.false_half, s.true_half),
+            BetweenEdge::InteriorLeft => (s.true_half, s.false_half),
+        };
         let sep = Separator::Between {
             pred: pred.clone(),
             edge,
         };
-        kb.apply_split(rank, left, right, Some(sep));
+        kb.apply_split(s.rank, left, right, Some(sep));
     }
     n
 }
@@ -278,25 +399,25 @@ fn apply_between_updates<P: SpPredicate>(
 mod tests {
     use super::*;
     use crate::sd::try_process_comparison;
+    use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
-    use prkb_edbms::{ComparisonOp, Predicate};
+    use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
 
+    /// `n` tuples with value = id, warmed with one `X < c` per cut.
     fn setup(n: usize, cuts: &[u64]) -> (Knowledge<Predicate>, PlainOracle) {
-        let values: Vec<u64> = (0..n as u64).collect();
+        warmed((0..n as u64).collect(), cuts)
+    }
+
+    fn warmed(values: Vec<u64>, cuts: &[u64]) -> (Knowledge<Predicate>, PlainOracle) {
+        let mut kb: Knowledge<Predicate> = Knowledge::init(values.len());
         let oracle = PlainOracle::single_column(values);
-        let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
-            try_process_comparison(
-                &mut kb,
-                &oracle,
-                &Predicate::cmp(0, ComparisonOp::Lt, c),
-                &mut rng,
-                true,
-            )
-            .unwrap();
+            let p = Predicate::cmp(0, ComparisonOp::Lt, c);
+            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         oracle.reset_uses();
         (kb, oracle)
@@ -304,13 +425,135 @@ mod tests {
 
     fn run(
         kb: &mut Knowledge<Predicate>,
-        oracle: &PlainOracle,
+        oracle: &impl SelectionOracle<Pred = Predicate>,
         lo: u64,
         hi: u64,
         seed: u64,
     ) -> Selection {
         let mut rng = StdRng::seed_from_u64(seed);
         try_process_between(kb, oracle, &Predicate::between(0, lo, hi), &mut rng, true).unwrap()
+    }
+
+    /// Partitions this query evaluated in full.
+    fn scanned_ranks(stats: &QueryStats) -> usize {
+        stats.k_before - stats.pruned_true - stats.pruned_false
+    }
+
+    /// The hunt this module displaced, kept as the reference twin: sample
+    /// rank by rank from 0 until one answers 1, binary-search the high
+    /// transition, scan all (≤ 4) boundary partitions, and on a miss scan
+    /// the whole table. Same commit phase.
+    fn sequential_between<R: Rng>(
+        kb: &mut Knowledge<Predicate>,
+        oracle: &PlainOracle,
+        pred: &Predicate,
+        rng: &mut R,
+    ) -> Vec<TupleId> {
+        let k = kb.k();
+        let sample = |kb: &Knowledge<Predicate>, rank: usize, rng: &mut R| {
+            oracle.eval(pred, kb.pop().sample_at(rank, rng))
+        };
+        let mut scan_set: Vec<usize> = Vec::new();
+        let mut middle_true: Vec<usize> = Vec::new();
+        match (0..k).find(|&rank| sample(kb, rank, rng)) {
+            Some(r) => {
+                scan_set.extend(r.checked_sub(1));
+                scan_set.push(r);
+                let high_lo = if r == k - 1 || sample(kb, k - 1, rng) {
+                    scan_set.push(k - 1);
+                    k - 1
+                } else {
+                    let (mut lo, mut hi) = (r, k - 1);
+                    while hi - lo > 1 {
+                        let m = (lo + hi) / 2;
+                        if sample(kb, m, rng) {
+                            lo = m;
+                        } else {
+                            hi = m;
+                        }
+                    }
+                    scan_set.extend([lo, hi]);
+                    lo
+                };
+                scan_set.sort_unstable();
+                scan_set.dedup();
+                middle_true.extend((r + 1..high_lo).filter(|q| !scan_set.contains(q)));
+            }
+            None => scan_set.extend(0..k),
+        }
+        let full_scan = |&rank: &usize| {
+            let members = kb.pop().members_at(rank).iter();
+            let (true_half, false_half) = members.partition(|&&t| oracle.eval(pred, t));
+            RankScan {
+                rank,
+                true_half,
+                false_half,
+            }
+        };
+        let scans: Vec<RankScan> = scan_set.iter().map(full_scan).collect();
+        let mut tuples: Vec<TupleId> = Vec::new();
+        for &rank in &middle_true {
+            tuples.extend_from_slice(kb.pop().members_at(rank));
+        }
+        for s in &scans {
+            tuples.extend_from_slice(&s.true_half);
+        }
+        let parked = kb.overflow().iter().map(|e| e.tuple);
+        tuples.extend(parked.filter(|&t| oracle.eval(pred, t)));
+        apply_between_updates(kb, pred, scans, &middle_true);
+        tuples
+    }
+
+    /// Counts the oracle calls a query makes, by shape.
+    struct Calls<'a> {
+        inner: &'a PlainOracle,
+        singles: Cell<u64>,
+        batches: Cell<u64>,
+    }
+
+    impl<'a> Calls<'a> {
+        fn new(inner: &'a PlainOracle) -> Self {
+            Calls {
+                inner,
+                singles: Cell::new(0),
+                batches: Cell::new(0),
+            }
+        }
+    }
+
+    impl SelectionOracle for Calls<'_> {
+        type Pred = Predicate;
+
+        fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+            self.singles.set(self.singles.get() + 1);
+            self.inner.try_eval(pred, t)
+        }
+
+        fn try_eval_batch(
+            &self,
+            pred: &Predicate,
+            tuples: &[TupleId],
+            out: &mut Vec<bool>,
+        ) -> Result<(), OracleError> {
+            self.batches.set(self.batches.get() + 1);
+            self.inner.try_eval_batch(pred, tuples, out)
+        }
+
+        fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+            self.inner.kind_of(pred)
+        }
+
+        fn n_slots(&self) -> usize {
+            self.inner.n_slots()
+        }
+
+        fn is_live(&self, t: TupleId) -> bool {
+            self.inner.is_live(t)
+        }
+
+        fn qpf_uses(&self) -> u64 {
+            self.inner.qpf_uses()
+        }
     }
 
     #[test]
@@ -392,6 +635,10 @@ mod tests {
         let sel = run(&mut kb, &oracle, 500, 600, 10);
         assert!(sel.tuples.is_empty());
         assert_eq!(sel.stats.splits, 0);
+        // The worst case: every sample, then every member exactly once.
+        assert_eq!(sel.stats.qpf_uses, 100 + 4);
+        assert_eq!(sel.stats.filter_probes, 100 + 4);
+        assert_eq!((sel.stats.ns_width, sel.stats.pruned_false), (0, 4));
         kb.check_invariants();
     }
 
@@ -420,5 +667,232 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(0);
         let sel = run(&mut kb, &oracle, 1, 5, 12);
         assert!(sel.tuples.is_empty());
+    }
+
+    /// 400 partitions of 10 consecutive values each.
+    fn even_400() -> (Knowledge<Predicate>, PlainOracle) {
+        let cuts: Vec<u64> = (1..400).map(|i| i * 10).collect();
+        let (kb, oracle) = setup(4000, &cuts);
+        assert_eq!(kb.k(), 400);
+        (kb, oracle)
+    }
+
+    #[test]
+    fn a_range_of_w_whole_partitions_is_found_in_2k_over_w_probes_and_lg_k_calls() {
+        let (kb, oracle) = even_400();
+        let (k, lg_k) = (400u64, 9u64);
+        for w in [1u64, 2, 3, 7, 16, 50, 128, 399, 400] {
+            for first in [0, 1, 137, 255, 256, 400 - w] {
+                if first + w > k {
+                    continue;
+                }
+                let calls = Calls::new(&oracle);
+                let mut kb = kb.clone();
+                let (lo, hi) = (first * 10, (first + w) * 10 - 1);
+                let sel = run(&mut kb, &calls, lo, hi, w ^ first);
+                assert_eq!(sel.sorted(), (lo as u32..=hi as u32).collect::<Vec<_>>());
+                let at = format!("w = {w} from rank {first}: {:?}", sel.stats);
+                assert!(sel.stats.filter_probes <= 2 * k / w + 2 * lg_k, "{at}");
+                assert_eq!(calls.batches.get(), sel.stats.oracle_batches, "{at}");
+                let hunt_calls = calls.batches.get() - scanned_ranks(&sel.stats) as u64;
+                assert!(hunt_calls <= lg_k + 1, "{hunt_calls} hunt calls, {at}");
+                assert!(calls.singles.get() <= 2 * (lg_k - 1), "{at}");
+                // An aligned range has no mixed partition: every boundary
+                // partition is scanned and nothing splits.
+                assert_eq!(sel.stats.splits, 0, "{at}");
+                assert_eq!(
+                    sel.stats.qpf_uses,
+                    sel.stats.filter_probes + sel.stats.ns_width,
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    /// Partitions {0..10}, …, {90..100}; ranks 1 and `high` hold the cuts of
+    /// `[15, hi]`, five members in and five out each, so what their samples
+    /// answer — and with it which pairs the transitions land on — varies by
+    /// seed. Returns the NS widths seen over 64 seeds.
+    fn ns_widths_seen(lo: u64, hi: u64, splits: usize) -> Vec<u64> {
+        let cuts: Vec<u64> = (1..10).map(|i| i * 10).collect();
+        let (kb, oracle) = setup(100, &cuts);
+        let mut seen: Vec<u64> = (0..64)
+            .map(|seed| {
+                let mut kb = kb.clone();
+                let sel = run(&mut kb, &oracle, lo, hi, seed);
+                assert_eq!(sel.sorted(), (lo as u32..=hi as u32).collect::<Vec<_>>());
+                assert_eq!(sel.stats.splits, splits, "seed {seed}");
+                assert_eq!(sel.stats.ns_width, 10 * scanned_ranks(&sel.stats) as u64);
+                kb.check_invariants();
+                sel.stats.ns_width
+            })
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        seen
+    }
+
+    #[test]
+    fn a_mixed_outer_partition_passes_its_inner_neighbour_by_label() {
+        // Cuts inside ranks 1 and 7, ranks 2..=6 whole. Both samples
+        // negative: a = 1 and d = 7 are mixed, b = 2 and c = 6 are skipped
+        // (two scans). One positive: that side's pair moves out by one, its
+        // outer partition is homogeneous and its inner one is scanned
+        // (three). Both positive: four, as the displaced hunt always did.
+        assert_eq!(ns_widths_seen(15, 74, 2), [20, 30, 40]);
+    }
+
+    #[test]
+    fn a_single_inner_partition_is_skipped_only_when_both_outer_ones_are_mixed() {
+        // Cuts inside ranks 1 and 3, rank 2 whole: with both samples
+        // negative b = c = 2 sits between two mixed partitions and is
+        // skipped (two scans).
+        assert_eq!(ns_widths_seen(15, 34, 2), [20, 30, 40]);
+        // Low cut *on* the boundary of ranks 1 | 2, high cut inside rank 3:
+        // with rank 3's sample negative b = c = 2 again, d = 3 is mixed but
+        // a = 1 is not — the low cut may be inside rank 2, which is scanned
+        // (three scans, never two).
+        assert_eq!(ns_widths_seen(20, 34, 1), [30, 40]);
+    }
+
+    /// `n` distinct values in an order that keeps no partition's members
+    /// value-sorted, cut every 100 except where `fat` says otherwise.
+    fn thin_and_fat(n: u64, fat: std::ops::Range<u64>) -> (Knowledge<Predicate>, PlainOracle) {
+        let values = (0..n).map(|i| i * 1237 % n).collect();
+        let cuts: Vec<u64> = (1..n / 100).map(|i| i * 100).collect();
+        let outside_fat = |c: &u64| *c <= fat.start || *c >= fat.end;
+        let cuts: Vec<u64> = cuts.into_iter().filter(outside_fat).collect();
+        warmed(values, &cuts)
+    }
+
+    /// Runs `[lo, hi]` on a seed whose k samples all answer 0 and checks it
+    /// against brute force and against the full scan of the displaced hunt.
+    fn miss(kb: &Knowledge<Predicate>, oracle: &PlainOracle, lo: u64, hi: u64) -> QueryStats {
+        let pred = Predicate::between(0, lo, hi);
+        let k = kb.k() as u64;
+        let (sel, waved) = (0..64)
+            .find_map(|seed| {
+                let mut kb = kb.clone();
+                let sel = run(&mut kb, oracle, lo, hi, seed);
+                (sel.stats.filter_probes > k).then_some((sel, kb))
+            })
+            .expect("a seed whose samples all miss");
+        assert_eq!(sel.sorted(), oracle.expected_select(&pred));
+        let mut scanned = kb.clone();
+        let mut rng = StdRng::seed_from_u64(0);
+        sequential_between(&mut scanned, oracle, &pred, &mut rng);
+        assert_eq!(snapshot::save(&waved), snapshot::save(&scanned));
+        assert_eq!(waved.k(), kb.k() + sel.stats.splits);
+        assert_eq!(
+            sel.stats.qpf_uses,
+            sel.stats.filter_probes + sel.stats.ns_width
+        );
+        sel.stats
+    }
+
+    #[test]
+    fn a_miss_inside_one_fat_partition_escalates_instead_of_scanning_the_table() {
+        let (kb, oracle) = thin_and_fat(6000, 5000..6000);
+        assert_eq!(kb.k(), 51);
+        let stats = miss(&kb, &oracle, 5500, 5599);
+        assert!(stats.qpf_uses < 6000 / 2, "{stats:?}");
+        assert_eq!(stats.splits, 0, "both cuts inside one partition");
+        assert!(scanned_ranks(&stats) <= 3, "{stats:?}");
+    }
+
+    #[test]
+    fn a_miss_split_across_two_partitions_splits_both() {
+        let (mut kb, oracle) = thin_and_fat(6000, 4000..6000);
+        let p = Predicate::cmp(0, ComparisonOp::Lt, 5000);
+        try_process_comparison(&mut kb, &oracle, &p, &mut StdRng::seed_from_u64(2), true).unwrap();
+        assert_eq!(kb.k(), 42);
+        let stats = miss(&kb, &oracle, 4950, 5049);
+        assert!(stats.qpf_uses < 6000 / 2, "{stats:?}");
+        assert_eq!(stats.splits, 2);
+    }
+
+    #[test]
+    fn an_empty_range_costs_every_sample_and_every_member_once() {
+        let (mut kb, oracle) = thin_and_fat(6000, 5000..6000);
+        let calls = Calls::new(&oracle);
+        let sel = run(&mut kb, &calls, 7000, 8000, 3);
+        assert!(sel.tuples.is_empty());
+        assert_eq!(sel.stats.qpf_uses, 6000 + 51);
+        assert_eq!((sel.stats.ns_width, sel.stats.splits), (0, 0));
+        // ⌈lg 51⌉ + 1 waves, then rounds of 1, 2, 4, …, 512 members.
+        assert_eq!((calls.batches.get(), calls.singles.get()), (7 + 10, 0));
+        assert_eq!(sel.stats.oracle_batches, 17);
+    }
+
+    /// A random POP over a column with `domain` distinct values (small =
+    /// duplicate-heavy), a deleted tuple and two parked ones.
+    fn scenario(seed: u64) -> (Knowledge<Predicate>, PlainOracle, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..500usize);
+        let domain = [6u64, 40, 2000][rng.gen_range(0..3usize)];
+        let values: Vec<u64> = (0..n + 2).map(|_| rng.gen_range(0..domain)).collect();
+        let mut oracle = PlainOracle::single_column(values);
+        let mut kb: Knowledge<Predicate> = Knowledge::init(n);
+        for _ in 0..rng.gen_range(0..260usize) {
+            let p = Predicate::cmp(0, ComparisonOp::Lt, rng.gen_range(0..domain + 1));
+            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+        }
+        if n > 1 {
+            let gone = rng.gen_range(0..n as TupleId);
+            oracle.delete(gone);
+            kb.delete(gone);
+        }
+        for t in n..n + 2 {
+            kb.park(t as TupleId, 0, kb.k() - 1);
+        }
+        (kb, oracle, domain)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The wave hunt is the sequential hunt: same winners and a
+        /// byte-identical knowledge base, query after query as BETWEEN
+        /// separators accumulate — whatever either side's samples were.
+        #[test]
+        fn waves_match_the_sequential_hunt(seed in proptest::prelude::any::<u64>()) {
+            let (mut waved, oracle, domain) = scenario(seed);
+            let mut sequential = waved.clone();
+            proptest::prop_assert!(waved.k() <= 200);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xBE7);
+            for q in 0..6u64 {
+                // Empty, inside one partition, straddling, everything, and
+                // touching either extreme.
+                let at = rng.gen_range(0..domain);
+                let (lo, hi) = match rng.gen_range(0..6u32) {
+                    0 => (domain + 1, domain + 9),
+                    1 => (at, at),
+                    2 => (at, at + rng.gen_range(0..domain / 4 + 1)),
+                    3 => (0, domain),
+                    4 => (0, at),
+                    _ => (at, domain),
+                };
+                let pred = Predicate::between(0, lo, hi);
+                let mut rng_w = StdRng::seed_from_u64(seed ^ q);
+                let mut rng_s = StdRng::seed_from_u64(seed.rotate_left(17) ^ q);
+                let before = oracle.qpf_uses();
+                let sel = try_process_between(&mut waved, &oracle, &pred, &mut rng_w, true)
+                    .expect("clean");
+                let spent = oracle.qpf_uses() - before;
+                let mut reference = sequential_between(&mut sequential, &oracle, &pred, &mut rng_s);
+                reference.sort_unstable();
+                proptest::prop_assert_eq!(sel.sorted(), reference, "winners, [{}, {}]", lo, hi);
+                proptest::prop_assert_eq!(
+                    snapshot::save(&waved), snapshot::save(&sequential), "KB, [{}, {}]", lo, hi
+                );
+                waved.check_invariants();
+                let s = sel.stats;
+                proptest::prop_assert_eq!(s.qpf_uses, spent);
+                proptest::prop_assert_eq!(
+                    s.qpf_uses, s.filter_probes + s.ns_width + s.overflow_scanned as u64
+                );
+                proptest::prop_assert!(s.qpf_uses <= (oracle.n_slots() + s.k_before) as u64, "{:?}", s);
+            }
+        }
     }
 }

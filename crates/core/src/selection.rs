@@ -16,15 +16,18 @@ pub struct QueryStats {
     pub k_after: usize,
     /// Number of partition splits applied by `updatePRKB`.
     pub splits: usize,
-    /// QPF uses spent locating NS-pairs: QFilter binary-search probes and
-    /// BETWEEN sample hunts. The O(lg k) part of the paper's cost model.
+    /// QPF uses spent locating NS-pairs: QFilter binary-search probes;
+    /// for BETWEEN, the samples of its hunt waves and transition searches
+    /// and the members its fallback rounds evaluate. The O(lg k) part of
+    /// the paper's cost model.
     pub filter_probes: u64,
     /// Tuples inside the NS-pair partitions handed to QScan — the
-    /// irreducible per-query work once the filter has done its job.
+    /// irreducible per-query work once the filter has done its job. For
+    /// BETWEEN, the members evaluated by boundary-partition scans.
     pub ns_width: u64,
     /// `try_eval_batch` calls issued by the pipeline (QScan partitions,
-    /// overflow sweeps, MD waves). Invariant across thread counts and
-    /// fault wrappers.
+    /// overflow sweeps, MD waves, BETWEEN hunt waves and fallback rounds).
+    /// Invariant across thread counts and fault wrappers.
     pub oracle_batches: u64,
     /// Partitions resolved to *true* from separator labels, no scan.
     pub pruned_true: usize,

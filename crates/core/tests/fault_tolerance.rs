@@ -15,12 +15,16 @@
 mod common;
 
 use common::kb_bytes;
-use prkb_core::{EngineConfig, PrkbEngine};
+use prkb_core::{EngineConfig, PrkbEngine, QueryStats};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{ComparisonOp, FaultConfig, FaultInjector, Predicate, RetryOracle, RetryPolicy};
+use prkb_edbms::{
+    ComparisonOp, FaultConfig, FaultInjector, OracleError, Predicate, PredicateKind, RetryOracle,
+    RetryPolicy, SelectionOracle, TupleId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
     common::columns(2, n, extra, seed)
@@ -249,7 +253,7 @@ proptest! {
 #[test]
 fn corrupted_cell_aborts_real_oracle_insert_and_preserves_knowledge() {
     use prkb_crypto::cipher::CIPHERTEXT_LEN;
-    use prkb_edbms::{DataOwner, EncryptedPredicate, OracleError, PlainTable, SpOracle, TmConfig};
+    use prkb_edbms::{DataOwner, EncryptedPredicate, PlainTable, SpOracle, TmConfig};
 
     let mut rng = StdRng::seed_from_u64(9);
     let values: Vec<u64> = (0..400).map(|_| rng.gen_range(0..1_000u64)).collect();
@@ -309,53 +313,50 @@ fn corrupted_cell_aborts_real_oracle_insert_and_preserves_knowledge() {
     engine.knowledge(0).expect("indexed").check_invariants();
 }
 
+/// Delegates to [`PlainOracle`] but fails evaluation number `fail_at`
+/// (1-based) with a non-retryable corruption error. Batch evaluation
+/// routes through the default per-tuple `try_eval_batch`, so the fault
+/// strikes after `fail_at - 1` verdicts of the batch were produced.
+struct FailNth<'a> {
+    inner: &'a PlainOracle,
+    fail_at: u64,
+    calls: AtomicU64,
+}
+
+impl SelectionOracle for FailNth<'_> {
+    type Pred = Predicate;
+
+    fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+        let idx = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+        if idx == self.fail_at {
+            return Err(OracleError::Corruption("mid-batch fault".into()));
+        }
+        self.inner.try_eval(pred, t)
+    }
+
+    fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+        self.inner.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.inner.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.inner.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.inner.qpf_uses()
+    }
+}
+
 /// Satellite for the durability PR: a fault landing in the *middle* of a
 /// `try_eval_batch` (some verdicts already produced, the rest never
 /// evaluated) must not leak the partial verdict prefix into the knowledge
 /// base — abort-safety holds at batch granularity, not just per query.
 #[test]
 fn mid_batch_fault_leaks_no_partial_verdicts() {
-    use prkb_edbms::{OracleError, PredicateKind, SelectionOracle, TupleId};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Delegates to [`PlainOracle`] but fails evaluation number `fail_at`
-    /// (1-based) with a non-retryable corruption error. Batch evaluation
-    /// routes through the default per-tuple `try_eval_batch`, so the fault
-    /// strikes after `fail_at - 1` verdicts of the batch were produced.
-    struct FailNth<'a> {
-        inner: &'a PlainOracle,
-        fail_at: u64,
-        calls: AtomicU64,
-    }
-
-    impl SelectionOracle for FailNth<'_> {
-        type Pred = Predicate;
-
-        fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
-            let idx = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-            if idx == self.fail_at {
-                return Err(OracleError::Corruption("mid-batch fault".into()));
-            }
-            self.inner.try_eval(pred, t)
-        }
-
-        fn kind_of(&self, pred: &Predicate) -> PredicateKind {
-            self.inner.kind_of(pred)
-        }
-
-        fn n_slots(&self) -> usize {
-            self.inner.n_slots()
-        }
-
-        fn is_live(&self, t: TupleId) -> bool {
-            self.inner.is_live(t)
-        }
-
-        fn qpf_uses(&self) -> u64 {
-            self.inner.qpf_uses()
-        }
-    }
-
     let n = 300usize;
     let clean = PlainOracle::from_columns(columns(n, 0, 71));
     let mut engine = two_attr_engine(n);
@@ -438,8 +439,6 @@ fn mid_batch_fault_leaks_no_partial_verdicts() {
 /// a faulty-but-retryable boundary must equal the fault-free run.
 #[test]
 fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
-    use prkb_edbms::{OracleError, SelectionOracle};
-
     let n = 300usize;
     let cols = columns(n, 0, 83);
     let clean = PlainOracle::from_columns(cols.clone());
@@ -505,5 +504,99 @@ fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
     assert_eq!(got.tuples, want.tuples);
     assert_eq!(got.stats.splits, want.stats.splits);
     assert_eq!(got.stats.oracle_batches, want.stats.oracle_batches);
+    assert_eq!(kb_bytes(&faulted), kb_bytes(&twin));
+}
+
+/// A BETWEEN whose k samples all miss runs every kind of oracle call the
+/// operator has — hunt waves, fallback rounds, suffix completions. A fault
+/// inside any of them must abort with the knowledge base byte-identical,
+/// and the same query over a faulty-but-retryable boundary must equal the
+/// fault-free run.
+#[test]
+fn between_fault_in_wave_round_or_completion_aborts_clean_and_retried_run_matches() {
+    // Attribute 0 is a permutation of 0..n, cut every 100 below 2 000: 20
+    // thin partitions and one of 1 000 members that hides a 5 % range.
+    let n = 3000usize;
+    let cols = common::strided_columns(n);
+    let clean = PlainOracle::from_columns(cols.clone());
+    let warmed = || {
+        let mut engine = two_attr_engine(n);
+        let mut rng = StdRng::seed_from_u64(91);
+        for bound in (100..=2000u64).step_by(100) {
+            let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
+            engine.select(&clean, &p, &mut rng);
+        }
+        engine
+    };
+    let (mut faulted, mut twin) = (warmed(), warmed());
+    let k = twin.knowledge(0).expect("indexed").k() as u64;
+    assert_eq!(k, 21);
+    let range = Predicate::between(0, 2500, 2649);
+    // Every attempt draws the same samples.
+    let sample_seed = (0..64)
+        .find(|&seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let probes = warmed()
+                .select(&clean, &range, &mut rng)
+                .stats
+                .filter_probes;
+            probes > k
+        })
+        .expect("a seed whose samples all miss");
+    let want = twin.select(&clean, &range, &mut StdRng::seed_from_u64(sample_seed));
+    assert_eq!(want.sorted(), clean.expected_select(&range));
+    assert!(want.stats.ns_width > 0, "a suffix was completed");
+    assert_eq!(
+        want.stats.qpf_uses,
+        want.stats.filter_probes + want.stats.ns_width
+    );
+
+    // Evaluation 4 is inside the wave of stride P/4, k + 2 inside the first
+    // fallback round, filter_probes + 2 inside the first completion.
+    let before = kb_bytes(&faulted);
+    for fail_at in [4, k + 2, want.stats.filter_probes + 2] {
+        let faulty = FailNth {
+            inner: &clean,
+            fail_at,
+            calls: AtomicU64::new(0),
+        };
+        let err = faulted
+            .try_select(&faulty, &range, &mut StdRng::seed_from_u64(sample_seed))
+            .expect_err("scheduled fault must abort the query");
+        assert!(
+            matches!(
+                err,
+                prkb_core::QueryError::Oracle(OracleError::Corruption(_))
+            ),
+            "unexpected error class: {err}"
+        );
+        assert_eq!(faulty.calls.load(Ordering::Relaxed), fail_at);
+        assert_eq!(
+            before,
+            kb_bytes(&faulted),
+            "fault at {fail_at}: verdicts leaked into the KB"
+        );
+    }
+
+    let retrying = RetryOracle::new(
+        FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(93)),
+        RetryPolicy::fast(4),
+    );
+    let got = faulted
+        .try_select(&retrying, &range, &mut StdRng::seed_from_u64(sample_seed))
+        .expect("retries recover every injected fault");
+    assert!(retrying.inner().injected() > 0, "no fault was injected");
+    assert_eq!(got.tuples, want.tuples);
+    assert_eq!(
+        QueryStats {
+            qpf_uses: 0,
+            ..got.stats
+        },
+        QueryStats {
+            qpf_uses: 0,
+            ..want.stats
+        },
+        "timeouts spend QPF; nothing else may differ"
+    );
     assert_eq!(kb_bytes(&faulted), kb_bytes(&twin));
 }
