@@ -1,4 +1,4 @@
-//! Offline typecheck stub for `bytes` (the `Bytes` type only).
+//! This workspace's `bytes`: the `Bytes` type only.
 
 use std::ops::Deref;
 use std::sync::Arc;

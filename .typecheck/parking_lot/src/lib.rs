@@ -1,4 +1,4 @@
-//! Offline typecheck stub for `parking_lot` (RwLock/Mutex, non-poisoning).
+//! This workspace's `parking_lot`: non-poisoning RwLock/Mutex over `std`.
 
 use std::sync::{
     Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock,

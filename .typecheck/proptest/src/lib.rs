@@ -1,4 +1,4 @@
-//! Offline typecheck stub for `proptest` (the subset this repo uses):
+//! This workspace's `proptest` (the subset of the API it uses):
 //! `proptest!` with optional `#![proptest_config(..)]`, `any::<T>()`,
 //! integer-range strategies, tuple strategies, `collection::vec`,
 //! `prop_map`, `prop_oneof!`, and the `prop_assert*` macros.
@@ -7,7 +7,7 @@
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
-/// Tiny deterministic rng for stub generation.
+/// Tiny deterministic rng for case generation.
 pub struct TestRng {
     state: u64,
 }

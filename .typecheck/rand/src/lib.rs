@@ -1,4 +1,4 @@
-//! Offline typecheck stub for `rand` 0.8 (API surface used by this repo).
+//! This workspace's `rand`: the slice of the `rand` 0.8 API it uses.
 
 use std::ops::{Range, RangeInclusive};
 

@@ -1,4 +1,4 @@
-//! Offline typecheck stub for `serde` (traits + no-op derives).
+//! This workspace's `serde`: marker traits and no-op derives.
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -1,4 +1,4 @@
-//! Offline typecheck stub: derive macros that expand to nothing.
+//! This workspace's `serde_derive`: derive macros that expand to nothing.
 
 use proc_macro::TokenStream;
 

@@ -1,5 +1,5 @@
 //! **checkpoint** — checkpoint and recovery cost of the segment store
-//! (DESIGN.md §17). Not a paper figure — this gates the repo's own
+//! (DESIGN.md §9). Not a paper figure — this gates the repo's own
 //! storage layer.
 //!
 //! One warmed knowledge base, one deterministic workload:

@@ -1,7 +1,7 @@
 //! **server_conns** — reactor connection-scaling: a large resident crowd
 //! of idle connections plus 64 active pipelined clients, with ping
 //! latency percentiles. Not a paper figure — this gates the repo's own
-//! epoll reactor (DESIGN.md §16).
+//! epoll reactor (DESIGN.md §5).
 //!
 //! The old thread-per-connection server held a worker hostage per open
 //! socket and its accept loop slept 10 ms between polls, so (a) idle

@@ -1,5 +1,5 @@
 //! **shard_commit** — durable commit throughput under write contention
-//! through the sharded pool with per-shard group commit (DESIGN.md §10).
+//! through the sharded pool with per-shard group commit (DESIGN.md §8).
 //! Not a paper figure — this gates the repo's own durability layer.
 //!
 //! Eight writer threads hammer eight attributes chosen to land on eight

@@ -2,7 +2,7 @@
 //! four real-world victim attributes, varying the number of queries the
 //! attacker observes (paper §8.1).
 //!
-//! The real datasets are simulated per DESIGN.md §4 (same row counts, same
+//! The real datasets are simulated per DESIGN.md §2 (same row counts, same
 //! gap structure). Paper reference values are printed alongside ours.
 
 use crate::harness::Report;

@@ -45,24 +45,11 @@
 
 use crate::knowledge::{BetweenEdge, Knowledge, Separator};
 use crate::pop::Pop;
+use crate::qscan::{scan_partition, Split};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
-
-/// Outcome of evaluating every member of the partition at `rank`, both
-/// halves in member order.
-struct RankScan {
-    rank: usize,
-    true_half: Vec<TupleId>,
-    false_half: Vec<TupleId>,
-}
-
-impl RankScan {
-    fn is_mixed(&self) -> bool {
-        !self.true_half.is_empty() && !self.false_half.is_empty()
-    }
-}
 
 /// One query's oracle-facing side: the trapdoor, the POP it runs against,
 /// the scratch buffers every batch shares and the cost it has run up.
@@ -142,38 +129,20 @@ impl<O: SelectionOracle> Probe<'_, O> {
         Ok((neg, pos))
     }
 
-    /// Evaluates the members of the partition at `rank` past the `known`
-    /// verdicts of its first members — one batch, none when `known` already
-    /// covers the partition.
-    fn scan(&mut self, rank: usize, known: &[bool]) -> Result<RankScan, OracleError> {
-        let members = self.pop.members_at(rank);
-        let rest = &members[known.len()..];
-        self.verdicts.clear();
-        if !rest.is_empty() {
-            self.oracle
-                .try_eval_batch(self.pred, rest, &mut self.verdicts)?;
-            self.batches += 1;
-            self.scanned += rest.len() as u64;
-        }
-        let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
-        for (&t, &v) in members.iter().zip(known.iter().chain(&self.verdicts)) {
-            if v {
-                true_half.push(t);
-            } else {
-                false_half.push(t);
-            }
-        }
-        Ok(RankScan {
-            rank,
-            true_half,
-            false_half,
-        })
+    /// [`scan_partition`] past the `known` verdicts, counted as scan work.
+    fn scan(&mut self, rank: usize, known: &[bool]) -> Result<Split, OracleError> {
+        let (pop, verdicts) = (self.pop, &mut self.verdicts);
+        let scan = scan_partition(pop, self.oracle, self.pred, rank, known, verdicts)?;
+        let rest = (pop.members_at(rank).len() - known.len()) as u64;
+        self.batches += u64::from(rest > 0);
+        self.scanned += rest;
+        Ok(scan)
     }
 
     /// Phase 3: all k samples answered 0. Returns the completed scans of
     /// the (≤ 3) partitions that can hold winners, or none when every
     /// member of the table has answered 0.
-    fn escalate(&mut self) -> Result<Vec<RankScan>, OracleError> {
+    fn escalate(&mut self) -> Result<Vec<Split>, OracleError> {
         let (pop, k) = (self.pop, self.pop.k());
         let (mut done, mut chunk) = (0usize, 1usize);
         // Where each rank's members start in this round's batch.
@@ -244,7 +213,7 @@ where
         scanned: 0,
         batches: 0,
     };
-    let mut scans: Vec<RankScan> = Vec::new();
+    let mut scans: Vec<Split> = Vec::new();
     // Ranks wholly inside the range: they pass by label, unscanned.
     let mut middle_true: Vec<usize> = Vec::new();
 
@@ -344,7 +313,7 @@ where
 fn apply_between_updates<P: SpPredicate>(
     kb: &mut Knowledge<P>,
     pred: &P,
-    scans: Vec<RankScan>,
+    scans: Vec<Split>,
     middle_true: &[usize],
 ) -> usize {
     // The true span: every rank with at least one positive tuple.
@@ -358,7 +327,7 @@ fn apply_between_updates<P: SpPredicate>(
 
     // Collect splittable mixed partitions; apply in descending rank order so
     // earlier splits do not shift later ranks.
-    let mut pending: Vec<(RankScan, BetweenEdge)> = Vec::new();
+    let mut pending: Vec<(Split, BetweenEdge)> = Vec::new();
     for s in scans {
         if !s.is_mixed() {
             continue; // homogeneous: nothing to refine
@@ -484,13 +453,13 @@ mod tests {
         let full_scan = |&rank: &usize| {
             let members = kb.pop().members_at(rank).iter();
             let (true_half, false_half) = members.partition(|&&t| oracle.eval(pred, t));
-            RankScan {
+            Split {
                 rank,
                 true_half,
                 false_half,
             }
         };
-        let scans: Vec<RankScan> = scan_set.iter().map(full_scan).collect();
+        let scans: Vec<Split> = scan_set.iter().map(full_scan).collect();
         let mut tuples: Vec<TupleId> = Vec::new();
         for &rank in &middle_true {
             tuples.extend_from_slice(kb.pop().members_at(rank));

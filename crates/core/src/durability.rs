@@ -40,9 +40,7 @@
 //!   and refuses to open on mid-log corruption (a bad record *followed by*
 //!   valid ones) — restoring an engine equivalent to a prefix of the
 //!   shard's commit order that contains every acknowledged insert, delete
-//!   and init, `validate()`d before use. A directory that
-//!   still holds a monolithic v1 `checkpoint.bin` is folded into segment 0
-//!   at the same epoch on its first open.
+//!   and init, `validate()`d before use.
 //!
 //! Epochs make the checkpoint/WAL pair crash-consistent without ever
 //! truncating a live log: the manifest at epoch `E+1` subsumes
@@ -56,7 +54,6 @@ use crate::knowledge::{Knowledge, RefinementOp};
 use crate::lsm::manifest::{write_segment_manifest, SegmentManifest};
 use crate::lsm::reader::SegmentStore;
 use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
-use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
@@ -72,14 +69,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// File name of a monolithic v1 checkpoint. Never written any more; read
-/// once by the upgrade path and classified by the scrubber.
-pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.bin";
-/// v1 checkpoint magic.
-const CKPT_MAGIC: &[u8; 4] = b"PCKP";
-/// v1 checkpoint format version.
-const CKPT_VERSION: u16 = 1;
-
 /// Errors raised by a durable (or scheduled) operation.
 #[derive(Debug)]
 pub enum DurableError {
@@ -88,10 +77,6 @@ pub enum DurableError {
     /// The query itself failed (oracle, uninitialized attribute). The
     /// in-memory engine is abort-safe and nothing was logged.
     Query(QueryError),
-    /// A v1 `checkpoint.bin` awaiting migration is damaged. It was written
-    /// atomically, so damage here is real corruption — the engine refuses
-    /// to open.
-    CorruptCheckpoint(&'static str),
     /// A CRC-valid WAL record failed to decode or to replay cleanly —
     /// corruption that slipped past framing; the engine refuses to open.
     CorruptWal(&'static str),
@@ -114,7 +99,6 @@ impl fmt::Display for DurableError {
         match self {
             DurableError::Storage(e) => write!(f, "{e}"),
             DurableError::Query(e) => write!(f, "{e}"),
-            DurableError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
             DurableError::CorruptWal(what) => write!(f, "corrupt WAL record: {what}"),
             DurableError::CorruptManifest(what) => write!(f, "corrupt shard manifest: {what}"),
             DurableError::CorruptSegment(what) => write!(f, "corrupt segment storage: {what}"),
@@ -347,42 +331,6 @@ pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, Durabl
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: v1 checkpoints (read-only)
-// ---------------------------------------------------------------------------
-
-/// A decoded v1 checkpoint: its epoch and the per-attribute snapshot
-/// images, each verified to load.
-pub(crate) type V1Checkpoint = (u64, Vec<(AttrId, Vec<u8>)>);
-
-/// Parses a v1 checkpoint file —
-/// `"PCKP" | version u16 | epoch u64 | n_attrs u32 |`
-/// `(attr u32 | len u64 | snapshot bytes)* | crc32 u32`, the checksum
-/// covering everything before it — into a [`V1Checkpoint`].
-pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
-    bytes: &[u8],
-) -> Result<V1Checkpoint, DurableError> {
-    let decode = || -> Result<_, &'static str> {
-        let (version, mut r) = unseal(bytes, CKPT_MAGIC)?;
-        if version != CKPT_VERSION {
-            return Err("unknown version");
-        }
-        let epoch = r.u64()?;
-        let n_attrs = r.count(12)?;
-        let mut kbs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let attr = r.u32()?;
-            let len = r.count64(1)?;
-            let snap = r.bytes(len)?;
-            snapshot::load::<P>(snap).map_err(|_| "embedded snapshot")?;
-            kbs.push((attr, snap.to_vec()));
-        }
-        r.finish()?;
-        Ok((epoch, kbs))
-    };
-    decode().map_err(DurableError::CorruptCheckpoint)
-}
-
-// ---------------------------------------------------------------------------
 // One engine directory: recovery and checkpoint flush
 // ---------------------------------------------------------------------------
 
@@ -401,44 +349,12 @@ fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
     }
 }
 
-/// Folds a monolithic v1 `checkpoint.bin` into segment 0 plus a manifest
-/// at the same epoch, so a directory written before segments were the
-/// checkpoint format upgrades in place on its first open. The caller
-/// removes the checkpoint file after this returns; a crash in between just
-/// re-runs the removal on the next open (the manifest already won).
-fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
-    fs: &dyn StorageFs,
-    dir: &Path,
-    crash: &CrashInjector,
-) -> Result<(), DurableError> {
-    let bytes = fs
-        .read(&dir.join(CHECKPOINT_FILE))
-        .map_err(DurabilityError::Io)?;
-    // A segment block is verbatim a snapshot image, so the embedded
-    // images move over as they are.
-    let (epoch, blocks) = decode_checkpoint::<P>(&bytes)?;
-    let flushed = write_segment(fs, dir, 0, &blocks, crash)?;
-    write_segment_manifest(
-        fs,
-        dir,
-        &SegmentManifest {
-            epoch,
-            next_segment_id: 1,
-            segments: vec![0],
-        },
-        crash,
-    )?;
-    crate::metrics::global().add(Metric::SegmentFlushBytes, flushed);
-    Ok(())
-}
-
 /// Recovers one engine directory: load the newest version of every
-/// partition from the segment set (migrating a v1 checkpoint first), open
-/// or create the manifest epoch's WAL, replay its committed transactions,
-/// validate every attribute, and drop stale-epoch logs. Returns the rebuilt
-/// engine (journaling armed), the live WAL, the attributes the replayed
-/// tail touched (exactly their divergence from the stored segments), and
-/// what was found on disk.
+/// partition from the segment set, open or create the manifest epoch's WAL,
+/// replay its committed transactions, validate every attribute, and drop
+/// stale-epoch logs. Returns the rebuilt engine (journaling armed), the
+/// live WAL, the attributes the replayed tail touched (exactly their
+/// divergence from the stored segments), and what was found on disk.
 fn recover_dir<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
@@ -446,15 +362,16 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     crash: &CrashInjector,
 ) -> Result<(PrkbEngine<P>, Wal, BTreeSet<AttrId>, RecoveryReport), DurableError> {
     let started = Instant::now();
-    fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
-    if fs.exists(&ckpt_path) && !fs.exists(&dir.join(SEGMENT_MANIFEST_FILE)) {
-        migrate_v1_checkpoint::<P>(fs.as_ref(), dir, crash)?;
+    // A generation-1 directory keeps its whole checkpoint in this one file.
+    // Nothing here reads it, so opening around it would serve an empty KB
+    // over data that is still there: refuse before anything is created.
+    if fs.exists(&dir.join("checkpoint.bin")) {
+        return Err(DurableError::CorruptSegment(
+            "checkpoint.bin: a generation-1 monolithic checkpoint, which has no reader \
+             (checkpoints are segments, formats v1 and v2); the file is left untouched",
+        ));
     }
-    // Superseded by the manifest — either by the migration above or by
-    // one an earlier open crashed out of before this removal.
-    remove_stale(fs.as_ref(), &ckpt_path)?;
+    fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
 
     let mut engine = PrkbEngine::new(config);
     let mut epoch = 0u64;
@@ -723,9 +640,8 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptSegment`] /
-    /// [`DurableError::CorruptCheckpoint`] / [`DurableError::CorruptWal`]
-    /// when the on-disk state is damaged beyond the torn-tail case (which
-    /// is silently discarded).
+    /// [`DurableError::CorruptWal`] when the on-disk state is damaged
+    /// beyond the torn-tail case (which is silently discarded).
     fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
@@ -1124,9 +1040,9 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptManifest`] /
-    /// [`DurableError::CorruptSegment`] / [`DurableError::CorruptCheckpoint`]
-    /// / [`DurableError::CorruptWal`] when the on-disk state is damaged
-    /// beyond the torn-tail case (which is silently discarded).
+    /// [`DurableError::CorruptSegment`] / [`DurableError::CorruptWal`] when
+    /// the on-disk state is damaged beyond the torn-tail case (which is
+    /// silently discarded).
     pub fn open(
         dir: &Path,
         config: EngineConfig,

@@ -1,4 +1,4 @@
-//! Segment storage: the PRKB checkpoint format (DESIGN.md §17).
+//! Segment storage: the PRKB checkpoint format (DESIGN.md §9).
 //!
 //! The paper's knowledge base only grows — every answered query refines the
 //! index forever — so a checkpoint that rewrites the whole KB is the

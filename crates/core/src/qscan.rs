@@ -10,15 +10,23 @@ use crate::pop::Pop;
 use crate::qfilter::FilterResult;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 
-/// A discovered split of a non-homogeneous partition (Lemma 4.5, Case 2).
+/// Every member of the partition at `rank`, separated by QPF verdict, both
+/// halves in member order. With both halves non-empty the partition is
+/// non-homogeneous and this is its discovered split (Lemma 4.5, Case 2).
 #[derive(Debug, Clone)]
 pub struct Split {
-    /// Rank of the non-homogeneous partition.
+    /// Rank of the scanned partition.
     pub rank: usize,
     /// Members with QPF output 1 (`P_sT`).
     pub true_half: Vec<TupleId>,
     /// Members with QPF output 0 (`P_sF`).
     pub false_half: Vec<TupleId>,
+}
+
+impl Split {
+    pub(crate) fn is_mixed(&self) -> bool {
+        !self.true_half.is_empty() && !self.false_half.is_empty()
+    }
 }
 
 /// Outcome of `QScan`.
@@ -61,13 +69,13 @@ pub fn try_qscan<O: SelectionOracle>(
 
     // Scan P_a fully.
     let mut verdicts = Vec::new();
-    let (a_true, a_false) = scan_partition(pop, oracle, pred, a, &mut verdicts)?;
+    let scan_a = scan_partition(pop, oracle, pred, a, &[], &mut verdicts)?;
 
-    if !a_true.is_empty() && !a_false.is_empty() {
+    if scan_a.is_mixed() {
         // P_a is non-homogeneous: s = a; early stop. P_b is implied
         // homogeneous with its sampled label. The true half appears both as
         // winners and as the split record, so this one clone is inherent.
-        let mut winners = a_true.clone();
+        let mut winners = scan_a.true_half.clone();
         let mut label_b_full = None;
         if b != a {
             if filter.label_b {
@@ -77,11 +85,7 @@ pub fn try_qscan<O: SelectionOracle>(
         }
         return Ok(ScanResult {
             winners,
-            split: Some(Split {
-                rank: a,
-                true_half: a_true,
-                false_half: a_false,
-            }),
+            split: Some(scan_a),
             label_a_full: None,
             label_b_full,
         });
@@ -89,9 +93,8 @@ pub fn try_qscan<O: SelectionOracle>(
 
     // P_a homogeneous: its true half is consumed only as winners, so move
     // it rather than clone.
-    let label_a_full = Some(!a_true.is_empty());
-    let a_true_len = a_true.len();
-    let mut winners = a_true;
+    let label_a_full = Some(!scan_a.true_half.is_empty());
+    let mut winners = scan_a.true_half;
     if a == b {
         // Single-partition POP scanned homogeneous: nothing further.
         return Ok(ScanResult {
@@ -103,21 +106,12 @@ pub fn try_qscan<O: SelectionOracle>(
     }
 
     // P_a homogeneous: scan P_b as well.
-    let (b_true, b_false) = scan_partition(pop, oracle, pred, b, &mut verdicts)?;
-    winners.extend_from_slice(&b_true);
-    let split = if !b_true.is_empty() && !b_false.is_empty() {
-        Some(Split {
-            rank: b,
-            true_half: b_true,
-            false_half: b_false,
-        })
+    let scan_b = scan_partition(pop, oracle, pred, b, &[], &mut verdicts)?;
+    winners.extend_from_slice(&scan_b.true_half);
+    let (split, label_b_full) = if scan_b.is_mixed() {
+        (Some(scan_b), None)
     } else {
-        None
-    };
-    let label_b_full = if split.is_some() {
-        None
-    } else {
-        Some(winners.len() > a_true_len)
+        (None, Some(!scan_b.true_half.is_empty()))
     };
     Ok(ScanResult {
         winners,
@@ -127,29 +121,38 @@ pub fn try_qscan<O: SelectionOracle>(
     })
 }
 
-/// Fully scans the partition at `rank` as one oracle batch (every member is
-/// evaluated unconditionally, so batching cannot change the QPF count) and
-/// separates members by verdict. `verdicts` is scratch shared by the scans
-/// of one query.
-fn scan_partition<O: SelectionOracle>(
+/// Evaluates the members of the partition at `rank` past the `known`
+/// verdicts of its first members — one oracle batch (every such member is
+/// evaluated unconditionally, so batching cannot change the QPF count),
+/// none when `known` already covers the partition — and separates all of
+/// them by verdict. `verdicts` is scratch shared by the scans of one query.
+pub(crate) fn scan_partition<O: SelectionOracle>(
     pop: &Pop,
     oracle: &O,
     pred: &O::Pred,
     rank: usize,
+    known: &[bool],
     verdicts: &mut Vec<bool>,
-) -> Result<(Vec<TupleId>, Vec<TupleId>), OracleError> {
+) -> Result<Split, OracleError> {
     let members = pop.members_at(rank);
-    oracle.try_eval_batch(pred, members, verdicts)?;
-    let mut t_half = Vec::new();
-    let mut f_half = Vec::new();
-    for (&t, &v) in members.iter().zip(verdicts.iter()) {
+    let rest = &members[known.len()..];
+    verdicts.clear();
+    if !rest.is_empty() {
+        oracle.try_eval_batch(pred, rest, verdicts)?;
+    }
+    let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
+    for (&t, &v) in members.iter().zip(known.iter().chain(verdicts.iter())) {
         if v {
-            t_half.push(t);
+            true_half.push(t);
         } else {
-            f_half.push(t);
+            false_half.push(t);
         }
     }
-    Ok((t_half, f_half))
+    Ok(Split {
+        rank,
+        true_half,
+        false_half,
+    })
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //! durability layer ever wrote.
 //!
 //! [`scrub_engine_dir`] CRC-walks one engine directory (segment set +
-//! manifest + epoch-tagged WAL, plus a v1 `checkpoint.bin` should one
-//! remain); [`scrub_pool_dir`] walks a sharded pool (manifest + every
-//! `shard.<i>/` subdirectory). Each artifact gets a
+//! manifest + epoch-tagged WAL); [`scrub_pool_dir`] walks a sharded pool
+//! (manifest + every `shard.<i>/` subdirectory). Each artifact gets a
 //! [`ScrubDamage`] classification:
 //!
 //! * **Clean** — checksums verify and payloads decode;
@@ -13,8 +12,6 @@
 //! * **MidLogCorruption** — a damaged frame *inside* the committed prefix
 //!   (bitrot or tampering), or a CRC-valid frame whose payload no longer
 //!   decodes; recovery refuses such a log;
-//! * **CheckpointRot** — a v1 `checkpoint.bin` (never written any more,
-//!   migrated on open) fails its checksum or codec;
 //! * **ManifestMismatch** — the pool manifest is rotted, missing, or
 //!   disagrees with the shard directories actually present; also a
 //!   segment manifest that fails validation or references a segment file
@@ -32,10 +29,12 @@
 //!   publish and manifest swap, or between a swap and the unlink of what
 //!   it superseded; harmless (the next reopen deletes it) — a finding only
 //!   in directories not reopened since — but quarantined for tidiness;
-//! * **StrayTemp** — a leftover `*.tmp` (checkpoint, manifest, or
-//!   segment temp) from an interrupted atomic publish;
+//! * **StrayTemp** — a leftover `*.tmp` (manifest or segment temp) from
+//!   an interrupted atomic publish;
 //!   harmless but quarantined so reopen sees a tidy directory;
-//! * **Unreadable** — the file could not be read at all (I/O error).
+//! * **Unreadable** — the file could not be read at all (I/O error), or
+//!   it is a generation-1 `checkpoint.bin`, which has no reader and which
+//!   recovery refuses to open around.
 //!
 //! The scrubber never deletes: with quarantine enabled, corrupt artifacts
 //! are *renamed* into a `quarantine/` subdirectory next to where they
@@ -47,9 +46,7 @@
 //! `scrub_corruptions`; each successful quarantine bumps
 //! `quarantined_files` (metrics schema v4).
 
-use crate::durability::{
-    decode_checkpoint, decode_manifest, decode_txn, CHECKPOINT_FILE, MANIFEST_FILE,
-};
+use crate::durability::{decode_manifest, decode_txn, MANIFEST_FILE};
 use crate::lsm::manifest::SegmentManifest;
 use crate::lsm::segment::{parse_segment_name, segment_file_name, validate_segment_bytes};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
@@ -74,8 +71,6 @@ pub enum ScrubDamage {
     /// Damage inside the WAL's committed prefix, an unrecognizable WAL
     /// header, or a CRC-valid frame whose payload fails to decode.
     MidLogCorruption,
-    /// A v1 `checkpoint.bin` fails its checksum or codec.
-    CheckpointRot,
     /// The pool manifest is rotted, missing, or disagrees with the shard
     /// directories present; or a segment manifest fails validation or
     /// references a segment file that does not exist.
@@ -94,7 +89,8 @@ pub enum ScrubDamage {
     StraySegment,
     /// A leftover `*.tmp` from an interrupted atomic publish.
     StrayTemp,
-    /// The file could not be read (I/O error while scrubbing).
+    /// The file could not be read: an I/O error while scrubbing, or a
+    /// format generation with no reader.
     Unreadable,
 }
 
@@ -105,7 +101,6 @@ impl ScrubDamage {
             ScrubDamage::Clean => "clean",
             ScrubDamage::TornTail => "torn_tail",
             ScrubDamage::MidLogCorruption => "mid_log_corruption",
-            ScrubDamage::CheckpointRot => "checkpoint_rot",
             ScrubDamage::ManifestMismatch => "manifest_mismatch",
             ScrubDamage::TornSegment => "torn_segment",
             ScrubDamage::SegmentRot => "segment_rot",
@@ -131,7 +126,6 @@ impl ScrubDamage {
         matches!(
             self,
             ScrubDamage::MidLogCorruption
-                | ScrubDamage::CheckpointRot
                 | ScrubDamage::ManifestMismatch
                 | ScrubDamage::TornSegment
                 | ScrubDamage::SegmentRot
@@ -263,8 +257,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Scrubs one engine directory: its segment set and manifest, its
-/// epoch-tagged WAL(s), a v1 `checkpoint.bin` awaiting migration, and any
-/// stray temp files.
+/// epoch-tagged WAL(s), and any stray temp files.
 pub fn scrub_engine_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -395,8 +388,14 @@ fn scan_engine_dir<P: SpPredicate + WireCodec>(
                 ScrubDamage::StrayTemp,
                 "leftover atomic-publish temp file",
             ));
-        } else if name == CHECKPOINT_FILE {
-            findings.push(scrub_checkpoint::<P>(fs, path));
+        } else if name == "checkpoint.bin" {
+            // Left in place and counted as corruption: quarantining it
+            // would let the next open start an empty KB beside the old one.
+            findings.push(ScrubFinding::new(
+                path,
+                ScrubDamage::Unreadable,
+                "generation-1 monolithic checkpoint: no reader, recovery refuses this directory",
+            ));
         } else if name.starts_with("wal.") && name.ends_with(".log") {
             findings.push(scrub_wal::<P>(fs, path));
         } else if let Some(id) = parse_segment_name(name) {
@@ -495,31 +494,6 @@ fn scrub_segment(
         Err(what) => (ScrubDamage::TornSegment, format!("segment {id}: {what}")),
     };
     ScrubFinding::new(path, damage, detail)
-}
-
-fn scrub_checkpoint<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> ScrubFinding {
-    let bytes = match fs.read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            return ScrubFinding::new(
-                path,
-                ScrubDamage::Unreadable,
-                format!("cannot read checkpoint: {e}"),
-            )
-        }
-    };
-    match decode_checkpoint::<P>(&bytes) {
-        Ok((epoch, kbs)) => ScrubFinding::new(
-            path,
-            ScrubDamage::Clean,
-            format!("epoch {epoch}, {} attribute(s)", kbs.len()),
-        ),
-        Err(e) => ScrubFinding::new(
-            path,
-            ScrubDamage::CheckpointRot,
-            format!("checkpoint fails validation: {e}"),
-        ),
-    }
 }
 
 /// Classifies one WAL image. CRC validity alone is not enough for a clean
@@ -682,14 +656,14 @@ mod tests {
     fn stray_temp_is_quarantined_not_deleted() {
         let dir = tmp("stray");
         let fs = real_fs();
-        std::fs::write(dir.join("checkpoint.bin.tmp"), b"half-written").unwrap();
+        std::fs::write(dir.join("segments.manifest.tmp"), b"half-written").unwrap();
         let report = scrub_engine_dir::<Predicate>(fs.as_ref(), &dir, true);
         assert_eq!(report.quarantined, 1);
         let f = &report.findings[0];
         assert_eq!(f.damage, ScrubDamage::StrayTemp);
         let moved = f.quarantined_to.as_ref().unwrap();
         assert_eq!(std::fs::read(moved).unwrap(), b"half-written");
-        assert!(!dir.join("checkpoint.bin.tmp").exists());
+        assert!(!dir.join("segments.manifest.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -44,7 +44,7 @@ where
     // ---- Evaluation phase: fallible, reads only. ----
     let filter = try_qfilter(kb.pop(), oracle, pred, rng)?;
     let filter_probes = oracle.qpf_uses().saturating_sub(qpf_before);
-    let scan = try_qscan(kb.pop(), oracle, pred, &filter)?;
+    let mut scan = try_qscan(kb.pop(), oracle, pred, &filter)?;
 
     // Cost breakdown: NS-pair width and batches actually issued. P_b costs
     // a batch only when P_a scanned homogeneous (no early stop).
@@ -77,13 +77,13 @@ where
     // ---- Commit phase: infallible, no oracle calls past this point. ----
     let mut splits = 0usize;
     if update {
-        if let Some(split) = scan.split.clone() {
-            let (left, right, left_label) = order_split(kb, &filter, &scan, &split);
+        if let Some(split) = scan.split.take() {
+            let cut = split.rank;
+            let (left, right, left_label) = order_split(kb, &filter, &scan, split);
             let sep = Separator::Cmp {
                 pred: pred.clone(),
                 left_label,
             };
-            let cut = split.rank;
             kb.apply_split(cut, left, right, Some(sep));
             splits = 1;
             kb.refine_overflow(cut, left_label, |t| overflow_out.get(&t).copied());
@@ -116,19 +116,20 @@ where
 /// Decides the order of the two halves of a split (paper §5.3): the half
 /// whose QPF label matches a known-labelled neighbour is placed adjacent to
 /// that neighbour. Returns `(left_members, right_members, left_label)`.
-pub(crate) fn order_split<P: SpPredicate>(
+fn order_split<P: SpPredicate>(
     kb: &Knowledge<P>,
     filter: &FilterResult,
     scan: &ScanResult,
-    split: &Split,
+    split: Split,
 ) -> (Vec<TupleId>, Vec<TupleId>, bool) {
-    crate::update::order_halves(
-        kb.k(),
-        split.rank,
-        split.true_half.clone(),
-        split.false_half.clone(),
-        |rank| neighbor_label(filter, scan, rank),
-    )
+    let Split {
+        rank,
+        true_half,
+        false_half,
+    } = split;
+    crate::update::order_halves(kb.k(), rank, true_half, false_half, |rank| {
+        neighbor_label(filter, scan, rank)
+    })
 }
 
 /// The QPF label of the partition at `rank`, as established by this query

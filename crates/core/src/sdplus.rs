@@ -30,9 +30,10 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// [`QueryError::AttrNotInitialized`] before anything is spent;
     /// [`QueryError::Oracle`] from any part. **Abort-safe:** each part
     /// commits its own refinement as it finishes, so a failure in a later
-    /// part would strand the earlier commits; when the configuration lets
-    /// any part refine, every named attribute's knowledge is cloned up
-    /// front and restored wholesale on error.
+    /// part would strand the earlier commits; when there are two or more
+    /// parts and the configuration lets any of them refine, every named
+    /// attribute's knowledge is cloned up front and restored wholesale on
+    /// error.
     pub(crate) fn intersect_parts<O, R>(
         &mut self,
         oracle: &O,
@@ -56,6 +57,9 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
         let refines = self.config.update
             || (!grid.is_empty() && self.config.md_policy != MdUpdatePolicy::Frozen);
+        // A single part is abort-safe by itself: nothing earlier to strand.
+        let parts = usize::from(!grid.is_empty()) + singles.len();
+        let snapshot = refines && parts > 1;
         let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
         let mut k_before = 0usize;
         for &attr in &attrs {
@@ -63,20 +67,22 @@ impl<P: SpPredicate> PrkbEngine<P> {
                 .knowledge(attr)
                 .ok_or(QueryError::AttrNotInitialized(attr))?;
             k_before += kb.k();
-            if refines {
+            if snapshot {
                 saved.push((attr, kb.clone()));
             }
         }
 
-        let mut hits: Vec<u32> = vec![0; oracle.n_slots()];
-        let mut parts = 0u32;
+        // The running intersection, ascending by id.
+        let mut common: Option<Vec<TupleId>> = None;
         let mut stats = QueryStats::default();
         let mut tally = |sel: Selection| {
             stats.absorb(&sel.stats);
-            parts += 1;
-            for t in sel.tuples {
-                hits[t as usize] += 1;
+            let mut ids = sel.tuples;
+            ids.sort_unstable();
+            if let Some(earlier) = common.take() {
+                ids.retain(|t| earlier.binary_search(t).is_ok());
             }
+            common = Some(ids);
         };
         let ran = (|| -> Result<(), QueryError> {
             if !grid.is_empty() {
@@ -101,9 +107,8 @@ impl<P: SpPredicate> PrkbEngine<P> {
             .filter_map(|&a| self.knowledge(a))
             .map(Knowledge::k)
             .sum();
-        let tuples = (0..hits.len() as TupleId)
-            .filter(|&t| hits[t as usize] == parts)
-            .collect();
+        // No parts constrain nothing: every slot.
+        let tuples = common.unwrap_or_else(|| (0..oracle.n_slots() as TupleId).collect());
         Ok(Selection { tuples, stats })
     }
 }

@@ -1,9 +1,8 @@
-//! One table for the seven decoders `prkb-core` and `prkb-edbms` own —
-//! snapshot, WAL transaction, v1 checkpoint, pool manifest, segment
-//! manifest, segment framing (both versions), trapdoor — under the
-//! hostile-input driver (`common/hostile.rs`). The images are the
-//! parent-written fixtures; the decoders are reached the way recovery and
-//! the scrubber reach them. `prkb-server`'s `wire_hardening` holds the
+//! One table for the six decoders `prkb-core` and `prkb-edbms` own —
+//! snapshot, WAL transaction, pool manifest, segment manifest, segment
+//! framing (both versions), trapdoor — under the hostile-input driver
+//! (`common/hostile.rs`). The images are the parent-written fixtures; the
+//! decoders are reached the way recovery and the scrubber reach them. `prkb-server`'s `wire_hardening` holds the
 //! table for requests and responses.
 
 mod common;
@@ -14,7 +13,7 @@ use common::TmpDir;
 use hostile::{assert_hostile_inputs_are_refused, Case};
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{segment_file_name, SegmentMeta, SEGMENT_MANIFEST_FILE};
-use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, ScrubFinding, ScrubReport};
+use prkb_core::scrub::{scrub_pool_dir, ScrubDamage, ScrubFinding, ScrubReport};
 use prkb_core::{durability::decode_txn, snapshot};
 use prkb_edbms::codec::Reader;
 use prkb_edbms::durability::{scan_frames, FRAME_HEADER_LEN};
@@ -43,18 +42,9 @@ fn every_decoder_refuses_prefixes_and_flips_without_panicking_or_over_allocating
     }
 
     let mut cases = vec![
-        Case::raw("snapshot", fixture("parent_pool_v1/attr.0.snap"), |b| {
+        Case::raw("snapshot", fixture("parent_pool_seg/attr.0.snap"), |b| {
             snapshot::load::<Predicate>(b).is_ok()
         }),
-        Case::sealed(
-            "v1 checkpoint",
-            fixture("parent_pool_v1/shard.1/checkpoint.bin"),
-            |b| {
-                write("checkpoint.bin", b);
-                let report = scrub_engine_dir::<Predicate>(fs.as_ref(), &dir.0, false);
-                scrubbed_clean(&report, "checkpoint.bin")
-            },
-        ),
         Case::sealed(
             "pool manifest",
             fixture("parent_pool_seg/manifest.bin"),

@@ -1,4 +1,4 @@
-//! Durability properties of the PRKB (DESIGN.md §10), driven the way a
+//! Durability properties of the PRKB (DESIGN.md §8), driven the way a
 //! server drives them: a one-shard pool behind its `SessionScheduler`.
 //!
 //! Pinned guarantees:
@@ -447,7 +447,7 @@ proptest! {
 /// rotates every six records: the workload crash-recovers, or runs clean
 /// where the hook's fifth occurrence never comes.
 #[test]
-fn env_driven_crash_point_recovers() {
+fn every_crash_hook_recovers_under_rotation() {
     for point in CrashPoint::ALL {
         for nth in [1u64, 5] {
             let dir = TmpDir::new("hooks");

@@ -1,4 +1,4 @@
-//! Fault-tolerance properties of the PRKB boundary (DESIGN.md §9).
+//! Fault-tolerance properties of the PRKB boundary (DESIGN.md §12).
 //!
 //! Two pinned guarantees:
 //!

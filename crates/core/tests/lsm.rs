@@ -1,4 +1,4 @@
-//! Checkpoint segment storage properties (DESIGN.md §17).
+//! Checkpoint segment storage properties (DESIGN.md §9).
 //!
 //! Pinned guarantees (the crash, fault and rotation sweeps over this
 //! storage live in `durability.rs`, `shard_durability.rs` and
@@ -13,14 +13,11 @@
 //!    other segment file survives a rotation or a reopen, an all-clean
 //!    rotation writes no segment, and a crash at any segment hook of a
 //!    rotation reopens to the live state.
-//! 3. **Upgrade path** — a pool directory written by the commit before
-//!    segments became the only checkpoint format (monolithic v1
-//!    `checkpoint.bin` per shard) migrates each shard into segment 0 at
-//!    the same epoch, replays its WAL tail and recovers the images that
-//!    commit served — also when the migration itself is interrupted; a
-//!    segmented directory written by that commit (version-1 segments)
-//!    opens unchanged, and its first rotation supersedes them with
-//!    version-2 files.
+//! 3. **Previous generation** — a segmented directory written by an
+//!    earlier commit (version-1 segments) opens unchanged and recovers the
+//!    images that commit served, and its first rotation supersedes them
+//!    with version-2 files. A directory of the generation before that (a
+//!    monolithic `checkpoint.bin` per shard) is refused and left as found.
 
 mod common;
 
@@ -32,7 +29,7 @@ use prkb_core::lsm::{
     parse_segment_name, segment_file_name, SegmentManifest, SegmentMeta, SEGMENT_MANIFEST_FILE,
     SEGMENT_VERSION,
 };
-use prkb_core::{snapshot, EngineConfig, SessionScheduler};
+use prkb_core::{snapshot, DurableError, EngineConfig, SessionScheduler};
 use prkb_edbms::durability::{CrashInjector, CrashPoint};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, Predicate};
@@ -302,16 +299,14 @@ fn rotation_crash_at_every_segment_hook_recovers_live_and_leaves_no_stray() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Upgrade path from parent-written bytes
+// 3. Previous-generation bytes
 // ---------------------------------------------------------------------------
 
-/// Pool directories written by the parent commit (the last one with a
-/// monolithic writer): 2 shards, 4 attributes of 48 tuples, every shard
-/// rotated once (epoch 1) and then given a non-empty WAL tail.
-/// `parent_pool_v1` under its default config (`shard.<i>/checkpoint.bin`),
-/// `parent_pool_seg` under its opt-in segmented flag. `attr.<a>.snap` is
-/// `snapshot::save` of what that commit held in memory for attribute `a`
-/// (identical for both runs).
+/// `parent_pool_seg`: a pool directory written by an earlier commit with
+/// version-1 segments — 2 shards, 4 attributes of 48 tuples, every shard
+/// rotated once (epoch 1) and then given a non-empty WAL tail. The
+/// `attr.<a>.snap` beside its manifest is `snapshot::save` of what that
+/// commit held in memory for attribute `a`.
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -324,7 +319,7 @@ const FIXTURE_TAILS: [u64; 2] = [7, 3];
 fn served_images() -> Vec<Vec<u8>> {
     (0..FIXTURE_ATTRS)
         .map(|a| {
-            std::fs::read(fixture("parent_pool_v1").join(format!("attr.{a}.snap")))
+            std::fs::read(fixture("parent_pool_seg").join(format!("attr.{a}.snap")))
                 .expect("served image")
         })
         .collect()
@@ -356,45 +351,14 @@ fn pool_images(pool: &Pool) -> Vec<Vec<u8>> {
     images.into_iter().map(|(_, bytes)| bytes).collect()
 }
 
-#[test]
-fn parent_written_v1_pool_migrates_and_recovers_the_served_images() {
-    let dir = TmpDir::new("upgrade");
-    copy_tree(&fixture("parent_pool_v1"), &dir.0);
-
-    let pool = open_pool(&dir.0, CrashInjector::disabled());
-    assert_eq!(pool.map().shards(), 2);
-    for (sid, report) in pool.reports().iter().enumerate() {
-        assert!(report.checkpoint_loaded, "shard {sid}");
-        assert_eq!(report.epoch, 1, "shard {sid}: migration keeps the epoch");
-        assert_eq!(report.segments_live, 1, "shard {sid}: segment 0");
-        assert_eq!(report.records_replayed, FIXTURE_TAILS[sid], "shard {sid}");
-        let shard = dir.0.join(format!("shard.{sid}"));
-        assert!(!shard.join("checkpoint.bin").exists(), "shard {sid}");
-        assert!(shard.join(SEGMENT_MANIFEST_FILE).exists(), "shard {sid}");
-        assert!(shard.join(segment_file_name(0)).exists(), "shard {sid}");
-    }
-    assert_eq!(pool_images(&pool), served_images());
-    let scrub = pool.scrub(false);
-    assert!(scrub.is_clean(), "{}", scrub.to_json());
-    let before: Vec<_> = pool.reports().to_vec();
-    drop(pool);
-
-    // A second reopen finds nothing left to migrate.
-    let pool = open_pool(&dir.0, CrashInjector::disabled());
-    assert_eq!(pool.reports(), before.as_slice());
-    assert_eq!(pool_images(&pool), served_images());
-
-    first_rotation_supersedes_segment_0(&dir.0, pool);
-}
-
-/// The first rotation after an upgrade, with every partition dirtied: each
-/// shard publishes one version-2 segment and retires segment 0, whichever
-/// version that was.
+/// The first rotation of the parent-written pool, with every partition
+/// dirtied: each shard publishes one version-2 segment and retires the
+/// version-1 segment 0.
 fn first_rotation_supersedes_segment_0(dir: &Path, pool: Pool) {
     let shards = pool.map().shards();
     let sched = SessionScheduler::durable(pool);
     sched.delete(9, None).expect("durable ack"); // touches, hence dirties, every attribute
-    sched.checkpoint().expect("post-upgrade checkpoint");
+    sched.checkpoint().expect("first checkpoint");
     for sid in 0..shards {
         let shard = dir.join(format!("shard.{sid}"));
         let manifest = assert_live_set(&shard, &format!("shard {sid}"));
@@ -408,67 +372,26 @@ fn first_rotation_supersedes_segment_0(dir: &Path, pool: Pool) {
     }
 }
 
+/// Sorted file names of one directory.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// The format version in a segment file's header (bytes 4..6).
 fn segment_version(dir: &Path, id: u64) -> u16 {
     let bytes = std::fs::read(dir.join(segment_file_name(id))).expect("segment file");
     u16::from_le_bytes([bytes[4], bytes[5]])
 }
 
-/// A crash at any segment or manifest hook *during* the migration reopens
-/// to the same state: `checkpoint.bin` stays authoritative until the
-/// manifest swap, and is only swept once the manifest has won.
-#[test]
-fn interrupted_migration_reopens_to_the_same_state() {
-    for point in CrashPoint::SEGMENT_HOOKS {
-        // Shard 0 migrates at the first firing, shard 1 at the second.
-        for nth in [1u64, 2] {
-            let dir = TmpDir::new("upgrade-crash");
-            copy_tree(&fixture("parent_pool_v1"), &dir.0);
-            let crashed = common::open_pool(
-                &dir.0,
-                EngineConfig::default(),
-                2,
-                CrashInjector::at_nth(point, nth),
-                real_fs(),
-            );
-            // Only a rotation reaches the retire hook; a migration never does.
-            assert_eq!(
-                crashed.is_err(),
-                point != CrashPoint::AfterSegmentRetire,
-                "{point}:{nth}"
-            );
-            drop(crashed);
-            let pool = open_pool(&dir.0, CrashInjector::disabled());
-            assert_eq!(pool_images(&pool), served_images(), "{point}:{nth}");
-            for (sid, report) in pool.reports().iter().enumerate() {
-                assert_eq!(report.epoch, 1, "{point}:{nth} shard {sid}");
-                assert_eq!(
-                    report.records_replayed, FIXTURE_TAILS[sid],
-                    "{point}:{nth} shard {sid}"
-                );
-            }
-            let scrub = pool.scrub(false);
-            assert!(
-                !scrub.has_corruption(),
-                "{point}:{nth}: {}",
-                scrub.to_json()
-            );
-        }
-    }
-}
-
 #[test]
 fn parent_written_segmented_pool_opens_unchanged() {
     let dir = TmpDir::new("parent-seg");
     copy_tree(&fixture("parent_pool_seg"), &dir.0);
-    let listing = |dir: &Path| {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .expect("list shard")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
     let before: Vec<_> = (0..2)
         .map(|sid| listing(&dir.0.join(format!("shard.{sid}"))))
         .collect();
@@ -481,7 +404,7 @@ fn parent_written_segmented_pool_opens_unchanged() {
         assert_eq!(
             listing(&shard),
             before[sid],
-            "shard {sid}: nothing to migrate, nothing rewritten"
+            "shard {sid}: nothing rewritten"
         );
         // The parent wrote version 1 (bloom block and all): every block
         // still reads back and loads.
@@ -495,4 +418,42 @@ fn parent_written_segmented_pool_opens_unchanged() {
     assert_eq!(pool_images(&pool), served_images());
     assert!(pool.scrub(false).is_clean());
     first_rotation_supersedes_segment_0(&dir.0, pool);
+}
+
+/// A shard directory that holds a generation-1 `checkpoint.bin` — alone,
+/// as that generation left it, or beside a segment manifest — is never
+/// opened: not migrated, not swept as stale, not started fresh around. The
+/// open fails naming the file, and the shard directory is as it was.
+#[test]
+fn generation_1_checkpoint_is_refused_and_left_untouched() {
+    const OLD: &[u8] = b"PCKP\x01\x00 whatever a generation-1 writer left here";
+    for beside_manifest in [false, true] {
+        let dir = TmpDir::new("gen1-refused");
+        if beside_manifest {
+            copy_tree(&fixture("parent_pool_seg"), &dir.0);
+        }
+        let shard = dir.shard(0);
+        std::fs::create_dir_all(&shard).expect("shard dir");
+        std::fs::write(shard.join("checkpoint.bin"), OLD).expect("plant");
+        assert_eq!(
+            shard.join(SEGMENT_MANIFEST_FILE).exists(),
+            beside_manifest,
+            "precondition"
+        );
+        let before = listing(&shard);
+
+        let err = reopen_pool(&dir.0, EngineConfig::default(), 2)
+            .expect_err("a generation-1 directory must not open");
+        assert!(
+            matches!(err, DurableError::CorruptSegment(what) if what.contains("checkpoint.bin")
+                && what.contains("generation-1")),
+            "manifest beside it: {beside_manifest}: {err}"
+        );
+        assert_eq!(
+            std::fs::read(shard.join("checkpoint.bin")).expect("still there"),
+            OLD
+        );
+        // No `wal.*`, no `segment.*`, nothing removed.
+        assert_eq!(listing(&shard), before, "manifest: {beside_manifest}");
+    }
 }

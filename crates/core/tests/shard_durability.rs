@@ -1,4 +1,4 @@
-//! Durability properties of the sharded engine pool (DESIGN.md §10), every
+//! Durability properties of the sharded engine pool (DESIGN.md §8), every
 //! commit made through its `SessionScheduler`.
 //!
 //! Pinned guarantees:
@@ -89,37 +89,23 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
 // 1. Per-shard replay equivalence across every crash point
 // ---------------------------------------------------------------------------
 
-/// Every hook × pools of 1, 4 and 8 shards (the counts CI sweeps): one
-/// shard's crash — in its WAL, its segment flush, its manifest swap or its
-/// segment retirement — never bleeds into another's history.
+/// Every hook × pools of 1, 4 and 8 shards rotating every four records,
+/// and a pool sized by `PRKB_SHARDS` (CI fans it over 1 and 8) rotating
+/// every five: one shard's crash — in its WAL, its segment flush, its
+/// manifest swap or its segment retirement — never bleeds into another's
+/// history.
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
-    for shards in [1usize, 4, 8] {
+    for (shards, rotate) in [(1usize, 4), (4, 4), (8, 4), (shards_from_env(4), 5)] {
         for point in CrashPoint::ALL {
             for nth in [1u64, 2, 5] {
                 let dir = TmpDir::new("sweep");
-                let config = rotate_every(4);
+                let config = rotate_every(rotate);
                 let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
                 let recovered = recover_pool(&dir, config, shards);
-                assert_recovered(&run, &recovered, &format!("{shards} shards, {point}:{nth}"));
+                let tag = format!("{shards} shards / {rotate}, {point}:{nth}");
+                assert_recovered(&run, &recovered, &tag);
             }
-        }
-    }
-}
-
-/// Every hook, early and late (`CrashPoint::ALL × {1, 5}`), on a pool
-/// sized by `PRKB_SHARDS` (CI fans it over 1 and 8) that rotates every five
-/// records.
-#[test]
-fn env_driven_sharded_crash_recovers() {
-    let shards = shards_from_env(4);
-    for point in CrashPoint::ALL {
-        for nth in [1u64, 5] {
-            let dir = TmpDir::new("hooks");
-            let config = rotate_every(5);
-            let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
-            let recovered = recover_pool(&dir, config, shards);
-            assert_recovered(&run, &recovered, &format!("{shards} shards, {point}:{nth}"));
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Storage-fault semantics and KB integrity scrubbing (DESIGN.md §15),
+//! Storage-fault semantics and KB integrity scrubbing (DESIGN.md §12),
 //! every commit made through the `SessionScheduler`.
 //!
 //! Pinned guarantees:
@@ -17,9 +17,10 @@
 //!    reopen recovers the exact committed prefix and leaves no stray
 //!    `*.tmp`. A failed sync of the pool manifest is `SyncFailed` too.
 //! 4. **Scrub verdicts** — the scrubber classifies deliberate rot
-//!    (torn tail / mid-log / v1 checkpoint rot / manifest mismatch) exactly,
-//!    quarantines rather than deletes, and over every `CrashInjector`
-//!    survivor state reports only crash residue, never corruption.
+//!    (torn tail / mid-log / manifest mismatch) exactly, quarantines
+//!    rather than deletes — a generation-1 `checkpoint.bin` is corruption
+//!    it leaves in place — and over every `CrashInjector` survivor state
+//!    reports only crash residue, never corruption.
 //! 5. **Blast radius** — a poisoned shard rejects new commits with
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
@@ -32,7 +33,6 @@ use common::{
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
 use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
-use prkb_edbms::codec::seal;
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
@@ -171,32 +171,28 @@ fn recover_pool(dir: &Path, shards: usize) -> Vec<Vec<Vec<u8>>> {
     pool_bytes(&pool)
 }
 
+/// Seed 0 is the healthy disk: nothing fails, and the recovery assertion
+/// pins plain replay equivalence.
 #[test]
 fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
     let shards = shards_from_env(2);
-    for seed in 1..=10u64 {
+    for seed in 0..=10u64 {
         let dir = TmpDir::new("sweep-pool");
-        let faults = FaultFs::seeded(real_fs(), seed);
+        let faults = match seed {
+            0 => FaultFs::scripted(real_fs(), Vec::new()),
+            _ => FaultFs::seeded(real_fs(), seed),
+        };
         let run = drive_pool(&dir.0, faults.handle(), shards);
         let recovered = recover_pool(&dir.0, shards);
         // A fault at pool creation is a clean error: nothing acknowledged.
-        if let Some(run) = run {
-            assert_recovered(&run, &recovered, &format!("seed {seed}"));
+        if let Some(run) = &run {
+            assert_recovered(run, &recovered, &format!("seed {seed}"));
+        }
+        if seed == 0 {
+            assert!(run.is_some_and(|run| !run.failed), "nothing was injected");
         }
         no_stray_tmp(&dir.0);
     }
-}
-
-/// The sweep's workload over a healthy disk: nothing fails, and the
-/// recovery assertion pins plain replay equivalence.
-#[test]
-fn env_driven_storage_fault_recovers() {
-    let shards = shards_from_env(2);
-    let dir = TmpDir::new("clean");
-    let run = drive_pool(&dir.0, real_fs(), shards).expect("a healthy disk opens");
-    assert!(!run.failed, "nothing was injected");
-    assert_recovered(&run, &recover_pool(&dir.0, shards), "clean run");
-    no_stray_tmp(&dir.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,73 +498,33 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     try_open(&dir).expect("quarantine unblocks reopen");
 }
 
-/// A v1 `checkpoint.bin` is never written any more, but a directory that
-/// still holds one (not yet migrated, or stray) is classified all the same.
+/// A generation-1 `checkpoint.bin` has no reader: scrub counts it as
+/// corruption but never moves it, so `--quarantine` followed by a reopen
+/// cannot start an empty pool over an old directory.
 #[test]
-fn scrub_classifies_v1_checkpoint_rot() {
-    let dir = TmpDir::new("scrub-ckpt");
-    let shard = dir.shard(0);
-    std::fs::create_dir_all(&shard).expect("shard dir");
-    // One shard of the parent-written default-config pool.
-    let fixture =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_pool_v1/shard.0");
-    for file in ["checkpoint.bin", "wal.1.log"] {
-        std::fs::copy(fixture.join(file), shard.join(file)).expect("copy fixture");
+fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
+    const OLD: &[u8] = b"PCKP\x01\x00 a generation-1 checkpoint";
+    let dir = TmpDir::new("scrub-gen1");
+    build_engine_dir(&dir);
+    let ckpt = dir.shard(0).join("checkpoint.bin");
+    std::fs::write(&ckpt, OLD).expect("plant");
+
+    for quarantine in [false, true] {
+        let report = scrub_pool_dir::<Predicate>(real_fs().as_ref(), &dir.0, quarantine);
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.path == ckpt)
+            .expect("checkpoint finding");
+        assert_eq!(f.damage, ScrubDamage::Unreadable, "{}", report.to_json());
+        assert!(f.quarantined_to.is_none());
+        // The CLI's exit code 2.
+        assert!(report.has_corruption());
+        assert_eq!(report.quarantined, 0, "everything else is clean");
+        assert_eq!(std::fs::read(&ckpt).expect("left in place"), OLD);
+        try_open(&dir).expect_err("still refused after the scrub");
     }
-    let clean = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, false);
-    assert!(clean.is_clean(), "{}", clean.to_json());
-
-    let ckpt = shard.join("checkpoint.bin");
-    let mut bytes = std::fs::read(&ckpt).expect("read");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&ckpt, &bytes).expect("rot");
-
-    let err = try_open(&dir).expect_err("rotted checkpoint must refuse to migrate");
-    assert!(
-        matches!(err, DurableError::CorruptCheckpoint(_)),
-        "got {err:?}"
-    );
-
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, true);
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.path == ckpt)
-        .expect("checkpoint finding");
-    assert_eq!(f.damage, ScrubDamage::CheckpointRot);
-    assert!(f.quarantined_to.is_some());
-    assert!(report.has_corruption());
-
-    try_open(&dir).expect("quarantine unblocks reopen");
-}
-
-/// A v1 checkpoint whose checksum verifies but whose embedded snapshot
-/// length lies is corruption in both build profiles: the dev profile used
-/// to panic on the offset add, release wrapped it.
-#[test]
-fn hostile_v1_checkpoint_length_is_corruption_not_a_panic() {
-    let dir = TmpDir::new("ckpt-hostile");
-    let shard = dir.shard(0);
-    std::fs::create_dir_all(&shard).expect("shard dir");
-    // epoch 0 | one attribute | attr 0 | snapshot length u64::MAX
-    let mut body = 0u64.to_le_bytes().to_vec();
-    body.extend_from_slice(&1u32.to_le_bytes());
-    body.extend_from_slice(&0u32.to_le_bytes());
-    body.extend_from_slice(&u64::MAX.to_le_bytes());
-    std::fs::write(shard.join("checkpoint.bin"), seal(b"PCKP", 1, &body)).expect("write");
-
-    let err = try_open(&dir).expect_err("a lying checkpoint must refuse to migrate");
-    assert!(
-        matches!(err, DurableError::CorruptCheckpoint(_)),
-        "got {err:?}"
-    );
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &shard, false);
-    let rot = report
-        .findings
-        .iter()
-        .filter(|f| f.damage == ScrubDamage::CheckpointRot);
-    assert_eq!(rot.count(), 1, "{}", report.to_json());
+    assert!(!dir.shard(0).join(QUARANTINE_DIR).exists());
 }
 
 /// A fresh pool of `shards` shards with every attribute initialized.
@@ -625,7 +581,8 @@ fn pool_scrub_via_handle_walks_every_shard() {
 // 6. Scrub over every CrashInjector survivor state
 // ---------------------------------------------------------------------------
 
-/// Whatever state a crash leaves behind is, by the §10 recovery contract,
+/// Whatever state a crash leaves behind is, by the recovery contract
+/// (DESIGN.md §10),
 /// openable — so the scrubber must classify it as crash residue (clean,
 /// torn tail, a stray temp, or a published segment the manifest swap never
 /// reached), never as corruption.

@@ -10,7 +10,7 @@
 //!   (normal / correlated / anti-correlated).
 //! * [`realsim`] — simulated stand-ins for the paper's real datasets
 //!   (Hospital charges, Labor salaries, US-buildings lat/long). See
-//!   DESIGN.md §4 for the substitution argument.
+//!   DESIGN.md §2 for the substitution argument.
 //! * [`workload`] — selectivity-controlled range queries and random
 //!   comparison cuts (the query streams of §8.2.3–§8.2.6).
 

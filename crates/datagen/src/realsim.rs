@@ -6,7 +6,7 @@
 //! * US Labor Statistics 2017 — *salary* attribute, 6,156,470 rows
 //! * US Buildings (geonames) — *latitude*/*longitude*, 1,122,932 rows
 //!
-//! Per the substitution rule (DESIGN.md §4) each is replaced by a synthetic
+//! Per the substitution rule (DESIGN.md §2) each is replaced by a synthetic
 //! generator with the same row count and the same *gap structure*:
 //! heavy-tailed lognormal for money attributes, clustered mixtures over a
 //! fine grid for coordinates. The security experiment (Table 2) and the 2D

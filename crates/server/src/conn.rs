@@ -305,7 +305,6 @@ fn wire_code(e: &DurableError) -> u16 {
         // until reopen (vs. a one-off durability error).
         DurableError::Storage(DurabilityError::SyncFailed(_)) => code::SYNC_FAILED,
         DurableError::Storage(_)
-        | DurableError::CorruptCheckpoint(_)
         | DurableError::CorruptWal(_)
         | DurableError::CorruptManifest(_)
         | DurableError::CorruptSegment(_)

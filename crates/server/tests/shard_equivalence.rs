@@ -1,4 +1,4 @@
-//! Sharded-execution equivalence (DESIGN.md §10).
+//! Sharded-execution equivalence (DESIGN.md §6).
 //!
 //! The scheduler's observable contract: a random multi-attribute workload —
 //! conjunctions whose footprints span shards, BETWEENs, single-attribute

@@ -2,15 +2,14 @@
 //!
 //! CRC-walks the checkpoint segments (format version 2, or the version-1
 //! files an older binary wrote — each finding names which) and their
-//! manifest (and a v1 `checkpoint.bin`, should one remain), every
-//! `wal.<epoch>.log` frame, and (for sharded pools) the pool manifest,
-//! then reports per-file verdicts: clean, torn tail, mid-log corruption,
-//! segment or checkpoint rot, manifest mismatch, a stray temp file, or a
-//! stray segment (one the manifest does not list — superseded or never
-//! swapped in; the next reopen deletes it). With `--quarantine`, damaged
-//! artifacts are *moved* into a sibling `quarantine/` directory — never
-//! deleted — so a later reopen proceeds from whatever survives while the
-//! evidence is kept.
+//! manifest, every `wal.<epoch>.log` frame, and (for sharded pools) the
+//! pool manifest, then reports per-file verdicts: clean, torn tail,
+//! mid-log corruption, segment rot, manifest mismatch, unreadable, a
+//! stray temp file, or a stray segment (one the manifest does not list —
+//! superseded or never swapped in; the next reopen deletes it). With
+//! `--quarantine`, damaged artifacts are *moved* into a sibling
+//! `quarantine/` directory — never deleted — so a later reopen proceeds
+//! from whatever survives while the evidence is kept.
 //!
 //! Run with: `cargo run --example scrub -- [--quarantine] [--json] <dir>`
 //! (a pool directory is recognized by its `manifest.bin` / `shard.<i>/`

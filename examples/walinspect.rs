@@ -1,13 +1,13 @@
 //! walinspect — dump a PRKB write-ahead log, flagging the first bad frame.
 //!
-//! Post-mortem companion to the durability layer (DESIGN.md §10): prints
+//! Post-mortem companion to the durability layer (DESIGN.md §8): prints
 //! every committed record with its offset, payload size, and decoded
 //! refinement operations, then reports how the log ends — clean, with a
 //! torn (discarded) tail, or with hard mid-log corruption.
 //!
-//! When pointed at an engine directory that has checkpointed (DESIGN.md
-//! §17), the segment manifest and every `segment.<id>.seg`
-//! file are deep-verified too — each with its format version (1 or 2);
+//! When pointed at an engine directory that has checkpointed
+//! (DESIGN.md §9), the segment manifest and every `segment.<id>.seg` file
+//! are deep-verified too — each with its format version (1 or 2);
 //! torn framing, rotted partition blocks, manifest references to missing
 //! segments, and stray segments (unlisted: superseded or never swapped
 //! in) each get their scrub classification.
