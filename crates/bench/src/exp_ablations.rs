@@ -23,7 +23,7 @@
 
 use crate::harness::{fresh_engine, measure_span, warm_to_k, EncSetup, Measured, Report};
 use crate::scale::Scale;
-use crate::trajectory::{effective_threads, BenchRow};
+use crate::trajectory::BenchRow;
 use prkb_core::qfilter::{try_qfilter, FilterResult};
 use prkb_core::qscan::try_qscan;
 use prkb_core::{MdUpdatePolicy, Pop};
@@ -54,7 +54,7 @@ fn row(id: &str, cost: Measured, k: usize, n: usize) -> Ablation {
             ms: cost.ms,
             k: k as u64,
             n: n as u64,
-            threads: effective_threads(),
+            threads: 1,
         },
         tm_calls: None,
     }

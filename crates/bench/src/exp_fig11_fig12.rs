@@ -6,7 +6,7 @@
 
 use crate::harness::{fresh_engine, measure_span, timed, warm_to_k, EncSetup, Report};
 use crate::scale::Scale;
-use crate::trajectory::{effective_threads, BenchRow};
+use crate::trajectory::BenchRow;
 use prkb_core::MdUpdatePolicy;
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::{AttrId, EncryptedPredicate};
@@ -176,7 +176,6 @@ fn render(title: &str, cells: &[MdCell], vary_d: bool) -> String {
 }
 
 fn bench_rows(cells: &[MdCell], vary_d: bool) -> Vec<BenchRow> {
-    let threads = effective_threads();
     cells
         .iter()
         .map(|c| BenchRow {
@@ -189,7 +188,7 @@ fn bench_rows(cells: &[MdCell], vary_d: bool) -> Vec<BenchRow> {
             ms: c.md_ms,
             k: c.k as u64,
             n: c.n as u64,
-            threads,
+            threads: 1,
         })
         .collect()
 }

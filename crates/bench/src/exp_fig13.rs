@@ -5,7 +5,7 @@
 
 use crate::harness::{fresh_engine, measure_span, timed, EncSetup, Report};
 use crate::scale::Scale;
-use crate::trajectory::{effective_threads, BenchRow};
+use crate::trajectory::BenchRow;
 use prkb_core::MdUpdatePolicy;
 use prkb_datagen::realsim;
 use prkb_edbms::{AttrId, EncryptedPredicate};
@@ -140,7 +140,6 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         _ => realsim::BUILDINGS_ROWS,
     };
     let data = measure(scale);
-    let threads = effective_threads();
     let total = data.points.len();
     let rows: Vec<BenchRow> = [1usize, 10, 50, 100, 200, 300, 400, 500, 600]
         .iter()
@@ -153,7 +152,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
                 ms: p.prkb_ms,
                 k: p.k as u64,
                 n: n as u64,
-                threads,
+                threads: 1,
             }
         })
         .collect();

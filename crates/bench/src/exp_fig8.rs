@@ -5,7 +5,7 @@
 
 use crate::harness::{fresh_engine, measure_span, EncSetup, Report};
 use crate::scale::Scale;
-use crate::trajectory::{effective_threads, BenchRow};
+use crate::trajectory::BenchRow;
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::select::conjunctive_scan;
 use prkb_srci::{confirm, SrciClient, SrciConfig, SrciIndex};
@@ -108,7 +108,6 @@ pub fn measure(scale: Scale) -> Fig8Data {
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let n = scale.tuples(10_000_000);
     let data = measure(scale);
-    let threads = effective_threads();
     let total = data.points.len();
     let checkpoints = [1usize, 10, 50, 100, 200, 300, 400, 500, 600];
     let rows: Vec<BenchRow> = checkpoints
@@ -122,7 +121,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
                 ms: p.prkb_ms,
                 k: p.k as u64,
                 n: n as u64,
-                threads,
+                threads: 1,
             }
         })
         .collect();

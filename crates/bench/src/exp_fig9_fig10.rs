@@ -5,7 +5,7 @@
 
 use crate::harness::{fresh_engine, measure_span, timed, warm_to_k, EncSetup, Report};
 use crate::scale::Scale;
-use crate::trajectory::{effective_threads, BenchRow};
+use crate::trajectory::BenchRow;
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::select::conjunctive_scan;
 use prkb_srci::{confirm, SrciClient, SrciConfig, SrciIndex};
@@ -142,7 +142,6 @@ fn render(title: &str, cells: &[SdCell], vary_sel: bool) -> String {
 }
 
 fn bench_rows(cells: &[SdCell], vary_sel: bool) -> Vec<BenchRow> {
-    let threads = effective_threads();
     cells
         .iter()
         .map(|c| BenchRow {
@@ -155,7 +154,7 @@ fn bench_rows(cells: &[SdCell], vary_sel: bool) -> Vec<BenchRow> {
             ms: c.prkb_ms,
             k: c.k as u64,
             n: c.n as u64,
-            threads,
+            threads: 1,
         })
         .collect()
 }

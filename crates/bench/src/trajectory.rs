@@ -161,12 +161,6 @@ pub fn bench_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// The worker-thread count in effect for this process: `PRKB_THREADS`, or 1
-/// (sequential) when unset.
-pub fn effective_threads() -> u64 {
-    prkb_edbms::env_knob::<u64>("PRKB_THREADS").map_or(1, |t| t.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1012,7 +1012,7 @@ fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, Durabl
 /// A directory of `shard.<i>/` engine directories, each with its own
 /// segment set, epoch-tagged WAL, and group-commit committer. The shard count
 /// is pinned by an atomically-written manifest at creation time: reopening
-/// under a different `PRKB_SHARDS` keeps the persisted partitioning, so
+/// with a different [`ShardMap`] keeps the persisted partitioning, so
 /// every attribute keeps routing to the WAL that holds its history.
 ///
 /// Recovery replays each shard's WAL independently — shard `i`'s recovered

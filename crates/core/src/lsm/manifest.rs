@@ -1,8 +1,8 @@
 //! The segment manifest: the single source of truth for a shard's live
 //! segment set.
 //!
-//! `segments.manifest` is tiny and rewritten whole on every rotation and
-//! migration — the atomicity point of the subsystem.
+//! `segments.manifest` is tiny and rewritten whole on every rotation — the
+//! atomicity point of the subsystem.
 //! Layout: `"PSGM" | version u16 | epoch u64 | next_segment_id u64 |
 //! n u32 | (segment id u64)* | crc32 u32`.
 //!
@@ -132,7 +132,7 @@ pub(crate) fn write_segment_manifest(
 }
 
 /// Reads the manifest from `dir`, `None` if the directory has none (a
-/// fresh engine, or a v1 checkpoint not yet migrated).
+/// fresh engine).
 pub fn read_segment_manifest(
     fs: &dyn StorageFs,
     dir: &Path,

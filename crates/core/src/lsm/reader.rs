@@ -32,8 +32,7 @@ pub(crate) struct SegmentStore {
 
 impl SegmentStore {
     /// Opens the manifest in `dir` and every segment it references.
-    /// `None` if the directory has no manifest (fresh, or a v1 checkpoint
-    /// not yet migrated).
+    /// `None` if the directory has no manifest (a fresh engine).
     ///
     /// # Errors
     /// A manifest entry whose segment file is missing or damaged is

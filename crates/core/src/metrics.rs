@@ -151,9 +151,10 @@ schema_enum! {
         WalPoisoned => "wal_poisoned",
         /// Integrity-scrub passes started (`scrub()` or `examples/scrub`).
         ScrubRuns => "scrub_runs",
-        /// Hard damage found by scrub passes: mid-log corruption, checkpoint
-        /// rot, manifest mismatch, or unreadable files (torn tails are normal
-        /// crash residue and not counted).
+        /// Hard damage found by scrub passes: mid-log corruption, manifest
+        /// mismatch, torn or rotted segments, stray temp files, or unreadable
+        /// files (torn tails and stray segments are normal crash residue and
+        /// not counted).
         ScrubCorruptions => "scrub_corruptions",
         /// Files moved into a `quarantine/` subdirectory by scrub passes.
         QuarantinedFiles => "quarantined_files",

@@ -7,8 +7,8 @@
 //! pipelines already split from commit (evaluate-then-commit). The
 //! scheduler exploits that split twice over:
 //!
-//! * **Sharding.** Attributes are hash-partitioned across `PRKB_SHARDS`
-//!   shards ([`ShardMap`]), each with its own lock, busy set, and (in
+//! * **Sharding.** Attributes are hash-partitioned across the shards of a
+//!   [`ShardMap`], each with its own lock, busy set, and (in
 //!   durable deployments) its own WAL-backed committer — so unrelated
 //!   queries never touch the same mutex and durable commits fsync in
 //!   parallel.
@@ -311,14 +311,12 @@ pub struct SessionScheduler<P: SpPredicate> {
 }
 
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
-    /// Wraps `engine` for concurrent use, partitioned per `PRKB_SHARDS`
-    /// (default `min(16, cores)`).
+    /// Wraps `engine` for concurrent use over `min(16, cores)` shards.
     pub fn new(engine: PrkbEngine<P>) -> Self {
-        Self::with_shards(engine, ShardMap::from_env())
+        Self::with_shards(engine, ShardMap::new(ShardMap::default_shards()))
     }
 
-    /// Wraps `engine` with an explicit shard map (tests and benches pin
-    /// their shard count regardless of the environment).
+    /// Wraps `engine` with an explicit shard map.
     pub fn with_shards(mut engine: PrkbEngine<P>, map: ShardMap) -> Self {
         let attrs: Vec<AttrId> = engine.attrs().collect();
         let parts = (0..map.shards())

@@ -44,7 +44,7 @@
 //!
 //! Every run bumps `scrub_runs`; each corruption-class finding bumps
 //! `scrub_corruptions`; each successful quarantine bumps
-//! `quarantined_files` (metrics schema v4).
+//! `quarantined_files` (metrics schema v7).
 
 use crate::durability::{decode_manifest, decode_txn, MANIFEST_FILE};
 use crate::lsm::manifest::SegmentManifest;
@@ -53,7 +53,7 @@ use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::snapshot::WireCodec;
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{scan_frames, WalVerdict};
+use prkb_edbms::durability::{scan_frames, WalVerdict, FRAME_HEADER_LEN};
 use prkb_edbms::StorageFs;
 use std::path::{Path, PathBuf};
 
@@ -524,7 +524,7 @@ fn scrub_wal<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> S
     let scan = scan_frames(&bytes);
     let frames_valid = scan.frames.len() as u64;
     for f in &scan.frames {
-        let start = f.offset as usize + 8;
+        let start = f.offset as usize + FRAME_HEADER_LEN;
         let payload = &bytes[start..start + f.len as usize];
         if let Err(e) = decode_txn::<P>(payload) {
             return ScrubFinding::new(

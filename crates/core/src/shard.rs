@@ -2,7 +2,7 @@
 //!
 //! Each attribute's knowledge base is independent (the paper's POP is
 //! per-attribute), so the engine partitions naturally: hash every attribute
-//! onto one of `PRKB_SHARDS` shards, give each shard its own lock, its own
+//! onto one of a [`ShardMap`]'s shards, give each shard its own lock, its own
 //! knowledge bases, and (in durable deployments) its own epoch-tagged WAL.
 //! Unrelated queries then never contend, and durable commits fsync in
 //! parallel.
@@ -11,7 +11,7 @@
 //! rebalancing — so every layer (scheduler, durability, recovery) computes
 //! the same placement independently. Durable pools persist their shard
 //! count in a manifest ([`crate::durability::ShardedDurablePool`]) so a
-//! reopen under a different `PRKB_SHARDS` still routes attributes to the
+//! reopen asking for a different count still routes attributes to the
 //! WAL that holds their history.
 //!
 //! Shards also bound the blast radius of storage failures: a failed fsync
@@ -39,19 +39,6 @@ impl ShardMap {
         ShardMap {
             shards: shards.max(1),
         }
-    }
-
-    /// Reads `PRKB_SHARDS`, falling back to
-    /// [`default_shards`](Self::default_shards) when it is unset or 0.
-    ///
-    /// # Panics
-    /// Panics when the variable is set but is not a count (see
-    /// [`prkb_edbms::env_knob`]).
-    pub(crate) fn from_env() -> Self {
-        let shards = prkb_edbms::env_knob::<usize>("PRKB_SHARDS")
-            .filter(|&s| s > 0)
-            .unwrap_or_else(Self::default_shards);
-        Self::new(shards)
     }
 
     /// `min(16, available cores)` — one shard per core until the

@@ -131,13 +131,6 @@ pub fn rotate_every(records: u64) -> EngineConfig {
     }
 }
 
-/// How many shards a sweep uses; CI fans `PRKB_SHARDS` over 1 and 8.
-pub fn shards_from_env(default: usize) -> usize {
-    prkb_edbms::env_knob("PRKB_SHARDS")
-        .filter(|&s| s > 0)
-        .unwrap_or(default)
-}
-
 pub type Pool = ShardedDurablePool<Predicate>;
 pub type Sched = SessionScheduler<Predicate>;
 

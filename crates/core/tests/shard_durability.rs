@@ -25,8 +25,7 @@
 mod common;
 
 use common::{
-    assert_recovered, kb_bytes, open_pool, pool_bytes, reopen_pool, rotate_every, shards_from_env,
-    Ack, Run, TmpDir,
+    assert_recovered, kb_bytes, open_pool, pool_bytes, reopen_pool, rotate_every, Ack, Run, TmpDir,
 };
 use prkb_core::{DurableError, EngineConfig};
 use prkb_edbms::durability::{CrashInjector, CrashPoint};
@@ -90,13 +89,12 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
 // ---------------------------------------------------------------------------
 
 /// Every hook × pools of 1, 4 and 8 shards rotating every four records,
-/// and a pool sized by `PRKB_SHARDS` (CI fans it over 1 and 8) rotating
-/// every five: one shard's crash — in its WAL, its segment flush, its
-/// manifest swap or its segment retirement — never bleeds into another's
-/// history.
+/// and a pool of 4 rotating every five: one shard's crash — in its WAL, its
+/// segment flush, its manifest swap or its segment retirement — never
+/// bleeds into another's history.
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
-    for (shards, rotate) in [(1usize, 4), (4, 4), (8, 4), (shards_from_env(4), 5)] {
+    for (shards, rotate) in [(1usize, 4), (4, 4), (8, 4), (4, 5)] {
         for point in CrashPoint::ALL {
             for nth in [1u64, 2, 5] {
                 let dir = TmpDir::new("sweep");

@@ -28,7 +28,7 @@ mod common;
 
 use common::{
     assert_recovered, kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every,
-    select_lt, shards_from_env, Ack, Run, Sched, TmpDir,
+    select_lt, Ack, Run, Sched, TmpDir,
 };
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
@@ -175,23 +175,24 @@ fn recover_pool(dir: &Path, shards: usize) -> Vec<Vec<Vec<u8>>> {
 /// pins plain replay equivalence.
 #[test]
 fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
-    let shards = shards_from_env(2);
-    for seed in 0..=10u64 {
-        let dir = TmpDir::new("sweep-pool");
-        let faults = match seed {
-            0 => FaultFs::scripted(real_fs(), Vec::new()),
-            _ => FaultFs::seeded(real_fs(), seed),
-        };
-        let run = drive_pool(&dir.0, faults.handle(), shards);
-        let recovered = recover_pool(&dir.0, shards);
-        // A fault at pool creation is a clean error: nothing acknowledged.
-        if let Some(run) = &run {
-            assert_recovered(run, &recovered, &format!("seed {seed}"));
+    for shards in [2usize, 8] {
+        for seed in 0..=10u64 {
+            let dir = TmpDir::new("sweep-pool");
+            let faults = match seed {
+                0 => FaultFs::scripted(real_fs(), Vec::new()),
+                _ => FaultFs::seeded(real_fs(), seed),
+            };
+            let run = drive_pool(&dir.0, faults.handle(), shards);
+            let recovered = recover_pool(&dir.0, shards);
+            // A fault at pool creation is a clean error: nothing acknowledged.
+            if let Some(run) = &run {
+                assert_recovered(run, &recovered, &format!("{shards} shards, seed {seed}"));
+            }
+            if seed == 0 {
+                assert!(run.is_some_and(|run| !run.failed), "nothing was injected");
+            }
+            no_stray_tmp(&dir.0);
         }
-        if seed == 0 {
-            assert!(run.is_some_and(|run| !run.failed), "nothing was injected");
-        }
-        no_stray_tmp(&dir.0);
     }
 }
 

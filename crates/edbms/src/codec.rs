@@ -1,8 +1,8 @@
 //! The three decisions every on-disk and wire format of the stack shares,
-//! made once. Snapshots, WAL transactions, v1 checkpoints, the pool and
-//! segment manifests, segment framing, trapdoors and `prkb-wire` payloads
-//! all decode and publish through this module; none of them re-derives a
-//! bounds check, an allocation guard, a checksum envelope or a rename.
+//! made once. Snapshots, WAL transactions, the pool and segment manifests,
+//! segment framing, trapdoors and `prkb-wire` payloads all decode and
+//! publish through this module; none of them re-derives a bounds check, an
+//! allocation guard, a checksum envelope or a rename.
 //!
 //! 1. **Reading** — [`Reader`]: little-endian fields off a slice. No read
 //!    can pass the end of the slice, and [`Reader::count`] is the one guard

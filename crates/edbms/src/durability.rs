@@ -672,7 +672,7 @@ fn frame_at(bytes: &[u8], pos: usize) -> FrameStatus<'_> {
     if rem == 0 {
         return FrameStatus::End;
     }
-    if rem < 8 {
+    if rem < FRAME_HEADER_LEN {
         return FrameStatus::Bad {
             reason: "truncated frame header",
             skip_to: None,
@@ -685,7 +685,10 @@ fn frame_at(bytes: &[u8], pos: usize) -> FrameStatus<'_> {
             skip_to: None,
         };
     }
-    let Some(end) = pos.checked_add(8 + len).filter(|&e| e <= bytes.len()) else {
+    let Some(end) = pos
+        .checked_add(FRAME_HEADER_LEN + len)
+        .filter(|&e| e <= bytes.len())
+    else {
         return FrameStatus::Bad {
             reason: "record extends past end of log",
             skip_to: None,
@@ -698,7 +701,7 @@ fn frame_at(bytes: &[u8], pos: usize) -> FrameStatus<'_> {
         };
     }
     FrameStatus::Valid {
-        payload: &bytes[pos + 8..end],
+        payload: &bytes[pos + FRAME_HEADER_LEN..end],
         next: end,
     }
 }

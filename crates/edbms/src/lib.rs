@@ -27,7 +27,6 @@ pub mod codec;
 pub mod db;
 pub mod durability;
 pub(crate) mod encrypted;
-mod env;
 pub(crate) mod error;
 pub(crate) mod oracle;
 pub(crate) mod owner;
@@ -46,7 +45,6 @@ pub(crate) mod trusted;
 pub use db::Catalog;
 pub use durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
 pub use encrypted::EncryptedTable;
-pub use env::env_knob;
 pub use error::EdbmsError;
 pub use oracle::{OracleError, SelectionOracle, SpOracle};
 pub use owner::DataOwner;

@@ -203,9 +203,8 @@ pub trait SelectionOracle {
 pub struct SpOracle<'a> {
     table: &'a EncryptedTable,
     tm: &'a TrustedMachine,
-    /// Worker-count override for [`SelectionOracle::try_eval_batch`];
-    /// `None` defers to the `PRKB_THREADS` environment variable.
-    threads: Option<usize>,
+    /// Worker count for [`SelectionOracle::try_eval_batch`]; default 1.
+    threads: usize,
 }
 
 impl<'a> SpOracle<'a> {
@@ -215,14 +214,14 @@ impl<'a> SpOracle<'a> {
         SpOracle {
             table,
             tm,
-            threads: None,
+            threads: 1,
         }
     }
 
-    /// Sets an explicit worker count for batch evaluation, overriding the
-    /// `PRKB_THREADS` environment variable. `1` forces sequential batches.
+    /// Sets the worker count for batch evaluation. `1`, the default, keeps
+    /// batches sequential.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
@@ -256,9 +255,9 @@ impl SelectionOracle for SpOracle<'_> {
     /// round-trip instead of 3·n), per-tuple evaluation is lock-free, and
     /// the QPF counter is settled per worker with one atomic add. Batches of
     /// at least `parallel::MIN_PARALLEL_BATCH` tuples are split across
-    /// scoped worker threads when the oracle (or `PRKB_THREADS`) asks for
-    /// more than one; chunks are carved and written back in input order, so
-    /// the output is bit-identical at every thread count.
+    /// scoped worker threads when the oracle was built for more than one
+    /// ([`SpOracle::with_threads`]); chunks are carved and written back in
+    /// input order, so the output is bit-identical at every thread count.
     ///
     /// # Errors
     /// A failing worker raises a cancellation flag; the other workers stop

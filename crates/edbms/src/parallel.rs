@@ -1,13 +1,9 @@
 //! Thread-count policy for batched QPF evaluation.
 //!
 //! Batch evaluation ([`crate::SelectionOracle::eval_batch`]) splits large
-//! batches across `std::thread::scope` workers. The worker count comes from,
-//! in priority order:
-//!
-//! 1. an explicit override on the oracle (e.g.
-//!    [`crate::SpOracle::with_threads`]),
-//! 2. the `PRKB_THREADS` environment variable (read once per process),
-//! 3. the sequential default of 1.
+//! batches across `std::thread::scope` workers. The worker count is the one
+//! the oracle was built with ([`crate::SpOracle::with_threads`]); the default
+//! is the sequential 1.
 //!
 //! Parallelism never changes results or QPF accounting: batches are chunked
 //! in input order, reassembled in input order, and the use counter is
@@ -16,28 +12,20 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Smallest batch worth spawning threads for: below this the per-thread
 /// setup cost dominates any decrypt/work-factor parallelism.
 pub(crate) const MIN_PARALLEL_BATCH: usize = 256;
 
-/// Hard cap on workers per batch, to keep `PRKB_THREADS=99999` from
-/// degenerating into thread-spawn thrash.
+/// Hard cap on workers per batch, to keep a huge `with_threads` argument
+/// from degenerating into thread-spawn thrash.
 pub(crate) const MAX_THREADS: usize = 64;
 
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        crate::env_knob::<usize>("PRKB_THREADS").map_or(1, |n| n.clamp(1, MAX_THREADS))
-    })
-}
-
-/// Resolves the worker count for a batch of `batch_len` tuples given an
-/// optional per-oracle override. Returns at least 1 and never more workers
+/// Resolves the worker count for a batch of `batch_len` tuples given the
+/// oracle's configured count. Returns at least 1 and never more workers
 /// than tuples.
-pub(crate) fn effective_threads(override_threads: Option<usize>, batch_len: usize) -> usize {
-    let configured = override_threads.map_or_else(env_threads, |n| n.clamp(1, MAX_THREADS));
+pub(crate) fn effective_threads(threads: usize, batch_len: usize) -> usize {
+    let configured = threads.clamp(1, MAX_THREADS);
     if configured <= 1 || batch_len < MIN_PARALLEL_BATCH {
         1
     } else {
@@ -111,21 +99,21 @@ mod tests {
 
     #[test]
     fn override_wins_and_is_clamped() {
-        assert_eq!(effective_threads(Some(4), 100_000), 4);
-        assert_eq!(effective_threads(Some(0), 100_000), 1);
-        assert_eq!(effective_threads(Some(1 << 20), 100_000), MAX_THREADS);
+        assert_eq!(effective_threads(4, 100_000), 4);
+        assert_eq!(effective_threads(0, 100_000), 1);
+        assert_eq!(effective_threads(1 << 20, 100_000), MAX_THREADS);
     }
 
     #[test]
     fn small_batches_stay_sequential() {
-        assert_eq!(effective_threads(Some(8), MIN_PARALLEL_BATCH - 1), 1);
-        assert_eq!(effective_threads(Some(8), MIN_PARALLEL_BATCH), 8);
+        assert_eq!(effective_threads(8, MIN_PARALLEL_BATCH - 1), 1);
+        assert_eq!(effective_threads(8, MIN_PARALLEL_BATCH), 8);
     }
 
     #[test]
     fn workers_never_exceed_tuples() {
-        assert_eq!(effective_threads(Some(64), 300), 64);
-        assert_eq!(effective_threads(Some(64), 257), 64);
+        assert_eq!(effective_threads(64, 300), 64);
+        assert_eq!(effective_threads(64, 257), 64);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   unbounded backlog. Overload therefore degrades into fast, explicit
 //!   rejections the client can back off on — never into silently growing
 //!   latency or hung accepts. The slot count is `threads + queue` (the
-//!   worker pool plus its queue depth); `queue` comes from
-//!   [`ServerConfig::queue`](crate::ServerConfig) / `PRKB_SERVER_QUEUE`.
+//!   worker pool plus its queue depth); `queue` is
+//!   [`ServerConfig::queue`](crate::ServerConfig).
 //!
 //! * [`DedupWindow`] — a bounded request-id → response memo that makes
 //!   retried mutations idempotent. A client that loses its connection

@@ -3,8 +3,8 @@
 //!
 //! One thread runs the reactor ([`crate::reactor`]): non-blocking accept,
 //! readiness-driven frame reads, buffered writes, and the admission gate.
-//! A fixed pool of workers (capped by [`ServerConfig::threads`] /
-//! `PRKB_SERVER_THREADS`) pulls decoded requests off a bounded channel,
+//! A fixed pool of workers ([`ServerConfig::threads`]) pulls decoded
+//! requests off a bounded channel,
 //! runs [`crate::conn::process`], and hands encoded responses back through
 //! a completion queue plus an eventfd wake. Shutdown — requested over the
 //! wire or via [`ServerHandle::shutdown`] — is graceful: the flag flips,
@@ -33,8 +33,7 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Worker-pool size used when neither the config nor the environment says
-/// otherwise.
+/// Worker-pool size used when the config does not say.
 const DEFAULT_THREADS: usize = 4;
 
 /// How long a worker waits for a request before it flushes the pool's
@@ -45,8 +44,7 @@ const IDLE_FLUSH_TICK: Duration = Duration::from_millis(50);
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker-pool size. `None` defers to `PRKB_SERVER_THREADS`, then
-    /// 4. Clamped to at least 1.
+    /// Worker-pool size. `None` is 4. Clamped to at least 1.
     pub threads: Option<usize>,
     /// Connections with no *completed* frame for this long are closed.
     /// Only consulted between frames; a connection that has buffered a
@@ -59,8 +57,8 @@ pub struct ServerConfig {
     pub stall_deadline: Duration,
     /// Extra admitted-connection slots beyond `threads`: the server
     /// admits up to `threads + queue` concurrent connections before the
-    /// gate sheds new arrivals with BUSY. `None` defers to
-    /// `PRKB_SERVER_QUEUE`, then `threads * 2`. Clamped to at least 1.
+    /// gate sheds new arrivals with BUSY. `None` is `threads * 2`. Clamped
+    /// to at least 1.
     pub queue: Option<usize>,
 }
 
@@ -77,17 +75,11 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     fn resolve_threads(&self) -> usize {
-        self.threads
-            .or_else(|| prkb_edbms::env_knob("PRKB_SERVER_THREADS"))
-            .unwrap_or(DEFAULT_THREADS)
-            .max(1)
+        self.threads.unwrap_or(DEFAULT_THREADS).max(1)
     }
 
     fn resolve_queue(&self, threads: usize) -> usize {
-        self.queue
-            .or_else(|| prkb_edbms::env_knob("PRKB_SERVER_QUEUE"))
-            .unwrap_or(threads * 2)
-            .max(1)
+        self.queue.unwrap_or(threads * 2).max(1)
     }
 }
 
@@ -180,7 +172,14 @@ where
         Self::bind_scheduler(addr, SessionScheduler::durable(pool), oracle, config)
     }
 
-    fn bind_scheduler(
+    /// Binds `addr` and fronts `sched` as it stands — in-memory or durable,
+    /// over whatever shard map it was built with. [`bind`](Self::bind) and
+    /// [`bind_durable_pool`](Self::bind_durable_pool) build the scheduler
+    /// and call this.
+    ///
+    /// # Errors
+    /// Socket bind failure.
+    pub fn bind_scheduler(
         addr: impl ToSocketAddrs,
         sched: SessionScheduler<P>,
         oracle: O,

@@ -4,15 +4,15 @@
 //! until a client sends Shutdown. Pair it with the `client` example:
 //!
 //! ```text
-//! cargo run --example server --release -- 4641 &
+//! cargo run --example server --release -- 4641 4 &
 //! cargo run --example client --release -- 4641
 //! ```
 //!
-//! The port argument is optional (default 4641; pass 0 to let the OS pick —
-//! the bound address is printed either way). Worker-pool size follows
-//! `PRKB_SERVER_THREADS` (default 4); the admission queue depth follows
-//! `PRKB_SERVER_QUEUE` (default 2× the workers — excess connections are
-//! shed with the stable BUSY code instead of piling up).
+//! Arguments: `[port] [threads] [queue]`, all optional. Port defaults to
+//! 4641 (pass 0 to let the OS pick — the bound address is printed either
+//! way), the worker pool to 4 threads and the admission queue depth to 2×
+//! the workers — connections beyond `threads + queue` are shed with the
+//! stable BUSY code instead of piling up.
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::edbms::testing::PlainOracle;
@@ -22,10 +22,17 @@ use prkb::server::{PrkbServer, ServerConfig};
 const ROWS: u64 = 20_000;
 
 fn main() {
-    let port: u16 = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let port: u16 = args
+        .next()
         .map(|p| p.parse().expect("port must be a number"))
         .unwrap_or(4641);
+    let mut count = |what| args.next().map(|c| c.parse::<usize>().expect(what));
+    let config = ServerConfig {
+        threads: count("threads must be a number"),
+        queue: count("queue must be a number"),
+        ..ServerConfig::default()
+    };
 
     // The "encrypted" table: two attributes, scrambled values. In the QPF
     // model the oracle answers Θ(trapdoor, tuple); the engine sees nothing
@@ -41,8 +48,7 @@ fn main() {
     engine.init_attr(0, ROWS as usize);
     engine.init_attr(1, ROWS as usize);
 
-    let server = PrkbServer::bind(("127.0.0.1", port), engine, oracle, ServerConfig::default())
-        .expect("bind");
+    let server = PrkbServer::bind(("127.0.0.1", port), engine, oracle, config).expect("bind");
     println!(
         "prkb-server listening on {} ({} rows, 2 attributes)",
         server.local_addr().expect("addr"),
