@@ -51,9 +51,10 @@
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::knowledge::{Knowledge, RefinementOp};
-use crate::lsm::manifest::{write_segment_manifest, SegmentManifest};
+use crate::lsm::manifest::{read_segment_manifest, write_segment_manifest, SegmentManifest};
 use crate::lsm::reader::SegmentStore;
 use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
+use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
@@ -349,12 +350,137 @@ fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
     }
 }
 
-/// Recovers one engine directory: load the newest version of every
-/// partition from the segment set, open or create the manifest epoch's WAL,
-/// replay its committed transactions, validate every attribute, and drop
-/// stale-epoch logs. Returns the rebuilt engine (journaling armed), the
-/// live WAL, the attributes the replayed tail touched (exactly their
-/// divergence from the stored segments), and what was found on disk.
+/// What a directory's segment manifest says, as far as naming its files
+/// goes. A pool root has none, so it is `Absent` there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ManifestState<'a> {
+    /// No `segments.manifest`: the directory never rotated (epoch 0).
+    Absent,
+    /// A `segments.manifest` that does not decode: no epoch, no live set.
+    Corrupt,
+    /// The decoded manifest: its epoch and live segment ids.
+    Valid(&'a SegmentManifest),
+}
+
+/// What a file name in a pool or engine directory stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FileKind {
+    /// `wal.<epoch>.log`.
+    Wal(u64),
+    /// `segment.<id>.seg`.
+    Segment(u64),
+    /// `segments.manifest`.
+    SegmentManifest,
+    /// `*.tmp`: an atomic publish that never reached its rename.
+    Temp,
+    /// The pool root's `manifest.bin`.
+    PoolManifest,
+    /// The pool root's `shard.<i>` directory.
+    Shard(usize),
+}
+
+/// The verdict on one directory entry — recovery's and scrub's both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// State: recovery reads it, scrub deep-checks it.
+    Live(FileKind),
+    /// Crash residue: recovery removes it once the directory is loaded,
+    /// scrub reports it (never as corruption) and may quarantine it.
+    Residue(FileKind),
+    /// Recovery refuses the whole directory, and touches nothing in it.
+    Refused(&'static str),
+    /// Not ours (`quarantine/`, an operator's notes): left alone.
+    Foreign,
+}
+
+/// The one reader of a directory's names. Each rule is written here once:
+/// a `checkpoint.bin` refuses, a `*.tmp` is residue, an unlisted segment is
+/// residue (a `Corrupt` manifest lists nothing, so there every segment is
+/// live), and `wal.<E>.log` is live at the manifest's epoch, residue when
+/// older and refused when newer — the committer creates `wal.<E+1>.log`
+/// only once the manifest at `E+1` is durable, so only a lost or
+/// rolled-back manifest leaves one.
+pub(crate) fn classify(name: &str, manifest: &ManifestState<'_>) -> Entry {
+    use {Entry::*, FileKind::*};
+    if name.ends_with(".tmp") {
+        return Residue(Temp);
+    }
+    match name {
+        // A generation-1 directory keeps its whole checkpoint in this one
+        // file. Nothing reads it, so opening around it would serve an
+        // empty KB over data that is still there.
+        "checkpoint.bin" => {
+            return Refused(
+                "checkpoint.bin: a generation-1 monolithic checkpoint, which has no reader \
+                 (checkpoints are segments, formats v1 and v2); the file is left untouched",
+            )
+        }
+        MANIFEST_FILE => return Live(PoolManifest),
+        SEGMENT_MANIFEST_FILE => return Live(SegmentManifest),
+        _ => {}
+    }
+    if let Some(i) = name.strip_prefix("shard.").and_then(|i| i.parse().ok()) {
+        return Live(Shard(i));
+    }
+    if let Some(id) = parse_segment_name(name) {
+        return match manifest {
+            ManifestState::Corrupt => Live(Segment(id)),
+            ManifestState::Valid(m) if m.segments.contains(&id) => Live(Segment(id)),
+            _ => Residue(Segment(id)),
+        };
+    }
+    let Some(wal) = name
+        .strip_prefix("wal.")
+        .and_then(|e| e.strip_suffix(".log"))
+        .and_then(|e| e.parse::<u64>().ok())
+    else {
+        return Foreign;
+    };
+    let epoch = match manifest {
+        ManifestState::Absent => 0,
+        ManifestState::Corrupt => return Live(Wal(wal)),
+        ManifestState::Valid(m) => m.epoch,
+    };
+    match wal.cmp(&epoch) {
+        std::cmp::Ordering::Less => Residue(Wal(wal)),
+        std::cmp::Ordering::Equal => Live(Wal(wal)),
+        std::cmp::Ordering::Greater => Refused(
+            "a WAL newer than the segment manifest's epoch: the segment manifest is \
+             missing or behind; nothing is opened, removed or created",
+        ),
+    }
+}
+
+/// Lists `dir` once and classifies every entry: the directory is refused
+/// if any entry is, and otherwise its residue is returned for the caller to
+/// remove once the directory's state is loaded.
+fn residue_of(
+    fs: &dyn StorageFs,
+    dir: &Path,
+    manifest: &ManifestState<'_>,
+) -> Result<Vec<PathBuf>, DurableError> {
+    let mut residue = Vec::new();
+    for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        match classify(name, manifest) {
+            Entry::Refused(why) => return Err(DurableError::CorruptSegment(why)),
+            Entry::Residue(_) => residue.push(path),
+            Entry::Live(_) | Entry::Foreign => {}
+        }
+    }
+    Ok(residue)
+}
+
+/// Recovers one engine directory: classify its entries (refusing on any
+/// [`Entry::Refused`]), load the newest version of every partition from the
+/// segment set, open or create the manifest epoch's WAL, replay its
+/// committed transactions, validate every attribute, and only then remove
+/// the residue. Returns the rebuilt engine (journaling armed), the live
+/// WAL, the attributes the replayed tail touched (exactly their divergence
+/// from the stored segments), and what was found on disk.
 fn recover_dir<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
@@ -362,21 +488,19 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     crash: &CrashInjector,
 ) -> Result<(PrkbEngine<P>, Wal, BTreeSet<AttrId>, RecoveryReport), DurableError> {
     let started = Instant::now();
-    // A generation-1 directory keeps its whole checkpoint in this one file.
-    // Nothing here reads it, so opening around it would serve an empty KB
-    // over data that is still there: refuse before anything is created.
-    if fs.exists(&dir.join("checkpoint.bin")) {
-        return Err(DurableError::CorruptSegment(
-            "checkpoint.bin: a generation-1 monolithic checkpoint, which has no reader \
-             (checkpoints are segments, formats v1 and v2); the file is left untouched",
-        ));
-    }
     fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
+    let manifest = read_segment_manifest(fs.as_ref(), dir)?;
+    let state = manifest
+        .as_ref()
+        .map_or(ManifestState::Absent, ManifestState::Valid);
+    let residue = residue_of(fs.as_ref(), dir, &state)?;
 
     let mut engine = PrkbEngine::new(config);
     let mut epoch = 0u64;
     let mut segments_live = 0u64;
-    let store = SegmentStore::open(Arc::clone(fs), dir)?;
+    let store = manifest
+        .map(|m| SegmentStore::open(Arc::clone(fs), dir, m))
+        .transpose()?;
     if let Some(store) = &store {
         epoch = store.manifest().epoch;
         segments_live = store.segments_live() as u64;
@@ -422,29 +546,10 @@ fn recover_dir<P: SpPredicate + WireCodec>(
             .map_err(|_| DurableError::CorruptWal("replayed state fails validation"))?;
     }
 
-    // One sweep for everything a crash inside a rotation leaves behind:
-    // temp files whose publishing rename never happened, stale-epoch
-    // logs (subsumed by the checkpoint) and — once a manifest has been
-    // read — segment files it does not list (superseded, or published but
-    // never swapped in). Enumeration and removal failures surface —
-    // silently keeping a stale log would replay it against the wrong
-    // checkpoint on some future recovery.
-    let listed = store.as_ref().map(|s| &s.manifest().segments);
-    for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let wal_epoch = name
-            .strip_prefix("wal.")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok());
-        let unlisted = |id| listed.is_some_and(|live| !live.contains(&id));
-        if name.ends_with(".tmp")
-            || wal_epoch.is_some_and(|e| e != epoch)
-            || parse_segment_name(name).is_some_and(unlisted)
-        {
-            remove_stale(fs.as_ref(), &path)?;
-        }
+    // Removal failures surface: silently keeping a stale log would replay
+    // it against the wrong checkpoint on some future recovery.
+    for path in &residue {
+        remove_stale(fs.as_ref(), path)?;
     }
 
     engine.set_recording(true);
@@ -480,7 +585,9 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     next_epoch: u64,
     crash: &CrashInjector,
 ) -> Result<Vec<u64>, DurableError> {
-    let store = SegmentStore::open(Arc::clone(fs), dir)?;
+    let store = read_segment_manifest(fs.as_ref(), dir)?
+        .map(|m| SegmentStore::open(Arc::clone(fs), dir, m))
+        .transpose()?;
     let mut next_segment_id = store.as_ref().map_or(0, |s| s.manifest().next_segment_id);
     let mut blocks = Vec::new();
     for &attr in dirty {
@@ -1063,7 +1170,11 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         fs: Arc<dyn StorageFs>,
     ) -> Result<Self, DurableError> {
         fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-        remove_stale(fs.as_ref(), &dir.join(format!("{MANIFEST_FILE}.tmp")))?;
+        // The pool root holds no segment manifest; its only residue is a
+        // `manifest.bin.tmp`, and nothing below depends on it.
+        for path in residue_of(fs.as_ref(), dir, &ManifestState::Absent)? {
+            remove_stale(fs.as_ref(), &path)?;
+        }
         let map = match read_manifest(fs.as_ref(), dir)? {
             Some(shards) => ShardMap::new(shards),
             None => {
@@ -1109,7 +1220,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// `quarantine/` sibling directory (never deleted) so a reopen can
     /// proceed while the evidence survives for forensics.
     pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
-        crate::scrub::scrub_pool_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
+        crate::scrub::scrub_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
     }
 
     /// The pool's persisted attribute partitioning.
@@ -1209,6 +1320,52 @@ mod tests {
             real_fs(),
         )
         .expect("pool opens")
+    }
+
+    /// Every rule of the one classifier recovery and scrub share.
+    #[test]
+    fn classify_states_each_rule_once() {
+        let m = SegmentManifest {
+            epoch: 2,
+            next_segment_id: 4,
+            segments: vec![1, 3],
+        };
+        let (valid, absent, corrupt) = (
+            ManifestState::Valid(&m),
+            ManifestState::Absent,
+            ManifestState::Corrupt,
+        );
+        use Entry::{Foreign, Live, Residue};
+        for (name, state, want) in [
+            ("wal.2.log", valid, Live(FileKind::Wal(2))),
+            ("wal.1.log", valid, Residue(FileKind::Wal(1))),
+            ("wal.0.log", absent, Live(FileKind::Wal(0))),
+            ("wal.7.log", corrupt, Live(FileKind::Wal(7))),
+            ("segment.3.seg", valid, Live(FileKind::Segment(3))),
+            ("segment.2.seg", valid, Residue(FileKind::Segment(2))),
+            ("segment.2.seg", absent, Residue(FileKind::Segment(2))),
+            ("segment.2.seg", corrupt, Live(FileKind::Segment(2))),
+            ("segment.4.seg.tmp", valid, Residue(FileKind::Temp)),
+            ("manifest.bin.tmp", absent, Residue(FileKind::Temp)),
+            ("segments.manifest", valid, Live(FileKind::SegmentManifest)),
+            ("manifest.bin", absent, Live(FileKind::PoolManifest)),
+            ("shard.3", absent, Live(FileKind::Shard(3))),
+            ("quarantine", valid, Foreign),
+            ("attr.0.snap", absent, Foreign),
+        ] {
+            assert_eq!(classify(name, &state), want, "{name} under {state:?}");
+        }
+        // A generation-1 checkpoint under any state, and a WAL newer than
+        // the manifest — a lost one included — refuse the directory.
+        for (name, state) in [
+            ("checkpoint.bin", valid),
+            ("checkpoint.bin", absent),
+            ("wal.3.log", valid),
+            ("wal.1.log", absent),
+        ] {
+            let refused = classify(name, &state);
+            assert!(matches!(refused, Entry::Refused(_)), "{name}: {refused:?}");
+        }
     }
 
     /// Runs two un-awaited commits (refinements: pending in the tail, as a

@@ -18,7 +18,8 @@
 //! * A swap may also *drop* ids: segments no longer the newest holder of
 //!   any partition. They are unlinked after the swap; a crash in between
 //!   leaves them on disk, referenced by nothing. Recovery deletes every
-//!   `segment.<id>.seg` the manifest it read does not list.
+//!   `segment.<id>.seg` the manifest does not list — each one, before the
+//!   first swap (`durability::classify`).
 //! * `epoch` in the manifest equals the live WAL epoch: a rotation bumps
 //!   both together, also when nothing was dirty and no segment is written.
 

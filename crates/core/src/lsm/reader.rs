@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use prkb_edbms::{AttrId, StorageFs};
 
-use super::manifest::{read_segment_manifest, SegmentManifest};
+use super::manifest::SegmentManifest;
 use super::segment::SegmentMeta;
 use crate::durability::DurableError;
 
@@ -31,8 +31,7 @@ pub(crate) struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// Opens the manifest in `dir` and every segment it references.
-    /// `None` if the directory has no manifest (a fresh engine).
+    /// Opens every segment `manifest` (read from `dir`) references.
     ///
     /// # Errors
     /// A manifest entry whose segment file is missing or damaged is
@@ -41,21 +40,19 @@ impl SegmentStore {
     pub(crate) fn open(
         fs: Arc<dyn StorageFs>,
         dir: &Path,
-    ) -> Result<Option<SegmentStore>, DurableError> {
-        let Some(manifest) = read_segment_manifest(fs.as_ref(), dir)? else {
-            return Ok(None);
-        };
+        manifest: SegmentManifest,
+    ) -> Result<SegmentStore, DurableError> {
         let segments = manifest
             .segments
             .iter()
             .rev()
             .map(|&id| SegmentMeta::open(fs.as_ref(), dir, id))
             .collect::<Result<_, _>>()?;
-        Ok(Some(SegmentStore {
+        Ok(SegmentStore {
             fs,
             manifest,
             segments,
-        }))
+        })
     }
 
     /// The manifest this store was opened from.
@@ -119,7 +116,7 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsm::manifest::write_segment_manifest;
+    use crate::lsm::manifest::{read_segment_manifest, write_segment_manifest};
     use crate::lsm::segment::write_segment;
     use prkb_edbms::durability::CrashInjector;
     use prkb_edbms::real_fs;
@@ -160,7 +157,8 @@ mod tests {
                 segments: vec![0, 1],
             },
         );
-        let store = SegmentStore::open(fs.clone(), &dir).unwrap().unwrap();
+        let manifest = read_segment_manifest(fs.as_ref(), &dir).unwrap().unwrap();
+        let store = SegmentStore::open(fs.clone(), &dir, manifest).unwrap();
         assert_eq!(store.segments_live(), 2);
         assert_eq!(store.load_attr(1).unwrap().unwrap(), b"one-v0");
         assert_eq!(store.load_attr(2).unwrap().unwrap(), b"two-v1");
@@ -175,26 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn no_manifest_is_none() {
-        let dir = tmpdir("nomanifest");
-        assert!(SegmentStore::open(real_fs(), &dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn manifest_pointing_at_missing_segment_is_corruption() {
         let dir = tmpdir("missing");
-        let fs = real_fs();
-        publish(
-            fs.as_ref(),
-            &dir,
-            &SegmentManifest {
-                epoch: 1,
-                next_segment_id: 1,
-                segments: vec![0],
-            },
-        );
-        assert!(SegmentStore::open(fs, &dir).is_err());
+        let manifest = SegmentManifest {
+            epoch: 1,
+            next_segment_id: 1,
+            segments: vec![0],
+        };
+        assert!(SegmentStore::open(real_fs(), &dir, manifest).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

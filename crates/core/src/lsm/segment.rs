@@ -87,6 +87,8 @@ pub struct BlockEntry {
 pub struct SegmentMeta {
     /// Segment id (monotonic per shard directory).
     pub id: u64,
+    /// Format version the file was written with (1 or 2).
+    pub version: u16,
     /// Full path of the segment file.
     pub path: PathBuf,
     /// Attr-sorted index of partition blocks.
@@ -202,8 +204,7 @@ struct Footer {
 }
 
 /// Decodes and cross-checks a segment's 16-byte header and 48-byte footer
-/// — the one framing parser behind [`SegmentMeta::open`] and
-/// [`validate_segment_bytes`]. The version is checked before any extent.
+/// for [`SegmentMeta::open`]. The version is checked before any extent.
 fn parse_footer(header: &[u8], footer: &[u8], file_len: u64) -> Result<Footer, &'static str> {
     let mut h = Reader::new(header);
     if h.bytes(4)? != SEG_MAGIC {
@@ -279,6 +280,7 @@ impl SegmentMeta {
         }
         Ok(SegmentMeta {
             id,
+            version: f.version,
             path,
             index,
             file_len,
@@ -340,36 +342,6 @@ fn decode_index(bytes: &[u8], index_off: u64) -> Result<Vec<BlockEntry>, &'stati
     Ok(index)
 }
 
-/// Validates raw segment bytes end to end — framing, index, a version-1
-/// file's bloom block checksum, and every block CRC — and returns the
-/// format version. The scrubber's deep check; the hot path never calls
-/// this.
-pub(crate) fn validate_segment_bytes(bytes: &[u8]) -> Result<u16, &'static str> {
-    let file_len = bytes.len() as u64;
-    if file_len < HEADER_LEN + FOOTER_LEN {
-        return Err("file shorter than framing");
-    }
-    let f = parse_footer(
-        &bytes[..HEADER_LEN as usize],
-        &bytes[(file_len - FOOTER_LEN) as usize..],
-        file_len,
-    )?;
-    let extent = |off: u64, len: u64| &bytes[off as usize..(off + len) as usize];
-    let index_bytes = extent(f.index_off, f.index_len);
-    if crc32(index_bytes) != f.index_crc {
-        return Err("index checksum mismatch");
-    }
-    if f.aux_len > 0 && crc32(extent(f.aux_off, f.aux_len)) != f.aux_crc {
-        return Err("aux checksum mismatch");
-    }
-    for e in decode_index(index_bytes, f.index_off)? {
-        if crc32(extent(e.offset, e.len)) != e.crc {
-            return Err("block checksum mismatch");
-        }
-    }
-    Ok(f.version)
-}
-
 /// Best-effort removal of superseded segment files: once the manifest no
 /// longer lists them they are garbage, and a failed unlink must not fail
 /// the rotation (the recovery sweep or the scrubber picks the file up).
@@ -404,12 +376,17 @@ mod tests {
         [(2, b"block two".to_vec()), (0, b"block zero!".to_vec())]
     }
 
-    fn open_golden(tag: &str, bytes: &[u8]) -> Result<Vec<u8>, DurableError> {
+    /// Opens `bytes` as segment 7 and reads every block back, the way the
+    /// scrubber checks a live segment: its format version and attr 0's block.
+    fn open_golden(tag: &str, bytes: &[u8]) -> Result<(u16, Vec<u8>), DurableError> {
         let dir = tmpdir(tag);
         std::fs::write(dir.join(segment_file_name(7)), bytes).expect("write");
-        let block = SegmentMeta::open(real_fs().as_ref(), &dir, 7).and_then(|meta| {
-            let entry = *meta.find(0).expect("attr 0 indexed");
-            meta.read_block(real_fs().as_ref(), &entry)
+        let fs = real_fs();
+        let block = SegmentMeta::open(fs.as_ref(), &dir, 7).and_then(|meta| {
+            let mut blocks = meta.index.iter().map(|e| meta.read_block(fs.as_ref(), e));
+            let first = blocks.next().expect("attr 0 indexed first")?;
+            blocks.try_for_each(|b| b.map(drop))?;
+            Ok((meta.version, first))
         });
         std::fs::remove_dir_all(&dir).ok();
         block
@@ -421,26 +398,26 @@ mod tests {
         // (and before the slice-by-16 CRC kernel): its five stored
         // checksums verify, the bloom bytes are never decoded.
         let golden: &[u8] = include_bytes!("../../tests/fixtures/parent_segment.bin");
-        assert_eq!(validate_segment_bytes(golden), Ok(1));
-        assert_eq!(open_golden("golden-v1", golden).unwrap(), b"block zero!");
+        let block = open_golden("golden-v1", golden).unwrap();
+        assert_eq!(block, (1, b"block zero!".to_vec()));
         assert_ne!(encode_segment(7, &golden_blocks()), golden);
 
         // Its 16 bloom bytes (just before the footer) are still checksummed.
         let mut rotted = golden.to_vec();
         rotted[golden.len() - FOOTER_LEN as usize - 1] ^= 1;
-        assert_eq!(
-            validate_segment_bytes(&rotted),
-            Err("aux checksum mismatch")
-        );
+        assert!(matches!(
+            open_golden("golden-v1-rotted", &rotted),
+            Err(DurableError::CorruptSegment("aux checksum mismatch"))
+        ));
 
         // Relabelled version 2, the non-empty aux extent is refused.
         let mut relabelled = golden.to_vec();
         relabelled[4] = 2;
-        let why = "version 2 segment with a non-empty aux extent";
-        assert_eq!(validate_segment_bytes(&relabelled), Err(why));
         assert!(matches!(
             open_golden("golden-v1-as-v2", &relabelled),
-            Err(DurableError::CorruptSegment(w)) if w == why
+            Err(DurableError::CorruptSegment(
+                "version 2 segment with a non-empty aux extent"
+            ))
         ));
     }
 
@@ -448,14 +425,13 @@ mod tests {
     fn golden_v2_segment_encodes_byte_for_byte() {
         let golden: &[u8] = include_bytes!("../../tests/fixtures/segment_v2.bin");
         assert_eq!(encode_segment(7, &golden_blocks()), golden);
-        assert_eq!(validate_segment_bytes(golden), Ok(SEGMENT_VERSION));
-        assert_eq!(open_golden("golden-v2", golden).unwrap(), b"block zero!");
+        let block = open_golden("golden-v2", golden).unwrap();
+        assert_eq!(block, (SEGMENT_VERSION, b"block zero!".to_vec()));
 
         // A version this reader does not know is refused on sight — the
         // way a version-1 reader refuses this file.
         let mut v3 = golden.to_vec();
         v3[4] = 3;
-        assert_eq!(validate_segment_bytes(&v3), Err("unknown version"));
         assert!(matches!(
             open_golden("golden-v3", &v3),
             Err(DurableError::CorruptSegment("unknown version"))
@@ -553,11 +529,6 @@ mod tests {
         // …and the untouched blocks still read.
         let ok = *meta.find(0).unwrap();
         assert_eq!(meta.read_block(fs.as_ref(), &ok).unwrap(), b"alpha");
-        // The deep validator flags the same damage.
-        assert_eq!(
-            validate_segment_bytes(&bytes),
-            Err("block checksum mismatch")
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -633,9 +604,16 @@ mod tests {
             Err(DurabilityError::Crash(CrashPoint::MidSegmentWrite))
         ));
         let tmp = dir.join(format!("{}.tmp", segment_file_name(6)));
-        let torn = std::fs::read(&tmp).unwrap();
-        assert!(!torn.is_empty(), "torn prefix reached the disk");
-        assert!(validate_segment_bytes(&torn).is_err());
+        assert!(
+            std::fs::metadata(&tmp).unwrap().len() > 0,
+            "torn prefix reached the disk"
+        );
+        // Renamed into place by hand, the torn image still refuses to open.
+        std::fs::rename(&tmp, dir.join(segment_file_name(6))).unwrap();
+        assert!(matches!(
+            SegmentMeta::open(fs.as_ref(), &dir, 6),
+            Err(DurableError::CorruptSegment(_))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,59 +1,40 @@
 //! KB integrity scrubber: offline verification of everything the
 //! durability layer ever wrote.
 //!
-//! [`scrub_engine_dir`] CRC-walks one engine directory (segment set +
-//! manifest + epoch-tagged WAL); [`scrub_pool_dir`] walks a sharded pool
-//! (manifest + every `shard.<i>/` subdirectory). Each artifact gets a
-//! [`ScrubDamage`] classification:
-//!
-//! * **Clean** — checksums verify and payloads decode;
-//! * **TornTail** — the WAL's final record is partial: normal crash
-//!   residue, recovery truncates it, *not* a corruption;
-//! * **MidLogCorruption** — a damaged frame *inside* the committed prefix
-//!   (bitrot or tampering), or a CRC-valid frame whose payload no longer
-//!   decodes; recovery refuses such a log;
-//! * **ManifestMismatch** — the pool manifest is rotted, missing, or
-//!   disagrees with the shard directories actually present; also a
-//!   segment manifest that fails validation or references a segment file
-//!   that does not exist;
-//! * **TornSegment** — a published segment file with broken framing
-//!   (short file, bad magic, unknown version, failing footer/index
-//!   checksum — or, in a version-1 file, a failing bloom-block checksum).
-//!   Unlike a WAL torn tail this *is* corruption: segments are renamed
-//!   into place only after their fsync, so a damaged published segment
-//!   was damaged after the fact;
-//! * **SegmentRot** — a segment whose framing verifies but where some
-//!   partition block fails its CRC (bitrot inside the payload);
-//! * **StraySegment** — a structurally valid segment (either format
-//!   version) no manifest references: residue of a crash between segment
-//!   publish and manifest swap, or between a swap and the unlink of what
-//!   it superseded; harmless (the next reopen deletes it) — a finding only
-//!   in directories not reopened since — but quarantined for tidiness;
-//! * **StrayTemp** — a leftover `*.tmp` (manifest or segment temp) from
-//!   an interrupted atomic publish;
-//!   harmless but quarantined so reopen sees a tidy directory;
-//! * **Unreadable** — the file could not be read at all (I/O error), or
-//!   it is a generation-1 `checkpoint.bin`, which has no reader and which
-//!   recovery refuses to open around.
+//! [`scrub_dir`] lists a directory once and reads every name through the
+//! classifier recovery uses (`durability::classify`), so the two agree by
+//! construction: a pool root is whatever holds `manifest.bin` or
+//! `shard.<i>/` entries, and each shard is walked in turn. Live files are
+//! deep-checked — WAL frames and their transaction payloads, segment
+//! framing, index and every block CRC, both manifests — residue gets a
+//! class of its own that is never corruption, and a file recovery refuses
+//! to open around is `unreadable`. [`ScrubDamage`] lists the classes
+//! (DESIGN.md §10).
 //!
 //! The scrubber never deletes: with quarantine enabled, corrupt artifacts
-//! are *renamed* into a `quarantine/` subdirectory next to where they
-//! lived, preserving the evidence while letting a reopen proceed. Torn
-//! tails and unreadable files are left in place — the former is recovery's
-//! job, the latter might be transient.
+//! and residue are *renamed* into a `quarantine/` subdirectory next to
+//! where they lived, preserving the evidence while letting a reopen
+//! proceed. Torn tails and unreadable files stay in place — the former is
+//! recovery's job, the latter might be transient, or somebody's data — and
+//! so does the residue of a directory recovery refuses, which that reopen
+//! would not remove either.
 //!
 //! Every run bumps `scrub_runs`; each corruption-class finding bumps
 //! `scrub_corruptions`; each successful quarantine bumps
 //! `quarantined_files` (metrics schema v7).
 
-use crate::durability::{decode_manifest, decode_txn, MANIFEST_FILE};
+use crate::durability::{
+    classify, decode_manifest, decode_txn, DurableError, Entry, FileKind, ManifestState, TxnEntry,
+    MANIFEST_FILE,
+};
+use crate::knowledge::RefinementOp;
 use crate::lsm::manifest::SegmentManifest;
-use crate::lsm::segment::{parse_segment_name, segment_file_name, validate_segment_bytes};
+use crate::lsm::segment::{segment_file_name, SegmentMeta};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::snapshot::WireCodec;
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{scan_frames, WalVerdict, FRAME_HEADER_LEN};
+use prkb_edbms::durability::{scan_frames, WalVerdict, FRAME_HEADER_LEN, WAL_HEADER_LEN};
 use prkb_edbms::StorageFs;
 use std::path::{Path, PathBuf};
 
@@ -76,21 +57,24 @@ pub enum ScrubDamage {
     /// references a segment file that does not exist.
     ManifestMismatch,
     /// A published segment file with broken framing (short file, bad
-    /// magic, unknown version, failing footer/index checksum). Segments
-    /// rename into place only after their fsync, so this is real
-    /// corruption.
+    /// magic, unknown version, failing footer/index checksum, an id that
+    /// does not match its name). Segments rename into place only after
+    /// their fsync, so this is real corruption.
     TornSegment,
     /// A segment whose framing verifies but where a partition block fails
     /// its CRC — bitrot inside the payload.
     SegmentRot,
-    /// A structurally valid segment no manifest references — residue of a
-    /// crash between segment publish and manifest swap, or between a swap
-    /// and the unlink of the segments it superseded; not corruption.
+    /// Residue: a segment the segment manifest does not list — published
+    /// but never swapped in, or superseded and not yet unlinked.
     StraySegment,
-    /// A leftover `*.tmp` from an interrupted atomic publish.
+    /// Residue: a leftover `*.tmp` from an interrupted atomic publish.
     StrayTemp,
-    /// The file could not be read: an I/O error while scrubbing, or a
-    /// format generation with no reader.
+    /// Residue: a WAL older than the segment manifest's epoch, which the
+    /// checkpoint subsumes.
+    StaleWal,
+    /// The file could not be read (an I/O error while scrubbing), or
+    /// recovery refuses the directory because of it: a generation-1
+    /// `checkpoint.bin`, or a WAL newer than the segment manifest.
     Unreadable,
 }
 
@@ -106,32 +90,31 @@ impl ScrubDamage {
             ScrubDamage::SegmentRot => "segment_rot",
             ScrubDamage::StraySegment => "stray_segment",
             ScrubDamage::StrayTemp => "stray_temp",
+            ScrubDamage::StaleWal => "stale_wal",
             ScrubDamage::Unreadable => "unreadable",
         }
     }
 
-    /// Whether this damage class counts as a corruption (torn tails and
-    /// stray segments are expected crash residue; clean is clean).
-    pub fn is_corruption(self) -> bool {
-        !matches!(
+    /// Whether the artifact is crash residue: what the next reopen of its
+    /// (unrefused) directory removes.
+    pub fn is_residue(self) -> bool {
+        matches!(
             self,
-            ScrubDamage::Clean | ScrubDamage::TornTail | ScrubDamage::StraySegment
+            ScrubDamage::StraySegment | ScrubDamage::StrayTemp | ScrubDamage::StaleWal
         )
+    }
+
+    /// Whether this damage class counts as a corruption (torn tails and
+    /// residue are what a crash leaves; clean is clean).
+    pub fn is_corruption(self) -> bool {
+        !matches!(self, ScrubDamage::Clean | ScrubDamage::TornTail) && !self.is_residue()
     }
 
     /// Whether the artifact should be moved to `quarantine/`. Torn tails
     /// stay (recovery truncates them); unreadable files stay (the error
-    /// may be transient and a rename could destroy state).
+    /// may be transient, or the file somebody's data).
     fn quarantinable(self) -> bool {
-        matches!(
-            self,
-            ScrubDamage::MidLogCorruption
-                | ScrubDamage::ManifestMismatch
-                | ScrubDamage::TornSegment
-                | ScrubDamage::SegmentRot
-                | ScrubDamage::StraySegment
-                | ScrubDamage::StrayTemp
-        )
+        self.is_residue() || (self.is_corruption() && self != ScrubDamage::Unreadable)
     }
 }
 
@@ -146,6 +129,9 @@ pub struct ScrubFinding {
     pub detail: String,
     /// For WALs: how many CRC-valid frames the image holds.
     pub frames_valid: Option<u64>,
+    /// For a WAL that is not clean: one line per CRC-valid frame — index,
+    /// offset, payload length and the decoded entries — for a post-mortem.
+    pub frame_lines: Vec<String>,
     /// Where the artifact was moved, when quarantine ran and succeeded.
     pub quarantined_to: Option<PathBuf>,
 }
@@ -163,6 +149,7 @@ impl ScrubFinding {
             damage,
             detail: detail.into(),
             frames_valid: None,
+            frame_lines: Vec::new(),
             quarantined_to: None,
         }
     }
@@ -256,187 +243,176 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Scrubs one engine directory: its segment set and manifest, its
-/// epoch-tagged WAL(s), and any stray temp files.
-pub fn scrub_engine_dir<P: SpPredicate + WireCodec>(
+/// Scrubs `dir`: a pool root and every `shard.<i>/` under it, or one engine
+/// directory — whichever its names say.
+pub fn scrub_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
     quarantine: bool,
 ) -> ScrubReport {
     let mut findings = Vec::new();
-    scan_engine_dir::<P>(fs, dir, &mut findings);
-    finalize(fs, dir, findings, quarantine)
+    scan_dir::<P>(fs, dir, quarantine, &mut findings);
+    findings.sort_by(|a, b| a.path.cmp(&b.path));
+    let count =
+        |keep: fn(&ScrubFinding) -> bool| findings.iter().filter(|f| keep(f)).count() as u64;
+    let corruptions = count(|f| f.damage.is_corruption());
+    let quarantined = count(|f| f.quarantined_to.is_some());
+    let m = crate::metrics::global();
+    m.add(Metric::ScrubRuns, 1);
+    m.add(Metric::ScrubCorruptions, corruptions);
+    m.add(Metric::QuarantinedFiles, quarantined);
+    ScrubReport {
+        root: dir.to_path_buf(),
+        files_scanned: findings.len() as u64,
+        corruptions,
+        quarantined,
+        findings,
+    }
 }
 
-/// Scrubs a [`ShardedDurablePool`](crate::ShardedDurablePool) directory:
-/// the manifest plus every `shard.<i>/` subdirectory.
-pub fn scrub_pool_dir<P: SpPredicate + WireCodec>(
+/// Classifies every entry of `dir` with [`classify`], deep-checks the live
+/// ones, quarantines (when asked) what the directory's own findings mark,
+/// then walks each shard directory it holds.
+fn scan_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
     quarantine: bool,
-) -> ScrubReport {
-    let mut findings = Vec::new();
-    let entries = match fs.read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            findings.push(ScrubFinding::new(
-                dir,
-                ScrubDamage::Unreadable,
-                format!("cannot list pool directory: {e}"),
-            ));
-            return finalize(fs, dir, findings, quarantine);
-        }
-    };
-
-    let mut shard_dirs: Vec<(usize, PathBuf)> = Vec::new();
-    let mut manifest_bytes: Option<Result<Vec<u8>, std::io::Error>> = None;
-    for path in &entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name == QUARANTINE_DIR {
-            continue;
-        }
-        if let Some(idx) = name.strip_prefix("shard.").and_then(|s| s.parse().ok()) {
-            shard_dirs.push((idx, path.clone()));
-        } else if name == MANIFEST_FILE {
-            manifest_bytes = Some(fs.read(path));
-        } else if name.ends_with(".tmp") {
-            findings.push(ScrubFinding::new(
-                path,
-                ScrubDamage::StrayTemp,
-                "leftover atomic-publish temp file",
-            ));
-        }
-    }
-    shard_dirs.sort_unstable_by_key(|(i, _)| *i);
-
-    let manifest_path = dir.join(MANIFEST_FILE);
-    match manifest_bytes {
-        None => findings.push(ScrubFinding::new(
-            manifest_path,
-            ScrubDamage::ManifestMismatch,
-            format!(
-                "manifest missing ({} shard directories present)",
-                shard_dirs.len()
-            ),
-        )),
-        Some(Err(e)) => findings.push(ScrubFinding::new(
-            manifest_path,
-            ScrubDamage::Unreadable,
-            format!("cannot read manifest: {e}"),
-        )),
-        Some(Ok(bytes)) => match decode_manifest(&bytes) {
-            Err(e) => findings.push(ScrubFinding::new(
-                manifest_path,
-                ScrubDamage::ManifestMismatch,
-                format!("manifest fails validation: {e}"),
-            )),
-            Ok(declared) if declared != shard_dirs.len() => findings.push(ScrubFinding::new(
-                manifest_path,
-                ScrubDamage::ManifestMismatch,
-                format!(
-                    "manifest declares {declared} shards but {} shard directories present",
-                    shard_dirs.len()
-                ),
-            )),
-            Ok(declared) => findings.push(ScrubFinding::new(
-                manifest_path,
-                ScrubDamage::Clean,
-                format!("{declared} shards"),
-            )),
-        },
-    }
-
-    for (_, shard_dir) in &shard_dirs {
-        scan_engine_dir::<P>(fs, shard_dir, &mut findings);
-    }
-    finalize(fs, dir, findings, quarantine)
-}
-
-/// Classifies every artifact in one engine (or shard) directory.
-fn scan_engine_dir<P: SpPredicate + WireCodec>(
-    fs: &dyn StorageFs,
-    dir: &Path,
     findings: &mut Vec<ScrubFinding>,
 ) {
     let entries = match fs.read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
-            findings.push(ScrubFinding::new(
-                dir,
-                ScrubDamage::Unreadable,
-                format!("cannot list directory: {e}"),
-            ));
-            return;
+            let detail = format!("cannot list directory: {e}");
+            return findings.push(ScrubFinding::new(dir, ScrubDamage::Unreadable, detail));
         }
     };
-    // Segment files are classified against the segment manifest (a valid
-    // segment nothing references is crash residue, not state), so decode
-    // the manifest first.
+    let start = findings.len();
+    // Every other name is classified against the segment manifest.
     let manifest = scrub_segment_manifest(fs, dir, findings);
+    let state = match &manifest {
+        Ok(None) => ManifestState::Absent,
+        Ok(Some(m)) => ManifestState::Valid(m),
+        Err(()) => ManifestState::Corrupt,
+    };
+    let (mut refused, mut pool_manifest, mut shards) = (false, false, Vec::new());
     for path in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name == QUARANTINE_DIR {
-            continue;
-        }
-        if name.ends_with(".tmp") {
-            findings.push(ScrubFinding::new(
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        let finding = match classify(name, &state) {
+            Entry::Live(FileKind::Wal(_)) => scrub_wal::<P>(fs, path),
+            Entry::Live(FileKind::Segment(id)) => scrub_segment(fs, dir, id),
+            Entry::Live(FileKind::PoolManifest) => {
+                pool_manifest = true;
+                continue;
+            }
+            Entry::Live(FileKind::Shard(_)) => {
+                shards.push(path);
+                continue;
+            }
+            // The segment manifest was checked above.
+            Entry::Live(_) | Entry::Foreign => continue,
+            Entry::Residue(FileKind::Wal(e)) => ScrubFinding::new(
+                path,
+                ScrubDamage::StaleWal,
+                format!(
+                    "WAL of epoch {e}, older than the segment manifest's: \
+                     the checkpoint subsumes it"
+                ),
+            ),
+            Entry::Residue(FileKind::Segment(id)) => ScrubFinding::new(
+                path,
+                ScrubDamage::StraySegment,
+                format!(
+                    "segment {id} not listed by the segment manifest \
+                     (superseded, or never swapped in)"
+                ),
+            ),
+            Entry::Residue(_) => ScrubFinding::new(
                 path,
                 ScrubDamage::StrayTemp,
                 "leftover atomic-publish temp file",
-            ));
-        } else if name == "checkpoint.bin" {
-            // Left in place and counted as corruption: quarantining it
-            // would let the next open start an empty KB beside the old one.
-            findings.push(ScrubFinding::new(
-                path,
-                ScrubDamage::Unreadable,
-                "generation-1 monolithic checkpoint: no reader, recovery refuses this directory",
-            ));
-        } else if name.starts_with("wal.") && name.ends_with(".log") {
-            findings.push(scrub_wal::<P>(fs, path));
-        } else if let Some(id) = parse_segment_name(name) {
-            findings.push(scrub_segment(fs, path, id, manifest.as_ref()));
+            ),
+            Entry::Refused(why) => {
+                refused = true;
+                ScrubFinding::new(path, ScrubDamage::Unreadable, why)
+            }
+        };
+        findings.push(finding);
+    }
+    if pool_manifest || !shards.is_empty() {
+        findings.push(scrub_pool_manifest(fs, dir, shards.len()));
+    }
+    if quarantine {
+        for f in &mut findings[start..] {
+            let refused_residue = refused && f.damage.is_residue();
+            if !f.damage.quarantinable() || refused_residue || !fs.exists(&f.path) {
+                continue;
+            }
+            match quarantine_file(fs, &f.path) {
+                Ok(dest) => f.quarantined_to = Some(dest),
+                Err(e) => f.detail.push_str(&format!("; quarantine failed: {e}")),
+            }
         }
     }
+    for shard in shards {
+        scan_dir::<P>(fs, &shard, quarantine, findings);
+    }
+}
+
+/// Checks a pool root's manifest against the `shards` shard directories
+/// present.
+fn scrub_pool_manifest(fs: &dyn StorageFs, dir: &Path, shards: usize) -> ScrubFinding {
+    let path = dir.join(MANIFEST_FILE);
+    let (damage, detail) = match fs.exists(&path).then(|| fs.read(&path)) {
+        None => (
+            ScrubDamage::ManifestMismatch,
+            format!("manifest missing ({shards} shard directories present)"),
+        ),
+        Some(Err(e)) => (
+            ScrubDamage::Unreadable,
+            format!("cannot read manifest: {e}"),
+        ),
+        Some(Ok(bytes)) => match decode_manifest(&bytes) {
+            Err(e) => (
+                ScrubDamage::ManifestMismatch,
+                format!("manifest fails validation: {e}"),
+            ),
+            Ok(declared) if declared != shards => (
+                ScrubDamage::ManifestMismatch,
+                format!(
+                    "manifest declares {declared} shards but {shards} shard directories present"
+                ),
+            ),
+            Ok(declared) => (ScrubDamage::Clean, format!("{declared} shards")),
+        },
+    };
+    ScrubFinding::new(path, damage, detail)
 }
 
 /// Classifies the segment manifest (when present) and reports every
 /// segment it references that has no file on disk. Returns the decoded
-/// manifest so segment files can be checked for membership.
+/// manifest, `None` when there is none, and `Err` when it does not read.
 fn scrub_segment_manifest(
     fs: &dyn StorageFs,
     dir: &Path,
     findings: &mut Vec<ScrubFinding>,
-) -> Option<SegmentManifest> {
+) -> Result<Option<SegmentManifest>, ()> {
     let path = dir.join(SEGMENT_MANIFEST_FILE);
     if !fs.exists(&path) {
-        return None;
+        return Ok(None);
     }
-    let bytes = match fs.read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            findings.push(ScrubFinding::new(
-                path,
-                ScrubDamage::Unreadable,
-                format!("cannot read segment manifest: {e}"),
-            ));
-            return None;
-        }
-    };
-    match SegmentManifest::decode(&bytes) {
-        Err(e) => {
-            findings.push(ScrubFinding::new(
-                path,
-                ScrubDamage::ManifestMismatch,
-                format!("segment manifest fails validation: {e}"),
-            ));
-            None
-        }
-        Ok(m) => {
+    let (damage, detail) = match fs.read(&path).map(|b| SegmentManifest::decode(&b)) {
+        Err(e) => (
+            ScrubDamage::Unreadable,
+            format!("cannot read segment manifest: {e}"),
+        ),
+        Ok(Err(e)) => (
+            ScrubDamage::ManifestMismatch,
+            format!("segment manifest fails validation: {e}"),
+        ),
+        Ok(Ok(m)) => {
             for &id in &m.segments {
                 let seg = dir.join(segment_file_name(id));
                 if !fs.exists(&seg) {
@@ -447,166 +423,130 @@ fn scrub_segment_manifest(
                     ));
                 }
             }
-            findings.push(ScrubFinding::new(
-                path,
-                ScrubDamage::Clean,
-                format!("epoch {}, {} segment(s)", m.epoch, m.segments.len()),
-            ));
-            Some(m)
+            let detail = format!("epoch {}, {} segment(s)", m.epoch, m.segments.len());
+            findings.push(ScrubFinding::new(path, ScrubDamage::Clean, detail));
+            return Ok(Some(m));
         }
-    }
+    };
+    findings.push(ScrubFinding::new(path, damage, detail));
+    Err(())
 }
 
-/// Deep-classifies one segment file: full framing walk plus every block
-/// CRC ([`validate_segment_bytes`]), then manifest membership.
-fn scrub_segment(
-    fs: &dyn StorageFs,
-    path: PathBuf,
-    id: u64,
-    manifest: Option<&SegmentManifest>,
-) -> ScrubFinding {
-    let bytes = match fs.read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            return ScrubFinding::new(
-                path,
-                ScrubDamage::Unreadable,
-                format!("cannot read segment: {e}"),
-            )
+/// Deep-checks one live segment through the reader recovery uses:
+/// [`SegmentMeta::open`] (framing, index, id), then every block's CRC.
+fn scrub_segment(fs: &dyn StorageFs, dir: &Path, id: u64) -> ScrubFinding {
+    let checked = SegmentMeta::open(fs, dir, id).and_then(|meta| {
+        for entry in &meta.index {
+            meta.read_block(fs, entry)?;
         }
-    };
-    let referenced = manifest.is_some_and(|m| m.segments.contains(&id));
-    let (damage, detail) = match validate_segment_bytes(&bytes) {
-        Ok(v) if referenced => (
+        Ok(meta)
+    });
+    let (damage, detail) = match checked {
+        Ok(meta) => (
             ScrubDamage::Clean,
-            format!("segment {id} (format v{v}), {} byte(s)", bytes.len()),
-        ),
-        Ok(v) => (
-            ScrubDamage::StraySegment,
             format!(
-                "valid segment {id} (format v{v}) not referenced by the manifest \
-                 (superseded or never swapped in; the next reopen removes it)"
+                "segment {id} (format v{}), {} byte(s)",
+                meta.version, meta.file_len
             ),
         ),
-        Err(what @ "block checksum mismatch") => {
+        Err(DurableError::CorruptSegment(what @ "block checksum mismatch")) => {
             (ScrubDamage::SegmentRot, format!("segment {id}: {what}"))
         }
-        Err(what) => (ScrubDamage::TornSegment, format!("segment {id}: {what}")),
+        Err(DurableError::CorruptSegment(what)) => {
+            (ScrubDamage::TornSegment, format!("segment {id}: {what}"))
+        }
+        Err(e) => (ScrubDamage::Unreadable, format!("cannot read segment: {e}")),
     };
-    ScrubFinding::new(path, damage, detail)
+    ScrubFinding::new(dir.join(segment_file_name(id)), damage, detail)
 }
 
 /// Classifies one WAL image. CRC validity alone is not enough for a clean
 /// verdict: each valid frame's payload must also decode as a transaction,
-/// otherwise recovery would refuse the log just the same.
+/// otherwise recovery would refuse the log just the same. A WAL that is not
+/// clean keeps one line per valid frame.
 fn scrub_wal<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> ScrubFinding {
     let bytes = match fs.read(&path) {
         Ok(b) => b,
         Err(e) => {
-            return ScrubFinding::new(
-                path,
-                ScrubDamage::Unreadable,
-                format!("cannot read WAL: {e}"),
-            )
+            let detail = format!("cannot read WAL: {e}");
+            return ScrubFinding::new(path, ScrubDamage::Unreadable, detail);
         }
     };
-    if (bytes.len() as u64) < prkb_edbms::durability::WAL_HEADER_LEN {
+    if (bytes.len() as u64) < WAL_HEADER_LEN {
         // Torn creation: the 8-byte header never completed. Recovery
         // rebuilds such a file empty (nothing was ever acknowledged
         // through it), so this is crash residue, not corruption.
-        return ScrubFinding::new(
-            path,
-            ScrubDamage::TornTail,
-            format!("torn creation: {} byte(s), header incomplete", bytes.len()),
-        )
-        .frames(0);
+        let detail = format!("torn creation: {} byte(s), header incomplete", bytes.len());
+        return ScrubFinding::new(path, ScrubDamage::TornTail, detail).frames(0);
     }
     let scan = scan_frames(&bytes);
-    let frames_valid = scan.frames.len() as u64;
+    let mut undecodable = None;
+    let mut lines = Vec::with_capacity(scan.frames.len());
     for f in &scan.frames {
         let start = f.offset as usize + FRAME_HEADER_LEN;
-        let payload = &bytes[start..start + f.len as usize];
-        if let Err(e) = decode_txn::<P>(payload) {
-            return ScrubFinding::new(
-                path,
-                ScrubDamage::MidLogCorruption,
-                format!(
+        let entries = match decode_txn::<P>(&bytes[start..start + f.len as usize]) {
+            Ok(entries) => entries.iter().map(describe).collect::<Vec<_>>().join(", "),
+            Err(e) => {
+                undecodable.get_or_insert(format!(
                     "frame {} (offset {}) passes CRC but payload fails to decode: {e}",
                     f.index, f.offset
-                ),
-            )
-            .frames(frames_valid);
-        }
+                ));
+                format!("UNDECODABLE: {e}")
+            }
+        };
+        lines.push(format!(
+            "record {:>4}  offset {:>8}  {:>6} payload bytes  {entries}",
+            f.index, f.offset, f.len
+        ));
     }
-    let (damage, detail) = match scan.verdict {
-        WalVerdict::Clean => (
+    let (damage, detail) = match (undecodable, scan.verdict, scan.bad) {
+        (Some(what), ..) => (ScrubDamage::MidLogCorruption, what),
+        (None, WalVerdict::Clean, _) => (
             ScrubDamage::Clean,
             format!("{} frame(s), {} byte(s)", scan.frames.len(), scan.valid_len),
         ),
-        WalVerdict::TornTail => {
-            let bad = scan.bad.expect("torn tail reports its bad frame");
-            (
-                ScrubDamage::TornTail,
-                format!(
-                    "final record (index {}, offset {}) is partial: {}",
-                    bad.index, bad.offset, bad.reason
-                ),
-            )
-        }
-        WalVerdict::MidLogCorruption => {
-            let bad = scan.bad.expect("mid-log corruption reports its bad frame");
-            (
-                ScrubDamage::MidLogCorruption,
-                format!(
-                    "damaged frame {} (offset {}) followed by valid data: {}",
-                    bad.index, bad.offset, bad.reason
-                ),
-            )
-        }
-        WalVerdict::BadHeader => (
+        (None, WalVerdict::TornTail, Some(bad)) => (
+            ScrubDamage::TornTail,
+            format!(
+                "final record (index {}, offset {}) is partial: {}",
+                bad.index, bad.offset, bad.reason
+            ),
+        ),
+        (None, WalVerdict::MidLogCorruption, Some(bad)) => (
+            ScrubDamage::MidLogCorruption,
+            format!(
+                "damaged frame {} (offset {}) followed by valid data: {}",
+                bad.index, bad.offset, bad.reason
+            ),
+        ),
+        (None, ..) => (
             ScrubDamage::MidLogCorruption,
             "unrecognizable WAL header".into(),
         ),
     };
-    ScrubFinding::new(path, damage, detail).frames(frames_valid)
+    let mut finding = ScrubFinding::new(path, damage, detail).frames(scan.frames.len() as u64);
+    if damage != ScrubDamage::Clean {
+        finding.frame_lines = lines;
+    }
+    finding
 }
 
-/// Sorts findings, optionally quarantines, bumps metrics, builds the report.
-fn finalize(
-    fs: &dyn StorageFs,
-    root: &Path,
-    mut findings: Vec<ScrubFinding>,
-    quarantine: bool,
-) -> ScrubReport {
-    findings.sort_by(|a, b| a.path.cmp(&b.path));
-    let mut quarantined = 0u64;
-    if quarantine {
-        for f in &mut findings {
-            if f.damage.quarantinable() && fs.exists(&f.path) {
-                match quarantine_file(fs, &f.path) {
-                    Ok(dest) => {
-                        f.quarantined_to = Some(dest);
-                        quarantined += 1;
-                    }
-                    Err(e) => {
-                        f.detail.push_str(&format!("; quarantine failed: {e}"));
-                    }
-                }
-            }
-        }
-    }
-    let corruptions = findings.iter().filter(|f| f.damage.is_corruption()).count() as u64;
-    let m = crate::metrics::global();
-    m.add(Metric::ScrubRuns, 1);
-    m.add(Metric::ScrubCorruptions, corruptions);
-    m.add(Metric::QuarantinedFiles, quarantined);
-    ScrubReport {
-        root: root.to_path_buf(),
-        files_scanned: findings.len() as u64,
-        corruptions,
-        quarantined,
-        findings,
-    }
+/// One transaction entry the way a post-mortem reads it: `init attr 3
+/// n=140`, `attr 0 split`.
+fn describe<P>(entry: &TxnEntry<P>) -> String {
+    let (attr, op) = match entry {
+        TxnEntry::Init { attr, n } => return format!("init attr {attr} n={n}"),
+        TxnEntry::Op { attr, op } => (attr, op),
+    };
+    let kind = match op {
+        RefinementOp::Split { .. } => "split",
+        RefinementOp::Delete { .. } => "delete",
+        RefinementOp::Park { .. } => "park",
+        RefinementOp::Place { .. } => "place",
+        RefinementOp::Solo { .. } => "solo",
+        RefinementOp::Refine { .. } => "refine",
+    };
+    format!("attr {attr} {kind}")
 }
 
 /// Moves `path` into a `quarantine/` directory next to it, never
@@ -645,7 +585,7 @@ mod tests {
     fn empty_engine_dir_scrubs_clean() {
         let dir = tmp("empty");
         let fs = real_fs();
-        let report = scrub_engine_dir::<Predicate>(fs.as_ref(), &dir, false);
+        let report = scrub_dir::<Predicate>(fs.as_ref(), &dir, false);
         assert!(report.is_clean());
         assert!(!report.has_corruption());
         assert_eq!(report.files_scanned, 0);
@@ -657,7 +597,7 @@ mod tests {
         let dir = tmp("stray");
         let fs = real_fs();
         std::fs::write(dir.join("segments.manifest.tmp"), b"half-written").unwrap();
-        let report = scrub_engine_dir::<Predicate>(fs.as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(fs.as_ref(), &dir, true);
         assert_eq!(report.quarantined, 1);
         let f = &report.findings[0];
         assert_eq!(f.damage, ScrubDamage::StrayTemp);
@@ -674,7 +614,7 @@ mod tests {
         std::fs::create_dir_all(dir.join(QUARANTINE_DIR)).unwrap();
         std::fs::write(dir.join(QUARANTINE_DIR).join("junk.tmp"), b"old").unwrap();
         std::fs::write(dir.join("junk.tmp"), b"new").unwrap();
-        let report = scrub_engine_dir::<Predicate>(fs.as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(fs.as_ref(), &dir, true);
         assert_eq!(report.quarantined, 1);
         assert_eq!(
             std::fs::read(dir.join(QUARANTINE_DIR).join("junk.tmp")).unwrap(),
@@ -721,7 +661,7 @@ mod tests {
     fn healthy_segment_store_scrubs_clean() {
         let dir = tmp("seg-clean");
         seed_segment_store(&dir);
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, false);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, false);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.files_scanned, 2); // manifest + segment
         std::fs::remove_dir_all(&dir).unwrap();
@@ -734,7 +674,7 @@ mod tests {
         let seg = dir.join(segment_file_name(0));
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings
             .iter()
@@ -743,6 +683,31 @@ mod tests {
         assert!(f.quarantined_to.is_some());
         assert!(report.has_corruption());
         assert!(!seg.exists(), "torn segment moved to quarantine");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Scrub reads a live segment the way recovery does, so a file whose
+    /// header names another segment is corruption here too.
+    #[test]
+    fn live_segment_under_a_foreign_id_is_torn() {
+        use crate::lsm::segment::write_segment;
+        use prkb_edbms::durability::CrashInjector;
+        let dir = tmp("seg-id");
+        seed_segment_store(&dir);
+        let fs = real_fs();
+        write_segment(fs.as_ref(), &dir, 1, &[], &CrashInjector::disabled()).unwrap();
+        std::fs::rename(
+            dir.join(segment_file_name(1)),
+            dir.join(segment_file_name(0)),
+        )
+        .unwrap();
+        let report = scrub_dir::<Predicate>(fs.as_ref(), &dir, false);
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.damage == ScrubDamage::TornSegment)
+            .expect("torn segment finding");
+        assert!(f.detail.contains("id does not match"), "{}", f.detail);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -756,7 +721,7 @@ mod tests {
         // right after the 16-byte header); framing checksums stay valid.
         bytes[20] ^= 0xFF;
         std::fs::write(&seg, &bytes).unwrap();
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, false);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, false);
         let f = report
             .findings
             .iter()
@@ -772,7 +737,7 @@ mod tests {
         let dir = tmp("seg-missing");
         seed_segment_store(&dir);
         std::fs::remove_file(dir.join(segment_file_name(0))).unwrap();
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings
             .iter()
@@ -801,7 +766,7 @@ mod tests {
             &CrashInjector::disabled(),
         )
         .unwrap();
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings
             .iter()
@@ -820,7 +785,7 @@ mod tests {
         let dir = tmp("seg-tmp");
         seed_segment_store(&dir);
         std::fs::write(dir.join("segment.1.seg.tmp"), b"half a segment").unwrap();
-        let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir, true);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings
             .iter()

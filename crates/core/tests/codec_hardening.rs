@@ -13,7 +13,7 @@ use common::TmpDir;
 use hostile::{assert_hostile_inputs_are_refused, Case};
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{segment_file_name, SegmentMeta, SEGMENT_MANIFEST_FILE};
-use prkb_core::scrub::{scrub_pool_dir, ScrubDamage, ScrubFinding, ScrubReport};
+use prkb_core::scrub::{scrub_dir, ScrubDamage, ScrubFinding, ScrubReport};
 use prkb_core::{durability::decode_txn, snapshot};
 use prkb_edbms::codec::Reader;
 use prkb_edbms::durability::{scan_frames, FRAME_HEADER_LEN};
@@ -50,7 +50,7 @@ fn every_decoder_refuses_prefixes_and_flips_without_panicking_or_over_allocating
             fixture("parent_pool_seg/manifest.bin"),
             |b| {
                 std::fs::write(pool.0.join("manifest.bin"), b).expect("probe");
-                let report = scrub_pool_dir::<Predicate>(fs.as_ref(), &pool.0, false);
+                let report = scrub_dir::<Predicate>(fs.as_ref(), &pool.0, false);
                 scrubbed_clean(&report, "manifest.bin")
             },
         ),

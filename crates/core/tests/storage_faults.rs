@@ -19,8 +19,10 @@
 //! 4. **Scrub verdicts** — the scrubber classifies deliberate rot
 //!    (torn tail / mid-log / manifest mismatch) exactly, quarantines
 //!    rather than deletes — a generation-1 `checkpoint.bin` is corruption
-//!    it leaves in place — and over every `CrashInjector` survivor state
-//!    reports only crash residue, never corruption.
+//!    it leaves in place, and after a rotted segment manifest only the
+//!    manifest moves, so the reopen refuses instead of opening empty — and
+//!    over every `CrashInjector` survivor state reports no corruption, and
+//!    as residue exactly the files the reopen removes.
 //! 5. **Blast radius** — a poisoned shard rejects new commits with
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
@@ -30,7 +32,8 @@ use common::{
     assert_recovered, kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every,
     select_lt, Ack, Run, Sched, TmpDir,
 };
-use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
+use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
+use prkb_core::scrub::{scrub_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
 use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
@@ -38,6 +41,7 @@ use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -428,7 +432,7 @@ fn wal_path(dir: &Path) -> PathBuf {
 fn scrub_reports_clean_on_an_intact_directory() {
     let dir = TmpDir::new("scrub-clean");
     build_engine_dir(&dir);
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
     assert!(report.is_clean(), "{}", report.to_json());
     assert!(
         report.files_scanned >= 3,
@@ -447,7 +451,7 @@ fn scrub_classifies_torn_tail_and_leaves_it_alone() {
     bytes.extend_from_slice(&[0xAB; 7]);
     std::fs::write(&wal, &bytes).expect("tear");
 
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
     let f = report
         .findings
         .iter()
@@ -479,7 +483,7 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     // Recovery must refuse the damaged log outright.
     try_open(&dir).expect_err("mid-log corruption must refuse to open");
 
-    let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
     let f = report
         .findings
         .iter()
@@ -511,7 +515,7 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
     std::fs::write(&ckpt, OLD).expect("plant");
 
     for quarantine in [false, true] {
-        let report = scrub_pool_dir::<Predicate>(real_fs().as_ref(), &dir.0, quarantine);
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, quarantine);
         let f = report
             .findings
             .iter()
@@ -528,6 +532,51 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
     assert!(!dir.shard(0).join(QUARANTINE_DIR).exists());
 }
 
+/// A rotted segment manifest is the one file scrub moves: with it unread,
+/// the segments are live (deep-checked, never stray). The reopen after the
+/// quarantine finds a WAL newer than any manifest and refuses — it neither
+/// opens empty nor removes the WAL or the segment that hold the data — and
+/// a second quarantining scrub of that refused directory moves nothing.
+#[test]
+fn lost_segment_manifest_refuses_to_open_and_keeps_the_data() {
+    let dir = TmpDir::new("scrub-lost-manifest");
+    build_engine_dir(&dir);
+    let shard = dir.shard(0);
+    let manifest = shard.join(SEGMENT_MANIFEST_FILE);
+    let mut bytes = std::fs::read(&manifest).expect("read");
+    bytes[6] ^= 0xFF;
+    std::fs::write(&manifest, &bytes).expect("rot");
+    let data = ["segment.0.seg", "wal.1.log"];
+    let before: Vec<Vec<u8>> = data
+        .iter()
+        .map(|f| std::fs::read(shard.join(f)).expect("written by the run"))
+        .collect();
+
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, true);
+    let moved: Vec<&Path> = report
+        .findings
+        .iter()
+        .filter(|f| f.quarantined_to.is_some())
+        .map(|f| f.path.as_path())
+        .collect();
+    assert_eq!(moved, [manifest.as_path()], "{}", report.to_json());
+
+    let err = try_open(&dir).expect_err("a lost segment manifest must refuse to open");
+    assert!(
+        matches!(err, DurableError::CorruptSegment(why) if why.contains("segment manifest is missing")),
+        "{err}"
+    );
+    // Now the WAL is refused and the segment unlisted: residue of a
+    // directory no reopen sweeps, so it stays where it is.
+    let again = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, true);
+    assert!(again.has_corruption(), "{}", again.to_json());
+    assert_eq!(again.quarantined, 0, "{}", again.to_json());
+    for (f, old) in data.iter().zip(&before) {
+        let now = std::fs::read(shard.join(f)).expect("still on disk");
+        assert_eq!(&now, old, "{f} changed");
+    }
+}
+
 /// A fresh pool of `shards` shards with every attribute initialized.
 fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
     let mut pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("create");
@@ -541,7 +590,7 @@ fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
 fn scrub_classifies_manifest_rot_on_pools() {
     let dir = TmpDir::new("scrub-manifest");
     drop(create_pool(&dir, 2));
-    let clean = scrub_pool_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
+    let clean = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
     assert!(clean.is_clean(), "{}", clean.to_json());
 
     let manifest = dir.0.join("manifest.bin");
@@ -549,7 +598,7 @@ fn scrub_classifies_manifest_rot_on_pools() {
     bytes[6] ^= 0xFF;
     std::fs::write(&manifest, &bytes).expect("rot");
 
-    let report = scrub_pool_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
     let f = report
         .findings
         .iter()
@@ -582,11 +631,18 @@ fn pool_scrub_via_handle_walks_every_shard() {
 // 6. Scrub over every CrashInjector survivor state
 // ---------------------------------------------------------------------------
 
+/// Sorted entry paths of one directory.
+fn listing(dir: &Path) -> BTreeSet<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|e| e.expect("entry").path())
+        .collect()
+}
+
 /// Whatever state a crash leaves behind is, by the recovery contract
-/// (DESIGN.md §10),
-/// openable — so the scrubber must classify it as crash residue (clean,
-/// torn tail, a stray temp, or a published segment the manifest swap never
-/// reached), never as corruption.
+/// (DESIGN.md §10), openable — so the scrubber must classify it as clean,
+/// a torn tail or residue, never as corruption; and the residue it names is
+/// exactly what the reopen removes.
 #[test]
 fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
     let oracle = oracle();
@@ -619,22 +675,36 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
                     }
                 }
             }
-            let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
+            let shard = dir.shard(0);
+            let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, false);
             for f in &report.findings {
                 assert!(
-                    matches!(
-                        f.damage,
-                        ScrubDamage::Clean
-                            | ScrubDamage::TornTail
-                            | ScrubDamage::StrayTemp
-                            | ScrubDamage::StraySegment
-                    ),
+                    matches!(f.damage, ScrubDamage::Clean | ScrubDamage::TornTail)
+                        || f.damage.is_residue(),
                     "{point}:{nth}: crash residue misclassified as {} at {} ({})",
                     f.damage.name(),
                     f.path.display(),
                     f.detail
                 );
             }
+            assert!(
+                !report.has_corruption(),
+                "{point}:{nth}: {}",
+                report.to_json()
+            );
+            let residue: BTreeSet<PathBuf> = report
+                .findings
+                .iter()
+                .filter(|f| f.damage.is_residue())
+                .map(|f| f.path.clone())
+                .collect();
+            let before = listing(&shard);
+            try_open(&dir).expect("a crash survivor opens");
+            let removed: BTreeSet<PathBuf> = before.difference(&listing(&shard)).cloned().collect();
+            assert_eq!(
+                residue, removed,
+                "{point}:{nth}: scrub's residue is what a reopen removes"
+            );
         }
     }
 }

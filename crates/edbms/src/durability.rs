@@ -765,8 +765,8 @@ pub struct BadFrame {
 
 /// Frame-by-frame scan result: every valid frame plus a damage verdict.
 ///
-/// Unlike `scan_records`, producing this never errors — the scrubber and
-/// `walinspect` need to *classify* a damaged image, not refuse to look
+/// Unlike `scan_records`, producing this never errors — the scrubber needs
+/// to *classify* a damaged image, and list its frames, not refuse to look
 /// at it.
 #[derive(Debug, Clone)]
 pub struct FrameScan {

@@ -4,49 +4,31 @@
 //! files an older binary wrote — each finding names which) and their
 //! manifest, every `wal.<epoch>.log` frame, and (for sharded pools) the
 //! pool manifest, then reports per-file verdicts: clean, torn tail,
-//! mid-log corruption, segment rot, manifest mismatch, unreadable, a
-//! stray temp file, or a stray segment (one the manifest does not list —
-//! superseded or never swapped in; the next reopen deletes it). With
-//! `--quarantine`, damaged artifacts are *moved* into a sibling
+//! mid-log corruption, segment rot, manifest mismatch, unreadable, or crash
+//! residue — a stray temp file, a stray segment (one the manifest does not
+//! list), a stale WAL (older than the manifest) — which the next reopen
+//! removes. Under every WAL that is not clean it prints the log frame by
+//! frame: index, offset, payload length and the decoded entries. With
+//! `--quarantine`, damaged artifacts and residue are *moved* into a sibling
 //! `quarantine/` directory — never deleted — so a later reopen proceeds
 //! from whatever survives while the evidence is kept.
 //!
 //! Run with: `cargo run --example scrub -- [--quarantine] [--json] <dir>`
-//! (a pool directory is recognized by its `manifest.bin` / `shard.<i>/`
-//! entries; anything else is scrubbed as a single engine directory).
+//! (a pool directory or a single shard directory: the scrubber tells them
+//! apart by their file names).
 //!
-//! Exit codes: 0 = clean, 1 = crash residue only (torn tails / stray
-//! temps that recovery handles by itself), 2 = hard corruption.
+//! Exit codes: 0 = clean, 1 = crash residue only (torn tails, stray or
+//! stale files that recovery handles by itself), 2 = hard corruption.
 
-use prkb::core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubReport};
+use prkb::core::scrub::{scrub_dir, ScrubReport};
 use prkb::core::snapshot::WireCodec;
 use prkb::core::storage::real_fs;
 use prkb::core::SpPredicate;
 use prkb::edbms::{EncryptedPredicate, Predicate};
 use std::path::{Path, PathBuf};
 
-fn is_pool_dir(dir: &Path) -> bool {
-    if dir.join("manifest.bin").exists() {
-        return true;
-    }
-    std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.flatten().any(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("shard."))
-                    && e.path().is_dir()
-            })
-        })
-        .unwrap_or(false)
-}
-
-fn run_scrub<P: SpPredicate + WireCodec>(dir: &Path, pool: bool, quarantine: bool) -> ScrubReport {
-    if pool {
-        scrub_pool_dir::<P>(real_fs().as_ref(), dir, quarantine)
-    } else {
-        scrub_engine_dir::<P>(real_fs().as_ref(), dir, quarantine)
-    }
+fn run_scrub<P: SpPredicate + WireCodec>(dir: &Path, quarantine: bool) -> ScrubReport {
+    scrub_dir::<P>(real_fs().as_ref(), dir, quarantine)
 }
 
 fn print_human(report: &ScrubReport) {
@@ -66,6 +48,9 @@ fn print_human(report: &ScrubReport) {
             f.path.display(),
             f.detail
         );
+        for line in &f.frame_lines {
+            println!("        {line}");
+        }
         if let Some(q) = &f.quarantined_to {
             println!("      -> quarantined to {}", q.display());
         }
@@ -102,21 +87,20 @@ fn main() {
         eprintln!("not a directory: {}", dir.display());
         std::process::exit(2);
     }
-    let pool = is_pool_dir(&dir);
 
     // WAL payloads are codec-specific: production logs carry encrypted
     // trapdoors, demo/test logs plaintext predicates. Dry-run both and
     // keep whichever decodes more of the log — only then quarantine, so
     // a codec mismatch can never move a healthy file.
-    let enc = run_scrub::<EncryptedPredicate>(&dir, pool, false);
-    let plain = run_scrub::<Predicate>(&dir, pool, false);
+    let enc = run_scrub::<EncryptedPredicate>(&dir, false);
+    let plain = run_scrub::<Predicate>(&dir, false);
     let encrypted_wins = enc.corruptions <= plain.corruptions;
     let mut report = if encrypted_wins { enc } else { plain };
-    if quarantine && report.quarantined == 0 && report.has_corruption() {
+    if quarantine && !report.is_clean() {
         report = if encrypted_wins {
-            run_scrub::<EncryptedPredicate>(&dir, pool, true)
+            run_scrub::<EncryptedPredicate>(&dir, true)
         } else {
-            run_scrub::<Predicate>(&dir, pool, true)
+            run_scrub::<Predicate>(&dir, true)
         };
     }
 
