@@ -58,11 +58,10 @@ use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
-use crate::storage::{real_fs, StorageFs};
 use crate::traits::SpPredicate;
 use prkb_edbms::codec::{publish, seal, sync_dir, unseal, PublishHooks, Reader};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
-use prkb_edbms::{AttrId, TupleId};
+use prkb_edbms::{real_fs, AttrId, StorageFs, TupleId};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
@@ -1160,8 +1159,8 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
 
     /// [`open`](Self::open) with an explicit crash-injection schedule and
     /// storage backend — the hooks the crash sweeps and the seeded I/O
-    /// fault sweeps (a [`crate::storage::FaultFs`] in place of the real
-    /// filesystem) use.
+    /// fault sweeps (`prkb-sim`'s fault-injecting filesystem in place of the
+    /// real one) use.
     pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,

@@ -78,7 +78,6 @@ pub(crate) mod selection;
 pub(crate) mod shard;
 pub mod skyline;
 pub mod snapshot;
-pub mod storage;
 pub(crate) mod traits;
 mod update;
 
@@ -97,5 +96,4 @@ pub use selection::{QueryStats, Selection};
 pub use shard::ShardMap;
 pub use skyline::skyline_candidates;
 pub use snapshot::{SnapshotError, WireCodec};
-pub use storage::{FaultFs, IoFaultKind, IoFaultRule, IoOp};
 pub use traits::SpPredicate;

@@ -7,7 +7,7 @@
 //! zero-dependency and cheap: every counter is a relaxed [`AtomicU64`]
 //! increment (~1 ns, no locks, no allocation), so leaving the registry
 //! unread costs nothing measurable. Snapshots ([`MetricsSnapshot`]) render
-//! to a stable, hand-rolled JSON schema (`prkb-metrics/v7`) suitable for
+//! to a stable, hand-rolled JSON schema (`prkb-metrics/v8`) suitable for
 //! dashboards and CI artifacts.
 //!
 //! Names never change meaning; the schema version moves when the key set
@@ -20,7 +20,7 @@
 //! reg.add(metrics::Metric::QueriesComparison, 1);
 //! let snap = reg.snapshot();
 //! assert!(snap.counter("queries_comparison").unwrap() >= 1);
-//! assert!(snap.to_json().starts_with("{\"schema\":\"prkb-metrics/v7\""));
+//! assert!(snap.to_json().starts_with("{\"schema\":\"prkb-metrics/v8\""));
 //! ```
 
 use crate::selection::QueryStats;
@@ -59,7 +59,7 @@ macro_rules! schema_enum {
 
 schema_enum! {
     /// Every counter the registry tracks. Names (via [`Metric::name`]) are
-    /// part of the `prkb-metrics/v7` JSON schema: never rename, only append.
+    /// part of the `prkb-metrics/v8` JSON schema: never rename, only append.
     pub enum Metric {
         /// Single-comparison selections processed by the engine.
         QueriesComparison => "queries_comparison",
@@ -100,16 +100,6 @@ schema_enum! {
         WalBytes => "wal_bytes",
         /// Checkpoints written by the durable engine.
         Checkpoints => "checkpoints",
-        /// Oracle calls retried by a `RetryOracle`-style wrapper.
-        OracleRetries => "oracle_retries",
-        /// Circuit-breaker trips observed at the oracle boundary.
-        CircuitTrips => "circuit_trips",
-        /// Calls rejected fast by an open circuit.
-        FastFails => "fast_fails",
-        /// Faults injected by a `FaultInjector` (test/chaos runs).
-        FaultsInjected => "faults_injected",
-        /// Warm-up runs that hit their query cap below the target k.
-        WarmupUnderTarget => "warmup_under_target",
         /// Requests served by `prkb-server` (every decoded wire request).
         ServerRequests => "server_requests",
         /// Bytes moved across the server's wire protocol (frames in + out,
@@ -133,16 +123,9 @@ schema_enum! {
         /// with `DEADLINE` (checked at scheduler checkout and between oracle
         /// batches).
         DeadlineTimeouts => "deadline_timeouts",
-        /// Wire-level attempts retried by a `PrkbClient` retry policy
-        /// (reconnects after transport faults, `BUSY`, or frame damage).
-        NetRetries => "net_retries",
         /// Requests answered by replaying a committed response from the
         /// server's idempotency window instead of re-executing.
         DedupHits => "dedup_hits",
-        /// Network faults injected by the chaos harness (test/chaos runs).
-        NetFaultsInjected => "net_faults_injected",
-        /// Storage I/O faults injected by `FaultFs` (test/fault-sweep runs).
-        IoFaultsInjected => "io_faults_injected",
         /// Failed `sync_data`/`sync_all` barriers surfaced as
         /// `DurabilityError::SyncFailed` (never acknowledged as durable).
         SyncFailures => "sync_failures",
@@ -300,7 +283,7 @@ impl MetricsRegistry {
     }
 
     /// Publishes the engine-pool shard count into the snapshot header
-    /// (`"shards"` in `prkb-metrics/v7`). A gauge, not a counter: set at
+    /// (`"shards"` in `prkb-metrics/v8`). A gauge, not a counter: set at
     /// pool construction, untouched by [`reset`](Self::reset).
     pub(crate) fn set_shards(&self, n: u64) {
         self.shards.store(n, Ordering::Relaxed);
@@ -366,15 +349,6 @@ impl MetricsRegistry {
         self.observe(HistogramId::WalTxnBytes, bytes);
     }
 
-    /// Records oracle-boundary fault events (cumulative deltas from a
-    /// `RetryOracle` / `FaultInjector` pair).
-    pub fn record_fault_events(&self, retries: u64, trips: u64, fast_fails: u64, injected: u64) {
-        self.add(Metric::OracleRetries, retries);
-        self.add(Metric::CircuitTrips, trips);
-        self.add(Metric::FastFails, fast_fails);
-        self.add(Metric::FaultsInjected, injected);
-    }
-
     /// Takes a point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -409,7 +383,7 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// A point-in-time copy of the registry, renderable as `prkb-metrics/v7`
+/// A point-in-time copy of the registry, renderable as `prkb-metrics/v8`
 /// JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -439,10 +413,10 @@ impl MetricsSnapshot {
             .map(|(_, b)| b.as_slice())
     }
 
-    /// Renders the stable `prkb-metrics/v7` JSON document:
+    /// Renders the stable `prkb-metrics/v8` JSON document:
     ///
     /// ```json
-    /// {"schema":"prkb-metrics/v7",
+    /// {"schema":"prkb-metrics/v8",
     ///  "shards":8,
     ///  "counters":{"queries_comparison":3,...},
     ///  "histograms":{"qpf_per_query":[0,1,2],...}}
@@ -450,14 +424,15 @@ impl MetricsSnapshot {
     ///
     /// Counter names never change meaning; new names may be appended.
     /// Histogram arrays are log₂ buckets (index 0 = value 0, index i =
-    /// values in `[2^(i-1), 2^i)`), trailing zeros trimmed. v7 removed
-    /// three v6 counters; v6 added the segmented-checkpoint counters; v5
+    /// values in `[2^(i-1), 2^i)`), trailing zeros trimmed. v8 removed
+    /// eight v7 counters no product code incremented; v7 removed three v6
+    /// counters; v6 added the segmented-checkpoint counters; v5
     /// the server-reactor metrics; v4 the storage-robustness counters; v3 the service-resilience
     /// counters; v2 added the `shards` header field and the
     /// group-commit/shard-wait metrics; v1 documents differ only by
     /// schema tag and the absent header field.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"prkb-metrics/v7\",\"shards\":");
+        let mut s = String::from("{\"schema\":\"prkb-metrics/v8\",\"shards\":");
         s.push_str(&self.shards.to_string());
         s.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -561,10 +536,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.record_insert(6, true);
         reg.record_wal_txn(100);
-        reg.record_fault_events(1, 0, 2, 3);
         reg.set_shards(8);
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v7\",\"shards\":8,\"counters\":{"));
+        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v8\",\"shards\":8,\"counters\":{"));
         assert!(json.contains("\"segments_live\":0"));
         assert!(json.contains("\"segment_flush_bytes\":0"));
         assert!(json.contains("\"recovery_ms\":0"));
@@ -573,22 +547,17 @@ mod tests {
         assert!(json.contains("\"insert_qpf_uses\":6"));
         assert!(json.contains("\"wal_txns\":1"));
         assert!(json.contains("\"wal_bytes\":100"));
-        assert!(json.contains("\"oracle_retries\":1"));
-        assert!(json.contains("\"fast_fails\":2"));
-        assert!(json.contains("\"faults_injected\":3"));
         assert!(json.contains("\"busy_rejections\":0"));
         assert!(json.contains("\"deadline_timeouts\":0"));
-        assert!(json.contains("\"net_retries\":0"));
         assert!(json.contains("\"dedup_hits\":0"));
-        assert!(json.contains("\"net_faults_injected\":0"));
         assert!(json.contains("\"wal_txn_bytes\":[0,0,0,0,0,0,0,1]"));
         assert!(json.ends_with("}}"));
     }
 
-    /// The whole `prkb-metrics/v7` document, as the commit before the
-    /// declarative table rendered it: every name, in schema order, once.
+    /// The whole `prkb-metrics/v8` document: every name, in schema order,
+    /// once — v7's order with its eight dead counters gone.
     #[test]
-    fn v7_document_is_pinned_byte_for_byte() {
+    fn v8_document_is_pinned_byte_for_byte() {
         let reg = MetricsRegistry::new();
         for (i, &m) in Metric::ALL.iter().enumerate() {
             assert_eq!(m.index(), i, "a variant's discriminant is its row");
@@ -600,19 +569,17 @@ mod tests {
         }
         reg.set_shards(2);
         let expected = concat!(
-            r#"{"schema":"prkb-metrics/v7","shards":2,"counters":{"queries_comparison":1"#,
+            r#"{"schema":"prkb-metrics/v8","shards":2,"counters":{"queries_comparison":1"#,
             r#","queries_between":2,"queries_md":3,"queries_sdplus":4,"queries_conjunction":5"#,
             r#","query_qpf_uses":6,"filter_probes":7,"ns_width":8,"oracle_batches":9"#,
             r#","partitions_pruned_true":10,"partitions_pruned_false":11,"overflow_scanned":12"#,
             r#","splits":13,"inserts":14,"inserts_parked":15,"insert_qpf_uses":16,"wal_txns":17"#,
-            r#","wal_bytes":18,"checkpoints":19,"oracle_retries":20,"circuit_trips":21"#,
-            r#","fast_fails":22,"faults_injected":23,"warmup_under_target":24,"server_requests":25"#,
-            r#","server_bytes":26,"frame_errors":27,"group_commit_batches":28"#,
-            r#","group_commit_records":29,"group_commit_fsyncs":30,"busy_rejections":31"#,
-            r#","deadline_timeouts":32,"net_retries":33,"dedup_hits":34,"net_faults_injected":35"#,
-            r#","io_faults_injected":36,"sync_failures":37,"wal_poisoned":38,"scrub_runs":39"#,
-            r#","scrub_corruptions":40,"quarantined_files":41,"epoll_wakeups":42,"segments_live":43"#,
-            r#","segment_flush_bytes":44,"recovery_ms":45},"histograms":{"qpf_per_query":[0,1]"#,
+            r#","wal_bytes":18,"checkpoints":19,"server_requests":20,"server_bytes":21"#,
+            r#","frame_errors":22,"group_commit_batches":23,"group_commit_records":24"#,
+            r#","group_commit_fsyncs":25,"busy_rejections":26,"deadline_timeouts":27"#,
+            r#","dedup_hits":28,"sync_failures":29,"wal_poisoned":30,"scrub_runs":31"#,
+            r#","scrub_corruptions":32,"quarantined_files":33,"epoll_wakeups":34,"segments_live":35"#,
+            r#","segment_flush_bytes":36,"recovery_ms":37},"histograms":{"qpf_per_query":[0,1]"#,
             r#","ns_width_per_query":[0,0,1],"wal_txn_bytes":[0,0,0,1]"#,
             r#","shard_lock_wait_us":[0,0,0,0,1],"pipelined_depth":[0,0,0,0,0,1]"#,
             r#","reactor_queue_wait_us":[0,0,0,0,0,0,1]}}"#,

@@ -21,7 +21,7 @@
 //!
 //! Every run bumps `scrub_runs`; each corruption-class finding bumps
 //! `scrub_corruptions`; each successful quarantine bumps
-//! `quarantined_files` (metrics schema v7).
+//! `quarantined_files` (metrics schema v8).
 
 use crate::durability::{
     classify, decode_manifest, decode_txn, DurableError, Entry, FileKind, ManifestState, TxnEntry,

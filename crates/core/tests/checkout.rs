@@ -8,9 +8,9 @@ mod common;
 
 use common::{kb_bytes, reopen_pool, Pool, TmpDir};
 use prkb_core::{EngineConfig, SessionScheduler};
-use prkb_edbms::resilience::{FaultConfig, FaultInjector};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
+use prkb_sim::{FaultConfig, FaultInjector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;

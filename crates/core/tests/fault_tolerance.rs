@@ -2,29 +2,32 @@
 //!
 //! Two pinned guarantees:
 //!
-//! 1. **Fault/retry equivalence** — an engine run over a fault-injected,
-//!    retried oracle produces the same selection results and a
-//!    byte-identical final knowledge base as the fault-free run, as long as
-//!    every fault class is retryable and the retry budget covers the
-//!    injector's consecutive-fault cap.
-//! 2. **Abort-safety** — when a query *does* fail (non-retryable fault, no
-//!    retry wrapper), the engine reports the error and every attribute's
-//!    knowledge base is byte-identical to its pre-query state: no partial
-//!    splits, no stranded overflow entries, no half-routed inserts.
+//! 1. **Abort-safety** — when a query fails (any fault class), the engine
+//!    reports the error and every attribute's knowledge base is
+//!    byte-identical to its pre-query state: no partial splits, no stranded
+//!    overflow entries, no half-routed inserts.
+//! 2. **Re-issue equivalence** — nothing retries an oracle call, so an
+//!    aborted query is re-issued whole with the same seed (what the wire
+//!    client does); the attempt that gets through is fault-free, and the
+//!    run produces the same results and a byte-identical final knowledge
+//!    base as the fault-free run.
 
 mod common;
 
 use common::kb_bytes;
-use prkb_core::{EngineConfig, PrkbEngine, QueryStats};
+use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{
-    ComparisonOp, FaultConfig, FaultInjector, OracleError, Predicate, PredicateKind, RetryOracle,
-    RetryPolicy, SelectionOracle, TupleId,
-};
+use prkb_edbms::{ComparisonOp, OracleError, Predicate, PredicateKind, SelectionOracle, TupleId};
+use prkb_sim::{reissue, FaultConfig, FaultInjector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Attempts a re-issued query gets. At `FaultConfig::retryable`'s rates a
+/// query of a few hundred evaluations needs a few; the widest conjunctions
+/// here have needed a few dozen.
+const ATTEMPTS: u32 = 256;
 
 fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
     common::columns(2, n, extra, seed)
@@ -101,47 +104,49 @@ fn workload(n: usize, extra: usize, seed: u64) -> Vec<Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Tentpole property 1: with every injected fault retryable and the
-    /// retry budget covering the injector's consecutive-fault cap, the
-    /// faulty run is indistinguishable from the fault-free run — same
-    /// selection results, byte-identical final knowledge bases.
+    /// Re-issue equivalence: every step whose query a retryable fault
+    /// aborted is re-issued with the same seed until it gets through, and
+    /// the run is indistinguishable from the fault-free run — same
+    /// selection results and insert outcomes, byte-identical final
+    /// knowledge bases.
     fn faulty_retried_run_matches_fault_free_run(seed in 0u64..1_000_000) {
         let (n, extra) = (260usize, 3usize);
         let cols = columns(n, extra, seed);
         let clean = PlainOracle::from_columns(cols.clone());
-        // retryable(): transient + timeout faults only, at most 2 in a row,
-        // so 4 attempts with no backoff always recover.
-        let faulty = RetryOracle::new(
-            FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(seed)),
-            RetryPolicy::fast(4),
-        );
+        // retryable(): transient + timeout faults only.
+        let faulty =
+            FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(seed));
 
         let mut e1 = two_attr_engine(n);
         let mut e2 = two_attr_engine(n);
-        let mut r1 = StdRng::seed_from_u64(seed ^ 0xA5);
-        let mut r2 = StdRng::seed_from_u64(seed ^ 0xA5);
 
         for (i, step) in workload(n, extra, seed ^ 0x77).into_iter().enumerate() {
+            // Each step's RNG is re-seeded for every attempt, so a re-issue
+            // is the same query.
+            let rng = || StdRng::seed_from_u64(seed ^ 0xA5 ^ i as u64);
             let (s1, s2) = match &step {
                 Step::Cmp(p) => (
-                    e1.select(&clean, p, &mut r1).sorted(),
-                    e2.select(&faulty, p, &mut r2).sorted(),
+                    e1.select(&clean, p, &mut rng()).sorted(),
+                    reissue(ATTEMPTS, || e2.try_select(&faulty, p, &mut rng())).sorted(),
                 ),
                 Step::Md(dims) => (
-                    e1.select_range_md(&clean, dims, &mut r1).sorted(),
-                    e2.select_range_md(&faulty, dims, &mut r2).sorted(),
+                    e1.select_range_md(&clean, dims, &mut rng()).sorted(),
+                    reissue(ATTEMPTS, || e2.try_select_range_md(&faulty, dims, &mut rng()))
+                        .sorted(),
                 ),
                 Step::Sdplus(dims) => (
-                    e1.select_range_sdplus(&clean, dims, &mut r1).sorted(),
-                    e2.select_range_sdplus(&faulty, dims, &mut r2).sorted(),
+                    e1.select_range_sdplus(&clean, dims, &mut rng()).sorted(),
+                    reissue(ATTEMPTS, || e2.try_select_range_sdplus(&faulty, dims, &mut rng()))
+                        .sorted(),
                 ),
                 Step::Conjunction(ps) => (
-                    e1.select_conjunction(&clean, ps, &mut r1).sorted(),
-                    e2.select_conjunction(&faulty, ps, &mut r2).sorted(),
+                    e1.select_conjunction(&clean, ps, &mut rng()).sorted(),
+                    reissue(ATTEMPTS, || e2.try_select_conjunction(&faulty, ps, &mut rng()))
+                        .sorted(),
                 ),
                 Step::Insert(t) => {
                     let o1 = e1.insert(&clean, *t);
-                    let o2 = e2.insert(&faulty, *t);
+                    let o2 = reissue(ATTEMPTS, || e2.try_insert(&faulty, *t));
                     prop_assert_eq!(&o1, &o2, "step {}: insert outcomes diverged", i);
                     (Vec::new(), Vec::new())
                 }
@@ -149,20 +154,18 @@ proptest! {
             prop_assert_eq!(s1, s2, "step {}: selections diverged", i);
         }
 
-        prop_assert!(faulty.inner().injected() > 0, "workload too small to exercise faults");
+        prop_assert!(faulty.injected() > 0, "workload too small to exercise faults");
         prop_assert_eq!(kb_bytes(&e1), kb_bytes(&e2), "final knowledge diverged");
     }
 
-    /// Tentpole property 2: a failed query (non-retryable faults, no retry
-    /// wrapper) leaves every attribute's knowledge base byte-identical to
-    /// its pre-query state; successful queries still match the fault-free
-    /// engine exactly.
+    /// Abort-safety: a failed query (any fault class aborts it) leaves
+    /// every attribute's knowledge base byte-identical to its pre-query
+    /// state; successful queries still match the fault-free engine exactly.
     fn aborted_query_leaves_knowledge_byte_identical(seed in 0u64..1_000_000) {
         let (n, extra) = (220usize, 3usize);
         let cols = columns(n, extra, seed);
         let clean = PlainOracle::from_columns(cols.clone());
-        // with_corruption(): corruption faults are non-retryable and there
-        // is no retry wrapper here, so any injected fault aborts the query.
+        // with_corruption(): any injected fault aborts the query.
         let faulty =
             FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::with_corruption(seed));
 
@@ -435,8 +438,8 @@ fn mid_batch_fault_leaks_no_partial_verdicts() {
 
 /// PRKB(MD) evaluates an NS partition's survivors as one run (one oracle
 /// batch). A fault striking in the *middle* of a run must abort the query
-/// with every knowledge base byte-identical, and the same query retried over
-/// a faulty-but-retryable boundary must equal the fault-free run.
+/// with every knowledge base byte-identical, and the same query re-issued
+/// over a faulty-but-retryable boundary must equal the fault-free run.
 #[test]
 fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
     let n = 300usize;
@@ -489,18 +492,14 @@ fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
         "a failed run leaked verdicts into the KB"
     );
 
-    // Retried over a lossy boundary ≡ fault-free, winners in the same order.
-    let retrying = RetryOracle::new(
-        FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(83)),
-        RetryPolicy::fast(4),
-    );
-    let mut r1 = StdRng::seed_from_u64(85);
-    let mut r2 = StdRng::seed_from_u64(85);
-    let got = faulted
-        .try_select_range_md(&retrying, &range, &mut r1)
-        .expect("retries recover every injected fault");
-    let want = twin.select_range_md(&clean, &range, &mut r2);
-    assert!(retrying.inner().injected() > 0, "no fault was injected");
+    // Re-issued over a lossy boundary ≡ fault-free, winners in the same
+    // order.
+    let lossy = FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(83));
+    let got = reissue(ATTEMPTS, || {
+        faulted.try_select_range_md(&lossy, &range, &mut StdRng::seed_from_u64(85))
+    });
+    let want = twin.select_range_md(&clean, &range, &mut StdRng::seed_from_u64(85));
+    assert!(lossy.injected() > 0, "no fault was injected");
     assert_eq!(got.tuples, want.tuples);
     assert_eq!(got.stats.splits, want.stats.splits);
     assert_eq!(got.stats.oracle_batches, want.stats.oracle_batches);
@@ -510,8 +509,8 @@ fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
 /// A BETWEEN whose k samples all miss runs every kind of oracle call the
 /// operator has — hunt waves, fallback rounds, suffix completions. A fault
 /// inside any of them must abort with the knowledge base byte-identical,
-/// and the same query over a faulty-but-retryable boundary must equal the
-/// fault-free run.
+/// and the same query re-issued over a faulty-but-retryable boundary must
+/// equal the fault-free run.
 #[test]
 fn between_fault_in_wave_round_or_completion_aborts_clean_and_retried_run_matches() {
     // Attribute 0 is a permutation of 0..n, cut every 100 below 2 000: 20
@@ -578,25 +577,15 @@ fn between_fault_in_wave_round_or_completion_aborts_clean_and_retried_run_matche
         );
     }
 
-    let retrying = RetryOracle::new(
-        FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(93)),
-        RetryPolicy::fast(4),
-    );
-    let got = faulted
-        .try_select(&retrying, &range, &mut StdRng::seed_from_u64(sample_seed))
-        .expect("retries recover every injected fault");
-    assert!(retrying.inner().injected() > 0, "no fault was injected");
+    let lossy = FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(93));
+    let got = reissue(ATTEMPTS, || {
+        faulted.try_select(&lossy, &range, &mut StdRng::seed_from_u64(sample_seed))
+    });
+    assert!(lossy.injected() > 0, "no fault was injected");
     assert_eq!(got.tuples, want.tuples);
     assert_eq!(
-        QueryStats {
-            qpf_uses: 0,
-            ..got.stats
-        },
-        QueryStats {
-            qpf_uses: 0,
-            ..want.stats
-        },
-        "timeouts spend QPF; nothing else may differ"
+        got.stats, want.stats,
+        "the attempt that got through met no fault"
     );
     assert_eq!(kb_bytes(&faulted), kb_bytes(&twin));
 }

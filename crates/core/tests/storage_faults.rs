@@ -34,11 +34,12 @@ use common::{
 };
 use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::{scrub_dir, ScrubDamage, QUARANTINE_DIR};
-use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
 use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
+use prkb_edbms::{real_fs, StorageFs};
 use prkb_edbms::{ComparisonOp, Predicate};
+use prkb_sim::{FaultFs, IoFaultKind, IoFaultRule, IoOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;

@@ -49,7 +49,6 @@ pub use error::EdbmsError;
 pub use oracle::{OracleError, SelectionOracle, SpOracle};
 pub use owner::DataOwner;
 pub use predicate::{ComparisonOp, Predicate};
-pub use resilience::{FaultConfig, FaultInjector, RetryOracle, RetryPolicy};
 pub use schema::{AttrId, Schema, TupleId};
 pub use select::{conjunctive_scan, linear_scan};
 pub use sql::{parse as parse_sql, ParsedQuery, SqlError};

@@ -32,9 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// TM did the work but the response was lost ([`OracleError::Timeout`] —
 /// retryable, the QPF use *was* spent), integrity failures
 /// ([`OracleError::Corruption`] — not retryable, the data itself is bad),
-/// fast-fail while a circuit breaker is open
-/// ([`OracleError::Unavailable`]), and non-recoverable protocol errors
-/// ([`OracleError::Fatal`]).
+/// and non-recoverable protocol errors ([`OracleError::Fatal`]). Any of them
+/// aborts its query; "retryable" means the client may re-issue the query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OracleError {
     /// The request never reached the trusted machine (lost message, enclave
@@ -47,12 +46,6 @@ pub enum OracleError {
     /// A stored ciphertext or a response failed its integrity check.
     /// Not retryable: the same bytes will fail again.
     Corruption(String),
-    /// A circuit breaker is open: the boundary failed repeatedly and calls
-    /// fast-fail without reaching the trusted machine.
-    Unavailable {
-        /// Consecutive failed evaluations observed when the breaker opened.
-        failures: u32,
-    },
     /// A non-recoverable protocol error (tuple/attribute out of range,
     /// trapdoor for the wrong table, malformed batch).
     Fatal(String),
@@ -65,20 +58,14 @@ pub enum OracleError {
 }
 
 impl OracleError {
-    /// Whether retrying the same call can succeed ([`OracleError::Transient`]
-    /// and [`OracleError::Timeout`] only).
-    pub(crate) fn is_retryable(&self) -> bool {
-        matches!(self, OracleError::Transient(_) | OracleError::Timeout(_))
-    }
-
     /// Stable numeric code for the `prkb-wire/v2` protocol. Part of the
-    /// wire contract: codes are never reused, only appended.
+    /// wire contract: codes are never reused, only appended. 4 (a retired
+    /// circuit-breaker class) stays unassigned.
     pub fn wire_code(&self) -> u16 {
         match self {
             OracleError::Transient(_) => 1,
             OracleError::Timeout(_) => 2,
             OracleError::Corruption(_) => 3,
-            OracleError::Unavailable { .. } => 4,
             OracleError::Fatal(_) => 5,
             OracleError::DeadlineExceeded => 6,
         }
@@ -91,12 +78,6 @@ impl fmt::Display for OracleError {
             OracleError::Transient(what) => write!(f, "transient oracle failure: {what}"),
             OracleError::Timeout(what) => write!(f, "oracle timeout: {what}"),
             OracleError::Corruption(what) => write!(f, "oracle corruption: {what}"),
-            OracleError::Unavailable { failures } => {
-                write!(
-                    f,
-                    "oracle unavailable (circuit open after {failures} failures)"
-                )
-            }
             OracleError::Fatal(what) => write!(f, "fatal oracle error: {what}"),
             OracleError::DeadlineExceeded => write!(f, "request deadline exceeded"),
         }

@@ -4,7 +4,7 @@
 //! images, shard manifests — flows through the [`StorageFs`] /
 //! [`StorageFile`] trait pair instead of calling `std::fs` directly.
 //! Production code uses the zero-cost [`RealFs`] passthrough; tests swap in
-//! a fault-injecting filesystem (`prkb_core::storage::FaultFs`) that fails
+//! `prkb-sim`'s fault-injecting filesystem, which fails
 //! the Nth operation with EIO, ENOSPC, or a short write, deterministically
 //! from a seed. The traits are std-only on purpose: no async, no feature
 //! gates, nothing the container doesn't already have.

@@ -11,9 +11,11 @@
 //!   failures and transient server codes (BUSY, FRAME, oracle
 //!   transient/timeout) are retried — reconnecting first, reusing the
 //!   *same* request id so the server's dedup window makes the retry
-//!   exactly-once — pausing [`RetryPolicy::backoff`] between attempts. A
-//!   [`Breaker`] (the one [`prkb_edbms::resilience::RetryOracle`] holds)
-//!   fast-fails with [`ClientError::CircuitOpen`] after repeated
+//!   exactly-once — pausing [`RetryPolicy::backoff`] between attempts. An
+//!   oracle fault aborts the server-side query with the KB untouched, so
+//!   this is the one retry layer: the same request id and seed re-issue
+//!   the whole query. A [`Breaker`] fast-fails with
+//!   [`ClientError::CircuitOpen`] after repeated
 //!   exhaustion. With a pinned [`ClientConfig::rid_seed`] the request path
 //!   is fully deterministic, which is what lets the loopback suites compare
 //!   the served engine with the in-process one byte for byte.
@@ -510,7 +512,7 @@ impl<P: WireCodec> PrkbClient<P> {
         }
     }
 
-    /// Fetches the server's `prkb-metrics/v7` JSON snapshot.
+    /// Fetches the server's `prkb-metrics/v8` JSON snapshot.
     ///
     /// # Errors
     /// [`ClientError`] on transport, protocol, or server failure.

@@ -28,9 +28,9 @@
 //!   worker pool + graceful drain;
 //! * `client` (private; [`PrkbClient`]) — the blocking client: timeouts,
 //!   deterministic retries with exactly-once request ids, circuit breaker,
-//!   and pipelined submit/drain on the same connection;
-//! * [`chaos`] — the deterministic network-fault harness
-//!   ([`chaos::ChaosProxy`], seeded per test).
+//!   and pipelined submit/drain on the same connection. It is the one
+//!   retry layer: an oracle fault aborts its query, and the client
+//!   re-issues the request.
 //!
 //! ```no_run
 //! use prkb_core::{EngineConfig, PrkbEngine};
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub(crate) mod admission;
-pub mod chaos;
 pub(crate) mod client;
 mod conn;
 mod epoll;
@@ -74,7 +73,6 @@ pub mod scheduler {
     pub use prkb_core::scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 }
 
-pub use chaos::{ChaosConfig, ChaosProxy, FaultAction, FaultPlan};
 pub use client::{ClientConfig, ClientError, PrkbClient, SelectionReply};
 pub use proto::{ProtoError, Request, RequestHeader, Response};
 pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};

@@ -49,7 +49,7 @@ pub mod code {
     pub const ATTR_NOT_INITIALIZED: u16 = 10;
     /// Base for oracle failures: the wire code is
     /// `ORACLE_BASE + OracleError::wire_code()` (21 transient, 22 timeout,
-    /// 23 corruption, 24 unavailable, 25 fatal).
+    /// 23 corruption, 25 fatal; 24 is retired and never reused).
     pub const ORACLE_BASE: u16 = 20;
     /// An MD range request listed the same attribute in two dimensions.
     pub const DUPLICATE_DIMENSION: u16 = 40;
@@ -140,7 +140,7 @@ pub enum Request<P> {
         /// The tuple to forget.
         tuple: TupleId,
     },
-    /// Fetch the `prkb-metrics/v7` JSON snapshot.
+    /// Fetch the `prkb-metrics/v8` JSON snapshot.
     MetricsSnapshot,
     /// Graceful shutdown: drain in-flight queries, then stop.
     Shutdown,
@@ -172,7 +172,7 @@ pub enum Response {
         /// Global commit sequence number.
         seq: u64,
     },
-    /// The `prkb-metrics/v7` JSON document.
+    /// The `prkb-metrics/v8` JSON document.
     Metrics {
         /// The rendered snapshot.
         json: String,
@@ -618,7 +618,7 @@ mod tests {
         });
         roundtrip_resp(Response::Deleted { seq: 5 });
         roundtrip_resp(Response::Metrics {
-            json: "{\"schema\":\"prkb-metrics/v7\"}".into(),
+            json: "{\"schema\":\"prkb-metrics/v8\"}".into(),
         });
         roundtrip_resp(Response::Error {
             code: code::MALFORMED,

@@ -18,10 +18,8 @@ use prkb_core::{EngineConfig, PrkbEngine, QueryStats};
 use prkb_edbms::resilience::RetryPolicy;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate, TupleId};
-use prkb_server::{
-    ChaosConfig, ChaosProxy, ClientConfig, FaultAction, FaultPlan, PrkbClient, PrkbServer,
-    ServerConfig, ServerHandle,
-};
+use prkb_server::{ClientConfig, PrkbClient, PrkbServer, ServerConfig, ServerHandle};
+use prkb_sim::{ChaosConfig, ChaosProxy, FaultAction, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;

@@ -486,7 +486,7 @@ fn metrics_snapshot_travels_the_wire() {
         .expect("select");
 
     let json = client.metrics().expect("metrics");
-    assert!(json.contains("\"schema\":\"prkb-metrics/v7\""), "{json}");
+    assert!(json.contains("\"schema\":\"prkb-metrics/v8\""), "{json}");
     assert!(json.contains("\"shards\":"), "{json}");
     assert!(json.contains("\"group_commit_fsyncs\""), "{json}");
     assert!(json.contains("\"shard_lock_wait_us\""), "{json}");

@@ -23,10 +23,10 @@
 use prkb_core::{EngineConfig, PrkbEngine, SessionScheduler, ShardMap};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
-use prkb_server::chaos::{ChaosProxy, FaultAction, FaultPlan};
 use prkb_server::proto::{Request, RequestHeader};
 use prkb_server::wire::{encode_frame, ReadStep, DEFAULT_MAX_FRAME_LEN};
 use prkb_server::{FrameReader, PrkbServer, ServerConfig, ServerHandle};
+use prkb_sim::{ChaosProxy, FaultAction, FaultPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

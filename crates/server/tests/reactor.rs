@@ -24,10 +24,10 @@
 use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::Predicate;
-use prkb_server::chaos::{ChaosProxy, FaultAction, FaultPlan};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
 use prkb_server::wire::{encode_frame, ReadStep, DEFAULT_MAX_FRAME_LEN};
 use prkb_server::{FrameReader, PrkbClient, PrkbServer, ServerConfig, ServerHandle};
+use prkb_sim::{ChaosProxy, FaultAction, FaultPlan};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;

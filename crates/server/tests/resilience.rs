@@ -1,5 +1,5 @@
 //! Service-resilience boundary: BUSY shedding under saturation, deadline
-//! budgets under contention.
+//! budgets under contention, oracle faults behind the one retry layer.
 //!
 //! * **Saturation.** A 1-worker, queue-1 server flooded with connections
 //!   must shed the excess with the stable BUSY code — fast, explicit
@@ -10,15 +10,26 @@
 //!   contended attribute must come back with the DEADLINE code *without*
 //!   leaking its attribute checkout: the next query on the same attribute
 //!   succeeds and draws the next dense sequence number.
+//! * **Oracle faults.** Nothing retries an oracle call: a fault aborts the
+//!   served query with the KB untouched, and the client — the one retry
+//!   layer — re-issues the request with the same id and seed, so replies,
+//!   commit numbers and the final KB equal a fault-free twin's.
 
-use prkb_core::{EngineConfig, PrkbEngine};
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::kb_bytes;
+use prkb_core::{EngineConfig, InsertOutcome, PrkbEngine};
 use prkb_edbms::resilience::RetryPolicy;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::trapdoor::PredicateKind;
-use prkb_edbms::{ComparisonOp, OracleError, Predicate, SelectionOracle, TupleId};
+use prkb_edbms::{AttrId, ComparisonOp, OracleError, Predicate, SelectionOracle, TupleId};
 use prkb_server::proto::{code, Request, Response};
 use prkb_server::wire::{encode_frame, ReadStep, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::{ClientConfig, ClientError, FrameReader, PrkbClient, PrkbServer, ServerConfig};
+use prkb_server::{
+    ClientConfig, ClientError, FrameReader, PrkbClient, PrkbServer, SelectionReply, ServerConfig,
+};
+use prkb_sim::{FaultConfig, FaultInjector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
@@ -313,4 +324,103 @@ fn expired_deadline_returns_deadline_code_without_leaking_the_attribute() {
             .validate()
             .expect("KB valid after deadline abort");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Oracle faults → the client re-issues the query
+// ---------------------------------------------------------------------------
+
+/// One reply of [`serve_workload`], tuple ids sorted.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Selection(SelectionReply),
+    Inserted(u64, Vec<(AttrId, InsertOutcome)>),
+    Deleted(u64),
+}
+
+/// Serves a fixed workload — comparisons, a BETWEEN, an MD range, the
+/// insert of a row uploaded beyond the indexed ones, a delete — over
+/// `oracle` to one retrying client with a pinned request-id stream.
+/// Returns every reply, the final KB bytes and the client's retry count.
+fn serve_workload<O>(oracle: O) -> (Vec<Reply>, Vec<Vec<u8>>, u64)
+where
+    O: SelectionOracle<Pred = Predicate> + Send + Sync + 'static,
+{
+    let mut engine = PrkbEngine::new(EngineConfig::default());
+    engine.init_attr(0, ROWS);
+    engine.init_attr(1, ROWS);
+    let server =
+        PrkbServer::bind("127.0.0.1:0", engine, oracle, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect_with(
+        addr,
+        ClientConfig {
+            read_timeout: Duration::from_secs(10),
+            retry: RetryPolicy::fast(32),
+            rid_seed: 0x0AC1E,
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+
+    let selection = |r: SelectionReply| {
+        Reply::Selection(SelectionReply {
+            tuples: r.sorted(),
+            ..r
+        })
+    };
+    let mut replies = Vec::new();
+    for (seed, pred) in [
+        (51, Predicate::cmp(0, ComparisonOp::Lt, 600)),
+        (52, Predicate::cmp(1, ComparisonOp::Ge, 250)),
+        (53, Predicate::cmp(0, ComparisonOp::Gt, 300)),
+    ] {
+        replies.push(selection(client.select(seed, pred).expect("select")));
+    }
+    let between = client
+        .between(54, Predicate::between(1, 100, 700))
+        .expect("between");
+    replies.push(selection(between));
+    let dims = vec![
+        [
+            Predicate::cmp(0, ComparisonOp::Gt, 200),
+            Predicate::cmp(0, ComparisonOp::Lt, 800),
+        ],
+        [
+            Predicate::cmp(1, ComparisonOp::Ge, 150),
+            Predicate::cmp(1, ComparisonOp::Le, 650),
+        ],
+    ];
+    replies.push(selection(client.select_range_md(55, dims).expect("md")));
+    let (seq, outcomes) = client.insert(ROWS as TupleId).expect("insert");
+    replies.push(Reply::Inserted(seq, outcomes));
+    replies.push(Reply::Deleted(client.delete(7).expect("delete")));
+
+    let retries = client.retries();
+    client.shutdown().expect("shutdown");
+    let report = handle.join().expect("join");
+    (replies, report.inspect(kb_bytes), retries)
+}
+
+#[test]
+fn oracle_faults_are_reissued_by_the_client_to_fault_free_equivalence() {
+    let columns = || common::columns(2, ROWS, 1, 0x0AC1E);
+    let (want, want_kb, clean_retries) = serve_workload(PlainOracle::from_columns(columns()));
+    assert_eq!(clean_retries, 0, "a fault-free server forced a retry");
+
+    // Transient and timeout faults at 1‰ each: each one aborts a whole
+    // query, which a per-query re-issue gets through within a few attempts.
+    let mut retries = 0;
+    for seed in 0..8 {
+        let faulty = FaultInjector::new(
+            PlainOracle::from_columns(columns()),
+            FaultConfig::retryable(seed),
+        );
+        let (got, got_kb, seed_retries) = serve_workload(faulty);
+        assert_eq!(got, want, "seed {seed}: tuples, stats and commit numbers");
+        assert_eq!(got_kb, want_kb, "seed {seed}: final knowledge");
+        retries += seed_retries;
+    }
+    assert!(retries > 0, "no oracle fault reached the client");
 }

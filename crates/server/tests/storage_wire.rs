@@ -6,12 +6,13 @@
 mod common;
 
 use common::{strided_columns, TmpDir};
-use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp};
 use prkb_core::{EngineConfig, ShardMap, ShardedDurablePool};
 use prkb_edbms::durability::CrashInjector;
+use prkb_edbms::real_fs;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
+use prkb_sim::{FaultFs, IoFaultKind, IoFaultRule, IoOp};
 
 const ROWS: usize = 200;
 

@@ -110,7 +110,7 @@ fn main() {
         .and_then(|rest| rest.split([',', '}']).next())
         .unwrap_or("?")
         .to_string();
-    println!("server metrics: {served} requests served (prkb-metrics/v7)");
+    println!("server metrics: {served} requests served (prkb-metrics/v8)");
 
     client.shutdown().expect("shutdown");
     println!("asked server to drain and stop");

@@ -1,5 +1,5 @@
 //! Query-cost observability quickstart: per-query `QueryStats`, the global
-//! metrics registry, and the stable `prkb-metrics/v7` JSON snapshot.
+//! metrics registry, and the stable `prkb-metrics/v8` JSON snapshot.
 //!
 //! Every `PrkbEngine` entry point records into `prkb::core::metrics::global()`
 //! automatically — counters are lock-free atomics, so the overhead is a few
@@ -67,7 +67,7 @@ fn main() {
         println!("qpf_per_query histogram (log2 buckets): {h:?}");
     }
 
-    // --- Machine-readable export: stable prkb-metrics/v7 schema. ---------
+    // --- Machine-readable export: stable prkb-metrics/v8 schema. ---------
     println!();
     let json = snap.to_json();
     // Smoke-check the checkpoint-storage keys: present in every snapshot,

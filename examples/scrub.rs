@@ -22,8 +22,8 @@
 
 use prkb::core::scrub::{scrub_dir, ScrubReport};
 use prkb::core::snapshot::WireCodec;
-use prkb::core::storage::real_fs;
 use prkb::core::SpPredicate;
+use prkb::edbms::real_fs;
 use prkb::edbms::{EncryptedPredicate, Predicate};
 use std::path::{Path, PathBuf};
 
