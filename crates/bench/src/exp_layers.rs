@@ -10,6 +10,15 @@
 //! * `qpf_ns` / `qpf_wf16_ns` — [`TrustedMachine::qpf`] (decrypt inside the
 //!   TM + compare) as built, and with `work_factor` 16 emulating an
 //!   enclave round trip;
+//! * `qpf_batch_ns` — [`SpOracle::try_eval_batch`] at 1 000 scattered
+//!   tuples per call, per tuple: the same QPF with the keystream computed
+//!   8 cells per pass (verdicts equal `qpf`'s and the QPF delta equals the
+//!   batch length, both asserted). The report names the kernel that ran;
+//! * `oracle_call_ns_{1,12,1000}` — one call, in ns, through the served
+//!   stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline, so its
+//!   clock read is priced) → [`SpOracle`], at 1, 12 (`warm_select`'s batch
+//!   size) and 1 000 tuples. The report fits the per-call term from the
+//!   12- and 1 000-tuple rows;
 //! * `scan_ns_per_tuple_wf{0,8}_t{1,2,4,8}` — [`linear_scan`] over the
 //!   whole table at 1/2/4/8 batch-evaluation threads. The QPF count is the
 //!   table size at every thread count by construction (asserted); only the
@@ -37,14 +46,18 @@
 use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
+use prkb_core::{DeadlineOracle, SessionOracle};
+use prkb_crypto::CipherSuite;
 use prkb_edbms::durability::{crc32, CrashInjector, Wal};
 use prkb_edbms::select::linear_scan;
-use prkb_edbms::{real_fs, ComparisonOp, SelectionOracle, SpOracle, TmConfig, TrustedMachine};
+use prkb_edbms::{
+    real_fs, ComparisonOp, SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
+};
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Samples per row; the fastest is reported.
 pub const SAMPLES: usize = 5;
@@ -107,6 +120,42 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
         let tm = tm_with(work_factor);
         let qpf = || tm.qpf(black_box(&pred), black_box(cell)).expect("own cell");
         push(id, 1, 1, ns_per_unit(1, sample, qpf));
+    }
+
+    // Scattered ids, as a QScan partition's members are.
+    let batch: Vec<TupleId> = (0..1000).map(|i| (i * 7919 % n) as TupleId).collect();
+    let oracle = setup.oracle();
+    let mut verdicts = Vec::new();
+    oracle.eval_batch(&pred, &batch, &mut verdicts);
+    for (&t, &v) in batch.iter().zip(&verdicts) {
+        let cell = setup.table.cell(0, t).expect("cell in range");
+        assert_eq!(v, setup.tm.qpf(&pred, cell).expect("own cell"), "tuple {t}");
+    }
+    let batched = ns_per_unit(batch.len(), sample_units / 16, || {
+        let before = oracle.qpf_uses();
+        oracle.eval_batch(black_box(&pred), black_box(&batch), &mut verdicts);
+        assert_eq!(
+            oracle.qpf_uses() - before,
+            batch.len() as u64,
+            "one use per tuple"
+        );
+    });
+    push("qpf_batch_ns", batch.len(), 1, batched);
+
+    let session = SessionOracle::new(&oracle);
+    let served = DeadlineOracle::new(&session, Some(Instant::now() + Duration::from_secs(3600)));
+    for (len, calls) in [
+        (1, sample_units / 32),
+        (12, sample_units / 256),
+        (1000, sample_units / 8192),
+    ] {
+        let tuples = &batch[..len];
+        let call = ns_per_unit(1, calls, || {
+            served
+                .try_eval_batch(black_box(&pred), black_box(tuples), &mut verdicts)
+                .expect("own cells, far deadline")
+        });
+        push(&format!("oracle_call_ns_{len}"), 1, 1, call);
     }
     for work_factor in [0u32, 8] {
         let tm = tm_with(work_factor);
@@ -200,6 +249,17 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("qpf_ns") / of("plain_compare_ns"),
         of("qpf_wf16_ns") / of("plain_compare_ns"),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    ));
+    let (call_12, call_1000) = (of("oracle_call_ns_12"), of("oracle_call_ns_1000"));
+    let per_tuple = (call_1000 - call_12) / (1000.0 - 12.0);
+    report.line(format!(
+        "batch kernel {}: a batched QPF is {:.2}x a single one; a served oracle call costs \
+         {:.0} ns + {per_tuple:.1} ns per tuple (fit from 12 and 1000), the fixed term {:.0} % \
+         of a 12-tuple call",
+        CipherSuite::ChaCha20.batch_kernel(),
+        of("qpf_batch_ns") / of("qpf_ns"),
+        call_12 - 12.0 * per_tuple,
+        100.0 * (call_12 - 12.0 * per_tuple) / call_12,
     ));
     report.line(format!(
         "floor for a framed 120 KB buffer (one checksum pass + one copy): {floor:.3} ns/byte; \

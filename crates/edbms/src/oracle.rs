@@ -21,6 +21,7 @@ use crate::parallel::{self, SettleOnDrop};
 use crate::schema::TupleId;
 use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use crate::trusted::{QpfSession, TrustedMachine};
+use prkb_crypto::cipher::BATCH_LANES;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -206,20 +207,60 @@ impl<'a> SpOracle<'a> {
         self
     }
 
-    /// One lock-free evaluation through an open session, crediting the
-    /// performed decrypt to `guard` *before* propagating any failure so the
-    /// QPF counter stays exact on every path (error, cancel, unwind).
-    fn eval_in_session(
+    /// The chunk evaluator both batch paths share: evaluates `tuples` into
+    /// `out` (same length) through `session`, gathering [`BATCH_LANES`]
+    /// cells per keystream pass, and credits every performed decrypt to the
+    /// session before propagating any failure, so the QPF counter stays
+    /// exact on every path (error, cancel, unwind). It stops early, with
+    /// `Ok`, once `cancel` is raised, and raises it on its own failure.
+    fn eval_chunk(
         &self,
         session: &QpfSession<'_>,
-        guard: &SettleOnDrop<'_, QpfSession<'_>>,
         pred: &EncryptedPredicate,
-        t: TupleId,
-    ) -> Result<bool, OracleError> {
-        let cell = self.table.cell(pred.attr(), t)?;
-        let verdict = session.eval(cell);
-        guard.add(1); // the decrypt round-trip happened whether or not it succeeded
-        Ok(verdict?)
+        tuples: &[TupleId],
+        out: &mut [bool],
+        cancel: &AtomicBool,
+    ) -> Result<(), OracleError> {
+        let guard = SettleOnDrop::new(session);
+        let mut cells: [&[u8]; BATCH_LANES] = [&[]; BATCH_LANES];
+        for (tuples, out) in tuples.chunks(BATCH_LANES).zip(out.chunks_mut(BATCH_LANES)) {
+            if cancel.load(Ordering::Relaxed) {
+                return Ok(()); // another worker failed: stop early
+            }
+            // An out-of-range tuple ends the gather: the cells before it are
+            // evaluated (and counted), it is not.
+            let mut gathered = 0;
+            let mut missing = None;
+            for &t in tuples {
+                match self.table.cell(pred.attr(), t) {
+                    Ok(cell) => {
+                        cells[gathered] = cell;
+                        gathered += 1;
+                    }
+                    Err(e) => {
+                        missing = Some(e);
+                        break;
+                    }
+                }
+            }
+            let evaluated = session.eval_pass(&cells[..gathered], &mut out[..gathered]);
+            let failure = match evaluated {
+                Ok(()) => {
+                    guard.add(gathered as u64);
+                    missing.map(OracleError::from)
+                }
+                Err((i, e)) => {
+                    // The decrypt round-trip happened whether or not it succeeded.
+                    guard.add(i as u64 + 1);
+                    Some(OracleError::from(e))
+                }
+            };
+            if let Some(e) = failure {
+                cancel.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -231,21 +272,27 @@ impl SelectionOracle for SpOracle<'_> {
         Ok(self.tm.qpf(pred, cell)?)
     }
 
-    /// Lock-hoisted batch evaluation: one [`TrustedMachine::session`] per
-    /// batch resolves the value cipher and decoded trapdoor (one lock
-    /// round-trip instead of 3·n), per-tuple evaluation is lock-free, and
-    /// the QPF counter is settled per worker with one atomic add. Batches of
-    /// at least `parallel::MIN_PARALLEL_BATCH` tuples are split across
-    /// scoped worker threads when the oracle was built for more than one
-    /// ([`SpOracle::with_threads`]); chunks are carved and written back in
-    /// input order, so the output is bit-identical at every thread count.
+    /// Lock-hoisted, lane-batched evaluation: one [`TrustedMachine::session`]
+    /// per batch resolves the value cipher and decoded trapdoor (one lock
+    /// round-trip instead of 3·n), and tuples are evaluated lock-free
+    /// [`BATCH_LANES`] at a time: their cells are gathered and decrypted in
+    /// one keystream pass (`QpfSession::eval_pass`). The QPF counter is
+    /// settled per worker with one atomic add. Batches of at least
+    /// `parallel::MIN_PARALLEL_BATCH` tuples are split across scoped worker
+    /// threads when the oracle was built for more than one
+    /// ([`SpOracle::with_threads`]); chunks are carved in whole passes and
+    /// written back in input order, so the output is bit-identical at every
+    /// thread count. The sequential and threaded paths share one chunk
+    /// evaluator.
     ///
     /// # Errors
-    /// A failing worker raises a cancellation flag; the other workers stop
-    /// at their next tuple, the scope joins everyone (no orphaned threads),
-    /// and the first error propagates. Each worker settles its performed
-    /// evaluations through a `SettleOnDrop` guard, so the QPF counter is
-    /// exact even when the batch is cancelled mid-flight.
+    /// The count is exactly the per-tuple path's: a bad cell at position `i`
+    /// settles `i + 1` uses (its decrypt happened), an out-of-range tuple at
+    /// `i` settles `i`, and `out` is left empty. With threads, a failing
+    /// worker raises a cancellation flag; the others stop at their next pass,
+    /// the scope joins everyone (no orphaned threads), the first error
+    /// propagates, and each worker has settled exactly the evaluations it
+    /// performed.
     fn try_eval_batch(
         &self,
         pred: &EncryptedPredicate,
@@ -257,64 +304,38 @@ impl SelectionOracle for SpOracle<'_> {
             return Ok(());
         }
         let session = self.tm.session(pred).map_err(OracleError::from)?;
-        let workers = parallel::effective_threads(self.threads, tuples.len());
-        if workers <= 1 {
-            let guard = SettleOnDrop::new(&session);
-            out.reserve(tuples.len());
-            for &t in tuples {
-                match self.eval_in_session(&session, &guard, pred, t) {
-                    Ok(v) => out.push(v),
-                    Err(e) => {
-                        out.clear(); // partial verdicts must not be readable
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(());
-        }
         out.resize(tuples.len(), false);
-        let chunk = tuples.len().div_ceil(workers);
-        let session = &session;
-        let oracle = *self;
         let cancel = &AtomicBool::new(false);
-        let mut first_err: Option<OracleError> = None;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            for (ins, outs) in tuples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                handles.push(s.spawn(move || -> Result<(), OracleError> {
-                    let guard = SettleOnDrop::new(session);
-                    for (&t, o) in ins.iter().zip(outs.iter_mut()) {
-                        if cancel.load(Ordering::Relaxed) {
-                            return Ok(()); // another worker failed: stop early
-                        }
-                        match oracle.eval_in_session(session, &guard, pred, t) {
-                            Ok(v) => *o = v,
-                            Err(e) => {
-                                cancel.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
-                        }
+        let workers = parallel::effective_threads(self.threads, tuples.len());
+        let result = if workers <= 1 {
+            self.eval_chunk(&session, pred, tuples, out, cancel)
+        } else {
+            let chunk = tuples.len().div_ceil(workers).next_multiple_of(BATCH_LANES);
+            let session = &session;
+            let oracle = *self;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = tuples
+                    .chunks(chunk)
+                    .zip(out.chunks_mut(chunk))
+                    .map(|(ins, outs)| {
+                        s.spawn(move || oracle.eval_chunk(session, pred, ins, outs, cancel))
+                    })
+                    .collect();
+                // The first error in input order wins.
+                let mut first = Ok(());
+                for h in handles {
+                    match h.join() {
+                        Ok(r) => first = first.and(r),
+                        Err(payload) => std::panic::resume_unwind(payload),
                     }
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
                 }
-            }
-        });
-        match first_err {
-            None => Ok(()),
-            Some(e) => {
-                out.clear(); // partial verdicts must not be readable
-                Err(e)
-            }
+                first
+            })
+        };
+        if result.is_err() {
+            out.clear(); // partial verdicts must not be readable
         }
+        result
     }
 
     fn kind_of(&self, pred: &EncryptedPredicate) -> PredicateKind {
@@ -342,6 +363,7 @@ mod tests {
     use crate::table::PlainTable;
     use crate::trusted::TmConfig;
     use prkb_crypto::cipher::CIPHERTEXT_LEN;
+    use prkb_crypto::CipherSuite;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -396,12 +418,14 @@ mod tests {
 
     #[test]
     fn batch_error_counts_exactly_and_clears_out() {
-        // A corrupted cell in the middle of a batch: the batch fails, the
-        // counter equals the number of decrypts actually performed, and the
-        // output holds no partial verdicts.
+        // A corrupted cell, or an id past the table, at every position of the
+        // first two passes — lane 0, the middle lanes, lane 7, and the second
+        // pass: the batch fails, the counter equals the decrypts actually
+        // performed (the bad cell's own decrypt happened, a missing tuple has
+        // none), and the output holds no partial verdicts.
         let owner = DataOwner::with_seed(9);
         let mut rng = StdRng::seed_from_u64(9);
-        let plain = PlainTable::single_column("t", "x", (0..10).collect());
+        let plain = PlainTable::single_column("t", "x", (0..24).collect());
         let mut enc = owner.encrypt_table(&plain, &mut rng);
         let garbage = vec![0u8; CIPHERTEXT_LEN]; // right width, wrong bytes: fails the tag check
         let bad = enc.push_encrypted_row(&[&garbage]).expect("arity");
@@ -410,14 +434,57 @@ mod tests {
         let p = owner
             .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 5), &mut rng)
             .unwrap();
-        let tuples: Vec<TupleId> = (0..=bad).collect();
         let mut out = Vec::new();
-        let err = oracle.try_eval_batch(&p, &tuples, &mut out).unwrap_err();
-        assert!(matches!(err, OracleError::Corruption(_)), "{err}");
-        assert!(out.is_empty(), "no partial verdicts");
-        // Sequential path: evaluations 0..10 succeeded, the 11th failed
-        // after its decrypt attempt — all 11 are real QPF cost.
-        assert_eq!(oracle.qpf_uses(), 11);
+        for pos in 0..=17 {
+            for (id, performed, class) in [(bad, pos + 1, "oracle corruption"), (999, pos, "fatal")]
+            {
+                let mut tuples: Vec<TupleId> = (0..24).collect();
+                tuples[pos] = id;
+                let before = oracle.qpf_uses();
+                let err = oracle.try_eval_batch(&p, &tuples, &mut out).unwrap_err();
+                assert!(err.to_string().starts_with(class), "{err}");
+                assert!(out.is_empty(), "no partial verdicts (tuple {id} at {pos})");
+                assert_eq!(
+                    oracle.qpf_uses() - before,
+                    performed as u64,
+                    "tuple {id} at {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_verdicts_equal_per_tuple_qpf_at_every_length_for_both_suites() {
+        for suite in [CipherSuite::ChaCha20, CipherSuite::Aes128Ctr] {
+            let owner = DataOwner::with_seed(13).with_cipher_suite(suite);
+            let mut rng = StdRng::seed_from_u64(13);
+            let plain = PlainTable::single_column("t", "x", (0..40).rev().collect());
+            let enc = owner.encrypt_table(&plain, &mut rng);
+            let tm = owner.trusted_machine(TmConfig::default());
+            let oracle = SpOracle::new(&enc, &tm);
+            let p = owner
+                .trapdoor("t", &Predicate::between(0, 9, 27), &mut rng)
+                .unwrap();
+            let mut out = Vec::new();
+            for len in 0..=40 {
+                // Shuffled ids: a pass gathers cells from anywhere in the column.
+                let tuples: Vec<TupleId> = (0..len).map(|i| (i * 17 % 40) as TupleId).collect();
+                let before = tm.qpf_uses();
+                oracle
+                    .try_eval_batch(&p, &tuples, &mut out)
+                    .expect("clean batch");
+                assert_eq!(
+                    tm.qpf_uses() - before,
+                    len as u64,
+                    "{suite:?}, {len} tuples"
+                );
+                let reference: Vec<bool> = tuples
+                    .iter()
+                    .map(|&t| tm.qpf(&p, enc.cell(0, t).unwrap()).unwrap())
+                    .collect();
+                assert_eq!(out, reference, "{suite:?}, {len} tuples");
+            }
+        }
     }
 
     #[test]

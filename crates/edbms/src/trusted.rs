@@ -13,6 +13,7 @@ use crate::schema::AttrId;
 use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use parking_lot::RwLock;
 use prkb_crypto::chacha20;
+use prkb_crypto::cipher::BATCH_LANES;
 use prkb_crypto::{CipherSuite, KeyPurpose, MasterKey, ValueCipher};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,14 +260,17 @@ impl TrustedMachine {
 /// [`TrustedMachine::session`].
 ///
 /// Holds the decoded trapdoor and a handle on the value cipher, so
-/// [`QpfSession::eval`] is lock-free: it pays only the real per-tuple cost
-/// (emulated enclave work + decrypt + compare). Sessions are `Sync` — one
-/// session can be shared by every worker thread of a batch.
+/// evaluation is lock-free: it pays only the real per-tuple cost (emulated
+/// enclave work + decrypt + compare). The batch path evaluates a chunk of
+/// up to [`BATCH_LANES`] cells per keystream pass (`QpfSession::eval_pass`,
+/// over [`ValueCipher::decrypt_slices`]); [`QpfSession::eval`] is the
+/// one-cell form. Sessions are `Sync` — one session can be shared by every
+/// worker thread of a batch.
 ///
 /// Evaluations through a session are not counted individually; the batch
 /// driver must call `QpfSession::settle` with the number of evaluations
 /// performed so the TM's QPF-use counter matches per-tuple accounting
-/// exactly.
+/// exactly. `eval_pass` reports the index of a failing cell for that.
 pub struct QpfSession<'a> {
     tm: &'a TrustedMachine,
     cipher: Arc<ValueCipher>,
@@ -287,9 +291,41 @@ impl QpfSession<'_> {
         Ok(self.decoded.matches(value))
     }
 
+    /// Evaluates the session's predicate against up to [`BATCH_LANES`]
+    /// cells in one keystream pass ([`ValueCipher::decrypt_slices`]),
+    /// writing one verdict per cell to `out`. Each cell costs the enclave
+    /// what one [`QpfSession::eval`] does: the emulated work runs per cell.
+    ///
+    /// # Errors
+    /// The first cell that fails to decrypt, with its index `i`: `i + 1`
+    /// evaluations were performed, and nothing is written to `out`.
+    ///
+    /// # Panics
+    /// If `cells` holds more than [`BATCH_LANES`] cells, or `out` differs
+    /// from it in length.
+    pub(crate) fn eval_pass(
+        &self,
+        cells: &[&[u8]],
+        out: &mut [bool],
+    ) -> Result<(), (usize, EdbmsError)> {
+        assert_eq!(cells.len(), out.len(), "one verdict per cell");
+        let mut plain = [0u64; BATCH_LANES];
+        let plain = &mut plain[..cells.len()];
+        for _ in cells {
+            self.tm.emulated_work();
+        }
+        self.cipher
+            .decrypt_slices(cells, plain)
+            .map_err(|(i, e)| (i, EdbmsError::from(e)))?;
+        for (o, &value) in out.iter_mut().zip(plain.iter()) {
+            *o = self.decoded.matches(value);
+        }
+        Ok(())
+    }
+
     /// Credits `uses` evaluations to the TM's QPF-use counter in one atomic
-    /// add. Call once per batch with the exact number of [`QpfSession::eval`]
-    /// calls made.
+    /// add. Call once per batch with the exact number of evaluations
+    /// performed.
     pub(crate) fn settle(&self, uses: u64) {
         self.tm.qpf_uses.fetch_add(uses, Ordering::Relaxed);
     }
