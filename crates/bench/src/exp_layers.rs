@@ -11,14 +11,16 @@
 //!   TM + compare) as built, and with `work_factor` 16 emulating an
 //!   enclave round trip;
 //! * `qpf_batch_ns` — [`SpOracle::try_eval_batch`] at 1 000 scattered
-//!   tuples per call, per tuple: the same QPF with the keystream computed
-//!   8 cells per pass (verdicts equal `qpf`'s and the QPF delta equals the
-//!   batch length, both asserted). The report names the kernel that ran;
-//! * `oracle_call_ns_{1,12,1000}` — one call, in ns, through the served
-//!   stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline, so its
-//!   clock read is priced) → [`SpOracle`], at 1, 12 (`warm_select`'s batch
-//!   size) and 1 000 tuples. The report fits the per-call term from the
-//!   12- and 1 000-tuple rows;
+//!   tuples per call, per tuple: the same QPF with the keystream and the
+//!   tag computed 16 or 8 cells per pass, by CPU (verdicts equal `qpf`'s
+//!   and the QPF delta equals the batch length, both asserted). The report
+//!   names the widest kernel that ran;
+//! * `oracle_call_ns_{1,4,12,16,1000}` — one call, in ns, through the
+//!   served stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline,
+//!   so its clock read is priced) → [`SpOracle`], at 1 (the scalar cell),
+//!   4 (a short pass), 12 (`warm_select`'s batch size), 16 (one full
+//!   widest pass) and 1 000 tuples. The report fits the per-call term from
+//!   the 12- and 1 000-tuple rows;
 //! * `scan_ns_per_tuple_wf{0,8}_t{1,2,4,8}` — [`linear_scan`] over the
 //!   whole table at 1/2/4/8 batch-evaluation threads. The QPF count is the
 //!   table size at every thread count by construction (asserted); only the
@@ -146,7 +148,9 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
     let served = DeadlineOracle::new(&session, Some(Instant::now() + Duration::from_secs(3600)));
     for (len, calls) in [
         (1, sample_units / 32),
+        (4, sample_units / 64),
         (12, sample_units / 256),
+        (16, sample_units / 256),
         (1000, sample_units / 8192),
     ] {
         let tuples = &batch[..len];

@@ -12,12 +12,12 @@
 //!   convenient. Never used for stored tuple data.
 
 use crate::aes::Aes128;
-use crate::arch::{self, Avx2};
+use crate::arch::{self, Lanes, Tier};
 use crate::chacha20::{self, NONCE_LEN};
 use crate::error::CryptoError;
+use crate::keys::SubKey;
 use crate::prf::Prf;
 use crate::siphash::{siphash24, SipKey};
-use crate::keys::SubKey;
 use bytes::Bytes;
 use rand::RngCore;
 
@@ -36,11 +36,13 @@ pub enum CipherSuite {
 }
 
 impl CipherSuite {
-    /// The kernel [`ValueCipher::decrypt_slices`] runs for this suite on
-    /// this CPU: `"chacha20-avx2-x8"` or `"scalar"`.
+    /// The widest kernel [`ValueCipher::decrypt_slices`] runs for this
+    /// suite on this CPU: `"chacha20+siphash-avx512-x16"`,
+    /// `"chacha20+siphash-avx2-x8"` or `"scalar"`.
     pub fn batch_kernel(self) -> &'static str {
-        match (self, Avx2::detect()) {
-            (CipherSuite::ChaCha20, Some(_)) => "chacha20-avx2-x8",
+        match (self, Tier::detect()) {
+            (CipherSuite::ChaCha20, Tier::X16(_)) => "chacha20+siphash-avx512-x16",
+            (CipherSuite::ChaCha20, Tier::X8(_)) => "chacha20+siphash-avx2-x8",
             _ => "scalar",
         }
     }
@@ -97,10 +99,18 @@ pub const PAYLOAD_LEN: usize = 8;
 pub const TAG_LEN: usize = 8;
 /// Total ciphertext width: nonce || payload || tag.
 pub const CIPHERTEXT_LEN: usize = NONCE_LEN + PAYLOAD_LEN + TAG_LEN;
-/// Cells per keystream pass of [`ValueCipher::decrypt_slices`].
-pub const BATCH_LANES: usize = arch::LANES;
+/// Cells per pass of [`ValueCipher::decrypt_slices`]'s widest kernel.
+pub const BATCH_LANES: usize = arch::X16;
 /// The keystream block counter a cell's payload is sealed under.
 const PAYLOAD_BLOCK: u32 = 1;
+/// Bytes the tag authenticates: suite byte, nonce, encrypted payload.
+const TAG_INPUT_LEN: usize = 1 + NONCE_LEN + PAYLOAD_LEN;
+/// The most cells left that [`ValueCipher::decrypt_slices`] settles with the
+/// scalar code rather than a lane pass. Measured on an x86-64 Xeon with
+/// AVX-512F: one ChaCha20 block plus one tag costs ≈ 160 ns, and a lane
+/// pass costs the same at any fill, ≈ 265 ns for 16 lanes or ≈ 310 ns for
+/// 8 (keystream ≈ 220, tags ≈ 55), so a lane pass wins from two cells on.
+const SCALAR_PASS_MAX: usize = 1;
 
 /// An encrypted attribute value as stored at the service provider.
 ///
@@ -143,14 +153,20 @@ fn compute_tag(
 ) -> [u8; TAG_LEN] {
     // The suite byte binds the ciphertext to its cipher: a cell sealed with
     // one suite fails authentication under the other.
-    let mut buf = [0u8; 1 + NONCE_LEN + PAYLOAD_LEN];
+    let mut buf = [0u8; TAG_INPUT_LEN];
     buf[0] = suite.tag_byte();
     buf[1..1 + NONCE_LEN].copy_from_slice(nonce);
     buf[1 + NONCE_LEN..].copy_from_slice(ct);
     siphash24(tkey, &buf).to_le_bytes()
 }
 
-fn seal_into(stream: &StreamKey, tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64, out: &mut Vec<u8>) {
+fn seal_into(
+    stream: &StreamKey,
+    tkey: &SipKey,
+    nonce: [u8; NONCE_LEN],
+    value: u64,
+    out: &mut Vec<u8>,
+) {
     let mut payload = value.to_le_bytes();
     stream.apply(&nonce, PAYLOAD_BLOCK, &mut payload);
     let tag = compute_tag(tkey, stream.suite(), &nonce, &payload);
@@ -165,6 +181,34 @@ fn seal(stream: &StreamKey, tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64) -
     Ciphertext(Bytes::from(out))
 }
 
+/// `bytes` as a cell, if it has a cell's length.
+fn cell(bytes: &[u8]) -> Result<&[u8; CIPHERTEXT_LEN], CryptoError> {
+    bytes
+        .try_into()
+        .map_err(|_| CryptoError::CiphertextTooShort {
+            expected: CIPHERTEXT_LEN,
+            actual: bytes.len(),
+        })
+}
+
+/// Checks `cell`'s stored tag against `expected` with a constant-shape
+/// compare, and returns its still-encrypted payload.
+fn verify(
+    cell: &[u8; CIPHERTEXT_LEN],
+    expected: [u8; TAG_LEN],
+) -> Result<[u8; PAYLOAD_LEN], CryptoError> {
+    let mut diff = 0u8;
+    for (a, b) in expected.iter().zip(&cell[NONCE_LEN + PAYLOAD_LEN..]) {
+        diff |= a ^ b;
+    }
+    if diff != 0 {
+        return Err(CryptoError::TagMismatch);
+    }
+    Ok(cell[NONCE_LEN..NONCE_LEN + PAYLOAD_LEN]
+        .try_into()
+        .expect("length checked"))
+}
+
 /// Checks `bytes`' length and integrity tag, and returns its nonce and
 /// still-encrypted payload. Nothing of a cell is used before this passes.
 fn authenticate(
@@ -172,26 +216,52 @@ fn authenticate(
     suite: CipherSuite,
     bytes: &[u8],
 ) -> Result<([u8; NONCE_LEN], [u8; PAYLOAD_LEN]), CryptoError> {
-    if bytes.len() != CIPHERTEXT_LEN {
-        return Err(CryptoError::CiphertextTooShort {
-            expected: CIPHERTEXT_LEN,
-            actual: bytes.len(),
-        });
-    }
-    let nonce: [u8; NONCE_LEN] = bytes[..NONCE_LEN].try_into().expect("length checked");
-    let payload: [u8; PAYLOAD_LEN] = bytes[NONCE_LEN..NONCE_LEN + PAYLOAD_LEN]
+    let cell = cell(bytes)?;
+    let nonce: [u8; NONCE_LEN] = cell[..NONCE_LEN].try_into().expect("length checked");
+    let payload: &[u8; PAYLOAD_LEN] = cell[NONCE_LEN..NONCE_LEN + PAYLOAD_LEN]
         .try_into()
         .expect("length checked");
-    let expected = compute_tag(tkey, suite, &nonce, &payload);
-    // Constant-shape comparison.
-    let mut diff = 0u8;
-    for (a, b) in expected.iter().zip(&bytes[NONCE_LEN + PAYLOAD_LEN..]) {
-        diff |= a ^ b;
-    }
-    if diff != 0 {
-        return Err(CryptoError::TagMismatch);
-    }
+    let payload = verify(cell, compute_tag(tkey, suite, &nonce, payload))?;
     Ok((nonce, payload))
+}
+
+/// Little-endian `u64` of the 8 bytes of `cell` at `at`.
+fn le64(cell: &[u8; CIPHERTEXT_LEN], at: usize) -> u64 {
+    u64::from_le_bytes(cell[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// One pass's cells as the kernels read them: each lane's nonce words and
+/// the SipHash message words of its ChaCha20 tag input (suite byte 0, then
+/// the cell's first 20 bytes, then the length). A cell of the wrong length
+/// leaves its lane zero; its length check fails before the lane is read.
+fn gather<const N: usize>(pass: &[&[u8]]) -> Lanes<N> {
+    let mut lanes = Lanes::zeroed();
+    for (lane, bytes) in pass.iter().enumerate() {
+        let Ok(c) = cell(bytes) else { continue };
+        for (w, row) in lanes.nonce.iter_mut().enumerate() {
+            row[lane] = u32::from_le_bytes(c[4 * w..4 * w + 4].try_into().expect("4 bytes"));
+        }
+        let suite = u64::from(CipherSuite::ChaCha20.tag_byte());
+        lanes.msg[0][lane] = le64(c, 0) << 8 | suite;
+        lanes.msg[1][lane] = le64(c, 7);
+        lanes.msg[2][lane] = le64(c, 12) >> 24 | (TAG_INPUT_LEN as u64) << 56;
+    }
+    lanes
+}
+
+/// Settles one ChaCha20 pass in lane order: each cell's length, then its
+/// tag against its lane's, then its plaintext. Returns how many it settled.
+fn settle(
+    pass: &[&[u8]],
+    keystream: &[u64],
+    tags: &[u64],
+    out: &mut [u64],
+) -> Result<usize, (usize, CryptoError)> {
+    for (lane, (bytes, o)) in pass.iter().zip(out).enumerate() {
+        let payload = cell(bytes).and_then(|c| verify(c, tags[lane].to_le_bytes()));
+        *o = u64::from_le_bytes(payload.map_err(|e| (lane, e))?) ^ keystream[lane];
+    }
+    Ok(pass.len())
 }
 
 fn open_slice(stream: &StreamKey, tkey: &SipKey, bytes: &[u8]) -> Result<u64, CryptoError> {
@@ -261,12 +331,15 @@ impl ValueCipher {
     /// Decrypts `cells` into `out`, one value per cell, with the result of
     /// [`ValueCipher::decrypt_slice`] on each in turn.
     ///
-    /// Under ChaCha20 on a CPU with AVX2 (detected once per call) the
-    /// keystream of [`BATCH_LANES`] cells comes from one pass of an 8-lane
-    /// kernel; otherwise — the AES-128-CTR suite, a CPU without AVX2, a
-    /// target other than `x86_64` — this is the `decrypt_slice` loop. Either
-    /// way every cell's tag is verified, with the same constant-shape
-    /// compare, before its plaintext is formed.
+    /// Under ChaCha20 on an x86-64 CPU with AVX2 (detected once per call),
+    /// the cells go through the lane kernels: one pass computes the
+    /// keystream and the tags of up to 16 cells where the CPU has AVX-512F
+    /// and of up to 8 where it has only AVX2; a last single cell is cheaper
+    /// through the scalar code. Otherwise — the AES-128-CTR suite, a CPU
+    /// without AVX2, a target other than `x86_64` — this is the
+    /// `decrypt_slice` loop. Either way cells are settled in order: each
+    /// one's length and tag (with the same constant-shape compare) are
+    /// checked before its plaintext is formed.
     ///
     /// # Errors
     /// Stops at the first cell that fails and returns its index with its
@@ -280,35 +353,55 @@ impl ValueCipher {
         cells: &[&[u8]],
         out: &mut [u64],
     ) -> Result<(), (usize, CryptoError)> {
+        self.decrypt_slices_on(Tier::detect(), cells, out)
+    }
+
+    /// [`ValueCipher::decrypt_slices`] on `tier`'s kernels.
+    fn decrypt_slices_on(
+        &self,
+        tier: Tier,
+        cells: &[&[u8]],
+        out: &mut [u64],
+    ) -> Result<(), (usize, CryptoError)> {
         assert_eq!(cells.len(), out.len(), "one output per cell");
-        let kernel = match &self.stream {
-            StreamKey::ChaCha20(key) => Avx2::detect().map(|avx2| (avx2, key)),
-            StreamKey::Aes128Ctr(_) => None,
+        let StreamKey::ChaCha20(key) = &self.stream else {
+            return self.decrypt_each(cells, out).map(drop);
         };
-        let Some((avx2, key)) = kernel else {
-            for (i, (cell, o)) in cells.iter().zip(out.iter_mut()).enumerate() {
-                *o = self.decrypt_slice(cell).map_err(|e| (i, e))?;
-            }
-            return Ok(());
-        };
-        let lanes = cells.chunks(BATCH_LANES).zip(out.chunks_mut(BATCH_LANES));
-        for (pass, (cells, out)) in lanes.enumerate() {
-            // A cell too short to hold a nonce gets zeros: its length check
-            // fails below before any keystream is used.
-            let mut nonces = [[0u8; NONCE_LEN]; BATCH_LANES];
-            for (nonce, cell) in nonces.iter_mut().zip(cells) {
-                if let Some(head) = cell.get(..NONCE_LEN) {
-                    nonce.copy_from_slice(head);
+        let mut at = 0;
+        while at < cells.len() {
+            let (rest, out) = (&cells[at..], &mut out[at..]);
+            let settled = match tier {
+                Tier::X16(wide) if rest.len() > SCALAR_PASS_MAX => {
+                    let pass = &rest[..rest.len().min(arch::X16)];
+                    let lanes = gather::<{ arch::X16 }>(pass);
+                    let (keystream, tags) = wide.open_x16(key, PAYLOAD_BLOCK, &self.tkey, &lanes);
+                    settle(pass, &keystream, &tags, out)
                 }
-            }
-            let keystream = avx2.chacha20_x8(key, PAYLOAD_BLOCK, &nonces);
-            for (lane, ((cell, o), ks)) in cells.iter().zip(out).zip(keystream).enumerate() {
-                let (_, payload) = authenticate(&self.tkey, CipherSuite::ChaCha20, cell)
-                    .map_err(|e| (pass * BATCH_LANES + lane, e))?;
-                *o = u64::from_le_bytes(payload) ^ ks;
-            }
+                Tier::X8(avx2) if rest.len() > SCALAR_PASS_MAX => {
+                    let pass = &rest[..rest.len().min(arch::X8)];
+                    let lanes = gather::<{ arch::X8 }>(pass);
+                    let keystream = avx2.chacha20_x8(key, PAYLOAD_BLOCK, &lanes.nonce);
+                    let tags = avx2.siphash_x8(&self.tkey, &lanes.msg);
+                    settle(pass, &keystream, &tags, out)
+                }
+                // No kernel, or too few cells left to pay for a lane pass.
+                _ => self.decrypt_each(rest, out),
+            };
+            at += settled.map_err(|(i, e)| (at + i, e))?;
         }
         Ok(())
+    }
+
+    /// The `decrypt_slice` loop over `cells`; returns how many it settled.
+    fn decrypt_each(
+        &self,
+        cells: &[&[u8]],
+        out: &mut [u64],
+    ) -> Result<usize, (usize, CryptoError)> {
+        for (i, (cell, o)) in cells.iter().zip(out).enumerate() {
+            *o = self.decrypt_slice(cell).map_err(|e| (i, e))?;
+        }
+        Ok(cells.len())
     }
 }
 
@@ -348,7 +441,9 @@ impl DetCipher {
 
     /// Encrypts `value`; equal values give byte-equal ciphertexts.
     pub fn encrypt(&self, value: u64) -> Ciphertext {
-        let derived = self.nonce_prf.eval2(b"prkb.det.nonce.v1", &value.to_le_bytes());
+        let derived = self
+            .nonce_prf
+            .eval2(b"prkb.det.nonce.v1", &value.to_le_bytes());
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&derived[..NONCE_LEN]);
         seal(&self.stream, &self.tkey, nonce, value)
@@ -432,10 +527,14 @@ mod tests {
         assert_eq!(buf.len(), 3 * CIPHERTEXT_LEN);
         assert_eq!(c.decrypt_slice(&buf[..CIPHERTEXT_LEN]).unwrap(), 0);
         assert_eq!(
-            c.decrypt_slice(&buf[CIPHERTEXT_LEN..2 * CIPHERTEXT_LEN]).unwrap(),
+            c.decrypt_slice(&buf[CIPHERTEXT_LEN..2 * CIPHERTEXT_LEN])
+                .unwrap(),
             7
         );
-        assert_eq!(c.decrypt_slice(&buf[2 * CIPHERTEXT_LEN..]).unwrap(), u64::MAX);
+        assert_eq!(
+            c.decrypt_slice(&buf[2 * CIPHERTEXT_LEN..]).unwrap(),
+            u64::MAX
+        );
         // Owned decrypt on slice-produced bytes also works.
         let ct = Ciphertext::from_bytes(Bytes::copy_from_slice(&buf[..CIPHERTEXT_LEN])).unwrap();
         assert_eq!(c.decrypt(&ct).unwrap(), 0);
@@ -509,6 +608,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::arch::{Avx2, Avx512};
     use crate::keys::{KeyPurpose, MasterKey};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -582,6 +682,70 @@ mod proptests {
                 prop_assert_eq!(&out[..bad], &expected_prefix[..]);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Every tier this CPU has — scalar, 8 and 16 lanes — on every batch
+        /// length 0..=40, clean and with one bad cell at each position: cut
+        /// short, one byte long, or one flipped nonce, payload or tag byte.
+        /// Each returns the scalar loop's `(index, error)` and output prefix.
+        #[test]
+        fn every_tier_settles_like_the_scalar_loop(key in any::<u64>(), seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = random_cipher(key, CipherSuite::ChaCha20);
+            let flat = sealed_cells(&c, &mut rng, 40);
+            let tiers = tiers();
+            for len in 0..=40 {
+                let clean: Vec<Vec<u8>> =
+                    flat.chunks(CIPHERTEXT_LEN).take(len).map(<[u8]>::to_vec).collect();
+                let mut batches = vec![(clean.clone(), None)];
+                for bad in 0..len {
+                    for kind in 0..5 {
+                        let mut cells = clean.clone();
+                        let pick = rng.next_u64() as usize;
+                        let bit = 1 << (pick % 8);
+                        let cell = &mut cells[bad];
+                        match kind {
+                            0 => cell.truncate(pick % CIPHERTEXT_LEN),
+                            1 => cell.push(pick as u8),
+                            2 => cell[pick % NONCE_LEN] ^= bit,
+                            3 => cell[NONCE_LEN + pick % PAYLOAD_LEN] ^= bit,
+                            _ => cell[NONCE_LEN + PAYLOAD_LEN + pick % TAG_LEN] ^= bit,
+                        }
+                        batches.push((cells, Some(bad)));
+                    }
+                }
+                for (cells, bad) in batches {
+                    let cells: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+                    let settled = bad.unwrap_or(len);
+                    let mut reference = vec![0u64; len];
+                    let expected = c.decrypt_slices_on(Tier::Scalar, &cells, &mut reference);
+                    prop_assert_eq!(expected.clone().map_err(|(i, _)| i), bad.map_or(Ok(()), Err));
+                    for &tier in &tiers {
+                        let mut out = vec![0u64; len];
+                        let got = c.decrypt_slices_on(tier, &cells, &mut out);
+                        prop_assert_eq!(&got, &expected, "{:?}, {} cells, bad {:?}", tier, len, bad);
+                        prop_assert_eq!(&out[..settled], &reference[..settled], "{:?}", tier);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane tiers this CPU has.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = Vec::new();
+        match Avx2::detect() {
+            Some(avx2) => tiers.push(Tier::X8(avx2)),
+            None => eprintln!("no AVX2 on this CPU: the 8-lane tier is not reachable"),
+        }
+        match Avx512::detect() {
+            Some(wide) => tiers.push(Tier::X16(wide)),
+            None => eprintln!("no AVX-512F on this CPU: the 16-lane tier is not reachable"),
+        }
+        tiers
     }
 
     fn random_cipher(key: u64, suite: CipherSuite) -> ValueCipher {

@@ -18,9 +18,11 @@
 //! Cipherbase fidelity (its FPGA decrypts AES cells); select it via
 //! [`cipher::CipherSuite`].
 //!
-//! `arch` (private) is the one `unsafe` module: an AVX2 ChaCha20 kernel that
-//! [`cipher::ValueCipher::decrypt_slices`] runs 8 cells per pass when the
-//! CPU has the feature, with the safe code kept as reference and fallback.
+//! `arch` (private) is the one `unsafe` module: lane kernels that compute
+//! the ChaCha20 keystream and the SipHash-2-4 tag of many cells in one pass,
+//! which [`cipher::ValueCipher::decrypt_slices`] runs 16 cells per pass on a
+//! CPU with AVX-512F and 8 on one with AVX2, with the safe code kept as
+//! reference and fallback.
 //!
 //! Security disclaimer: the implementations are correct against test vectors
 //! and constant-structure, but this crate exists to reproduce a systems

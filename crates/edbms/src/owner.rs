@@ -15,13 +15,21 @@ use crate::trusted::{TmConfig, TrustedMachine};
 use prkb_crypto::{CipherSuite, KeyPurpose, MasterKey, ValueCipher};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
+
+/// Ciphers derived so far: table → (purpose, attribute) → cipher.
+type CipherCache = HashMap<String, HashMap<(KeyPurpose, AttrId), Arc<ValueCipher>>>;
 
 /// The data owner: key custody, encryption, trapdoor generation.
 pub struct DataOwner {
     master: MasterKey,
     suite: CipherSuite,
     next_trapdoor_id: AtomicU64,
+    /// A derivation is an HKDF and two PRF evaluations, so each cipher is
+    /// derived once, as the trusted machine does. Dropped on a suite change.
+    ciphers: RwLock<CipherCache>,
 }
 
 impl DataOwner {
@@ -31,6 +39,7 @@ impl DataOwner {
             master,
             suite: CipherSuite::default(),
             next_trapdoor_id: AtomicU64::new(0),
+            ciphers: RwLock::default(),
         }
     }
 
@@ -39,6 +48,7 @@ impl DataOwner {
     /// provisions — use the chosen suite.
     pub fn with_cipher_suite(mut self, suite: CipherSuite) -> Self {
         self.suite = suite;
+        self.ciphers = RwLock::default();
         self
     }
 
@@ -151,19 +161,30 @@ impl DataOwner {
         )
     }
 
-    fn value_cipher(&self, table: &str, attr: AttrId) -> ValueCipher {
-        ValueCipher::with_suite(
-            self.master.derive(KeyPurpose::ValueEncryption, table, attr),
-            self.suite,
-        )
+    fn value_cipher(&self, table: &str, attr: AttrId) -> Arc<ValueCipher> {
+        self.cipher(KeyPurpose::ValueEncryption, table, attr)
     }
 
-    fn trapdoor_cipher(&self, table: &str, attr: AttrId) -> ValueCipher {
-        ValueCipher::with_suite(
-            self.master
-                .derive(KeyPurpose::TrapdoorEncryption, table, attr),
-            self.suite,
-        )
+    fn trapdoor_cipher(&self, table: &str, attr: AttrId) -> Arc<ValueCipher> {
+        self.cipher(KeyPurpose::TrapdoorEncryption, table, attr)
+    }
+
+    /// The cipher for (`purpose`, `table`, `attr`), derived on first use.
+    fn cipher(&self, purpose: KeyPurpose, table: &str, attr: AttrId) -> Arc<ValueCipher> {
+        // A panic elsewhere cannot leave the map half-updated: an entry is
+        // inserted whole or not at all.
+        let cached = self.ciphers.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cipher) = cached.get(table).and_then(|t| t.get(&(purpose, attr))) {
+            return Arc::clone(cipher);
+        }
+        drop(cached);
+        let derived = ValueCipher::with_suite(self.master.derive(purpose, table, attr), self.suite);
+        let mut cache = self.ciphers.write().unwrap_or_else(PoisonError::into_inner);
+        let entry = cache
+            .entry(table.to_string())
+            .or_default()
+            .entry((purpose, attr));
+        Arc::clone(entry.or_insert_with(|| Arc::new(derived)))
     }
 }
 
@@ -246,6 +267,24 @@ mod tests {
         let chacha_owner = DataOwner::with_seed(46);
         let wrong_tm = chacha_owner.trusted_machine(TmConfig::default());
         assert!(wrong_tm.qpf(&p, enc.cell(0, 0).unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_warm_cipher_cache_changes_no_byte() {
+        let pred = Predicate::between(1, 3, 9);
+        let sealed = |owner: &DataOwner| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let row = owner.encrypt_row("t", &[5, 6], &mut rng);
+            let trapdoor = owner.trapdoor("t", &pred, &mut rng).unwrap();
+            let words: Vec<Vec<u8>> = trapdoor.payload_words().map(<[u8]>::to_vec).collect();
+            (row, words)
+        };
+        let warm = DataOwner::with_seed(47);
+        let mut rng = StdRng::seed_from_u64(99);
+        warm.encrypt_row("t", &[1, 2], &mut rng);
+        warm.trapdoor("t", &pred, &mut rng).unwrap();
+        let cold = DataOwner::with_seed(47);
+        assert_eq!(sealed(&cold), sealed(&warm));
     }
 
     #[test]

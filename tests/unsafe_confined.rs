@@ -1,6 +1,6 @@
 //! `unsafe` lives in exactly two product files: the epoll syscall shim
-//! (`crates/server/src/epoll.rs`) and the AVX2 ChaCha20 kernel
-//! (`crates/crypto/src/arch.rs`). Their crates `deny(unsafe_code)` and let
+//! (`crates/server/src/epoll.rs`) and the AVX2 / AVX-512F ChaCha20 and
+//! SipHash lane kernels (`crates/crypto/src/arch.rs`). Their crates `deny(unsafe_code)` and let
 //! only that module in; every other product crate forbids it.
 
 mod product_src;
