@@ -21,10 +21,10 @@
 //!   4 (a short pass), 12 (`warm_select`'s batch size), 16 (one full
 //!   widest pass) and 1 000 tuples. The report fits the per-call term from
 //!   the 12- and 1 000-tuple rows;
-//! * `scan_ns_per_tuple_wf{0,8}_t{1,2,4,8}` — [`linear_scan`] over the
-//!   whole table at 1/2/4/8 batch-evaluation threads. The QPF count is the
-//!   table size at every thread count by construction (asserted); only the
-//!   wall clock may move, and only where the box has the cores.
+//! * `scan_ns_per_tuple_wf{0,8}_t1` — [`linear_scan`] over the whole
+//!   table, at work factor 0 and 8. The QPF count is the table size by
+//!   construction (asserted). The `_t1` suffix is kept so the row ids stay
+//!   comparable with earlier runs.
 //!
 //! **Checksum-and-framing rows** are the layer the wire, the WAL and the
 //! checkpoint codecs share. Each is a public function in a loop over a
@@ -49,7 +49,6 @@ use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::{DeadlineOracle, SessionOracle};
-use prkb_crypto::CipherSuite;
 use prkb_edbms::durability::{crc32, CrashInjector, Wal};
 use prkb_edbms::select::linear_scan;
 use prkb_edbms::{
@@ -76,8 +75,6 @@ pub struct LayerPoint {
     pub len: usize,
     /// Nanoseconds per unit, fastest sample.
     pub ns_per_unit: f64,
-    /// Batch-evaluation threads (scan rows; 1 elsewhere).
-    pub threads: usize,
 }
 
 /// Fastest-sample ns/unit of `f` over `len`-unit calls, each sample
@@ -96,32 +93,28 @@ fn ns_per_unit<T>(len: usize, sample_units: usize, mut f: impl FnMut() -> T) -> 
 }
 
 /// The oracle rows: one comparison, one QPF use, one whole-table scan.
-fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, usize, usize, f64)) {
-    // Large enough at every scale that a scan outlives thread start-up.
+fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, usize, f64)) {
+    // At least 100 000 tuples, so one scan is long enough to time.
     let n = scale.tuples(2_000_000).max(100_000);
     let setup = EncSetup::new("layers", vec![(0..n as u64).collect()], 41);
     let mut rng = StdRng::seed_from_u64(42);
     let pred = setup.cmp_trapdoor(0, ComparisonOp::Lt, n as u64 / 2, &mut rng);
     let cell = setup.table.cell(0, 1234).expect("cell in range");
-    let tm_with = |work_factor| -> TrustedMachine {
-        setup.owner.trusted_machine(TmConfig {
-            work_factor,
-            ..TmConfig::default()
-        })
-    };
+    let tm_with =
+        |work_factor| -> TrustedMachine { setup.owner.trusted_machine(TmConfig { work_factor }) };
 
     // An evaluation is ~200 ns where a checksummed byte is ~0.1: fewer
     // iterations fill a sample.
     let (x, y) = (black_box(1234u64), black_box(5000u64));
     let compare = ns_per_unit(1, sample_units, || black_box(x) < black_box(y));
-    push("plain_compare_ns", 1, 1, compare);
+    push("plain_compare_ns", 1, compare);
     for (id, work_factor, sample) in [
         ("qpf_ns", 0, sample_units / 16),
         ("qpf_wf16_ns", 16, sample_units / 128),
     ] {
         let tm = tm_with(work_factor);
         let qpf = || tm.qpf(black_box(&pred), black_box(cell)).expect("own cell");
-        push(id, 1, 1, ns_per_unit(1, sample, qpf));
+        push(id, 1, ns_per_unit(1, sample, qpf));
     }
 
     // Scattered ids, as a QScan partition's members are.
@@ -142,7 +135,7 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
             "one use per tuple"
         );
     });
-    push("qpf_batch_ns", batch.len(), 1, batched);
+    push("qpf_batch_ns", batch.len(), batched);
 
     let session = SessionOracle::new(&oracle);
     let served = DeadlineOracle::new(&session, Some(Instant::now() + Duration::from_secs(3600)));
@@ -159,20 +152,18 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
                 .try_eval_batch(black_box(&pred), black_box(tuples), &mut verdicts)
                 .expect("own cells, far deadline")
         });
-        push(&format!("oracle_call_ns_{len}"), 1, 1, call);
+        push(&format!("oracle_call_ns_{len}"), 1, call);
     }
     for work_factor in [0u32, 8] {
         let tm = tm_with(work_factor);
-        for threads in [1usize, 2, 4, 8] {
-            let oracle = SpOracle::new(&setup.table, &tm).with_threads(threads);
-            let scan = || {
-                let before = oracle.qpf_uses();
-                assert_eq!(linear_scan(&oracle, &pred).len(), n / 2);
-                assert_eq!(oracle.qpf_uses() - before, n as u64, "thread-invariant");
-            };
-            let id = format!("scan_ns_per_tuple_wf{work_factor}_t{threads}");
-            push(&id, n, threads, ns_per_unit(n, n, scan));
-        }
+        let oracle = SpOracle::new(&setup.table, &tm);
+        let scan = || {
+            let before = oracle.qpf_uses();
+            assert_eq!(linear_scan(&oracle, &pred).len(), n / 2);
+            assert_eq!(oracle.qpf_uses() - before, n as u64, "one use per tuple");
+        };
+        let id = format!("scan_ns_per_tuple_wf{work_factor}_t1");
+        push(&id, n, ns_per_unit(n, n, scan));
     }
 }
 
@@ -187,12 +178,11 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
         .collect();
     let mut points = Vec::new();
-    let mut push = |id: &str, len, threads, ns_per_unit| {
+    let mut push = |id: &str, len, ns_per_unit| {
         points.push(LayerPoint {
             id: id.to_string(),
             len,
             ns_per_unit,
-            threads,
         });
     };
     oracle_rows(scale, sample_bytes, &mut push);
@@ -204,17 +194,17 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     ] {
         let bytes = &buf[..len];
         let crc = ns_per_unit(len, sample_bytes, || crc32(black_box(bytes)));
-        push(id, len, 1, crc);
+        push(id, len, crc);
     }
     let copy = ns_per_unit(WIDE, sample_bytes, || black_box(&buf).to_vec());
-    push("copy_ns_per_byte_120k", WIDE, 1, copy);
+    push("copy_ns_per_byte_120k", WIDE, copy);
     let encode = ns_per_unit(WIDE, sample_bytes, || encode_frame(black_box(&buf)));
-    push("frame_encode_ns_per_byte", WIDE, 1, encode);
+    push("frame_encode_ns_per_byte", WIDE, encode);
     let frame = encode_frame(&buf);
     let decode = ns_per_unit(WIDE, sample_bytes, || {
         decode_frame(black_box(&frame), DEFAULT_MAX_FRAME_LEN).expect("own frame")
     });
-    push("frame_decode_ns_per_byte", WIDE, 1, decode);
+    push("frame_decode_ns_per_byte", WIDE, decode);
 
     let dir = TmpDir::new("layers");
     let path = dir.0.join("wal.0.log");
@@ -225,7 +215,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     let append = ns_per_unit(WIDE, sample_bytes.min(8 << 20), || {
         wal.append_unsynced(black_box(&buf)).expect("append")
     });
-    push("wal_append_ns_per_byte", WIDE, 1, append);
+    push("wal_append_ns_per_byte", WIDE, append);
     points
 }
 
@@ -248,11 +238,9 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         report.line(format!("{:>30}{:>12}{:>10.3}", p.id, p.len, p.ns_per_unit));
     }
     report.line(format!(
-        "a QPF use is {:.0}x a plain comparison ({:.0}x at work factor 16); \
-         {} cores available to the scan rows",
+        "a QPF use is {:.0}x a plain comparison ({:.0}x at work factor 16)",
         of("qpf_ns") / of("plain_compare_ns"),
         of("qpf_wf16_ns") / of("plain_compare_ns"),
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     ));
     let (call_12, call_1000) = (of("oracle_call_ns_12"), of("oracle_call_ns_1000"));
     let per_tuple = (call_1000 - call_12) / (1000.0 - 12.0);
@@ -260,7 +248,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         "batch kernel {}: a batched QPF is {:.2}x a single one; a served oracle call costs \
          {:.0} ns + {per_tuple:.1} ns per tuple (fit from 12 and 1000), the fixed term {:.0} % \
          of a 12-tuple call",
-        CipherSuite::ChaCha20.batch_kernel(),
+        prkb_crypto::batch_kernel(),
         of("qpf_batch_ns") / of("qpf_ns"),
         call_12 - 12.0 * per_tuple,
         100.0 * (call_12 - 12.0 * per_tuple) / call_12,
@@ -280,7 +268,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
             ms: p.ns_per_unit,
             k: 0,
             n: 1_000_000,
-            threads: p.threads as u64,
+            threads: 1,
         })
         .collect();
     (report.finish(), rows)

@@ -324,16 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn measure_span_diff_survives_retry_oracle_with_threads() {
+    fn measure_span_diff_survives_retry_oracle() {
         use prkb_sim::{reissue, FaultConfig, FaultInjector};
 
         let cols = vec![(0..400u64).collect::<Vec<_>>()];
         let setup = EncSetup::new("t", cols, 11);
         // Transient-only faults (request lost before the TM, no QPF spent)
-        // under 4 oracle threads abort their query; the attempt that gets
-        // through measures exactly its own cost, and never underflows.
+        // abort their query; the attempt that gets through measures exactly
+        // its own cost, and never underflows.
         let faulty = FaultInjector::new(
-            setup.oracle().with_threads(4),
+            setup.oracle(),
             FaultConfig {
                 seed: 0xFA11,
                 transient_per_mille: 2,

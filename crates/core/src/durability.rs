@@ -1,6 +1,6 @@
 //! Durable, crash-recoverable PRKB: one WAL-backed commit path.
 //!
-//! A [`PrkbEngine`](crate::engine::PrkbEngine) whose whole value is
+//! A [`PrkbEngine`] whose whole value is
 //! *accumulated* (every answered query refines the index, §5.3) must not
 //! lose that accumulation to a process crash. One engine directory holds a
 //! checkpoint (immutable segment files behind an atomically swapped

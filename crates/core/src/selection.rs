@@ -7,8 +7,8 @@ use prkb_edbms::TupleId;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// QPF uses spent by this query (`# QPF use` in the paper's figures).
-    /// Always equals the oracle-counter delta across the call, at any
-    /// thread count.
+    /// Always equals the oracle-counter delta across the call, batched or
+    /// not.
     pub qpf_uses: u64,
     /// Partition count before processing.
     pub k_before: usize,
@@ -27,7 +27,8 @@ pub struct QueryStats {
     pub ns_width: u64,
     /// `try_eval_batch` calls issued by the pipeline (QScan partitions,
     /// overflow sweeps, MD waves, BETWEEN hunt waves and fallback rounds).
-    /// Invariant across thread counts and fault wrappers.
+    /// Invariant across server thread counts, shard counts and fault
+    /// wrappers.
     pub oracle_batches: u64,
     /// Partitions resolved to *true* from separator labels, no scan.
     pub pruned_true: usize,

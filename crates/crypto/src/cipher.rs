@@ -11,7 +11,6 @@
 //!   for trapdoor parameters and in tests where byte-stable ciphertexts are
 //!   convenient. Never used for stored tuple data.
 
-use crate::aes::Aes128;
 use crate::arch::{self, Lanes, Tier};
 use crate::chacha20::{self, NONCE_LEN};
 use crate::error::CryptoError;
@@ -21,75 +20,14 @@ use crate::siphash::{siphash24, SipKey};
 use bytes::Bytes;
 use rand::RngCore;
 
-/// Which stream cipher encrypts the cell payloads.
-///
-/// ChaCha20 is the default; AES-128-CTR matches Cipherbase's FPGA-resident
-/// cell cipher for deployments that want that fidelity. The integrity tag
-/// binds the suite, so ciphertexts cannot be confused across suites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CipherSuite {
-    /// ChaCha20 (RFC 8439) — the default.
-    #[default]
-    ChaCha20,
-    /// AES-128 in CTR mode (FIPS 197 / SP 800-38A) — Cipherbase fidelity.
-    Aes128Ctr,
-}
-
-impl CipherSuite {
-    /// The widest kernel [`ValueCipher::decrypt_slices`] runs for this
-    /// suite on this CPU: `"chacha20+siphash-avx512-x16"`,
-    /// `"chacha20+siphash-avx2-x8"` or `"scalar"`.
-    pub fn batch_kernel(self) -> &'static str {
-        match (self, Tier::detect()) {
-            (CipherSuite::ChaCha20, Tier::X16(_)) => "chacha20+siphash-avx512-x16",
-            (CipherSuite::ChaCha20, Tier::X8(_)) => "chacha20+siphash-avx2-x8",
-            _ => "scalar",
-        }
-    }
-
-    fn tag_byte(self) -> u8 {
-        match self {
-            CipherSuite::ChaCha20 => 0,
-            CipherSuite::Aes128Ctr => 1,
-        }
-    }
-}
-
-/// Suite-specialized keystream state.
-#[derive(Clone)]
-enum StreamKey {
-    ChaCha20([u8; 32]),
-    Aes128Ctr(Aes128),
-}
-
-impl StreamKey {
-    fn derive(key: &SubKey, suite: CipherSuite) -> Self {
-        match suite {
-            CipherSuite::ChaCha20 => StreamKey::ChaCha20(*key.as_bytes()),
-            CipherSuite::Aes128Ctr => {
-                // Derive an independent 16-byte AES key from the sub-key so
-                // the two suites never share raw key material.
-                let prf = Prf::new(*key.as_bytes());
-                let full = prf.eval(b"prkb.cipher.aeskey.v1");
-                let mut k = [0u8; 16];
-                k.copy_from_slice(&full[..16]);
-                StreamKey::Aes128Ctr(Aes128::new(&k))
-            }
-        }
-    }
-
-    fn suite(&self) -> CipherSuite {
-        match self {
-            StreamKey::ChaCha20(_) => CipherSuite::ChaCha20,
-            StreamKey::Aes128Ctr(_) => CipherSuite::Aes128Ctr,
-        }
-    }
-
-    fn apply(&self, nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
-        match self {
-            StreamKey::ChaCha20(k) => chacha20::apply_keystream(k, nonce, counter, data),
-            StreamKey::Aes128Ctr(aes) => aes.apply_ctr(nonce, counter, data),
-        }
+/// The widest kernel [`ValueCipher::decrypt_slices`] runs on this CPU:
+/// `"chacha20+siphash-avx512-x16"`, `"chacha20+siphash-avx2-x8"` or
+/// `"scalar"`.
+pub fn batch_kernel() -> &'static str {
+    match Tier::detect() {
+        Tier::X16(_) => "chacha20+siphash-avx512-x16",
+        Tier::X8(_) => "chacha20+siphash-avx2-x8",
+        Tier::Scalar => "scalar",
     }
 }
 
@@ -103,7 +41,10 @@ pub const CIPHERTEXT_LEN: usize = NONCE_LEN + PAYLOAD_LEN + TAG_LEN;
 pub const BATCH_LANES: usize = arch::X16;
 /// The keystream block counter a cell's payload is sealed under.
 const PAYLOAD_BLOCK: u32 = 1;
-/// Bytes the tag authenticates: suite byte, nonce, encrypted payload.
+/// The tag input's leading byte. Every sealed cell, trapdoor and fixture was
+/// tagged with it, so it stays 0 (`golden_ciphertext_bytes` pins it).
+const TAG_PREFIX: u8 = 0;
+/// Bytes the tag authenticates: [`TAG_PREFIX`], nonce, encrypted payload.
 const TAG_INPUT_LEN: usize = 1 + NONCE_LEN + PAYLOAD_LEN;
 /// The most cells left that [`ValueCipher::decrypt_slices`] settles with the
 /// scalar code rather than a lane pass. Measured on an x86-64 Xeon with
@@ -145,39 +86,26 @@ fn tag_key(key: &SubKey) -> SipKey {
     t[..16].try_into().expect("16-byte slice")
 }
 
-fn compute_tag(
-    tkey: &SipKey,
-    suite: CipherSuite,
-    nonce: &[u8; NONCE_LEN],
-    ct: &[u8; PAYLOAD_LEN],
-) -> [u8; TAG_LEN] {
-    // The suite byte binds the ciphertext to its cipher: a cell sealed with
-    // one suite fails authentication under the other.
+fn compute_tag(tkey: &SipKey, nonce: &[u8; NONCE_LEN], ct: &[u8; PAYLOAD_LEN]) -> [u8; TAG_LEN] {
     let mut buf = [0u8; TAG_INPUT_LEN];
-    buf[0] = suite.tag_byte();
+    buf[0] = TAG_PREFIX;
     buf[1..1 + NONCE_LEN].copy_from_slice(nonce);
     buf[1 + NONCE_LEN..].copy_from_slice(ct);
     siphash24(tkey, &buf).to_le_bytes()
 }
 
-fn seal_into(
-    stream: &StreamKey,
-    tkey: &SipKey,
-    nonce: [u8; NONCE_LEN],
-    value: u64,
-    out: &mut Vec<u8>,
-) {
+fn seal_into(key: &[u8; 32], tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64, out: &mut Vec<u8>) {
     let mut payload = value.to_le_bytes();
-    stream.apply(&nonce, PAYLOAD_BLOCK, &mut payload);
-    let tag = compute_tag(tkey, stream.suite(), &nonce, &payload);
+    chacha20::apply_keystream(key, &nonce, PAYLOAD_BLOCK, &mut payload);
+    let tag = compute_tag(tkey, &nonce, &payload);
     out.extend_from_slice(&nonce);
     out.extend_from_slice(&payload);
     out.extend_from_slice(&tag);
 }
 
-fn seal(stream: &StreamKey, tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64) -> Ciphertext {
+fn seal(key: &[u8; 32], tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64) -> Ciphertext {
     let mut out = Vec::with_capacity(CIPHERTEXT_LEN);
-    seal_into(stream, tkey, nonce, value, &mut out);
+    seal_into(key, tkey, nonce, value, &mut out);
     Ciphertext(Bytes::from(out))
 }
 
@@ -213,7 +141,6 @@ fn verify(
 /// still-encrypted payload. Nothing of a cell is used before this passes.
 fn authenticate(
     tkey: &SipKey,
-    suite: CipherSuite,
     bytes: &[u8],
 ) -> Result<([u8; NONCE_LEN], [u8; PAYLOAD_LEN]), CryptoError> {
     let cell = cell(bytes)?;
@@ -221,7 +148,7 @@ fn authenticate(
     let payload: &[u8; PAYLOAD_LEN] = cell[NONCE_LEN..NONCE_LEN + PAYLOAD_LEN]
         .try_into()
         .expect("length checked");
-    let payload = verify(cell, compute_tag(tkey, suite, &nonce, payload))?;
+    let payload = verify(cell, compute_tag(tkey, &nonce, payload))?;
     Ok((nonce, payload))
 }
 
@@ -231,7 +158,7 @@ fn le64(cell: &[u8; CIPHERTEXT_LEN], at: usize) -> u64 {
 }
 
 /// One pass's cells as the kernels read them: each lane's nonce words and
-/// the SipHash message words of its ChaCha20 tag input (suite byte 0, then
+/// the SipHash message words of its tag input ([`TAG_PREFIX`], then
 /// the cell's first 20 bytes, then the length). A cell of the wrong length
 /// leaves its lane zero; its length check fails before the lane is read.
 fn gather<const N: usize>(pass: &[&[u8]]) -> Lanes<N> {
@@ -241,15 +168,14 @@ fn gather<const N: usize>(pass: &[&[u8]]) -> Lanes<N> {
         for (w, row) in lanes.nonce.iter_mut().enumerate() {
             row[lane] = u32::from_le_bytes(c[4 * w..4 * w + 4].try_into().expect("4 bytes"));
         }
-        let suite = u64::from(CipherSuite::ChaCha20.tag_byte());
-        lanes.msg[0][lane] = le64(c, 0) << 8 | suite;
+        lanes.msg[0][lane] = le64(c, 0) << 8 | u64::from(TAG_PREFIX);
         lanes.msg[1][lane] = le64(c, 7);
         lanes.msg[2][lane] = le64(c, 12) >> 24 | (TAG_INPUT_LEN as u64) << 56;
     }
     lanes
 }
 
-/// Settles one ChaCha20 pass in lane order: each cell's length, then its
+/// Settles one lane pass in lane order: each cell's length, then its
 /// tag against its lane's, then its plaintext. Returns how many it settled.
 fn settle(
     pass: &[&[u8]],
@@ -264,50 +190,39 @@ fn settle(
     Ok(pass.len())
 }
 
-fn open_slice(stream: &StreamKey, tkey: &SipKey, bytes: &[u8]) -> Result<u64, CryptoError> {
-    let (nonce, mut plain) = authenticate(tkey, stream.suite(), bytes)?;
-    stream.apply(&nonce, PAYLOAD_BLOCK, &mut plain);
+fn open_slice(key: &[u8; 32], tkey: &SipKey, bytes: &[u8]) -> Result<u64, CryptoError> {
+    let (nonce, mut plain) = authenticate(tkey, bytes)?;
+    chacha20::apply_keystream(key, &nonce, PAYLOAD_BLOCK, &mut plain);
     Ok(u64::from_le_bytes(plain))
 }
 
-/// Randomized value encryption: a suite keystream (ChaCha20 by default)
-/// with a fresh random nonce plus a keyed, suite-binding integrity tag.
+/// Randomized value encryption: a ChaCha20 keystream with a fresh random
+/// nonce plus a keyed SipHash-2-4 integrity tag.
 #[derive(Clone)]
 pub struct ValueCipher {
-    stream: StreamKey,
+    key: [u8; 32],
     tkey: SipKey,
 }
 
 impl ValueCipher {
-    /// Builds a cipher from a derived sub-key (default suite: ChaCha20).
+    /// Builds a cipher from a derived sub-key.
     pub fn new(key: SubKey) -> Self {
-        Self::with_suite(key, CipherSuite::default())
-    }
-
-    /// Builds a cipher with an explicit suite.
-    pub fn with_suite(key: SubKey, suite: CipherSuite) -> Self {
-        let tkey = tag_key(&key);
         ValueCipher {
-            stream: StreamKey::derive(&key, suite),
-            tkey,
+            key: *key.as_bytes(),
+            tkey: tag_key(&key),
         }
-    }
-
-    /// The suite this cipher seals with.
-    pub fn suite(&self) -> CipherSuite {
-        self.stream.suite()
     }
 
     /// Encrypts `value` with a nonce drawn from `rng`.
     pub fn encrypt<R: RngCore>(&self, rng: &mut R, value: u64) -> Ciphertext {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        seal(&self.stream, &self.tkey, nonce, value)
+        seal(&self.key, &self.tkey, nonce, value)
     }
 
     /// Decrypts, verifying the integrity tag.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<u64, CryptoError> {
-        open_slice(&self.stream, &self.tkey, ct.as_bytes())
+        open_slice(&self.key, &self.tkey, ct.as_bytes())
     }
 
     /// Appends the ciphertext of `value` (exactly [`CIPHERTEXT_LEN`] bytes)
@@ -316,7 +231,7 @@ impl ValueCipher {
     pub fn encrypt_into<R: RngCore>(&self, rng: &mut R, value: u64, out: &mut Vec<u8>) {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        seal_into(&self.stream, &self.tkey, nonce, value, out);
+        seal_into(&self.key, &self.tkey, nonce, value, out);
     }
 
     /// Decrypts a raw [`CIPHERTEXT_LEN`]-byte slice (flat column storage
@@ -325,21 +240,20 @@ impl ValueCipher {
     /// This is the reference [`ValueCipher::decrypt_slices`] is tested
     /// against, and the loop it falls back to.
     pub fn decrypt_slice(&self, bytes: &[u8]) -> Result<u64, CryptoError> {
-        open_slice(&self.stream, &self.tkey, bytes)
+        open_slice(&self.key, &self.tkey, bytes)
     }
 
     /// Decrypts `cells` into `out`, one value per cell, with the result of
     /// [`ValueCipher::decrypt_slice`] on each in turn.
     ///
-    /// Under ChaCha20 on an x86-64 CPU with AVX2 (detected once per call),
-    /// the cells go through the lane kernels: one pass computes the
-    /// keystream and the tags of up to 16 cells where the CPU has AVX-512F
-    /// and of up to 8 where it has only AVX2; a last single cell is cheaper
-    /// through the scalar code. Otherwise — the AES-128-CTR suite, a CPU
-    /// without AVX2, a target other than `x86_64` — this is the
-    /// `decrypt_slice` loop. Either way cells are settled in order: each
-    /// one's length and tag (with the same constant-shape compare) are
-    /// checked before its plaintext is formed.
+    /// On an x86-64 CPU with AVX2 (detected once per call), the cells go
+    /// through the lane kernels: one pass computes the keystream and the
+    /// tags of up to 16 cells where the CPU has AVX-512F and of up to 8
+    /// where it has only AVX2; a last single cell is cheaper through the
+    /// scalar code. Otherwise — a CPU without AVX2, a target other than
+    /// `x86_64` — this is the `decrypt_slice` loop. Either way cells are
+    /// settled in order: each one's length and tag (with the same
+    /// constant-shape compare) are checked before its plaintext is formed.
     ///
     /// # Errors
     /// Stops at the first cell that fails and returns its index with its
@@ -364,9 +278,6 @@ impl ValueCipher {
         out: &mut [u64],
     ) -> Result<(), (usize, CryptoError)> {
         assert_eq!(cells.len(), out.len(), "one output per cell");
-        let StreamKey::ChaCha20(key) = &self.stream else {
-            return self.decrypt_each(cells, out).map(drop);
-        };
         let mut at = 0;
         while at < cells.len() {
             let (rest, out) = (&cells[at..], &mut out[at..]);
@@ -374,13 +285,14 @@ impl ValueCipher {
                 Tier::X16(wide) if rest.len() > SCALAR_PASS_MAX => {
                     let pass = &rest[..rest.len().min(arch::X16)];
                     let lanes = gather::<{ arch::X16 }>(pass);
-                    let (keystream, tags) = wide.open_x16(key, PAYLOAD_BLOCK, &self.tkey, &lanes);
+                    let (keystream, tags) =
+                        wide.open_x16(&self.key, PAYLOAD_BLOCK, &self.tkey, &lanes);
                     settle(pass, &keystream, &tags, out)
                 }
                 Tier::X8(avx2) if rest.len() > SCALAR_PASS_MAX => {
                     let pass = &rest[..rest.len().min(arch::X8)];
                     let lanes = gather::<{ arch::X8 }>(pass);
-                    let keystream = avx2.chacha20_x8(key, PAYLOAD_BLOCK, &lanes.nonce);
+                    let keystream = avx2.chacha20_x8(&self.key, PAYLOAD_BLOCK, &lanes.nonce);
                     let tags = avx2.siphash_x8(&self.tkey, &lanes.msg);
                     settle(pass, &keystream, &tags, out)
                 }
@@ -416,26 +328,18 @@ impl std::fmt::Debug for ValueCipher {
 /// trapdoor parameters.
 #[derive(Clone)]
 pub struct DetCipher {
-    stream: StreamKey,
+    key: [u8; 32],
     tkey: SipKey,
     nonce_prf: Prf,
 }
 
 impl DetCipher {
-    /// Builds a deterministic cipher from a derived sub-key
-    /// (default suite: ChaCha20).
+    /// Builds a deterministic cipher from a derived sub-key.
     pub fn new(key: SubKey) -> Self {
-        Self::with_suite(key, CipherSuite::default())
-    }
-
-    /// Builds a deterministic cipher with an explicit suite.
-    pub fn with_suite(key: SubKey, suite: CipherSuite) -> Self {
-        let tkey = tag_key(&key);
-        let prf = Prf::new(*key.as_bytes());
         DetCipher {
-            stream: StreamKey::derive(&key, suite),
-            tkey,
-            nonce_prf: prf,
+            key: *key.as_bytes(),
+            tkey: tag_key(&key),
+            nonce_prf: Prf::new(*key.as_bytes()),
         }
     }
 
@@ -446,12 +350,12 @@ impl DetCipher {
             .eval2(b"prkb.det.nonce.v1", &value.to_le_bytes());
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(&derived[..NONCE_LEN]);
-        seal(&self.stream, &self.tkey, nonce, value)
+        seal(&self.key, &self.tkey, nonce, value)
     }
 
     /// Decrypts, verifying the integrity tag.
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<u64, CryptoError> {
-        open_slice(&self.stream, &self.tkey, ct.as_bytes())
+        open_slice(&self.key, &self.tkey, ct.as_bytes())
     }
 }
 
@@ -570,38 +474,45 @@ mod tests {
         assert!(val.decrypt(&ct).is_err());
     }
 
-    #[test]
-    fn aes_suite_roundtrips() {
-        let mk = MasterKey::from_bytes([4u8; 32]);
-        let c = ValueCipher::with_suite(
-            mk.derive(KeyPurpose::ValueEncryption, "t", 0),
-            CipherSuite::Aes128Ctr,
-        );
-        assert_eq!(c.suite(), CipherSuite::Aes128Ctr);
-        let mut rng = StdRng::seed_from_u64(5);
-        for v in [0u64, 7, u64::MAX] {
-            let ct = c.encrypt(&mut rng, v);
-            assert_eq!(c.decrypt(&ct).unwrap(), v);
-        }
-        let d = DetCipher::with_suite(
-            mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0),
-            CipherSuite::Aes128Ctr,
-        );
-        assert_eq!(d.decrypt(&d.encrypt(12345)).unwrap(), 12345);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The exact bytes both ciphers seal under fixed keys (and, for
+    /// `ValueCipher`, a fixed RNG). Every stored cell, trapdoor and fixture
+    /// depends on them, so a change here is a format change.
     #[test]
-    fn suites_are_not_interchangeable() {
-        // Same sub-key, different suite: the suite-binding tag must reject.
-        let mk = MasterKey::from_bytes([4u8; 32]);
-        let key = mk.derive(KeyPurpose::ValueEncryption, "t", 0);
-        let chacha = ValueCipher::with_suite(key.clone(), CipherSuite::ChaCha20);
-        let aes = ValueCipher::with_suite(key, CipherSuite::Aes128Ctr);
-        let mut rng = StdRng::seed_from_u64(6);
-        let ct = chacha.encrypt(&mut rng, 42);
-        assert_eq!(aes.decrypt(&ct), Err(CryptoError::TagMismatch));
-        let ct = aes.encrypt(&mut rng, 42);
-        assert_eq!(chacha.decrypt(&ct), Err(CryptoError::TagMismatch));
+    fn golden_ciphertext_bytes() {
+        let mk = MasterKey::from_bytes([3u8; 32]);
+        let val = ValueCipher::new(mk.derive(KeyPurpose::ValueEncryption, "t", 0));
+        let mut rng = StdRng::seed_from_u64(42);
+        let sealed: Vec<String> = [0u64, 1, 1_000_000, u64::MAX]
+            .iter()
+            .map(|&v| hex(val.encrypt(&mut rng, v).as_bytes()))
+            .collect();
+        assert_eq!(
+            sealed,
+            [
+                "956eeb2f2632d7bd03f166b23241cb310ff69c8b1bf7fc1f94111761",
+                "529f0f135767524794e34a0ed6e60d786d677041064ea6ebd8fd2161",
+                "f22348245a58bc0906db803c44325fb7932f8affff67a775c6bdea9d",
+                "5d6d37451c67e937a42f9e9e27f6f62ceba16e3734208260c48a2080",
+            ]
+        );
+
+        let det = DetCipher::new(mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0));
+        let sealed: Vec<String> = [0u64, 42, u64::MAX]
+            .iter()
+            .map(|&v| hex(det.encrypt(v).as_bytes()))
+            .collect();
+        assert_eq!(
+            sealed,
+            [
+                "b3c82b1a007b16bf4e362b1cf90fe65cca2b112d8688a4f768cb0fa8",
+                "c01855c8cf2226d85f326c751ea7379988da3ea05518f513c6170c84",
+                "11890dff1d4aae66ceae79277eaab6489641d422065981f93f6e4270",
+            ]
+        );
     }
 }
 
@@ -631,22 +542,20 @@ mod proptests {
             prop_assert_eq!(c.decrypt(&c.encrypt(v)).unwrap(), v);
         }
 
-        /// Every batch length 0..=40 — each tail of 1 to 7 lanes after whole
-        /// passes — under a random key, for both suites.
+        /// Every batch length 0..=40 — each tail of 1 to 15 lanes after
+        /// whole passes — under a random key.
         #[test]
         fn decrypt_slices_equals_per_cell_decrypt_slice(key in any::<u64>(), seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
-            for suite in [CipherSuite::ChaCha20, CipherSuite::Aes128Ctr] {
-                let c = random_cipher(key, suite);
-                let flat = sealed_cells(&c, &mut rng, 40);
-                let cells: Vec<&[u8]> = flat.chunks(CIPHERTEXT_LEN).collect();
-                for len in 0..=cells.len() {
-                    let mut out = vec![0u64; len];
-                    c.decrypt_slices(&cells[..len], &mut out).expect("own cells");
-                    let reference: Vec<u64> =
-                        cells[..len].iter().map(|cell| c.decrypt_slice(cell).unwrap()).collect();
-                    prop_assert_eq!(out, reference, "{:?}, {} cells", suite, len);
-                }
+            let c = random_cipher(key);
+            let flat = sealed_cells(&c, &mut rng, 40);
+            let cells: Vec<&[u8]> = flat.chunks(CIPHERTEXT_LEN).collect();
+            for len in 0..=cells.len() {
+                let mut out = vec![0u64; len];
+                c.decrypt_slices(&cells[..len], &mut out).expect("own cells");
+                let reference: Vec<u64> =
+                    cells[..len].iter().map(|cell| c.decrypt_slice(cell).unwrap()).collect();
+                prop_assert_eq!(out, reference, "{} cells", len);
             }
         }
 
@@ -660,27 +569,25 @@ mod proptests {
             pick in any::<u64>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            for suite in [CipherSuite::ChaCha20, CipherSuite::Aes128Ctr] {
-                let c = random_cipher(key, suite);
-                let mut flat = sealed_cells(&c, &mut rng, len);
-                let bad = pick as usize % len;
-                let byte = (pick >> 32) as usize % CIPHERTEXT_LEN;
-                flat[bad * CIPHERTEXT_LEN + byte] ^= 1 << ((pick >> 8) % 8);
-                let mut cells: Vec<&[u8]> = flat.chunks(CIPHERTEXT_LEN).collect();
-                let expected_prefix: Vec<u64> =
-                    cells[..bad].iter().map(|cell| c.decrypt_slice(cell).unwrap()).collect();
-                let mut out = vec![0u64; len];
-                let err = c.decrypt_slices(&cells, &mut out).unwrap_err();
-                prop_assert_eq!(err, (bad, c.decrypt_slice(cells[bad]).unwrap_err()));
-                prop_assert_eq!(err.1, CryptoError::TagMismatch);
-                prop_assert_eq!(&out[..bad], &expected_prefix[..]);
+            let c = random_cipher(key);
+            let mut flat = sealed_cells(&c, &mut rng, len);
+            let bad = pick as usize % len;
+            let byte = (pick >> 32) as usize % CIPHERTEXT_LEN;
+            flat[bad * CIPHERTEXT_LEN + byte] ^= 1 << ((pick >> 8) % 8);
+            let mut cells: Vec<&[u8]> = flat.chunks(CIPHERTEXT_LEN).collect();
+            let expected_prefix: Vec<u64> =
+                cells[..bad].iter().map(|cell| c.decrypt_slice(cell).unwrap()).collect();
+            let mut out = vec![0u64; len];
+            let err = c.decrypt_slices(&cells, &mut out).unwrap_err();
+            prop_assert_eq!(err, (bad, c.decrypt_slice(cells[bad]).unwrap_err()));
+            prop_assert_eq!(err.1, CryptoError::TagMismatch);
+            prop_assert_eq!(&out[..bad], &expected_prefix[..]);
 
-                cells[bad] = &cells[bad][..byte];
-                let err = c.decrypt_slices(&cells, &mut out).unwrap_err();
-                prop_assert_eq!(err.0, bad);
-                prop_assert!(matches!(err.1, CryptoError::CiphertextTooShort { .. }), "{:?}", err);
-                prop_assert_eq!(&out[..bad], &expected_prefix[..]);
-            }
+            cells[bad] = &cells[bad][..byte];
+            let err = c.decrypt_slices(&cells, &mut out).unwrap_err();
+            prop_assert_eq!(err.0, bad);
+            prop_assert!(matches!(err.1, CryptoError::CiphertextTooShort { .. }), "{:?}", err);
+            prop_assert_eq!(&out[..bad], &expected_prefix[..]);
         }
     }
 
@@ -694,7 +601,7 @@ mod proptests {
         #[test]
         fn every_tier_settles_like_the_scalar_loop(key in any::<u64>(), seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let c = random_cipher(key, CipherSuite::ChaCha20);
+            let c = random_cipher(key);
             let flat = sealed_cells(&c, &mut rng, 40);
             let tiers = tiers();
             for len in 0..=40 {
@@ -748,10 +655,10 @@ mod proptests {
         tiers
     }
 
-    fn random_cipher(key: u64, suite: CipherSuite) -> ValueCipher {
+    fn random_cipher(key: u64) -> ValueCipher {
         let mut rng = StdRng::seed_from_u64(key);
         let mk = MasterKey::generate(&mut rng);
-        ValueCipher::with_suite(mk.derive(KeyPurpose::ValueEncryption, "t", 0), suite)
+        ValueCipher::new(mk.derive(KeyPurpose::ValueEncryption, "t", 0))
     }
 
     fn sealed_cells(c: &ValueCipher, rng: &mut StdRng, n: usize) -> Vec<u8> {

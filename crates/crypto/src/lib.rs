@@ -14,10 +14,6 @@
 //! and the Logarithmic-SRC-i competitor (`prkb-srci`) uses the PRF
 //! ([`prf::Prf`]) to build searchable-encryption tokens.
 //!
-//! AES-128 ([`aes`]) is provided as an alternative cell-cipher suite for
-//! Cipherbase fidelity (its FPGA decrypts AES cells); select it via
-//! [`cipher::CipherSuite`].
-//!
 //! `arch` (private) is the one `unsafe` module: lane kernels that compute
 //! the ChaCha20 keystream and the SipHash-2-4 tag of many cells in one pass,
 //! which [`cipher::ValueCipher::decrypt_slices`] runs 16 cells per pass on a
@@ -33,7 +29,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
 #[allow(unsafe_code)]
 mod arch;
 pub mod chacha20;
@@ -46,7 +41,7 @@ pub mod prf;
 pub mod sha256;
 pub mod siphash;
 
-pub use cipher::{Ciphertext, CipherSuite, DetCipher, ValueCipher};
+pub use cipher::{batch_kernel, Ciphertext, DetCipher, ValueCipher};
 pub use error::CryptoError;
 pub use keys::{KeyPurpose, MasterKey, SubKey};
 pub use prf::Prf;

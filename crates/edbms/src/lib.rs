@@ -30,7 +30,6 @@ pub(crate) mod encrypted;
 pub(crate) mod error;
 pub(crate) mod oracle;
 pub(crate) mod owner;
-pub(crate) mod parallel;
 pub(crate) mod predicate;
 pub mod resilience;
 pub(crate) mod schema;

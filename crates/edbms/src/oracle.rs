@@ -17,13 +17,11 @@
 
 use crate::encrypted::EncryptedTable;
 use crate::error::EdbmsError;
-use crate::parallel::{self, SettleOnDrop};
 use crate::schema::TupleId;
 use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use crate::trusted::{QpfSession, TrustedMachine};
 use prkb_crypto::cipher::BATCH_LANES;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Failure classes of the SP↔TM boundary.
 ///
@@ -120,8 +118,8 @@ pub trait SelectionOracle {
     /// Contract: element-wise identical to calling `try_eval` per tuple, and
     /// a successful batch costs exactly `tuples.len()` QPF uses —
     /// implementations may hoist per-predicate setup out of the loop or
-    /// evaluate tuples in parallel, but results and counts must not depend
-    /// on batching or thread count.
+    /// evaluate several tuples per pass, but results and counts must not
+    /// depend on batching.
     ///
     /// # Errors
     /// On failure `out`'s contents are unspecified (callers must not read
@@ -185,48 +183,43 @@ pub trait SelectionOracle {
 pub struct SpOracle<'a> {
     table: &'a EncryptedTable,
     tm: &'a TrustedMachine,
-    /// Worker count for [`SelectionOracle::try_eval_batch`]; default 1.
-    threads: usize,
 }
 
 impl<'a> SpOracle<'a> {
     /// Pairs an encrypted table with the trusted machine that can evaluate
     /// trapdoors over it.
     pub fn new(table: &'a EncryptedTable, tm: &'a TrustedMachine) -> Self {
-        SpOracle {
-            table,
-            tm,
-            threads: 1,
-        }
+        SpOracle { table, tm }
     }
 
-    /// Sets the worker count for batch evaluation. `1`, the default, keeps
-    /// batches sequential.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Kept only because the benchmark adapter (`prkb_e2e/src/sut.rs`) still
+    /// calls it with 1. A batch always runs on the calling thread, so the
+    /// only count accepted is 1 (or 0), and this returns `self` unchanged.
+    /// It is deleted together with that call, in the next change to the
+    /// benchmark.
+    ///
+    /// # Panics
+    /// If `threads` is more than 1.
+    #[doc(hidden)]
+    pub fn with_threads(self, threads: usize) -> Self {
+        assert!(threads <= 1, "a batch runs on the calling thread");
         self
     }
 
-    /// The chunk evaluator both batch paths share: evaluates `tuples` into
-    /// `out` (same length) through `session`, gathering [`BATCH_LANES`]
-    /// cells per keystream pass, and credits every performed decrypt to the
-    /// session before propagating any failure, so the QPF counter stays
-    /// exact on every path (error, cancel, unwind). It stops early, with
-    /// `Ok`, once `cancel` is raised, and raises it on its own failure.
+    /// Evaluates `tuples` into `out` (same length) through `session`,
+    /// gathering [`BATCH_LANES`] cells per keystream pass, and credits every
+    /// performed decrypt to the session before propagating any failure, so
+    /// the QPF counter stays exact on every path (error or unwind).
     fn eval_chunk(
         &self,
         session: &QpfSession<'_>,
         pred: &EncryptedPredicate,
         tuples: &[TupleId],
         out: &mut [bool],
-        cancel: &AtomicBool,
     ) -> Result<(), OracleError> {
-        let guard = SettleOnDrop::new(session);
+        let mut guard = SettleOnDrop::new(session);
         let mut cells: [&[u8]; BATCH_LANES] = [&[]; BATCH_LANES];
         for (tuples, out) in tuples.chunks(BATCH_LANES).zip(out.chunks_mut(BATCH_LANES)) {
-            if cancel.load(Ordering::Relaxed) {
-                return Ok(()); // another worker failed: stop early
-            }
             // An out-of-range tuple ends the gather: the cells before it are
             // evaluated (and counted), it is not.
             let mut gathered = 0;
@@ -256,11 +249,40 @@ impl<'a> SpOracle<'a> {
                 }
             };
             if let Some(e) = failure {
-                cancel.store(true, Ordering::Relaxed);
                 return Err(e);
             }
         }
         Ok(())
+    }
+}
+
+/// Unwind-safe deferred settlement of one batch's QPF uses.
+///
+/// The batch counts its evaluations locally, and the guard settles the total
+/// with one atomic add when it drops — on normal exit, on an early error
+/// return, *and* during a panic unwind. Work already performed is real
+/// paper-cost, so a batch that stops early must never lose it.
+struct SettleOnDrop<'a, 's> {
+    session: &'a QpfSession<'s>,
+    count: u64,
+}
+
+impl<'a, 's> SettleOnDrop<'a, 's> {
+    fn new(session: &'a QpfSession<'s>) -> Self {
+        SettleOnDrop { session, count: 0 }
+    }
+
+    /// Records `n` performed evaluations.
+    fn add(&mut self, n: u64) {
+        self.count += n;
+    }
+}
+
+impl Drop for SettleOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        if self.count > 0 {
+            self.session.settle(self.count);
+        }
     }
 }
 
@@ -277,22 +299,13 @@ impl SelectionOracle for SpOracle<'_> {
     /// round-trip instead of 3·n), and tuples are evaluated lock-free
     /// [`BATCH_LANES`] at a time: their cells are gathered and decrypted in
     /// one keystream pass (`QpfSession::eval_pass`). The QPF counter is
-    /// settled per worker with one atomic add. Batches of at least
-    /// `parallel::MIN_PARALLEL_BATCH` tuples are split across scoped worker
-    /// threads when the oracle was built for more than one
-    /// ([`SpOracle::with_threads`]); chunks are carved in whole passes and
-    /// written back in input order, so the output is bit-identical at every
-    /// thread count. The sequential and threaded paths share one chunk
-    /// evaluator.
+    /// settled once per batch with one atomic add. The batch runs on the
+    /// calling thread.
     ///
     /// # Errors
     /// The count is exactly the per-tuple path's: a bad cell at position `i`
     /// settles `i + 1` uses (its decrypt happened), an out-of-range tuple at
-    /// `i` settles `i`, and `out` is left empty. With threads, a failing
-    /// worker raises a cancellation flag; the others stop at their next pass,
-    /// the scope joins everyone (no orphaned threads), the first error
-    /// propagates, and each worker has settled exactly the evaluations it
-    /// performed.
+    /// `i` settles `i`, and `out` is left empty.
     fn try_eval_batch(
         &self,
         pred: &EncryptedPredicate,
@@ -305,33 +318,7 @@ impl SelectionOracle for SpOracle<'_> {
         }
         let session = self.tm.session(pred).map_err(OracleError::from)?;
         out.resize(tuples.len(), false);
-        let cancel = &AtomicBool::new(false);
-        let workers = parallel::effective_threads(self.threads, tuples.len());
-        let result = if workers <= 1 {
-            self.eval_chunk(&session, pred, tuples, out, cancel)
-        } else {
-            let chunk = tuples.len().div_ceil(workers).next_multiple_of(BATCH_LANES);
-            let session = &session;
-            let oracle = *self;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = tuples
-                    .chunks(chunk)
-                    .zip(out.chunks_mut(chunk))
-                    .map(|(ins, outs)| {
-                        s.spawn(move || oracle.eval_chunk(session, pred, ins, outs, cancel))
-                    })
-                    .collect();
-                // The first error in input order wins.
-                let mut first = Ok(());
-                for h in handles {
-                    match h.join() {
-                        Ok(r) => first = first.and(r),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                first
-            })
-        };
+        let result = self.eval_chunk(&session, pred, tuples, out);
         if result.is_err() {
             out.clear(); // partial verdicts must not be readable
         }
@@ -363,7 +350,6 @@ mod tests {
     use crate::table::PlainTable;
     use crate::trusted::TmConfig;
     use prkb_crypto::cipher::CIPHERTEXT_LEN;
-    use prkb_crypto::CipherSuite;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -454,50 +440,44 @@ mod tests {
     }
 
     #[test]
-    fn batch_verdicts_equal_per_tuple_qpf_at_every_length_for_both_suites() {
-        for suite in [CipherSuite::ChaCha20, CipherSuite::Aes128Ctr] {
-            let owner = DataOwner::with_seed(13).with_cipher_suite(suite);
-            let mut rng = StdRng::seed_from_u64(13);
-            let plain = PlainTable::single_column("t", "x", (0..40).rev().collect());
-            let enc = owner.encrypt_table(&plain, &mut rng);
-            let tm = owner.trusted_machine(TmConfig::default());
-            let oracle = SpOracle::new(&enc, &tm);
-            let p = owner
-                .trapdoor("t", &Predicate::between(0, 9, 27), &mut rng)
-                .unwrap();
-            let mut out = Vec::new();
-            for len in 0..=40 {
-                // Shuffled ids: a pass gathers cells from anywhere in the column.
-                let tuples: Vec<TupleId> = (0..len).map(|i| (i * 17 % 40) as TupleId).collect();
-                let before = tm.qpf_uses();
-                oracle
-                    .try_eval_batch(&p, &tuples, &mut out)
-                    .expect("clean batch");
-                assert_eq!(
-                    tm.qpf_uses() - before,
-                    len as u64,
-                    "{suite:?}, {len} tuples"
-                );
-                let reference: Vec<bool> = tuples
-                    .iter()
-                    .map(|&t| tm.qpf(&p, enc.cell(0, t).unwrap()).unwrap())
-                    .collect();
-                assert_eq!(out, reference, "{suite:?}, {len} tuples");
-            }
+    fn batch_verdicts_equal_per_tuple_qpf_at_every_length() {
+        let owner = DataOwner::with_seed(13);
+        let mut rng = StdRng::seed_from_u64(13);
+        let plain = PlainTable::single_column("t", "x", (0..40).rev().collect());
+        let enc = owner.encrypt_table(&plain, &mut rng);
+        let tm = owner.trusted_machine(TmConfig::default());
+        let oracle = SpOracle::new(&enc, &tm);
+        let p = owner
+            .trapdoor("t", &Predicate::between(0, 9, 27), &mut rng)
+            .unwrap();
+        let mut out = Vec::new();
+        for len in 0..=40 {
+            // Shuffled ids: a pass gathers cells from anywhere in the column.
+            let tuples: Vec<TupleId> = (0..len).map(|i| (i * 17 % 40) as TupleId).collect();
+            let before = tm.qpf_uses();
+            oracle
+                .try_eval_batch(&p, &tuples, &mut out)
+                .expect("clean batch");
+            assert_eq!(tm.qpf_uses() - before, len as u64, "{len} tuples");
+            let reference: Vec<bool> = tuples
+                .iter()
+                .map(|&t| tm.qpf(&p, enc.cell(0, t).unwrap()).unwrap())
+                .collect();
+            assert_eq!(out, reference, "{len} tuples");
         }
     }
 
     #[test]
-    fn threaded_batch_error_cancels_and_keeps_counter_exact() {
+    fn long_batch_error_keeps_counter_exact() {
         let owner = DataOwner::with_seed(10);
         let mut rng = StdRng::seed_from_u64(10);
-        let n = 600u32; // above MIN_PARALLEL_BATCH so workers actually spawn
+        let n = 600u32; // many passes before the bad cell
         let plain = PlainTable::single_column("t", "x", (0..n as u64).collect());
         let mut enc = owner.encrypt_table(&plain, &mut rng);
         let garbage = vec![0u8; CIPHERTEXT_LEN];
         let bad = enc.push_encrypted_row(&[&garbage]).expect("arity");
         let tm = owner.trusted_machine(TmConfig::default());
-        let oracle = SpOracle::new(&enc, &tm).with_threads(4);
+        let oracle = SpOracle::new(&enc, &tm);
         let p = owner
             .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 100), &mut rng)
             .unwrap();
@@ -506,10 +486,9 @@ mod tests {
         let err = oracle.try_eval_batch(&p, &tuples, &mut out).unwrap_err();
         assert!(matches!(err, OracleError::Corruption(_)), "{err}");
         assert!(out.is_empty());
-        // Cancellation means not every tuple was evaluated, but every
-        // evaluation that happened was settled: 1 ≤ uses ≤ n + 1.
+        // Every cell up to and including the bad one was decrypted.
         let uses = oracle.qpf_uses();
-        assert!((1..=n as u64 + 1).contains(&uses), "uses = {uses}");
+        assert_eq!(uses, n as u64 + 1);
         // A clean batch afterwards works and counts exactly.
         let good: Vec<TupleId> = (0..n).collect();
         oracle
@@ -517,5 +496,59 @@ mod tests {
             .expect("clean batch");
         assert_eq!(out.len(), n as usize);
         assert_eq!(oracle.qpf_uses(), uses + n as u64);
+    }
+
+    #[test]
+    fn settle_on_drop_settles_once_on_normal_exit() {
+        let owner = DataOwner::with_seed(11);
+        let p = owner
+            .trapdoor(
+                "t",
+                &Predicate::cmp(0, ComparisonOp::Lt, 5),
+                &mut StdRng::seed_from_u64(11),
+            )
+            .unwrap();
+        let tm = owner.trusted_machine(TmConfig::default());
+        let session = tm.session(&p).unwrap();
+        {
+            let mut guard = SettleOnDrop::new(&session);
+            guard.add(3);
+            guard.add(4);
+            assert_eq!(guard.count, 7);
+            assert_eq!(tm.qpf_uses(), 0, "settled only on drop");
+        }
+        assert_eq!(tm.qpf_uses(), 7);
+    }
+
+    /// A batch that unwinds mid-way (a panic between passes) still credits
+    /// every evaluation it performed, exactly once: the guard settles during
+    /// the unwind, not after the batch.
+    #[test]
+    fn panic_mid_batch_cannot_leave_counter_under_settled() {
+        let owner = DataOwner::with_seed(12);
+        let p = owner
+            .trapdoor(
+                "t",
+                &Predicate::cmp(0, ComparisonOp::Lt, 5),
+                &mut StdRng::seed_from_u64(12),
+            )
+            .unwrap();
+        let tm = owner.trusted_machine(TmConfig::default());
+        let session = tm.session(&p).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut guard = SettleOnDrop::new(&session);
+            for i in 0..10u64 {
+                guard.add(1); // count the evaluation as performed...
+                if i == 4 {
+                    panic!("injected crash mid-batch"); // ...then crash
+                }
+            }
+        }));
+        assert!(result.is_err(), "the panic must propagate");
+        assert_eq!(
+            tm.qpf_uses(),
+            5,
+            "evaluations performed before the crash are settled exactly once"
+        );
     }
 }

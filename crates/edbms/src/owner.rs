@@ -12,7 +12,7 @@ use crate::schema::AttrId;
 use crate::table::PlainTable;
 use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use crate::trusted::{TmConfig, TrustedMachine};
-use prkb_crypto::{CipherSuite, KeyPurpose, MasterKey, ValueCipher};
+use prkb_crypto::{KeyPurpose, MasterKey, ValueCipher};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -25,31 +25,20 @@ type CipherCache = HashMap<String, HashMap<(KeyPurpose, AttrId), Arc<ValueCipher
 /// The data owner: key custody, encryption, trapdoor generation.
 pub struct DataOwner {
     master: MasterKey,
-    suite: CipherSuite,
     next_trapdoor_id: AtomicU64,
     /// A derivation is an HKDF and two PRF evaluations, so each cipher is
-    /// derived once, as the trusted machine does. Dropped on a suite change.
+    /// derived once, as the trusted machine does.
     ciphers: RwLock<CipherCache>,
 }
 
 impl DataOwner {
-    /// Creates an owner with an explicit master key (ChaCha20 suite).
+    /// Creates an owner with an explicit master key.
     pub(crate) fn new(master: MasterKey) -> Self {
         DataOwner {
             master,
-            suite: CipherSuite::default(),
             next_trapdoor_id: AtomicU64::new(0),
             ciphers: RwLock::default(),
         }
-    }
-
-    /// Switches the cell-cipher suite (builder style). All tables and
-    /// trapdoors issued by this owner — and the trusted machines it
-    /// provisions — use the chosen suite.
-    pub fn with_cipher_suite(mut self, suite: CipherSuite) -> Self {
-        self.suite = suite;
-        self.ciphers = RwLock::default();
-        self
     }
 
     /// Creates an owner with a master key derived from `seed`
@@ -136,13 +125,7 @@ impl DataOwner {
     /// Provisions a trusted machine sharing this owner's keys (the paper's
     /// deployment: DO installs its key in the enclave at SP's site).
     pub fn trusted_machine(&self, cfg: TmConfig) -> TrustedMachine {
-        TrustedMachine::new(
-            self.master.clone(),
-            TmConfig {
-                suite: self.suite,
-                ..cfg
-            },
-        )
+        TrustedMachine::new(self.master.clone(), cfg)
     }
 
     /// Derives the searchable-encryption key pair for (`table`, `attr`) —
@@ -178,7 +161,7 @@ impl DataOwner {
             return Arc::clone(cipher);
         }
         drop(cached);
-        let derived = ValueCipher::with_suite(self.master.derive(purpose, table, attr), self.suite);
+        let derived = ValueCipher::new(self.master.derive(purpose, table, attr));
         let mut cache = self.ciphers.write().unwrap_or_else(PoisonError::into_inner);
         let entry = cache
             .entry(table.to_string())
@@ -245,28 +228,6 @@ mod tests {
         assert_ne!(t1.id(), t2.id());
         // Randomized payload: identical predicates are unlinkable.
         assert_ne!(t1, t2);
-    }
-
-    #[test]
-    fn aes_suite_end_to_end() {
-        // Cipherbase fidelity: AES-128-CTR cells decrypt-and-compare inside
-        // the TM exactly like the default suite.
-        let owner = DataOwner::with_seed(46).with_cipher_suite(CipherSuite::Aes128Ctr);
-        let mut rng = StdRng::seed_from_u64(0);
-        let plain = PlainTable::single_column("t", "x", vec![5, 10, 15]);
-        let enc = owner.encrypt_table(&plain, &mut rng);
-        let tm = owner.trusted_machine(TmConfig::default());
-        let p = owner
-            .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 12), &mut rng)
-            .unwrap();
-        assert!(tm.qpf(&p, enc.cell(0, 0).unwrap()).unwrap());
-        assert!(!tm.qpf(&p, enc.cell(0, 2).unwrap()).unwrap());
-
-        // A ChaCha20 TM provisioned from a same-key owner must fail closed
-        // on AES cells (suite-binding tag).
-        let chacha_owner = DataOwner::with_seed(46);
-        let wrong_tm = chacha_owner.trusted_machine(TmConfig::default());
-        assert!(wrong_tm.qpf(&p, enc.cell(0, 0).unwrap()).is_err());
     }
 
     #[test]

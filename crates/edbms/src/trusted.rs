@@ -14,7 +14,7 @@ use crate::trapdoor::{EncryptedPredicate, PredicateKind};
 use parking_lot::RwLock;
 use prkb_crypto::chacha20;
 use prkb_crypto::cipher::BATCH_LANES;
-use prkb_crypto::{CipherSuite, KeyPurpose, MasterKey, ValueCipher};
+use prkb_crypto::{KeyPurpose, MasterKey, ValueCipher};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,10 +26,6 @@ pub struct TmConfig {
     /// round-trip / FPGA pipeline latency on top of the real decryption.
     /// `0` measures pure decrypt-and-compare.
     pub work_factor: u32,
-    /// Cell-cipher suite — must match the data owner's
-    /// ([`prkb_crypto::CipherSuite::ChaCha20`] by default;
-    /// [`prkb_crypto::CipherSuite::Aes128Ctr`] for Cipherbase fidelity).
-    pub suite: CipherSuite,
 }
 
 /// A decoded (inside-TM-only) predicate.
@@ -170,10 +166,11 @@ impl TrustedMachine {
         let per_attr = ciphers.entry(table.to_string()).or_default();
         while per_attr.len() <= attr as usize {
             let a = per_attr.len() as AttrId;
-            per_attr.push(Arc::new(ValueCipher::with_suite(
-                self.master.derive(KeyPurpose::ValueEncryption, table, a),
-                self.cfg.suite,
-            )));
+            per_attr.push(Arc::new(ValueCipher::new(self.master.derive(
+                KeyPurpose::ValueEncryption,
+                table,
+                a,
+            ))));
         }
         Arc::clone(&per_attr[attr as usize])
     }
@@ -185,10 +182,9 @@ impl TrustedMachine {
                 return c.clone();
             }
         }
-        let c = ValueCipher::with_suite(
+        let c = ValueCipher::new(
             self.master
                 .derive(KeyPurpose::TrapdoorEncryption, table, attr),
-            self.cfg.suite,
         );
         self.trapdoor_ciphers
             .write()
@@ -264,8 +260,7 @@ impl TrustedMachine {
 /// enclave work + decrypt + compare). The batch path evaluates a chunk of
 /// up to [`BATCH_LANES`] cells per keystream pass (`QpfSession::eval_pass`,
 /// over [`ValueCipher::decrypt_slices`]); [`QpfSession::eval`] is the
-/// one-cell form. Sessions are `Sync` — one session can be shared by every
-/// worker thread of a batch.
+/// one-cell form.
 ///
 /// Evaluations through a session are not counted individually; the batch
 /// driver must call `QpfSession::settle` with the number of evaluations
@@ -387,10 +382,7 @@ mod tests {
         let owner = DataOwner::with_seed(3);
         let plain = PlainTable::single_column("t", "x", vec![5]);
         let enc = owner.encrypt_table(&plain, &mut rng);
-        let tm = owner.trusted_machine(TmConfig {
-            work_factor: 8,
-            ..TmConfig::default()
-        });
+        let tm = owner.trusted_machine(TmConfig { work_factor: 8 });
         let p = owner
             .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Gt, 1), &mut rng)
             .unwrap();

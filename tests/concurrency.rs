@@ -22,7 +22,8 @@ fn concurrent_scans_share_one_tm() {
 
     let n_threads = 4;
     let per_thread_queries = 5;
-    let preds: Vec<(Predicate, prkb::edbms::EncryptedPredicate)> = (0..n_threads * per_thread_queries)
+    let preds: Vec<(Predicate, prkb::edbms::EncryptedPredicate)> = (0..n_threads
+        * per_thread_queries)
         .map(|i| {
             let p = Predicate::cmp(0, ComparisonOp::Lt, (i as u64 + 1) * 4_000);
             let t = owner.trapdoor("t", &p, &mut rng).expect("valid");
@@ -49,18 +50,15 @@ fn concurrent_scans_share_one_tm() {
     });
 
     // Exact accounting: every scan touched every tuple exactly once.
-    assert_eq!(
-        tm.qpf_uses(),
-        (n * n_threads * per_thread_queries) as u64
-    );
+    assert_eq!(tm.qpf_uses(), (n * n_threads * per_thread_queries) as u64);
 }
 
 #[test]
 fn batched_parallel_scans_from_four_threads_count_exactly() {
-    // Four threads drive *multi-threaded* batched scans against one shared
-    // TM: each linear scan opens a session, fans out over 4 scoped workers,
-    // and settles the counter with a single fetch_add. Under this nested
-    // contention the results must stay exact and no settle may be lost.
+    // Four threads drive batched scans against one shared TM: each linear
+    // scan opens a session and settles the counter with a single fetch_add.
+    // Under this contention the results must stay exact and no settle may
+    // be lost.
     let mut rng = StdRng::seed_from_u64(5);
     let n = 4_000usize;
     let values: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100_000u64)).collect();
@@ -86,7 +84,7 @@ fn batched_parallel_scans_from_four_threads_count_exactly() {
             let tm = &tm;
             let values = &values;
             s.spawn(move || {
-                let oracle = SpOracle::new(table, tm).with_threads(4);
+                let oracle = SpOracle::new(table, tm);
                 let all: Vec<u32> = (0..values.len() as u32).collect();
                 let mut verdicts = Vec::new();
                 for (plain_p, trapdoor) in chunk {

@@ -1,5 +1,5 @@
 //! Product code reads no environment variable: what the service provider
-//! does is a function of the arguments it was handed — `with_threads`,
+//! does is a function of the arguments it was handed — `TmConfig`,
 //! `ShardMap::new`, `ServerConfig` — and nothing ambient, so a test or a
 //! bench row means the same thing on every box and under every CI job.
 //!

@@ -1,12 +1,13 @@
 //! The enriched per-query `QueryStats` breakdown (QPF uses, filter probes,
 //! NS width, oracle batches, pruning counts) must be an *observation*, never
-//! an artifact of how the query executed: identical across thread counts and
-//! identical when a fault aborted the query and it was re-issued.
+//! an artifact of how the query executed: identical whether the oracle
+//! batches or evaluates tuple by tuple, and identical when a fault aborted
+//! the query and it was re-issued.
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::edbms::{
-    ComparisonOp, DataOwner, EncryptedPredicate, EncryptedTable, PlainTable, Predicate, Schema,
-    SelectionOracle, SpOracle, TmConfig, TrustedMachine,
+    ComparisonOp, DataOwner, EncryptedPredicate, EncryptedTable, OracleError, PlainTable,
+    Predicate, PredicateKind, Schema, SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
 };
 use prkb_sim::{reissue, FaultConfig, FaultInjector};
 use proptest::prelude::*;
@@ -21,6 +22,34 @@ struct World {
     tm_a: TrustedMachine,
     tm_b: TrustedMachine,
     n: usize,
+}
+
+/// `SpOracle` with only `try_eval`: its batches take the trait's default
+/// per-tuple loop, the reference the batched path must equal.
+struct PerTuple<'a>(SpOracle<'a>);
+
+impl SelectionOracle for PerTuple<'_> {
+    type Pred = EncryptedPredicate;
+
+    fn try_eval(&self, pred: &EncryptedPredicate, t: TupleId) -> Result<bool, OracleError> {
+        self.0.try_eval(pred, t)
+    }
+
+    fn kind_of(&self, pred: &EncryptedPredicate) -> PredicateKind {
+        self.0.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.0.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.0.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.0.qpf_uses()
+    }
 }
 
 fn world(columns: Vec<Vec<u64>>, seed: u64) -> World {
@@ -83,37 +112,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full `QueryStats` equality (not just qpf_uses — every breakdown
-    /// field) between a sequential engine and a 4-thread engine fed the
-    /// identical stream, and `qpf_uses` always equals the oracle-counter
-    /// delta on both sides.
+    /// field) between an engine over the per-tuple loop and one over
+    /// `SpOracle`'s batches fed the identical stream, and `qpf_uses` always
+    /// equals the oracle-counter delta on both sides.
     #[test]
-    fn query_stats_identical_threads_1_vs_4(
+    fn query_stats_identical_batched_vs_per_tuple(
         col0 in proptest::collection::vec(0u64..700, 250),
         col1 in proptest::collection::vec(0u64..700, 250),
         seed in any::<u64>(),
     ) {
         let w = world(vec![col0, col1], seed);
-        let seq = SpOracle::new(&w.table, &w.tm_a).with_threads(1);
-        let par = SpOracle::new(&w.table, &w.tm_b).with_threads(4);
-        let (mut engine_seq, mut engine_par) = engine_pair(&w);
-        let mut rng_seq = StdRng::seed_from_u64(seed ^ 0x11);
-        let mut rng_par = StdRng::seed_from_u64(seed ^ 0x11);
+        let per_tuple = PerTuple(SpOracle::new(&w.table, &w.tm_a));
+        let batched = SpOracle::new(&w.table, &w.tm_b);
+        let (mut engine_tuple, mut engine_batch) = engine_pair(&w);
+        let mut rng_tuple = StdRng::seed_from_u64(seed ^ 0x11);
+        let mut rng_batch = StdRng::seed_from_u64(seed ^ 0x11);
 
         for (qi, p) in queries(700).iter().enumerate() {
             let ep = trapdoor(&w, p, seed.wrapping_add(qi as u64));
-            let before_seq = seq.qpf_uses();
-            let before_par = par.qpf_uses();
-            let a = engine_seq.select(&seq, &ep, &mut rng_seq);
-            let b = engine_par.select(&par, &ep, &mut rng_par);
+            let before_tuple = per_tuple.qpf_uses();
+            let before_batch = batched.qpf_uses();
+            let a = engine_tuple.select(&per_tuple, &ep, &mut rng_tuple);
+            let b = engine_batch.select(&batched, &ep, &mut rng_batch);
             prop_assert_eq!(a.sorted(), b.sorted(), "query {}", qi);
             prop_assert_eq!(a.stats, b.stats, "stats breakdown drifted at query {}", qi);
             prop_assert_eq!(
-                a.stats.qpf_uses, seq.qpf_uses() - before_seq,
-                "seq stats must equal the oracle-counter delta at query {}", qi
+                a.stats.qpf_uses, per_tuple.qpf_uses() - before_tuple,
+                "per-tuple stats must equal the oracle-counter delta at query {}", qi
             );
             prop_assert_eq!(
-                b.stats.qpf_uses, par.qpf_uses() - before_par,
-                "par stats must equal the oracle-counter delta at query {}", qi
+                b.stats.qpf_uses, batched.qpf_uses() - before_batch,
+                "batched stats must equal the oracle-counter delta at query {}", qi
             );
         }
 
@@ -128,8 +157,8 @@ proptest! {
                 trapdoor(&w, &Predicate::cmp(1, ComparisonOp::Lt, 600), seed ^ 24),
             ],
         ];
-        let a = engine_seq.select_range_md(&seq, &dims, &mut rng_seq);
-        let b = engine_par.select_range_md(&par, &dims, &mut rng_par);
+        let a = engine_tuple.select_range_md(&per_tuple, &dims, &mut rng_tuple);
+        let b = engine_batch.select_range_md(&batched, &dims, &mut rng_batch);
         prop_assert_eq!(a.sorted(), b.sorted());
         prop_assert_eq!(a.stats, b.stats, "MD stats drifted");
 
@@ -137,17 +166,16 @@ proptest! {
             trapdoor(&w, &Predicate::cmp(0, ComparisonOp::Ge, 50), seed ^ 31),
             trapdoor(&w, &Predicate::between(1, 100, 400), seed ^ 32),
         ];
-        let a = engine_seq.select_conjunction(&seq, &preds, &mut rng_seq);
-        let b = engine_par.select_conjunction(&par, &preds, &mut rng_par);
+        let a = engine_tuple.select_conjunction(&per_tuple, &preds, &mut rng_tuple);
+        let b = engine_batch.select_conjunction(&batched, &preds, &mut rng_batch);
         prop_assert_eq!(a.sorted(), b.sorted());
         prop_assert_eq!(a.stats, b.stats, "conjunction stats drifted");
     }
 
     /// A transient fault aborts its query, and the query re-issued with the
     /// same seed until it gets through produces byte-identical `QueryStats`
-    /// to the fault-free run — under 4 oracle threads, per the CI pin — with
-    /// `qpf_uses` equal to the oracle-counter delta of the attempt that got
-    /// through.
+    /// to the fault-free run, with `qpf_uses` equal to the oracle-counter
+    /// delta of the attempt that got through.
     #[test]
     fn query_stats_identical_fault_free_vs_transient_retry(
         col0 in proptest::collection::vec(0u64..700, 220),
@@ -155,11 +183,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let w = world(vec![col0, col1], seed);
-        let clean = SpOracle::new(&w.table, &w.tm_a).with_threads(4);
+        let clean = SpOracle::new(&w.table, &w.tm_a);
         // Transient-only schedule (a request lost before the TM spends no
         // QPF), at a rate a whole query gets through within a few attempts.
         let faulty = FaultInjector::new(
-            SpOracle::new(&w.table, &w.tm_b).with_threads(4),
+            SpOracle::new(&w.table, &w.tm_b),
             FaultConfig {
                 seed: seed ^ 0xFA017,
                 transient_per_mille: 5,
