@@ -49,7 +49,7 @@ use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::{DeadlineOracle, SessionOracle};
-use prkb_edbms::durability::{crc32, CrashInjector, Wal};
+use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
 use prkb_edbms::{
     real_fs, ComparisonOp, SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
@@ -208,8 +208,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
 
     let dir = TmpDir::new("layers");
     let path = dir.0.join("wal.0.log");
-    let mut wal =
-        Wal::create_on(real_fs().as_ref(), &path, CrashInjector::disabled()).expect("create");
+    let mut wal = Wal::create_on(real_fs().as_ref(), &path).expect("create");
     // Capped: the log only grows, and the row prices the append, not the
     // page cache's writeback.
     let append = ns_per_unit(WIDE, sample_bytes.min(8 << 20), || {

@@ -59,8 +59,8 @@ use crate::metrics::Metric;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::traits::SpPredicate;
-use prkb_edbms::codec::{publish, seal, sync_dir, unseal, PublishHooks, Reader};
-use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
+use prkb_edbms::codec::{publish, seal, sync_dir, unseal, Reader};
+use prkb_edbms::durability::{CrashInjector, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{real_fs, AttrId, StorageFs, TupleId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -72,7 +72,8 @@ use std::time::{Duration, Instant};
 /// Errors raised by a durable (or scheduled) operation.
 #[derive(Debug)]
 pub enum DurableError {
-    /// The storage layer failed (I/O, injected crash, WAL framing).
+    /// The storage layer failed (I/O — an injected fault or crash included —
+    /// a failed barrier, WAL framing).
     Storage(DurabilityError),
     /// The query itself failed (oracle, uninitialized attribute). The
     /// in-memory engine is abort-safe and nothing was logged.
@@ -484,7 +485,6 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     fs: &Arc<dyn StorageFs>,
     dir: &Path,
     config: EngineConfig,
-    crash: &CrashInjector,
 ) -> Result<(PrkbEngine<P>, Wal, BTreeSet<AttrId>, RecoveryReport), DurableError> {
     let started = Instant::now();
     fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
@@ -515,10 +515,10 @@ fn recover_dir<P: SpPredicate + WireCodec>(
 
     let wal_path = dir.join(wal_name(epoch));
     let (wal, payloads, tail) = if fs.exists(&wal_path) {
-        Wal::open_on(fs.as_ref(), &wal_path, crash.clone())?
+        Wal::open_on(fs.as_ref(), &wal_path)?
     } else {
         (
-            Wal::create_on(fs.as_ref(), &wal_path, crash.clone())?,
+            Wal::create_on(fs.as_ref(), &wal_path)?,
             Vec::new(),
             TailStatus::Clean,
         )
@@ -582,7 +582,6 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     engine: &PrkbEngine<P>,
     dirty: &BTreeSet<AttrId>,
     next_epoch: u64,
-    crash: &CrashInjector,
 ) -> Result<Vec<u64>, DurableError> {
     let store = read_segment_manifest(fs.as_ref(), dir)?
         .map(|m| SegmentStore::open(Arc::clone(fs), dir, m))
@@ -598,7 +597,7 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     let (mut segments, retired) = store.map_or_else(Default::default, |s| s.supersede(&fresh));
     let m = crate::metrics::global();
     if !blocks.is_empty() {
-        let flushed = write_segment(fs.as_ref(), dir, next_segment_id, &blocks, crash)?;
+        let flushed = write_segment(fs.as_ref(), dir, next_segment_id, &blocks)?;
         m.add(Metric::SegmentFlushBytes, flushed);
         segments.push(next_segment_id);
         next_segment_id += 1;
@@ -612,7 +611,6 @@ fn flush_segments<P: SpPredicate + WireCodec>(
             next_segment_id,
             segments,
         },
-        crash,
     )?;
     m.set(Metric::SegmentsLive, segments_live);
     Ok(retired)
@@ -708,7 +706,6 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 pub(crate) struct ShardCommitter<P> {
     state: Mutex<CommitterState>,
     cv: Condvar,
-    crash: CrashInjector,
     dir: PathBuf,
     fs: Arc<dyn StorageFs>,
     group_records: u64,
@@ -751,10 +748,9 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
-        crash: CrashInjector,
         fs: Arc<dyn StorageFs>,
     ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let (engine, wal, dirty, report) = recover_dir::<P>(&fs, dir, config, &crash)?;
+        let (engine, wal, dirty, report) = recover_dir::<P>(&fs, dir, config)?;
         let durable = wal.records();
         let committer = ShardCommitter {
             state: Mutex::new(CommitterState {
@@ -768,7 +764,6 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
                 sync_poison: None,
             }),
             cv: Condvar::new(),
-            crash,
             dir: dir.to_path_buf(),
             fs,
             group_records: config.group_commit_records.max(1),
@@ -914,8 +909,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
 
     /// Takes the WAL and the oldest pending payloads (capped at
     /// `group_commit_records`) out of the lock, flushes them with a single
-    /// fsync, and re-installs the WAL. Fires
-    /// [`CrashPoint::BeforeGroupFlush`] at the flush boundary.
+    /// fsync, and re-installs the WAL.
     fn lead_flush<'a>(
         &'a self,
         mut st: MutexGuard<'a, CommitterState>,
@@ -929,7 +923,6 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         drop(st);
 
         let result = (|| -> Result<(), DurableError> {
-            self.crash.fire(CrashPoint::BeforeGroupFlush)?;
             let metrics = crate::metrics::global();
             for payload in &batch {
                 let before = wal.bytes();
@@ -1027,14 +1020,8 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
         let rotated = (|| -> Result<(Wal, Vec<u64>), DurableError> {
-            let retired =
-                flush_segments(&self.fs, &self.dir, engine, &st.dirty, next, &self.crash)?;
-            let new_wal = Wal::create_on(
-                self.fs.as_ref(),
-                &self.dir.join(wal_name(next)),
-                self.crash.clone(),
-            )?;
-            self.crash.fire(CrashPoint::BeforeWalRetire)?;
+            let retired = flush_segments(&self.fs, &self.dir, engine, &st.dirty, next)?;
+            let new_wal = Wal::create_on(self.fs.as_ref(), &self.dir.join(wal_name(next)))?;
             Ok((new_wal, retired))
         })();
         let (new_wal, retired) = match rotated {
@@ -1056,21 +1043,19 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         // is harmless — but a failing unlink of it signals a sick volume;
         // poison rather than limp along. Superseded segments are plain
         // garbage: their removal is best effort.
-        let retire = (|| -> Result<(), DurableError> {
-            remove_stale(self.fs.as_ref(), &old)?;
-            self.crash.fire(CrashPoint::AfterWalRetire)?;
-            crate::metrics::global().add(Metric::Checkpoints, 1);
-            retire_segments(self.fs.as_ref(), &self.dir, &retired);
-            Ok(self.crash.fire(CrashPoint::AfterSegmentRetire)?)
-        })();
-        retire.map_err(|e| self.poison(&mut st, e))
+        if let Err(e) = remove_stale(self.fs.as_ref(), &old) {
+            return Err(self.poison(&mut st, e));
+        }
+        crate::metrics::global().add(Metric::Checkpoints, 1);
+        retire_segments(self.fs.as_ref(), &self.dir, &retired);
+        Ok(())
     }
 
     /// The error a poisoned shard returns for new work, or `None` if the
     /// shard is healthy. Sync-class poison (a failed fsync) is reported as
     /// [`DurabilityError::SyncFailed`] with the original reason so callers
     /// — and the wire protocol — can distinguish "your disk lied about
-    /// durability" from a crash-injection or codec poison.
+    /// durability" from an I/O or codec poison.
     pub(crate) fn poison_error(&self) -> Option<DurableError> {
         let st = self.lock();
         st.poisoned.then(|| poisoned_err(&st))
@@ -1140,9 +1125,8 @@ pub(crate) type ShardParts<P> = Vec<(PrkbEngine<P>, ShardCommitter<P>)>;
 
 impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// Opens (or creates) a sharded pool rooted at `dir` on the real
-    /// filesystem, with crash injection off. On creation the pool is
-    /// partitioned per `requested`; on reopen the manifest's persisted
-    /// shard count wins.
+    /// filesystem. On creation the pool is partitioned per `requested`; on
+    /// reopen the manifest's persisted shard count wins.
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptManifest`] /
@@ -1154,18 +1138,28 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         config: EngineConfig,
         requested: ShardMap,
     ) -> Result<Self, DurableError> {
-        Self::open_with_storage(dir, config, requested, CrashInjector::disabled(), real_fs())
+        Self::open_on(dir, config, requested, real_fs())
     }
 
-    /// [`open`](Self::open) with an explicit crash-injection schedule and
-    /// storage backend — the hooks the crash sweeps and the seeded I/O
-    /// fault sweeps (`prkb-sim`'s fault-injecting filesystem in place of the
-    /// real one) use.
+    /// [`open`](Self::open) on an explicit storage backend — the seam the
+    /// crash sweeps and the I/O fault sweeps drive (`prkb-sim`'s
+    /// fault-injecting filesystem in place of the real one). The 4th
+    /// argument is an ignored one-value stand-in kept for the benchmark
+    /// adapter's call; it goes with that call.
     pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
         requested: ShardMap,
-        crash: CrashInjector,
+        _: CrashInjector,
+        fs: Arc<dyn StorageFs>,
+    ) -> Result<Self, DurableError> {
+        Self::open_on(dir, config, requested, fs)
+    }
+
+    fn open_on(
+        dir: &Path,
+        config: EngineConfig,
+        requested: ShardMap,
         fs: Arc<dyn StorageFs>,
     ) -> Result<Self, DurableError> {
         fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
@@ -1183,8 +1177,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
                     MANIFEST_VERSION,
                     &(requested.shards() as u32).to_le_bytes(),
                 );
-                let no_hooks = PublishHooks::default();
-                publish(fs.as_ref(), dir, MANIFEST_FILE, &image, &crash, no_hooks)?;
+                publish(fs.as_ref(), dir, MANIFEST_FILE, &image)?;
                 requested
             }
         };
@@ -1194,7 +1187,6 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
             let (engine, committer, report) = ShardCommitter::open_with_storage(
                 &dir.join(format!("shard.{i}")),
                 config,
-                crash.clone(),
                 Arc::clone(&fs),
             )?;
             shards.push((engine, committer));
@@ -1258,9 +1250,8 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
 }
 
 /// Committer behaviour pinned against the committer itself, where the
-/// un-synced tail can be looked at: what a drain finds pending, what a
-/// crash at the flush boundary loses, how large the tail may grow, when it
-/// counts against the checkpoint thresholds.
+/// un-synced tail can be looked at: what a drain finds pending, how large
+/// the tail may grow, when it counts against the checkpoint thresholds.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1269,7 +1260,6 @@ mod tests {
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashSet;
 
     const ATTRS: u32 = 5;
     const N: usize = 160;
@@ -1310,15 +1300,8 @@ mod tests {
         }
     }
 
-    fn open(dir: &Path, shards: usize, crash: CrashInjector) -> ShardedDurablePool<Predicate> {
-        ShardedDurablePool::open_with_storage(
-            dir,
-            lazy_group(),
-            ShardMap::new(shards),
-            crash,
-            real_fs(),
-        )
-        .expect("pool opens")
+    fn open(dir: &Path, shards: usize) -> ShardedDurablePool<Predicate> {
+        ShardedDurablePool::open(dir, lazy_group(), ShardMap::new(shards)).expect("pool opens")
     }
 
     /// Every rule of the one classifier recovery and scrub share.
@@ -1368,33 +1351,19 @@ mod tests {
     }
 
     /// Runs two un-awaited commits (refinements: pending in the tail, as a
-    /// select's are after its reply), then drains. `crash_at_drain` arms the injector for the first *drain*
-    /// flush — the init flushes before it are counted off so the hook lands
-    /// exactly on the flush boundary the shutdown path crosses. Returns the
-    /// per-shard state after the (acknowledged) inits and whether the drain
-    /// failed.
-    fn drive_drain(dir: &Path, crash_at_drain: bool) -> (Vec<Vec<Vec<u8>>>, bool) {
-        // Nothing is ever awaited, so nothing flushes until `flush()` forces
-        // it: inits flush once per shard that owns attributes, and the first
-        // drain flush is the firing right after those.
-        let map = ShardMap::new(2);
-        let init_flushes = (0..ATTRS)
-            .map(|a| map.shard_of(a))
-            .collect::<HashSet<_>>()
-            .len() as u64;
-        let crash = if crash_at_drain {
-            CrashInjector::at_nth(CrashPoint::BeforeGroupFlush, init_flushes + 1)
-        } else {
-            CrashInjector::disabled()
-        };
+    /// select's are after its reply), then drains. Returns the per-shard
+    /// state after the (acknowledged) inits and whether the drain failed.
+    /// (A crash at the drain's first append is pinned in
+    /// `tests/shard_durability.rs`.)
+    fn drive_drain(dir: &Path) -> (Vec<Vec<Vec<u8>>>, bool) {
         let oracle = oracle();
-        let (map, mut parts) = open(dir, 2, crash).into_parts();
+        let (map, mut parts) = open(dir, 2).into_parts();
         for a in 0..ATTRS {
             let (engine, committer) = &mut parts[map.shard_of(a)];
             committer.enqueue_init(engine, a, N);
         }
         for (_, committer) in &parts {
-            committer.flush().expect("init flushes are not armed");
+            committer.flush().expect("init flushes");
         }
         let post_init = parts.iter().map(|(e, _)| kb_bytes(e)).collect();
         // Two refinements on different shards, enqueued but never awaited:
@@ -1419,9 +1388,9 @@ mod tests {
         (post_init, drain_failed)
     }
 
-    /// Reopens with injection disabled; every shard must validate.
+    /// Reopens on the real filesystem; every shard must validate.
     fn recover(dir: &Path) -> Vec<Vec<Vec<u8>>> {
-        let pool = open(dir, 2, CrashInjector::disabled());
+        let pool = open(dir, 2);
         (0..pool.map().shards())
             .map(|s| {
                 let engine = pool.shard_engine(s);
@@ -1439,8 +1408,8 @@ mod tests {
     #[test]
     fn clean_drain_persists_every_pending_record() {
         let dir = tmpdir("drain-clean");
-        let (post_init, failed) = drive_drain(&dir, false);
-        assert!(!failed, "unarmed drain must flush cleanly");
+        let (post_init, failed) = drive_drain(&dir);
+        assert!(!failed, "a healthy drain flushes cleanly");
         // Both pending selects must have survived the drain: the recovered
         // shards hold more than the post-init state (knowledge was refined).
         assert_ne!(
@@ -1451,29 +1420,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
-        let dir = tmpdir("drain-crash");
-        let (post_init, failed) = drive_drain(&dir, true);
-        assert!(failed, "armed drain flush must report the failure");
-        // The hook fires before a byte of the tail is appended, so the
-        // recovered prefix ends at the last acknowledged fact (the inits):
-        // no fact is missing, and the refinements are lost, not mangled.
-        assert_eq!(
-            recover(&dir),
-            post_init,
-            "crash at the drain boundary must recover the prefix up to the last fact"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Commit positions are `(shard_epoch, shard_seq)`: dense within an
     /// epoch, restarted by a rotation — whose epoch is the manifest's — and
     /// a ticket from before the rotation is durable by construction.
     #[test]
     fn tickets_are_dense_per_epoch_and_a_rotation_starts_the_next() {
         let dir = tmpdir("positions");
-        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (_, mut parts) = open(&dir, 1).into_parts();
         let (engine, committer) = &mut parts[0];
         let first = committer.enqueue_init(engine, 0, N);
         let second = committer.enqueue_init(engine, 1, N);
@@ -1563,7 +1516,7 @@ mod tests {
         // partition (a 160 KB record, then halves of it).
         const BIG: usize = 40_000;
         let dir = tmpdir("tail-bytes");
-        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (_, mut parts) = open(&dir, 1).into_parts();
         let (engine, committer) = &mut parts[0];
         let oracle = PlainOracle::single_column((0..BIG as u64).collect());
         let init = committer.enqueue_init(engine, 0, BIG);
@@ -1590,7 +1543,7 @@ mod tests {
     #[test]
     fn checkpoint_byte_threshold_counts_the_pending_tail() {
         let dir = tmpdir("ckpt-bytes");
-        let (_, mut parts) = open(&dir, 1, CrashInjector::disabled()).into_parts();
+        let (_, mut parts) = open(&dir, 1).into_parts();
         let (engine, committer) = &mut parts[0];
         let init = committer.enqueue_init(engine, 0, N);
         committer.wait_durable(init).expect("durable");

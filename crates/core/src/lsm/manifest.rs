@@ -25,8 +25,8 @@
 
 use std::path::Path;
 
-use prkb_edbms::codec::{publish, seal, unseal, PublishHooks};
-use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError};
+use prkb_edbms::codec::{publish, seal, unseal};
+use prkb_edbms::durability::DurabilityError;
 use prkb_edbms::StorageFs;
 
 use crate::durability::DurableError;
@@ -108,28 +108,17 @@ impl SegmentManifest {
 }
 
 /// Atomically publishes `manifest` into `dir` (temp + fsync + rename +
-/// directory fsync), firing [`BeforeManifestSwap`] and
-/// [`AfterManifestSwap`].
+/// directory fsync).
 ///
 /// A crash *before* the rename leaves the previous manifest intact (the
-/// temp file is swept on recovery); after the rename the new segment set
+/// temp file is swept on recovery); from the rename on the new segment set
 /// is the durable truth.
-///
-/// [`BeforeManifestSwap`]: CrashPoint::BeforeManifestSwap
-/// [`AfterManifestSwap`]: CrashPoint::AfterManifestSwap
 pub(crate) fn write_segment_manifest(
     fs: &dyn StorageFs,
     dir: &Path,
     manifest: &SegmentManifest,
-    crash: &CrashInjector,
 ) -> Result<(), DurabilityError> {
-    let hooks = PublishHooks {
-        after_sync: Some(CrashPoint::BeforeManifestSwap),
-        after_rename: Some(CrashPoint::AfterManifestSwap),
-        ..PublishHooks::default()
-    };
-    let image = manifest.encode();
-    publish(fs, dir, SEGMENT_MANIFEST_FILE, &image, crash, hooks)
+    publish(fs, dir, SEGMENT_MANIFEST_FILE, &manifest.encode())
 }
 
 /// Reads the manifest from `dir`, `None` if the directory has none (a
@@ -205,51 +194,8 @@ mod tests {
             next_segment_id: 4,
             segments: vec![1, 3],
         };
-        write_segment_manifest(fs.as_ref(), &dir, &m, &CrashInjector::disabled()).unwrap();
+        write_segment_manifest(fs.as_ref(), &dir, &m).unwrap();
         assert_eq!(read_segment_manifest(fs.as_ref(), &dir).unwrap(), Some(m));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crash_before_swap_keeps_old_manifest() {
-        let dir = tmpdir("crashswap");
-        let fs = real_fs();
-        let old = SegmentManifest {
-            epoch: 1,
-            next_segment_id: 1,
-            segments: vec![0],
-        };
-        write_segment_manifest(fs.as_ref(), &dir, &old, &CrashInjector::disabled()).unwrap();
-        let new = SegmentManifest {
-            epoch: 2,
-            next_segment_id: 2,
-            segments: vec![0, 1],
-        };
-        let err = write_segment_manifest(
-            fs.as_ref(),
-            &dir,
-            &new,
-            &CrashInjector::at(CrashPoint::BeforeManifestSwap),
-        );
-        assert!(matches!(
-            err,
-            Err(DurabilityError::Crash(CrashPoint::BeforeManifestSwap))
-        ));
-        // Old manifest intact, temp file left for the recovery sweep.
-        assert_eq!(read_segment_manifest(fs.as_ref(), &dir).unwrap(), Some(old));
-        assert!(dir.join(format!("{SEGMENT_MANIFEST_FILE}.tmp")).exists());
-        // Crash *after* the swap publishes the new set.
-        let err = write_segment_manifest(
-            fs.as_ref(),
-            &dir,
-            &new,
-            &CrashInjector::at(CrashPoint::AfterManifestSwap),
-        );
-        assert!(matches!(
-            err,
-            Err(DurabilityError::Crash(CrashPoint::AfterManifestSwap))
-        ));
-        assert_eq!(read_segment_manifest(fs.as_ref(), &dir).unwrap(), Some(new));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

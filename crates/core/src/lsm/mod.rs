@@ -25,9 +25,8 @@
 //! segment is ever rewritten. Recovery is manifest-load + newest block of
 //! every partition + short WAL replay + a sweep of files the manifest does
 //! not list. Every byte flows through the
-//! [`StorageFs`](prkb_edbms::StorageFs) seam, and every write/rename/fsync
-//! boundary fires a dedicated
-//! [`CrashPoint`](prkb_edbms::durability::CrashPoint) segment hook.
+//! [`StorageFs`](prkb_edbms::StorageFs) seam, so the crash sweeps cut a
+//! rotation at every write, rename and fsync it makes.
 
 pub mod manifest;
 pub(crate) mod reader;

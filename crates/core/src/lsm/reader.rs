@@ -118,7 +118,6 @@ mod tests {
     use super::*;
     use crate::lsm::manifest::{read_segment_manifest, write_segment_manifest};
     use crate::lsm::segment::write_segment;
-    use prkb_edbms::durability::CrashInjector;
     use prkb_edbms::real_fs;
     use std::path::PathBuf;
 
@@ -130,24 +129,22 @@ mod tests {
     }
 
     fn publish(fs: &dyn StorageFs, dir: &Path, manifest: &SegmentManifest) {
-        write_segment_manifest(fs, dir, manifest, &CrashInjector::disabled()).unwrap();
+        write_segment_manifest(fs, dir, manifest).unwrap();
     }
 
     #[test]
     fn newest_segment_wins() {
         let dir = tmpdir("newest");
         let fs = real_fs();
-        let crash = CrashInjector::disabled();
         // Segment 0: attrs 1 and 2. Segment 1: attr 2 updated.
         write_segment(
             fs.as_ref(),
             &dir,
             0,
             &[(1, b"one-v0".to_vec()), (2, b"two-v0".to_vec())],
-            &crash,
         )
         .unwrap();
-        write_segment(fs.as_ref(), &dir, 1, &[(2, b"two-v1".to_vec())], &crash).unwrap();
+        write_segment(fs.as_ref(), &dir, 1, &[(2, b"two-v1".to_vec())]).unwrap();
         publish(
             fs.as_ref(),
             &dir,

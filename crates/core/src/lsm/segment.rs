@@ -31,8 +31,8 @@
 
 use std::path::{Path, PathBuf};
 
-use prkb_edbms::codec::{publish, PublishHooks, Reader};
-use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError};
+use prkb_edbms::codec::{publish, Reader};
+use prkb_edbms::durability::{crc32, DurabilityError};
 use prkb_edbms::{AttrId, StorageFs};
 
 use crate::durability::DurableError;
@@ -159,30 +159,21 @@ pub(crate) fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Writes segment `id` into `dir` with the atomic temp+rename protocol,
-/// firing the four segment [`CrashPoint`] hooks. Returns the number of
-/// bytes written (the published file's length).
+/// Writes segment `id` into `dir` with the atomic temp+rename protocol.
+/// Returns the number of bytes written (the published file's length).
 ///
-/// Boundary semantics: a crash at
-/// [`MidSegmentWrite`](CrashPoint::MidSegmentWrite) leaves a torn *temp*
-/// file (half the image, synced so reopen sees it); a failed `sync_all` or
-/// directory fsync surfaces as [`DurabilityError::SyncFailed`] and leaves
-/// the previous manifest + segment set untouched.
+/// Boundary semantics: a crash mid-write leaves a torn *temp* file; a
+/// failed `sync_all` or directory fsync surfaces as
+/// [`DurabilityError::SyncFailed`] and leaves the previous manifest +
+/// segment set untouched.
 pub(crate) fn write_segment(
     fs: &dyn StorageFs,
     dir: &Path,
     id: u64,
     blocks: &[(AttrId, Vec<u8>)],
-    crash: &CrashInjector,
 ) -> Result<u64, DurabilityError> {
-    let hooks = PublishHooks {
-        before_write: Some(CrashPoint::BeforeSegmentWrite),
-        mid_write: Some(CrashPoint::MidSegmentWrite),
-        after_sync: Some(CrashPoint::AfterSegmentSync),
-        after_rename: Some(CrashPoint::AfterSegmentRename),
-    };
     let image = encode_segment(id, blocks);
-    publish(fs, dir, &segment_file_name(id), &image, crash, hooks)?;
+    publish(fs, dir, &segment_file_name(id), &image)?;
     Ok(image.len() as u64)
 }
 
@@ -453,8 +444,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let fs = real_fs();
         let blocks = sample_blocks();
-        let written =
-            write_segment(fs.as_ref(), &dir, 5, &blocks, &CrashInjector::disabled()).unwrap();
+        let written = write_segment(fs.as_ref(), &dir, 5, &blocks).unwrap();
         assert_eq!(
             written,
             std::fs::metadata(dir.join(segment_file_name(5)))
@@ -478,7 +468,7 @@ mod tests {
     fn empty_segment_roundtrips() {
         let dir = tmpdir("empty");
         let fs = real_fs();
-        write_segment(fs.as_ref(), &dir, 0, &[], &CrashInjector::disabled()).unwrap();
+        write_segment(fs.as_ref(), &dir, 0, &[]).unwrap();
         let meta = SegmentMeta::open(fs.as_ref(), &dir, 0).unwrap();
         assert!(meta.index.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -488,14 +478,7 @@ mod tests {
     fn torn_image_refuses_to_open() {
         let dir = tmpdir("torn");
         let fs = real_fs();
-        write_segment(
-            fs.as_ref(),
-            &dir,
-            1,
-            &sample_blocks(),
-            &CrashInjector::disabled(),
-        )
-        .unwrap();
+        write_segment(fs.as_ref(), &dir, 1, &sample_blocks()).unwrap();
         let path = dir.join(segment_file_name(1));
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -511,7 +494,7 @@ mod tests {
         let dir = tmpdir("bitrot");
         let fs = real_fs();
         let blocks = sample_blocks();
-        write_segment(fs.as_ref(), &dir, 2, &blocks, &CrashInjector::disabled()).unwrap();
+        write_segment(fs.as_ref(), &dir, 2, &blocks).unwrap();
         let path = dir.join(segment_file_name(2));
         let mut bytes = std::fs::read(&path).unwrap();
         let meta = SegmentMeta::open(fs.as_ref(), &dir, 2).unwrap();
@@ -536,7 +519,7 @@ mod tests {
     fn id_mismatch_is_corruption() {
         let dir = tmpdir("idmismatch");
         let fs = real_fs();
-        write_segment(fs.as_ref(), &dir, 3, &[], &CrashInjector::disabled()).unwrap();
+        write_segment(fs.as_ref(), &dir, 3, &[]).unwrap();
         std::fs::rename(
             dir.join(segment_file_name(3)),
             dir.join(segment_file_name(4)),
@@ -545,74 +528,6 @@ mod tests {
         assert!(matches!(
             SegmentMeta::open(fs.as_ref(), &dir, 4),
             Err(DurableError::CorruptSegment("id does not match file name"))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crash_hooks_fire_in_order() {
-        let dir = tmpdir("crashhooks");
-        let fs = real_fs();
-        for point in [
-            CrashPoint::BeforeSegmentWrite,
-            CrashPoint::MidSegmentWrite,
-            CrashPoint::AfterSegmentSync,
-            CrashPoint::AfterSegmentRename,
-        ] {
-            let err = write_segment(
-                fs.as_ref(),
-                &dir,
-                9,
-                &sample_blocks(),
-                &CrashInjector::at(point),
-            );
-            match err {
-                Err(DurabilityError::Crash(p)) => assert_eq!(p, point),
-                other => panic!("expected crash at {point:?}, got {other:?}"),
-            }
-            let published = dir.join(segment_file_name(9));
-            match point {
-                // Crash after the rename leaves a fully valid published file.
-                CrashPoint::AfterSegmentRename => {
-                    let meta = SegmentMeta::open(fs.as_ref(), &dir, 9).unwrap();
-                    assert_eq!(meta.index.len(), 3);
-                    std::fs::remove_file(&published).unwrap();
-                }
-                // Earlier crashes leave at most a temp file (possibly torn).
-                _ => {
-                    assert!(!published.exists(), "no publish before rename ({point:?})");
-                    let _ = std::fs::remove_file(dir.join(format!("{}.tmp", segment_file_name(9))));
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_temp_from_mid_write_is_invalid() {
-        let dir = tmpdir("torntemp");
-        let fs = real_fs();
-        let err = write_segment(
-            fs.as_ref(),
-            &dir,
-            6,
-            &sample_blocks(),
-            &CrashInjector::at(CrashPoint::MidSegmentWrite),
-        );
-        assert!(matches!(
-            err,
-            Err(DurabilityError::Crash(CrashPoint::MidSegmentWrite))
-        ));
-        let tmp = dir.join(format!("{}.tmp", segment_file_name(6)));
-        assert!(
-            std::fs::metadata(&tmp).unwrap().len() > 0,
-            "torn prefix reached the disk"
-        );
-        // Renamed into place by hand, the torn image still refuses to open.
-        std::fs::rename(&tmp, dir.join(segment_file_name(6))).unwrap();
-        assert!(matches!(
-            SegmentMeta::open(fs.as_ref(), &dir, 6),
-            Err(DurableError::CorruptSegment(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }

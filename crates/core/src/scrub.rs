@@ -630,9 +630,7 @@ mod tests {
     fn seed_segment_store(dir: &Path) {
         use crate::lsm::manifest::write_segment_manifest;
         use crate::lsm::segment::write_segment;
-        use prkb_edbms::durability::CrashInjector;
         let fs = real_fs();
-        let crash = CrashInjector::disabled();
         write_segment(
             fs.as_ref(),
             dir,
@@ -641,7 +639,6 @@ mod tests {
                 (1, b"partition-one".to_vec()),
                 (2, b"partition-two".to_vec()),
             ],
-            &crash,
         )
         .unwrap();
         write_segment_manifest(
@@ -652,7 +649,6 @@ mod tests {
                 next_segment_id: 1,
                 segments: vec![0],
             },
-            &crash,
         )
         .unwrap();
     }
@@ -691,11 +687,10 @@ mod tests {
     #[test]
     fn live_segment_under_a_foreign_id_is_torn() {
         use crate::lsm::segment::write_segment;
-        use prkb_edbms::durability::CrashInjector;
         let dir = tmp("seg-id");
         seed_segment_store(&dir);
         let fs = real_fs();
-        write_segment(fs.as_ref(), &dir, 1, &[], &CrashInjector::disabled()).unwrap();
+        write_segment(fs.as_ref(), &dir, 1, &[]).unwrap();
         std::fs::rename(
             dir.join(segment_file_name(1)),
             dir.join(segment_file_name(0)),
@@ -753,19 +748,11 @@ mod tests {
     #[test]
     fn unreferenced_segment_is_stray_not_corruption() {
         use crate::lsm::segment::write_segment;
-        use prkb_edbms::durability::CrashInjector;
         let dir = tmp("seg-stray");
         seed_segment_store(&dir);
         // A crash between segment publish and manifest swap leaves a valid
         // segment with the next id that nothing references.
-        write_segment(
-            real_fs().as_ref(),
-            &dir,
-            1,
-            &[(7, b"orphan".to_vec())],
-            &CrashInjector::disabled(),
-        )
-        .unwrap();
+        write_segment(real_fs().as_ref(), &dir, 1, &[(7, b"orphan".to_vec())]).unwrap();
         let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, true);
         let f = report
             .findings

@@ -1,7 +1,8 @@
 //! What the durability suites share: scratch directories, byte images of
-//! an engine, seeded datasets, rotation configs, and the one way a test
+//! an engine, seeded datasets, rotation configs, the one way a test
 //! opens a durable engine — a pool behind its [`SessionScheduler`], the
-//! driver production runs. `prkb-server`'s suites include this file too.
+//! driver production runs — and the op logs the crash sweeps cut.
+//! `prkb-server`'s suites include this file too.
 
 // Every test binary compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
@@ -14,6 +15,7 @@ use prkb_core::{
 use prkb_edbms::durability::CrashInjector;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
+use prkb_sim::{FaultFs, IoOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -121,8 +123,9 @@ pub fn oracle(cols: usize, n: usize, seed: u64) -> PlainOracle {
     PlainOracle::from_columns(columns(cols, n, 0, seed))
 }
 
-/// Rotates every `records` WAL records — every rotation crosses all seven
-/// segment hooks, the retire hook included. `0`: explicit checkpoints only.
+/// Rotates every `records` WAL records — every rotation writes a segment,
+/// swaps the manifest and retires the old WAL. `0`: explicit checkpoints
+/// only.
 pub fn rotate_every(records: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
@@ -138,15 +141,14 @@ pub fn open_pool(
     dir: &Path,
     config: EngineConfig,
     shards: usize,
-    crash: CrashInjector,
     fs: Arc<dyn StorageFs>,
 ) -> Result<Pool, DurableError> {
-    ShardedDurablePool::open_with_storage(dir, config, ShardMap::new(shards), crash, fs)
+    ShardedDurablePool::open_with_storage(dir, config, ShardMap::new(shards), CrashInjector, fs)
 }
 
-/// [`open_pool`] the way recovery does: the real filesystem, no injection.
+/// [`open_pool`] the way recovery does: the real filesystem, no faults.
 pub fn reopen_pool(dir: &Path, config: EngineConfig, shards: usize) -> Result<Pool, DurableError> {
-    open_pool(dir, config, shards, CrashInjector::disabled(), real_fs())
+    open_pool(dir, config, shards, real_fs())
 }
 
 /// A single-owner durable engine: the scheduler over a one-shard pool
@@ -154,10 +156,9 @@ pub fn reopen_pool(dir: &Path, config: EngineConfig, shards: usize) -> Result<Po
 pub fn open_single(
     dir: &Path,
     config: EngineConfig,
-    crash: CrashInjector,
     fs: Arc<dyn StorageFs>,
 ) -> Result<Sched, DurableError> {
-    open_pool(dir, config, 1, crash, fs).map(SessionScheduler::durable)
+    open_pool(dir, config, 1, fs).map(SessionScheduler::durable)
 }
 
 /// [`open_single`] on a fresh directory, with attributes `0..attrs` of `n`
@@ -166,12 +167,11 @@ pub fn open_single(
 pub fn create_single(
     dir: &Path,
     config: EngineConfig,
-    crash: CrashInjector,
     fs: Arc<dyn StorageFs>,
     attrs: u32,
     n: usize,
 ) -> Result<Sched, DurableError> {
-    let mut pool = open_pool(dir, config, 1, crash, fs)?;
+    let mut pool = open_pool(dir, config, 1, fs)?;
     for attr in 0..attrs {
         pool.init_attr(attr, n)?;
     }
@@ -292,4 +292,89 @@ pub fn assert_recovered(run: &Run, recovered: &[Vec<Vec<u8>>], tag: &str) {
             );
         }
     }
+}
+
+/// The run of a pool whose open itself crashed: nothing was acknowledged,
+/// so the least recovery may find is the empty pool.
+pub fn crashed_open(shards: usize) -> Run {
+    let empty = vec![Vec::new(); shards];
+    Run {
+        history: vec![empty.clone()],
+        fact: 0,
+        live: empty,
+        failed: true,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Op logs: the index space of the crash sweeps
+// ---------------------------------------------------------------------------
+
+/// One storage op of a run: its class, and its path relative to the run's
+/// directory (empty for the directory itself).
+pub type Op = (IoOp, PathBuf);
+
+/// Runs `script` twice, each time on a fresh directory over a logging
+/// [`FaultFs`], and returns the op sequence it made. Asserts both runs made
+/// the same one: a cut at op `n` names the same op in every run of the
+/// script, or an index sweep means nothing.
+pub fn clean_ops(tag: &str, script: impl Fn(&Path, &FaultFs)) -> Vec<Op> {
+    let run = || {
+        let dir = TmpDir::new(tag);
+        let fs = FaultFs::scripted(real_fs(), Vec::new());
+        script(&dir.0, &fs);
+        fs.log()
+            .into_iter()
+            .map(|(op, path)| {
+                let rel = path.strip_prefix(&dir.0).map(Path::to_path_buf);
+                (op, rel.unwrap_or(path))
+            })
+            .collect::<Vec<Op>>()
+    };
+    let first = run();
+    assert_eq!(
+        first,
+        run(),
+        "{tag}: two clean runs made different op sequences"
+    );
+    first
+}
+
+/// What a failing case prints: `cut 57: Rename shard.0/segment.3.seg.tmp`.
+pub fn cut_name(ops: &[Op], cut: usize) -> String {
+    let (op, path) = &ops[cut];
+    format!("cut {cut}: {op:?} {}", path.display())
+}
+
+/// The kind of file an op touches, by its name: `wal`, `segment`,
+/// `manifest` (the pool's or a shard's segment manifest), `tmp` (a publish
+/// in flight), or `dir` (a directory: create or fsync).
+pub fn file_kind(path: &Path) -> &'static str {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    if name.ends_with(".tmp") {
+        "tmp"
+    } else if name.starts_with("wal.") {
+        "wal"
+    } else if name.starts_with("segment.") {
+        "segment"
+    } else if name.contains("manifest") {
+        "manifest"
+    } else {
+        "dir"
+    }
+}
+
+/// Whether op `cut` is a write into a WAL — a cut there tears the frame.
+pub fn is_wal_write(ops: &[Op], cut: usize) -> bool {
+    ops[cut].0 == IoOp::Write && file_kind(&ops[cut].1) == "wal"
+}
+
+/// The cuts of a sweep too long to cut at every index: ops grouped by
+/// (class, file kind), and in each group the `nths` (1-based) occurrences
+/// that exist, as ascending op indices.
+pub fn grouped_cuts(ops: &[Op], nths: &[usize]) -> Vec<usize> {
+    let key = |i: usize| (ops[i].0, file_kind(&ops[i].1));
+    (0..ops.len())
+        .filter(|&i| nths.contains(&(0..=i).filter(|&j| key(j) == key(i)).count()))
+        .collect()
 }

@@ -3,7 +3,9 @@
 //!
 //! Pinned guarantees:
 //!
-//! 1. **Replay equivalence** — for every injected crash point, reopening the
+//! 1. **Replay equivalence** — for a crash at every storage op of the run
+//!    (a cut in the filesystem's op stream: the op tears or fails, and so
+//!    does every op after it), reopening the
 //!    directory recovers an engine that passes `validate()` and is
 //!    byte-identical to a reference engine rebuilt from a prefix of the
 //!    commit order, and that prefix contains every acknowledged insert,
@@ -14,30 +16,34 @@
 //!    *final* WAL record is silently discarded and the engine opens; a bad
 //!    record with valid data after it refuses to open, as does a damaged
 //!    checkpoint segment.
-//! 3. **Atomic checkpoint rotation** — a crash at any boundary of the
-//!    rotation (segment temp write, fsync, rename, manifest swap, WAL
-//!    retirement, retirement of the superseded segments) still recovers
-//!    exactly the live committed state, and after the reopen the directory
-//!    holds exactly the segments the manifest lists.
+//! 3. **Atomic checkpoint rotation** — a crash at any op of the rotation
+//!    (segment temp write, fsync, rename, manifest swap, fresh WAL, WAL
+//!    retirement) still recovers exactly the live committed state, and
+//!    after the reopen the directory holds exactly the segments the
+//!    manifest lists.
+//! 4. **Crash during recovery** — a reopen of a crashed directory cut at
+//!    any of its own ops leaves a directory the next open recovers, on the
+//!    same history and at or past the last acknowledged fact.
 
 mod common;
 
 use common::{
-    kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every, Ack, Sched, TmpDir,
+    clean_ops, cut_name, grouped_cuts, is_wal_write, kb_bytes, open_pool, open_single, pool_bytes,
+    reopen_pool, rotate_every, Ack, Op, Sched, TmpDir,
 };
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
 use prkb_core::{DurableError, EngineConfig, MdUpdatePolicy, PrkbEngine, SessionScheduler};
-use prkb_edbms::durability::{
-    CrashInjector, CrashPoint, DurabilityError, TailStatus, WAL_HEADER_LEN,
-};
+use prkb_edbms::durability::{DurabilityError, TailStatus, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{real_fs, ComparisonOp, Predicate};
+use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
+use prkb_sim::{FaultFs, IoOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -50,12 +56,12 @@ fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
 
 /// A fresh one-shard pool with both attributes initialized, behind the
 /// scheduler.
-fn create(dir: &TmpDir, config: EngineConfig, crash: CrashInjector, n: usize) -> Sched {
-    common::create_single(&dir.0, config, crash, real_fs(), 2, n).expect("open + init")
+fn create(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, n: usize) -> Sched {
+    common::create_single(dir, config, fs, 2, n).expect("open + init")
 }
 
 fn reopen(dir: &TmpDir, config: EngineConfig) -> Sched {
-    open_single(&dir.0, config, CrashInjector::disabled(), real_fs()).expect("reopen")
+    open_single(&dir.0, config, real_fs()).expect("reopen")
 }
 
 /// Mixed workload over everything that can mutate knowledge: comparisons,
@@ -219,7 +225,8 @@ struct CrashRun {
     fact: usize,
     /// In-memory state when the run stopped (always valid).
     live: Vec<Vec<u8>>,
-    /// Whether the injected crash actually fired.
+    /// Whether the run ended in a failure (the crash) rather than a clean
+    /// shutdown.
     crashed: bool,
 }
 
@@ -250,11 +257,11 @@ impl CrashRun {
     }
 }
 
-/// Drives the workload against a crash-armed one-shard pool — inits on
-/// the pool, everything after through its scheduler, a closing
+/// Drives the workload against a one-shard pool on `fs` — inits on the
+/// pool, everything after through its scheduler, a closing
 /// `flush_durable` if nothing failed — and a plain reference engine in
-/// lockstep, stopping at the first storage error.
-fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) -> CrashRun {
+/// lockstep, stopping at the first storage error (a failed open included).
+fn drive(dir: &Path, seed: u64, config: EngineConfig, fs: Arc<dyn StorageFs>) -> CrashRun {
     let (n, extra) = (180usize, 3usize);
     let oracle = PlainOracle::from_columns(columns(n, extra, seed));
     let mut reference = PrkbEngine::new(config);
@@ -263,16 +270,18 @@ fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) ->
         reference.init_attr(attr, n);
         history.push(kb_bytes(&reference));
     }
-    let pool = open_pool(&dir.0, config, 1, crash, real_fs()).expect("fresh dir opens");
-    let mut run = common::drive(pool, 2, n, |durable, ack| {
-        for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
-            apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
-            history.push(kb_bytes(&reference));
-            apply_durable(durable, &oracle, step, &mut step_rng(seed, i))?;
-            ack(step.ack());
-        }
-        Ok(())
-    });
+    let mut run = match open_pool(dir, config, 1, fs) {
+        Ok(pool) => common::drive(pool, 2, n, |durable, ack| {
+            for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
+                apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
+                history.push(kb_bytes(&reference));
+                apply_durable(durable, &oracle, step, &mut step_rng(seed, i))?;
+                ack(step.ack());
+            }
+            Ok(())
+        }),
+        Err(_) => common::crashed_open(1),
+    };
     CrashRun {
         history,
         fact: run.fact,
@@ -281,11 +290,32 @@ fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) ->
     }
 }
 
-/// Reopens with injection disabled and returns the recovered byte state
+/// The op sequence of a clean [`drive`]: the index space its sweeps cut.
+fn drive_ops(seed: u64, config: EngineConfig) -> Vec<Op> {
+    clean_ops("drive-ops", |dir, fs| {
+        assert!(
+            !drive(dir, seed, config, fs.handle()).crashed,
+            "the clean run fails"
+        );
+    })
+}
+
+/// [`drive`] on a filesystem that crashes at op `cut`.
+fn drive_cut(dir: &TmpDir, seed: u64, config: EngineConfig, cut: usize) -> CrashRun {
+    drive(
+        &dir.0,
+        seed,
+        config,
+        FaultFs::crash_at(real_fs(), cut).handle(),
+    )
+}
+
+/// Reopens on the real filesystem and returns the recovered byte state
 /// (every knowledge base checked against its invariants), the number of
-/// records replayed and the tail verdict.
-fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus) {
-    let pool = reopen_pool(&dir.0, config, 1).expect("recovery must open after a crash");
+/// records replayed and the tail verdict. `tag` names the crash.
+fn recover(dir: &TmpDir, config: EngineConfig, tag: &str) -> (Vec<Vec<u8>>, u64, TailStatus) {
+    let pool = try_open(dir, config)
+        .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
     let report = pool.reports()[0];
     (
         pool_bytes(&pool).remove(0),
@@ -294,68 +324,79 @@ fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus
     )
 }
 
+/// A cut at a WAL write tears that frame (or the header of a fresh log):
+/// the reopen must report the discarded tail.
+fn assert_torn_if_wal_write(ops: &[Op], cut: usize, tail: TailStatus) {
+    if is_wal_write(ops, cut) {
+        assert_eq!(
+            tail,
+            TailStatus::TornDiscarded,
+            "{}: a torn WAL write must leave a discarded tail",
+            cut_name(ops, cut)
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 1. Replay equivalence across crash points
 // ---------------------------------------------------------------------------
 
-/// Exhaustive WAL-path sweep with rotation disabled: whichever append or
-/// sync the crash lands in — a fact's own flush, a full tail's, the closing
-/// drain's — the recovered state is byte-identical to the reference history
-/// at some index at or past the last acknowledged fact, and replay never
-/// invents a record.
+/// WAL-path sweep with rotation disabled, at the 1st, 2nd, 7th and 13th
+/// WAL write (the first is the header's) and the 1st, 2nd, 4th and 6th WAL
+/// fsync — each cut at the op itself and at the op after it: whichever
+/// append or sync the crash lands in (a fact's own flush, a full tail's,
+/// the closing drain's), the recovered state is byte-identical to the
+/// reference history at some index at or past the last acknowledged fact,
+/// and replay never invents a record.
 #[test]
 fn wal_crash_sweep_recovers_exact_committed_prefix() {
-    // Appends fire once per record; syncs once per flush, and only the two
-    // inits, the four facts and the closing drain flush.
-    let per_record = [1u64, 2, 7, 13];
-    for (point, nths) in [
-        (CrashPoint::BeforeWalAppend, per_record),
-        (CrashPoint::MidWalAppend, per_record),
-        (CrashPoint::AfterWalAppend, per_record),
-        (CrashPoint::AfterWalSync, [1, 2, 4, 6]),
-    ] {
-        for nth in nths {
-            let dir = TmpDir::new("walsweep");
-            let run = drive(&dir, 42, no_rotation(), CrashInjector::at_nth(point, nth));
-            assert!(run.crashed, "{point}:{nth} never fired");
-            let (recovered, replayed, tail) = recover(&dir, no_rotation());
-            let j = run.assert_recovered(&recovered, &format!("{point}:{nth}"));
-            // An operation journals at most one record (none when it
-            // refined nothing), so the prefix is at least as long as the
-            // log that produced it.
-            assert!(
-                replayed as usize <= j,
-                "{point}:{nth}: {replayed} records replayed for a {j}-operation prefix"
-            );
-            if point == CrashPoint::MidWalAppend {
-                assert_eq!(
-                    tail,
-                    TailStatus::TornDiscarded,
-                    "{point}:{nth}: torn write must leave a discarded tail"
-                );
-            }
-        }
+    let ops = drive_ops(42, no_rotation());
+    let wal_op = |c: &usize, op| ops[*c].0 == op && common::file_kind(&ops[*c].1) == "wal";
+    let writes = grouped_cuts(&ops, &[1, 2, 7, 13]);
+    let syncs = grouped_cuts(&ops, &[1, 2, 4, 6]);
+    let at: Vec<usize> = writes
+        .iter()
+        .filter(|c| wal_op(c, IoOp::Write))
+        .chain(syncs.iter().filter(|c| wal_op(c, IoOp::SyncData)))
+        .copied()
+        .collect();
+    assert_eq!(at.len(), 8, "the clean run has 13 WAL writes and 6 fsyncs");
+    for cut in at.iter().flat_map(|&c| [c, c + 1]) {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("walsweep");
+        let run = drive_cut(&dir, 42, no_rotation(), cut);
+        assert!(run.crashed, "{tag}: never fired");
+        let (recovered, replayed, tail) = recover(&dir, no_rotation(), &tag);
+        let j = run.assert_recovered(&recovered, &tag);
+        // An operation journals at most one record (none when it
+        // refined nothing), so the prefix is at least as long as the
+        // log that produced it.
+        assert!(
+            replayed as usize <= j,
+            "{tag}: {replayed} records replayed for a {j}-operation prefix"
+        );
+        assert_torn_if_wal_write(&ops, cut, tail);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized sweep over *every* crash point with checkpoint rotation
-    /// live: whatever fires wherever, the recovered engine validates and is
-    /// byte-identical to a commit-order prefix holding every acknowledged
-    /// fact (the in-flight operation at most on top).
+    /// Randomized cuts with checkpoint rotation live: wherever the crash
+    /// lands (past the run's last op, nowhere), the recovered engine
+    /// validates and is byte-identical to a commit-order prefix holding
+    /// every acknowledged fact (the in-flight operation at most on top).
+    #[test]
     fn randomized_crash_recovery_equivalence(
         seed in 0u64..1_000_000,
-        point_idx in 0usize..CrashPoint::ALL.len(),
-        nth in 1u64..10,
+        cut in 0usize..128,
     ) {
-        let point = CrashPoint::ALL[point_idx];
         let dir = TmpDir::new("prop");
         let config = rotate_every(5);
-        let run = drive(&dir, seed, config, CrashInjector::at_nth(point, nth));
-        let (recovered, _, _) = recover(&dir, config);
-        run.assert_recovered(&recovered, &format!("{point}:{nth}"));
+        let run = drive_cut(&dir, seed, config, cut);
+        let tag = format!("cut {cut}");
+        let (recovered, _, _) = recover(&dir, config, &tag);
+        run.assert_recovered(&recovered, &tag);
     }
 }
 
@@ -390,7 +431,7 @@ proptest! {
         let mut history = vec![kb_bytes(&reference)];
         let mut present: BTreeSet<u32> = (0..n as u32).collect();
         let mut fact = 0usize;
-        let durable = create(&dir, config, CrashInjector::disabled(), n);
+        let durable = create(&dir.0, config, real_fs(), n);
         for (i, step) in steps[..stop].iter().enumerate() {
             apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
             history.push(kb_bytes(&reference));
@@ -443,19 +484,26 @@ proptest! {
     }
 }
 
-/// Every hook, early and late (`CrashPoint::ALL × {1, 5}`), on a pool that
-/// rotates every six records: the workload crash-recovers, or runs clean
-/// where the hook's fifth occurrence never comes.
+/// A crash at every storage op of the mixed workload on a pool that rotates
+/// every six records — WAL appends and fsyncs, segment and manifest
+/// publishes, fresh WALs, retirements, the pool's creation: the workload
+/// crash-recovers every time.
 #[test]
 fn every_crash_hook_recovers_under_rotation() {
-    for point in CrashPoint::ALL {
-        for nth in [1u64, 5] {
-            let dir = TmpDir::new("hooks");
-            let config = rotate_every(6);
-            let run = drive(&dir, 7, config, CrashInjector::at_nth(point, nth));
-            let (recovered, _, _) = recover(&dir, config);
-            run.assert_recovered(&recovered, &format!("{point}:{nth}"));
-        }
+    let config = rotate_every(6);
+    let ops = drive_ops(7, config);
+    assert!(
+        ops.len() > 60,
+        "{} ops: the run no longer rotates",
+        ops.len()
+    );
+    for cut in 0..ops.len() {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("every-cut");
+        let run = drive_cut(&dir, 7, config, cut);
+        let (recovered, _, tail) = recover(&dir, config, &tag);
+        run.assert_recovered(&recovered, &tag);
+        assert_torn_if_wal_write(&ops, cut, tail);
     }
 }
 
@@ -467,7 +515,7 @@ fn wal_path(dir: &TmpDir, epoch: u64) -> PathBuf {
     dir.shard(0).join(format!("wal.{epoch}.log"))
 }
 
-/// Opens the directory as recovery would, injection disabled.
+/// Opens the directory as recovery would, on the real filesystem.
 fn try_open(dir: &TmpDir, config: EngineConfig) -> Result<common::Pool, DurableError> {
     reopen_pool(&dir.0, config, 1)
 }
@@ -475,7 +523,7 @@ fn try_open(dir: &TmpDir, config: EngineConfig) -> Result<common::Pool, DurableE
 /// Runs a short clean workload with rotation disabled and returns the WAL
 /// byte image (epoch 0).
 fn clean_run(dir: &TmpDir, seed: u64) -> Vec<u8> {
-    let run = drive(dir, seed, no_rotation(), CrashInjector::disabled());
+    let run = drive(&dir.0, seed, no_rotation(), real_fs());
     assert!(!run.crashed);
     std::fs::read(wal_path(dir, 0)).expect("wal exists")
 }
@@ -524,7 +572,7 @@ fn tail_bit_flip_is_discarded_but_mid_log_flip_refuses_to_open() {
 fn corrupt_checkpoint_refuses_to_open() {
     let dir = TmpDir::new("ckptflip");
     let config = rotate_every(3);
-    let run = drive(&dir, 17, config, CrashInjector::disabled());
+    let run = drive(&dir.0, 17, config, real_fs());
     assert!(!run.crashed);
     let manifest = read_segment_manifest(real_fs().as_ref(), &dir.shard(0))
         .expect("manifest reads")
@@ -551,7 +599,7 @@ fn corrupt_checkpoint_refuses_to_open() {
 fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
     let dir = TmpDir::new("rotate");
     let config = rotate_every(4);
-    let run = drive(&dir, 19, config, CrashInjector::disabled());
+    let run = drive(&dir.0, 19, config, real_fs());
     assert!(!run.crashed);
     let pool = try_open(&dir, config).expect("reopen");
     let report = pool.reports()[0];
@@ -577,51 +625,72 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
     );
 }
 
-/// An injected crash at every rotation boundary still recovers the exact
-/// live state: a rotation drains the shard's whole un-synced tail before
-/// any segment byte moves, so the full committed history is durable at
-/// every hook — before the manifest swap the old segment set +
-/// WAL replay reproduce it, after the swap the new segment subsumes the
-/// old WAL.
+/// Op indices of the ops inside a checkpoint rotation: from its first
+/// segment or segment-manifest op to the unlink of the WAL it retires. The
+/// unlinks of superseded segments after that are best effort — a failure
+/// there does not stop the run — so they are not rotation boundaries.
+fn rotation_ops(ops: &[Op]) -> Vec<usize> {
+    let mut inside = false;
+    let mut at = Vec::new();
+    for (i, (op, path)) in ops.iter().enumerate() {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        inside |= *op != IoOp::Remove && name.starts_with("segment");
+        if inside {
+            at.push(i);
+        }
+        if *op == IoOp::Remove && name.starts_with("wal.") {
+            inside = false;
+        }
+    }
+    at
+}
+
+/// A crash at every kind of rotation op — the 1st, 2nd and 5th time the
+/// rotations of the run make it — still recovers the exact live state: a
+/// rotation drains the shard's whole un-synced tail before any segment
+/// byte moves, so the full committed history is durable at every such cut.
+/// Before the manifest rename the old segment set + WAL replay reproduce
+/// it; from the rename on the new segment subsumes the old WAL.
 #[test]
 fn checkpoint_crash_sweep_recovers_live_state() {
-    let rotation_hooks = CrashPoint::SEGMENT_HOOKS
+    let config = rotate_every(4);
+    let ops = drive_ops(23, config);
+    let rotation = rotation_ops(&ops);
+    let sub: Vec<Op> = rotation.iter().map(|&i| ops[i].clone()).collect();
+    let cuts: Vec<usize> = grouped_cuts(&sub, &[1, 2, 5])
         .into_iter()
-        .chain([CrashPoint::BeforeWalRetire, CrashPoint::AfterWalRetire]);
-    for point in rotation_hooks {
-        for nth in [1u64, 2, 5] {
-            let dir = TmpDir::new("ckptsweep");
-            let config = rotate_every(4);
-            let run = drive(&dir, 23, config, CrashInjector::at_nth(point, nth));
-            if nth == 1 {
-                assert!(run.crashed, "{point}:1 never fired");
-            }
-            let pool = try_open(&dir, config).expect("recovery must open after a crash");
-            let report = pool.reports()[0];
-            assert_eq!(
-                kb_bytes(pool.shard_engine(0)),
-                run.live,
-                "{point}:{nth}: rotation crash lost committed state"
-            );
-            if run.crashed {
-                assert!(
-                    report.epoch > 0 || report.segments_live == 0,
-                    "{point}:{nth}: a crash after any flush must leave a manifest epoch"
+        .map(|k| rotation[k])
+        .collect();
+    assert!(cuts.len() >= 24, "{} rotation cuts", cuts.len());
+    for cut in cuts {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("ckptsweep");
+        let run = drive_cut(&dir, 23, config, cut);
+        assert!(run.crashed, "{tag}: a rotation crash must fail the run");
+        let pool = try_open(&dir, config)
+            .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
+        let report = pool.reports()[0];
+        assert_eq!(
+            kb_bytes(pool.shard_engine(0)),
+            run.live,
+            "{tag}: rotation crash lost committed state"
+        );
+        assert!(
+            report.epoch > 0 || report.segments_live == 0,
+            "{tag}: a crash after any flush must leave a manifest epoch"
+        );
+        // Whatever the crash left unlinked, the reopen swept: once a
+        // manifest exists, a segment id is on disk iff it is live.
+        if let Some(manifest) =
+            read_segment_manifest(real_fs().as_ref(), &dir.shard(0)).expect("manifest reads")
+        {
+            assert!(manifest.segments.len() <= 2, "{tag}: live > attrs");
+            for id in 0..=manifest.next_segment_id {
+                assert_eq!(
+                    dir.shard(0).join(segment_file_name(id)).exists(),
+                    manifest.segments.contains(&id),
+                    "{tag}: segment {id}: disk presence must match the manifest"
                 );
-            }
-            // Whatever the crash left unlinked, the reopen swept: once a
-            // manifest exists, a segment id is on disk iff it is live.
-            if let Some(manifest) =
-                read_segment_manifest(real_fs().as_ref(), &dir.shard(0)).expect("manifest reads")
-            {
-                assert!(manifest.segments.len() <= 2, "{point}:{nth}: live > attrs");
-                for id in 0..=manifest.next_segment_id {
-                    assert_eq!(
-                        dir.shard(0).join(segment_file_name(id)).exists(),
-                        manifest.segments.contains(&id),
-                        "{point}:{nth}: segment {id}: disk presence must match the manifest"
-                    );
-                }
             }
         }
     }
@@ -629,28 +698,36 @@ fn checkpoint_crash_sweep_recovers_live_state() {
 
 #[test]
 fn poisoned_handle_refuses_work_and_reopen_resumes() {
-    let dir = TmpDir::new("poison");
     let config = no_rotation();
     let oracle = PlainOracle::from_columns(columns(64, 0, 29));
-    // The two inits are appends 1 and 2.
-    let durable = create(
-        &dir,
-        config,
-        CrashInjector::at_nth(CrashPoint::AfterWalAppend, 3),
-        64,
-    );
-    let mut rng = StdRng::seed_from_u64(1);
     let p = Predicate::cmp(0, ComparisonOp::Lt, 500);
-    // The select's record is the 3rd append, but a refinement replies
-    // before it is appended; the delete's flush carries it, and crashes.
-    durable
-        .select(&oracle, &p, None, &mut rng)
-        .expect("deferred: nothing appended yet");
-    let err = durable.delete(5, None).expect_err("3rd append crashes");
-    assert!(matches!(
-        err,
-        DurableError::Storage(DurabilityError::Crash(_))
-    ));
+    // The select's record is the third append (after the two inits), but a
+    // refinement replies before it is appended; the delete's flush carries
+    // it, and that write tears.
+    let script = |dir: &Path, fs: Arc<dyn StorageFs>| {
+        let durable = create(dir, config, fs, 64);
+        let mut rng = StdRng::seed_from_u64(1);
+        durable
+            .select(&oracle, &p, None, &mut rng)
+            .expect("deferred: nothing appended yet");
+        let deleted = durable.delete(5, None);
+        (durable, deleted, rng)
+    };
+    let ops = clean_ops("poison-ops", |dir, fs| {
+        script(dir, fs.handle()).1.expect("clean run");
+    });
+    let third_append = (0..ops.len())
+        .filter(|&i| is_wal_write(&ops, i))
+        .nth(3)
+        .expect("header + three appends");
+    let dir = TmpDir::new("poison");
+    let (durable, deleted, mut rng) =
+        script(&dir.0, FaultFs::crash_at(real_fs(), third_append).handle());
+    let err = deleted.expect_err("the third append tears");
+    assert!(
+        matches!(err, DurableError::Storage(DurabilityError::Io(_))),
+        "{err}"
+    );
     // The shard is poisoned: new work is refused before it runs.
     assert!(matches!(
         durable.select(&oracle, &p, None, &mut rng),
@@ -664,6 +741,50 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
         .expect("works again");
     let expected = oracle.expected_select(&p);
     assert_eq!(sel.sorted(), expected);
+}
+
+/// Crashed directories whose reopen has work to do — a torn WAL tail to
+/// truncate, a segment published with no manifest listing it, a WAL the
+/// manifest swap made stale, a torn segment temp file — are reopened with a
+/// crash at every op of that reopen, then opened a third time: the result
+/// is on the run's history, at or past the last acknowledged fact.
+#[test]
+fn a_crash_during_recovery_recovers_on_the_next_open() {
+    let config = rotate_every(4);
+    let ops = drive_ops(23, config);
+    let nth = |op: IoOp, file: &str, nth: usize| {
+        (0..ops.len())
+            .filter(|&i| ops[i].0 == op && ops[i].1.ends_with(file))
+            .nth(nth - 1)
+            .expect("the run makes this op")
+    };
+    for crash in [
+        nth(IoOp::Write, "wal.1.log", 3),
+        nth(IoOp::Open, "segments.manifest.tmp", 1),
+        nth(IoOp::Remove, "wal.0.log", 1),
+        nth(IoOp::Write, "segment.1.seg.tmp", 1),
+    ] {
+        let crashed = TmpDir::new("recovery-crashed");
+        let run = drive_cut(&crashed, 23, config, crash);
+        let reopen = |dir: &Path, fs: Arc<dyn StorageFs>| {
+            common::copy_tree(&crashed.0, dir);
+            open_pool(dir, config, 1, fs)
+        };
+        let reopen_ops = clean_ops("recovery-ops", |dir, fs| {
+            reopen(dir, fs.handle()).expect("a crashed directory reopens");
+        });
+        for cut in 0..reopen_ops.len() {
+            let tag = format!(
+                "{} then {}",
+                cut_name(&ops, crash),
+                cut_name(&reopen_ops, cut)
+            );
+            let dir = TmpDir::new("recovery-cut");
+            drop(reopen(&dir.0, FaultFs::crash_at(real_fs(), cut).handle()));
+            let pool = try_open(&dir, config).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            run.assert_recovered(&pool_bytes(&pool).remove(0), &tag);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -685,7 +806,7 @@ fn restart_continuity_matches_uninterrupted_reference() {
     reference.init_attr(0, n);
     reference.init_attr(1, n);
     // Dropped at once: inits are facts, durable when acknowledged.
-    drop(create(&dir, config, CrashInjector::disabled(), n));
+    drop(create(&dir.0, config, real_fs(), n));
 
     let mut at = 0usize;
     for stop in [5usize, 11, steps.len()] {
@@ -761,7 +882,7 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
     };
     let dir = TmpDir::new("mdgrid");
     let live = {
-        let d = create(&dir, config, CrashInjector::disabled(), n);
+        let d = create(&dir.0, config, real_fs(), n);
         let select_md = |dims: &[[Predicate; 2]; 2], rng: &mut StdRng| {
             d.with_detached(&[0, 1], |e| e.try_select_range_md(&oracle, dims, rng))
                 .expect("clean");

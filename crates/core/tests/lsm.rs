@@ -11,9 +11,12 @@
 //!    manifest lists exactly the segments that are the newest holder of at
 //!    least one partition (so never more than there are attributes), no
 //!    other segment file survives a rotation or a reopen, an all-clean
-//!    rotation writes no segment, and a crash at any segment hook of a
+//!    rotation writes no segment, and a crash at any storage op of a
 //!    rotation reopens to the live state.
-//! 3. **Previous generation** — a segmented directory written by an
+//! 3. **The old file or the whole new one** — a crash at any of the five
+//!    storage ops of a publish leaves the previous segment manifest or the
+//!    complete new one, and a torn segment temp file never opens.
+//! 4. **Previous generation** — a segmented directory written by an
 //!    earlier commit (version-1 segments) opens unchanged and recovers the
 //!    images that commit served, and its first rotation supersedes them
 //!    with version-2 files. A directory of the generation before that (a
@@ -22,7 +25,8 @@
 mod common;
 
 use common::{
-    columns, copy_tree, kb_bytes, reopen_pool, rotate_every, select_lt, Pool, Sched, TmpDir,
+    clean_ops, columns, copy_tree, cut_name, kb_bytes, reopen_pool, rotate_every, select_lt, Pool,
+    Sched, TmpDir,
 };
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{
@@ -30,14 +34,16 @@ use prkb_core::lsm::{
     SEGMENT_VERSION,
 };
 use prkb_core::{snapshot, DurableError, EngineConfig, SessionScheduler};
-use prkb_edbms::durability::{CrashInjector, CrashPoint};
+use prkb_edbms::codec::publish;
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{real_fs, Predicate};
+use prkb_edbms::{real_fs, Predicate, StorageFs};
+use prkb_sim::{FaultFs, IoOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Harness
@@ -50,12 +56,12 @@ fn manual() -> EngineConfig {
 
 /// A fresh one-shard pool under [`manual`] with attributes `0..attrs`
 /// initialized, behind the scheduler.
-fn create_manual(dir: &TmpDir, crash: CrashInjector, attrs: u32, n: usize) -> Sched {
-    common::create_single(&dir.0, manual(), crash, real_fs(), attrs, n).expect("open + init")
+fn create_manual(dir: &Path, fs: Arc<dyn StorageFs>, attrs: u32, n: usize) -> Sched {
+    common::create_single(dir, manual(), fs, attrs, n).expect("open + init")
 }
 
 fn reopen_manual(dir: &TmpDir) -> Sched {
-    common::open_single(&dir.0, manual(), CrashInjector::disabled(), real_fs()).expect("reopen")
+    common::open_single(&dir.0, manual(), real_fs()).expect("reopen")
 }
 
 /// The supersede invariant of one engine directory: every live segment is
@@ -98,7 +104,7 @@ fn checkpoint_flushes_only_the_dirty_partitions() {
     const ATTRS: u32 = 8;
     let dir = TmpDir::new("odelta");
     let oracle = PlainOracle::from_columns(columns(ATTRS as usize, 160, 0, 5));
-    let durable = create_manual(&dir, CrashInjector::disabled(), ATTRS, 160);
+    let durable = create_manual(&dir.0, real_fs(), ATTRS, 160);
     durable.checkpoint().expect("full first flush");
 
     // Touch exactly two partitions, then flush.
@@ -165,15 +171,7 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
         u64::from(ATTRS) > config.group_commit_records,
         "precondition: dirty set exceeds the batch cap"
     );
-    let durable = common::create_single(
-        &dir.0,
-        config,
-        CrashInjector::disabled(),
-        real_fs(),
-        ATTRS,
-        N,
-    )
-    .expect("create");
+    let durable = common::create_single(&dir.0, config, real_fs(), ATTRS, N).expect("create");
     durable.checkpoint().expect("checkpoint");
     let live = durable.inspect(kb_bytes);
 
@@ -216,7 +214,7 @@ proptest! {
         let dir = TmpDir::new("supersede");
         let shard = dir.shard(0);
         let oracle = PlainOracle::from_columns(columns(attrs as usize, N, 0, 3));
-        let mut durable = create_manual(&dir, CrashInjector::disabled(), attrs, N);
+        let mut durable = create_manual(&dir.0, real_fs(), attrs, N);
         // What the last rotation stored; the inits have not been stored yet.
         let mut stored: Option<Vec<Vec<u8>>> = None;
         let mut rng = StdRng::seed_from_u64(7);
@@ -259,47 +257,156 @@ proptest! {
     }
 }
 
-/// A crash at any of the seven segment hooks of a plain rotation — the
-/// third here, which keeps one older segment and supersedes another —
-/// reopens to the live state, and the reopen leaves no file the manifest
-/// does not list.
+/// A crash at every storage op of a plain rotation — the third here,
+/// which keeps one older segment and supersedes another — reopens to the
+/// live state, and the reopen leaves no file the manifest does not list.
 #[test]
 fn rotation_crash_at_every_segment_hook_recovers_live_and_leaves_no_stray() {
     const N: usize = 90;
     let oracle = PlainOracle::from_columns(columns(3, N, 0, 13));
-    for point in CrashPoint::SEGMENT_HOOKS {
-        let dir = TmpDir::new("rotation-crash");
-        // Every hook fires once per rotation.
-        let durable = create_manual(&dir, CrashInjector::at_nth(point, 3), 3, N);
+    // Segment 0 = {0, 1, 2}, segment 1 = {0, 1}; the third rotation
+    // writes {2}, which keeps segment 1 and supersedes segment 0. Its
+    // refinement is flushed first, so the rotation's ops are its own.
+    // Returns the op range of the third rotation, whether it failed, and
+    // the live state.
+    let script = |dir: &Path, fs: &FaultFs| {
+        let durable = create_manual(dir, fs.handle(), 3, N);
         let mut rng = StdRng::seed_from_u64(5);
-        // Segment 0 = {0, 1, 2}, segment 1 = {0, 1}; the armed rotation
-        // writes {2}, which keeps segment 1 and supersedes segment 0.
+        let (mut third, mut failed) = (0..0, false);
         for (round, touched) in [&[][..], &[0, 1], &[2]].into_iter().enumerate() {
             for &a in touched {
                 select_lt(&durable, &oracle, a, 500, &mut rng);
             }
-            assert_eq!(durable.checkpoint().is_err(), round == 2, "{point}");
+            durable
+                .flush_durable()
+                .expect("healthy before the rotation");
+            let start = fs.log().len();
+            let rotated = durable.checkpoint();
+            assert!(
+                round == 2 || rotated.is_ok(),
+                "the first two rotations are healthy"
+            );
+            (third, failed) = (start..fs.log().len(), rotated.is_err());
         }
-        let live = durable.inspect(kb_bytes);
-        drop(durable);
+        (third, failed, durable.inspect(kb_bytes))
+    };
+    let third = std::cell::RefCell::new(0..0);
+    let ops = clean_ops("rotation-ops", |dir, fs| {
+        *third.borrow_mut() = script(dir, fs).0;
+    });
+    let third = third.into_inner();
+    let rename = third
+        .clone()
+        .find(|&i| ops[i].0 == IoOp::Rename && ops[i].1.ends_with("segments.manifest.tmp"))
+        .expect("the rotation swaps the manifest");
+    for cut in third {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("rotation-crash");
+        let (_, failed, live) = script(&dir.0, &FaultFs::crash_at(real_fs(), cut));
+        // Unlinking a superseded segment is best effort; any other cut
+        // fails the rotation.
+        let (op, path) = &ops[cut];
+        let best_effort = *op == IoOp::Remove && common::file_kind(path) == "segment";
+        assert_eq!(failed, !best_effort, "{tag}");
         let reopened = reopen_manual(&dir);
-        assert_eq!(reopened.inspect(kb_bytes), live, "{point}");
-        let manifest = assert_live_set(&dir.shard(0), point.name());
-        // Before the swap the old set stands; from the swap on, the new one.
-        let swapped = matches!(
-            point,
-            CrashPoint::AfterManifestSwap | CrashPoint::AfterSegmentRetire
-        );
+        assert_eq!(reopened.inspect(kb_bytes), live, "{tag}");
+        let manifest = assert_live_set(&dir.shard(0), &tag);
+        // Before the manifest rename the old set stands; after it, the new.
         assert_eq!(
             manifest.segments,
-            if swapped { vec![1, 2] } else { vec![0, 1] },
-            "{point}"
+            if cut > rename { vec![1, 2] } else { vec![0, 1] },
+            "{tag}"
         );
     }
 }
 
 // ---------------------------------------------------------------------------
-// 3. Previous-generation bytes
+// 3. Publishing: the old file or the whole new one
+// ---------------------------------------------------------------------------
+
+/// What rotations publish: the segment manifest after the first and after
+/// the second explicit rotation of a small pool, and its first segment.
+fn rotation_images() -> [Vec<u8>; 3] {
+    let dir = TmpDir::new("images");
+    let oracle = PlainOracle::from_columns(columns(2, 60, 0, 17));
+    let durable = create_manual(&dir.0, real_fs(), 2, 60);
+    durable.checkpoint().expect("first rotation");
+    let read = |name: &str| std::fs::read(dir.shard(0).join(name)).expect("published");
+    let first = read(SEGMENT_MANIFEST_FILE);
+    select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(1));
+    durable.checkpoint().expect("second rotation");
+    [
+        first,
+        read(SEGMENT_MANIFEST_FILE),
+        read(&segment_file_name(0)),
+    ]
+}
+
+/// Publishing is five storage ops — create the temp file, write, fsync,
+/// rename, directory fsync — and a crash at any of them leaves the old
+/// segment manifest or the whole new one, never a mixture: before the
+/// rename the old one stands, with the temp file left for the recovery
+/// sweep; at the directory fsync the new one is already in place.
+#[test]
+fn crash_before_swap_keeps_old_manifest() {
+    let [old, new, _] = rotation_images();
+    let publish_new =
+        |dir: &Path, fs: &dyn StorageFs| publish(fs, dir, SEGMENT_MANIFEST_FILE, &new);
+    let ops = clean_ops("publish-ops", |dir, fs| {
+        publish_new(dir, fs).expect("clean publish");
+    });
+    let kinds: Vec<IoOp> = ops.iter().map(|(op, _)| *op).collect();
+    assert_eq!(
+        kinds,
+        [
+            IoOp::Open,
+            IoOp::Write,
+            IoOp::SyncAll,
+            IoOp::Rename,
+            IoOp::SyncDir
+        ]
+    );
+    for (cut, (op, _)) in ops.iter().enumerate() {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("publish-cut");
+        let manifest = dir.0.join(SEGMENT_MANIFEST_FILE);
+        std::fs::write(&manifest, &old).expect("the old manifest");
+        let crashed = publish_new(&dir.0, &FaultFs::crash_at(real_fs(), cut));
+        assert!(crashed.is_err(), "{tag}");
+        let now = std::fs::read(&manifest).expect("a manifest stands");
+        if *op == IoOp::SyncDir {
+            assert_eq!(now, new, "{tag}");
+        } else {
+            assert_eq!(now, old, "{tag}");
+            let tmp = dir.0.join(format!("{SEGMENT_MANIFEST_FILE}.tmp"));
+            assert_eq!(tmp.exists(), cut > 0, "{tag}: the temp file is residue");
+        }
+    }
+}
+
+/// A crash mid-write of a segment leaves a torn temp file that never
+/// opens as a segment — not even renamed into place by hand.
+#[test]
+fn torn_temp_from_mid_write_is_invalid() {
+    let [.., segment] = rotation_images();
+    let dir = TmpDir::new("torntemp");
+    let name = segment_file_name(0);
+    // Op 1 of a publish is the image write: a prefix reaches the temp file.
+    let crashed = publish(&FaultFs::crash_at(real_fs(), 1), &dir.0, &name, &segment);
+    assert!(crashed.is_err());
+    let tmp = dir.0.join(format!("{name}.tmp"));
+    let torn = std::fs::read(&tmp).expect("the torn temp file");
+    assert!(!torn.is_empty() && torn.len() < segment.len());
+    assert!(segment.starts_with(&torn));
+    std::fs::rename(&tmp, dir.0.join(&name)).expect("rename by hand");
+    assert!(matches!(
+        SegmentMeta::open(real_fs().as_ref(), &dir.0, 0),
+        Err(DurableError::CorruptSegment(_))
+    ));
+}
+
+// ---------------------------------------------------------------------------
+// 4. Previous-generation bytes
 // ---------------------------------------------------------------------------
 
 /// `parent_pool_seg`: a pool directory written by an earlier commit with
@@ -325,9 +432,9 @@ fn served_images() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn open_pool(dir: &Path, crash: CrashInjector) -> Pool {
+fn open_pool(dir: &Path) -> Pool {
     // Requesting one shard: the parent-written manifest must win.
-    common::open_pool(dir, EngineConfig::default(), 1, crash, real_fs())
+    common::open_pool(dir, EngineConfig::default(), 1, real_fs())
         .expect("a parent-written pool opens")
 }
 
@@ -395,7 +502,7 @@ fn parent_written_segmented_pool_opens_unchanged() {
     let before: Vec<_> = (0..2)
         .map(|sid| listing(&dir.0.join(format!("shard.{sid}"))))
         .collect();
-    let pool = open_pool(&dir.0, CrashInjector::disabled());
+    let pool = open_pool(&dir.0);
     for (sid, report) in pool.reports().iter().enumerate() {
         assert_eq!(report.epoch, 1, "shard {sid}");
         assert_eq!(report.segments_live, 1, "shard {sid}");

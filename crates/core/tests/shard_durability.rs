@@ -3,8 +3,9 @@
 //!
 //! Pinned guarantees:
 //!
-//! 1. **Per-shard replay equivalence** — for every injected crash point
-//!    (the group-flush boundary included), reopening the pool recovers, on
+//! 1. **Per-shard replay equivalence** — for a crash at any storage op
+//!    (the group flush's first append included), reopening the pool
+//!    recovers, on
 //!    *every* shard independently, a state that validates and is
 //!    byte-identical to a prefix of that shard's commit order containing
 //!    every acknowledged delete and init (the single in-flight operation
@@ -18,21 +19,26 @@
 //!    drain the WAL holds exactly one record per committed operation that
 //!    refined.
 //!
-//! (Drain semantics at the flush boundary, the bound on the un-synced tail
-//! and the checkpoint byte threshold are pinned beside the committer, in
+//! 4. **A crashed drain** — a crash at the shutdown drain's first append
+//!    loses the un-awaited refinements and nothing else.
+//!
+//! (Drain semantics, the bound on the un-synced tail and the checkpoint
+//! byte threshold are pinned beside the committer, in
 //! `src/durability.rs`, where the tail can be looked at.)
 
 mod common;
 
 use common::{
-    assert_recovered, kb_bytes, open_pool, pool_bytes, reopen_pool, rotate_every, Ack, Run, TmpDir,
+    assert_recovered, clean_ops, cut_name, grouped_cuts, kb_bytes, open_pool, pool_bytes,
+    reopen_pool, rotate_every, Ack, Run, TmpDir,
 };
 use prkb_core::{DurableError, EngineConfig};
-use prkb_edbms::durability::{CrashInjector, CrashPoint};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{real_fs, ComparisonOp, Predicate};
+use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
+use prkb_sim::{FaultFs, IoOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::Path;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -48,12 +54,13 @@ fn oracle() -> PlainOracle {
 
 /// Drives a deterministic mixed workload (per-attribute selects and
 /// BETWEENs, periodic whole-table deletes, policy-driven checkpoints)
-/// through the scheduler of a crash-armed pool, stopping at the first
-/// durability error.
-fn drive_pool(dir: &TmpDir, config: EngineConfig, crash: CrashInjector, shards: usize) -> Run {
+/// through the scheduler of a pool on `fs`, stopping at the first
+/// durability error (a failed open included).
+fn drive_pool(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, shards: usize) -> Run {
     let oracle = oracle();
-    let pool = open_pool(&dir.0, config, shards, crash, real_fs())
-        .expect("fresh pool opens (no crash hooks fire during creation)");
+    let Ok(pool) = open_pool(dir, config, shards, fs) else {
+        return common::crashed_open(shards);
+    };
     common::drive(pool, ATTRS, N, |sched, ack| {
         for round in 0..24u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
@@ -78,9 +85,15 @@ fn drive_pool(dir: &TmpDir, config: EngineConfig, crash: CrashInjector, shards: 
     })
 }
 
-/// Reopens the pool with injection disabled; every shard must validate.
-fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec<Vec<u8>>> {
-    let pool = reopen_pool(&dir.0, config, requested).expect("recovery must open after a crash");
+/// Reopens the pool on the real filesystem; every shard must validate.
+fn recover_pool(
+    dir: &TmpDir,
+    config: EngineConfig,
+    requested: usize,
+    tag: &str,
+) -> Vec<Vec<Vec<u8>>> {
+    let pool = reopen_pool(&dir.0, config, requested)
+        .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
     pool_bytes(&pool)
 }
 
@@ -88,22 +101,26 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
 // 1. Per-shard replay equivalence across every crash point
 // ---------------------------------------------------------------------------
 
-/// Every hook × pools of 1, 4 and 8 shards rotating every four records,
-/// and a pool of 4 rotating every five: one shard's crash — in its WAL, its
-/// segment flush, its manifest swap or its segment retirement — never
-/// bleeds into another's history.
+/// Pools of 1, 4 and 8 shards rotating every four records, and a pool of
+/// 4 rotating every five, each crashed at the 1st, 2nd and 5th op of every
+/// (class, file kind) of its own clean run, pool creation included: one
+/// shard's crash — in its WAL, its segment flush, its manifest swap or its
+/// segment retirement — never bleeds into another's history. (The
+/// one-shard workload of `durability.rs` is crashed at every op.)
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
     for (shards, rotate) in [(1usize, 4), (4, 4), (8, 4), (4, 5)] {
-        for point in CrashPoint::ALL {
-            for nth in [1u64, 2, 5] {
-                let dir = TmpDir::new("sweep");
-                let config = rotate_every(rotate);
-                let run = drive_pool(&dir, config, CrashInjector::at_nth(point, nth), shards);
-                let recovered = recover_pool(&dir, config, shards);
-                let tag = format!("{shards} shards / {rotate}, {point}:{nth}");
-                assert_recovered(&run, &recovered, &tag);
-            }
+        let config = rotate_every(rotate);
+        let ops = clean_ops("sweep-ops", |dir, fs| {
+            assert!(!drive_pool(dir, config, fs.handle(), shards).failed);
+        });
+        for cut in grouped_cuts(&ops, &[1, 2, 5]) {
+            let dir = TmpDir::new("sweep");
+            let fs = FaultFs::crash_at(real_fs(), cut).handle();
+            let run = drive_pool(&dir.0, config, fs, shards);
+            let tag = format!("{shards} shards / {rotate}, {}", cut_name(&ops, cut));
+            let recovered = recover_pool(&dir, config, shards, &tag);
+            assert_recovered(&run, &recovered, &tag);
         }
     }
 }
@@ -154,17 +171,8 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
         ..rotate_every(0)
     };
     let oracle = Arc::new(oracle());
-    let sched = Arc::new(
-        common::create_single(
-            &dir.0,
-            config,
-            CrashInjector::disabled(),
-            real_fs(),
-            ATTRS,
-            N,
-        )
-        .expect("create"),
-    );
+    let sched =
+        Arc::new(common::create_single(&dir.0, config, real_fs(), ATTRS, N).expect("create"));
 
     const WRITERS: u32 = 4;
     const OPS: u64 = 10;
@@ -208,5 +216,64 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
         pool_bytes(&pool),
         live,
         "reopen recovers the concurrent run"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 4. A crashed drain
+// ---------------------------------------------------------------------------
+
+/// Two refinements on different shards are acknowledged without waiting —
+/// the deferred tail — and the shutdown drain that flushes them crashes at
+/// its first append: the recovered pool is exactly the acknowledged inits.
+/// No fact is missing, and the refinements are lost, not mangled.
+#[test]
+fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
+    // Nothing flushes on its own: the record bound is out of reach.
+    let config = EngineConfig {
+        group_commit_records: 1_000,
+        ..rotate_every(0)
+    };
+    let oracle = oracle();
+    // Returns the state after the inits, the op index where the drain
+    // starts, and whether the drain failed.
+    let script = |dir: &Path, fs: &FaultFs| {
+        let mut pool = open_pool(dir, config, 2, fs.handle()).expect("open");
+        for a in 0..ATTRS {
+            pool.init_attr(a, N).expect("inits are acknowledged");
+        }
+        let post_init = pool_bytes(&pool);
+        let map = pool.map();
+        assert_ne!(map.shard_of(0), map.shard_of(1), "two shards refine");
+        let sched = common::Sched::durable(pool);
+        let mut rng = StdRng::seed_from_u64(9);
+        for attr in [0u32, 1] {
+            let pred = Predicate::cmp(attr, ComparisonOp::Lt, 500);
+            sched
+                .select(&oracle, &pred, None, &mut rng)
+                .expect("deferred");
+        }
+        let drain_at = fs.log().len();
+        (post_init, drain_at, sched.flush_durable().is_err())
+    };
+    let drain_at = std::cell::Cell::new(0);
+    let ops = clean_ops("drain-ops", |dir, fs| {
+        let (_, at, failed) = script(dir, fs);
+        assert!(!failed, "a healthy drain flushes cleanly");
+        drain_at.set(at);
+    });
+    let cut = drain_at.get();
+    assert!(
+        ops[cut].0 == IoOp::Write && common::file_kind(&ops[cut].1) == "wal",
+        "{}: the drain starts with an append",
+        cut_name(&ops, cut)
+    );
+    let dir = TmpDir::new("drain-crash");
+    let (post_init, _, failed) = script(&dir.0, &FaultFs::crash_at(real_fs(), cut));
+    assert!(failed, "the crashed drain reports the failure");
+    assert_eq!(
+        recover_pool(&dir, config, 2, "drain"),
+        post_init,
+        "a crash at the drain recovers the prefix up to the last fact"
     );
 }

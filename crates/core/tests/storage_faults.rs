@@ -21,21 +21,22 @@
 //!    rather than deletes — a generation-1 `checkpoint.bin` is corruption
 //!    it leaves in place, and after a rotted segment manifest only the
 //!    manifest moves, so the reopen refuses instead of opening empty — and
-//!    over every `CrashInjector` survivor state reports no corruption, and
-//!    as residue exactly the files the reopen removes.
+//!    over every crash survivor state (a cut in the storage op stream)
+//!    reports no corruption, and as residue exactly the files the reopen
+//!    removes.
 //! 5. **Blast radius** — a poisoned shard rejects new commits with
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
 mod common;
 
 use common::{
-    assert_recovered, kb_bytes, open_pool, open_single, pool_bytes, reopen_pool, rotate_every,
-    select_lt, Ack, Run, Sched, TmpDir,
+    assert_recovered, clean_ops, cut_name, grouped_cuts, kb_bytes, open_pool, open_single,
+    pool_bytes, reopen_pool, rotate_every, select_lt, Ack, Run, Sched, TmpDir,
 };
 use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::{scrub_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
-use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, WAL_HEADER_LEN};
+use prkb_edbms::durability::{DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, StorageFs};
 use prkb_edbms::{ComparisonOp, Predicate};
@@ -59,8 +60,8 @@ fn oracle() -> PlainOracle {
 
 /// A fresh one-shard pool with every attribute initialized, behind the
 /// scheduler.
-fn create(dir: &Path, config: EngineConfig, crash: CrashInjector, fs: Arc<dyn StorageFs>) -> Sched {
-    common::create_single(dir, config, crash, fs, ATTRS, N).expect("open + init")
+fn create(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>) -> Sched {
+    common::create_single(dir, config, fs, ATTRS, N).expect("open + init")
 }
 
 /// Drives a deterministic select/BETWEEN/delete workload through the
@@ -69,7 +70,7 @@ fn create(dir: &Path, config: EngineConfig, crash: CrashInjector, fs: Arc<dyn St
 /// clean error — nothing was acknowledged).
 fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
     let oracle = oracle();
-    let pool = open_pool(dir, rotate_every(4), 1, CrashInjector::disabled(), fs).ok()?;
+    let pool = open_pool(dir, rotate_every(4), 1, fs).ok()?;
     Some(common::drive(pool, ATTRS, N, |durable, ack| {
         for round in 0..20u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
@@ -156,7 +157,7 @@ fn seeded_fault_sweep_engine_never_loses_a_durable_ack() {
 
 fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> {
     let oracle = oracle();
-    let pool = open_pool(dir, rotate_every(4), shards, CrashInjector::disabled(), fs).ok()?;
+    let pool = open_pool(dir, rotate_every(4), shards, fs).ok()?;
     Some(common::drive(pool, ATTRS, N, |sched, ack| {
         for round in 0..16u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
@@ -219,12 +220,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
     // Let engine creation and init through, then fail the WAL's data sync.
     let faults = eio_on(IoOp::SyncData, None, u64::from(ATTRS) + 1);
     // Inits precede the armed sync.
-    let durable = create(
-        &dir.0,
-        EngineConfig::default(),
-        CrashInjector::disabled(),
-        faults.handle(),
-    );
+    let durable = create(&dir.0, EngineConfig::default(), faults.handle());
     let acked = durable.inspect(kb_bytes);
     let mut rng = StdRng::seed_from_u64(1);
     // A refinement replies before its fsync; the barrier that syncs the
@@ -276,7 +272,7 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     let config = rotate_every(0);
     // Phase 1: a clean first checkpoint over the real fs.
     {
-        let durable = create(&dir.0, config, CrashInjector::disabled(), real_fs());
+        let durable = create(&dir.0, config, real_fs());
         select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(2));
         durable.checkpoint().expect("clean rotation");
     }
@@ -299,8 +295,7 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
             sticky: true,
         }],
     );
-    let durable =
-        open_single(&dir.0, config, CrashInjector::disabled(), faults.handle()).expect("reopen");
+    let durable = open_single(&dir.0, config, faults.handle()).expect("reopen");
     // A commit before the armed rotation.
     select_lt(&durable, &oracle, 1, 600, &mut StdRng::seed_from_u64(3));
     let acked = durable.inspect(kb_bytes);
@@ -347,13 +342,7 @@ fn failed_pool_manifest_sync_is_sync_failed() {
         let dir = TmpDir::new("manifest-sync");
         let faults = eio_on(op, path, nth);
         let config = EngineConfig::default();
-        let created = open_pool(
-            &dir.0,
-            config,
-            2,
-            CrashInjector::disabled(),
-            faults.handle(),
-        );
+        let created = open_pool(&dir.0, config, 2, faults.handle());
         if nth == 5 {
             created.expect("a two-shard creation fsyncs four directories");
         } else {
@@ -376,7 +365,7 @@ fn failed_wal_directory_fsync_poisons_the_rotation() {
     // Under shard.0: one fsync for the open's `wal.0.log`, then the
     // rotation's for the segment, the manifest swap and `wal.1.log`.
     let faults = eio_on(IoOp::SyncDir, Some("shard.0"), 4);
-    let durable = create(&dir.0, config, CrashInjector::disabled(), faults.handle());
+    let durable = create(&dir.0, config, faults.handle());
     select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(2));
     let acked = durable.inspect(kb_bytes);
     let rotated = durable.checkpoint();
@@ -395,12 +384,7 @@ fn failed_wal_directory_fsync_poisons_the_rotation() {
 /// WAL holding several frames, returning its committed byte state.
 fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
     let oracle = oracle();
-    let durable = create(
-        &dir.0,
-        rotate_every(0),
-        CrashInjector::disabled(),
-        real_fs(),
-    );
+    let durable = create(&dir.0, rotate_every(0), real_fs());
     let mut rng = StdRng::seed_from_u64(5);
     select_lt(&durable, &oracle, 0, 400, &mut rng);
     durable.checkpoint().expect("rotate");
@@ -629,7 +613,7 @@ fn pool_scrub_via_handle_walks_every_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Scrub over every CrashInjector survivor state
+// 6. Scrub over every crash survivor state
 // ---------------------------------------------------------------------------
 
 /// Sorted entry paths of one directory.
@@ -643,70 +627,67 @@ fn listing(dir: &Path) -> BTreeSet<PathBuf> {
 /// Whatever state a crash leaves behind is, by the recovery contract
 /// (DESIGN.md §10), openable — so the scrubber must classify it as clean,
 /// a torn tail or residue, never as corruption; and the residue it names is
-/// exactly what the reopen removes.
+/// exactly what the reopen removes. The crashes are the 1st and 3rd op of
+/// every (class, file kind) of the clean run.
 #[test]
 fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
     let oracle = oracle();
-    for point in CrashPoint::ALL {
-        for nth in [1u64, 3] {
-            let dir = TmpDir::new("crash-survivor");
-            let mut rng = StdRng::seed_from_u64(11);
-            // Runs until the armed hook kills it (or to the end), then
-            // drops the pool as a dying process would.
-            'run: {
-                let mut pool = open_pool(
-                    &dir.0,
-                    rotate_every(3),
-                    1,
-                    CrashInjector::at_nth(point, nth),
-                    real_fs(),
-                )
-                .expect("fresh dir opens");
-                for a in 0..ATTRS {
-                    if pool.init_attr(a, N).is_err() {
-                        break 'run;
-                    }
-                }
-                let durable = SessionScheduler::durable(pool);
-                for round in 0..14u64 {
-                    let attr = (round % u64::from(ATTRS)) as u32;
-                    let pred = Predicate::cmp(attr, ComparisonOp::Lt, (round * 67) % 900);
-                    if durable.select(&oracle, &pred, None, &mut rng).is_err() {
-                        break 'run;
-                    }
-                }
-            }
-            let shard = dir.shard(0);
-            let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, false);
-            for f in &report.findings {
-                assert!(
-                    matches!(f.damage, ScrubDamage::Clean | ScrubDamage::TornTail)
-                        || f.damage.is_residue(),
-                    "{point}:{nth}: crash residue misclassified as {} at {} ({})",
-                    f.damage.name(),
-                    f.path.display(),
-                    f.detail
-                );
-            }
-            assert!(
-                !report.has_corruption(),
-                "{point}:{nth}: {}",
-                report.to_json()
-            );
-            let residue: BTreeSet<PathBuf> = report
-                .findings
-                .iter()
-                .filter(|f| f.damage.is_residue())
-                .map(|f| f.path.clone())
-                .collect();
-            let before = listing(&shard);
+    // Runs to the end, or until the crash kills it; then drops the pool
+    // as a dying process would.
+    let script = |dir: &Path, fs: Arc<dyn StorageFs>| -> Result<(), DurableError> {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut pool = open_pool(dir, rotate_every(3), 1, fs)?;
+        for a in 0..ATTRS {
+            pool.init_attr(a, N)?;
+        }
+        let durable = SessionScheduler::durable(pool);
+        for round in 0..14u64 {
+            let attr = (round % u64::from(ATTRS)) as u32;
+            let pred = Predicate::cmp(attr, ComparisonOp::Lt, (round * 67) % 900);
+            durable.select(&oracle, &pred, None, &mut rng)?;
+        }
+        Ok(())
+    };
+    let ops = clean_ops("survivor-ops", |dir, fs| {
+        script(dir, fs.handle()).expect("clean run");
+    });
+    for cut in grouped_cuts(&ops, &[1, 3]) {
+        let tag = cut_name(&ops, cut);
+        let dir = TmpDir::new("crash-survivor");
+        let crashed = script(&dir.0, FaultFs::crash_at(real_fs(), cut).handle());
+        assert!(crashed.is_err(), "{tag}: never fired");
+        let shard = dir.shard(0);
+        if !shard.exists() {
+            // The crash came before the shard directory did: nothing to
+            // scrub, and still a directory that opens.
             try_open(&dir).expect("a crash survivor opens");
-            let removed: BTreeSet<PathBuf> = before.difference(&listing(&shard)).cloned().collect();
-            assert_eq!(
-                residue, removed,
-                "{point}:{nth}: scrub's residue is what a reopen removes"
+            continue;
+        }
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, false);
+        for f in &report.findings {
+            assert!(
+                matches!(f.damage, ScrubDamage::Clean | ScrubDamage::TornTail)
+                    || f.damage.is_residue(),
+                "{tag}: crash residue misclassified as {} at {} ({})",
+                f.damage.name(),
+                f.path.display(),
+                f.detail
             );
         }
+        assert!(!report.has_corruption(), "{tag}: {}", report.to_json());
+        let residue: BTreeSet<PathBuf> = report
+            .findings
+            .iter()
+            .filter(|f| f.damage.is_residue())
+            .map(|f| f.path.clone())
+            .collect();
+        let before = listing(&shard);
+        try_open(&dir).expect("a crash survivor opens");
+        let removed: BTreeSet<PathBuf> = before.difference(&listing(&shard)).cloned().collect();
+        assert_eq!(
+            residue, removed,
+            "{tag}: scrub's residue is what a reopen removes"
+        );
     }
 }
 
@@ -728,14 +709,8 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
         .count() as u64;
     let doomed = format!("shard.{poisoned_sid}/");
     let faults = eio_on(IoOp::SyncData, Some(&doomed), inits_on_poisoned + 1);
-    let mut pool = open_pool(
-        &dir.0,
-        EngineConfig::default(),
-        shards,
-        CrashInjector::disabled(),
-        faults.handle(),
-    )
-    .expect("open");
+    let mut pool =
+        open_pool(&dir.0, EngineConfig::default(), shards, faults.handle()).expect("open");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("inits precede the armed sync");
     }

@@ -19,7 +19,7 @@
 
 use std::path::Path;
 
-use crate::durability::{crc32, CrashInjector, CrashPoint, DurabilityError};
+use crate::durability::{crc32, DurabilityError};
 use crate::storage::StorageFs;
 
 /// Why a [`Reader`] (or [`unseal`]) refused its input. Each codec maps it
@@ -156,21 +156,6 @@ pub fn unseal<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<(u16, Reader<'a>),
     Ok((version, r))
 }
 
-/// The crash hooks an atomic [`publish`] crosses, in order. `None` skips
-/// the position.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PublishHooks {
-    /// Before the temp file exists.
-    pub before_write: Option<CrashPoint>,
-    /// Mid-write: a strict prefix of the image reaches the temp file and
-    /// is synced (so a reopen sees it) before the process dies.
-    pub mid_write: Option<CrashPoint>,
-    /// The temp file is complete and fsync'd, not yet renamed.
-    pub after_sync: Option<CrashPoint>,
-    /// Renamed into place; the directory entry is not yet fsync'd.
-    pub after_rename: Option<CrashPoint>,
-}
-
 /// Atomically publishes `image` as `dir/name`: written to `name.tmp`,
 /// fsync'd, renamed over `name`, and the directory fsync'd — without that
 /// last barrier the rename itself can be lost to a crash. A failed barrier
@@ -182,26 +167,14 @@ pub fn publish(
     dir: &Path,
     name: &str,
     image: &[u8],
-    crash: &CrashInjector,
-    hooks: PublishHooks,
 ) -> Result<(), DurabilityError> {
-    let fire = |hook: Option<CrashPoint>| hook.map_or(Ok(()), |point| crash.fire(point));
     let tmp = dir.join(format!("{name}.tmp"));
-    fire(hooks.before_write)?;
     let mut file = fs.create_file(&tmp)?;
-    if let Err(e) = fire(hooks.mid_write) {
-        let torn = (image.len() / 2).min(image.len().saturating_sub(1));
-        file.write_all(&image[..torn])?;
-        file.sync_all()?;
-        return Err(e);
-    }
     file.write_all(image)?;
     file.sync_all()
         .map_err(|e| sync_failed("sync_all", &tmp, &e))?;
     drop(file);
-    fire(hooks.after_sync)?;
     fs.rename(&tmp, &dir.join(name))?;
-    fire(hooks.after_rename)?;
     sync_dir(fs, dir)
 }
 

@@ -1,5 +1,4 @@
-//! Durable-storage primitives: write-ahead log, checksums and framing, and
-//! crash-point injection.
+//! Durable-storage primitives: write-ahead log, checksums and framing.
 //!
 //! The PRKB's whole value is *accumulated* state — every answered query
 //! refines the index (paper §5.3) — so losing it on a crash silently resets
@@ -14,19 +13,15 @@
 //!   the expected shape of a crash mid-append; silently truncated) from
 //!   **mid-log corruption** (a bad record *followed by* valid ones — bitrot
 //!   or tampering; a hard error, the log refuses to open).
-//! * [`CrashInjector`] — simulated process death at every write / fsync /
-//!   rename boundary ([`CrashPoint`]), including torn writes (a partial
-//!   record reaches the disk before the "crash"). Deterministic: the
-//!   crash sweeps arm one `(point, nth)` per case.
 //!
+//! Every write, fsync and rename goes through the [`StorageFs`] seam, so a
+//! crash is a storage fault: the crash sweeps cut a test filesystem's op
+//! stream at op `n` (a torn write, then every later op fails) and reopen.
 //! Checkpoints themselves (immutable segment files behind an atomically
-//! swapped manifest) live in `prkb-core::lsm`; they fire the segment and
-//! manifest hooks declared here.
+//! swapped manifest) live in `prkb-core::lsm`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::codec::sync_dir;
 use crate::storage::{StorageFile, StorageFs};
@@ -203,119 +198,11 @@ pub fn seal_frame(frame: &mut [u8]) {
     header[4..].copy_from_slice(&frame_crc(len_le, payload).to_le_bytes());
 }
 
-/// A write / fsync / rename boundary at which an injected crash can occur.
-///
-/// Every durable transition the WAL and checkpoint paths make has a hook
-/// immediately **after** it (and one before the first byte), so a sweep over
-/// all variants exercises every partially-persisted state a real `kill -9`
-/// could leave behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Before any byte of the record reaches the WAL file.
-    BeforeWalAppend,
-    /// Mid-record: a *prefix* of the frame reaches the file (torn write).
-    MidWalAppend,
-    /// The full frame is written but not yet fsync'd.
-    AfterWalAppend,
-    /// The frame is written and fsync'd (the commit point).
-    AfterWalSync,
-    /// The fresh epoch's WAL exists; the stale one has not been removed.
-    BeforeWalRetire,
-    /// Checkpoint rotation fully complete.
-    AfterWalRetire,
-    /// A group-commit batch is about to be flushed: records are enqueued in
-    /// memory, none of the batch has reached the WAL file yet. Fired by
-    /// group-commit committers at the start of every batch flush — the
-    /// shutdown drain included — so a sweep proves that losing a whole
-    /// *unacknowledged* batch still recovers a committed prefix.
-    BeforeGroupFlush,
-    /// Before any byte of a checkpoint segment's temp file is written.
-    BeforeSegmentWrite,
-    /// Mid-segment: a prefix of the segment image reaches the temp file
-    /// (torn write).
-    MidSegmentWrite,
-    /// The segment temp file is fully written and fsync'd, not yet renamed.
-    AfterSegmentSync,
-    /// The segment file is renamed into place and the directory fsync'd;
-    /// the manifest does not reference it yet.
-    AfterSegmentRename,
-    /// The segment manifest is about to be atomically replaced.
-    BeforeManifestSwap,
-    /// The new segment manifest is durable; superseded segments and the
-    /// stale WAL have not been retired yet.
-    AfterManifestSwap,
-    /// The rotation finished unlinking the segment files its manifest swap
-    /// superseded (fires on every rotation, also when there were none).
-    AfterSegmentRetire,
-}
-
-impl CrashPoint {
-    /// Every hook point, in pipeline order — what the crash sweeps and the
-    /// replay-equivalence proptest iterate over.
-    pub const ALL: [CrashPoint; 14] = [
-        CrashPoint::BeforeWalAppend,
-        CrashPoint::MidWalAppend,
-        CrashPoint::AfterWalAppend,
-        CrashPoint::AfterWalSync,
-        CrashPoint::BeforeWalRetire,
-        CrashPoint::AfterWalRetire,
-        CrashPoint::BeforeGroupFlush,
-        CrashPoint::BeforeSegmentWrite,
-        CrashPoint::MidSegmentWrite,
-        CrashPoint::AfterSegmentSync,
-        CrashPoint::AfterSegmentRename,
-        CrashPoint::BeforeManifestSwap,
-        CrashPoint::AfterManifestSwap,
-        CrashPoint::AfterSegmentRetire,
-    ];
-
-    /// The hooks a checkpoint's segment write, manifest swap and segment
-    /// retirement cross (the rotation sweep adds the two WAL-retire hooks).
-    pub const SEGMENT_HOOKS: [CrashPoint; 7] = [
-        CrashPoint::BeforeSegmentWrite,
-        CrashPoint::MidSegmentWrite,
-        CrashPoint::AfterSegmentSync,
-        CrashPoint::AfterSegmentRename,
-        CrashPoint::BeforeManifestSwap,
-        CrashPoint::AfterManifestSwap,
-        CrashPoint::AfterSegmentRetire,
-    ];
-
-    /// Stable lowercase name (what [`Display`](fmt::Display) prints).
-    pub fn name(self) -> &'static str {
-        match self {
-            CrashPoint::BeforeWalAppend => "before_wal_append",
-            CrashPoint::MidWalAppend => "mid_wal_append",
-            CrashPoint::AfterWalAppend => "after_wal_append",
-            CrashPoint::AfterWalSync => "after_wal_sync",
-            CrashPoint::BeforeWalRetire => "before_wal_retire",
-            CrashPoint::AfterWalRetire => "after_wal_retire",
-            CrashPoint::BeforeGroupFlush => "before_group_flush",
-            CrashPoint::BeforeSegmentWrite => "before_segment_write",
-            CrashPoint::MidSegmentWrite => "mid_segment_write",
-            CrashPoint::AfterSegmentSync => "after_segment_sync",
-            CrashPoint::AfterSegmentRename => "after_segment_rename",
-            CrashPoint::BeforeManifestSwap => "before_manifest_swap",
-            CrashPoint::AfterManifestSwap => "after_manifest_swap",
-            CrashPoint::AfterSegmentRetire => "after_segment_retire",
-        }
-    }
-}
-
-impl fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Errors raised by the durability layer.
 #[derive(Debug)]
 pub enum DurabilityError {
     /// A real I/O failure (disk full, permission, …).
     Io(std::io::Error),
-    /// An injected crash fired: the process is considered dead at this
-    /// boundary. Whatever reached the disk before the hook stays there.
-    Crash(CrashPoint),
     /// The WAL header is missing or from an unknown version.
     BadWalHeader,
     /// A CRC-failing or misframed record **followed by valid data** — not a
@@ -342,7 +229,6 @@ impl fmt::Display for DurabilityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DurabilityError::Io(e) => write!(f, "durability I/O failure: {e}"),
-            DurabilityError::Crash(p) => write!(f, "injected crash at {p}"),
             DurabilityError::BadWalHeader => write!(f, "not a PRKB WAL (bad magic/version)"),
             DurabilityError::CorruptRecord {
                 record,
@@ -377,46 +263,20 @@ impl From<std::io::Error> for DurabilityError {
     }
 }
 
-/// Deterministic crash injection: fires [`DurabilityError::Crash`] at the
-/// `nth` occurrence of one chosen [`CrashPoint`].
-///
-/// Cloning shares the hit counter, so a [`Wal`] and the checkpoint path can
-/// count occurrences against one schedule — exactly like a single process
-/// dying once.
-#[derive(Debug, Clone, Default)]
-pub struct CrashInjector {
-    target: Option<(CrashPoint, u64)>,
-    hits: Arc<AtomicU64>,
-}
+/// Kept only because the benchmark adapter (`prkb_e2e/src/sut.rs`) still
+/// passes `CrashInjector::disabled()` as the ignored 4th argument of
+/// `prkb_core::ShardedDurablePool::open_with_storage`. It has one value and
+/// arms nothing: a crash is a storage fault, injected through
+/// [`StorageFs`]. It is deleted together with that call, in the next change
+/// to the benchmark (ROADMAP 7(a)).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrashInjector;
 
 impl CrashInjector {
-    /// Never fires.
+    /// The only value.
     pub fn disabled() -> Self {
-        CrashInjector::default()
-    }
-
-    /// Fires at the first occurrence of `point`.
-    pub fn at(point: CrashPoint) -> Self {
-        Self::at_nth(point, 1)
-    }
-
-    /// Fires at the `nth` (1-based) occurrence of `point`.
-    pub fn at_nth(point: CrashPoint, nth: u64) -> Self {
-        CrashInjector {
-            target: Some((point, nth.max(1))),
-            hits: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Declares that execution reached `point`; returns the crash error if
-    /// the schedule says the process dies here.
-    pub fn fire(&self, point: CrashPoint) -> Result<(), DurabilityError> {
-        if let Some((target, nth)) = self.target {
-            if target == point && self.hits.fetch_add(1, Ordering::Relaxed) + 1 == nth {
-                return Err(DurabilityError::Crash(point));
-            }
-        }
-        Ok(())
+        CrashInjector
     }
 }
 
@@ -440,7 +300,6 @@ pub enum TailStatus {
 pub struct Wal {
     file: Box<dyn StorageFile>,
     path: PathBuf,
-    crash: CrashInjector,
     records: u64,
     bytes: u64,
     /// Why this handle is poisoned, when it is. Set by the first failed
@@ -453,12 +312,8 @@ impl Wal {
     /// Creates a fresh, empty log at `path` on `fs` (truncating any
     /// existing file), with the header and the file's directory entry
     /// already durable.
-    pub fn create_on(
-        fs: &dyn StorageFs,
-        path: &Path,
-        crash: CrashInjector,
-    ) -> Result<Wal, DurabilityError> {
-        Self::fresh(fs, fs.create_file(path)?, path, crash)
+    pub fn create_on(fs: &dyn StorageFs, path: &Path) -> Result<Wal, DurabilityError> {
+        Self::fresh(fs, fs.create_file(path)?, path)
     }
 
     /// Makes the empty `file` at `path` a log: the header, fsync'd, then
@@ -468,7 +323,6 @@ impl Wal {
         fs: &dyn StorageFs,
         mut file: Box<dyn StorageFile>,
         path: &Path,
-        crash: CrashInjector,
     ) -> Result<Wal, DurabilityError> {
         file.write_all(&wal_header())?;
         file.sync_all()?;
@@ -476,7 +330,6 @@ impl Wal {
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            crash,
             records: 0,
             bytes: WAL_HEADER_LEN,
             poison: None,
@@ -493,7 +346,6 @@ impl Wal {
     pub fn open_on(
         fs: &dyn StorageFs,
         path: &Path,
-        crash: CrashInjector,
     ) -> Result<(Wal, Vec<Vec<u8>>, TailStatus), DurabilityError> {
         let mut file = fs.open_file(path)?;
         let mut bytes = Vec::new();
@@ -507,7 +359,7 @@ impl Wal {
             // fails below: that is corruption, not a tear.
             file.set_len(0)?;
             file.seek_start(0)?;
-            let wal = Self::fresh(fs, file, path, crash)?;
+            let wal = Self::fresh(fs, file, path)?;
             return Ok((wal, Vec::new(), TailStatus::TornDiscarded));
         }
         let (payloads, valid_len, tail) = scan_records(&bytes)?;
@@ -521,7 +373,6 @@ impl Wal {
             Wal {
                 file,
                 path: path.to_path_buf(),
-                crash,
                 records,
                 bytes: valid_len,
                 poison: None,
@@ -544,25 +395,10 @@ impl Wal {
             "WAL record over MAX_RECORD_LEN"
         );
         self.check_poison()?;
-        self.crash.fire(CrashPoint::BeforeWalAppend)?;
         let mut frame = begin_frame(payload.len());
         frame.extend_from_slice(payload);
         seal_frame(&mut frame);
 
-        if let Err(e) = self.crash.fire(CrashPoint::MidWalAppend) {
-            // Torn write: a strict prefix of the frame reaches the disk
-            // before the process dies.
-            let torn = (frame.len() / 2).max(1).min(frame.len() - 1);
-            if let Err(ioe) = self.file.write_all(&frame[..torn]) {
-                self.poison = Some(format!("torn append write failed: {ioe}"));
-                return Err(DurabilityError::Io(ioe));
-            }
-            if let Err(ioe) = self.file.sync_all() {
-                // make the torn state visible to reopen
-                return Err(self.poison_sync("sync_all", &ioe));
-            }
-            return Err(e);
-        }
         if let Err(ioe) = self.file.write_all(&frame) {
             // An unknown prefix of the frame may be on disk; a later append
             // would land after garbage and turn a torn tail into mid-log
@@ -570,7 +406,6 @@ impl Wal {
             self.poison = Some(format!("append write failed: {ioe}"));
             return Err(DurabilityError::Io(ioe));
         }
-        self.crash.fire(CrashPoint::AfterWalAppend)?;
         self.records += 1;
         self.bytes += frame.len() as u64;
         Ok(())
@@ -587,7 +422,6 @@ impl Wal {
         if let Err(ioe) = self.file.sync_data() {
             return Err(self.poison_sync("sync_data", &ioe));
         }
-        self.crash.fire(CrashPoint::AfterWalSync)?;
         Ok(())
     }
 
@@ -841,6 +675,8 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
 mod tests {
     use super::*;
     use crate::storage::RealFs;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// One durable append: the record, then the barrier.
     fn append(wal: &mut Wal, payload: &[u8]) -> Result<(), DurabilityError> {
@@ -920,7 +756,7 @@ mod tests {
 
         let dir = tmpdir("golden");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         for p in &payloads {
             append(&mut wal, p).expect("append");
         }
@@ -932,14 +768,13 @@ mod tests {
     fn append_and_reopen_roundtrip() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         for i in 0..20u32 {
             append(&mut wal, &i.to_le_bytes()).expect("append");
         }
         assert_eq!(wal.records(), 20);
         drop(wal);
-        let (wal, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (wal, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(wal.records(), 20);
         let expect: Vec<Vec<u8>> = (0..20u32).map(|i| i.to_le_bytes().to_vec()).collect();
@@ -951,12 +786,11 @@ mod tests {
     fn empty_payloads_are_legal_records() {
         let dir = tmpdir("empty");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         append(&mut wal, &[]).expect("append empty");
         append(&mut wal, b"x").expect("append");
         drop(wal);
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(payloads, vec![Vec::new(), b"x".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -966,23 +800,21 @@ mod tests {
     fn torn_tail_is_discarded_and_truncated() {
         let dir = tmpdir("torn");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         append(&mut wal, b"first").expect("append");
         append(&mut wal, b"second").expect("append");
         drop(wal);
         // Chop the last record in half.
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("write");
-        let (wal, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (wal, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![b"first".to_vec()]);
         // The torn bytes are physically gone; a fresh append lands cleanly.
         let mut wal = wal;
         append(&mut wal, b"third").expect("append after truncate");
         drop(wal);
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen 2");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen 2");
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(payloads, vec![b"first".to_vec(), b"third".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -992,7 +824,7 @@ mod tests {
     fn tail_bit_flip_is_discarded_but_mid_log_flip_is_fatal() {
         let dir = tmpdir("flips");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         append(&mut wal, &[0xAA; 32]).expect("append");
         append(&mut wal, &[0xBB; 32]).expect("append");
         append(&mut wal, &[0xCC; 32]).expect("append");
@@ -1004,8 +836,7 @@ mod tests {
         let last_payload_mid = good.len() - 16;
         tail_flip[last_payload_mid] ^= 0x01;
         std::fs::write(&path, &tail_flip).expect("write");
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads.len(), 2, "first two records survive");
 
@@ -1014,7 +845,7 @@ mod tests {
         let mut mid_flip = good.clone();
         mid_flip[WAL_HEADER_LEN as usize + 8 + 4] ^= 0x01;
         std::fs::write(&path, &mid_flip).expect("write");
-        let err = Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect_err("must refuse");
+        let err = Wal::open_on(&RealFs, &path).expect_err("must refuse");
         assert!(
             matches!(err, DurabilityError::CorruptRecord { record: 0, .. }),
             "unexpected: {err}"
@@ -1026,7 +857,7 @@ mod tests {
     fn length_field_damage_on_tail_is_discarded() {
         let dir = tmpdir("lenflip");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         append(&mut wal, &[1u8; 16]).expect("append");
         append(&mut wal, &[2u8; 16]).expect("append");
         drop(wal);
@@ -1035,8 +866,7 @@ mod tests {
         let last_frame = bytes.len() - 24;
         bytes[last_frame..last_frame + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![vec![1u8; 16]]);
         std::fs::remove_dir_all(&dir).ok();
@@ -1049,12 +879,12 @@ mod tests {
         // A complete header with wrong magic or version is corruption.
         std::fs::write(&path, b"nope\x00\x00\x00\x00").expect("write");
         assert!(matches!(
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()),
+            Wal::open_on(&RealFs, &path),
             Err(DurabilityError::BadWalHeader)
         ));
         std::fs::write(&path, b"PWAL\xFF\xFF\x00\x00").expect("write");
         assert!(matches!(
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()),
+            Wal::open_on(&RealFs, &path),
             Err(DurabilityError::BadWalHeader)
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1068,13 +898,12 @@ mod tests {
         // nothing was ever acknowledged, so reopen rebuilds an empty log.
         std::fs::write(&path, b"PWA").expect("write");
         let (mut wal, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("torn creation reopens");
+            Wal::open_on(&RealFs, &path).expect("torn creation reopens");
         assert!(payloads.is_empty());
         assert_eq!(tail, TailStatus::TornDiscarded);
         append(&mut wal, b"first").expect("rebuilt log accepts appends");
         drop(wal);
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert_eq!(payloads, vec![b"first".to_vec()]);
         assert_eq!(tail, TailStatus::Clean);
         std::fs::remove_dir_all(&dir).ok();
@@ -1084,26 +913,21 @@ mod tests {
     fn injected_torn_write_recovers_previous_records() {
         let dir = tmpdir("injtorn");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        // The header and the first record are whole; the next write tears.
+        let fs = FlakyFs::new(u64::MAX, 2);
+        let mut wal = Wal::create_on(&fs, &path).expect("create");
         append(&mut wal, b"committed").expect("append");
-        drop(wal);
-        // Reopen with a scheduled torn write on the next append.
-        let (mut wal, _, _) =
-            Wal::open_on(&RealFs, &path, CrashInjector::at(CrashPoint::MidWalAppend))
-                .expect("reopen");
-        let err = append(&mut wal, b"doomed-record-payload").expect_err("must crash");
-        assert!(matches!(
-            err,
-            DurabilityError::Crash(CrashPoint::MidWalAppend)
-        ));
+        let err = append(&mut wal, b"doomed-record-payload").expect_err("must tear");
+        assert!(matches!(err, DurabilityError::Io(_)), "unexpected: {err}");
+        let err = wal.append_unsynced(b"after").expect_err("poisoned");
+        assert!(matches!(err, DurabilityError::SyncFailed(_)));
         drop(wal);
         // What reached the disk is a strict, non-empty prefix of the frame
         // a completed append would have written.
         let torn = std::fs::read(&path).expect("read torn log");
         let whole_dir = tmpdir("injtorn-whole");
         let whole_path = whole_dir.join("wal.0.log");
-        let mut whole =
-            Wal::create_on(&RealFs, &whole_path, CrashInjector::disabled()).expect("create");
+        let mut whole = Wal::create_on(&RealFs, &whole_path).expect("create");
         append(&mut whole, b"committed").expect("append");
         let committed_len = whole.bytes() as usize;
         append(&mut whole, b"doomed-record-payload").expect("append");
@@ -1113,62 +937,47 @@ mod tests {
         assert_eq!(torn, whole[..torn.len()]);
         std::fs::remove_dir_all(&whole_dir).ok();
         // The torn record is on disk; recovery discards exactly it.
-        let (_, payloads, tail) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("recover");
+        let (_, payloads, tail) = Wal::open_on(&RealFs, &path).expect("recover");
         assert_eq!(tail, TailStatus::TornDiscarded);
         assert_eq!(payloads, vec![b"committed".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn crash_injector_counts_hits_across_clones() {
-        let inj = CrashInjector::at_nth(CrashPoint::AfterWalSync, 3);
-        let clone = inj.clone();
-        assert!(inj.fire(CrashPoint::AfterWalSync).is_ok());
-        assert!(clone.fire(CrashPoint::AfterWalSync).is_ok());
-        assert!(
-            inj.fire(CrashPoint::BeforeWalAppend).is_ok(),
-            "other points never fire"
-        );
-        assert!(
-            clone.fire(CrashPoint::AfterWalSync).is_err(),
-            "3rd hit fires"
-        );
-        assert!(
-            inj.fire(CrashPoint::AfterWalSync).is_ok(),
-            "fires at most once"
-        );
+    /// A [`StorageFs`] whose files fail every sync after the first
+    /// `ok_syncs`, and tear every write after the first `ok_writes` (half
+    /// the buffer lands, then the error) — the smallest possible model of
+    /// a dying disk.
+    #[derive(Debug)]
+    struct FlakyFs(Arc<Budget>);
+
+    #[derive(Debug)]
+    struct Budget {
+        ok_syncs: u64,
+        ok_writes: u64,
+        syncs: AtomicU64,
+        writes: AtomicU64,
     }
 
-    /// A sweep names its failing case by the hook's name.
-    #[test]
-    fn crash_point_names_roundtrip() {
-        for p in CrashPoint::ALL {
-            let named = CrashPoint::ALL
-                .into_iter()
-                .find(|q| q.name() == p.to_string());
-            assert_eq!(named, Some(p));
+    impl FlakyFs {
+        fn new(ok_syncs: u64, ok_writes: u64) -> Self {
+            FlakyFs(Arc::new(Budget {
+                ok_syncs,
+                ok_writes,
+                syncs: AtomicU64::new(0),
+                writes: AtomicU64::new(0),
+            }))
         }
     }
 
-    /// A [`StorageFs`] whose files fail every sync after the first
-    /// `ok_syncs` — the smallest possible model of a dying disk.
     #[derive(Debug)]
-    struct FlakySyncFs {
-        ok_syncs: u64,
-        counter: Arc<AtomicU64>,
-    }
-
-    #[derive(Debug)]
-    struct FlakySyncFile {
+    struct FlakyFile {
         inner: Box<dyn StorageFile>,
-        ok_syncs: u64,
-        counter: Arc<AtomicU64>,
+        budget: Arc<Budget>,
     }
 
-    impl FlakySyncFile {
+    impl FlakyFile {
         fn tick(&self) -> std::io::Result<()> {
-            if self.counter.fetch_add(1, Ordering::Relaxed) >= self.ok_syncs {
+            if self.budget.syncs.fetch_add(1, Ordering::Relaxed) >= self.budget.ok_syncs {
                 Err(std::io::Error::other("injected EIO on fsync"))
             } else {
                 Ok(())
@@ -1176,8 +985,12 @@ mod tests {
         }
     }
 
-    impl StorageFile for FlakySyncFile {
+    impl StorageFile for FlakyFile {
         fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            if self.budget.writes.fetch_add(1, Ordering::Relaxed) >= self.budget.ok_writes {
+                self.inner.write_all(&buf[..buf.len() / 2])?;
+                return Err(std::io::Error::other("injected torn write"));
+            }
             self.inner.write_all(buf)
         }
         fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
@@ -1199,19 +1012,17 @@ mod tests {
         }
     }
 
-    impl StorageFs for FlakySyncFs {
+    impl StorageFs for FlakyFs {
         fn create_file(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
-            Ok(Box::new(FlakySyncFile {
+            Ok(Box::new(FlakyFile {
                 inner: RealFs.create_file(path)?,
-                ok_syncs: self.ok_syncs,
-                counter: Arc::clone(&self.counter),
+                budget: Arc::clone(&self.0),
             }))
         }
         fn open_file(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
-            Ok(Box::new(FlakySyncFile {
+            Ok(Box::new(FlakyFile {
                 inner: RealFs.open_file(path)?,
-                ok_syncs: self.ok_syncs,
-                counter: Arc::clone(&self.counter),
+                budget: Arc::clone(&self.0),
             }))
         }
         fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
@@ -1246,11 +1057,8 @@ mod tests {
         let path = dir.join("wal.0.log");
         // Creation syncs once (the header); the next sync — the first
         // commit barrier — fails.
-        let fs = FlakySyncFs {
-            ok_syncs: 1,
-            counter: Arc::new(AtomicU64::new(0)),
-        };
-        let mut wal = Wal::create_on(&fs, &path, CrashInjector::disabled()).expect("create");
+        let fs = FlakyFs::new(1, u64::MAX);
+        let mut wal = Wal::create_on(&fs, &path).expect("create");
         let err = append(&mut wal, b"doomed").expect_err("sync must fail");
         assert!(
             matches!(err, DurabilityError::SyncFailed(_)),
@@ -1266,8 +1074,7 @@ mod tests {
         // Reopen on a healthy filesystem: the unacknowledged record may or
         // may not have reached the platter; either way the log opens and
         // holds only whole frames.
-        let (_, payloads, _) =
-            Wal::open_on(&RealFs, &path, CrashInjector::disabled()).expect("reopen");
+        let (_, payloads, _) = Wal::open_on(&RealFs, &path).expect("reopen");
         assert!(payloads.len() <= 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1276,7 +1083,7 @@ mod tests {
     fn scan_frames_classifies_every_damage_shape() {
         let dir = tmpdir("frames");
         let path = dir.join("wal.0.log");
-        let mut wal = Wal::create_on(&RealFs, &path, CrashInjector::disabled()).expect("create");
+        let mut wal = Wal::create_on(&RealFs, &path).expect("create");
         append(&mut wal, &[0xAA; 24]).expect("append");
         append(&mut wal, &[0xBB; 24]).expect("append");
         append(&mut wal, &[0xCC; 24]).expect("append");

@@ -42,7 +42,7 @@ pub mod trapdoor;
 pub(crate) mod trusted;
 
 pub use db::Catalog;
-pub use durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
+pub use durability::{CrashInjector, DurabilityError, TailStatus, Wal};
 pub use encrypted::EncryptedTable;
 pub use error::EdbmsError;
 pub use oracle::{OracleError, SelectionOracle, SpOracle};

@@ -9,11 +9,11 @@
 //! from a seed. The traits are std-only on purpose: no async, no feature
 //! gates, nothing the container doesn't already have.
 //!
-//! The split mirrors `CrashInjector` (same crate) one layer down: crash
-//! points model *process death between syscalls*, while `StorageFs` faults
-//! model *the syscall itself lying* — EIO on fsync, ENOSPC mid-write, a
-//! rename that never happens. Both are deterministic and seeded so CI can
-//! sweep them.
+//! This one seam carries both fault classes: *the syscall itself lying* —
+//! EIO on fsync, ENOSPC mid-write, a rename that never happens — and
+//! *process death between syscalls*, which is a cut in the op stream (the
+//! op at the cut tears or fails, and every later op fails). Both are
+//! deterministic, so the suites sweep them.
 
 use std::fmt;
 use std::io;

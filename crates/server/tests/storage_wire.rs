@@ -5,9 +5,8 @@
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
 
-use common::{strided_columns, TmpDir};
+use common::{open_pool, strided_columns, TmpDir};
 use prkb_core::{EngineConfig, ShardMap, ShardedDurablePool};
-use prkb_edbms::durability::CrashInjector;
 use prkb_edbms::real_fs;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
@@ -44,11 +43,10 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
             sticky: false,
         }],
     );
-    let mut pool = ShardedDurablePool::<Predicate>::open_with_storage(
+    let mut pool = open_pool(
         &dir.0,
         EngineConfig::default(),
-        map,
-        CrashInjector::disabled(),
+        map.shards(),
         faults.handle(),
     )
     .expect("open pool");

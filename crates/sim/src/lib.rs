@@ -2,17 +2,19 @@
 //!
 //! The product crates answer every fault class at a seam: the oracle
 //! boundary ([`prkb_edbms::SelectionOracle`]), the filesystem
-//! ([`prkb_edbms::StorageFs`]), the TCP stream, and crash points
-//! ([`prkb_edbms::CrashInjector`], which stays in the product because the
-//! durability code fires its hooks). This crate holds the code that
-//! *drives* the first three in tests, and nothing in a product build
-//! depends on it: only `[dev-dependencies]` name it.
+//! ([`prkb_edbms::StorageFs`]) and the TCP stream. A process crash is a
+//! filesystem fault too — every crash boundary is a storage op — so it
+//! needs no seam of its own. This crate holds the code that *drives* the
+//! seams in tests, and nothing in a product build depends on it: only
+//! `[dev-dependencies]` name it.
 //!
 //! * [`FaultInjector`] — seeded transient / timeout / corruption faults
 //!   around any oracle, with QPF accounting faithful to each class, and
 //!   [`reissue`], the whole-query re-issue that follows such a fault;
 //! * [`FaultFs`] — seeded or scripted EIO / ENOSPC / short writes over any
-//!   [`prkb_edbms::StorageFs`];
+//!   [`prkb_edbms::StorageFs`], a crash at op `n` of a run
+//!   ([`FaultFs::crash_at`]), and the op log a sweep indexes
+//!   ([`FaultFs::log`]);
 //! * [`ChaosProxy`] — an in-process TCP proxy that drops, corrupts,
 //!   truncates, stalls or trickles whole `prkb-wire/v2` frames under a
 //!   [`FaultPlan`].

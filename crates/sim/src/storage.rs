@@ -8,9 +8,14 @@
 //! failure yields either a clean error with the committed prefix
 //! recoverable or a poisoned handle — never a lost durable ack.
 //!
-//! Like `ChaosConfig` and `CrashInjector`, a `FaultFs` is consumed
-//! *explicitly* by tests (passed to `open_with_storage`) — production
-//! opens are never silently armed.
+//! A crash is a storage fault too: [`FaultFs::crash_at`] cuts the op
+//! stream at op `n` (the op tears or fails, every later op fails without
+//! reaching the inner filesystem), and [`FaultFs::log`] is the op sequence a
+//! clean run made — the index space the crash sweeps cut.
+//!
+//! Like `ChaosConfig`, a `FaultFs` is consumed *explicitly* by tests
+//! (passed to `open_with_storage`) — production opens are never silently
+//! armed.
 //!
 //! Schedule format (one rule): *match* = (`op` or any) ∧ (`path_contains`
 //! or any); the rule fires on the `nth` (1-based) matching operation, and —
@@ -129,6 +134,7 @@ struct RuleState {
 struct FaultState {
     rules: Mutex<Vec<RuleState>>,
     injected: AtomicU64,
+    log: Mutex<Vec<(IoOp, PathBuf)>>,
 }
 
 impl FaultState {
@@ -136,6 +142,10 @@ impl FaultState {
     /// matches so multi-rule schedules stay deterministic.
     fn decide(&self, op: IoOp, path: &Path) -> Option<IoFaultKind> {
         let mut rules = self.rules.lock().expect("fault rules lock");
+        self.log
+            .lock()
+            .expect("op log lock")
+            .push((op, path.to_path_buf()));
         let mut fired = None;
         for r in rules.iter_mut() {
             if !r.rule.matches(op, path) {
@@ -195,8 +205,32 @@ impl FaultFs {
                         .collect(),
                 ),
                 injected: AtomicU64::new(0),
+                log: Mutex::new(Vec::new()),
             }),
         }
+    }
+
+    /// A process death at storage op `n` (0-based: an index into a clean
+    /// run's [`log`](Self::log)). A handle write there tears — half the
+    /// buffer lands, a strict prefix — and any other op there fails; every
+    /// later op fails without reaching `inner`. (`exists`, `read_dir` and
+    /// handle seeks change nothing on disk and are not counted as ops.)
+    pub fn crash_at(inner: Arc<dyn StorageFs>, n: usize) -> Self {
+        let nth = n as u64 + 1;
+        let after = IoFaultRule {
+            sticky: true,
+            ..IoFaultRule::nth_any(nth + 1, IoFaultKind::Eio)
+        };
+        Self::scripted(
+            inner,
+            vec![IoFaultRule::nth_any(nth, IoFaultKind::ShortWrite), after],
+        )
+    }
+
+    /// Every storage op this filesystem (and its clones and open handles)
+    /// has been asked for, failed ones included, in call order.
+    pub fn log(&self) -> Vec<(IoOp, PathBuf)> {
+        self.state.log.lock().expect("op log lock").clone()
     }
 
     /// A one-shot seeded fault: fails the Nth storage operation overall
@@ -416,6 +450,75 @@ mod tests {
         assert!(err.to_string().contains("short write"), "{err}");
         drop(f);
         assert_eq!(std::fs::read(&p).expect("read").len(), 5, "half landed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_at_tears_its_write_to_a_strict_nonempty_prefix() {
+        let dir = tmpdir("crash-tear");
+        let p = dir.join("f.bin");
+        // Op 0 opens the file, op 1 is its first write.
+        let fs = FaultFs::crash_at(real_fs(), 1);
+        let mut f = fs.create_file(&p).expect("op 0 is before the cut");
+        let image: Vec<u8> = (0..=9u8).collect();
+        f.write_all(&image).expect_err("op 1 is the cut");
+        drop(f);
+        let torn = std::fs::read(&p).expect("read");
+        assert!(!torn.is_empty() && torn.len() < image.len(), "{torn:?}");
+        assert_eq!(torn, image[..torn.len()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn no_op_after_the_crash_reaches_the_inner_fs() {
+        let dir = tmpdir("crash-after");
+        let (a, b, c) = (dir.join("a.bin"), dir.join("b.bin"), dir.join("c.bin"));
+        std::fs::write(&a, b"kept").expect("seed");
+        // Op 0 opens a handle; op 1 (a sync_dir) is the cut: not a write,
+        // so it just fails.
+        let fs = FaultFs::crash_at(real_fs(), 1);
+        let mut open = fs.create_file(&c).expect("op 0 is before the cut");
+        assert!(fs.sync_dir(&dir).is_err());
+        assert!(open.write_all(b"late").is_err(), "no byte through a handle");
+        assert!(open.sync_all().is_err());
+        drop(open);
+        assert_eq!(std::fs::read(&c).expect("c exists").len(), 0);
+        assert!(fs.create_file(&b).is_err(), "no file");
+        assert!(fs.write(&b, b"x").is_err(), "no byte");
+        assert!(fs.rename(&a, &b).is_err(), "no rename");
+        assert!(fs.remove_file(&a).is_err(), "no unlink");
+        assert!(fs.read(&a).is_err());
+        assert_eq!(std::fs::read(&a).expect("a untouched"), b"kept");
+        assert!(!b.exists());
+        assert_eq!(fs.injected(), 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn log_lists_every_op_in_call_order() {
+        let dir = tmpdir("log");
+        let (a, b) = (dir.join("a.bin"), dir.join("b.bin"));
+        let fs = FaultFs::scripted(real_fs(), Vec::new());
+        let mut f = fs.clone().create_file(&a).expect("create");
+        f.write_all(b"x").expect("write");
+        f.sync_all().expect("sync");
+        drop(f);
+        fs.rename(&a, &b).expect("rename");
+        fs.sync_dir(&dir).expect("sync_dir");
+        assert!(
+            fs.remove_file(&a).is_err(),
+            "gone: a failed op is logged too"
+        );
+        let want = [
+            (IoOp::Open, &a),
+            (IoOp::Write, &a),
+            (IoOp::SyncAll, &a),
+            (IoOp::Rename, &a),
+            (IoOp::SyncDir, &dir),
+            (IoOp::Remove, &a),
+        ];
+        let want: Vec<(IoOp, PathBuf)> = want.iter().map(|(o, p)| (*o, p.to_path_buf())).collect();
+        assert_eq!(fs.log(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

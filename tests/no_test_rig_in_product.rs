@@ -1,8 +1,11 @@
 //! The product crates keep the fault seams — `SelectionOracle`,
-//! `StorageFs`, the TCP stream, `CrashInjector` — and not the code that
-//! drives them in tests. The injectors live in `crates/sim` (`prkb-sim`),
-//! which only `[dev-dependencies]` name, so no product build links them and
-//! no product source mentions them.
+//! `StorageFs`, the TCP stream — and not the code that drives them in
+//! tests. The injectors live in `crates/sim` (`prkb-sim`), which only
+//! `[dev-dependencies]` name, so no product build links them and no product
+//! source mentions them. A crash is a storage fault (a cut in `FaultFs`'s op
+//! stream), so there is no crash seam: no crash points, no hooks, no crash
+//! error. `CrashInjector` survives only as a one-value stand-in that the
+//! benchmark adapter passes to `open_with_storage`, which ignores it.
 
 mod product_src;
 
@@ -16,6 +19,10 @@ fn product_src_names_no_fault_injector() {
         "ChaosProxy",
         "FaultPlan",
         "RetryOracle",
+        "CrashPoint",
+        "PublishHooks",
+        "at_nth",
+        "DurabilityError::Crash",
     ]);
     assert!(
         hits.is_empty(),
@@ -49,6 +56,38 @@ fn product_manifests_name_prkb_sim_only_as_a_dev_dependency() {
     assert!(
         hits.is_empty(),
         "prkb-sim is test code; only [dev-dependencies] may name it:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn crash_injector_is_only_the_benchmark_shim() {
+    // Defined (docs, a field-less struct, its one value), imported, and
+    // taken as an ignored parameter — nothing that could arm a crash.
+    let allowed = |line: &str| {
+        line.starts_with("///")
+            || line.starts_with("use ")
+            || line.starts_with("pub use ")
+            || [
+                "pub struct CrashInjector;",
+                "impl CrashInjector {",
+                "CrashInjector",
+                "_: CrashInjector,",
+            ]
+            .contains(&line)
+    };
+    let mut hits = Vec::new();
+    for (path, text) in product_src::sources() {
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.contains("CrashInjector") && !allowed(line) {
+                hits.push(format!("{}:{}: {line}", path.display(), i + 1));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "CrashInjector is a one-value shim for open_with_storage's ignored argument:\n{}",
         hits.join("\n")
     );
 }
