@@ -25,7 +25,7 @@ use crate::harness::{fresh_engine, measure_span, warm_to_k, EncSetup, Measured, 
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::qfilter::{try_qfilter, FilterResult};
-use prkb_core::qscan::try_qscan;
+use prkb_core::qscan::{try_qscan, ScanResult};
 use prkb_core::{MdUpdatePolicy, Pop};
 use prkb_datagen::{synthetic, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::{
@@ -109,7 +109,8 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
     let (inferred, early_stop) = measure_span(&oracle, || {
         let scan = |(p, f)| try_qscan(pop, &oracle, p, f).expect("fault-free oracle");
         let scans = preds.iter().zip(&filters).map(scan);
-        scans.map(|s| s.winners.len()).collect::<Vec<_>>()
+        let found = |s: ScanResult| s.winners.len() + s.split.map_or(0, |s| s.true_half.len());
+        scans.map(found).collect::<Vec<_>>()
     });
     let (scanned, scan_both) = measure_span(&oracle, || {
         let exhaustive = |(p, f): (_, &FilterResult)| {

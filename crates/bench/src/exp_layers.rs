@@ -26,6 +26,22 @@
 //!   construction (asserted). The `_t1` suffix is kept so the row ids stay
 //!   comparable with earlier runs.
 //!
+//! **Engine rows** price what PRKB itself does per tuple once the oracle is
+//! out of the way: a [`PrkbEngine`] over a [`PlainOracle`] wrapped in a
+//! clock, each row the replay's wall time minus the oracle's busy time,
+//! divided by the replay's Σ `ns_width` (the NS-pair tuples it scanned).
+//! Each sample replays from fresh knowledge, so the QPF count is the
+//! replay's (deterministic, and carried in the row):
+//!
+//! * `engine_ns_per_scanned_tuple_md1` — `cold_start`'s shape: n =
+//!   200 000 over two attributes at k = 1, then 170 1-D 1 % ranges
+//!   alternating between them through the MD executor;
+//! * `engine_ns_per_scanned_tuple_cmp` — `wide_result`'s: n = 60 000,
+//!   150 warming cuts per attribute, then 300 single comparisons with a
+//!   uniform bound through QFilter and QScan.
+//!
+//! The report prints each as a multiple of `qpf_batch_ns`.
+//!
 //! **Checksum-and-framing rows** are the layer the wire, the WAL and the
 //! checkpoint codecs share. Each is a public function in a loop over a
 //! buffer of the size the served workloads use — 64 B (a request), 1.3 KB
@@ -43,21 +59,24 @@
 //! A trajectory row carries `ms` per `n` = 1 000 000 units (bytes,
 //! evaluations or scanned tuples), which reads as ns per unit; it is the
 //! fastest of [`SAMPLES`] samples, since the interest is the code's cost,
-//! not the box's noise. `qpf_uses` is 0.
+//! not the box's noise. `qpf_uses` is 0 except on the engine rows.
 
 use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
-use prkb_core::{DeadlineOracle, SessionOracle};
+use prkb_core::{DeadlineOracle, EngineConfig, PrkbEngine, SessionOracle};
 use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
+use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{
-    real_fs, ComparisonOp, SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
+    real_fs, ComparisonOp, OracleError, Predicate, PredicateKind, SelectionOracle, SpOracle,
+    TmConfig, TrustedMachine, TupleId,
 };
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Samples per row; the fastest is reported.
@@ -75,6 +94,8 @@ pub struct LayerPoint {
     pub len: usize,
     /// Nanoseconds per unit, fastest sample.
     pub ns_per_unit: f64,
+    /// QPF uses of one sample (engine rows; 0 elsewhere).
+    pub qpf_uses: u64,
 }
 
 /// Fastest-sample ns/unit of `f` over `len`-unit calls, each sample
@@ -167,6 +188,166 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
     }
 }
 
+/// Values of the engine rows' columns are uniform in `[0, DOMAIN)`, and a
+/// narrow range is 1 % of it, as in the served workloads.
+const DOMAIN: u64 = 1_000_000;
+
+/// A [`PlainOracle`] that clocks its own evaluations, so a query's wall
+/// time minus `busy_ns` is the engine's.
+struct Clocked<'a> {
+    inner: &'a PlainOracle,
+    busy_ns: AtomicU64,
+}
+
+impl Clocked<'_> {
+    fn clock<T>(&self, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let ns = start.elapsed().as_nanos() as u64;
+        self.busy_ns.fetch_add(ns, Ordering::Relaxed);
+        out
+    }
+}
+
+impl SelectionOracle for Clocked<'_> {
+    type Pred = Predicate;
+
+    fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+        self.clock(|| self.inner.try_eval(pred, t))
+    }
+
+    fn try_eval_batch(
+        &self,
+        pred: &Predicate,
+        tuples: &[TupleId],
+        out: &mut Vec<bool>,
+    ) -> Result<(), OracleError> {
+        self.clock(|| self.inner.try_eval_batch(pred, tuples, out))
+    }
+
+    fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+        self.inner.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.inner.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.inner.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.inner.qpf_uses()
+    }
+}
+
+/// An engine indexing attributes 0 and 1 of `oracle`, each at k = 1.
+fn cold_engine(oracle: &PlainOracle) -> PrkbEngine<Predicate> {
+    let mut engine = PrkbEngine::new(EngineConfig::default());
+    for attr in 0..2 {
+        engine.init_attr(attr, oracle.n_slots());
+    }
+    engine
+}
+
+/// The fastest of [`SAMPLES`] replays, each on a fresh engine from `fresh`,
+/// as engine ns per scanned NS-pair tuple — (wall − oracle busy) / Σ
+/// `ns_width`, the sum `replay` returns — with one replay's QPF uses.
+fn engine_row(
+    oracle: &PlainOracle,
+    fresh: impl Fn() -> PrkbEngine<Predicate>,
+    replay: impl Fn(&mut PrkbEngine<Predicate>, &Clocked, &mut StdRng) -> u64,
+) -> (f64, u64) {
+    let mut qpf = None;
+    let fastest = (0..SAMPLES)
+        .map(|_| {
+            let mut engine = fresh();
+            let clocked = Clocked {
+                inner: oracle,
+                busy_ns: AtomicU64::new(0),
+            };
+            let (before, mut rng) = (oracle.qpf_uses(), StdRng::seed_from_u64(44));
+            let start = Instant::now();
+            let width = replay(&mut engine, &clocked, &mut rng);
+            let wall = start.elapsed().as_nanos() as f64;
+            let uses = oracle.qpf_uses() - before;
+            assert_eq!(*qpf.get_or_insert(uses), uses, "a replay is deterministic");
+            let busy = clocked.busy_ns.load(Ordering::Relaxed) as f64;
+            (wall - busy) / width.max(1) as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    (fastest, qpf.unwrap_or(0))
+}
+
+/// The engine rows (see the module docs).
+fn engine_rows() -> Vec<LayerPoint> {
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut columns = |n: usize| -> Vec<Vec<u64>> {
+        let column = |_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect();
+        (0..2).map(column).collect()
+    };
+    let cold = PlainOracle::from_columns(columns(200_000));
+    let warm = PlainOracle::from_columns(columns(60_000));
+
+    let narrow = DOMAIN / 100;
+    let ranges: Vec<[Predicate; 2]> = (0..170u32)
+        .map(|i| {
+            let lo = rng.gen_range(0..DOMAIN - narrow);
+            [
+                Predicate::cmp(i % 2, ComparisonOp::Ge, lo),
+                Predicate::cmp(i % 2, ComparisonOp::Lt, lo + narrow),
+            ]
+        })
+        .collect();
+    let md1 = engine_row(
+        &cold,
+        || cold_engine(&cold),
+        |engine, oracle, rng| {
+            let select = |dims: &[Predicate; 2]| {
+                let sel = engine.select_range_md(oracle, std::slice::from_ref(dims), rng);
+                sel.stats.ns_width
+            };
+            ranges.iter().map(select).sum()
+        },
+    );
+
+    let cut = |rng: &mut StdRng, attr: u32, op: ComparisonOp| {
+        Predicate::cmp(attr, op, rng.gen_range(0..DOMAIN))
+    };
+    let warming: Vec<Predicate> = (0..300u32)
+        .map(|i| cut(&mut rng, i % 2, ComparisonOp::Lt))
+        .collect();
+    let compares: Vec<Predicate> = (0..300)
+        .map(|_| {
+            let (attr, op) = (rng.gen_range(0..2), ComparisonOp::ALL[rng.gen_range(0..4)]);
+            cut(&mut rng, attr, op)
+        })
+        .collect();
+    let warmed = || {
+        let mut engine = cold_engine(&warm);
+        let mut rng = StdRng::seed_from_u64(45);
+        for p in &warming {
+            engine.select(&warm, p, &mut rng);
+        }
+        engine
+    };
+    let cmp = engine_row(&warm, warmed, |engine, oracle, rng| {
+        let select = |p| engine.select(oracle, p, rng).stats.ns_width;
+        compares.iter().map(select).sum()
+    });
+
+    [("md1", md1), ("cmp", cmp)]
+        .into_iter()
+        .map(|(shape, (ns_per_unit, qpf_uses))| LayerPoint {
+            id: format!("engine_ns_per_scanned_tuple_{shape}"),
+            len: 1,
+            ns_per_unit,
+            qpf_uses,
+        })
+        .collect()
+}
+
 /// Runs every row.
 pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     let sample_bytes = match scale {
@@ -183,6 +364,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
             id: id.to_string(),
             len,
             ns_per_unit,
+            qpf_uses: 0,
         });
     };
     oracle_rows(scale, sample_bytes, &mut push);
@@ -215,6 +397,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         wal.append_unsynced(black_box(&buf)).expect("append")
     });
     push("wal_append_ns_per_byte", WIDE, append);
+    points.extend(engine_rows());
     points
 }
 
@@ -230,11 +413,11 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         "layers — the oracle, checksum and framing: ns per unit (fastest of {SAMPLES} samples)"
     ));
     report.line(format!(
-        "{:>30}{:>12}{:>10}",
+        "{:>32}{:>12}{:>10}",
         "row", "units/call", "ns/unit"
     ));
     for p in &points {
-        report.line(format!("{:>30}{:>12}{:>10.3}", p.id, p.len, p.ns_per_unit));
+        report.line(format!("{:>32}{:>12}{:>10.3}", p.id, p.len, p.ns_per_unit));
     }
     report.line(format!(
         "a QPF use is {:.0}x a plain comparison ({:.0}x at work factor 16)",
@@ -253,6 +436,14 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         100.0 * (call_12 - 12.0 * per_tuple) / call_12,
     ));
     report.line(format!(
+        "engine per scanned NS-pair tuple: {:.1} ns through MD (d = 1), {:.1} ns through \
+         QScan — {:.2}x and {:.2}x a batched QPF",
+        of("engine_ns_per_scanned_tuple_md1"),
+        of("engine_ns_per_scanned_tuple_cmp"),
+        of("engine_ns_per_scanned_tuple_md1") / of("qpf_batch_ns"),
+        of("engine_ns_per_scanned_tuple_cmp") / of("qpf_batch_ns"),
+    ));
+    report.line(format!(
         "floor for a framed 120 KB buffer (one checksum pass + one copy): {floor:.3} ns/byte; \
          encode {:.2}x, decode {:.2}x, WAL append {:.2}x of it",
         of("frame_encode_ns_per_byte") / floor,
@@ -263,7 +454,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         .iter()
         .map(|p| BenchRow {
             id: p.id.clone(),
-            qpf_uses: 0,
+            qpf_uses: p.qpf_uses,
             ms: p.ns_per_unit,
             k: 0,
             n: 1_000_000,

@@ -11,11 +11,13 @@ use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
 
 /// One partition of a trapdoor's NS pair: its rank, its QFilter sample
-/// label, and the verdicts this query has tested in it, in candidate order.
+/// label, and the members this query has tested in it, run by run in the
+/// order tested, with their verdicts position for position.
 struct NsSide {
     rank: usize,
     label: bool,
-    tested: Vec<(TupleId, bool)>,
+    tested: Vec<TupleId>,
+    verdicts: Vec<bool>,
     trues: usize,
 }
 
@@ -25,8 +27,17 @@ impl NsSide {
             rank,
             label,
             tested: Vec::new(),
+            verdicts: Vec::new(),
             trues: 0,
         }
+    }
+
+    /// Appends one run of tested members and their verdicts.
+    fn extend(&mut self, ids: &[TupleId], verdicts: &[bool]) {
+        debug_assert_eq!(ids.len(), verdicts.len(), "one verdict per member");
+        self.tested.extend_from_slice(ids);
+        self.verdicts.extend_from_slice(verdicts);
+        self.trues += verdicts.iter().filter(|&&v| v).count();
     }
 
     /// Both outcomes seen: this is the separating partition.
@@ -72,7 +83,10 @@ impl NsState {
         self.sides().find(|s| s.rank == rank).map(|s| s.label)
     }
 
-    fn record(&mut self, rank: usize, t: TupleId, out: bool) {
+    /// Records one run of rank-`rank` verdicts, in the order tested.
+    /// Resolution is checked once per run: a run's verdicts can only resolve
+    /// `rank` itself, and once mixed a side stays mixed.
+    fn record_run(&mut self, rank: usize, ids: &[TupleId], verdicts: &[bool]) {
         let side = if rank == self.a.rank {
             &mut self.a
         } else {
@@ -81,8 +95,7 @@ impl NsState {
                 _ => return,
             }
         };
-        side.tested.push((t, out));
-        side.trues += usize::from(out);
+        side.extend(ids, verdicts);
         if side.mixed() {
             self.resolved = Some(rank);
         }
@@ -105,28 +118,105 @@ impl Pending {
     }
 
     /// Evaluates the pending tuples as one oracle batch (none pending: no
-    /// call), writes each verdict at its wave position, hands it to `each`
-    /// in candidate order, and empties the list.
+    /// call), writes each verdict at its wave position, hands the batch and
+    /// its verdicts to `each`, and empties the list.
     fn eval<O: SelectionOracle>(
         &mut self,
         oracle: &O,
         pred: &O::Pred,
         wave: &mut [bool],
         batches: &mut u64,
-        mut each: impl FnMut(TupleId, bool),
+        each: impl FnOnce(&[TupleId], &[bool]),
     ) -> Result<(), OracleError> {
         if self.tuples.is_empty() {
             return Ok(());
         }
         *batches += 1;
         oracle.try_eval_batch(pred, &self.tuples, &mut self.verdicts)?;
-        for ((&t, &i), &v) in self.tuples.iter().zip(&self.at).zip(&self.verdicts) {
+        for (&i, &v) in self.at.iter().zip(&self.verdicts) {
             wave[i] = v;
-            each(t, v);
         }
+        each(&self.tuples, &self.verdicts);
         self.tuples.clear();
         self.at.clear();
         Ok(())
+    }
+}
+
+/// The survivors `tuples[start..end]` of one driver partition (`rank`), or
+/// of the driver's overflow (`rank: None`).
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    rank: Option<usize>,
+    start: usize,
+    end: usize,
+}
+
+/// What one wave decided for a segment's survivors.
+#[derive(Clone, Copy)]
+enum Fate {
+    /// Every survivor of the segment has this verdict.
+    All(bool),
+    /// Each survivor's verdict sits at its position in the wave.
+    Each,
+}
+
+/// The candidates still in the running, in driver order, as segments: the
+/// surviving live members of each driver partition not known false, in rank
+/// order and member order, then the driver's surviving overflow tuples. No
+/// segment is empty.
+#[derive(Default)]
+struct Band {
+    tuples: Vec<TupleId>,
+    segments: Vec<Segment>,
+}
+
+impl Band {
+    /// Appends `tuples` as one segment (nothing when it is empty).
+    fn push_segment(&mut self, rank: Option<usize>, tuples: impl Iterator<Item = TupleId>) {
+        let start = self.tuples.len();
+        self.tuples.extend(tuples);
+        let end = self.tuples.len();
+        if end > start {
+            self.segments.push(Segment { rank, start, end });
+        }
+    }
+
+    /// Keeps the survivors whose verdict is true, segments and tuples in one
+    /// pass, dropping the segments left empty.
+    fn retain(&mut self, fates: &[Fate], wave: &[bool]) {
+        let (mut w, mut kept) = (0, 0);
+        for (s, &fate) in fates.iter().enumerate() {
+            let Segment { rank, start, end } = self.segments[s];
+            let from = w;
+            match fate {
+                Fate::All(false) => {}
+                Fate::All(true) => {
+                    if w != start {
+                        self.tuples.copy_within(start..end, w);
+                    }
+                    w += end - start;
+                }
+                Fate::Each => {
+                    for (i, &keep) in (start..end).zip(&wave[start..end]) {
+                        if keep {
+                            self.tuples[w] = self.tuples[i];
+                            w += 1;
+                        }
+                    }
+                }
+            }
+            if w > from {
+                self.segments[kept] = Segment {
+                    rank,
+                    start: from,
+                    end: w,
+                };
+                kept += 1;
+            }
+        }
+        self.tuples.truncate(w);
+        self.segments.truncate(kept);
     }
 }
 
@@ -137,6 +227,8 @@ struct Prepared {
     filters: Vec<[FilterResult; 2]>,
     classes: Vec<Vec<RankClass>>,
     ns_states: Vec<[Option<NsState>; 2]>,
+    /// The dimension whose band the candidates come from.
+    driver: usize,
     /// The fields phase 1 decides; the walk adds `oracle_batches`.
     stats: QueryStats,
 }
@@ -156,13 +248,14 @@ where
     O::Pred: SpPredicate,
     R: Rng,
 {
-    let (mut p, survivors) = prepare(dims, oracle, rng)?;
+    let (mut p, band) = prepare(dims, oracle, rng)?;
     let tuples = walk(
         dims,
         oracle,
         &p.classes,
         &mut p.ns_states,
-        survivors,
+        p.driver,
+        band,
         &mut p.stats.oracle_batches,
     )?;
     let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
@@ -178,14 +271,15 @@ where
 }
 
 /// Phase 1 — QFilter every trapdoor and classify every partition (per rank:
-/// O(k), never O(n)) — then the candidate list with the free pruning pass
-/// applied: the live tuples not provably out in any dimension, in driver
-/// order.
+/// O(k), never O(n)) — then the candidate band with the free pruning pass
+/// applied, built segment by segment: for each driver partition not known
+/// false, its live members not provably out in another dimension, in member
+/// order; then the driver's overflow tuples, filtered alike.
 fn prepare<O, R>(
     dims: &[MdDim<O::Pred>],
     oracle: &O,
     rng: &mut R,
-) -> Result<(Prepared, Vec<TupleId>), OracleError>
+) -> Result<(Prepared, Band), OracleError>
 where
     O: SelectionOracle,
     O::Pred: SpPredicate,
@@ -243,71 +337,68 @@ where
     // must lie in that band, so nothing is missed, and per-query work is
     // proportional to the band, not the table (the paper's Fig. 6b grid
     // pruning).
-    let driver = (0..d)
-        .min_by_key(|&di| {
-            let pop = dims[di].knowledge.pop();
-            let band: usize = (0..pop.k())
-                .filter(|&r| !classes[di][r].known_false())
-                .map(|r| pop.members_at(r).len())
-                .sum();
-            band + dims[di].knowledge.overflow().len()
-        })
-        .unwrap_or(0);
-
-    let overflow_scanned = dims[driver].knowledge.overflow().len();
-    let mut candidates: Vec<TupleId> = Vec::new();
-    {
-        let pop = dims[driver].knowledge.pop();
-        for (r, class) in classes[driver].iter().enumerate().take(pop.k()) {
-            if !class.known_false() {
-                candidates.extend_from_slice(pop.members_at(r));
-            }
-        }
-        candidates.extend(dims[driver].knowledge.overflow().iter().map(|e| e.tuple));
-    }
+    let band_of = |di: usize| {
+        let pop = dims[di].knowledge.pop();
+        let band: usize = (0..pop.k())
+            .filter(|&r| !classes[di][r].known_false())
+            .map(|r| pop.members_at(r).len())
+            .sum();
+        band + dims[di].knowledge.overflow().len()
+    };
+    let driver = (0..d).min_by_key(|&di| band_of(di)).unwrap_or(0);
 
     // Free pass first: a tuple provably out in *any* dimension is discarded
-    // before a single QPF is spent on it (Fig. 6b pruning). Classes are
-    // fixed for the whole query, so this prunes the candidate list upfront.
-    let mut survivors: Vec<TupleId> = Vec::new();
-    'cands: for t in candidates {
-        if !oracle.is_live(t) {
-            continue;
+    // before a single QPF is spent on it (Fig. 6b pruning). Every candidate
+    // comes from a driver partition not known false, or is unplaced there,
+    // so only the other dimensions are checked.
+    let passes = |t: &TupleId| {
+        oracle.is_live(*t)
+            && dims.iter().enumerate().all(|(di, dim)| {
+                di == driver
+                    || dim
+                        .knowledge
+                        .pop()
+                        .rank_of_tuple(*t)
+                        .is_none_or(|r| !classes[di][r].known_false())
+            })
+    };
+    let mut band = Band::default();
+    band.tuples.reserve(band_of(driver));
+    let pop = dims[driver].knowledge.pop();
+    for (r, class) in classes[driver].iter().enumerate() {
+        if !class.known_false() {
+            let members = pop.members_at(r).iter().copied();
+            band.push_segment(Some(r), members.filter(passes));
         }
-        for (di, dim) in dims.iter().enumerate() {
-            if let Some(r) = dim.knowledge.pop().rank_of_tuple(t) {
-                if classes[di][r].known_false() {
-                    continue 'cands;
-                }
-            }
-        }
-        survivors.push(t);
     }
+    let overflow = dims[driver].knowledge.overflow();
+    band.push_segment(None, overflow.iter().map(|e| e.tuple).filter(passes));
 
     let prepared = Prepared {
         qpf_before,
         filters,
         classes,
         ns_states,
+        driver,
         stats: QueryStats {
             k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
             filter_probes,
             ns_width,
             pruned_true,
             pruned_false,
-            overflow_scanned,
+            overflow_scanned: overflow.len(),
             ..QueryStats::default()
         },
     };
-    Ok((prepared, survivors))
+    Ok((prepared, band))
 }
 
-/// Phase 2 — evaluates the survivors wave-major, one wave per (dimension,
-/// trapdoor), each over the tuples that survived every earlier wave, and
-/// returns the winners. This is QPF-count-identical to a tuple-major loop
-/// with per-tuple short-circuit: the early-stop state of a (dim, trapdoor)
-/// pair is only read and written by its own wave, in the candidate order
-/// the per-tuple loop would visit.
+/// Phase 2 — evaluates the band wave-major, one wave per (dimension,
+/// trapdoor), each over the survivors of every earlier wave, and returns
+/// the winners. This is QPF-count-identical to a tuple-major loop with
+/// per-tuple short-circuit: the early-stop state of a (dim, trapdoor) pair
+/// is only read and written by its own wave, in the candidate order the
+/// per-tuple loop would visit.
 ///
 /// No tuple costs an oracle round trip of its own. Outside the NS pair an
 /// outcome is never inferred and never resolves the pair, so those tuples —
@@ -316,16 +407,20 @@ where
 /// just as unconditional: recording rank-`r` outcomes can only resolve `r`
 /// itself, and `inferred(r)` is `None` while `r` is the resolved rank, so no
 /// verdict of the run can turn a later tuple of the run into an inference.
-/// Each run is one batch, fed to the state in candidate order, and settled
-/// when the rank changes — before the next rank asks `inferred`. On the
-/// driver dimension candidates arrive rank-grouped (one batch per NS
-/// partition); elsewhere ranks interleave and runs are short.
+/// Each run is one batch, recorded in candidate order, and settled when the
+/// rank changes — before the next rank asks `inferred`.
+///
+/// The driver wave is partition-major: a segment is one driver rank, so it
+/// is decided whole — passed by its class, inferred, or evaluated as one
+/// run straight from its slice. The other waves are tuple-major inside the
+/// driver's segments, since their ranks interleave and runs are short.
 fn walk<O>(
     dims: &[MdDim<O::Pred>],
     oracle: &O,
     classes: &[Vec<RankClass>],
     ns_states: &mut [[Option<NsState>; 2]],
-    mut survivors: Vec<TupleId>,
+    driver: usize,
+    mut band: Band,
     oracle_batches: &mut u64,
 ) -> Result<Vec<TupleId>, OracleError>
 where
@@ -333,53 +428,89 @@ where
     O::Pred: SpPredicate,
 {
     let mut wave: Vec<bool> = Vec::new();
+    let mut fates: Vec<Fate> = Vec::new();
+    let mut verdicts: Vec<bool> = Vec::new();
     let mut run = Pending::default();
     let mut rest = Pending::default();
     for (di, dim) in dims.iter().enumerate() {
         let pop = dim.knowledge.pop();
         for (j, (pred, state)) in dim.preds.iter().zip(&mut ns_states[di]).enumerate() {
-            if survivors.is_empty() {
+            if band.tuples.is_empty() {
                 break;
             }
             let mut state = state.as_mut();
-            let mut run_rank = usize::MAX;
             wave.clear();
-            wave.resize(survivors.len(), true);
-            for (i, &t) in survivors.iter().enumerate() {
-                let rank = pop.rank_of_tuple(t);
-                if let Some(c) = rank.map(|r| classes[di][r]) {
-                    debug_assert!(!c.known_false(), "filtered by the free pass");
-                    if c.known_true() || c.pred(j) == Some(true) {
-                        continue;
+            wave.resize(band.tuples.len(), true);
+            fates.clear();
+            if di == driver {
+                for seg in &band.segments {
+                    let range = seg.start..seg.end;
+                    let class = seg.rank.map(|r| (r, classes[di][r]));
+                    let fate = match (class, state.as_deref_mut()) {
+                        (Some((_, c)), _) if c.known_true() || c.pred(j) == Some(true) => {
+                            Fate::All(true)
+                        }
+                        (Some((r, c)), Some(st)) if st.in_pair(r) => {
+                            debug_assert!(!c.known_false(), "filtered by the free pass");
+                            match st.inferred(r) {
+                                Some(v) => Fate::All(v),
+                                None => {
+                                    let ids = &band.tuples[range.clone()];
+                                    *oracle_batches += 1;
+                                    oracle.try_eval_batch(pred, ids, &mut verdicts)?;
+                                    st.record_run(r, ids, &verdicts);
+                                    wave[range].copy_from_slice(&verdicts);
+                                    Fate::Each
+                                }
+                            }
+                        }
+                        _ => {
+                            for i in range {
+                                rest.push(band.tuples[i], i);
+                            }
+                            Fate::Each
+                        }
+                    };
+                    fates.push(fate);
+                }
+            } else {
+                let mut run_rank = usize::MAX;
+                for (i, &t) in band.tuples.iter().enumerate() {
+                    let rank = pop.rank_of_tuple(t);
+                    if let Some(c) = rank.map(|r| classes[di][r]) {
+                        debug_assert!(!c.known_false(), "filtered by the free pass");
+                        if c.known_true() || c.pred(j) == Some(true) {
+                            continue;
+                        }
+                    }
+                    match (state.as_deref_mut(), rank) {
+                        (Some(st), Some(r)) if st.in_pair(r) => {
+                            if r != run_rank {
+                                run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
+                                    st.record_run(run_rank, ids, vs);
+                                })?;
+                                run_rank = r;
+                            }
+                            match st.inferred(r) {
+                                Some(v) => wave[i] = v,
+                                None => run.push(t, i),
+                            }
+                        }
+                        _ => rest.push(t, i),
                     }
                 }
-                match (state.as_deref_mut(), rank) {
-                    (Some(st), Some(r)) if st.in_pair(r) => {
-                        if r != run_rank {
-                            run.eval(oracle, pred, &mut wave, oracle_batches, |t, v| {
-                                st.record(run_rank, t, v);
-                            })?;
-                            run_rank = r;
-                        }
-                        match st.inferred(r) {
-                            Some(v) => wave[i] = v,
-                            None => run.push(t, i),
-                        }
-                    }
-                    _ => rest.push(t, i),
+                if let Some(st) = state {
+                    run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
+                        st.record_run(run_rank, ids, vs);
+                    })?;
                 }
-            }
-            if let Some(st) = state {
-                run.eval(oracle, pred, &mut wave, oracle_batches, |t, v| {
-                    st.record(run_rank, t, v);
-                })?;
+                fates.resize(band.segments.len(), Fate::Each);
             }
             rest.eval(oracle, pred, &mut wave, oracle_batches, |_, _| {})?;
-            let mut keep = wave.iter().copied();
-            survivors.retain(|_| keep.next().expect("one verdict per survivor"));
+            band.retain(&fates, &wave);
         }
     }
-    Ok(survivors)
+    Ok(band.tuples)
 }
 
 /// Phase 3 — refines each dimension's POP from fully-decided partitions and
@@ -423,24 +554,46 @@ where
 /// A staged split: (rank, left, right, left_label, pred_idx).
 type PendingSplit = (usize, Vec<TupleId>, Vec<TupleId>, bool, usize);
 
-/// The verdict of each of `members`, in member order, from the verdicts
-/// `tested` in candidate order; `None` where the member was not tested.
-fn member_verdicts(members: &[TupleId], tested: &[(TupleId, bool)]) -> Vec<Option<bool>> {
+/// Partitions `members` into (true half, false half), both in member
+/// order, by the verdicts `side` tested; `untested` decides each member the
+/// walk did not test.
+fn member_verdicts(
+    members: &[TupleId],
+    side: &NsSide,
+    mut untested: impl FnMut(TupleId) -> Result<bool, OracleError>,
+) -> Result<(Vec<TupleId>, Vec<TupleId>), OracleError> {
+    let mut true_half = Vec::with_capacity(side.trues);
+    let mut false_half = Vec::with_capacity(members.len().saturating_sub(side.trues));
     // The driver dimension tests a whole partition in member order.
-    if tested.len() == members.len() && members.iter().zip(tested).all(|(m, e)| *m == e.0) {
-        return tested.iter().map(|e| Some(e.1)).collect();
+    if side.tested == members {
+        for (&t, &v) in members.iter().zip(&side.verdicts) {
+            if v {
+                true_half.push(t);
+            } else {
+                false_half.push(t);
+            }
+        }
+        return Ok((true_half, false_half));
     }
-    let mut by_tuple = tested.to_vec();
-    by_tuple.sort_unstable_by_key(|e| e.0);
-    members
+    let mut by_tuple: Vec<(TupleId, bool)> = side
+        .tested
         .iter()
-        .map(|m| {
-            by_tuple
-                .binary_search_by_key(m, |e| e.0)
-                .ok()
-                .map(|i| by_tuple[i].1)
-        })
-        .collect()
+        .copied()
+        .zip(side.verdicts.iter().copied())
+        .collect();
+    by_tuple.sort_unstable_by_key(|e| e.0);
+    for &t in members {
+        let out = match by_tuple.binary_search_by_key(&t, |e| e.0) {
+            Ok(i) => by_tuple[i].1,
+            Err(_) => untested(t)?,
+        };
+        if out {
+            true_half.push(t);
+        } else {
+            false_half.push(t);
+        }
+    }
+    Ok((true_half, false_half))
 }
 
 /// Gathers the sound refinements for one dimension without mutating it.
@@ -471,19 +624,9 @@ where
             if side.tested.len() < members.len() && policy != MdUpdatePolicy::CompleteSplits {
                 continue; // partial knowledge: a split would be unsound
             }
-            let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
-            for (&t, v) in members.iter().zip(member_verdicts(members, &side.tested)) {
-                let out = match v {
-                    Some(out) => out,
-                    // Ablation mode: pay the missing QPF to finish the split.
-                    None => oracle.try_eval(&dim.preds[j], t)?,
-                };
-                if out {
-                    true_half.push(t);
-                } else {
-                    false_half.push(t);
-                }
-            }
+            // Ablation mode: pay the missing QPF to finish the split.
+            let (true_half, false_half) =
+                member_verdicts(members, side, |t| oracle.try_eval(&dim.preds[j], t))?;
             // Neighbour labels for the ordering rule. This rank is mixed, so
             // it *is* the separating partition — the pair partner is
             // homogeneous with its sampled label (Lemma 4.5).
@@ -535,10 +678,13 @@ mod tests {
     use rand::SeedableRng;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     /// The tuple-major NS-pair loop that `walk` replaced, kept as its
     /// reference: every NS-pair survivor goes through the early-stop state
-    /// on its own, paying its own `try_eval`.
+    /// on its own, paying its own `try_eval`. It counts the batches the run
+    /// rule implies: one per maximal stretch of same-rank pair survivors
+    /// that evaluates anything, plus one per wave for the rest.
     fn walk_reference<O>(
         dims: &[MdDim<O::Pred>],
         oracle: &O,
@@ -565,6 +711,7 @@ mod tests {
                 wave.resize(survivors.len(), true);
                 batch.clear();
                 batch_at.clear();
+                let (mut run_rank, mut run_counted) = (usize::MAX, false);
                 for (i, &t) in survivors.iter().enumerate() {
                     let rank = pop.rank_of_tuple(t);
                     if let Some(c) = rank.map(|r| classes[di][r]) {
@@ -574,11 +721,16 @@ mod tests {
                     }
                     match (state.as_mut(), rank) {
                         (Some(st), Some(r)) if st.in_pair(r) => {
+                            if r != run_rank {
+                                (run_rank, run_counted) = (r, false);
+                            }
                             wave[i] = if let Some(v) = st.inferred(r) {
                                 v
                             } else {
                                 let v = oracle.try_eval(pred, t)?;
-                                st.record(r, t, v);
+                                st.record_run(r, &[t], &[v]);
+                                *oracle_batches += u64::from(!run_counted);
+                                run_counted = true;
                                 v
                             };
                         }
@@ -609,13 +761,13 @@ mod tests {
         rng: &mut StdRng,
         policy: MdUpdatePolicy,
     ) -> Result<Selection, OracleError> {
-        let (mut p, survivors) = prepare(dims, oracle, rng)?;
+        let (mut p, band) = prepare(dims, oracle, rng)?;
         let tuples = walk_reference(
             dims,
             oracle,
             &p.classes,
             &mut p.ns_states,
-            survivors,
+            band.tuples,
             &mut p.stats.oracle_batches,
         )?;
         let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
@@ -630,11 +782,13 @@ mod tests {
         })
     }
 
-    /// Counts how evaluations arrive: one at a time, or in batches.
+    /// Counts how evaluations arrive: one at a time, or in batches, and
+    /// keeps every batch's tuples in call order.
     struct Counting<'a> {
         inner: &'a PlainOracle,
         singles: AtomicU64,
         batches: AtomicU64,
+        log: Mutex<Vec<Vec<TupleId>>>,
     }
 
     impl<'a> Counting<'a> {
@@ -643,6 +797,7 @@ mod tests {
                 inner,
                 singles: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
+                log: Mutex::new(Vec::new()),
             }
         }
     }
@@ -662,6 +817,7 @@ mod tests {
             out: &mut Vec<bool>,
         ) -> Result<(), OracleError> {
             self.batches.fetch_add(1, Ordering::Relaxed);
+            self.log.lock().unwrap().push(tuples.to_vec());
             self.inner.try_eval_batch(pred, tuples, out)
         }
 
@@ -684,18 +840,14 @@ mod tests {
 
     const DOMAIN: u64 = 200;
 
-    /// `d` knowledge bases over `n` random rows, each warmed with `cuts`
-    /// comparison cuts (`cuts == 0` leaves k = 1, so a == b), then
-    /// disturbed the ways a served table is: a row deleted everywhere, a
-    /// row tombstoned in the table but still indexed, and two late rows —
+    /// One knowledge base per entry of `cuts` over `n` random rows, each
+    /// warmed with its entry's comparison cuts (0 leaves k = 1, so a == b),
+    /// then disturbed the ways a served table is: a row deleted everywhere,
+    /// a row tombstoned in the table but still indexed, and two late rows —
     /// one parked (overflow) in dimension 0 and placed elsewhere, one
     /// parked in every dimension.
-    fn scenario(
-        n: usize,
-        d: usize,
-        cuts: usize,
-        seed: u64,
-    ) -> (Vec<Knowledge<Predicate>>, PlainOracle) {
+    fn scenario(n: usize, cuts: &[usize], seed: u64) -> (Vec<Knowledge<Predicate>>, PlainOracle) {
+        let d = cuts.len();
         let mut rng = StdRng::seed_from_u64(seed);
         let columns: Vec<Vec<u64>> = (0..d)
             .map(|_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect())
@@ -703,7 +855,7 @@ mod tests {
         let mut oracle = PlainOracle::from_columns(columns);
         let mut kbs: Vec<Knowledge<Predicate>> = (0..d).map(|_| Knowledge::init(n)).collect();
         for (a, kb) in kbs.iter_mut().enumerate() {
-            for _ in 0..cuts {
+            for _ in 0..cuts[a] {
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, rng.gen_range(0..DOMAIN));
                 try_process_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
             }
@@ -749,15 +901,19 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The run-batched walk is the tuple-major walk: same winners in the
-        /// same order, same QPF count, same splits, byte-identical
-        /// knowledge — query after query, as the KB grows from k = 1.
+        /// The segment walk is the tuple-major walk: same winners in the
+        /// same order, same QPF count, same stats (the run rule's batch
+        /// count included), same splits, byte-identical knowledge — query
+        /// after query, as the KB grows from k = 1. With `cold_first`,
+        /// dimension 0 stays at k = 1 under a wide range, so the warmed
+        /// dimension 1 drives and dimension 0's wave is the tuple-major one.
         #[test]
         fn run_batched_walk_matches_tuple_major_reference(
             seed in proptest::prelude::any::<u64>(),
-            n in 40usize..160,
+            n in 40usize..2_000,
             d in 1usize..3,
             cuts in 0usize..6,
+            cold_first in proptest::prelude::any::<bool>(),
             complete in proptest::prelude::any::<bool>(),
         ) {
             let policy = if complete {
@@ -765,8 +921,12 @@ mod tests {
             } else {
                 MdUpdatePolicy::PartialOnly
             };
-            let (mut kbs_new, oracle_new) = scenario(n, d, cuts, seed);
-            let (mut kbs_ref, oracle_ref) = scenario(n, d, cuts, seed);
+            let cold_first = cold_first && d == 2;
+            let cuts: Vec<usize> = (0..d)
+                .map(|a| if cold_first { [0, cuts + 2][a] } else { cuts })
+                .collect();
+            let (mut kbs_new, oracle_new) = scenario(n, &cuts, seed);
+            let (mut kbs_ref, oracle_ref) = scenario(n, &cuts, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1);
             for q in 0..5u64 {
                 // Every third query is wide in all dimensions, so that a
@@ -774,8 +934,8 @@ mod tests {
                 // (fully tested, but not in member order).
                 let wide = q % 3 == 2;
                 let ranges: Vec<(u64, u64)> = (0..d)
-                    .map(|_| {
-                        if wide {
+                    .map(|a| {
+                        if wide || (cold_first && a == 0) {
                             let margin = DOMAIN / 8;
                             (rng.gen_range(0..margin), DOMAIN - rng.gen_range(0..margin))
                         } else {
@@ -792,11 +952,7 @@ mod tests {
                 let reference =
                     run_reference(&mut dims_ref, &oracle_ref, &mut rng_ref, policy).expect("clean");
                 proptest::prop_assert_eq!(&new.tuples, &reference.tuples, "winners, query {}", q);
-                proptest::prop_assert_eq!(
-                    QueryStats { oracle_batches: 0, ..new.stats },
-                    QueryStats { oracle_batches: 0, ..reference.stats },
-                    "stats, query {}", q
-                );
+                proptest::prop_assert_eq!(new.stats, reference.stats, "stats, query {}", q);
                 proptest::prop_assert_eq!(oracle_new.qpf_uses(), oracle_ref.qpf_uses());
                 proptest::prop_assert_eq!(kb_bytes(&dims_new), kb_bytes(&dims_ref), "KB, query {}", q);
                 let expected: Vec<Predicate> =
@@ -811,7 +967,9 @@ mod tests {
         }
 
         /// `member_verdicts` is a by-tuple lookup, whatever order the
-        /// verdicts were tested in and however many are missing.
+        /// verdicts were tested in, however the runs were cut and however
+        /// many are missing; a missing one is asked of `untested`, in
+        /// member order.
         #[test]
         fn member_verdicts_is_a_lookup(
             members in proptest::collection::vec(0u32..500, 0..60),
@@ -834,9 +992,33 @@ mod tests {
                     tested.swap(i, rng.gen_range(0..=i));
                 }
             }
+            let mut side = NsSide::new(0, false);
+            let (ids, verdicts): (Vec<TupleId>, Vec<bool>) = tested.iter().copied().unzip();
+            let mut at = 0;
+            while at < ids.len() {
+                let end = rng.gen_range(at + 1..=ids.len());
+                side.extend(&ids[at..end], &verdicts[at..end]);
+                at = end;
+            }
             let map: HashMap<TupleId, bool> = tested.iter().copied().collect();
-            let expected: Vec<Option<bool>> = members.iter().map(|t| map.get(t).copied()).collect();
-            proptest::prop_assert_eq!(member_verdicts(&members, &tested), expected);
+            let mut asked = Vec::new();
+            let halves = member_verdicts(&members, &side, |t| {
+                asked.push(t);
+                Ok(t % 3 == 0)
+            })
+            .expect("untested never fails");
+            let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
+            for &t in &members {
+                if map.get(&t).copied().unwrap_or(t % 3 == 0) {
+                    true_half.push(t);
+                } else {
+                    false_half.push(t);
+                }
+            }
+            proptest::prop_assert_eq!(halves, (true_half, false_half));
+            let missing: Vec<TupleId> =
+                members.iter().copied().filter(|t| !map.contains_key(t)).collect();
+            proptest::prop_assert_eq!(asked, missing);
         }
     }
 
@@ -857,10 +1039,90 @@ mod tests {
         assert_eq!(sel.stats.splits, 1, "only wave 0 decided every member");
     }
 
+    /// On the driver dimension every NS batch is one pair partition's live
+    /// members, whole and in member order — a member tombstoned in the
+    /// table but still indexed is left out — each partition once, and the
+    /// band's overflow tuple goes through each wave's rest batch.
+    #[test]
+    fn driver_ns_batches_are_whole_partitions_in_member_order() {
+        let n = 600usize;
+        let mut rng = StdRng::seed_from_u64(21);
+        // Shuffled values, so member order is not value order.
+        let mut values: Vec<u64> = (0..n as u64).collect();
+        for i in (1..n).rev() {
+            values.swap(i, rng.gen_range(0..=i));
+        }
+        let mut oracle = PlainOracle::single_column(values.clone());
+        let mut kb = Knowledge::init(n);
+        for cut in [100, 200, 300, 400, 500] {
+            let p = Predicate::cmp(0, ComparisonOp::Lt, cut);
+            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+        }
+        // Range (150, 350): each cut falls inside a partition of 100 values.
+        let dead = values.iter().position(|&v| v == 170).unwrap() as TupleId;
+        oracle.delete(dead);
+        let late = oracle.insert(&[250]);
+        kb.park(late, 0, kb.k() - 1);
+        let pop = kb.pop().clone();
+        let live = |r: usize| -> Vec<TupleId> {
+            let members = pop.members_at(r).iter().copied();
+            members.filter(|&t| oracle.is_live(t)).collect()
+        };
+        let holding = |v: u64| {
+            let t = values.iter().position(|&x| x == v).unwrap() as TupleId;
+            pop.rank_of_tuple(t).unwrap()
+        };
+
+        let counting = Counting::new(&oracle);
+        let mut dims = to_dims(vec![kb], &[(150, 350)]);
+        let mut rng = StdRng::seed_from_u64(22);
+        let sel = run(&mut dims, &counting, &mut rng, MdUpdatePolicy::PartialOnly).expect("clean");
+        let expected: Vec<Predicate> = dims[0].preds.to_vec();
+        assert_eq!(sel.sorted(), oracle.expected_conjunction(&expected));
+
+        let log = counting.log.into_inner().unwrap();
+        assert_eq!(log.len() as u64, sel.stats.oracle_batches);
+        let (rest, ns): (Vec<_>, Vec<_>) = log.into_iter().partition(|b| *b == [late]);
+        assert_eq!(rest.len(), 2, "the overflow tuple survives wave 0");
+        let mut ranks: Vec<usize> = ns
+            .iter()
+            .map(|b| {
+                let r = pop.rank_of_tuple(b[0]).expect("placed");
+                assert_eq!(*b, live(r), "rank {r}: its live members in member order");
+                r
+            })
+            .collect();
+        assert!(ranks.contains(&holding(170)), "the cut partition is tested");
+        assert!(ranks.contains(&holding(320)), "the cut partition is tested");
+        let batches = ranks.len();
+        ranks.sort_unstable();
+        ranks.dedup();
+        assert_eq!(ranks.len(), batches, "one batch per NS partition");
+    }
+
+    /// A warmed dimension 1 drives a 2-D range when dimension 0 is cold,
+    /// and the walk still equals the tuple-major reference.
+    #[test]
+    fn a_second_dimension_drives_when_its_band_is_narrower() {
+        let ranges = [(5, 195), (60, 90)];
+        let (kbs, oracle) = scenario(600, &[0, 6], 23);
+        let dims = to_dims(kbs.clone(), &ranges);
+        let (p, band) = prepare(&dims, &oracle, &mut StdRng::seed_from_u64(24)).unwrap();
+        assert_eq!(p.driver, 1);
+        assert!(band.segments.len() > 1, "{:?}", band.segments);
+
+        let (mut new, mut reference) = (to_dims(kbs.clone(), &ranges), to_dims(kbs, &ranges));
+        let (policy, rng) = (MdUpdatePolicy::PartialOnly, || StdRng::seed_from_u64(24));
+        let a = run(&mut new, &oracle, &mut rng(), policy).unwrap();
+        let b = run_reference(&mut reference, &oracle, &mut rng(), policy).unwrap();
+        assert_eq!((&a.tuples, a.stats), (&b.tuples, b.stats));
+        assert_eq!(kb_bytes(&new), kb_bytes(&reference));
+    }
+
     #[test]
     fn single_evaluations_are_qfilter_probes_only() {
         for policy in [MdUpdatePolicy::PartialOnly, MdUpdatePolicy::Frozen] {
-            let (kbs, oracle) = scenario(400, 2, 8, 5);
+            let (kbs, oracle) = scenario(400, &[8, 8], 5);
             let counting = Counting::new(&oracle);
             let mut dims = to_dims(kbs, &[(40, 120), (60, 150)]);
             let mut rng = StdRng::seed_from_u64(6);

@@ -32,7 +32,10 @@ impl Split {
 /// Outcome of `QScan`.
 #[derive(Debug, Clone)]
 pub struct ScanResult {
-    /// Satisfying tuples among the NS partitions (`T_WNS`).
+    /// Satisfying tuples among the NS partitions (`T_WNS`) *except* the
+    /// split's true half, which is not repeated here. In scan order (P_a,
+    /// then P_b) that half comes before these winners when P_a split
+    /// (`label_a_full` is `None`), after them when P_b did.
     pub winners: Vec<TupleId>,
     /// The split, when the trapdoor was inequivalent to all retained ones.
     pub split: Option<Split>,
@@ -73,9 +76,8 @@ pub fn try_qscan<O: SelectionOracle>(
 
     if scan_a.is_mixed() {
         // P_a is non-homogeneous: s = a; early stop. P_b is implied
-        // homogeneous with its sampled label. The true half appears both as
-        // winners and as the split record, so this one clone is inherent.
-        let mut winners = scan_a.true_half.clone();
+        // homogeneous with its sampled label.
+        let mut winners = Vec::new();
         let mut label_b_full = None;
         if b != a {
             if filter.label_b {
@@ -107,11 +109,12 @@ pub fn try_qscan<O: SelectionOracle>(
 
     // P_a homogeneous: scan P_b as well.
     let scan_b = scan_partition(pop, oracle, pred, b, &[], &mut verdicts)?;
-    winners.extend_from_slice(&scan_b.true_half);
     let (split, label_b_full) = if scan_b.is_mixed() {
         (Some(scan_b), None)
     } else {
-        (None, Some(!scan_b.true_half.is_empty()))
+        let label = !scan_b.true_half.is_empty();
+        winners.extend(scan_b.true_half);
+        (None, Some(label))
     };
     Ok(ScanResult {
         winners,
@@ -193,9 +196,12 @@ mod tests {
         let mut fh = split.false_half.clone();
         fh.sort_unstable();
         assert_eq!(fh, (37..40).collect::<Vec<_>>());
-        // Full selection = winners(filter) + winners(scan).
+        // Full selection = winners(filter) + winners(scan) + the true half,
+        // which the scan's winners do not repeat.
+        assert!(s.winners.iter().all(|t| !split.true_half.contains(t)));
         let mut result = f.winner_tuples(&pop);
         result.extend_from_slice(&s.winners);
+        result.extend_from_slice(&split.true_half);
         result.sort_unstable();
         assert_eq!(result, (0..37).collect::<Vec<_>>());
     }
@@ -276,6 +282,7 @@ mod tests {
         assert_eq!(split.rank, 0);
         assert_eq!(split.true_half.len(), 7);
         assert_eq!(split.false_half.len(), 13);
+        assert!(s.winners.is_empty(), "the true half is the split's alone");
         assert_eq!(oracle.qpf_uses(), 20);
     }
 }

@@ -57,9 +57,19 @@ where
         ),
     };
 
-    // T_W ∪ T_WNS.
+    // T_W ∪ T_WNS, T_WNS in scan order: the split's true half is not in
+    // the scan's winners, and leads them when P_a split. It is appended
+    // here, before the commit moves the split into the knowledge.
     let mut tuples = filter.winner_tuples(kb.pop());
+    let split_true = scan.split.as_ref().map_or(&[][..], |s| &s.true_half[..]);
+    let a_split = scan.label_a_full.is_none();
+    if a_split {
+        tuples.extend_from_slice(split_true);
+    }
     tuples.extend_from_slice(&scan.winners);
+    if !a_split {
+        tuples.extend_from_slice(split_true);
+    }
 
     // Overflow tuples are always examined, unconditionally — one batch.
     let overflow: Vec<TupleId> = kb.overflow().iter().map(|e| e.tuple).collect();
@@ -208,6 +218,47 @@ mod tests {
         assert_eq!(costs[0], 1000);
         assert!(late_avg < 200, "late avg {late_avg}");
         assert!(kb.k() > 30, "k = {}", kb.k());
+    }
+
+    /// The reply is `T_W`, then P_a's satisfying members and P_b's, each in
+    /// member order, then the overflow's — whichever NS partition split.
+    #[test]
+    fn reply_is_in_scan_order() {
+        let n = 400u64;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut values: Vec<u64> = (0..n).collect();
+        for i in (1..values.len()).rev() {
+            values.swap(i, rng.gen_range(0..=i));
+        }
+        let mut oracle = PlainOracle::single_column(values);
+        let mut kb: Knowledge<Predicate> = Knowledge::init(n as usize);
+        let late = oracle.insert(&[n / 2]);
+        kb.park(late, 0, 0);
+        for q in 0..60u64 {
+            let p = Predicate::cmp(0, ComparisonOp::ALL[q as usize % 4], rng.gen_range(0..n));
+            let seed = rng.gen();
+            let f = try_qfilter(kb.pop(), &oracle, &p, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let pop = kb.pop();
+            let passing = |ts: &[TupleId]| -> Vec<TupleId> {
+                ts.iter()
+                    .copied()
+                    .filter(|&t| p.eval(oracle.value(0, t)))
+                    .collect()
+            };
+            let mut expected = f.winner_tuples(pop);
+            if let Some((a, b)) = f.ns {
+                expected.extend(passing(pop.members_at(a)));
+                if b != a {
+                    expected.extend(passing(pop.members_at(b)));
+                }
+            }
+            let overflow: Vec<TupleId> = kb.overflow().iter().map(|e| e.tuple).collect();
+            expected.extend(passing(&overflow));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            assert_eq!(sel.tuples, expected, "query {q}");
+        }
+        kb.check_invariants();
     }
 
     #[test]

@@ -96,6 +96,18 @@ impl PlainOracle {
     pub fn reset_uses(&self) {
         self.uses.store(0, Ordering::Relaxed);
     }
+
+    fn column(&self, pred: &Predicate) -> Result<&[u64], OracleError> {
+        let col = self.columns.get(pred.attr() as usize).map(Vec::as_slice);
+        col.ok_or_else(|| OracleError::Fatal(format!("attribute {} not in oracle", pred.attr())))
+    }
+
+    fn out_of_bounds(&self, t: TupleId) -> OracleError {
+        OracleError::Fatal(format!(
+            "tuple id {t} outside table bounds ({} slots)",
+            self.live.len()
+        ))
+    }
 }
 
 impl SelectionOracle for PlainOracle {
@@ -105,16 +117,37 @@ impl SelectionOracle for PlainOracle {
         // Counted before the bounds checks, matching the real pipeline where
         // even a failed decrypt round-trip is a spent QPF use.
         self.uses.fetch_add(1, Ordering::Relaxed);
-        let col = self.columns.get(pred.attr() as usize).ok_or_else(|| {
-            OracleError::Fatal(format!("attribute {} not in oracle", pred.attr()))
+        let v = self.column(pred)?.get(t as usize).copied();
+        Ok(pred.eval(v.ok_or_else(|| self.out_of_bounds(t))?))
+    }
+
+    /// The per-tuple loop with one counter add: every evaluation is counted
+    /// before its bounds check, so an out-of-range id at position `i`
+    /// settles `i + 1` uses; on error `out` is left empty.
+    fn try_eval_batch(
+        &self,
+        pred: &Predicate,
+        tuples: &[TupleId],
+        out: &mut Vec<bool>,
+    ) -> Result<(), OracleError> {
+        out.clear();
+        if tuples.is_empty() {
+            return Ok(());
+        }
+        let col = self.column(pred).inspect_err(|_| {
+            self.uses.fetch_add(1, Ordering::Relaxed);
         })?;
-        let v = col.get(t as usize).copied().ok_or_else(|| {
-            OracleError::Fatal(format!(
-                "tuple id {t} outside table bounds ({} slots)",
-                col.len()
-            ))
-        })?;
-        Ok(pred.eval(v))
+        out.reserve(tuples.len());
+        for (i, &t) in tuples.iter().enumerate() {
+            let Some(&v) = col.get(t as usize) else {
+                out.clear();
+                self.uses.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                return Err(self.out_of_bounds(t));
+            };
+            out.push(pred.eval(v));
+        }
+        self.uses.fetch_add(tuples.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     fn kind_of(&self, pred: &Predicate) -> PredicateKind {
@@ -164,6 +197,45 @@ mod tests {
         assert!(!o.is_live(0));
         let p = Predicate::cmp(0, ComparisonOp::Gt, 0);
         assert_eq!(o.expected_select(&p), vec![1]);
+    }
+
+    #[test]
+    fn batch_counts_like_the_per_tuple_loop_and_clears_out() {
+        // An id past the table at every position, and an attribute the
+        // oracle lacks: the batch fails, the counter equals the per-tuple
+        // loop's (each id counted before its bounds check), and the output
+        // holds no partial verdicts.
+        let o = PlainOracle::single_column((0..24).collect());
+        let p = Predicate::cmp(0, ComparisonOp::Lt, 5);
+        let mut out = Vec::new();
+        let mut reference = Vec::new();
+        for pos in 0..24 {
+            let mut tuples: Vec<TupleId> = (0..24).collect();
+            tuples[pos] = 999;
+            let before = o.qpf_uses();
+            let err = o.try_eval_batch(&p, &tuples, &mut out).unwrap_err();
+            assert!(err.to_string().contains("outside table bounds"), "{err}");
+            assert!(out.is_empty(), "no partial verdicts (at {pos})");
+            assert_eq!(o.qpf_uses() - before, pos as u64 + 1, "at {pos}");
+            let before = o.qpf_uses();
+            let looped: Result<Vec<bool>, _> = tuples.iter().map(|&t| o.try_eval(&p, t)).collect();
+            assert!(looped.is_err());
+            assert_eq!(o.qpf_uses() - before, pos as u64 + 1, "per tuple, at {pos}");
+        }
+        let before = o.qpf_uses();
+        let absent = Predicate::cmp(3, ComparisonOp::Lt, 5);
+        assert!(o.try_eval_batch(&absent, &[1, 2], &mut out).is_err());
+        assert!(out.is_empty());
+        assert_eq!(o.qpf_uses() - before, 1, "the first evaluation fails");
+        let before = o.qpf_uses();
+        o.try_eval_batch(&p, &[], &mut out).unwrap();
+        assert_eq!(o.qpf_uses(), before, "an empty batch is free");
+        o.try_eval_batch(&p, &[7, 3, 4], &mut out).unwrap();
+        for &t in &[7, 3, 4] {
+            reference.push(o.eval(&p, t));
+        }
+        assert_eq!(out, reference);
+        assert_eq!(o.qpf_uses() - before, 6);
     }
 
     #[test]
