@@ -3,7 +3,8 @@
 //!
 //! * **QFilter binary search vs linear sampling** — Algorithm 1's O(lg k)
 //!   probes vs one sample per partition until the label flips (O(k));
-//! * **QScan early stop vs scan-both** — Algorithm 2's inference vs
+//! * **QScan early stop vs scan-both** — Algorithm 2's inference, as the
+//!   executor runs it (a static select's QPF less its QFilter probes), vs
 //!   evaluating every tuple of both NS partitions;
 //! * **BETWEEN wave hunt vs linear hunt** — Appendix A as `prkb-core` runs
 //!   it (waves, early stop per transition, escalating fallback) vs as it was
@@ -11,7 +12,8 @@
 //!   boundary partitions scanned, and the whole table when no sample does —
 //!   over 5 % ranges, and over ranges narrower than a partition, which every
 //!   sample usually misses. These rows also count calls to the TM;
-//! * **MD update policy** — `Frozen` vs `PartialOnly` (free, sound) vs
+//! * **MD update policy** — a static PRKB (`update = false`, the row keeps
+//!   its `md_policy_frozen` id) vs `PartialOnly` (free, sound) vs
 //!   `CompleteSplits` (extra QPF now, more knowledge later);
 //! * **workload locality** — warming PRKB with cuts concentrated in a
 //!   hotspot vs spread over the domain, then querying the hotspot.
@@ -25,7 +27,6 @@ use crate::harness::{fresh_engine, measure_span, warm_to_k, EncSetup, Measured, 
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::qfilter::{try_qfilter, FilterResult};
-use prkb_core::qscan::{try_qscan, ScanResult};
 use prkb_core::{MdUpdatePolicy, Pop};
 use prkb_datagen::{synthetic, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::{
@@ -83,7 +84,7 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
     let oracle = setup.oracle();
     let mut engine = fresh_engine(&setup, true);
     let _ = warm_to_k(&mut engine, &setup, 0, 400, 0.01, 2);
-    let pop = engine.knowledge(0).expect("attribute 0 is indexed").pop();
+    engine.config.update = false;
     let mut rng = StdRng::seed_from_u64(3);
     let preds = cut_trapdoors(
         &setup,
@@ -92,6 +93,18 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
         &mut rng,
     );
 
+    // Early stop as the executor runs it: static selects drawing their
+    // QFilter samples from where `filters` below draws them, so they probe
+    // the same NS pairs; their QPF less those probes is the scan's.
+    let (answers, selects) = measure_span(&oracle, || {
+        let mut rng = rng.clone();
+        let select = |p| engine.select(&oracle, p, &mut rng);
+        let answers = preds.iter().map(select);
+        answers
+            .map(|sel| (sel.tuples.len(), sel.stats.filter_probes))
+            .collect::<Vec<_>>()
+    });
+    let pop = engine.knowledge(0).expect("attribute 0 is indexed").pop();
     let (filters, binary) = measure_span(&oracle, || {
         let filter = |p| try_qfilter(pop, &oracle, p, &mut rng).expect("fault-free oracle");
         preds.iter().map(filter).collect::<Vec<_>>()
@@ -106,12 +119,15 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
     });
 
     // The filter is shared; only the scan of the NS-pair it found differs.
-    let (inferred, early_stop) = measure_span(&oracle, || {
-        let scan = |(p, f)| try_qscan(pop, &oracle, p, f).expect("fault-free oracle");
-        let scans = preds.iter().zip(&filters).map(scan);
-        let found = |s: ScanResult| s.winners.len() + s.split.map_or(0, |s| s.true_half.len());
-        scans.map(found).collect::<Vec<_>>()
-    });
+    let probes: u64 = answers.iter().map(|&(_, probes)| probes).sum();
+    assert_eq!(
+        probes, binary.qpf_uses,
+        "the selects probe as the filters do"
+    );
+    let early_stop = Measured {
+        qpf_uses: selects.qpf_uses - probes,
+        ms: (selects.ms - binary.ms).max(0.0),
+    };
     let (scanned, scan_both) = measure_span(&oracle, || {
         let exhaustive = |(p, f): (_, &FilterResult)| {
             let (a, b) = f.ns.expect("a warmed POP is not empty");
@@ -125,7 +141,15 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
             .map(exhaustive)
             .collect::<Vec<_>>()
     });
-    assert_eq!(inferred, scanned, "the inference agrees with the scan");
+    for ((f, (selected, _)), scanned) in filters.iter().zip(&answers).zip(&scanned) {
+        let winners = (0..pop.k()).filter(|&r| f.known_label(r) == Some(true));
+        let winners: usize = winners.map(|r| pop.members_at(r).len()).sum();
+        assert_eq!(
+            *selected,
+            winners + scanned,
+            "the inference agrees with the scan"
+        );
+    }
 
     for (id, cost) in [
         ("qfilter_binary", binary),
@@ -302,12 +326,15 @@ fn md_policies(scale: Scale, rows: &mut Vec<Ablation>) {
         })
         .collect();
     for (id, policy) in [
-        ("md_policy_frozen", MdUpdatePolicy::Frozen),
-        ("md_policy_partial_only", MdUpdatePolicy::PartialOnly),
-        ("md_policy_complete_splits", MdUpdatePolicy::CompleteSplits),
+        ("md_policy_frozen", None),
+        ("md_policy_partial_only", Some(MdUpdatePolicy::PartialOnly)),
+        (
+            "md_policy_complete_splits",
+            Some(MdUpdatePolicy::CompleteSplits),
+        ),
     ] {
-        let mut engine = fresh_engine(&setup, true);
-        engine.config.md_policy = policy;
+        let mut engine = fresh_engine(&setup, policy.is_some());
+        engine.config.md_policy = policy.unwrap_or_default();
         let mut rng = StdRng::seed_from_u64(7);
         let ((), cost) = measure_span(&oracle, || {
             for dims in &windows {

@@ -7,7 +7,6 @@
 use crate::harness::{fresh_engine, measure_span, timed, warm_to_k, EncSetup, Report};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
-use prkb_core::MdUpdatePolicy;
 use prkb_datagen::{synthetic, WorkloadGen, SYNTH_DOMAIN_MAX, SYNTH_DOMAIN_MIN};
 use prkb_edbms::{AttrId, EncryptedPredicate};
 use prkb_srci::{confirm, MultiDimSrci, SrciClient, SrciConfig, SrciIndex};
@@ -64,7 +63,6 @@ pub fn measure_cell(n: usize, d: usize, reps: usize, warm_k: usize, seed: u64) -
         under_warm |= warmup.under_warm();
     }
     engine.config.update = false;
-    engine.config.md_policy = MdUpdatePolicy::Frozen;
 
     // SRC-i per dimension. Its log-factor replication outgrows a 16 GB box
     // beyond ~12M indexed tuples in total; skip it there (paper-scale runs

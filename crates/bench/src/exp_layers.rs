@@ -38,7 +38,8 @@
 //!   alternating between them through the MD executor;
 //! * `engine_ns_per_scanned_tuple_cmp` — `wide_result`'s: n = 60 000,
 //!   150 warming cuts per attribute, then 300 single comparisons with a
-//!   uniform bound through QFilter and QScan.
+//!   uniform bound, each through the same executor as a one-trapdoor
+//!   dimension.
 //!
 //! The report prints each as a multiple of `qpf_batch_ns`.
 //!
@@ -436,8 +437,8 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         100.0 * (call_12 - 12.0 * per_tuple) / call_12,
     ));
     report.line(format!(
-        "engine per scanned NS-pair tuple: {:.1} ns through MD (d = 1), {:.1} ns through \
-         QScan — {:.2}x and {:.2}x a batched QPF",
+        "engine per scanned NS-pair tuple: {:.1} ns for a 1-D range, {:.1} ns for a \
+         comparison — {:.2}x and {:.2}x a batched QPF",
         of("engine_ns_per_scanned_tuple_md1"),
         of("engine_ns_per_scanned_tuple_cmp"),
         of("engine_ns_per_scanned_tuple_md1") / of("qpf_batch_ns"),

@@ -45,11 +45,63 @@
 
 use crate::knowledge::{BetweenEdge, Knowledge, Separator};
 use crate::pop::Pop;
-use crate::qscan::{scan_partition, Split};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
+
+/// Every member of the partition at `rank`, separated by QPF verdict, both
+/// halves in member order. With both halves non-empty the partition is
+/// non-homogeneous and this is its discovered split (Lemma 4.5, Case 2).
+#[derive(Debug, Clone)]
+pub(crate) struct Split {
+    /// Rank of the scanned partition.
+    pub rank: usize,
+    /// Members with QPF output 1 (`P_sT`).
+    pub true_half: Vec<TupleId>,
+    /// Members with QPF output 0 (`P_sF`).
+    pub false_half: Vec<TupleId>,
+}
+
+impl Split {
+    pub(crate) fn is_mixed(&self) -> bool {
+        !self.true_half.is_empty() && !self.false_half.is_empty()
+    }
+}
+
+/// Evaluates the members of the partition at `rank` past the `known`
+/// verdicts of its first members — one oracle batch (every such member is
+/// evaluated unconditionally, so batching cannot change the QPF count),
+/// none when `known` already covers the partition — and separates all of
+/// them by verdict. `verdicts` is scratch shared by the scans of one query.
+pub(crate) fn scan_partition<O: SelectionOracle>(
+    pop: &Pop,
+    oracle: &O,
+    pred: &O::Pred,
+    rank: usize,
+    known: &[bool],
+    verdicts: &mut Vec<bool>,
+) -> Result<Split, OracleError> {
+    let members = pop.members_at(rank);
+    let rest = &members[known.len()..];
+    verdicts.clear();
+    if !rest.is_empty() {
+        oracle.try_eval_batch(pred, rest, verdicts)?;
+    }
+    let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
+    for (&t, &v) in members.iter().zip(known.iter().chain(verdicts.iter())) {
+        if v {
+            true_half.push(t);
+        } else {
+            false_half.push(t);
+        }
+    }
+    Ok(Split {
+        rank,
+        true_half,
+        false_half,
+    })
+}
 
 /// One query's oracle-facing side: the trapdoor, the POP it runs against,
 /// the scratch buffers every batch shares and the cost it has run up.
@@ -367,7 +419,7 @@ fn apply_between_updates<P: SpPredicate>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sd::try_process_comparison;
+    use crate::md::select_comparison;
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
@@ -386,7 +438,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
             let p = Predicate::cmp(0, ComparisonOp::Lt, c);
-            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         oracle.reset_uses();
         (kb, oracle)
@@ -556,7 +608,7 @@ mod tests {
         // The cuts at 300/600 now exist: an aligned comparison is equivalent.
         let mut rng = StdRng::seed_from_u64(5);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 300);
-        let sel = try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+        let sel = select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         assert_eq!(sel.sorted(), oracle.expected_select(&p));
         assert_eq!(
             sel.stats.splits, 0,
@@ -773,7 +825,7 @@ mod tests {
     fn a_miss_split_across_two_partitions_splits_both() {
         let (mut kb, oracle) = thin_and_fat(6000, 4000..6000);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 5000);
-        try_process_comparison(&mut kb, &oracle, &p, &mut StdRng::seed_from_u64(2), true).unwrap();
+        select_comparison(&mut kb, &oracle, &p, &mut StdRng::seed_from_u64(2), true).unwrap();
         assert_eq!(kb.k(), 42);
         let stats = miss(&kb, &oracle, 4950, 5049);
         assert!(stats.qpf_uses < 6000 / 2, "{stats:?}");
@@ -804,7 +856,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..rng.gen_range(0..260usize) {
             let p = Predicate::cmp(0, ComparisonOp::Lt, rng.gen_range(0..domain + 1));
-            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         if n > 1 {
             let gone = rng.gen_range(0..n as TupleId);

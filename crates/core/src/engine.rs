@@ -8,9 +8,8 @@
 use crate::between::try_process_between;
 use crate::insert::{apply_insert, decide_insert, InsertDecision, InsertOutcome};
 use crate::knowledge::Knowledge;
-use crate::md::{try_process_range_md, MdDim, MdUpdatePolicy};
+use crate::md::{self, MdDim, MdUpdatePolicy};
 use crate::metrics::{self, QueryKind};
-use crate::sd::try_process_comparison;
 use crate::selection::Selection;
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
@@ -56,10 +55,10 @@ impl From<OracleError> for QueryError {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Whether single-dimension queries refine the index (`updatePRKB`).
-    /// Disable for the paper's "static PRKB" experiments.
+    /// Whether queries refine the index (`updatePRKB`). Disable for the
+    /// paper's "static PRKB" experiments: then no query of any kind refines.
     pub update: bool,
-    /// Refinement policy for multi-dimensional queries.
+    /// Refinement policy for range queries, when `update` is set.
     pub md_policy: MdUpdatePolicy,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
@@ -194,7 +193,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
             .get_mut(&pred.attr())
             .ok_or(QueryError::AttrNotInitialized(pred.attr()))?;
         Ok(match oracle.kind_of(pred) {
-            PredicateKind::Comparison => try_process_comparison(kb, oracle, pred, rng, update)?,
+            PredicateKind::Comparison => md::select_comparison(kb, oracle, pred, rng, update)?,
             PredicateKind::Between => try_process_between(kb, oracle, pred, rng, update)?,
         })
     }
@@ -253,8 +252,6 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        // Validate before removing anything: a missing attribute must leave
-        // the map untouched.
         for pair in dims {
             let attr = pair[0].attr();
             assert_eq!(
@@ -266,26 +263,26 @@ impl<P: SpPredicate> PrkbEngine<P> {
                 return Err(QueryError::AttrNotInitialized(attr));
             }
         }
-        // The grid owns each dimension's knowledge while it runs; it goes
-        // back unconditionally — also when the query failed, so an abort
-        // never strands an attribute's index.
+        // Each dimension borrows its attribute's knowledge; a slot left
+        // empty is an attribute an earlier dimension already took.
+        let mut slots: Vec<Option<&mut Knowledge<P>>> = dims.iter().map(|_| None).collect();
+        for (attr, kb) in &mut self.kbs {
+            if let Some(i) = dims.iter().position(|pair| pair[0].attr() == *attr) {
+                slots[i] = Some(kb);
+            }
+        }
         let mut md_dims: Vec<MdDim<P>> = Vec::with_capacity(dims.len());
-        for pair in dims {
+        for (slot, pair) in slots.into_iter().zip(dims) {
             let attr = pair[0].attr();
-            let knowledge = self
-                .kbs
-                .remove(&attr)
-                .unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
+            let knowledge =
+                slot.unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
             md_dims.push(MdDim {
                 knowledge,
-                preds: pair.clone(),
+                preds: pair,
             });
         }
-        let out = try_process_range_md(&mut md_dims, oracle, rng, self.config.md_policy);
-        for dim in md_dims {
-            self.kbs.insert(dim.preds[0].attr(), dim.knowledge);
-        }
-        out.map_err(QueryError::Oracle)
+        let refine = self.config.update.then_some(self.config.md_policy);
+        md::run(&mut md_dims, oracle, rng, refine).map_err(QueryError::Oracle)
     }
 
     /// Processes a d-dimensional range query with the naive PRKB(SD+)
@@ -514,6 +511,12 @@ impl<P: SpPredicate> PrkbEngine<P> {
     }
 
     /// Removes a deleted tuple from every indexed attribute (paper §7.2).
+    ///
+    /// The knowledge base is the authority on which tuples exist: every
+    /// select answers for exactly the tuples it indexes, placed or parked,
+    /// and never asks the oracle whether one is still live. So whoever
+    /// tombstones a row in the table calls this in the same step, as
+    /// `SecureDb::delete` does.
     pub fn delete(&mut self, t: TupleId) {
         for kb in self.kbs.values_mut() {
             kb.delete(t);
@@ -550,9 +553,11 @@ impl<P: SpPredicate> PrkbEngine<P> {
         self.kbs.get_mut(&attr)
     }
 
-    /// Installs a knowledge base restored from a segment (or rolled back
-    /// to by an aborted multi-part selection).
-    pub(crate) fn restore_attr(&mut self, attr: AttrId, kb: Knowledge<P>) {
+    /// Installs a knowledge base for `attr`, replacing any it had: one
+    /// [`snapshot::load`](crate::snapshot::load) restored after a restart,
+    /// a segment's image, or the state an aborted multi-part selection
+    /// rolls back to.
+    pub fn restore_attr(&mut self, attr: AttrId, kb: Knowledge<P>) {
         self.kbs.insert(attr, kb);
     }
 
@@ -768,6 +773,140 @@ mod tests {
         let err = engine.detach_attrs(&[0, 7]).expect_err("attr 7 missing");
         assert!(matches!(err, QueryError::AttrNotInitialized(7)));
         assert!(engine.knowledge(0).is_some(), "attr 0 must not be stranded");
+    }
+
+    fn range(attr: u32, lo: u64, hi: u64) -> [Predicate; 2] {
+        [
+            Predicate::cmp(attr, ComparisonOp::Gt, lo),
+            Predicate::cmp(attr, ComparisonOp::Lt, hi),
+        ]
+    }
+
+    /// The knowledge base is the authority on which tuples exist: a row
+    /// tombstoned in the table but still indexed gets one answer from every
+    /// shape — a comparison pair through SD+, a 1-D range, a 2-D range.
+    #[test]
+    fn a_tombstoned_but_indexed_row_gets_one_answer() {
+        let (mut engine, mut oracle) = engine_2d(600, 23);
+        let mut rng = StdRng::seed_from_u64(24);
+        for bound in [150u64, 450, 700, 300] {
+            for attr in 0..2 {
+                engine.select(
+                    &oracle,
+                    &Predicate::cmp(attr, ComparisonOp::Lt, bound),
+                    &mut rng,
+                );
+            }
+        }
+        let dims = [range(0, 200, 600), range(1, 300, 700)];
+        let inside = |t: TupleId| {
+            let (x, y) = (oracle.value(0, t), oracle.value(1, t));
+            (201..600).contains(&x) && (301..700).contains(&y)
+        };
+        let t = (0..600)
+            .find(|&t| inside(t))
+            .expect("some row in both ranges");
+        oracle.delete(t);
+        let answers = [
+            engine.select_range_sdplus(&oracle, &dims[..1], &mut rng),
+            engine.select_range_md(&oracle, &dims[..1], &mut rng),
+            engine.select_range_sdplus(&oracle, &dims, &mut rng),
+            engine.select_range_md(&oracle, &dims, &mut rng),
+        ];
+        for (i, sel) in answers.iter().enumerate() {
+            assert!(
+                sel.tuples.contains(&t),
+                "answer {i} drops the indexed row {t}"
+            );
+        }
+        assert_eq!(answers[0].sorted(), answers[1].sorted());
+        assert_eq!(answers[2].sorted(), answers[3].sorted());
+        // Once the engine is told, no shape answers for it.
+        engine.delete(t);
+        let sel = engine.select_range_md(&oracle, &dims, &mut rng);
+        let flat: Vec<Predicate> = dims.iter().flatten().copied().collect();
+        assert_eq!(sel.sorted(), oracle.expected_conjunction(&flat));
+    }
+
+    /// Counts the oracle calls that carry no tuple.
+    struct EmptyBatches<'a> {
+        inner: &'a PlainOracle,
+        empty: std::cell::Cell<u64>,
+    }
+
+    impl SelectionOracle for EmptyBatches<'_> {
+        type Pred = Predicate;
+
+        fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+            self.inner.try_eval(pred, t)
+        }
+
+        fn try_eval_batch(
+            &self,
+            pred: &Predicate,
+            tuples: &[TupleId],
+            out: &mut Vec<bool>,
+        ) -> Result<(), OracleError> {
+            if tuples.is_empty() {
+                self.empty.set(self.empty.get() + 1);
+            }
+            self.inner.try_eval_batch(pred, tuples, out)
+        }
+
+        fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+            self.inner.kind_of(pred)
+        }
+
+        fn n_slots(&self) -> usize {
+            self.inner.n_slots()
+        }
+
+        fn is_live(&self, t: TupleId) -> bool {
+            self.inner.is_live(t)
+        }
+
+        fn qpf_uses(&self) -> u64 {
+            self.inner.qpf_uses()
+        }
+    }
+
+    /// No select kind issues a zero-length oracle batch — with an empty
+    /// overflow, and with parked rows.
+    #[test]
+    fn no_select_kind_issues_an_empty_batch() {
+        let (mut engine, mut plain) = engine_2d(500, 25);
+        let mut rng = StdRng::seed_from_u64(26);
+        for round in 0..2 {
+            let parked = engine.knowledge(1).expect("indexed").overflow().len();
+            assert_eq!(parked > 0, round == 1, "round 1 runs with an overflow");
+            let oracle = EmptyBatches {
+                inner: &plain,
+                empty: std::cell::Cell::new(0),
+            };
+            let dims = [range(0, 100 + round, 700), range(1, 250, 800 - round)];
+            let cmp = Predicate::cmp(0, ComparisonOp::Ge, 420 + round);
+            let between = Predicate::between(1, 330 + round, 610);
+            let conjunction: Vec<Predicate> = [&dims[0][..], &dims[1][..], &[between]].concat();
+            let kinds = [
+                engine.select(&oracle, &cmp, &mut rng),
+                engine.select(&oracle, &between, &mut rng),
+                engine.select_range_md(&oracle, &dims[..1], &mut rng),
+                engine.select_range_md(&oracle, &dims, &mut rng),
+                engine.select_range_sdplus(&oracle, &dims, &mut rng),
+                engine.select_conjunction(&oracle, &conjunction, &mut rng),
+            ];
+            assert!(kinds.iter().all(|sel| sel.stats.qpf_uses > 0));
+            assert_eq!(oracle.empty.get(), 0, "round {round}");
+            // Between rounds: late rows arrive parked, unplaced in every
+            // attribute.
+            for v in [290u64, 300, 700] {
+                let t = plain.insert(&[v, v]);
+                for attr in 0..2 {
+                    let kb = engine.knowledge_mut(attr).expect("indexed");
+                    kb.park(t, 0, kb.k() - 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -159,7 +159,8 @@ pub enum RefinementOp<P> {
         cut: usize,
         /// QPF output identifying the cut's left side.
         left_label: bool,
-        /// The resolved outputs, one per overflow tuple the cut reached.
+        /// The resolved outputs, one per overflow tuple whose interval the
+        /// cut moved or whose tuple it promoted.
         outputs: Vec<(TupleId, bool)>,
     },
 }
@@ -358,6 +359,10 @@ impl<P: SpPredicate> Knowledge<P> {
     /// thresholds can differ from the boundary's retained separator inside
     /// a deletion gap, and a parked tuple dwelling in that gap would receive
     /// contradictory index-space claims (violating `lo ≤ hi`).
+    ///
+    /// The journal records only the outputs that moved an interval or
+    /// promoted its tuple — the others change nothing on replay — and no op
+    /// at all when none did.
     pub(crate) fn refine_overflow(
         &mut self,
         cut: usize,
@@ -369,9 +374,7 @@ impl<P: SpPredicate> Knowledge<P> {
         while i < self.overflow.len() {
             let e = &mut self.overflow[i];
             if let Some(out) = outputs(e.tuple) {
-                if self.recording {
-                    consumed.push((e.tuple, out));
-                }
+                let before = (e.lo, e.hi);
                 if out == left_label {
                     e.hi = e.hi.min(cut);
                 } else {
@@ -385,6 +388,9 @@ impl<P: SpPredicate> Knowledge<P> {
                     e.hi,
                     self.pop.k()
                 );
+                if self.recording && (e.lo == e.hi || (e.lo, e.hi) != before) {
+                    consumed.push((e.tuple, out));
+                }
                 if e.lo == e.hi {
                     let entry = self.overflow.swap_remove(i);
                     self.pop.place(entry.tuple, entry.lo);
@@ -393,7 +399,7 @@ impl<P: SpPredicate> Knowledge<P> {
             }
             i += 1;
         }
-        if self.recording {
+        if !consumed.is_empty() {
             // Recorded after the sweep (the op needs the materialized
             // outputs), which preserves op order: the sweep above never
             // touches the journal itself.

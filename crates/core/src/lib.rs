@@ -13,13 +13,15 @@
 //! partitions straddling its cut, found with O(lg k) probes:
 //!
 //! * [`qfilter`] — Algorithm 1: binary search for the NS-pair;
-//! * [`qscan`] — Algorithm 2: early-stop confirmation scan;
-//! * [`sd`] — the §5 pipeline plus `updatePRKB` (§5.3);
-//! * `between`, `md`, `insert` (crate-private) — the BETWEEN operator
-//!   (Appendix A), multi-dimensional range queries (§6) and database
-//!   updates (§7), all reached through [`PrkbEngine`], the per-table façade;
-//!   PRKB(SD+) and SQL conjunctions are its methods over one
-//!   intersect-and-rollback driver;
+//! * `md` (crate-private) — the one executor for comparison trapdoors:
+//!   PRKB(MD)'s pipeline (§6.2), which with one dimension of one trapdoor is
+//!   §5's — QFilter, the NS-pair scan with Algorithm 2's early stop, and
+//!   `updatePRKB` (§5.3);
+//! * `between`, `insert` (crate-private) — the BETWEEN operator
+//!   (Appendix A) and database updates (§7); these and `md` are all
+//!   reached through [`PrkbEngine`], the per-table façade; PRKB(SD+) and
+//!   SQL conjunctions are its methods over one intersect-and-rollback
+//!   driver;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
 //!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/
@@ -69,17 +71,14 @@ pub(crate) mod md;
 pub mod metrics;
 pub(crate) mod pop;
 pub mod qfilter;
-pub mod qscan;
 pub mod scheduler;
 pub mod scrub;
-pub mod sd;
 mod sdplus;
 pub(crate) mod selection;
 pub(crate) mod shard;
 pub mod skyline;
 pub mod snapshot;
 pub(crate) mod traits;
-mod update;
 
 pub use durability::{DurableError, RecoveryReport, ShardedDurablePool};
 pub use engine::{EngineConfig, PrkbEngine, QueryError};

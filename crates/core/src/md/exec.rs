@@ -1,12 +1,13 @@
-//! The PRKB(MD) executor (paper §6.2).
+//! The PRKB(MD) executor (paper §6.2), which also runs every comparison
+//! trapdoor as a dimension with one trapdoor (§5).
 
 use super::zones::{rank_classes, RankClass};
 use super::{MdDim, MdUpdatePolicy};
 use crate::knowledge::Separator;
+use crate::pop::Pop;
 use crate::qfilter::{try_qfilter, FilterResult};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
-use crate::update::order_halves;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
 
@@ -102,6 +103,16 @@ impl NsState {
     }
 }
 
+/// One trapdoor of a dimension: its QFilter outcome, the early-stop state of
+/// its NS pair (`None` for an empty POP), and its wave's verdicts on the
+/// candidates outside that pair — the dimension's overflow tuples the wave
+/// reached — which a fresh split of this trapdoor refines.
+struct Trapdoor {
+    filter: FilterResult,
+    ns: Option<NsState>,
+    overflow: Vec<(TupleId, bool)>,
+}
+
 /// Survivors of the current wave awaiting one oracle batch, with their
 /// positions in the wave.
 #[derive(Default)]
@@ -143,17 +154,24 @@ impl Pending {
     }
 }
 
-/// The survivors `tuples[start..end]` of one driver partition (`rank`), or
-/// of the driver's overflow (`rank: None`).
+/// A run of the band, in driver order.
 #[derive(Debug, Clone, Copy)]
-struct Segment {
-    rank: Option<usize>,
-    start: usize,
-    end: usize,
+enum Segment {
+    /// The survivors `tuples[start..end]` of one driver partition (`rank`),
+    /// or of the driver's overflow (`rank: None`).
+    Held {
+        rank: Option<usize>,
+        start: usize,
+        end: usize,
+    },
+    /// Driver partitions `first..end`, whole: each passes every trapdoor
+    /// and no other dimension can exclude a member (d = 1), so they stay in
+    /// the POP and are copied once, into the answer.
+    InPlace { first: usize, end: usize },
 }
 
 /// What one wave decided for a segment's survivors.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Fate {
     /// Every survivor of the segment has this verdict.
     All(bool),
@@ -162,7 +180,7 @@ enum Fate {
 }
 
 /// The candidates still in the running, in driver order, as segments: the
-/// surviving live members of each driver partition not known false, in rank
+/// surviving members of each driver partition not known false, in rank
 /// order and member order, then the driver's surviving overflow tuples. No
 /// segment is empty.
 #[derive(Default)]
@@ -172,14 +190,46 @@ struct Band {
 }
 
 impl Band {
-    /// Appends `tuples` as one segment (nothing when it is empty).
-    fn push_segment(&mut self, rank: Option<usize>, tuples: impl Iterator<Item = TupleId>) {
+    /// Appends what `fill` pushes as one segment (nothing when it is empty).
+    fn push_segment(&mut self, rank: Option<usize>, fill: impl FnOnce(&mut Vec<TupleId>)) {
         let start = self.tuples.len();
-        self.tuples.extend(tuples);
+        fill(&mut self.tuples);
         let end = self.tuples.len();
         if end > start {
-            self.segments.push(Segment { rank, start, end });
+            self.segments.push(Segment::Held { rank, start, end });
         }
+    }
+
+    /// Appends the driver partition at `rank` in place, extending the last
+    /// segment when it is the in-place run just before.
+    fn push_in_place(&mut self, rank: usize) {
+        match self.segments.last_mut() {
+            Some(Segment::InPlace { end, .. }) if *end == rank => *end += 1,
+            _ => self.segments.push(Segment::InPlace {
+                first: rank,
+                end: rank + 1,
+            }),
+        }
+    }
+
+    /// The survivors in band order, in-place partitions read from `pop`.
+    fn into_tuples(self, pop: &Pop) -> Vec<TupleId> {
+        let in_place = |seg: &Segment| matches!(seg, Segment::InPlace { .. });
+        if !self.segments.iter().any(in_place) {
+            return self.tuples;
+        }
+        let mut out = Vec::with_capacity(self.tuples.len());
+        for seg in &self.segments {
+            match *seg {
+                Segment::Held { start, end, .. } => out.extend_from_slice(&self.tuples[start..end]),
+                Segment::InPlace { first, end } => {
+                    for r in first..end {
+                        out.extend_from_slice(pop.members_at(r));
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Keeps the survivors whose verdict is true, segments and tuples in one
@@ -187,7 +237,12 @@ impl Band {
     fn retain(&mut self, fates: &[Fate], wave: &[bool]) {
         let (mut w, mut kept) = (0, 0);
         for (s, &fate) in fates.iter().enumerate() {
-            let Segment { rank, start, end } = self.segments[s];
+            let Segment::Held { rank, start, end } = self.segments[s] else {
+                debug_assert!(fate == Fate::All(true), "it passes every trapdoor");
+                self.segments[kept] = self.segments[s];
+                kept += 1;
+                continue;
+            };
             let from = w;
             match fate {
                 Fate::All(false) => {}
@@ -207,7 +262,7 @@ impl Band {
                 }
             }
             if w > from {
-                self.segments[kept] = Segment {
+                self.segments[kept] = Segment::Held {
                     rank,
                     start: from,
                     end: w,
@@ -224,24 +279,29 @@ impl Band {
 struct Prepared {
     /// The oracle's QPF counter when the query started.
     qpf_before: u64,
-    filters: Vec<[FilterResult; 2]>,
+    /// Per dimension, its trapdoors in order.
+    trapdoors: Vec<Vec<Trapdoor>>,
     classes: Vec<Vec<RankClass>>,
-    ns_states: Vec<[Option<NsState>; 2]>,
     /// The dimension whose band the candidates come from.
     driver: usize,
     /// The fields phase 1 decides; the walk adds `oracle_batches`.
     stats: QueryStats,
 }
 
-/// Runs the MD pipeline. Abort-safe by construction: phases 1–2 and the
-/// pending-split *collection* of phase 3 are fallible and read-only; splits
-/// for all dimensions are committed only after every oracle evaluation of
-/// the whole query has succeeded.
+/// Runs the MD pipeline over `dims` and returns the tuples every trapdoor
+/// selects, in band order: the driver's partitions in rank order, each in
+/// member order, then its overflow tuples. With `refine` set, the query
+/// refines the knowledge under that policy; `None` leaves it static.
+///
+/// Abort-safe by construction: phases 1–2 and the pending-split
+/// *collection* of phase 3 are fallible and read-only; splits for all
+/// dimensions are committed only after every oracle evaluation of the whole
+/// query has succeeded.
 pub(crate) fn run<O, R>(
-    dims: &mut [MdDim<O::Pred>],
+    dims: &mut [MdDim<'_, O::Pred>],
     oracle: &O,
     rng: &mut R,
-    policy: MdUpdatePolicy,
+    refine_with: Option<MdUpdatePolicy>,
 ) -> Result<Selection, OracleError>
 where
     O: SelectionOracle,
@@ -253,12 +313,15 @@ where
         dims,
         oracle,
         &p.classes,
-        &mut p.ns_states,
+        &mut p.trapdoors,
         p.driver,
         band,
         &mut p.stats.oracle_batches,
     )?;
-    let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
+    let splits = match refine_with {
+        Some(policy) => refine(dims, oracle, &mut p.trapdoors, policy)?,
+        None => 0,
+    };
     Ok(Selection {
         tuples,
         stats: QueryStats {
@@ -273,10 +336,12 @@ where
 /// Phase 1 — QFilter every trapdoor and classify every partition (per rank:
 /// O(k), never O(n)) — then the candidate band with the free pruning pass
 /// applied, built segment by segment: for each driver partition not known
-/// false, its live members not provably out in another dimension, in member
-/// order; then the driver's overflow tuples, filtered alike.
+/// false, its members not provably out in another dimension, in member
+/// order; then the driver's overflow tuples, filtered alike. The knowledge
+/// base is the authority on which tuples exist (see `PrkbEngine::delete`),
+/// so with no other dimension (d = 1) a partition joins as one slice copy.
 fn prepare<O, R>(
-    dims: &[MdDim<O::Pred>],
+    dims: &[MdDim<'_, O::Pred>],
     oracle: &O,
     rng: &mut R,
 ) -> Result<(Prepared, Band), OracleError>
@@ -287,98 +352,103 @@ where
 {
     let qpf_before = oracle.qpf_uses();
     let d = dims.len();
-    let mut filters: Vec<[FilterResult; 2]> = Vec::with_capacity(d);
+    let mut trapdoors: Vec<Vec<Trapdoor>> = Vec::with_capacity(d);
     for dim in dims.iter() {
-        let f0 = try_qfilter(dim.knowledge.pop(), oracle, &dim.preds[0], rng)?;
-        let f1 = try_qfilter(dim.knowledge.pop(), oracle, &dim.preds[1], rng)?;
-        filters.push([f0, f1]);
+        let mut of_dim = Vec::with_capacity(dim.preds.len());
+        for pred in dim.preds {
+            let filter = try_qfilter(dim.knowledge.pop(), oracle, pred, rng)?;
+            let ns = NsState::from_filter(&filter);
+            of_dim.push(Trapdoor {
+                filter,
+                ns,
+                overflow: Vec::new(),
+            });
+        }
+        trapdoors.push(of_dim);
     }
     let filter_probes = oracle.qpf_uses().saturating_sub(qpf_before);
-    let classes: Vec<Vec<RankClass>> = dims
-        .iter()
-        .zip(&filters)
-        .map(|(dim, f)| rank_classes(dim.knowledge.pop().k(), f))
-        .collect();
 
-    // Cost breakdown: NS-pair width per trapdoor, label-pruned partitions.
-    let ns_width: u64 = dims
-        .iter()
-        .zip(&filters)
-        .map(|(dim, fs)| {
-            fs.iter()
-                .filter_map(|f| f.ns)
-                .map(|(a, b)| {
-                    let pop = dim.knowledge.pop();
-                    let mut w = pop.members_at(a).len();
-                    if b != a {
-                        w += pop.members_at(b).len();
-                    }
-                    w as u64
-                })
-                .sum::<u64>()
-        })
-        .sum();
-    let pruned_true: usize = classes
-        .iter()
-        .map(|cs| cs.iter().filter(|c| c.known_true()).count())
-        .sum();
-    let pruned_false: usize = classes
-        .iter()
-        .map(|cs| cs.iter().filter(|c| c.known_false()).count())
-        .sum();
-
-    let ns_states: Vec<[Option<NsState>; 2]> = filters
-        .iter()
-        .map(|f| [NsState::from_filter(&f[0]), NsState::from_filter(&f[1])])
-        .collect();
-
-    // The candidate region is only the *driver* dimension's non-F partitions
-    // (its T ∪ NS band) plus its unplaced (overflow) tuples. Every winner
-    // must lie in that band, so nothing is missed, and per-query work is
-    // proportional to the band, not the table (the paper's Fig. 6b grid
-    // pruning).
-    let band_of = |di: usize| {
-        let pop = dims[di].knowledge.pop();
-        let band: usize = (0..pop.k())
-            .filter(|&r| !classes[di][r].known_false())
-            .map(|r| pop.members_at(r).len())
-            .sum();
-        band + dims[di].knowledge.overflow().len()
-    };
-    let driver = (0..d).min_by_key(|&di| band_of(di)).unwrap_or(0);
+    // Classify every rank, and with the same pass take the cost breakdown
+    // (label-pruned partitions) and — to pick the driver, when there is a
+    // choice — each dimension's band size: its non-F partitions (T ∪ NS)
+    // plus its unplaced (overflow) tuples. The candidate region is only the
+    // *driver* dimension's band. Every winner must lie in it, so nothing is
+    // missed, and per-query work is proportional to the band, not the table
+    // (the paper's Fig. 6b grid pruning).
+    let mut classes: Vec<Vec<RankClass>> = Vec::with_capacity(d);
+    let mut bands: Vec<usize> = Vec::with_capacity(d);
+    let (mut pruned_true, mut pruned_false, mut ns_width) = (0, 0, 0);
+    for (dim, tds) in dims.iter().zip(&trapdoors) {
+        let pop = dim.knowledge.pop();
+        let filters: Vec<&FilterResult> = tds.iter().map(|td| &td.filter).collect();
+        let of_dim = rank_classes(pop.k(), &filters);
+        let mut band = dim.knowledge.overflow().len();
+        for (r, class) in of_dim.iter().enumerate() {
+            if class.known_false() {
+                pruned_false += 1;
+            } else {
+                pruned_true += usize::from(class.known_true());
+                if d > 1 {
+                    band += pop.members_at(r).len();
+                }
+            }
+        }
+        for (a, b) in tds.iter().filter_map(|td| td.filter.ns) {
+            ns_width += pop.members_at(a).len() as u64;
+            if b != a {
+                ns_width += pop.members_at(b).len() as u64;
+            }
+        }
+        classes.push(of_dim);
+        bands.push(band);
+    }
+    let driver = (0..d).min_by_key(|&di| bands[di]).unwrap_or(0);
 
     // Free pass first: a tuple provably out in *any* dimension is discarded
     // before a single QPF is spent on it (Fig. 6b pruning). Every candidate
     // comes from a driver partition not known false, or is unplaced there,
-    // so only the other dimensions are checked.
+    // so only the other dimensions are checked — and with none, nothing is.
     let passes = |t: &TupleId| {
-        oracle.is_live(*t)
-            && dims.iter().enumerate().all(|(di, dim)| {
-                di == driver
-                    || dim
-                        .knowledge
-                        .pop()
-                        .rank_of_tuple(*t)
-                        .is_none_or(|r| !classes[di][r].known_false())
-            })
+        dims.iter().enumerate().all(|(di, dim)| {
+            di == driver
+                || dim
+                    .knowledge
+                    .pop()
+                    .rank_of_tuple(*t)
+                    .is_none_or(|r| !classes[di][r].known_false())
+        })
     };
     let mut band = Band::default();
-    band.tuples.reserve(band_of(driver));
+    if d > 1 {
+        band.tuples.reserve(bands[driver]);
+    }
     let pop = dims[driver].knowledge.pop();
     for (r, class) in classes[driver].iter().enumerate() {
-        if !class.known_false() {
-            let members = pop.members_at(r).iter().copied();
-            band.push_segment(Some(r), members.filter(passes));
+        if class.known_false() {
+            continue;
         }
+        if d == 1 && class.known_true() {
+            band.push_in_place(r);
+            continue;
+        }
+        let members = pop.members_at(r);
+        band.push_segment(Some(r), |out| {
+            if d == 1 {
+                out.extend_from_slice(members);
+            } else {
+                out.extend(members.iter().copied().filter(passes));
+            }
+        });
     }
     let overflow = dims[driver].knowledge.overflow();
-    band.push_segment(None, overflow.iter().map(|e| e.tuple).filter(passes));
+    band.push_segment(None, |out| {
+        out.extend(overflow.iter().map(|e| e.tuple).filter(passes));
+    });
 
     let prepared = Prepared {
         qpf_before,
-        filters,
+        trapdoors,
         classes,
-        ns_states,
         driver,
         stats: QueryStats {
             k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
@@ -395,7 +465,8 @@ where
 
 /// Phase 2 — evaluates the band wave-major, one wave per (dimension,
 /// trapdoor), each over the survivors of every earlier wave, and returns
-/// the winners. This is QPF-count-identical to a tuple-major loop with
+/// the winners; each trapdoor keeps its verdicts on the overflow tuples its
+/// wave reached. This is QPF-count-identical to a tuple-major loop with
 /// per-tuple short-circuit: the early-stop state of a (dim, trapdoor) pair
 /// is only read and written by its own wave, in the candidate order the
 /// per-tuple loop would visit.
@@ -415,10 +486,10 @@ where
 /// run straight from its slice. The other waves are tuple-major inside the
 /// driver's segments, since their ranks interleave and runs are short.
 fn walk<O>(
-    dims: &[MdDim<O::Pred>],
+    dims: &[MdDim<'_, O::Pred>],
     oracle: &O,
     classes: &[Vec<RankClass>],
-    ns_states: &mut [[Option<NsState>; 2]],
+    trapdoors: &mut [Vec<Trapdoor>],
     driver: usize,
     mut band: Band,
     oracle_batches: &mut u64,
@@ -434,18 +505,22 @@ where
     let mut rest = Pending::default();
     for (di, dim) in dims.iter().enumerate() {
         let pop = dim.knowledge.pop();
-        for (j, (pred, state)) in dim.preds.iter().zip(&mut ns_states[di]).enumerate() {
+        for (j, (pred, td)) in dim.preds.iter().zip(&mut trapdoors[di]).enumerate() {
             if band.tuples.is_empty() {
                 break;
             }
-            let mut state = state.as_mut();
+            let mut state = td.ns.as_mut();
             wave.clear();
             wave.resize(band.tuples.len(), true);
             fates.clear();
             if di == driver {
                 for seg in &band.segments {
-                    let range = seg.start..seg.end;
-                    let class = seg.rank.map(|r| (r, classes[di][r]));
+                    let Segment::Held { rank, start, end } = *seg else {
+                        fates.push(Fate::All(true));
+                        continue;
+                    };
+                    let range = start..end;
+                    let class = rank.map(|r| (r, classes[di][r]));
                     let fate = match (class, state.as_deref_mut()) {
                         (Some((_, c)), _) if c.known_true() || c.pred(j) == Some(true) => {
                             Fate::All(true)
@@ -506,11 +581,14 @@ where
                 }
                 fates.resize(band.segments.len(), Fate::Each);
             }
-            rest.eval(oracle, pred, &mut wave, oracle_batches, |_, _| {})?;
+            rest.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
+                td.overflow
+                    .extend(ids.iter().copied().zip(vs.iter().copied()));
+            })?;
             band.retain(&fates, &wave);
         }
     }
-    Ok(band.tuples)
+    Ok(band.into_tuples(dims[driver].knowledge.pop()))
 }
 
 /// Phase 3 — refines each dimension's POP from fully-decided partitions and
@@ -520,34 +598,25 @@ where
 /// cleanly — an error in dimension i must not leave dimensions 0..i already
 /// refined.
 fn refine<O>(
-    dims: &mut [MdDim<O::Pred>],
+    dims: &mut [MdDim<'_, O::Pred>],
     oracle: &O,
-    filters: &[[FilterResult; 2]],
-    ns_states: &[[Option<NsState>; 2]],
+    trapdoors: &mut [Vec<Trapdoor>],
     policy: MdUpdatePolicy,
 ) -> Result<usize, OracleError>
 where
     O: SelectionOracle,
     O::Pred: SpPredicate,
 {
-    if policy == MdUpdatePolicy::Frozen {
-        return Ok(0);
-    }
     let mut all_pending: Vec<Vec<PendingSplit>> = Vec::with_capacity(dims.len());
-    for (di, dim) in dims.iter().enumerate() {
-        all_pending.push(collect_dim_updates(
-            dim,
-            oracle,
-            &filters[di],
-            &ns_states[di],
-            policy,
-        )?);
+    for (dim, tds) in dims.iter().zip(trapdoors.iter()) {
+        all_pending.push(collect_dim_updates(dim, oracle, tds, policy)?);
     }
     // ---- Commit phase: infallible, no oracle calls past this point. ----
     Ok(dims
         .iter_mut()
+        .zip(trapdoors)
         .zip(all_pending)
-        .map(|(dim, pending)| commit_dim_updates(dim, pending))
+        .map(|((dim, tds), pending)| commit_dim_updates(dim, tds, pending))
         .sum())
 }
 
@@ -600,10 +669,9 @@ fn member_verdicts(
 /// Under [`MdUpdatePolicy::CompleteSplits`] this may spend QPF uses to
 /// finish partially-decided partitions — the only fallible step of phase 3.
 fn collect_dim_updates<O>(
-    dim: &MdDim<O::Pred>,
+    dim: &MdDim<'_, O::Pred>,
     oracle: &O,
-    filters: &[FilterResult; 2],
-    ns_states: &[Option<NsState>; 2],
+    trapdoors: &[Trapdoor],
     policy: MdUpdatePolicy,
 ) -> Result<Vec<PendingSplit>, OracleError>
 where
@@ -612,9 +680,9 @@ where
 {
     let mut pending: Vec<PendingSplit> = Vec::new();
 
-    for j in 0..2 {
-        let Some(st) = &ns_states[j] else { continue };
-        let filter = &filters[j];
+    for (j, td) in trapdoors.iter().enumerate() {
+        let Some(st) = &td.ns else { continue };
+        let filter = &td.filter;
         for side in st.sides() {
             if !side.mixed() {
                 continue; // homogeneous so far: nothing to refine
@@ -648,7 +716,17 @@ where
 
 /// Commits the staged splits for one dimension. Returns the split count.
 /// Infallible: never touches the oracle.
-fn commit_dim_updates<P: SpPredicate>(dim: &mut MdDim<P>, mut pending: Vec<PendingSplit>) -> usize {
+///
+/// Each split is a fresh separator — only a trapdoor inequivalent to every
+/// retained one finds a mixed partition — so right after it commits, the
+/// verdicts its trapdoor's wave gave the overflow tuples narrow their
+/// intervals (§7.1); a tuple the wave did not reach is left as it is.
+/// Equivalent trapdoors never get here (DESIGN §7's gap rule).
+fn commit_dim_updates<P: SpPredicate>(
+    dim: &mut MdDim<'_, P>,
+    trapdoors: &mut [Trapdoor],
+    mut pending: Vec<PendingSplit>,
+) -> usize {
     // Apply descending by rank so earlier splits do not shift later ones;
     // if both trapdoors split the same partition, keep the first only
     // (re-deriving the second against the new sub-partitions is future
@@ -656,21 +734,58 @@ fn commit_dim_updates<P: SpPredicate>(dim: &mut MdDim<P>, mut pending: Vec<Pendi
     pending.sort_by_key(|e| std::cmp::Reverse(e.0));
     pending.dedup_by_key(|e| e.0);
     let n = pending.len();
+    for td in trapdoors.iter_mut() {
+        td.overflow.sort_unstable_by_key(|e| e.0);
+    }
     for (rank, left, right, left_label, j) in pending {
         let sep = Separator::Cmp {
             pred: dim.preds[j].clone(),
             left_label,
         };
         dim.knowledge.apply_split(rank, left, right, Some(sep));
+        let verdicts = &trapdoors[j].overflow;
+        dim.knowledge.refine_overflow(rank, left_label, |t| {
+            let at = verdicts.binary_search_by_key(&t, |e| e.0).ok()?;
+            Some(verdicts[at].1)
+        });
     }
     n
+}
+
+/// Orders `(true_half, false_half)` of a split at `rank` in a POP with `k`
+/// partitions (paper §5.3): the half whose QPF label equals a known-labelled
+/// neighbour's is placed adjacent to it — the left neighbour first, then the
+/// right. The very first split of a 1-partition POP is unconstrained and
+/// ordered false-first. `label_of` reports a neighbouring rank's label when
+/// this query established it. Returns `(left, right, left_label)`.
+pub(super) fn order_halves(
+    k: usize,
+    rank: usize,
+    true_half: Vec<TupleId>,
+    false_half: Vec<TupleId>,
+    label_of: impl Fn(usize) -> Option<bool>,
+) -> (Vec<TupleId>, Vec<TupleId>, bool) {
+    let left_neighbor = if rank > 0 { label_of(rank - 1) } else { None };
+    let right_neighbor = if rank + 1 < k {
+        label_of(rank + 1)
+    } else {
+        None
+    };
+    let true_first = left_neighbor
+        .or(right_neighbor.map(|r| !r))
+        .unwrap_or(false);
+    if true_first {
+        (true_half, false_half, true)
+    } else {
+        (false_half, true_half, false)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knowledge::Knowledge;
-    use crate::sd::try_process_comparison;
+    use crate::md::select_comparison;
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
@@ -686,10 +801,10 @@ mod tests {
     /// rule implies: one per maximal stretch of same-rank pair survivors
     /// that evaluates anything, plus one per wave for the rest.
     fn walk_reference<O>(
-        dims: &[MdDim<O::Pred>],
+        dims: &[MdDim<'_, O::Pred>],
         oracle: &O,
         classes: &[Vec<RankClass>],
-        ns_states: &mut [[Option<NsState>; 2]],
+        trapdoors: &mut [Vec<Trapdoor>],
         mut survivors: Vec<TupleId>,
         oracle_batches: &mut u64,
     ) -> Result<Vec<TupleId>, OracleError>
@@ -703,7 +818,7 @@ mod tests {
         let mut verdicts: Vec<bool> = Vec::new();
         for (di, dim) in dims.iter().enumerate() {
             let pop = dim.knowledge.pop();
-            for (j, (pred, state)) in dim.preds.iter().zip(&mut ns_states[di]).enumerate() {
+            for (j, (pred, td)) in dim.preds.iter().zip(&mut trapdoors[di]).enumerate() {
                 if survivors.is_empty() {
                     break;
                 }
@@ -719,7 +834,7 @@ mod tests {
                             continue;
                         }
                     }
-                    match (state.as_mut(), rank) {
+                    match (td.ns.as_mut(), rank) {
                         (Some(st), Some(r)) if st.in_pair(r) => {
                             if r != run_rank {
                                 (run_rank, run_counted) = (r, false);
@@ -746,6 +861,8 @@ mod tests {
                     for (&i, &v) in batch_at.iter().zip(&verdicts) {
                         wave[i] = v;
                     }
+                    td.overflow
+                        .extend(batch.iter().copied().zip(verdicts.iter().copied()));
                 }
                 let mut keep = wave.iter().copied();
                 survivors.retain(|_| keep.next().expect("one verdict per survivor"));
@@ -756,21 +873,25 @@ mod tests {
 
     /// `run` with the reference walk in place of `walk`.
     fn run_reference(
-        dims: &mut [MdDim<Predicate>],
+        dims: &mut [MdDim<'_, Predicate>],
         oracle: &impl SelectionOracle<Pred = Predicate>,
         rng: &mut StdRng,
-        policy: MdUpdatePolicy,
+        refine_with: Option<MdUpdatePolicy>,
     ) -> Result<Selection, OracleError> {
         let (mut p, band) = prepare(dims, oracle, rng)?;
+        let survivors = band.into_tuples(dims[p.driver].knowledge.pop());
         let tuples = walk_reference(
             dims,
             oracle,
             &p.classes,
-            &mut p.ns_states,
-            band.tuples,
+            &mut p.trapdoors,
+            survivors,
             &mut p.stats.oracle_batches,
         )?;
-        let splits = refine(dims, oracle, &p.filters, &p.ns_states, policy)?;
+        let splits = match refine_with {
+            Some(policy) => refine(dims, oracle, &mut p.trapdoors, policy)?,
+            None => 0,
+        };
         Ok(Selection {
             tuples,
             stats: QueryStats {
@@ -842,10 +963,11 @@ mod tests {
 
     /// One knowledge base per entry of `cuts` over `n` random rows, each
     /// warmed with its entry's comparison cuts (0 leaves k = 1, so a == b),
-    /// then disturbed the ways a served table is: a row deleted everywhere,
-    /// a row tombstoned in the table but still indexed, and two late rows —
-    /// one parked (overflow) in dimension 0 and placed elsewhere, one
-    /// parked in every dimension.
+    /// then disturbed the ways a table can be: a row deleted everywhere,
+    /// a row tombstoned in the table but still indexed (which the knowledge
+    /// base, the authority, still answers for), and two late rows — one
+    /// parked (overflow) in dimension 0 and placed elsewhere, one parked in
+    /// every dimension.
     fn scenario(n: usize, cuts: &[usize], seed: u64) -> (Vec<Knowledge<Predicate>>, PlainOracle) {
         let d = cuts.len();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -857,7 +979,7 @@ mod tests {
         for (a, kb) in kbs.iter_mut().enumerate() {
             for _ in 0..cuts[a] {
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, rng.gen_range(0..DOMAIN));
-                try_process_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
+                select_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         let gone = rng.gen_range(0..n as TupleId);
@@ -880,22 +1002,45 @@ mod tests {
         (kbs, oracle)
     }
 
-    fn to_dims(kbs: Vec<Knowledge<Predicate>>, ranges: &[(u64, u64)]) -> Vec<MdDim<Predicate>> {
-        kbs.into_iter()
-            .zip(ranges)
-            .enumerate()
-            .map(|(a, (knowledge, &(lo, hi)))| MdDim {
-                knowledge,
-                preds: [
-                    Predicate::cmp(a as u32, ComparisonOp::Gt, lo),
-                    Predicate::cmp(a as u32, ComparisonOp::Lt, hi),
-                ],
-            })
+    /// Dimension `a`'s two trapdoors `lo < X_a < hi`, per range.
+    fn range_preds(ranges: &[(u64, u64)]) -> Vec<[Predicate; 2]> {
+        let pair = |(a, &(lo, hi)): (usize, &(u64, u64))| {
+            [
+                Predicate::cmp(a as u32, ComparisonOp::Gt, lo),
+                Predicate::cmp(a as u32, ComparisonOp::Lt, hi),
+            ]
+        };
+        ranges.iter().enumerate().map(pair).collect()
+    }
+
+    fn to_dims<'a>(
+        kbs: &'a mut [Knowledge<Predicate>],
+        preds: &'a [[Predicate; 2]],
+    ) -> Vec<MdDim<'a, Predicate>> {
+        kbs.iter_mut()
+            .zip(preds)
+            .map(|(knowledge, preds)| MdDim { knowledge, preds })
             .collect()
     }
 
-    fn kb_bytes(dims: &[MdDim<Predicate>]) -> Vec<Vec<u8>> {
-        dims.iter().map(|d| snapshot::save(&d.knowledge)).collect()
+    fn kb_bytes(kbs: &[Knowledge<Predicate>]) -> Vec<Vec<u8>> {
+        kbs.iter().map(snapshot::save).collect()
+    }
+
+    /// Ground truth under the delete contract: the tuples every knowledge
+    /// base indexes (placed or parked) that satisfy every trapdoor.
+    fn indexed_conjunction(
+        kbs: &[Knowledge<Predicate>],
+        oracle: &PlainOracle,
+        preds: &[Predicate],
+    ) -> Vec<TupleId> {
+        let indexed = |kb: &Knowledge<Predicate>, t: TupleId| {
+            kb.pop().rank_of_tuple(t).is_some() || kb.overflow().iter().any(|e| e.tuple == t)
+        };
+        (0..oracle.n_slots() as TupleId)
+            .filter(|&t| kbs.iter().all(|kb| indexed(kb, t)))
+            .filter(|&t| preds.iter().all(|p| p.eval(oracle.value(p.attr(), t))))
+            .collect()
     }
 
     proptest::proptest! {
@@ -914,13 +1059,13 @@ mod tests {
             d in 1usize..3,
             cuts in 0usize..6,
             cold_first in proptest::prelude::any::<bool>(),
-            complete in proptest::prelude::any::<bool>(),
+            policy in 0usize..3,
         ) {
-            let policy = if complete {
-                MdUpdatePolicy::CompleteSplits
-            } else {
-                MdUpdatePolicy::PartialOnly
-            };
+            let policy = [
+                Some(MdUpdatePolicy::PartialOnly),
+                Some(MdUpdatePolicy::CompleteSplits),
+                None,
+            ][policy];
             let cold_first = cold_first && d == 2;
             let cuts: Vec<usize> = (0..d)
                 .map(|a| if cold_first { [0, cuts + 2][a] } else { cuts })
@@ -944,22 +1089,22 @@ mod tests {
                         }
                     })
                     .collect();
-                let mut dims_new = to_dims(kbs_new, &ranges);
-                let mut dims_ref = to_dims(kbs_ref, &ranges);
+                let preds = range_preds(&ranges);
                 let mut rng_new = StdRng::seed_from_u64(seed ^ q);
                 let mut rng_ref = StdRng::seed_from_u64(seed ^ q);
-                let new = run(&mut dims_new, &oracle_new, &mut rng_new, policy).expect("clean");
+                let new = run(&mut to_dims(&mut kbs_new, &preds), &oracle_new, &mut rng_new, policy)
+                    .expect("clean");
                 let reference =
-                    run_reference(&mut dims_ref, &oracle_ref, &mut rng_ref, policy).expect("clean");
+                    run_reference(&mut to_dims(&mut kbs_ref, &preds), &oracle_ref, &mut rng_ref, policy)
+                        .expect("clean");
                 proptest::prop_assert_eq!(&new.tuples, &reference.tuples, "winners, query {}", q);
                 proptest::prop_assert_eq!(new.stats, reference.stats, "stats, query {}", q);
                 proptest::prop_assert_eq!(oracle_new.qpf_uses(), oracle_ref.qpf_uses());
-                proptest::prop_assert_eq!(kb_bytes(&dims_new), kb_bytes(&dims_ref), "KB, query {}", q);
-                let expected: Vec<Predicate> =
-                    dims_new.iter().flat_map(|d| d.preds).collect();
-                proptest::prop_assert_eq!(new.sorted(), oracle_new.expected_conjunction(&expected));
-                kbs_new = dims_new.into_iter().map(|d| d.knowledge).collect();
-                kbs_ref = dims_ref.into_iter().map(|d| d.knowledge).collect();
+                proptest::prop_assert_eq!(kb_bytes(&kbs_new), kb_bytes(&kbs_ref), "KB, query {}", q);
+                // Every indexed tuple is answered for, the tombstoned one too.
+                let expected: Vec<Predicate> = preds.iter().flatten().copied().collect();
+                let indexed = indexed_conjunction(&kbs_new, &oracle_new, &expected);
+                proptest::prop_assert_eq!(new.sorted(), indexed);
                 for kb in &kbs_new {
                     kb.check_invariants();
                 }
@@ -1027,9 +1172,10 @@ mod tests {
         let n = 500usize;
         let oracle = PlainOracle::single_column((0..n as u64).collect());
         let counting = Counting::new(&oracle);
-        let mut dims = to_dims(vec![Knowledge::init(n)], &[(99, 300)]);
+        let (mut kbs, preds) = (vec![Knowledge::init(n)], range_preds(&[(99, 300)]));
         let mut rng = StdRng::seed_from_u64(1);
-        let sel = run(&mut dims, &counting, &mut rng, MdUpdatePolicy::PartialOnly).expect("clean");
+        let refine = Some(MdUpdatePolicy::PartialOnly);
+        let sel = run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, refine).expect("clean");
         assert_eq!(sel.sorted(), (100..300).collect::<Vec<_>>());
         // k = 1: no probes; wave 0 tests all n, wave 1 its 400 survivors.
         assert_eq!(sel.stats.qpf_uses, 500 + 400);
@@ -1039,10 +1185,11 @@ mod tests {
         assert_eq!(sel.stats.splits, 1, "only wave 0 decided every member");
     }
 
-    /// On the driver dimension every NS batch is one pair partition's live
+    /// On the driver dimension every NS batch is one pair partition's
     /// members, whole and in member order — a member tombstoned in the
-    /// table but still indexed is left out — each partition once, and the
-    /// band's overflow tuple goes through each wave's rest batch.
+    /// table but still indexed among them, since the knowledge base is the
+    /// authority — each partition once, and the band's overflow tuple goes
+    /// through each wave's rest batch.
     #[test]
     fn driver_ns_batches_are_whole_partitions_in_member_order() {
         let n = 600usize;
@@ -1056,7 +1203,7 @@ mod tests {
         let mut kb = Knowledge::init(n);
         for cut in [100, 200, 300, 400, 500] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, cut);
-            try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         // Range (150, 350): each cut falls inside a partition of 100 values.
         let dead = values.iter().position(|&v| v == 170).unwrap() as TupleId;
@@ -1064,21 +1211,24 @@ mod tests {
         let late = oracle.insert(&[250]);
         kb.park(late, 0, kb.k() - 1);
         let pop = kb.pop().clone();
-        let live = |r: usize| -> Vec<TupleId> {
-            let members = pop.members_at(r).iter().copied();
-            members.filter(|&t| oracle.is_live(t)).collect()
-        };
         let holding = |v: u64| {
             let t = values.iter().position(|&x| x == v).unwrap() as TupleId;
             pop.rank_of_tuple(t).unwrap()
         };
 
         let counting = Counting::new(&oracle);
-        let mut dims = to_dims(vec![kb], &[(150, 350)]);
+        let (mut kbs, preds) = (vec![kb], range_preds(&[(150, 350)]));
         let mut rng = StdRng::seed_from_u64(22);
-        let sel = run(&mut dims, &counting, &mut rng, MdUpdatePolicy::PartialOnly).expect("clean");
-        let expected: Vec<Predicate> = dims[0].preds.to_vec();
-        assert_eq!(sel.sorted(), oracle.expected_conjunction(&expected));
+        let refine = Some(MdUpdatePolicy::PartialOnly);
+        let sel = run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, refine).expect("clean");
+        let mut expected = oracle.expected_conjunction(&preds[0]);
+        expected.push(dead);
+        expected.sort_unstable();
+        assert_eq!(
+            sel.sorted(),
+            expected,
+            "the tombstoned row is still answered for"
+        );
 
         let log = counting.log.into_inner().unwrap();
         assert_eq!(log.len() as u64, sel.stats.oracle_batches);
@@ -1088,7 +1238,11 @@ mod tests {
             .iter()
             .map(|b| {
                 let r = pop.rank_of_tuple(b[0]).expect("placed");
-                assert_eq!(*b, live(r), "rank {r}: its live members in member order");
+                assert_eq!(
+                    b,
+                    pop.members_at(r),
+                    "rank {r}: its members in member order"
+                );
                 r
             })
             .collect();
@@ -1105,28 +1259,36 @@ mod tests {
     #[test]
     fn a_second_dimension_drives_when_its_band_is_narrower() {
         let ranges = [(5, 195), (60, 90)];
-        let (kbs, oracle) = scenario(600, &[0, 6], 23);
-        let dims = to_dims(kbs.clone(), &ranges);
-        let (p, band) = prepare(&dims, &oracle, &mut StdRng::seed_from_u64(24)).unwrap();
+        let (mut new, oracle) = scenario(600, &[0, 6], 23);
+        let mut reference = new.clone();
+        let preds = range_preds(&ranges);
+        let rng = || StdRng::seed_from_u64(24);
+        let (p, band) = prepare(&to_dims(&mut new, &preds), &oracle, &mut rng()).unwrap();
         assert_eq!(p.driver, 1);
         assert!(band.segments.len() > 1, "{:?}", band.segments);
 
-        let (mut new, mut reference) = (to_dims(kbs.clone(), &ranges), to_dims(kbs, &ranges));
-        let (policy, rng) = (MdUpdatePolicy::PartialOnly, || StdRng::seed_from_u64(24));
-        let a = run(&mut new, &oracle, &mut rng(), policy).unwrap();
-        let b = run_reference(&mut reference, &oracle, &mut rng(), policy).unwrap();
+        let policy = Some(MdUpdatePolicy::PartialOnly);
+        let a = run(&mut to_dims(&mut new, &preds), &oracle, &mut rng(), policy).unwrap();
+        let b = run_reference(
+            &mut to_dims(&mut reference, &preds),
+            &oracle,
+            &mut rng(),
+            policy,
+        )
+        .unwrap();
         assert_eq!((&a.tuples, a.stats), (&b.tuples, b.stats));
         assert_eq!(kb_bytes(&new), kb_bytes(&reference));
     }
 
     #[test]
     fn single_evaluations_are_qfilter_probes_only() {
-        for policy in [MdUpdatePolicy::PartialOnly, MdUpdatePolicy::Frozen] {
-            let (kbs, oracle) = scenario(400, &[8, 8], 5);
+        for policy in [Some(MdUpdatePolicy::PartialOnly), None] {
+            let (mut kbs, oracle) = scenario(400, &[8, 8], 5);
             let counting = Counting::new(&oracle);
-            let mut dims = to_dims(kbs, &[(40, 120), (60, 150)]);
+            let preds = range_preds(&[(40, 120), (60, 150)]);
             let mut rng = StdRng::seed_from_u64(6);
-            let sel = run(&mut dims, &counting, &mut rng, policy).expect("clean");
+            let sel =
+                run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, policy).expect("clean");
             assert!(sel.stats.filter_probes > 0, "warmed KBs are probed");
             assert_eq!(
                 counting.singles.load(Ordering::Relaxed),
@@ -1138,5 +1300,30 @@ mod tests {
                 sel.stats.oracle_batches
             );
         }
+    }
+
+    #[test]
+    fn left_neighbor_wins() {
+        // Left neighbour is F-homogeneous → false half adjacent to it.
+        let (l, r, ll) = order_halves(3, 1, vec![1], vec![2], |rk| Some(rk != 0));
+        assert_eq!((l, r, ll), (vec![2], vec![1], false));
+        // Left neighbour T-homogeneous → true half left.
+        let (l, r, ll) = order_halves(3, 1, vec![1], vec![2], |_| Some(true));
+        assert_eq!((l, r, ll), (vec![1], vec![2], true));
+    }
+
+    #[test]
+    fn right_neighbor_used_when_no_left() {
+        // rank 0: right neighbour T-homogeneous → true half goes right.
+        let (l, r, ll) = order_halves(3, 0, vec![1], vec![2], |_| Some(true));
+        assert_eq!((l, r, ll), (vec![2], vec![1], false));
+        let (l, r, ll) = order_halves(3, 0, vec![1], vec![2], |_| Some(false));
+        assert_eq!((l, r, ll), (vec![1], vec![2], true));
+    }
+
+    #[test]
+    fn unconstrained_first_split() {
+        let (l, r, ll) = order_halves(1, 0, vec![1], vec![2], |_| None);
+        assert_eq!((l, r, ll), (vec![2], vec![1], false));
     }
 }

@@ -1,28 +1,36 @@
-//! Multi-dimensional range query processing (paper §6).
+//! Multi-dimensional range query processing (paper §6), and with it every
+//! comparison (§5).
 //!
 //! A d-dimensional hyper-rectangle arrives as 2d comparison trapdoors (two
-//! per dimension). `PRKB(MD)` runs `QFilter` for each trapdoor, classifies
-//! every tuple per dimension through its partition rank, and then tests only tuples in
-//! the *candidate region* — not provably out in any dimension — evaluating
-//! only the trapdoors still unknown for them, with the paper's two
-//! optimizations:
+//! per dimension); a lone comparison is one dimension with one trapdoor,
+//! for which this pipeline *is* §5's, since §6.2's PRKB(MD) with d = 1
+//! reduces to it. `PRKB(MD)` runs `QFilter` for each trapdoor, classifies
+//! every tuple per dimension through its partition rank, and then tests
+//! only tuples in the *candidate region* — not provably out in any
+//! dimension — evaluating only the trapdoors still unknown for them, with
+//! the paper's two optimizations:
 //!
-//! * **early-stop inference** (§6.2): once an NS partition proves
-//!   non-homogeneous, its pair partner's tuples are implied and cost no QPF;
+//! * **early-stop inference** (§5.2's QScan, §6.2): once an NS partition
+//!   proves non-homogeneous, its pair partner's tuples are implied and cost
+//!   no QPF;
 //! * **per-tuple short-circuit**: a failing trapdoor ends that tuple.
 //!
 //! Updates: a partition may be only *partially* tested here (tuples pruned
 //! by other dimensions are skipped), and a partial split is unsound. The
 //! default policy refines only partitions whose members were all decided;
 //! [`MdUpdatePolicy::CompleteSplits`] instead pays the missing QPF uses to
-//! finish every discovered split (ablation).
+//! finish every discovered split (ablation). A dimension of one tests its
+//! NS partitions whole, so there the policies coincide.
 
 pub(crate) mod exec;
 pub(crate) mod zones;
 
+mod comparison;
+
 use crate::knowledge::Knowledge;
 
-/// What to do with partially-scanned NS partitions after an MD query.
+/// What to do with partially-scanned NS partitions after an MD query (a
+/// static PRKB is `EngineConfig::update = false`, which refines nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MdUpdatePolicy {
     /// Refine only fully-decided partitions (no extra QPF). Default.
@@ -30,31 +38,28 @@ pub enum MdUpdatePolicy {
     PartialOnly,
     /// Spend extra QPF to finish every discovered split (ablation mode).
     CompleteSplits,
-    /// Never refine from MD queries (static PRKB).
-    Frozen,
 }
 
-/// One dimension of a range query: the attribute's knowledge base plus its
-/// two comparison trapdoors. The engine moves knowledge in and out by value.
-#[derive(Debug)]
-pub(crate) struct MdDim<P> {
+/// One dimension of a query: the attribute's knowledge base plus its one
+/// (a comparison) or two (a range) comparison trapdoors, both borrowed.
+pub(crate) struct MdDim<'a, P> {
     /// PRKB state of this attribute.
-    pub knowledge: Knowledge<P>,
-    /// The two comparison trapdoors of this dimension.
-    pub preds: [P; 2],
+    pub knowledge: &'a mut Knowledge<P>,
+    /// The comparison trapdoors of this dimension.
+    pub preds: &'a [P],
 }
 
-pub(crate) use exec::run as try_process_range_md;
+pub(crate) use comparison::select_comparison;
+pub(crate) use exec::run;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sd::try_process_comparison;
     use crate::selection::Selection;
-    use rand::Rng;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
+    use rand::Rng;
     use rand::SeedableRng;
 
     /// Builds a d-dim oracle + warmed knowledge bases over random data.
@@ -75,7 +80,7 @@ mod tests {
                 let bound = rng.gen_range(0..10_000u64);
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, bound);
                 let _ = c;
-                try_process_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
+                select_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         oracle.reset_uses();
@@ -90,23 +95,23 @@ mod tests {
     }
 
     fn run_md(
-        kbs: Vec<Knowledge<Predicate>>,
+        mut kbs: Vec<Knowledge<Predicate>>,
         oracle: &PlainOracle,
         ranges: &[(u64, u64)],
-        policy: MdUpdatePolicy,
+        policy: Option<MdUpdatePolicy>,
         seed: u64,
     ) -> (Vec<Knowledge<Predicate>>, Selection) {
+        let preds: Vec<[Predicate; 2]> = (0..kbs.len())
+            .map(|a| range_preds(a as u32, ranges[a].0, ranges[a].1))
+            .collect();
         let mut dims: Vec<MdDim<Predicate>> = kbs
-            .into_iter()
-            .enumerate()
-            .map(|(a, knowledge)| MdDim {
-                knowledge,
-                preds: range_preds(a as u32, ranges[a].0, ranges[a].1),
-            })
+            .iter_mut()
+            .zip(&preds)
+            .map(|(knowledge, preds)| MdDim { knowledge, preds })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let sel = try_process_range_md(&mut dims, oracle, &mut rng, policy).unwrap();
-        (dims.into_iter().map(|d| d.knowledge).collect(), sel)
+        let sel = run(&mut dims, oracle, &mut rng, policy).unwrap();
+        (kbs, sel)
     }
 
     fn expected(oracle: &PlainOracle, ranges: &[(u64, u64)]) -> Vec<u32> {
@@ -122,7 +127,7 @@ mod tests {
     fn md_2d_correctness_fresh() {
         let (kbs, oracle) = setup(2000, 2, 0, 1);
         let ranges = [(1000, 3000), (4000, 7000)];
-        let (kbs, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::PartialOnly, 2);
+        let (kbs, sel) = run_md(kbs, &oracle, &ranges, Some(MdUpdatePolicy::PartialOnly), 2);
         assert_eq!(sel.sorted(), expected(&oracle, &ranges));
         for kb in &kbs {
             kb.check_invariants();
@@ -133,7 +138,7 @@ mod tests {
     fn md_2d_correctness_warmed() {
         let (kbs, oracle) = setup(2000, 2, 20, 3);
         let ranges = [(1000, 3000), (4000, 7000)];
-        let (kbs, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::PartialOnly, 4);
+        let (kbs, sel) = run_md(kbs, &oracle, &ranges, Some(MdUpdatePolicy::PartialOnly), 4);
         assert_eq!(sel.sorted(), expected(&oracle, &ranges));
         for kb in &kbs {
             kb.check_invariants();
@@ -147,7 +152,7 @@ mod tests {
             let ranges: Vec<(u64, u64)> = (0..d as u64)
                 .map(|i| (500 + i * 300, 5500 + i * 300))
                 .collect();
-            let (kbs, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::PartialOnly, 6);
+            let (kbs, sel) = run_md(kbs, &oracle, &ranges, Some(MdUpdatePolicy::PartialOnly), 6);
             assert_eq!(sel.sorted(), expected(&oracle, &ranges), "d={d}");
             for kb in &kbs {
                 kb.check_invariants();
@@ -160,7 +165,7 @@ mod tests {
         let (kbs, oracle) = setup(5000, 2, 40, 7);
         let ranges = [(2000, 2600), (4000, 4700)];
         oracle.reset_uses();
-        let (_, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::PartialOnly, 8);
+        let (_, sel) = run_md(kbs, &oracle, &ranges, Some(MdUpdatePolicy::PartialOnly), 8);
         assert_eq!(sel.sorted(), expected(&oracle, &ranges));
         // Baseline would spend up to 2dn = 20000; MD must be far below n.
         assert!(
@@ -175,12 +180,23 @@ mod tests {
         let (kbs1, oracle1) = setup(3000, 2, 10, 9);
         let ranges = [(2000, 4000), (5000, 8000)];
         let k_before: usize = kbs1.iter().map(Knowledge::k).sum();
-        let (kbs_partial, sel_a) = run_md(kbs1, &oracle1, &ranges, MdUpdatePolicy::PartialOnly, 10);
+        let (kbs_partial, sel_a) = run_md(
+            kbs1,
+            &oracle1,
+            &ranges,
+            Some(MdUpdatePolicy::PartialOnly),
+            10,
+        );
         let k_partial: usize = kbs_partial.iter().map(Knowledge::k).sum();
 
         let (kbs2, oracle2) = setup(3000, 2, 10, 9);
-        let (kbs_complete, sel_b) =
-            run_md(kbs2, &oracle2, &ranges, MdUpdatePolicy::CompleteSplits, 10);
+        let (kbs_complete, sel_b) = run_md(
+            kbs2,
+            &oracle2,
+            &ranges,
+            Some(MdUpdatePolicy::CompleteSplits),
+            10,
+        );
         let k_complete: usize = kbs_complete.iter().map(Knowledge::k).sum();
 
         assert_eq!(sel_a.sorted(), sel_b.sorted());
@@ -193,12 +209,13 @@ mod tests {
         }
     }
 
+    /// A static PRKB (`EngineConfig::update = false`) passes no policy.
     #[test]
     fn md_frozen_policy_never_updates() {
         let (kbs, oracle) = setup(2000, 2, 10, 11);
         let k_before: Vec<usize> = kbs.iter().map(Knowledge::k).collect();
         let ranges = [(1000, 5000), (2000, 6000)];
-        let (kbs, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::Frozen, 12);
+        let (kbs, sel) = run_md(kbs, &oracle, &ranges, None, 12);
         assert_eq!(sel.sorted(), expected(&oracle, &ranges));
         let k_after: Vec<usize> = kbs.iter().map(Knowledge::k).collect();
         assert_eq!(k_before, k_after);
@@ -208,7 +225,7 @@ mod tests {
     fn md_empty_result() {
         let (kbs, oracle) = setup(1000, 2, 10, 13);
         let ranges = [(20_000, 30_000), (0, 10_000)];
-        let (_, sel) = run_md(kbs, &oracle, &ranges, MdUpdatePolicy::PartialOnly, 14);
+        let (_, sel) = run_md(kbs, &oracle, &ranges, Some(MdUpdatePolicy::PartialOnly), 14);
         assert!(sel.tuples.is_empty());
     }
 
@@ -225,7 +242,7 @@ mod tests {
                 kbs,
                 &oracle,
                 &ranges,
-                MdUpdatePolicy::PartialOnly,
+                Some(MdUpdatePolicy::PartialOnly),
                 17 + round,
             );
             kbs = k2;

@@ -9,9 +9,10 @@
 
 use crate::qfilter::FilterResult;
 
-/// Classification of one rank for one dimension's two trapdoors:
+/// Classification of one rank for one dimension's trapdoors:
 /// `Some(label)` when QFilter proved the rank homogeneous, `None` for the
-/// not-sure partitions.
+/// not-sure partitions. A dimension with one trapdoor (a comparison) has
+/// no second one to fail, so its `p1` is `Some(true)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RankClass {
     /// Known label for predicate 0, if proven.
@@ -44,12 +45,13 @@ impl RankClass {
     }
 }
 
-/// Builds the per-rank classes for one dimension (`k` entries).
-pub(crate) fn rank_classes(k: usize, filters: &[FilterResult; 2]) -> Vec<RankClass> {
+/// Builds the per-rank classes for one dimension (`k` entries) from its one
+/// or two trapdoors' filters; an absent second trapdoor is known true.
+pub(crate) fn rank_classes(k: usize, filters: &[&FilterResult]) -> Vec<RankClass> {
     (0..k)
         .map(|r| RankClass {
             p0: filters[0].known_label(r),
-            p1: filters[1].known_label(r),
+            p1: filters.get(1).map_or(Some(true), |f| f.known_label(r)),
         })
         .collect()
 }
@@ -104,7 +106,7 @@ mod tests {
             try_qfilter(&pop, &oracle, &p_lo, &mut rng).unwrap(),
             try_qfilter(&pop, &oracle, &p_hi, &mut rng).unwrap(),
         ];
-        let classes = rank_classes(pop.k(), &f);
+        let classes = rank_classes(pop.k(), &[&f[0], &f[1]]);
         // Rank 4 (values 40..49) is proven true for both predicates.
         assert!(classes[4].known_true(), "{:?}", classes[4]);
         // Rank 0 fails p_lo; rank 9 fails p_hi.
@@ -113,5 +115,9 @@ mod tests {
         // Straddling partitions (20s and 60s) are not fully known.
         assert!(!classes[2].known_true() && !classes[2].known_false());
         assert!(!classes[6].known_true() && !classes[6].known_false());
+        // One trapdoor: its label alone decides the class.
+        let lone = rank_classes(pop.k(), &[&f[1]]);
+        assert!(lone[0].known_true(), "{:?}", lone[0]);
+        assert!(lone[9].known_false(), "{:?}", lone[9]);
     }
 }

@@ -6,7 +6,7 @@
 //! Costs O(lg k) QPF uses.
 
 use crate::pop::Pop;
-use prkb_edbms::{OracleError, SelectionOracle, TupleId};
+use prkb_edbms::{OracleError, SelectionOracle};
 use rand::Rng;
 
 /// Outcome of `QFilter`.
@@ -21,25 +21,13 @@ pub struct FilterResult {
     /// Boundary case (paper lines 4–10): both end samples agreed, so the
     /// separating point is at one of the two extremes.
     pub boundary: bool,
-    /// Ranks proven T-homogeneous (the "Winner" group `T_W`).
-    pub winner_ranks: Vec<usize>,
-    /// Ranks proven F-homogeneous (used by the multi-dimensional pruning).
-    pub false_ranks: Vec<usize>,
 }
 
 impl FilterResult {
-    /// All winner tuples (`T_W`), flattened from the winner ranks.
-    pub(crate) fn winner_tuples(&self, pop: &Pop) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        for &r in &self.winner_ranks {
-            out.extend_from_slice(pop.members_at(r));
-        }
-        out
-    }
-
     /// The sampled label of an arbitrary rank outside the NS pair, derived
-    /// from the winner/false classification. `None` for NS ranks.
-    pub(crate) fn known_label(&self, rank: usize) -> Option<bool> {
+    /// from the end samples' labels: true ranks are the "Winner" group
+    /// `T_W`. `None` for NS ranks.
+    pub fn known_label(&self, rank: usize) -> Option<bool> {
         let (a, b) = self.ns?;
         if rank == a || rank == b {
             return None;
@@ -74,24 +62,12 @@ pub fn try_qfilter<O: SelectionOracle, R: Rng>(
     rng: &mut R,
 ) -> Result<FilterResult, OracleError> {
     let k = pop.k();
-    if k == 0 {
+    if k <= 1 {
         return Ok(FilterResult {
-            ns: None,
+            ns: (k == 1).then_some((0, 0)),
             label_a: false,
             label_b: false,
             boundary: true,
-            winner_ranks: Vec::new(),
-            false_ranks: Vec::new(),
-        });
-    }
-    if k == 1 {
-        return Ok(FilterResult {
-            ns: Some((0, 0)),
-            label_a: false,
-            label_b: false,
-            boundary: true,
-            winner_ranks: Vec::new(),
-            false_ranks: Vec::new(),
         });
     }
 
@@ -101,19 +77,11 @@ pub fn try_qfilter<O: SelectionOracle, R: Rng>(
     if label_1 == label_k {
         // Boundary case: s = 1 or s = k; all middle partitions share the
         // common label.
-        let middle: Vec<usize> = (1..k - 1).collect();
-        let (winner_ranks, false_ranks) = if label_1 {
-            (middle, Vec::new())
-        } else {
-            (Vec::new(), middle)
-        };
         return Ok(FilterResult {
             ns: Some((0, k - 1)),
             label_a: label_1,
             label_b: label_k,
             boundary: true,
-            winner_ranks,
-            false_ranks,
         });
     }
 
@@ -130,22 +98,11 @@ pub fn try_qfilter<O: SelectionOracle, R: Rng>(
         }
     }
 
-    let mut winner_ranks = Vec::new();
-    let mut false_ranks = Vec::new();
-    if label_1 {
-        winner_ranks.extend(0..a);
-        false_ranks.extend(b + 1..k);
-    } else {
-        false_ranks.extend(0..a);
-        winner_ranks.extend(b + 1..k);
-    }
     Ok(FilterResult {
         ns: Some((a, b)),
         label_a: label_1,
         label_b: label_k,
         boundary: false,
-        winner_ranks,
-        false_ranks,
     })
 }
 
@@ -154,12 +111,19 @@ mod tests {
     use super::*;
     use crate::pop::Pop;
     use prkb_edbms::testing::PlainOracle;
-    use prkb_edbms::{ComparisonOp, Predicate};
+    use prkb_edbms::{ComparisonOp, Predicate, TupleId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// POP over values 0..n where partition i = tuples with value in
     /// [i*width, (i+1)*width) — an ascending ground-truth POP.
+    /// The ranks of `0..k` the filter labels `label`, in rank order.
+    fn labelled(r: &FilterResult, k: usize, label: bool) -> Vec<usize> {
+        (0..k)
+            .filter(|&rk| r.known_label(rk) == Some(label))
+            .collect()
+    }
+
     fn ascending_pop(n: usize, parts: usize) -> (Pop, PlainOracle) {
         let values: Vec<u64> = (0..n as u64).collect();
         let oracle = PlainOracle::single_column(values);
@@ -192,10 +156,10 @@ mod tests {
             "true separating partition 3 must be in the pair"
         );
         // Winners: everything proven below the cut.
-        for &w in &r.winner_ranks {
+        for w in labelled(&r, 10, true) {
             assert!(w < a);
         }
-        for &f in &r.false_ranks {
+        for f in labelled(&r, 10, false) {
             assert!(f > b);
         }
         // Cost: 2 end samples + O(lg k) probes.
@@ -210,8 +174,8 @@ mod tests {
         let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(r.boundary);
         assert_eq!(r.ns, Some((0, 9)));
-        assert_eq!(r.winner_ranks, (1..9).collect::<Vec<_>>());
-        assert!(r.false_ranks.is_empty());
+        assert_eq!(labelled(&r, 10, true), (1..9).collect::<Vec<_>>());
+        assert!(labelled(&r, 10, false).is_empty());
         assert_eq!(oracle.qpf_uses(), 2);
     }
 
@@ -222,8 +186,8 @@ mod tests {
         let pred = Predicate::cmp(0, ComparisonOp::Gt, 1000);
         let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
         assert!(r.boundary);
-        assert!(r.winner_ranks.is_empty());
-        assert_eq!(r.false_ranks, (1..9).collect::<Vec<_>>());
+        assert!(labelled(&r, 10, true).is_empty());
+        assert_eq!(labelled(&r, 10, false), (1..9).collect::<Vec<_>>());
     }
 
     #[test]
@@ -276,7 +240,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let pred = Predicate::cmp(0, ComparisonOp::Lt, 1000);
         let r = try_qfilter(&pop, &oracle, &pred, &mut rng).unwrap();
-        let mut w = r.winner_tuples(&pop);
+        let ranks = labelled(&r, pop.k(), true).into_iter();
+        let mut w: Vec<TupleId> = ranks.flat_map(|rk| pop.members_at(rk).to_vec()).collect();
         w.sort_unstable();
         assert_eq!(w, (10..90).collect::<Vec<_>>());
     }

@@ -2,15 +2,15 @@
 //! multi-dimensional baseline of paper §6 — and the SQL conjunction that
 //! generalises it.
 //!
-//! SD+ runs each of a range query's 2d comparison trapdoors through the
-//! single-dimension pipeline (§5) and intersects the answers; a conjunction
+//! SD+ runs each of a range query's 2d comparison trapdoors on its own —
+//! through the one executor, as a dimension with one trapdoor (§5) — and
+//! intersects the answers; a conjunction
 //! does the same with whatever trapdoors it was given, after handing the
 //! attributes that form a range grid to PRKB(MD) as one part. Both are
 //! [`PrkbEngine::intersect_parts`]: SD+ is that driver with the grid off.
 
 use crate::engine::{PrkbEngine, QueryError};
 use crate::knowledge::Knowledge;
-use crate::md::MdUpdatePolicy;
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, SelectionOracle, TupleId};
@@ -31,7 +31,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// [`QueryError::Oracle`] from any part. **Abort-safe:** each part
     /// commits its own refinement as it finishes, so a failure in a later
     /// part would strand the earlier commits; when there are two or more
-    /// parts and the configuration lets any of them refine, every named
+    /// parts and the configuration lets them refine, every named
     /// attribute's knowledge is cloned up front and restored wholesale on
     /// error.
     pub(crate) fn intersect_parts<O, R>(
@@ -55,11 +55,9 @@ impl<P: SpPredicate> PrkbEngine<P> {
         attrs.sort_unstable();
         attrs.dedup();
 
-        let refines = self.config.update
-            || (!grid.is_empty() && self.config.md_policy != MdUpdatePolicy::Frozen);
         // A single part is abort-safe by itself: nothing earlier to strand.
         let parts = usize::from(!grid.is_empty()) + singles.len();
-        let snapshot = refines && parts > 1;
+        let snapshot = self.config.update && parts > 1;
         let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
         let mut k_before = 0usize;
         for &attr in &attrs {
@@ -199,7 +197,6 @@ mod tests {
         }
         // Narrow query against the now-static index.
         engine.config.update = false;
-        engine.config.md_policy = MdUpdatePolicy::Frozen;
         let ranges: Vec<(u64, u64)> = (0..3u64)
             .map(|a| (2000 + a * 700, 2600 + a * 700))
             .collect();

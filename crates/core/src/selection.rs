@@ -21,12 +21,13 @@ pub struct QueryStats {
     /// and the members its fallback rounds evaluate. The O(lg k) part of
     /// the paper's cost model.
     pub filter_probes: u64,
-    /// Tuples inside the NS-pair partitions handed to QScan — the
+    /// Tuples inside the NS-pair partitions handed to the scan — the
     /// irreducible per-query work once the filter has done its job. For
     /// BETWEEN, the members evaluated by boundary-partition scans.
     pub ns_width: u64,
-    /// `try_eval_batch` calls issued by the pipeline (QScan partitions,
-    /// overflow sweeps, MD waves, BETWEEN hunt waves and fallback rounds).
+    /// `try_eval_batch` calls made by the pipeline (NS partitions, overflow
+    /// sweeps, MD waves, BETWEEN hunt waves and fallback rounds); nothing to
+    /// evaluate makes no call.
     /// Invariant across server thread counts, shard counts and fault
     /// wrappers.
     pub oracle_batches: u64,

@@ -150,7 +150,7 @@ fn md_cheaper_than_baseline_once_warmed() {
         engine.select_range_md(&oracle, &dims, &mut rng);
     }
 
-    engine.config.md_policy = MdUpdatePolicy::Frozen;
+    engine.config.update = false;
     let ranges: Vec<(u64, u64)> = (0..3)
         .map(|i| (200_000 + i * 50_000, 300_000 + i * 50_000))
         .collect();

@@ -6,7 +6,7 @@
 //! refinements (they classify identically under every `< c` predicate), so
 //! tuple-level containment is the right check even with heavy duplicates.
 
-use prkb::core::{extremes, Knowledge};
+use prkb::core::{extremes, EngineConfig, Knowledge, PrkbEngine};
 use prkb::edbms::testing::PlainOracle;
 use prkb::edbms::{ComparisonOp, Predicate, TupleId};
 use proptest::prelude::*;
@@ -15,8 +15,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Builds a knowledge base over `values`, refined by `cuts` random
-/// comparison queries, with `park` placed tuples moved into overflow
-/// (spanning the full partition range, the least-pinned interval).
+/// comparison queries through the engine, with `park` placed tuples moved
+/// into overflow (spanning the full partition range, the least-pinned
+/// interval).
 fn build(
     values: &[u64],
     cuts: usize,
@@ -25,19 +26,14 @@ fn build(
 ) -> (Knowledge<Predicate>, PlainOracle) {
     let n = values.len();
     let oracle = PlainOracle::single_column(values.to_vec());
-    let mut kb: Knowledge<Predicate> = Knowledge::init(n);
+    let mut engine: PrkbEngine<Predicate> = PrkbEngine::new(EngineConfig::default());
+    engine.init_attr(0, n);
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..cuts {
         let c = rng.gen_range(0..600u64);
-        prkb::core::sd::try_process_comparison(
-            &mut kb,
-            &oracle,
-            &Predicate::cmp(0, ComparisonOp::Lt, c),
-            &mut rng,
-            true,
-        )
-        .unwrap();
+        engine.select(&oracle, &Predicate::cmp(0, ComparisonOp::Lt, c), &mut rng);
     }
+    let mut kb = engine.knowledge(0).expect("attribute 0 is indexed").clone();
     // Park up to `park` distinct tuples: delete from their partition, then
     // re-admit as overflow over the full rank range.
     let mut parked: HashSet<TupleId> = HashSet::new();

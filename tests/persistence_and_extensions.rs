@@ -35,13 +35,15 @@ fn snapshot_survives_sp_restart_end_to_end() {
     drop(engine); // "SP restarts"
 
     // Session 2: restore and verify identical answers at warmed cost.
-    let mut kb = snapshot::load::<EncryptedPredicate>(&snap).expect("snapshot intact");
+    let kb = snapshot::load::<EncryptedPredicate>(&snap).expect("snapshot intact");
     assert_eq!(kb.k(), k_before);
+    let mut engine: PrkbEngine<EncryptedPredicate> = PrkbEngine::new(EngineConfig::default());
+    engine.restore_attr(0, kb);
     let before = tm.qpf_uses();
     let p = owner
         .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, 50_000), &mut rng)
         .expect("valid");
-    let sel = prkb::core::sd::try_process_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+    let sel = engine.select(&oracle, &p, &mut rng);
     let expected: Vec<u32> = (0..n as u32)
         .filter(|&t| values[t as usize] < 50_000)
         .collect();
