@@ -16,7 +16,11 @@
 //!   its `md_policy_frozen` id) vs `PartialOnly` (free, sound) vs
 //!   `CompleteSplits` (extra QPF now, more knowledge later);
 //! * **workload locality** — warming PRKB with cuts concentrated in a
-//!   hotspot vs spread over the domain, then querying the hotspot.
+//!   hotspot vs spread over the domain, then querying the hotspot;
+//! * **conjunction as one walk vs part by part** — one BETWEEN plus two
+//!   ranges over three attributes as one PRKB(MD) walk (`prkb-core` today)
+//!   vs as the conjunction ran before: the two ranges as one PRKB(MD)
+//!   query, the BETWEEN on its own, the answers intersected.
 //!
 //! Everything runs over the real encrypted pipeline ([`EncSetup`]) from
 //! fixed seeds, with the trapdoors issued before the measured span, so a
@@ -379,6 +383,60 @@ fn workload_locality(scale: Scale, rows: &mut Vec<Ablation>) {
     }
 }
 
+/// One BETWEEN plus two two-trapdoor ranges over three attributes, from a
+/// cold index, as one walk and as the parts the conjunction used to run:
+/// the same trapdoors and seeds on both sides.
+fn conjunctions(scale: Scale, rows: &mut Vec<Ablation>) {
+    let n = scale.tuples(500_000);
+    let queries = scale.queries(100);
+    let cols = synthetic::table(n, 3, synthetic::ColumnCorrelation::Independent, 13);
+    let setup = EncSetup::new("abl", cols, 13);
+    let oracle = setup.oracle();
+    let span = (SYNTH_DOMAIN_MAX - SYNTH_DOMAIN_MIN) / 10; // 10% per attribute
+    let mut rng = StdRng::seed_from_u64(14);
+    let lo = |rng: &mut StdRng| rng.gen_range(SYNTH_DOMAIN_MIN..SYNTH_DOMAIN_MAX - span);
+    let shapes: Vec<(Vec<[EncryptedPredicate; 2]>, EncryptedPredicate)> = (0..queries)
+        .map(|_| {
+            let ranges = (0..2)
+                .map(|a| {
+                    let lo = lo(&mut rng);
+                    setup.range_trapdoors(a, lo, lo + span, &mut rng)
+                })
+                .collect();
+            let lo = lo(&mut rng);
+            let between = Predicate::between(2, lo, lo + span);
+            let trapdoor = setup.owner.trapdoor(&setup.name, &between, &mut rng);
+            (ranges, trapdoor.expect("lo <= hi"))
+        })
+        .collect();
+    let mut answers: Vec<Vec<Vec<TupleId>>> = Vec::new();
+    for (id, one_walk) in [
+        ("conjunction_one_walk", true),
+        ("conjunction_intersect", false),
+    ] {
+        let mut engine = fresh_engine(&setup, true);
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut answer = |(ranges, between): &(Vec<[EncryptedPredicate; 2]>, _)| {
+            if one_walk {
+                let mut preds: Vec<EncryptedPredicate> = ranges.concat();
+                preds.push(EncryptedPredicate::clone(between));
+                return engine
+                    .select_conjunction(&oracle, &preds, &mut rng)
+                    .sorted();
+            }
+            let grid = engine.select_range_md(&oracle, ranges, &mut rng).sorted();
+            let mut ids = engine.select(&oracle, between, &mut rng).sorted();
+            ids.retain(|t| grid.binary_search(t).is_ok());
+            ids
+        };
+        let (found, cost) = measure_span(&oracle, || shapes.iter().map(&mut answer).collect());
+        answers.push(found);
+        let k = (0..3).map(|a| engine.knowledge(a).map_or(0, |kb| kb.k()));
+        rows.push(row(id, cost, k.sum(), n));
+    }
+    assert_eq!(answers[0], answers[1], "both select the same tuples");
+}
+
 /// Runs every ablation; a row's `qpf_uses` and `ms` are totals over its
 /// `Scale::queries(100)` queries.
 fn measure(scale: Scale) -> Vec<Ablation> {
@@ -387,6 +445,7 @@ fn measure(scale: Scale) -> Vec<Ablation> {
     md_policies(scale, &mut rows);
     workload_locality(scale, &mut rows);
     between_hunts(scale, &mut rows);
+    conjunctions(scale, &mut rows);
     rows
 }
 
@@ -432,5 +491,6 @@ mod tests {
         assert!(qpf("between_waves") * 2 < qpf("between_linear"));
         assert!(calls("between_waves") * 4 < calls("between_linear"));
         assert!(qpf("between_miss_escalate") < qpf("between_miss_fullscan"));
+        assert!(qpf("conjunction_one_walk") < qpf("conjunction_intersect"));
     }
 }

@@ -1,12 +1,13 @@
-//! BETWEEN operator processing (paper Appendix A).
+//! BETWEEN location (paper Appendix A): the hunt that finds where a
+//! BETWEEN trapdoor's winners are, before the MD executor walks them.
 //!
 //! A BETWEEN trapdoor answers 1 exactly inside `[lo, hi]`, so — unlike a
 //! comparison — the *direction* of a positive answer is known, but a
 //! negative answer does not say which side of the range the tuple is on.
 //! What SP can use is that the partitions holding winners form one
 //! contiguous run of ranks, and that every partition strictly inside that
-//! run lies wholly inside the range. Three phases follow from it, all of
-//! them oracle calls that precede the infallible commit phase:
+//! run lies wholly inside the range. So a BETWEEN is §5's pipeline with a
+//! different locator, and runs as a dimension of `md::run`:
 //!
 //! 1. **Hunt in waves** for a partition whose sample answers 1: rank 0,
 //!    then the odd multiples of stride `P/2, P/4, …, 1` (`P` the next power
@@ -18,105 +19,99 @@
 //!    ranks: no rank is sampled twice. A run of `w` whole partitions holds a
 //!    multiple of every stride ≤ `w`, so the hunt stops at a stride > `w/2`:
 //!    ≤ 2k/w + 2 lg k probes and ≤ ⌈lg k⌉ + 1 hunt calls.
-//! 2. **Early stop per transition** (Alg. 2's inference): with `(a, b)` and
-//!    `(c, d)` the adjacent negative/positive sample pairs of the low and
-//!    high transition, the outer partitions `a` and `d` are scanned first.
-//!    If `a` proves mixed the low cut is inside it, so `b` is wholly inside
-//!    the range and passes by label with zero QPF; likewise `c` when `d` is
-//!    mixed. When `b == c` it is skipped only if *both* are mixed.
-//!    Everything strictly between `b` and `c` passes by label as well.
+//! 2. **Two NS pairs under one trapdoor**, the adjacent negative/positive
+//!    sample pairs `(a, b)` and `(c, d)` of the two transitions; App. A's
+//!    "an outer partition that proves mixed puts its inner neighbour inside
+//!    the range" is the walk's early stop (`md::exec`'s `hunt_sides`).
 //! 3. **A miss escalates.** If all k samples answer 0, every partition has
 //!    a member outside the range, so none lies strictly inside the winners'
 //!    run: **at most two adjacent partitions hold winners.** The next
 //!    1, 2, 4, … members of *every* partition are evaluated, one batch per
 //!    round, until some rank `r` shows a positive; winners can then only be
-//!    in `r − 1`, `r`, `r + 1`, whose unevaluated suffixes are completed.
-//!    No member is evaluated twice by the rounds, so an empty range costs
-//!    n + k QPF and a range of selectivity `f` inside its partition about
-//!    k/f.
+//!    in `r − 1`, `r`, `r + 1`, whose unevaluated suffixes are completed
+//!    here and reach the walk *decided*. No member is evaluated twice, so an
+//!    empty range costs n + k QPF and a range of selectivity `f` inside its
+//!    partition about k/f.
 //!
-//! Each scanned partition that proves mixed splits exactly like a
-//! comparison split, with the interior half adjacent to the proven-true
-//! side; which partitions are mixed is a property of the range, not of the
-//! samples drawn, so the refinement does not depend on the hunt. The
-//! paper's exceptional case — both cuts inside one partition, so the
-//! outside half is not value-contiguous — is detected and skipped (no
-//! sound refinement exists there).
+//! The walk's commit splits each tested partition that proves mixed with
+//! the interior half next to the proven-true side, and skips the paper's
+//! exceptional case (both cuts possibly inside one partition).
 
-use crate::knowledge::{BetweenEdge, Knowledge, Separator};
 use crate::pop::Pop;
-use crate::selection::{QueryStats, Selection};
-use crate::traits::SpPredicate;
+use crate::selection::QueryStats;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
 
-/// Every member of the partition at `rank`, separated by QPF verdict, both
-/// halves in member order. With both halves non-empty the partition is
-/// non-homogeneous and this is its discovered split (Lemma 4.5, Case 2).
-#[derive(Debug, Clone)]
-pub(crate) struct Split {
-    /// Rank of the scanned partition.
-    pub rank: usize,
-    /// Members with QPF output 1 (`P_sT`).
-    pub true_half: Vec<TupleId>,
-    /// Members with QPF output 0 (`P_sF`).
-    pub false_half: Vec<TupleId>,
-}
-
-impl Split {
-    pub(crate) fn is_mixed(&self) -> bool {
-        !self.true_half.is_empty() && !self.false_half.is_empty()
-    }
-}
-
-/// Evaluates the members of the partition at `rank` past the `known`
-/// verdicts of its first members — one oracle batch (every such member is
-/// evaluated unconditionally, so batching cannot change the QPF count),
-/// none when `known` already covers the partition — and separates all of
-/// them by verdict. `verdicts` is scratch shared by the scans of one query.
-pub(crate) fn scan_partition<O: SelectionOracle>(
+/// Locates one BETWEEN trapdoor on `pop`: the hunt, then either the two
+/// transitions' bisections or the escalation, whose completed partitions
+/// are returned with every member's verdict in member order. Adds its cost
+/// to `stats` (see [`Probe`]). Read-only, so a failure has nothing to roll
+/// back.
+///
+/// # Errors
+/// Propagates the first oracle failure.
+pub(crate) fn locate<O: SelectionOracle, R: Rng>(
     pop: &Pop,
     oracle: &O,
     pred: &O::Pred,
-    rank: usize,
-    known: &[bool],
-    verdicts: &mut Vec<bool>,
-) -> Result<Split, OracleError> {
-    let members = pop.members_at(rank);
-    let rest = &members[known.len()..];
-    verdicts.clear();
-    if !rest.is_empty() {
-        oracle.try_eval_batch(pred, rest, verdicts)?;
-    }
-    let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
-    for (&t, &v) in members.iter().zip(known.iter().chain(verdicts.iter())) {
-        if v {
-            true_half.push(t);
-        } else {
-            false_half.push(t);
+    rng: &mut R,
+    stats: &mut QueryStats,
+) -> Result<Found, OracleError> {
+    let k = pop.k();
+    let mut probe = Probe {
+        pop,
+        oracle,
+        pred,
+        batch: Vec::new(),
+        verdicts: Vec::new(),
+        stats,
+    };
+    Ok(match (k > 0).then(|| probe.hunt(rng)).transpose()? {
+        Some(Some((p, s))) => {
+            let (a, b) = match p {
+                0 => (None, 0),
+                _ => {
+                    let (a, b) = probe.bisect(p - s, p, rng)?;
+                    (Some(a), b)
+                }
+            };
+            let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
+            Found::Hit { a, b, c, d }
         }
-    }
-    Ok(Split {
-        rank,
-        true_half,
-        false_half,
+        Some(None) => Found::Miss(probe.escalate()?),
+        None => Found::Miss(Vec::new()),
     })
 }
 
-/// One query's oracle-facing side: the trapdoor, the POP it runs against,
-/// the scratch buffers every batch shares and the cost it has run up.
+/// Where a BETWEEN trapdoor's winners can be.
+pub(crate) enum Found {
+    /// A sample answered 1: `(a, b)` and `(c, d)` are the adjacent
+    /// negative/positive sample pairs of the two transitions, `a` is `None`
+    /// when the winners start at rank 0 and `d` is k when they reach the
+    /// top. Ranks strictly between `b` and `c` lie inside the range; every
+    /// rank outside `a..=d` lies outside it.
+    Hit {
+        a: Option<usize>,
+        b: usize,
+        c: usize,
+        d: usize,
+    },
+    /// Every sample answered 0: only the (≤ 3) completed partitions, each
+    /// with its members' verdicts in member order, can hold winners.
+    Miss(Vec<(usize, Vec<bool>)>),
+}
+
+/// One trapdoor's location work: the POP it runs against, the scratch
+/// buffers every batch shares, and the stats its cost is added to —
+/// samples and round members as `filter_probes`, completions as
+/// `ns_width`, calls as `oracle_batches`.
 struct Probe<'a, O: SelectionOracle> {
     pop: &'a Pop,
     oracle: &'a O,
     pred: &'a O::Pred,
     batch: Vec<TupleId>,
     verdicts: Vec<bool>,
-    /// Samples and fallback-round members evaluated (locating the range).
-    filter_probes: u64,
-    /// Members evaluated by partition scans and suffix completions.
-    scanned: u64,
-    /// `try_eval_batch` calls issued.
-    batches: u64,
+    stats: &'a mut QueryStats,
 }
 
 impl<O: SelectionOracle> Probe<'_, O> {
@@ -124,8 +119,8 @@ impl<O: SelectionOracle> Probe<'_, O> {
     fn eval_probes(&mut self) -> Result<(), OracleError> {
         self.oracle
             .try_eval_batch(self.pred, &self.batch, &mut self.verdicts)?;
-        self.batches += 1;
-        self.filter_probes += self.batch.len() as u64;
+        self.stats.oracle_batches += 1;
+        self.stats.filter_probes += self.batch.len() as u64;
         Ok(())
     }
 
@@ -168,7 +163,7 @@ impl<O: SelectionOracle> Probe<'_, O> {
     ) -> Result<(usize, usize), OracleError> {
         while neg.abs_diff(pos) > 1 {
             let mid = (neg + pos) / 2;
-            self.filter_probes += 1;
+            self.stats.filter_probes += 1;
             if self
                 .oracle
                 .try_eval(self.pred, self.pop.sample_at(mid, rng))?
@@ -181,20 +176,25 @@ impl<O: SelectionOracle> Probe<'_, O> {
         Ok((neg, pos))
     }
 
-    /// [`scan_partition`] past the `known` verdicts, counted as scan work.
-    fn scan(&mut self, rank: usize, known: &[bool]) -> Result<Split, OracleError> {
-        let (pop, verdicts) = (self.pop, &mut self.verdicts);
-        let scan = scan_partition(pop, self.oracle, self.pred, rank, known, verdicts)?;
-        let rest = (pop.members_at(rank).len() - known.len()) as u64;
-        self.batches += u64::from(rest > 0);
-        self.scanned += rest;
-        Ok(scan)
+    /// Evaluates the members of `rank` past its `known` verdicts (one
+    /// batch, none when `known` covers the partition) and returns every
+    /// member's verdict in member order.
+    fn complete(&mut self, rank: usize, mut known: Vec<bool>) -> Result<Vec<bool>, OracleError> {
+        let rest = &self.pop.members_at(rank)[known.len()..];
+        if !rest.is_empty() {
+            self.oracle
+                .try_eval_batch(self.pred, rest, &mut self.verdicts)?;
+            self.stats.oracle_batches += 1;
+            self.stats.ns_width += rest.len() as u64;
+            known.extend_from_slice(&self.verdicts);
+        }
+        Ok(known)
     }
 
-    /// Phase 3: all k samples answered 0. Returns the completed scans of
+    /// Phase 3: all k samples answered 0. Returns the completed verdicts of
     /// the (≤ 3) partitions that can hold winners, or none when every
     /// member of the table has answered 0.
-    fn escalate(&mut self) -> Result<Vec<Split>, OracleError> {
+    fn escalate(&mut self) -> Result<Vec<(usize, Vec<bool>)>, OracleError> {
         let (pop, k) = (self.pop, self.pop.k());
         let (mut done, mut chunk) = (0usize, 1usize);
         // Where each rank's members start in this round's batch.
@@ -225,7 +225,10 @@ impl<O: SelectionOracle> Probe<'_, O> {
                         (rank, v)
                     })
                     .collect();
-                return known.iter().map(|(rank, v)| self.scan(*rank, v)).collect();
+                return known
+                    .into_iter()
+                    .map(|(rank, v)| Ok((rank, self.complete(rank, v)?)))
+                    .collect();
             }
             done += chunk;
             chunk *= 2;
@@ -233,193 +236,255 @@ impl<O: SelectionOracle> Probe<'_, O> {
     }
 }
 
-/// Processes one BETWEEN trapdoor against the knowledge base.
-///
-/// # Errors
-/// Propagates the first oracle failure. **Abort-safe:** hunt waves,
-/// transition probes, partition scans, fallback rounds and the overflow
-/// batch are all evaluated before `apply_between_updates` commits any
-/// split, so on error `kb` is byte-identical to its pre-query state.
-pub(crate) fn try_process_between<O, R>(
-    kb: &mut Knowledge<O::Pred>,
-    oracle: &O,
-    pred: &O::Pred,
-    rng: &mut R,
-    update: bool,
-) -> Result<Selection, OracleError>
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    let qpf_before = oracle.qpf_uses();
-    let k = kb.k();
+/// The pipeline a BETWEEN ran on before it became a dimension of the MD
+/// executor — its own partition scans, early stop, overflow sweep, stats and
+/// commit — kept as the reference twin the one executor must match.
+#[cfg(test)]
+pub(crate) mod twin {
+    use super::Probe;
+    use crate::knowledge::{BetweenEdge, Knowledge, Separator};
+    use crate::pop::Pop;
+    use crate::selection::{QueryStats, Selection};
+    use crate::traits::SpPredicate;
+    use prkb_edbms::{OracleError, SelectionOracle, TupleId};
+    use rand::Rng;
 
-    let mut probe = Probe {
-        pop: kb.pop(),
-        oracle,
-        pred,
-        batch: Vec::new(),
-        verdicts: Vec::new(),
-        filter_probes: 0,
-        scanned: 0,
-        batches: 0,
-    };
-    let mut scans: Vec<Split> = Vec::new();
-    // Ranks wholly inside the range: they pass by label, unscanned.
-    let mut middle_true: Vec<usize> = Vec::new();
+    /// Every member of the partition at `rank`, separated by QPF verdict,
+    /// both halves in member order. With both halves non-empty the
+    /// partition is non-homogeneous and this is its discovered split.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Split {
+        pub rank: usize,
+        pub true_half: Vec<TupleId>,
+        pub false_half: Vec<TupleId>,
+    }
 
-    if k > 0 {
-        match probe.hunt(rng)? {
-            Some((p, s)) => {
-                // (a, b) and (c, d): the negative/positive sample pairs of
-                // the two transitions; a or d is missing when the range
-                // reaches that end of the order.
-                let (a, b) = match p {
-                    0 => (None, 0),
-                    _ => {
-                        let (a, b) = probe.bisect(p - s, p, rng)?;
-                        (Some(a), b)
-                    }
-                };
-                let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
+    impl Split {
+        pub(crate) fn is_mixed(&self) -> bool {
+            !self.true_half.is_empty() && !self.false_half.is_empty()
+        }
 
-                // Phase 2: outer partitions first — one that proves mixed
-                // holds its transition's cut, so its inner neighbour is
-                // wholly inside the range.
-                let mut outer_is_mixed = |rank: Option<usize>| -> Result<bool, OracleError> {
-                    let Some(rank) = rank else { return Ok(false) };
-                    let scan = probe.scan(rank, &[])?;
-                    let mixed = scan.is_mixed();
-                    scans.push(scan);
-                    Ok(mixed)
-                };
-                let low_cut_in_a = outer_is_mixed(a)?;
-                let high_cut_in_d = outer_is_mixed((d < k).then_some(d))?;
-                let inner = if b == c {
-                    vec![(b, low_cut_in_a && high_cut_in_d)]
+        fn from_verdicts(pop: &Pop, rank: usize, verdicts: &[bool]) -> Split {
+            let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
+            for (&t, &v) in pop.members_at(rank).iter().zip(verdicts) {
+                if v {
+                    true_half.push(t);
                 } else {
-                    vec![(b, low_cut_in_a), (c, high_cut_in_d)]
-                };
-                for (rank, inside) in inner {
-                    if inside {
-                        middle_true.push(rank);
-                    } else {
-                        scans.push(probe.scan(rank, &[])?);
-                    }
+                    false_half.push(t);
                 }
-                middle_true.extend(b + 1..c);
             }
-            None => scans = probe.escalate()?,
+            Split {
+                rank,
+                true_half,
+                false_half,
+            }
         }
     }
 
-    let mut tuples: Vec<TupleId> = Vec::new();
-    for &rank in &middle_true {
-        tuples.extend_from_slice(kb.pop().members_at(rank));
-    }
-    for s in &scans {
-        tuples.extend_from_slice(&s.true_half);
-    }
-
-    // Overflow tuples are always examined, unconditionally — one batch.
-    let overflow: Vec<TupleId> = kb.overflow().iter().map(|e| e.tuple).collect();
-    let overflow_scanned = overflow.len();
-    if !overflow.is_empty() {
-        oracle.try_eval_batch(pred, &overflow, &mut probe.verdicts)?;
-        probe.batches += 1;
-        tuples.extend(
-            overflow
-                .into_iter()
-                .zip(&probe.verdicts)
-                .filter_map(|(t, &v)| v.then_some(t)),
-        );
+    /// Evaluates every member of the partition at `rank` in one batch and
+    /// separates them by verdict.
+    pub(crate) fn scan_partition<O: SelectionOracle>(
+        pop: &Pop,
+        oracle: &O,
+        pred: &O::Pred,
+        rank: usize,
+        verdicts: &mut Vec<bool>,
+    ) -> Result<Split, OracleError> {
+        oracle.try_eval_batch(pred, pop.members_at(rank), verdicts)?;
+        Ok(Split::from_verdicts(pop, rank, verdicts))
     }
 
-    // Breakdown: location work is `filter_probes`, members evaluated by
-    // scans the BETWEEN "NS width"; ranks inside the range pass by label
-    // (pruned true), every other unscanned rank was excluded by its
-    // negative sample (pruned false).
-    let mut stats = QueryStats {
-        qpf_uses: oracle.qpf_uses().saturating_sub(qpf_before),
-        k_before: k,
-        k_after: k,
-        splits: 0,
-        filter_probes: probe.filter_probes,
-        ns_width: probe.scanned,
-        oracle_batches: probe.batches,
-        pruned_true: middle_true.len(),
-        pruned_false: k - scans.len() - middle_true.len(),
-        overflow_scanned,
-    };
-
-    // ---- Commit phase: infallible, no oracle calls past this point. ----
-    if update {
-        stats.splits = apply_between_updates(kb, pred, scans, &middle_true);
-        stats.k_after = kb.k();
-    }
-    Ok(Selection { tuples, stats })
-}
-
-/// Splits the (≤ 2) mixed scanned partitions. Returns the number of splits.
-fn apply_between_updates<P: SpPredicate>(
-    kb: &mut Knowledge<P>,
-    pred: &P,
-    scans: Vec<Split>,
-    middle_true: &[usize],
-) -> usize {
-    // The true span: every rank with at least one positive tuple.
-    let true_ranks = || {
-        let scanned = scans.iter().filter(|s| !s.true_half.is_empty());
-        middle_true.iter().copied().chain(scanned.map(|s| s.rank))
-    };
-    let (Some(min_true), Some(max_true)) = (true_ranks().min(), true_ranks().max()) else {
-        return 0; // nothing satisfied: no refinement possible
-    };
-
-    // Collect splittable mixed partitions; apply in descending rank order so
-    // earlier splits do not shift later ranks.
-    let mut pending: Vec<(Split, BetweenEdge)> = Vec::new();
-    for s in scans {
-        if !s.is_mixed() {
-            continue; // homogeneous: nothing to refine
-        }
-        if s.rank == min_true && s.rank == max_true {
-            // Paper's exceptional case: both cuts may lie inside this one
-            // partition, so its false half is not value-contiguous — skip.
-            continue;
-        }
-        if s.rank == min_true {
-            // Low boundary: interior continues to the right.
-            pending.push((s, BetweenEdge::InteriorRight));
-        } else if s.rank == max_true {
-            // High boundary: interior continues to the left.
-            pending.push((s, BetweenEdge::InteriorLeft));
-        } else {
-            debug_assert!(false, "mixed partition strictly inside the true span");
-        }
+    /// [`scan_partition`], counted as scan work.
+    fn scan<O: SelectionOracle>(
+        probe: &mut Probe<'_, O>,
+        rank: usize,
+    ) -> Result<Split, OracleError> {
+        let (pop, verdicts) = (probe.pop, &mut probe.verdicts);
+        let scan = scan_partition(pop, probe.oracle, probe.pred, rank, verdicts)?;
+        probe.stats.oracle_batches += 1;
+        probe.stats.ns_width += pop.members_at(rank).len() as u64;
+        Ok(scan)
     }
 
-    pending.sort_by_key(|(s, _)| std::cmp::Reverse(s.rank));
-    let n = pending.len();
-    for (s, edge) in pending {
-        let (left, right) = match edge {
-            BetweenEdge::InteriorRight => (s.false_half, s.true_half),
-            BetweenEdge::InteriorLeft => (s.true_half, s.false_half),
+    /// Processes one BETWEEN trapdoor against the knowledge base.
+    pub(crate) fn try_process_between<O, R>(
+        kb: &mut Knowledge<O::Pred>,
+        oracle: &O,
+        pred: &O::Pred,
+        rng: &mut R,
+        update: bool,
+    ) -> Result<Selection, OracleError>
+    where
+        O: SelectionOracle,
+        O::Pred: SpPredicate,
+        R: Rng,
+    {
+        let qpf_before = oracle.qpf_uses();
+        let k = kb.k();
+
+        let mut cost = QueryStats::default();
+        let mut probe = Probe {
+            pop: kb.pop(),
+            oracle,
+            pred,
+            batch: Vec::new(),
+            verdicts: Vec::new(),
+            stats: &mut cost,
         };
-        let sep = Separator::Between {
-            pred: pred.clone(),
-            edge,
+        let mut scans: Vec<Split> = Vec::new();
+        // Ranks wholly inside the range: they pass by label, unscanned.
+        let mut middle_true: Vec<usize> = Vec::new();
+
+        if k > 0 {
+            match probe.hunt(rng)? {
+                Some((p, s)) => {
+                    let (a, b) = match p {
+                        0 => (None, 0),
+                        _ => {
+                            let (a, b) = probe.bisect(p - s, p, rng)?;
+                            (Some(a), b)
+                        }
+                    };
+                    let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
+
+                    // Outer partitions first — one that proves mixed holds
+                    // its transition's cut, so its inner neighbour is wholly
+                    // inside the range.
+                    let mut outer_is_mixed = |rank: Option<usize>| -> Result<bool, OracleError> {
+                        let Some(rank) = rank else { return Ok(false) };
+                        let scan = scan(&mut probe, rank)?;
+                        let mixed = scan.is_mixed();
+                        scans.push(scan);
+                        Ok(mixed)
+                    };
+                    let low_cut_in_a = outer_is_mixed(a)?;
+                    let high_cut_in_d = outer_is_mixed((d < k).then_some(d))?;
+                    let inner = if b == c {
+                        vec![(b, low_cut_in_a && high_cut_in_d)]
+                    } else {
+                        vec![(b, low_cut_in_a), (c, high_cut_in_d)]
+                    };
+                    for (rank, inside) in inner {
+                        if inside {
+                            middle_true.push(rank);
+                        } else {
+                            scans.push(scan(&mut probe, rank)?);
+                        }
+                    }
+                    middle_true.extend(b + 1..c);
+                }
+                None => {
+                    let pop = probe.pop;
+                    scans = probe
+                        .escalate()?
+                        .iter()
+                        .map(|(rank, v)| Split::from_verdicts(pop, *rank, v))
+                        .collect();
+                }
+            }
+        }
+
+        let mut tuples: Vec<TupleId> = Vec::new();
+        for &rank in &middle_true {
+            tuples.extend_from_slice(kb.pop().members_at(rank));
+        }
+        for s in &scans {
+            tuples.extend_from_slice(&s.true_half);
+        }
+
+        // Overflow tuples are always examined, unconditionally — one batch.
+        let overflow: Vec<TupleId> = kb.overflow().iter().map(|e| e.tuple).collect();
+        let overflow_scanned = overflow.len();
+        if !overflow.is_empty() {
+            oracle.try_eval_batch(pred, &overflow, &mut probe.verdicts)?;
+            probe.stats.oracle_batches += 1;
+            tuples.extend(
+                overflow
+                    .into_iter()
+                    .zip(&probe.verdicts)
+                    .filter_map(|(t, &v)| v.then_some(t)),
+            );
+        }
+
+        let mut stats = QueryStats {
+            qpf_uses: oracle.qpf_uses().saturating_sub(qpf_before),
+            k_before: k,
+            k_after: k,
+            splits: 0,
+            filter_probes: cost.filter_probes,
+            ns_width: cost.ns_width,
+            oracle_batches: cost.oracle_batches,
+            pruned_true: middle_true.len(),
+            pruned_false: k - scans.len() - middle_true.len(),
+            overflow_scanned,
         };
-        kb.apply_split(s.rank, left, right, Some(sep));
+
+        // ---- Commit phase: infallible, no oracle calls past this point. ----
+        if update {
+            stats.splits = apply_between_updates(kb, pred, scans, &middle_true);
+            stats.k_after = kb.k();
+        }
+        Ok(Selection { tuples, stats })
     }
-    n
+
+    /// Splits the (≤ 2) mixed scanned partitions. Returns the number of
+    /// splits.
+    pub(crate) fn apply_between_updates<P: SpPredicate>(
+        kb: &mut Knowledge<P>,
+        pred: &P,
+        scans: Vec<Split>,
+        middle_true: &[usize],
+    ) -> usize {
+        // The true span: every rank with at least one positive tuple.
+        let true_ranks = || {
+            let scanned = scans.iter().filter(|s| !s.true_half.is_empty());
+            middle_true.iter().copied().chain(scanned.map(|s| s.rank))
+        };
+        let (Some(min_true), Some(max_true)) = (true_ranks().min(), true_ranks().max()) else {
+            return 0; // nothing satisfied: no refinement possible
+        };
+
+        let mut pending: Vec<(Split, BetweenEdge)> = Vec::new();
+        for s in scans {
+            if !s.is_mixed() {
+                continue;
+            }
+            if s.rank == min_true && s.rank == max_true {
+                continue; // the paper's exceptional case
+            }
+            if s.rank == min_true {
+                pending.push((s, BetweenEdge::InteriorRight));
+            } else if s.rank == max_true {
+                pending.push((s, BetweenEdge::InteriorLeft));
+            } else {
+                debug_assert!(false, "mixed partition strictly inside the true span");
+            }
+        }
+
+        pending.sort_by_key(|(s, _)| std::cmp::Reverse(s.rank));
+        let n = pending.len();
+        for (s, edge) in pending {
+            let (left, right) = match edge {
+                BetweenEdge::InteriorRight => (s.false_half, s.true_half),
+                BetweenEdge::InteriorLeft => (s.true_half, s.false_half),
+            };
+            let sep = Separator::Between {
+                pred: pred.clone(),
+                edge,
+            };
+            kb.apply_split(s.rank, left, right, Some(sep));
+        }
+        n
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::twin::{apply_between_updates, Split};
     use super::*;
-    use crate::md::select_comparison;
+    use crate::knowledge::Knowledge;
+    use crate::md::select_one;
+    use crate::selection::{QueryStats, Selection};
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
@@ -438,7 +503,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
             let p = Predicate::cmp(0, ComparisonOp::Lt, c);
-            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         oracle.reset_uses();
         (kb, oracle)
@@ -452,7 +517,7 @@ mod tests {
         seed: u64,
     ) -> Selection {
         let mut rng = StdRng::seed_from_u64(seed);
-        try_process_between(kb, oracle, &Predicate::between(0, lo, hi), &mut rng, true).unwrap()
+        select_one(kb, oracle, &Predicate::between(0, lo, hi), &mut rng, true).unwrap()
     }
 
     /// Partitions this query evaluated in full.
@@ -608,7 +673,7 @@ mod tests {
         // The cuts at 300/600 now exist: an aligned comparison is equivalent.
         let mut rng = StdRng::seed_from_u64(5);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 300);
-        let sel = select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+        let sel = select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         assert_eq!(sel.sorted(), oracle.expected_select(&p));
         assert_eq!(
             sel.stats.splits, 0,
@@ -671,7 +736,7 @@ mod tests {
             let lo = (i * 53) % 450;
             let hi = lo + 20 + (i * 7) % 60;
             let p = Predicate::between(0, lo, hi);
-            let sel = try_process_between(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            let sel = select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(
                 sel.sorted(),
                 oracle.expected_select(&p),
@@ -825,7 +890,7 @@ mod tests {
     fn a_miss_split_across_two_partitions_splits_both() {
         let (mut kb, oracle) = thin_and_fat(6000, 4000..6000);
         let p = Predicate::cmp(0, ComparisonOp::Lt, 5000);
-        select_comparison(&mut kb, &oracle, &p, &mut StdRng::seed_from_u64(2), true).unwrap();
+        select_one(&mut kb, &oracle, &p, &mut StdRng::seed_from_u64(2), true).unwrap();
         assert_eq!(kb.k(), 42);
         let stats = miss(&kb, &oracle, 4950, 5049);
         assert!(stats.qpf_uses < 6000 / 2, "{stats:?}");
@@ -856,7 +921,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..rng.gen_range(0..260usize) {
             let p = Predicate::cmp(0, ComparisonOp::Lt, rng.gen_range(0..domain + 1));
-            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         if n > 1 {
             let gone = rng.gen_range(0..n as TupleId);
@@ -867,6 +932,63 @@ mod tests {
             kb.park(t as TupleId, 0, kb.k() - 1);
         }
         (kb, oracle, domain)
+    }
+
+    /// One call across the SP↔TM boundary.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        Probe(TupleId),
+        Batch(Vec<TupleId>),
+    }
+
+    /// Logs every call a query makes, probes and batches in one sequence.
+    struct Logged<'a> {
+        inner: &'a PlainOracle,
+        log: std::cell::RefCell<Vec<Call>>,
+    }
+
+    impl<'a> Logged<'a> {
+        fn new(inner: &'a PlainOracle) -> Self {
+            Logged {
+                inner,
+                log: std::cell::RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl SelectionOracle for Logged<'_> {
+        type Pred = Predicate;
+
+        fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+            self.log.borrow_mut().push(Call::Probe(t));
+            self.inner.try_eval(pred, t)
+        }
+
+        fn try_eval_batch(
+            &self,
+            pred: &Predicate,
+            tuples: &[TupleId],
+            out: &mut Vec<bool>,
+        ) -> Result<(), OracleError> {
+            self.log.borrow_mut().push(Call::Batch(tuples.to_vec()));
+            self.inner.try_eval_batch(pred, tuples, out)
+        }
+
+        fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+            self.inner.kind_of(pred)
+        }
+
+        fn n_slots(&self) -> usize {
+            self.inner.n_slots()
+        }
+
+        fn is_live(&self, t: TupleId) -> bool {
+            self.inner.is_live(t)
+        }
+
+        fn qpf_uses(&self) -> u64 {
+            self.inner.qpf_uses()
+        }
     }
 
     proptest::proptest! {
@@ -897,7 +1019,7 @@ mod tests {
                 let mut rng_w = StdRng::seed_from_u64(seed ^ q);
                 let mut rng_s = StdRng::seed_from_u64(seed.rotate_left(17) ^ q);
                 let before = oracle.qpf_uses();
-                let sel = try_process_between(&mut waved, &oracle, &pred, &mut rng_w, true)
+                let sel = select_one(&mut waved, &oracle, &pred, &mut rng_w, true)
                     .expect("clean");
                 let spent = oracle.qpf_uses() - before;
                 let mut reference = sequential_between(&mut sequential, &oracle, &pred, &mut rng_s);
@@ -913,6 +1035,84 @@ mod tests {
                     s.qpf_uses, s.filter_probes + s.ns_width + s.overflow_scanned as u64
                 );
                 proptest::prop_assert!(s.qpf_uses <= (oracle.n_slots() + s.k_before) as u64, "{:?}", s);
+            }
+        }
+
+        /// A BETWEEN is a dimension of the one executor: against the
+        /// pipeline it ran on before (the twin), every BETWEEN of a stream
+        /// that interleaves comparisons, BETWEENs, inserts (which park rows
+        /// the BETWEEN cuts cannot lateralize) and deletes gets the same
+        /// tuple set, the same `QueryStats` field for field, the same
+        /// oracle calls in the same order — each probe, then each batch's
+        /// tuples — and leaves byte-identical knowledge, refining or static.
+        #[test]
+        fn a_between_is_a_dimension_of_the_one_executor(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..2_000,
+            refining in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let domain = [6u64, 40, 2000][rng.gen_range(0..3usize)];
+            let values: Vec<u64> = (0..n + 2).map(|_| rng.gen_range(0..domain)).collect();
+            let mut oracle = PlainOracle::single_column(values);
+            let mut kb: Knowledge<Predicate> = Knowledge::init(n);
+            for _ in 0..rng.gen_range(0..12usize) {
+                let p = Predicate::cmp(0, ComparisonOp::Lt, rng.gen_range(0..domain + 1));
+                select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            }
+            for t in n..n + 2 {
+                kb.park(t as TupleId, 0, kb.k() - 1);
+            }
+            let mut kb_twin = kb.clone();
+            for step in 0..16 {
+                let query_seed: u64 = rng.gen();
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let at = rng.gen_range(0..domain);
+                        let (lo, hi) = match rng.gen_range(0..4u32) {
+                            0 => (domain + 1, domain + 9),
+                            1 => (at, at),
+                            2 => (0, at),
+                            _ => (at, at + rng.gen_range(0..domain / 3 + 1)),
+                        };
+                        let p = Predicate::between(0, lo, hi);
+                        let (new_calls, twin_calls) = (Logged::new(&oracle), Logged::new(&oracle));
+                        let mut r = StdRng::seed_from_u64(query_seed);
+                        let new = select_one(&mut kb, &new_calls, &p, &mut r, refining).unwrap();
+                        let mut r = StdRng::seed_from_u64(query_seed);
+                        let reference =
+                            twin::try_process_between(&mut kb_twin, &twin_calls, &p, &mut r, refining)
+                                .unwrap();
+                        proptest::prop_assert_eq!(new.sorted(), reference.sorted(), "step {}", step);
+                        proptest::prop_assert_eq!(new.stats, reference.stats, "step {}", step);
+                        proptest::prop_assert_eq!(
+                            new_calls.log.into_inner(), twin_calls.log.into_inner(), "step {}", step
+                        );
+                    }
+                    5 | 6 => {
+                        let op = ComparisonOp::ALL[rng.gen_range(0..4)];
+                        let p = Predicate::cmp(0, op, rng.gen_range(0..domain + 1));
+                        for knowledge in [&mut kb, &mut kb_twin] {
+                            let mut r = StdRng::seed_from_u64(query_seed);
+                            select_one(knowledge, &oracle, &p, &mut r, refining).unwrap();
+                        }
+                    }
+                    7 | 8 => {
+                        let t = oracle.insert(&[rng.gen_range(0..domain)]);
+                        crate::insert::try_insert_tuple(&mut kb, &oracle, t).unwrap();
+                        crate::insert::try_insert_tuple(&mut kb_twin, &oracle, t).unwrap();
+                    }
+                    _ => {
+                        let t = rng.gen_range(0..oracle.n_slots() as TupleId);
+                        oracle.delete(t);
+                        kb.delete(t);
+                        kb_twin.delete(t);
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    snapshot::save(&kb), snapshot::save(&kb_twin), "KB after step {}", step
+                );
+                kb.check_invariants();
             }
         }
     }

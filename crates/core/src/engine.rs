@@ -1,11 +1,11 @@
 //! The PRKB engine: per-attribute knowledge bases behind one façade.
 //!
 //! This is the service-provider-side entry point a deployment would embed:
-//! it owns one [`Knowledge`] per indexed attribute, routes incoming
-//! trapdoors (comparison vs BETWEEN, single vs multi-dimensional), and
-//! keeps the index maintained across inserts and deletes.
+//! it owns one [`Knowledge`] per indexed attribute, hands every select —
+//! a comparison, a BETWEEN, a range, a conjunction — to the one MD executor
+//! (SD+, the paper's baseline, as one run per trapdoor), and keeps the index
+//! maintained across inserts and deletes.
 
-use crate::between::try_process_between;
 use crate::insert::{apply_insert, decide_insert, InsertDecision, InsertOutcome};
 use crate::knowledge::Knowledge;
 use crate::md::{self, MdDim, MdUpdatePolicy};
@@ -14,7 +14,7 @@ use crate::selection::Selection;
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -147,14 +147,16 @@ impl<P: SpPredicate> PrkbEngine<P> {
         or_panic(self.try_select(oracle, pred, rng))
     }
 
-    /// Processes a single-predicate selection, dispatching on the trapdoor's
-    /// SP-visible kind (comparison vs BETWEEN).
+    /// Processes a single-predicate selection: one run of the MD executor
+    /// over one dimension holding the one trapdoor, whose SP-visible kind
+    /// picks its locator — `QFilter` for a comparison, the hunt for a
+    /// BETWEEN.
     ///
     /// # Errors
     /// [`QueryError::AttrNotInitialized`] for an unindexed attribute;
-    /// [`QueryError::Oracle`] on SP↔TM failure. Abort-safe: the
-    /// single-dimension pipelines evaluate every trapdoor before committing
-    /// any refinement, so on error the attribute's knowledge is untouched.
+    /// [`QueryError::Oracle`] on SP↔TM failure. Abort-safe: the executor
+    /// evaluates every trapdoor before committing any refinement, so on
+    /// error the attribute's knowledge is untouched.
     pub fn try_select<O, R>(
         &mut self,
         oracle: &O,
@@ -169,38 +171,58 @@ impl<P: SpPredicate> PrkbEngine<P> {
             PredicateKind::Comparison => QueryKind::Comparison,
             PredicateKind::Between => QueryKind::Between,
         };
-        let sel = self.try_select_impl(oracle, pred, rng)?;
+        let sel = self.run_dims(oracle, &[(pred.attr(), std::slice::from_ref(pred))], rng)?;
         metrics::global().record_query(kind, &sel.stats);
         Ok(sel)
     }
 
-    /// Non-recording twin of [`try_select`](Self::try_select): composite
-    /// queries (conjunctions) run their parts through this so the global
-    /// metrics registry counts each user-visible query exactly once.
-    pub(crate) fn try_select_impl<O, R>(
+    /// Runs the MD executor once over `dims` — per dimension, an attribute
+    /// and its trapdoors, each dimension borrowing that attribute's
+    /// knowledge — under the engine's refinement configuration, without
+    /// recording metrics (a composite query records itself once). No
+    /// dimension answers every live row.
+    ///
+    /// # Errors
+    /// [`QueryError::AttrNotInitialized`] before anything is spent;
+    /// [`QueryError::Oracle`] on SP↔TM failure, abort-safe like `md::run`.
+    ///
+    /// # Panics
+    /// Panics when two dimensions name one attribute (programmer error).
+    pub(crate) fn run_dims<O, R>(
         &mut self,
         oracle: &O,
-        pred: &P,
+        dims: &[(AttrId, &[P])],
         rng: &mut R,
     ) -> Result<Selection, QueryError>
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let update = self.config.update;
-        let kb = self
-            .kbs
-            .get_mut(&pred.attr())
-            .ok_or(QueryError::AttrNotInitialized(pred.attr()))?;
-        Ok(match oracle.kind_of(pred) {
-            PredicateKind::Comparison => md::select_comparison(kb, oracle, pred, rng, update)?,
-            PredicateKind::Between => try_process_between(kb, oracle, pred, rng, update)?,
-        })
+        if let Some(&(attr, _)) = dims.iter().find(|(a, _)| !self.kbs.contains_key(a)) {
+            return Err(QueryError::AttrNotInitialized(attr));
+        }
+        // Each dimension borrows its attribute's knowledge; a slot left
+        // empty is an attribute an earlier dimension already took.
+        let mut slots: Vec<Option<&mut Knowledge<P>>> = dims.iter().map(|_| None).collect();
+        for (attr, kb) in &mut self.kbs {
+            if let Some(i) = dims.iter().position(|(a, _)| a == attr) {
+                slots[i] = Some(kb);
+            }
+        }
+        let mut md_dims: Vec<MdDim<P>> = Vec::with_capacity(dims.len());
+        for (slot, &(attr, preds)) in slots.into_iter().zip(dims) {
+            let knowledge =
+                slot.unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
+            md_dims.push(MdDim { knowledge, preds });
+        }
+        let refine = self.config.update.then_some(self.config.md_policy);
+        Ok(md::run(&mut md_dims, oracle, rng, refine)?)
     }
 
     /// Processes a d-dimensional range query with PRKB(MD) (paper §6.2).
     ///
-    /// `dims` holds the two comparison trapdoors of each dimension.
+    /// `dims` holds the two comparison trapdoors of each dimension; no
+    /// dimension answers every live row, as every entry point does.
     ///
     /// Infallible wrapper over
     /// [`try_select_range_md`](Self::try_select_range_md).
@@ -234,55 +256,21 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let sel = self.try_select_range_md_impl(oracle, dims, rng)?;
+        let dims: Vec<(AttrId, &[P])> = dims
+            .iter()
+            .map(|pair| {
+                let attr = pair[0].attr();
+                assert_eq!(
+                    attr,
+                    pair[1].attr(),
+                    "a dimension's trapdoors must share an attribute"
+                );
+                (attr, &pair[..])
+            })
+            .collect();
+        let sel = self.run_dims(oracle, &dims, rng)?;
         metrics::global().record_query(QueryKind::Md, &sel.stats);
         Ok(sel)
-    }
-
-    /// Non-recording twin of
-    /// [`try_select_range_md`](Self::try_select_range_md) (see
-    /// [`try_select_impl`](Self::try_select_impl)).
-    pub(crate) fn try_select_range_md_impl<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, QueryError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        for pair in dims {
-            let attr = pair[0].attr();
-            assert_eq!(
-                attr,
-                pair[1].attr(),
-                "a dimension's trapdoors must share an attribute"
-            );
-            if !self.kbs.contains_key(&attr) {
-                return Err(QueryError::AttrNotInitialized(attr));
-            }
-        }
-        // Each dimension borrows its attribute's knowledge; a slot left
-        // empty is an attribute an earlier dimension already took.
-        let mut slots: Vec<Option<&mut Knowledge<P>>> = dims.iter().map(|_| None).collect();
-        for (attr, kb) in &mut self.kbs {
-            if let Some(i) = dims.iter().position(|pair| pair[0].attr() == *attr) {
-                slots[i] = Some(kb);
-            }
-        }
-        let mut md_dims: Vec<MdDim<P>> = Vec::with_capacity(dims.len());
-        for (slot, pair) in slots.into_iter().zip(dims) {
-            let attr = pair[0].attr();
-            let knowledge =
-                slot.unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
-            md_dims.push(MdDim {
-                knowledge,
-                preds: pair,
-            });
-        }
-        let refine = self.config.update.then_some(self.config.md_policy);
-        md::run(&mut md_dims, oracle, rng, refine).map_err(QueryError::Oracle)
     }
 
     /// Processes a d-dimensional range query with the naive PRKB(SD+)
@@ -308,14 +296,16 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
     /// Processes a d-dimensional range query with the naive PRKB(SD+)
     /// extension (paper §6, baseline): each of the 2d trapdoors runs through
-    /// the single-dimension pipeline on its own, dimension by dimension, and
+    /// the MD executor on its own, as a dimension with one trapdoor, and
     /// the answers are intersected. Much cheaper than a linear scan, but —
     /// unlike PRKB(MD) — it pays a full NS-pair scan for every trapdoor and
-    /// cannot prune across dimensions.
+    /// cannot prune across dimensions. No dimension answers every live row,
+    /// as every entry point does.
     ///
     /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: see
-    /// [`try_select_conjunction`](Self::try_select_conjunction).
+    /// See [`try_select`](Self::try_select). Abort-safe: every part commits
+    /// its own refinement, so the named attributes' knowledge is cloned up
+    /// front and restored wholesale if a later part fails.
     pub fn try_select_range_sdplus<O, R>(
         &mut self,
         oracle: &O,
@@ -326,8 +316,8 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let singles: Vec<&P> = dims.iter().flatten().collect();
-        let sel = self.intersect_parts(oracle, &[], &singles, rng)?;
+        let parts: Vec<&P> = dims.iter().flatten().collect();
+        let sel = self.intersect_parts(oracle, &parts, rng)?;
         metrics::global().record_query(QueryKind::Sdplus, &sel.stats);
         Ok(sel)
     }
@@ -335,11 +325,11 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Processes an arbitrary conjunction of trapdoors — the execution
     /// entry point for parsed SQL selections (`prkb_edbms::sql`).
     ///
-    /// Attributes contributing exactly two comparison trapdoors are
-    /// recognized as range dimensions and — when there are at least two such
-    /// dimensions — executed with PRKB(MD); every remaining trapdoor
-    /// (BETWEENs, lone comparisons) runs through the single-dimension
-    /// pipeline, and the result sets are intersected.
+    /// One run of the MD executor (paper §6.2): the trapdoors are grouped by
+    /// attribute (ascending, input order within one), each attribute is one
+    /// dimension holding all of its trapdoors — comparisons and BETWEENs
+    /// alike — and the walk tests only candidates no dimension has ruled
+    /// out. No trapdoor answers every live row.
     ///
     /// # Panics
     /// Panics if a referenced attribute was never initialized, or on oracle
@@ -356,10 +346,9 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Fallible twin of [`select_conjunction`](Self::select_conjunction).
     ///
     /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: the conjunction
-    /// commits refinements part by part (the MD grid, then each remaining
-    /// trapdoor), so every involved attribute's knowledge is snapshotted up
-    /// front and restored wholesale if any later part fails.
+    /// See [`try_select`](Self::try_select). Abort-safe: the one run stages
+    /// every split and commits only after the whole conjunction has
+    /// evaluated.
     pub fn try_select_conjunction<O, R>(
         &mut self,
         oracle: &O,
@@ -370,47 +359,12 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        use std::collections::BTreeMap;
-
-        if preds.is_empty() {
-            let n = oracle.n_slots();
-            let tuples = (0..n as TupleId).filter(|&t| oracle.is_live(t)).collect();
-            return Ok(Selection {
-                tuples,
-                ..Selection::default()
-            });
-        }
-
-        // Group comparison trapdoors per attribute, preserving order.
-        let mut cmp_by_attr: BTreeMap<AttrId, Vec<&P>> = BTreeMap::new();
-        let mut singles: Vec<&P> = Vec::new();
+        let mut by_attr: BTreeMap<AttrId, Vec<P>> = BTreeMap::new();
         for p in preds {
-            match oracle.kind_of(p) {
-                PredicateKind::Comparison => cmp_by_attr.entry(p.attr()).or_default().push(p),
-                PredicateKind::Between => singles.push(p),
-            }
+            by_attr.entry(p.attr()).or_default().push(p.clone());
         }
-        let mut dims: Vec<[&P; 2]> = Vec::new();
-        for (_, mut group) in cmp_by_attr {
-            // At most one pair per attribute: the MD grid owns each
-            // attribute's knowledge exclusively, so further comparisons on
-            // the same attribute run through the single-dimension pipeline.
-            if group.len() >= 2 {
-                let b = group.pop().expect("len >= 2");
-                let a = group.pop().expect("len >= 1");
-                dims.push([a, b]);
-            }
-            singles.extend(group);
-        }
-        let grid: Vec<[P; 2]> = if dims.len() >= 2 {
-            dims.iter().map(|d| d.map(P::clone)).collect()
-        } else {
-            // Not enough dimensions for the grid: run them individually.
-            singles.extend(dims.into_iter().flatten());
-            Vec::new()
-        };
-
-        let sel = self.intersect_parts(oracle, &grid, &singles, rng)?;
+        let dims: Vec<(AttrId, &[P])> = by_attr.iter().map(|(&a, ps)| (a, &ps[..])).collect();
+        let sel = self.run_dims(oracle, &dims, rng)?;
         metrics::global().record_query(QueryKind::Conjunction, &sel.stats);
         Ok(sel)
     }
@@ -904,6 +858,108 @@ mod tests {
                 for attr in 0..2 {
                     let kb = engine.knowledge_mut(attr).expect("indexed");
                     kb.park(t, 0, kb.k() - 1);
+                }
+            }
+        }
+    }
+
+    /// A query with no trapdoor gets one answer from every entry point:
+    /// every live row, at no QPF — not a panic, and not the deleted row.
+    #[test]
+    fn zero_dimension_queries_get_one_answer() {
+        let (mut engine, mut oracle) = engine_2d(40, 27);
+        let mut rng = StdRng::seed_from_u64(28);
+        oracle.delete(7);
+        engine.delete(7);
+        let live: Vec<TupleId> = (0..40).filter(|&t| t != 7).collect();
+        let answers = [
+            engine.select_range_md(&oracle, &[], &mut rng),
+            engine.select_range_sdplus(&oracle, &[], &mut rng),
+            engine.select_conjunction(&oracle, &[], &mut rng),
+        ];
+        for (i, sel) in answers.iter().enumerate() {
+            assert_eq!(sel.sorted(), live, "entry point {i}");
+            assert_eq!(sel.stats.qpf_uses, 0, "entry point {i}");
+        }
+    }
+
+    const DOMAIN: u64 = 120;
+
+    /// A random trapdoor on `attr`: one of the four operators, or a BETWEEN.
+    fn trapdoor(attr: u32, rng: &mut StdRng) -> Predicate {
+        let at = rng.gen_range(0..DOMAIN + 2);
+        match rng.gen_range(0..5) {
+            4 => Predicate::between(attr, at, at + rng.gen_range(0..DOMAIN / 2)),
+            op => Predicate::cmp(attr, ComparisonOp::ALL[op], at),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A conjunction is one walk, and it answers what running each of
+        /// its trapdoors on its own and intersecting answers, whatever the
+        /// mix of operators, BETWEENs and trapdoors per attribute, the
+        /// refinement configuration, and the inserts and deletes between
+        /// queries; the knowledge stays valid.
+        #[test]
+        fn a_conjunction_is_the_intersection_of_its_trapdoors(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..600,
+            d in 1usize..4,
+            update in proptest::prelude::any::<bool>(),
+            complete in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let columns: Vec<Vec<u64>> = (0..d)
+                .map(|_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect())
+                .collect();
+            let mut oracle = PlainOracle::from_columns(columns);
+            let mut engine = PrkbEngine::new(EngineConfig::default());
+            for a in 0..d {
+                engine.init_attr(a as AttrId, n);
+            }
+            engine.config.update = update;
+            if complete {
+                engine.config.md_policy = MdUpdatePolicy::CompleteSplits;
+            }
+            for step in 0..12 {
+                match rng.gen_range(0..6) {
+                    0..=3 => {
+                        let preds: Vec<Predicate> = (0..rng.gen_range(1..6))
+                            .map(|_| trapdoor(rng.gen_range(0..d) as u32, &mut rng))
+                            .collect();
+                        // The twin: every trapdoor on its own, on a static
+                        // copy, intersected.
+                        let mut twin = PrkbEngine::new(EngineConfig { update: false, ..engine.config });
+                        for a in 0..d as AttrId {
+                            twin.restore_attr(a, engine.knowledge(a).expect("indexed").clone());
+                        }
+                        let mut expected: Option<Vec<TupleId>> = None;
+                        for p in &preds {
+                            let mut ids = twin.select(&oracle, p, &mut rng).sorted();
+                            if let Some(earlier) = expected.take() {
+                                ids.retain(|t| earlier.binary_search(t).is_ok());
+                            }
+                            expected = Some(ids);
+                        }
+                        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+                        proptest::prop_assert_eq!(sel.sorted(), expected.expect("a trapdoor"), "step {}", step);
+                        proptest::prop_assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
+                    }
+                    4 => {
+                        let row: Vec<u64> = (0..d).map(|_| rng.gen_range(0..DOMAIN)).collect();
+                        let t = oracle.insert(&row);
+                        engine.insert(&oracle, t);
+                    }
+                    _ => {
+                        let t = rng.gen_range(0..oracle.n_slots() as TupleId);
+                        oracle.delete(t);
+                        engine.delete(t);
+                    }
+                }
+                for a in 0..d as AttrId {
+                    engine.knowledge(a).expect("indexed").check_invariants();
                 }
             }
         }

@@ -78,7 +78,7 @@ pub fn top_m_candidates<P: SpPredicate>(kb: &Knowledge<P>, m: usize) -> Vec<Tupl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::md::select_comparison;
+    use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -91,7 +91,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..cuts {
             let c = rng.gen_range(0..1_000_000u64);
-            select_comparison(
+            select_one(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),

@@ -184,7 +184,7 @@ fn probe_order(mid: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::md::select_comparison;
+    use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -197,7 +197,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         let mut rng = StdRng::seed_from_u64(1);
         for &c in cuts {
-            select_comparison(
+            select_one(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
@@ -284,7 +284,7 @@ mod tests {
         }
         for bound in [50u64, 150, 300, 450] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
-            let sel = select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            let sel = select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(sel.sorted(), oracle.expected_select(&p), "bound {bound}");
             kb.check_invariants();
         }
@@ -302,7 +302,7 @@ mod tests {
         kb.check_invariants();
         for bound in [30u64, 90, 150, 199] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, bound);
-            let sel = select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            let sel = select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
             assert_eq!(sel.sorted(), oracle.expected_select(&p), "bound {bound}");
         }
     }

@@ -13,15 +13,15 @@
 //! partitions straddling its cut, found with O(lg k) probes:
 //!
 //! * [`qfilter`] — Algorithm 1: binary search for the NS-pair;
-//! * `md` (crate-private) — the one executor for comparison trapdoors:
-//!   PRKB(MD)'s pipeline (§6.2), which with one dimension of one trapdoor is
-//!   §5's — QFilter, the NS-pair scan with Algorithm 2's early stop, and
-//!   `updatePRKB` (§5.3);
-//! * `between`, `insert` (crate-private) — the BETWEEN operator
-//!   (Appendix A) and database updates (§7); these and `md` are all
-//!   reached through [`PrkbEngine`], the per-table façade; PRKB(SD+) and
-//!   SQL conjunctions are its methods over one intersect-and-rollback
-//!   driver;
+//! * `md` (crate-private) — the one select executor: PRKB(MD)'s pipeline
+//!   (§6.2), which with one dimension of one comparison trapdoor is §5's —
+//!   QFilter, the NS-pair scan with Algorithm 2's early stop, and
+//!   `updatePRKB` (§5.3) — and with one BETWEEN trapdoor Appendix A's; a
+//!   SQL conjunction is one walk of it;
+//! * `between`, `insert` (crate-private) — the BETWEEN locator (Appendix
+//!   A's hunt) and database updates (§7); these and `md` are all reached
+//!   through [`PrkbEngine`], the per-table façade, whose PRKB(SD+) baseline
+//!   runs each trapdoor alone and intersects;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
 //!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/

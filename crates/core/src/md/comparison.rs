@@ -1,40 +1,12 @@
-//! A comparison trapdoor is a dimension with one trapdoor: §6.2's PRKB(MD)
+//! A single trapdoor is a dimension with one trapdoor: §6.2's PRKB(MD)
 //! with d = 1 is §5's pipeline — QFilter, the NS-pair scan with early stop,
-//! `updatePRKB` — so comparisons run through the MD executor too.
-
-use super::{run, MdDim, MdUpdatePolicy};
-use crate::knowledge::Knowledge;
-use crate::selection::Selection;
-use crate::traits::SpPredicate;
-use prkb_edbms::{OracleError, SelectionOracle};
-use rand::Rng;
-
-/// Processes one comparison trapdoor: [`run`] over one dimension with one
-/// trapdoor, refining the knowledge when `update` is set.
-///
-/// # Errors
-/// Propagates the first oracle failure; abort-safe like [`run`].
-pub(crate) fn select_comparison<O, R>(
-    knowledge: &mut Knowledge<O::Pred>,
-    oracle: &O,
-    pred: &O::Pred,
-    rng: &mut R,
-    update: bool,
-) -> Result<Selection, OracleError>
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-    R: Rng,
-{
-    let preds = std::slice::from_ref(pred);
-    // A lone trapdoor's NS partitions are tested whole, so the policy does
-    // not matter.
-    let refine = update.then_some(MdUpdatePolicy::PartialOnly);
-    run(&mut [MdDim { knowledge, preds }], oracle, rng, refine)
-}
+//! `updatePRKB` — for a comparison, and App. A's for a BETWEEN, whose
+//! locator is the hunt. So `PrkbEngine::try_select` is one `md::run` of the
+//! MD executor; this module holds the tests that pin §5's pipeline through
+//! it, and the reference twin it must match.
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The tests that pin §5's pipeline, run through the engine, and the
     //! reference twin the one executor must match.
     //!
@@ -44,20 +16,46 @@ mod tests {
     //! the split ordered against the labels this query established and the
     //! overflow refined by it — kept as the reference it was.
 
-    use super::*;
-    use crate::between::{scan_partition, try_process_between};
+    use crate::between::twin::{scan_partition, try_process_between};
     use crate::engine::{EngineConfig, PrkbEngine};
     use crate::insert::try_insert_tuple;
+    use crate::knowledge::Knowledge;
     use crate::knowledge::Separator;
     use crate::md::exec::order_halves;
+    use crate::md::{run, MdDim, MdUpdatePolicy};
     use crate::qfilter::{try_qfilter, FilterResult};
     use crate::selection::QueryStats;
+    use crate::selection::Selection;
     use crate::snapshot;
+    use crate::traits::SpPredicate;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, TupleId};
+    use prkb_edbms::{OracleError, SelectionOracle};
     use rand::rngs::StdRng;
+    use rand::Rng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    /// Processes one trapdoor on `knowledge` as the engine does: [`run`]
+    /// over one dimension with one trapdoor, refining when `update` is set
+    /// (a lone trapdoor's partitions are tested whole, so the policy does
+    /// not matter).
+    pub(crate) fn select_one<O, R>(
+        knowledge: &mut Knowledge<O::Pred>,
+        oracle: &O,
+        pred: &O::Pred,
+        rng: &mut R,
+        update: bool,
+    ) -> Result<Selection, OracleError>
+    where
+        O: SelectionOracle,
+        O::Pred: SpPredicate,
+        R: Rng,
+    {
+        let preds = std::slice::from_ref(pred);
+        let refine = update.then_some(MdUpdatePolicy::PartialOnly);
+        run(&mut [MdDim { knowledge, preds }], oracle, rng, refine)
+    }
 
     /// The reference twin (see the module docs).
     fn twin(
@@ -85,7 +83,7 @@ mod tests {
         let (mut ns_width, mut scan_batches) = (0, 0);
         let mut verdicts = Vec::new();
         if let Some((a, b)) = filter.ns {
-            let scan_a = scan_partition(pop, oracle, pred, a, &[], &mut verdicts).unwrap();
+            let scan_a = scan_partition(pop, oracle, pred, a, &mut verdicts).unwrap();
             (ns_width, scan_batches) = (pop.members_at(a).len(), 1);
             tuples.extend_from_slice(&scan_a.true_half);
             if scan_a.is_mixed() {
@@ -102,7 +100,7 @@ mod tests {
                         tuples.extend_from_slice(pop.members_at(b));
                     }
                 } else {
-                    let scan_b = scan_partition(pop, oracle, pred, b, &[], &mut verdicts).unwrap();
+                    let scan_b = scan_partition(pop, oracle, pred, b, &mut verdicts).unwrap();
                     scan_batches += 1;
                     tuples.extend_from_slice(&scan_b.true_half);
                     if scan_b.is_mixed() {
@@ -187,7 +185,7 @@ mod tests {
                         let update = rng.gen_range(0..5) > 0;
                         let empty_overflow = kb.overflow().is_empty();
                         let mut r = StdRng::seed_from_u64(query_seed);
-                        let new = select_comparison(&mut kb, &oracle, &p, &mut r, update).unwrap();
+                        let new = select_one(&mut kb, &oracle, &p, &mut r, update).unwrap();
                         let mut r = StdRng::seed_from_u64(query_seed);
                         let reference = twin(&mut kb_twin, &oracle, &p, &mut r, update);
                         proptest::prop_assert_eq!(new.sorted(), reference.sorted(), "step {}", step);
@@ -200,7 +198,7 @@ mod tests {
                         let lo = rng.gen_range(0..DOMAIN);
                         let p = Predicate::between(0, lo, lo + rng.gen_range(0..DOMAIN / 4));
                         let mut r = StdRng::seed_from_u64(query_seed);
-                        let new = try_process_between(&mut kb, &oracle, &p, &mut r, true).unwrap();
+                        let new = select_one(&mut kb, &oracle, &p, &mut r, true).unwrap();
                         let mut r = StdRng::seed_from_u64(query_seed);
                         let reference =
                             try_process_between(&mut kb_twin, &oracle, &p, &mut r, true).unwrap();

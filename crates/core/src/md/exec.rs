@@ -1,35 +1,50 @@
-//! The PRKB(MD) executor (paper §6.2), which also runs every comparison
-//! trapdoor as a dimension with one trapdoor (§5).
+//! The PRKB(MD) executor (paper §6.2), which runs every select: a
+//! comparison is a dimension with one trapdoor (§5), a BETWEEN is one whose
+//! locator is the hunt (App. A), and a conjunction is one walk over every
+//! attribute it names, each holding all of its trapdoors.
 
-use super::zones::{rank_classes, RankClass};
+use super::zones::{rank_class, Zones};
 use super::{MdDim, MdUpdatePolicy};
-use crate::knowledge::Separator;
+use crate::between::{self, Found};
+use crate::knowledge::{BetweenEdge, Separator};
 use crate::pop::Pop;
 use crate::qfilter::{try_qfilter, FilterResult};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
-use prkb_edbms::{OracleError, SelectionOracle, TupleId};
+use prkb_edbms::{OracleError, PredicateKind, SelectionOracle, TupleId};
 use rand::Rng;
+use std::ops::Range;
 
-/// One partition of a trapdoor's NS pair: its rank, its QFilter sample
-/// label, and the members this query has tested in it, run by run in the
-/// order tested, with their verdicts position for position.
+/// One partition a trapdoor must test — a side of one of its NS pairs, or a
+/// partition a BETWEEN's escalation decided — with its sampled label and
+/// the members this query has tested in it, run by run in the order tested,
+/// with their verdicts position for position.
 struct NsSide {
     rank: usize,
     label: bool,
     tested: Vec<TupleId>,
     verdicts: Vec<bool>,
     trues: usize,
+    /// The ranks of the sides that must all prove mixed before this one is
+    /// implied to have its label (Alg. 2's early stop); none: always tested.
+    inferred_by: Vec<usize>,
+    inferred: Option<bool>,
+    /// The location phase decided every member (a BETWEEN miss): `tested`
+    /// is sorted by tuple, and the walk reads it instead of evaluating.
+    decided: bool,
 }
 
 impl NsSide {
-    fn new(rank: usize, label: bool) -> Self {
+    fn new(rank: usize, label: bool, inferred_by: Vec<usize>) -> Self {
         NsSide {
             rank,
             label,
             tested: Vec::new(),
             verdicts: Vec::new(),
             trues: 0,
+            inferred_by,
+            inferred: None,
+            decided: false,
         }
     }
 
@@ -41,76 +56,173 @@ impl NsSide {
         self.trues += verdicts.iter().filter(|&&v| v).count();
     }
 
-    /// Both outcomes seen: this is the separating partition.
+    /// Both outcomes seen: this partition holds a cut.
     fn mixed(&self) -> bool {
         self.trues > 0 && self.trues < self.tested.len()
     }
+
+    /// The verdict of `t` when this side was decided, or the side's
+    /// inference; `None` when `t` must be evaluated.
+    fn known(&self, t: TupleId) -> Option<bool> {
+        if self.decided {
+            let at = self.tested.binary_search(&t).expect("a decided member");
+            return Some(self.verdicts[at]);
+        }
+        self.inferred
+    }
 }
 
-/// Early-stop inference state for one trapdoor's NS pair.
-struct NsState {
-    a: NsSide,
-    /// `None` for a single-partition POP (`a == b`).
-    b: Option<NsSide>,
-    /// Rank that proved non-homogeneous (the separating partition).
-    resolved: Option<usize>,
+/// A comparison's partitions to test: its NS pair, each side implied by
+/// the other's mixed verdict.
+fn comparison_sides(f: &FilterResult) -> Vec<NsSide> {
+    match f.ns {
+        None => Vec::new(),
+        Some((a, b)) if a == b => vec![NsSide::new(a, f.label_a, vec![])],
+        Some((a, b)) => vec![
+            NsSide::new(a, f.label_a, vec![b]),
+            NsSide::new(b, f.label_b, vec![a]),
+        ],
+    }
 }
 
-impl NsState {
-    fn from_filter(f: &FilterResult) -> Option<Self> {
-        let (a, b) = f.ns?;
-        Some(NsState {
-            a: NsSide::new(a, f.label_a),
-            b: (b != a).then(|| NsSide::new(b, f.label_b)),
-            resolved: None,
+/// A BETWEEN hit's partitions to test, in its probe order: the outer sides
+/// `a` and `d` first, then `b` and `c`. Its two pairs are the low transition
+/// `(a, b)` labelled (false, true) and the high one `(c, d)` labelled
+/// (true, false). When `b == c` that partition may hold either cut, so its
+/// mixed verdict implies nothing, and it is implied only once `a` *and* `d`
+/// proved mixed. A side whose partner is missing (no `a` below rank 0, no
+/// `d` above the top) is always tested.
+fn hunt_sides(a: Option<usize>, b: usize, c: usize, d: usize, k: usize) -> Vec<NsSide> {
+    let d = (d < k).then_some(d);
+    let plan = if b == c {
+        vec![
+            (a, false, vec![None]),
+            (d, false, vec![None]),
+            (Some(b), true, vec![a, d]),
+        ]
+    } else {
+        let (b, c) = (Some(b), Some(c));
+        vec![
+            (a, false, vec![b]),
+            (d, false, vec![c]),
+            (b, true, vec![a]),
+            (c, true, vec![d]),
+        ]
+    };
+    let side = |(rank, label, partners): (Option<usize>, bool, Vec<Option<usize>>)| {
+        let partners: Option<Vec<usize>> = partners.into_iter().collect();
+        Some(NsSide::new(rank?, label, partners.unwrap_or_default()))
+    };
+    plan.into_iter().filter_map(side).collect()
+}
+
+/// A BETWEEN miss's partitions to test: the ones its escalation decided,
+/// with every member's verdict.
+fn decided_sides(pop: &Pop, decided: Vec<(usize, Vec<bool>)>) -> Vec<NsSide> {
+    let side = |(rank, verdicts): (usize, Vec<bool>)| {
+        let mut by_tuple: Vec<(TupleId, bool)> =
+            pop.members_at(rank).iter().copied().zip(verdicts).collect();
+        by_tuple.sort_unstable_by_key(|e| e.0);
+        let (ids, verdicts): (Vec<TupleId>, Vec<bool>) = by_tuple.into_iter().unzip();
+        let mut side = NsSide::new(rank, false, vec![]);
+        side.extend(&ids, &verdicts);
+        side.decided = true;
+        side
+    };
+    decided.into_iter().map(side).collect()
+}
+
+/// One trapdoor of a dimension: the partitions it must test, what its
+/// location phase proved about every other rank, and its wave's verdicts on
+/// the dimension's overflow tuples it reached, which a fresh comparison
+/// split refines.
+struct Trapdoor {
+    /// A comparison, else a BETWEEN: the kinds split and count differently.
+    comparison: bool,
+    sides: Vec<NsSide>,
+    /// The label of every other rank: below the lowest side, between the
+    /// sides, above the highest.
+    outside: [bool; 3],
+    /// The lowest and the highest side's rank.
+    span: (usize, usize),
+    overflow: Vec<(TupleId, bool)>,
+}
+
+impl Trapdoor {
+    /// Locates `pred` on `pop` — `QFilter` for a comparison, the hunt for a
+    /// BETWEEN — and adds its probes, its calls, and the NS width its kind
+    /// counts before the walk (a comparison's NS-pair members, a BETWEEN's
+    /// escalation completions) to `stats`.
+    fn locate<O: SelectionOracle, R: Rng>(
+        pop: &Pop,
+        oracle: &O,
+        pred: &O::Pred,
+        rng: &mut R,
+        stats: &mut QueryStats,
+    ) -> Result<Self, OracleError> {
+        let (comparison, sides, outside) = match oracle.kind_of(pred) {
+            PredicateKind::Comparison => {
+                let before = oracle.qpf_uses();
+                let f = try_qfilter(pop, oracle, pred, rng)?;
+                stats.filter_probes += oracle.qpf_uses().saturating_sub(before);
+                let sides = comparison_sides(&f);
+                let members = sides.iter().map(|s| pop.members_at(s.rank).len());
+                stats.ns_width += members.sum::<usize>() as u64;
+                // Between the sides only when both end samples agreed.
+                (true, sides, [f.label_a, f.label_a, f.label_b])
+            }
+            PredicateKind::Between => match between::locate(pop, oracle, pred, rng, stats)? {
+                Found::Hit { a, b, c, d } => {
+                    (false, hunt_sides(a, b, c, d, pop.k()), [false, true, false])
+                }
+                Found::Miss(decided) => (false, decided_sides(pop, decided), [false; 3]),
+            },
+        };
+        let ranks = sides.iter().map(|s| s.rank);
+        let span = (
+            ranks.clone().min().unwrap_or(usize::MAX),
+            ranks.max().unwrap_or(0),
+        );
+        Ok(Trapdoor {
+            comparison,
+            sides,
+            outside,
+            span,
+            overflow: Vec::new(),
         })
     }
 
-    fn sides(&self) -> impl Iterator<Item = &NsSide> {
-        std::iter::once(&self.a).chain(&self.b)
-    }
-
-    fn in_pair(&self, rank: usize) -> bool {
-        self.sides().any(|s| s.rank == rank)
-    }
-
-    /// Implied outcome for a tuple at `rank`, when the pair partner already
-    /// proved non-homogeneous (paper's early-stop inference).
-    fn inferred(&self, rank: usize) -> Option<bool> {
-        let s = self.resolved?;
-        if rank == s {
-            return None; // the separating partition itself must be tested
-        }
-        self.sides().find(|s| s.rank == rank).map(|s| s.label)
-    }
-
-    /// Records one run of rank-`rank` verdicts, in the order tested.
-    /// Resolution is checked once per run: a run's verdicts can only resolve
-    /// `rank` itself, and once mixed a side stays mixed.
-    fn record_run(&mut self, rank: usize, ids: &[TupleId], verdicts: &[bool]) {
-        let side = if rank == self.a.rank {
-            &mut self.a
-        } else {
-            match &mut self.b {
-                Some(b) if b.rank == rank => b,
-                _ => return,
-            }
-        };
-        side.extend(ids, verdicts);
-        if side.mixed() {
-            self.resolved = Some(rank);
+    /// The label this trapdoor proved for every member of `rank`, or `None`
+    /// for a partition it must test.
+    #[inline]
+    fn label(&self, rank: usize) -> Option<bool> {
+        match rank {
+            _ if rank < self.span.0 => Some(self.outside[0]),
+            _ if rank > self.span.1 => Some(self.outside[2]),
+            _ if self.side_at(rank).is_some() => None,
+            _ => Some(self.outside[1]),
         }
     }
-}
 
-/// One trapdoor of a dimension: its QFilter outcome, the early-stop state of
-/// its NS pair (`None` for an empty POP), and its wave's verdicts on the
-/// candidates outside that pair — the dimension's overflow tuples the wave
-/// reached — which a fresh split of this trapdoor refines.
-struct Trapdoor {
-    filter: FilterResult,
-    ns: Option<NsState>,
-    overflow: Vec<(TupleId, bool)>,
+    /// The index of the side at `rank`, if this trapdoor must test it.
+    #[inline]
+    fn side_at(&self, rank: usize) -> Option<usize> {
+        self.sides.iter().position(|s| s.rank == rank)
+    }
+
+    /// Records one run of verdicts of side `i`, in the order tested. A run
+    /// can only make side `i` mixed, which implies other sides, never `i`.
+    fn record_run(&mut self, i: usize, ids: &[TupleId], verdicts: &[bool]) {
+        self.sides[i].extend(ids, verdicts);
+        for j in 0..self.sides.len() {
+            let side = &self.sides[j];
+            let mixed = |rank| self.sides.iter().any(|s| s.rank == rank && s.mixed());
+            let implied = !side.inferred_by.is_empty()
+                && !side.mixed()
+                && side.inferred_by.iter().all(|&p| mixed(p));
+            self.sides[j].inferred = implied.then_some(side.label);
+        }
+    }
 }
 
 /// Survivors of the current wave awaiting one oracle batch, with their
@@ -200,14 +312,14 @@ impl Band {
         }
     }
 
-    /// Appends the driver partition at `rank` in place, extending the last
+    /// Appends the driver partitions `ranks` in place, extending the last
     /// segment when it is the in-place run just before.
-    fn push_in_place(&mut self, rank: usize) {
+    fn push_in_place(&mut self, ranks: Range<usize>) {
         match self.segments.last_mut() {
-            Some(Segment::InPlace { end, .. }) if *end == rank => *end += 1,
+            Some(Segment::InPlace { end, .. }) if *end == ranks.start => *end = ranks.end,
             _ => self.segments.push(Segment::InPlace {
-                first: rank,
-                end: rank + 1,
+                first: ranks.start,
+                end: ranks.end,
             }),
         }
     }
@@ -281,22 +393,28 @@ struct Prepared {
     qpf_before: u64,
     /// Per dimension, its trapdoors in order.
     trapdoors: Vec<Vec<Trapdoor>>,
-    classes: Vec<Vec<RankClass>>,
+    zones: Vec<Zones>,
     /// The dimension whose band the candidates come from.
     driver: usize,
-    /// The fields phase 1 decides; the walk adds `oracle_batches`.
+    /// The fields phase 1 decides; the walk adds to `oracle_batches`.
     stats: QueryStats,
 }
 
 /// Runs the MD pipeline over `dims` and returns the tuples every trapdoor
 /// selects, in band order: the driver's partitions in rank order, each in
 /// member order, then its overflow tuples. With `refine` set, the query
-/// refines the knowledge under that policy; `None` leaves it static.
+/// refines the knowledge under that policy; `None` leaves it static. With
+/// no dimension nothing constrains the answer: it is every live row, at no
+/// QPF — the one answer every entry point gives a query with no trapdoor.
 ///
 /// Abort-safe by construction: phases 1–2 and the pending-split
 /// *collection* of phase 3 are fallible and read-only; splits for all
 /// dimensions are committed only after every oracle evaluation of the whole
 /// query has succeeded.
+///
+/// The stats keep each kind's meaning (DESIGN §11): a comparison counts its
+/// NS pairs' members as `ns_width`; a BETWEEN the members it evaluated, and
+/// the partitions it inferred true among `pruned_true`.
 pub(crate) fn run<O, R>(
     dims: &mut [MdDim<'_, O::Pred>],
     oracle: &O,
@@ -308,16 +426,33 @@ where
     O::Pred: SpPredicate,
     R: Rng,
 {
+    if dims.is_empty() {
+        let tuples = (0..oracle.n_slots() as TupleId)
+            .filter(|&t| oracle.is_live(t))
+            .collect();
+        return Ok(Selection {
+            tuples,
+            ..Selection::default()
+        });
+    }
     let (mut p, band) = prepare(dims, oracle, rng)?;
     let tuples = walk(
         dims,
         oracle,
-        &p.classes,
+        &p.zones,
         &mut p.trapdoors,
         p.driver,
         band,
         &mut p.stats.oracle_batches,
     )?;
+    for td in p.trapdoors.iter().flatten().filter(|td| !td.comparison) {
+        for side in &td.sides {
+            if !side.decided {
+                p.stats.ns_width += side.tested.len() as u64;
+            }
+            p.stats.pruned_true += usize::from(side.inferred == Some(true));
+        }
+    }
     let splits = match refine_with {
         Some(policy) => refine(dims, oracle, &mut p.trapdoors, policy)?,
         None => 0,
@@ -333,8 +468,8 @@ where
     })
 }
 
-/// Phase 1 — QFilter every trapdoor and classify every partition (per rank:
-/// O(k), never O(n)) — then the candidate band with the free pruning pass
+/// Phase 1 — locate every trapdoor and classify every partition (as runs
+/// of ranks: never O(k), let alone O(n)) — then the candidate band with the free pruning pass
 /// applied, built segment by segment: for each driver partition not known
 /// false, its members not provably out in another dimension, in member
 /// order; then the driver's overflow tuples, filtered alike. The knowledge
@@ -352,54 +487,50 @@ where
 {
     let qpf_before = oracle.qpf_uses();
     let d = dims.len();
+    let mut stats = QueryStats::default();
     let mut trapdoors: Vec<Vec<Trapdoor>> = Vec::with_capacity(d);
     for dim in dims.iter() {
+        let pop = dim.knowledge.pop();
         let mut of_dim = Vec::with_capacity(dim.preds.len());
         for pred in dim.preds {
-            let filter = try_qfilter(dim.knowledge.pop(), oracle, pred, rng)?;
-            let ns = NsState::from_filter(&filter);
-            of_dim.push(Trapdoor {
-                filter,
-                ns,
-                overflow: Vec::new(),
-            });
+            of_dim.push(Trapdoor::locate(pop, oracle, pred, rng, &mut stats)?);
         }
         trapdoors.push(of_dim);
     }
-    let filter_probes = oracle.qpf_uses().saturating_sub(qpf_before);
 
-    // Classify every rank, and with the same pass take the cost breakdown
-    // (label-pruned partitions) and — to pick the driver, when there is a
-    // choice — each dimension's band size: its non-F partitions (T ∪ NS)
-    // plus its unplaced (overflow) tuples. The candidate region is only the
-    // *driver* dimension's band. Every winner must lie in it, so nothing is
-    // missed, and per-query work is proportional to the band, not the table
-    // (the paper's Fig. 6b grid pruning).
-    let mut classes: Vec<Vec<RankClass>> = Vec::with_capacity(d);
+    // Classify every rank, as runs, and with the same pass take the cost
+    // breakdown (label-pruned partitions) and — to pick the driver, when
+    // there is a choice — each dimension's band size: its non-F partitions
+    // (T ∪ NS) plus its unplaced (overflow) tuples. The candidate region is
+    // only the *driver* dimension's band. Every winner must lie in it, so
+    // nothing is missed, and per-query work is proportional to the band, not
+    // the table (the paper's Fig. 6b grid pruning).
+    let mut zones: Vec<Zones> = Vec::with_capacity(d);
     let mut bands: Vec<usize> = Vec::with_capacity(d);
-    let (mut pruned_true, mut pruned_false, mut ns_width) = (0, 0, 0);
     for (dim, tds) in dims.iter().zip(&trapdoors) {
         let pop = dim.knowledge.pop();
-        let filters: Vec<&FilterResult> = tds.iter().map(|td| &td.filter).collect();
-        let of_dim = rank_classes(pop.k(), &filters);
+        let bounds = tds.iter().flat_map(|td| {
+            let sides = td.sides.iter().flat_map(|s| [s.rank, s.rank + 1]);
+            sides.chain([td.span.0, td.span.1.saturating_add(1)])
+        });
+        let of_dim = Zones::new(pop.k(), bounds.collect(), |r| {
+            rank_class(tds.iter().map(|td| td.label(r)))
+        });
         let mut band = dim.knowledge.overflow().len();
-        for (r, class) in of_dim.iter().enumerate() {
-            if class.known_false() {
-                pruned_false += 1;
-            } else {
-                pruned_true += usize::from(class.known_true());
-                if d > 1 {
-                    band += pop.members_at(r).len();
+        for (ranks, class) in of_dim.runs() {
+            match class {
+                Some(false) => stats.pruned_false += ranks.len(),
+                _ if d > 1 => {
+                    band += ranks
+                        .clone()
+                        .map(|r| pop.members_at(r).len())
+                        .sum::<usize>()
                 }
+                _ => {}
             }
+            stats.pruned_true += if *class == Some(true) { ranks.len() } else { 0 };
         }
-        for (a, b) in tds.iter().filter_map(|td| td.filter.ns) {
-            ns_width += pop.members_at(a).len() as u64;
-            if b != a {
-                ns_width += pop.members_at(b).len() as u64;
-            }
-        }
-        classes.push(of_dim);
+        zones.push(of_dim);
         bands.push(band);
     }
     let driver = (0..d).min_by_key(|&di| bands[di]).unwrap_or(0);
@@ -415,7 +546,7 @@ where
                     .knowledge
                     .pop()
                     .rank_of_tuple(*t)
-                    .is_none_or(|r| !classes[di][r].known_false())
+                    .is_none_or(|r| zones[di].class_of(r) != Some(false))
         })
     };
     let mut band = Band::default();
@@ -423,22 +554,23 @@ where
         band.tuples.reserve(bands[driver]);
     }
     let pop = dims[driver].knowledge.pop();
-    for (r, class) in classes[driver].iter().enumerate() {
-        if class.known_false() {
-            continue;
-        }
-        if d == 1 && class.known_true() {
-            band.push_in_place(r);
-            continue;
-        }
-        let members = pop.members_at(r);
-        band.push_segment(Some(r), |out| {
-            if d == 1 {
-                out.extend_from_slice(members);
-            } else {
-                out.extend(members.iter().copied().filter(passes));
+    for (ranks, class) in zones[driver].runs() {
+        match class {
+            Some(false) => continue,
+            Some(true) if d == 1 => band.push_in_place(ranks.clone()),
+            _ => {
+                for r in ranks.clone() {
+                    let members = pop.members_at(r);
+                    band.push_segment(Some(r), |out| {
+                        if d == 1 {
+                            out.extend_from_slice(members);
+                        } else {
+                            out.extend(members.iter().copied().filter(passes));
+                        }
+                    });
+                }
             }
-        });
+        }
     }
     let overflow = dims[driver].knowledge.overflow();
     band.push_segment(None, |out| {
@@ -448,16 +580,12 @@ where
     let prepared = Prepared {
         qpf_before,
         trapdoors,
-        classes,
+        zones,
         driver,
         stats: QueryStats {
             k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
-            filter_probes,
-            ns_width,
-            pruned_true,
-            pruned_false,
             overflow_scanned: overflow.len(),
-            ..QueryStats::default()
+            ..stats
         },
     };
     Ok((prepared, band))
@@ -468,27 +596,27 @@ where
 /// the winners; each trapdoor keeps its verdicts on the overflow tuples its
 /// wave reached. This is QPF-count-identical to a tuple-major loop with
 /// per-tuple short-circuit: the early-stop state of a (dim, trapdoor) pair
-/// is only read and written by its own wave, in the candidate order the
-/// per-tuple loop would visit.
+/// is only read and written by its own wave.
 ///
-/// No tuple costs an oracle round trip of its own. Outside the NS pair an
-/// outcome is never inferred and never resolves the pair, so those tuples —
-/// and overflow tuples — go through one batch per wave. Inside the pair,
-/// consecutive survivors of the *same rank* form a run whose evaluation is
-/// just as unconditional: recording rank-`r` outcomes can only resolve `r`
-/// itself, and `inferred(r)` is `None` while `r` is the resolved rank, so no
-/// verdict of the run can turn a later tuple of the run into an inference.
-/// Each run is one batch, recorded in candidate order, and settled when the
-/// rank changes — before the next rank asks `inferred`.
+/// No tuple costs an oracle round trip of its own. Outside the partitions
+/// a trapdoor must test an outcome is never inferred and never resolves a
+/// pair, so those tuples — and overflow tuples — go through one batch per
+/// wave. Inside them, consecutive survivors of the *same side* form a run
+/// whose evaluation is just as unconditional: recording a side's outcomes
+/// can only infer *other* sides. Each run is one batch, recorded in
+/// candidate order, and settled when the side changes — before the next
+/// side is asked for its inference. A decided partition's verdicts are read.
 ///
 /// The driver wave is partition-major: a segment is one driver rank, so it
-/// is decided whole — passed by its class, inferred, or evaluated as one
-/// run straight from its slice. The other waves are tuple-major inside the
-/// driver's segments, since their ranks interleave and runs are short.
+/// is decided whole — by label, inferred, read, or evaluated as one run
+/// straight from its slice — the trapdoor's partitions in its probe order
+/// (a BETWEEN's outer ones first), then the rest batch. The other waves are
+/// tuple-major inside the driver's segments, since their ranks interleave
+/// and runs are short.
 fn walk<O>(
     dims: &[MdDim<'_, O::Pred>],
     oracle: &O,
-    classes: &[Vec<RankClass>],
+    zones: &[Zones],
     trapdoors: &mut [Vec<Trapdoor>],
     driver: usize,
     mut band: Band,
@@ -501,84 +629,94 @@ where
     let mut wave: Vec<bool> = Vec::new();
     let mut fates: Vec<Fate> = Vec::new();
     let mut verdicts: Vec<bool> = Vec::new();
+    // A driver wave's segments of partitions the trapdoor must test, as
+    // (side, segment).
+    let mut to_test: Vec<(usize, usize)> = Vec::new();
     let mut run = Pending::default();
     let mut rest = Pending::default();
     for (di, dim) in dims.iter().enumerate() {
         let pop = dim.knowledge.pop();
-        for (j, (pred, td)) in dim.preds.iter().zip(&mut trapdoors[di]).enumerate() {
+        for (pred, td) in dim.preds.iter().zip(&mut trapdoors[di]) {
             if band.tuples.is_empty() {
                 break;
             }
-            let mut state = td.ns.as_mut();
             wave.clear();
             wave.resize(band.tuples.len(), true);
             fates.clear();
             if di == driver {
-                for seg in &band.segments {
-                    let Segment::Held { rank, start, end } = *seg else {
-                        fates.push(Fate::All(true));
-                        continue;
-                    };
-                    let range = start..end;
-                    let class = rank.map(|r| (r, classes[di][r]));
-                    let fate = match (class, state.as_deref_mut()) {
-                        (Some((_, c)), _) if c.known_true() || c.pred(j) == Some(true) => {
+                to_test.clear();
+                for (s, seg) in band.segments.iter().enumerate() {
+                    let fate = match *seg {
+                        Segment::InPlace { .. } => Fate::All(true),
+                        Segment::Held { rank: Some(r), .. } if td.label(r) == Some(true) => {
                             Fate::All(true)
                         }
-                        (Some((r, c)), Some(st)) if st.in_pair(r) => {
-                            debug_assert!(!c.known_false(), "filtered by the free pass");
-                            match st.inferred(r) {
-                                Some(v) => Fate::All(v),
+                        Segment::Held { rank, start, end } => {
+                            match rank.and_then(|r| td.side_at(r)) {
+                                Some(i) => to_test.push((i, s)),
                                 None => {
-                                    let ids = &band.tuples[range.clone()];
-                                    *oracle_batches += 1;
-                                    oracle.try_eval_batch(pred, ids, &mut verdicts)?;
-                                    st.record_run(r, ids, &verdicts);
-                                    wave[range].copy_from_slice(&verdicts);
-                                    Fate::Each
+                                    for i in start..end {
+                                        rest.push(band.tuples[i], i);
+                                    }
                                 }
-                            }
-                        }
-                        _ => {
-                            for i in range {
-                                rest.push(band.tuples[i], i);
                             }
                             Fate::Each
                         }
                     };
                     fates.push(fate);
                 }
+                to_test.sort_unstable();
+                for &(i, s) in &to_test {
+                    let Segment::Held { start, end, .. } = band.segments[s] else {
+                        unreachable!("an in-place segment passes every trapdoor");
+                    };
+                    let side = &td.sides[i];
+                    if side.decided {
+                        let members = band.tuples[start..end].iter();
+                        for (v, &t) in wave[start..end].iter_mut().zip(members) {
+                            *v = side.known(t).expect("decided");
+                        }
+                    } else if let Some(v) = side.inferred {
+                        fates[s] = Fate::All(v);
+                    } else {
+                        let ids = &band.tuples[start..end];
+                        *oracle_batches += 1;
+                        oracle.try_eval_batch(pred, ids, &mut verdicts)?;
+                        td.record_run(i, ids, &verdicts);
+                        wave[start..end].copy_from_slice(&verdicts);
+                    }
+                }
             } else {
-                let mut run_rank = usize::MAX;
+                let mut run_side = usize::MAX;
                 for (i, &t) in band.tuples.iter().enumerate() {
                     let rank = pop.rank_of_tuple(t);
-                    if let Some(c) = rank.map(|r| classes[di][r]) {
-                        debug_assert!(!c.known_false(), "filtered by the free pass");
-                        if c.known_true() || c.pred(j) == Some(true) {
+                    if let Some(r) = rank {
+                        debug_assert!(
+                            zones[di].class_of(r) != Some(false),
+                            "filtered by the free pass"
+                        );
+                        if td.label(r) == Some(true) {
                             continue;
                         }
                     }
-                    match (state.as_deref_mut(), rank) {
-                        (Some(st), Some(r)) if st.in_pair(r) => {
-                            if r != run_rank {
-                                run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
-                                    st.record_run(run_rank, ids, vs);
-                                })?;
-                                run_rank = r;
-                            }
-                            match st.inferred(r) {
-                                Some(v) => wave[i] = v,
-                                None => run.push(t, i),
-                            }
-                        }
-                        _ => rest.push(t, i),
+                    let Some(s) = rank.and_then(|r| td.side_at(r)) else {
+                        rest.push(t, i);
+                        continue;
+                    };
+                    if s != run_side {
+                        run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
+                            td.record_run(run_side, ids, vs);
+                        })?;
+                        run_side = s;
+                    }
+                    match td.sides[s].known(t) {
+                        Some(v) => wave[i] = v,
+                        None => run.push(t, i),
                     }
                 }
-                if let Some(st) = state {
-                    run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
-                        st.record_run(run_rank, ids, vs);
-                    })?;
-                }
+                run.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
+                    td.record_run(run_side, ids, vs);
+                })?;
                 fates.resize(band.segments.len(), Fate::Each);
             }
             rest.eval(oracle, pred, &mut wave, oracle_batches, |ids, vs| {
@@ -607,7 +745,7 @@ where
     O: SelectionOracle,
     O::Pred: SpPredicate,
 {
-    let mut all_pending: Vec<Vec<PendingSplit>> = Vec::with_capacity(dims.len());
+    let mut all_pending: Vec<Vec<PendingSplit<O::Pred>>> = Vec::with_capacity(dims.len());
     for (dim, tds) in dims.iter().zip(trapdoors.iter()) {
         all_pending.push(collect_dim_updates(dim, oracle, tds, policy)?);
     }
@@ -620,8 +758,16 @@ where
         .sum())
 }
 
-/// A staged split: (rank, left, right, left_label, pred_idx).
-type PendingSplit = (usize, Vec<TupleId>, Vec<TupleId>, bool, usize);
+/// A staged split: (rank, left, right, separator, and for a comparison
+/// cut its left label and trapdoor, whose wave's overflow verdicts the
+/// fresh cut refines).
+type PendingSplit<P> = (
+    usize,
+    Vec<TupleId>,
+    Vec<TupleId>,
+    Separator<P>,
+    Option<(bool, usize)>,
+);
 
 /// Partitions `members` into (true half, false half), both in member
 /// order, by the verdicts `side` tested; `untested` decides each member the
@@ -665,6 +811,27 @@ fn member_verdicts(
     Ok((true_half, false_half))
 }
 
+/// Which side of the cut inside the mixed partition at `rank` a BETWEEN's
+/// interior lies on (App. A): the lowest rank known to hold winners holds
+/// the low edge, the highest the high edge — a hunt's `b` and `c`, whose
+/// samples answered 1, and every side with a true verdict. `None` when
+/// `rank` is both: the paper's exceptional case, where both cuts may lie
+/// inside it and no sound split exists. A winner the walk did not see can
+/// only make this skip, never mis-split.
+fn between_edge(td: &Trapdoor, rank: usize) -> Option<BetweenEdge> {
+    let holds_winners = td.sides.iter().filter(|s| s.label || s.trues > 0);
+    let (lo, hi) = holds_winners.fold((rank, rank), |(lo, hi), s| (lo.min(s.rank), hi.max(s.rank)));
+    match (rank == lo, rank == hi) {
+        (true, true) => None,
+        (true, false) => Some(BetweenEdge::InteriorRight),
+        (false, true) => Some(BetweenEdge::InteriorLeft),
+        (false, false) => {
+            debug_assert!(false, "a mixed partition strictly inside the winners");
+            None
+        }
+    }
+}
+
 /// Gathers the sound refinements for one dimension without mutating it.
 /// Under [`MdUpdatePolicy::CompleteSplits`] this may spend QPF uses to
 /// finish partially-decided partitions — the only fallible step of phase 3.
@@ -673,17 +840,15 @@ fn collect_dim_updates<O>(
     oracle: &O,
     trapdoors: &[Trapdoor],
     policy: MdUpdatePolicy,
-) -> Result<Vec<PendingSplit>, OracleError>
+) -> Result<Vec<PendingSplit<O::Pred>>, OracleError>
 where
     O: SelectionOracle,
     O::Pred: SpPredicate,
 {
-    let mut pending: Vec<PendingSplit> = Vec::new();
-
-    for (j, td) in trapdoors.iter().enumerate() {
-        let Some(st) = &td.ns else { continue };
-        let filter = &td.filter;
-        for side in st.sides() {
+    let mut pending = Vec::new();
+    for (j, (td, pred)) in trapdoors.iter().zip(dim.preds).enumerate() {
+        let comparison = td.comparison;
+        for side in &td.sides {
             if !side.mixed() {
                 continue; // homogeneous so far: nothing to refine
             }
@@ -692,23 +857,35 @@ where
             if side.tested.len() < members.len() && policy != MdUpdatePolicy::CompleteSplits {
                 continue; // partial knowledge: a split would be unsound
             }
+            let edge = match comparison {
+                true => None,
+                false => match between_edge(td, r) {
+                    None => continue,
+                    edge => edge,
+                },
+            };
             // Ablation mode: pay the missing QPF to finish the split.
             let (true_half, false_half) =
-                member_verdicts(members, side, |t| oracle.try_eval(&dim.preds[j], t))?;
-            // Neighbour labels for the ordering rule. This rank is mixed, so
-            // it *is* the separating partition — the pair partner is
-            // homogeneous with its sampled label (Lemma 4.5).
-            let other = st.sides().find(|s| s.rank != r).unwrap_or(side);
-            let label_of = |q: usize| {
-                if q == other.rank {
-                    Some(other.label)
-                } else {
-                    filter.known_label(q)
-                }
+                member_verdicts(members, side, |t| oracle.try_eval(pred, t))?;
+            let pred = pred.clone();
+            let (left, right, sep, refines) = if let Some(edge) = edge {
+                let (left, right) = match edge {
+                    BetweenEdge::InteriorRight => (false_half, true_half),
+                    BetweenEdge::InteriorLeft => (true_half, false_half),
+                };
+                (left, right, Separator::Between { pred, edge }, None)
+            } else {
+                // Neighbour labels for the ordering rule. This rank is
+                // mixed, so it *is* the separating partition — the pair
+                // partner is homogeneous with its sampled label (Lemma 4.5).
+                let other = td.sides.iter().find(|s| s.rank != r).unwrap_or(side);
+                let label_of = |q: usize| (q == other.rank).then_some(other.label).or(td.label(q));
+                let (left, right, left_label) =
+                    order_halves(dim.knowledge.k(), r, true_half, false_half, label_of);
+                let sep = Separator::Cmp { pred, left_label };
+                (left, right, sep, Some((left_label, j)))
             };
-            let (left, right, left_label) =
-                order_halves(dim.knowledge.k(), r, true_half, false_half, label_of);
-            pending.push((r, left, right, left_label, j));
+            pending.push((r, left, right, sep, refines));
         }
     }
     Ok(pending)
@@ -717,18 +894,19 @@ where
 /// Commits the staged splits for one dimension. Returns the split count.
 /// Infallible: never touches the oracle.
 ///
-/// Each split is a fresh separator — only a trapdoor inequivalent to every
-/// retained one finds a mixed partition — so right after it commits, the
-/// verdicts its trapdoor's wave gave the overflow tuples narrow their
-/// intervals (§7.1); a tuple the wave did not reach is left as it is.
-/// Equivalent trapdoors never get here (DESIGN §7's gap rule).
+/// Each comparison split is a fresh separator — only a trapdoor
+/// inequivalent to every retained one finds a mixed partition — so right
+/// after it commits, the verdicts its trapdoor's wave gave the overflow
+/// tuples narrow their intervals (§7.1); a tuple the wave did not reach is
+/// left as it is. Equivalent trapdoors never get here (DESIGN §7's gap
+/// rule). A BETWEEN cut lateralizes only its insiders, so it refines none.
 fn commit_dim_updates<P: SpPredicate>(
     dim: &mut MdDim<'_, P>,
     trapdoors: &mut [Trapdoor],
-    mut pending: Vec<PendingSplit>,
+    mut pending: Vec<PendingSplit<P>>,
 ) -> usize {
     // Apply descending by rank so earlier splits do not shift later ones;
-    // if both trapdoors split the same partition, keep the first only
+    // if two trapdoors split the same partition, keep the first only
     // (re-deriving the second against the new sub-partitions is future
     // work the paper does not require).
     pending.sort_by_key(|e| std::cmp::Reverse(e.0));
@@ -737,17 +915,15 @@ fn commit_dim_updates<P: SpPredicate>(
     for td in trapdoors.iter_mut() {
         td.overflow.sort_unstable_by_key(|e| e.0);
     }
-    for (rank, left, right, left_label, j) in pending {
-        let sep = Separator::Cmp {
-            pred: dim.preds[j].clone(),
-            left_label,
-        };
+    for (rank, left, right, sep, refines) in pending {
         dim.knowledge.apply_split(rank, left, right, Some(sep));
-        let verdicts = &trapdoors[j].overflow;
-        dim.knowledge.refine_overflow(rank, left_label, |t| {
-            let at = verdicts.binary_search_by_key(&t, |e| e.0).ok()?;
-            Some(verdicts[at].1)
-        });
+        if let Some((left_label, j)) = refines {
+            let verdicts = &trapdoors[j].overflow;
+            dim.knowledge.refine_overflow(rank, left_label, |t| {
+                let at = verdicts.binary_search_by_key(&t, |e| e.0).ok()?;
+                Some(verdicts[at].1)
+            });
+        }
     }
     n
 }
@@ -785,7 +961,7 @@ pub(super) fn order_halves(
 mod tests {
     use super::*;
     use crate::knowledge::Knowledge;
-    use crate::md::select_comparison;
+    use crate::md::select_one;
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate, PredicateKind};
@@ -803,7 +979,7 @@ mod tests {
     fn walk_reference<O>(
         dims: &[MdDim<'_, O::Pred>],
         oracle: &O,
-        classes: &[Vec<RankClass>],
+        zones: &[Zones],
         trapdoors: &mut [Vec<Trapdoor>],
         mut survivors: Vec<TupleId>,
         oracle_batches: &mut u64,
@@ -818,7 +994,7 @@ mod tests {
         let mut verdicts: Vec<bool> = Vec::new();
         for (di, dim) in dims.iter().enumerate() {
             let pop = dim.knowledge.pop();
-            for (j, (pred, td)) in dim.preds.iter().zip(&mut trapdoors[di]).enumerate() {
+            for (pred, td) in dim.preds.iter().zip(&mut trapdoors[di]) {
                 if survivors.is_empty() {
                     break;
                 }
@@ -826,30 +1002,30 @@ mod tests {
                 wave.resize(survivors.len(), true);
                 batch.clear();
                 batch_at.clear();
-                let (mut run_rank, mut run_counted) = (usize::MAX, false);
+                let (mut run_side, mut run_counted) = (usize::MAX, false);
                 for (i, &t) in survivors.iter().enumerate() {
                     let rank = pop.rank_of_tuple(t);
-                    if let Some(c) = rank.map(|r| classes[di][r]) {
-                        if c.known_true() || c.pred(j) == Some(true) {
+                    if let Some(r) = rank {
+                        if zones[di].class_of(r) == Some(true) || td.label(r) == Some(true) {
                             continue;
                         }
                     }
-                    match (td.ns.as_mut(), rank) {
-                        (Some(st), Some(r)) if st.in_pair(r) => {
-                            if r != run_rank {
-                                (run_rank, run_counted) = (r, false);
+                    match rank.and_then(|r| td.side_at(r)) {
+                        Some(s) => {
+                            if s != run_side {
+                                (run_side, run_counted) = (s, false);
                             }
-                            wave[i] = if let Some(v) = st.inferred(r) {
+                            wave[i] = if let Some(v) = td.sides[s].known(t) {
                                 v
                             } else {
                                 let v = oracle.try_eval(pred, t)?;
-                                st.record_run(r, &[t], &[v]);
+                                td.record_run(s, &[t], &[v]);
                                 *oracle_batches += u64::from(!run_counted);
                                 run_counted = true;
                                 v
                             };
                         }
-                        _ => {
+                        None => {
                             batch.push(t);
                             batch_at.push(i);
                         }
@@ -883,7 +1059,7 @@ mod tests {
         let tuples = walk_reference(
             dims,
             oracle,
-            &p.classes,
+            &p.zones,
             &mut p.trapdoors,
             survivors,
             &mut p.stats.oracle_batches,
@@ -979,7 +1155,7 @@ mod tests {
         for (a, kb) in kbs.iter_mut().enumerate() {
             for _ in 0..cuts[a] {
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, rng.gen_range(0..DOMAIN));
-                select_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
+                select_one(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         let gone = rng.gen_range(0..n as TupleId);
@@ -1137,7 +1313,7 @@ mod tests {
                     tested.swap(i, rng.gen_range(0..=i));
                 }
             }
-            let mut side = NsSide::new(0, false);
+            let mut side = NsSide::new(0, false, vec![]);
             let (ids, verdicts): (Vec<TupleId>, Vec<bool>) = tested.iter().copied().unzip();
             let mut at = 0;
             while at < ids.len() {
@@ -1203,7 +1379,7 @@ mod tests {
         let mut kb = Knowledge::init(n);
         for cut in [100, 200, 300, 400, 500] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, cut);
-            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         // Range (150, 350): each cut falls inside a partition of 100 values.
         let dead = values.iter().position(|&v| v == 170).unwrap() as TupleId;
@@ -1278,6 +1454,75 @@ mod tests {
         .unwrap();
         assert_eq!((&a.tuples, a.stats), (&b.tuples, b.stats));
         assert_eq!(kb_bytes(&new), kb_bytes(&reference));
+    }
+
+    /// A BETWEEN partition shared by both pairs (`b == c`) may hold either
+    /// cut, so its mixed verdict resolves neither pair. A tuple-major
+    /// (non-driver) wave can prove it mixed before the outer partitions:
+    /// here the driver's survivors reach the BETWEEN dimension's rank 1
+    /// first and its rank 2 after, and seeds whose hunt lands on
+    /// `a = 0, b = c = 1, d = 2` put the low cut in `d`, whose winners an
+    /// inference from `b` would drop.
+    #[test]
+    fn a_partition_shared_by_both_pairs_resolves_neither() {
+        // Rows 0..30 survive dimension 0 (`X0 < 30`), in id order. In
+        // dimension 1 (descending: rank 0 is [30, 40), rank 1 [20, 30),
+        // rank 2 [10, 20), rank 3 [0, 10)) rows 0..10 hold 20..29, rows
+        // 10..20 hold 10..19, the rest hold 35 or spread the table.
+        let v1: Vec<u64> = (0..100u64)
+            .map(|t| match t {
+                0..=9 => 20 + t,
+                10..=19 => t,
+                20..=29 => 35,
+                90..=99 => t - 90,
+                _ => 10 + t % 30,
+            })
+            .collect();
+        let oracle = PlainOracle::from_columns(vec![(0..100).collect(), v1]);
+        let mut kbs: Vec<Knowledge<Predicate>> = vec![Knowledge::init(100), Knowledge::init(100)];
+        let mut rng = StdRng::seed_from_u64(1);
+        for (attr, cuts) in [(0u32, [30u64, 60].as_slice()), (1, &[10, 20, 30])] {
+            for &c in cuts {
+                let p = Predicate::cmp(attr, ComparisonOp::Lt, c);
+                select_one(&mut kbs[attr as usize], &oracle, &p, &mut rng, true).unwrap();
+            }
+        }
+        let preds = [
+            vec![Predicate::cmp(0, ComparisonOp::Lt, 30)],
+            vec![Predicate::between(1, 15, 25)],
+        ];
+        fn dims<'a>(
+            kbs: &'a mut [Knowledge<Predicate>],
+            preds: &'a [Vec<Predicate>],
+        ) -> Vec<MdDim<'a, Predicate>> {
+            kbs.iter_mut()
+                .zip(preds)
+                .map(|(knowledge, preds)| MdDim { knowledge, preds })
+                .collect()
+        }
+        let expected: Vec<TupleId> = (0..30)
+            .filter(|t| (15..=25).contains(&oracle.value(1, *t)))
+            .collect();
+        let mut shared = 0;
+        for seed in 0..32 {
+            let mut probe = kbs.clone();
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let (p, _) = prepare(&dims(&mut probe, &preds), &oracle, rng).unwrap();
+            assert_eq!(p.driver, 0, "the BETWEEN dimension does not drive");
+            // Probe order: a = 0, d = 2, then b = c = 1.
+            let ranks: Vec<usize> = p.trapdoors[1][0].sides.iter().map(|s| s.rank).collect();
+            shared += usize::from(ranks == [0, 2, 1]);
+            for policy in [Some(MdUpdatePolicy::PartialOnly), None] {
+                let mut kbs = kbs.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let sel = run(&mut dims(&mut kbs, &preds), &oracle, &mut rng, policy).unwrap();
+                assert_eq!(sel.sorted(), expected, "seed {seed}");
+                for kb in &kbs {
+                    kb.check_invariants();
+                }
+            }
+        }
+        assert!(shared > 0, "some seed's hunt shares b = c");
     }
 
     #[test]

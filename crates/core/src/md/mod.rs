@@ -1,26 +1,28 @@
 //! Multi-dimensional range query processing (paper §6), and with it every
-//! comparison (§5).
+//! select.
 //!
-//! A d-dimensional hyper-rectangle arrives as 2d comparison trapdoors (two
-//! per dimension); a lone comparison is one dimension with one trapdoor,
-//! for which this pipeline *is* §5's, since §6.2's PRKB(MD) with d = 1
-//! reduces to it. `PRKB(MD)` runs `QFilter` for each trapdoor, classifies
-//! every tuple per dimension through its partition rank, and then tests
-//! only tuples in the *candidate region* — not provably out in any
-//! dimension — evaluating only the trapdoors still unknown for them, with
-//! the paper's two optimizations:
+//! A query is one dimension per attribute, each holding every trapdoor the
+//! query names on it: a comparison is one dimension with one trapdoor, for
+//! which this pipeline *is* §5's, since §6.2's PRKB(MD) with d = 1 reduces
+//! to it; a d-dimensional hyper-rectangle is 2d comparison trapdoors, two
+//! per dimension; a BETWEEN is a trapdoor whose locator is App. A's hunt;
+//! a SQL conjunction is all of them at once. `PRKB(MD)` locates every
+//! trapdoor, classifies every tuple per dimension through its partition
+//! rank, and then tests only tuples in the *candidate region* — not
+//! provably out in any dimension — evaluating only the trapdoors still
+//! unknown for them, with the paper's two optimizations:
 //!
-//! * **early-stop inference** (§5.2's QScan, §6.2): once an NS partition
-//!   proves non-homogeneous, its pair partner's tuples are implied and cost
-//!   no QPF;
+//! * **early-stop inference** (§5.2's QScan, §6.2, App. A): once an NS
+//!   partition proves non-homogeneous, its pair partner's tuples are
+//!   implied and cost no QPF;
 //! * **per-tuple short-circuit**: a failing trapdoor ends that tuple.
 //!
 //! Updates: a partition may be only *partially* tested here (tuples pruned
 //! by other dimensions are skipped), and a partial split is unsound. The
 //! default policy refines only partitions whose members were all decided;
-//! [`MdUpdatePolicy::CompleteSplits`] instead pays the missing QPF uses to
-//! finish every discovered split (ablation). A dimension of one tests its
-//! NS partitions whole, so there the policies coincide.
+//! [`MdUpdatePolicy::CompleteSplits`] instead pays the missing QPF to finish
+//! every discovered split (ablation). A dimension of one trapdoor tests its
+//! partitions whole, so there the policies coincide.
 
 pub(crate) mod exec;
 pub(crate) mod zones;
@@ -40,16 +42,18 @@ pub enum MdUpdatePolicy {
     CompleteSplits,
 }
 
-/// One dimension of a query: the attribute's knowledge base plus its one
-/// (a comparison) or two (a range) comparison trapdoors, both borrowed.
+/// One dimension of a query: the attribute's knowledge base plus every
+/// trapdoor the query names on it — one comparison, a range's two, a
+/// BETWEEN, or a conjunction's mix — both borrowed.
 pub(crate) struct MdDim<'a, P> {
     /// PRKB state of this attribute.
     pub knowledge: &'a mut Knowledge<P>,
-    /// The comparison trapdoors of this dimension.
+    /// The trapdoors of this dimension.
     pub preds: &'a [P],
 }
 
-pub(crate) use comparison::select_comparison;
+#[cfg(test)]
+pub(crate) use comparison::tests::select_one;
 pub(crate) use exec::run;
 
 #[cfg(test)]
@@ -80,7 +84,7 @@ mod tests {
                 let bound = rng.gen_range(0..10_000u64);
                 let p = Predicate::cmp(a as u32, ComparisonOp::Lt, bound);
                 let _ = c;
-                select_comparison(kb, &oracle, &p, &mut rng, true).unwrap();
+                select_one(kb, &oracle, &p, &mut rng, true).unwrap();
             }
         }
         oracle.reset_uses();

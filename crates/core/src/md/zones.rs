@@ -1,59 +1,73 @@
-//! Per-rank zone classification for multi-dimensional processing
-//! (the paper's Fig. 6/7 grid reasoning, computed without any QPF use).
+//! Zone classification for multi-dimensional processing (the paper's
+//! Fig. 6/7 grid reasoning, computed without any QPF use).
 //!
-//! For each dimension, `QFilter`'s outcome classifies every *partition* as
-//! T-homogeneous, F-homogeneous, or not-sure per trapdoor. Classification
-//! is per rank — O(k) space — and tuples are classified on the fly through
-//! their partition rank, so the executor never has to touch tuples outside
-//! the candidate band.
+//! For each dimension, every trapdoor's location phase — `QFilter` for a
+//! comparison, the hunt for a BETWEEN — labels each *partition* true, false
+//! or not-sure, and each label is constant between a few ranks (its
+//! partitions to test and the ends of their span). So a dimension's classes
+//! are kept as maximal runs of ranks — O(trapdoors) space and time, never
+//! O(k) — and tuples are classified on the fly through their partition
+//! rank, so the executor never has to touch ranks or tuples outside the
+//! candidate band.
 
-use crate::qfilter::FilterResult;
+use std::ops::Range;
 
-/// Classification of one rank for one dimension's trapdoors:
-/// `Some(label)` when QFilter proved the rank homogeneous, `None` for the
-/// not-sure partitions. A dimension with one trapdoor (a comparison) has
-/// no second one to fail, so its `p1` is `Some(true)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RankClass {
-    /// Known label for predicate 0, if proven.
-    pub p0: Option<bool>,
-    /// Known label for predicate 1, if proven.
-    pub p1: Option<bool>,
-}
+/// Classification of one rank for one dimension's trapdoors together:
+/// `Some(false)` when some trapdoor proved it false (it fails the
+/// dimension), `Some(true)` when every trapdoor proved it true (it passes),
+/// `None` when some trapdoor must test its members.
+pub(crate) type RankClass = Option<bool>;
 
-impl RankClass {
-    /// The rank provably fails this dimension (some predicate known false).
-    #[inline]
-    pub(crate) fn known_false(self) -> bool {
-        self.p0 == Some(false) || self.p1 == Some(false)
-    }
-
-    /// The rank provably passes this dimension (both predicates true).
-    #[inline]
-    pub(crate) fn known_true(self) -> bool {
-        self.p0 == Some(true) && self.p1 == Some(true)
-    }
-
-    /// Known label of predicate `j`.
-    #[inline]
-    pub(crate) fn pred(self, j: usize) -> Option<bool> {
-        if j == 0 {
-            self.p0
-        } else {
-            self.p1
+/// The class of a rank its trapdoors label `labels`.
+pub(crate) fn rank_class(labels: impl IntoIterator<Item = Option<bool>>) -> RankClass {
+    let mut class = Some(true);
+    for label in labels {
+        match label {
+            Some(false) => return Some(false),
+            label => class = class.and(label),
         }
     }
+    class
 }
 
-/// Builds the per-rank classes for one dimension (`k` entries) from its one
-/// or two trapdoors' filters; an absent second trapdoor is known true.
-pub(crate) fn rank_classes(k: usize, filters: &[&FilterResult]) -> Vec<RankClass> {
-    (0..k)
-        .map(|r| RankClass {
-            p0: filters[0].known_label(r),
-            p1: filters.get(1).map_or(Some(true), |f| f.known_label(r)),
-        })
-        .collect()
+/// A dimension's `k` ranks as maximal runs of one class, in rank order.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Zones(Vec<(Range<usize>, RankClass)>);
+
+impl Zones {
+    /// The runs of `k` ranks, given every rank at which some label may
+    /// change (`bounds`, in any order; past k is ignored) and the class of
+    /// a run's first rank.
+    pub(crate) fn new(
+        k: usize,
+        mut bounds: Vec<usize>,
+        class_at: impl Fn(usize) -> RankClass,
+    ) -> Self {
+        bounds.extend([0, k]);
+        bounds.retain(|&b| b <= k);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut runs: Vec<(Range<usize>, RankClass)> = Vec::new();
+        for w in bounds.windows(2) {
+            let class = class_at(w[0]);
+            match runs.last_mut() {
+                Some((ranks, last)) if *last == class => ranks.end = w[1],
+                _ => runs.push((w[0]..w[1], class)),
+            }
+        }
+        Zones(runs)
+    }
+
+    /// The runs, in rank order.
+    pub(crate) fn runs(&self) -> &[(Range<usize>, RankClass)] {
+        &self.0
+    }
+
+    /// The class of `rank`.
+    #[inline]
+    pub(crate) fn class_of(&self, rank: usize) -> RankClass {
+        self.0[self.0.partition_point(|(ranks, _)| ranks.end <= rank)].1
+    }
 }
 
 #[cfg(test)]
@@ -68,23 +82,32 @@ mod tests {
 
     #[test]
     fn class_semantics() {
-        let t = RankClass {
-            p0: Some(true),
-            p1: Some(true),
+        let (t, f) = (Some(true), Some(false));
+        // One false label fails the rank, else one unsure label leaves it
+        // unsure; no label at all passes it.
+        assert_eq!(rank_class([t, None, f]), f);
+        assert_eq!(rank_class([t, None, t]), None);
+        assert_eq!(rank_class([t, t]), t);
+        assert_eq!(rank_class([]), t);
+    }
+
+    #[test]
+    fn zones_are_maximal_runs_of_one_class() {
+        let (t, f) = (Some(true), Some(false));
+        // Labels change at 2, 3 and 7 of 10 ranks; 7 and 20 add nothing.
+        let class = |r: usize| match r {
+            0..=1 => f,
+            2 => None,
+            3..=6 => t,
+            _ => t,
         };
-        assert!(t.known_true() && !t.known_false());
-        let f = RankClass {
-            p0: Some(true),
-            p1: Some(false),
-        };
-        assert!(f.known_false() && !f.known_true());
-        let ns = RankClass {
-            p0: None,
-            p1: Some(true),
-        };
-        assert!(!ns.known_false() && !ns.known_true());
-        assert_eq!(ns.pred(0), None);
-        assert_eq!(ns.pred(1), Some(true));
+        let zones = Zones::new(10, vec![7, 3, 2, 20, 3], class);
+        assert_eq!(zones.runs(), [(0..2, f), (2..3, None), (3..10, t)]);
+        assert_eq!(
+            (0..10).map(|r| zones.class_of(r)).collect::<Vec<_>>(),
+            (0..10).map(class).collect::<Vec<_>>()
+        );
+        assert_eq!(Zones::new(0, vec![0, 1], class).runs(), []);
     }
 
     #[test]
@@ -106,18 +129,22 @@ mod tests {
             try_qfilter(&pop, &oracle, &p_lo, &mut rng).unwrap(),
             try_qfilter(&pop, &oracle, &p_hi, &mut rng).unwrap(),
         ];
-        let classes = rank_classes(pop.k(), &[&f[0], &f[1]]);
+        let classes: Vec<RankClass> = (0..pop.k())
+            .map(|r| rank_class(f.iter().map(|f| f.known_label(r))))
+            .collect();
         // Rank 4 (values 40..49) is proven true for both predicates.
-        assert!(classes[4].known_true(), "{:?}", classes[4]);
+        assert_eq!(classes[4], Some(true));
         // Rank 0 fails p_lo; rank 9 fails p_hi.
-        assert!(classes[0].known_false());
-        assert!(classes[9].known_false());
+        assert_eq!(classes[0], Some(false));
+        assert_eq!(classes[9], Some(false));
         // Straddling partitions (20s and 60s) are not fully known.
-        assert!(!classes[2].known_true() && !classes[2].known_false());
-        assert!(!classes[6].known_true() && !classes[6].known_false());
+        assert_eq!(classes[2], None);
+        assert_eq!(classes[6], None);
         // One trapdoor: its label alone decides the class.
-        let lone = rank_classes(pop.k(), &[&f[1]]);
-        assert!(lone[0].known_true(), "{:?}", lone[0]);
-        assert!(lone[9].known_false(), "{:?}", lone[9]);
+        let lone: Vec<RankClass> = (0..pop.k())
+            .map(|r| rank_class([f[1].known_label(r)]))
+            .collect();
+        assert_eq!(lone[0], Some(true));
+        assert_eq!(lone[9], Some(false));
     }
 }

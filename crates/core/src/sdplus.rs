@@ -1,13 +1,10 @@
-//! Intersecting independently processed parts: PRKB(SD+) — the naive
-//! multi-dimensional baseline of paper §6 — and the SQL conjunction that
-//! generalises it.
+//! PRKB(SD+) — the naive multi-dimensional baseline of paper §6.
 //!
 //! SD+ runs each of a range query's 2d comparison trapdoors on its own —
 //! through the one executor, as a dimension with one trapdoor (§5) — and
-//! intersects the answers; a conjunction
-//! does the same with whatever trapdoors it was given, after handing the
-//! attributes that form a range grid to PRKB(MD) as one part. Both are
-//! [`PrkbEngine::intersect_parts`]: SD+ is that driver with the grid off.
+//! intersects the answers. It is the only select that commits part by
+//! part, so the only one that snapshots knowledge to stay abort-safe; a
+//! conjunction is one run of the executor (`PrkbEngine::select_conjunction`).
 
 use crate::engine::{PrkbEngine, QueryError};
 use crate::knowledge::Knowledge;
@@ -17,9 +14,9 @@ use prkb_edbms::{AttrId, SelectionOracle, TupleId};
 use rand::Rng;
 
 impl<P: SpPredicate> PrkbEngine<P> {
-    /// Runs `grid` (when non-empty) as one PRKB(MD) query, then every
-    /// trapdoor of `singles` through its own single-dimension pipeline, in
-    /// order, and returns the tuples every part selected.
+    /// Runs every trapdoor of `parts` through the executor on its own, in
+    /// order, and returns the tuples every part selected; no part answers
+    /// every live row.
     ///
     /// The stats sum the parts' breakdowns; `qpf_uses` is measured across
     /// the whole query and `k_before`/`k_after` total the attributes the
@@ -37,27 +34,23 @@ impl<P: SpPredicate> PrkbEngine<P> {
     pub(crate) fn intersect_parts<O, R>(
         &mut self,
         oracle: &O,
-        grid: &[[P; 2]],
-        singles: &[&P],
+        parts: &[&P],
         rng: &mut R,
     ) -> Result<Selection, QueryError>
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
+        if parts.is_empty() {
+            return self.run_dims(oracle, &[], rng);
+        }
         let qpf_before = oracle.qpf_uses();
-        let mut attrs: Vec<AttrId> = grid
-            .iter()
-            .flatten()
-            .chain(singles.iter().copied())
-            .map(SpPredicate::attr)
-            .collect();
+        let mut attrs: Vec<AttrId> = parts.iter().map(|p| p.attr()).collect();
         attrs.sort_unstable();
         attrs.dedup();
 
         // A single part is abort-safe by itself: nothing earlier to strand.
-        let parts = usize::from(!grid.is_empty()) + singles.len();
-        let snapshot = self.config.update && parts > 1;
+        let snapshot = self.config.update && parts.len() > 1;
         let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
         let mut k_before = 0usize;
         for &attr in &attrs {
@@ -71,31 +64,26 @@ impl<P: SpPredicate> PrkbEngine<P> {
         }
 
         // The running intersection, ascending by id.
-        let mut common: Option<Vec<TupleId>> = None;
+        let mut common: Vec<TupleId> = Vec::new();
         let mut stats = QueryStats::default();
-        let mut tally = |sel: Selection| {
+        for (i, pred) in parts.iter().enumerate() {
+            let one = [(pred.attr(), std::slice::from_ref(*pred))];
+            let sel = match self.run_dims(oracle, &one, rng) {
+                Ok(sel) => sel,
+                Err(e) => {
+                    for (attr, kb) in saved {
+                        self.restore_attr(attr, kb);
+                    }
+                    return Err(e);
+                }
+            };
             stats.absorb(&sel.stats);
             let mut ids = sel.tuples;
             ids.sort_unstable();
-            if let Some(earlier) = common.take() {
-                ids.retain(|t| earlier.binary_search(t).is_ok());
+            if i > 0 {
+                ids.retain(|t| common.binary_search(t).is_ok());
             }
-            common = Some(ids);
-        };
-        let ran = (|| -> Result<(), QueryError> {
-            if !grid.is_empty() {
-                tally(self.try_select_range_md_impl(oracle, grid, rng)?);
-            }
-            for pred in singles {
-                tally(self.try_select_impl(oracle, pred, rng)?);
-            }
-            Ok(())
-        })();
-        if let Err(e) = ran {
-            for (attr, kb) in saved {
-                self.restore_attr(attr, kb);
-            }
-            return Err(e);
+            common = ids;
         }
 
         stats.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
@@ -105,9 +93,10 @@ impl<P: SpPredicate> PrkbEngine<P> {
             .filter_map(|&a| self.knowledge(a))
             .map(Knowledge::k)
             .sum();
-        // No parts constrain nothing: every slot.
-        let tuples = common.unwrap_or_else(|| (0..oracle.n_slots() as TupleId).collect());
-        Ok(Selection { tuples, stats })
+        Ok(Selection {
+            tuples: common,
+            stats,
+        })
     }
 }
 

@@ -21,9 +21,11 @@ pub struct QueryStats {
     /// and the members its fallback rounds evaluate. The O(lg k) part of
     /// the paper's cost model.
     pub filter_probes: u64,
-    /// Tuples inside the NS-pair partitions handed to the scan — the
-    /// irreducible per-query work once the filter has done its job. For
-    /// BETWEEN, the members evaluated by boundary-partition scans.
+    /// Defined per kind (DESIGN §11). For a comparison, the tuples inside
+    /// its NS-pair partitions, evaluated or implied — the irreducible
+    /// per-query work once the filter has done its job. For a BETWEEN, the
+    /// members it evaluated: the partitions its walk tested and the
+    /// suffixes a miss completed.
     pub ns_width: u64,
     /// `try_eval_batch` calls made by the pipeline (NS partitions, overflow
     /// sweeps, MD waves, BETWEEN hunt waves and fallback rounds); nothing to
@@ -31,7 +33,8 @@ pub struct QueryStats {
     /// Invariant across server thread counts, shard counts and fault
     /// wrappers.
     pub oracle_batches: u64,
-    /// Partitions resolved to *true* from separator labels, no scan.
+    /// Partitions resolved to *true* from separator labels, no scan; a
+    /// BETWEEN also counts the partitions its early stop implied true.
     pub pruned_true: usize,
     /// Partitions resolved to *false* from separator labels, no scan.
     pub pruned_false: usize,
@@ -42,8 +45,8 @@ pub struct QueryStats {
 impl QueryStats {
     /// Folds another query's costs into this one: every additive field is
     /// summed and `k_after` is taken from `other` (the later measurement);
-    /// `k_before` is kept. Used by SD+/conjunction to aggregate their
-    /// constituent single-predicate passes.
+    /// `k_before` is kept. Used by SD+ to aggregate its constituent
+    /// single-predicate passes.
     pub(crate) fn absorb(&mut self, other: &QueryStats) {
         self.qpf_uses += other.qpf_uses;
         self.splits += other.splits;

@@ -113,7 +113,7 @@ pub fn skyline_candidates<P: SpPredicate>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::md::select_comparison;
+    use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -153,7 +153,7 @@ mod tests {
         let mut kb_y: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..cuts {
             let c = rng.gen_range(0..100_000u64);
-            select_comparison(
+            select_one(
                 &mut kb_x,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
@@ -162,7 +162,7 @@ mod tests {
             )
             .unwrap();
             let c = rng.gen_range(0..100_000u64);
-            select_comparison(
+            select_one(
                 &mut kb_y,
                 &oracle,
                 &Predicate::cmp(1, ComparisonOp::Lt, c),

@@ -227,7 +227,7 @@ pub fn load<P: SpPredicate + WireCodec>(bytes: &[u8]) -> Result<Knowledge<P>, Sn
 mod tests {
     use super::*;
     use crate::insert::try_insert_tuple;
-    use crate::md::select_comparison;
+    use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -239,7 +239,7 @@ mod tests {
         let mut kb: Knowledge<Predicate> = Knowledge::init(n);
         for _ in 0..cuts {
             let c = rng.gen_range(0..10_000u64);
-            select_comparison(
+            select_one(
                 &mut kb,
                 &oracle,
                 &Predicate::cmp(0, ComparisonOp::Lt, c),
@@ -265,8 +265,8 @@ mod tests {
         let mut kb1 = kb;
         for c in [100u64, 5_000, 9_999] {
             let p = Predicate::cmp(0, ComparisonOp::Lt, c);
-            let a = select_comparison(&mut kb1, &oracle, &p, &mut rng, false).unwrap();
-            let b = select_comparison(&mut kb2, &oracle, &p, &mut rng, false).unwrap();
+            let a = select_one(&mut kb1, &oracle, &p, &mut rng, false).unwrap();
+            let b = select_one(&mut kb2, &oracle, &p, &mut rng, false).unwrap();
             assert_eq!(a.sorted(), b.sorted());
         }
         // …and keep supporting inserts via the restored separators.
@@ -396,7 +396,7 @@ mod tests {
             let p = owner
                 .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Lt, c), &mut rng)
                 .expect("valid");
-            select_comparison(&mut kb, &oracle, &p, &mut rng, true).unwrap();
+            select_one(&mut kb, &oracle, &p, &mut rng, true).unwrap();
         }
         let restored: Knowledge<EncryptedPredicate> = load(&save(&kb)).expect("roundtrip");
         assert_eq!(restored.k(), kb.k());

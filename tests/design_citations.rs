@@ -1,7 +1,8 @@
 //! Every `DESIGN.md §N` / `DESIGN §N` in a source comment names a section
 //! DESIGN.md has, so renumbering the document cannot strand the comments
 //! that point into it. `prkb_e2e/src/` is read, never edited: it cites §11
-//! for "stats are an observation of the algorithm".
+//! for "stats are an observation of the algorithm". Likewise every
+//! `prkb-<crate>::<module>` the documents name is a module that exists.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -55,4 +56,41 @@ fn every_design_citation_names_a_section_that_exists() {
             "{file} cites DESIGN.md §{n}; DESIGN.md has sections {sections:?}"
         );
     }
+}
+
+/// Every `prkb-<crate>::<module>` named in `text`.
+fn module_paths(text: &str) -> Vec<(String, String)> {
+    let word = |s: &str| -> String {
+        s.chars()
+            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
+            .collect()
+    };
+    let mut named = Vec::new();
+    for (at, _) in text.match_indices("prkb-") {
+        let rest = &text[at + "prkb-".len()..];
+        let krate = word(rest);
+        if let Some(path) = rest[krate.len()..].strip_prefix("::") {
+            named.push((krate, word(path)));
+        }
+    }
+    named
+}
+
+#[test]
+fn every_named_module_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for doc in ["DESIGN.md", "PAPER.md", "README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read the document");
+        for (krate, module) in module_paths(&text) {
+            let src = root.join("crates").join(&krate).join("src");
+            let exists = src.join(format!("{module}.rs")).is_file() || src.join(&module).is_dir();
+            assert!(
+                exists,
+                "{doc} names prkb-{krate}::{module}, but crates/{krate}/src has no {module}.rs or {module}/"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "the scan found the module paths");
 }
