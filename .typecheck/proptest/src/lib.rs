@@ -14,7 +14,9 @@ pub struct TestRng {
 
 impl TestRng {
     pub fn new(seed: u64) -> Self {
-        TestRng { state: seed ^ 0x5DEECE66D }
+        TestRng {
+            state: seed ^ 0x5DEECE66D,
+        }
     }
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -53,8 +53,12 @@ std_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 pub trait SampleUniform: Copy {
     /// Samples from `[lo, hi)` when `inclusive` is false, `[lo, hi]` otherwise.
-    fn sample_between<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_between<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 macro_rules! uniform_int {
@@ -76,8 +80,12 @@ macro_rules! uniform_int {
 uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for f64 {
-    fn sample_between<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, _inclusive: bool)
-        -> Self {
+    fn sample_between<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        _inclusive: bool,
+    ) -> Self {
         lo + f64::sample(rng) * (hi - lo)
     }
 }

@@ -125,9 +125,14 @@ mod tests {
     #[test]
     fn rpoi_is_total_before_any_query() {
         let mut rng = StdRng::seed_from_u64(2);
-        let values: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..30_000_000u64)).collect();
+        let values: Vec<u64> = (0..20_000)
+            .map(|_| rng.gen_range(0..30_000_000u64))
+            .collect();
         let rpoi = ope_rpoi(&values, 99);
-        assert!((rpoi - 1.0).abs() < 1e-12, "OPE leaks the total order: {rpoi}");
+        assert!(
+            (rpoi - 1.0).abs() < 1e-12,
+            "OPE leaks the total order: {rpoi}"
+        );
     }
 
     #[test]

@@ -87,7 +87,11 @@ fn main() {
                         let attr = rng.gen_range(0..d as u32);
                         if rng.gen_bool(0.25) {
                             let lo = rng.gen_range(0..DOMAIN);
-                            Predicate::between(attr, lo, (lo + rng.gen_range(0..DOMAIN / 4)).min(DOMAIN))
+                            Predicate::between(
+                                attr,
+                                lo,
+                                (lo + rng.gen_range(0..DOMAIN / 4)).min(DOMAIN),
+                            )
                         } else {
                             let op = ComparisonOp::ALL[rng.gen_range(0..4)];
                             Predicate::cmp(attr, op, rng.gen_range(0..=DOMAIN))
@@ -109,7 +113,9 @@ fn main() {
                 let expected: Vec<u32> = (0..live.len() as u32)
                     .filter(|&t| {
                         live[t as usize]
-                            && preds.iter().all(|p| p.eval(cols[p.attr() as usize][t as usize]))
+                            && preds
+                                .iter()
+                                .all(|p| p.eval(cols[p.attr() as usize][t as usize]))
                     })
                     .collect();
 
@@ -128,7 +134,8 @@ fn main() {
             }
         }
         if (round + 1) % 50 == 0 {
-            eprintln!("round {}/{rounds}: {checked} conjunctions verified, k = {:?}",
+            eprintln!(
+                "round {}/{rounds}: {checked} conjunctions verified, k = {:?}",
                 round + 1,
                 (0..d as u32)
                     .map(|a| engine.knowledge(a).map_or(0, |k| k.k()))

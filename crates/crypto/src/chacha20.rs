@@ -35,12 +35,8 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     state[2] = 0x79622d32;
     state[3] = 0x6b206574;
     for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes([
-            key[4 * i],
-            key[4 * i + 1],
-            key[4 * i + 2],
-            key[4 * i + 3],
-        ]);
+        state[4 + i] =
+            u32::from_le_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
     }
     state[12] = counter;
     for i in 0..3 {
@@ -77,7 +73,12 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 /// Encrypts or decrypts `data` in place (XOR keystream starting at block
 /// counter `counter`). ChaCha20 is an involution, so one function serves both
 /// directions.
-pub fn apply_keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+pub fn apply_keystream(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+) {
     let mut ctr = counter;
     for chunk in data.chunks_mut(BLOCK_LEN) {
         let ks = block(key, ctr, nonce);
@@ -89,7 +90,12 @@ pub fn apply_keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u3
 }
 
 /// Convenience: encrypt into a fresh buffer.
-pub fn encrypt(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, plaintext: &[u8]) -> Vec<u8> {
+pub fn encrypt(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    plaintext: &[u8],
+) -> Vec<u8> {
     let mut out = plaintext.to_vec();
     apply_keystream(key, nonce, counter, &mut out);
     out

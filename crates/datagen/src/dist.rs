@@ -181,9 +181,9 @@ pub fn zipf_rank<R: Rng>(rng: &mut R, n: u64, s: f64) -> u64 {
             (1.0 + u * h_n * one_minus_s).powf(1.0 / one_minus_s) - 1.0
         };
         let k = (x.floor() as u64).min(n - 1) + 1; // candidate rank in 1..=n
-        // Accept with probability proportional to (k)^-s over the envelope
-        // density at x; the simple ratio test below is the classic
-        // inversion-rejection acceptance for discrete zipf.
+                                                   // Accept with probability proportional to (k)^-s over the envelope
+                                                   // density at x; the simple ratio test below is the classic
+                                                   // inversion-rejection acceptance for discrete zipf.
         let ratio = ((k as f64) / (x + 1.0)).powf(s);
         if v * ratio <= 1.0 {
             return k;
@@ -270,7 +270,10 @@ mod tests {
             total += 1;
         }
         // Rank 1 should dominate: for s=1.1, p(1) ≈ 1/H ≈ 13%+.
-        assert!(rank1 as f64 / total as f64 > 0.08, "rank-1 share {rank1}/{total}");
+        assert!(
+            rank1 as f64 / total as f64 > 0.08,
+            "rank-1 share {rank1}/{total}"
+        );
     }
 
     #[test]

@@ -38,7 +38,9 @@ impl EmmClient {
     pub fn token(&self, keyword: u64) -> Token {
         Token {
             label: self.token_prf.eval64(&keyword.to_le_bytes()),
-            key: self.payload_prf.eval2(b"emm.payload", &keyword.to_le_bytes()),
+            key: self
+                .payload_prf
+                .eval2(b"emm.payload", &keyword.to_le_bytes()),
         }
     }
 

@@ -16,8 +16,8 @@
 
 use crate::emm::{Emm, EmmClient};
 use crate::tdag::Tdag;
-use prkb_edbms::{SelectionOracle, TupleId};
 use prkb_crypto::Prf;
+use prkb_edbms::{SelectionOracle, TupleId};
 use std::collections::HashSet;
 
 /// Index configuration.
@@ -227,7 +227,8 @@ impl SrciIndex {
     pub fn insert(&mut self, client: &SrciClient, t: TupleId, value: u64) {
         let b = bucket_of(value, &self.cfg);
         for node in self.tdag1.covers_of(b) {
-            self.side.append(client.side_client(), node.id(), &t.to_le_bytes());
+            self.side
+                .append(client.side_client(), node.id(), &t.to_le_bytes());
         }
         self.side_count += 1;
     }
@@ -271,7 +272,11 @@ impl SrciIndex {
             emm2 += 4 * n + 16 * regular_nodes; // ids + label/len overhead
             if level >= 1 {
                 let half = block / 2;
-                let middle_nodes = if n > half { (n - half).div_ceil(block) } else { 0 };
+                let middle_nodes = if n > half {
+                    (n - half).div_ceil(block)
+                } else {
+                    0
+                };
                 let covered = (n - half).min(middle_nodes * block);
                 emm2 += 4 * covered + 16 * middle_nodes;
             }
@@ -324,8 +329,11 @@ pub fn confirm<O: SelectionOracle>(
     preds: &[O::Pred],
     candidates: &[TupleId],
 ) -> Vec<TupleId> {
-    let mut survivors: Vec<TupleId> =
-        candidates.iter().copied().filter(|&t| oracle.is_live(t)).collect();
+    let mut survivors: Vec<TupleId> = candidates
+        .iter()
+        .copied()
+        .filter(|&t| oracle.is_live(t))
+        .collect();
     let mut verdicts = Vec::new();
     for p in preds {
         if survivors.is_empty() {
@@ -444,8 +452,7 @@ mod tests {
             values.push(v);
             idx.insert(&c, t, v);
         }
-        let cands: HashSet<TupleId> =
-            idx.candidates(&c, 12_000, 13_000).into_iter().collect();
+        let cands: HashSet<TupleId> = idx.candidates(&c, 12_000, 13_000).into_iter().collect();
         assert!(cands.contains(&1000), "inserted tuple must be a candidate");
         let oracle = PlainOracle::single_column(values.clone());
         let preds = [

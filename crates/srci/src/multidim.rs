@@ -38,11 +38,7 @@ impl MultiDimSrci {
     ///
     /// # Panics
     /// Panics if a queried attribute has no index.
-    pub fn candidates(
-        &self,
-        client: &SrciClient,
-        ranges: &[(AttrId, u64, u64)],
-    ) -> Vec<TupleId> {
+    pub fn candidates(&self, client: &SrciClient, ranges: &[(AttrId, u64, u64)]) -> Vec<TupleId> {
         assert!(!ranges.is_empty(), "need at least one dimension");
         let mut iter = ranges.iter();
         let &(attr0, lo0, hi0) = iter.next().expect("non-empty");
@@ -103,7 +99,11 @@ mod tests {
         }
         assert_eq!(md.dims.len(), 3);
 
-        let ranges = [(0u32, 10_000u64, 20_000u64), (1, 5_000, 30_000), (2, 0, 25_000)];
+        let ranges = [
+            (0u32, 10_000u64, 20_000u64),
+            (1, 5_000, 30_000),
+            (2, 0, 25_000),
+        ];
         let cands = md.candidates(&c, &ranges);
         let oracle = PlainOracle::from_columns(cols.clone());
         let preds: Vec<Predicate> = ranges

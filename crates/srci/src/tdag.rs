@@ -159,9 +159,21 @@ mod tests {
 
     #[test]
     fn ids_are_unique_across_kinds() {
-        let a = Node { level: 1, start: 2, middle: false };
-        let b = Node { level: 1, start: 2, middle: true };
-        let c = Node { level: 2, start: 2, middle: true };
+        let a = Node {
+            level: 1,
+            start: 2,
+            middle: false,
+        };
+        let b = Node {
+            level: 1,
+            start: 2,
+            middle: true,
+        };
+        let c = Node {
+            level: 2,
+            start: 2,
+            middle: true,
+        };
         assert_ne!(a.id(), b.id());
         assert_ne!(b.id(), c.id());
     }
@@ -183,7 +195,14 @@ mod tests {
     #[test]
     fn src_covers_and_is_tight() {
         let t = Tdag::new(10);
-        for (a, b) in [(0u64, 0u64), (5, 9), (100, 227), (511, 513), (0, 1023), (1000, 1023)] {
+        for (a, b) in [
+            (0u64, 0u64),
+            (5, 9),
+            (100, 227),
+            (511, 513),
+            (0, 1023),
+            (1000, 1023),
+        ] {
             let n = t.src(a, b);
             assert!(n.start <= a && b <= n.end(), "({a},{b}) → {n:?}");
             let span = 1u64 << n.level;

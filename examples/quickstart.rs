@@ -36,10 +36,13 @@ fn main() {
     engine.init_attr(0, encrypted.len());
 
     // ---- Queries ----------------------------------------------------------
-    println!("\n{:>4} {:>28} {:>10} {:>9}", "#", "query", "matches", "QPF uses");
+    println!(
+        "\n{:>4} {:>28} {:>10} {:>9}",
+        "#", "query", "matches", "QPF uses"
+    );
     // Salaries are fixed-point tenths of a dollar (realsim granularity).
     let queries = [
-        Predicate::cmp(0, ComparisonOp::Lt, 400_000),  // < $40k
+        Predicate::cmp(0, ComparisonOp::Lt, 400_000),   // < $40k
         Predicate::cmp(0, ComparisonOp::Gt, 1_000_000), // > $100k
         Predicate::between(0, 450_000, 550_000),        // $45k..$55k
         Predicate::cmp(0, ComparisonOp::Lt, 420_000),
@@ -49,7 +52,9 @@ fn main() {
         Predicate::cmp(0, ComparisonOp::Le, 990_000),
     ];
     for (i, q) in queries.iter().enumerate() {
-        let trapdoor = owner.trapdoor("payroll", q, &mut rng).expect("valid predicate");
+        let trapdoor = owner
+            .trapdoor("payroll", q, &mut rng)
+            .expect("valid predicate");
         let sel = engine.select(&oracle, &trapdoor, &mut rng);
         println!(
             "{:>4} {:>28} {:>10} {:>9}",
@@ -66,10 +71,17 @@ fn main() {
     for i in 0..40u64 {
         let bound = 200_000 + (i * 73_123) % 1_800_000;
         let q = Predicate::cmp(0, ComparisonOp::Lt, bound);
-        let trapdoor = owner.trapdoor("payroll", &q, &mut rng).expect("valid predicate");
+        let trapdoor = owner
+            .trapdoor("payroll", &q, &mut rng)
+            .expect("valid predicate");
         let sel = engine.select(&oracle, &trapdoor, &mut rng);
         if (i + 1) % 5 == 0 {
-            println!("{:>7} {:>10} {:>9}", i + 9, sel.tuples.len(), sel.stats.qpf_uses);
+            println!(
+                "{:>7} {:>10} {:>9}",
+                i + 9,
+                sel.tuples.len(),
+                sel.stats.qpf_uses
+            );
         }
     }
 
@@ -91,7 +103,11 @@ fn main() {
     let trapdoors: Vec<_> = parsed
         .predicates
         .iter()
-        .map(|p| owner.trapdoor("payroll", p, &mut rng).expect("valid predicate"))
+        .map(|p| {
+            owner
+                .trapdoor("payroll", p, &mut rng)
+                .expect("valid predicate")
+        })
         .collect();
     let sel = engine.select_conjunction(&oracle, &trapdoors, &mut rng);
     println!(

@@ -6,9 +6,7 @@
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::datagen::Distribution;
-use prkb::edbms::{
-    ComparisonOp, DataOwner, PlainTable, Predicate, Schema, SpOracle, TmConfig,
-};
+use prkb::edbms::{ComparisonOp, DataOwner, PlainTable, Predicate, Schema, SpOracle, TmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,14 +15,25 @@ fn main() {
     let n = 60_000usize;
 
     // amount (cents, heavy-tailed), quantity, day-of-year.
-    let amount = Distribution::LogNormal { mu: 9.2, sigma: 0.9, lo: 100, hi: 10_000_000 }
-        .sample_n(&mut rng, n);
-    let quantity = Distribution::Zipf { n: 50, s: 1.2, lo: 1, hi: 50 }.sample_n(&mut rng, n);
+    let amount = Distribution::LogNormal {
+        mu: 9.2,
+        sigma: 0.9,
+        lo: 100,
+        hi: 10_000_000,
+    }
+    .sample_n(&mut rng, n);
+    let quantity = Distribution::Zipf {
+        n: 50,
+        s: 1.2,
+        lo: 1,
+        hi: 50,
+    }
+    .sample_n(&mut rng, n);
     let day = Distribution::Uniform { lo: 1, hi: 365 }.sample_n(&mut rng, n);
 
     let schema = Schema::new("sales", &["amount", "quantity", "day"]);
-    let plain = PlainTable::from_columns(schema, vec![amount, quantity, day])
-        .expect("rectangular columns");
+    let plain =
+        PlainTable::from_columns(schema, vec![amount, quantity, day]).expect("rectangular columns");
     let owner = DataOwner::with_seed(77);
     let mut table = owner.encrypt_table(&plain, &mut rng);
     let tm = owner.trusted_machine(TmConfig::default());
@@ -37,16 +46,28 @@ fn main() {
     // --- Morning reports ----------------------------------------------------
     println!("-- morning reports --");
     let reports = [
-        ("big tickets (> $5k)", Predicate::cmp(0, ComparisonOp::Gt, 500_000)),
+        (
+            "big tickets (> $5k)",
+            Predicate::cmp(0, ComparisonOp::Gt, 500_000),
+        ),
         ("Q4 (day 274..365)", Predicate::between(2, 274, 365)),
-        ("bulk orders (qty ≥ 20)", Predicate::cmp(1, ComparisonOp::Ge, 20)),
+        (
+            "bulk orders (qty ≥ 20)",
+            Predicate::cmp(1, ComparisonOp::Ge, 20),
+        ),
         ("mid-range ($20–$80)", Predicate::between(0, 2_000, 8_000)),
     ];
     for (label, q) in &reports {
-        let trapdoor = owner.trapdoor("sales", q, &mut rng).expect("valid predicate");
+        let trapdoor = owner
+            .trapdoor("sales", q, &mut rng)
+            .expect("valid predicate");
         let oracle = SpOracle::new(&table, &tm);
         let sel = engine.select(&oracle, &trapdoor, &mut rng);
-        println!("{label:<26} {:>7} rows  ({} QPF)", sel.tuples.len(), sel.stats.qpf_uses);
+        println!(
+            "{label:<26} {:>7} rows  ({} QPF)",
+            sel.tuples.len(),
+            sel.stats.qpf_uses
+        );
     }
 
     // --- An analyst explores (and unknowingly warms the index) --------------
@@ -79,13 +100,17 @@ fn main() {
         } else {
             Predicate::cmp(attr, ComparisonOp::Lt, hi)
         };
-        let trapdoor = owner.trapdoor("sales", &q, &mut rng).expect("valid predicate");
+        let trapdoor = owner
+            .trapdoor("sales", &q, &mut rng)
+            .expect("valid predicate");
         let oracle = SpOracle::new(&table, &tm);
         explore_cost += engine.select(&oracle, &trapdoor, &mut rng).stats.qpf_uses;
     }
     println!(
         "exploration spent {explore_cost} QPF; index now holds {} partitions",
-        (0..3).map(|a| engine.knowledge(a).map_or(0, |k| k.k())).sum::<usize>()
+        (0..3)
+            .map(|a| engine.knowledge(a).map_or(0, |k| k.k()))
+            .sum::<usize>()
     );
 
     // --- The day's trades stream in -----------------------------------------
@@ -114,10 +139,16 @@ fn main() {
     // --- Evening reports: unchanged API, index still warm -------------------
     println!("\n-- evening reports --");
     for (label, q) in &reports {
-        let trapdoor = owner.trapdoor("sales", q, &mut rng).expect("valid predicate");
+        let trapdoor = owner
+            .trapdoor("sales", q, &mut rng)
+            .expect("valid predicate");
         let oracle = SpOracle::new(&table, &tm);
         let sel = engine.select(&oracle, &trapdoor, &mut rng);
-        println!("{label:<26} {:>7} rows  ({} QPF)", sel.tuples.len(), sel.stats.qpf_uses);
+        println!(
+            "{label:<26} {:>7} rows  ({} QPF)",
+            sel.tuples.len(),
+            sel.stats.qpf_uses
+        );
     }
 
     // --- Extension queries (paper §9 future work) ----------------------------
@@ -139,7 +170,9 @@ fn main() {
 
     println!(
         "\nindex: {} partitions across 3 attributes, {} KiB total",
-        (0..3).map(|a| engine.knowledge(a).map_or(0, |k| k.k())).sum::<usize>(),
+        (0..3)
+            .map(|a| engine.knowledge(a).map_or(0, |k| k.k()))
+            .sum::<usize>(),
         engine.storage_bytes() / 1024
     );
 }

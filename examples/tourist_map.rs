@@ -6,9 +6,7 @@
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::datagen::realsim::{self, COORD_SCALE};
-use prkb::edbms::{
-    ComparisonOp, DataOwner, PlainTable, Predicate, Schema, SpOracle, TmConfig,
-};
+use prkb::edbms::{ComparisonOp, DataOwner, PlainTable, Predicate, Schema, SpOracle, TmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +30,10 @@ fn main() {
     engine.init_attr(1, n);
 
     println!("tourist session: 30 map-window queries over {n} encrypted buildings\n");
-    println!("{:>5} {:>12} {:>10} {:>10}", "visit", "buildings", "QPF uses", "k (lat+lon)");
+    println!(
+        "{:>5} {:>12} {:>10} {:>10}",
+        "visit", "buildings", "QPF uses", "k (lat+lon)"
+    );
     let mut total_qpf = 0u64;
     for visit in 1..=30 {
         // The tourist walks to a random building and asks what's nearby.
@@ -44,24 +45,42 @@ fn main() {
         let dims = [
             [
                 owner
-                    .trapdoor("buildings", &Predicate::cmp(0, ComparisonOp::Gt, ylo.saturating_sub(1)), &mut rng)
+                    .trapdoor(
+                        "buildings",
+                        &Predicate::cmp(0, ComparisonOp::Gt, ylo.saturating_sub(1)),
+                        &mut rng,
+                    )
                     .expect("valid"),
                 owner
-                    .trapdoor("buildings", &Predicate::cmp(0, ComparisonOp::Lt, cy + WINDOW / 2 + 1), &mut rng)
+                    .trapdoor(
+                        "buildings",
+                        &Predicate::cmp(0, ComparisonOp::Lt, cy + WINDOW / 2 + 1),
+                        &mut rng,
+                    )
                     .expect("valid"),
             ],
             [
                 owner
-                    .trapdoor("buildings", &Predicate::cmp(1, ComparisonOp::Gt, xlo.saturating_sub(1)), &mut rng)
+                    .trapdoor(
+                        "buildings",
+                        &Predicate::cmp(1, ComparisonOp::Gt, xlo.saturating_sub(1)),
+                        &mut rng,
+                    )
                     .expect("valid"),
                 owner
-                    .trapdoor("buildings", &Predicate::cmp(1, ComparisonOp::Lt, cx + WINDOW / 2 + 1), &mut rng)
+                    .trapdoor(
+                        "buildings",
+                        &Predicate::cmp(1, ComparisonOp::Lt, cx + WINDOW / 2 + 1),
+                        &mut rng,
+                    )
                     .expect("valid"),
             ],
         ];
         let sel = engine.select_range_md(&oracle, &dims, &mut rng);
         total_qpf += sel.stats.qpf_uses;
-        let k: usize = (0..2).map(|a| engine.knowledge(a).map_or(0, |kb| kb.k())).sum();
+        let k: usize = (0..2)
+            .map(|a| engine.knowledge(a).map_or(0, |kb| kb.k()))
+            .sum();
         println!(
             "{:>5} {:>12} {:>10} {:>10}",
             visit,

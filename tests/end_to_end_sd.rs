@@ -4,9 +4,7 @@
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::datagen::Distribution;
-use prkb::edbms::{
-    ComparisonOp, DataOwner, PlainTable, Predicate, SpOracle, TmConfig,
-};
+use prkb::edbms::{ComparisonOp, DataOwner, PlainTable, Predicate, SpOracle, TmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +59,11 @@ fn encrypted_pipeline_matches_ground_truth_over_mixed_stream() {
 fn cost_drops_by_orders_of_magnitude() {
     let mut rng = StdRng::seed_from_u64(2);
     let n = 20_000usize;
-    let values = Distribution::Uniform { lo: 0, hi: 30_000_000 }.sample_n(&mut rng, n);
+    let values = Distribution::Uniform {
+        lo: 0,
+        hi: 30_000_000,
+    }
+    .sample_n(&mut rng, n);
     let plain = PlainTable::single_column("t", "x", values);
     let owner = DataOwner::with_seed(10);
     let table = owner.encrypt_table(&plain, &mut rng);
@@ -95,10 +97,43 @@ fn cost_drops_by_orders_of_magnitude() {
 #[test]
 fn distinct_distributions_all_work() {
     for (name, dist) in [
-        ("normal", Distribution::Normal { mean: 5e6, std_dev: 1e6, lo: 0, hi: 30_000_000 }),
-        ("lognormal", Distribution::LogNormal { mu: 13.0, sigma: 1.2, lo: 1, hi: 30_000_000 }),
-        ("zipf", Distribution::Zipf { n: 1000, s: 1.1, lo: 0, hi: 30_000_000 }),
-        ("clustered", Distribution::Clustered { k: 5, spread: 1e4, lo: 0, hi: 30_000_000, centers_seed: 3 }),
+        (
+            "normal",
+            Distribution::Normal {
+                mean: 5e6,
+                std_dev: 1e6,
+                lo: 0,
+                hi: 30_000_000,
+            },
+        ),
+        (
+            "lognormal",
+            Distribution::LogNormal {
+                mu: 13.0,
+                sigma: 1.2,
+                lo: 1,
+                hi: 30_000_000,
+            },
+        ),
+        (
+            "zipf",
+            Distribution::Zipf {
+                n: 1000,
+                s: 1.1,
+                lo: 0,
+                hi: 30_000_000,
+            },
+        ),
+        (
+            "clustered",
+            Distribution::Clustered {
+                k: 5,
+                spread: 1e4,
+                lo: 0,
+                hi: 30_000_000,
+                centers_seed: 3,
+            },
+        ),
     ] {
         let mut rng = StdRng::seed_from_u64(3);
         let values = dist.sample_n(&mut rng, 2_000);

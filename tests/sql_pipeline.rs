@@ -15,8 +15,11 @@ fn sql_selections_end_to_end() {
     let qty: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=50u64)).collect();
     let day: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=365u64)).collect();
     let schema = Schema::new("sales", &["amount", "qty", "day"]);
-    let plain = PlainTable::from_columns(schema.clone(), vec![amount.clone(), qty.clone(), day.clone()])
-        .expect("rectangular");
+    let plain = PlainTable::from_columns(
+        schema.clone(),
+        vec![amount.clone(), qty.clone(), day.clone()],
+    )
+    .expect("rectangular");
 
     let owner = DataOwner::with_seed(2);
     let table = owner.encrypt_table(&plain, &mut rng);
@@ -42,7 +45,11 @@ fn sql_selections_end_to_end() {
         let trapdoors: Vec<_> = parsed
             .predicates
             .iter()
-            .map(|p| owner.trapdoor("sales", p, &mut rng).expect("valid predicate"))
+            .map(|p| {
+                owner
+                    .trapdoor("sales", p, &mut rng)
+                    .expect("valid predicate")
+            })
             .collect();
         let sel = engine.select_conjunction(&oracle, &trapdoors, &mut rng);
 
@@ -59,6 +66,8 @@ fn sql_selections_end_to_end() {
     }
 
     // The conjunction path must have warmed the index like any other query.
-    let total_k: usize = (0..3).map(|a| engine.knowledge(a).map_or(0, |k| k.k())).sum();
+    let total_k: usize = (0..3)
+        .map(|a| engine.knowledge(a).map_or(0, |k| k.k()))
+        .sum();
     assert!(total_k > 6, "PRKB should have grown, k sum = {total_k}");
 }
