@@ -38,6 +38,7 @@
 //! exceptional case (both cuts possibly inside one partition).
 
 use crate::pop::Pop;
+use crate::qfilter;
 use crate::selection::QueryStats;
 use prkb_edbms::{OracleError, SelectionOracle, TupleId};
 use rand::Rng;
@@ -68,14 +69,18 @@ pub(crate) fn locate<O: SelectionOracle, R: Rng>(
     };
     Ok(match (k > 0).then(|| probe.hunt(rng)).transpose()? {
         Some(Some((p, s))) => {
+            // Each transition narrows a negative sample (or the virtual
+            // rank k) and `p` inside its own gap of unsampled ranks.
+            let probes = &mut probe.stats.filter_probes;
+            let mut bisect = |neg| qfilter::bisect(pop, oracle, pred, (neg, p), false, rng, probes);
             let (a, b) = match p {
                 0 => (None, 0),
                 _ => {
-                    let (a, b) = probe.bisect(p - s, p, rng)?;
+                    let (a, b) = bisect(p - s)?;
                     (Some(a), b)
                 }
             };
-            let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
+            let (d, c) = bisect((p + s).min(k))?;
             Found::Hit { a, b, c, d }
         }
         Some(None) => Found::Miss(probe.escalate()?),
@@ -150,30 +155,6 @@ impl<O: SelectionOracle> Probe<'_, O> {
             }
             stride /= 2;
         }
-    }
-
-    /// Phase 1, continued: narrows a rank whose sample answered 0 (or the
-    /// virtual rank k) and one whose sample answered 1 to adjacent ranks,
-    /// every rank strictly between them being unsampled so far.
-    fn bisect<R: Rng>(
-        &mut self,
-        mut neg: usize,
-        mut pos: usize,
-        rng: &mut R,
-    ) -> Result<(usize, usize), OracleError> {
-        while neg.abs_diff(pos) > 1 {
-            let mid = (neg + pos) / 2;
-            self.stats.filter_probes += 1;
-            if self
-                .oracle
-                .try_eval(self.pred, self.pop.sample_at(mid, rng))?
-            {
-                pos = mid;
-            } else {
-                neg = mid;
-            }
-        }
-        Ok((neg, pos))
     }
 
     /// Evaluates the members of `rank` past its `known` verdicts (one
@@ -338,14 +319,18 @@ pub(crate) mod twin {
         if k > 0 {
             match probe.hunt(rng)? {
                 Some((p, s)) => {
+                    let (pop, probes) = (probe.pop, &mut probe.stats.filter_probes);
+                    let mut bisect = |neg| {
+                        crate::qfilter::bisect(pop, oracle, pred, (neg, p), false, rng, probes)
+                    };
                     let (a, b) = match p {
                         0 => (None, 0),
                         _ => {
-                            let (a, b) = probe.bisect(p - s, p, rng)?;
+                            let (a, b) = bisect(p - s)?;
                             (Some(a), b)
                         }
                     };
-                    let (d, c) = probe.bisect((p + s).min(k), p, rng)?;
+                    let (d, c) = bisect((p + s).min(k))?;
 
                     // Outer partitions first — one that proves mixed holds
                     // its transition's cut, so its inner neighbour is wholly
@@ -1099,8 +1084,8 @@ mod tests {
                     }
                     7 | 8 => {
                         let t = oracle.insert(&[rng.gen_range(0..domain)]);
-                        crate::insert::try_insert_tuple(&mut kb, &oracle, t).unwrap();
-                        crate::insert::try_insert_tuple(&mut kb_twin, &oracle, t).unwrap();
+                        crate::insert::tests::try_insert_tuple(&mut kb, &oracle, t).unwrap();
+                        crate::insert::tests::try_insert_tuple(&mut kb_twin, &oracle, t).unwrap();
                     }
                     _ => {
                         let t = rng.gen_range(0..oracle.n_slots() as TupleId);

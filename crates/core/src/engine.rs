@@ -6,11 +6,11 @@
 //! (SD+, the paper's baseline, as one run per trapdoor), and keeps the index
 //! maintained across inserts and deletes.
 
-use crate::insert::{apply_insert, decide_insert, InsertDecision, InsertOutcome};
+use crate::insert::{apply_insert, decide_insert, InsertOutcome};
 use crate::knowledge::Knowledge;
 use crate::md::{self, MdDim, MdUpdatePolicy};
 use crate::metrics::{self, QueryKind};
-use crate::selection::Selection;
+use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
 use rand::Rng;
@@ -26,6 +26,9 @@ pub enum QueryError {
     /// A trapdoor references an attribute that was never initialized —
     /// indexing decisions are made at upload time in this engine.
     AttrNotInitialized(AttrId),
+    /// An insert named a tuple some attribute already indexes, placed or
+    /// parked (every uploaded row is indexed by `init_attr`).
+    AlreadyIndexed(TupleId),
 }
 
 impl fmt::Display for QueryError {
@@ -33,6 +36,7 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::Oracle(e) => write!(f, "oracle failure: {e}"),
             QueryError::AttrNotInitialized(a) => write!(f, "attribute {a} not initialized"),
+            QueryError::AlreadyIndexed(t) => write!(f, "tuple {t} is already indexed"),
         }
     }
 }
@@ -41,7 +45,7 @@ impl Error for QueryError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             QueryError::Oracle(e) => Some(e),
-            QueryError::AttrNotInitialized(_) => None,
+            QueryError::AttrNotInitialized(_) | QueryError::AlreadyIndexed(_) => None,
         }
     }
 }
@@ -296,16 +300,19 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
     /// Processes a d-dimensional range query with the naive PRKB(SD+)
     /// extension (paper §6, baseline): each of the 2d trapdoors runs through
-    /// the MD executor on its own, as a dimension with one trapdoor, and
-    /// the answers are intersected. Much cheaper than a linear scan, but —
-    /// unlike PRKB(MD) — it pays a full NS-pair scan for every trapdoor and
-    /// cannot prune across dimensions. No dimension answers every live row,
-    /// as every entry point does.
+    /// the MD executor on its own, in order, as a dimension with one
+    /// trapdoor, and the answers are intersected. Much cheaper than a linear
+    /// scan, but — unlike PRKB(MD) — it pays a full NS-pair scan for every
+    /// trapdoor and cannot prune across dimensions. No dimension answers
+    /// every live row. The stats sum the trapdoors' breakdowns, but
+    /// `qpf_uses` is the whole query's and `k_before`/`k_after` total the
+    /// named attributes, as on a checked-out sub-engine.
     ///
     /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: every part commits
-    /// its own refinement, so the named attributes' knowledge is cloned up
-    /// front and restored wholesale if a later part fails.
+    /// See [`try_select`](Self::try_select). Abort-safe: the only select
+    /// that commits trapdoor by trapdoor, so when two or more may refine,
+    /// the named attributes' knowledge is cloned up front and restored
+    /// wholesale if a later one fails.
     pub fn try_select_range_sdplus<O, R>(
         &mut self,
         oracle: &O,
@@ -317,9 +324,53 @@ impl<P: SpPredicate> PrkbEngine<P> {
         R: Rng,
     {
         let parts: Vec<&P> = dims.iter().flatten().collect();
-        let sel = self.intersect_parts(oracle, &parts, rng)?;
-        metrics::global().record_query(QueryKind::Sdplus, &sel.stats);
-        Ok(sel)
+        let qpf_before = oracle.qpf_uses();
+        let mut attrs: Vec<AttrId> = parts.iter().map(|p| p.attr()).collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+
+        // A single trapdoor is abort-safe by itself: nothing earlier to strand.
+        let snapshot = self.config.update && parts.len() > 1;
+        let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
+        let mut k_before = 0usize;
+        for &attr in &attrs {
+            let kb = self
+                .knowledge(attr)
+                .ok_or(QueryError::AttrNotInitialized(attr))?;
+            k_before += kb.k();
+            if snapshot {
+                saved.push((attr, kb.clone()));
+            }
+        }
+
+        // The running intersection, ascending by id.
+        let mut common: Option<Vec<TupleId>> = None;
+        let mut stats = QueryStats::default();
+        for pred in parts {
+            let one = [(pred.attr(), std::slice::from_ref(pred))];
+            let sel = self.run_dims(oracle, &one, rng).inspect_err(|_| {
+                for (attr, kb) in saved.drain(..) {
+                    self.restore_attr(attr, kb);
+                }
+            })?;
+            stats.absorb(&sel.stats);
+            let mut ids = sel.tuples;
+            ids.sort_unstable();
+            if let Some(earlier) = &common {
+                ids.retain(|t| earlier.binary_search(t).is_ok());
+            }
+            common = Some(ids);
+        }
+        let tuples = match common {
+            Some(tuples) => tuples,
+            None => self.run_dims(oracle, &[], rng)?.tuples,
+        };
+
+        stats.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
+        stats.k_before = k_before;
+        stats.k_after = attrs.iter().map(|a| self.kbs[a].k()).sum();
+        metrics::global().record_query(QueryKind::Sdplus, &stats);
+        Ok(Selection { tuples, stats })
     }
 
     /// Processes an arbitrary conjunction of trapdoors — the execution
@@ -424,6 +475,8 @@ impl<P: SpPredicate> PrkbEngine<P> {
     /// Fallible twin of [`insert`](Self::insert).
     ///
     /// # Errors
+    /// [`QueryError::AlreadyIndexed`] when any attribute already indexes
+    /// `t`, placed or parked, before any QPF is spent;
     /// [`QueryError::Oracle`] on SP↔TM failure. Abort-safe: routing
     /// decisions for *all* attributes are computed read-only first; the
     /// knowledge bases are mutated only after every oracle call of the
@@ -436,6 +489,9 @@ impl<P: SpPredicate> PrkbEngine<P> {
     where
         O: SelectionOracle<Pred = P>,
     {
+        if self.kbs.values().any(|kb| kb.indexes(t)) {
+            return Err(QueryError::AlreadyIndexed(t));
+        }
         // Deterministic attribute order keeps the oracle call sequence (and
         // with it any injected-fault schedule) reproducible across runs.
         let qpf_before = oracle.qpf_uses();
@@ -443,20 +499,16 @@ impl<P: SpPredicate> PrkbEngine<P> {
         attrs.sort_unstable();
 
         // Decision phase: read-only, all oracle calls happen here.
-        let mut decisions: Vec<(AttrId, InsertDecision)> = Vec::with_capacity(attrs.len());
+        let mut outcomes: Vec<(AttrId, InsertOutcome)> = Vec::with_capacity(attrs.len());
         for &attr in &attrs {
-            let kb = &self.kbs[&attr];
-            decisions.push((attr, decide_insert(kb, oracle, t)?));
+            outcomes.push((attr, decide_insert(&self.kbs[&attr], oracle, t)?));
         }
 
         // Commit phase: infallible.
-        let outcomes: Vec<(AttrId, InsertOutcome)> = decisions
-            .into_iter()
-            .map(|(attr, decision)| {
-                let kb = self.kbs.get_mut(&attr).expect("attr enumerated above");
-                (attr, apply_insert(kb, t, decision))
-            })
-            .collect();
+        for &(attr, outcome) in &outcomes {
+            let kb = self.kbs.get_mut(&attr).expect("attr enumerated above");
+            apply_insert(kb, t, outcome);
+        }
         let parked = outcomes
             .iter()
             .any(|(_, o)| matches!(o, InsertOutcome::Parked { .. }));
@@ -881,6 +933,150 @@ mod tests {
             assert_eq!(sel.sorted(), live, "entry point {i}");
             assert_eq!(sel.stats.qpf_uses, 0, "entry point {i}");
         }
+    }
+
+    /// Inserting a tuple some attribute already indexes — placed since
+    /// `init_attr`, or parked in one attribute only — is refused before any
+    /// QPF is spent, and every knowledge base keeps its bytes.
+    #[test]
+    fn an_indexed_tuple_is_refused_before_any_qpf() {
+        let (mut engine, mut oracle) = engine_2d(200, 29);
+        let mut rng = StdRng::seed_from_u64(30);
+        for bound in [300u64, 700] {
+            engine.select(
+                &oracle,
+                &Predicate::cmp(0, ComparisonOp::Lt, bound),
+                &mut rng,
+            );
+        }
+        let parked = oracle.insert(&[500, 500]);
+        let kb = engine.knowledge_mut(1).expect("indexed");
+        kb.park(parked, 0, kb.k() - 1);
+        let bytes = |e: &PrkbEngine<Predicate>| -> Vec<Vec<u8>> {
+            (0..2)
+                .map(|a| crate::snapshot::save(e.knowledge(a).expect("indexed")))
+                .collect()
+        };
+        let before = bytes(&engine);
+        for t in [3, parked] {
+            let qpf = oracle.qpf_uses();
+            let err = engine.try_insert(&oracle, t).expect_err("already indexed");
+            assert_eq!(err.to_string(), format!("tuple {t} is already indexed"));
+            assert_eq!(oracle.qpf_uses(), qpf, "tuple {t}");
+            assert_eq!(bytes(&engine), before, "tuple {t}");
+        }
+    }
+
+    /// `d` attributes of `n` rows, values uniform in 0..10 000.
+    fn engine_nd(n: usize, d: usize, seed: u64) -> (PrkbEngine<Predicate>, PlainOracle) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let columns: Vec<Vec<u64>> = (0..d)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..10_000u64)).collect())
+            .collect();
+        let oracle = PlainOracle::from_columns(columns);
+        let mut engine = PrkbEngine::new(EngineConfig::default());
+        for a in 0..d {
+            engine.init_attr(a as AttrId, n);
+        }
+        (engine, oracle)
+    }
+
+    /// One open range per attribute, attribute `i` taking `ranges[i]`.
+    fn dims_for(ranges: &[(u64, u64)]) -> Vec<[Predicate; 2]> {
+        let dims = ranges.iter().enumerate();
+        dims.map(|(a, &(lo, hi))| range(a as u32, lo, hi)).collect()
+    }
+
+    fn check_invariants(engine: &PrkbEngine<Predicate>) {
+        for a in engine.attrs() {
+            engine.knowledge(a).expect("listed").check_invariants();
+        }
+    }
+
+    #[test]
+    fn sdplus_matches_ground_truth() {
+        let (mut engine, oracle) = engine_nd(2000, 2, 1);
+        let dims = dims_for(&[(1000, 4000), (3000, 7000)]);
+        let mut rng = StdRng::seed_from_u64(2);
+        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
+        assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
+        check_invariants(&engine);
+    }
+
+    #[test]
+    fn sdplus_and_md_agree() {
+        for d in [2usize, 3] {
+            let (mut engine, oracle) = engine_nd(1500, d, 3);
+            let ranges: Vec<(u64, u64)> =
+                (0..d as u64).map(|i| (i * 500, 5000 + i * 500)).collect();
+            let dims = dims_for(&ranges);
+            let mut rng = StdRng::seed_from_u64(4);
+            let a = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+            let b = engine.select_range_md(&oracle, &dims, &mut rng);
+            assert_eq!(a.sorted(), b.sorted(), "d={d}");
+            check_invariants(&engine);
+        }
+    }
+
+    #[test]
+    fn md_beats_sdplus_on_warmed_knowledge() {
+        // With warmed PRKBs, PRKB(MD) must use fewer QPF than PRKB(SD+)
+        // because it only tests NS tuples inside the candidate band.
+        let (mut engine, oracle) = engine_nd(6000, 3, 5);
+        let mut rng = StdRng::seed_from_u64(6);
+        // Warm with random single-dim queries.
+        for round in 0..25u64 {
+            for a in 0..3u32 {
+                let bound = (round * 397 + a as u64 * 131) % 10_000;
+                engine.select(
+                    &oracle,
+                    &Predicate::cmp(a, ComparisonOp::Lt, bound),
+                    &mut rng,
+                );
+            }
+        }
+        // Narrow query against the now-static index.
+        engine.config.update = false;
+        let ranges: Vec<(u64, u64)> = (0..3u64)
+            .map(|a| (2000 + a * 700, 2600 + a * 700))
+            .collect();
+        let dims = dims_for(&ranges);
+        let md = engine.select_range_md(&oracle, &dims, &mut rng);
+        let sdp = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+        assert_eq!(md.sorted(), sdp.sorted());
+        assert!(
+            md.stats.qpf_uses < sdp.stats.qpf_uses,
+            "MD {} vs SD+ {}",
+            md.stats.qpf_uses,
+            sdp.stats.qpf_uses
+        );
+    }
+
+    #[test]
+    fn sdplus_counts_past_255_parts() {
+        // 128 dimensions are 256 parts: one more than a byte-wide hit
+        // counter holds, so a tuple inside every range used to wrap to 0.
+        let d = 128usize;
+        let columns: Vec<Vec<u64>> = (0..d as u64)
+            .map(|a| (0..8u64).map(|t| 1 + (t * 7 + a) % 8).collect())
+            .collect();
+        let oracle = PlainOracle::from_columns(columns);
+        let mut engine = PrkbEngine::new(EngineConfig::default());
+        for a in 0..d {
+            engine.init_attr(a as AttrId, 8);
+        }
+        // Values are 1..=8: everything but 8 in dimension 0, everything
+        // elsewhere.
+        let mut ranges = vec![(0u64, 9u64); d];
+        ranges[0] = (0, 8);
+        let dims = dims_for(&ranges);
+        let mut rng = StdRng::seed_from_u64(7);
+        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
+        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
+        let want = oracle.expected_conjunction(&preds);
+        assert_eq!(want.len(), 7, "the test's ranges select all rows but one");
+        assert_eq!(sel.sorted(), want);
     }
 
     const DOMAIN: u64 = 120;

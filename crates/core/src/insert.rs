@@ -28,12 +28,16 @@ pub enum InsertOutcome {
     },
 }
 
-/// Routes tuple `t` into one knowledge base: decide, then apply. The engine
-/// runs the two phases itself (every attribute decides before any applies);
-/// this is the single-attribute form the unit tests drive.
-#[cfg(test)]
-pub(crate) fn try_insert_tuple<O>(
-    kb: &mut Knowledge<O::Pred>,
+/// Read-only decision phase of an insert: binary-searches the separator
+/// trapdoors and reports where `t` belongs — rank 0 of an empty knowledge
+/// base, which [`apply_insert`] opens — spending all the QPF uses of the
+/// insert but mutating nothing. `t` must not be indexed yet
+/// (`PrkbEngine::try_insert` refuses a tuple that is).
+///
+/// # Errors
+/// Propagates the first oracle failure.
+pub(crate) fn decide_insert<O>(
+    kb: &Knowledge<O::Pred>,
     oracle: &O,
     t: TupleId,
 ) -> Result<InsertOutcome, OracleError>
@@ -41,57 +45,10 @@ where
     O: SelectionOracle,
     O::Pred: SpPredicate,
 {
-    let decision = decide_insert(kb, oracle, t)?;
-    Ok(apply_insert(kb, t, decision))
-}
-
-/// A routing decision for one tuple, computed without touching the
-/// knowledge base. Feed to [`apply_insert`] on the same knowledge base the
-/// decision was computed against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InsertDecision {
-    /// The knowledge base was empty: open a fresh solo partition.
-    Solo,
-    /// The window narrowed to a single rank.
-    Place {
-        /// Rank of the receiving partition.
-        rank: usize,
-    },
-    /// The window could not be fully resolved: park in overflow.
-    Park {
-        /// Lowest candidate rank.
-        lo: usize,
-        /// Highest candidate rank.
-        hi: usize,
-    },
-}
-
-/// Read-only decision phase of an insert: binary-searches the separator
-/// trapdoors and reports where `t` belongs, spending all the QPF uses of
-/// the insert but mutating nothing.
-///
-/// # Errors
-/// Propagates the first oracle failure.
-///
-/// # Panics
-/// Panics if `t` is already placed (callers insert each tuple once).
-pub(crate) fn decide_insert<O>(
-    kb: &Knowledge<O::Pred>,
-    oracle: &O,
-    t: TupleId,
-) -> Result<InsertDecision, OracleError>
-where
-    O: SelectionOracle,
-    O::Pred: SpPredicate,
-{
     let k = kb.k();
     if k == 0 {
-        return Ok(InsertDecision::Solo);
+        return Ok(InsertOutcome::Placed { rank: 0 });
     }
-    assert!(
-        kb.pop().locate(t).is_none(),
-        "tuple {t} inserted twice into the same knowledge base"
-    );
 
     let mut lo = 0usize;
     let mut hi = k - 1;
@@ -99,96 +56,81 @@ where
         // Probe boundaries near the midpoint first, widening outward, so a
         // resolvable window still costs O(lg k) on pure comparison PRKBs.
         let mid = (lo + hi) / 2;
-        let mut decided = false;
         for i in probe_order(mid, lo, hi) {
             let Some(sep) = kb.sep(i) else { continue };
-            let out = oracle.try_eval(sep.pred(), t)?;
-            match sep.side_of(out) {
-                Side::Left => {
-                    hi = i;
-                    decided = true;
-                    break;
-                }
-                Side::Right => {
-                    lo = i + 1;
-                    decided = true;
-                    break;
-                }
+            match sep.side_of(oracle.try_eval(sep.pred(), t)?) {
+                Side::Left => hi = i,
+                Side::Right => lo = i + 1,
                 Side::Unknown => continue,
             }
+            continue 'narrow;
         }
-        if !decided {
-            break 'narrow;
-        }
+        // No boundary left in the window places `t`.
+        break;
     }
 
     Ok(if lo == hi {
-        InsertDecision::Place { rank: lo }
+        InsertOutcome::Placed { rank: lo }
     } else {
-        InsertDecision::Park { lo, hi }
+        InsertOutcome::Parked { lo, hi }
     })
 }
 
-/// Commit phase of an insert: applies a decision from [`decide_insert`].
+/// Commit phase of an insert: applies what [`decide_insert`] decided on
+/// the same knowledge base, opening the solo partition of an empty one.
 /// Infallible — no oracle calls.
 pub(crate) fn apply_insert<P: SpPredicate>(
     kb: &mut Knowledge<P>,
     t: TupleId,
-    decision: InsertDecision,
-) -> InsertOutcome {
-    match decision {
-        InsertDecision::Solo => {
-            kb.apply_solo(t);
-            InsertOutcome::Placed { rank: 0 }
-        }
-        InsertDecision::Place { rank } => {
-            kb.place(t, rank);
-            InsertOutcome::Placed { rank }
-        }
-        InsertDecision::Park { lo, hi } => {
-            kb.park(t, lo, hi);
-            InsertOutcome::Parked { lo, hi }
-        }
+    outcome: InsertOutcome,
+) {
+    match outcome {
+        InsertOutcome::Placed { .. } if kb.k() == 0 => kb.apply_solo(t),
+        InsertOutcome::Placed { rank } => kb.place(t, rank),
+        InsertOutcome::Parked { lo, hi } => kb.park(t, lo, hi),
     }
 }
 
-/// Boundary indices `lo..=hi-1` ordered by distance from `mid`.
+/// Boundary indices `lo..=hi-1` ordered by distance from `mid`, the lower
+/// one first at equal distance: `mid`, `mid + 1`, `mid - 1`, `mid + 2`, …
 fn probe_order(mid: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> {
-    let last = hi - 1; // boundaries run lo..=hi-1
-    let mid = mid.min(last);
-    let mut offset = 0usize;
-    let mut emit_low = true;
+    let mid = mid.min(hi - 1);
+    let (mut below, mut above) = ((lo..=mid).rev(), mid + 1..hi);
+    let mut low_turn = false;
     std::iter::from_fn(move || {
-        loop {
-            if emit_low {
-                emit_low = false;
-                if mid >= offset && mid - offset >= lo {
-                    return Some(mid - offset);
-                }
-            } else {
-                emit_low = true;
-                let c = mid + offset + 1;
-                offset += 1;
-                if c <= last {
-                    return Some(c);
-                }
-            }
-            // Both directions exhausted?
-            if (mid < offset || mid - offset < lo) && mid + offset + 1 > last {
-                return None;
-            }
+        low_turn = !low_turn;
+        match low_turn {
+            true => below.next().or_else(|| above.next()),
+            false => above.next().or_else(|| below.next()),
         }
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Routes tuple `t` into one knowledge base: decide, then apply. The
+    /// engine runs the two phases itself (every attribute decides before
+    /// any applies); this is the single-attribute form unit tests drive.
+    pub(crate) fn try_insert_tuple<O>(
+        kb: &mut Knowledge<O::Pred>,
+        oracle: &O,
+        t: TupleId,
+    ) -> Result<InsertOutcome, OracleError>
+    where
+        O: SelectionOracle,
+        O::Pred: SpPredicate,
+    {
+        let outcome = decide_insert(kb, oracle, t)?;
+        apply_insert(kb, t, outcome);
+        Ok(outcome)
+    }
 
     /// Builds a PRKB over 0..n with cuts at the given bounds.
     fn warmed(n: usize, cuts: &[u64]) -> (Knowledge<Predicate>, PlainOracle) {
@@ -217,6 +159,17 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (2..9).collect::<Vec<_>>());
         assert_eq!(seen[0], 5);
+    }
+
+    /// Nearest first, the lower side first at equal distance, and the
+    /// longer side's rest in order once the shorter one runs out.
+    #[test]
+    fn probe_order_alternates_outward_from_mid() {
+        let order = |mid, lo, hi| probe_order(mid, lo, hi).collect::<Vec<usize>>();
+        assert_eq!(order(5, 2, 9), [5, 6, 4, 7, 3, 8, 2]);
+        assert_eq!(order(3, 2, 9), [3, 4, 2, 5, 6, 7, 8]);
+        assert_eq!(order(8, 0, 10), [8, 9, 7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(order(12, 0, 10), [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
     }
 
     #[test]

@@ -229,6 +229,11 @@ impl<P: SpPredicate> Knowledge<P> {
         &self.overflow
     }
 
+    /// Whether `t` is indexed here, placed or parked.
+    pub(crate) fn indexes(&self, t: TupleId) -> bool {
+        self.pop.locate(t).is_some() || self.overflow.iter().any(|e| e.tuple == t)
+    }
+
     /// Applies a split of the partition at `rank` into `(left, right)`
     /// member sets, retaining `sep` as the new cut between them.
     ///

@@ -12,16 +12,18 @@
 //! trapdoor needs expensive QPF evaluation only on the two *not-sure*
 //! partitions straddling its cut, found with O(lg k) probes:
 //!
-//! * [`qfilter`] — Algorithm 1: binary search for the NS-pair;
+//! * [`qfilter`] — Algorithm 1: binary search for the NS-pair, the one
+//!   search over partition samples (BETWEEN's two transitions use it too);
 //! * `md` (crate-private) — the one select executor: PRKB(MD)'s pipeline
 //!   (§6.2), which with one dimension of one comparison trapdoor is §5's —
 //!   QFilter, the NS-pair scan with Algorithm 2's early stop, and
 //!   `updatePRKB` (§5.3) — and with one BETWEEN trapdoor Appendix A's; a
 //!   SQL conjunction is one walk of it;
 //! * `between`, `insert` (crate-private) — the BETWEEN locator (Appendix
-//!   A's hunt) and database updates (§7); these and `md` are all reached
-//!   through [`PrkbEngine`], the per-table façade, whose PRKB(SD+) baseline
-//!   runs each trapdoor alone and intersects;
+//!   A's hunt) and database updates (§7: decide every attribute's
+//!   [`InsertOutcome`], then apply); these and `md` are all reached through
+//!   [`PrkbEngine`], the per-table façade, which also runs the PRKB(SD+)
+//!   baseline (§6): each trapdoor alone, answers intersected;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
 //!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/
@@ -73,7 +75,6 @@ pub(crate) mod pop;
 pub mod qfilter;
 pub mod scheduler;
 pub mod scrub;
-mod sdplus;
 pub(crate) mod selection;
 pub(crate) mod shard;
 pub mod skyline;

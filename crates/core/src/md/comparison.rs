@@ -18,7 +18,7 @@ pub(crate) mod tests {
 
     use crate::between::twin::{scan_partition, try_process_between};
     use crate::engine::{EngineConfig, PrkbEngine};
-    use crate::insert::try_insert_tuple;
+    use crate::insert::tests::try_insert_tuple;
     use crate::knowledge::Knowledge;
     use crate::knowledge::Separator;
     use crate::md::exec::order_halves;

@@ -1169,7 +1169,7 @@ mod tests {
             let t = oracle.insert(&row);
             for (a, kb) in kbs.iter_mut().enumerate() {
                 if a > 0 && placed_elsewhere {
-                    crate::insert::try_insert_tuple(kb, &oracle, t).unwrap();
+                    crate::insert::tests::try_insert_tuple(kb, &oracle, t).unwrap();
                 } else {
                     kb.park(t, 0, kb.k() - 1);
                 }

@@ -52,9 +52,10 @@ pub(crate) struct MdDim<'a, P> {
     pub preds: &'a [P],
 }
 
+pub(crate) use exec::run;
+
 #[cfg(test)]
 pub(crate) use comparison::tests::select_one;
-pub(crate) use exec::run;
 
 #[cfg(test)]
 mod tests {

@@ -226,7 +226,7 @@ pub fn load<P: SpPredicate + WireCodec>(bytes: &[u8]) -> Result<Knowledge<P>, Sn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insert::try_insert_tuple;
+    use crate::insert::tests::try_insert_tuple;
     use crate::md::select_one;
     use prkb_edbms::testing::PlainOracle;
     use rand::rngs::StdRng;

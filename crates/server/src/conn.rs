@@ -296,6 +296,7 @@ fn error_of(e: &DurableError) -> Response {
 fn wire_code(e: &DurableError) -> u16 {
     match e {
         DurableError::Query(QueryError::AttrNotInitialized(_)) => code::ATTR_NOT_INITIALIZED,
+        DurableError::Query(QueryError::AlreadyIndexed(_)) => code::ALREADY_INDEXED,
         // The deadline budget is a wire-level concern, not an oracle
         // fault class: it gets its own top-level code.
         DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded)) => code::DEADLINE,
@@ -376,6 +377,10 @@ mod tests {
         assert_eq!(
             wire_code(&DurableError::Query(QueryError::AttrNotInitialized(9))),
             code::ATTR_NOT_INITIALIZED
+        );
+        assert_eq!(
+            wire_code(&DurableError::Query(QueryError::AlreadyIndexed(3))),
+            code::ALREADY_INDEXED
         );
         let sync = DurabilityError::SyncFailed("fsync lied".into());
         assert_eq!(wire_code(&DurableError::Storage(sync)), code::SYNC_FAILED);

@@ -47,6 +47,10 @@ pub mod code {
     /// The queried attribute was never initialized
     /// ([`prkb_core::QueryError::AttrNotInitialized`]).
     pub const ATTR_NOT_INITIALIZED: u16 = 10;
+    /// An insert named a row the knowledge base already indexes, placed or
+    /// parked ([`prkb_core::QueryError::AlreadyIndexed`]). Nothing was
+    /// spent or changed; not retryable.
+    pub const ALREADY_INDEXED: u16 = 11;
     /// Base for oracle failures: the wire code is
     /// `ORACLE_BASE + OracleError::wire_code()` (21 transient, 22 timeout,
     /// 23 corruption, 25 fatal; 24 is retired and never reused).

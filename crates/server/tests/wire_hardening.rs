@@ -18,7 +18,7 @@ use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::{ClientError, PrkbClient, PrkbServer, ServerConfig};
+use prkb_server::{ClientConfig, ClientError, PrkbClient, PrkbServer, ServerConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -193,6 +193,7 @@ fn error_codes_are_pinned() {
     assert_eq!(code::MALFORMED, 2);
     assert_eq!(code::UNKNOWN_TAG, 3);
     assert_eq!(code::ATTR_NOT_INITIALIZED, 10);
+    assert_eq!(code::ALREADY_INDEXED, 11);
     assert_eq!(code::ORACLE_BASE, 20);
     assert_eq!(code::DUPLICATE_DIMENSION, 40);
     assert_eq!(code::DURABILITY, 50);
@@ -306,6 +307,42 @@ fn tuple_ids_beyond_the_table_are_malformed_before_dispatch() {
     }
     // The last slot is a row; deleting it is the first commit.
     assert_eq!(client.delete(99).expect("delete in range"), 1);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+/// Inserting a row the server already indexes (every uploaded row is) is
+/// refused with its own code — not a worker panic that leaves the request
+/// unanswered — and the connection, the worker and the drain carry on.
+#[test]
+fn an_indexed_row_is_refused_and_the_worker_serves_on() {
+    let oracle = PlainOracle::single_column((0..100).collect());
+    let mut engine: PrkbEngine<Predicate> = PrkbEngine::new(EngineConfig::default());
+    engine.init_attr(0, 100);
+    let config = ServerConfig {
+        threads: Some(1),
+        ..ServerConfig::default()
+    };
+    let server = PrkbServer::bind("127.0.0.1:0", engine, oracle, config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let config = ClientConfig {
+        read_timeout: Duration::from_secs(5),
+        ..ClientConfig::default()
+    };
+    let mut client: PrkbClient<Predicate> =
+        PrkbClient::connect_with(addr, config).expect("connect");
+    let err = client.insert(3).expect_err("row 3 is indexed");
+    assert!(
+        matches!(&err, ClientError::Server { code: c, .. } if *c == code::ALREADY_INDEXED),
+        "unexpected: {err}"
+    );
+    let sel = client
+        .select(1, Predicate::cmp(0, ComparisonOp::Lt, 10))
+        .expect("select after the refusal");
+    let mut tuples = sel.tuples;
+    tuples.sort_unstable();
+    assert_eq!(tuples, (0..10).collect::<Vec<_>>());
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
