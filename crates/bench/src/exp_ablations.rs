@@ -12,7 +12,7 @@
 //!   boundary partitions scanned, and the whole table when no sample does —
 //!   over 5 % ranges, and over ranges narrower than a partition, which every
 //!   sample usually misses. These rows also count calls to the TM;
-//! * **MD update policy** — a static PRKB (`update = false`, the row keeps
+//! * **MD update policy** — a static PRKB (`refine = None`, the row keeps
 //!   its `md_policy_frozen` id) vs `PartialOnly` (free, sound) vs
 //!   `CompleteSplits` (extra QPF now, more knowledge later);
 //! * **workload locality** — warming PRKB with cuts concentrated in a
@@ -86,9 +86,9 @@ fn filter_and_scan(scale: Scale, rows: &mut Vec<Ablation>) {
     let queries = scale.queries(100);
     let setup = EncSetup::new("abl", vec![synthetic::uniform_column(n, 1)], 1);
     let oracle = setup.oracle();
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let _ = warm_to_k(&mut engine, &setup, 0, 400, 0.01, 2);
-    engine.config.update = false;
+    engine.config.refine = None;
     let mut rng = StdRng::seed_from_u64(3);
     let preds = cut_trapdoors(
         &setup,
@@ -267,9 +267,9 @@ fn between_hunts(scale: Scale, rows: &mut Vec<Ablation>) {
         inner: setup.oracle(),
         calls: Cell::new(0),
     };
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let _ = warm_to_k(&mut engine, &setup, 0, 400, 0.01, 10);
-    engine.config.update = false;
+    engine.config.refine = None;
     let k = engine.knowledge(0).expect("attribute 0 is indexed").k();
     let domain = SYNTH_DOMAIN_MAX - SYNTH_DOMAIN_MIN;
     let mut rng = StdRng::seed_from_u64(11);
@@ -337,8 +337,8 @@ fn md_policies(scale: Scale, rows: &mut Vec<Ablation>) {
             Some(MdUpdatePolicy::CompleteSplits),
         ),
     ] {
-        let mut engine = fresh_engine(&setup, policy.is_some());
-        engine.config.md_policy = policy.unwrap_or_default();
+        let mut engine = fresh_engine(&setup);
+        engine.config.refine = policy;
         let mut rng = StdRng::seed_from_u64(7);
         let ((), cost) = measure_span(&oracle, || {
             for dims in &windows {
@@ -367,7 +367,7 @@ fn workload_locality(scale: Scale, rows: &mut Vec<Ablation>) {
         ),
         ("locality_hotspot_warmup", hotspot.clone()),
     ] {
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let mut rng = StdRng::seed_from_u64(8);
         for pred in cut_trapdoors(&setup, warm_cuts, 60, &mut rng) {
             engine.select(&oracle, &pred, &mut rng);
@@ -414,7 +414,7 @@ fn conjunctions(scale: Scale, rows: &mut Vec<Ablation>) {
         ("conjunction_one_walk", true),
         ("conjunction_intersect", false),
     ] {
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let mut rng = StdRng::seed_from_u64(15);
         let mut answer = |(ranges, between): &(Vec<[EncryptedPredicate; 2]>, _)| {
             if one_walk {

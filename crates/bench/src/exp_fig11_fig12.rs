@@ -47,7 +47,7 @@ pub fn measure_cell(n: usize, d: usize, reps: usize, warm_k: usize, seed: u64) -
         .collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1112);
 
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let mut k_total = 0usize;
     let mut under_warm = false;
     for a in 0..d {
@@ -62,7 +62,7 @@ pub fn measure_cell(n: usize, d: usize, reps: usize, warm_k: usize, seed: u64) -
         k_total += warmup.reached_k;
         under_warm |= warmup.under_warm();
     }
-    engine.config.update = false;
+    engine.config.refine = None;
 
     // SRC-i per dimension. Its log-factor replication outgrows a 16 GB box
     // beyond ~12M indexed tuples in total; skip it there (paper-scale runs

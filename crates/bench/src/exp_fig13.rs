@@ -83,13 +83,13 @@ pub fn measure(scale: Scale) -> Fig13Data {
         ),
     );
 
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     // Growing-index experiment: pay the extra QPF to finish every split the
     // window queries discover (PartialOnly stalls once partitions shrink to
     // the query-band width; the paper's curve keeps dropping, which needs
     // the index to keep growing). The policy comparison is an ablation in
     // `cargo bench -p prkb-bench` and EXPERIMENTS.md.
-    engine.config.md_policy = MdUpdatePolicy::CompleteSplits;
+    engine.config.refine = Some(MdUpdatePolicy::CompleteSplits);
     let mut points = Vec::with_capacity(n_queries);
     for q in 1..=n_queries {
         // A tourist-centred window: pick a random building as the centre.

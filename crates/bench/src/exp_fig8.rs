@@ -63,7 +63,7 @@ pub fn measure(scale: Scale) -> Fig8Data {
         &col,
     );
 
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let mut points = Vec::with_capacity(n_queries);
     for q in 1..=n_queries {
         let r = gen.range_with_selectivity(0.01, &mut rng);

@@ -44,9 +44,9 @@ pub fn measure_cell(n: usize, selectivity: f64, reps: usize, seed: u64) -> SdCel
     let gen = WorkloadGen::new(&col, (SYNTH_DOMAIN_MIN, SYNTH_DOMAIN_MAX));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x99);
 
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let warmup = warm_to_k(&mut engine, &setup, 0, 250, 0.01, seed ^ 0xaa);
-    engine.config.update = false; // static PRKB, per the paper
+    engine.config.refine = None; // static PRKB, per the paper
 
     let (tk, pk) = setup.owner.search_keys("sd", 0);
     let client = SrciClient::new(tk, pk);

@@ -35,7 +35,7 @@ pub fn measure_row(n: usize, seed: u64) -> StorageRow {
     let col = synthetic::uniform_column(n, seed);
     let setup = EncSetup::new("t3", vec![col.clone()], seed);
 
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let w250 = warm_to_k(&mut engine, &setup, 0, 250, 0.01, seed ^ 1);
     let prkb_250 = engine.storage_bytes();
     let w600 = warm_to_k(&mut engine, &setup, 0, 600, 0.01, seed ^ 2);

@@ -30,9 +30,9 @@ pub fn measure(scale: Scale) -> Table4Data {
 
     // PRKB warmed to 250 partitions (as in the paper). The Warmup logs and
     // counts any shortfall; throughput here only needs a non-trivial k.
-    let mut engine = fresh_engine(&setup, true);
+    let mut engine = fresh_engine(&setup);
     let _warmup = warm_to_k(&mut engine, &setup, 0, 250, 0.01, 45);
-    engine.config.update = false;
+    engine.config.refine = None;
 
     // SRC-i over the same initial data.
     let (tk, pk) = setup.owner.search_keys("t4", 0);

@@ -1,7 +1,7 @@
 //! Shared experiment infrastructure: encrypted-pipeline setup, PRKB
 //! warm-up, predicate construction, timing, and report formatting.
 
-use prkb_core::{EngineConfig, MdUpdatePolicy, PrkbEngine};
+use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_datagen::WorkloadGen;
 use prkb_edbms::{
     AttrId, ComparisonOp, DataOwner, EncryptedPredicate, EncryptedTable, PlainTable, Predicate,
@@ -108,12 +108,8 @@ impl EncSetup {
 }
 
 /// Builds a PRKB engine over the setup's attributes.
-pub fn fresh_engine(setup: &EncSetup, update: bool) -> PrkbEngine<EncryptedPredicate> {
-    let mut engine = PrkbEngine::new(EngineConfig {
-        update,
-        md_policy: MdUpdatePolicy::PartialOnly,
-        ..EngineConfig::default()
-    });
+pub fn fresh_engine(setup: &EncSetup) -> PrkbEngine<EncryptedPredicate> {
+    let mut engine = PrkbEngine::new(EngineConfig::default());
     for a in 0..setup.columns.len() {
         engine.init_attr(a as AttrId, setup.table.len());
     }
@@ -277,7 +273,7 @@ mod tests {
         let cols = vec![(0..500u64).collect::<Vec<_>>()];
         let setup = EncSetup::new("t", cols, 1);
         let oracle = setup.oracle();
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let mut rng = StdRng::seed_from_u64(2);
         let p = setup.cmp_trapdoor(0, ComparisonOp::Lt, 100, &mut rng);
         let sel = engine.select(&oracle, &p, &mut rng);
@@ -289,7 +285,7 @@ mod tests {
     fn warm_reaches_target_k() {
         let cols = vec![(0..2000u64).collect::<Vec<_>>()];
         let setup = EncSetup::new("t", cols, 3);
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let warmup = warm_to_k(&mut engine, &setup, 0, 50, 0.01, 4);
         assert!(engine.knowledge(0).unwrap().k() >= 50);
         assert!(!warmup.under_warm());
@@ -303,7 +299,7 @@ mod tests {
         // come back under-warm instead of silently pretending otherwise.
         let cols = vec![(0..2000u64).map(|v| v % 4).collect::<Vec<_>>()];
         let setup = EncSetup::new("t", cols, 9);
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let warmup = warm_to_k(&mut engine, &setup, 0, 50, 0.01, 10);
         assert!(warmup.under_warm());
         assert!(warmup.reached_k < 50);
@@ -342,7 +338,7 @@ mod tests {
                 max_consecutive: 2,
             },
         );
-        let mut engine = fresh_engine(&setup, true);
+        let mut engine = fresh_engine(&setup);
         let mut rng = StdRng::seed_from_u64(12);
         let p = setup.cmp_trapdoor(0, ComparisonOp::Lt, 150, &mut rng);
         let (sel, m) = reissue(16, || {

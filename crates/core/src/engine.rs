@@ -59,11 +59,10 @@ impl From<OracleError> for QueryError {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Whether queries refine the index (`updatePRKB`). Disable for the
-    /// paper's "static PRKB" experiments: then no query of any kind refines.
-    pub update: bool,
-    /// Refinement policy for range queries, when `update` is set.
-    pub md_policy: MdUpdatePolicy,
+    /// How queries refine the index (`updatePRKB`): under this policy, or,
+    /// with `None` — the paper's "static PRKB" experiments — not at all,
+    /// for any query kind.
+    pub refine: Option<MdUpdatePolicy>,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
     /// rotation). This and the two fields below are read by the
@@ -87,8 +86,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            update: true,
-            md_policy: MdUpdatePolicy::PartialOnly,
+            refine: Some(MdUpdatePolicy::PartialOnly),
             checkpoint_wal_records: 4096,
             checkpoint_wal_bytes: 4 << 20,
             group_commit_records: 32,
@@ -219,8 +217,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
                 slot.unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
             md_dims.push(MdDim { knowledge, preds });
         }
-        let refine = self.config.update.then_some(self.config.md_policy);
-        Ok(md::run(&mut md_dims, oracle, rng, refine)?)
+        Ok(md::run(&mut md_dims, oracle, rng, self.config.refine)?)
     }
 
     /// Processes a d-dimensional range query with PRKB(MD) (paper §6.2).
@@ -330,7 +327,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
         attrs.dedup();
 
         // A single trapdoor is abort-safe by itself: nothing earlier to strand.
-        let snapshot = self.config.update && parts.len() > 1;
+        let snapshot = self.config.refine.is_some() && parts.len() > 1;
         let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
         let mut k_before = 0usize;
         for &attr in &attrs {
@@ -1037,7 +1034,7 @@ mod tests {
             }
         }
         // Narrow query against the now-static index.
-        engine.config.update = false;
+        engine.config.refine = None;
         let ranges: Vec<(u64, u64)> = (0..3u64)
             .map(|a| (2000 + a * 700, 2600 + a * 700))
             .collect();
@@ -1115,10 +1112,12 @@ mod tests {
             for a in 0..d {
                 engine.init_attr(a as AttrId, n);
             }
-            engine.config.update = update;
-            if complete {
-                engine.config.md_policy = MdUpdatePolicy::CompleteSplits;
-            }
+            let policy = if complete {
+                MdUpdatePolicy::CompleteSplits
+            } else {
+                MdUpdatePolicy::PartialOnly
+            };
+            engine.config.refine = update.then_some(policy);
             for step in 0..12 {
                 match rng.gen_range(0..6) {
                     0..=3 => {
@@ -1127,7 +1126,7 @@ mod tests {
                             .collect();
                         // The twin: every trapdoor on its own, on a static
                         // copy, intersected.
-                        let mut twin = PrkbEngine::new(EngineConfig { update: false, ..engine.config });
+                        let mut twin = PrkbEngine::new(EngineConfig { refine: None, ..engine.config });
                         for a in 0..d as AttrId {
                             twin.restore_attr(a, engine.knowledge(a).expect("indexed").clone());
                         }

@@ -271,51 +271,56 @@ impl<P: SpPredicate> Knowledge<P> {
 
     /// Deletes tuple `t` (§7.2). If its partition empties, the partition is
     /// dropped along with one adjacent separator; overflow intervals are
-    /// remapped conservatively.
+    /// remapped conservatively. A tuple the knowledge does not index (never
+    /// placed, or already deleted) changes nothing and journals nothing.
     pub fn delete(&mut self, t: TupleId) {
+        // Parked tuples can be deleted too.
+        let outcome = match self.overflow.iter().position(|e| e.tuple == t) {
+            Some(pos) => {
+                self.overflow.swap_remove(pos);
+                RemoveOutcome::Removed
+            }
+            None => self.pop.remove(t),
+        };
+        if outcome == RemoveOutcome::NotPlaced {
+            return;
+        }
         if self.recording {
             self.journal.push(RefinementOp::Delete { tuple: t });
         }
-        // Parked tuples can be deleted too.
-        if let Some(pos) = self.overflow.iter().position(|e| e.tuple == t) {
-            self.overflow.swap_remove(pos);
+        let RemoveOutcome::Emptied { rank } = outcome else {
             return;
-        }
-        match self.pop.remove(t) {
-            RemoveOutcome::NotPlaced | RemoveOutcome::Removed => {}
-            RemoveOutcome::Emptied { rank } => {
-                // k already decremented inside pop. Drop one adjacent
-                // separator to restore alignment: the right one, so the
-                // emptied value range merges into the right neighbour
-                // (into the left neighbour when the last partition died).
-                let merged_into = if rank < self.seps.len() {
-                    self.seps.remove(rank);
-                    rank
-                } else if !self.seps.is_empty() {
-                    self.seps.remove(rank - 1);
-                    rank.saturating_sub(1)
-                } else {
-                    0
-                };
-                let k = self.pop.k();
-                for e in &mut self.overflow {
-                    if e.lo > rank {
-                        e.lo -= 1;
-                    } else if e.lo == rank {
-                        e.lo = merged_into.min(k.saturating_sub(1));
-                    }
-                    if e.hi > rank {
-                        e.hi -= 1;
-                    } else if e.hi == rank {
-                        e.hi = merged_into.min(k.saturating_sub(1));
-                    }
-                    if e.hi < e.lo {
-                        e.hi = e.lo;
-                    }
-                }
-                debug_assert!(self.pop.k() == 0 || self.seps.len() + 1 == self.pop.k());
+        };
+        // k already decremented inside pop. Drop one adjacent separator to
+        // restore alignment: the right one, so the emptied value range
+        // merges into the right neighbour (into the left neighbour when the
+        // last partition died).
+        let merged_into = if rank < self.seps.len() {
+            self.seps.remove(rank);
+            rank
+        } else if !self.seps.is_empty() {
+            self.seps.remove(rank - 1);
+            rank.saturating_sub(1)
+        } else {
+            0
+        };
+        let k = self.pop.k();
+        for e in &mut self.overflow {
+            if e.lo > rank {
+                e.lo -= 1;
+            } else if e.lo == rank {
+                e.lo = merged_into.min(k.saturating_sub(1));
+            }
+            if e.hi > rank {
+                e.hi -= 1;
+            } else if e.hi == rank {
+                e.hi = merged_into.min(k.saturating_sub(1));
+            }
+            if e.hi < e.lo {
+                e.hi = e.lo;
             }
         }
+        debug_assert!(self.pop.k() == 0 || self.seps.len() + 1 == self.pop.k());
     }
 
     /// Parks a tuple whose candidate rank interval is `[lo, hi]`.
@@ -611,6 +616,22 @@ mod tests {
         kb.park(9, 0, 1);
         kb.delete(9);
         assert!(kb.overflow().is_empty());
+        kb.check_invariants();
+    }
+
+    #[test]
+    fn deleting_an_unindexed_tuple_journals_nothing() {
+        let mut kb: Knowledge<Predicate> = Knowledge::init(9);
+        kb.apply_split(0, vec![0, 1, 2], (3..9).collect(), Some(sep(5, true)));
+        kb.park(9, 0, 1);
+        kb.set_recording(true);
+        kb.delete(3);
+        kb.delete(9);
+        assert_eq!(kb.take_ops().len(), 2, "a placed and a parked delete");
+        kb.delete(3);
+        kb.delete(9);
+        kb.delete(999);
+        assert!(kb.take_ops().is_empty(), "repeated or out-of-range deletes");
         kb.check_invariants();
     }
 

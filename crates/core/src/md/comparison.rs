@@ -407,7 +407,7 @@ pub(crate) mod tests {
             1,
         );
         let k = kb(&engine).k();
-        engine.config.update = false;
+        engine.config.refine = None;
         let p = Predicate::cmp(0, ComparisonOp::Lt, 23);
         let sel = select(&mut engine, &oracle, p, 9);
         assert_eq!(sel.sorted(), oracle.expected_select(&p));
@@ -509,7 +509,7 @@ pub(crate) mod tests {
     #[test]
     fn early_stop_spends_no_qpf_on_second_partition() {
         let (mut engine, oracle) = partitioned(100, 10);
-        engine.config.update = false;
+        engine.config.refine = None;
         let p = Predicate::cmp(0, ComparisonOp::Lt, 37);
         let mut stopped = false;
         for seed in 0..16 {

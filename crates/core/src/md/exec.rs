@@ -404,8 +404,11 @@ struct Prepared {
 /// selects, in band order: the driver's partitions in rank order, each in
 /// member order, then its overflow tuples. With `refine` set, the query
 /// refines the knowledge under that policy; `None` leaves it static. With
-/// no dimension nothing constrains the answer: it is every live row, at no
-/// QPF — the one answer every entry point gives a query with no trapdoor.
+/// no dimension nothing constrains the answer: it is every row the oracle
+/// calls live, at no QPF — the answer the in-process entry points give a
+/// query with no trapdoor, whose callers tombstone the table themselves.
+/// The wire refuses such a query: the server never tombstones the table,
+/// so its oracle would call deleted rows live (DESIGN §7).
 ///
 /// Abort-safe by construction: phases 1–2 and the pending-split
 /// *collection* of phase 3 are fallible and read-only; splits for all

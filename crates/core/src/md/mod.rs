@@ -32,7 +32,7 @@ mod comparison;
 use crate::knowledge::Knowledge;
 
 /// What to do with partially-scanned NS partitions after an MD query (a
-/// static PRKB is `EngineConfig::update = false`, which refines nothing).
+/// static PRKB is `EngineConfig::refine = None`, which refines nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MdUpdatePolicy {
     /// Refine only fully-decided partitions (no extra QPF). Default.
@@ -214,7 +214,7 @@ mod tests {
         }
     }
 
-    /// A static PRKB (`EngineConfig::update = false`) passes no policy.
+    /// A static PRKB (`EngineConfig::refine = None`) passes no policy.
     #[test]
     fn md_frozen_policy_never_updates() {
         let (kbs, oracle) = setup(2000, 2, 10, 11);

@@ -703,7 +703,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
 
     /// Multi-dimensional range selection (PRKB(MD)). Callers must have
     /// rejected duplicate-attribute dimensions already (the engine treats
-    /// them as a programmer error).
+    /// them as a programmer error). With no dimension it answers every row
+    /// the oracle calls live, which is right only if the caller tombstones
+    /// that table on every delete — the server does not, so the wire
+    /// refuses an empty dimension list before it gets here.
     ///
     /// # Errors
     /// [`DurableError::Query`] when the engine fails (nothing committed),

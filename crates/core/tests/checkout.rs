@@ -132,6 +132,39 @@ fn empty_commit_draws_a_number_and_journals_nothing() {
 }
 
 #[test]
+fn deleting_an_unindexed_tuple_appends_to_no_shard() {
+    const SHARDS: usize = 2;
+    let dir = TmpDir::new("repeat-delete");
+    let mut pool = open_pool(&dir.0, SHARDS);
+    for attr in 0..4 {
+        pool.init_attr(attr, ROWS).expect("init");
+    }
+    let sched = SessionScheduler::durable(pool);
+    let wal_lens = || {
+        sched.flush_durable().expect("flush");
+        (0..SHARDS)
+            .map(|sid| {
+                let wal = dir.shard(sid).join("wal.0.log");
+                std::fs::metadata(wal).expect("epoch-0 WAL").len()
+            })
+            .collect::<Vec<u64>>()
+    };
+    let before = wal_lens();
+    assert_eq!(sched.delete(5, None).expect("delete"), 1);
+    let deleted = wal_lens();
+    assert!(
+        deleted.iter().zip(&before).all(|(d, b)| d > b),
+        "the first delete journals on every shard: {before:?} -> {deleted:?}"
+    );
+
+    // Already deleted, then never uploaded: numbered, not journaled.
+    for (tuple, number) in [(5, 2), (ROWS as u32 + 100, 3)] {
+        assert_eq!(sched.delete(tuple, None).expect("delete"), number);
+        assert_eq!(wal_lens(), deleted, "delete({tuple}) appends nothing");
+    }
+}
+
+#[test]
 fn insert_ack_carries_every_earlier_refinement_of_its_shards() {
     const SHARDS: usize = 8;
     let dir = TmpDir::new("insert-carries");

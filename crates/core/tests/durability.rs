@@ -877,7 +877,7 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
         .collect();
     let oracle = PlainOracle::from_columns(cols);
     let config = EngineConfig {
-        md_policy: MdUpdatePolicy::CompleteSplits,
+        refine: Some(MdUpdatePolicy::CompleteSplits),
         ..no_rotation()
     };
     let dir = TmpDir::new("mdgrid");

@@ -2,14 +2,11 @@
 //!
 //! The EDBMS stores every attribute value as an independent ciphertext so
 //! that the service provider can hand a single cell to the trusted machine
-//! for QPF evaluation. Two constructions are provided:
-//!
-//! * [`ValueCipher`] — randomized: fresh nonce per encryption, so equal
-//!   plaintexts yield unlinkable ciphertexts (the paper's security baseline:
-//!   SP learns nothing from ciphertexts alone).
-//! * [`DetCipher`] — deterministic (SIV-style nonce = PRF(plaintext)): used
-//!   for trapdoor parameters and in tests where byte-stable ciphertexts are
-//!   convenient. Never used for stored tuple data.
+//! for QPF evaluation. There is one construction, [`ValueCipher`]:
+//! randomized, a fresh nonce per encryption, so equal plaintexts yield
+//! unlinkable ciphertexts (the paper's security baseline: SP learns nothing
+//! from ciphertexts alone). It seals stored cells and trapdoor payloads
+//! alike, each under its own derived key.
 
 use crate::arch::{self, Lanes, Tier};
 use crate::chacha20::{self, NONCE_LEN};
@@ -92,21 +89,6 @@ fn compute_tag(tkey: &SipKey, nonce: &[u8; NONCE_LEN], ct: &[u8; PAYLOAD_LEN]) -
     buf[1..1 + NONCE_LEN].copy_from_slice(nonce);
     buf[1 + NONCE_LEN..].copy_from_slice(ct);
     siphash24(tkey, &buf).to_le_bytes()
-}
-
-fn seal_into(key: &[u8; 32], tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64, out: &mut Vec<u8>) {
-    let mut payload = value.to_le_bytes();
-    chacha20::apply_keystream(key, &nonce, PAYLOAD_BLOCK, &mut payload);
-    let tag = compute_tag(tkey, &nonce, &payload);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&tag);
-}
-
-fn seal(key: &[u8; 32], tkey: &SipKey, nonce: [u8; NONCE_LEN], value: u64) -> Ciphertext {
-    let mut out = Vec::with_capacity(CIPHERTEXT_LEN);
-    seal_into(key, tkey, nonce, value, &mut out);
-    Ciphertext(Bytes::from(out))
 }
 
 /// `bytes` as a cell, if it has a cell's length.
@@ -215,9 +197,9 @@ impl ValueCipher {
 
     /// Encrypts `value` with a nonce drawn from `rng`.
     pub fn encrypt<R: RngCore>(&self, rng: &mut R, value: u64) -> Ciphertext {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        seal(&self.key, &self.tkey, nonce, value)
+        let mut out = Vec::with_capacity(CIPHERTEXT_LEN);
+        self.encrypt_into(rng, value, &mut out);
+        Ciphertext(Bytes::from(out))
     }
 
     /// Decrypts, verifying the integrity tag.
@@ -231,7 +213,12 @@ impl ValueCipher {
     pub fn encrypt_into<R: RngCore>(&self, rng: &mut R, value: u64, out: &mut Vec<u8>) {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        seal_into(&self.key, &self.tkey, nonce, value, out);
+        let mut payload = value.to_le_bytes();
+        chacha20::apply_keystream(&self.key, &nonce, PAYLOAD_BLOCK, &mut payload);
+        let tag = compute_tag(&self.tkey, &nonce, &payload);
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&tag);
     }
 
     /// Decrypts a raw [`CIPHERTEXT_LEN`]-byte slice (flat column storage
@@ -323,48 +310,6 @@ impl std::fmt::Debug for ValueCipher {
     }
 }
 
-/// Deterministic (SIV-style) value encryption: the nonce is a PRF of the
-/// plaintext, so equal plaintexts produce equal ciphertexts. Used only for
-/// trapdoor parameters.
-#[derive(Clone)]
-pub struct DetCipher {
-    key: [u8; 32],
-    tkey: SipKey,
-    nonce_prf: Prf,
-}
-
-impl DetCipher {
-    /// Builds a deterministic cipher from a derived sub-key.
-    pub fn new(key: SubKey) -> Self {
-        DetCipher {
-            key: *key.as_bytes(),
-            tkey: tag_key(&key),
-            nonce_prf: Prf::new(*key.as_bytes()),
-        }
-    }
-
-    /// Encrypts `value`; equal values give byte-equal ciphertexts.
-    pub fn encrypt(&self, value: u64) -> Ciphertext {
-        let derived = self
-            .nonce_prf
-            .eval2(b"prkb.det.nonce.v1", &value.to_le_bytes());
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&derived[..NONCE_LEN]);
-        seal(&self.key, &self.tkey, nonce, value)
-    }
-
-    /// Decrypts, verifying the integrity tag.
-    pub fn decrypt(&self, ct: &Ciphertext) -> Result<u64, CryptoError> {
-        open_slice(&self.key, &self.tkey, ct.as_bytes())
-    }
-}
-
-impl std::fmt::Debug for DetCipher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DetCipher").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,17 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn det_cipher_is_deterministic_and_invertible() {
-        let mk = MasterKey::from_bytes([2u8; 32]);
-        let c = DetCipher::new(mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0));
-        let a = c.encrypt(1234);
-        let b = c.encrypt(1234);
-        assert_eq!(a, b);
-        assert_ne!(a, c.encrypt(1235));
-        assert_eq!(c.decrypt(&a).unwrap(), 1234);
-    }
-
-    #[test]
     fn wrong_length_rejected() {
         assert!(matches!(
             Ciphertext::from_bytes(Bytes::from_static(&[0u8; 5])),
@@ -465,22 +399,13 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn det_and_randomized_are_cross_key_independent() {
-        let mk = MasterKey::from_bytes([2u8; 32]);
-        let det = DetCipher::new(mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0));
-        let val = ValueCipher::new(mk.derive(KeyPurpose::ValueEncryption, "t", 0));
-        let ct = det.encrypt(9);
-        assert!(val.decrypt(&ct).is_err());
-    }
-
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The exact bytes both ciphers seal under fixed keys (and, for
-    /// `ValueCipher`, a fixed RNG). Every stored cell, trapdoor and fixture
-    /// depends on them, so a change here is a format change.
+    /// The exact bytes the cipher seals under a fixed key and RNG. Every
+    /// stored cell, trapdoor and fixture depends on them, so a change here
+    /// is a format change.
     #[test]
     fn golden_ciphertext_bytes() {
         let mk = MasterKey::from_bytes([3u8; 32]);
@@ -497,20 +422,6 @@ mod tests {
                 "529f0f135767524794e34a0ed6e60d786d677041064ea6ebd8fd2161",
                 "f22348245a58bc0906db803c44325fb7932f8affff67a775c6bdea9d",
                 "5d6d37451c67e937a42f9e9e27f6f62ceba16e3734208260c48a2080",
-            ]
-        );
-
-        let det = DetCipher::new(mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0));
-        let sealed: Vec<String> = [0u64, 42, u64::MAX]
-            .iter()
-            .map(|&v| hex(det.encrypt(v).as_bytes()))
-            .collect();
-        assert_eq!(
-            sealed,
-            [
-                "b3c82b1a007b16bf4e362b1cf90fe65cca2b112d8688a4f768cb0fa8",
-                "c01855c8cf2226d85f326c751ea7379988da3ea05518f513c6170c84",
-                "11890dff1d4aae66ceae79277eaab6489641d422065981f93f6e4270",
             ]
         );
     }
@@ -533,13 +444,6 @@ mod proptests {
             let mut rng = StdRng::seed_from_u64(seed);
             let ct = c.encrypt(&mut rng, v);
             prop_assert_eq!(c.decrypt(&ct).unwrap(), v);
-        }
-
-        #[test]
-        fn det_roundtrip_any_value(v in any::<u64>()) {
-            let mk = MasterKey::from_bytes([9u8; 32]);
-            let c = DetCipher::new(mk.derive(KeyPurpose::TrapdoorEncryption, "t", 0));
-            prop_assert_eq!(c.decrypt(&c.encrypt(v)).unwrap(), v);
         }
 
         /// Every batch length 0..=40 — each tail of 1 to 15 lanes after

@@ -41,7 +41,7 @@ pub mod prf;
 pub mod sha256;
 pub mod siphash;
 
-pub use cipher::{batch_kernel, Ciphertext, DetCipher, ValueCipher};
+pub use cipher::{batch_kernel, Ciphertext, ValueCipher};
 pub use error::CryptoError;
 pub use keys::{KeyPurpose, MasterKey, SubKey};
 pub use prf::Prf;

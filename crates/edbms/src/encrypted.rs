@@ -82,7 +82,7 @@ impl EncryptedTable {
     }
 
     /// The schema.
-    pub(crate) fn schema(&self) -> &Schema {
+    pub fn schema(&self) -> &Schema {
         &self.schema
     }
 

@@ -22,13 +22,6 @@ pub enum EdbmsError {
         /// Number of attributes in the schema.
         n_attrs: usize,
     },
-    /// A trapdoor was presented against a table it was not issued for.
-    TableMismatch {
-        /// Table the trapdoor was issued for.
-        expected: String,
-        /// Table it was used against.
-        actual: String,
-    },
     /// A row with the wrong number of attribute values was inserted.
     ArityMismatch {
         /// Schema arity.
@@ -56,9 +49,6 @@ impl fmt::Display for EdbmsError {
             }
             EdbmsError::AttrOutOfRange { attr, n_attrs } => {
                 write!(f, "attribute id {attr} out of range (schema has {n_attrs})")
-            }
-            EdbmsError::TableMismatch { expected, actual } => {
-                write!(f, "trapdoor for table {expected:?} used against {actual:?}")
             }
             EdbmsError::ArityMismatch { expected, actual } => {
                 write!(

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod db;
 pub mod durability;
 pub(crate) mod encrypted;
 pub(crate) mod error;
@@ -41,7 +40,6 @@ pub mod testing;
 pub mod trapdoor;
 pub(crate) mod trusted;
 
-pub use db::Catalog;
 pub use durability::{CrashInjector, DurabilityError, TailStatus, Wal};
 pub use encrypted::EncryptedTable;
 pub use error::EdbmsError;

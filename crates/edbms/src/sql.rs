@@ -16,7 +16,6 @@
 //! the paper's model where the service provider receives 2d independent
 //! comparison trapdoors for a d-dimensional range.
 
-use crate::error::EdbmsError;
 use crate::predicate::{ComparisonOp, Predicate};
 use crate::schema::Schema;
 use std::fmt;
@@ -37,13 +36,8 @@ pub enum SqlError {
     Syntax(String),
     /// `WHERE` referenced an attribute the schema does not have.
     UnknownAttribute(String),
-    /// The query's table does not match the provided schema.
-    TableMismatch {
-        /// Table the schema describes.
-        expected: String,
-        /// Table the query named.
-        actual: String,
-    },
+    /// `FROM` named a table none of the candidate schemas describes.
+    UnknownTable(String),
     /// A BETWEEN with `lo > hi`.
     EmptyRange(u64, u64),
 }
@@ -53,29 +47,13 @@ impl fmt::Display for SqlError {
         match self {
             SqlError::Syntax(msg) => write!(f, "syntax error: {msg}"),
             SqlError::UnknownAttribute(a) => write!(f, "unknown attribute {a:?}"),
-            SqlError::TableMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "query targets table {actual:?}, schema is for {expected:?}"
-                )
-            }
+            SqlError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
             SqlError::EmptyRange(lo, hi) => write!(f, "empty BETWEEN range {lo}..{hi}"),
         }
     }
 }
 
 impl std::error::Error for SqlError {}
-
-impl From<SqlError> for EdbmsError {
-    fn from(e: SqlError) -> Self {
-        // SQL errors are owner-side validation failures; map the range case
-        // onto the existing variant and the rest onto trapdoor malformation.
-        match e {
-            SqlError::EmptyRange(lo, hi) => EdbmsError::EmptyRange { lo, hi },
-            _ => EdbmsError::MalformedTrapdoor,
-        }
-    }
-}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -152,11 +130,16 @@ fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
     Ok(toks)
 }
 
-/// Parses a selection against `schema`.
+/// Parses a selection and binds it to the schema, among `schemas`, of the
+/// table its `FROM` names.
 ///
 /// # Errors
-/// Returns a [`SqlError`] on any lexical, grammatical, or binding problem.
-pub fn parse(input: &str, schema: &Schema) -> Result<ParsedQuery, SqlError> {
+/// Returns a [`SqlError`] on any lexical, grammatical, or binding problem;
+/// [`SqlError::UnknownTable`] when no schema describes the named table.
+pub fn parse<'s>(
+    input: &str,
+    schemas: impl IntoIterator<Item = &'s Schema>,
+) -> Result<ParsedQuery, SqlError> {
     let toks = lex(input)?;
     let mut pos = 0usize;
     let expect = |want: &Tok, what: &str, toks: &[Tok], pos: &mut usize| {
@@ -185,12 +168,10 @@ pub fn parse(input: &str, schema: &Schema) -> Result<ParsedQuery, SqlError> {
             )))
         }
     };
-    if table != schema.table() {
-        return Err(SqlError::TableMismatch {
-            expected: schema.table().to_string(),
-            actual: table,
-        });
-    }
+    let schema = schemas
+        .into_iter()
+        .find(|s| s.table() == table)
+        .ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
 
     let mut predicates = Vec::new();
     if pos < toks.len() {
@@ -273,7 +254,7 @@ mod tests {
 
     #[test]
     fn full_scan() {
-        let q = parse("SELECT * FROM sales", &schema()).unwrap();
+        let q = parse("SELECT * FROM sales", [&schema()]).unwrap();
         assert_eq!(q.table, "sales");
         assert!(q.predicates.is_empty());
     }
@@ -282,7 +263,7 @@ mod tests {
     fn comparisons_all_operators() {
         let q = parse(
             "SELECT * FROM sales WHERE amount < 100 AND qty <= 5 AND day > 30 AND day >= 2",
-            &schema(),
+            [&schema()],
         )
         .unwrap();
         assert_eq!(
@@ -300,7 +281,7 @@ mod tests {
     fn between_and_flipped() {
         let q = parse(
             "SELECT * FROM sales WHERE amount BETWEEN 10 AND 99 AND 3 < qty",
-            &schema(),
+            [&schema()],
         )
         .unwrap();
         assert_eq!(
@@ -317,7 +298,7 @@ mod tests {
         // The paper's multi-dim form: c1a < C1 AND C1 < c1b AND …
         let q = parse(
             "SELECT * FROM sales WHERE 100 < amount AND amount < 500 AND 1 < day AND day < 90;",
-            &schema(),
+            [&schema()],
         )
         .unwrap();
         assert_eq!(q.predicates.len(), 4);
@@ -329,7 +310,7 @@ mod tests {
     fn case_insensitive_keywords_and_digit_groups() {
         let q = parse(
             "select * from sales where amount between 1_000 and 2_000",
-            &schema(),
+            [&schema()],
         )
         .unwrap();
         assert_eq!(q.predicates, vec![Predicate::between(0, 1000, 2000)]);
@@ -339,36 +320,48 @@ mod tests {
     fn errors() {
         let s = schema();
         assert!(matches!(
-            parse("SELECT * FROM other WHERE amount < 1", &s),
-            Err(SqlError::TableMismatch { .. })
+            parse("SELECT * FROM other WHERE amount < 1", [&s]),
+            Err(SqlError::UnknownTable(t)) if t == "other"
         ));
         assert!(matches!(
-            parse("SELECT * FROM sales WHERE price < 1", &s),
+            parse("SELECT * FROM sales WHERE price < 1", [&s]),
             Err(SqlError::UnknownAttribute(_))
         ));
         assert!(matches!(
-            parse("SELECT * FROM sales WHERE amount BETWEEN 9 AND 3", &s),
+            parse("SELECT * FROM sales WHERE amount BETWEEN 9 AND 3", [&s]),
             Err(SqlError::EmptyRange(9, 3))
         ));
         assert!(matches!(
-            parse("SELECT amount FROM sales", &s),
+            parse("SELECT amount FROM sales", [&s]),
             Err(SqlError::Syntax(_))
         ));
         assert!(matches!(
-            parse("SELECT * FROM sales WHERE amount !! 3", &s),
+            parse("SELECT * FROM sales WHERE amount !! 3", [&s]),
             Err(SqlError::Syntax(_))
         ));
         assert!(matches!(
             parse(
                 "SELECT * FROM sales WHERE amount < 99999999999999999999999",
-                &s
+                [&s]
             ),
             Err(SqlError::Syntax(_))
         ));
         // Disjunction is outside the paper's selection fragment.
         assert!(matches!(
-            parse("SELECT * FROM sales WHERE amount < 5 OR qty < 2", &s),
+            parse("SELECT * FROM sales WHERE amount < 5 OR qty < 2", [&s]),
             Err(SqlError::Syntax(_))
+        ));
+    }
+
+    #[test]
+    fn binds_the_schema_its_from_names() {
+        let stock = Schema::new("stock", &["qty", "amount"]);
+        let q = parse("SELECT*FROM stock WHERE amount < 3", [&schema(), &stock]).unwrap();
+        assert_eq!(q.table, "stock");
+        assert_eq!(q.predicates, vec![Predicate::cmp(1, ComparisonOp::Lt, 3)]);
+        assert!(matches!(
+            parse("SELECT * FROM sales", []),
+            Err(SqlError::UnknownTable(t)) if t == "sales"
         ));
     }
 
@@ -376,7 +369,7 @@ mod tests {
     fn parsed_predicates_evaluate() {
         let q = parse(
             "SELECT * FROM sales WHERE amount BETWEEN 5 AND 10",
-            &schema(),
+            [&schema()],
         )
         .unwrap();
         assert!(q.predicates[0].eval(7));
@@ -400,7 +393,7 @@ mod tests {
                     .into_iter()
                     .filter_map(|c| char::from_u32(c % 0x11_0000))
                     .collect();
-                let _ = parse(&input, &schema());
+                let _ = parse(&input, [&schema()]);
             }
 
             /// Near-miss SQL: shuffled fragments of the real grammar, so
@@ -427,7 +420,7 @@ mod tests {
                     0..12,
                 ),
             ) {
-                let _ = parse(&pieces.join(" "), &schema());
+                let _ = parse(&pieces.join(" "), [&schema()]);
             }
         }
     }

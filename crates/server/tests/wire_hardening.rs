@@ -347,6 +347,25 @@ fn an_indexed_row_is_refused_and_the_worker_serves_on() {
     handle.join().expect("join");
 }
 
+/// A query with no trapdoor would answer from the oracle's liveness, and
+/// the server never tombstones its table, so deleted rows would come back:
+/// the wire refuses it, and the connection serves on.
+#[test]
+fn an_empty_md_query_is_refused_and_the_connection_serves_on() {
+    let (addr, handle) = start_server();
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    let err = client
+        .select_range_md(1, Vec::new())
+        .expect_err("no dimension");
+    assert!(
+        matches!(&err, ClientError::Server { code: c, .. } if *c == code::MALFORMED),
+        "unexpected: {err}"
+    );
+    client.ping().expect("ping after the refusal");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
 #[test]
 fn garbage_streams_get_error_frames_and_server_survives() {
     let (addr, handle) = start_server();

@@ -97,7 +97,7 @@ fn main() {
     // ---- SQL front-end ------------------------------------------------------
     let parsed = prkb::edbms::parse_sql(
         "SELECT * FROM payroll WHERE salary BETWEEN 480_000 AND 520_000",
-        plain.schema(),
+        [plain.schema()],
     )
     .expect("valid SQL");
     let trapdoors: Vec<_> = parsed

@@ -24,6 +24,11 @@
 
 mod secure_db;
 
+/// README.md's Rust blocks, compiled and run as doc-tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use secure_db::{DbError, SecureDb};
 
 pub use prkb_analysis as analysis;

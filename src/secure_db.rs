@@ -1,12 +1,12 @@
 //! `SecureDb` — the whole system in one handle.
 //!
 //! Wires together every layer of the reproduction the way a deployment
-//! would: the data owner's keys, the service provider's encrypted
-//! [`Catalog`], the trusted machine, and one PRKB engine per table — behind
-//! a SQL-string query API. The owner and provider run in one process here
-//! (this is a research reproduction), but the information flow respects the
-//! paper's model: plaintext and keys never cross into the catalog/engine
-//! side except through trapdoors and the TM.
+//! would: the data owner's keys, the trusted machine, and one map from
+//! table name to the service provider's encrypted table and the PRKB engine
+//! over it — behind a SQL-string query API. The owner and provider run in
+//! one process here (this is a research reproduction), but the information
+//! flow respects the paper's model: plaintext and keys never cross into the
+//! table/engine side except through trapdoors and the TM.
 //!
 //! ```
 //! use prkb::SecureDb;
@@ -20,13 +20,13 @@
 //! ```
 
 use prkb_core::{EngineConfig, PrkbEngine, QueryError, Selection};
-use prkb_edbms::db::Catalog;
 use prkb_edbms::{
-    parse_sql, DataOwner, EdbmsError, EncryptedPredicate, PlainTable, Schema, SpOracle, SqlError,
-    TmConfig, TrustedMachine, TupleId,
+    parse_sql, DataOwner, EdbmsError, EncryptedPredicate, EncryptedTable, PlainTable, SpOracle,
+    SqlError, TmConfig, TrustedMachine, TupleId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -40,8 +40,11 @@ pub enum DbError {
     /// The oracle failed mid-query (corrupt cell, lost response). The
     /// knowledge base is untouched — the query can simply be reissued.
     Query(QueryError),
-    /// The query referenced a table the catalog does not have.
+    /// The query referenced a table the database does not have.
     UnknownTable(String),
+    /// [`SecureDb::create_table`] was given a name already in use
+    /// (re-upload would alias tuple ids).
+    DuplicateTable(String),
 }
 
 impl fmt::Display for DbError {
@@ -51,6 +54,7 @@ impl fmt::Display for DbError {
             DbError::Edbms(e) => write!(f, "{e}"),
             DbError::Query(e) => write!(f, "{e}"),
             DbError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
+            DbError::DuplicateTable(t) => write!(f, "table {t:?} already exists"),
         }
     }
 }
@@ -59,7 +63,10 @@ impl std::error::Error for DbError {}
 
 impl From<SqlError> for DbError {
     fn from(e: SqlError) -> Self {
-        DbError::Sql(e)
+        match e {
+            SqlError::UnknownTable(t) => DbError::UnknownTable(t),
+            e => DbError::Sql(e),
+        }
     }
 }
 
@@ -75,14 +82,25 @@ impl From<QueryError> for DbError {
     }
 }
 
+/// One table: the provider's ciphertexts and the PRKB over them.
+struct Table {
+    data: EncryptedTable,
+    engine: PrkbEngine<EncryptedPredicate>,
+}
+
 /// An encrypted database with PRKB-accelerated selections.
 pub struct SecureDb {
     owner: DataOwner,
-    catalog: Catalog,
     tm: TrustedMachine,
-    engines: HashMap<String, PrkbEngine<EncryptedPredicate>>,
-    schemas: HashMap<String, Schema>,
+    tables: HashMap<String, Table>,
     rng: StdRng,
+}
+
+/// The table named `name`.
+fn table<'a>(tables: &'a mut HashMap<String, Table>, name: &str) -> Result<&'a mut Table, DbError> {
+    tables
+        .get_mut(name)
+        .ok_or_else(|| DbError::UnknownTable(name.to_string()))
 }
 
 impl SecureDb {
@@ -93,10 +111,8 @@ impl SecureDb {
         let tm = owner.trusted_machine(TmConfig::default());
         SecureDb {
             owner,
-            catalog: Catalog::new(),
             tm,
-            engines: HashMap::new(),
-            schemas: HashMap::new(),
+            tables: HashMap::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x5eed),
         }
     }
@@ -105,18 +121,18 @@ impl SecureDb {
     /// over every attribute.
     ///
     /// # Errors
-    /// Fails if the name is already registered.
+    /// [`DbError::DuplicateTable`] if the name is already registered.
     pub fn create_table(&mut self, plain: PlainTable) -> Result<(), DbError> {
-        let schema = plain.schema().clone();
-        let encrypted = self.owner.encrypt_table(&plain, &mut self.rng);
-        let n = encrypted.len();
-        self.catalog.register(encrypted)?;
+        let slot = match self.tables.entry(plain.schema().table().to_string()) {
+            Entry::Occupied(e) => return Err(DbError::DuplicateTable(e.key().clone())),
+            Entry::Vacant(slot) => slot,
+        };
+        let data = self.owner.encrypt_table(&plain, &mut self.rng);
         let mut engine = PrkbEngine::new(EngineConfig::default());
-        for (attr, _) in schema.attrs() {
-            engine.init_attr(attr, n);
+        for (attr, _) in data.schema().attrs() {
+            engine.init_attr(attr, data.len());
         }
-        self.engines.insert(schema.table().to_string(), engine);
-        self.schemas.insert(schema.table().to_string(), schema);
+        slot.insert(Table { data, engine });
         Ok(())
     }
 
@@ -128,34 +144,14 @@ impl SecureDb {
     /// (surfaced as [`DbError::Query`] — never a panic; the knowledge base
     /// is left exactly as it was, so the query can be retried).
     pub fn query(&mut self, sql: &str) -> Result<Selection, DbError> {
-        // Bind against the named table's schema.
-        let table_name = sql
-            .split_whitespace()
-            .skip_while(|w| !w.eq_ignore_ascii_case("FROM"))
-            .nth(1)
-            .map(|w| w.trim_end_matches(';').to_string())
-            .ok_or_else(|| DbError::Sql(SqlError::Syntax("missing FROM".into())))?;
-        let schema = self
-            .schemas
-            .get(&table_name)
-            .ok_or_else(|| DbError::UnknownTable(table_name.clone()))?;
-        let parsed = parse_sql(sql, schema)?;
-
+        let parsed = parse_sql(sql, self.tables.values().map(|t| t.data.schema()))?;
         let trapdoors: Vec<EncryptedPredicate> = parsed
             .predicates
             .iter()
             .map(|p| self.owner.trapdoor(&parsed.table, p, &mut self.rng))
             .collect::<Result<_, _>>()?;
-
-        let table = self
-            .catalog
-            .table(&parsed.table)
-            .ok_or_else(|| DbError::UnknownTable(parsed.table.clone()))?;
-        let engine = self
-            .engines
-            .get_mut(&parsed.table)
-            .ok_or_else(|| DbError::UnknownTable(parsed.table.clone()))?;
-        let oracle = SpOracle::new(table, &self.tm);
+        let Table { data, engine } = table(&mut self.tables, &parsed.table)?;
+        let oracle = SpOracle::new(data, &self.tm);
         Ok(engine.try_select_conjunction(&oracle, &trapdoors, &mut self.rng)?)
     }
 
@@ -167,26 +163,12 @@ impl SecureDb {
     /// routing the row into the index ([`DbError::Query`]); an aborted
     /// routing leaves the knowledge base untouched, though the row itself
     /// stays appended to the encrypted table.
-    pub fn insert(&mut self, table: &str, row: &[u64]) -> Result<TupleId, DbError> {
-        let cells = self.owner.encrypt_row(table, row, &mut self.rng);
+    pub fn insert(&mut self, name: &str, row: &[u64]) -> Result<TupleId, DbError> {
+        let Table { data, engine } = table(&mut self.tables, name)?;
+        let cells = self.owner.encrypt_row(name, row, &mut self.rng);
         let refs: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-        let t = {
-            let tbl = self
-                .catalog
-                .table_mut(table)
-                .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-            tbl.push_encrypted_row(&refs)?
-        };
-        let tbl = self
-            .catalog
-            .table(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        let engine = self
-            .engines
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        let oracle = SpOracle::new(tbl, &self.tm);
-        engine.try_insert(&oracle, t)?;
+        let t = data.push_encrypted_row(&refs)?;
+        engine.try_insert(&SpOracle::new(data, &self.tm), t)?;
         Ok(t)
     }
 
@@ -194,11 +176,10 @@ impl SecureDb {
     ///
     /// # Errors
     /// Fails on unknown table or tuple.
-    pub fn delete(&mut self, table: &str, t: TupleId) -> Result<(), DbError> {
-        self.catalog.delete(table, t)?;
-        if let Some(engine) = self.engines.get_mut(table) {
-            engine.delete(t);
-        }
+    pub fn delete(&mut self, name: &str, t: TupleId) -> Result<(), DbError> {
+        let Table { data, engine } = table(&mut self.tables, name)?;
+        data.delete(t)?;
+        engine.delete(t);
         Ok(())
     }
 
@@ -209,24 +190,24 @@ impl SecureDb {
 
     /// Index storage across tables (PRKB bytes).
     pub fn index_storage_bytes(&self) -> usize {
-        self.engines.values().map(PrkbEngine::storage_bytes).sum()
+        self.tables.values().map(|t| t.engine.storage_bytes()).sum()
     }
 
     /// Ciphertext storage across tables.
     pub fn data_storage_bytes(&self) -> usize {
-        self.catalog.storage_bytes()
+        self.tables.values().map(|t| t.data.storage_bytes()).sum()
     }
 
     /// The PRKB engine for a table (introspection: partition counts, etc.).
     pub fn engine(&self, table: &str) -> Option<&PrkbEngine<EncryptedPredicate>> {
-        self.engines.get(table)
+        self.tables.get(table).map(|t| &t.engine)
     }
 }
 
 impl fmt::Debug for SecureDb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SecureDb")
-            .field("tables", &self.schemas.keys().collect::<Vec<_>>())
+            .field("tables", &self.tables.keys().collect::<Vec<_>>())
             .field("qpf_uses", &self.qpf_uses())
             .finish_non_exhaustive()
     }
@@ -320,6 +301,66 @@ mod tests {
         // Duplicate table name.
         let plain = PlainTable::single_column("sales", "x", vec![1]);
         assert!(db.create_table(plain).is_err());
+    }
+
+    #[test]
+    fn from_needs_no_space_around_the_star() {
+        let mut db = db_with_sales();
+        let spaced = db
+            .query("SELECT * FROM sales WHERE amount < 50")
+            .expect("valid")
+            .sorted();
+        assert!(!spaced.is_empty());
+        for sql in [
+            "SELECT *FROM sales WHERE amount < 50",
+            "SELECT*FROM sales WHERE amount < 50",
+        ] {
+            assert_eq!(db.query(sql).expect(sql).sorted(), spaced, "{sql}");
+        }
+    }
+
+    #[test]
+    fn tables_register_and_look_up() {
+        let mut db = SecureDb::with_seed(1);
+        db.create_table(PlainTable::single_column("a", "x", vec![1, 2]))
+            .expect("fresh name");
+        db.create_table(PlainTable::single_column("b", "y", vec![3]))
+            .expect("fresh name");
+        assert!(matches!(
+            db.create_table(PlainTable::single_column("a", "x", vec![9])),
+            Err(DbError::DuplicateTable(t)) if t == "a"
+        ));
+        assert_eq!(db.query("SELECT * FROM a").expect("a").sorted(), [0, 1]);
+        assert_eq!(
+            db.query("SELECT * FROM b WHERE y > 2").expect("b").sorted(),
+            [0]
+        );
+        assert!(matches!(
+            db.query("SELECT * FROM a WHERE y > 2"),
+            Err(DbError::Sql(SqlError::UnknownAttribute(_)))
+        ));
+        assert!(db.engine("b").is_some() && db.engine("zzz").is_none());
+        assert!(db.data_storage_bytes() > 0);
+    }
+
+    #[test]
+    fn delete_routes_to_table() {
+        let mut db = SecureDb::with_seed(1);
+        db.create_table(PlainTable::single_column("a", "x", vec![1, 2]))
+            .expect("fresh name");
+        db.delete("a", 0).expect("live tuple");
+        assert_eq!(db.query("SELECT * FROM a").expect("a").sorted(), [1]);
+        assert!(matches!(
+            db.delete("zzz", 0),
+            Err(DbError::UnknownTable(t)) if t == "zzz"
+        ));
+        assert!(matches!(
+            db.delete("a", 99),
+            Err(DbError::Edbms(EdbmsError::TupleOutOfRange {
+                tuple: 99,
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn md_cheaper_than_baseline_once_warmed() {
         engine.select_range_md(&oracle, &dims, &mut rng);
     }
 
-    engine.config.update = false;
+    engine.config.refine = None;
     let ranges: Vec<(u64, u64)> = (0..3)
         .map(|i| (200_000 + i * 50_000, 300_000 + i * 50_000))
         .collect();
@@ -172,8 +172,7 @@ fn md_update_policies_stay_consistent_with_plaintext() {
         let oracle = SpOracle::new(&w.table, &w.tm);
         let mut rng = StdRng::seed_from_u64(6);
         let mut engine: PrkbEngine<_> = PrkbEngine::new(EngineConfig {
-            update: true,
-            md_policy: policy,
+            refine: Some(policy),
             ..EngineConfig::default()
         });
         engine.init_attr(0, 2_000);

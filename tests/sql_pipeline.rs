@@ -39,7 +39,7 @@ fn sql_selections_end_to_end() {
         "SELECT * FROM sales WHERE 1 < day AND day < 365 AND amount BETWEEN 4000 AND 6000",
     ];
     for sql in queries {
-        let parsed = parse_sql(sql, &schema).expect("valid SQL");
+        let parsed = parse_sql(sql, [&schema]).expect("valid SQL");
         // Owner turns each plaintext predicate into an independent trapdoor
         // (the paper's 2d-comparisons model).
         let trapdoors: Vec<_> = parsed
