@@ -57,6 +57,12 @@
 //! * `wal_append_ns_per_byte` — [`Wal::append_unsynced`] of 120 KB
 //!   records (no fsync): floor plus the `write` into the page cache.
 //!
+//! **Journal row.** `split_journal_ns_per_member` — one split of a
+//! 50 000-member partition through the journal, per member: [`encode_txn`]
+//! of its record (one bit per member), [`decode_txn`], and
+//! [`Knowledge::try_apply_op`] on a copy of a fresh one-partition knowledge
+//! base (the copy is inside the clock).
+//!
 //! A trajectory row carries `ms` per `n` = 1 000 000 units (bytes,
 //! evaluations or scanned tuples), which reads as ns per unit; it is the
 //! fastest of [`SAMPLES`] samples, since the interest is the code's cost,
@@ -65,7 +71,11 @@
 use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
-use prkb_core::{DeadlineOracle, EngineConfig, PrkbEngine, SessionOracle};
+use prkb_core::durability::{decode_txn, encode_txn, TxnEntry};
+use prkb_core::{
+    DeadlineOracle, EngineConfig, Knowledge, PrkbEngine, RefinementOp, Separator, SessionOracle,
+    SplitBits,
+};
 use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
 use prkb_edbms::testing::PlainOracle;
@@ -349,6 +359,39 @@ fn engine_rows() -> Vec<LayerPoint> {
         .collect()
 }
 
+/// Members of the split the journal row prices.
+const SPLIT_MEMBERS: usize = 50_000;
+
+/// The journal row (see the module docs): ns per member of one split's
+/// encode, decode and replay.
+fn split_journal_ns_per_member(sample_units: usize) -> f64 {
+    // Scattered verdicts, as a split's are in tuple-id order.
+    let scatter = |i: u32| {
+        let x = i.wrapping_mul(0x9E37_79B9);
+        (x ^ x >> 15).wrapping_mul(0x85EB_CA6B) >> 31 == 1
+    };
+    let left: SplitBits = (0..SPLIT_MEMBERS as u32).map(scatter).collect();
+    let op = RefinementOp::Split {
+        rank: 0,
+        left,
+        sep: Some(Separator::Cmp {
+            pred: Predicate::cmp(0, ComparisonOp::Lt, 1),
+            left_label: true,
+        }),
+    };
+    let record = [TxnEntry::Op { attr: 0, op }];
+    let fresh: Knowledge<Predicate> = Knowledge::init(SPLIT_MEMBERS);
+    ns_per_unit(SPLIT_MEMBERS, sample_units, || {
+        let mut kb = fresh.clone();
+        for entry in decode_txn::<Predicate>(&encode_txn(&record)).expect("own record") {
+            if let TxnEntry::Op { op, .. } = entry {
+                kb.try_apply_op(op).expect("fits a fresh partition");
+            }
+        }
+        kb
+    })
+}
+
 /// Runs every row.
 pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     let sample_bytes = match scale {
@@ -398,6 +441,8 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         wal.append_unsynced(black_box(&buf)).expect("append")
     });
     push("wal_append_ns_per_byte", WIDE, append);
+    let journal = split_journal_ns_per_member(sample_bytes);
+    push("split_journal_ns_per_member", SPLIT_MEMBERS, journal);
     points.extend(engine_rows());
     points
 }
@@ -450,6 +495,11 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("frame_encode_ns_per_byte") / floor,
         of("frame_decode_ns_per_byte") / floor,
         of("wal_append_ns_per_byte") / floor,
+    ));
+    report.line(format!(
+        "journal: a split of {SPLIT_MEMBERS} members costs {:.2} ns per member to encode, decode \
+         and replay",
+        of("split_journal_ns_per_member"),
     ));
     let rows = points
         .iter()

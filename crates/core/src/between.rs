@@ -223,6 +223,7 @@ impl<O: SelectionOracle> Probe<'_, O> {
 #[cfg(test)]
 pub(crate) mod twin {
     use super::Probe;
+    use crate::knowledge::tests::split;
     use crate::knowledge::{BetweenEdge, Knowledge, Separator};
     use crate::pop::Pop;
     use crate::selection::{QueryStats, Selection};
@@ -449,15 +450,15 @@ pub(crate) mod twin {
         pending.sort_by_key(|(s, _)| std::cmp::Reverse(s.rank));
         let n = pending.len();
         for (s, edge) in pending {
-            let (left, right) = match edge {
-                BetweenEdge::InteriorRight => (s.false_half, s.true_half),
-                BetweenEdge::InteriorLeft => (s.true_half, s.false_half),
+            let left = match edge {
+                BetweenEdge::InteriorRight => s.false_half,
+                BetweenEdge::InteriorLeft => s.true_half,
             };
             let sep = Separator::Between {
                 pred: pred.clone(),
                 edge,
             };
-            kb.apply_split(s.rank, left, right, Some(sep));
+            split(kb, s.rank, &left, Some(sep));
         }
         n
     }

@@ -56,6 +56,7 @@ use crate::lsm::reader::SegmentStore;
 use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
+use crate::pop::SplitBits;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::traits::SpPredicate;
@@ -185,23 +186,12 @@ impl<P> TxnEntry<P> {
 
 fn encode_op<P: WireCodec>(op: &RefinementOp<P>, out: &mut Vec<u8>) {
     match op {
-        RefinementOp::Split {
-            rank,
-            left,
-            right,
-            sep,
-        } => {
-            out.push(0);
+        RefinementOp::Split { rank, left, sep } => {
+            out.push(6);
             out.extend_from_slice(&(*rank as u64).to_le_bytes());
             snapshot::encode_separator_into(sep.as_ref(), out);
             out.extend_from_slice(&(left.len() as u32).to_le_bytes());
-            for t in left {
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            out.extend_from_slice(&(right.len() as u32).to_le_bytes());
-            for t in right {
-                out.extend_from_slice(&t.to_le_bytes());
-            }
+            out.extend_from_slice(left.as_bytes());
         }
         RefinementOp::Delete { tuple } => {
             out.push(1);
@@ -239,9 +229,20 @@ fn encode_op<P: WireCodec>(op: &RefinementOp<P>, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_tuples(r: &mut Reader<'_>) -> Result<Vec<TupleId>, &'static str> {
-    let n = r.count(4)?;
-    Ok(r.u32s(n)?)
+/// The previous generation's split record (op tag 0) carried both member
+/// lists, each in the order its partition then held them. Their union is
+/// the partition, so sorted it is the ascending order the bits index.
+fn decode_split_lists(r: &mut Reader<'_>) -> Result<SplitBits, &'static str> {
+    let mut members: Vec<(TupleId, bool)> = Vec::new();
+    for left in [true, false] {
+        let n = r.count(4)?;
+        members.extend(r.u32s(n)?.into_iter().map(|t| (t, left)));
+    }
+    members.sort_unstable_by_key(|m| m.0);
+    if members.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err("split lists overlap");
+    }
+    Ok(members.into_iter().map(|m| m.1).collect())
 }
 
 fn decode_op<P: WireCodec>(r: &mut Reader<'_>) -> Result<RefinementOp<P>, &'static str> {
@@ -249,9 +250,15 @@ fn decode_op<P: WireCodec>(r: &mut Reader<'_>) -> Result<RefinementOp<P>, &'stat
         0 => RefinementOp::Split {
             rank: r.u64()? as usize,
             sep: snapshot::decode_separator(r).map_err(|_| "separator")?,
-            left: decode_tuples(r)?,
-            right: decode_tuples(r)?,
+            left: decode_split_lists(r)?,
         },
+        6 => {
+            let rank = r.u64()? as usize;
+            let sep = snapshot::decode_separator(r).map_err(|_| "separator")?;
+            let n = r.u32()? as usize;
+            let left = SplitBits::from_bytes(n, r.bytes(n.div_ceil(8))?)?;
+            RefinementOp::Split { rank, left, sep }
+        }
         1 => RefinementOp::Delete { tuple: r.u32()? },
         2 => RefinementOp::Park {
             tuple: r.u32()?,
@@ -283,7 +290,7 @@ fn decode_op<P: WireCodec>(r: &mut Reader<'_>) -> Result<RefinementOp<P>, &'stat
 
 /// Encodes one WAL transaction payload: `count u32 | entries`, entry =
 /// `kind u8` (0 = Init `attr u32 | n u64`, 1 = Op `attr u32 | op`).
-pub(crate) fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
+pub fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * 16);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
@@ -533,7 +540,8 @@ fn recover_dir<P: SpPredicate + WireCodec>(
                 TxnEntry::Op { attr, op } => engine
                     .knowledge_mut(attr)
                     .ok_or(DurableError::CorruptWal("op for unknown attribute"))?
-                    .apply_op(op),
+                    .try_apply_op(op)
+                    .map_err(DurableError::CorruptWal)?,
             }
         }
     }
@@ -1255,6 +1263,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::Separator;
     use crate::lsm::manifest::read_segment_manifest;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
@@ -1302,6 +1311,43 @@ mod tests {
 
     fn open(dir: &Path, shards: usize) -> ShardedDurablePool<Predicate> {
         ShardedDurablePool::open(dir, lazy_group(), ShardMap::new(shards)).expect("pool opens")
+    }
+
+    /// A split record is `tag 6 | rank u64 | separator | n u32 | ⌈n/8⌉
+    /// bytes`, bit `i` (least significant first) set when the `i`-th
+    /// smallest member goes left. The fixture pins these bytes.
+    #[test]
+    fn split_record_encodes_byte_for_byte() {
+        let golden: &[u8] = include_bytes!("../tests/fixtures/split_record.bin");
+        let left: SplitBits = (0..11).map(|i| i % 3 == 0).collect();
+        let sep = Separator::Cmp {
+            pred: Predicate::cmp(0, ComparisonOp::Lt, 500),
+            left_label: true,
+        };
+        let op = RefinementOp::Split {
+            rank: 3,
+            left: left.clone(),
+            sep: Some(sep),
+        };
+        let bytes = encode_txn(&[TxnEntry::Op { attr: 2, op }]);
+        assert_eq!(bytes, golden);
+        assert_eq!(golden[9], 6, "the op tag");
+        assert_eq!(
+            &golden[golden.len() - 6..],
+            &[11, 0, 0, 0, 0b0100_1001, 0b10]
+        );
+        let entries = decode_txn::<Predicate>(golden).expect("decodes");
+        assert!(matches!(
+            entries.as_slice(),
+            [TxnEntry::Op {
+                attr: 2,
+                op: RefinementOp::Split {
+                    rank: 3,
+                    left: l,
+                    sep: Some(Separator::Cmp { left_label: true, .. }),
+                },
+            }] if *l == left
+        ));
     }
 
     /// Every rule of the one classifier recovery and scrub share.
@@ -1512,9 +1558,9 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
 
-        // By bytes: the record bound out of reach, splits of a 40 000-tuple
-        // partition (a 160 KB record, then halves of it).
-        const BIG: usize = 40_000;
+        // By bytes: the record bound out of reach, splits of a 1 500 000-tuple
+        // partition (a 188 KB record at one bit per member, then halves of it).
+        const BIG: usize = 1_500_000;
         let dir = tmpdir("tail-bytes");
         let (_, mut parts) = open(&dir, 1).into_parts();
         let (engine, committer) = &mut parts[0];
@@ -1534,7 +1580,7 @@ mod tests {
                 waited += 1;
             }
         }
-        assert!(waited >= 1, "ten splits of 40 000 tuples cross 256 KiB");
+        assert!(waited >= 1, "ten splits of 1 500 000 tuples cross 256 KiB");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -573,6 +573,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
     use rand::rngs::StdRng;
@@ -1156,6 +1157,80 @@ mod tests {
                 for a in 0..d as AttrId {
                     engine.knowledge(a).expect("indexed").check_invariants();
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every partition stays ascending through selects (comparison and
+        /// BETWEEN splits, refinements of parked tuples), inserts (solo,
+        /// place, park) and deletes; and the journal from some mid-run
+        /// point, replayed onto a `snapshot::load` of the image taken
+        /// there, rebuilds every partition member for member, in the same
+        /// order, to the same snapshot bytes.
+        #[test]
+        fn partitions_stay_ascending_and_replay_rebuilds_them_in_order(
+            seed in proptest::prelude::any::<u64>(),
+            n in proptest::prop_oneof![proptest::strategy::Just(0usize), 1usize..300],
+            d in 1usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let columns: Vec<Vec<u64>> = (0..d)
+                .map(|_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect())
+                .collect();
+            let mut oracle = PlainOracle::from_columns(columns);
+            let mut engine = PrkbEngine::new(EngineConfig::default());
+            for a in 0..d {
+                engine.init_attr(a as AttrId, n);
+            }
+            let attrs = 0..d as AttrId;
+            let image = |engine: &PrkbEngine<Predicate>, a| {
+                snapshot::save(engine.knowledge(a).expect("indexed"))
+            };
+            let mark = rng.gen_range(0..12);
+            let mut twin: Vec<Knowledge<Predicate>> = Vec::new();
+            for step in 0..30 {
+                if step == mark {
+                    twin = attrs.clone().map(|a| snapshot::load(&image(&engine, a)).expect("loads")).collect();
+                    engine.set_recording(true);
+                }
+                match rng.gen_range(0..6) {
+                    0..=2 => {
+                        let p = trapdoor(rng.gen_range(0..d) as u32, &mut rng);
+                        engine.select(&oracle, &p, &mut rng);
+                    }
+                    3 | 4 => {
+                        let row: Vec<u64> = (0..d).map(|_| rng.gen_range(0..DOMAIN)).collect();
+                        let t = oracle.insert(&row);
+                        engine.insert(&oracle, t);
+                    }
+                    _ if oracle.n_slots() > 0 => {
+                        let t = rng.gen_range(0..oracle.n_slots() as TupleId);
+                        oracle.delete(t);
+                        engine.delete(t);
+                    }
+                    _ => {}
+                }
+                for a in attrs.clone() {
+                    let pop = engine.knowledge(a).expect("indexed").pop();
+                    for r in 0..pop.k() {
+                        let m = pop.members_at(r);
+                        proptest::prop_assert!(m.windows(2).all(|w| w[0] < w[1]), "step {} rank {}: {:?}", step, r, m);
+                    }
+                }
+            }
+            for (a, op) in engine.take_ops() {
+                twin[a as usize].try_apply_op(op).expect("a journaled op fits its twin");
+            }
+            for a in attrs {
+                let (live, replayed) = (engine.knowledge(a).expect("indexed").pop(), twin[a as usize].pop());
+                proptest::prop_assert_eq!(live.k(), replayed.k());
+                for r in 0..live.k() {
+                    proptest::prop_assert_eq!(live.members_at(r), replayed.members_at(r), "rank {}", r);
+                }
+                proptest::prop_assert_eq!(image(&engine, a), snapshot::save(&twin[a as usize]));
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   are parked with a candidate rank interval, always scanned by queries,
 //!   and promoted into the POP as soon as some cut pins them down.
 
-use crate::pop::{Pop, RemoveOutcome};
+use crate::pop::{Pop, RemoveOutcome, SplitBits};
 use crate::traits::SpPredicate;
 use prkb_edbms::TupleId;
 
@@ -109,19 +109,22 @@ pub(crate) struct OverflowEntry {
 ///
 /// Every public mutator of [`Knowledge`] corresponds to exactly one variant;
 /// applying a recorded op to a byte-identical knowledge base (via
-/// `Knowledge::apply_op`) reproduces the mutation exactly. This is the
-/// unit the durability layer journals: a committed query drains its ops into
-/// one write-ahead-log transaction, and recovery replays them.
+/// [`Knowledge::try_apply_op`]) reproduces the mutation exactly, member
+/// order included. This is the unit the durability layer journals: a
+/// committed query drains its ops into one write-ahead-log transaction, and
+/// recovery replays them.
 #[derive(Debug, Clone)]
 pub enum RefinementOp<P> {
-    /// `Knowledge::apply_split`: split the partition at `rank`.
+    /// `Knowledge::apply_split`: split the partition at `rank` by the
+    /// verdicts the query already paid for — one bit per member, in
+    /// ascending tuple-id order, set for the members that go left. The
+    /// members themselves are not recorded: the partition being split
+    /// holds them.
     Split {
         /// Rank of the split partition.
         rank: usize,
-        /// Left-side members, in the order they were committed.
-        left: Vec<TupleId>,
-        /// Right-side members, in the order they were committed.
-        right: Vec<TupleId>,
+        /// Which members go to the left half.
+        left: SplitBits,
         /// The separator retained at the new cut, if any.
         sep: Option<Separator<P>>,
     },
@@ -234,28 +237,23 @@ impl<P: SpPredicate> Knowledge<P> {
         self.pop.locate(t).is_some() || self.overflow.iter().any(|e| e.tuple == t)
     }
 
-    /// Applies a split of the partition at `rank` into `(left, right)`
-    /// member sets, retaining `sep` as the new cut between them.
+    /// Splits the partition at `rank`: the members whose bit in `left` is
+    /// set (in ascending member order) form the left half, the rest the
+    /// right, and `sep` is retained as the new cut between them. Live
+    /// commits and WAL replay both come through here.
     ///
     /// Maintains separator alignment and overflow intervals. Callers are
-    /// responsible for having ordered `left`/`right` per the update rule
-    /// (§5.3 / DESIGN.md §7).
-    pub(crate) fn apply_split(
-        &mut self,
-        rank: usize,
-        left: Vec<TupleId>,
-        right: Vec<TupleId>,
-        sep: Option<Separator<P>>,
-    ) {
+    /// responsible for having oriented `left` per the update rule (§5.3 /
+    /// DESIGN.md §7).
+    pub(crate) fn apply_split(&mut self, rank: usize, left: SplitBits, sep: Option<Separator<P>>) {
+        self.pop.split_at(rank, &left);
         if self.recording {
             self.journal.push(RefinementOp::Split {
                 rank,
-                left: left.clone(),
-                right: right.clone(),
+                left,
                 sep: sep.clone(),
             });
         }
-        self.pop.split_at(rank, left, right);
         self.seps.insert(rank, sep);
         debug_assert_eq!(self.seps.len() + 1, self.pop.k());
         for e in &mut self.overflow {
@@ -438,21 +436,18 @@ impl<P: SpPredicate> Knowledge<P> {
     /// Replay never re-records (a recovery pass must not journal the ops it
     /// is applying); the recording flag is restored afterwards.
     ///
-    /// # Panics
-    /// Panics if the op does not fit this knowledge base's state — ops are
-    /// only replayable against a base byte-identical to the one they were
-    /// recorded on (the recovery path `validate()`s and surfaces corruption
-    /// errors before this can happen).
-    pub(crate) fn apply_op(&mut self, op: RefinementOp<P>) {
-        let was = self.recording;
-        self.recording = false;
+    /// # Errors
+    /// A short description, and nothing applied, when the op does not fit
+    /// this knowledge base: a rank or cut past `k`, a split whose bitmap is
+    /// not one bit per member or leaves a half empty, a placement of a tuple
+    /// already indexed, a malformed interval, or a refinement that would
+    /// empty one. A record that passed its checksum can still be all of
+    /// these, and recovery must refuse it rather than panic.
+    pub fn try_apply_op(&mut self, op: RefinementOp<P>) -> Result<(), &'static str> {
+        self.fits(&op)?;
+        let was = std::mem::replace(&mut self.recording, false);
         match op {
-            RefinementOp::Split {
-                rank,
-                left,
-                right,
-                sep,
-            } => self.apply_split(rank, left, right, sep),
+            RefinementOp::Split { rank, left, sep } => self.apply_split(rank, left, sep),
             RefinementOp::Delete { tuple } => self.delete(tuple),
             RefinementOp::Park { tuple, lo, hi } => self.park(tuple, lo, hi),
             RefinementOp::Place { tuple, rank } => self.place(tuple, rank),
@@ -468,6 +463,66 @@ impl<P: SpPredicate> Knowledge<P> {
             }
         }
         self.recording = was;
+        Ok(())
+    }
+
+    /// Whether `op` can be applied here without tripping an invariant.
+    fn fits(&self, op: &RefinementOp<P>) -> Result<(), &'static str> {
+        let k = self.pop.k();
+        match op {
+            RefinementOp::Split { rank, left, .. } => {
+                if *rank >= k {
+                    return Err("split rank out of range");
+                }
+                if left.len() != self.pop.members_at(*rank).len() {
+                    return Err("split bitmap is not one bit per member");
+                }
+                let ones = left.count_ones();
+                if ones == 0 || ones == left.len() {
+                    return Err("split leaves a half empty");
+                }
+            }
+            RefinementOp::Delete { .. } => {}
+            RefinementOp::Park { tuple, lo, hi } => {
+                if lo > hi || *hi >= k {
+                    return Err("park interval out of range");
+                }
+                if self.indexes(*tuple) {
+                    return Err("park of an indexed tuple");
+                }
+            }
+            RefinementOp::Place { tuple, rank } => {
+                if *rank >= k {
+                    return Err("place rank out of range");
+                }
+                if self.indexes(*tuple) {
+                    return Err("place of an indexed tuple");
+                }
+            }
+            RefinementOp::Solo { tuple } => {
+                if k != 0 || self.indexes(*tuple) {
+                    return Err("solo on a non-empty knowledge base");
+                }
+            }
+            RefinementOp::Refine {
+                cut,
+                left_label,
+                outputs,
+            } => {
+                if cut.saturating_add(1) >= k {
+                    return Err("refine cut out of range");
+                }
+                for &(t, out) in outputs {
+                    let Some(e) = self.overflow.iter().find(|e| e.tuple == t) else {
+                        continue;
+                    };
+                    if (out == *left_label && e.lo > *cut) || (out != *left_label && e.hi <= *cut) {
+                        return Err("refine empties an overflow interval");
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Storage footprint in bytes: the POP's canonical form, retained
@@ -541,9 +596,23 @@ impl<P: SpPredicate> Knowledge<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use prkb_edbms::{ComparisonOp, Predicate};
+    use std::collections::HashSet;
+
+    /// Splits the partition at `rank` so that exactly the members in `left`
+    /// go left: the tests and the reference twins name halves by member.
+    pub(crate) fn split<P: SpPredicate>(
+        kb: &mut Knowledge<P>,
+        rank: usize,
+        left: &[TupleId],
+        sep: Option<Separator<P>>,
+    ) {
+        let left: HashSet<TupleId> = left.iter().copied().collect();
+        let bits = kb.pop().members_at(rank).iter().map(|t| left.contains(t));
+        kb.apply_split(rank, bits.collect(), sep);
+    }
 
     fn sep(bound: u64, left_label: bool) -> Separator<Predicate> {
         Separator::Cmp {
@@ -556,7 +625,7 @@ mod tests {
     fn init_and_split() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
         assert_eq!(kb.k(), 1);
-        kb.apply_split(0, vec![0, 1], vec![2, 3], Some(sep(5, true)));
+        split(&mut kb, 0, &[0, 1], Some(sep(5, true)));
         assert_eq!(kb.k(), 2);
         assert_eq!(kb.seps.len(), 1);
         assert!(kb.sep(0).is_some());
@@ -566,7 +635,7 @@ mod tests {
     #[test]
     fn split_without_separator_keeps_alignment() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
-        kb.apply_split(0, vec![0, 1], vec![2, 3], None);
+        split(&mut kb, 0, &[0, 1], None);
         assert!(kb.sep(0).is_none());
         assert_eq!(kb.seps.len(), 1);
         kb.check_invariants();
@@ -575,8 +644,8 @@ mod tests {
     #[test]
     fn delete_empties_partition_and_drops_right_separator() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(3);
-        kb.apply_split(0, vec![0], vec![1, 2], Some(sep(5, true)));
-        kb.apply_split(1, vec![1], vec![2], Some(sep(9, false)));
+        split(&mut kb, 0, &[0], Some(sep(5, true)));
+        split(&mut kb, 1, &[1], Some(sep(9, false)));
         assert_eq!(kb.k(), 3);
         // Empty the middle partition: its right separator (index 1) dies.
         kb.delete(1);
@@ -595,8 +664,8 @@ mod tests {
     #[test]
     fn delete_first_partition_drops_its_right_separator() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(3);
-        kb.apply_split(0, vec![0], vec![1, 2], Some(sep(5, true)));
-        kb.apply_split(1, vec![1], vec![2], Some(sep(9, false)));
+        split(&mut kb, 0, &[0], Some(sep(5, true)));
+        split(&mut kb, 1, &[1], Some(sep(9, false)));
         kb.delete(0); // rank 0 empties → seps[0] (bound 5) is dropped
         assert_eq!(kb.k(), 2);
         assert!(matches!(
@@ -612,7 +681,7 @@ mod tests {
     #[test]
     fn deleting_parked_tuple_removes_overflow_entry() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
-        kb.apply_split(0, vec![0, 1], vec![2, 3], Some(sep(5, true)));
+        split(&mut kb, 0, &[0, 1], Some(sep(5, true)));
         kb.park(9, 0, 1);
         kb.delete(9);
         assert!(kb.overflow().is_empty());
@@ -622,7 +691,7 @@ mod tests {
     #[test]
     fn deleting_an_unindexed_tuple_journals_nothing() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(9);
-        kb.apply_split(0, vec![0, 1, 2], (3..9).collect(), Some(sep(5, true)));
+        split(&mut kb, 0, &[0, 1, 2], Some(sep(5, true)));
         kb.park(9, 0, 1);
         kb.set_recording(true);
         kb.delete(3);
@@ -635,11 +704,75 @@ mod tests {
         kb.check_invariants();
     }
 
+    /// An op that does not fit the knowledge base is refused, and refusing
+    /// it changes nothing: recovery reports it instead of panicking.
+    #[test]
+    fn a_misfit_op_is_refused_and_changes_nothing() {
+        let mut kb: Knowledge<Predicate> = Knowledge::init(8);
+        split(&mut kb, 0, &[0, 1, 2, 3], Some(sep(5, true)));
+        kb.park(9, 0, 1);
+        kb.park(11, 1, 1);
+        let before = crate::snapshot::save(&kb);
+        let bits = |b: &[bool]| b.iter().copied().collect::<SplitBits>();
+        let misfits = [
+            RefinementOp::Split {
+                rank: 999,
+                left: bits(&[true, false]),
+                sep: None,
+            },
+            RefinementOp::Split {
+                rank: 0,
+                left: bits(&[true, false, true]),
+                sep: None,
+            },
+            RefinementOp::Split {
+                rank: 1,
+                left: bits(&[true; 4]),
+                sep: None,
+            },
+            RefinementOp::Place { tuple: 3, rank: 0 },
+            RefinementOp::Place { tuple: 9, rank: 0 },
+            RefinementOp::Place { tuple: 10, rank: 2 },
+            RefinementOp::Park {
+                tuple: 10,
+                lo: 1,
+                hi: 0,
+            },
+            RefinementOp::Park {
+                tuple: 10,
+                lo: 0,
+                hi: 2,
+            },
+            RefinementOp::Park {
+                tuple: 2,
+                lo: 0,
+                hi: 1,
+            },
+            RefinementOp::Solo { tuple: 10 },
+            RefinementOp::Refine {
+                cut: 1,
+                left_label: true,
+                outputs: vec![(9, true)],
+            },
+            RefinementOp::Refine {
+                cut: 0,
+                left_label: true,
+                outputs: vec![(11, true)],
+            },
+        ];
+        for op in misfits {
+            let what = format!("{op:?}");
+            assert!(kb.try_apply_op(op).is_err(), "{what} was applied");
+            assert_eq!(crate::snapshot::save(&kb), before, "{what} changed the KB");
+        }
+        kb.check_invariants();
+    }
+
     #[test]
     fn overflow_remap_on_partition_removal() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(3);
-        kb.apply_split(0, vec![0], vec![1, 2], Some(sep(5, true)));
-        kb.apply_split(1, vec![1], vec![2], Some(sep(9, true)));
+        split(&mut kb, 0, &[0], Some(sep(5, true)));
+        split(&mut kb, 1, &[1], Some(sep(9, true)));
         kb.park(7, 1, 2);
         // Empty the middle partition (rank 1): interval endpoints at the
         // removed rank remap to the merged-into rank.
@@ -654,7 +787,7 @@ mod tests {
     #[test]
     fn delete_last_partition_drops_left_separator() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(2);
-        kb.apply_split(0, vec![0], vec![1], Some(sep(5, true)));
+        split(&mut kb, 0, &[0], Some(sep(5, true)));
         kb.delete(1);
         assert_eq!(kb.k(), 1);
         assert_eq!(kb.seps.len(), 0);
@@ -673,10 +806,10 @@ mod tests {
     #[test]
     fn overflow_interval_tracks_splits() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
-        kb.apply_split(0, vec![0, 1], vec![2, 3], Some(sep(5, true)));
+        split(&mut kb, 0, &[0, 1], Some(sep(5, true)));
         kb.park(9, 0, 1);
         // Split rank 0: interval's hi at rank 1 shifts to 2; lo at 0 stays.
-        kb.apply_split(0, vec![0], vec![1], Some(sep(3, true)));
+        split(&mut kb, 0, &[0], Some(sep(3, true)));
         assert_eq!(
             kb.overflow()[0],
             OverflowEntry {
@@ -691,7 +824,7 @@ mod tests {
     #[test]
     fn refine_overflow_places_tuple() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(4);
-        kb.apply_split(0, vec![0, 1], vec![2, 3], Some(sep(5, true)));
+        split(&mut kb, 0, &[0, 1], Some(sep(5, true)));
         kb.park(9, 0, 1);
         // Cut at boundary 0, left label true; tuple answered false → right.
         kb.refine_overflow(0, true, |t| (t == 9).then_some(false));
@@ -703,8 +836,8 @@ mod tests {
     #[test]
     fn refine_overflow_narrows_without_placing() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(6);
-        kb.apply_split(0, vec![0, 1], vec![2, 3, 4, 5], Some(sep(5, true)));
-        kb.apply_split(1, vec![2, 3], vec![4, 5], Some(sep(9, true)));
+        split(&mut kb, 0, &[0, 1], Some(sep(5, true)));
+        split(&mut kb, 1, &[2, 3], Some(sep(9, true)));
         kb.park(9, 0, 2);
         kb.refine_overflow(0, true, |t| (t == 9).then_some(false));
         assert_eq!(
@@ -741,12 +874,8 @@ mod tests {
     fn storage_grows_with_separators() {
         let mut kb: Knowledge<Predicate> = Knowledge::init(100);
         let base = kb.storage_bytes();
-        kb.apply_split(
-            0,
-            (0..50).collect(),
-            (50..100).collect(),
-            Some(sep(5, true)),
-        );
+        let left: Vec<TupleId> = (0..50).collect();
+        split(&mut kb, 0, &left, Some(sep(5, true)));
         assert!(kb.storage_bytes() > base);
     }
 }

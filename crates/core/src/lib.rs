@@ -89,7 +89,7 @@ pub use knowledge::{Knowledge, RefinementOp, Separator};
 pub use lsm::SegmentManifest;
 pub use md::MdUpdatePolicy;
 pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
-pub use pop::Pop;
+pub use pop::{Pop, SplitBits};
 pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use scrub::{ScrubDamage, ScrubFinding, ScrubReport};
 pub use selection::{QueryStats, Selection};

@@ -19,6 +19,7 @@ pub(crate) mod tests {
     use crate::between::twin::{scan_partition, try_process_between};
     use crate::engine::{EngineConfig, PrkbEngine};
     use crate::insert::tests::try_insert_tuple;
+    use crate::knowledge::tests::split as split_kb;
     use crate::knowledge::Knowledge;
     use crate::knowledge::Separator;
     use crate::md::exec::order_halves;
@@ -128,13 +129,17 @@ pub(crate) mod tests {
                 _ if r == ns.1 => labels[1],
                 _ => filter.known_label(r),
             };
-            let (left, right, left_label) =
-                order_halves(kb.k(), cut, s.true_half, s.false_half, label_of);
+            let left_label = order_halves(kb.k(), cut, label_of);
+            let left = if left_label {
+                s.true_half
+            } else {
+                s.false_half
+            };
             let sep = Separator::Cmp {
                 pred: *pred,
                 left_label,
             };
-            kb.apply_split(cut, left, right, Some(sep));
+            split_kb(kb, cut, &left, Some(sep));
             kb.refine_overflow(cut, left_label, |t| out.get(&t).copied());
             splits = 1;
         }

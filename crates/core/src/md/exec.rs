@@ -7,7 +7,7 @@ use super::zones::{rank_class, Zones};
 use super::{MdDim, MdUpdatePolicy};
 use crate::between::{self, Found};
 use crate::knowledge::{BetweenEdge, Separator};
-use crate::pop::Pop;
+use crate::pop::{Pop, SplitBits};
 use crate::qfilter::{try_qfilter, FilterResult};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
@@ -761,37 +761,26 @@ where
         .sum())
 }
 
-/// A staged split: (rank, left, right, separator, and for a comparison
-/// cut its left label and trapdoor, whose wave's overflow verdicts the
-/// fresh cut refines).
-type PendingSplit<P> = (
-    usize,
-    Vec<TupleId>,
-    Vec<TupleId>,
-    Separator<P>,
-    Option<(bool, usize)>,
-);
+/// A staged split: (rank, which members go left, separator, and for a
+/// comparison cut its left label and trapdoor, whose wave's overflow
+/// verdicts the fresh cut refines).
+type PendingSplit<P> = (usize, SplitBits, Separator<P>, Option<(bool, usize)>);
 
-/// Partitions `members` into (true half, false half), both in member
-/// order, by the verdicts `side` tested; `untested` decides each member the
-/// walk did not test.
+/// The verdicts `side` tested for `members`, one bit per member in member
+/// order, set where the verdict equals `left` — so the bits say which
+/// members go left when the `left` half does; `untested` decides each
+/// member the walk did not test.
 fn member_verdicts(
     members: &[TupleId],
     side: &NsSide,
+    left: bool,
     mut untested: impl FnMut(TupleId) -> Result<bool, OracleError>,
-) -> Result<(Vec<TupleId>, Vec<TupleId>), OracleError> {
-    let mut true_half = Vec::with_capacity(side.trues);
-    let mut false_half = Vec::with_capacity(members.len().saturating_sub(side.trues));
+) -> Result<SplitBits, OracleError> {
+    let mut bits = SplitBits::with_capacity(members.len());
     // The driver dimension tests a whole partition in member order.
     if side.tested == members {
-        for (&t, &v) in members.iter().zip(&side.verdicts) {
-            if v {
-                true_half.push(t);
-            } else {
-                false_half.push(t);
-            }
-        }
-        return Ok((true_half, false_half));
+        side.verdicts.iter().for_each(|&v| bits.push(v == left));
+        return Ok(bits);
     }
     let mut by_tuple: Vec<(TupleId, bool)> = side
         .tested
@@ -805,13 +794,9 @@ fn member_verdicts(
             Ok(i) => by_tuple[i].1,
             Err(_) => untested(t)?,
         };
-        if out {
-            true_half.push(t);
-        } else {
-            false_half.push(t);
-        }
+        bits.push(out == left);
     }
-    Ok((true_half, false_half))
+    Ok(bits)
 }
 
 /// Which side of the cut inside the mixed partition at `rank` a BETWEEN's
@@ -867,28 +852,28 @@ where
                     edge => edge,
                 },
             };
-            // Ablation mode: pay the missing QPF to finish the split.
-            let (true_half, false_half) =
-                member_verdicts(members, side, |t| oracle.try_eval(pred, t))?;
-            let pred = pred.clone();
-            let (left, right, sep, refines) = if let Some(edge) = edge {
-                let (left, right) = match edge {
-                    BetweenEdge::InteriorRight => (false_half, true_half),
-                    BetweenEdge::InteriorLeft => (true_half, false_half),
+            let (left_label, sep, refines) = if let Some(edge) = edge {
+                let sep = Separator::Between {
+                    pred: pred.clone(),
+                    edge,
                 };
-                (left, right, Separator::Between { pred, edge }, None)
+                (edge == BetweenEdge::InteriorLeft, sep, None)
             } else {
                 // Neighbour labels for the ordering rule. This rank is
                 // mixed, so it *is* the separating partition — the pair
                 // partner is homogeneous with its sampled label (Lemma 4.5).
                 let other = td.sides.iter().find(|s| s.rank != r).unwrap_or(side);
                 let label_of = |q: usize| (q == other.rank).then_some(other.label).or(td.label(q));
-                let (left, right, left_label) =
-                    order_halves(dim.knowledge.k(), r, true_half, false_half, label_of);
-                let sep = Separator::Cmp { pred, left_label };
-                (left, right, sep, Some((left_label, j)))
+                let left_label = order_halves(dim.knowledge.k(), r, label_of);
+                let sep = Separator::Cmp {
+                    pred: pred.clone(),
+                    left_label,
+                };
+                (left_label, sep, Some((left_label, j)))
             };
-            pending.push((r, left, right, sep, refines));
+            // Ablation mode: pay the missing QPF to finish the split.
+            let left = member_verdicts(members, side, left_label, |t| oracle.try_eval(pred, t))?;
+            pending.push((r, left, sep, refines));
         }
     }
     Ok(pending)
@@ -918,8 +903,8 @@ fn commit_dim_updates<P: SpPredicate>(
     for td in trapdoors.iter_mut() {
         td.overflow.sort_unstable_by_key(|e| e.0);
     }
-    for (rank, left, right, sep, refines) in pending {
-        dim.knowledge.apply_split(rank, left, right, Some(sep));
+    for (rank, left, sep, refines) in pending {
+        dim.knowledge.apply_split(rank, left, Some(sep));
         if let Some((left_label, j)) = refines {
             let verdicts = &trapdoors[j].overflow;
             dim.knowledge.refine_overflow(rank, left_label, |t| {
@@ -931,33 +916,27 @@ fn commit_dim_updates<P: SpPredicate>(
     n
 }
 
-/// Orders `(true_half, false_half)` of a split at `rank` in a POP with `k`
-/// partitions (paper §5.3): the half whose QPF label equals a known-labelled
-/// neighbour's is placed adjacent to it — the left neighbour first, then the
-/// right. The very first split of a 1-partition POP is unconstrained and
-/// ordered false-first. `label_of` reports a neighbouring rank's label when
-/// this query established it. Returns `(left, right, left_label)`.
+/// Decides which half of a split at `rank` in a POP with `k` partitions
+/// goes left (paper §5.3): the half whose QPF label equals a
+/// known-labelled neighbour's is placed adjacent to it — the left neighbour
+/// first, then the right. The very first split of a 1-partition POP is
+/// unconstrained and puts the false half left. `label_of` reports a
+/// neighbouring rank's label when this query established it. Returns the
+/// left half's label.
 pub(super) fn order_halves(
     k: usize,
     rank: usize,
-    true_half: Vec<TupleId>,
-    false_half: Vec<TupleId>,
     label_of: impl Fn(usize) -> Option<bool>,
-) -> (Vec<TupleId>, Vec<TupleId>, bool) {
+) -> bool {
     let left_neighbor = if rank > 0 { label_of(rank - 1) } else { None };
     let right_neighbor = if rank + 1 < k {
         label_of(rank + 1)
     } else {
         None
     };
-    let true_first = left_neighbor
+    left_neighbor
         .or(right_neighbor.map(|r| !r))
-        .unwrap_or(false);
-    if true_first {
-        (true_half, false_half, true)
-    } else {
-        (false_half, true_half, false)
-    }
+        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -1292,14 +1271,15 @@ mod tests {
 
         /// `member_verdicts` is a by-tuple lookup, whatever order the
         /// verdicts were tested in, however the runs were cut and however
-        /// many are missing; a missing one is asked of `untested`, in
-        /// member order.
+        /// many are missing, and whichever half goes left; a missing one is
+        /// asked of `untested`, in member order.
         #[test]
         fn member_verdicts_is_a_lookup(
             members in proptest::collection::vec(0u32..500, 0..60),
             seed in proptest::prelude::any::<u64>(),
             shuffle in proptest::prelude::any::<bool>(),
             partial in proptest::prelude::any::<bool>(),
+            left in proptest::prelude::any::<bool>(),
         ) {
             let mut members = members;
             members.sort_unstable();
@@ -1326,20 +1306,13 @@ mod tests {
             }
             let map: HashMap<TupleId, bool> = tested.iter().copied().collect();
             let mut asked = Vec::new();
-            let halves = member_verdicts(&members, &side, |t| {
+            let bits = member_verdicts(&members, &side, left, |t| {
                 asked.push(t);
                 Ok(t % 3 == 0)
             })
             .expect("untested never fails");
-            let (mut true_half, mut false_half) = (Vec::new(), Vec::new());
-            for &t in &members {
-                if map.get(&t).copied().unwrap_or(t % 3 == 0) {
-                    true_half.push(t);
-                } else {
-                    false_half.push(t);
-                }
-            }
-            proptest::prop_assert_eq!(halves, (true_half, false_half));
+            let expected = members.iter().map(|t| map.get(t).copied().unwrap_or(t % 3 == 0) == left);
+            proptest::prop_assert_eq!(bits, expected.collect::<SplitBits>());
             let missing: Vec<TupleId> =
                 members.iter().copied().filter(|t| !map.contains_key(t)).collect();
             proptest::prop_assert_eq!(asked, missing);
@@ -1553,25 +1526,20 @@ mod tests {
     #[test]
     fn left_neighbor_wins() {
         // Left neighbour is F-homogeneous → false half adjacent to it.
-        let (l, r, ll) = order_halves(3, 1, vec![1], vec![2], |rk| Some(rk != 0));
-        assert_eq!((l, r, ll), (vec![2], vec![1], false));
+        assert!(!order_halves(3, 1, |rk| Some(rk != 0)));
         // Left neighbour T-homogeneous → true half left.
-        let (l, r, ll) = order_halves(3, 1, vec![1], vec![2], |_| Some(true));
-        assert_eq!((l, r, ll), (vec![1], vec![2], true));
+        assert!(order_halves(3, 1, |_| Some(true)));
     }
 
     #[test]
     fn right_neighbor_used_when_no_left() {
         // rank 0: right neighbour T-homogeneous → true half goes right.
-        let (l, r, ll) = order_halves(3, 0, vec![1], vec![2], |_| Some(true));
-        assert_eq!((l, r, ll), (vec![2], vec![1], false));
-        let (l, r, ll) = order_halves(3, 0, vec![1], vec![2], |_| Some(false));
-        assert_eq!((l, r, ll), (vec![1], vec![2], true));
+        assert!(!order_halves(3, 0, |_| Some(true)));
+        assert!(order_halves(3, 0, |_| Some(false)));
     }
 
     #[test]
     fn unconstrained_first_split() {
-        let (l, r, ll) = order_halves(1, 0, vec![1], vec![2], |_| None);
-        assert_eq!((l, r, ll), (vec![2], vec![1], false));
+        assert!(!order_halves(1, 0, |_| None));
     }
 }

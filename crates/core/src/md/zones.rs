@@ -117,10 +117,8 @@ mod tests {
         let oracle = PlainOracle::single_column(values);
         let mut pop = Pop::init(100);
         for i in 1..10usize {
-            let members = pop.members_at(i - 1).to_vec();
-            let (a, b): (Vec<_>, Vec<_>) =
-                members.into_iter().partition(|&t| (t as usize) < i * 10);
-            pop.split_at(i - 1, a, b);
+            let left = pop.members_at(i - 1).iter().map(|&t| (t as usize) < i * 10);
+            pop.split_at(i - 1, &left.collect());
         }
         let mut rng = StdRng::seed_from_u64(1);
         let p_lo = Predicate::cmp(0, ComparisonOp::Gt, 25);

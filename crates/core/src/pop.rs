@@ -8,6 +8,11 @@
 //! Partitions carry **stable ids** ([`PartId`]) so that splits (which shift
 //! ranks) do not invalidate references held elsewhere (separators, overflow
 //! intervals). Rank ↔ id translation is O(1) both ways.
+//!
+//! Each partition's members are kept in **ascending tuple id**, the order a
+//! snapshot load rebuilds. A split therefore needs only one bit per member
+//! ([`SplitBits`]) to say which half each goes to, and the bits mean the
+//! same thing on the live KB and on one recovered from disk.
 
 use prkb_edbms::TupleId;
 use rand::Rng;
@@ -27,7 +32,7 @@ pub struct Pop {
     order: Vec<PartId>,
     /// partition id → current rank (DEAD_RANK when the partition is gone).
     rank: Vec<u32>,
-    /// partition id → member tuple ids (unordered within the partition).
+    /// partition id → member tuple ids, ascending.
     members: Vec<Vec<TupleId>>,
     /// tuple slot → partition id (NO_PART when unplaced/deleted).
     locate: Vec<PartId>,
@@ -108,52 +113,64 @@ impl Pop {
         }
     }
 
-    /// Splits the partition at `rank` into two adjacent partitions.
+    /// Splits the partition at `rank` into two adjacent partitions: member
+    /// `i` (in ascending order) goes to the left half at `rank` when bit `i`
+    /// of `left` is set, else to the right half at `rank + 1`. Both halves
+    /// keep ascending order (a stable partition); the left half stays in the
+    /// partition's own `Vec` and the right half moves to a new one.
     ///
-    /// `first` and `second` become the members at `rank` and `rank + 1`
-    /// respectively (caller decides the order per the update rule). Together
-    /// they must be exactly the current members, and both must be non-empty.
-    ///
-    /// Returns `(id_first, id_second)`: the partition at `rank` keeps the old
+    /// Returns `(id_left, id_right)`: the partition at `rank` keeps the old
     /// id (so the left endpoint of any range that included it stays valid);
     /// the right half gets a fresh id.
     ///
     /// # Panics
-    /// Panics if the halves are empty or do not repartition the members.
-    pub(crate) fn split_at(
-        &mut self,
-        rank: usize,
-        first: Vec<TupleId>,
-        second: Vec<TupleId>,
-    ) -> (PartId, PartId) {
+    /// Panics unless there is one bit per member and both halves are
+    /// non-empty.
+    pub(crate) fn split_at(&mut self, rank: usize, left: &SplitBits) -> (PartId, PartId) {
+        let id = self.order[rank];
+        let members = &mut self.members[id as usize];
+        assert_eq!(left.len(), members.len(), "one split bit per member");
+        let ones = left.count_ones();
         assert!(
-            !first.is_empty() && !second.is_empty(),
+            ones > 0 && ones < left.len(),
             "split halves must be non-empty"
         );
-        let id = self.order[rank];
-        debug_assert_eq!(
-            first.len() + second.len(),
-            self.members[id as usize].len(),
-            "split must repartition the members"
-        );
+        // Branch-free, as verdicts are scattered in id order: every member
+        // is written to both halves and only its own half's cursor advances
+        // (so `right` has one slot of slack).
+        let n = members.len();
+        let mut right = vec![0; n - ones + 1];
+        let (mut l, mut r) = (0, 0);
+        for (at, &byte) in (0..n).step_by(8).zip(left.as_bytes()) {
+            let mut byte = usize::from(byte);
+            for i in at..n.min(at + 8) {
+                let (t, bit) = (members[i], byte & 1);
+                byte >>= 1;
+                members[l] = t;
+                right[r] = t;
+                l += bit;
+                r += 1 - bit;
+            }
+        }
+        members.truncate(l);
+        members.shrink_to_fit();
+        right.truncate(r);
         let new_id = self.members.len() as PartId;
-        // Left half keeps the old id.
-        self.members[id as usize] = first;
-        self.members.push(second);
+        for &t in &right {
+            self.locate[t as usize] = new_id;
+        }
+        self.members.push(right);
         self.rank.push((rank + 1) as u32);
         self.order.insert(rank + 1, new_id);
         // Ranks after the insertion point shift right.
         for r in (rank + 2)..self.order.len() {
             self.rank[self.order[r] as usize] = r as u32;
         }
-        // Relabel moved tuples.
-        for &t in &self.members[new_id as usize] {
-            self.locate[t as usize] = new_id;
-        }
         (id, new_id)
     }
 
-    /// Places an unplaced tuple into the partition at `rank`.
+    /// Places an unplaced tuple into the partition at `rank`, at its place
+    /// in ascending order (an append when `t` is the newest tuple).
     ///
     /// # Panics
     /// Panics if `t` is already placed.
@@ -161,7 +178,8 @@ impl Pop {
         self.ensure_slot(t);
         assert_eq!(self.locate[t as usize], NO_PART, "tuple {t} already placed");
         let id = self.order[rank];
-        self.members[id as usize].push(t);
+        let members = &mut self.members[id as usize];
+        members.insert(members.partition_point(|&x| x < t), t);
         self.locate[t as usize] = id;
         self.placed += 1;
     }
@@ -238,11 +256,8 @@ impl Pop {
             return RemoveOutcome::NotPlaced;
         };
         let members = &mut self.members[id as usize];
-        let pos = members
-            .iter()
-            .position(|&x| x == t)
-            .expect("locate and members agree");
-        members.swap_remove(pos);
+        let pos = members.binary_search(&t).expect("locate and members agree");
+        members.remove(pos);
         self.locate[t as usize] = NO_PART;
         self.placed -= 1;
         if members.is_empty() {
@@ -266,8 +281,8 @@ impl Pop {
         self.locate.len() * 4 + self.order.len() * 4
     }
 
-    /// Validates all structural invariants — partitions non-empty, disjoint,
-    /// rank table consistent, locate consistent — reporting the first
+    /// Validates all structural invariants — partitions non-empty, disjoint
+    /// and ascending, rank table consistent, locate consistent — reporting the first
     /// violated one instead of asserting, so untrusted input (e.g. a
     /// snapshot read from disk) can be rejected gracefully.
     ///
@@ -284,6 +299,9 @@ impl Pop {
             };
             if m.is_empty() {
                 return Err("empty partition");
+            }
+            if m.windows(2).any(|w| w[0] >= w[1]) {
+                return Err("partition not ascending");
             }
             for &t in m {
                 if !seen.insert(t) {
@@ -321,11 +339,91 @@ pub(crate) enum RemoveOutcome {
     },
 }
 
+/// One bit per member of a partition, indexed in the partition's ascending
+/// member order: bit `i` set puts the `i`-th smallest member in the left
+/// half of a split. This is all a split record carries besides its rank and
+/// separator — ⌈n/8⌉ bytes, least significant bit first, padding bits
+/// clear.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitBits {
+    len: usize,
+    bytes: Vec<u8>,
+}
+
+impl SplitBits {
+    /// Empty, with room for `n` bits.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SplitBits {
+            len: 0,
+            bytes: Vec::with_capacity(n.div_ceil(8)),
+        }
+    }
+
+    /// `len` bits from their packed bytes (a decoded record).
+    ///
+    /// # Errors
+    /// When `bytes` is not ⌈len/8⌉ long or a padding bit is set.
+    pub(crate) fn from_bytes(len: usize, bytes: &[u8]) -> Result<Self, &'static str> {
+        if bytes.len() != len.div_ceil(8) {
+            return Err("split bitmap length");
+        }
+        if bytes
+            .last()
+            .is_some_and(|&b| !len.is_multiple_of(8) && b >> (len % 8) != 0)
+        {
+            return Err("split bitmap padding");
+        }
+        Ok(SplitBits {
+            len,
+            bytes: bytes.to_vec(),
+        })
+    }
+
+    /// Appends one bit.
+    pub(crate) fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(8) {
+            self.bytes.push(0);
+        }
+        self.bytes[self.len / 8] |= u8::from(bit) << (self.len % 8);
+        self.len += 1;
+    }
+
+    /// Number of bits (members of the split partition).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Number of set bits (members of the left half).
+    pub(crate) fn count_ones(&self) -> usize {
+        self.bytes.iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// The packed bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl FromIterator<bool> for SplitBits {
+    fn from_iter<I: IntoIterator<Item = bool>>(bits: I) -> Self {
+        let bits = bits.into_iter();
+        let mut out = SplitBits::with_capacity(bits.size_hint().0);
+        bits.for_each(|bit| out.push(bit));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Splits the partition at `rank` so that exactly `left` goes left.
+    fn split(pop: &mut Pop, rank: usize, left: &[TupleId]) -> (PartId, PartId) {
+        let bits = pop.members_at(rank).iter().map(|t| left.contains(t));
+        pop.split_at(rank, &bits.collect())
+    }
 
     #[test]
     fn init_single_partition() {
@@ -348,7 +446,7 @@ mod tests {
     #[test]
     fn split_preserves_order_and_ids() {
         let mut pop = Pop::init(6);
-        let (left, right) = pop.split_at(0, vec![0, 1, 2], vec![3, 4, 5]);
+        let (left, right) = split(&mut pop, 0, &[0, 1, 2]);
         assert_eq!(pop.k(), 2);
         assert_eq!(pop.members_at(0), &[0, 1, 2]);
         assert_eq!(pop.members_at(1), &[3, 4, 5]);
@@ -358,7 +456,7 @@ mod tests {
         pop.validate().unwrap();
 
         // Split the middle; ranks shift.
-        let (a, b) = pop.split_at(1, vec![4], vec![3, 5]);
+        let (a, b) = split(&mut pop, 1, &[4]);
         assert_eq!(pop.k(), 3);
         assert_eq!(pop.members_at(1), &[4]);
         assert_eq!(pop.members_at(2), &[3, 5]);
@@ -367,7 +465,7 @@ mod tests {
         pop.validate().unwrap();
 
         // Splitting rank 0 shifts everything after it.
-        pop.split_at(0, vec![0], vec![1, 2]);
+        split(&mut pop, 0, &[0]);
         assert_eq!(pop.k(), 4);
         assert_eq!(pop.members_at(0), &[0]);
         assert_eq!(pop.members_at(1), &[1, 2]);
@@ -380,13 +478,13 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn split_rejects_empty_half() {
         let mut pop = Pop::init(3);
-        pop.split_at(0, vec![], vec![0, 1, 2]);
+        split(&mut pop, 0, &[]);
     }
 
     #[test]
     fn sample_is_a_member() {
         let mut pop = Pop::init(10);
-        pop.split_at(0, vec![0, 1, 2], (3..10).collect());
+        split(&mut pop, 0, &[0, 1, 2]);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
             let s = pop.sample_at(0, &mut rng);
@@ -399,12 +497,12 @@ mod tests {
     #[test]
     fn remove_and_empty_partition() {
         let mut pop = Pop::init(4);
-        pop.split_at(0, vec![0], vec![1, 2, 3]);
+        split(&mut pop, 0, &[0]);
         assert_eq!(pop.remove(1), RemoveOutcome::Removed);
         assert_eq!(pop.remove(1), RemoveOutcome::NotPlaced);
         assert_eq!(pop.remove(0), RemoveOutcome::Emptied { rank: 0 });
         assert_eq!(pop.k(), 1);
-        assert_eq!(pop.members_at(0), &[3, 2]); // swap_remove order
+        assert_eq!(pop.members_at(0), &[2, 3], "an ordered remove");
         assert_eq!(pop.placed, 2);
         pop.validate().unwrap();
     }
@@ -412,11 +510,37 @@ mod tests {
     #[test]
     fn place_new_tuple() {
         let mut pop = Pop::init(3);
-        pop.split_at(0, vec![0], vec![1, 2]);
+        split(&mut pop, 0, &[0]);
         pop.place(7, 1);
         assert_eq!(pop.rank_of_tuple(7), Some(1));
         assert_eq!(pop.placed, 4);
+        pop.remove(1);
+        pop.place(1, 1);
+        assert_eq!(pop.members_at(1), &[1, 2, 7], "placed in order");
         pop.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_an_unordered_partition() {
+        let mut pop = Pop::init(3);
+        pop.members[0].swap(0, 2);
+        assert_eq!(pop.validate(), Err("partition not ascending"));
+    }
+
+    #[test]
+    fn split_bits_pack_lsb_first() {
+        let bits: SplitBits = [true, false, false, true, true, false, false, false, true]
+            .into_iter()
+            .collect();
+        assert_eq!((bits.len(), bits.count_ones()), (9, 4));
+        assert_eq!(bits.as_bytes(), &[0b0001_1001, 0b1]);
+        assert_eq!(SplitBits::from_bytes(9, bits.as_bytes()), Ok(bits));
+        assert!(SplitBits::from_bytes(9, &[0xff]).is_err(), "short");
+        assert!(
+            SplitBits::from_bytes(9, &[0, 0b10]).is_err(),
+            "padding bit set"
+        );
+        assert!(SplitBits::from_bytes(0, &[]).is_ok());
     }
 
     #[test]
@@ -435,8 +559,8 @@ mod tests {
     #[test]
     fn ranks_roundtrip() {
         let mut pop = Pop::init(6);
-        pop.split_at(0, vec![0, 1, 2], vec![3, 4, 5]);
-        pop.split_at(1, vec![4], vec![3, 5]);
+        split(&mut pop, 0, &[0, 1, 2]);
+        split(&mut pop, 1, &[4]);
         pop.remove(2);
         let ranks = pop.to_ranks();
         assert_eq!(ranks[2], u32::MAX, "removed tuple unplaced");
@@ -458,8 +582,8 @@ mod tests {
     #[test]
     fn remove_first_and_last_rank_partitions() {
         let mut pop = Pop::init(3);
-        pop.split_at(0, vec![0], vec![1, 2]);
-        pop.split_at(1, vec![1], vec![2]);
+        split(&mut pop, 0, &[0]);
+        split(&mut pop, 1, &[1]);
         assert_eq!(pop.remove(0), RemoveOutcome::Emptied { rank: 0 });
         assert_eq!(pop.k(), 2);
         assert_eq!(pop.rank_of_tuple(1), Some(0));

@@ -131,10 +131,11 @@ mod tests {
         let width = n / parts;
         for i in 1..parts {
             let rank = i - 1;
-            let members = pop.members_at(rank).to_vec();
-            let (first, second): (Vec<_>, Vec<_>) =
-                members.into_iter().partition(|&t| (t as usize) < i * width);
-            pop.split_at(rank, first, second);
+            let left = pop
+                .members_at(rank)
+                .iter()
+                .map(|&t| (t as usize) < i * width);
+            pop.split_at(rank, &left.collect());
         }
         assert_eq!(pop.k(), parts);
         (pop, oracle)
@@ -219,11 +220,9 @@ mod tests {
         let mut pop = Pop::init(100);
         for i in 1..10usize {
             let rank = i - 1;
-            let members = pop.members_at(rank).to_vec();
             let cut = 100 - (i * 10) as u64;
-            let (first, second): (Vec<_>, Vec<_>) =
-                members.into_iter().partition(|&t| t as u64 >= cut);
-            pop.split_at(rank, first, second);
+            let left = pop.members_at(rank).iter().map(|&t| t as u64 >= cut);
+            pop.split_at(rank, &left.collect());
         }
         assert_eq!(pop.k(), 10);
         let mut rng = StdRng::seed_from_u64(6);

@@ -1,5 +1,5 @@
 //! One table for the six decoders `prkb-core` and `prkb-edbms` own —
-//! snapshot, WAL transaction, pool manifest, segment manifest, segment
+//! snapshot, WAL transaction (both split record forms), pool manifest, segment manifest, segment
 //! framing (both versions), trapdoor — under the hostile-input driver
 //! (`common/hostile.rs`). The images are the parent-written fixtures; the
 //! decoders are reached the way recovery and the scrubber reach them. `prkb-server`'s `wire_hardening` holds the
@@ -63,16 +63,28 @@ fn every_decoder_refuses_prefixes_and_flips_without_panicking_or_over_allocating
             },
         ),
     ];
-    let wal = fixture("parent_pool_seg/shard.1/wal.1.log");
-    for frame in scan_frames(&wal).frames {
-        let start = frame.offset as usize + FRAME_HEADER_LEN;
-        let payload = wal[start..start + frame.len as usize].to_vec();
-        cases.push(Case::raw(
-            &format!("WAL record {}", frame.index),
-            payload,
-            |b| decode_txn::<Predicate>(b).is_ok(),
-        ));
+    // Both split record generations: member lists (tag 0, in the WALs
+    // earlier commits wrote) and one bit per member (tag 6, pinned).
+    for file in [
+        "parent_pool_seg/shard.1/wal.1.log",
+        "parent_wal_lists/shard.0/wal.0.log",
+    ] {
+        let wal = fixture(file);
+        for frame in scan_frames(&wal).frames {
+            let start = frame.offset as usize + FRAME_HEADER_LEN;
+            let payload = wal[start..start + frame.len as usize].to_vec();
+            cases.push(Case::raw(
+                &format!("{file} record {}", frame.index),
+                payload,
+                |b| decode_txn::<Predicate>(b).is_ok(),
+            ));
+        }
     }
+    cases.push(Case::raw(
+        "split record",
+        fixture("split_record.bin"),
+        |b| decode_txn::<Predicate>(b).is_ok(),
+    ));
     // Format v1 (parent-written, bloom block in the aux extent) and v2.
     for (file, id) in [
         ("parent_pool_seg/shard.1/segment.0.seg", 0),

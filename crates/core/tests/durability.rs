@@ -34,7 +34,7 @@ use common::{
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
 use prkb_core::{DurableError, EngineConfig, MdUpdatePolicy, PrkbEngine, SessionScheduler};
-use prkb_edbms::durability::{DurabilityError, TailStatus, WAL_HEADER_LEN};
+use prkb_edbms::durability::{DurabilityError, TailStatus, Wal, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
 use prkb_sim::{FaultFs, IoOp};
@@ -566,6 +566,64 @@ fn tail_bit_flip_is_discarded_but_mid_log_flip_refuses_to_open() {
         ),
         "unexpected error class: {err}"
     );
+}
+
+/// A WAL record whose checksum verifies but whose op does not fit the
+/// knowledge base it replays onto refuses the open with `CorruptWal`,
+/// never a panic: a placement of a placed tuple, a split of a rank past
+/// `k` (in either split record form), a bitmap that is not one bit per
+/// member, cut short or leaving a half empty, member lists that miss a
+/// member. Attribute 0 holds one partition of tuples `0..8`.
+#[test]
+fn a_checksummed_record_that_does_not_fit_refuses_to_open() {
+    // `count u32 | kind u8 (1: op) | attr u32 | op`.
+    let txn = |op: &[u8]| [&1u32.to_le_bytes()[..], &[1], &0u32.to_le_bytes(), op].concat();
+    // `tag u8 | rank u64 | separator (0: none) | …`.
+    let split = |tag: u8, rank: u64, tail: &[u8]| {
+        txn(&[&[tag][..], &rank.to_le_bytes(), &[0], tail].concat())
+    };
+    let bits = |n: u32, bytes: &[u8]| [&n.to_le_bytes()[..], bytes].concat();
+    let list = |ids: &[u32]| {
+        let n = ids.len() as u32;
+        let ids = ids.iter().flat_map(|t| t.to_le_bytes());
+        n.to_le_bytes().into_iter().chain(ids).collect::<Vec<u8>>()
+    };
+    let lists = |left: &[u32], right: &[u32]| [list(left), list(right)].concat();
+    let place = [&[3u8][..], &3u32.to_le_bytes(), &0u64.to_le_bytes()].concat();
+    let cases = [
+        ("a place of a placed tuple", txn(&place)),
+        (
+            "a list-form split at rank 999",
+            split(0, 999, &lists(&[0, 1, 2, 3], &[4, 5, 6, 7])),
+        ),
+        (
+            "a list-form split missing a member",
+            split(0, 0, &lists(&[0, 1, 2], &[4, 5, 6, 7])),
+        ),
+        ("a split at rank 999", split(6, 999, &bits(8, &[0x0f]))),
+        (
+            "a 7-bit bitmap for 8 members",
+            split(6, 0, &bits(7, &[0x0f])),
+        ),
+        ("a bitmap cut short", split(6, 0, &bits(8, &[]))),
+        (
+            "a split leaving the right half empty",
+            split(6, 0, &bits(8, &[0xff])),
+        ),
+    ];
+    for (what, payload) in cases {
+        let dir = TmpDir::new("misfit");
+        let mut pool = open_pool(&dir.0, no_rotation(), 1, real_fs()).expect("opens");
+        pool.init_attr(0, 8).expect("durable init");
+        drop(pool);
+        let fs = real_fs();
+        let (mut wal, _, _) = Wal::open_on(fs.as_ref(), &wal_path(&dir, 0)).expect("wal opens");
+        wal.append_unsynced(&payload).expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+        let err = try_open(&dir, no_rotation()).expect_err(what);
+        assert!(matches!(err, DurableError::CorruptWal(_)), "{what}: {err}");
+    }
 }
 
 #[test]

@@ -527,6 +527,34 @@ fn parent_written_segmented_pool_opens_unchanged() {
     first_rotation_supersedes_segment_0(&dir.0, pool);
 }
 
+/// `parent_wal_lists`: a one-shard pool written by an earlier commit,
+/// never rotated — its whole history is `shard.0/wal.0.log` (12 records).
+/// Its splits are the previous record generation: op tag 0, both member
+/// lists. Four follow deletes, which that commit's swap-remove left out of
+/// ascending order, so their lists are not ascending either. The
+/// `attr.<a>.snap` beside it is `snapshot::save` of what that commit held
+/// in memory. Replay sorts each split's lists into bits, so it recovers
+/// those images with every partition ascending, and they survive a
+/// rotation.
+#[test]
+fn parent_written_list_form_splits_recover_to_the_served_images() {
+    let served: Vec<Vec<u8>> = (0..2)
+        .map(|a| {
+            std::fs::read(fixture("parent_wal_lists").join(format!("attr.{a}.snap")))
+                .expect("served image")
+        })
+        .collect();
+    let dir = TmpDir::new("parent-lists");
+    copy_tree(&fixture("parent_wal_lists"), &dir.0);
+    let pool = open_pool(&dir.0);
+    assert_eq!(pool.reports()[0].records_replayed, 12);
+    assert_eq!(pool_images(&pool), served, "checked ascending on the way");
+    SessionScheduler::durable(pool)
+        .checkpoint()
+        .expect("rotates");
+    assert_eq!(pool_images(&open_pool(&dir.0)), served);
+}
+
 /// A shard directory that holds a generation-1 `checkpoint.bin` — alone,
 /// as that generation left it, or beside a segment manifest — is never
 /// opened: not migrated, not swept as stale, not started fresh around. The
