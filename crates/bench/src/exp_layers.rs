@@ -63,6 +63,17 @@
 //! [`Knowledge::try_apply_op`] on a copy of a fresh one-partition knowledge
 //! base (the copy is inside the clock).
 //!
+//! **Id-set rows** price a Selection reply's ids on the wire:
+//! [`Response::encode`] and [`Response::decode`] of a reply over a
+//! 60 000-row table, per id, at the two shapes the served workloads ship:
+//!
+//! * `idset_{encode,decode}_ns_per_id_dense` — 30 000 ids, one of each
+//!   adjacent pair (`wide_result`'s half-table reply): the bitmap form,
+//!   about 7.5 KB;
+//! * `idset_{encode,decode}_ns_per_id_sparse` — 600 ids, one in each run
+//!   of 100 (a 1 % range, as `warm_select` ships): the list form, 4 B per
+//!   id.
+//!
 //! A trajectory row carries `ms` per `n` = 1 000 000 units (bytes,
 //! evaluations or scanned tuples), which reads as ns per unit; it is the
 //! fastest of [`SAMPLES`] samples, since the interest is the code's cost,
@@ -73,8 +84,8 @@ use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::durability::{decode_txn, encode_txn, TxnEntry};
 use prkb_core::{
-    DeadlineOracle, EngineConfig, Knowledge, PrkbEngine, RefinementOp, Separator, SessionOracle,
-    SplitBits,
+    DeadlineOracle, EngineConfig, Knowledge, PrkbEngine, QueryStats, RefinementOp, Separator,
+    SessionOracle, SplitBits,
 };
 use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
@@ -84,6 +95,7 @@ use prkb_edbms::{
     TmConfig, TrustedMachine, TupleId,
 };
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
+use prkb_server::Response;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -392,6 +404,30 @@ fn split_journal_ns_per_member(sample_units: usize) -> f64 {
     })
 }
 
+/// Rows of the table the id-set rows' replies select from.
+const IDSET_TABLE: u32 = 60_000;
+
+/// The id-set rows (see the module docs): ns per id to encode and to
+/// decode a Selection carrying one id in each run of `run` rows,
+/// scattered within the run.
+fn idset_ns_per_id(run: u32, sample_units: usize) -> (usize, f64, f64) {
+    let tuples: Vec<TupleId> = (0..IDSET_TABLE / run)
+        .map(|j| j * run + (j.wrapping_mul(0x9E37_79B9) >> 7) % run)
+        .collect();
+    let ids = tuples.len();
+    let resp = Response::Selection {
+        seq: 1,
+        tuples,
+        stats: QueryStats::default(),
+    };
+    let encode = ns_per_unit(ids, sample_units, || black_box(&resp).encode());
+    let payload = resp.encode();
+    let decode = ns_per_unit(ids, sample_units, || {
+        Response::decode(black_box(&payload)).expect("own payload")
+    });
+    (ids, encode, decode)
+}
+
 /// Runs every row.
 pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     let sample_bytes = match scale {
@@ -443,6 +479,12 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     push("wal_append_ns_per_byte", WIDE, append);
     let journal = split_journal_ns_per_member(sample_bytes);
     push("split_journal_ns_per_member", SPLIT_MEMBERS, journal);
+    for (shape, run) in [("dense", 2), ("sparse", 100)] {
+        // Per id, not per byte: a tenth of the byte rows' sample.
+        let (ids, encode, decode) = idset_ns_per_id(run, sample_bytes / 10);
+        push(&format!("idset_encode_ns_per_id_{shape}"), ids, encode);
+        push(&format!("idset_decode_ns_per_id_{shape}"), ids, decode);
+    }
     points.extend(engine_rows());
     points
 }
@@ -495,6 +537,14 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("frame_encode_ns_per_byte") / floor,
         of("frame_decode_ns_per_byte") / floor,
         of("wal_append_ns_per_byte") / floor,
+    ));
+    report.line(format!(
+        "a reply's ids: {:.2} / {:.2} ns per id to encode / decode as a bitmap (30 000 of \
+         60 000), {:.2} / {:.2} as a list (600 of 60 000)",
+        of("idset_encode_ns_per_id_dense"),
+        of("idset_decode_ns_per_id_dense"),
+        of("idset_encode_ns_per_id_sparse"),
+        of("idset_decode_ns_per_id_sparse"),
     ));
     report.line(format!(
         "journal: a split of {SPLIT_MEMBERS} members costs {:.2} ns per member to encode, decode \

@@ -57,7 +57,7 @@ pub enum OracleError {
 }
 
 impl OracleError {
-    /// Stable numeric code for the `prkb-wire/v2` protocol. Part of the
+    /// Stable numeric code for the `prkb-wire/v3` protocol. Part of the
     /// wire contract: codes are never reused, only appended. 4 (a retired
     /// circuit-breaker class) stays unassigned.
     pub fn wire_code(&self) -> u16 {

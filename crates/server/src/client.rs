@@ -1,4 +1,4 @@
-//! The blocking client for the `prkb-wire/v2` protocol.
+//! The blocking client for the `prkb-wire/v3` protocol.
 //!
 //! One [`PrkbClient`] wraps one TCP connection at a time and serves two
 //! kinds of traffic over the same stream, frame reader and read-deadline

@@ -159,7 +159,9 @@ where
             observe_deadline(shared, &resp);
             let bytes = Arc::new(resp.encode_framed());
             // Memoize only committed outcomes. An error releases the id
-            // (claim drops → abort) so the client's retry re-executes.
+            // (claim drops → abort) so the client's retry re-executes. A
+            // selection over the frame cap committed too: its memo is the
+            // REPLY_TOO_LARGE frame it was answered with.
             if matches!(
                 resp,
                 Response::Selection { .. } | Response::Inserted { .. } | Response::Deleted { .. }
@@ -291,7 +293,7 @@ fn error_of(e: &DurableError) -> Response {
     }
 }
 
-/// Maps a scheduled operation's failure onto its stable `prkb-wire/v2`
+/// Maps a scheduled operation's failure onto its stable `prkb-wire/v3`
 /// error code.
 fn wire_code(e: &DurableError) -> u16 {
     match e {

@@ -1,8 +1,11 @@
 //! # prkb-server — networked service-provider front end
 //!
 //! Exposes a [`prkb_core::PrkbEngine`] as a TCP service speaking
-//! `prkb-wire/v2`: length-prefixed, CRC32-guarded binary frames
-//! ([`wire`]) carrying versioned request/response payloads ([`proto`]).
+//! `prkb-wire/v3`: length-prefixed, CRC32-guarded binary frames
+//! ([`wire`]) carrying versioned request/response payloads ([`proto`]). A
+//! selection reply carries its ids as an id set: a `u32` list, or — when
+//! `8 + ⌈(last − first + 1)/8⌉ < 4·count`, so it is strictly shorter — a
+//! bitmap over `[first, last]`. The form depends on the id set alone.
 //! The deployment picture matches the paper's: clients hold trapdoors
 //! (issued by the data owner), the service provider holds the PRKB index
 //! and the oracle boundary, and only tuple ids and trapdoors ever cross
@@ -11,7 +14,8 @@
 //! Layers, bottom up:
 //!
 //! * [`wire`] — framing, reusing the WAL's discipline (`len | crc | payload`);
-//! * [`proto`] — requests, responses, stable error codes;
+//! * [`proto`] — requests, responses (a selection's id set), stable error
+//!   codes;
 //! * [`scheduler`] — re-export of [`prkb_core::scheduler`], the
 //!   checkout/commit discipline the server dispatches into: the engine
 //!   lock is held only to move knowledge, never while QPF is spent;

@@ -1,4 +1,4 @@
-//! `prkb-wire/v2` request/response payloads.
+//! `prkb-wire/v3` request/response payloads.
 //!
 //! Every frame payload starts with `version u8 | tag u8`; requests carry a
 //! resilience header right after (`request_id u64 | deadline flag u8 |
@@ -14,13 +14,31 @@
 //! real encrypted one ([`prkb_edbms::EncryptedPredicate`]) share one
 //! protocol.
 //!
+//! v3 changed how a [`Response::Selection`] carries its ids: an *id set*
+//! `form u8 | …` in one of two forms,
+//!
+//! ```text
+//! form 0 (list):   count u32 | count × id u32          (engine order)
+//! form 1 (bitmap): count u32 | first u32 | nbytes u32 | nbytes bytes
+//! ```
+//!
+//! where bit `i` of the bitmap (least significant first, as in a WAL
+//! split record) means id `first + i` is in the set. The bitmap is written
+//! only when it is strictly shorter, `8 + ⌈(last − first + 1)/8⌉ <
+//! 4·count`, so the form is a function of `(count, first, last)` — of the
+//! id set alone, which the reply's size already reveals. A bitmap is
+//! canonical (bit 0 set, last byte non-zero) and decodes ascending; the
+//! reply's order stays unspecified. [`Response::decode`] still reads a v2
+//! Selection (a bare list, no form byte) for one generation; requests are
+//! v3 only.
+//!
 //! Decoding is defensive end to end: every count field is bounds-checked
 //! against the remaining bytes before allocation, unknown tags and versions
 //! are structured errors (not panics), and trailing garbage after a valid
 //! body is rejected — malformed input must never take the server down
 //! (mirroring the snapshot/WAL hardening).
 
-use crate::wire::{begin_frame, seal_frame};
+use crate::wire::{begin_frame, seal_frame, DEFAULT_MAX_FRAME_LEN};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
 use prkb_edbms::codec::{Reader, Truncated};
@@ -29,14 +47,19 @@ use std::fmt;
 
 /// Protocol version carried in every payload's first byte. v2 made the
 /// request deadline an explicit optional (presence flag + `u32`) instead
-/// of a zero-sentinel.
-pub(crate) const PROTO_VERSION: u8 = 2;
+/// of a zero-sentinel; v3 made a Selection's ids an id set (list or
+/// bitmap, see the module docs).
+pub(crate) const PROTO_VERSION: u8 = 3;
+
+/// The previous version, still read for a response (its Selection is a
+/// bare list) and never written.
+const PROTO_V2: u8 = 2;
 
 /// Cap on the dimension count of one MD range request — a lying count
 /// field must not become an allocation request.
 pub(crate) const MAX_MD_DIMS: usize = 64;
 
-/// Stable wire error codes (`prkb-wire/v2`). Never reused, only appended.
+/// Stable wire error codes (`prkb-wire/v3`). Never reused, only appended.
 pub mod code {
     /// The payload's version byte is not `super::PROTO_VERSION`.
     pub const UNSUPPORTED_VERSION: u16 = 1;
@@ -51,6 +74,11 @@ pub mod code {
     /// parked ([`prkb_core::QueryError::AlreadyIndexed`]). Nothing was
     /// spent or changed; not retryable.
     pub const ALREADY_INDEXED: u16 = 11;
+    /// The response's payload would exceed the frame cap
+    /// ([`crate::DEFAULT_MAX_FRAME_LEN`]) a client reads, so it was not
+    /// sent. The query ran and committed; asking again gets the same
+    /// answer, so it is not retryable.
+    pub const REPLY_TOO_LARGE: u16 = 12;
     /// Base for oracle failures: the wire code is
     /// `ORACLE_BASE + OracleError::wire_code()` (21 transient, 22 timeout,
     /// 23 corruption, 25 fatal; 24 is retired and never reused).
@@ -82,7 +110,7 @@ pub mod code {
     pub const DEADLINE: u16 = 81;
 }
 
-/// Per-request resilience header carried by every `prkb-wire/v2` request
+/// Per-request resilience header carried by every `prkb-wire/v3` request
 /// between the tag byte and the body: `request_id u64 | deadline flag u8 |
 /// [deadline_ms u32]` (the `u32` present iff the flag is 1; any other
 /// flag value is malformed).
@@ -235,13 +263,14 @@ impl From<Truncated> for ProtoError {
     }
 }
 
-/// Reads the `version u8 | tag u8` every payload starts with.
-fn decode_preamble(r: &mut Reader<'_>) -> Result<u8, ProtoError> {
+/// Reads the `version u8 | tag u8` every payload starts with, refusing a
+/// version `readable` does not list.
+fn decode_preamble(r: &mut Reader<'_>, readable: &[u8]) -> Result<(u8, u8), ProtoError> {
     let ver = r.u8()?;
-    if ver != PROTO_VERSION {
+    if !readable.contains(&ver) {
         return Err(ProtoError::UnsupportedVersion(ver));
     }
-    Ok(r.u8()?)
+    Ok((ver, r.u8()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +336,7 @@ impl<P: WireCodec> Request<P> {
     /// `request_id`/`deadline_ms` values are data, not errors.
     pub fn decode(bytes: &[u8]) -> Result<(RequestHeader, Self), ProtoError> {
         let mut r = Reader::new(bytes);
-        let tag = decode_preamble(&mut r)?;
+        let (_, tag) = decode_preamble(&mut r, &[PROTO_VERSION])?;
         let hdr = RequestHeader {
             request_id: r.u64()?,
             deadline_ms: match r.u8()? {
@@ -348,6 +377,151 @@ impl<P: WireCodec> Request<P> {
         };
         r.finish()?;
         Ok((hdr, req))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Id sets
+// ---------------------------------------------------------------------------
+
+/// The form byte of a list id set.
+const FORM_LIST: u8 = 0;
+/// The form byte of a bitmap id set.
+const FORM_BITMAP: u8 = 1;
+
+/// The form a Selection's ids take on the wire (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdSetForm {
+    /// `count u32 | count × u32`.
+    List,
+    /// `count u32 | first u32 | nbytes u32 | nbytes bytes`.
+    Bitmap {
+        /// The least id: bit 0.
+        first: TupleId,
+        /// `⌈(last − first + 1)/8⌉`.
+        nbytes: usize,
+    },
+}
+
+impl IdSetForm {
+    /// The shorter form for `ids`, from one pass for their least and
+    /// greatest id: the bitmap only if it is strictly shorter.
+    fn of(ids: &[TupleId]) -> Self {
+        let Some(&head) = ids.first() else {
+            return IdSetForm::List;
+        };
+        let (first, last) = ids
+            .iter()
+            .fold((head, head), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        let nbytes = (last - first) as usize / 8 + 1;
+        if 8 + nbytes < 4 * ids.len() {
+            IdSetForm::Bitmap { first, nbytes }
+        } else {
+            IdSetForm::List
+        }
+    }
+
+    /// Encoded length of `count` ids in this form, form byte included.
+    fn len(self, count: usize) -> usize {
+        1 + 4
+            + match self {
+                IdSetForm::List => 4 * count,
+                IdSetForm::Bitmap { nbytes, .. } => 4 + 4 + nbytes,
+            }
+    }
+
+    /// Appends `ids` in this form, each id written straight into the bytes
+    /// reserved for it: no sort, no second buffer.
+    fn encode(self, ids: &[TupleId], out: &mut Vec<u8>) {
+        let count = (ids.len() as u32).to_le_bytes();
+        match self {
+            IdSetForm::List => {
+                out.push(FORM_LIST);
+                out.extend_from_slice(&count);
+                let start = out.len();
+                out.resize(start + 4 * ids.len(), 0);
+                for (slot, t) in out[start..].chunks_exact_mut(4).zip(ids) {
+                    slot.copy_from_slice(&t.to_le_bytes());
+                }
+            }
+            IdSetForm::Bitmap { first, nbytes } => {
+                out.push(FORM_BITMAP);
+                out.extend_from_slice(&count);
+                out.extend_from_slice(&first.to_le_bytes());
+                out.extend_from_slice(&(nbytes as u32).to_le_bytes());
+                let start = out.len();
+                out.resize(start + nbytes, 0);
+                let bits = &mut out[start..];
+                for &t in ids {
+                    let i = (t - first) as usize;
+                    bits[i / 8] |= 1 << (i % 8);
+                }
+                debug_assert_eq!(popcount(bits), ids.len(), "a Selection's ids are distinct");
+            }
+        }
+    }
+}
+
+/// `bits` as little-endian `u64` words, the last one zero-padded.
+fn words(bits: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let chunks = bits.chunks_exact(8);
+    let tail = chunks.remainder();
+    let padded = (!tail.is_empty()).then(|| {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        u64::from_le_bytes(word)
+    });
+    chunks
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .chain(padded)
+}
+
+fn popcount(bits: &[u8]) -> usize {
+    words(bits).map(|w| w.count_ones() as usize).sum()
+}
+
+/// `count u32 | count × u32`: the list form's body, and a v2 Selection's.
+fn decode_id_list(r: &mut Reader<'_>) -> Result<Vec<TupleId>, ProtoError> {
+    let count = r.count(4)?;
+    Ok(r.u32s(count)?)
+}
+
+/// Reads an id set. A bitmap is refused unless it is canonical, its ids
+/// fit a `u32` and its popcount is its `count` — all checked before the
+/// ids are allocated — and it decodes ascending.
+fn decode_id_set(r: &mut Reader<'_>) -> Result<Vec<TupleId>, ProtoError> {
+    match r.u8()? {
+        FORM_LIST => decode_id_list(r),
+        FORM_BITMAP => {
+            let count = r.u32()? as usize;
+            let first = r.u32()?;
+            let nbytes = r.count(1)?;
+            let bits = r.bytes(nbytes)?;
+            let (Some(&low), Some(&high)) = (bits.first(), bits.last()) else {
+                return Err(ProtoError::Malformed("empty id bitmap"));
+            };
+            if low & 1 == 0 || high == 0 {
+                return Err(ProtoError::Malformed("id bitmap not canonical"));
+            }
+            let top = (nbytes - 1) * 8 + 7 - high.leading_zeros() as usize;
+            if u64::from(first) + top as u64 > u64::from(u32::MAX) {
+                return Err(ProtoError::Malformed("id bitmap runs past u32::MAX"));
+            }
+            if popcount(bits) != count {
+                return Err(ProtoError::Malformed("id bitmap count is not its popcount"));
+            }
+            let mut ids = Vec::with_capacity(count);
+            for (w, mut word) in words(bits).enumerate() {
+                // No overflow: `64 * w <= top`, and `first + top` fits.
+                let base = first + 64 * w as u32;
+                while word != 0 {
+                    ids.push(base + word.trailing_zeros());
+                    word &= word - 1;
+                }
+            }
+            Ok(ids)
+        }
+        _ => Err(ProtoError::Malformed("unknown id-set form")),
     }
 }
 
@@ -393,8 +567,9 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<QueryStats, Truncated> {
 impl Response {
     /// Encodes this response as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
+        let form = self.id_set_form();
+        let mut out = Vec::with_capacity(self.encoded_len(form));
+        self.encode_into(&mut out, form);
         out
     }
 
@@ -402,19 +577,40 @@ impl Response {
     /// once, with exact capacity, behind a reserved frame header whose
     /// `len`/`crc` are then filled in place. The buffer a worker builds
     /// here is the buffer the dedup window keeps and the socket is written
-    /// from.
+    /// from. A payload over [`DEFAULT_MAX_FRAME_LEN`], which no client
+    /// reads, is not built: the answer is [`code::REPLY_TOO_LARGE`].
     pub(crate) fn encode_framed(&self) -> Vec<u8> {
-        let mut frame = begin_frame(self.encoded_len());
-        self.encode_into(&mut frame);
+        let form = self.id_set_form();
+        let len = self.encoded_len(form);
+        if len > DEFAULT_MAX_FRAME_LEN as usize {
+            return Response::Error {
+                code: code::REPLY_TOO_LARGE,
+                message: format!(
+                    "a {len}-byte reply exceeds the {DEFAULT_MAX_FRAME_LEN}-byte frame cap"
+                ),
+            }
+            .encode_framed();
+        }
+        let mut frame = begin_frame(len);
+        self.encode_into(&mut frame, form);
         seal_frame(&mut frame);
         frame
     }
 
-    /// Exact length of [`encode`](Self::encode)'s output.
-    fn encoded_len(&self) -> usize {
+    /// The form a Selection's ids take; the list for every other response
+    /// (it carries none).
+    fn id_set_form(&self) -> IdSetForm {
+        match self {
+            Response::Selection { tuples, .. } => IdSetForm::of(tuples),
+            _ => IdSetForm::List,
+        }
+    }
+
+    /// Exact length of the payload, a Selection's ids in `form`.
+    fn encoded_len(&self, form: IdSetForm) -> usize {
         2 + match self {
             Response::Ok => 0,
-            Response::Selection { tuples, .. } => 8 + 4 + 4 * tuples.len() + STATS_LEN,
+            Response::Selection { tuples, .. } => 8 + form.len(tuples.len()) + STATS_LEN,
             Response::Inserted { outcomes, .. } => {
                 let body = |o: &InsertOutcome| match o {
                     InsertOutcome::Placed { .. } => 4 + 1 + 8,
@@ -428,17 +624,14 @@ impl Response {
         }
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut Vec<u8>, form: IdSetForm) {
         out.push(PROTO_VERSION);
         match self {
             Response::Ok => out.push(0),
             Response::Selection { seq, tuples, stats } => {
                 out.push(1);
                 out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-                for t in tuples {
-                    out.extend_from_slice(&t.to_le_bytes());
-                }
+                form.encode(tuples, out);
                 encode_stats(stats, out);
             }
             Response::Inserted { seq, outcomes } => {
@@ -478,7 +671,7 @@ impl Response {
         }
     }
 
-    /// Decodes one response payload.
+    /// Decodes one response payload, v3 or v2.
     ///
     /// # Errors
     /// As [`Request::decode`].
@@ -488,14 +681,19 @@ impl Response {
             let len = r.count(1)?;
             String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| ProtoError::Malformed(what))
         };
-        let resp = match decode_preamble(&mut r)? {
+        let (ver, tag) = decode_preamble(&mut r, &[PROTO_VERSION, PROTO_V2])?;
+        let resp = match tag {
             0 => Response::Ok,
             1 => {
                 let seq = r.u64()?;
-                let count = r.count(4)?;
+                let tuples = if ver == PROTO_V2 {
+                    decode_id_list(&mut r)?
+                } else {
+                    decode_id_set(&mut r)?
+                };
                 Response::Selection {
                     seq,
-                    tuples: r.u32s(count)?,
+                    tuples,
                     stats: decode_stats(&mut r)?,
                 }
             }
@@ -597,9 +795,21 @@ mod tests {
     #[test]
     fn response_roundtrips() {
         roundtrip_resp(Response::Ok);
+        // A list keeps the engine's order; a bitmap decodes ascending, so
+        // an ascending set roundtrips exactly in either form.
         roundtrip_resp(Response::Selection {
             seq: 3,
-            tuples: vec![5, 1, 9],
+            tuples: vec![5, 1, 900],
+            stats: QueryStats::default(),
+        });
+        roundtrip_resp(Response::Selection {
+            seq: 3,
+            tuples: vec![],
+            stats: QueryStats::default(),
+        });
+        roundtrip_resp(Response::Selection {
+            seq: 3,
+            tuples: vec![1, 5, 9],
             stats: QueryStats {
                 qpf_uses: 100,
                 k_before: 1,
@@ -639,6 +849,11 @@ mod tests {
                 tuples: (0..1000).collect(),
                 stats: QueryStats::default(),
             },
+            Response::Selection {
+                seq: 9,
+                tuples: (0..1000).map(|i| i * 64).collect(),
+                stats: QueryStats::default(),
+            },
             Response::Inserted {
                 seq: 4,
                 outcomes: vec![
@@ -655,7 +870,7 @@ mod tests {
         ];
         for resp in responses {
             let payload = resp.encode();
-            assert_eq!(payload.len(), resp.encoded_len(), "{resp:?}");
+            assert_eq!(payload.len(), resp.encoded_len(resp.id_set_form()));
             let frame = resp.encode_framed();
             assert_eq!(frame.capacity(), frame.len(), "one exact allocation");
             assert_eq!(frame, crate::wire::encode_frame(&payload));
@@ -663,29 +878,77 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_over_the_frame_cap_is_answered_reply_too_large() {
+        // 270 000 ids 64 apart: a 1.08 MB list (the bitmap would be twice
+        // that), over the 1 MiB cap a client reads.
+        let resp = Response::Selection {
+            seq: 1,
+            tuples: (0..270_000).map(|i| i * 64).collect(),
+            stats: QueryStats::default(),
+        };
+        assert_eq!(resp.id_set_form(), IdSetForm::List);
+        assert!(resp.encoded_len(IdSetForm::List) > DEFAULT_MAX_FRAME_LEN as usize);
+        let frame = resp.encode_framed();
+        let (payload, _) = crate::wire::decode_frame(&frame, DEFAULT_MAX_FRAME_LEN)
+            .expect("the answer fits the cap")
+            .expect("complete");
+        assert!(matches!(
+            Response::decode(&payload),
+            Ok(Response::Error {
+                code: code::REPLY_TOO_LARGE,
+                ..
+            })
+        ));
+        // The same rows dense are a 34 KB bitmap, and are sent.
+        let dense = Response::Selection {
+            seq: 1,
+            tuples: (0..270_000).collect(),
+            stats: QueryStats::default(),
+        };
+        let frame = dense.encode_framed();
+        assert!(frame.len() < 34_000, "{} bytes", frame.len());
+        assert_eq!(frame, crate::wire::encode_frame(&dense.encode()));
+    }
+
+    #[test]
     fn malformed_selection_errors() {
         let full = Response::Selection {
             seq: 1,
-            tuples: vec![7, 8, 9],
+            tuples: vec![7, 800, 9000],
             stats: QueryStats::default(),
         }
         .encode();
-        // The count sits after ver, tag and seq. One id too many for the
-        // bytes behind it still fits the length check, and runs into the
-        // stats; far too many is refused before anything is allocated.
+        // A list: the count sits after ver, tag, seq and the form byte. One
+        // id too many for the bytes behind it still fits the length check,
+        // and runs into the stats; far too many is refused before anything
+        // is allocated.
+        assert_eq!(full[10], FORM_LIST);
         let mut lying = full.clone();
-        lying[10..14].copy_from_slice(&4u32.to_le_bytes());
+        lying[11..15].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             Response::decode(&lying),
             Err(ProtoError::Malformed(
                 "field runs past the end of the input"
             ))
         );
-        lying[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        lying[11..15].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             Response::decode(&lying),
             Err(ProtoError::Malformed("count exceeds the bytes that remain"))
         );
+    }
+
+    #[test]
+    fn a_request_must_be_v3_while_a_v2_response_still_decodes() {
+        let mut req = Request::<Predicate>::Ping.encode();
+        req[0] = PROTO_V2;
+        assert_eq!(
+            Request::<Predicate>::decode(&req),
+            Err(ProtoError::UnsupportedVersion(PROTO_V2))
+        );
+        let mut resp = Response::Deleted { seq: 5 }.encode();
+        resp[0] = PROTO_V2;
+        assert_eq!(Response::decode(&resp), Ok(Response::Deleted { seq: 5 }));
     }
 
     #[test]
@@ -757,6 +1020,65 @@ mod tests {
                 Request::<Predicate>::decode(&full[..cut]).is_err(),
                 "cut {cut}"
             );
+        }
+    }
+
+    /// Ids `[base, base + span)`, `span` clipped to the `u32` range, `len`
+    /// of them (fewer if the span is smaller), distinct, in a shuffled
+    /// order like the engine's.
+    fn id_set(len: usize, span: u64, at_top: bool, seed: u64) -> Vec<TupleId> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let span = span.min(1 << 32);
+        let base = if at_top {
+            (1u64 << 32) - span
+        } else {
+            rng.gen_range(0..=(1u64 << 32) - span)
+        };
+        let mut ids: Vec<TupleId> = (0..len)
+            .map(|_| (base + rng.gen_range(0..span)) as TupleId)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        ids
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn id_sets_roundtrip_in_the_shorter_form(
+            len in 0usize..5_000,
+            span_log2 in 0u32..=32,
+            at_top in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ids = id_set(len, 1 << span_log2, at_top, seed);
+            let resp = Response::Selection { seq: 1, tuples: ids.clone(), stats: QueryStats::default() };
+            let form = resp.id_set_form();
+            let bytes = resp.encode();
+            proptest::prop_assert_eq!(bytes.len(), resp.encoded_len(form));
+            // The shorter form, priced from the set alone.
+            let list = 4 + 4 * ids.len();
+            let bitmap = match (ids.iter().min(), ids.iter().max()) {
+                (Some(&lo), Some(&hi)) => 12 + (u64::from(hi - lo) / 8 + 1) as usize,
+                _ => usize::MAX,
+            };
+            proptest::prop_assert_eq!(matches!(form, IdSetForm::Bitmap { .. }), bitmap < list);
+            proptest::prop_assert_eq!(form.len(ids.len()), 1 + list.min(bitmap));
+            let Ok(Response::Selection { tuples, .. }) = Response::decode(&bytes) else {
+                panic!("own encoding refused");
+            };
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            if bitmap < list {
+                proptest::prop_assert_eq!(tuples, sorted);
+            } else {
+                proptest::prop_assert_eq!(tuples, ids);
+            }
         }
     }
 }

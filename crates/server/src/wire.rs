@@ -1,4 +1,4 @@
-//! `prkb-wire/v2` framing: length-prefixed, CRC32-guarded binary frames.
+//! `prkb-wire/v3` framing: length-prefixed, CRC32-guarded binary frames.
 //!
 //! The frame layout reuses the discipline proven by the durability layer's
 //! write-ahead log ([`prkb_edbms::durability`]): every frame is
@@ -407,7 +407,9 @@ mod tests {
     #[test]
     fn golden_frame_decodes_and_reencodes_byte_for_byte() {
         // `Response::Selection { seq: 3, tuples: [5, 1, 9], .. }` as framed
-        // by the commit before build-once framing.
+        // by the commit before build-once framing: a v2 payload, whose
+        // Selection is a bare list. The frame re-encodes byte for byte; the
+        // payload still decodes, and re-encodes as today's v3 bitmap.
         let golden: &[u8] = include_bytes!("../tests/fixtures/parent_frame.bin");
         let (payload, consumed) = decode_frame(golden, DEFAULT_MAX_FRAME_LEN)
             .expect("parent-built frame verifies")
@@ -419,8 +421,31 @@ mod tests {
             &resp,
             crate::proto::Response::Selection { seq: 3, tuples, .. } if tuples == &[5, 1, 9]
         ));
-        assert_eq!(resp.encode(), payload);
-        assert_eq!(resp.encode_framed(), golden);
+        let bitmap: &[u8] = include_bytes!("../tests/fixtures/selection_v3_bitmap.bin");
+        assert_eq!(resp.encode_framed(), bitmap);
+    }
+
+    #[test]
+    fn v3_golden_frames_decode_and_reencode_byte_for_byte() {
+        // Both id-set forms of `Selection { seq: 3, .. }` with the parent
+        // frame's stats, written out by hand from the layout: the list
+        // `[5, 1, 900]` (form 0, engine order kept), and `{1, 5, 9}` as a
+        // bitmap (form 1: first 1, two bytes 0x11 0x01).
+        let list: &[u8] = include_bytes!("../tests/fixtures/selection_v3_list.bin");
+        let bitmap: &[u8] = include_bytes!("../tests/fixtures/selection_v3_bitmap.bin");
+        for (golden, ids) in [(list, [5, 1, 900]), (bitmap, [1, 5, 9])] {
+            let (payload, _) = decode_frame(golden, DEFAULT_MAX_FRAME_LEN)
+                .expect("fixture verifies")
+                .expect("complete");
+            let resp = crate::proto::Response::decode(&payload).expect("payload decodes");
+            let crate::proto::Response::Selection { seq, tuples, stats } = &resp else {
+                panic!("not a selection: {resp:?}");
+            };
+            assert_eq!((*seq, tuples.as_slice()), (3, &ids[..]));
+            assert_eq!((stats.qpf_uses, stats.overflow_scanned), (100, 2));
+            assert_eq!(resp.encode(), payload);
+            assert_eq!(resp.encode_framed(), golden);
+        }
     }
 
     #[test]

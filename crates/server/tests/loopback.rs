@@ -505,3 +505,29 @@ fn metrics_snapshot_travels_the_wire() {
     );
     assert_eq!(report.frame_errors(), 0);
 }
+
+/// A whole-table select over 270 000 rows: as a list its reply is
+/// 1.08 MB, over the 1 MiB frame cap a client reads; as the bitmap it is
+/// about 34 KB, and it answers.
+#[test]
+fn a_whole_table_select_over_270_000_rows_answers() {
+    const N: u32 = 270_000;
+    let oracle = PlainOracle::single_column((0..u64::from(N)).collect());
+    let server = PrkbServer::bind(
+        "127.0.0.1:0",
+        fresh_engine(N as usize, 1),
+        oracle,
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    let reply = client
+        .select(1, Predicate::cmp(0, ComparisonOp::Lt, u64::from(N)))
+        .expect("the whole table fits a frame");
+    assert_eq!(reply.sorted(), (0..N).collect::<Vec<_>>());
+    assert_eq!(client.retries(), 0);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}

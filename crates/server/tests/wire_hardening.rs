@@ -148,9 +148,15 @@ fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_alloc
         Request::<Predicate>::Insert { tuple: 42 }.encode_with(deadline),
     ];
     let responses = [
+        // A bitmap id set and a list one.
         Response::Selection {
             seq: 3,
             tuples: (0..40).collect(),
+            stats: QueryStats::default(),
+        },
+        Response::Selection {
+            seq: 3,
+            tuples: vec![900, 5, 1],
             stats: QueryStats::default(),
         },
         Response::Inserted {
@@ -180,11 +186,97 @@ fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_alloc
     assert_hostile_inputs_are_refused(&cases);
 }
 
+/// A Selection whose ids are the bitmap `bits` from `first`, claiming
+/// `count` ids, in the id-set form byte `form`: `version 3 | tag 1 | seq
+/// u64 | form u8 | count u32 | first u32 | nbytes u32 | bits | stats`.
+fn bitmap_selection(form: u8, count: u32, first: u32, nbytes: u32, bits: &[u8]) -> Vec<u8> {
+    let mut out = vec![3, 1];
+    out.extend_from_slice(&7u64.to_le_bytes());
+    out.push(form);
+    for field in [count, first, nbytes] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(bits);
+    out.extend_from_slice(&[0; 80]);
+    out
+}
+
+/// The bitmap's refusals, one hostile field at a time (everything else
+/// consistent): each is a structural error, never a panic and never an
+/// allocation sized by the lying field.
+#[test]
+fn a_hostile_id_bitmap_is_refused() {
+    // {10, 12, 19, 27}: bits 0, 2, 9, 17 from 10.
+    let bits = [0b101, 0b10, 0b10];
+    let valid = bitmap_selection(1, 4, 10, 3, &bits);
+    match Response::decode(&valid) {
+        Ok(Response::Selection { tuples, .. }) => assert_eq!(tuples, [10, 12, 19, 27]),
+        other => panic!("the valid bitmap: {other:?}"),
+    }
+    let malformed = |what| Err(prkb_server::ProtoError::Malformed(what));
+    let cases: [(&str, Vec<u8>, _); 9] = [
+        (
+            "count above its popcount",
+            bitmap_selection(1, 5, 10, 3, &bits),
+            malformed("id bitmap count is not its popcount"),
+        ),
+        (
+            "count below its popcount",
+            bitmap_selection(1, 3, 10, 3, &bits),
+            malformed("id bitmap count is not its popcount"),
+        ),
+        (
+            "nbytes past the payload",
+            bitmap_selection(1, 4, 10, u32::MAX, &bits),
+            malformed("count exceeds the bytes that remain"),
+        ),
+        (
+            "nbytes one short",
+            bitmap_selection(1, 4, 10, 2, &bits[..2]),
+            malformed("id bitmap count is not its popcount"),
+        ),
+        (
+            "no bytes",
+            bitmap_selection(1, 0, 10, 0, &[]),
+            malformed("empty id bitmap"),
+        ),
+        (
+            "bit 0 clear",
+            bitmap_selection(1, 3, 10, 3, &[0b100, 0b10, 0b10]),
+            malformed("id bitmap not canonical"),
+        ),
+        (
+            "a zero last byte",
+            bitmap_selection(1, 4, 10, 4, &[0b101, 0b10, 0b10, 0]),
+            malformed("id bitmap not canonical"),
+        ),
+        (
+            "an id past u32::MAX",
+            bitmap_selection(1, 4, u32::MAX - 16, 3, &bits),
+            malformed("id bitmap runs past u32::MAX"),
+        ),
+        (
+            "an unknown form",
+            bitmap_selection(2, 4, 10, 3, &bits),
+            malformed("unknown id-set form"),
+        ),
+    ];
+    for (what, bytes, refusal) in cases {
+        assert_eq!(Response::decode(&bytes), refusal, "{what}");
+    }
+    // The largest id a bitmap may carry is u32::MAX itself.
+    let top = bitmap_selection(1, 4, u32::MAX - 17, 3, &bits);
+    match Response::decode(&top) {
+        Ok(Response::Selection { tuples, .. }) => assert_eq!(tuples.last(), Some(&u32::MAX)),
+        other => panic!("a bitmap ending at u32::MAX: {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Stable wire codes are pinned forever
 // ---------------------------------------------------------------------------
 
-/// The `prkb-wire/v2` error codes are a compatibility contract: values are
+/// The `prkb-wire/v3` error codes are a compatibility contract: values are
 /// never reused and never renumbered, only appended. This test is the pin —
 /// if it fails, a wire-visible constant moved.
 #[test]
@@ -194,6 +286,7 @@ fn error_codes_are_pinned() {
     assert_eq!(code::UNKNOWN_TAG, 3);
     assert_eq!(code::ATTR_NOT_INITIALIZED, 10);
     assert_eq!(code::ALREADY_INDEXED, 11);
+    assert_eq!(code::REPLY_TOO_LARGE, 12);
     assert_eq!(code::ORACLE_BASE, 20);
     assert_eq!(code::DUPLICATE_DIMENSION, 40);
     assert_eq!(code::DURABILITY, 50);

@@ -11,7 +11,7 @@
 //! Faults are injected at *frame* granularity by `ChaosStream`, either
 //! wrapped directly around a client socket or inside [`ChaosProxy`] — an
 //! in-process TCP proxy that sits between a real [`prkb_server::PrkbClient`]
-//! and a real server, relaying whole `prkb-wire/v2` frames and deciding per
+//! and a real server, relaying whole `prkb-wire/v3` frames and deciding per
 //! frame to forward, stall, trickle one byte at a time, corrupt a byte,
 //! truncate mid-frame, write a partial prefix, or drop the connection
 //! outright.

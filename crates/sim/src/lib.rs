@@ -16,7 +16,7 @@
 //!   ([`FaultFs::crash_at`]), and the op log a sweep indexes
 //!   ([`FaultFs::log`]);
 //! * [`ChaosProxy`] — an in-process TCP proxy that drops, corrupts,
-//!   truncates, stalls or trickles whole `prkb-wire/v2` frames under a
+//!   truncates, stalls or trickles whole `prkb-wire/v3` frames under a
 //!   [`FaultPlan`].
 //!
 //! Every schedule is a pure function of a seed and an event counter

@@ -1,7 +1,8 @@
 //! The PRKB service provider as a network daemon.
 //!
-//! Binds the `prkb-wire/v2` TCP service over a QPF-model oracle and serves
-//! until a client sends Shutdown. Pair it with the `client` example:
+//! Binds the `prkb-wire/v3` TCP service (a selection's ids ship as a list
+//! or, when shorter, a bitmap over `[first, last]`) over a QPF-model oracle
+//! and serves until a client sends Shutdown. Pair it with the `client` example:
 //!
 //! ```text
 //! cargo run --example server --release -- 4641 4 &

@@ -10,8 +10,10 @@
 //! * [`edbms`] — the QPF-model encrypted DBMS substrate;
 //! * [`crypto`] — from-scratch primitives (ChaCha20, SHA-256, HMAC, HKDF,
 //!   SipHash) validated against published vectors;
-//! * [`server`] — the networked service-provider front end (`prkb-wire/v2`
-//!   framed TCP protocol, concurrent session scheduler, loopback client);
+//! * [`server`] — the networked service-provider front end (`prkb-wire/v3`
+//!   framed TCP protocol, whose selection replies carry their ids as a list
+//!   or, when shorter, a bitmap over `[first, last]`; concurrent session
+//!   scheduler, loopback client);
 //! * [`srci`] — the Logarithmic-SRC-i competitor on an SSE substrate;
 //! * [`datagen`] — synthetic + simulated-real datasets and workloads;
 //! * [`analysis`] — the §8.1 partial-order-recovery security study.

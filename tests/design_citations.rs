@@ -2,10 +2,12 @@
 //! DESIGN.md has, so renumbering the document cannot strand the comments
 //! that point into it. `prkb_e2e/src/` is read, never edited: it cites §11
 //! for "stats are an observation of the algorithm". Likewise every
-//! `prkb-<crate>::<module>` the documents name is a module that exists.
+//! `prkb-<crate>::<module>` the documents name is a module that exists, and
+//! every `prkb-wire/vN` the documents and sources name is the version the
+//! protocol writes.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Section numbers cited as `DESIGN.md §N` or `DESIGN §N` in `text`.
 fn citations(text: &str) -> Vec<u32> {
@@ -22,16 +24,25 @@ fn citations(text: &str) -> Vec<u32> {
     cited
 }
 
-fn collect(dir: &Path, cited: &mut Vec<(String, u32)>) {
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("list source dir") {
         let path = entry.expect("entry").path();
         if path.is_dir() {
-            collect(&path, cited);
+            rust_sources(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = std::fs::read_to_string(&path).expect("read source");
-            let file = path.display().to_string();
-            cited.extend(citations(&text).into_iter().map(|n| (file.clone(), n)));
+            out.push(path);
         }
+    }
+}
+
+fn collect(dir: &Path, cited: &mut Vec<(String, u32)>) {
+    let mut files = Vec::new();
+    rust_sources(dir, &mut files);
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("read source");
+        let file = path.display().to_string();
+        cited.extend(citations(&text).into_iter().map(|n| (file.clone(), n)));
     }
 }
 
@@ -93,4 +104,46 @@ fn every_named_module_exists() {
         }
     }
     assert!(checked >= 10, "the scan found the module paths");
+}
+
+/// Every `prkb-wire/v<N>` in the README, DESIGN.md and the product and
+/// example sources names the version `proto.rs` writes, so a version bump
+/// cannot leave a stale one behind. CHANGES.md and ROADMAP.md are history,
+/// and `prkb_e2e/` is read, never edited; neither is scanned.
+#[test]
+fn every_wire_version_named_is_the_one_the_protocol_writes() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let proto = std::fs::read_to_string(root.join("crates/server/src/proto.rs")).expect("proto");
+    let version: u32 = proto
+        .lines()
+        .find_map(|line| {
+            let rest = line.strip_prefix("pub(crate) const PROTO_VERSION: u8 = ")?;
+            rest.strip_suffix(';')?.parse().ok()
+        })
+        .expect("proto.rs declares PROTO_VERSION");
+
+    let mut files = vec![root.join("README.md"), root.join("DESIGN.md")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("list crates") {
+        rust_sources(&entry.expect("entry").path().join("src"), &mut files);
+    }
+    rust_sources(&root.join("src"), &mut files);
+    rust_sources(&root.join("examples"), &mut files);
+    let mut named = 0;
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("read");
+        for (at, marker) in text.match_indices("prkb-wire/v") {
+            let digits: String = text[at + marker.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            assert_eq!(
+                digits.parse::<u32>().ok(),
+                Some(version),
+                "{} names prkb-wire/v{digits}; the protocol writes v{version}",
+                path.display()
+            );
+            named += 1;
+        }
+    }
+    assert!(named >= 10, "the scan found the version strings ({named})");
 }
