@@ -104,7 +104,7 @@ fn main() {
                     .collect();
 
                 let oracle = SpOracle::new(&setup.table, &setup.tm);
-                let mut got = engine.select_conjunction(&oracle, &trapdoors, &mut rng);
+                let mut got = engine.select_where(&oracle, &trapdoors, &mut rng);
                 got.tuples.sort_unstable();
 
                 let mut baseline = conjunctive_scan(&oracle, &trapdoors);

@@ -342,7 +342,7 @@ fn md_policies(scale: Scale, rows: &mut Vec<Ablation>) {
         let mut rng = StdRng::seed_from_u64(7);
         let ((), cost) = measure_span(&oracle, || {
             for dims in &windows {
-                engine.select_range_md(&oracle, dims, &mut rng);
+                engine.select_where(&oracle, dims.as_flattened(), &mut rng);
             }
         });
         let k = (0..2)
@@ -420,11 +420,10 @@ fn conjunctions(scale: Scale, rows: &mut Vec<Ablation>) {
             if one_walk {
                 let mut preds: Vec<EncryptedPredicate> = ranges.concat();
                 preds.push(EncryptedPredicate::clone(between));
-                return engine
-                    .select_conjunction(&oracle, &preds, &mut rng)
-                    .sorted();
+                return engine.select_where(&oracle, &preds, &mut rng).sorted();
             }
-            let grid = engine.select_range_md(&oracle, ranges, &mut rng).sorted();
+            let grid = engine.select_where(&oracle, ranges.as_flattened(), &mut rng);
+            let grid = grid.sorted();
             let mut ids = engine.select(&oracle, between, &mut rng).sorted();
             ids.retain(|t| grid.binary_search(t).is_ok());
             ids

@@ -168,7 +168,7 @@ fn run_flush(
     let durable = SessionScheduler::durable(pool);
     let select = |pred: &Predicate, seed: u64| {
         durable
-            .select(oracle, pred, None, &mut StdRng::seed_from_u64(seed))
+            .select_where(oracle, &[*pred], None, &mut StdRng::seed_from_u64(seed))
             .expect("select");
     };
     for a in 0..ATTRS {

@@ -102,13 +102,13 @@ pub fn measure(scale: Scale) -> Fig13Data {
             setup.range_trapdoors(0 as AttrId, ylo.saturating_sub(1), yhi + 1, &mut rng),
             setup.range_trapdoors(1 as AttrId, xlo.saturating_sub(1), xhi + 1, &mut rng),
         ];
-        let flat: Vec<EncryptedPredicate> = dims.iter().flatten().cloned().collect();
+        let flat = dims.as_flattened();
 
-        let (_, prkb) = measure_span(&oracle, || engine.select_range_md(&oracle, &dims, &mut rng));
+        let (_, prkb) = measure_span(&oracle, || engine.select_where(&oracle, flat, &mut rng));
 
         let (_, t) = timed(|| {
             let cands = srci.candidates(&client, &[(0, ylo, yhi), (1, xlo, xhi)]);
-            confirm(&oracle, &flat, &cands)
+            confirm(&oracle, flat, &cands)
         });
         points.push(Fig13Point {
             query: q,

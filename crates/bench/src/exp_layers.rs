@@ -328,7 +328,7 @@ fn engine_rows() -> Vec<LayerPoint> {
         || cold_engine(&cold),
         |engine, oracle, rng| {
             let select = |dims: &[Predicate; 2]| {
-                let sel = engine.select_range_md(oracle, std::slice::from_ref(dims), rng);
+                let sel = engine.select_where(oracle, dims, rng);
                 sel.stats.ns_width
             };
             ranges.iter().map(select).sum()

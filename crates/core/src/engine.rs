@@ -1,20 +1,20 @@
 //! The PRKB engine: per-attribute knowledge bases behind one façade.
 //!
 //! This is the service-provider-side entry point a deployment would embed:
-//! it owns one [`Knowledge`] per indexed attribute, hands every select —
-//! a comparison, a BETWEEN, a range, a conjunction — to the one MD executor
-//! (SD+, the paper's baseline, as one run per trapdoor), and keeps the index
-//! maintained across inserts and deletes.
+//! it owns one [`Knowledge`] per indexed attribute, hands every select — a
+//! list of trapdoors read as a conjunction, be it a comparison, a BETWEEN,
+//! a range or a SQL `WHERE` clause — to the one MD executor, and keeps the
+//! index maintained across inserts and deletes.
 
 use crate::insert::{apply_insert, decide_insert, InsertOutcome};
 use crate::knowledge::Knowledge;
 use crate::md::{self, MdDim, MdUpdatePolicy};
 use crate::metrics::{self, QueryKind};
-use crate::selection::{QueryStats, Selection};
+use crate::selection::Selection;
 use crate::traits::SpPredicate;
 use prkb_edbms::{AttrId, OracleError, PredicateKind, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -99,6 +99,28 @@ fn or_panic<T>(result: Result<T, QueryError>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The `queries_*` counter a select bumps, read off its trapdoors (sorted
+/// by attribute): one is a comparison or a BETWEEN by its SP-visible kind;
+/// only comparisons, exactly two on every attribute, are a box (`md`);
+/// anything else, no trapdoor included, is a conjunction.
+fn query_kind<O: SelectionOracle>(oracle: &O, by_attr: &[&O::Pred]) -> QueryKind
+where
+    O::Pred: SpPredicate,
+{
+    let comparison = |p: &&O::Pred| oracle.kind_of(p) == PredicateKind::Comparison;
+    let pairs = || {
+        by_attr
+            .chunk_by(|a, b| a.attr() == b.attr())
+            .all(|run| run.len() == 2)
+    };
+    match by_attr {
+        [one] if comparison(one) => QueryKind::Comparison,
+        [_] => QueryKind::Between,
+        [_, ..] if by_attr.iter().all(comparison) && pairs() => QueryKind::Md,
+        _ => QueryKind::Conjunction,
+    }
+}
+
 /// The per-table PRKB engine.
 #[derive(Debug)]
 pub struct PrkbEngine<P> {
@@ -132,33 +154,23 @@ impl<P: SpPredicate> PrkbEngine<P> {
         self.kbs.keys().copied()
     }
 
-    /// Processes a single-predicate selection, dispatching on the trapdoor's
-    /// SP-visible kind (comparison vs BETWEEN).
-    ///
-    /// Infallible wrapper over [`try_select`](Self::try_select).
+    /// Processes a single-trapdoor selection: [`select_where`](Self::select_where)
+    /// over `pred` alone.
     ///
     /// # Panics
-    /// Panics if the predicate's attribute was never initialized — indexing
-    /// decisions are made at upload time in this engine — or on oracle
-    /// failure.
+    /// As [`select_where`](Self::select_where).
     pub fn select<O, R>(&mut self, oracle: &O, pred: &P, rng: &mut R) -> Selection
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        or_panic(self.try_select(oracle, pred, rng))
+        self.select_where(oracle, std::slice::from_ref(pred), rng)
     }
 
-    /// Processes a single-predicate selection: one run of the MD executor
-    /// over one dimension holding the one trapdoor, whose SP-visible kind
-    /// picks its locator — `QFilter` for a comparison, the hunt for a
-    /// BETWEEN.
+    /// Fallible twin of [`select`](Self::select).
     ///
     /// # Errors
-    /// [`QueryError::AttrNotInitialized`] for an unindexed attribute;
-    /// [`QueryError::Oracle`] on SP↔TM failure. Abort-safe: the executor
-    /// evaluates every trapdoor before committing any refinement, so on
-    /// error the attribute's knowledge is untouched.
+    /// As [`try_select_where`](Self::try_select_where).
     pub fn try_select<O, R>(
         &mut self,
         oracle: &O,
@@ -169,84 +181,82 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let kind = match oracle.kind_of(pred) {
-            PredicateKind::Comparison => QueryKind::Comparison,
-            PredicateKind::Between => QueryKind::Between,
-        };
-        let sel = self.run_dims(oracle, &[(pred.attr(), std::slice::from_ref(pred))], rng)?;
-        metrics::global().record_query(kind, &sel.stats);
-        Ok(sel)
+        self.try_select_where(oracle, std::slice::from_ref(pred), rng)
     }
 
-    /// Runs the MD executor once over `dims` — per dimension, an attribute
-    /// and its trapdoors, each dimension borrowing that attribute's
-    /// knowledge — under the engine's refinement configuration, without
-    /// recording metrics (a composite query records itself once). No
-    /// dimension answers every live row.
+    /// Processes a selection: a list of trapdoors, read as a conjunction.
     ///
-    /// # Errors
-    /// [`QueryError::AttrNotInitialized`] before anything is spent;
-    /// [`QueryError::Oracle`] on SP↔TM failure, abort-safe like `md::run`.
+    /// Infallible wrapper over [`try_select_where`](Self::try_select_where).
     ///
     /// # Panics
-    /// Panics when two dimensions name one attribute (programmer error).
-    pub(crate) fn run_dims<O, R>(
+    /// Panics if a trapdoor's attribute was never initialized — indexing
+    /// decisions are made at upload time in this engine — or on oracle
+    /// failure.
+    pub fn select_where<O, R>(&mut self, oracle: &O, preds: &[P], rng: &mut R) -> Selection
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        or_panic(self.try_select_where(oracle, preds, rng))
+    }
+
+    /// Processes a selection — a comparison, a BETWEEN, a d-dimensional
+    /// box, a parsed SQL conjunction — as one run of the MD executor
+    /// (paper §6.2). The trapdoors are grouped by attribute, ascending, in
+    /// input order within one; each attribute is one dimension holding all
+    /// of its trapdoors, whose SP-visible kinds pick their locators
+    /// (`QFilter` for a comparison, the hunt for a BETWEEN), and the walk
+    /// tests only candidates no dimension has ruled out. With no trapdoor
+    /// it answers every row the oracle calls live, at no QPF.
+    ///
+    /// # Errors
+    /// [`QueryError::AttrNotInitialized`] for an unindexed attribute,
+    /// before anything is spent; [`QueryError::Oracle`] on SP↔TM failure.
+    /// Abort-safe: the executor evaluates every trapdoor before committing
+    /// any refinement, so on error the knowledge is untouched.
+    pub fn try_select_where<O, R>(
         &mut self,
         oracle: &O,
-        dims: &[(AttrId, &[P])],
+        preds: &[P],
         rng: &mut R,
     ) -> Result<Selection, QueryError>
     where
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        if let Some(&(attr, _)) = dims.iter().find(|(a, _)| !self.kbs.contains_key(a)) {
-            return Err(QueryError::AttrNotInitialized(attr));
-        }
-        // Each dimension borrows its attribute's knowledge; a slot left
-        // empty is an attribute an earlier dimension already took.
-        let mut slots: Vec<Option<&mut Knowledge<P>>> = dims.iter().map(|_| None).collect();
+        let mut by_attr: Vec<&P> = preds.iter().collect();
+        by_attr.sort_by_key(|p| p.attr());
+        let kind = query_kind(oracle, &by_attr);
+        // One dimension per run of equal attributes, each borrowing that
+        // attribute's knowledge once found.
+        let mut dims: Vec<(&[&P], Option<&mut Knowledge<P>>)> = by_attr
+            .chunk_by(|a, b| a.attr() == b.attr())
+            .map(|run| (run, None))
+            .collect();
         for (attr, kb) in &mut self.kbs {
-            if let Some(i) = dims.iter().position(|(a, _)| a == attr) {
-                slots[i] = Some(kb);
+            if let Ok(i) = dims.binary_search_by_key(attr, |(run, _)| run[0].attr()) {
+                dims[i].1 = Some(kb);
             }
         }
         let mut md_dims: Vec<MdDim<P>> = Vec::with_capacity(dims.len());
-        for (slot, &(attr, preds)) in slots.into_iter().zip(dims) {
-            let knowledge =
-                slot.unwrap_or_else(|| panic!("attribute {attr} listed in two dimensions"));
-            md_dims.push(MdDim { knowledge, preds });
+        for (run, slot) in dims {
+            let knowledge = slot.ok_or(QueryError::AttrNotInitialized(run[0].attr()))?;
+            md_dims.push(MdDim {
+                knowledge,
+                preds: run,
+            });
         }
-        Ok(md::run(&mut md_dims, oracle, rng, self.config.refine)?)
+        let sel = md::run(&mut md_dims, oracle, rng, self.config.refine)?;
+        metrics::global().record_query(kind, &sel.stats);
+        Ok(sel)
     }
 
-    /// Processes a d-dimensional range query with PRKB(MD) (paper §6.2).
-    ///
-    /// `dims` holds the two comparison trapdoors of each dimension; no
-    /// dimension answers every live row, as every entry point does.
-    ///
-    /// Infallible wrapper over
-    /// [`try_select_range_md`](Self::try_select_range_md).
-    ///
-    /// # Panics
-    /// Panics on uninitialized attributes, duplicate dimensions, or oracle
-    /// failure.
-    pub fn select_range_md<O, R>(&mut self, oracle: &O, dims: &[[P; 2]], rng: &mut R) -> Selection
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        or_panic(self.try_select_range_md(oracle, dims, rng))
-    }
-
-    /// Processes a d-dimensional range query with PRKB(MD) (paper §6.2).
+    /// A d-dimensional box as two comparison trapdoors per dimension: the
+    /// pairs flattened into [`try_select_where`](Self::try_select_where).
     ///
     /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: PRKB(MD) stages
-    /// every split and commits only after the whole query has evaluated.
-    ///
-    /// # Panics
-    /// Panics on duplicate dimensions (programmer error).
+    /// As [`try_select_where`](Self::try_select_where).
+    #[doc(hidden)]
     pub fn try_select_range_md<O, R>(
         &mut self,
         oracle: &O,
@@ -257,164 +267,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let dims: Vec<(AttrId, &[P])> = dims
-            .iter()
-            .map(|pair| {
-                let attr = pair[0].attr();
-                assert_eq!(
-                    attr,
-                    pair[1].attr(),
-                    "a dimension's trapdoors must share an attribute"
-                );
-                (attr, &pair[..])
-            })
-            .collect();
-        let sel = self.run_dims(oracle, &dims, rng)?;
-        metrics::global().record_query(QueryKind::Md, &sel.stats);
-        Ok(sel)
-    }
-
-    /// Processes a d-dimensional range query with the naive PRKB(SD+)
-    /// extension (paper §6, baseline).
-    ///
-    /// Infallible wrapper over
-    /// [`try_select_range_sdplus`](Self::try_select_range_sdplus).
-    ///
-    /// # Panics
-    /// Panics on uninitialized attributes or oracle failure.
-    pub fn select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Selection
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        or_panic(self.try_select_range_sdplus(oracle, dims, rng))
-    }
-
-    /// Processes a d-dimensional range query with the naive PRKB(SD+)
-    /// extension (paper §6, baseline): each of the 2d trapdoors runs through
-    /// the MD executor on its own, in order, as a dimension with one
-    /// trapdoor, and the answers are intersected. Much cheaper than a linear
-    /// scan, but — unlike PRKB(MD) — it pays a full NS-pair scan for every
-    /// trapdoor and cannot prune across dimensions. No dimension answers
-    /// every live row. The stats sum the trapdoors' breakdowns, but
-    /// `qpf_uses` is the whole query's and `k_before`/`k_after` total the
-    /// named attributes, as on a checked-out sub-engine.
-    ///
-    /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: the only select
-    /// that commits trapdoor by trapdoor, so when two or more may refine,
-    /// the named attributes' knowledge is cloned up front and restored
-    /// wholesale if a later one fails.
-    pub fn try_select_range_sdplus<O, R>(
-        &mut self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        rng: &mut R,
-    ) -> Result<Selection, QueryError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let parts: Vec<&P> = dims.iter().flatten().collect();
-        let qpf_before = oracle.qpf_uses();
-        let mut attrs: Vec<AttrId> = parts.iter().map(|p| p.attr()).collect();
-        attrs.sort_unstable();
-        attrs.dedup();
-
-        // A single trapdoor is abort-safe by itself: nothing earlier to strand.
-        let snapshot = self.config.refine.is_some() && parts.len() > 1;
-        let mut saved: Vec<(AttrId, Knowledge<P>)> = Vec::new();
-        let mut k_before = 0usize;
-        for &attr in &attrs {
-            let kb = self
-                .knowledge(attr)
-                .ok_or(QueryError::AttrNotInitialized(attr))?;
-            k_before += kb.k();
-            if snapshot {
-                saved.push((attr, kb.clone()));
-            }
-        }
-
-        // The running intersection, ascending by id.
-        let mut common: Option<Vec<TupleId>> = None;
-        let mut stats = QueryStats::default();
-        for pred in parts {
-            let one = [(pred.attr(), std::slice::from_ref(pred))];
-            let sel = self.run_dims(oracle, &one, rng).inspect_err(|_| {
-                for (attr, kb) in saved.drain(..) {
-                    self.restore_attr(attr, kb);
-                }
-            })?;
-            stats.absorb(&sel.stats);
-            let mut ids = sel.tuples;
-            ids.sort_unstable();
-            if let Some(earlier) = &common {
-                ids.retain(|t| earlier.binary_search(t).is_ok());
-            }
-            common = Some(ids);
-        }
-        let tuples = match common {
-            Some(tuples) => tuples,
-            None => self.run_dims(oracle, &[], rng)?.tuples,
-        };
-
-        stats.qpf_uses = oracle.qpf_uses().saturating_sub(qpf_before);
-        stats.k_before = k_before;
-        stats.k_after = attrs.iter().map(|a| self.kbs[a].k()).sum();
-        metrics::global().record_query(QueryKind::Sdplus, &stats);
-        Ok(Selection { tuples, stats })
-    }
-
-    /// Processes an arbitrary conjunction of trapdoors — the execution
-    /// entry point for parsed SQL selections (`prkb_edbms::sql`).
-    ///
-    /// One run of the MD executor (paper §6.2): the trapdoors are grouped by
-    /// attribute (ascending, input order within one), each attribute is one
-    /// dimension holding all of its trapdoors — comparisons and BETWEENs
-    /// alike — and the walk tests only candidates no dimension has ruled
-    /// out. No trapdoor answers every live row.
-    ///
-    /// # Panics
-    /// Panics if a referenced attribute was never initialized, or on oracle
-    /// failure. Infallible wrapper over
-    /// [`try_select_conjunction`](Self::try_select_conjunction).
-    pub fn select_conjunction<O, R>(&mut self, oracle: &O, preds: &[P], rng: &mut R) -> Selection
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        or_panic(self.try_select_conjunction(oracle, preds, rng))
-    }
-
-    /// Fallible twin of [`select_conjunction`](Self::select_conjunction).
-    ///
-    /// # Errors
-    /// See [`try_select`](Self::try_select). Abort-safe: the one run stages
-    /// every split and commits only after the whole conjunction has
-    /// evaluated.
-    pub fn try_select_conjunction<O, R>(
-        &mut self,
-        oracle: &O,
-        preds: &[P],
-        rng: &mut R,
-    ) -> Result<Selection, QueryError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let mut by_attr: BTreeMap<AttrId, Vec<P>> = BTreeMap::new();
-        for p in preds {
-            by_attr.entry(p.attr()).or_default().push(p.clone());
-        }
-        let dims: Vec<(AttrId, &[P])> = by_attr.iter().map(|(&a, ps)| (a, &ps[..])).collect();
-        let sel = self.run_dims(oracle, &dims, rng)?;
-        metrics::global().record_query(QueryKind::Conjunction, &sel.stats);
-        Ok(sel)
+        self.try_select_where(oracle, dims.as_flattened(), rng)
     }
 
     /// Checks the named attributes' knowledge **out** of this engine into a
@@ -558,8 +411,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
 
     /// Installs a knowledge base for `attr`, replacing any it had: one
     /// [`snapshot::load`](crate::snapshot::load) restored after a restart,
-    /// a segment's image, or the state an aborted multi-part selection
-    /// rolls back to.
+    /// or a segment's image.
     pub fn restore_attr(&mut self, attr: AttrId, kb: Knowledge<P>) {
         self.kbs.insert(attr, kb);
     }
@@ -573,6 +425,7 @@ impl<P: SpPredicate> PrkbEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
     use crate::snapshot;
     use prkb_edbms::testing::PlainOracle;
     use prkb_edbms::{ComparisonOp, Predicate};
@@ -604,33 +457,6 @@ mod tests {
         assert_eq!(
             engine.select(&oracle, &b, &mut rng).sorted(),
             oracle.expected_select(&b)
-        );
-    }
-
-    #[test]
-    fn md_and_sdplus_through_engine() {
-        let (mut engine, oracle) = engine_2d(800, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let dims = [
-            [
-                Predicate::cmp(0, ComparisonOp::Gt, 200),
-                Predicate::cmp(0, ComparisonOp::Lt, 600),
-            ],
-            [
-                Predicate::cmp(1, ComparisonOp::Gt, 300),
-                Predicate::cmp(1, ComparisonOp::Lt, 700),
-            ],
-        ];
-        let flat: Vec<Predicate> = dims.iter().flatten().cloned().collect();
-        let md = engine.select_range_md(&oracle, &dims, &mut rng);
-        assert_eq!(md.sorted(), oracle.expected_conjunction(&flat));
-        let sdp = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-        assert_eq!(sdp.sorted(), oracle.expected_conjunction(&flat));
-        // Knowledge must be back in place for single-dim queries.
-        let c = Predicate::cmp(0, ComparisonOp::Lt, 500);
-        assert_eq!(
-            engine.select(&oracle, &c, &mut rng).sorted(),
-            oracle.expected_select(&c)
         );
     }
 
@@ -690,10 +516,10 @@ mod tests {
             Predicate::between(0, 150, 700),
             Predicate::cmp(1, ComparisonOp::Ge, 250),
         ];
-        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+        let sel = engine.select_where(&oracle, &preds, &mut rng);
         assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
         // Repeat: must stay correct with the now-warmed index.
-        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+        let sel = engine.select_where(&oracle, &preds, &mut rng);
         assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
     }
 
@@ -701,7 +527,7 @@ mod tests {
     fn select_conjunction_empty_is_full_scan() {
         let (mut engine, oracle) = engine_2d(50, 13);
         let mut rng = StdRng::seed_from_u64(14);
-        let sel = engine.select_conjunction(&oracle, &[], &mut rng);
+        let sel = engine.select_where(&oracle, &[], &mut rng);
         assert_eq!(sel.tuples.len(), 50);
         assert_eq!(sel.stats.qpf_uses, 0);
     }
@@ -720,7 +546,7 @@ mod tests {
             Predicate::cmp(0, ComparisonOp::Gt, 50),
             Predicate::cmp(0, ComparisonOp::Lt, 950),
         ];
-        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+        let sel = engine.select_where(&oracle, &preds, &mut rng);
         assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
     }
 
@@ -736,7 +562,7 @@ mod tests {
             Predicate::cmp(1, ComparisonOp::Gt, 100),
             Predicate::cmp(1, ComparisonOp::Gt, 400),
         ];
-        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+        let sel = engine.select_where(&oracle, &preds, &mut rng);
         assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
     }
 
@@ -788,7 +614,7 @@ mod tests {
 
     /// The knowledge base is the authority on which tuples exist: a row
     /// tombstoned in the table but still indexed gets one answer from every
-    /// shape — a comparison pair through SD+, a 1-D range, a 2-D range.
+    /// shape — one comparison, a 1-D range, a 2-D range.
     #[test]
     fn a_tombstoned_but_indexed_row_gets_one_answer() {
         let (mut engine, mut oracle) = engine_2d(600, 23);
@@ -812,10 +638,9 @@ mod tests {
             .expect("some row in both ranges");
         oracle.delete(t);
         let answers = [
-            engine.select_range_sdplus(&oracle, &dims[..1], &mut rng),
-            engine.select_range_md(&oracle, &dims[..1], &mut rng),
-            engine.select_range_sdplus(&oracle, &dims, &mut rng),
-            engine.select_range_md(&oracle, &dims, &mut rng),
+            engine.select(&oracle, &dims[0][0], &mut rng),
+            engine.select_where(&oracle, &dims[0], &mut rng),
+            engine.select_where(&oracle, dims.as_flattened(), &mut rng),
         ];
         for (i, sel) in answers.iter().enumerate() {
             assert!(
@@ -823,13 +648,68 @@ mod tests {
                 "answer {i} drops the indexed row {t}"
             );
         }
-        assert_eq!(answers[0].sorted(), answers[1].sorted());
-        assert_eq!(answers[2].sorted(), answers[3].sorted());
         // Once the engine is told, no shape answers for it.
         engine.delete(t);
-        let sel = engine.select_range_md(&oracle, &dims, &mut rng);
-        let flat: Vec<Predicate> = dims.iter().flatten().copied().collect();
-        assert_eq!(sel.sorted(), oracle.expected_conjunction(&flat));
+        let sel = engine.select_where(&oracle, dims.as_flattened(), &mut rng);
+        assert_eq!(
+            sel.sorted(),
+            oracle.expected_conjunction(dims.as_flattened())
+        );
+    }
+
+    /// The `queries_*` counter a select bumps is read off its trapdoors:
+    /// one comparison, one BETWEEN, a box of two comparisons per attribute
+    /// (in any attribute order), and everything else.
+    #[test]
+    fn the_query_kind_is_derived_from_the_trapdoors() {
+        let (mut engine, oracle) = engine_2d(300, 31);
+        let mut rng = StdRng::seed_from_u64(32);
+        let between = Predicate::between(1, 100, 400);
+        let cases = [
+            (
+                vec![Predicate::cmp(0, ComparisonOp::Lt, 500)],
+                QueryKind::Comparison,
+                Metric::QueriesComparison,
+            ),
+            (vec![between], QueryKind::Between, Metric::QueriesBetween),
+            (
+                [range(1, 300, 700), range(0, 200, 600)].concat(),
+                QueryKind::Md,
+                Metric::QueriesMd,
+            ),
+            (
+                [&range(0, 200, 600)[..], &[between]].concat(),
+                QueryKind::Conjunction,
+                Metric::QueriesConjunction,
+            ),
+        ];
+        let kind = |preds: &[Predicate]| {
+            let mut by_attr: Vec<&Predicate> = preds.iter().collect();
+            by_attr.sort_by_key(|p| p.attr());
+            query_kind(&oracle, &by_attr)
+        };
+        for (preds, want, counter) in &cases {
+            assert_eq!(kind(preds), *want, "{preds:?}");
+            // Other tests share the global registry: the counter only has
+            // to move.
+            let before = metrics::global().get(*counter);
+            engine.select_where(&oracle, preds, &mut rng);
+            assert!(metrics::global().get(*counter) > before, "{want:?}");
+        }
+        // The rule's edges: no trapdoor, a lone half-open dimension beside a
+        // pair, and three comparisons on one attribute are conjunctions.
+        let lt = Predicate::cmp(0, ComparisonOp::Lt, 9);
+        for preds in [
+            vec![],
+            [
+                &range(0, 1, 9)[..],
+                &[Predicate::cmp(1, ComparisonOp::Gt, 4)],
+            ]
+            .concat(),
+            [&range(0, 1, 9)[..], &[lt]].concat(),
+        ] {
+            assert_eq!(kind(&preds), QueryKind::Conjunction, "{preds:?}");
+        }
     }
 
     /// Counts the oracle calls that carry no tuple.
@@ -894,10 +774,9 @@ mod tests {
             let kinds = [
                 engine.select(&oracle, &cmp, &mut rng),
                 engine.select(&oracle, &between, &mut rng),
-                engine.select_range_md(&oracle, &dims[..1], &mut rng),
-                engine.select_range_md(&oracle, &dims, &mut rng),
-                engine.select_range_sdplus(&oracle, &dims, &mut rng),
-                engine.select_conjunction(&oracle, &conjunction, &mut rng),
+                engine.select_where(&oracle, &dims[0], &mut rng),
+                engine.select_where(&oracle, dims.as_flattened(), &mut rng),
+                engine.select_where(&oracle, &conjunction, &mut rng),
             ];
             assert!(kinds.iter().all(|sel| sel.stats.qpf_uses > 0));
             assert_eq!(oracle.empty.get(), 0, "round {round}");
@@ -913,8 +792,9 @@ mod tests {
         }
     }
 
-    /// A query with no trapdoor gets one answer from every entry point:
-    /// every live row, at no QPF — not a panic, and not the deleted row.
+    /// A query with no trapdoor gets one answer from both entry points that
+    /// take a list: every live row, at no QPF — not a panic, and not the
+    /// deleted row.
     #[test]
     fn zero_dimension_queries_get_one_answer() {
         let (mut engine, mut oracle) = engine_2d(40, 27);
@@ -923,9 +803,10 @@ mod tests {
         engine.delete(7);
         let live: Vec<TupleId> = (0..40).filter(|&t| t != 7).collect();
         let answers = [
-            engine.select_range_md(&oracle, &[], &mut rng),
-            engine.select_range_sdplus(&oracle, &[], &mut rng),
-            engine.select_conjunction(&oracle, &[], &mut rng),
+            engine.select_where(&oracle, &[], &mut rng),
+            engine
+                .try_select_range_md(&oracle, &[], &mut rng)
+                .expect("no trapdoor, nothing to fail"),
         ];
         for (i, sel) in answers.iter().enumerate() {
             assert_eq!(sel.sorted(), live, "entry point {i}");
@@ -963,118 +844,6 @@ mod tests {
             assert_eq!(oracle.qpf_uses(), qpf, "tuple {t}");
             assert_eq!(bytes(&engine), before, "tuple {t}");
         }
-    }
-
-    /// `d` attributes of `n` rows, values uniform in 0..10 000.
-    fn engine_nd(n: usize, d: usize, seed: u64) -> (PrkbEngine<Predicate>, PlainOracle) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let columns: Vec<Vec<u64>> = (0..d)
-            .map(|_| (0..n).map(|_| rng.gen_range(0..10_000u64)).collect())
-            .collect();
-        let oracle = PlainOracle::from_columns(columns);
-        let mut engine = PrkbEngine::new(EngineConfig::default());
-        for a in 0..d {
-            engine.init_attr(a as AttrId, n);
-        }
-        (engine, oracle)
-    }
-
-    /// One open range per attribute, attribute `i` taking `ranges[i]`.
-    fn dims_for(ranges: &[(u64, u64)]) -> Vec<[Predicate; 2]> {
-        let dims = ranges.iter().enumerate();
-        dims.map(|(a, &(lo, hi))| range(a as u32, lo, hi)).collect()
-    }
-
-    fn check_invariants(engine: &PrkbEngine<Predicate>) {
-        for a in engine.attrs() {
-            engine.knowledge(a).expect("listed").check_invariants();
-        }
-    }
-
-    #[test]
-    fn sdplus_matches_ground_truth() {
-        let (mut engine, oracle) = engine_nd(2000, 2, 1);
-        let dims = dims_for(&[(1000, 4000), (3000, 7000)]);
-        let mut rng = StdRng::seed_from_u64(2);
-        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
-        assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
-        check_invariants(&engine);
-    }
-
-    #[test]
-    fn sdplus_and_md_agree() {
-        for d in [2usize, 3] {
-            let (mut engine, oracle) = engine_nd(1500, d, 3);
-            let ranges: Vec<(u64, u64)> =
-                (0..d as u64).map(|i| (i * 500, 5000 + i * 500)).collect();
-            let dims = dims_for(&ranges);
-            let mut rng = StdRng::seed_from_u64(4);
-            let a = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-            let b = engine.select_range_md(&oracle, &dims, &mut rng);
-            assert_eq!(a.sorted(), b.sorted(), "d={d}");
-            check_invariants(&engine);
-        }
-    }
-
-    #[test]
-    fn md_beats_sdplus_on_warmed_knowledge() {
-        // With warmed PRKBs, PRKB(MD) must use fewer QPF than PRKB(SD+)
-        // because it only tests NS tuples inside the candidate band.
-        let (mut engine, oracle) = engine_nd(6000, 3, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        // Warm with random single-dim queries.
-        for round in 0..25u64 {
-            for a in 0..3u32 {
-                let bound = (round * 397 + a as u64 * 131) % 10_000;
-                engine.select(
-                    &oracle,
-                    &Predicate::cmp(a, ComparisonOp::Lt, bound),
-                    &mut rng,
-                );
-            }
-        }
-        // Narrow query against the now-static index.
-        engine.config.refine = None;
-        let ranges: Vec<(u64, u64)> = (0..3u64)
-            .map(|a| (2000 + a * 700, 2600 + a * 700))
-            .collect();
-        let dims = dims_for(&ranges);
-        let md = engine.select_range_md(&oracle, &dims, &mut rng);
-        let sdp = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-        assert_eq!(md.sorted(), sdp.sorted());
-        assert!(
-            md.stats.qpf_uses < sdp.stats.qpf_uses,
-            "MD {} vs SD+ {}",
-            md.stats.qpf_uses,
-            sdp.stats.qpf_uses
-        );
-    }
-
-    #[test]
-    fn sdplus_counts_past_255_parts() {
-        // 128 dimensions are 256 parts: one more than a byte-wide hit
-        // counter holds, so a tuple inside every range used to wrap to 0.
-        let d = 128usize;
-        let columns: Vec<Vec<u64>> = (0..d as u64)
-            .map(|a| (0..8u64).map(|t| 1 + (t * 7 + a) % 8).collect())
-            .collect();
-        let oracle = PlainOracle::from_columns(columns);
-        let mut engine = PrkbEngine::new(EngineConfig::default());
-        for a in 0..d {
-            engine.init_attr(a as AttrId, 8);
-        }
-        // Values are 1..=8: everything but 8 in dimension 0, everything
-        // elsewhere.
-        let mut ranges = vec![(0u64, 9u64); d];
-        ranges[0] = (0, 8);
-        let dims = dims_for(&ranges);
-        let mut rng = StdRng::seed_from_u64(7);
-        let sel = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-        let preds: Vec<Predicate> = dims.iter().flatten().copied().collect();
-        let want = oracle.expected_conjunction(&preds);
-        assert_eq!(want.len(), 7, "the test's ranges select all rows but one");
-        assert_eq!(sel.sorted(), want);
     }
 
     const DOMAIN: u64 = 120;
@@ -1139,7 +908,7 @@ mod tests {
                             }
                             expected = Some(ids);
                         }
-                        let sel = engine.select_conjunction(&oracle, &preds, &mut rng);
+                        let sel = engine.select_where(&oracle, &preds, &mut rng);
                         proptest::prop_assert_eq!(sel.sorted(), expected.expect("a trapdoor"), "step {}", step);
                         proptest::prop_assert_eq!(sel.sorted(), oracle.expected_conjunction(&preds));
                     }

@@ -22,8 +22,9 @@
 //! * `between`, `insert` (crate-private) — the BETWEEN locator (Appendix
 //!   A's hunt) and database updates (§7: decide every attribute's
 //!   [`InsertOutcome`], then apply); these and `md` are all reached through
-//!   [`PrkbEngine`], the per-table façade, which also runs the PRKB(SD+)
-//!   baseline (§6): each trapdoor alone, answers intersected;
+//!   [`PrkbEngine`], the per-table façade, whose one select,
+//!   [`PrkbEngine::select_where`], takes any list of trapdoors as a
+//!   conjunction;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
 //!   the one checkout/commit driver over it (in memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/

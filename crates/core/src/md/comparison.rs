@@ -53,7 +53,7 @@ pub(crate) mod tests {
         O::Pred: SpPredicate,
         R: Rng,
     {
-        let preds = std::slice::from_ref(pred);
+        let preds = std::slice::from_ref(&pred);
         let refine = update.then_some(MdUpdatePolicy::PartialOnly);
         run(&mut [MdDim { knowledge, preds }], oracle, rng, refine)
     }
@@ -230,7 +230,8 @@ pub(crate) mod tests {
                         let refine = Some(MdUpdatePolicy::PartialOnly);
                         let mut answers = Vec::new();
                         for knowledge in [&mut kb, &mut kb_twin] {
-                            let mut dims = [MdDim { knowledge, preds: &preds }];
+                            let [lo, hi] = &preds;
+                            let mut dims = [MdDim { knowledge, preds: &[lo, hi] }];
                             let mut r = StdRng::seed_from_u64(query_seed);
                             answers.push(run(&mut dims, &oracle, &mut r, refine).unwrap());
                         }

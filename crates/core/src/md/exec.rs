@@ -854,7 +854,7 @@ where
             };
             let (left_label, sep, refines) = if let Some(edge) = edge {
                 let sep = Separator::Between {
-                    pred: pred.clone(),
+                    pred: (*pred).clone(),
                     edge,
                 };
                 (edge == BetweenEdge::InteriorLeft, sep, None)
@@ -866,7 +866,7 @@ where
                 let label_of = |q: usize| (q == other.rank).then_some(other.label).or(td.label(q));
                 let left_label = order_halves(dim.knowledge.k(), r, label_of);
                 let sep = Separator::Cmp {
-                    pred: pred.clone(),
+                    pred: (*pred).clone(),
                     left_label,
                 };
                 (left_label, sep, Some((left_label, j)))
@@ -1171,9 +1171,14 @@ mod tests {
         ranges.iter().enumerate().map(pair).collect()
     }
 
+    /// Each range's two trapdoors, borrowed, as [`to_dims`] takes them.
+    fn pairs(preds: &[[Predicate; 2]]) -> Vec<[&Predicate; 2]> {
+        preds.iter().map(|[lo, hi]| [lo, hi]).collect()
+    }
+
     fn to_dims<'a>(
         kbs: &'a mut [Knowledge<Predicate>],
-        preds: &'a [[Predicate; 2]],
+        preds: &'a [[&'a Predicate; 2]],
     ) -> Vec<MdDim<'a, Predicate>> {
         kbs.iter_mut()
             .zip(preds)
@@ -1250,10 +1255,10 @@ mod tests {
                 let preds = range_preds(&ranges);
                 let mut rng_new = StdRng::seed_from_u64(seed ^ q);
                 let mut rng_ref = StdRng::seed_from_u64(seed ^ q);
-                let new = run(&mut to_dims(&mut kbs_new, &preds), &oracle_new, &mut rng_new, policy)
+                let new = run(&mut to_dims(&mut kbs_new, &pairs(&preds)), &oracle_new, &mut rng_new, policy)
                     .expect("clean");
                 let reference =
-                    run_reference(&mut to_dims(&mut kbs_ref, &preds), &oracle_ref, &mut rng_ref, policy)
+                    run_reference(&mut to_dims(&mut kbs_ref, &pairs(&preds)), &oracle_ref, &mut rng_ref, policy)
                         .expect("clean");
                 proptest::prop_assert_eq!(&new.tuples, &reference.tuples, "winners, query {}", q);
                 proptest::prop_assert_eq!(new.stats, reference.stats, "stats, query {}", q);
@@ -1327,7 +1332,13 @@ mod tests {
         let (mut kbs, preds) = (vec![Knowledge::init(n)], range_preds(&[(99, 300)]));
         let mut rng = StdRng::seed_from_u64(1);
         let refine = Some(MdUpdatePolicy::PartialOnly);
-        let sel = run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, refine).expect("clean");
+        let sel = run(
+            &mut to_dims(&mut kbs, &pairs(&preds)),
+            &counting,
+            &mut rng,
+            refine,
+        )
+        .expect("clean");
         assert_eq!(sel.sorted(), (100..300).collect::<Vec<_>>());
         // k = 1: no probes; wave 0 tests all n, wave 1 its 400 survivors.
         assert_eq!(sel.stats.qpf_uses, 500 + 400);
@@ -1372,7 +1383,13 @@ mod tests {
         let (mut kbs, preds) = (vec![kb], range_preds(&[(150, 350)]));
         let mut rng = StdRng::seed_from_u64(22);
         let refine = Some(MdUpdatePolicy::PartialOnly);
-        let sel = run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, refine).expect("clean");
+        let sel = run(
+            &mut to_dims(&mut kbs, &pairs(&preds)),
+            &counting,
+            &mut rng,
+            refine,
+        )
+        .expect("clean");
         let mut expected = oracle.expected_conjunction(&preds[0]);
         expected.push(dead);
         expected.sort_unstable();
@@ -1415,14 +1432,20 @@ mod tests {
         let mut reference = new.clone();
         let preds = range_preds(&ranges);
         let rng = || StdRng::seed_from_u64(24);
-        let (p, band) = prepare(&to_dims(&mut new, &preds), &oracle, &mut rng()).unwrap();
+        let (p, band) = prepare(&to_dims(&mut new, &pairs(&preds)), &oracle, &mut rng()).unwrap();
         assert_eq!(p.driver, 1);
         assert!(band.segments.len() > 1, "{:?}", band.segments);
 
         let policy = Some(MdUpdatePolicy::PartialOnly);
-        let a = run(&mut to_dims(&mut new, &preds), &oracle, &mut rng(), policy).unwrap();
+        let a = run(
+            &mut to_dims(&mut new, &pairs(&preds)),
+            &oracle,
+            &mut rng(),
+            policy,
+        )
+        .unwrap();
         let b = run_reference(
-            &mut to_dims(&mut reference, &preds),
+            &mut to_dims(&mut reference, &pairs(&preds)),
             &oracle,
             &mut rng(),
             policy,
@@ -1463,13 +1486,14 @@ mod tests {
                 select_one(&mut kbs[attr as usize], &oracle, &p, &mut rng, true).unwrap();
             }
         }
-        let preds = [
-            vec![Predicate::cmp(0, ComparisonOp::Lt, 30)],
-            vec![Predicate::between(1, 15, 25)],
-        ];
+        let (lt, between) = (
+            Predicate::cmp(0, ComparisonOp::Lt, 30),
+            Predicate::between(1, 15, 25),
+        );
+        let preds = [[&lt], [&between]];
         fn dims<'a>(
             kbs: &'a mut [Knowledge<Predicate>],
-            preds: &'a [Vec<Predicate>],
+            preds: &'a [[&'a Predicate; 1]],
         ) -> Vec<MdDim<'a, Predicate>> {
             kbs.iter_mut()
                 .zip(preds)
@@ -1508,8 +1532,13 @@ mod tests {
             let counting = Counting::new(&oracle);
             let preds = range_preds(&[(40, 120), (60, 150)]);
             let mut rng = StdRng::seed_from_u64(6);
-            let sel =
-                run(&mut to_dims(&mut kbs, &preds), &counting, &mut rng, policy).expect("clean");
+            let sel = run(
+                &mut to_dims(&mut kbs, &pairs(&preds)),
+                &counting,
+                &mut rng,
+                policy,
+            )
+            .expect("clean");
             assert!(sel.stats.filter_probes > 0, "warmed KBs are probed");
             assert_eq!(
                 counting.singles.load(Ordering::Relaxed),

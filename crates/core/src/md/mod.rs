@@ -44,12 +44,13 @@ pub enum MdUpdatePolicy {
 
 /// One dimension of a query: the attribute's knowledge base plus every
 /// trapdoor the query names on it — one comparison, a range's two, a
-/// BETWEEN, or a conjunction's mix — both borrowed.
+/// BETWEEN, or a conjunction's mix — all borrowed, the trapdoors one by
+/// one, so grouping a query's trapdoors into dimensions clones none.
 pub(crate) struct MdDim<'a, P> {
     /// PRKB state of this attribute.
     pub knowledge: &'a mut Knowledge<P>,
     /// The trapdoors of this dimension.
-    pub preds: &'a [P],
+    pub preds: &'a [&'a P],
 }
 
 pub(crate) use exec::run;
@@ -109,9 +110,10 @@ mod tests {
         let preds: Vec<[Predicate; 2]> = (0..kbs.len())
             .map(|a| range_preds(a as u32, ranges[a].0, ranges[a].1))
             .collect();
+        let pairs: Vec<[&Predicate; 2]> = preds.iter().map(|[lo, hi]| [lo, hi]).collect();
         let mut dims: Vec<MdDim<Predicate>> = kbs
             .iter_mut()
-            .zip(&preds)
+            .zip(&pairs)
             .map(|(knowledge, preds)| MdDim { knowledge, preds })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);

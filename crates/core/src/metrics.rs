@@ -61,15 +61,16 @@ schema_enum! {
     /// Every counter the registry tracks. Names (via [`Metric::name`]) are
     /// part of the `prkb-metrics/v8` JSON schema: never rename, only append.
     pub enum Metric {
-        /// Single-comparison selections processed by the engine.
+        /// Selects of one comparison trapdoor.
         QueriesComparison => "queries_comparison",
-        /// BETWEEN selections processed by the engine.
+        /// Selects of one BETWEEN trapdoor.
         QueriesBetween => "queries_between",
-        /// Multi-dimensional (MD grid) range selections.
+        /// Box selects: exactly two comparison trapdoors per attribute.
         QueriesMd => "queries_md",
-        /// SD+ (per-dimension intersection) range selections.
+        /// Retired, always 0 (SD+ runs in `prkb-bench`, one select per
+        /// trapdoor); kept so that `prkb-metrics/v8` readers still parse.
         QueriesSdplus => "queries_sdplus",
-        /// Conjunction selections (mixed predicate lists).
+        /// Every other select (mixed trapdoor lists).
         QueriesConjunction => "queries_conjunction",
         /// Total QPF uses spent by engine queries (sum of per-query deltas).
         QueryQpfUses => "query_qpf_uses",
@@ -230,15 +231,13 @@ impl Histogram {
 /// `queries_*` counter bumped by [`MetricsRegistry::record_query`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum QueryKind {
-    /// Single comparison (`<`, `<=`, `>`, `>=`).
+    /// One comparison trapdoor (`<`, `<=`, `>`, `>=`).
     Comparison,
-    /// BETWEEN range on one attribute.
+    /// One BETWEEN trapdoor.
     Between,
-    /// Multi-dimensional grid (MD) range.
+    /// A box: exactly two comparison trapdoors on every attribute named.
     Md,
-    /// SD+ per-dimension intersection range.
-    Sdplus,
-    /// Conjunction of mixed predicates.
+    /// Any other list of trapdoors, the empty one included.
     Conjunction,
 }
 
@@ -248,7 +247,6 @@ impl QueryKind {
             QueryKind::Comparison => Metric::QueriesComparison,
             QueryKind::Between => Metric::QueriesBetween,
             QueryKind::Md => Metric::QueriesMd,
-            QueryKind::Sdplus => Metric::QueriesSdplus,
             QueryKind::Conjunction => Metric::QueriesConjunction,
         }
     }

@@ -20,15 +20,14 @@
 //!   disjoint.
 //!
 //! There is one checkout discipline. A selection's footprint is its
-//! predicate's attribute, an MD range's is one attribute per dimension, and
-//! a whole-table operation (insert, delete, inspection) is the same
-//! checkout with a footprint of *every* attribute — an engine is nothing
-//! but per-attribute knowledge, so that moves the whole pool. The attribute
-//! set is fixed when the scheduler is built (indexing decisions are made at
-//! upload time). Shards are reserved strictly in ascending shard-id order,
-//! holding at most one shard mutex at a time, so lock-order cycles are
-//! impossible by construction — the classic hierarchical resource-ordering
-//! argument.
+//! trapdoors' attributes, and a whole-table operation (insert, delete,
+//! inspection) is the same checkout with a footprint of *every* attribute
+//! — an engine is nothing but per-attribute knowledge, so that moves the
+//! whole pool. The attribute set is fixed when the scheduler is built
+//! (indexing decisions are made at upload time). Shards are reserved
+//! strictly in ascending shard-id order, holding at most one shard mutex at
+//! a time, so lock-order cycles are impossible by construction — the
+//! classic hierarchical resource-ordering argument.
 //!
 //! There is also one **commit sequence**, and nothing outside this crate
 //! can run its steps: a successful operation's journaled ops are drained
@@ -671,22 +670,27 @@ impl<P: SpPredicate + WireCodec> Drop for Checkin<'_, P> {
     }
 }
 
-/// The four deadline-bounded operations a server dispatches (and the
+/// The three deadline-bounded operations a server dispatches (and the
 /// durability suites drive). `deadline`
 /// bounds the whole operation: the checkout wait and every oracle batch
 /// check it, and expiry aborts with [`OracleError::DeadlineExceeded`]
 /// leaving the KB untouched. (Insert routing passes `oracle` through as is,
 /// so for whole-table operations the only deadline point is checkout.)
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
-    /// Single-predicate selection (comparison or BETWEEN trapdoor).
+    /// A selection — a list of trapdoors read as a conjunction, see
+    /// [`PrkbEngine::try_select_where`] — over a footprint of the
+    /// trapdoors' attributes. With no trapdoor it answers every row the
+    /// oracle calls live, which is right only if the caller tombstones that
+    /// table on every delete — the server does not, so the wire refuses an
+    /// empty list before it gets here.
     ///
     /// # Errors
     /// [`DurableError::Query`] when the engine fails (nothing committed),
     /// any other [`DurableError`] when a durable shard does.
-    pub fn select<O, R>(
+    pub fn select_where<O, R>(
         &self,
         oracle: &O,
-        pred: &P,
+        preds: &[P],
         deadline: Option<Instant>,
         rng: &mut R,
     ) -> Result<(Selection, u64), DurableError>
@@ -694,39 +698,11 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         O: SelectionOracle<Pred = P>,
         R: Rng,
     {
-        let session = SessionOracle::new(oracle);
-        let bounded = DeadlineOracle::new(&session, deadline);
-        self.checkout(&[pred.attr()], deadline, |sub| {
-            sub.try_select(&bounded, pred, rng)
-        })
-    }
-
-    /// Multi-dimensional range selection (PRKB(MD)). Callers must have
-    /// rejected duplicate-attribute dimensions already (the engine treats
-    /// them as a programmer error). With no dimension it answers every row
-    /// the oracle calls live, which is right only if the caller tombstones
-    /// that table on every delete — the server does not, so the wire
-    /// refuses an empty dimension list before it gets here.
-    ///
-    /// # Errors
-    /// [`DurableError::Query`] when the engine fails (nothing committed),
-    /// any other [`DurableError`] when a durable shard does.
-    pub fn select_range_md<O, R>(
-        &self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        deadline: Option<Instant>,
-        rng: &mut R,
-    ) -> Result<(Selection, u64), DurableError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
+        let attrs: Vec<AttrId> = preds.iter().map(SpPredicate::attr).collect();
         let session = SessionOracle::new(oracle);
         let bounded = DeadlineOracle::new(&session, deadline);
         self.checkout(&attrs, deadline, |sub| {
-            sub.try_select_range_md(&bounded, dims, rng)
+            sub.try_select_where(&bounded, preds, rng)
         })
     }
 
@@ -981,7 +957,7 @@ mod tests {
             .collect();
         let (sel, seq) = sched
             .with_detached(&attrs, |sub| {
-                sub.try_select_conjunction(&session, &preds, &mut StdRng::seed_from_u64(3))
+                sub.try_select_where(&session, &preds, &mut StdRng::seed_from_u64(3))
             })
             .expect("conjunction across shards");
         assert_eq!(seq, 1);

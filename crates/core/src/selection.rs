@@ -45,9 +45,9 @@ pub struct QueryStats {
 impl QueryStats {
     /// Folds another query's costs into this one: every additive field is
     /// summed and `k_after` is taken from `other` (the later measurement);
-    /// `k_before` is kept. Used by SD+ to aggregate its constituent
-    /// single-predicate passes.
-    pub(crate) fn absorb(&mut self, other: &QueryStats) {
+    /// `k_before` is kept. `prkb-bench`'s SD+ aggregates its
+    /// single-trapdoor passes with it.
+    pub fn absorb(&mut self, other: &QueryStats) {
         self.qpf_uses += other.qpf_uses;
         self.splits += other.splits;
         self.filter_probes += other.filter_probes;

@@ -39,7 +39,7 @@ fn failed_insert_draws_no_sequence_number_and_journals_nothing() {
     // Two partitions, so routing an insert has a boundary to ask about.
     let pred = Predicate::cmp(0, ComparisonOp::Lt, 25);
     let (_, seq) = sched
-        .select(&oracle, &pred, None, &mut StdRng::seed_from_u64(1))
+        .select_where(&oracle, &[pred], None, &mut StdRng::seed_from_u64(1))
         .expect("select");
     assert_eq!(seq, 1);
 
@@ -114,14 +114,18 @@ fn empty_commit_draws_a_number_and_journals_nothing() {
     let between = Predicate::between(0, 10, 30);
     let mut rng = StdRng::seed_from_u64(1);
     for (pred, number) in [(&cut, 1), (&between, 2)] {
-        let (_, seq) = sched.select(&oracle, pred, None, &mut rng).expect("select");
+        let (_, seq) = sched
+            .select_where(&oracle, &[*pred], None, &mut rng)
+            .expect("select");
         assert_eq!(seq, number);
     }
     let converged = wal_len();
 
     // The same two again: answered, numbered, not journaled.
     for (pred, number) in [(&cut, 3), (&between, 4)] {
-        let (sel, seq) = sched.select(&oracle, pred, None, &mut rng).expect("select");
+        let (sel, seq) = sched
+            .select_where(&oracle, &[*pred], None, &mut rng)
+            .expect("select");
         assert_eq!(sel.sorted(), oracle.expected_select(pred));
         assert_eq!(seq, number, "next dense number");
     }
@@ -179,7 +183,7 @@ fn insert_ack_carries_every_earlier_refinement_of_its_shards() {
     for (attr, bound) in [(0, 20), (1, 35), (0, 40), (1, 10)] {
         let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound);
         sched
-            .select(&oracle, &pred, None, &mut rng)
+            .select_where(&oracle, &[pred], None, &mut rng)
             .expect("select");
     }
     sched.insert(&oracle, uploaded, None).expect("insert");

@@ -181,7 +181,9 @@ pub fn create_single(
 /// One committed `attr < bound` selection through the scheduler.
 pub fn select_lt(sched: &Sched, oracle: &PlainOracle, attr: u32, bound: u64, rng: &mut StdRng) {
     let pred = Predicate::cmp(attr, ComparisonOp::Lt, bound);
-    sched.select(oracle, &pred, None, rng).expect("select");
+    sched
+        .select_where(oracle, &[pred], None, rng)
+        .expect("select");
 }
 
 /// The byte state of a reopened pool, shard by shard, every knowledge base

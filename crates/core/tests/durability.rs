@@ -64,14 +64,13 @@ fn reopen(dir: &TmpDir, config: EngineConfig) -> Sched {
     open_single(&dir.0, config, real_fs()).expect("reopen")
 }
 
-/// Mixed workload over everything that can mutate knowledge: comparisons,
-/// BETWEENs, PRKB(MD), PRKB(SD+), conjunctions, inserts, deletes.
+/// Mixed workload over everything that can mutate knowledge: one trapdoor
+/// (comparison or BETWEEN), a list of them (a 2-D box, a mixed
+/// conjunction), inserts, deletes.
 #[derive(Debug, Clone)]
 enum Step {
     Cmp(Predicate),
-    Md([[Predicate; 2]; 2]),
-    Sdplus([[Predicate; 2]; 2]),
-    Conjunction(Vec<Predicate>),
+    Where(Vec<Predicate>),
     Insert(u32),
     Delete(u32),
 }
@@ -87,24 +86,14 @@ fn workload(n: usize, extra: usize, seed: u64) -> Vec<Step> {
         let step = match round % 7 {
             0 => Step::Cmp(Predicate::cmp(attr, ComparisonOp::Lt, hi)),
             1 => Step::Cmp(Predicate::between(attr, lo, hi)),
-            2 | 3 => {
-                let dims = [
-                    [
-                        Predicate::cmp(0, ComparisonOp::Gt, lo),
-                        Predicate::cmp(0, ComparisonOp::Lt, hi),
-                    ],
-                    [
-                        Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
-                        Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
-                    ],
-                ];
-                if round % 7 == 2 {
-                    Step::Md(dims)
-                } else {
-                    Step::Sdplus(dims)
-                }
-            }
-            4 => Step::Conjunction(vec![
+            2 => Step::Where(vec![
+                Predicate::cmp(0, ComparisonOp::Gt, lo),
+                Predicate::cmp(0, ComparisonOp::Lt, hi),
+                Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
+                Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
+            ]),
+            3 => Step::Cmp(Predicate::cmp(attr, ComparisonOp::Gt, lo)),
+            4 => Step::Where(vec![
                 Predicate::cmp(0, ComparisonOp::Gt, lo),
                 Predicate::cmp(0, ComparisonOp::Lt, hi),
                 Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
@@ -149,14 +138,8 @@ fn apply_ref(
         Step::Cmp(p) => {
             engine.select(oracle, p, rng);
         }
-        Step::Md(dims) => {
-            engine.select_range_md(oracle, dims, rng);
-        }
-        Step::Sdplus(dims) => {
-            engine.select_range_sdplus(oracle, dims, rng);
-        }
-        Step::Conjunction(ps) => {
-            engine.select_conjunction(oracle, ps, rng);
+        Step::Where(ps) => {
+            engine.select_where(oracle, ps, rng);
         }
         Step::Insert(t) => {
             engine.insert(oracle, *t);
@@ -180,15 +163,7 @@ fn apply_durable(
         Step::Cmp(p) => sched
             .with_detached(&[p.attr()], |e| e.try_select(oracle, p, rng))
             .map(answer),
-        Step::Md(dims) => sched
-            .with_detached(&[0, 1], |e| e.try_select_range_md(oracle, dims, rng))
-            .map(answer),
-        Step::Sdplus(dims) => sched
-            .with_detached(&[0, 1], |e| e.try_select_range_sdplus(oracle, dims, rng))
-            .map(answer),
-        Step::Conjunction(ps) => sched
-            .with_detached(&[0, 1], |e| e.try_select_conjunction(oracle, ps, rng))
-            .map(answer),
+        Step::Where(ps) => sched.select_where(oracle, ps, None, rng).map(answer),
         Step::Insert(t) => sched.insert(oracle, *t, None).map(|_| None),
         Step::Delete(t) => sched.delete(*t, None).map(|_| None),
     }
@@ -207,8 +182,7 @@ impl Step {
     fn conjuncts(&self) -> Vec<Predicate> {
         match self {
             Step::Cmp(p) => vec![*p],
-            Step::Md(dims) | Step::Sdplus(dims) => dims.iter().flatten().copied().collect(),
-            Step::Conjunction(ps) => ps.clone(),
+            Step::Where(ps) => ps.clone(),
             Step::Insert(_) | Step::Delete(_) => Vec::new(),
         }
     }
@@ -766,7 +740,7 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
         let durable = create(dir, config, fs, 64);
         let mut rng = StdRng::seed_from_u64(1);
         durable
-            .select(&oracle, &p, None, &mut rng)
+            .select_where(&oracle, &[p], None, &mut rng)
             .expect("deferred: nothing appended yet");
         let deleted = durable.delete(5, None);
         (durable, deleted, rng)
@@ -788,14 +762,14 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
     );
     // The shard is poisoned: new work is refused before it runs.
     assert!(matches!(
-        durable.select(&oracle, &p, None, &mut rng),
+        durable.select_where(&oracle, &[p], None, &mut rng),
         Err(DurableError::Poisoned)
     ));
     drop(durable);
     // Reopening resumes from the durable prefix and accepts work again.
     let durable = reopen(&dir, config);
     let (sel, _) = durable
-        .select(&oracle, &p, None, &mut rng)
+        .select_where(&oracle, &[p], None, &mut rng)
         .expect("works again");
     let expected = oracle.expected_select(&p);
     assert_eq!(sel.sorted(), expected);
@@ -942,8 +916,10 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
     let live = {
         let d = create(&dir.0, config, real_fs(), n);
         let select_md = |dims: &[[Predicate; 2]; 2], rng: &mut StdRng| {
-            d.with_detached(&[0, 1], |e| e.try_select_range_md(&oracle, dims, rng))
-                .expect("clean");
+            d.with_detached(&[0, 1], |e| {
+                e.try_select_where(&oracle, dims.as_flattened(), rng)
+            })
+            .expect("clean");
         };
         let mut qrng = StdRng::seed_from_u64(38);
         for i in 0..8u64 {

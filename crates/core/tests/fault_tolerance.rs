@@ -40,14 +40,13 @@ fn two_attr_engine(n: usize) -> PrkbEngine<Predicate> {
     engine
 }
 
-/// One round of the mixed workload: comparison, BETWEEN, PRKB(MD),
-/// PRKB(SD+), conjunction, insert — everything that can mutate knowledge.
+/// One round of the mixed workload: one trapdoor (comparison or BETWEEN),
+/// a list of them (a 2-D box, a mixed conjunction), an insert — everything
+/// that can mutate knowledge.
 #[derive(Debug, Clone)]
 enum Step {
     Cmp(Predicate),
-    Md([[Predicate; 2]; 2]),
-    Sdplus([[Predicate; 2]; 2]),
-    Conjunction(Vec<Predicate>),
+    Where(Vec<Predicate>),
     Insert(u32),
 }
 
@@ -62,24 +61,13 @@ fn workload(n: usize, extra: usize, seed: u64) -> Vec<Step> {
         let step = match round % 6 {
             0 => Step::Cmp(Predicate::cmp(attr, ComparisonOp::Lt, hi)),
             1 => Step::Cmp(Predicate::between(attr, lo, hi)),
-            2 | 3 => {
-                let dims = [
-                    [
-                        Predicate::cmp(0, ComparisonOp::Gt, lo),
-                        Predicate::cmp(0, ComparisonOp::Lt, hi),
-                    ],
-                    [
-                        Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
-                        Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
-                    ],
-                ];
-                if round % 6 == 2 {
-                    Step::Md(dims)
-                } else {
-                    Step::Sdplus(dims)
-                }
-            }
-            4 => Step::Conjunction(vec![
+            2 | 3 => Step::Where(vec![
+                Predicate::cmp(0, ComparisonOp::Gt, lo),
+                Predicate::cmp(0, ComparisonOp::Lt, hi),
+                Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
+                Predicate::cmp(1, ComparisonOp::Lt, hi + 100),
+            ]),
+            4 => Step::Where(vec![
                 Predicate::cmp(0, ComparisonOp::Gt, lo),
                 Predicate::cmp(0, ComparisonOp::Lt, hi),
                 Predicate::cmp(1, ComparisonOp::Gt, lo / 2),
@@ -129,20 +117,9 @@ proptest! {
                     e1.select(&clean, p, &mut rng()).sorted(),
                     reissue(ATTEMPTS, || e2.try_select(&faulty, p, &mut rng())).sorted(),
                 ),
-                Step::Md(dims) => (
-                    e1.select_range_md(&clean, dims, &mut rng()).sorted(),
-                    reissue(ATTEMPTS, || e2.try_select_range_md(&faulty, dims, &mut rng()))
-                        .sorted(),
-                ),
-                Step::Sdplus(dims) => (
-                    e1.select_range_sdplus(&clean, dims, &mut rng()).sorted(),
-                    reissue(ATTEMPTS, || e2.try_select_range_sdplus(&faulty, dims, &mut rng()))
-                        .sorted(),
-                ),
-                Step::Conjunction(ps) => (
-                    e1.select_conjunction(&clean, ps, &mut rng()).sorted(),
-                    reissue(ATTEMPTS, || e2.try_select_conjunction(&faulty, ps, &mut rng()))
-                        .sorted(),
+                Step::Where(ps) => (
+                    e1.select_where(&clean, ps, &mut rng()).sorted(),
+                    reissue(ATTEMPTS, || e2.try_select_where(&faulty, ps, &mut rng())).sorted(),
                 ),
                 Step::Insert(t) => {
                     let o1 = e1.insert(&clean, *t);
@@ -192,32 +169,10 @@ proptest! {
                         prop_assert_eq!(&before, &kb_bytes(&e2), "step {}: abort mutated KB", i);
                     }
                 },
-                Step::Md(dims) => match e2.try_select_range_md(&faulty, dims, &mut r2) {
+                Step::Where(ps) => match e2.try_select_where(&faulty, ps, &mut r2) {
                     Ok(s2) => {
                         committed += 1;
-                        let s1 = e1.select_range_md(&clean, dims, &mut r1);
-                        prop_assert_eq!(s1.sorted(), s2.sorted(), "step {}", i);
-                    }
-                    Err(_) => {
-                        aborted += 1;
-                        prop_assert_eq!(&before, &kb_bytes(&e2), "step {}: abort mutated KB", i);
-                    }
-                },
-                Step::Sdplus(dims) => match e2.try_select_range_sdplus(&faulty, dims, &mut r2) {
-                    Ok(s2) => {
-                        committed += 1;
-                        let s1 = e1.select_range_sdplus(&clean, dims, &mut r1);
-                        prop_assert_eq!(s1.sorted(), s2.sorted(), "step {}", i);
-                    }
-                    Err(_) => {
-                        aborted += 1;
-                        prop_assert_eq!(&before, &kb_bytes(&e2), "step {}: abort mutated KB", i);
-                    }
-                },
-                Step::Conjunction(ps) => match e2.try_select_conjunction(&faulty, ps, &mut r2) {
-                    Ok(s2) => {
-                        committed += 1;
-                        let s1 = e1.select_conjunction(&clean, ps, &mut r1);
+                        let s1 = e1.select_where(&clean, ps, &mut r1);
                         prop_assert_eq!(s1.sorted(), s2.sorted(), "step {}", i);
                     }
                     Err(_) => {
@@ -467,7 +422,7 @@ fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
     );
     let before = kb_bytes(&faulted);
     let err = faulted
-        .try_select_range_md(&corrupting, &range, &mut rng)
+        .try_select_where(&corrupting, range.as_flattened(), &mut rng)
         .expect_err("a corruption inside the run aborts the query");
     assert!(
         matches!(
@@ -496,9 +451,9 @@ fn mid_run_fault_in_md_walk_aborts_clean_and_retried_run_matches() {
     // order.
     let lossy = FaultInjector::new(PlainOracle::from_columns(cols), FaultConfig::retryable(83));
     let got = reissue(ATTEMPTS, || {
-        faulted.try_select_range_md(&lossy, &range, &mut StdRng::seed_from_u64(85))
+        faulted.try_select_where(&lossy, range.as_flattened(), &mut StdRng::seed_from_u64(85))
     });
-    let want = twin.select_range_md(&clean, &range, &mut StdRng::seed_from_u64(85));
+    let want = twin.select_where(&clean, range.as_flattened(), &mut StdRng::seed_from_u64(85));
     assert!(lossy.injected() > 0, "no fault was injected");
     assert_eq!(got.tuples, want.tuples);
     assert_eq!(got.stats.splits, want.stats.splits);

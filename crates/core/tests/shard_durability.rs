@@ -72,7 +72,7 @@ fn drive_pool(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, shards: 
             } else {
                 Predicate::cmp(attr, ComparisonOp::Lt, hi)
             };
-            sched.select(&oracle, &pred, None, &mut rng)?;
+            sched.select_where(&oracle, &[pred], None, &mut rng)?;
             ack(Ack::Derived);
             // Whole-pool footprint every few rounds: a delete journals on
             // every attribute-holding shard, and waits for each fsync.
@@ -190,7 +190,9 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
                 let pred = Predicate::cmp(attr as u32, ComparisonOp::Lt, bound);
                 // Returns once the commit's record is enqueued; the one
                 // that fills the tail (8 records) leads its flush.
-                let (sel, _) = sched.select(&*oracle, &pred, None, &mut rng).expect("ack");
+                let (sel, _) = sched
+                    .select_where(&*oracle, &[pred], None, &mut rng)
+                    .expect("ack");
                 if sel.stats.splits > 0 {
                     refined.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -250,7 +252,7 @@ fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
         for attr in [0u32, 1] {
             let pred = Predicate::cmp(attr, ComparisonOp::Lt, 500);
             sched
-                .select(&oracle, &pred, None, &mut rng)
+                .select_where(&oracle, &[pred], None, &mut rng)
                 .expect("deferred");
         }
         let drain_at = fs.log().len();

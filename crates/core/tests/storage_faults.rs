@@ -85,7 +85,7 @@ fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
                 durable.delete((round % 60) as u32, None)?;
                 ack(Ack::Fact);
             } else {
-                durable.select(&oracle, &pred, None, &mut rng)?;
+                durable.select_where(&oracle, &[pred], None, &mut rng)?;
                 ack(Ack::Derived);
             }
         }
@@ -164,7 +164,7 @@ fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> 
             let mut rng = StdRng::seed_from_u64(round.wrapping_mul(0xA5A5) + 3);
             let lo = (round * 53) % 650;
             let pred = Predicate::cmp(attr, ComparisonOp::Lt, lo + 120);
-            sched.select(&oracle, &pred, None, &mut rng)?;
+            sched.select_where(&oracle, &[pred], None, &mut rng)?;
             ack(Ack::Derived);
         }
         Ok(())
@@ -236,9 +236,9 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
     // fsync poisoned the shard, and a poisoned shard must still refuse —
     // no retry-and-assume-durable, ever.
     let err = durable
-        .select(
+        .select_where(
             &oracle,
-            &Predicate::cmp(1, ComparisonOp::Lt, 400),
+            &[Predicate::cmp(1, ComparisonOp::Lt, 400)],
             None,
             &mut rng,
         )
@@ -644,7 +644,7 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
         for round in 0..14u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
             let pred = Predicate::cmp(attr, ComparisonOp::Lt, (round * 67) % 900);
-            durable.select(&oracle, &pred, None, &mut rng)?;
+            durable.select_where(&oracle, &[pred], None, &mut rng)?;
         }
         Ok(())
     };
@@ -718,7 +718,7 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
     let mut rng = StdRng::seed_from_u64(21);
     let mut commit = |attr: u32, op: ComparisonOp, bound: u64| {
         sched
-            .select(&oracle, &Predicate::cmp(attr, op, bound), None, &mut rng)
+            .select_where(&oracle, &[Predicate::cmp(attr, op, bound)], None, &mut rng)
             .map(drop)
     };
 

@@ -4,7 +4,7 @@
 //! kinds of traffic over the same stream, frame reader and read-deadline
 //! loop:
 //!
-//! * **Resilient calls** ([`select`](PrkbClient::select),
+//! * **Resilient calls** ([`select_where`](PrkbClient::select_where),
 //!   [`insert`](PrkbClient::insert), …) send one request and block for its
 //!   response. Every call carries a client-generated request id and an
 //!   optional deadline budget ([`ClientConfig::deadline_ms`]); transport
@@ -451,37 +451,53 @@ impl<P: WireCodec> PrkbClient<P> {
         }
     }
 
-    /// Single-predicate selection. `seed` drives the server-side sampling
-    /// RNG, making the run reproducible.
+    /// A selection: `preds` read as a conjunction, one dimension per
+    /// attribute — a comparison, a BETWEEN, a box or a parsed SQL `WHERE`
+    /// clause alike. `seed` drives the server-side sampling RNG, making
+    /// the run reproducible.
     ///
     /// # Errors
-    /// [`ClientError`] on transport, protocol, or server failure.
+    /// [`ClientError`] on transport, protocol, or server failure; a list of
+    /// no trapdoor or more than 128 is answered
+    /// [`MALFORMED`](crate::proto::code::MALFORMED).
+    pub fn select_where(
+        &mut self,
+        seed: u64,
+        preds: Vec<P>,
+    ) -> Result<SelectionReply, ClientError> {
+        let resp = self.call(&Request::Select { seed, preds }, true)?;
+        Self::expect_selection(resp)
+    }
+
+    /// [`select_where`](Self::select_where) over one trapdoor.
+    ///
+    /// # Errors
+    /// As [`select_where`](Self::select_where).
+    #[doc(hidden)]
     pub fn select(&mut self, seed: u64, pred: P) -> Result<SelectionReply, ClientError> {
-        let resp = self.call(&Request::Select { seed, pred }, true)?;
-        Self::expect_selection(resp)
+        self.select_where(seed, vec![pred])
     }
 
-    /// Single-predicate BETWEEN selection.
+    /// [`select_where`](Self::select_where) over one trapdoor.
     ///
     /// # Errors
-    /// [`ClientError`] on transport, protocol, or server failure.
+    /// As [`select_where`](Self::select_where).
+    #[doc(hidden)]
     pub fn between(&mut self, seed: u64, pred: P) -> Result<SelectionReply, ClientError> {
-        let resp = self.call(&Request::Between { seed, pred }, true)?;
-        Self::expect_selection(resp)
+        self.select_where(seed, vec![pred])
     }
 
-    /// Multi-dimensional range selection (two comparison trapdoors per
-    /// dimension).
+    /// [`select_where`](Self::select_where) over a box's trapdoor pairs.
     ///
     /// # Errors
-    /// [`ClientError`] on transport, protocol, or server failure.
+    /// As [`select_where`](Self::select_where).
+    #[doc(hidden)]
     pub fn select_range_md(
         &mut self,
         seed: u64,
         dims: Vec<[P; 2]>,
     ) -> Result<SelectionReply, ClientError> {
-        let resp = self.call(&Request::SelectRangeMd { seed, dims }, true)?;
-        Self::expect_selection(resp)
+        self.select_where(seed, dims.into_flattened())
     }
 
     /// Routes an already-uploaded tuple into every indexed attribute.

@@ -12,9 +12,8 @@
 //!   contained to one request — the server answers with a structured error
 //!   and keeps the connection alive.
 //!
-//! Hostile-but-well-framed input must never panic a worker: requests that
-//! would trip engine programmer-error assertions (duplicate MD dimensions,
-//! mismatched dimension attributes, out-of-range tuple ids) are rejected
+//! Hostile-but-well-framed input must never panic a worker: a select
+//! with no trapdoor is refused by the decoder, and an out-of-range tuple id
 //! here, before dispatch.
 //!
 //! The resilience header rides on every request: a present
@@ -34,10 +33,9 @@ use crate::scheduler::SessionScheduler;
 use prkb_core::metrics::{self, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{DurableError, QueryError, SpPredicate};
-use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
+use prkb_edbms::{DurabilityError, OracleError, SelectionOracle, TupleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -136,11 +134,7 @@ where
     let tracked = hdr.request_id != 0
         && matches!(
             req,
-            Request::Select { .. }
-                | Request::Between { .. }
-                | Request::SelectRangeMd { .. }
-                | Request::Insert { .. }
-                | Request::Delete { .. }
+            Request::Select { .. } | Request::Insert { .. } | Request::Delete { .. }
         );
     if !tracked {
         let (resp, close) = handle(shared, req, deadline);
@@ -201,30 +195,12 @@ where
 {
     match req {
         Request::Ping => (Response::Ok, false),
-        Request::Select { seed, pred } | Request::Between { seed, pred } => {
-            let oracle = read_oracle(&shared.oracle);
-            let mut rng = StdRng::seed_from_u64(seed);
-            match shared.sched.select(&*oracle, &pred, deadline, &mut rng) {
-                Ok((sel, seq)) => (
-                    Response::Selection {
-                        seq,
-                        tuples: sel.tuples,
-                        stats: sel.stats,
-                    },
-                    false,
-                ),
-                Err(e) => (error_of(&e), false),
-            }
-        }
-        Request::SelectRangeMd { seed, dims } => {
-            if let Err(resp) = validate_dims(&dims) {
-                return (resp, false);
-            }
+        Request::Select { seed, preds } => {
             let oracle = read_oracle(&shared.oracle);
             let mut rng = StdRng::seed_from_u64(seed);
             match shared
                 .sched
-                .select_range_md(&*oracle, &dims, deadline, &mut rng)
+                .select_where(&*oracle, &preds, deadline, &mut rng)
             {
                 Ok((sel, seq)) => (
                     Response::Selection {
@@ -326,38 +302,6 @@ fn validate_tuple(tuple: TupleId, n_slots: usize) -> Result<(), Response> {
         code: code::MALFORMED,
         message: format!("tuple {tuple} beyond table ({n_slots} slots)"),
     })
-}
-
-/// Rejects MD dimension lists the engine would treat as programmer error:
-/// empty lists, mismatched attributes inside a dimension, and the same
-/// attribute across two dimensions.
-fn validate_dims<P: SpPredicate>(dims: &[[P; 2]]) -> Result<(), Response> {
-    if dims.is_empty() {
-        return Err(Response::Error {
-            code: code::MALFORMED,
-            message: "MD range query needs at least one dimension".into(),
-        });
-    }
-    let mut seen: HashSet<AttrId> = HashSet::new();
-    for pair in dims {
-        if pair[0].attr() != pair[1].attr() {
-            return Err(Response::Error {
-                code: code::MALFORMED,
-                message: format!(
-                    "dimension trapdoors disagree on attribute ({} vs {})",
-                    pair[0].attr(),
-                    pair[1].attr()
-                ),
-            });
-        }
-        if !seen.insert(pair[0].attr()) {
-            return Err(Response::Error {
-                code: code::DUPLICATE_DIMENSION,
-                message: format!("attribute {} listed in two dimensions", pair[0].attr()),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@
 //! let handle = server.spawn()?;
 //!
 //! let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr)?;
-//! let reply = client.select(42, Predicate::cmp(0, ComparisonOp::Lt, 500))?;
+//! let reply = client.select_where(42, vec![Predicate::cmp(0, ComparisonOp::Lt, 500)])?;
 //! assert_eq!(reply.tuples.len(), 500);
 //! client.shutdown()?;
 //! handle.join()?;

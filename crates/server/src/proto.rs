@@ -32,6 +32,17 @@
 //! Selection (a bare list, no form byte) for one generation; requests are
 //! v3 only.
 //!
+//! A select is one request, [`Request::Select`] (tag 8): a list of
+//! trapdoors read as a conjunction, whatever their shape — one comparison,
+//! a BETWEEN, a box, a SQL `WHERE` clause —
+//!
+//! ```text
+//! seed u64 | count u16 | count × trapdoor      (1 ≤ count ≤ 128)
+//! ```
+//!
+//! Tags 1–3, the per-kind selects that came before it (comparison,
+//! BETWEEN, box), are retired: refused as an unknown tag and never reused.
+//!
 //! Decoding is defensive end to end: every count field is bounds-checked
 //! against the remaining bytes before allocation, unknown tags and versions
 //! are structured errors (not panics), and trailing garbage after a valid
@@ -55,17 +66,21 @@ pub(crate) const PROTO_VERSION: u8 = 3;
 /// bare list) and never written.
 const PROTO_V2: u8 = 2;
 
-/// Cap on the dimension count of one MD range request — a lying count
-/// field must not become an allocation request.
-pub(crate) const MAX_MD_DIMS: usize = 64;
+/// Cap on the trapdoor count of one select — a lying count field must not
+/// become an allocation request.
+pub(crate) const MAX_TRAPDOORS: usize = 128;
 
-/// Stable wire error codes (`prkb-wire/v3`). Never reused, only appended.
+/// Stable wire error codes (`prkb-wire/v3`). Never reused, only appended;
+/// retired and never reused: 24 (see [`ORACLE_BASE`](code::ORACLE_BASE))
+/// and 40, once sent for a box that named one attribute in two dimensions
+/// (a select now makes each attribute one dimension).
 pub mod code {
     /// The payload's version byte is not `super::PROTO_VERSION`.
     pub const UNSUPPORTED_VERSION: u16 = 1;
     /// The payload failed structural decoding.
     pub const MALFORMED: u16 = 2;
-    /// The request tag is unknown to this server.
+    /// The request tag is unknown to this server, or retired (1–3, the
+    /// per-kind selects before [`Request::Select`](super::Request::Select)).
     pub const UNKNOWN_TAG: u16 = 3;
     /// The queried attribute was never initialized
     /// ([`prkb_core::QueryError::AttrNotInitialized`]).
@@ -83,8 +98,6 @@ pub mod code {
     /// `ORACLE_BASE + OracleError::wire_code()` (21 transient, 22 timeout,
     /// 23 corruption, 25 fatal; 24 is retired and never reused).
     pub const ORACLE_BASE: u16 = 20;
-    /// An MD range request listed the same attribute in two dimensions.
-    pub const DUPLICATE_DIMENSION: u16 = 40;
     /// The durable backing store failed: the operation's record is not
     /// known to be on disk, and its shard refuses work until its pool is
     /// reopened.
@@ -138,29 +151,14 @@ pub struct RequestHeader {
 pub enum Request<P> {
     /// Liveness probe.
     Ping,
-    /// Single-predicate selection (comparison trapdoor). `seed` drives the
+    /// A selection: trapdoors read as a conjunction, one dimension per
+    /// attribute (`PrkbEngine::try_select_where`). `seed` drives the
     /// server-side sampling RNG so a client can reproduce a run exactly.
     Select {
         /// Per-query RNG seed.
         seed: u64,
-        /// The trapdoor.
-        pred: P,
-    },
-    /// Single-predicate BETWEEN selection. Dispatch is identical to
-    /// [`Request::Select`] server-side (the engine routes on the trapdoor's
-    /// SP-visible kind); the distinct tag keeps the wire self-describing.
-    Between {
-        /// Per-query RNG seed.
-        seed: u64,
-        /// The trapdoor.
-        pred: P,
-    },
-    /// Multi-dimensional range selection (PRKB(MD), paper §6.2).
-    SelectRangeMd {
-        /// Per-query RNG seed.
-        seed: u64,
-        /// Two comparison trapdoors per dimension.
-        dims: Vec<[P; 2]>,
+        /// The trapdoors, at least one and at most 128.
+        preds: Vec<P>,
     },
     /// Route an (out-of-band uploaded) tuple into every indexed attribute.
     Insert {
@@ -281,13 +279,11 @@ impl<P: WireCodec> Request<P> {
     fn tag(&self) -> u8 {
         match self {
             Request::Ping => 0,
-            Request::Select { .. } => 1,
-            Request::Between { .. } => 2,
-            Request::SelectRangeMd { .. } => 3,
             Request::Insert { .. } => 4,
             Request::Delete { .. } => 5,
             Request::MetricsSnapshot => 6,
             Request::Shutdown => 7,
+            Request::Select { .. } => 8,
         }
     }
 
@@ -309,16 +305,11 @@ impl<P: WireCodec> Request<P> {
         }
         match self {
             Request::Ping | Request::MetricsSnapshot | Request::Shutdown => {}
-            Request::Select { seed, pred } | Request::Between { seed, pred } => {
+            Request::Select { seed, preds } => {
                 out.extend_from_slice(&seed.to_le_bytes());
-                pred.encode_into(&mut out);
-            }
-            Request::SelectRangeMd { seed, dims } => {
-                out.extend_from_slice(&seed.to_le_bytes());
-                out.extend_from_slice(&(dims.len() as u16).to_le_bytes());
-                for [lo, hi] in dims {
-                    lo.encode_into(&mut out);
-                    hi.encode_into(&mut out);
+                out.extend_from_slice(&(preds.len() as u16).to_le_bytes());
+                for pred in preds {
+                    pred.encode_into(&mut out);
                 }
             }
             Request::Insert { tuple } | Request::Delete { tuple } => {
@@ -331,9 +322,11 @@ impl<P: WireCodec> Request<P> {
     /// Decodes one request payload into its resilience header and body.
     ///
     /// # Errors
-    /// [`ProtoError`] on version mismatch, unknown tag, or structural
-    /// damage. Never panics, never over-allocates on lying counts; hostile
-    /// `request_id`/`deadline_ms` values are data, not errors.
+    /// [`ProtoError`] on version mismatch, unknown tag (a retired one
+    /// included), or structural damage — a select with no trapdoor or with
+    /// more than 128. Never panics, never over-allocates on lying
+    /// counts; hostile `request_id`/`deadline_ms` values are data, not
+    /// errors.
     pub fn decode(bytes: &[u8]) -> Result<(RequestHeader, Self), ProtoError> {
         let mut r = Reader::new(bytes);
         let (_, tag) = decode_preamble(&mut r, &[PROTO_VERSION])?;
@@ -345,34 +338,32 @@ impl<P: WireCodec> Request<P> {
                 _ => return Err(ProtoError::Malformed("deadline flag")),
             },
         };
-        let pred =
-            |r: &mut Reader<'_>| P::decode(r).ok_or(ProtoError::Malformed("undecodable trapdoor"));
         let req = match tag {
             0 => Request::Ping,
-            1 => Request::Select {
-                seed: r.u64()?,
-                pred: pred(&mut r)?,
-            },
-            2 => Request::Between {
-                seed: r.u64()?,
-                pred: pred(&mut r)?,
-            },
-            3 => {
-                let seed = r.u64()?;
-                let ndims = r.u16()? as usize;
-                if ndims > MAX_MD_DIMS {
-                    return Err(ProtoError::Malformed("dimension count over cap"));
-                }
-                let mut dims = Vec::with_capacity(ndims);
-                for _ in 0..ndims {
-                    dims.push([pred(&mut r)?, pred(&mut r)?]);
-                }
-                Request::SelectRangeMd { seed, dims }
-            }
             4 => Request::Insert { tuple: r.u32()? },
             5 => Request::Delete { tuple: r.u32()? },
             6 => Request::MetricsSnapshot,
             7 => Request::Shutdown,
+            8 => {
+                let seed = r.u64()?;
+                // A select with no dimension would answer every row the
+                // oracle calls live, deleted ones included: the server
+                // never tombstones its table.
+                let count = match r.u16()? as usize {
+                    0 => return Err(ProtoError::Malformed("select with no trapdoor")),
+                    n if n > MAX_TRAPDOORS => {
+                        return Err(ProtoError::Malformed("trapdoor count over cap"))
+                    }
+                    n => n,
+                };
+                let mut preds = Vec::with_capacity(count);
+                for _ in 0..count {
+                    preds.push(
+                        P::decode(&mut r).ok_or(ProtoError::Malformed("undecodable trapdoor"))?,
+                    );
+                }
+                Request::Select { seed, preds }
+            }
             t => return Err(ProtoError::UnknownTag(t)),
         };
         r.finish()?;
@@ -762,30 +753,26 @@ mod tests {
         assert_eq!(Response::decode(&bytes).expect("decode"), resp);
     }
 
+    /// `n` trapdoors over three attributes, comparisons and BETWEENs, an
+    /// attribute named more than once from three on.
+    fn trapdoors(n: usize) -> Vec<Predicate> {
+        (0..n as u64)
+            .map(|i| match i % 5 {
+                4 => Predicate::between((i % 3) as u32, i, i + 40),
+                op => Predicate::cmp((i % 3) as u32, ComparisonOp::ALL[op as usize], 7 * i),
+            })
+            .collect()
+    }
+
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::Ping);
-        roundtrip_req(Request::Select {
-            seed: 7,
-            pred: Predicate::cmp(0, ComparisonOp::Lt, 500),
-        });
-        roundtrip_req(Request::Between {
-            seed: 9,
-            pred: Predicate::between(2, 10, 90),
-        });
-        roundtrip_req(Request::SelectRangeMd {
-            seed: 11,
-            dims: vec![
-                [
-                    Predicate::cmp(0, ComparisonOp::Gt, 1),
-                    Predicate::cmp(0, ComparisonOp::Lt, 9),
-                ],
-                [
-                    Predicate::cmp(1, ComparisonOp::Ge, 4),
-                    Predicate::cmp(1, ComparisonOp::Le, 6),
-                ],
-            ],
-        });
+        for n in [1, 2, 5, MAX_TRAPDOORS] {
+            roundtrip_req(Request::Select {
+                seed: n as u64,
+                preds: trapdoors(n),
+            });
+        }
         roundtrip_req(Request::Insert { tuple: 42 });
         roundtrip_req(Request::Delete { tuple: 13 });
         roundtrip_req(Request::MetricsSnapshot);
@@ -979,19 +966,27 @@ mod tests {
 
     #[test]
     fn lying_dim_count_rejected() {
-        let req = Request::SelectRangeMd {
+        let req = Request::Select {
             seed: 1,
-            dims: vec![[
-                Predicate::cmp(0, ComparisonOp::Gt, 1),
-                Predicate::cmp(0, ComparisonOp::Lt, 9),
-            ]],
+            preds: trapdoors(2),
         };
         let mut bytes = req.encode();
-        // The u16 dim count sits after ver, tag, the 9-byte no-deadline
-        // request header, and the seed.
-        bytes[19] = 0xFF;
-        bytes[20] = 0xFF;
-        assert!(Request::<Predicate>::decode(&bytes).is_err());
+        // The u16 trapdoor count sits after ver, tag, the 9-byte
+        // no-deadline request header, and the seed.
+        assert_eq!(bytes[19..21], 2u16.to_le_bytes());
+        for (count, refusal) in [
+            (0xFFFF, "trapdoor count over cap"),
+            (0, "select with no trapdoor"),
+            (3, "undecodable trapdoor"),
+            (1, "trailing bytes"),
+        ] {
+            bytes[19..21].copy_from_slice(&u16::to_le_bytes(count));
+            assert_eq!(
+                Request::<Predicate>::decode(&bytes),
+                Err(ProtoError::Malformed(refusal)),
+                "count {count}"
+            );
+        }
     }
 
     #[test]
@@ -1010,16 +1005,18 @@ mod tests {
     fn empty_and_truncated_payloads_are_errors() {
         assert!(Request::<Predicate>::decode(&[]).is_err());
         assert!(Request::<Predicate>::decode(&[PROTO_VERSION]).is_err());
-        let full = Request::Select {
-            seed: 3,
-            pred: Predicate::cmp(0, ComparisonOp::Lt, 10),
-        }
-        .encode();
-        for cut in 0..full.len() {
-            assert!(
-                Request::<Predicate>::decode(&full[..cut]).is_err(),
-                "cut {cut}"
-            );
+        for n in [1, 2, 5, MAX_TRAPDOORS] {
+            let full = Request::Select {
+                seed: 3,
+                preds: trapdoors(n),
+            }
+            .encode();
+            for cut in 0..full.len() {
+                assert!(
+                    Request::<Predicate>::decode(&full[..cut]).is_err(),
+                    "{n} trapdoors, cut {cut}"
+                );
+            }
         }
     }
 

@@ -62,55 +62,39 @@ fn chaos_client_config() -> ClientConfig {
     }
 }
 
+/// One query — its seed and trapdoors — as it is sent and replayed.
 #[derive(Debug, Clone)]
-enum Spec {
-    Single(u64, Predicate),
-    Md(u64, Vec<[Predicate; 2]>),
-}
+struct Spec(u64, Vec<Predicate>);
 
 fn replay(
     engine: &mut PrkbEngine<Predicate>,
     oracle: &PlainOracle,
-    spec: &Spec,
+    Spec(seed, preds): &Spec,
 ) -> (Vec<TupleId>, QueryStats) {
-    match spec {
-        Spec::Single(seed, pred) => {
-            let sel = engine
-                .try_select(oracle, pred, &mut StdRng::seed_from_u64(*seed))
-                .expect("replay select");
-            (sel.sorted(), sel.stats)
-        }
-        Spec::Md(seed, dims) => {
-            let sel = engine
-                .try_select_range_md(oracle, dims, &mut StdRng::seed_from_u64(*seed))
-                .expect("replay md");
-            (sel.sorted(), sel.stats)
-        }
-    }
+    let sel = engine
+        .try_select_where(oracle, preds, &mut StdRng::seed_from_u64(*seed))
+        .expect("replay select");
+    (sel.sorted(), sel.stats)
 }
 
 fn workload() -> Vec<Spec> {
     vec![
-        Spec::Single(11, Predicate::cmp(0, ComparisonOp::Lt, 120)),
-        Spec::Single(12, Predicate::cmp(0, ComparisonOp::Ge, 40)),
-        Spec::Single(13, Predicate::between(1, 30, 180)),
-        Spec::Single(14, Predicate::cmp(1, ComparisonOp::Le, 77)),
-        Spec::Md(
+        Spec(11, vec![Predicate::cmp(0, ComparisonOp::Lt, 120)]),
+        Spec(12, vec![Predicate::cmp(0, ComparisonOp::Ge, 40)]),
+        Spec(13, vec![Predicate::between(1, 30, 180)]),
+        Spec(14, vec![Predicate::cmp(1, ComparisonOp::Le, 77)]),
+        Spec(
             15,
             vec![
-                [
-                    Predicate::cmp(0, ComparisonOp::Gt, 20),
-                    Predicate::cmp(0, ComparisonOp::Lt, 200),
-                ],
-                [
-                    Predicate::cmp(1, ComparisonOp::Ge, 10),
-                    Predicate::cmp(1, ComparisonOp::Le, 150),
-                ],
+                Predicate::cmp(0, ComparisonOp::Gt, 20),
+                Predicate::cmp(0, ComparisonOp::Lt, 200),
+                Predicate::cmp(1, ComparisonOp::Ge, 10),
+                Predicate::cmp(1, ComparisonOp::Le, 150),
             ],
         ),
-        Spec::Single(16, Predicate::cmp(0, ComparisonOp::Lt, 119)),
-        Spec::Single(17, Predicate::between(0, 60, 90)),
-        Spec::Single(18, Predicate::cmp(1, ComparisonOp::Gt, 33)),
+        Spec(16, vec![Predicate::cmp(0, ComparisonOp::Lt, 119)]),
+        Spec(17, vec![Predicate::between(0, 60, 90)]),
+        Spec(18, vec![Predicate::cmp(1, ComparisonOp::Gt, 33)]),
     ]
 }
 
@@ -128,12 +112,9 @@ fn converges_under(config: ChaosConfig) {
         PrkbClient::connect_with(proxy.addr(), chaos_client_config()).expect("connect via proxy");
 
     for (i, spec) in workload().iter().enumerate() {
-        let reply = match spec {
-            Spec::Single(seed, pred) => client.select(*seed, *pred).expect("select via chaos"),
-            Spec::Md(seed, dims) => client
-                .select_range_md(*seed, dims.clone())
-                .expect("md select via chaos"),
-        };
+        let reply = client
+            .select_where(spec.0, spec.1.clone())
+            .expect("select via chaos");
         let (expected_tuples, expected_stats) = replay(&mut inline, &inline_oracle, spec);
         assert_eq!(reply.sorted(), expected_tuples, "query {i}: result set");
         assert_eq!(reply.stats, expected_stats, "query {i}: full stats");
@@ -248,14 +229,16 @@ fn dropped_response_is_replayed_not_reexecuted() {
     let mut client: PrkbClient<Predicate> =
         PrkbClient::connect_with(proxy.addr(), chaos_client_config()).expect("connect via proxy");
     let pred = Predicate::cmp(0, ComparisonOp::Lt, 100);
-    let first = client.select(41, pred).expect("replayed select");
+    let first = client
+        .select_where(41, vec![pred])
+        .expect("replayed select");
     assert_eq!(first.seq, 1);
     assert!(client.retries() >= 1, "the drop forced a retry");
 
     // The replay really was the committed result, not a re-execution: a
     // second query draws seq 2, and the twin replay matches both.
     let second = client
-        .select(42, Predicate::cmp(1, ComparisonOp::Ge, 10))
+        .select_where(42, vec![Predicate::cmp(1, ComparisonOp::Ge, 10)])
         .expect("follow-up select");
     assert_eq!(second.seq, 2, "exactly one commit for the retried query");
     drop(client);
@@ -270,13 +253,13 @@ fn dropped_response_is_replayed_not_reexecuted() {
 
     let inline_oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let mut inline = fresh_engine();
-    let (t1, s1) = replay(&mut inline, &inline_oracle, &Spec::Single(41, pred));
+    let (t1, s1) = replay(&mut inline, &inline_oracle, &Spec(41, vec![pred]));
     assert_eq!(first.sorted(), t1);
     assert_eq!(first.stats, s1);
     let (t2, s2) = replay(
         &mut inline,
         &inline_oracle,
-        &Spec::Single(42, Predicate::cmp(1, ComparisonOp::Ge, 10)),
+        &Spec(42, vec![Predicate::cmp(1, ComparisonOp::Ge, 10)]),
     );
     assert_eq!(second.sorted(), t2);
     assert_eq!(second.stats, s2);

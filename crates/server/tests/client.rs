@@ -109,7 +109,7 @@ fn submitted_requests_drain_fifo_and_fence_blocking_calls() {
     for (i, &bound) in bounds.iter().enumerate() {
         let req = Request::Select {
             seed: i as u64,
-            pred: lt(bound),
+            preds: vec![lt(bound)],
         };
         client
             .submit(RequestHeader::default(), &req)
@@ -130,12 +130,19 @@ fn submitted_requests_drain_fifo_and_fence_blocking_calls() {
         .submit(RequestHeader::default(), &Request::Ping)
         .expect("submit");
     assert!(matches!(
-        client.select(9, lt(5)),
+        client.select_where(9, vec![lt(5)]),
         Err(ClientError::Unexpected(_))
     ));
     assert_eq!(client.in_flight(), 1);
     assert!(matches!(client.drain().expect("drain")[..], [Response::Ok]));
-    assert_eq!(client.select(9, lt(5)).expect("select").tuples.len(), 5);
+    assert_eq!(
+        client
+            .select_where(9, vec![lt(5)])
+            .expect("select")
+            .tuples
+            .len(),
+        5
+    );
     assert_eq!(client.retries(), 0, "same connection throughout");
 
     client.shutdown().expect("shutdown");

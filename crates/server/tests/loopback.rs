@@ -9,8 +9,10 @@
 //! * shutdown must drain without losing committed refinements (durable
 //!   mode survives a full server restart), and an idle server syncs the
 //!   refinements its selects deferred without being shut down;
-//! * failures (unknown attributes, hostile ids, bad dimension lists)
-//!   surface as stable wire codes, never as dead workers.
+//! * failures (unknown attributes, hostile ids) surface as stable wire
+//!   codes, never as dead workers;
+//! * a SQL conjunction is served: one select carries any list of
+//!   trapdoors.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -55,32 +57,26 @@ fn start_server() -> (
     (addr, handle)
 }
 
-/// One recorded query: everything needed to replay it in process.
+/// One recorded query — its seed and trapdoors — everything needed to
+/// replay it in process.
 #[derive(Debug, Clone)]
-enum Spec {
-    Single(u64, Predicate),
-    Md(u64, Vec<[Predicate; 2]>),
+struct Spec(u64, Vec<Predicate>);
+
+impl Spec {
+    fn send(&self, client: &mut PrkbClient<Predicate>) -> prkb_server::SelectionReply {
+        client.select_where(self.0, self.1.clone()).expect("select")
+    }
 }
 
 fn replay(
     engine: &mut PrkbEngine<Predicate>,
     oracle: &PlainOracle,
-    spec: &Spec,
+    Spec(seed, preds): &Spec,
 ) -> (Vec<TupleId>, prkb_core::QueryStats) {
-    match spec {
-        Spec::Single(seed, pred) => {
-            let sel = engine
-                .try_select(oracle, pred, &mut StdRng::seed_from_u64(*seed))
-                .expect("replay select");
-            (sel.sorted(), sel.stats)
-        }
-        Spec::Md(seed, dims) => {
-            let sel = engine
-                .try_select_range_md(oracle, dims, &mut StdRng::seed_from_u64(*seed))
-                .expect("replay md");
-            (sel.sorted(), sel.stats)
-        }
-    }
+    let sel = engine
+        .try_select_where(oracle, preds, &mut StdRng::seed_from_u64(*seed))
+        .expect("replay select");
+    (sel.sorted(), sel.stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -97,34 +93,25 @@ fn single_client_matches_in_process_engine() {
     let mut inline = fresh_engine(ROWS, 2);
 
     let queries: Vec<Spec> = vec![
-        Spec::Single(11, Predicate::cmp(0, ComparisonOp::Lt, 120)),
-        Spec::Single(12, Predicate::cmp(0, ComparisonOp::Ge, 40)),
-        Spec::Single(13, Predicate::between(1, 30, 180)),
-        Spec::Single(14, Predicate::cmp(1, ComparisonOp::Le, 77)),
-        Spec::Md(
+        Spec(11, vec![Predicate::cmp(0, ComparisonOp::Lt, 120)]),
+        Spec(12, vec![Predicate::cmp(0, ComparisonOp::Ge, 40)]),
+        Spec(13, vec![Predicate::between(1, 30, 180)]),
+        Spec(14, vec![Predicate::cmp(1, ComparisonOp::Le, 77)]),
+        Spec(
             15,
             vec![
-                [
-                    Predicate::cmp(0, ComparisonOp::Gt, 20),
-                    Predicate::cmp(0, ComparisonOp::Lt, 200),
-                ],
-                [
-                    Predicate::cmp(1, ComparisonOp::Ge, 10),
-                    Predicate::cmp(1, ComparisonOp::Le, 150),
-                ],
+                Predicate::cmp(0, ComparisonOp::Gt, 20),
+                Predicate::cmp(0, ComparisonOp::Lt, 200),
+                Predicate::cmp(1, ComparisonOp::Ge, 10),
+                Predicate::cmp(1, ComparisonOp::Le, 150),
             ],
         ),
-        Spec::Single(16, Predicate::cmp(0, ComparisonOp::Lt, 119)),
-        Spec::Single(17, Predicate::between(0, 60, 90)),
+        Spec(16, vec![Predicate::cmp(0, ComparisonOp::Lt, 119)]),
+        Spec(17, vec![Predicate::between(0, 60, 90)]),
     ];
 
     for (i, spec) in queries.iter().enumerate() {
-        let reply = match spec {
-            Spec::Single(seed, pred) => client.select(*seed, *pred).expect("select"),
-            Spec::Md(seed, dims) => client
-                .select_range_md(*seed, dims.clone())
-                .expect("md select"),
-        };
+        let reply = spec.send(&mut client);
         let (expected_tuples, expected_stats) = replay(&mut inline, &inline_oracle, spec);
         assert_eq!(reply.sorted(), expected_tuples, "query {i}: result set");
         assert_eq!(reply.stats, expected_stats, "query {i}: full stats");
@@ -190,31 +177,18 @@ fn four_clients_match_sequential_replay() {
                 let seed = w * 1000 + round;
                 let attr = ((w + round) % 2) as u32;
                 let lo = (w * 23 + round * 17) % 200;
-                let spec = if round % 4 == 3 {
-                    Spec::Md(
-                        seed,
-                        vec![
-                            [
-                                Predicate::cmp(0, ComparisonOp::Gt, lo),
-                                Predicate::cmp(0, ComparisonOp::Lt, lo + 40),
-                            ],
-                            [
-                                Predicate::cmp(1, ComparisonOp::Ge, lo / 2),
-                                Predicate::cmp(1, ComparisonOp::Le, lo / 2 + 80),
-                            ],
-                        ],
-                    )
-                } else if round % 4 == 2 {
-                    Spec::Single(seed, Predicate::between(attr, lo, lo + 30))
-                } else {
-                    Spec::Single(seed, Predicate::cmp(attr, ComparisonOp::Lt, lo + 20))
+                let preds = match round % 4 {
+                    3 => vec![
+                        Predicate::cmp(0, ComparisonOp::Gt, lo),
+                        Predicate::cmp(0, ComparisonOp::Lt, lo + 40),
+                        Predicate::cmp(1, ComparisonOp::Ge, lo / 2),
+                        Predicate::cmp(1, ComparisonOp::Le, lo / 2 + 80),
+                    ],
+                    2 => vec![Predicate::between(attr, lo, lo + 30)],
+                    _ => vec![Predicate::cmp(attr, ComparisonOp::Lt, lo + 20)],
                 };
-                let reply = match &spec {
-                    Spec::Single(seed, pred) => client.select(*seed, *pred).expect("select"),
-                    Spec::Md(seed, dims) => {
-                        client.select_range_md(*seed, dims.clone()).expect("md")
-                    }
-                };
+                let spec = Spec(seed, preds);
+                let reply = spec.send(&mut client);
                 records.lock().expect("records lock").push((
                     reply.seq,
                     spec,
@@ -295,23 +269,22 @@ fn durable_pool_backend_survives_restart() {
     for (i, bound) in [100u64, 40, 170, 90].into_iter().enumerate() {
         let attr = (i % 2) as u32;
         let reply = client
-            .select(i as u64, Predicate::cmp(attr, ComparisonOp::Lt, bound))
+            .select_where(
+                i as u64,
+                vec![Predicate::cmp(attr, ComparisonOp::Lt, bound)],
+            )
             .expect("select");
         assert_eq!(reply.tuples.len(), bound as usize);
     }
     // A cross-shard footprint too: PRKB(MD) over both attributes commits
     // one WAL record on each owning shard.
-    let dims = vec![
-        [
-            Predicate::cmp(0, ComparisonOp::Gt, 30),
-            Predicate::cmp(0, ComparisonOp::Lt, 120),
-        ],
-        [
-            Predicate::cmp(1, ComparisonOp::Gt, 10),
-            Predicate::cmp(1, ComparisonOp::Lt, 200),
-        ],
+    let preds = vec![
+        Predicate::cmp(0, ComparisonOp::Gt, 30),
+        Predicate::cmp(0, ComparisonOp::Lt, 120),
+        Predicate::cmp(1, ComparisonOp::Gt, 10),
+        Predicate::cmp(1, ComparisonOp::Lt, 200),
     ];
-    client.select_range_md(9, dims).expect("md select");
+    client.select_where(9, preds).expect("md select");
     client.shutdown().expect("shutdown (drains every shard)");
     let report = handle.join().expect("join");
     let (k0_live, k1_live) = report.inspect(|e| {
@@ -375,8 +348,9 @@ fn idle_server_syncs_its_deferred_tail() {
     let mut twin = fresh_engine(ROWS, 2);
     for (i, bound) in [100u64, 40, 170, 90, 20, 130].into_iter().enumerate() {
         let pred = Predicate::cmp((i % 2) as u32, ComparisonOp::Lt, bound);
-        let reply = client.select(i as u64, pred).expect("select");
-        let (expected, _) = replay(&mut twin, &twin_oracle, &Spec::Single(i as u64, pred));
+        let spec = Spec(i as u64, vec![pred]);
+        let reply = spec.send(&mut client);
+        let (expected, _) = replay(&mut twin, &twin_oracle, &spec);
         assert_eq!(reply.sorted(), expected);
     }
     let served = kb_bytes(&twin);
@@ -423,7 +397,7 @@ fn failures_map_to_stable_wire_codes() {
 
     // Unknown attribute.
     let err = client
-        .select(1, Predicate::cmp(9, ComparisonOp::Lt, 5))
+        .select_where(1, vec![Predicate::cmp(9, ComparisonOp::Lt, 5)])
         .expect_err("attr 9 unknown");
     assert!(
         matches!(err, ClientError::Server { code, .. } if code == proto::code::ATTR_NOT_INITIALIZED),
@@ -437,38 +411,29 @@ fn failures_map_to_stable_wire_codes() {
         "got {err:?}"
     );
 
-    // Duplicate MD dimension.
-    let dims = vec![
-        [
+    // A repeated attribute is one dimension: two pairs on attribute 0, or
+    // one pair split over two attributes, are answered, not refused.
+    let oracle = PlainOracle::from_columns(strided_columns(ROWS));
+    for preds in [
+        vec![
             Predicate::cmp(0, ComparisonOp::Gt, 1),
-            Predicate::cmp(0, ComparisonOp::Lt, 9),
-        ],
-        [
+            Predicate::cmp(0, ComparisonOp::Lt, 90),
             Predicate::cmp(0, ComparisonOp::Ge, 2),
-            Predicate::cmp(0, ComparisonOp::Le, 8),
+            Predicate::cmp(0, ComparisonOp::Le, 80),
         ],
-    ];
-    let err = client.select_range_md(1, dims).expect_err("dup dims");
-    assert!(
-        matches!(err, ClientError::Server { code, .. } if code == proto::code::DUPLICATE_DIMENSION),
-        "got {err:?}"
-    );
-
-    // Mismatched attributes inside one dimension.
-    let dims = vec![[
-        Predicate::cmp(0, ComparisonOp::Gt, 1),
-        Predicate::cmp(1, ComparisonOp::Lt, 9),
-    ]];
-    let err = client.select_range_md(1, dims).expect_err("mismatched dim");
-    assert!(
-        matches!(err, ClientError::Server { code, .. } if code == proto::code::MALFORMED),
-        "got {err:?}"
-    );
+        vec![
+            Predicate::cmp(0, ComparisonOp::Gt, 1),
+            Predicate::cmp(1, ComparisonOp::Lt, 90),
+        ],
+    ] {
+        let reply = client.select_where(1, preds.clone()).expect("answered");
+        assert_eq!(reply.sorted(), oracle.expected_conjunction(&preds));
+    }
 
     // The connection survived all of that.
     client.ping().expect("still alive");
     let reply = client
-        .select(2, Predicate::cmp(0, ComparisonOp::Lt, 50))
+        .select_where(2, vec![Predicate::cmp(0, ComparisonOp::Lt, 50)])
         .expect("healthy query");
     assert_eq!(reply.tuples.len(), 50);
 
@@ -482,7 +447,7 @@ fn metrics_snapshot_travels_the_wire() {
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
     client.ping().expect("ping");
     client
-        .select(3, Predicate::cmp(0, ComparisonOp::Lt, 10))
+        .select_where(3, vec![Predicate::cmp(0, ComparisonOp::Lt, 10)])
         .expect("select");
 
     let json = client.metrics().expect("metrics");
@@ -524,7 +489,7 @@ fn a_whole_table_select_over_270_000_rows_answers() {
     let handle = server.spawn().expect("spawn");
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
     let reply = client
-        .select(1, Predicate::cmp(0, ComparisonOp::Lt, u64::from(N)))
+        .select_where(1, vec![Predicate::cmp(0, ComparisonOp::Lt, u64::from(N))])
         .expect("the whole table fits a frame");
     assert_eq!(reply.sorted(), (0..N).collect::<Vec<_>>());
     assert_eq!(client.retries(), 0);

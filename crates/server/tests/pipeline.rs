@@ -93,7 +93,7 @@ fn build_script(seed: u64, n: usize) -> Vec<(RequestHeader, Request<Predicate>)>
             let req = match rng.gen_range(0u8..10) {
                 0..=3 => Request::Select {
                     seed: rng.gen(),
-                    pred: Predicate::cmp(
+                    preds: vec![Predicate::cmp(
                         attr,
                         if rng.gen() {
                             ComparisonOp::Lt
@@ -101,14 +101,14 @@ fn build_script(seed: u64, n: usize) -> Vec<(RequestHeader, Request<Predicate>)>
                             ComparisonOp::Gt
                         },
                         rng.gen_range(0..ROWS as u64),
-                    ),
+                    )],
                 },
                 4..=5 => {
                     let lo = rng.gen_range(0..ROWS as u64 / 2);
                     let hi = rng.gen_range(lo..ROWS as u64);
-                    Request::Between {
+                    Request::Select {
                         seed: rng.gen(),
-                        pred: Predicate::between(attr, lo, hi),
+                        preds: vec![Predicate::between(attr, lo, hi)],
                     }
                 }
                 6..=7 if !alive.is_empty() => {

@@ -128,7 +128,7 @@ fn saturated_server_sheds_busy_then_drains_to_replay_equivalence() {
     // The flood never displaced admitted work: the held connection still
     // serves, and commits the first refinement.
     let first = holder
-        .select(21, Predicate::cmp(0, ComparisonOp::Lt, 120))
+        .select_where(21, vec![Predicate::cmp(0, ComparisonOp::Lt, 120)])
         .expect("holder query");
     assert_eq!(first.seq, 1);
 
@@ -153,7 +153,7 @@ fn saturated_server_sheds_busy_then_drains_to_replay_equivalence() {
     let mut retry: PrkbClient<Predicate> =
         PrkbClient::connect_with(addr, retry_config).expect("connect retry");
     let second = retry
-        .select(22, Predicate::cmp(0, ComparisonOp::Ge, 60))
+        .select_where(22, vec![Predicate::cmp(0, ComparisonOp::Ge, 60)])
         .expect("post-flood query");
     assert_eq!(second.seq, 2);
     retry.shutdown().expect("shutdown");
@@ -272,7 +272,7 @@ fn expired_deadline_returns_deadline_code_without_leaking_the_attribute() {
             PrkbClient::connect_with(addr, no_retry_config()).expect("connect A");
         a.ping().expect("A live");
         ready_tx.send(()).expect("signal");
-        a.select(31, Predicate::cmp(0, ComparisonOp::Lt, 150))
+        a.select_where(31, vec![Predicate::cmp(0, ComparisonOp::Lt, 150)])
             .expect("slow select commits")
     });
     ready_rx.recv().expect("A ready");
@@ -290,7 +290,7 @@ fn expired_deadline_returns_deadline_code_without_leaking_the_attribute() {
         },
     )
     .expect("connect B");
-    match b.select(32, Predicate::cmp(0, ComparisonOp::Ge, 50)) {
+    match b.select_where(32, vec![Predicate::cmp(0, ComparisonOp::Ge, 50)]) {
         Err(ClientError::Server { code: c, .. }) => {
             assert_eq!(c, code::DEADLINE, "expired budget answers DEADLINE");
         }
@@ -306,7 +306,7 @@ fn expired_deadline_returns_deadline_code_without_leaking_the_attribute() {
     let mut c: PrkbClient<Predicate> =
         PrkbClient::connect_with(addr, no_retry_config()).expect("connect C");
     let recovered = c
-        .select(33, Predicate::cmp(0, ComparisonOp::Ge, 50))
+        .select_where(33, vec![Predicate::cmp(0, ComparisonOp::Ge, 50)])
         .expect("attribute not leaked");
     assert_eq!(recovered.seq, 2, "dense sequence across the abort");
 
@@ -376,23 +376,21 @@ where
         (52, Predicate::cmp(1, ComparisonOp::Ge, 250)),
         (53, Predicate::cmp(0, ComparisonOp::Gt, 300)),
     ] {
-        replies.push(selection(client.select(seed, pred).expect("select")));
+        replies.push(selection(
+            client.select_where(seed, vec![pred]).expect("select"),
+        ));
     }
     let between = client
-        .between(54, Predicate::between(1, 100, 700))
+        .select_where(54, vec![Predicate::between(1, 100, 700)])
         .expect("between");
     replies.push(selection(between));
-    let dims = vec![
-        [
-            Predicate::cmp(0, ComparisonOp::Gt, 200),
-            Predicate::cmp(0, ComparisonOp::Lt, 800),
-        ],
-        [
-            Predicate::cmp(1, ComparisonOp::Ge, 150),
-            Predicate::cmp(1, ComparisonOp::Le, 650),
-        ],
+    let preds = vec![
+        Predicate::cmp(0, ComparisonOp::Gt, 200),
+        Predicate::cmp(0, ComparisonOp::Lt, 800),
+        Predicate::cmp(1, ComparisonOp::Ge, 150),
+        Predicate::cmp(1, ComparisonOp::Le, 650),
     ];
-    replies.push(selection(client.select_range_md(55, dims).expect("md")));
+    replies.push(selection(client.select_where(55, preds).expect("md")));
     let (seq, outcomes) = client.insert(ROWS as TupleId).expect("insert");
     replies.push(Reply::Inserted(seq, outcomes));
     replies.push(Reply::Deleted(client.delete(7).expect("delete")));

@@ -120,7 +120,7 @@ proptest! {
                     let rng_seed = op.rng_seed;
                     let (sel, seq) = sched
                         .with_detached(&op.attrs, |sub| {
-                            sub.try_select_conjunction(
+                            sub.try_select_where(
                                 &session,
                                 &preds,
                                 &mut StdRng::seed_from_u64(rng_seed),
@@ -159,7 +159,7 @@ proptest! {
         let mut replay_qpf = 0u64;
         for o in &observed {
             let sel = replay
-                .try_select_conjunction(
+                .try_select_where(
                     &*oracle,
                     &o.op.preds,
                     &mut StdRng::seed_from_u64(o.op.rng_seed),

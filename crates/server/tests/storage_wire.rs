@@ -67,7 +67,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     // needed the barrier gets a structured SYNC_FAILED reply, never a
     // durable ack, and the socket stays up.
     let reply = client
-        .select(1, Predicate::cmp(sick_attr, ComparisonOp::Lt, 120))
+        .select_where(1, vec![Predicate::cmp(sick_attr, ComparisonOp::Lt, 120)])
         .expect("deferred: the reply does not wait for the sick disk");
     assert_eq!(reply.tuples.len(), 120);
     let err = client
@@ -80,7 +80,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
 
     // Same connection, healthy shard: still serving and committing.
     let reply = client
-        .select(2, Predicate::cmp(healthy_attr, ComparisonOp::Lt, 90))
+        .select_where(2, vec![Predicate::cmp(healthy_attr, ComparisonOp::Lt, 90)])
         .expect("healthy shard keeps serving on the same connection");
     assert_eq!(reply.tuples.len(), 90);
 
@@ -88,7 +88,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     // (non-sticky), yet the sick shard still refuses with the same code —
     // no retry-and-assume-durable behind the wire.
     let err = client
-        .select(3, Predicate::cmp(sick_attr, ComparisonOp::Gt, 150))
+        .select_where(3, vec![Predicate::cmp(sick_attr, ComparisonOp::Gt, 150)])
         .expect_err("poisoned shard must keep refusing");
     assert!(
         matches!(err, ClientError::Server { code, .. } if code == proto::code::SYNC_FAILED),
@@ -97,7 +97,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
 
     // And the healthy shard is still unaffected afterwards.
     let reply = client
-        .select(4, Predicate::cmp(healthy_attr, ComparisonOp::Gt, 160))
+        .select_where(4, vec![Predicate::cmp(healthy_attr, ComparisonOp::Gt, 160)])
         .expect("healthy shard unaffected");
     assert_eq!(reply.tuples.len(), ROWS - 161);
 

@@ -46,7 +46,7 @@ proptest! {
     ) {
         // Build a genuine request frame, then flip one byte anywhere.
         let pred = Predicate::cmp((seed % 3) as u32, ComparisonOp::Lt, seed % 1000);
-        let frame = encode_frame(&Request::Select { seed, pred }.encode());
+        let frame = encode_frame(&Request::Select { seed, preds: vec![pred] }.encode());
         let mut bad = frame.clone();
         let at = flip_at % bad.len();
         bad[at] ^= flip_mask;
@@ -59,7 +59,7 @@ proptest! {
                 // means the frame was *re*-flipped back to valid.
                 prop_assert_eq!(payload, Request::Select {
                     seed,
-                    pred: Predicate::cmp((seed % 3) as u32, ComparisonOp::Lt, seed % 1000),
+                    preds: vec![Predicate::cmp((seed % 3) as u32, ComparisonOp::Lt, seed % 1000)],
                 }.encode());
             }
         }
@@ -67,7 +67,7 @@ proptest! {
 
     fn truncations_never_decode(cut_seed in any::<u64>()) {
         let pred = Predicate::between(1, cut_seed % 50, cut_seed % 50 + 10);
-        let frame = encode_frame(&Request::Between { seed: cut_seed, pred }.encode());
+        let frame = encode_frame(&Request::Select { seed: cut_seed, preds: vec![pred] }.encode());
         let cut = (cut_seed as usize) % frame.len();
         // Every strict prefix is "need more", never a panic or a bogus frame.
         prop_assert!(decode_frame(&frame[..cut], DEFAULT_MAX_FRAME_LEN)
@@ -124,12 +124,6 @@ proptest! {
 /// flip only has to be handled; every strict prefix is refused.
 #[test]
 fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_allocating() {
-    let range = |attr| {
-        [
-            Predicate::cmp(attr, ComparisonOp::Gt, 1),
-            Predicate::cmp(attr, ComparisonOp::Lt, 9),
-        ]
-    };
     let deadline = RequestHeader {
         request_id: 7,
         deadline_ms: Some(1_500),
@@ -137,12 +131,12 @@ fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_alloc
     let requests = [
         Request::Select {
             seed: 7,
-            pred: Predicate::cmp(0, ComparisonOp::Lt, 500),
+            preds: vec![Predicate::cmp(0, ComparisonOp::Lt, 500)],
         }
         .encode(),
-        Request::SelectRangeMd {
+        Request::Select {
             seed: 11,
-            dims: vec![range(0), range(1)],
+            preds: [range(0), range(1), vec![Predicate::between(0, 2, 8)]].concat(),
         }
         .encode_with(deadline),
         Request::<Predicate>::Insert { tuple: 42 }.encode_with(deadline),
@@ -184,6 +178,103 @@ fn request_and_response_decoders_refuse_prefixes_without_panicking_or_over_alloc
         }));
     }
     assert_hostile_inputs_are_refused(&cases);
+}
+
+fn range(attr: u32) -> Vec<Predicate> {
+    vec![
+        Predicate::cmp(attr, ComparisonOp::Gt, 1),
+        Predicate::cmp(attr, ComparisonOp::Lt, 9),
+    ]
+}
+
+/// An untracked, undeadlined select request's payload: `version 3 | tag |
+/// request header | seed 9 | count u16` followed by `body` — `count` need
+/// not be what the body holds.
+fn select_payload(tag: u8, count: u16, body: &[u8]) -> Vec<u8> {
+    let mut out = vec![3, tag];
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.push(0);
+    out.extend_from_slice(&9u64.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
+/// The select body's refusals, one hostile field at a time (everything
+/// else consistent): each is a structured error, refused before the count
+/// sizes anything, and a retired per-kind tag is unknown.
+#[test]
+fn a_hostile_select_body_is_refused() {
+    let trapdoors = |preds: &[Predicate]| {
+        let mut body = Vec::new();
+        for p in preds {
+            prkb_core::WireCodec::encode_into(p, &mut body);
+        }
+        body
+    };
+    let five = [range(0), range(1), vec![Predicate::between(2, 3, 4)]].concat();
+    let body = trapdoors(&five);
+    let valid = select_payload(8, 5, &body);
+    assert_eq!(
+        Request::<Predicate>::decode(&valid),
+        Ok((
+            RequestHeader::default(),
+            Request::Select {
+                seed: 9,
+                preds: five.clone()
+            }
+        ))
+    );
+    assert_eq!(
+        valid,
+        Request::Select {
+            seed: 9,
+            preds: five
+        }
+        .encode()
+    );
+    // Trapdoor 2 of 5 gets an unknown kind byte.
+    let mut middle = body.clone();
+    middle[2 * body.len() / 5] = 9;
+    let max = trapdoors(&vec![Predicate::cmp(0, ComparisonOp::Lt, 1); 129]);
+    let malformed = |what| Err(prkb_server::ProtoError::Malformed(what));
+    let unknown = |tag| Err(prkb_server::ProtoError::UnknownTag(tag));
+    let cases: [(&str, Vec<u8>, _); 8] = [
+        (
+            "no trapdoor",
+            select_payload(8, 0, &[]),
+            malformed("select with no trapdoor"),
+        ),
+        (
+            "129 trapdoors",
+            select_payload(8, 129, &max),
+            malformed("trapdoor count over cap"),
+        ),
+        (
+            "a count over what follows",
+            select_payload(8, 6, &body),
+            malformed("undecodable trapdoor"),
+        ),
+        (
+            "u16::MAX trapdoors",
+            select_payload(8, u16::MAX, &body),
+            malformed("trapdoor count over cap"),
+        ),
+        (
+            "an undecodable trapdoor in the middle",
+            select_payload(8, 5, &middle),
+            malformed("undecodable trapdoor"),
+        ),
+        ("retired tag 1", select_payload(1, 5, &body), unknown(1)),
+        ("retired tag 2", select_payload(2, 5, &body), unknown(2)),
+        ("retired tag 3", select_payload(3, 5, &body), unknown(3)),
+    ];
+    for (what, bytes, refusal) in cases {
+        assert_eq!(Request::<Predicate>::decode(&bytes), refusal, "{what}");
+    }
+    // 128 trapdoors is the cap, and decodes.
+    let at_cap = select_payload(8, 128, &max[..128 * max.len() / 129]);
+    assert!(Request::<Predicate>::decode(&at_cap).is_ok());
 }
 
 /// A Selection whose ids are the bitmap `bits` from `first`, claiming
@@ -288,12 +379,31 @@ fn error_codes_are_pinned() {
     assert_eq!(code::ALREADY_INDEXED, 11);
     assert_eq!(code::REPLY_TOO_LARGE, 12);
     assert_eq!(code::ORACLE_BASE, 20);
-    assert_eq!(code::DUPLICATE_DIMENSION, 40);
+    // 40 (a box naming one attribute in two dimensions) is retired: a
+    // select makes each attribute one dimension. Never reused.
     assert_eq!(code::DURABILITY, 50);
     assert_eq!(code::DRAINING, 60);
     assert_eq!(code::FRAME, 70);
     assert_eq!(code::BUSY, 80);
     assert_eq!(code::DEADLINE, 81);
+}
+
+/// The request tags are as much the contract as the codes: each sits in a
+/// payload's second byte. 1–3 (the per-kind selects) are retired and
+/// never reused; a select is 8.
+#[test]
+fn request_tags_are_pinned() {
+    let tag = |req: Request<Predicate>| req.encode()[1];
+    assert_eq!(tag(Request::Ping), 0);
+    assert_eq!(tag(Request::Insert { tuple: 1 }), 4);
+    assert_eq!(tag(Request::Delete { tuple: 1 }), 5);
+    assert_eq!(tag(Request::MetricsSnapshot), 6);
+    assert_eq!(tag(Request::Shutdown), 7);
+    let select = Request::Select {
+        seed: 1,
+        preds: range(0),
+    };
+    assert_eq!(tag(select), 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +460,7 @@ fn hostile_headers_on_a_live_server_are_contained() {
         };
         let req = Request::Select {
             seed: 9,
-            pred: Predicate::cmp(0, ComparisonOp::Lt, 10),
+            preds: vec![Predicate::cmp(0, ComparisonOp::Lt, 10)],
         };
         let mut raw = TcpStream::connect(addr).expect("connect");
         raw.write_all(&encode_frame(&req.encode_with(hdr)))
@@ -431,7 +541,7 @@ fn an_indexed_row_is_refused_and_the_worker_serves_on() {
         "unexpected: {err}"
     );
     let sel = client
-        .select(1, Predicate::cmp(0, ComparisonOp::Lt, 10))
+        .select_where(1, vec![Predicate::cmp(0, ComparisonOp::Lt, 10)])
         .expect("select after the refusal");
     let mut tuples = sel.tuples;
     tuples.sort_unstable();
@@ -447,9 +557,7 @@ fn an_indexed_row_is_refused_and_the_worker_serves_on() {
 fn an_empty_md_query_is_refused_and_the_connection_serves_on() {
     let (addr, handle) = start_server();
     let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
-    let err = client
-        .select_range_md(1, Vec::new())
-        .expect_err("no dimension");
+    let err = client.select_where(1, Vec::new()).expect_err("no trapdoor");
     assert!(
         matches!(&err, ClientError::Server { code: c, .. } if *c == code::MALFORMED),
         "unexpected: {err}"
@@ -541,7 +649,7 @@ fn garbage_streams_get_error_frames_and_server_survives() {
     // The server is still healthy end to end.
     client.ping().expect("server alive after hostile clients");
     let reply = client
-        .select(1, Predicate::cmp(0, ComparisonOp::Lt, 30))
+        .select_where(1, vec![Predicate::cmp(0, ComparisonOp::Lt, 30)])
         .expect("healthy query");
     assert_eq!(reply.tuples.len(), 30);
 

@@ -3,15 +3,16 @@
 //! Connects (with retry, so it can be launched alongside the server),
 //! then shows the paper's effect over the wire: the first selection pays a
 //! cold full scan, repeated nearby selections get cheap as the server's
-//! PRKB refines. Ends by fetching the metrics snapshot and asking the
-//! server to shut down.
+//! PRKB refines, and a parsed SQL `WHERE` clause is sent as one select.
+//! Ends by fetching the metrics snapshot and asking the server to shut
+//! down.
 //!
 //! ```text
 //! cargo run --example server --release -- 4641 &
 //! cargo run --example client --release -- 4641
 //! ```
 
-use prkb::edbms::{ComparisonOp, Predicate};
+use prkb::edbms::{parse_sql, ComparisonOp, Predicate, Schema};
 use prkb::server::PrkbClient;
 use std::time::{Duration, Instant};
 
@@ -42,7 +43,7 @@ fn main() {
 
     // Cold query: the server has no knowledge yet — full scan.
     let cold = client
-        .select(1, Predicate::cmp(0, ComparisonOp::Lt, ROWS / 2))
+        .select_where(1, vec![Predicate::cmp(0, ComparisonOp::Lt, ROWS / 2)])
         .expect("cold select");
     println!(
         "cold   SELECT x0 < {:>6}: {:>5} rows, {:>6} QPF uses (seq {})",
@@ -55,15 +56,13 @@ fn main() {
     // Warm the index with a sweep, then re-query nearby: the not-sure
     // region shrinks to a sliver of the table.
     for (i, step) in (1..20u64).enumerate() {
+        let pred = Predicate::cmp(0, ComparisonOp::Lt, step * ROWS / 20);
         client
-            .select(
-                10 + i as u64,
-                Predicate::cmp(0, ComparisonOp::Lt, step * ROWS / 20),
-            )
+            .select_where(10 + i as u64, vec![pred])
             .expect("warm select");
     }
     let warm = client
-        .select(99, Predicate::cmp(0, ComparisonOp::Lt, ROWS / 2 + 37))
+        .select_where(99, vec![Predicate::cmp(0, ComparisonOp::Lt, ROWS / 2 + 37)])
         .expect("warm select");
     println!(
         "warm   SELECT x0 < {:>6}: {:>5} rows, {:>6} QPF uses (seq {})",
@@ -73,34 +72,25 @@ fn main() {
         warm.seq
     );
 
-    // BETWEEN and a 2-D range ride the same connection.
-    let between = client
-        .between(101, Predicate::between(1, ROWS / 4, ROWS / 2))
-        .expect("between");
-    println!(
-        "       BETWEEN on x1:      {:>5} rows, {:>6} QPF uses",
-        between.tuples.len(),
-        between.stats.qpf_uses
+    // A SQL WHERE clause — a range on x0, a BETWEEN on x1 — is one select:
+    // the owner parses it into trapdoors and the server runs them as one
+    // conjunction, one dimension per attribute.
+    let schema = Schema::new("t", &["x0", "x1"]);
+    let sql = format!(
+        "SELECT * FROM t WHERE x0 > {} AND x0 < {} AND x1 BETWEEN {} AND {}",
+        ROWS / 10,
+        ROWS / 3,
+        ROWS / 8,
+        ROWS / 2
     );
-    let md = client
-        .select_range_md(
-            102,
-            vec![
-                [
-                    Predicate::cmp(0, ComparisonOp::Gt, ROWS / 10),
-                    Predicate::cmp(0, ComparisonOp::Lt, ROWS / 3),
-                ],
-                [
-                    Predicate::cmp(1, ComparisonOp::Ge, ROWS / 8),
-                    Predicate::cmp(1, ComparisonOp::Le, ROWS / 2),
-                ],
-            ],
-        )
-        .expect("md");
+    let parsed = parse_sql(&sql, [&schema]).expect("valid SQL");
+    let conjunction = client
+        .select_where(102, parsed.predicates)
+        .expect("SQL select");
     println!(
-        "       2-D range query:    {:>5} rows, {:>6} QPF uses",
-        md.tuples.len(),
-        md.stats.qpf_uses
+        "       {sql}: {} rows, {} QPF uses",
+        conjunction.tuples.len(),
+        conjunction.stats.qpf_uses
     );
 
     let json = client.metrics().expect("metrics");

@@ -109,7 +109,7 @@ fn main() {
                 .expect("valid predicate")
         })
         .collect();
-    let sel = engine.select_conjunction(&oracle, &trapdoors, &mut rng);
+    let sel = engine.select_where(&oracle, &trapdoors, &mut rng);
     println!(
         "\nSQL: salaries in [$48k, $52k] → {} matches ({} QPF)",
         sel.tuples.len(),

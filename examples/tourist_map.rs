@@ -76,7 +76,7 @@ fn main() {
                     .expect("valid"),
             ],
         ];
-        let sel = engine.select_range_md(&oracle, &dims, &mut rng);
+        let sel = engine.select_where(&oracle, dims.as_flattened(), &mut rng);
         total_qpf += sel.stats.qpf_uses;
         let k: usize = (0..2)
             .map(|a| engine.knowledge(a).map_or(0, |kb| kb.k()))

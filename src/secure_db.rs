@@ -152,7 +152,7 @@ impl SecureDb {
             .collect::<Result<_, _>>()?;
         let Table { data, engine } = table(&mut self.tables, &parsed.table)?;
         let oracle = SpOracle::new(data, &self.tm);
-        Ok(engine.try_select_conjunction(&oracle, &trapdoors, &mut self.rng)?)
+        Ok(engine.try_select_where(&oracle, &trapdoors, &mut self.rng)?)
     }
 
     /// Inserts a plaintext row: encrypted at the owner, appended at the

@@ -181,8 +181,8 @@ proptest! {
                         ],
                     ];
                     (
-                        engine_tuple.select_range_md(&per_tuple, &dims, &mut rng_tuple),
-                        engine_batch.select_range_md(&batched, &dims, &mut rng_batch),
+                        engine_tuple.select_where(&per_tuple, dims.as_flattened(), &mut rng_tuple),
+                        engine_batch.select_where(&batched, dims.as_flattened(), &mut rng_batch),
                     )
                 }
                 Query::Conjunction(a, b, c) => {
@@ -192,8 +192,8 @@ proptest! {
                         trapdoor(&w, &Predicate::between(1, c / 2, c), tseed ^ 6),
                     ];
                     (
-                        engine_tuple.select_conjunction(&per_tuple, &preds, &mut rng_tuple),
-                        engine_batch.select_conjunction(&batched, &preds, &mut rng_batch),
+                        engine_tuple.select_where(&per_tuple, &preds, &mut rng_tuple),
+                        engine_batch.select_where(&batched, &preds, &mut rng_batch),
                     )
                 }
             };

@@ -2,9 +2,10 @@
 //! DESIGN.md has, so renumbering the document cannot strand the comments
 //! that point into it. `prkb_e2e/src/` is read, never edited: it cites §11
 //! for "stats are an observation of the algorithm". Likewise every
-//! `prkb-<crate>::<module>` the documents name is a module that exists, and
-//! every `prkb-wire/vN` the documents and sources name is the version the
-//! protocol writes.
+//! `prkb-<crate>::<module>` the documents name is a module that exists,
+//! every `PrkbEngine::m` (and the like) they name is a method its type
+//! still has, and every `prkb-wire/vN` the documents and sources name is
+//! the version the protocol writes.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -104,6 +105,47 @@ fn every_named_module_exists() {
         }
     }
     assert!(checked >= 10, "the scan found the module paths");
+}
+
+/// Every `Type::method` named in README.md and DESIGN.md, for the types
+/// whose methods the documents walk a reader through, is a `fn` in that
+/// type's source file — so deleting or renaming a method cannot leave a
+/// document pointing at it.
+#[test]
+fn every_named_method_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let types = [
+        ("PrkbEngine", "crates/core/src/engine.rs"),
+        ("SessionScheduler", "crates/core/src/scheduler.rs"),
+        ("PrkbClient", "crates/server/src/client.rs"),
+        ("SecureDb", "src/secure_db.rs"),
+    ];
+    let mut checked = 0;
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read the document");
+        for (ty, file) in types {
+            let source = std::fs::read_to_string(root.join(file)).expect("read the source");
+            let marker = format!("{ty}::");
+            for (at, _) in text.match_indices(&marker) {
+                let method: String = text[at + marker.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                if method.is_empty() {
+                    continue;
+                }
+                let defined = ["(", "<"]
+                    .iter()
+                    .any(|open| source.contains(&format!("fn {method}{open}")));
+                assert!(
+                    defined,
+                    "{doc} names {ty}::{method}, but {file} has no fn {method}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 5, "the scan found the method names ({checked})");
 }
 
 /// Every `prkb-wire/v<N>` in the README, DESIGN.md and the product and

@@ -102,10 +102,8 @@ proptest! {
                 })
                 .collect();
             let flat: Vec<Predicate> = dims.iter().flatten().cloned().collect();
-            let md = engine.select_range_md(&oracle, &dims, &mut rng);
+            let md = engine.select_where(&oracle, &flat, &mut rng);
             prop_assert_eq!(md.sorted(), oracle.expected_conjunction(&flat));
-            let sdp = engine.select_range_sdplus(&oracle, &dims, &mut rng);
-            prop_assert_eq!(sdp.sorted(), oracle.expected_conjunction(&flat));
             for a in 0..d {
                 engine.knowledge(a as u32).expect("attr").check_invariants();
             }

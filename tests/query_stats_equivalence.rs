@@ -157,8 +157,8 @@ proptest! {
                 trapdoor(&w, &Predicate::cmp(1, ComparisonOp::Lt, 600), seed ^ 24),
             ],
         ];
-        let a = engine_tuple.select_range_md(&per_tuple, &dims, &mut rng_tuple);
-        let b = engine_batch.select_range_md(&batched, &dims, &mut rng_batch);
+        let a = engine_tuple.select_where(&per_tuple, dims.as_flattened(), &mut rng_tuple);
+        let b = engine_batch.select_where(&batched, dims.as_flattened(), &mut rng_batch);
         prop_assert_eq!(a.sorted(), b.sorted());
         prop_assert_eq!(a.stats, b.stats, "MD stats drifted");
 
@@ -166,8 +166,8 @@ proptest! {
             trapdoor(&w, &Predicate::cmp(0, ComparisonOp::Ge, 50), seed ^ 31),
             trapdoor(&w, &Predicate::between(1, 100, 400), seed ^ 32),
         ];
-        let a = engine_tuple.select_conjunction(&per_tuple, &preds, &mut rng_tuple);
-        let b = engine_batch.select_conjunction(&batched, &preds, &mut rng_batch);
+        let a = engine_tuple.select_where(&per_tuple, &preds, &mut rng_tuple);
+        let b = engine_batch.select_where(&batched, &preds, &mut rng_batch);
         prop_assert_eq!(a.sorted(), b.sorted());
         prop_assert_eq!(a.stats, b.stats, "conjunction stats drifted");
     }
