@@ -59,23 +59,33 @@ fn exceeds(current: f64, baseline: f64, tol: f64) -> bool {
 
 /// Compares `current` against `baseline`.
 ///
-/// A row missing from `current` that exists in `baseline` is a regression
-/// (coverage shrank); extra rows in `current` are allowed (coverage grew).
+/// Files of different experiments or scales are refused with one
+/// regression and no row compared. A row missing from `current` that exists
+/// in `baseline` is a regression (coverage shrank); extra rows in
+/// `current` are allowed (coverage grew).
 /// Baseline rows whose id starts with `parent/` are history — the numbers
 /// of a variant or commit the experiment no longer runs — and are skipped.
 pub fn compare(baseline: &BenchFile, current: &BenchFile, config: CompareConfig) -> CompareReport {
-    let mut regressions = Vec::new();
-    let mut rows_compared = 0usize;
-
-    if baseline.experiment != current.experiment {
-        regressions.push(Regression {
-            id: "<file>".into(),
-            detail: format!(
-                "experiment mismatch: baseline {:?} vs current {:?}",
-                baseline.experiment, current.experiment
-            ),
-        });
+    let mut regressions: Vec<Regression> = [
+        ("experiment", &baseline.experiment, &current.experiment),
+        ("scale", &baseline.scale, &current.scale),
+    ]
+    .into_iter()
+    .filter(|(_, base, cur)| base != cur)
+    .map(|(what, base, cur)| Regression {
+        id: "<file>".into(),
+        detail: format!("{what} mismatch: baseline {base:?} vs current {cur:?}"),
+    })
+    .collect();
+    if !regressions.is_empty() {
+        // Rows of another experiment or scale are not comparable: one
+        // refusal, not a regression per row.
+        return CompareReport {
+            rows_compared: 0,
+            regressions,
+        };
     }
+    let mut rows_compared = 0usize;
 
     for base in baseline
         .rows
@@ -211,5 +221,19 @@ mod tests {
         let mut cur = base.clone();
         cur.experiment = "fig9".into();
         assert!(!compare(&base, &cur, CompareConfig::default()).passed());
+    }
+
+    #[test]
+    fn scale_mismatch_is_one_refusal() {
+        let base = file(vec![("q1", 100, 1.0), ("q2", 50, 1.0)]);
+        let mut cur = file(vec![("q1", 900, 1.0)]);
+        cur.scale = "default".into();
+        let report = compare(&base, &cur, CompareConfig::default());
+        assert_eq!(report.rows_compared, 0);
+        assert_eq!(report.regressions.len(), 1, "{report:?}");
+        assert_eq!(
+            report.regressions[0].detail,
+            "scale mismatch: baseline \"ci\" vs current \"default\""
+        );
     }
 }

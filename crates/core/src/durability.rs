@@ -34,13 +34,17 @@
 //!   newest version of some partition, and only then is a fresh
 //!   `wal.<E+1>.log` started and the stale log and superseded segments
 //!   removed;
-//! * **recovery** loads the newest version of every partition from the
-//!   segment set, replays the manifest epoch's WAL, silently discards a
+//! * **recovery** is a read phase, which writes nothing, then an apply
+//!   phase. The read phase loads the newest version of every partition
+//!   from the segment set, replays the manifest epoch's WAL, reads past a
 //!   torn tail (partial final record — the residue of a crash mid-append),
-//!   and refuses to open on mid-log corruption (a bad record *followed by*
-//!   valid ones) — restoring an engine equivalent to a prefix of the
-//!   shard's commit order that contains every acknowledged insert, delete
-//!   and init, `validate()`d before use.
+//!   and refuses on mid-log corruption (a bad record *followed by* valid
+//!   ones) or on a record that does not replay — restoring an engine
+//!   equivalent to a prefix of the shard's commit order that contains
+//!   every acknowledged insert, delete and init, `validate()`d before use.
+//!   Only then does the apply phase truncate the tail, remove the residue
+//!   and arm the WAL. The scrubber ([`crate::scrub`]) is the read phase
+//!   reported file by file.
 //!
 //! Epochs make the checkpoint/WAL pair crash-consistent without ever
 //! truncating a live log: the manifest at epoch `E+1` subsumes
@@ -50,10 +54,10 @@
 //! WAL whose epoch matches the manifest.
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
-use crate::knowledge::{Knowledge, RefinementOp};
+use crate::knowledge::RefinementOp;
 use crate::lsm::manifest::{read_segment_manifest, write_segment_manifest, SegmentManifest};
 use crate::lsm::reader::SegmentStore;
-use crate::lsm::segment::{parse_segment_name, retire_segments, write_segment};
+use crate::lsm::segment::{parse_segment_name, retire_segments, segment_file_name, write_segment};
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::pop::SplitBits;
@@ -61,7 +65,7 @@ use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::traits::SpPredicate;
 use prkb_edbms::codec::{publish, seal, sync_dir, unseal, Reader};
-use prkb_edbms::durability::{CrashInjector, DurabilityError, TailStatus, Wal};
+use prkb_edbms::durability::{scan_records, CrashInjector, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{real_fs, AttrId, StorageFs, TupleId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -82,8 +86,10 @@ pub enum DurableError {
     /// A CRC-valid WAL record failed to decode or to replay cleanly —
     /// corruption that slipped past framing; the engine refuses to open.
     CorruptWal(&'static str),
-    /// The sharded-pool manifest is damaged. Like segments it is written
-    /// atomically, so damage here is real corruption.
+    /// The sharded-pool manifest is damaged, or does not account for a
+    /// `shard.<i>/` directory present (it is missing, or declares fewer).
+    /// It is written atomically before any shard directory exists, so this
+    /// is real corruption — and opening anyway would re-partition.
     CorruptManifest(&'static str),
     /// A checkpoint segment or the segment manifest ([`crate::lsm`]) is
     /// damaged: torn framing, a CRC-failing block, or a manifest
@@ -181,6 +187,26 @@ impl<P> TxnEntry<P> {
         match self {
             TxnEntry::Init { attr, .. } | TxnEntry::Op { attr, .. } => *attr,
         }
+    }
+}
+
+/// One entry the way a post-mortem reads it: `init attr 3 n=140`,
+/// `attr 0 split`.
+impl<P> fmt::Display for TxnEntry<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (attr, op) = match self {
+            TxnEntry::Init { attr, n } => return write!(f, "init attr {attr} n={n}"),
+            TxnEntry::Op { attr, op } => (attr, op),
+        };
+        let kind = match op {
+            RefinementOp::Split { .. } => "split",
+            RefinementOp::Delete { .. } => "delete",
+            RefinementOp::Park { .. } => "park",
+            RefinementOp::Place { .. } => "place",
+            RefinementOp::Solo { .. } => "solo",
+            RefinementOp::Refine { .. } => "refine",
+        };
+        write!(f, "attr {attr} {kind}")
     }
 }
 
@@ -313,29 +339,26 @@ pub fn encode_txn<P: WireCodec>(entries: &[TxnEntry<P>]) -> Vec<u8> {
 /// Decodes one WAL transaction payload.
 ///
 /// # Errors
-/// [`DurableError::CorruptWal`] on any structural damage (these payloads sit
-/// behind a CRC, so damage here means corruption beyond bit-rot framing).
-pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, DurableError> {
-    let decode = || -> Result<_, &'static str> {
-        let mut r = Reader::new(bytes);
-        // The smallest entry is an Op holding a Delete: 10 bytes.
-        let count = r.count(10)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (kind, attr) = (r.u8()?, r.u32()?);
-            entries.push(match kind {
-                0 => TxnEntry::Init { attr, n: r.u64()? },
-                1 => TxnEntry::Op {
-                    attr,
-                    op: decode_op(&mut r)?,
-                },
-                _ => return Err("unknown entry kind"),
-            });
-        }
-        r.finish()?;
-        Ok(entries)
-    };
-    decode().map_err(DurableError::CorruptWal)
+/// What is structurally wrong. These payloads sit behind a CRC, so damage
+/// here means corruption beyond bit-rot framing.
+pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, &'static str> {
+    let mut r = Reader::new(bytes);
+    // The smallest entry is an Op holding a Delete: 10 bytes.
+    let count = r.count(10)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (kind, attr) = (r.u8()?, r.u32()?);
+        entries.push(match kind {
+            0 => TxnEntry::Init { attr, n: r.u64()? },
+            1 => TxnEntry::Op {
+                attr,
+                op: decode_op(&mut r)?,
+            },
+            _ => return Err("unknown entry kind"),
+        });
+    }
+    r.finish()?;
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -386,13 +409,14 @@ pub(crate) enum FileKind {
     Shard(usize),
 }
 
-/// The verdict on one directory entry — recovery's and scrub's both.
+/// The verdict on one directory entry — the read phase's, so recovery's
+/// and scrub's both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Entry {
-    /// State: recovery reads it, scrub deep-checks it.
+    /// State: the read phase reads it.
     Live(FileKind),
-    /// Crash residue: recovery removes it once the directory is loaded,
-    /// scrub reports it (never as corruption) and may quarantine it.
+    /// Crash residue: the apply phase removes it, scrub reports it (never
+    /// as corruption) and may quarantine it.
     Residue(FileKind),
     /// Recovery refuses the whole directory, and touches nothing in it.
     Refused(&'static str),
@@ -458,124 +482,233 @@ pub(crate) fn classify(name: &str, manifest: &ManifestState<'_>) -> Entry {
     }
 }
 
-/// Lists `dir` once and classifies every entry: the directory is refused
-/// if any entry is, and otherwise its residue is returned for the caller to
-/// remove once the directory's state is loaded.
-fn residue_of(
-    fs: &dyn StorageFs,
-    dir: &Path,
-    manifest: &ManifestState<'_>,
-) -> Result<Vec<PathBuf>, DurableError> {
-    let mut residue = Vec::new();
-    for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        match classify(name, manifest) {
-            Entry::Refused(why) => return Err(DurableError::CorruptSegment(why)),
-            Entry::Residue(_) => residue.push(path),
-            Entry::Live(_) | Entry::Foreign => {}
-        }
-    }
-    Ok(residue)
+/// Why the open of a directory refuses: the file it stops at, what is wrong
+/// there (`record 4: place of an indexed tuple`), and what the open returns.
+#[derive(Debug)]
+pub(crate) struct Refusal {
+    pub(crate) path: PathBuf,
+    pub(crate) detail: String,
+    pub(crate) error: DurableError,
 }
 
-/// Recovers one engine directory: classify its entries (refusing on any
-/// [`Entry::Refused`]), load the newest version of every partition from the
-/// segment set, open or create the manifest epoch's WAL, replay its
-/// committed transactions, validate every attribute, and only then remove
-/// the residue. Returns the rebuilt engine (journaling armed), the live
-/// WAL, the attributes the replayed tail touched (exactly their divergence
-/// from the stored segments), and what was found on disk.
-fn recover_dir<P: SpPredicate + WireCodec>(
-    fs: &Arc<dyn StorageFs>,
+impl Refusal {
+    fn new(path: &Path, detail: impl Into<String>, error: impl Into<DurableError>) -> Self {
+        let (path, detail, error) = (path.to_path_buf(), detail.into(), error.into());
+        Refusal {
+            path,
+            detail,
+            error,
+        }
+    }
+
+    /// A refusal its error says enough about.
+    fn of(path: &Path, error: impl Into<DurableError>) -> Self {
+        let error = error.into();
+        Refusal::new(path, error.to_string(), error)
+    }
+}
+
+/// The read phase of one directory: every entry under its [`classify`]
+/// class, and what the open serves — or why it refuses.
+pub(crate) struct DirRead<P> {
+    pub(crate) entries: Vec<(PathBuf, Entry)>,
+    pub(crate) state: Result<DirState<P>, Refusal>,
+}
+
+/// What the open of one directory serves, and what its apply phase still
+/// has to do on disk.
+pub(crate) struct DirState<P> {
+    /// The rebuilt engine, journaling off.
+    engine: PrkbEngine<P>,
+    /// The attributes the replay touched: their divergence from the
+    /// stored segments.
+    dirty: BTreeSet<AttrId>,
+    /// The live segment set, when there is a segment manifest.
+    pub(crate) store: Option<SegmentStore>,
+    /// The live WAL's valid prefix in bytes; `None` when there is no WAL.
+    pub(crate) wal_len: Option<u64>,
+    /// The shard count a pool root's `manifest.bin` declares; `None` when
+    /// there is none (an engine directory, or a pool not yet created).
+    pub(crate) shards: Option<usize>,
+    pub(crate) report: RecoveryReport,
+}
+
+/// The read phase of one directory — the open's and scrub's both. It
+/// writes nothing. It classifies the names, checks a pool root's manifest
+/// against its shard directories, loads the newest version of every
+/// partition from the segment set, reads and scans the manifest epoch's WAL
+/// once, replays it, and validates every attribute the replay touched (a
+/// stored partition is validated as it loads). A missing directory reads
+/// as empty.
+pub(crate) fn read_phase<P: SpPredicate + WireCodec>(
+    fs: &dyn StorageFs,
     dir: &Path,
     config: EngineConfig,
-) -> Result<(PrkbEngine<P>, Wal, BTreeSet<AttrId>, RecoveryReport), DurableError> {
-    let started = Instant::now();
-    fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-    let manifest = read_segment_manifest(fs.as_ref(), dir)?;
-    let state = manifest
-        .as_ref()
-        .map_or(ManifestState::Absent, ManifestState::Valid);
-    let residue = residue_of(fs.as_ref(), dir, &state)?;
-
-    let mut engine = PrkbEngine::new(config);
-    let mut epoch = 0u64;
-    let mut segments_live = 0u64;
-    let store = manifest
-        .map(|m| SegmentStore::open(Arc::clone(fs), dir, m))
-        .transpose()?;
-    if let Some(store) = &store {
-        epoch = store.manifest().epoch;
-        segments_live = store.segments_live() as u64;
-        for attr in store.attrs() {
-            let bytes = store
-                .load_attr(attr)?
-                .ok_or(DurableError::CorruptSegment("indexed attr vanished"))?;
-            let kb: Knowledge<P> = snapshot::load(&bytes)
-                .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
-            engine.restore_attr(attr, kb);
-        }
-    }
-
-    let wal_path = dir.join(wal_name(epoch));
-    let (wal, payloads, tail) = if fs.exists(&wal_path) {
-        Wal::open_on(fs.as_ref(), &wal_path)?
-    } else {
-        (
-            Wal::create_on(fs.as_ref(), &wal_path)?,
-            Vec::new(),
-            TailStatus::Clean,
-        )
+) -> DirRead<P> {
+    let manifest = read_segment_manifest(fs, dir)
+        .map_err(|e| Refusal::of(&dir.join(SEGMENT_MANIFEST_FILE), e));
+    let names = match &manifest {
+        Ok(None) => ManifestState::Absent,
+        Ok(Some(m)) => ManifestState::Valid(m),
+        Err(_) => ManifestState::Corrupt,
     };
-    let records_replayed = payloads.len() as u64;
-    let mut dirty = BTreeSet::new();
-    for payload in payloads {
-        for entry in decode_txn::<P>(&payload)? {
-            dirty.insert(entry.attr());
-            match entry {
-                TxnEntry::Init { attr, n } => engine.init_attr(attr, n as usize),
-                TxnEntry::Op { attr, op } => engine
-                    .knowledge_mut(attr)
-                    .ok_or(DurableError::CorruptWal("op for unknown attribute"))?
-                    .try_apply_op(op)
-                    .map_err(DurableError::CorruptWal)?,
+    let paths = match fs.exists(dir) {
+        true => fs.read_dir(dir),
+        false => Ok(Vec::new()),
+    };
+    let entries: Vec<(PathBuf, Entry)> = (paths.iter().flatten())
+        .map(|path| {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            (path.clone(), classify(name, &names))
+        })
+        .collect();
+    let state = manifest.and_then(|manifest| {
+        paths.map_err(|e| Refusal::of(dir, DurabilityError::Io(e)))?;
+        for (path, entry) in &entries {
+            if let Entry::Refused(why) = entry {
+                return Err(Refusal::new(path, *why, DurableError::CorruptSegment(why)));
             }
         }
+        let shards = declared_shards(fs, dir, &entries)?;
+        load(fs, dir, config, manifest, shards)
+    });
+    DirRead { entries, state }
+}
+
+/// The shard count a pool root's manifest declares, checked against the
+/// `shard.<i>/` directories among `entries`: one it does not declare (every
+/// one, when there is no manifest) refuses, as the open would re-partition
+/// it. Fewer directories than declared is what a crash during creation
+/// leaves — the manifest is published first — and the apply phase creates
+/// the missing ones.
+fn declared_shards(
+    fs: &dyn StorageFs,
+    dir: &Path,
+    entries: &[(PathBuf, Entry)],
+) -> Result<Option<usize>, Refusal> {
+    let path = dir.join(MANIFEST_FILE);
+    let mut declared = None;
+    if entries
+        .iter()
+        .any(|(_, e)| *e == Entry::Live(FileKind::PoolManifest))
+    {
+        let bytes = fs
+            .read(&path)
+            .map_err(|e| Refusal::of(&path, DurabilityError::Io(e)))?;
+        declared = Some(decode_manifest(&bytes).map_err(|e| Refusal::of(&path, e))?);
     }
-    for attr in engine.attrs().collect::<Vec<_>>() {
-        engine
+    let mut extra: Vec<String> = (entries.iter())
+        .filter_map(|(_, e)| match e {
+            Entry::Live(FileKind::Shard(i)) if declared.is_none_or(|n| *i >= n) => {
+                Some(format!("shard.{i}"))
+            }
+            _ => None,
+        })
+        .collect();
+    extra.sort();
+    let extra = extra.join(", ");
+    match declared {
+        _ if extra.is_empty() => Ok(declared),
+        None => Err(Refusal::new(
+            &path,
+            format!("missing, while {extra} exist: an open would re-partition them"),
+            DurableError::CorruptManifest("shard directories without a manifest"),
+        )),
+        Some(n) => Err(Refusal::new(
+            &path,
+            format!("declares {n} shard(s), but {extra} exist too"),
+            DurableError::CorruptManifest("shard directories the manifest does not declare"),
+        )),
+    }
+}
+
+/// Loads what the open of `dir` serves: the segment set `manifest` lists,
+/// then its epoch's WAL replayed on top.
+fn load<P: SpPredicate + WireCodec>(
+    fs: &dyn StorageFs,
+    dir: &Path,
+    config: EngineConfig,
+    manifest: Option<SegmentManifest>,
+    shards: Option<usize>,
+) -> Result<DirState<P>, Refusal> {
+    let mut engine = PrkbEngine::new(config);
+    let store = (manifest.map(|m| SegmentStore::open(fs, dir, m)).transpose())
+        .map_err(|(id, e)| Refusal::of(&dir.join(segment_file_name(id)), e))?;
+    for (seg, block, newest) in store.iter().flat_map(SegmentStore::blocks) {
+        if newest {
+            let kb = (seg.read_block(fs, block))
+                .and_then(|image| {
+                    snapshot::load(&image)
+                        .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))
+                })
+                .map_err(|e| Refusal::of(&seg.path, e))?;
+            engine.restore_attr(block.attr, kb);
+        }
+    }
+    let epoch = store.as_ref().map_or(0, |s| s.manifest().epoch);
+    let wal = dir.join(wal_name(epoch));
+    let (mut payloads, mut wal_len, mut tail) = (Vec::new(), None, TailStatus::Clean);
+    if fs.exists(&wal) {
+        let image = fs
+            .read(&wal)
+            .map_err(|e| Refusal::of(&wal, DurabilityError::Io(e)))?;
+        let (records, valid_len, found) = scan_records(&image).map_err(|e| Refusal::of(&wal, e))?;
+        (payloads, wal_len, tail) = (records, Some(valid_len), found);
+    }
+    let corrupt = |detail, what| Refusal::new(&wal, detail, DurableError::CorruptWal(what));
+    let mut dirty = BTreeSet::new();
+    for (i, payload) in payloads.iter().enumerate() {
+        replay(&mut engine, &mut dirty, payload)
+            .map_err(|what| corrupt(format!("record {i}: {what}"), what))?;
+    }
+    for &attr in &dirty {
+        let kb = engine
             .knowledge(attr)
-            .expect("attr enumerated above")
-            .validate()
-            .map_err(|_| DurableError::CorruptWal("replayed state fails validation"))?;
+            .expect("a replayed attribute is indexed");
+        let invalid = "replayed state fails validation";
+        kb.validate()
+            .map_err(|what| corrupt(format!("attribute {attr} after replay: {what}"), invalid))?;
     }
+    Ok(DirState {
+        report: RecoveryReport {
+            checkpoint_loaded: store.is_some(),
+            records_replayed: payloads.len() as u64,
+            tail,
+            epoch,
+            segments_live: store.as_ref().map_or(0, |s| s.segments().len() as u64),
+        },
+        engine,
+        dirty,
+        store,
+        wal_len,
+        shards,
+    })
+}
 
-    // Removal failures surface: silently keeping a stale log would replay
-    // it against the wrong checkpoint on some future recovery.
-    for path in &residue {
-        remove_stale(fs.as_ref(), path)?;
+/// Replays one WAL transaction onto `engine`, naming what does not fit.
+fn replay<P: SpPredicate + WireCodec>(
+    engine: &mut PrkbEngine<P>,
+    dirty: &mut BTreeSet<AttrId>,
+    payload: &[u8],
+) -> Result<(), &'static str> {
+    for entry in decode_txn::<P>(payload)? {
+        dirty.insert(entry.attr());
+        match entry {
+            TxnEntry::Init { attr, n } => engine.init_attr(attr, n as usize),
+            TxnEntry::Op { attr, op } => engine
+                .knowledge_mut(attr)
+                .ok_or("op for unknown attribute")?
+                .try_apply_op(op)?,
+        }
     }
+    Ok(())
+}
 
-    engine.set_recording(true);
-    let m = crate::metrics::global();
-    m.add(
-        Metric::RecoveryMs,
-        started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-    );
-    if store.is_some() {
-        m.set(Metric::SegmentsLive, segments_live);
-    }
-    let report = RecoveryReport {
-        checkpoint_loaded: store.is_some(),
-        records_replayed,
-        tail,
-        epoch,
-        segments_live,
-    };
-    Ok((engine, wal, dirty, report))
+/// The residue among `entries`: what an apply phase removes.
+fn residue(entries: &[(PathBuf, Entry)]) -> impl Iterator<Item = &Path> {
+    (entries.iter())
+        .filter(|(_, e)| matches!(e, Entry::Residue(_)))
+        .map(|(path, _)| path.as_path())
 }
 
 /// Checkpoint flush: writes the `dirty` partitions of `engine` as one new
@@ -592,8 +725,9 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     next_epoch: u64,
 ) -> Result<Vec<u64>, DurableError> {
     let store = read_segment_manifest(fs.as_ref(), dir)?
-        .map(|m| SegmentStore::open(Arc::clone(fs), dir, m))
-        .transpose()?;
+        .map(|m| SegmentStore::open(fs.as_ref(), dir, m))
+        .transpose()
+        .map_err(|(_, e)| e)?;
     let mut next_segment_id = store.as_ref().map_or(0, |s| s.manifest().next_segment_id);
     let mut blocks = Vec::new();
     for &attr in dirty {
@@ -744,28 +878,45 @@ impl fmt::Debug for CommitterState {
 }
 
 impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
-    /// Opens (or creates) one engine directory on `fs`, recovering its
-    /// engine from checkpoint + WAL replay, and returns the recovered
-    /// engine alongside the committer that will make its future mutations
-    /// durable.
+    /// The apply phase of one engine directory, after its read phase
+    /// (`entries`, `state`): creates the directory, opens the WAL at its
+    /// valid prefix (truncating a torn tail) or creates it, removes the
+    /// residue, and arms journaling. Returns the recovered engine alongside
+    /// the committer that will make its future mutations durable.
     ///
     /// # Errors
-    /// Storage errors, plus [`DurableError::CorruptSegment`] /
-    /// [`DurableError::CorruptWal`] when the on-disk state is damaged
-    /// beyond the torn-tail case (which is silently discarded).
-    fn open_with_storage(
+    /// Storage errors.
+    fn apply(
         dir: &Path,
         config: EngineConfig,
         fs: Arc<dyn StorageFs>,
+        entries: &[(PathBuf, Entry)],
+        state: DirState<P>,
     ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let (engine, wal, dirty, report) = recover_dir::<P>(&fs, dir, config)?;
+        let (disk, report) = (fs.as_ref(), state.report);
+        disk.create_dir_all(dir).map_err(DurabilityError::Io)?;
+        let path = dir.join(wal_name(report.epoch));
+        let wal = match state.wal_len {
+            Some(len) => Wal::resume_on(disk, &path, len, report.records_replayed, report.tail)?,
+            None => Wal::create_on(disk, &path)?,
+        };
+        // Removal failures surface: silently keeping a stale log would
+        // replay it against the wrong checkpoint on some future recovery.
+        for path in residue(entries) {
+            remove_stale(disk, path)?;
+        }
+        let mut engine = state.engine;
+        engine.set_recording(true);
+        if report.checkpoint_loaded {
+            crate::metrics::global().set(Metric::SegmentsLive, report.segments_live);
+        }
         let durable = wal.records();
         let committer = ShardCommitter {
             state: Mutex::new(CommitterState {
                 wal: Some(wal),
                 epoch: report.epoch,
                 pending: Vec::new(),
-                dirty,
+                dirty: state.dirty,
                 next_seq: durable + 1,
                 durable_seq: durable,
                 poisoned: false,
@@ -1082,8 +1233,7 @@ const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
 const MANIFEST_VERSION: u16 = 1;
 
 /// Validates raw manifest bytes: `"PSHD" | version u16 | shards u32 | crc32`.
-/// Shared by [`read_manifest`] and the scrubber.
-pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
+fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
     let decode = || -> Result<_, &'static str> {
         let (version, mut r) = unseal(bytes, MANIFEST_MAGIC)?;
         if version != MANIFEST_VERSION {
@@ -1099,20 +1249,12 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
     decode().map_err(DurableError::CorruptManifest)
 }
 
-fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, DurableError> {
-    let path = dir.join(MANIFEST_FILE);
-    if !fs.exists(&path) {
-        return Ok(None);
-    }
-    let bytes = fs.read(&path).map_err(DurabilityError::Io)?;
-    decode_manifest(&bytes).map(Some)
-}
-
 /// A directory of `shard.<i>/` engine directories, each with its own
 /// segment set, epoch-tagged WAL, and group-commit committer. The shard count
 /// is pinned by an atomically-written manifest at creation time: reopening
 /// with a different [`ShardMap`] keeps the persisted partitioning, so
-/// every attribute keeps routing to the WAL that holds its history.
+/// every attribute keeps routing to the WAL that holds its history, and a
+/// shard directory the manifest does not declare refuses the open.
 ///
 /// Recovery replays each shard's WAL independently — shard `i`'s recovered
 /// state is a committed prefix of shard `i`'s history regardless of what
@@ -1164,46 +1306,56 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         Self::open_on(dir, config, requested, fs)
     }
 
+    /// The open: the read phase of the root and of every shard directory
+    /// — which refuses, if anything does, before a byte is written — then
+    /// the apply phase of each.
     fn open_on(
         dir: &Path,
         config: EngineConfig,
         requested: ShardMap,
         fs: Arc<dyn StorageFs>,
     ) -> Result<Self, DurableError> {
-        fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-        // The pool root holds no segment manifest; its only residue is a
-        // `manifest.bin.tmp`, and nothing below depends on it.
-        for path in residue_of(fs.as_ref(), dir, &ManifestState::Absent)? {
-            remove_stale(fs.as_ref(), &path)?;
+        let started = Instant::now();
+        let root = read_phase::<P>(fs.as_ref(), dir, config);
+        let declared = root.state.map_err(|r| r.error)?.shards;
+        let map = declared.map_or(requested, ShardMap::new);
+        let shard_dir = |i: usize| dir.join(format!("shard.{i}"));
+        let mut reads = Vec::with_capacity(map.shards());
+        for i in 0..map.shards() {
+            let read = read_phase::<P>(fs.as_ref(), &shard_dir(i), config);
+            reads.push((read.entries, read.state.map_err(|r| r.error)?));
         }
-        let map = match read_manifest(fs.as_ref(), dir)? {
-            Some(shards) => ShardMap::new(shards),
-            None => {
-                // Without it a reopen silently re-partitions.
-                let image = seal(
-                    MANIFEST_MAGIC,
-                    MANIFEST_VERSION,
-                    &(requested.shards() as u32).to_le_bytes(),
-                );
-                publish(fs.as_ref(), dir, MANIFEST_FILE, &image)?;
-                requested
-            }
-        };
+
+        fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
+        for path in residue(&root.entries) {
+            remove_stale(fs.as_ref(), path)?;
+        }
+        if declared.is_none() {
+            // Published before any shard directory exists: without it a
+            // reopen would re-partition them.
+            let image = seal(
+                MANIFEST_MAGIC,
+                MANIFEST_VERSION,
+                &(requested.shards() as u32).to_le_bytes(),
+            );
+            publish(fs.as_ref(), dir, MANIFEST_FILE, &image)?;
+        }
         let mut shards = Vec::with_capacity(map.shards());
         let mut reports = Vec::with_capacity(map.shards());
-        for i in 0..map.shards() {
-            let (engine, committer, report) = ShardCommitter::open_with_storage(
-                &dir.join(format!("shard.{i}")),
-                config,
-                Arc::clone(&fs),
-            )?;
+        for (i, (entries, state)) in reads.into_iter().enumerate() {
+            let (engine, committer, report) =
+                ShardCommitter::apply(&shard_dir(i), config, Arc::clone(&fs), &entries, state)?;
             shards.push((engine, committer));
             reports.push(report);
         }
-        // The opens above may have created `shard.<i>/`: make those
+        // The applies above may have created `shard.<i>/`: make those
         // directory entries durable before any commit is acknowledged
         // into a WAL beneath them.
         sync_dir(fs.as_ref(), dir)?;
+        crate::metrics::global().add(
+            Metric::RecoveryMs,
+            started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
+        );
         Ok(ShardedDurablePool {
             dir: dir.to_path_buf(),
             fs,
@@ -1213,11 +1365,13 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         })
     }
 
-    /// CRC-walks every shard's segments, WAL, and the pool manifest,
-    /// classifying damage without mutating healthy state. With
-    /// `quarantine` set, corrupt artifacts are renamed into a
-    /// `quarantine/` sibling directory (never deleted) so a reopen can
-    /// proceed while the evidence survives for forensics.
+    /// Runs the open's read phase over the pool root and every shard and
+    /// reports it file by file ([`crate::scrub`]): a corruption exactly
+    /// where a reopen would refuse, plus rot in superseded segment blocks,
+    /// which no open reads. It writes nothing unless `quarantine` is set;
+    /// then corrupt artifacts of a directory the open refuses, and residue,
+    /// are renamed into a `quarantine/` sibling directory (never deleted)
+    /// so a reopen can proceed while the evidence survives for forensics.
     pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
         crate::scrub::scrub_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
     }

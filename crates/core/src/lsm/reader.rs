@@ -1,10 +1,10 @@
 //! [`SegmentStore`]: the read path over a live segment set.
 //!
 //! A store is the opened form of one manifest: every live segment's index
-//! in memory, zero partition payloads. Looking up a partition scans
-//! segments **newest first** (a later flush supersedes an earlier one),
-//! binary-searches each index, and reads exactly one CRC-verified block
-//! from disk on a hit. The same order decides which segments a rotation
+//! in memory, zero partition payloads. A partition's newest version is its
+//! block in the **newest** segment that holds it (a later flush supersedes
+//! an earlier one); an open reads exactly that one CRC-verified block of
+//! it. The same order decides which segments a rotation
 //! keeps ([`supersede`]): a segment is live only while it is the newest
 //! holder of some attribute, so the scan is over at most as many segments
 //! as the directory has attributes.
@@ -13,18 +13,16 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::Arc;
 
 use prkb_edbms::{AttrId, StorageFs};
 
 use super::manifest::SegmentManifest;
-use super::segment::SegmentMeta;
+use super::segment::{BlockEntry, SegmentMeta};
 use crate::durability::DurableError;
 
 /// An opened live segment set: routing structures only, payloads on disk.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentStore {
-    fs: Arc<dyn StorageFs>,
     manifest: SegmentManifest,
     /// Newest first — the probe order.
     segments: Vec<SegmentMeta>,
@@ -34,25 +32,22 @@ impl SegmentStore {
     /// Opens every segment `manifest` (read from `dir`) references.
     ///
     /// # Errors
-    /// A manifest entry whose segment file is missing or damaged is
+    /// The id of the first segment that does not open, with its error: a
+    /// manifest entry whose segment file is missing or damaged is
     /// [`DurableError::CorruptSegment`] — segments are published before
     /// the manifest references them, so this is never a crash artifact.
     pub(crate) fn open(
-        fs: Arc<dyn StorageFs>,
+        fs: &dyn StorageFs,
         dir: &Path,
         manifest: SegmentManifest,
-    ) -> Result<SegmentStore, DurableError> {
+    ) -> Result<SegmentStore, (u64, DurableError)> {
         let segments = manifest
             .segments
             .iter()
             .rev()
-            .map(|&id| SegmentMeta::open(fs.as_ref(), dir, id))
+            .map(|&id| SegmentMeta::open(fs, dir, id).map_err(|e| (id, e)))
             .collect::<Result<_, _>>()?;
-        Ok(SegmentStore {
-            fs,
-            manifest,
-            segments,
-        })
+        Ok(SegmentStore { manifest, segments })
     }
 
     /// The manifest this store was opened from.
@@ -60,31 +55,22 @@ impl SegmentStore {
         &self.manifest
     }
 
-    /// Number of live segments.
-    pub(crate) fn segments_live(&self) -> usize {
-        self.segments.len()
+    /// The live segments, newest first.
+    pub(crate) fn segments(&self) -> &[SegmentMeta] {
+        &self.segments
     }
 
-    /// The newest stored snapshot image for `attr`, or `None` if no live
-    /// segment holds it.
-    pub(crate) fn load_attr(&self, attr: AttrId) -> Result<Option<Vec<u8>>, DurableError> {
+    /// Every block of the live set, newest segment first, each with whether
+    /// it is the newest version of its attribute — the one block of that
+    /// attribute an open reads. The others are superseded.
+    pub(crate) fn blocks(&self) -> Vec<(&SegmentMeta, &BlockEntry, bool)> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
         for seg in &self.segments {
-            if let Some(entry) = seg.find(attr) {
-                return seg.read_block(self.fs.as_ref(), entry).map(Some);
+            for entry in &seg.index {
+                out.push((seg, entry, seen.insert(entry.attr)));
             }
         }
-        Ok(None)
-    }
-
-    /// Every attribute stored across the live set (deduplicated, sorted).
-    pub(crate) fn attrs(&self) -> Vec<AttrId> {
-        let mut out: Vec<AttrId> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.index.iter().map(|e| e.attr))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
         out
     }
 
@@ -155,12 +141,28 @@ mod tests {
             },
         );
         let manifest = read_segment_manifest(fs.as_ref(), &dir).unwrap().unwrap();
-        let store = SegmentStore::open(fs.clone(), &dir, manifest).unwrap();
-        assert_eq!(store.segments_live(), 2);
-        assert_eq!(store.load_attr(1).unwrap().unwrap(), b"one-v0");
-        assert_eq!(store.load_attr(2).unwrap().unwrap(), b"two-v1");
-        assert_eq!(store.load_attr(3).unwrap(), None);
-        assert_eq!(store.attrs(), vec![1, 2]);
+        let store = SegmentStore::open(fs.as_ref(), &dir, manifest).unwrap();
+        assert_eq!(store.segments().len(), 2);
+        let blocks: Vec<(u64, AttrId, Vec<u8>, bool)> = store
+            .blocks()
+            .into_iter()
+            .map(|(seg, e, newest)| {
+                (
+                    seg.id,
+                    e.attr,
+                    seg.read_block(fs.as_ref(), e).unwrap(),
+                    newest,
+                )
+            })
+            .collect();
+        assert_eq!(
+            blocks,
+            [
+                (1, 2, b"two-v1".to_vec(), true),
+                (0, 1, b"one-v0".to_vec(), true),
+                (0, 2, b"two-v0".to_vec(), false),
+            ]
+        );
         // Supersede: a segment stays while it is some attribute's newest holder.
         assert_eq!(store.supersede(&[]), (vec![0, 1], vec![]));
         assert_eq!(store.supersede(&[1]), (vec![1], vec![0]));
@@ -177,7 +179,10 @@ mod tests {
             next_segment_id: 1,
             segments: vec![0],
         };
-        assert!(SegmentStore::open(real_fs(), &dir, manifest).is_err());
+        assert!(matches!(
+            SegmentStore::open(real_fs().as_ref(), &dir, manifest),
+            Err((0, DurableError::CorruptSegment("segment file missing")))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

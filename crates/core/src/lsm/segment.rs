@@ -245,11 +245,15 @@ impl SegmentMeta {
     /// partition payload is touched.
     ///
     /// # Errors
-    /// [`DurableError::CorruptSegment`] on any structural damage; I/O
-    /// errors pass through as [`DurableError::Storage`].
+    /// [`DurableError::CorruptSegment`] on any structural damage and on a
+    /// missing file; other I/O errors pass through as
+    /// [`DurableError::Storage`].
     pub fn open(fs: &dyn StorageFs, dir: &Path, id: u64) -> Result<SegmentMeta, DurableError> {
         let path = dir.join(segment_file_name(id));
-        let file_len = fs.len(&path).map_err(DurabilityError::Io)?;
+        let file_len = fs.len(&path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => DurableError::CorruptSegment("segment file missing"),
+            _ => DurabilityError::Io(e).into(),
+        })?;
         if file_len < HEADER_LEN + FOOTER_LEN {
             return Err(DurableError::CorruptSegment("file shorter than framing"));
         }
@@ -276,14 +280,6 @@ impl SegmentMeta {
             index,
             file_len,
         })
-    }
-
-    /// Binary-searches the index for `attr`.
-    pub(crate) fn find(&self, attr: AttrId) -> Option<&BlockEntry> {
-        self.index
-            .binary_search_by_key(&attr, |e| e.attr)
-            .ok()
-            .map(|i| &self.index[i])
     }
 
     /// Reads and CRC-verifies one partition block — the only payload read
@@ -347,6 +343,10 @@ mod tests {
     use super::*;
     use prkb_edbms::real_fs;
 
+    fn find(meta: &SegmentMeta, attr: AttrId) -> Option<&BlockEntry> {
+        meta.index.iter().find(|e| e.attr == attr)
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("prkb-lsm-seg-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -367,8 +367,8 @@ mod tests {
         [(2, b"block two".to_vec()), (0, b"block zero!".to_vec())]
     }
 
-    /// Opens `bytes` as segment 7 and reads every block back, the way the
-    /// scrubber checks a live segment: its format version and attr 0's block.
+    /// Opens `bytes` as segment 7 and reads every block back: its format
+    /// version and attr 0's block.
     fn open_golden(tag: &str, bytes: &[u8]) -> Result<(u16, Vec<u8>), DurableError> {
         let dir = tmpdir(tag);
         std::fs::write(dir.join(segment_file_name(7)), bytes).expect("write");
@@ -457,10 +457,10 @@ mod tests {
         let attrs: Vec<AttrId> = meta.index.iter().map(|e| e.attr).collect();
         assert_eq!(attrs, vec![0, 2, 7]);
         for (attr, bytes) in &blocks {
-            let e = meta.find(*attr).expect("indexed");
+            let e = find(&meta, *attr).expect("indexed");
             assert_eq!(&meta.read_block(fs.as_ref(), e).unwrap(), bytes);
         }
-        assert!(meta.find(99).is_none());
+        assert!(find(&meta, 99).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -498,19 +498,19 @@ mod tests {
         let path = dir.join(segment_file_name(2));
         let mut bytes = std::fs::read(&path).unwrap();
         let meta = SegmentMeta::open(fs.as_ref(), &dir, 2).unwrap();
-        let victim = meta.find(2).unwrap();
+        let victim = find(&meta, 2).unwrap();
         bytes[victim.offset as usize] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         // Open still succeeds (framing intact)…
         let meta = SegmentMeta::open(fs.as_ref(), &dir, 2).unwrap();
         // …the damaged block fails its CRC…
-        let victim = *meta.find(2).unwrap();
+        let victim = *find(&meta, 2).unwrap();
         assert!(matches!(
             meta.read_block(fs.as_ref(), &victim),
             Err(DurableError::CorruptSegment("block checksum mismatch"))
         ));
         // …and the untouched blocks still read.
-        let ok = *meta.find(0).unwrap();
+        let ok = *find(&meta, 0).unwrap();
         assert_eq!(meta.read_block(fs.as_ref(), &ok).unwrap(), b"alpha");
         std::fs::remove_dir_all(&dir).unwrap();
     }

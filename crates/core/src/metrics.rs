@@ -151,7 +151,7 @@ schema_enum! {
         SegmentsLive => "segments_live",
         /// Bytes written into published segment files by O(delta) flushes.
         SegmentFlushBytes => "segment_flush_bytes",
-        /// Milliseconds spent in recovery (`recover_dir`), cumulative.
+        /// Milliseconds spent opening pools (read and apply phases), cumulative.
         RecoveryMs => "recovery_ms",
     }
 }

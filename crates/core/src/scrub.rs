@@ -1,40 +1,33 @@
-//! KB integrity scrubber: offline verification of everything the
-//! durability layer ever wrote.
+//! KB integrity scrubber: the open's read phase, reported file by file.
 //!
-//! [`scrub_dir`] lists a directory once and reads every name through the
-//! classifier recovery uses (`durability::classify`), so the two agree by
-//! construction: a pool root is whatever holds `manifest.bin` or
-//! `shard.<i>/` entries, and each shard is walked in turn. Live files are
-//! deep-checked — WAL frames and their transaction payloads, segment
-//! framing, index and every block CRC, both manifests — residue gets a
-//! class of its own that is never corruption, and a file recovery refuses
-//! to open around is `unreadable`. [`ScrubDamage`] lists the classes
-//! (DESIGN.md §10).
+//! [`scrub_dir`] runs on each directory the read phase of the open
+//! (`durability::read_phase`, DESIGN.md §10), which writes nothing. A live
+//! file the open reads is clean, the file it refuses at gets the class of
+//! its error ([`ScrubDamage`]), every other name the class
+//! `durability::classify` gives it. So scrub reports a corruption exactly
+//! when the open refuses — but for one check the open never makes: the CRC
+//! of each *superseded* block of a live segment, reported as segment rot.
+//! A refused directory reports its refusal and its names only.
 //!
 //! The scrubber never deletes: with quarantine enabled, corrupt artifacts
 //! and residue are *renamed* into a `quarantine/` subdirectory next to
-//! where they lived, preserving the evidence while letting a reopen
-//! proceed. Torn tails and unreadable files stay in place — the former is
-//! recovery's job, the latter might be transient, or somebody's data — and
-//! so does the residue of a directory recovery refuses, which that reopen
-//! would not remove either.
+//! where they lived, so a reopen can proceed while the evidence survives.
+//! Torn tails (recovery's job) and unreadable files (maybe transient, or
+//! somebody's data) stay, and so does the residue of a directory recovery
+//! refuses, which that reopen would not remove either, and every file of a
+//! directory that opens: its only corruption can be in blocks the open
+//! does not read, and moving their segment would lose the blocks it does.
 //!
 //! Every run bumps `scrub_runs`; each corruption-class finding bumps
 //! `scrub_corruptions`; each successful quarantine bumps
 //! `quarantined_files` (metrics schema v8).
 
-use crate::durability::{
-    classify, decode_manifest, decode_txn, DurableError, Entry, FileKind, ManifestState, TxnEntry,
-    MANIFEST_FILE,
-};
-use crate::knowledge::RefinementOp;
-use crate::lsm::manifest::SegmentManifest;
-use crate::lsm::segment::{segment_file_name, SegmentMeta};
-use crate::lsm::SEGMENT_MANIFEST_FILE;
+use crate::durability::{decode_txn, read_phase, DirState, DurableError, Entry, FileKind, Refusal};
+use crate::engine::EngineConfig;
 use crate::metrics::Metric;
 use crate::snapshot::WireCodec;
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{scan_frames, WalVerdict, FRAME_HEADER_LEN, WAL_HEADER_LEN};
+use prkb_edbms::durability::{scan_frames, DurabilityError, TailStatus, FRAME_HEADER_LEN};
 use prkb_edbms::StorageFs;
 use std::path::{Path, PathBuf};
 
@@ -50,19 +43,22 @@ pub enum ScrubDamage {
     /// truncates, not a corruption.
     TornTail,
     /// Damage inside the WAL's committed prefix, an unrecognizable WAL
-    /// header, or a CRC-valid frame whose payload fails to decode.
+    /// header, or a CRC-valid record that does not decode or replay.
     MidLogCorruption,
-    /// The pool manifest is rotted, missing, or disagrees with the shard
-    /// directories present; or a segment manifest fails validation or
-    /// references a segment file that does not exist.
+    /// The pool manifest is rotted, or missing while shard directories
+    /// exist, or does not declare a shard directory present; or a segment
+    /// manifest fails validation or references a segment file that does
+    /// not exist.
     ManifestMismatch,
     /// A published segment file with broken framing (short file, bad
     /// magic, unknown version, failing footer/index checksum, an id that
-    /// does not match its name). Segments rename into place only after
-    /// their fsync, so this is real corruption.
+    /// does not match its name) or a block that is not a partition
+    /// snapshot. Segments rename into place only after their fsync, so
+    /// this is real corruption.
     TornSegment,
     /// A segment whose framing verifies but where a partition block fails
-    /// its CRC — bitrot inside the payload.
+    /// its CRC — bitrot inside the payload. Also reported for a superseded
+    /// block, which the open does not read.
     SegmentRot,
     /// Residue: a segment the segment manifest does not list — published
     /// but never swapped in, or superseded and not yet unlinked.
@@ -72,9 +68,9 @@ pub enum ScrubDamage {
     /// Residue: a WAL older than the segment manifest's epoch, which the
     /// checkpoint subsumes.
     StaleWal,
-    /// The file could not be read (an I/O error while scrubbing), or
-    /// recovery refuses the directory because of it: a generation-1
-    /// `checkpoint.bin`, or a WAL newer than the segment manifest.
+    /// The file could not be read (an I/O error), or recovery refuses the
+    /// directory because of its name: a generation-1 `checkpoint.bin`, or
+    /// a WAL newer than the segment manifest.
     Unreadable,
 }
 
@@ -137,8 +133,8 @@ pub struct ScrubFinding {
 }
 
 impl ScrubFinding {
-    /// A verdict on the artifact at `path`: not a WAL (no frame count), not
-    /// quarantined (a finished scrub pass fills that in).
+    /// A verdict on the artifact at `path`: no frames listed, not
+    /// quarantined (a finished scrub pass fills those in).
     pub(crate) fn new(
         path: impl Into<PathBuf>,
         damage: ScrubDamage,
@@ -152,12 +148,6 @@ impl ScrubFinding {
             frame_lines: Vec::new(),
             quarantined_to: None,
         }
-    }
-
-    /// For a WAL: records how many CRC-valid frames the image holds.
-    pub(crate) fn frames(mut self, n: u64) -> Self {
-        self.frames_valid = Some(n);
-        self
     }
 }
 
@@ -190,40 +180,31 @@ impl ScrubReport {
 
     /// Serializes the report as one line of `prkb-scrub/v1` JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"prkb-scrub/v1\"");
-        out.push_str(&format!(
-            ",\"root\":\"{}\",\"files_scanned\":{},\"corruptions\":{},\"quarantined\":{},\"clean\":{}",
-            json_escape(&self.root.display().to_string()),
+        let text = |s: &str| format!("\"{}\"", json_escape(s));
+        let path = |p: &Path| text(&p.display().to_string());
+        let findings: Vec<String> = (self.findings.iter())
+            .map(|f| {
+                format!(
+                    "{{\"path\":{},\"damage\":\"{}\",\"detail\":{},\"frames_valid\":{},\
+                     \"quarantined_to\":{}}}",
+                    path(&f.path),
+                    f.damage.name(),
+                    text(&f.detail),
+                    f.frames_valid.map_or("null".into(), |n| n.to_string()),
+                    f.quarantined_to.as_deref().map_or("null".into(), path),
+                )
+            })
+            .collect();
+        format!(
+            "{{\"schema\":\"prkb-scrub/v1\",\"root\":{},\"files_scanned\":{},\"corruptions\":{},\
+             \"quarantined\":{},\"clean\":{},\"findings\":[{}]}}",
+            path(&self.root),
             self.files_scanned,
             self.corruptions,
             self.quarantined,
             self.is_clean(),
-        ));
-        out.push_str(",\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":\"{}\",\"damage\":\"{}\",\"detail\":\"{}\"",
-                json_escape(&f.path.display().to_string()),
-                f.damage.name(),
-                json_escape(&f.detail),
-            ));
-            match f.frames_valid {
-                Some(n) => out.push_str(&format!(",\"frames_valid\":{n}")),
-                None => out.push_str(",\"frames_valid\":null"),
-            }
-            match &f.quarantined_to {
-                Some(p) => out.push_str(&format!(
-                    ",\"quarantined_to\":\"{}\"}}",
-                    json_escape(&p.display().to_string())
-                )),
-                None => out.push_str(",\"quarantined_to\":null}"),
-            }
-        }
-        out.push_str("]}");
-        out
+            findings.join(","),
+        )
     }
 }
 
@@ -270,283 +251,151 @@ pub fn scrub_dir<P: SpPredicate + WireCodec>(
     }
 }
 
-/// Classifies every entry of `dir` with [`classify`], deep-checks the live
-/// ones, quarantines (when asked) what the directory's own findings mark,
-/// then walks each shard directory it holds.
+/// Reports `dir` under its read phase, quarantines (when asked) what the
+/// findings mark, then walks each shard directory it holds.
 fn scan_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
     quarantine: bool,
     findings: &mut Vec<ScrubFinding>,
 ) {
-    let entries = match fs.read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            let detail = format!("cannot list directory: {e}");
-            return findings.push(ScrubFinding::new(dir, ScrubDamage::Unreadable, detail));
-        }
-    };
     let start = findings.len();
-    // Every other name is classified against the segment manifest.
-    let manifest = scrub_segment_manifest(fs, dir, findings);
-    let state = match &manifest {
-        Ok(None) => ManifestState::Absent,
-        Ok(Some(m)) => ManifestState::Valid(m),
-        Err(()) => ManifestState::Corrupt,
-    };
-    let (mut refused, mut pool_manifest, mut shards) = (false, false, Vec::new());
-    for path in entries {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        let finding = match classify(name, &state) {
-            Entry::Live(FileKind::Wal(_)) => scrub_wal::<P>(fs, path),
-            Entry::Live(FileKind::Segment(id)) => scrub_segment(fs, dir, id),
-            Entry::Live(FileKind::PoolManifest) => {
-                pool_manifest = true;
-                continue;
-            }
-            Entry::Live(FileKind::Shard(_)) => {
-                shards.push(path);
-                continue;
-            }
-            // The segment manifest was checked above.
-            Entry::Live(_) | Entry::Foreign => continue,
-            Entry::Residue(FileKind::Wal(e)) => ScrubFinding::new(
-                path,
+    let read = read_phase::<P>(fs, dir, EngineConfig::default());
+    // A refusal at a path no entry has: a file a manifest names that is
+    // not there, or the directory itself.
+    if let Err(r) = read.state.as_ref() {
+        if read.entries.iter().all(|(path, _)| *path != r.path) {
+            findings.push(ScrubFinding::new(&r.path, refused_at(r, None), &r.detail));
+        }
+    }
+    for (path, entry) in &read.entries {
+        let (damage, detail) = match (*entry, &read.state) {
+            (_, Err(r)) if r.path == *path => (refused_at(r, Some(*entry)), r.detail.clone()),
+            (Entry::Residue(FileKind::Wal(e)), _) => (
                 ScrubDamage::StaleWal,
-                format!(
-                    "WAL of epoch {e}, older than the segment manifest's: \
-                     the checkpoint subsumes it"
-                ),
+                format!("WAL of epoch {e}, which the segment manifest's checkpoint subsumes"),
             ),
-            Entry::Residue(FileKind::Segment(id)) => ScrubFinding::new(
-                path,
+            (Entry::Residue(FileKind::Segment(id)), _) => (
                 ScrubDamage::StraySegment,
-                format!(
-                    "segment {id} not listed by the segment manifest \
-                     (superseded, or never swapped in)"
-                ),
+                format!("segment {id}, which the segment manifest does not list"),
             ),
-            Entry::Residue(_) => ScrubFinding::new(
-                path,
-                ScrubDamage::StrayTemp,
-                "leftover atomic-publish temp file",
-            ),
-            Entry::Refused(why) => {
-                refused = true;
-                ScrubFinding::new(path, ScrubDamage::Unreadable, why)
-            }
+            (Entry::Residue(_), _) => (ScrubDamage::StrayTemp, "temp of a torn publish".into()),
+            (Entry::Refused(why), _) => (ScrubDamage::Unreadable, why.into()),
+            (Entry::Live(kind), Ok(state)) => match live_verdict(fs, state, kind) {
+                Some(verdict) => verdict,
+                None => continue,
+            },
+            _ => continue,
         };
+        let mut finding = ScrubFinding::new(path, damage, detail);
+        if let Entry::Live(FileKind::Wal(_)) = entry {
+            list_frames::<P>(fs, &mut finding);
+        }
         findings.push(finding);
     }
-    if pool_manifest || !shards.is_empty() {
-        findings.push(scrub_pool_manifest(fs, dir, shards.len()));
-    }
-    if quarantine {
-        for f in &mut findings[start..] {
-            let refused_residue = refused && f.damage.is_residue();
-            if !f.damage.quarantinable() || refused_residue || !fs.exists(&f.path) {
-                continue;
-            }
-            match quarantine_file(fs, &f.path) {
-                Ok(dest) => f.quarantined_to = Some(dest),
-                Err(e) => f.detail.push_str(&format!("; quarantine failed: {e}")),
-            }
-        }
-    }
-    for shard in shards {
-        scan_dir::<P>(fs, &shard, quarantine, findings);
-    }
-}
-
-/// Checks a pool root's manifest against the `shards` shard directories
-/// present.
-fn scrub_pool_manifest(fs: &dyn StorageFs, dir: &Path, shards: usize) -> ScrubFinding {
-    let path = dir.join(MANIFEST_FILE);
-    let (damage, detail) = match fs.exists(&path).then(|| fs.read(&path)) {
-        None => (
-            ScrubDamage::ManifestMismatch,
-            format!("manifest missing ({shards} shard directories present)"),
-        ),
-        Some(Err(e)) => (
-            ScrubDamage::Unreadable,
-            format!("cannot read manifest: {e}"),
-        ),
-        Some(Ok(bytes)) => match decode_manifest(&bytes) {
-            Err(e) => (
-                ScrubDamage::ManifestMismatch,
-                format!("manifest fails validation: {e}"),
-            ),
-            Ok(declared) if declared != shards => (
-                ScrubDamage::ManifestMismatch,
-                format!(
-                    "manifest declares {declared} shards but {shards} shard directories present"
-                ),
-            ),
-            Ok(declared) => (ScrubDamage::Clean, format!("{declared} shards")),
-        },
-    };
-    ScrubFinding::new(path, damage, detail)
-}
-
-/// Classifies the segment manifest (when present) and reports every
-/// segment it references that has no file on disk. Returns the decoded
-/// manifest, `None` when there is none, and `Err` when it does not read.
-fn scrub_segment_manifest(
-    fs: &dyn StorageFs,
-    dir: &Path,
-    findings: &mut Vec<ScrubFinding>,
-) -> Result<Option<SegmentManifest>, ()> {
-    let path = dir.join(SEGMENT_MANIFEST_FILE);
-    if !fs.exists(&path) {
-        return Ok(None);
-    }
-    let (damage, detail) = match fs.read(&path).map(|b| SegmentManifest::decode(&b)) {
-        Err(e) => (
-            ScrubDamage::Unreadable,
-            format!("cannot read segment manifest: {e}"),
-        ),
-        Ok(Err(e)) => (
-            ScrubDamage::ManifestMismatch,
-            format!("segment manifest fails validation: {e}"),
-        ),
-        Ok(Ok(m)) => {
-            for &id in &m.segments {
-                let seg = dir.join(segment_file_name(id));
-                if !fs.exists(&seg) {
-                    findings.push(ScrubFinding::new(
-                        seg,
-                        ScrubDamage::ManifestMismatch,
-                        format!("segment {id} referenced by manifest is missing"),
-                    ));
-                }
-            }
-            let detail = format!("epoch {}, {} segment(s)", m.epoch, m.segments.len());
-            findings.push(ScrubFinding::new(path, ScrubDamage::Clean, detail));
-            return Ok(Some(m));
-        }
-    };
-    findings.push(ScrubFinding::new(path, damage, detail));
-    Err(())
-}
-
-/// Deep-checks one live segment through the reader recovery uses:
-/// [`SegmentMeta::open`] (framing, index, id), then every block's CRC.
-fn scrub_segment(fs: &dyn StorageFs, dir: &Path, id: u64) -> ScrubFinding {
-    let checked = SegmentMeta::open(fs, dir, id).and_then(|meta| {
-        for entry in &meta.index {
-            meta.read_block(fs, entry)?;
-        }
-        Ok(meta)
-    });
-    let (damage, detail) = match checked {
-        Ok(meta) => (
-            ScrubDamage::Clean,
-            format!(
-                "segment {id} (format v{}), {} byte(s)",
-                meta.version, meta.file_len
-            ),
-        ),
-        Err(DurableError::CorruptSegment(what @ "block checksum mismatch")) => {
-            (ScrubDamage::SegmentRot, format!("segment {id}: {what}"))
-        }
-        Err(DurableError::CorruptSegment(what)) => {
-            (ScrubDamage::TornSegment, format!("segment {id}: {what}"))
-        }
-        Err(e) => (ScrubDamage::Unreadable, format!("cannot read segment: {e}")),
-    };
-    ScrubFinding::new(dir.join(segment_file_name(id)), damage, detail)
-}
-
-/// Classifies one WAL image. CRC validity alone is not enough for a clean
-/// verdict: each valid frame's payload must also decode as a transaction,
-/// otherwise recovery would refuse the log just the same. A WAL that is not
-/// clean keeps one line per valid frame.
-fn scrub_wal<P: SpPredicate + WireCodec>(fs: &dyn StorageFs, path: PathBuf) -> ScrubFinding {
-    let bytes = match fs.read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            let detail = format!("cannot read WAL: {e}");
-            return ScrubFinding::new(path, ScrubDamage::Unreadable, detail);
-        }
-    };
-    if (bytes.len() as u64) < WAL_HEADER_LEN {
-        // Torn creation: the 8-byte header never completed. Recovery
-        // rebuilds such a file empty (nothing was ever acknowledged
-        // through it), so this is crash residue, not corruption.
-        let detail = format!("torn creation: {} byte(s), header incomplete", bytes.len());
-        return ScrubFinding::new(path, ScrubDamage::TornTail, detail).frames(0);
-    }
-    let scan = scan_frames(&bytes);
-    let mut undecodable = None;
-    let mut lines = Vec::with_capacity(scan.frames.len());
-    for f in &scan.frames {
-        let start = f.offset as usize + FRAME_HEADER_LEN;
-        let entries = match decode_txn::<P>(&bytes[start..start + f.len as usize]) {
-            Ok(entries) => entries.iter().map(describe).collect::<Vec<_>>().join(", "),
-            Err(e) => {
-                undecodable.get_or_insert(format!(
-                    "frame {} (offset {}) passes CRC but payload fails to decode: {e}",
-                    f.index, f.offset
-                ));
-                format!("UNDECODABLE: {e}")
-            }
+    let refused = (read.entries.iter()).any(|(_, e)| matches!(e, Entry::Refused(_)));
+    for f in findings[start..].iter_mut().filter(|_| quarantine) {
+        let stays = if f.damage.is_residue() {
+            refused
+        } else {
+            read.state.is_ok()
         };
-        lines.push(format!(
-            "record {:>4}  offset {:>8}  {:>6} payload bytes  {entries}",
-            f.index, f.offset, f.len
-        ));
+        if stays || !f.damage.quarantinable() || !fs.exists(&f.path) {
+            continue;
+        }
+        match quarantine_file(fs, &f.path) {
+            Ok(dest) => f.quarantined_to = Some(dest),
+            Err(e) => f.detail.push_str(&format!("; quarantine failed: {e}")),
+        }
     }
-    let (damage, detail) = match (undecodable, scan.verdict, scan.bad) {
-        (Some(what), ..) => (ScrubDamage::MidLogCorruption, what),
-        (None, WalVerdict::Clean, _) => (
-            ScrubDamage::Clean,
-            format!("{} frame(s), {} byte(s)", scan.frames.len(), scan.valid_len),
+    for (path, entry) in &read.entries {
+        if let Entry::Live(FileKind::Shard(_)) = entry {
+            scan_dir::<P>(fs, path, quarantine, findings);
+        }
+    }
+}
+
+/// The class of the file the open refuses at (`entry` is its name's
+/// class; `None` when it is not there), by the open's error.
+fn refused_at(r: &Refusal, entry: Option<Entry>) -> ScrubDamage {
+    use DurableError::{CorruptManifest, CorruptSegment, CorruptWal, Storage};
+    match (entry, &r.error) {
+        (Some(Entry::Refused(_)), _) | (_, Storage(DurabilityError::Io(_))) => {
+            ScrubDamage::Unreadable
+        }
+        (None, CorruptSegment(_))
+        | (_, CorruptManifest(_))
+        | (Some(Entry::Live(FileKind::SegmentManifest)), _) => ScrubDamage::ManifestMismatch,
+        (_, CorruptSegment("block checksum mismatch")) => ScrubDamage::SegmentRot,
+        (_, CorruptSegment(_)) => ScrubDamage::TornSegment,
+        (_, CorruptWal(_) | Storage(_)) => ScrubDamage::MidLogCorruption,
+        _ => ScrubDamage::Unreadable,
+    }
+}
+
+/// The verdict at a live file of a directory that opens, or `None` for a
+/// shard directory (walked on its own). A segment is also checked where
+/// the open does not read it: the CRC of each of its superseded blocks.
+fn live_verdict<P>(
+    fs: &dyn StorageFs,
+    state: &DirState<P>,
+    kind: FileKind,
+) -> Option<(ScrubDamage, String)> {
+    let (r, clean) = (&state.report, ScrubDamage::Clean);
+    Some(match kind {
+        FileKind::PoolManifest => (clean, format!("{} shards", state.shards?)),
+        FileKind::SegmentManifest => (
+            clean,
+            format!("epoch {}, {} segment(s)", r.epoch, r.segments_live),
         ),
-        (None, WalVerdict::TornTail, Some(bad)) => (
+        FileKind::Segment(id) => {
+            let store = state.store.as_ref()?;
+            let version = store.segments().iter().find(|s| s.id == id)?.version;
+            let blocks = store.blocks().into_iter();
+            let mut superseded = blocks.filter(|(seg, _, newest)| seg.id == id && !newest);
+            match superseded.find_map(|(seg, b, _)| Some((b.attr, seg.read_block(fs, b).err()?))) {
+                Some((attr, e)) => (
+                    ScrubDamage::SegmentRot,
+                    format!("superseded block of attribute {attr}: {e}; the open does not read it"),
+                ),
+                None => (clean, format!("segment {id}, format v{version}")),
+            }
+        }
+        FileKind::Wal(_) if r.tail == TailStatus::Clean => (clean, "every record replays".into()),
+        FileKind::Wal(_) => (
             ScrubDamage::TornTail,
             format!(
-                "final record (index {}, offset {}) is partial: {}",
-                bad.index, bad.offset, bad.reason
+                "a partial record after byte {}, which the open truncates",
+                state.wal_len?
             ),
         ),
-        (None, WalVerdict::MidLogCorruption, Some(bad)) => (
-            ScrubDamage::MidLogCorruption,
-            format!(
-                "damaged frame {} (offset {}) followed by valid data: {}",
-                bad.index, bad.offset, bad.reason
-            ),
-        ),
-        (None, ..) => (
-            ScrubDamage::MidLogCorruption,
-            "unrecognizable WAL header".into(),
-        ),
-    };
-    let mut finding = ScrubFinding::new(path, damage, detail).frames(scan.frames.len() as u64);
-    if damage != ScrubDamage::Clean {
-        finding.frame_lines = lines;
-    }
-    finding
+        FileKind::Temp | FileKind::Shard(_) => return None,
+    })
 }
 
-/// One transaction entry the way a post-mortem reads it: `init attr 3
-/// n=140`, `attr 0 split`.
-fn describe<P>(entry: &TxnEntry<P>) -> String {
-    let (attr, op) = match entry {
-        TxnEntry::Init { attr, n } => return format!("init attr {attr} n={n}"),
-        TxnEntry::Op { attr, op } => (attr, op),
+/// Counts a WAL's CRC-valid frames and, when it is not clean, lists them
+/// — index, offset, payload length and decoded entries — for a post-mortem.
+fn list_frames<P: WireCodec>(fs: &dyn StorageFs, f: &mut ScrubFinding) {
+    let Ok(bytes) = fs.read(&f.path) else {
+        return;
     };
-    let kind = match op {
-        RefinementOp::Split { .. } => "split",
-        RefinementOp::Delete { .. } => "delete",
-        RefinementOp::Park { .. } => "park",
-        RefinementOp::Place { .. } => "place",
-        RefinementOp::Solo { .. } => "solo",
-        RefinementOp::Refine { .. } => "refine",
-    };
-    format!("attr {attr} {kind}")
+    let frames = scan_frames(&bytes).frames;
+    f.frames_valid = Some(frames.len() as u64);
+    for frame in frames.iter().filter(|_| f.damage != ScrubDamage::Clean) {
+        let start = frame.offset as usize + FRAME_HEADER_LEN;
+        let entries = match decode_txn::<P>(&bytes[start..start + frame.len as usize]) {
+            Ok(entries) => entries
+                .iter()
+                .map(|e| format!("{e}"))
+                .collect::<Vec<_>>()
+                .join(", "),
+            Err(e) => format!("UNDECODABLE: {e}"),
+        };
+        f.frame_lines.push(format!(
+            "record {:>4}  offset {:>8}  {:>6} payload bytes  {entries}",
+            frame.index, frame.offset, frame.len
+        ));
+    }
 }
 
 /// Moves `path` into a `quarantine/` directory next to it, never
@@ -572,6 +421,10 @@ fn quarantine_file(fs: &dyn StorageFs, path: &Path) -> std::io::Result<PathBuf> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knowledge::Knowledge;
+    use crate::lsm::segment::{segment_file_name, SegmentMeta};
+    use crate::lsm::SegmentManifest;
+    use crate::snapshot;
     use prkb_edbms::{real_fs, Predicate};
 
     fn tmp(name: &str) -> PathBuf {
@@ -627,20 +480,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment manifest at epoch 3 listing segment 0, which holds the
+    /// snapshot images of two fresh knowledge bases (attributes 1 and 2):
+    /// a directory the open loads.
     fn seed_segment_store(dir: &Path) {
         use crate::lsm::manifest::write_segment_manifest;
         use crate::lsm::segment::write_segment;
         let fs = real_fs();
-        write_segment(
-            fs.as_ref(),
-            dir,
-            0,
-            &[
-                (1, b"partition-one".to_vec()),
-                (2, b"partition-two".to_vec()),
-            ],
-        )
-        .unwrap();
+        let image = |n| snapshot::save(&Knowledge::<Predicate>::init(n));
+        write_segment(fs.as_ref(), dir, 0, &[(1, image(8)), (2, image(5))]).unwrap();
         write_segment_manifest(
             fs.as_ref(),
             dir,
@@ -714,6 +562,9 @@ mod tests {
         let mut bytes = std::fs::read(&seg).unwrap();
         // Flip one byte inside the first partition block (payload starts
         // right after the 16-byte header); framing checksums stay valid.
+        let meta = SegmentMeta::open(real_fs().as_ref(), &dir, 0).unwrap();
+        let first = &meta.index[0];
+        assert!(first.attr == 1 && first.offset <= 20 && 20 < first.offset + first.len);
         bytes[20] ^= 0xFF;
         std::fs::write(&seg, &bytes).unwrap();
         let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir, false);
@@ -787,12 +638,10 @@ mod tests {
     fn json_report_is_stable_and_escaped() {
         let report = ScrubReport {
             root: PathBuf::from("/tmp/x"),
-            findings: vec![ScrubFinding::new(
-                "/tmp/x/wal.1.log",
-                ScrubDamage::TornTail,
-                "say \"torn\"",
-            )
-            .frames(3)],
+            findings: vec![ScrubFinding {
+                frames_valid: Some(3),
+                ..ScrubFinding::new("/tmp/x/wal.1.log", ScrubDamage::TornTail, "say \"torn\"")
+            }],
             files_scanned: 1,
             corruptions: 0,
             quarantined: 0,

@@ -34,7 +34,7 @@ use common::{
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
 use prkb_core::{DurableError, EngineConfig, MdUpdatePolicy, PrkbEngine, SessionScheduler};
-use prkb_edbms::durability::{DurabilityError, TailStatus, Wal, WAL_HEADER_LEN};
+use prkb_edbms::durability::{scan_records, DurabilityError, TailStatus, Wal, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
 use prkb_sim::{FaultFs, IoOp};
@@ -335,6 +335,13 @@ fn wal_crash_sweep_recovers_exact_committed_prefix() {
         .copied()
         .collect();
     assert_eq!(at.len(), 8, "the clean run has 13 WAL writes and 6 fsyncs");
+    let last = at.iter().max().expect("eight cuts");
+    assert!(
+        last + 1 < ops.len(),
+        "the clean run is too short for the sweep: it ends at op {}, and the sweep \
+         also cuts at the op after op {last}",
+        ops.len() - 1
+    );
     for cut in at.iter().flat_map(|&c| [c, c + 1]) {
         let tag = cut_name(&ops, cut);
         let dir = TmpDir::new("walsweep");
@@ -591,7 +598,11 @@ fn a_checksummed_record_that_does_not_fit_refuses_to_open() {
         pool.init_attr(0, 8).expect("durable init");
         drop(pool);
         let fs = real_fs();
-        let (mut wal, _, _) = Wal::open_on(fs.as_ref(), &wal_path(&dir, 0)).expect("wal opens");
+        let path = wal_path(&dir, 0);
+        let (records, len, tail) =
+            scan_records(&std::fs::read(&path).expect("read")).expect("scans");
+        let records = records.len() as u64;
+        let mut wal = Wal::resume_on(fs.as_ref(), &path, len, records, tail).expect("wal opens");
         wal.append_unsynced(&payload).expect("append");
         wal.sync().expect("sync");
         drop(wal);

@@ -555,10 +555,11 @@ fn parent_written_list_form_splits_recover_to_the_served_images() {
     assert_eq!(pool_images(&open_pool(&dir.0)), served);
 }
 
-/// A shard directory that holds a generation-1 `checkpoint.bin` — alone,
-/// as that generation left it, or beside a segment manifest — is never
-/// opened: not migrated, not swept as stale, not started fresh around. The
-/// open fails naming the file, and the shard directory is as it was.
+/// A shard directory that holds a generation-1 `checkpoint.bin` — alone
+/// under the pool manifest, as that generation left it, or beside a
+/// segment manifest — is never opened: not migrated, not swept as stale,
+/// not started fresh around. The open fails naming the file, and the shard
+/// directory is as it was.
 #[test]
 fn generation_1_checkpoint_is_refused_and_left_untouched() {
     const OLD: &[u8] = b"PCKP\x01\x00 whatever a generation-1 writer left here";
@@ -566,6 +567,11 @@ fn generation_1_checkpoint_is_refused_and_left_untouched() {
         let dir = TmpDir::new("gen1-refused");
         if beside_manifest {
             copy_tree(&fixture("parent_pool_seg"), &dir.0);
+        } else {
+            // Shard directories without a pool manifest refuse on their
+            // own; this case is about the file.
+            let manifest = fixture("parent_pool_seg").join("manifest.bin");
+            std::fs::copy(manifest, dir.0.join("manifest.bin")).expect("pool manifest");
         }
         let shard = dir.shard(0);
         std::fs::create_dir_all(&shard).expect("shard dir");

@@ -518,7 +518,7 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
 }
 
 /// A rotted segment manifest is the one file scrub moves: with it unread,
-/// the segments are live (deep-checked, never stray). The reopen after the
+/// the segments are live (never stray). The reopen after the
 /// quarantine finds a WAL newer than any manifest and refuses — it neither
 /// opens empty nor removes the WAL or the segment that hold the data — and
 /// a second quarantining scrub of that refused directory moves nothing.
@@ -592,10 +592,15 @@ fn scrub_classifies_manifest_rot_on_pools() {
     assert_eq!(f.damage, ScrubDamage::ManifestMismatch);
     assert!(f.quarantined_to.is_some());
 
-    // With the rotted manifest quarantined the pool re-creates one; the
-    // shard count is the caller's requested count again.
-    let pool = reopen_pool(&dir.0, EngineConfig::default(), 2).expect("reopen after quarantine");
-    assert_eq!(pool.map().shards(), 2);
+    // With the rotted manifest quarantined the shard directories are left
+    // without one: the open refuses rather than re-partition them, whatever
+    // count is asked for.
+    for requested in [1, 2] {
+        let err = reopen_pool(&dir.0, EngineConfig::default(), requested)
+            .expect_err("shard directories without a manifest must not open");
+        assert!(matches!(err, DurableError::CorruptManifest(_)), "{err}");
+    }
+    assert!(!manifest.exists(), "the refused open publishes no manifest");
 }
 
 #[test]

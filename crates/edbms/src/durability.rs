@@ -336,50 +336,36 @@ impl Wal {
         })
     }
 
-    /// Opens an existing log, scans it, and returns the log positioned for
-    /// appending plus every valid payload in order.
-    ///
-    /// A torn tail (partial / checksum-failing *final* record) is physically
-    /// truncated away and reported as [`TailStatus::TornDiscarded`]. A bad
-    /// record with valid data after it is [`DurabilityError::CorruptRecord`]
-    /// — recovery refuses to reorder or skip committed history.
-    pub fn open_on(
+    /// Reopens the log at `path` for appending after a scan of its image
+    /// ([`scan_records`]) found `records` whole records in its first
+    /// `valid_len` bytes: a torn tail is truncated away (and the cut
+    /// fsync'd), a torn creation (`valid_len` 0) is rebuilt as an empty log.
+    /// A log with mid-log corruption never gets here: its scan refuses.
+    pub fn resume_on(
         fs: &dyn StorageFs,
         path: &Path,
-    ) -> Result<(Wal, Vec<Vec<u8>>, TailStatus), DurabilityError> {
+        valid_len: u64,
+        records: u64,
+        tail: TailStatus,
+    ) -> Result<Wal, DurabilityError> {
         let mut file = fs.open_file(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if (bytes.len() as u64) < WAL_HEADER_LEN {
-            // Torn creation: a crash or I/O fault died inside `create_on`
-            // before the header became durable. The header is synced before
-            // any append is accepted, so no record was ever acknowledged
-            // through this file — rebuild it empty instead of refusing
-            // recovery. A *complete* header with wrong magic/version still
-            // fails below: that is corruption, not a tear.
+        if valid_len < WAL_HEADER_LEN {
             file.set_len(0)?;
             file.seek_start(0)?;
-            let wal = Self::fresh(fs, file, path)?;
-            return Ok((wal, Vec::new(), TailStatus::TornDiscarded));
+            return Self::fresh(fs, file, path);
         }
-        let (payloads, valid_len, tail) = scan_records(&bytes)?;
-        if valid_len < bytes.len() as u64 {
+        if tail == TailStatus::TornDiscarded {
             file.set_len(valid_len)?;
             file.sync_all()?;
         }
         file.seek_start(valid_len)?;
-        let records = payloads.len() as u64;
-        Ok((
-            Wal {
-                file,
-                path: path.to_path_buf(),
-                records,
-                bytes: valid_len,
-                poison: None,
-            },
-            payloads,
-            tail,
-        ))
+        Ok(Wal {
+            file,
+            path: path.to_path_buf(),
+            records,
+            bytes: valid_len,
+            poison: None,
+        })
     }
 
     /// Appends one record **without** fsync'ing it: the payload survives a
@@ -455,15 +441,23 @@ impl Wal {
 }
 
 /// Scans a WAL byte image: returns the valid payloads, the byte length of
-/// the valid prefix, and the tail status.
+/// the valid prefix, and the tail status. Pure: it reads nothing and
+/// writes nothing.
+///
+/// An image shorter than the header is a torn creation — a crash or I/O
+/// fault inside [`Wal::create_on`] before the header became durable, so no
+/// record was ever acknowledged through it: no payloads, a valid prefix of
+/// 0 bytes, and [`TailStatus::TornDiscarded`]. A *complete* header with
+/// the wrong magic or version is corruption, not a tear.
 ///
 /// # Errors
 /// [`DurabilityError::BadWalHeader`] on a bad header;
 /// [`DurabilityError::CorruptRecord`] when a bad record is followed by
 /// valid data (mid-log corruption).
-pub(crate) fn scan_records(
-    bytes: &[u8],
-) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
+pub fn scan_records(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
+    if (bytes.len() as u64) < WAL_HEADER_LEN {
+        return Ok((Vec::new(), 0, TailStatus::TornDiscarded));
+    }
     let scan = scan_frames(bytes);
     let tail = match scan.verdict {
         WalVerdict::BadHeader => return Err(DurabilityError::BadWalHeader),
@@ -599,9 +593,8 @@ pub struct BadFrame {
 
 /// Frame-by-frame scan result: every valid frame plus a damage verdict.
 ///
-/// Unlike `scan_records`, producing this never errors — the scrubber needs
-/// to *classify* a damaged image, and list its frames, not refuse to look
-/// at it.
+/// Unlike [`scan_records`], producing this never errors — a post-mortem
+/// lists the frames of a damaged image rather than refuse to look at it.
 #[derive(Debug, Clone)]
 pub struct FrameScan {
     /// Every CRC-valid frame, in order.
@@ -677,6 +670,19 @@ mod tests {
     use crate::storage::RealFs;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    impl Wal {
+        /// Reads, scans and resumes the log at `path`, the way recovery
+        /// does: the log, positioned for appending, and its payloads.
+        fn open_on(
+            fs: &dyn StorageFs,
+            path: &Path,
+        ) -> Result<(Wal, Vec<Vec<u8>>, TailStatus), DurabilityError> {
+            let (payloads, valid_len, tail) = scan_records(&fs.read(path)?)?;
+            let wal = Self::resume_on(fs, path, valid_len, payloads.len() as u64, tail)?;
+            Ok((wal, payloads, tail))
+        }
+    }
 
     /// One durable append: the record, then the barrier.
     fn append(wal: &mut Wal, payload: &[u8]) -> Result<(), DurabilityError> {

@@ -1,17 +1,20 @@
-//! scrub — walk a PRKB durability directory and classify every artifact.
+//! scrub — check a PRKB durability directory the way its open reads it.
 //!
-//! CRC-walks the checkpoint segments (format version 2, or the version-1
-//! files an older binary wrote — each finding names which) and their
-//! manifest, every `wal.<epoch>.log` frame, and (for sharded pools) the
-//! pool manifest, then reports per-file verdicts: clean, torn tail,
-//! mid-log corruption, segment rot, manifest mismatch, unreadable, or crash
-//! residue — a stray temp file, a stray segment (one the manifest does not
-//! list), a stale WAL (older than the manifest) — which the next reopen
-//! removes. Under every WAL that is not clean it prints the log frame by
-//! frame: index, offset, payload length and the decoded entries. With
-//! `--quarantine`, damaged artifacts and residue are *moved* into a sibling
-//! `quarantine/` directory — never deleted — so a later reopen proceeds
-//! from whatever survives while the evidence is kept.
+//! Runs the open's read phase, which writes nothing, over a pool directory
+//! and every shard in it (or over one shard directory): the pool manifest
+//! against the shard directories, each shard's checkpoint segments (format
+//! version 2, or the version-1 files an older binary wrote — each finding
+//! names which) and their manifest, one scan and replay of its WAL. It
+//! reports per file: clean, torn tail, mid-log corruption, segment rot,
+//! torn segment, manifest mismatch, unreadable — a corruption exactly where
+//! a reopen would refuse, plus rot in a superseded segment block, which no
+//! open reads — or crash residue — a stray temp file, a stray segment (one
+//! the manifest does not list), a stale WAL (older than the manifest) —
+//! which the next reopen removes. Under every WAL that is not clean it
+//! prints the log frame by frame: index, offset, payload length and the
+//! decoded entries. With `--quarantine`, damaged artifacts and residue are
+//! *moved* into a sibling `quarantine/` directory — never deleted — so a
+//! later reopen proceeds from whatever survives while the evidence is kept.
 //!
 //! Run with: `cargo run --example scrub -- [--quarantine] [--json] <dir>`
 //! (a pool directory or a single shard directory: the scrubber tells them
@@ -88,10 +91,10 @@ fn main() {
         std::process::exit(2);
     }
 
-    // WAL payloads are codec-specific: production logs carry encrypted
-    // trapdoors, demo/test logs plaintext predicates. Dry-run both and
-    // keep whichever decodes more of the log — only then quarantine, so
-    // a codec mismatch can never move a healthy file.
+    // Segments and WAL payloads are codec-specific: production pools carry
+    // encrypted trapdoors, demo/test pools plaintext predicates. Dry-run
+    // both and keep whichever reads with fewer corruptions — only then
+    // quarantine, so a codec mismatch can never move a healthy file.
     let enc = run_scrub::<EncryptedPredicate>(&dir, false);
     let plain = run_scrub::<Predicate>(&dir, false);
     let encrypted_wins = enc.corruptions <= plain.corruptions;
