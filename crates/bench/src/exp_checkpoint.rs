@@ -28,7 +28,7 @@ use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, AttrId, ComparisonOp, Predicate, SelectionOracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 const ATTRS: u32 = 12;
@@ -148,11 +148,6 @@ fn open_pool(dir: &TmpDir) -> ShardedDurablePool<Predicate> {
     ShardedDurablePool::open(&dir.0, config(), ShardMap::new(1)).expect("open")
 }
 
-/// The engine directory of that pool's only shard.
-fn shard_dir(dir: &TmpDir) -> PathBuf {
-    dir.0.join("shard.0")
-}
-
 /// Warm + flush phase; leaves the directory populated for the recovery
 /// measurement and returns the flush row plus the whole-KB size.
 fn run_flush(
@@ -186,7 +181,7 @@ fn run_flush(
             select(&pred, r as u64);
         }
         durable.checkpoint().expect("forced rotation");
-        volume += last_flush_bytes(&shard_dir(dir));
+        volume += last_flush_bytes(&dir.0);
     }
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
     let (kb_bytes, k) = durable.inspect(|engine| {
@@ -235,8 +230,7 @@ pub fn measure(scale: Scale) -> CheckpointData {
 
     let dir = TmpDir::new("checkpoint");
     let (flush, kb_bytes) = run_flush(&dir, &oracle, n, rounds);
-    let shard = shard_dir(&dir);
-    let (segments_live, dir_bytes) = (live_segments(&shard).len(), dir_bytes(&shard));
+    let (segments_live, dir_bytes) = (live_segments(&dir.0).len(), dir_bytes(&dir.0));
     let recover = run_recover(&dir);
     assert_eq!(flush.k, recover.k, "reopen must recover the same KB");
     CheckpointData {

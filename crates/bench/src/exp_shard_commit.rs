@@ -1,19 +1,20 @@
 //! **shard_commit** — durable commit throughput under write contention
-//! through the sharded pool with per-shard group commit (DESIGN.md §8).
+//! through the sharded pool and its one group-committed log (DESIGN.md §8).
 //! Not a paper figure — this gates the repo's own durability layer.
 //!
 //! Eight writer threads hammer eight attributes chosen to land on eight
 //! *distinct* shards with refining selects. A select's commit is journaled
-//! before it is acknowledged and fsync'd with the shard's next flush (the
+//! before it is acknowledged and fsync'd with the pool's next flush (the
 //! one that fills the bounded un-synced tail leads it), so the timed window
 //! runs from the first select to the end of the closing `flush_durable()`:
 //! `wall ms`, `fsyncs` and `commits/fsync` cover making *every* commit
-//! durable, the tail included.
+//! durable, the tail included. Whatever the shard count, the pool has one
+//! WAL, so its one committer amortizes each fsync over every writer's
+//! commits.
 //!
-//! * `sharded_s1_w8` — one shard: checkout funnels through one lock and
-//!   one committer amortizes each fsync over every writer's commits;
+//! * `sharded_s1_w8` — one shard: checkout funnels through one lock;
 //! * `sharded_s8_w8` — eight shards: disjoint footprints check out in
-//!   parallel *and* each shard's WAL group-commits independently.
+//!   parallel.
 //!
 //! Attribute workloads are identical across variants and per-writer
 //! deterministic, so total QPF is seed-stable (safe to gate in CI); the

@@ -2,30 +2,31 @@
 //!
 //! A [`PrkbEngine`] whose whole value is
 //! *accumulated* (every answered query refines the index, §5.3) must not
-//! lose that accumulation to a process crash. One engine directory holds a
-//! checkpoint (immutable segment files behind an atomically swapped
-//! manifest, [`crate::lsm`]) and the epoch-tagged WAL that follows it, and
-//! one crate-private type writes both — `ShardCommitter`.
-//! [`ShardedDurablePool`] is a directory of such directories behind a
-//! pinned shard count: it opens and recovers them, and hands them to the
-//! one driver of the commit protocol,
-//! [`SessionScheduler::durable`](crate::scheduler::SessionScheduler::durable)
-//! (a single-owner durable engine is that scheduler over a one-shard pool).
+//! lose that accumulation to a process crash. A durable pool is **one
+//! engine directory**: a checkpoint (immutable segment files behind an
+//! atomically swapped manifest, [`crate::lsm`]) and the epoch-tagged WAL
+//! that follows it, both written by one crate-private type — `Committer`.
+//! [`ShardedDurablePool`] opens and recovers that directory, splits the
+//! recovered engine by the requested [`ShardMap`] (lock striping only: the
+//! files do not depend on the shard count), and hands the lot to the one
+//! driver of the commit protocol,
+//! [`SessionScheduler::durable`](crate::scheduler::SessionScheduler::durable).
 //!
 //! * every committed mutation is journaled as [`RefinementOp`]s and
 //!   enqueued as **one write-ahead-log transaction per committed operation
-//!   that changed the shard** (an operation that refined nothing journals
-//!   nothing). Durability is a property of *facts*: a transaction holding
-//!   an insert, a delete or an init is acknowledged only after the
-//!   committer reports it fsync'd, and because the log is sequential that
-//!   fsync carries every earlier refinement with it. A transaction of
-//!   derived ops only (`RefinementOp::is_derived` — knowledge SP can
-//!   re-derive from QPF outputs it will see again, §5.3) is acknowledged
-//!   at once and rides the next fsync; the un-synced tail it joins is
-//!   bounded ([`EngineConfig::group_commit_records`] records or
-//!   `DEFERRED_TAIL_BYTES`), the commit that fills it waits out the
-//!   flush. Commits that arrive while an fsync is in flight share the
-//!   next one (group commit);
+//!   that changed anything**, whatever attributes (and shards) it spans (an
+//!   operation that refined nothing journals nothing). Durability is a
+//!   property of *facts*: a transaction holding an insert, a delete or an
+//!   init is acknowledged only after the committer reports it fsync'd, and
+//!   because the log is sequential that fsync carries every earlier
+//!   refinement with it. A transaction of derived ops only
+//!   (`RefinementOp::is_derived` — knowledge SP can re-derive from QPF
+//!   outputs it will see again, §5.3) is acknowledged at once and rides the
+//!   next fsync; the un-synced tail it joins is bounded
+//!   ([`EngineConfig::group_commit_records`] records or
+//!   `DEFERRED_TAIL_BYTES`), the commit that fills it waits out the flush.
+//!   Commits that arrive while an fsync is in flight share the next one
+//!   (group commit);
 //! * the WAL is **checkpoint-rotated** by policy
 //!   ([`EngineConfig::checkpoint_wal_records`] /
 //!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
@@ -40,11 +41,14 @@
 //!   torn tail (partial final record — the residue of a crash mid-append),
 //!   and refuses on mid-log corruption (a bad record *followed by* valid
 //!   ones) or on a record that does not replay — restoring an engine
-//!   equivalent to a prefix of the shard's commit order that contains
+//!   equivalent to a prefix of the pool's commit order that contains
 //!   every acknowledged insert, delete and init, `validate()`d before use.
 //!   Only then does the apply phase truncate the tail, remove the residue
 //!   and arm the WAL. The scrubber ([`crate::scrub`]) is the read phase
 //!   reported file by file.
+//! * a pool of the **previous, per-shard layout** is read by the same read
+//!   phase, shard directory by shard directory, merged, and converted by
+//!   the apply phase (`Committer::convert`).
 //!
 //! Epochs make the checkpoint/WAL pair crash-consistent without ever
 //! truncating a live log: the manifest at epoch `E+1` subsumes
@@ -64,7 +68,7 @@ use crate::pop::SplitBits;
 use crate::shard::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::traits::SpPredicate;
-use prkb_edbms::codec::{publish, seal, sync_dir, unseal, Reader};
+use prkb_edbms::codec::{unseal, Reader};
 use prkb_edbms::durability::{scan_records, CrashInjector, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{real_fs, AttrId, StorageFs, TupleId};
 use std::collections::BTreeSet;
@@ -86,10 +90,10 @@ pub enum DurableError {
     /// A CRC-valid WAL record failed to decode or to replay cleanly —
     /// corruption that slipped past framing; the engine refuses to open.
     CorruptWal(&'static str),
-    /// The sharded-pool manifest is damaged, or does not account for a
-    /// `shard.<i>/` directory present (it is missing, or declares fewer).
-    /// It is written atomically before any shard directory exists, so this
-    /// is real corruption — and opening anyway would re-partition.
+    /// A previous-layout pool manifest (`manifest.bin`) is damaged, or
+    /// does not account for a `shard.<i>/` directory present (it is
+    /// missing, or declares fewer): real corruption, for that layout wrote
+    /// it first — and converting anyway would drop a shard's history.
     CorruptManifest(&'static str),
     /// A checkpoint segment or the segment manifest ([`crate::lsm`]) is
     /// damaged: torn framing, a CRC-failing block, or a manifest
@@ -97,7 +101,7 @@ pub enum DurableError {
     /// manifests swap atomically, so this is corruption, never crash residue.
     CorruptSegment(&'static str),
     /// A previous durability failure left the in-memory state possibly
-    /// ahead of the disk; the shard refuses further work. Reopen from
+    /// ahead of the disk; the pool refuses further work. Reopen from
     /// disk to resume from the durable state.
     Poisoned,
 }
@@ -140,7 +144,7 @@ impl From<QueryError> for DurableError {
     }
 }
 
-/// What opening one engine directory found on disk.
+/// What opening a pool found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Whether a checkpoint was loaded (false ⇒ cold directory or
@@ -369,10 +373,13 @@ fn wal_name(epoch: u64) -> String {
     format!("wal.{epoch}.log")
 }
 
-/// Removes `path` if it exists; a missing file is fine, any other failure
-/// is a real I/O error and is surfaced (nothing in the durability paths
-/// swallows an I/O result).
+/// Removes `path` (a file, or a previous-layout shard directory and all
+/// under it) if it exists; any failure but a missing file is surfaced —
+/// nothing in the durability paths swallows an I/O result.
 fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
+    for child in fs.read_dir(path).unwrap_or_default() {
+        remove_stale(fs, &child)?;
+    }
     match fs.remove_file(path) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -381,7 +388,8 @@ fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
 }
 
 /// What a directory's segment manifest says, as far as naming its files
-/// goes. A pool root has none, so it is `Absent` there.
+/// goes. A pool that never rotated, and a previous-layout pool root, has
+/// none, so it is `Absent` there.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ManifestState<'a> {
     /// No `segments.manifest`: the directory never rotated (epoch 0).
@@ -403,9 +411,9 @@ pub(crate) enum FileKind {
     SegmentManifest,
     /// `*.tmp`: an atomic publish that never reached its rename.
     Temp,
-    /// The pool root's `manifest.bin`.
+    /// A previous-layout pool root's `manifest.bin`.
     PoolManifest,
-    /// The pool root's `shard.<i>` directory.
+    /// A previous-layout pool root's `shard.<i>` directory.
     Shard(usize),
 }
 
@@ -430,7 +438,9 @@ pub(crate) enum Entry {
 /// live), and `wal.<E>.log` is live at the manifest's epoch, residue when
 /// older and refused when newer — the committer creates `wal.<E+1>.log`
 /// only once the manifest at `E+1` is durable, so only a lost or
-/// rolled-back manifest leaves one.
+/// rolled-back manifest leaves one. The previous layout's `manifest.bin`
+/// and `shard.<i>` are residue beside a valid root segment manifest, which
+/// their conversion publishes first.
 pub(crate) fn classify(name: &str, manifest: &ManifestState<'_>) -> Entry {
     use {Entry::*, FileKind::*};
     if name.ends_with(".tmp") {
@@ -446,12 +456,18 @@ pub(crate) fn classify(name: &str, manifest: &ManifestState<'_>) -> Entry {
                  (checkpoints are segments, formats v1 and v2); the file is left untouched",
             )
         }
-        MANIFEST_FILE => return Live(PoolManifest),
         SEGMENT_MANIFEST_FILE => return Live(SegmentManifest),
         _ => {}
     }
-    if let Some(i) = name.strip_prefix("shard.").and_then(|i| i.parse().ok()) {
-        return Live(Shard(i));
+    let previous = match name {
+        MANIFEST_FILE => Some(PoolManifest),
+        _ => (name.strip_prefix("shard.").and_then(|i| i.parse().ok())).map(Shard),
+    };
+    if let Some(kind) = previous {
+        return match manifest {
+            ManifestState::Valid(_) => Residue(kind),
+            _ => Live(kind),
+        };
     }
     if let Some(id) = parse_segment_name(name) {
         return match manifest {
@@ -527,15 +543,16 @@ pub(crate) struct DirState<P> {
     pub(crate) store: Option<SegmentStore>,
     /// The live WAL's valid prefix in bytes; `None` when there is no WAL.
     pub(crate) wal_len: Option<u64>,
-    /// The shard count a pool root's `manifest.bin` declares; `None` when
-    /// there is none (an engine directory, or a pool not yet created).
+    /// The shard count a previous-layout pool root's `manifest.bin`
+    /// declares; `None` in the current layout.
     pub(crate) shards: Option<usize>,
     pub(crate) report: RecoveryReport,
 }
 
 /// The read phase of one directory — the open's and scrub's both. It
-/// writes nothing. It classifies the names, checks a pool root's manifest
-/// against its shard directories, loads the newest version of every
+/// writes nothing. It classifies the names, checks a previous-layout
+/// root's manifest against its shard directories (whose own read phases
+/// the open then runs), loads the newest version of every
 /// partition from the segment set, reads and scans the manifest epoch's WAL
 /// once, replays it, and validates every attribute the replay touched (a
 /// stored partition is validated as it loads). A missing directory reads
@@ -575,12 +592,12 @@ pub(crate) fn read_phase<P: SpPredicate + WireCodec>(
     DirRead { entries, state }
 }
 
-/// The shard count a pool root's manifest declares, checked against the
-/// `shard.<i>/` directories among `entries`: one it does not declare (every
-/// one, when there is no manifest) refuses, as the open would re-partition
-/// it. Fewer directories than declared is what a crash during creation
-/// leaves — the manifest is published first — and the apply phase creates
-/// the missing ones.
+/// The shard count a previous-layout root's manifest declares, checked
+/// against the live `shard.<i>/` directories among `entries`: one it does
+/// not declare (every one, when there is no manifest) refuses, as the
+/// conversion would drop it. Fewer directories than declared is what a
+/// crash during that layout's creation left — its manifest was published
+/// first — and a missing one reads as empty.
 fn declared_shards(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -611,7 +628,7 @@ fn declared_shards(
         _ if extra.is_empty() => Ok(declared),
         None => Err(Refusal::new(
             &path,
-            format!("missing, while {extra} exist: an open would re-partition them"),
+            format!("missing, while {extra} exist: an open would drop their history"),
             DurableError::CorruptManifest("shard directories without a manifest"),
         )),
         Some(n) => Err(Refusal::new(
@@ -759,30 +776,30 @@ fn flush_segments<P: SpPredicate + WireCodec>(
 }
 
 // ---------------------------------------------------------------------------
-// The durable engine: one directory's WAL, group commit and rotation
+// The durable engine: the pool's WAL, group commit and rotation
 // ---------------------------------------------------------------------------
 
-/// Ack handle for one record enqueued on a [`ShardCommitter`] — its
-/// `(shard_epoch, shard_seq)` commit position. Handed out only for a record
+/// Ack handle for one record enqueued on a [`Committer`] — its
+/// `(epoch, seq)` commit position. Handed out only for a record
 /// whose commit must wait (it holds a fact, or it filled the deferred
-/// tail): redeem it with [`ShardCommitter::wait_durable`] before
+/// tail): redeem it with [`Committer::wait_durable`] before
 /// acknowledging the commit to a client.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupCommitTicket {
-    /// Shard epoch the record was enqueued under.
+    /// Epoch the record was enqueued under.
     epoch: u64,
     /// Sequence number within that epoch (1-based).
     seq: u64,
 }
 
-/// Mutable committer state, guarded by [`ShardCommitter::state`].
+/// Mutable committer state, guarded by [`Committer::state`].
 ///
 /// Invariant: `pending` holds the encoded payloads for exactly the
 /// sequence numbers `durable_seq + in_flight + 1 ..= next_seq - 1` (in
 /// order), where `in_flight` is the size of the batch a leader took out
 /// while `wal` is `None`.
 struct CommitterState {
-    /// The shard's WAL; `None` while a leader has it out for a flush.
+    /// The pool's WAL; `None` while a leader has it out for a flush.
     wal: Option<Wal>,
     /// Active checkpoint/WAL epoch.
     epoch: u64,
@@ -822,11 +839,13 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
     }
 }
 
-/// The durable engine of one directory: its WAL behind a **group commit**
-/// pipeline, its checkpoint rotation, and its poison state. Its one
-/// caller, the session scheduler ([`crate::scheduler`]), enqueues encoded
-/// WAL transactions (atomically with the in-memory mutation, under the
-/// shard's engine lock) and, *after* releasing that lock, blocks on
+/// The durable engine of a pool: its one WAL behind a **group commit**
+/// pipeline, its checkpoint rotation, and its poison state — one of each
+/// per pool, however many shards stripe its locks. Its one caller, the
+/// session scheduler ([`crate::scheduler`]), enqueues one encoded WAL
+/// transaction per committed operation (before the operation frees any of
+/// its attributes, so each attribute's log order is its commit order) and
+/// then blocks on
 /// [`wait_durable`](Self::wait_durable) — but only for a transaction that
 /// holds a fact or that filled the un-synced tail; a derived one is
 /// acknowledged on enqueue and rides whichever fsync comes next. The
@@ -841,11 +860,11 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 /// every [`FOLLOWER_RECHECK`] (a missed-wakeup guard — followers are
 /// normally notified the moment the leader finishes).
 ///
-/// Commit positions are `(shard_epoch, shard_seq)`; a checkpoint rotation
+/// Commit positions are `(epoch, seq)`; a checkpoint rotation
 /// starts a new epoch and resets the sequence, and every record of an older
 /// epoch is durable by construction (the checkpoint serialized its effect).
 #[derive(Debug)]
-pub(crate) struct ShardCommitter<P> {
+pub(crate) struct Committer<P> {
     state: Mutex<CommitterState>,
     cv: Condvar,
     dir: PathBuf,
@@ -858,7 +877,7 @@ pub(crate) struct ShardCommitter<P> {
 /// re-checking for leadership.
 const FOLLOWER_RECHECK: Duration = Duration::from_micros(200);
 
-/// Byte bound on a shard's un-synced tail, beside the record bound
+/// Byte bound on the pool's un-synced tail, beside the record bound
 /// [`EngineConfig::group_commit_records`]: the deferred commit that brings
 /// the pending payloads to this many bytes waits out their flush, so what a
 /// crash can cost in re-derivable refinements (and what the tail holds in
@@ -877,11 +896,12 @@ impl fmt::Debug for CommitterState {
     }
 }
 
-impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
-    /// The apply phase of one engine directory, after its read phase
-    /// (`entries`, `state`): creates the directory, opens the WAL at its
-    /// valid prefix (truncating a torn tail) or creates it, removes the
-    /// residue, and arms journaling. Returns the recovered engine alongside
+impl<P: SpPredicate + WireCodec> Committer<P> {
+    /// The apply phase of the pool root, after its read phase (`entries`,
+    /// `state`): creates the directory, opens the WAL at its valid prefix
+    /// (truncating a torn tail) or creates it, removes the residue, and
+    /// arms journaling. A previous-layout state is converted instead
+    /// ([`convert`](Self::convert)). Returns the recovered engine alongside
     /// the committer that will make its future mutations durable.
     ///
     /// # Errors
@@ -891,27 +911,31 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         config: EngineConfig,
         fs: Arc<dyn StorageFs>,
         entries: &[(PathBuf, Entry)],
-        state: DirState<P>,
+        mut state: DirState<P>,
     ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let (disk, report) = (fs.as_ref(), state.report);
+        let disk = fs.as_ref();
         disk.create_dir_all(dir).map_err(DurabilityError::Io)?;
-        let path = dir.join(wal_name(report.epoch));
-        let wal = match state.wal_len {
-            Some(len) => Wal::resume_on(disk, &path, len, report.records_replayed, report.tail)?,
-            None => Wal::create_on(disk, &path)?,
-        };
         // Removal failures surface: silently keeping a stale log would
         // replay it against the wrong checkpoint on some future recovery.
         for path in residue(entries) {
             remove_stale(disk, path)?;
         }
+        let wal = match (state.shards, state.wal_len) {
+            (Some(_), _) => Self::convert(&fs, dir, entries, &mut state)?,
+            (None, Some(len)) => {
+                let (report, path) = (state.report, dir.join(wal_name(state.report.epoch)));
+                Wal::resume_on(disk, &path, len, report.records_replayed, report.tail)?
+            }
+            (None, None) => Wal::create_on(disk, &dir.join(wal_name(state.report.epoch)))?,
+        };
+        let report = state.report;
         let mut engine = state.engine;
         engine.set_recording(true);
         if report.checkpoint_loaded {
             crate::metrics::global().set(Metric::SegmentsLive, report.segments_live);
         }
         let durable = wal.records();
-        let committer = ShardCommitter {
+        let committer = Committer {
             state: Mutex::new(CommitterState {
                 wal: Some(wal),
                 epoch: report.epoch,
@@ -931,11 +955,37 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         Ok((engine, committer, report))
     }
 
+    /// Converts a merged previous-layout `state` to one engine directory:
+    /// every partition as one root segment, then the root segment manifest
+    /// at [`CONVERTED_EPOCH`] — the commit point, before which a crash
+    /// reopens the previous layout unchanged — then a fresh WAL, and only
+    /// then the `manifest.bin` and `shard.<i>/` among `entries` removed.
+    fn convert(
+        fs: &Arc<dyn StorageFs>,
+        dir: &Path,
+        entries: &[(PathBuf, Entry)],
+        state: &mut DirState<P>,
+    ) -> Result<Wal, DurableError> {
+        let all: BTreeSet<AttrId> = state.engine.attrs().collect();
+        flush_segments(fs, dir, &state.engine, &all, CONVERTED_EPOCH)?;
+        let wal = Wal::create_on(fs.as_ref(), &dir.join(wal_name(CONVERTED_EPOCH)))?;
+        for (path, entry) in entries {
+            if let Entry::Live(FileKind::PoolManifest | FileKind::Shard(_)) = entry {
+                remove_stale(fs.as_ref(), path)?;
+            }
+        }
+        let report = &mut state.report;
+        (report.checkpoint_loaded, report.epoch) = (true, CONVERTED_EPOCH);
+        report.segments_live = u64::from(!all.is_empty());
+        state.dirty.clear();
+        Ok(wal)
+    }
+
     fn lock(&self) -> MutexGuard<'_, CommitterState> {
         self.state.lock().expect("committer lock poisoned")
     }
 
-    /// Poisons the shard with `e` and hands `e` back for the caller to
+    /// Poisons the pool with `e` and hands `e` back for the caller to
     /// return: memory may now be ahead of disk. The first failure counts
     /// in the storage-failure metrics (sync-class ones additionally as
     /// `sync_failures`) and, when it is a sync failure, its reason is kept
@@ -965,9 +1015,9 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// attributes it names dirty, and returns its ack ticket plus whether
     /// the enqueue filled the un-synced tail (`group_commit_records`
     /// records or [`DEFERRED_TAIL_BYTES`]). Cheap and non-blocking — call
-    /// it while still holding the shard's engine lock so the WAL order
-    /// matches the in-memory commit order, then redeem the ticket with
-    /// [`wait_durable`](Self::wait_durable) after releasing it.
+    /// it before the operation frees any attribute it holds so the WAL
+    /// order matches each attribute's commit order, then redeem the ticket
+    /// with [`wait_durable`](Self::wait_durable).
     fn enqueue(&self, entries: &[TxnEntry<P>]) -> (GroupCommitTicket, bool) {
         let payload = encode_txn(entries);
         let mut st = self.lock();
@@ -993,7 +1043,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// [`enqueue`](Self::enqueue)s it. The batch is classified by its
     /// contents:
     ///
-    /// * no ops — the operation refined nothing on this shard: nothing is
+    /// * no ops — the operation refined nothing: nothing is
     ///   journaled and there is nothing to wait for;
     /// * derived ops only ([`RefinementOp::is_derived`]) — journaled, but
     ///   the commit waits (gets a ticket) only when this record filled the
@@ -1036,7 +1086,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     ///
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed; the
-    /// in-memory shard may then be ahead of disk and the pool must be
+    /// in-memory pool may then be ahead of disk and must be
     /// reopened to resume from the durable prefix.
     pub(crate) fn wait_durable(&self, ticket: GroupCommitTicket) -> Result<(), DurableError> {
         let mut st = self.lock();
@@ -1165,9 +1215,9 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// O(KB) — swap the manifest to epoch + 1 over the segments that are
     /// still some partition's newest holder, start a fresh WAL, reset the
     /// sequence, then retire the old log and the segments the swap
-    /// dropped. The caller must hold the shard's engine lock and guarantee
-    /// the shard is quiescent, so `engine` is exactly the state the
-    /// flushed WAL produced. A crash at any boundary
+    /// dropped. The caller must hold every attribute of the pool, so
+    /// `engine` is exactly the state the flushed WAL produced. A crash at
+    /// any boundary
     /// recovers: before the manifest swap the old segment set + WAL are
     /// intact; after it the new set subsumes the old WAL, and recovery
     /// sweeps whatever was not yet unlinked.
@@ -1210,8 +1260,8 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         Ok(())
     }
 
-    /// The error a poisoned shard returns for new work, or `None` if the
-    /// shard is healthy. Sync-class poison (a failed fsync) is reported as
+    /// The error a poisoned pool returns for new work, or `None` if the
+    /// pool is healthy. Sync-class poison (a failed fsync) is reported as
     /// [`DurabilityError::SyncFailed`] with the original reason so callers
     /// — and the wire protocol — can distinguish "your disk lied about
     /// durability" from an I/O or codec poison.
@@ -1222,15 +1272,17 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded pool: a directory of engine directories behind a pinned shard count
+// The pool: one engine directory, striped by a shard map
 // ---------------------------------------------------------------------------
 
-/// Manifest file of a [`ShardedDurablePool`] directory.
+/// A previous-layout pool root's manifest file.
 pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
-/// Manifest magic.
+/// Its magic.
 const MANIFEST_MAGIC: &[u8; 4] = b"PSHD";
-/// Manifest format version.
+/// Its format version.
 const MANIFEST_VERSION: u16 = 1;
+/// The epoch of the root segment manifest a conversion publishes.
+const CONVERTED_EPOCH: u64 = 1;
 
 /// Validates raw manifest bytes: `"PSHD" | version u16 | shards u32 | crc32`.
 fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
@@ -1249,34 +1301,25 @@ fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
     decode().map_err(DurableError::CorruptManifest)
 }
 
-/// A directory of `shard.<i>/` engine directories, each with its own
-/// segment set, epoch-tagged WAL, and group-commit committer. The shard count
-/// is pinned by an atomically-written manifest at creation time: reopening
-/// with a different [`ShardMap`] keeps the persisted partitioning, so
-/// every attribute keeps routing to the WAL that holds its history, and a
-/// shard directory the manifest does not declare refuses the open.
-///
-/// Recovery replays each shard's WAL independently — shard `i`'s recovered
-/// state is a committed prefix of shard `i`'s history regardless of what
-/// any other shard lost.
+/// A durable pool: one engine directory — one segment set, one
+/// `segments.manifest`, one `wal.<E>.log` behind one group committer —
+/// whose recovered engine a [`ShardMap`] splits into lock stripes. No file
+/// depends on the shard count, so a reopen may ask for any. Recovery
+/// replays the one log: a prefix of the pool's commit order, each operation
+/// (one record) on all its attributes or on none.
 #[derive(Debug)]
 pub struct ShardedDurablePool<P> {
     dir: PathBuf,
     fs: Arc<dyn StorageFs>,
     map: ShardMap,
-    shards: ShardParts<P>,
-    reports: Vec<RecoveryReport>,
+    engines: Vec<PrkbEngine<P>>,
+    committer: Committer<P>,
+    report: RecoveryReport,
 }
 
-/// Per-shard `(engine, committer)` pairs in shard-id order — what
-/// [`ShardedDurablePool::into_parts`] yields and the session scheduler
-/// consumes.
-pub(crate) type ShardParts<P> = Vec<(PrkbEngine<P>, ShardCommitter<P>)>;
-
 impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
-    /// Opens (or creates) a sharded pool rooted at `dir` on the real
-    /// filesystem. On creation the pool is partitioned per `requested`; on
-    /// reopen the manifest's persisted shard count wins.
+    /// Opens (or creates) a pool rooted at `dir` on the real filesystem,
+    /// its engine split into `requested`'s shards.
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptManifest`] /
@@ -1306,9 +1349,9 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         Self::open_on(dir, config, requested, fs)
     }
 
-    /// The open: the read phase of the root and of every shard directory
-    /// — which refuses, if anything does, before a byte is written — then
-    /// the apply phase of each.
+    /// The read phase of the root — and, in the previous layout, of every
+    /// shard directory, merged — which refuses, if anything does, before a
+    /// byte is written; then the apply phase.
     fn open_on(
         dir: &Path,
         config: EngineConfig,
@@ -1317,41 +1360,16 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     ) -> Result<Self, DurableError> {
         let started = Instant::now();
         let root = read_phase::<P>(fs.as_ref(), dir, config);
-        let declared = root.state.map_err(|r| r.error)?.shards;
-        let map = declared.map_or(requested, ShardMap::new);
-        let shard_dir = |i: usize| dir.join(format!("shard.{i}"));
-        let mut reads = Vec::with_capacity(map.shards());
-        for i in 0..map.shards() {
-            let read = read_phase::<P>(fs.as_ref(), &shard_dir(i), config);
-            reads.push((read.entries, read.state.map_err(|r| r.error)?));
+        let mut state = root.state.map_err(|r| r.error)?;
+        for i in 0..state.shards.unwrap_or(0) {
+            let shard = read_phase::<P>(fs.as_ref(), &dir.join(format!("shard.{i}")), config);
+            let shard = shard.state.map_err(|r| r.error)?;
+            state.engine.attach(shard.engine);
+            state.report.records_replayed += shard.report.records_replayed;
         }
-
-        fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
-        for path in residue(&root.entries) {
-            remove_stale(fs.as_ref(), path)?;
-        }
-        if declared.is_none() {
-            // Published before any shard directory exists: without it a
-            // reopen would re-partition them.
-            let image = seal(
-                MANIFEST_MAGIC,
-                MANIFEST_VERSION,
-                &(requested.shards() as u32).to_le_bytes(),
-            );
-            publish(fs.as_ref(), dir, MANIFEST_FILE, &image)?;
-        }
-        let mut shards = Vec::with_capacity(map.shards());
-        let mut reports = Vec::with_capacity(map.shards());
-        for (i, (entries, state)) in reads.into_iter().enumerate() {
-            let (engine, committer, report) =
-                ShardCommitter::apply(&shard_dir(i), config, Arc::clone(&fs), &entries, state)?;
-            shards.push((engine, committer));
-            reports.push(report);
-        }
-        // The applies above may have created `shard.<i>/`: make those
-        // directory entries durable before any commit is acknowledged
-        // into a WAL beneath them.
-        sync_dir(fs.as_ref(), dir)?;
+        let (engine, committer, report) =
+            Committer::apply(dir, config, Arc::clone(&fs), &root.entries, state)?;
+        let engines = requested.split(engine);
         crate::metrics::global().add(
             Metric::RecoveryMs,
             started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
@@ -1359,55 +1377,55 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         Ok(ShardedDurablePool {
             dir: dir.to_path_buf(),
             fs,
-            map,
-            shards,
-            reports,
+            map: requested,
+            engines,
+            committer,
+            report,
         })
     }
 
-    /// Runs the open's read phase over the pool root and every shard and
-    /// reports it file by file ([`crate::scrub`]): a corruption exactly
-    /// where a reopen would refuse, plus rot in superseded segment blocks,
-    /// which no open reads. It writes nothing unless `quarantine` is set;
-    /// then corrupt artifacts of a directory the open refuses, and residue,
-    /// are renamed into a `quarantine/` sibling directory (never deleted)
-    /// so a reopen can proceed while the evidence survives for forensics.
+    /// Runs the open's read phase over the pool and reports it file by
+    /// file ([`crate::scrub`]): a corruption exactly where a reopen would
+    /// refuse, plus rot in superseded segment blocks, which no open reads.
+    /// It writes nothing unless `quarantine` is set; then corrupt artifacts
+    /// of a directory the open refuses, and residue, are renamed into a
+    /// `quarantine/` sibling directory (never deleted) so a reopen can
+    /// proceed while the evidence survives for forensics.
     pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
         crate::scrub::scrub_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
     }
 
-    /// The pool's persisted attribute partitioning.
+    /// The shard map the pool's engine is split by: the requested one.
     pub fn map(&self) -> ShardMap {
         self.map
     }
 
-    /// Per-shard recovery reports, indexed by shard id.
+    /// What the open found: one report, for the pool's one log.
     pub fn reports(&self) -> &[RecoveryReport] {
-        &self.reports
+        std::slice::from_ref(&self.report)
     }
 
     /// Durable `initPRKB`: initializes the attribute on its owning shard
     /// and waits for the init record to hit disk.
     ///
     /// # Errors
-    /// Storage failures (which poison the owning shard).
+    /// Storage failures (which poison the pool).
     pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
-        let sid = self.map.shard_of(attr);
-        let (engine, committer) = &mut self.shards[sid];
-        let ticket = committer.enqueue_init(engine, attr, n);
-        committer.wait_durable(ticket)
+        let engine = &mut self.engines[self.map.shard_of(attr)];
+        let ticket = self.committer.enqueue_init(engine, attr, n);
+        self.committer.wait_durable(ticket)
     }
 
     /// Read-only view of one shard's engine (tests and introspection).
     pub fn shard_engine(&self, shard: usize) -> &PrkbEngine<P> {
-        &self.shards[shard].0
+        &self.engines[shard]
     }
 
-    /// Splits the pool into its shard map and per-shard
-    /// `(engine, committer)` pairs, in shard-id order — the form the
-    /// session scheduler consumes.
-    pub(crate) fn into_parts(self) -> (ShardMap, ShardParts<P>) {
-        (self.map, self.shards)
+    /// Splits the pool into its shard map, the per-shard engines in
+    /// shard-id order and the pool's committer — the form the session
+    /// scheduler consumes.
+    pub(crate) fn into_parts(self) -> (ShardMap, Vec<PrkbEngine<P>>, Committer<P>) {
+        (self.map, self.engines, self.committer)
     }
 }
 
@@ -1532,6 +1550,8 @@ mod tests {
             ("segments.manifest", valid, Live(FileKind::SegmentManifest)),
             ("manifest.bin", absent, Live(FileKind::PoolManifest)),
             ("shard.3", absent, Live(FileKind::Shard(3))),
+            ("manifest.bin", valid, Residue(FileKind::PoolManifest)),
+            ("shard.3", valid, Residue(FileKind::Shard(3))),
             ("quarantine", valid, Foreign),
             ("attr.0.snap", absent, Foreign),
         ] {
@@ -1557,20 +1577,17 @@ mod tests {
     /// `tests/shard_durability.rs`.)
     fn drive_drain(dir: &Path) -> (Vec<Vec<Vec<u8>>>, bool) {
         let oracle = oracle();
-        let (map, mut parts) = open(dir, 2).into_parts();
+        let (map, mut engines, committer) = open(dir, 2).into_parts();
         for a in 0..ATTRS {
-            let (engine, committer) = &mut parts[map.shard_of(a)];
-            committer.enqueue_init(engine, a, N);
+            committer.enqueue_init(&mut engines[map.shard_of(a)], a, N);
         }
-        for (_, committer) in &parts {
-            committer.flush().expect("init flushes");
-        }
-        let post_init = parts.iter().map(|(e, _)| kb_bytes(e)).collect();
+        committer.flush().expect("init flushes");
+        let post_init = engines.iter().map(kb_bytes).collect();
         // Two refinements on different shards, enqueued but never awaited:
         // the deferred tail, exactly what a crashed drain may lose.
         let mut rng = StdRng::seed_from_u64(9);
         for attr in [0u32, 1] {
-            let (engine, committer) = &mut parts[map.shard_of(attr)];
+            let engine = &mut engines[map.shard_of(attr)];
             engine
                 .try_select(
                     &oracle,
@@ -1584,8 +1601,7 @@ mod tests {
                 "a refinement that fits the tail waits for nothing"
             );
         }
-        let drain_failed = parts.iter().any(|(_, c)| c.flush().is_err());
-        (post_init, drain_failed)
+        (post_init, committer.flush().is_err())
     }
 
     /// Reopens on the real filesystem; every shard must validate.
@@ -1626,8 +1642,8 @@ mod tests {
     #[test]
     fn tickets_are_dense_per_epoch_and_a_rotation_starts_the_next() {
         let dir = tmpdir("positions");
-        let (_, mut parts) = open(&dir, 1).into_parts();
-        let (engine, committer) = &mut parts[0];
+        let (_, mut engines, committer) = open(&dir, 1).into_parts();
+        let engine = &mut engines[0];
         let first = committer.enqueue_init(engine, 0, N);
         let second = committer.enqueue_init(engine, 1, N);
         assert_eq!((first.epoch, first.seq), (0, 1));
@@ -1640,7 +1656,7 @@ mod tests {
         assert_eq!(committer.lock().wal.as_ref().map(Wal::records), Some(2));
 
         committer.checkpoint(engine).expect("rotate");
-        let manifest = read_segment_manifest(real_fs().as_ref(), &dir.join("shard.0"))
+        let manifest = read_segment_manifest(real_fs().as_ref(), &dir)
             .expect("manifest reads")
             .expect("manifest exists after a rotation");
         assert_eq!(committer.lock().epoch, 1);
@@ -1664,7 +1680,7 @@ mod tests {
     /// scheduler journals it. Returns the ticket the commit would wait on.
     fn deferred_select(
         engine: &mut PrkbEngine<Predicate>,
-        committer: &ShardCommitter<Predicate>,
+        committer: &Committer<Predicate>,
         oracle: &PlainOracle,
         bound: u64,
     ) -> Option<GroupCommitTicket> {
@@ -1695,8 +1711,8 @@ mod tests {
             ..lazy_group()
         };
         let pool = ShardedDurablePool::open(&dir, config, ShardMap::new(1)).expect("pool opens");
-        let (_, mut parts) = pool.into_parts();
-        let (engine, committer) = &mut parts[0];
+        let (_, mut engines, committer) = pool.into_parts();
+        let (engine, committer) = (&mut engines[0], &committer);
         let oracle = oracle();
         let init = committer.enqueue_init(engine, 0, N);
         committer.wait_durable(init).expect("durable");
@@ -1716,8 +1732,8 @@ mod tests {
         // partition (a 188 KB record at one bit per member, then halves of it).
         const BIG: usize = 1_500_000;
         let dir = tmpdir("tail-bytes");
-        let (_, mut parts) = open(&dir, 1).into_parts();
-        let (engine, committer) = &mut parts[0];
+        let (_, mut engines, committer) = open(&dir, 1).into_parts();
+        let (engine, committer) = (&mut engines[0], &committer);
         let oracle = PlainOracle::single_column((0..BIG as u64).collect());
         let init = committer.enqueue_init(engine, 0, BIG);
         committer.wait_durable(init).expect("durable");
@@ -1743,8 +1759,8 @@ mod tests {
     #[test]
     fn checkpoint_byte_threshold_counts_the_pending_tail() {
         let dir = tmpdir("ckpt-bytes");
-        let (_, mut parts) = open(&dir, 1).into_parts();
-        let (engine, committer) = &mut parts[0];
+        let (_, mut engines, committer) = open(&dir, 1).into_parts();
+        let (engine, committer) = (&mut engines[0], &committer);
         let init = committer.enqueue_init(engine, 0, N);
         committer.wait_durable(init).expect("durable");
         let ticket = deferred_select(engine, committer, &oracle(), 500);

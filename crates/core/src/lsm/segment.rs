@@ -85,7 +85,7 @@ pub struct BlockEntry {
 /// bytes stay on disk until [`read_block`](Self::read_block).
 #[derive(Debug, Clone)]
 pub struct SegmentMeta {
-    /// Segment id (monotonic per shard directory).
+    /// Segment id (monotonic per engine directory).
     pub id: u64,
     /// Format version the file was written with (1 or 2).
     pub version: u16,

@@ -8,10 +8,9 @@
 //! scheduler exploits that split twice over:
 //!
 //! * **Sharding.** Attributes are hash-partitioned across the shards of a
-//!   [`ShardMap`], each with its own lock, busy set, and (in
-//!   durable deployments) its own WAL-backed committer — so unrelated
-//!   queries never touch the same mutex and durable commits fsync in
-//!   parallel.
+//!   [`ShardMap`], each with its own lock and busy set — so unrelated
+//!   queries never touch the same mutex. A shard is a lock stripe: a
+//!   durable pool has one WAL-backed committer, whatever the count.
 //! * **Checkout/checkin.** Every operation names an attribute footprint.
 //!   Per shard, the footprint's knowledge is *detached* into a private
 //!   sub-engine under the shard lock, the lock is dropped, and evaluation
@@ -30,19 +29,19 @@
 //! classic hierarchical resource-ordering argument.
 //!
 //! There is also one **commit sequence**, and nothing outside this crate
-//! can run its steps: a successful operation's journaled ops are drained
-//! per shard and — unless the shard's batch is empty — enqueued on that
-//! shard's WAL *under the shard lock* (so WAL order is commit order); an
-//! fsync is awaited *after* the lock is released, and only by a batch that
-//! holds a fact (insert, delete) or that filled the shard's bounded
-//! un-synced tail — refinements are a cache SP can re-derive, so a select
-//! replies after the enqueue and its records ride the next fsync; and a
-//! shard that crossed its checkpoint threshold rotates while momentarily
-//! quiescent. What a reopen recovers is, per shard, a prefix of that
-//! shard's commit order containing every acknowledged insert, delete and
-//! init; [`SessionScheduler::flush_durable`] is the clean-shutdown barrier
-//! that makes it the whole order. A single-owner durable engine is this
-//! scheduler over a one-shard pool.
+//! can run its steps: a successful operation's journaled ops, whatever
+//! shards they span, are enqueued as **one** record on the pool's WAL
+//! *before any of its attributes is freed* (so each attribute's WAL order
+//! is its commit order); one fsync is awaited after the checkin, and only
+//! by a record that holds a fact (insert, delete) or that filled the
+//! pool's bounded un-synced tail — refinements are a cache SP can
+//! re-derive, so a select replies after the enqueue; and a pool that
+//! crossed its checkpoint threshold rotates once a non-blocking whole-table
+//! reservation finds it quiescent. A reopen recovers a prefix of the
+//! pool's commit order holding every acknowledged insert, delete and init,
+//! each operation on all its attributes or none;
+//! [`SessionScheduler::flush_durable`] makes it the whole order. A
+//! single-owner durable engine is this scheduler over a one-shard pool.
 //!
 //! Waiting is **precise**: each busy attribute keeps its own condvar plus a
 //! waiter count, and a checkin notifies only the condvars of the attributes
@@ -58,11 +57,10 @@
 //! sequentially in commit-sequence order — same results, same per-query QPF
 //! spend (the loopback and proptest suites assert exactly this). Only an
 //! operation that succeeds commits: it draws a number and, in a durable
-//! pool, journals one WAL record on each shard of its footprint it
-//! changed. A failed, expired or panicking one checks its knowledge back in
-//! untouched and leaves no trace. Internally a durable shard's commits are
-//! positioned by `(shard_epoch, shard_seq)`; the global number exists only
-//! for callers.
+//! pool, journals one WAL record if it changed anything. A failed, expired
+//! or panicking one checks its knowledge back in untouched and leaves no
+//! trace. Internally a durable pool's commits are positioned by
+//! `(epoch, seq)`; the global number exists only for callers.
 //!
 //! Because per-query cost accounting in the core pipelines is delta-based
 //! over [`SelectionOracle::qpf_uses`], a *shared* oracle counter would bleed
@@ -70,7 +68,7 @@
 //! wraps the shared oracle with a per-query counter so stats stay exact
 //! under concurrency.
 
-use crate::durability::{DurableError, GroupCommitTicket, ShardCommitter, ShardedDurablePool};
+use crate::durability::{Committer, DurableError, GroupCommitTicket, ShardedDurablePool};
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::insert::InsertOutcome;
 use crate::metrics::{self, HistogramId};
@@ -240,19 +238,16 @@ struct ShardState<P: SpPredicate> {
 
 struct Shard<P: SpPredicate> {
     state: Mutex<ShardState<P>>,
-    /// Durable deployments: the shard's group-commit pipeline.
-    committer: Option<ShardCommitter<P>>,
 }
 
 impl<P: SpPredicate> Shard<P> {
-    fn new(engine: PrkbEngine<P>, committer: Option<ShardCommitter<P>>) -> Self {
+    fn new(engine: PrkbEngine<P>) -> Self {
         Shard {
             state: Mutex::new(ShardState {
                 engine,
                 busy: HashSet::new(),
                 waiters: HashMap::new(),
             }),
-            committer,
         }
     }
 
@@ -307,6 +302,8 @@ pub struct SessionScheduler<P: SpPredicate> {
     /// lock of a committing footprint).
     seq: AtomicU64,
     config: EngineConfig,
+    /// Durable deployments: the pool's group-commit pipeline.
+    committer: Option<Committer<P>>,
 }
 
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
@@ -316,55 +313,39 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     }
 
     /// Wraps `engine` with an explicit shard map.
-    pub fn with_shards(mut engine: PrkbEngine<P>, map: ShardMap) -> Self {
-        let attrs: Vec<AttrId> = engine.attrs().collect();
-        let parts = (0..map.shards())
-            .map(|sid| {
-                let own: Vec<AttrId> = attrs
-                    .iter()
-                    .copied()
-                    .filter(|&a| map.shard_of(a) == sid)
-                    .collect();
-                let sub = engine
-                    .detach_attrs(&own)
-                    .expect("attrs enumerated from the engine");
-                (sub, None)
-            })
-            .collect();
-        Self::from_parts(map, parts, engine.config)
+    pub fn with_shards(engine: PrkbEngine<P>, map: ShardMap) -> Self {
+        let config = engine.config;
+        Self::from_parts(map, map.split(engine), None, config)
     }
 
-    /// Wraps a recovered [`ShardedDurablePool`]: every shard keeps its own
-    /// WAL-backed committer. A committed insert or delete is acked only
-    /// after its records are group-commit durable on every shard it
-    /// touched; a select's refinements are journaled before the ack and
-    /// durable by the next fsync on their shard (see
+    /// Wraps a recovered [`ShardedDurablePool`] and its one WAL-backed
+    /// committer. A committed insert or delete is acked only after its one
+    /// record is group-commit durable; a select's refinements are journaled
+    /// before the ack and durable by the pool's next fsync (see
     /// [`flush_durable`](Self::flush_durable)). Over a `ShardMap::new(1)`
     /// pool this is the single-owner durable engine.
     pub fn durable(pool: ShardedDurablePool<P>) -> Self {
-        let (map, parts) = pool.into_parts();
-        let config = parts
-            .first()
-            .map(|(engine, _)| engine.config)
-            .unwrap_or_default();
-        let parts = parts.into_iter().map(|(e, c)| (e, Some(c))).collect();
-        Self::from_parts(map, parts, config)
+        let (map, engines, committer) = pool.into_parts();
+        let config = engines.first().map(|e| e.config).unwrap_or_default();
+        Self::from_parts(map, engines, Some(committer), config)
     }
 
     fn from_parts(
         map: ShardMap,
-        parts: Vec<(PrkbEngine<P>, Option<ShardCommitter<P>>)>,
+        engines: Vec<PrkbEngine<P>>,
+        committer: Option<Committer<P>>,
         config: EngineConfig,
     ) -> Self {
-        let mut attrs: Vec<AttrId> = parts.iter().flat_map(|(e, _)| e.attrs()).collect();
+        let mut attrs: Vec<AttrId> = engines.iter().flat_map(PrkbEngine::attrs).collect();
         attrs.sort_unstable();
         metrics::global().set_shards(map.shards() as u64);
         SessionScheduler {
-            shards: parts.into_iter().map(|(e, c)| Shard::new(e, c)).collect(),
+            shards: engines.into_iter().map(Shard::new).collect(),
             map,
             attrs,
             seq: AtomicU64::new(0),
             config,
+            committer,
         }
     }
 
@@ -372,14 +353,14 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// shard's lock only for checkout and checkin (two-phase, ascending
     /// shard-id order). Returns `f`'s result and the commit sequence number
     /// assigned at checkin. In durable pools the journaled ops are enqueued
-    /// on every shard they changed before this returns, and fsync'd too if
-    /// any of them is a fact.
+    /// as one record before this returns, and fsync'd too if any of them is
+    /// a fact.
     ///
     /// # Errors
     /// [`QueryError::AttrNotInitialized`] if any attribute is unknown (all
     /// knowledge is reattached), whatever `f` reports (the knowledge is
     /// still reattached — the core pipelines leave it untouched on abort),
-    /// or [`DurableError`] when a durable shard fails.
+    /// or [`DurableError`] when the durable pool fails.
     pub fn with_detached<T>(
         &self,
         attrs: &[AttrId],
@@ -392,10 +373,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// attribute, so it waits for every in-flight checkout and holds off
     /// every later one — and assigns a commit sequence number. For inserts
     /// and deletes. In durable pools the journaled facts are group-commit
-    /// durable on every attribute-holding shard before this returns.
+    /// durable before this returns.
     ///
     /// # Errors
-    /// [`DurableError`] when a durable shard fails; infallible on
+    /// [`DurableError`] when the durable pool fails; infallible on
     /// in-memory pools.
     pub fn with_exclusive<T>(
         &self,
@@ -407,9 +388,11 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Runs `f` with read access to the quiescent pool, without assigning a
     /// sequence number. For validation and inspection.
     pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        let held = self
-            .reserve(self.map.group_sorted(&self.attrs), None)
-            .expect("own attributes exist and no deadline was set");
+        let held = self.reserve(self.map.group_sorted(&self.attrs), None, true);
+        let held = held
+            .ok()
+            .flatten()
+            .expect("own attributes, no deadline, waiting");
         f(&held.merged)
     }
 
@@ -430,16 +413,14 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         deadline: Option<Instant>,
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
     ) -> Result<(T, u64), DurableError> {
-        let groups = self.map.group_sorted(attrs);
-        // Refuse new work on a footprint that includes a poisoned shard:
-        // its memory may be ahead of disk, and only a reopen recovers that.
-        for (sid, _) in &groups {
-            let committer = self.shards[*sid].committer.as_ref();
-            if let Some(e) = committer.and_then(ShardCommitter::poison_error) {
-                return Err(e);
-            }
+        // Refuse new work on a poisoned pool: its memory may be ahead of
+        // disk, and only a reopen recovers that.
+        if let Some(e) = self.committer.as_ref().and_then(Committer::poison_error) {
+            return Err(e);
         }
-        let mut held = self.reserve(groups, deadline)?;
+        let groups = self.map.group_sorted(attrs);
+        let mut held = (self.reserve(groups, deadline, true)?)
+            .expect("a waiting reservation gets its footprint");
         let value = f(&mut held.merged)?;
         Ok((value, held.commit()?))
     }
@@ -447,23 +428,27 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Phase 1: reserve and detach, shards strictly ascending, at most one
     /// shard mutex held at a time — deadlock-free by lock ordering. Every
     /// early return drops the [`Checkin`], which rolls the reservations so
-    /// far back.
+    /// far back. Unless `wait`, a busy attribute ends the attempt: `None`.
     fn reserve(
         &self,
         groups: Vec<(usize, Vec<AttrId>)>,
         deadline: Option<Instant>,
-    ) -> Result<Checkin<'_, P>, DurableError> {
+        wait: bool,
+    ) -> Result<Option<Checkin<'_, P>>, DurableError> {
         let mut held = Checkin {
             sched: self,
             parts: Vec::with_capacity(groups.len()),
             merged: PrkbEngine::new(self.config),
         };
         let mut wait_us = 0u64;
-        let detached = groups.into_iter().try_for_each(|(sid, shard_attrs)| {
+        for (sid, shard_attrs) in groups {
             let shard = &self.shards[sid];
             let reserve_start = Instant::now();
             let mut st = shard.lock();
             while let Some(&blocking) = shard_attrs.iter().find(|a| st.busy.contains(a)) {
+                if !wait {
+                    return Ok(None);
+                }
                 st = shard.wait_attr(st, blocking);
             }
             wait_us += reserve_start.elapsed().as_micros() as u64;
@@ -472,56 +457,48 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             drop(st);
             held.merged.attach(sub);
             held.parts.push((sid, shard_attrs));
-            Ok::<(), QueryError>(())
-        });
+        }
         metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
-        detached?;
         if expired(deadline) {
             return Err(deadline_error());
         }
-        Ok(held)
+        Ok(Some(held))
     }
 
-    /// Phase 2, the only split-and-reattach loop: splits `merged` back into
-    /// its per-shard parts and checks each in, ascending. On a committed
-    /// checkin this draws the global sequence number under the first
-    /// shard's lock and enqueues one WAL record per durable shard whose
-    /// batch is not empty (atomically with the reattach, so each shard's
-    /// WAL order matches its commit order). Returns the sequence number and
-    /// the group-commit tickets the commit must still await — none for a
-    /// shard whose batch was derived refinements that fit its tail.
+    /// Phase 2, the only split-and-reattach loop: a committed checkin first
+    /// enqueues its one WAL record (if it changed anything) before freeing
+    /// any attribute, so each attribute's WAL order is its commit order;
+    /// then each part is checked in, ascending, the global sequence number
+    /// drawn under the first shard's lock. Returns that number and the
+    /// ticket to await — none for derived refinements that fit the tail.
     fn release_parts(
         &self,
         parts: &[(usize, Vec<AttrId>)],
         mut merged: PrkbEngine<P>,
         committed: bool,
-    ) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let mut tickets = Vec::new();
+    ) -> (u64, Option<GroupCommitTicket>) {
+        // Journaled ops travel with the knowledge; aborted operations left
+        // none (abort-safe pipelines).
+        let ops = merged.take_ops();
+        let ticket = (self.committer.as_ref())
+            .filter(|_| committed)
+            .and_then(|committer| committer.enqueue_journal(ops));
         let mut seq = 0u64;
         let last = parts.len().saturating_sub(1);
         for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
-            let mut sub = if i == last {
+            let sub = if i == last {
                 std::mem::replace(&mut merged, PrkbEngine::new(self.config))
             } else {
                 merged
                     .detach_attrs(shard_attrs)
                     .expect("footprint attrs present in merged sub-engine")
             };
-            // Journaled ops travel with the knowledge; drain them after the
-            // split so each batch is exactly this shard's ops. Aborted
-            // operations left no ops (abort-safe pipelines).
-            let ops = sub.take_ops();
             let shard = &self.shards[*sid];
             let mut st = shard.lock();
             if committed && i == 0 {
                 seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             }
             st.engine.attach(sub);
-            if committed {
-                if let Some(committer) = &shard.committer {
-                    tickets.extend(committer.enqueue_journal(ops).map(|t| (*sid, t)));
-                }
-            }
             // Precise wakeups: only sessions parked on an attribute this
             // checkin actually freed.
             for a in shard_attrs {
@@ -534,67 +511,53 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if committed && parts.is_empty() {
             seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         }
-        (seq, tickets)
+        (seq, ticket)
     }
 
-    /// Rotates one shard's checkpoint. Unforced (after a commit), only if
-    /// its policy asks for it and the shard is momentarily quiescent —
-    /// otherwise a later commit retries, the threshold check is cheap.
-    /// Forced, it waits for the shard's in-flight checkouts instead.
-    fn checkpoint_shard(&self, sid: usize, forced: bool) -> Result<(), DurableError> {
-        let shard = &self.shards[sid];
-        let Some(committer) = &shard.committer else {
+    /// Rotates the pool's checkpoint holding every attribute (a whole-table
+    /// reservation), so it serializes exactly what the flushed WAL produced.
+    /// Unforced (after a commit), only if the policy asks and no attribute
+    /// is busy — a later commit retries; forced, it waits for them.
+    fn rotate(&self, forced: bool) -> Result<(), DurableError> {
+        let Some(committer) = &self.committer else {
             return Ok(());
         };
         if !forced && !committer.wants_checkpoint(&self.config) {
             return Ok(());
         }
-        let mut st = shard.lock();
-        while let Some(&blocking) = st.busy.iter().next() {
-            if !forced {
-                return Ok(());
-            }
-            st = shard.wait_attr(st, blocking);
+        match self.reserve(self.map.group_sorted(&self.attrs), None, forced)? {
+            Some(held) => committer.checkpoint(&held.merged),
+            None => Ok(()),
         }
-        // The shard lock is held across the rotation: no checkout can
-        // mutate or enqueue while the snapshot is serialized, so the
-        // checkpoint is exactly the state the flushed WAL produced.
-        committer.checkpoint(&st.engine)
     }
 
-    /// Forces a checkpoint rotation on every durable shard, whatever the
-    /// [`EngineConfig`] thresholds say: each shard in turn waits out its
-    /// in-flight checkouts, flushes its pending batch, writes the
-    /// partitions dirtied since its last rotation as one segment and starts
-    /// a fresh WAL epoch. A no-op on in-memory pools.
+    /// Forces a checkpoint rotation of a durable pool, whatever the
+    /// [`EngineConfig`] thresholds say: waits out the in-flight checkouts,
+    /// flushes the pending batch, writes the partitions dirtied since the
+    /// last rotation as one segment and starts a fresh WAL epoch. A no-op
+    /// on in-memory pools.
     ///
     /// # Errors
-    /// A storage failure poisons the shard it hit (the disk keeps a
-    /// consistent committed prefix; reopen to resume) and stops the sweep.
+    /// A storage failure poisons the pool (the disk keeps a consistent
+    /// committed prefix; reopen to resume).
     pub fn checkpoint(&self) -> Result<(), DurableError> {
-        (0..self.shards.len()).try_for_each(|sid| self.checkpoint_shard(sid, true))
+        self.rotate(true)
     }
 
-    /// Flushes and fsyncs every shard's un-synced tail — *the*
+    /// Flushes and fsyncs the pool's un-synced tail — *the*
     /// clean-shutdown barrier. Acknowledged inserts and deletes already
     /// waited for their fsync; the refinements of acknowledged selects sit
-    /// in a bounded tail until the next fsync on their shard, and this is
+    /// in a bounded tail until the pool's next fsync, and this is
     /// the call that forces it: after `Ok`, a reopen recovers every
     /// committed operation. Dropping the scheduler without it is a crash
     /// (recovery lands on a prefix holding every acknowledged fact). A lock
-    /// and an empty-check per shard when nothing is pending.
+    /// and an empty-check when nothing is pending.
     ///
     /// # Errors
-    /// The first [`DurableError`] a shard's flush met (that shard is
-    /// poisoned: its next checkout gets the same error). Every other shard
-    /// is flushed all the same — one sick shard must not keep its
-    /// siblings' tails off the disk.
+    /// The [`DurableError`] the flush met (the pool is poisoned: its next
+    /// checkout gets the same error).
     pub fn flush_durable(&self) -> Result<(), DurableError> {
-        self.shards
-            .iter()
-            .filter_map(|shard| shard.committer.as_ref())
-            .map(ShardCommitter::flush)
-            .fold(Ok(()), Result::and)
+        self.committer.as_ref().map_or(Ok(()), Committer::flush)
     }
 
     /// Hands the merged engine back for single-threaded use (shutdown). Owning `self` proves no checkout is outstanding — a
@@ -639,23 +602,17 @@ impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
     }
 
     /// Checks the footprint in as one committed operation, awaits
-    /// group-commit durability on every shard that journaled a fact or
-    /// filled its un-synced tail, then lets any touched shard that crossed
-    /// its checkpoint threshold rotate.
+    /// group-commit durability of its one record when it journaled a fact
+    /// or filled the un-synced tail, then lets a pool that crossed its
+    /// checkpoint threshold rotate.
     fn commit(mut self) -> Result<u64, DurableError> {
         let sched = self.sched;
         let (parts, merged) = self.take();
-        let (seq, tickets) = sched.release_parts(&parts, merged, true);
-        for (sid, ticket) in tickets {
-            sched.shards[sid]
-                .committer
-                .as_ref()
-                .expect("ticket issued by this shard's committer")
-                .wait_durable(ticket)?;
+        let (seq, ticket) = sched.release_parts(&parts, merged, true);
+        if let (Some(committer), Some(ticket)) = (&sched.committer, ticket) {
+            committer.wait_durable(ticket)?;
         }
-        for (sid, _) in &parts {
-            sched.checkpoint_shard(*sid, false)?;
-        }
+        sched.rotate(false)?;
         Ok(seq)
     }
 }
@@ -686,7 +643,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     ///
     /// # Errors
     /// [`DurableError::Query`] when the engine fails (nothing committed),
-    /// any other [`DurableError`] when a durable shard does.
+    /// any other [`DurableError`] when the durable pool does.
     pub fn select_where<O, R>(
         &self,
         oracle: &O,
@@ -711,7 +668,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     ///
     /// # Errors
     /// [`DurableError::Query`] when the engine fails (nothing committed),
-    /// any other [`DurableError`] when a durable shard does.
+    /// any other [`DurableError`] when the durable pool does.
     pub fn insert<O>(
         &self,
         oracle: &O,

@@ -68,6 +68,9 @@ pub enum ScrubDamage {
     /// Residue: a WAL older than the segment manifest's epoch, which the
     /// checkpoint subsumes.
     StaleWal,
+    /// Residue: a previous-layout `manifest.bin` or `shard.<i>/` beside the
+    /// root segment manifest that converted it.
+    StaleLayout,
     /// The file could not be read (an I/O error), or recovery refuses the
     /// directory because of its name: a generation-1 `checkpoint.bin`, or
     /// a WAL newer than the segment manifest.
@@ -87,6 +90,7 @@ impl ScrubDamage {
             ScrubDamage::StraySegment => "stray_segment",
             ScrubDamage::StrayTemp => "stray_temp",
             ScrubDamage::StaleWal => "stale_wal",
+            ScrubDamage::StaleLayout => "stale_layout",
             ScrubDamage::Unreadable => "unreadable",
         }
     }
@@ -96,7 +100,10 @@ impl ScrubDamage {
     pub fn is_residue(self) -> bool {
         matches!(
             self,
-            ScrubDamage::StraySegment | ScrubDamage::StrayTemp | ScrubDamage::StaleWal
+            ScrubDamage::StraySegment
+                | ScrubDamage::StrayTemp
+                | ScrubDamage::StaleWal
+                | ScrubDamage::StaleLayout
         )
     }
 
@@ -224,8 +231,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Scrubs `dir`: a pool root and every `shard.<i>/` under it, or one engine
-/// directory — whichever its names say.
+/// Scrubs `dir`: a pool root — in the previous layout, with every live
+/// `shard.<i>/` under it — or one engine directory, whichever its names say.
 pub fn scrub_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -252,7 +259,8 @@ pub fn scrub_dir<P: SpPredicate + WireCodec>(
 }
 
 /// Reports `dir` under its read phase, quarantines (when asked) what the
-/// findings mark, then walks each shard directory it holds.
+/// findings mark, then walks each live (previous-layout) shard directory
+/// it holds.
 fn scan_dir<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -278,6 +286,10 @@ fn scan_dir<P: SpPredicate + WireCodec>(
             (Entry::Residue(FileKind::Segment(id)), _) => (
                 ScrubDamage::StraySegment,
                 format!("segment {id}, which the segment manifest does not list"),
+            ),
+            (Entry::Residue(FileKind::PoolManifest | FileKind::Shard(_)), _) => (
+                ScrubDamage::StaleLayout,
+                "previous layout, which the root segment manifest converted".into(),
             ),
             (Entry::Residue(_), _) => (ScrubDamage::StrayTemp, "temp of a torn publish".into()),
             (Entry::Refused(why), _) => (ScrubDamage::Unreadable, why.into()),

@@ -2,24 +2,21 @@
 //!
 //! Each attribute's knowledge base is independent (the paper's POP is
 //! per-attribute), so the engine partitions naturally: hash every attribute
-//! onto one of a [`ShardMap`]'s shards, give each shard its own lock, its own
-//! knowledge bases, and (in durable deployments) its own epoch-tagged WAL.
-//! Unrelated queries then never contend, and durable commits fsync in
-//! parallel.
+//! onto one of a [`ShardMap`]'s shards, and give each shard its own lock
+//! and its own knowledge bases. Unrelated queries then never contend. A
+//! shard owns a lock and its knowledge, not a directory: a durable pool
+//! ([`crate::durability::ShardedDurablePool`]) is one engine directory with
+//! one WAL and one group committer, so an operation pays one fsync however
+//! many shards it spans, and a failed fsync poisons the whole pool.
 //!
 //! The map is a pure function of `(attr, shard count)` — no registry, no
-//! rebalancing — so every layer (scheduler, durability, recovery) computes
-//! the same placement independently. Durable pools persist their shard
-//! count in a manifest ([`crate::durability::ShardedDurablePool`]) so a
-//! reopen asking for a different count still routes attributes to the
-//! WAL that holds their history.
-//!
-//! Shards also bound the blast radius of storage failures: a failed fsync
-//! poisons only the shard whose WAL lied (see the fsync-failure semantics
-//! in [`crate::durability`]), and the [`crate::scrub`] scrubber walks and
-//! quarantines each `shard.<i>/` directory independently — attributes on
-//! healthy shards keep serving and committing throughout.
+//! rebalancing — so every layer computes the same placement independently,
+//! and since nothing on disk depends on it, a reopen may ask for any
+//! count: recovery replays the one log into one engine and splits it by
+//! the requested map.
 
+use crate::engine::PrkbEngine;
+use crate::traits::SpPredicate;
 use prkb_edbms::AttrId;
 
 /// Upper bound on the *default* shard count (explicit settings may exceed
@@ -60,6 +57,22 @@ impl ShardMap {
     pub fn shard_of(&self, attr: AttrId) -> usize {
         let h = u64::from(attr).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((h >> 32) as usize) % self.shards
+    }
+
+    /// Splits `engine` into one engine per shard, in shard-id order, each
+    /// holding the attributes this map routes to it.
+    pub(crate) fn split<P: SpPredicate>(&self, mut engine: PrkbEngine<P>) -> Vec<PrkbEngine<P>> {
+        let attrs: Vec<AttrId> = engine.attrs().collect();
+        (0..self.shards)
+            .map(|sid| {
+                let own: Vec<AttrId> = (attrs.iter().copied())
+                    .filter(|&a| self.shard_of(a) == sid)
+                    .collect();
+                engine
+                    .detach_attrs(&own)
+                    .expect("attrs enumerated from the engine")
+            })
+            .collect()
     }
 
     /// Groups `attrs` by shard, shards in ascending order (the lock-

@@ -40,8 +40,9 @@ impl TmpDir {
         TmpDir(dir)
     }
 
-    /// The engine directory of shard `sid` — where a pool rooted here keeps
-    /// that shard's manifest, segments and WAL.
+    /// The engine directory of shard `sid` of a previous-layout pool
+    /// rooted here — where that layout kept the shard's manifest, segments
+    /// and WAL.
     pub fn shard(&self, sid: usize) -> PathBuf {
         self.0.join(format!("shard.{sid}"))
     }
@@ -51,6 +52,14 @@ impl Drop for TmpDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// A committed fixture under `tests/fixtures/`: bytes an earlier commit
+/// wrote, which nothing regenerates.
+pub fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 /// Copies a pool directory tree — a fixture into a scratch directory, or a
@@ -152,7 +161,7 @@ pub fn reopen_pool(dir: &Path, config: EngineConfig, shards: usize) -> Result<Po
 }
 
 /// A single-owner durable engine: the scheduler over a one-shard pool
-/// rooted at `dir` (its files live in `dir/shard.0/`).
+/// rooted at `dir`.
 pub fn open_single(
     dir: &Path,
     config: EngineConfig,
@@ -207,7 +216,7 @@ pub fn pool_bytes(pool: &Pool) -> PoolBytes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ack {
     /// An insert or a delete: its ack waited for the fsync, which carried
-    /// every earlier record of its shards with it.
+    /// every earlier record of the pool with it.
     Fact,
     /// A select: its refinements were journaled, not yet synced.
     Derived,
@@ -273,26 +282,25 @@ pub fn drive(
     }
 }
 
-/// The recovery contract, shard by shard: a clean shutdown recovers the
-/// final state; a crash recovers a prefix of the shard's commit order that
-/// contains every acknowledged fact — some `history[j]`, `j ≥ fact`, or the
-/// in-flight state — never less, never a state off the history.
-pub fn assert_recovered(run: &Run, recovered: &[Vec<Vec<u8>>], tag: &str) {
+/// The recovery contract, for the pool as a whole: a clean shutdown
+/// recovers the final state; a crash recovers one prefix of the pool's
+/// commit order that contains every acknowledged fact — some `history[j]`,
+/// `j ≥ fact`, on every shard at once, or the in-flight state — never less,
+/// never a state off the history, and never one shard ahead of another.
+pub fn assert_recovered(run: &Run, recovered: &PoolBytes, tag: &str) {
     assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
-    for (sid, rec) in recovered.iter().enumerate() {
-        if run.failed {
-            let on_history = run.history[run.fact..].iter().any(|h| h[sid] == *rec);
-            assert!(
-                on_history || *rec == run.live[sid],
-                "{tag} shard {sid}: recovered state is not a commit-order prefix \
-                 holding every acknowledged fact (nor the in-flight state)"
-            );
-        } else {
-            assert_eq!(
-                *rec, run.live[sid],
-                "{tag} shard {sid}: clean shutdown must recover final state"
-            );
-        }
+    if run.failed {
+        let on_history = run.history[run.fact..].iter().any(|h| h == recovered);
+        assert!(
+            on_history || *recovered == run.live,
+            "{tag}: the recovered pool is not one commit-order prefix holding every \
+             acknowledged fact (nor the in-flight state)"
+        );
+    } else {
+        assert_eq!(
+            *recovered, run.live,
+            "{tag}: clean shutdown must recover final state"
+        );
     }
 }
 

@@ -493,7 +493,7 @@ fn every_crash_hook_recovers_under_rotation() {
 // ---------------------------------------------------------------------------
 
 fn wal_path(dir: &TmpDir, epoch: u64) -> PathBuf {
-    dir.shard(0).join(format!("wal.{epoch}.log"))
+    dir.0.join(format!("wal.{epoch}.log"))
 }
 
 /// Opens the directory as recovery would, on the real filesystem.
@@ -617,11 +617,11 @@ fn corrupt_checkpoint_refuses_to_open() {
     let config = rotate_every(3);
     let run = drive(&dir.0, 17, config, real_fs());
     assert!(!run.crashed);
-    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.shard(0))
+    let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
         .expect("manifest reads")
         .expect("manifest exists after rotation");
     let newest = *manifest.segments.last().expect("non-empty live set");
-    let seg = dir.shard(0).join(segment_file_name(newest));
+    let seg = dir.0.join(segment_file_name(newest));
     let mut bytes = std::fs::read(&seg).expect("segment exists after rotation");
     // Inside the first partition block (payload starts after the 16-byte
     // header): framing stays valid, the block's CRC does not.
@@ -655,7 +655,7 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
     );
     assert_eq!(kb_bytes(pool.shard_engine(0)), run.live);
     // Exactly one WAL file — the active epoch's — survives rotation.
-    let wals: Vec<String> = std::fs::read_dir(dir.shard(0))
+    let wals: Vec<String> = std::fs::read_dir(&dir.0)
         .expect("dir")
         .flatten()
         .filter_map(|e| e.file_name().to_str().map(String::from))
@@ -725,12 +725,12 @@ fn checkpoint_crash_sweep_recovers_live_state() {
         // Whatever the crash left unlinked, the reopen swept: once a
         // manifest exists, a segment id is on disk iff it is live.
         if let Some(manifest) =
-            read_segment_manifest(real_fs().as_ref(), &dir.shard(0)).expect("manifest reads")
+            read_segment_manifest(real_fs().as_ref(), &dir.0).expect("manifest reads")
         {
             assert!(manifest.segments.len() <= 2, "{tag}: live > attrs");
             for id in 0..=manifest.next_segment_id {
                 assert_eq!(
-                    dir.shard(0).join(segment_file_name(id)).exists(),
+                    dir.0.join(segment_file_name(id)).exists(),
                     manifest.segments.contains(&id),
                     "{tag}: segment {id}: disk presence must match the manifest"
                 );
@@ -887,7 +887,7 @@ fn empty_and_single_partition_kbs_roundtrip_through_wal_and_checkpoint() {
             (0..41u64).map(|v| v * 3).collect(),
         ]);
         d.insert(&oracle, 40, None).expect("solo insert");
-        let manifest = read_segment_manifest(real_fs().as_ref(), &dir.shard(0))
+        let manifest = read_segment_manifest(real_fs().as_ref(), &dir.0)
             .expect("manifest reads")
             .expect("manifest exists after the checkpoint");
         assert_eq!(manifest.epoch, 1);

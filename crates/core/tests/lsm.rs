@@ -25,8 +25,8 @@
 mod common;
 
 use common::{
-    clean_ops, columns, copy_tree, cut_name, kb_bytes, reopen_pool, rotate_every, select_lt, Pool,
-    Sched, TmpDir,
+    clean_ops, columns, copy_tree, cut_name, fixture, kb_bytes, reopen_pool, rotate_every,
+    select_lt, Pool, Sched, TmpDir,
 };
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{
@@ -42,7 +42,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ fn checkpoint_flushes_only_the_dirty_partitions() {
         .unwrap_or(0);
 
     let fs = real_fs();
-    let shard = dir.shard(0);
+    let shard = dir.0.clone();
     let manifest = read_segment_manifest(fs.as_ref(), &shard)
         .expect("manifest reads")
         .expect("manifest exists after checkpoints");
@@ -176,7 +176,7 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
     let live = durable.inspect(kb_bytes);
 
     let fs = real_fs();
-    let shard_dir = dir.shard(0);
+    let shard_dir = dir.0.clone();
     let manifest = read_segment_manifest(fs.as_ref(), &shard_dir)
         .expect("manifest reads")
         .expect("manifest exists");
@@ -212,7 +212,7 @@ proptest! {
     ) {
         const N: usize = 60;
         let dir = TmpDir::new("supersede");
-        let shard = dir.shard(0);
+        let shard = dir.0.clone();
         let oracle = PlainOracle::from_columns(columns(attrs as usize, N, 0, 3));
         let mut durable = create_manual(&dir.0, real_fs(), attrs, N);
         // What the last rotation stored; the inits have not been stored yet.
@@ -310,7 +310,7 @@ fn rotation_crash_at_every_segment_hook_recovers_live_and_leaves_no_stray() {
         assert_eq!(failed, !best_effort, "{tag}");
         let reopened = reopen_manual(&dir);
         assert_eq!(reopened.inspect(kb_bytes), live, "{tag}");
-        let manifest = assert_live_set(&dir.shard(0), &tag);
+        let manifest = assert_live_set(&dir.0, &tag);
         // Before the manifest rename the old set stands; after it, the new.
         assert_eq!(
             manifest.segments,
@@ -331,7 +331,7 @@ fn rotation_images() -> [Vec<u8>; 3] {
     let oracle = PlainOracle::from_columns(columns(2, 60, 0, 17));
     let durable = create_manual(&dir.0, real_fs(), 2, 60);
     durable.checkpoint().expect("first rotation");
-    let read = |name: &str| std::fs::read(dir.shard(0).join(name)).expect("published");
+    let read = |name: &str| std::fs::read(dir.0.join(name)).expect("published");
     let first = read(SEGMENT_MANIFEST_FILE);
     select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(1));
     durable.checkpoint().expect("second rotation");
@@ -414,12 +414,6 @@ fn torn_temp_from_mid_write_is_invalid() {
 /// rotated once (epoch 1) and then given a non-empty WAL tail. The
 /// `attr.<a>.snap` beside its manifest is `snapshot::save` of what that
 /// commit held in memory for attribute `a`.
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
 const FIXTURE_ATTRS: u32 = 4;
 const FIXTURE_TAILS: [u64; 2] = [7, 3];
 
@@ -433,7 +427,8 @@ fn served_images() -> Vec<Vec<u8>> {
 }
 
 fn open_pool(dir: &Path) -> Pool {
-    // Requesting one shard: the parent-written manifest must win.
+    // Requesting one shard, where the parent wrote two: the files of the
+    // converted pool do not depend on the count.
     common::open_pool(dir, EngineConfig::default(), 1, real_fs())
         .expect("a parent-written pool opens")
 }
@@ -458,25 +453,17 @@ fn pool_images(pool: &Pool) -> Vec<Vec<u8>> {
     images.into_iter().map(|(_, bytes)| bytes).collect()
 }
 
-/// The first rotation of the parent-written pool, with every partition
-/// dirtied: each shard publishes one version-2 segment and retires the
-/// version-1 segment 0.
+/// The first rotation of the converted pool, with every partition
+/// dirtied: it publishes one version-2 segment and retires the converted
+/// segment 0.
 fn first_rotation_supersedes_segment_0(dir: &Path, pool: Pool) {
-    let shards = pool.map().shards();
     let sched = SessionScheduler::durable(pool);
     sched.delete(9, None).expect("durable ack"); // touches, hence dirties, every attribute
     sched.checkpoint().expect("first checkpoint");
-    for sid in 0..shards {
-        let shard = dir.join(format!("shard.{sid}"));
-        let manifest = assert_live_set(&shard, &format!("shard {sid}"));
-        assert_eq!(manifest.epoch, 2, "shard {sid}");
-        assert_eq!(
-            manifest.segments,
-            vec![1],
-            "shard {sid}: segment 0 superseded"
-        );
-        assert_eq!(segment_version(&shard, 1), SEGMENT_VERSION, "shard {sid}");
-    }
+    let manifest = assert_live_set(dir, "converted pool");
+    assert_eq!(manifest.epoch, 2);
+    assert_eq!(manifest.segments, vec![1], "segment 0 superseded");
+    assert_eq!(segment_version(dir, 1), SEGMENT_VERSION);
 }
 
 /// Sorted file names of one directory.
@@ -495,26 +482,18 @@ fn segment_version(dir: &Path, id: u64) -> u16 {
     u16::from_le_bytes([bytes[4], bytes[5]])
 }
 
+/// The parent-written pool opens to the images it served, and the open
+/// converts it to one engine directory: one segment holding every
+/// partition, under a root manifest at epoch 1, and none of the per-shard
+/// files left.
 #[test]
 fn parent_written_segmented_pool_opens_unchanged() {
     let dir = TmpDir::new("parent-seg");
     copy_tree(&fixture("parent_pool_seg"), &dir.0);
-    let before: Vec<_> = (0..2)
-        .map(|sid| listing(&dir.0.join(format!("shard.{sid}"))))
-        .collect();
-    let pool = open_pool(&dir.0);
-    for (sid, report) in pool.reports().iter().enumerate() {
-        assert_eq!(report.epoch, 1, "shard {sid}");
-        assert_eq!(report.segments_live, 1, "shard {sid}");
-        assert_eq!(report.records_replayed, FIXTURE_TAILS[sid], "shard {sid}");
-        let shard = dir.0.join(format!("shard.{sid}"));
-        assert_eq!(
-            listing(&shard),
-            before[sid],
-            "shard {sid}: nothing rewritten"
-        );
+    for sid in 0..2 {
         // The parent wrote version 1 (bloom block and all): every block
         // still reads back and loads.
+        let shard = dir.shard(sid);
         assert_eq!(segment_version(&shard, 0), 1, "shard {sid}");
         let meta = SegmentMeta::open(real_fs().as_ref(), &shard, 0).expect("v1 segment opens");
         for entry in &meta.index {
@@ -522,13 +501,27 @@ fn parent_written_segmented_pool_opens_unchanged() {
             snapshot::load::<Predicate>(&block).expect("stored image loads");
         }
     }
+    let pool = open_pool(&dir.0);
+    let [report] = pool.reports() else {
+        panic!("one report, for the one log")
+    };
+    assert_eq!(report.epoch, 1);
+    assert_eq!(report.segments_live, 1);
+    assert_eq!(report.records_replayed, FIXTURE_TAILS.iter().sum::<u64>());
+    assert_eq!(
+        listing(&dir.0),
+        ["segment.0.seg", "segments.manifest", "wal.1.log"],
+        "converted: every per-shard file is gone"
+    );
+    assert_eq!(segment_version(&dir.0, 0), SEGMENT_VERSION);
     assert_eq!(pool_images(&pool), served_images());
     assert!(pool.scrub(false).is_clean());
     first_rotation_supersedes_segment_0(&dir.0, pool);
 }
 
 /// `parent_wal_lists`: a one-shard pool written by an earlier commit,
-/// never rotated — its whole history is `shard.0/wal.0.log` (12 records).
+/// never rotated — its whole history is `shard.0/wal.0.log` (12 records),
+/// in the previous, per-shard layout.
 /// Its splits are the previous record generation: op tag 0, both member
 /// lists. Four follow deletes, which that commit's swap-remove left out of
 /// ascending order, so their lists are not ascending either. The
@@ -553,6 +546,40 @@ fn parent_written_list_form_splits_recover_to_the_served_images() {
         .checkpoint()
         .expect("rotates");
     assert_eq!(pool_images(&open_pool(&dir.0)), served);
+}
+
+/// `pool_v2`: a pool written in the current layout by the commit that
+/// introduced it — one engine directory: segment 0 at epoch 1 holding four
+/// attributes of 48 tuples, then a WAL of five records (two splits, a
+/// delete and an insert that each hold all four attributes' entries, one
+/// more split). Under any requested shard count it opens to the
+/// `attr.<a>.snap` images beside it, and rewrites nothing.
+#[test]
+fn current_layout_pool_opens_to_its_served_images() {
+    let served: Vec<Vec<u8>> = (0..4)
+        .map(|a| {
+            std::fs::read(fixture("pool_v2").join(format!("attr.{a}.snap"))).expect("served image")
+        })
+        .collect();
+    for shards in [1, 2, 5] {
+        let dir = TmpDir::new("pool-v2");
+        copy_tree(&fixture("pool_v2"), &dir.0);
+        let bytes = |dir: &Path| -> Vec<(String, Vec<u8>)> {
+            (listing(dir).into_iter())
+                .map(|name| (name.clone(), std::fs::read(dir.join(&name)).expect("read")))
+                .collect()
+        };
+        let before = bytes(&dir.0);
+        let pool = common::open_pool(&dir.0, EngineConfig::default(), shards, real_fs())
+            .expect("the committed pool opens");
+        let [report] = pool.reports() else {
+            panic!("one report, for the one log")
+        };
+        let found = (report.epoch, report.segments_live, report.records_replayed);
+        assert_eq!(found, (1, 1, 5), "{shards} shards");
+        assert_eq!(pool_images(&pool), served, "{shards} shards");
+        assert_eq!(bytes(&dir.0), before, "{shards} shards: nothing rewritten");
+    }
 }
 
 /// A shard directory that holds a generation-1 `checkpoint.bin` — alone

@@ -13,12 +13,15 @@
 //! (class, file kind) of a 2-shard pool's run, scrubbed at the pool root;
 //! the survivors of seeded I/O faults; deliberate damage to every kind of
 //! file; three CRC-valid WAL records that do not fit the knowledge base; a
-//! CRC-valid segment block that is not a snapshot; and shard directories a
-//! pool manifest does not account for.
+//! CRC-valid segment block that is not a snapshot; and a previous-layout
+//! pool whose manifest does not account for its shard directories.
 
 mod common;
 
-use common::{clean_ops, cut_name, grouped_cuts, open_pool, reopen_pool, rotate_every, TmpDir};
+use common::{
+    clean_ops, copy_tree, cut_name, fixture, grouped_cuts, open_pool, reopen_pool, rotate_every,
+    TmpDir,
+};
 use prkb_core::durability::{encode_txn, TxnEntry};
 use prkb_core::lsm::{segment_file_name, SegmentMeta, SEGMENT_MANIFEST_FILE};
 use prkb_core::scrub::{scrub_dir, ScrubDamage, ScrubFinding, ScrubReport};
@@ -152,12 +155,12 @@ fn scrub_agrees_with_the_open_after_seeded_io_faults() {
     }
 }
 
-/// A clean 2-shard run, its directory and the files of the shard holding
-/// attribute 0 (shard 0): the live WAL and the live segments, oldest first.
+/// A clean 2-shard run, its directory and the pool's files: the live WAL
+/// and the live segments, oldest first.
 fn clean_pool(tag: &str) -> (TmpDir, PathBuf, PathBuf, Vec<PathBuf>) {
     let dir = TmpDir::new(tag);
     drive(&dir.0, real_fs(), 12).expect("clean run");
-    let shard = dir.shard(0);
+    let shard = dir.0.clone();
     let files = |suffix: &str| -> Vec<PathBuf> {
         let mut files: Vec<PathBuf> = (tree(&shard).into_keys())
             .filter(|p| p.to_string_lossy().ends_with(suffix))
@@ -195,7 +198,7 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
         pool.init_attr(a, N).expect("init");
     }
     drop(pool);
-    let wal = dir.shard(0).join("wal.0.log");
+    let wal = dir.0.join("wal.0.log");
     flip(&wal, 8 + 8 + 2);
     let (report, refused) = agree(&dir.0, 1, "mid-log flip");
     assert!(refused.is_some());
@@ -221,8 +224,9 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
         &shard.join(SEGMENT_MANIFEST_FILE),
     );
 
-    // A rotted pool manifest.
-    let (dir, _, _, _) = clean_pool("agree-pool-manifest");
+    // A rotted previous-layout pool manifest.
+    let dir = TmpDir::new("agree-pool-manifest");
+    copy_tree(&fixture("parent_pool_seg"), &dir.0);
     flip(&dir.0.join("manifest.bin"), 6);
     let (report, _) = agree(&dir.0, 2, "pool manifest");
     finding(
@@ -268,7 +272,7 @@ fn scrub_checks_superseded_blocks_the_open_does_not_read() {
         }
         durable.flush_durable().expect("shut down");
         // Segment 0 holds attributes 0 and 1; segment 1 attribute 1 only.
-        let shard = dir.shard(0);
+        let shard = dir.0.clone();
         let meta = |id| SegmentMeta::open(real_fs().as_ref(), &shard, id).expect("opens");
         let (old, new) = (meta(0), meta(1));
         assert_eq!(old.index.len(), 2, "attributes 0 and 1");
@@ -302,7 +306,7 @@ fn with_record(tag: &str, payload: &[u8]) -> (TmpDir, PathBuf, u64) {
     let mut pool = open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("opens");
     pool.init_attr(1, 8).expect("init");
     drop(pool);
-    let path = dir.shard(0).join("wal.0.log");
+    let path = dir.0.join("wal.0.log");
     let (records, len, tail) = scan_records(&std::fs::read(&path).expect("read")).expect("scans");
     let index = records.len() as u64;
     let fs = real_fs();
@@ -354,7 +358,7 @@ fn scrub_agrees_with_the_open_over_records_that_do_not_fit() {
 fn scrub_agrees_with_the_open_over_a_block_that_is_not_a_snapshot() {
     let dir = TmpDir::new("agree-not-snapshot");
     drop(open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("creates"));
-    let shard = dir.shard(0);
+    let shard = dir.0.clone();
     let golden: &[u8] = include_bytes!("fixtures/segment_v2.bin");
     std::fs::write(shard.join(segment_file_name(7)), golden).expect("plant");
     // `epoch u64 | next_segment_id u64 | n u32 | id u64`.
@@ -381,37 +385,32 @@ fn scrub_agrees_with_the_open_over_a_block_that_is_not_a_snapshot() {
     );
 }
 
-/// Shard directories the pool manifest does not account for refuse the
-/// open — it would re-partition them — and scrub calls that a manifest
-/// mismatch; fewer directories than declared (what a crash during creation
-/// leaves) open, and scrub reports them clean.
+/// In a previous-layout pool, shard directories its manifest does not
+/// account for refuse the open — converting would drop their history — and
+/// scrub calls that a manifest mismatch; fewer directories than declared
+/// (what a crash during that layout's creation left) open, and scrub
+/// reports them clean.
 #[test]
 fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
-    let create = |tag: &str, shards: usize, attrs: u32| {
+    let parent = |tag: &str| {
         let dir = TmpDir::new(tag);
-        let mut pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("creates");
-        for a in 0..attrs {
-            pool.init_attr(a, 20).expect("init");
-        }
+        copy_tree(&fixture("parent_pool_seg"), &dir.0);
         dir
     };
-    // No manifest: opening with one shard would serve 3 of the 8
-    // attributes and write a one-shard manifest over four directories.
-    let dir = create("agree-no-manifest", 4, 8);
+    // No manifest: converting would keep whatever directories the
+    // requested count names, and drop the others.
+    let dir = parent("agree-no-manifest");
     let manifest = dir.0.join("manifest.bin");
     std::fs::remove_file(&manifest).expect("remove");
     let (report, refused) = agree(&dir.0, 1, "no manifest");
     assert!(matches!(refused, Some(DurableError::CorruptManifest(_))));
     let f = finding(&report, ScrubDamage::ManifestMismatch, &manifest);
-    assert!(
-        f.detail.contains("shard.0, shard.1, shard.2, shard.3"),
-        "{}",
-        f.detail
-    );
+    assert!(f.detail.contains("shard.0, shard.1"), "{}", f.detail);
     assert!(!manifest.exists(), "the refused open writes no manifest");
+    assert!(!dir.0.join(SEGMENT_MANIFEST_FILE).exists(), "nor converts");
 
     // A directory past the declared count.
-    let dir = create("agree-extra-shard", 2, 2);
+    let dir = parent("agree-extra-shard");
     std::fs::create_dir(dir.shard(5)).expect("mkdir");
     let (report, refused) = agree(&dir.0, 2, "extra shard");
     assert!(matches!(refused, Some(DurableError::CorruptManifest(_))));
@@ -423,8 +422,8 @@ fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
     assert!(f.detail.contains("shard.5"), "{}", f.detail);
 
     // Fewer directories than declared.
-    let dir = create("agree-fewer", 4, 0);
-    std::fs::remove_dir_all(dir.shard(3)).expect("remove");
+    let dir = parent("agree-fewer");
+    std::fs::remove_dir_all(dir.shard(1)).expect("remove");
     let (report, refused) = agree(&dir.0, 4, "fewer shards");
     assert!(
         refused.is_none() && report.is_clean(),
@@ -432,25 +431,31 @@ fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
         report.to_json()
     );
     assert!(
-        dir.shard(3).exists(),
-        "the open creates the missing directory"
+        dir.0.join(SEGMENT_MANIFEST_FILE).exists() && !dir.shard(0).exists(),
+        "the open converts what there is"
     );
 }
 
 /// The open reads each live WAL once: the apply phase resumes the log at
 /// the valid length the read phase's scan found, without reading it again.
+/// A pool has one; a previous-layout pool one per shard, each read once
+/// before its conversion.
 #[test]
 fn an_open_reads_each_wal_once() {
     let dir = TmpDir::new("agree-wal-reads");
     drive(&dir.0, real_fs(), 12).expect("clean run");
-    let fs = FaultFs::scripted(real_fs(), Vec::new());
-    drop(open_pool(&dir.0, rotate_every(3), 2, fs.handle()).expect("opens"));
-    let mut reads: Vec<PathBuf> = (fs.log().into_iter())
-        .filter(|(op, path)| *op == IoOp::Read && path.extension().is_some_and(|e| e == "log"))
-        .map(|(_, path)| path)
-        .collect();
-    assert_eq!(reads.len(), 2, "one WAL per shard: {reads:?}");
-    reads.sort();
-    reads.dedup();
-    assert_eq!(reads.len(), 2, "each read once");
+    let previous = TmpDir::new("agree-wal-reads-parent");
+    copy_tree(&fixture("parent_pool_seg"), &previous.0);
+    for (dir, wals) in [(&dir, 1), (&previous, 2)] {
+        let fs = FaultFs::scripted(real_fs(), Vec::new());
+        drop(open_pool(&dir.0, rotate_every(3), 2, fs.handle()).expect("opens"));
+        let mut reads: Vec<PathBuf> = (fs.log().into_iter())
+            .filter(|(op, path)| *op == IoOp::Read && path.extension().is_some_and(|e| e == "log"))
+            .map(|(_, path)| path)
+            .collect();
+        assert_eq!(reads.len(), wals, "{reads:?}");
+        reads.sort();
+        reads.dedup();
+        assert_eq!(reads.len(), wals, "each read once");
+    }
 }

@@ -10,12 +10,12 @@
 //!    never a wrong answer, a lost acknowledged fact, or a panic.
 //! 2. **fsync-failure poison** — a failed durability barrier, the deferred
 //!    flush of a tail of refinements included, permanently poisons the
-//!    WAL/shard: no retry-and-assume-durable, every later commit attempt
+//!    pool: no retry-and-assume-durable, every later commit attempt
 //!    surfaces `SyncFailed`, and only a reopen resumes.
 //! 3. **ENOSPC-safe rotation** — a full disk mid-checkpoint aborts the
 //!    rotation with the previous segment set + manifest + WAL intact;
 //!    reopen recovers the exact committed prefix and leaves no stray
-//!    `*.tmp`. A failed sync of the pool manifest is `SyncFailed` too.
+//!    `*.tmp`. A failed barrier of a pool's creation is `SyncFailed` too.
 //! 4. **Scrub verdicts** — the scrubber classifies deliberate rot
 //!    (torn tail / mid-log / manifest mismatch) exactly, quarantines
 //!    rather than deletes — a generation-1 `checkpoint.bin` is corruption
@@ -24,14 +24,14 @@
 //!    over every crash survivor state (a cut in the storage op stream)
 //!    reports no corruption, and as residue exactly the files the reopen
 //!    removes.
-//! 5. **Blast radius** — a poisoned shard rejects new commits with
-//!    `SyncFailed` while sibling shards keep serving and committing.
+//! 5. **Blast radius** — the pool has one log, so poison is pool-wide: a
+//!    failed fsync rejects new commits on every shard with `SyncFailed`.
 
 mod common;
 
 use common::{
-    assert_recovered, clean_ops, cut_name, grouped_cuts, kb_bytes, open_pool, open_single,
-    pool_bytes, reopen_pool, rotate_every, select_lt, Ack, Run, Sched, TmpDir,
+    assert_recovered, clean_ops, copy_tree, cut_name, fixture, grouped_cuts, kb_bytes, open_pool,
+    open_single, pool_bytes, reopen_pool, rotate_every, select_lt, Ack, Run, Sched, TmpDir,
 };
 use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::{scrub_dir, ScrubDamage, QUARANTINE_DIR};
@@ -233,7 +233,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
         failed.err()
     );
     // The non-sticky rule is spent: the disk "works" again. The failed
-    // fsync poisoned the shard, and a poisoned shard must still refuse —
+    // fsync poisoned the pool, and a poisoned pool must still refuse —
     // no retry-and-assume-durable, ever.
     let err = durable
         .select_where(
@@ -267,7 +267,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
 #[test]
 fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     let dir = TmpDir::new("enospc");
-    let shard = dir.shard(0);
+    let shard = dir.0.clone();
     let oracle = oracle();
     let config = rotate_every(0);
     // Phase 1: a clean first checkpoint over the real fs.
@@ -305,7 +305,7 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
         "ENOSPC at the checkpoint barrier is a sync failure, got {:?}",
         aborted.err()
     );
-    // …which poisons the shard: new work is refused before it runs.
+    // …which poisons the pool: new work is refused before it runs.
     assert!(is_sync_failed(&durable.delete(0, None)));
     drop(durable);
 
@@ -329,28 +329,29 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
 }
 
 /// Every barrier of a pool creation is load-bearing, and a failed one is
-/// `SyncFailed` (the disk lied), not a plain I/O error: the manifest's
-/// temp-file fsync, then four directory fsyncs — the pool's for the
-/// manifest rename, each shard's for its fresh `wal.0.log`, the pool's
-/// again for the `shard.<i>/` entries. There is no fifth.
+/// `SyncFailed` (the disk lied), not a plain I/O error: the fresh
+/// `wal.0.log`'s fsync, then the root's directory fsync for its entry.
+/// There is no second directory fsync, whatever the shard count.
 #[test]
-fn failed_pool_manifest_sync_is_sync_failed() {
-    let barriers = [(IoOp::SyncAll, Some("manifest.bin.tmp"), 1)]
-        .into_iter()
-        .chain((1..=5).map(|nth| (IoOp::SyncDir, None, nth)));
-    for (op, path, nth) in barriers {
-        let dir = TmpDir::new("manifest-sync");
-        let faults = eio_on(op, path, nth);
-        let config = EngineConfig::default();
-        let created = open_pool(&dir.0, config, 2, faults.handle());
-        if nth == 5 {
-            created.expect("a two-shard creation fsyncs four directories");
-        } else {
-            assert!(
-                is_sync_failed(&created),
-                "{op:?} {nth}: {:?}",
-                created.err()
-            );
+fn failed_pool_creation_sync_is_sync_failed() {
+    for shards in [1, 4] {
+        let barriers = [(IoOp::SyncAll, Some("wal.0.log"), 1)]
+            .into_iter()
+            .chain((1..=2).map(|nth| (IoOp::SyncDir, None, nth)));
+        for (op, path, nth) in barriers {
+            let dir = TmpDir::new("creation-sync");
+            let faults = eio_on(op, path, nth);
+            let config = EngineConfig::default();
+            let created = open_pool(&dir.0, config, shards, faults.handle());
+            if op == IoOp::SyncDir && nth == 2 {
+                created.expect("a creation fsyncs one directory");
+            } else {
+                assert!(
+                    is_sync_failed(&created),
+                    "{shards} shards, {op:?} {nth}: {:?}",
+                    created.err()
+                );
+            }
         }
     }
 }
@@ -362,9 +363,9 @@ fn failed_wal_directory_fsync_poisons_the_rotation() {
     let dir = TmpDir::new("dir-sync-rotate");
     let oracle = oracle();
     let config = rotate_every(0);
-    // Under shard.0: one fsync for the open's `wal.0.log`, then the
-    // rotation's for the segment, the manifest swap and `wal.1.log`.
-    let faults = eio_on(IoOp::SyncDir, Some("shard.0"), 4);
+    // One fsync for the open's `wal.0.log`, then the rotation's for the
+    // segment, the manifest swap and `wal.1.log`.
+    let faults = eio_on(IoOp::SyncDir, None, 4);
     let durable = create(&dir.0, config, faults.handle());
     select_lt(&durable, &oracle, 0, 300, &mut StdRng::seed_from_u64(2));
     let acked = durable.inspect(kb_bytes);
@@ -379,7 +380,7 @@ fn failed_wal_directory_fsync_poisons_the_rotation() {
 // 5. Scrub verdicts over deliberately rotted artifacts
 // ---------------------------------------------------------------------------
 
-/// Builds a real engine directory — `dir.shard(0)` of a one-shard pool —
+/// Builds a real engine directory — `dir.0` of a one-shard pool —
 /// with a non-trivial checkpoint (one segment behind the manifest) and a
 /// WAL holding several frames, returning its committed byte state.
 fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
@@ -417,7 +418,7 @@ fn wal_path(dir: &Path) -> PathBuf {
 fn scrub_reports_clean_on_an_intact_directory() {
     let dir = TmpDir::new("scrub-clean");
     build_engine_dir(&dir);
-    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), false);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
     assert!(report.is_clean(), "{}", report.to_json());
     assert!(
         report.files_scanned >= 3,
@@ -430,13 +431,13 @@ fn scrub_reports_clean_on_an_intact_directory() {
 fn scrub_classifies_torn_tail_and_leaves_it_alone() {
     let dir = TmpDir::new("scrub-torn");
     let committed = build_engine_dir(&dir);
-    let wal = wal_path(&dir.shard(0));
+    let wal = wal_path(&dir.0);
     // Append a partial frame: the torn-write shape a crash leaves behind.
     let mut bytes = std::fs::read(&wal).expect("read wal");
     bytes.extend_from_slice(&[0xAB; 7]);
     std::fs::write(&wal, &bytes).expect("tear");
 
-    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
     let f = report
         .findings
         .iter()
@@ -457,7 +458,7 @@ fn scrub_classifies_torn_tail_and_leaves_it_alone() {
 fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     let dir = TmpDir::new("scrub-midlog");
     build_engine_dir(&dir);
-    let wal = wal_path(&dir.shard(0));
+    let wal = wal_path(&dir.0);
     let mut bytes = std::fs::read(&wal).expect("read wal");
     // Flip one payload byte inside the *first* frame: valid frames follow,
     // so this is damage inside the committed prefix.
@@ -468,7 +469,7 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
     // Recovery must refuse the damaged log outright.
     try_open(&dir).expect_err("mid-log corruption must refuse to open");
 
-    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.shard(0), true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
     let f = report
         .findings
         .iter()
@@ -476,7 +477,7 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
         .expect("mid-log finding");
     assert!(report.has_corruption());
     let moved = f.quarantined_to.as_ref().expect("quarantined");
-    assert!(moved.starts_with(dir.shard(0).join(QUARANTINE_DIR)));
+    assert!(moved.starts_with(dir.0.join(QUARANTINE_DIR)));
     assert_eq!(
         std::fs::read(moved).expect("evidence preserved"),
         bytes,
@@ -496,7 +497,7 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
     const OLD: &[u8] = b"PCKP\x01\x00 a generation-1 checkpoint";
     let dir = TmpDir::new("scrub-gen1");
     build_engine_dir(&dir);
-    let ckpt = dir.shard(0).join("checkpoint.bin");
+    let ckpt = dir.0.join("checkpoint.bin");
     std::fs::write(&ckpt, OLD).expect("plant");
 
     for quarantine in [false, true] {
@@ -514,7 +515,7 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
         assert_eq!(std::fs::read(&ckpt).expect("left in place"), OLD);
         try_open(&dir).expect_err("still refused after the scrub");
     }
-    assert!(!dir.shard(0).join(QUARANTINE_DIR).exists());
+    assert!(!dir.0.join(QUARANTINE_DIR).exists());
 }
 
 /// A rotted segment manifest is the one file scrub moves: with it unread,
@@ -526,7 +527,7 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
 fn lost_segment_manifest_refuses_to_open_and_keeps_the_data() {
     let dir = TmpDir::new("scrub-lost-manifest");
     build_engine_dir(&dir);
-    let shard = dir.shard(0);
+    let shard = dir.0.clone();
     let manifest = shard.join(SEGMENT_MANIFEST_FILE);
     let mut bytes = std::fs::read(&manifest).expect("read");
     bytes[6] ^= 0xFF;
@@ -571,10 +572,12 @@ fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
     pool
 }
 
+/// The previous layout's pool manifest: rot in it is a manifest mismatch,
+/// and the open refuses the shard directories it leaves unaccounted.
 #[test]
 fn scrub_classifies_manifest_rot_on_pools() {
     let dir = TmpDir::new("scrub-manifest");
-    drop(create_pool(&dir, 2));
+    copy_tree(&fixture("parent_pool_seg"), &dir.0);
     let clean = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
     assert!(clean.is_clean(), "{}", clean.to_json());
 
@@ -593,28 +596,29 @@ fn scrub_classifies_manifest_rot_on_pools() {
     assert!(f.quarantined_to.is_some());
 
     // With the rotted manifest quarantined the shard directories are left
-    // without one: the open refuses rather than re-partition them, whatever
-    // count is asked for.
+    // without one: the open refuses rather than convert without them,
+    // whatever count is asked for.
     for requested in [1, 2] {
         let err = reopen_pool(&dir.0, EngineConfig::default(), requested)
             .expect_err("shard directories without a manifest must not open");
         assert!(matches!(err, DurableError::CorruptManifest(_)), "{err}");
     }
     assert!(!manifest.exists(), "the refused open publishes no manifest");
+    assert!(!dir.0.join(SEGMENT_MANIFEST_FILE).exists(), "nor converts");
 }
 
+/// Every shard of a pool journals to the one log at its root, and the
+/// scrub through the pool's handle reads it.
 #[test]
 fn pool_scrub_via_handle_walks_every_shard() {
     let dir = TmpDir::new("scrub-pool-handle");
     let report = create_pool(&dir, 4).scrub(false);
     assert!(report.is_clean(), "{}", report.to_json());
-    // Manifest + one WAL per shard that owns at least one attribute... at
-    // minimum every shard directory contributes its WAL.
-    assert!(
-        report.files_scanned >= 5,
-        "manifest + 4 shard WALs, got {}",
-        report.files_scanned
-    );
+    let [wal] = report.findings.as_slice() else {
+        panic!("one log for four shards: {}", report.to_json())
+    };
+    assert_eq!(wal.path, dir.0.join("wal.0.log"));
+    assert_eq!(wal.frames_valid, Some(u64::from(ATTRS)), "one init each");
 }
 
 // ---------------------------------------------------------------------------
@@ -661,14 +665,8 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
         let dir = TmpDir::new("crash-survivor");
         let crashed = script(&dir.0, FaultFs::crash_at(real_fs(), cut).handle());
         assert!(crashed.is_err(), "{tag}: never fired");
-        let shard = dir.shard(0);
-        if !shard.exists() {
-            // The crash came before the shard directory did: nothing to
-            // scrub, and still a directory that opens.
-            try_open(&dir).expect("a crash survivor opens");
-            continue;
-        }
-        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, false);
+        let root = dir.0.clone();
+        let report = scrub_dir::<Predicate>(real_fs().as_ref(), &root, false);
         for f in &report.findings {
             assert!(
                 matches!(f.damage, ScrubDamage::Clean | ScrubDamage::TornTail)
@@ -686,9 +684,9 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
             .filter(|f| f.damage.is_residue())
             .map(|f| f.path.clone())
             .collect();
-        let before = listing(&shard);
+        let before = listing(&root);
         try_open(&dir).expect("a crash survivor opens");
-        let removed: BTreeSet<PathBuf> = before.difference(&listing(&shard)).cloned().collect();
+        let removed: BTreeSet<PathBuf> = before.difference(&listing(&root)).cloned().collect();
         assert_eq!(
             residue, removed,
             "{tag}: scrub's residue is what a reopen removes"
@@ -697,28 +695,31 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. Poisoned shard isolation
+// 7. Pool-wide poison
 // ---------------------------------------------------------------------------
 
+/// The pool has one log, so a failed fsync of it leaves every shard's
+/// memory possibly ahead of the disk: every later commit, on any shard, is
+/// refused with `SyncFailed` — never a durable ack — and the reopen
+/// recovers a commit-order prefix holding every acknowledged fact.
 #[test]
-fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
-    let dir = TmpDir::new("shard-isolation");
+fn poisoned_pool_rejects_every_later_commit_with_sync_failed() {
+    let dir = TmpDir::new("pool-poison");
     let oracle = oracle();
     let shards = 4usize;
     let map = ShardMap::new(shards);
-    // The shard map is a pure function, so the init flush count per shard
-    // is known before the pool exists: one awaited flush per owned attr.
-    let poisoned_sid = map.shard_of(0);
-    let inits_on_poisoned = (0..ATTRS)
-        .filter(|&a| map.shard_of(a) == poisoned_sid)
-        .count() as u64;
-    let doomed = format!("shard.{poisoned_sid}/");
-    let faults = eio_on(IoOp::SyncData, Some(&doomed), inits_on_poisoned + 1);
+    assert!(
+        (1..ATTRS).any(|a| map.shard_of(a) != map.shard_of(0)),
+        "the attributes span shards"
+    );
+    // One awaited flush per init, then the armed one.
+    let faults = eio_on(IoOp::SyncData, None, u64::from(ATTRS) + 1);
     let mut pool =
         open_pool(&dir.0, EngineConfig::default(), shards, faults.handle()).expect("open");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("inits precede the armed sync");
     }
+    let inits = pool_bytes(&pool);
     let sched = SessionScheduler::durable(pool);
     let mut rng = StdRng::seed_from_u64(21);
     let mut commit = |attr: u32, op: ComparisonOp, bound: u64| {
@@ -727,35 +728,35 @@ fn poisoned_shard_rejects_with_sync_failed_while_siblings_serve() {
             .map(drop)
     };
 
-    // The first refinement on the doomed shard replies before its fsync;
-    // the barrier that syncs it trips the armed failure.
+    // The first refinement replies before its fsync; the barrier that
+    // syncs it trips the armed failure.
     commit(0, ComparisonOp::Lt, 500).expect("deferred");
+    let refined = sched.inspect(|engine| common::kb_bytes_by_shard(engine, map));
     let failed = sched.flush_durable();
     assert!(is_sync_failed(&failed), "got {:?}", failed.err());
-    // Retry on the poisoned shard (the rule is spent, the disk "works"):
-    // the poison class is remembered as SyncFailed — never a durable ack.
-    let refused = commit(0, ComparisonOp::Gt, 100);
-    assert!(is_sync_failed(&refused), "got {:?}", refused.err());
-
-    // Every *other* shard keeps committing durably, commit after commit.
-    for a in 1..ATTRS {
-        if map.shard_of(a) == poisoned_sid {
-            continue;
-        }
-        for bound in [700, 300] {
-            commit(a, ComparisonOp::Lt, bound).expect("healthy shards keep serving");
-        }
+    // Retry (the rule is spent, the disk "works"): the poison class is
+    // remembered as SyncFailed — never a durable ack — on every shard.
+    for a in 0..ATTRS {
+        let refused = commit(a, ComparisonOp::Gt, 100);
+        assert!(
+            is_sync_failed(&refused),
+            "attr {a}: got {:?}",
+            refused.err()
+        );
     }
-
-    // The shutdown barrier reports the sick shard and still syncs its
-    // siblings' tails. Reopen over the real fs: the poisoned shard recovers
-    // a committed prefix; healthy shards recover everything they served.
-    assert!(is_sync_failed(&sched.flush_durable()));
-    let live = sched.inspect(|engine| common::kb_bytes_by_shard(engine, map));
+    assert!(is_sync_failed(&sched.delete(0, None)), "whole-table");
+    assert!(
+        is_sync_failed(&sched.flush_durable()),
+        "the shutdown barrier"
+    );
     drop(sched);
+
+    // The refused commits left no trace; the failed flush's record may or
+    // may not have reached the file.
     let pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("reopen");
     let recovered = pool_bytes(&pool); // checks every knowledge base's invariants
-    for sid in (0..shards).filter(|&sid| sid != poisoned_sid) {
-        assert_eq!(recovered[sid], live[sid], "healthy shard {sid}");
-    }
+    assert!(
+        recovered == inits || recovered == refined,
+        "a commit-order prefix holding every acknowledged init"
+    );
 }

@@ -325,7 +325,9 @@ impl Wal {
         path: &Path,
     ) -> Result<Wal, DurabilityError> {
         file.write_all(&wal_header())?;
-        file.sync_all()?;
+        (file.sync_all()).map_err(|e| {
+            DurabilityError::SyncFailed(format!("sync_all on {}: {e}", path.display()))
+        })?;
         sync_dir(fs, path.parent().expect("a WAL lives in a directory"))?;
         Ok(Wal {
             file,

@@ -56,7 +56,7 @@ pub trait StorageFs: Send + Sync + fmt::Debug {
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Renames `from` onto `to` (the atomic-publish step).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Removes a file.
+    /// Removes a file, or an empty directory.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
     /// Recursively creates a directory.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
@@ -155,7 +155,10 @@ impl StorageFs for RealFs {
         std::fs::rename(from, to)
     }
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
+        match std::fs::symlink_metadata(path) {
+            Ok(meta) if meta.is_dir() => std::fs::remove_dir(path),
+            _ => std::fs::remove_file(path),
+        }
     }
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)

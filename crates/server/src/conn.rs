@@ -239,7 +239,7 @@ where
             false,
         ),
         Request::Shutdown => {
-            // Flush every shard's un-synced tail (the refinements selects
+            // Flush the pool's un-synced tail (the refinements selects
             // deferred) before the acknowledgement goes on the wire: once the client sees Ok,
             // the full commit history is on disk even if the process dies
             // right after. The server drains either way — a failed flush
@@ -280,7 +280,7 @@ fn wire_code(e: &DurableError) -> u16 {
         DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded)) => code::DEADLINE,
         DurableError::Query(QueryError::Oracle(e)) => code::ORACLE_BASE + e.wire_code(),
         // fsyncgate class: the disk lied about a durability barrier.
-        // Distinguished on the wire so clients know the shard is down
+        // Distinguished on the wire so clients know the pool is down
         // until reopen (vs. a one-off durability error).
         DurableError::Storage(DurabilityError::SyncFailed(_)) => code::SYNC_FAILED,
         DurableError::Storage(_)
@@ -293,7 +293,7 @@ fn wire_code(e: &DurableError) -> u16 {
 
 /// Rejects a tuple id beyond the oracle's slots: no uploaded row is behind
 /// it, so routing it would evaluate trapdoors against nothing, and deleting
-/// it would take a whole-table checkout to journal a no-op on every shard.
+/// it would take a whole-table checkout to journal a no-op.
 fn validate_tuple(tuple: TupleId, n_slots: usize) -> Result<(), Response> {
     if (tuple as usize) < n_slots {
         return Ok(());

@@ -99,16 +99,17 @@ pub mod code {
     /// 23 corruption, 25 fatal; 24 is retired and never reused).
     pub const ORACLE_BASE: u16 = 20;
     /// The durable backing store failed: the operation's record is not
-    /// known to be on disk, and its shard refuses work until its pool is
+    /// known to be on disk, and the pool refuses work until it is
     /// reopened.
     pub const DURABILITY: u16 = 50;
-    /// A durability barrier (fsync) failed on a shard the request touches —
-    /// this request's own, or an earlier one that synced the refinements
-    /// selects had deferred. The shard is poisoned until its pool is
-    /// reopened; no insert or delete was or will be acknowledged over the
+    /// A durability barrier (fsync) of the pool's log failed — this
+    /// request's own, or an earlier one that synced the refinements
+    /// selects had deferred. The pool is poisoned until it is reopened:
+    /// every later select, insert and delete gets this code, on any
+    /// shard, and no insert or delete was or will be acknowledged over the
     /// lost writes (a select is acknowledged before its refinements are
-    /// synced; losing those costs QPF, never an answer). Requests routed to
-    /// healthy shards keep succeeding on the same connection.
+    /// synced; losing those costs QPF, never an answer). The connection
+    /// stays up.
     pub const SYNC_FAILED: u16 = 51;
     /// The server is draining for shutdown and takes no new queries.
     pub const DRAINING: u16 = 60;

@@ -11,7 +11,7 @@
 //! the eventfd wakes the reactor, accepting stops, every in-flight request
 //! finishes (commits included) and its response flushes before the
 //! connection closes, and [`PrkbServer::run`] returns only after both the
-//! reactor and the pool have drained and every shard's un-synced tail is
+//! reactor and the pool have drained and the pool's un-synced tail is
 //! flushed. Committed refinements are never lost to shutdown;
 //! decoded-but-unsubmitted pipelined frames are dropped. An idle server
 //! syncs too: a worker that waits `IDLE_FLUSH_TICK` for a request without
@@ -155,11 +155,11 @@ where
     }
 
     /// Binds `addr` and fronts a recovered [`ShardedDurablePool`]: the
-    /// session scheduler checks footprints out per shard, commits are
-    /// group-committed per shard's WAL, an insert's or delete's reply waits
-    /// for durability on the shards it touched, and a select's refinements
-    /// are durable by the next fsync on their shard — a later fact, a full
-    /// tail, an idle tick or the shutdown drain.
+    /// session scheduler checks footprints out per shard, every commit is
+    /// one record group-committed to the pool's one WAL, an insert's or
+    /// delete's reply waits for that record's fsync, and a select's
+    /// refinements are durable by the pool's next fsync — a later fact, a
+    /// full tail, an idle tick or the shutdown drain.
     ///
     /// # Errors
     /// Socket bind failure.
@@ -265,9 +265,8 @@ where
                         match next {
                             // Nothing to do for a tick: sync what the
                             // selects deferred (a lock and an empty-check
-                            // per shard when nothing is pending). A failure
-                            // poisons the shard, whose next checkout
-                            // reports it.
+                            // when nothing is pending). A failure poisons
+                            // the pool, whose next checkout reports it.
                             Err(mpsc::RecvTimeoutError::Timeout) => {
                                 let _ = shared.sched.flush_durable();
                             }

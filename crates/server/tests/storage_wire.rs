@@ -1,6 +1,7 @@
-//! Wire-level fsync-failure semantics: a poisoned shard must surface as a
-//! stable error code on the connection — never a connection drop — while
-//! requests routed to healthy shards keep succeeding on the same socket.
+//! Wire-level fsync-failure semantics: a poisoned pool must surface as a
+//! stable error code on the connection — never a connection drop. The pool
+//! has one log, so the poison is pool-wide: after the failed barrier every
+//! select and fact on the same socket, on any shard, gets the code.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -15,30 +16,30 @@ use prkb_sim::{FaultFs, IoFaultKind, IoFaultRule, IoOp};
 
 const ROWS: usize = 200;
 
+/// Whether `result` is a structured `SYNC_FAILED` reply.
+fn sync_failed<T: std::fmt::Debug>(result: Result<T, ClientError>) -> bool {
+    matches!(result, Err(ClientError::Server { code, .. }) if code == proto::code::SYNC_FAILED)
+}
+
 #[test]
 fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     let dir = TmpDir::new("poison");
     let oracle = PlainOracle::from_columns(strided_columns(ROWS));
     let map = ShardMap::new(4);
     let (sick_attr, healthy_attr) = (0u32, 1u32);
-    let sick_shard = map.shard_of(sick_attr);
     assert_ne!(
-        sick_shard,
+        map.shard_of(sick_attr),
         map.shard_of(healthy_attr),
         "test needs the two attributes on different shards"
     );
-    // Let the init commit on the doomed shard through, then fail the next
-    // durability barrier it crosses.
-    let inits_on_sick = [sick_attr, healthy_attr]
-        .iter()
-        .filter(|&&a| map.shard_of(a) == sick_shard)
-        .count() as u64;
+    // Let the two init commits through, then fail the next durability
+    // barrier the pool's one log crosses.
     let faults = FaultFs::scripted(
         real_fs(),
         vec![IoFaultRule {
             op: Some(IoOp::SyncData),
-            path_contains: Some(format!("shard.{sick_shard}/")),
-            nth: inits_on_sick + 1,
+            path_contains: None,
+            nth: 3,
             kind: IoFaultKind::Eio,
             sticky: false,
         }],
@@ -78,62 +79,48 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
         "expected SYNC_FAILED wire code, got {err:?}"
     );
 
-    // Same connection, healthy shard: still serving and committing.
-    let reply = client
-        .select_where(2, vec![Predicate::cmp(healthy_attr, ComparisonOp::Lt, 90)])
-        .expect("healthy shard keeps serving on the same connection");
-    assert_eq!(reply.tuples.len(), 90);
+    // Same connection, the other shard: refused with the same code, for the
+    // log it would journal to is the one that failed.
+    let refused = client.select_where(2, vec![Predicate::cmp(healthy_attr, ComparisonOp::Lt, 90)]);
+    assert!(sync_failed(refused), "poison is pool-wide");
 
     // The poison is permanent for this pool: the injected fault is spent
-    // (non-sticky), yet the sick shard still refuses with the same code —
-    // no retry-and-assume-durable behind the wire.
-    let err = client
-        .select_where(3, vec![Predicate::cmp(sick_attr, ComparisonOp::Gt, 150)])
-        .expect_err("poisoned shard must keep refusing");
-    assert!(
-        matches!(err, ClientError::Server { code, .. } if code == proto::code::SYNC_FAILED),
-        "expected SYNC_FAILED wire code, got {err:?}"
-    );
-
-    // And the healthy shard is still unaffected afterwards.
-    let reply = client
-        .select_where(4, vec![Predicate::cmp(healthy_attr, ComparisonOp::Gt, 160)])
-        .expect("healthy shard unaffected");
-    assert_eq!(reply.tuples.len(), ROWS - 161);
+    // (non-sticky), yet every shard still refuses with the same code — no
+    // retry-and-assume-durable behind the wire — selects and facts alike.
+    let refused = client.select_where(3, vec![Predicate::cmp(sick_attr, ComparisonOp::Gt, 150)]);
+    assert!(sync_failed(refused), "poisoned pool must keep refusing");
+    let refused = client.select_where(4, vec![Predicate::cmp(healthy_attr, ComparisonOp::Gt, 160)]);
+    assert!(sync_failed(refused), "on every shard");
+    assert!(sync_failed(client.delete(8)), "and every fact");
 
     assert_eq!(faults.injected(), 1, "exactly the armed fault fired");
 
-    // Shutdown's final flush honestly reports the poisoned shard instead
-    // of acking a drain it cannot guarantee — but the server still drains
-    // and exits, and the flush still syncs the healthy shards' tails.
-    let err = client.shutdown().expect_err("drain over a poisoned shard");
+    // Shutdown's final flush honestly reports the poisoned pool instead of
+    // acking a drain it cannot guarantee — but the server still drains and
+    // exits.
+    let err = client.shutdown().expect_err("drain over a poisoned pool");
     assert!(
         matches!(err, ClientError::Server { code, .. } if code == proto::code::SYNC_FAILED),
         "expected SYNC_FAILED from the final flush, got {err:?}"
     );
     match handle.join() {
-        Ok(_) => panic!("join must not claim a clean drain over a poisoned shard"),
+        Ok(_) => panic!("join must not claim a clean drain over a poisoned pool"),
         Err(e) => assert!(
             e.to_string().contains("drain flush failed"),
             "join error must name the failed drain, got: {e}"
         ),
     }
 
-    // Reopen over the real filesystem: the sick shard recovers a committed
-    // prefix (the init at least), the healthy shard everything it served.
+    // Reopen over the real filesystem: every attribute recovers a committed
+    // prefix (the init at least).
     let pool =
         ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(4))
             .expect("reopen");
-    let sick_engine = pool.shard_engine(sick_shard);
-    let kb = sick_engine.knowledge(sick_attr).expect("attr indexed");
-    kb.check_invariants();
-    let healthy_engine = pool.shard_engine(map.shard_of(healthy_attr));
-    let kb = healthy_engine
-        .knowledge(healthy_attr)
-        .expect("attr indexed");
-    kb.check_invariants();
-    assert!(
-        kb.k() > 1,
-        "healthy shard must have durably committed its refinements"
-    );
+    for attr in [sick_attr, healthy_attr] {
+        let engine = pool.shard_engine(map.shard_of(attr));
+        engine
+            .knowledge(attr)
+            .expect("attr indexed")
+            .check_invariants();
+    }
 }

@@ -1,24 +1,27 @@
 //! scrub — check a PRKB durability directory the way its open reads it.
 //!
-//! Runs the open's read phase, which writes nothing, over a pool directory
-//! and every shard in it (or over one shard directory): the pool manifest
-//! against the shard directories, each shard's checkpoint segments (format
-//! version 2, or the version-1 files an older binary wrote — each finding
-//! names which) and their manifest, one scan and replay of its WAL. It
-//! reports per file: clean, torn tail, mid-log corruption, segment rot,
-//! torn segment, manifest mismatch, unreadable — a corruption exactly where
-//! a reopen would refuse, plus rot in a superseded segment block, which no
-//! open reads — or crash residue — a stray temp file, a stray segment (one
-//! the manifest does not list), a stale WAL (older than the manifest) —
-//! which the next reopen removes. Under every WAL that is not clean it
+//! Runs the open's read phase, which writes nothing, over a pool directory:
+//! its checkpoint segments (format version 2, or the version-1 files an
+//! older binary wrote — each finding names which) and their manifest, one
+//! scan and replay of its WAL. A pool of the previous layout (a
+//! `manifest.bin` and one `shard.<i>/` per shard) is read the way its open
+//! reads it before converting it: the pool manifest against the shard
+//! directories, then each shard directory as above. It reports per file:
+//! clean, torn tail, mid-log corruption, segment rot, torn segment,
+//! manifest mismatch, unreadable — a corruption exactly where a reopen
+//! would refuse, plus rot in a superseded segment block, which no open
+//! reads — or crash residue — a stray temp file, a stray segment (one the
+//! manifest does not list), a stale WAL (older than the manifest), a stale
+//! layout (per-shard files a conversion left) — which the next reopen
+//! removes. Under every WAL that is not clean it
 //! prints the log frame by frame: index, offset, payload length and the
 //! decoded entries. With `--quarantine`, damaged artifacts and residue are
 //! *moved* into a sibling `quarantine/` directory — never deleted — so a
 //! later reopen proceeds from whatever survives while the evidence is kept.
 //!
 //! Run with: `cargo run --example scrub -- [--quarantine] [--json] <dir>`
-//! (a pool directory or a single shard directory: the scrubber tells them
-//! apart by their file names).
+//! (a pool directory, of either layout, or one previous-layout shard
+//! directory: the scrubber tells them apart by their file names).
 //!
 //! Exit codes: 0 = clean, 1 = crash residue only (torn tails, stray or
 //! stale files that recovery handles by itself), 2 = hard corruption.
