@@ -21,9 +21,7 @@ use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::segment_file_name;
-use prkb_core::{
-    snapshot, EngineConfig, PrkbEngine, SessionScheduler, ShardMap, ShardedDurablePool,
-};
+use prkb_core::{snapshot, EngineConfig, PrkbEngine, SessionScheduler, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, AttrId, ComparisonOp, Predicate, SelectionOracle};
 use rand::rngs::StdRng;
@@ -143,9 +141,9 @@ fn config() -> EngineConfig {
     }
 }
 
-/// A one-shard pool rooted at `dir`: the single-owner durable engine.
+/// A pool rooted at `dir`: the single-owner durable engine.
 fn open_pool(dir: &TmpDir) -> ShardedDurablePool<Predicate> {
-    ShardedDurablePool::open(&dir.0, config(), ShardMap::new(1)).expect("open")
+    ShardedDurablePool::open(&dir.0, config()).expect("open")
 }
 
 /// Warm + flush phase; leaves the directory populated for the recovery
@@ -207,7 +205,7 @@ fn run_recover(dir: &TmpDir) -> CheckpointPoint {
     let start = Instant::now();
     let pool = open_pool(dir);
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
-    let engine = pool.shard_engine(0);
+    let engine = pool.engine();
     CheckpointPoint {
         id: "seg_recover".into(),
         ms,

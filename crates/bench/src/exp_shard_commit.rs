@@ -1,32 +1,27 @@
 //! **shard_commit** — durable commit throughput under write contention
-//! through the sharded pool and its one group-committed log (DESIGN.md §8).
-//! Not a paper figure — this gates the repo's own durability layer.
+//! through the pool's per-attribute locks and its one group-committed log
+//! (DESIGN.md §8). Not a paper figure — this gates the repo's own
+//! durability layer.
 //!
-//! Eight writer threads hammer eight attributes chosen to land on eight
-//! *distinct* shards with refining selects. A select's commit is journaled
-//! before it is acknowledged and fsync'd with the pool's next flush (the
-//! one that fills the bounded un-synced tail leads it), so the timed window
-//! runs from the first select to the end of the closing `flush_durable()`:
-//! `wall ms`, `fsyncs` and `commits/fsync` cover making *every* commit
-//! durable, the tail included. Whatever the shard count, the pool has one
-//! WAL, so its one committer amortizes each fsync over every writer's
-//! commits.
+//! Eight writer threads hammer eight distinct attributes with refining
+//! selects, so their footprints are disjoint and check out in parallel;
+//! only the log is shared. A select's commit is journaled before it is
+//! acknowledged and fsync'd with the pool's next flush (the one that fills
+//! the bounded un-synced tail leads it), so the timed window runs from the
+//! first select to the end of the closing `flush_durable()`: `wall ms`,
+//! `fsyncs` and `commits/fsync` cover making *every* commit durable, the
+//! tail included. The pool's one committer amortizes each fsync over every
+//! writer's commits.
 //!
-//! * `sharded_s1_w8` — one shard: checkout funnels through one lock;
-//! * `sharded_s8_w8` — eight shards: disjoint footprints check out in
-//!   parallel.
-//!
-//! Attribute workloads are identical across variants and per-writer
-//! deterministic, so total QPF is seed-stable (safe to gate in CI); the
-//! wall-clock columns carry the throughput story.
+//! The one row, `w8`, is seed-deterministic per writer, so total QPF is
+//! seed-stable (safe to gate in CI); the wall-clock columns carry the
+//! throughput story.
 
 use crate::harness::TmpDir;
 use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::metrics::{self, Metric};
-use prkb_core::{
-    EngineConfig, PrkbEngine, SessionOracle, SessionScheduler, ShardMap, ShardedDurablePool,
-};
+use prkb_core::{EngineConfig, PrkbEngine, SessionOracle, SessionScheduler, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate, SelectionOracle};
 use rand::rngs::StdRng;
@@ -35,14 +30,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const WRITERS: usize = 8;
-const SHARDS: usize = 8;
+/// One attribute per writer. These ids are the workload the QPF gate
+/// pins (7 827 at CI scale); nothing about them is special.
+const ATTRS: [AttrId; WRITERS] = [0, 1, 2, 3, 4, 5, 8, 10];
 const WARM_QUERIES: usize = 30;
 const VALUE_DOMAIN: u64 = 1_000_000;
 
-/// One measured variant.
+/// The measured run.
 #[derive(Debug, Clone)]
 pub struct ShardCommitPoint {
-    /// Row id (`sharded_s1_w8`, `sharded_s8_w8`).
+    /// Row id (`w8`).
     pub id: String,
     /// Operations committed in the timed phase, all durable by its end.
     pub commits: u64,
@@ -60,33 +57,17 @@ pub struct ShardCommitPoint {
 
 /// Raw measurement output.
 pub struct ShardCommitData {
-    /// Per-variant measurements, one shard first.
-    pub points: Vec<ShardCommitPoint>,
+    /// The measurement.
+    pub point: ShardCommitPoint,
     /// Dataset rows per attribute.
     pub n: usize,
     /// Committed operations per writer.
     pub ops_per_writer: usize,
 }
 
-/// First eight attribute ids that land on eight distinct shards, so the
-/// 8-shard variant's footprints are fully disjoint.
-fn disjoint_attrs() -> Vec<AttrId> {
-    let map = ShardMap::new(SHARDS);
-    let mut seen = std::collections::HashSet::new();
-    let mut attrs = Vec::new();
-    let mut a: AttrId = 0;
-    while attrs.len() < WRITERS {
-        if seen.insert(map.shard_of(a)) {
-            attrs.push(a);
-        }
-        a += 1;
-    }
-    attrs
-}
-
-fn dataset(n: usize, attrs: &[AttrId]) -> PlainOracle {
+fn dataset(n: usize) -> PlainOracle {
     let mut rng = StdRng::seed_from_u64(0x5AD_C0DE);
-    let max = attrs.iter().copied().max().unwrap_or(0) as usize + 1;
+    let max = ATTRS.iter().copied().max().unwrap_or(0) as usize + 1;
     PlainOracle::from_columns(
         (0..max)
             .map(|_| (0..n).map(|_| rng.gen_range(0..VALUE_DOMAIN)).collect())
@@ -94,7 +75,7 @@ fn dataset(n: usize, attrs: &[AttrId]) -> PlainOracle {
     )
 }
 
-/// Per-writer predicate stream: deterministic, identical across variants.
+/// Per-writer predicate stream: deterministic.
 fn bound(writer: usize, i: usize) -> u64 {
     let mut rng = StdRng::seed_from_u64((writer as u64) << 32 | i as u64);
     rng.gen_range(1..VALUE_DOMAIN)
@@ -119,25 +100,15 @@ fn total_k(engine: &PrkbEngine<Predicate>) -> u64 {
         .sum()
 }
 
-fn run_sharded(
-    oracle: &Arc<PlainOracle>,
-    attrs: &[AttrId],
-    n: usize,
-    ops: usize,
-    shards: usize,
-) -> ShardCommitPoint {
-    let dir = TmpDir::new(&format!("shard-commit-{shards}"));
-    let mut pool = ShardedDurablePool::<Predicate>::open(
-        &dir.0,
-        EngineConfig::default(),
-        ShardMap::new(shards),
-    )
-    .expect("open pool");
-    for &a in attrs {
+fn run(oracle: &Arc<PlainOracle>, n: usize, ops: usize) -> ShardCommitPoint {
+    let dir = TmpDir::new("shard-commit");
+    let mut pool =
+        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default()).expect("open pool");
+    for &a in &ATTRS {
         pool.init_attr(a, n).expect("init");
     }
     let sched = Arc::new(SessionScheduler::durable(pool));
-    for &a in attrs {
+    for &a in &ATTRS {
         for p in warm_preds(a) {
             let session = SessionOracle::new(&**oracle);
             sched
@@ -152,7 +123,7 @@ fn run_sharded(
     let fsyncs_before = metrics::global().get(Metric::GroupCommitFsyncs);
     let start = Instant::now();
     let mut handles = Vec::new();
-    for (w, &attr) in attrs.iter().enumerate() {
+    for (w, &attr) in ATTRS.iter().enumerate() {
         let sched = Arc::clone(&sched);
         let oracle = Arc::clone(oracle);
         handles.push(std::thread::spawn(move || {
@@ -171,11 +142,11 @@ fn run_sharded(
     }
     sched.flush_durable().expect("closing flush");
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
-    let commits = (attrs.len() * ops) as u64;
+    let commits = (WRITERS * ops) as u64;
     let sched = Arc::try_unwrap(sched).unwrap_or_else(|_| panic!("writers joined"));
     let engine = sched.into_engine();
     ShardCommitPoint {
-        id: format!("sharded_s{shards}_w{WRITERS}"),
+        id: format!("w{WRITERS}"),
         commits,
         ms,
         throughput: commits as f64 / (ms / 1_000.0),
@@ -185,7 +156,7 @@ fn run_sharded(
     }
 }
 
-/// Runs both variants.
+/// Runs the workload.
 pub fn measure(scale: Scale) -> ShardCommitData {
     // Commit-throughput benchmark: n stays modest so per-op evaluation is
     // cheap and the durable commit path (WAL append + fsync) dominates —
@@ -196,15 +167,9 @@ pub fn measure(scale: Scale) -> ShardCommitData {
         Scale::Paper => 8_000,
     };
     let ops_per_writer = scale.queries(160);
-    let attrs = disjoint_attrs();
-    let oracle = Arc::new(dataset(n, &attrs));
-
-    let points = vec![
-        run_sharded(&oracle, &attrs, n, ops_per_writer, 1),
-        run_sharded(&oracle, &attrs, n, ops_per_writer, SHARDS),
-    ];
+    let oracle = Arc::new(dataset(n));
     ShardCommitData {
-        points,
+        point: run(&oracle, n, ops_per_writer),
         n,
         ops_per_writer,
     }
@@ -222,36 +187,24 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         "| variant | commits | wall ms (incl. closing flush) | commits/s | fsyncs | commits/fsync | QPF |\n\
          |---|---|---|---|---|---|---|\n",
     );
-    for p in &data.points {
-        out.push_str(&format!(
-            "| {} | {} | {:.1} | {:.0} | {} | {:.1} | {} |\n",
-            p.id,
-            p.commits,
-            p.ms,
-            p.throughput,
-            p.fsyncs,
-            p.commits as f64 / (p.fsyncs.max(1)) as f64,
-            p.qpf
-        ));
-    }
-    let one = &data.points[0];
-    let sharded = data.points.last().expect("two variants");
+    let p = &data.point;
     out.push_str(&format!(
-        "\nspeedup (sharded_s{SHARDS} vs sharded_s1): {:.2}x\n",
-        sharded.throughput / one.throughput
+        "| {} | {} | {:.1} | {:.0} | {} | {:.1} | {} |\n",
+        p.id,
+        p.commits,
+        p.ms,
+        p.throughput,
+        p.fsyncs,
+        p.commits as f64 / (p.fsyncs.max(1)) as f64,
+        p.qpf
     ));
-
-    let rows = data
-        .points
-        .iter()
-        .map(|p| BenchRow {
-            id: p.id.clone(),
-            qpf_uses: p.qpf,
-            ms: p.ms,
-            k: p.k,
-            n: data.n as u64,
-            threads: WRITERS as u64,
-        })
-        .collect();
-    (out, rows)
+    let row = BenchRow {
+        id: p.id.clone(),
+        qpf_uses: p.qpf,
+        ms: p.ms,
+        k: p.k,
+        n: data.n as u64,
+        threads: WRITERS as u64,
+    };
+    (out, vec![row])
 }

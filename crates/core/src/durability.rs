@@ -6,15 +6,14 @@
 //! engine directory**: a checkpoint (immutable segment files behind an
 //! atomically swapped manifest, [`crate::lsm`]) and the epoch-tagged WAL
 //! that follows it, both written by one crate-private type — `Committer`.
-//! [`ShardedDurablePool`] opens and recovers that directory, splits the
-//! recovered engine by the requested [`ShardMap`] (lock striping only: the
-//! files do not depend on the shard count), and hands the lot to the one
-//! driver of the commit protocol,
+//! [`ShardedDurablePool`] opens and recovers that directory and hands the
+//! recovered engine and its committer to the one driver of the commit
+//! protocol,
 //! [`SessionScheduler::durable`](crate::scheduler::SessionScheduler::durable).
 //!
 //! * every committed mutation is journaled as [`RefinementOp`]s and
 //!   enqueued as **one write-ahead-log transaction per committed operation
-//!   that changed anything**, whatever attributes (and shards) it spans (an
+//!   that changed anything**, whatever attributes it spans (an
 //!   operation that refined nothing journals nothing). Durability is a
 //!   property of *facts*: a transaction holding an insert, a delete or an
 //!   init is acknowledged only after the committer reports it fsync'd, and
@@ -65,7 +64,7 @@ use crate::lsm::segment::{parse_segment_name, retire_segments, segment_file_name
 use crate::lsm::SEGMENT_MANIFEST_FILE;
 use crate::metrics::Metric;
 use crate::pop::SplitBits;
-use crate::shard::ShardMap;
+use crate::scheduler::ShardMap;
 use crate::snapshot::{self, WireCodec};
 use crate::traits::SpPredicate;
 use prkb_edbms::codec::{unseal, Reader};
@@ -841,9 +840,9 @@ fn poisoned_err(st: &CommitterState) -> DurableError {
 
 /// The durable engine of a pool: its one WAL behind a **group commit**
 /// pipeline, its checkpoint rotation, and its poison state — one of each
-/// per pool, however many shards stripe its locks. Its one caller, the
+/// per pool. Its one caller, the
 /// session scheduler ([`crate::scheduler`]), enqueues one encoded WAL
-/// transaction per committed operation (before the operation frees any of
+/// transaction per committed operation (before the operation unlocks any of
 /// its attributes, so each attribute's log order is its commit order) and
 /// then blocks on
 /// [`wait_durable`](Self::wait_durable) — but only for a transaction that
@@ -1272,7 +1271,7 @@ impl<P: SpPredicate + WireCodec> Committer<P> {
 }
 
 // ---------------------------------------------------------------------------
-// The pool: one engine directory, striped by a shard map
+// The pool: one engine directory
 // ---------------------------------------------------------------------------
 
 /// A previous-layout pool root's manifest file.
@@ -1302,60 +1301,54 @@ fn decode_manifest(bytes: &[u8]) -> Result<usize, DurableError> {
 }
 
 /// A durable pool: one engine directory — one segment set, one
-/// `segments.manifest`, one `wal.<E>.log` behind one group committer —
-/// whose recovered engine a [`ShardMap`] splits into lock stripes. No file
-/// depends on the shard count, so a reopen may ask for any. Recovery
-/// replays the one log: a prefix of the pool's commit order, each operation
-/// (one record) on all its attributes or on none.
+/// `segments.manifest`, one `wal.<E>.log` behind one group committer — and
+/// the engine recovered from it. Recovery replays the one log: a prefix of
+/// the pool's commit order, each operation (one record) on all its
+/// attributes or on none.
 #[derive(Debug)]
 pub struct ShardedDurablePool<P> {
     dir: PathBuf,
     fs: Arc<dyn StorageFs>,
-    map: ShardMap,
-    engines: Vec<PrkbEngine<P>>,
+    engine: PrkbEngine<P>,
     committer: Committer<P>,
     report: RecoveryReport,
 }
 
 impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
-    /// Opens (or creates) a pool rooted at `dir` on the real filesystem,
-    /// its engine split into `requested`'s shards.
+    /// Opens (or creates) a pool rooted at `dir` on the real filesystem.
     ///
     /// # Errors
     /// Storage errors, plus [`DurableError::CorruptManifest`] /
     /// [`DurableError::CorruptSegment`] / [`DurableError::CorruptWal`] when
     /// the on-disk state is damaged beyond the torn-tail case (which is
     /// silently discarded).
-    pub fn open(
+    pub fn open(dir: &Path, config: EngineConfig) -> Result<Self, DurableError> {
+        Self::open_on(dir, config, real_fs())
+    }
+
+    #[doc(hidden)]
+    pub fn open_with_storage(
         dir: &Path,
         config: EngineConfig,
-        requested: ShardMap,
+        _: ShardMap,
+        _: CrashInjector,
+        fs: Arc<dyn StorageFs>,
     ) -> Result<Self, DurableError> {
-        Self::open_on(dir, config, requested, real_fs())
+        Self::open_on(dir, config, fs)
     }
 
     /// [`open`](Self::open) on an explicit storage backend — the seam the
     /// crash sweeps and the I/O fault sweeps drive (`prkb-sim`'s
-    /// fault-injecting filesystem in place of the real one). The 4th
-    /// argument is an ignored one-value stand-in kept for the benchmark
-    /// adapter's call; it goes with that call.
-    pub fn open_with_storage(
+    /// fault-injecting filesystem in place of the real one). The read phase
+    /// of the root — and, in the previous layout, of every shard directory,
+    /// merged — refuses, if anything does, before a byte is written; then
+    /// the apply phase.
+    ///
+    /// # Errors
+    /// As [`open`](Self::open).
+    pub fn open_on(
         dir: &Path,
         config: EngineConfig,
-        requested: ShardMap,
-        _: CrashInjector,
-        fs: Arc<dyn StorageFs>,
-    ) -> Result<Self, DurableError> {
-        Self::open_on(dir, config, requested, fs)
-    }
-
-    /// The read phase of the root — and, in the previous layout, of every
-    /// shard directory, merged — which refuses, if anything does, before a
-    /// byte is written; then the apply phase.
-    fn open_on(
-        dir: &Path,
-        config: EngineConfig,
-        requested: ShardMap,
         fs: Arc<dyn StorageFs>,
     ) -> Result<Self, DurableError> {
         let started = Instant::now();
@@ -1369,7 +1362,6 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         }
         let (engine, committer, report) =
             Committer::apply(dir, config, Arc::clone(&fs), &root.entries, state)?;
-        let engines = requested.split(engine);
         crate::metrics::global().add(
             Metric::RecoveryMs,
             started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
@@ -1377,8 +1369,7 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         Ok(ShardedDurablePool {
             dir: dir.to_path_buf(),
             fs,
-            map: requested,
-            engines,
+            engine,
             committer,
             report,
         })
@@ -1395,9 +1386,9 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         crate::scrub::scrub_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
     }
 
-    /// The shard map the pool's engine is split by: the requested one.
+    #[doc(hidden)]
     pub fn map(&self) -> ShardMap {
-        self.map
+        ShardMap
     }
 
     /// What the open found: one report, for the pool's one log.
@@ -1405,27 +1396,30 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         std::slice::from_ref(&self.report)
     }
 
-    /// Durable `initPRKB`: initializes the attribute on its owning shard
-    /// and waits for the init record to hit disk.
+    /// Durable `initPRKB`: initializes the attribute and waits for the init
+    /// record to hit disk.
     ///
     /// # Errors
     /// Storage failures (which poison the pool).
     pub fn init_attr(&mut self, attr: AttrId, n: usize) -> Result<(), DurableError> {
-        let engine = &mut self.engines[self.map.shard_of(attr)];
-        let ticket = self.committer.enqueue_init(engine, attr, n);
+        let ticket = self.committer.enqueue_init(&mut self.engine, attr, n);
         self.committer.wait_durable(ticket)
     }
 
-    /// Read-only view of one shard's engine (tests and introspection).
-    pub fn shard_engine(&self, shard: usize) -> &PrkbEngine<P> {
-        &self.engines[shard]
+    /// Read-only view of the recovered engine (tests and introspection).
+    pub fn engine(&self) -> &PrkbEngine<P> {
+        &self.engine
     }
 
-    /// Splits the pool into its shard map, the per-shard engines in
-    /// shard-id order and the pool's committer — the form the session
-    /// scheduler consumes.
-    pub(crate) fn into_parts(self) -> (ShardMap, Vec<PrkbEngine<P>>, Committer<P>) {
-        (self.map, self.engines, self.committer)
+    #[doc(hidden)]
+    pub fn shard_engine(&self, _: usize) -> &PrkbEngine<P> {
+        &self.engine
+    }
+
+    /// Splits the pool into its engine and its committer — the form the
+    /// session scheduler consumes.
+    pub(crate) fn into_parts(self) -> (PrkbEngine<P>, Committer<P>) {
+        (self.engine, self.committer)
     }
 }
 
@@ -1481,8 +1475,8 @@ mod tests {
         }
     }
 
-    fn open(dir: &Path, shards: usize) -> ShardedDurablePool<Predicate> {
-        ShardedDurablePool::open(dir, lazy_group(), ShardMap::new(shards)).expect("pool opens")
+    fn open(dir: &Path) -> ShardedDurablePool<Predicate> {
+        ShardedDurablePool::open(dir, lazy_group()).expect("pool opens")
     }
 
     /// A split record is `tag 6 | rank u64 | separator | n u32 | ⌈n/8⌉
@@ -1571,23 +1565,21 @@ mod tests {
     }
 
     /// Runs two un-awaited commits (refinements: pending in the tail, as a
-    /// select's are after its reply), then drains. Returns the per-shard
-    /// state after the (acknowledged) inits and whether the drain failed.
-    /// (A crash at the drain's first append is pinned in
-    /// `tests/shard_durability.rs`.)
-    fn drive_drain(dir: &Path) -> (Vec<Vec<Vec<u8>>>, bool) {
+    /// select's are after its reply), then drains. Returns the state after
+    /// the (acknowledged) inits and whether the drain failed. (A crash at
+    /// the drain's first append is pinned in `tests/shard_durability.rs`.)
+    fn drive_drain(dir: &Path) -> (Vec<Vec<u8>>, bool) {
         let oracle = oracle();
-        let (map, mut engines, committer) = open(dir, 2).into_parts();
+        let (mut engine, committer) = open(dir).into_parts();
         for a in 0..ATTRS {
-            committer.enqueue_init(&mut engines[map.shard_of(a)], a, N);
+            committer.enqueue_init(&mut engine, a, N);
         }
         committer.flush().expect("init flushes");
-        let post_init = engines.iter().map(kb_bytes).collect();
-        // Two refinements on different shards, enqueued but never awaited:
-        // the deferred tail, exactly what a crashed drain may lose.
+        let post_init = kb_bytes(&engine);
+        // Two refinements on different attributes, enqueued but never
+        // awaited: the deferred tail, exactly what a crashed drain may lose.
         let mut rng = StdRng::seed_from_u64(9);
         for attr in [0u32, 1] {
-            let engine = &mut engines[map.shard_of(attr)];
             engine
                 .try_select(
                     &oracle,
@@ -1604,21 +1596,17 @@ mod tests {
         (post_init, committer.flush().is_err())
     }
 
-    /// Reopens on the real filesystem; every shard must validate.
-    fn recover(dir: &Path) -> Vec<Vec<Vec<u8>>> {
-        let pool = open(dir, 2);
-        (0..pool.map().shards())
-            .map(|s| {
-                let engine = pool.shard_engine(s);
-                for attr in engine.attrs() {
-                    engine
-                        .knowledge(attr)
-                        .expect("attr indexed")
-                        .check_invariants();
-                }
-                kb_bytes(engine)
-            })
-            .collect()
+    /// Reopens on the real filesystem; every attribute must validate.
+    fn recover(dir: &Path) -> Vec<Vec<u8>> {
+        let pool = open(dir);
+        let engine = pool.engine();
+        for attr in engine.attrs() {
+            engine
+                .knowledge(attr)
+                .expect("attr indexed")
+                .check_invariants();
+        }
+        kb_bytes(engine)
     }
 
     #[test]
@@ -1627,7 +1615,7 @@ mod tests {
         let (post_init, failed) = drive_drain(&dir);
         assert!(!failed, "a healthy drain flushes cleanly");
         // Both pending selects must have survived the drain: the recovered
-        // shards hold more than the post-init state (knowledge was refined).
+        // pool holds more than the post-init state (knowledge was refined).
         assert_ne!(
             recover(&dir),
             post_init,
@@ -1636,14 +1624,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Commit positions are `(shard_epoch, shard_seq)`: dense within an
+    /// Commit positions are `(epoch, seq)`: dense within an
     /// epoch, restarted by a rotation — whose epoch is the manifest's — and
     /// a ticket from before the rotation is durable by construction.
     #[test]
     fn tickets_are_dense_per_epoch_and_a_rotation_starts_the_next() {
         let dir = tmpdir("positions");
-        let (_, mut engines, committer) = open(&dir, 1).into_parts();
-        let engine = &mut engines[0];
+        let (mut engine, committer) = open(&dir).into_parts();
+        let engine = &mut engine;
         let first = committer.enqueue_init(engine, 0, N);
         let second = committer.enqueue_init(engine, 1, N);
         assert_eq!((first.epoch, first.seq), (0, 1));
@@ -1710,9 +1698,9 @@ mod tests {
             group_commit_records: 4,
             ..lazy_group()
         };
-        let pool = ShardedDurablePool::open(&dir, config, ShardMap::new(1)).expect("pool opens");
-        let (_, mut engines, committer) = pool.into_parts();
-        let (engine, committer) = (&mut engines[0], &committer);
+        let pool = ShardedDurablePool::open(&dir, config).expect("pool opens");
+        let (mut engine, committer) = pool.into_parts();
+        let (engine, committer) = (&mut engine, &committer);
         let oracle = oracle();
         let init = committer.enqueue_init(engine, 0, N);
         committer.wait_durable(init).expect("durable");
@@ -1732,8 +1720,8 @@ mod tests {
         // partition (a 188 KB record at one bit per member, then halves of it).
         const BIG: usize = 1_500_000;
         let dir = tmpdir("tail-bytes");
-        let (_, mut engines, committer) = open(&dir, 1).into_parts();
-        let (engine, committer) = (&mut engines[0], &committer);
+        let (mut engine, committer) = open(&dir).into_parts();
+        let (engine, committer) = (&mut engine, &committer);
         let oracle = PlainOracle::single_column((0..BIG as u64).collect());
         let init = committer.enqueue_init(engine, 0, BIG);
         committer.wait_durable(init).expect("durable");
@@ -1759,8 +1747,8 @@ mod tests {
     #[test]
     fn checkpoint_byte_threshold_counts_the_pending_tail() {
         let dir = tmpdir("ckpt-bytes");
-        let (_, mut engines, committer) = open(&dir, 1).into_parts();
-        let (engine, committer) = (&mut engines[0], &committer);
+        let (mut engine, committer) = open(&dir).into_parts();
+        let (engine, committer) = (&mut engine, &committer);
         let init = committer.enqueue_init(engine, 0, N);
         committer.wait_durable(init).expect("durable");
         let ticket = deferred_select(engine, committer, &oracle(), 500);

@@ -68,7 +68,7 @@ pub struct EngineConfig {
     /// rotation). This and the two fields below are read by the
     /// durability layer (a durable
     /// [`SessionScheduler`](crate::scheduler::SessionScheduler) and the
-    /// shard committers it drives); a plain [`PrkbEngine`] never logs or
+    /// pool committer it drives); a plain [`PrkbEngine`] never logs or
     /// checkpoints.
     pub checkpoint_wal_records: u64,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
@@ -77,7 +77,7 @@ pub struct EngineConfig {
     /// Group commit: the most refinement records one fsync covers. A flush
     /// leader takes at most this many pending payloads per batch, bounding
     /// tail latency and crash-exposure granularity under burst — and it is
-    /// the most deferred refinement records a shard's un-synced tail holds:
+    /// the most deferred refinement records a pool's un-synced tail holds:
     /// the select that brings the tail to this many waits out its flush.
     /// Clamped to at least 1.
     pub group_commit_records: u64,

@@ -26,7 +26,8 @@
 //!   [`PrkbEngine::select_where`], takes any list of trapdoors as a
 //!   conjunction;
 //! * [`durability`] / [`scheduler`] — the crash-recoverable engine pool and
-//!   the one checkout/commit driver over it (in memory or durable);
+//!   the one checkout/commit driver over it, one lock per attribute (in
+//!   memory or durable);
 //! * [`extremes`] / [`skyline`] — the §9 future-work extensions: Min/Max/
 //!   Top-m and 2-D skyline candidate pruning from the same POP knowledge.
 //!
@@ -77,7 +78,6 @@ pub mod qfilter;
 pub mod scheduler;
 pub mod scrub;
 pub(crate) mod selection;
-pub(crate) mod shard;
 pub mod skyline;
 pub mod snapshot;
 pub(crate) mod traits;
@@ -91,10 +91,11 @@ pub use lsm::SegmentManifest;
 pub use md::MdUpdatePolicy;
 pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
 pub use pop::{Pop, SplitBits};
+#[doc(hidden)]
+pub use scheduler::ShardMap;
 pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
 pub use scrub::{ScrubDamage, ScrubFinding, ScrubReport};
 pub use selection::{QueryStats, Selection};
-pub use shard::ShardMap;
 pub use skyline::skyline_candidates;
 pub use snapshot::{SnapshotError, WireCodec};
 pub use traits::SpPredicate;

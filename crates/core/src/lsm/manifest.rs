@@ -1,5 +1,5 @@
-//! The segment manifest: the single source of truth for a shard's live
-//! segment set.
+//! The segment manifest: the single source of truth for an engine
+//! directory's live segment set.
 //!
 //! `segments.manifest` is tiny and rewritten whole on every rotation — the
 //! atomicity point of the subsystem.
@@ -31,7 +31,7 @@ use prkb_edbms::StorageFs;
 
 use crate::durability::DurableError;
 
-/// Manifest file name inside a shard/engine directory.
+/// Manifest file name inside an engine directory.
 pub const SEGMENT_MANIFEST_FILE: &str = "segments.manifest";
 /// Manifest magic.
 const MANIFEST_MAGIC: &[u8; 4] = b"PSGM";

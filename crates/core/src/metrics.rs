@@ -109,13 +109,13 @@ schema_enum! {
         /// Malformed wire frames rejected by the server (bad CRC, oversized,
         /// truncated, or undecodable payloads).
         FrameErrors => "frame_errors",
-        /// Group-commit batches flushed by shard committers (one fsync each
+        /// Group-commit batches flushed by pool committers (one fsync each
         /// unless retried).
         GroupCommitBatches => "group_commit_batches",
         /// Refinement records made durable through group-commit batches.
         GroupCommitRecords => "group_commit_records",
         /// fsyncs issued by group-commit flushes (`records / fsyncs` is the
-        /// amortization factor the sharded pool exists for).
+        /// amortization factor group commit exists for).
         GroupCommitFsyncs => "group_commit_fsyncs",
         /// Connections shed with `BUSY` by the server's admission gate instead
         /// of queueing beyond its bound.
@@ -130,7 +130,7 @@ schema_enum! {
         /// Failed `sync_data`/`sync_all` barriers surfaced as
         /// `DurabilityError::SyncFailed` (never acknowledged as durable).
         SyncFailures => "sync_failures",
-        /// WAL / shard-committer handles permanently poisoned by an I/O or
+        /// WAL / pool-committer handles permanently poisoned by an I/O or
         /// injected-crash failure (each transition counted once).
         WalPoisoned => "wal_poisoned",
         /// Integrity-scrub passes started (`scrub()` or `examples/scrub`).
@@ -165,9 +165,9 @@ schema_enum! {
         NsWidthPerQuery => "ns_width_per_query",
         /// Bytes per WAL transaction.
         WalTxnBytes => "wal_txn_bytes",
-        /// Microseconds a session spent waiting to check out its shard locks
-        /// (summed over the shards of one checkout).
-        ShardLockWaitUs => "shard_lock_wait_us",
+        /// Microseconds a session spent waiting to lock its checkout's
+        /// footprint (summed over the attributes of one checkout).
+        LockWaitUs => "shard_lock_wait_us",
         /// Pipelined requests already queued on a connection when one more
         /// frame arrived (0 = strictly request/response clients).
         PipelinedDepth => "pipelined_depth",
@@ -260,8 +260,6 @@ impl QueryKind {
 pub struct MetricsRegistry {
     counters: [AtomicU64; Metric::ALL.len()],
     histograms: [Histogram; HistogramId::ALL.len()],
-    /// Engine-pool shard count gauge (0 = no pool registered yet).
-    shards: AtomicU64,
 }
 
 impl Default for MetricsRegistry {
@@ -276,20 +274,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             histograms: std::array::from_fn(|_| Histogram::new()),
-            shards: AtomicU64::new(0),
         }
-    }
-
-    /// Publishes the engine-pool shard count into the snapshot header
-    /// (`"shards"` in `prkb-metrics/v8`). A gauge, not a counter: set at
-    /// pool construction, untouched by [`reset`](Self::reset).
-    pub(crate) fn set_shards(&self, n: u64) {
-        self.shards.store(n, Ordering::Relaxed);
-    }
-
-    /// The published engine-pool shard count (0 = none registered).
-    pub(crate) fn shards(&self) -> u64 {
-        self.shards.load(Ordering::Relaxed)
     }
 
     /// Adds `delta` to a counter (relaxed; safe from any thread).
@@ -350,7 +335,6 @@ impl MetricsRegistry {
     /// Takes a point-in-time copy of every counter and histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            shards: self.shards(),
             counters: Metric::ALL
                 .iter()
                 .map(|&m| (m.name(), self.get(m)))
@@ -385,8 +369,6 @@ pub fn global() -> &'static MetricsRegistry {
 /// JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Engine-pool shard count at snapshot time (0 = none registered).
-    pub shards: u64,
     /// `(name, value)` for every counter, in schema order.
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, buckets)` for every histogram; trailing zero buckets are
@@ -415,7 +397,7 @@ impl MetricsSnapshot {
     ///
     /// ```json
     /// {"schema":"prkb-metrics/v8",
-    ///  "shards":8,
+    ///  "shards":1,
     ///  "counters":{"queries_comparison":3,...},
     ///  "histograms":{"qpf_per_query":[0,1,2],...}}
     /// ```
@@ -428,11 +410,11 @@ impl MetricsSnapshot {
     /// the server-reactor metrics; v4 the storage-robustness counters; v3 the service-resilience
     /// counters; v2 added the `shards` header field and the
     /// group-commit/shard-wait metrics; v1 documents differ only by
-    /// schema tag and the absent header field.
+    /// schema tag and the absent header field. The `shards` header is
+    /// retired: it always reads 1 (one lock per attribute, no stripes) and
+    /// is kept so that v8 readers still parse.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"prkb-metrics/v8\",\"shards\":");
-        s.push_str(&self.shards.to_string());
-        s.push_str(",\"counters\":{");
+        let mut s = String::from("{\"schema\":\"prkb-metrics/v8\",\"shards\":1,\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -534,9 +516,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.record_insert(6, true);
         reg.record_wal_txn(100);
-        reg.set_shards(8);
         let json = reg.snapshot().to_json();
-        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v8\",\"shards\":8,\"counters\":{"));
+        assert!(json.starts_with("{\"schema\":\"prkb-metrics/v8\",\"shards\":1,\"counters\":{"));
         assert!(json.contains("\"segments_live\":0"));
         assert!(json.contains("\"segment_flush_bytes\":0"));
         assert!(json.contains("\"recovery_ms\":0"));
@@ -565,9 +546,8 @@ mod tests {
             assert_eq!(h.index(), i, "a variant's discriminant is its row");
             reg.observe(h, 1 << i);
         }
-        reg.set_shards(2);
         let expected = concat!(
-            r#"{"schema":"prkb-metrics/v8","shards":2,"counters":{"queries_comparison":1"#,
+            r#"{"schema":"prkb-metrics/v8","shards":1,"counters":{"queries_comparison":1"#,
             r#","queries_between":2,"queries_md":3,"queries_sdplus":4,"queries_conjunction":5"#,
             r#","query_qpf_uses":6,"filter_probes":7,"ns_width":8,"oracle_batches":9"#,
             r#","partitions_pruned_true":10,"partitions_pruned_false":11,"overflow_scanned":12"#,

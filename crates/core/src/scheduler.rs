@@ -1,64 +1,46 @@
 //! Session scheduler: the one driver of the durable commit protocol, and
-//! the multiplexer of concurrent sessions onto a sharded pool of engines.
+//! the multiplexer of concurrent sessions onto one engine's attributes.
 //!
-//! The engine's refinement commits must be serialized *per attribute* — two
-//! queries refining the same attribute's knowledge concurrently would race —
-//! but the *expensive* part of a query is QPF evaluation, which the core
-//! pipelines already split from commit (evaluate-then-commit). The
-//! scheduler exploits that split twice over:
-//!
-//! * **Sharding.** Attributes are hash-partitioned across the shards of a
-//!   [`ShardMap`], each with its own lock and busy set — so unrelated
-//!   queries never touch the same mutex. A shard is a lock stripe: a
-//!   durable pool has one WAL-backed committer, whatever the count.
-//! * **Checkout/checkin.** Every operation names an attribute footprint.
-//!   Per shard, the footprint's knowledge is *detached* into a private
-//!   sub-engine under the shard lock, the lock is dropped, and evaluation
-//!   (all oracle traffic, all QPF spending) runs against the detached
-//!   knowledge, concurrently with any operation whose footprint is
-//!   disjoint.
+//! PRKB keeps one POP per attribute and a select refines only the POPs of
+//! the attributes it names (paper §4, §5.3), so the attribute is the unit of
+//! mutual exclusion: the scheduler holds **one lock per indexed
+//! attribute**, and an operation holds the locks of its footprint while it
+//! runs. Two queries on disjoint attributes never touch the same lock.
 //!
 //! There is one checkout discipline. A selection's footprint is its
 //! trapdoors' attributes, and a whole-table operation (insert, delete,
 //! inspection) is the same checkout with a footprint of *every* attribute
 //! — an engine is nothing but per-attribute knowledge, so that moves the
 //! whole pool. The attribute set is fixed when the scheduler is built
-//! (indexing decisions are made at upload time). Shards are reserved
-//! strictly in ascending shard-id order, holding at most one shard mutex at
-//! a time, so lock-order cycles are impossible by construction — the
-//! classic hierarchical resource-ordering argument.
+//! (indexing decisions are made at upload time). A checkout refuses an
+//! unknown attribute before it locks anything, then locks its footprint in
+//! ascending attribute id — the one global lock order, so lock-order cycles
+//! are impossible by construction — and moves the footprint's knowledge
+//! into a scratch engine that the operation runs against.
 //!
 //! There is also one **commit sequence**, and nothing outside this crate
-//! can run its steps: a successful operation's journaled ops, whatever
-//! shards they span, are enqueued as **one** record on the pool's WAL
-//! *before any of its attributes is freed* (so each attribute's WAL order
-//! is its commit order); one fsync is awaited after the checkin, and only
-//! by a record that holds a fact (insert, delete) or that filled the
+//! can run its steps: while a successful operation still holds its locks,
+//! its journaled ops, whatever attributes they span, are enqueued as
+//! **one** record on the pool's WAL (so each attribute's WAL order is its
+//! commit order) and its caller-visible **commit sequence number** is
+//! drawn from one global atomic. Two operations that share an attribute
+//! therefore draw in their serialization order, which gives the scheduler
+//! its observable contract: the concurrent execution is indistinguishable
+//! from replaying the operations sequentially in commit-sequence order —
+//! same results, same per-query QPF spend (the loopback and proptest
+//! suites assert exactly this). One fsync is awaited after the unlock, and
+//! only by a record that holds a fact (insert, delete) or that filled the
 //! pool's bounded un-synced tail — refinements are a cache SP can
 //! re-derive, so a select replies after the enqueue; and a pool that
 //! crossed its checkpoint threshold rotates once a non-blocking whole-table
 //! reservation finds it quiescent. A reopen recovers a prefix of the
 //! pool's commit order holding every acknowledged insert, delete and init,
 //! each operation on all its attributes or none;
-//! [`SessionScheduler::flush_durable`] makes it the whole order. A
-//! single-owner durable engine is this scheduler over a one-shard pool.
+//! [`SessionScheduler::flush_durable`] makes it the whole order.
 //!
-//! Waiting is **precise**: each busy attribute keeps its own condvar plus a
-//! waiter count, and a checkin notifies only the condvars of the attributes
-//! it actually freed — a checkin of attribute `a` never wakes a session
-//! parked on attribute `b`.
-//!
-//! The caller-visible **commit sequence number** is drawn from one global
-//! atomic while holding the *first* (lowest-id) shard lock of the
-//! footprint, before any of the footprint's attributes are freed. Two
-//! operations that share an attribute therefore draw in their serialization
-//! order, which gives the scheduler its observable contract: the concurrent
-//! execution is indistinguishable from replaying the operations
-//! sequentially in commit-sequence order — same results, same per-query QPF
-//! spend (the loopback and proptest suites assert exactly this). Only an
-//! operation that succeeds commits: it draws a number and, in a durable
-//! pool, journals one WAL record if it changed anything. A failed, expired
-//! or panicking one checks its knowledge back in untouched and leaves no
+//! Only an operation that succeeds commits: it draws a number and, in a
+//! durable pool, journals one WAL record if it changed anything. A failed,
+//! expired or panicking one puts its knowledge back untouched and leaves no
 //! trace. Internally a durable pool's commits are positioned by
 //! `(epoch, seq)`; the global number exists only for callers.
 //!
@@ -68,21 +50,39 @@
 //! wraps the shared oracle with a per-query counter so stats stay exact
 //! under concurrency.
 
-use crate::durability::{Committer, DurableError, GroupCommitTicket, ShardedDurablePool};
+use crate::durability::{Committer, DurableError, ShardedDurablePool};
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::insert::InsertOutcome;
 use crate::metrics::{self, HistogramId};
 use crate::selection::Selection;
-use crate::shard::ShardMap;
 use crate::snapshot::WireCodec;
 use crate::traits::SpPredicate;
 use prkb_edbms::trapdoor::PredicateKind;
 use prkb_edbms::{AttrId, OracleError, SelectionOracle, TupleId};
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
+
+/// A stand-in kept only for `prkb_e2e/src/sut.rs`, as are
+/// `SessionScheduler::with_shards` and `ShardedDurablePool`'s
+/// `open_with_storage`, `map` and `shard_engine`: the scheduler has one
+/// lock per attribute, whatever count this names.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct ShardMap;
+
+impl ShardMap {
+    #[doc(hidden)]
+    pub fn new(_: usize) -> Self {
+        ShardMap
+    }
+
+    #[doc(hidden)]
+    pub fn shards(&self) -> usize {
+        1
+    }
+}
 
 /// The canonical "budget expired" failure, raised at scheduler checkout and
 /// by [`DeadlineOracle`] between evaluation batches.
@@ -219,87 +219,18 @@ impl<O: SelectionOracle> SelectionOracle for DeadlineOracle<'_, O> {
     }
 }
 
-/// A parked-session registration for one busy attribute: its condvar plus
-/// how many sessions currently wait on it. The entry is removed when the
-/// count drops to zero, so `waiters` only ever holds contended attributes.
-struct WaitCell {
-    cv: Arc<Condvar>,
-    count: usize,
-}
-
-struct ShardState<P: SpPredicate> {
-    /// The shard's engine, minus the knowledge of its `busy` attributes.
-    engine: PrkbEngine<P>,
-    /// Attributes currently checked out by in-flight operations.
-    busy: HashSet<AttrId>,
-    /// Per-attribute waiter registrations (precise wakeups).
-    waiters: HashMap<AttrId, WaitCell>,
-}
-
-struct Shard<P: SpPredicate> {
-    state: Mutex<ShardState<P>>,
-}
-
-impl<P: SpPredicate> Shard<P> {
-    fn new(engine: PrkbEngine<P>) -> Self {
-        Shard {
-            state: Mutex::new(ShardState {
-                engine,
-                busy: HashSet::new(),
-                waiters: HashMap::new(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardState<P>> {
-        // A worker that panicked mid-commit cannot be reasoned about; treat
-        // the lock as still usable (knowledge moves are two-phase and the
-        // engine is abort-safe) rather than cascading the panic.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Parks the caller on `attr`'s condvar until a checkin frees it.
-    fn wait_attr<'g>(
-        &self,
-        mut guard: MutexGuard<'g, ShardState<P>>,
-        attr: AttrId,
-    ) -> MutexGuard<'g, ShardState<P>> {
-        let cv = {
-            let cell = guard.waiters.entry(attr).or_insert_with(|| WaitCell {
-                cv: Arc::new(Condvar::new()),
-                count: 0,
-            });
-            cell.count += 1;
-            Arc::clone(&cell.cv)
-        };
-        guard = match cv.wait(guard) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let cell = guard
-            .waiters
-            .get_mut(&attr)
-            .expect("registered waiter entry survives until count hits zero");
-        cell.count -= 1;
-        if cell.count == 0 {
-            guard.waiters.remove(&attr);
-        }
-        guard
-    }
-}
-
-/// Checkout/checkin scheduler over a shard-per-attribute engine pool.
+/// Checkout/checkin scheduler: one lock per indexed attribute.
 pub struct SessionScheduler<P: SpPredicate> {
-    shards: Vec<Shard<P>>,
-    map: ShardMap,
-    /// Every indexed attribute, sorted: the footprint of a whole-table
-    /// operation.
+    /// Every indexed attribute, ascending: the footprint of a whole-table
+    /// operation, and the one lock order.
     attrs: Vec<AttrId>,
-    /// Global caller-visible commit sequence (drawn under the first shard
-    /// lock of a committing footprint).
+    /// `locks[i]` guards `attrs[i]`'s knowledge, as a one-attribute engine
+    /// that is empty while a checkout holds the lock. A lock poisoned by a
+    /// panicking session is used as is: its checkout put the knowledge back
+    /// first, and the pipelines are abort-safe.
+    locks: Vec<Mutex<PrkbEngine<P>>>,
+    /// Global caller-visible commit sequence (drawn while a committing
+    /// footprint still holds its locks).
     seq: AtomicU64,
     config: EngineConfig,
     /// Durable deployments: the pool's group-commit pipeline.
@@ -307,60 +238,57 @@ pub struct SessionScheduler<P: SpPredicate> {
 }
 
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
-    /// Wraps `engine` for concurrent use over `min(16, cores)` shards.
+    /// Wraps `engine` for concurrent use, one lock per attribute it
+    /// indexes.
     pub fn new(engine: PrkbEngine<P>) -> Self {
-        Self::with_shards(engine, ShardMap::new(ShardMap::default_shards()))
+        Self::from_parts(engine, None)
     }
 
-    /// Wraps `engine` with an explicit shard map.
-    pub fn with_shards(engine: PrkbEngine<P>, map: ShardMap) -> Self {
-        let config = engine.config;
-        Self::from_parts(map, map.split(engine), None, config)
+    #[doc(hidden)]
+    pub fn with_shards(engine: PrkbEngine<P>, _: ShardMap) -> Self {
+        Self::new(engine)
     }
 
     /// Wraps a recovered [`ShardedDurablePool`] and its one WAL-backed
     /// committer. A committed insert or delete is acked only after its one
     /// record is group-commit durable; a select's refinements are journaled
     /// before the ack and durable by the pool's next fsync (see
-    /// [`flush_durable`](Self::flush_durable)). Over a `ShardMap::new(1)`
-    /// pool this is the single-owner durable engine.
+    /// [`flush_durable`](Self::flush_durable)). This is also the
+    /// single-owner durable engine.
     pub fn durable(pool: ShardedDurablePool<P>) -> Self {
-        let (map, engines, committer) = pool.into_parts();
-        let config = engines.first().map(|e| e.config).unwrap_or_default();
-        Self::from_parts(map, engines, Some(committer), config)
+        let (engine, committer) = pool.into_parts();
+        Self::from_parts(engine, Some(committer))
     }
 
-    fn from_parts(
-        map: ShardMap,
-        engines: Vec<PrkbEngine<P>>,
-        committer: Option<Committer<P>>,
-        config: EngineConfig,
-    ) -> Self {
-        let mut attrs: Vec<AttrId> = engines.iter().flat_map(PrkbEngine::attrs).collect();
+    fn from_parts(mut engine: PrkbEngine<P>, committer: Option<Committer<P>>) -> Self {
+        let mut attrs: Vec<AttrId> = engine.attrs().collect();
         attrs.sort_unstable();
-        metrics::global().set_shards(map.shards() as u64);
+        let locks = (attrs.iter())
+            .map(|&a| {
+                let own = engine.detach_attrs(&[a]);
+                Mutex::new(own.expect("attrs enumerated from the engine"))
+            })
+            .collect();
         SessionScheduler {
-            shards: engines.into_iter().map(Shard::new).collect(),
-            map,
             attrs,
+            locks,
             seq: AtomicU64::new(0),
-            config,
+            config: engine.config,
             committer,
         }
     }
 
-    /// Runs `f` against the detached knowledge of `attrs`, holding each
-    /// shard's lock only for checkout and checkin (two-phase, ascending
-    /// shard-id order). Returns `f`'s result and the commit sequence number
-    /// assigned at checkin. In durable pools the journaled ops are enqueued
-    /// as one record before this returns, and fsync'd too if any of them is
-    /// a fact.
+    /// Runs `f` against the knowledge of `attrs`, holding their locks, and
+    /// returns `f`'s result and the commit sequence number assigned at
+    /// checkin. In durable pools the journaled ops are enqueued as one
+    /// record before this returns, and fsync'd too if any of them is a
+    /// fact.
     ///
     /// # Errors
-    /// [`QueryError::AttrNotInitialized`] if any attribute is unknown (all
-    /// knowledge is reattached), whatever `f` reports (the knowledge is
-    /// still reattached — the core pipelines leave it untouched on abort),
-    /// or [`DurableError`] when the durable pool fails.
+    /// [`QueryError::AttrNotInitialized`] if any attribute is unknown
+    /// (nothing is locked), whatever `f` reports (the knowledge is put back
+    /// — the core pipelines leave it untouched on abort), or
+    /// [`DurableError`] when the durable pool fails.
     pub fn with_detached<T>(
         &self,
         attrs: &[AttrId],
@@ -388,22 +316,19 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// Runs `f` with read access to the quiescent pool, without assigning a
     /// sequence number. For validation and inspection.
     pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        let held = self.reserve(self.map.group_sorted(&self.attrs), None, true);
-        let held = held
-            .ok()
-            .flatten()
-            .expect("own attributes, no deadline, waiting");
-        f(&held.merged)
+        let held = self.reserve(0..self.attrs.len(), true);
+        let held = held.expect("a waiting reservation gets its footprint");
+        f(&held.engine)
     }
 
-    /// The one checkout every operation goes through: reserve `attrs`, run
-    /// `f` outside every lock, then commit if `f` succeeded. A failing `f`
-    /// (or a panicking one) releases the footprint uncommitted: no sequence
+    /// The one checkout every operation goes through: lock `attrs`, run `f`
+    /// holding them, then commit if `f` succeeded. A failing `f` (or a
+    /// panicking one) puts the knowledge back uncommitted: no sequence
     /// number, no WAL record, no fsync wait. A successful one that changed
     /// nothing draws its number and journals nothing.
     ///
     /// `deadline` bounds the wait for the footprint, not `f`: a budget that
-    /// expired while the session was parked fails with
+    /// expired while the session waited fails with
     /// [`OracleError::DeadlineExceeded`] without running `f`, so a doomed
     /// operation never pins contended attributes. Expiry *during* `f` is the
     /// oracle layer's job ([`DeadlineOracle`] with the same instant).
@@ -418,106 +343,60 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if let Some(e) = self.committer.as_ref().and_then(Committer::poison_error) {
             return Err(e);
         }
-        let groups = self.map.group_sorted(attrs);
-        let mut held = (self.reserve(groups, deadline, true)?)
-            .expect("a waiting reservation gets its footprint");
-        let value = f(&mut held.merged)?;
-        Ok((value, held.commit()?))
-    }
-
-    /// Phase 1: reserve and detach, shards strictly ascending, at most one
-    /// shard mutex held at a time — deadlock-free by lock ordering. Every
-    /// early return drops the [`Checkin`], which rolls the reservations so
-    /// far back. Unless `wait`, a busy attribute ends the attempt: `None`.
-    fn reserve(
-        &self,
-        groups: Vec<(usize, Vec<AttrId>)>,
-        deadline: Option<Instant>,
-        wait: bool,
-    ) -> Result<Option<Checkin<'_, P>>, DurableError> {
-        let mut held = Checkin {
-            sched: self,
-            parts: Vec::with_capacity(groups.len()),
-            merged: PrkbEngine::new(self.config),
-        };
-        let mut wait_us = 0u64;
-        for (sid, shard_attrs) in groups {
-            let shard = &self.shards[sid];
-            let reserve_start = Instant::now();
-            let mut st = shard.lock();
-            while let Some(&blocking) = shard_attrs.iter().find(|a| st.busy.contains(a)) {
-                if !wait {
-                    return Ok(None);
-                }
-                st = shard.wait_attr(st, blocking);
-            }
-            wait_us += reserve_start.elapsed().as_micros() as u64;
-            let sub = st.engine.detach_attrs(&shard_attrs)?;
-            st.busy.extend(shard_attrs.iter().copied());
-            drop(st);
-            held.merged.attach(sub);
-            held.parts.push((sid, shard_attrs));
+        let mut footprint = Vec::with_capacity(attrs.len());
+        for &attr in attrs {
+            let i = (self.attrs.binary_search(&attr))
+                .map_err(|_| QueryError::AttrNotInitialized(attr))?;
+            footprint.push(i);
         }
-        metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
+        footprint.sort_unstable();
+        footprint.dedup();
+        let mut held =
+            (self.reserve(footprint, true)).expect("a waiting reservation gets its footprint");
         if expired(deadline) {
             return Err(deadline_error());
         }
-        Ok(Some(held))
+        let value = f(&mut held.engine)?;
+        Ok((value, held.commit()?))
     }
 
-    /// Phase 2, the only split-and-reattach loop: a committed checkin first
-    /// enqueues its one WAL record (if it changed anything) before freeing
-    /// any attribute, so each attribute's WAL order is its commit order;
-    /// then each part is checked in, ascending, the global sequence number
-    /// drawn under the first shard's lock. Returns that number and the
-    /// ticket to await — none for derived refinements that fit the tail.
-    fn release_parts(
+    /// Locks the attributes at `footprint` (ascending indices into `attrs`:
+    /// the one lock order, so no deadlock) and moves their knowledge into
+    /// the [`Checkin`]'s scratch engine. Unless `wait`, a held attribute
+    /// ends the attempt: `None`, and what was taken so far goes back.
+    fn reserve(
         &self,
-        parts: &[(usize, Vec<AttrId>)],
-        mut merged: PrkbEngine<P>,
-        committed: bool,
-    ) -> (u64, Option<GroupCommitTicket>) {
-        // Journaled ops travel with the knowledge; aborted operations left
-        // none (abort-safe pipelines).
-        let ops = merged.take_ops();
-        let ticket = (self.committer.as_ref())
-            .filter(|_| committed)
-            .and_then(|committer| committer.enqueue_journal(ops));
-        let mut seq = 0u64;
-        let last = parts.len().saturating_sub(1);
-        for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
-            let sub = if i == last {
-                std::mem::replace(&mut merged, PrkbEngine::new(self.config))
-            } else {
-                merged
-                    .detach_attrs(shard_attrs)
-                    .expect("footprint attrs present in merged sub-engine")
-            };
-            let shard = &self.shards[*sid];
-            let mut st = shard.lock();
-            if committed && i == 0 {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            st.engine.attach(sub);
-            // Precise wakeups: only sessions parked on an attribute this
-            // checkin actually freed.
-            for a in shard_attrs {
-                st.busy.remove(a);
-                if let Some(cell) = st.waiters.get(a) {
-                    cell.cv.notify_all();
+        footprint: impl IntoIterator<Item = usize>,
+        wait: bool,
+    ) -> Option<Checkin<'_, P>> {
+        let mut held = Checkin {
+            sched: self,
+            guards: Vec::new(),
+            engine: PrkbEngine::new(self.config),
+        };
+        let start = Instant::now();
+        for i in footprint {
+            let mut guard = match self.locks[i].try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) if wait => {
+                    self.locks[i].lock().unwrap_or_else(PoisonError::into_inner)
                 }
-            }
+                Err(TryLockError::WouldBlock) => return None,
+            };
+            let own = std::mem::replace(&mut *guard, PrkbEngine::new(self.config));
+            held.engine.attach(own);
+            held.guards.push((self.attrs[i], guard));
         }
-        if committed && parts.is_empty() {
-            seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        }
-        (seq, ticket)
+        let waited = start.elapsed().as_micros();
+        metrics::global().observe(HistogramId::LockWaitUs, waited as u64);
+        Some(held)
     }
 
-    /// Rotates the pool's checkpoint holding every attribute (a whole-table
-    /// reservation), so it serializes exactly what the flushed WAL produced.
-    /// Unforced (after a commit), only if the policy asks and no attribute
-    /// is busy — a later commit retries; forced, it waits for them.
+    /// Rotates the pool's checkpoint holding every attribute's lock, so it
+    /// serializes exactly what the flushed WAL produced. Unforced (after a
+    /// commit), only if the policy asks and every lock is free — a later
+    /// commit retries; forced, it waits for them.
     fn rotate(&self, forced: bool) -> Result<(), DurableError> {
         let Some(committer) = &self.committer else {
             return Ok(());
@@ -525,8 +404,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if !forced && !committer.wants_checkpoint(&self.config) {
             return Ok(());
         }
-        match self.reserve(self.map.group_sorted(&self.attrs), None, forced)? {
-            Some(held) => committer.checkpoint(&held.merged),
+        match self.reserve(0..self.attrs.len(), forced) {
+            Some(held) => committer.checkpoint(&held.engine),
             None => Ok(()),
         }
     }
@@ -560,9 +439,9 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         self.committer.as_ref().map_or(Ok(()), Committer::flush)
     }
 
-    /// Hands the merged engine back for single-threaded use (shutdown). Owning `self` proves no checkout is outstanding — a
-    /// `Checkin` borrows the scheduler. Durable pools flush their pending
-    /// batches first.
+    /// Hands the engine back for single-threaded use (shutdown). Owning
+    /// `self` proves no checkout is outstanding — a `Checkin` borrows the
+    /// scheduler. Durable pools flush their pending batches first.
     pub fn into_engine(self) -> PrkbEngine<P> {
         // The signature can't carry the flush error (shutdown proceeds
         // regardless — the WAL keeps whatever prefix made it to disk), but
@@ -571,44 +450,39 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if let Err(e) = self.flush_durable() {
             eprintln!("prkb: final durable flush failed during shutdown: {e}");
         }
-        let mut merged = PrkbEngine::new(self.config);
-        for shard in self.shards {
-            let st = match shard.state.into_inner() {
-                Ok(st) => st,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            merged.attach(st.engine);
+        let mut engine = PrkbEngine::new(self.config);
+        for own in self.locks {
+            engine.attach(own.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
-        merged
+        engine
     }
 }
 
-/// A reserved footprint: the detached knowledge of `parts`, merged into one
-/// engine. Dropping it checks the knowledge back in uncommitted — the path
+/// A locked footprint, its knowledge moved into one scratch engine.
+/// Dropping it puts the knowledge back uncommitted and unlocks — the path
 /// a failed, expired or panicking operation takes;
 /// [`commit`](Checkin::commit) is the path a successful one takes.
 struct Checkin<'a, P: SpPredicate + WireCodec> {
     sched: &'a SessionScheduler<P>,
-    /// `(shard id, that shard's footprint attributes)`, ascending.
-    parts: Vec<(usize, Vec<AttrId>)>,
-    merged: PrkbEngine<P>,
+    /// The footprint's locks, ascending.
+    guards: Vec<(AttrId, MutexGuard<'a, PrkbEngine<P>>)>,
+    engine: PrkbEngine<P>,
 }
 
 impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
-    /// Moves the footprint out, leaving nothing for `Drop` to release.
-    fn take(&mut self) -> (Vec<(usize, Vec<AttrId>)>, PrkbEngine<P>) {
-        let merged = std::mem::replace(&mut self.merged, PrkbEngine::new(self.sched.config));
-        (std::mem::take(&mut self.parts), merged)
-    }
-
-    /// Checks the footprint in as one committed operation, awaits
-    /// group-commit durability of its one record when it journaled a fact
-    /// or filled the un-synced tail, then lets a pool that crossed its
-    /// checkpoint threshold rotate.
+    /// Commits the footprint as one operation while it still holds every
+    /// lock: drains the journal into one WAL record (so each attribute's
+    /// WAL order is its commit order) and draws the sequence number (so
+    /// operations that share an attribute draw in their serialization
+    /// order). Then it unlocks, awaits group-commit durability of the
+    /// record when it journaled a fact or filled the un-synced tail, and
+    /// lets a pool that crossed its checkpoint threshold rotate.
     fn commit(mut self) -> Result<u64, DurableError> {
         let sched = self.sched;
-        let (parts, merged) = self.take();
-        let (seq, ticket) = sched.release_parts(&parts, merged, true);
+        let ops = self.engine.take_ops();
+        let ticket = (sched.committer.as_ref()).and_then(|c| c.enqueue_journal(ops));
+        let seq = sched.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        drop(self);
         if let (Some(committer), Some(ticket)) = (&sched.committer, ticket) {
             committer.wait_durable(ticket)?;
         }
@@ -618,12 +492,16 @@ impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
 }
 
 impl<P: SpPredicate + WireCodec> Drop for Checkin<'_, P> {
+    /// Moves each attribute's knowledge back under its lock; the guards
+    /// then unlock in ascending order. An uncommitted operation's journal
+    /// is discarded (the abort-safe pipelines left none).
     fn drop(&mut self) {
-        let (parts, merged) = self.take();
-        // May run while `f` unwinds: a second panic would abort.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.sched.release_parts(&parts, merged, false);
-        }));
+        self.engine.take_ops();
+        for (attr, guard) in &mut self.guards {
+            if let Ok(own) = self.engine.detach_attrs(&[*attr]) {
+                **guard = own;
+            }
+        }
     }
 }
 
@@ -898,28 +776,31 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_footprint_reserves_and_releases() {
-        // 8 shards, 6 attributes: conjunction footprints span shards and
-        // must come back fully reattached.
+    fn multi_attr_footprint_locks_and_puts_back() {
+        // A conjunction footprint of six attributes must come back whole:
+        // every lock free, every attribute queryable again.
         let columns: Vec<Vec<u64>> = (0..6)
             .map(|a| (0..100).map(|i| (i * (7 + a)) % 100).collect())
             .collect();
         let oracle = PlainOracle::from_columns(columns);
-        let sched = SessionScheduler::with_shards(engine_with(&oracle, 6), ShardMap::new(8));
-        assert_eq!(sched.shards.len(), 8);
-        let attrs: Vec<AttrId> = (0..6).collect();
+        let sched = SessionScheduler::new(engine_with(&oracle, 6));
+        assert_eq!(sched.locks.len(), 6, "one lock per attribute");
+        let attrs: Vec<AttrId> = (0..6).rev().collect();
         let session = SessionOracle::new(&oracle);
         let preds: Vec<Predicate> = (0..6)
             .map(|a| Predicate::cmp(a, ComparisonOp::Lt, 60))
             .collect();
         let (sel, seq) = sched
             .with_detached(&attrs, |sub| {
+                for (a, lock) in (0..6).zip(&sched.locks) {
+                    assert!(lock.try_lock().is_err(), "attr {a} held while f runs");
+                }
                 sub.try_select_where(&session, &preds, &mut StdRng::seed_from_u64(3))
             })
-            .expect("conjunction across shards");
+            .expect("conjunction over six attributes");
         assert_eq!(seq, 1);
         assert!(!sel.tuples.is_empty());
-        // Every attribute must be queryable again afterwards.
+        assert_all_free(&sched, "after the conjunction");
         for a in 0..6u32 {
             let session = SessionOracle::new(&oracle);
             let pred = Predicate::cmp(a, ComparisonOp::Lt, 10);
@@ -932,21 +813,38 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_merges_and_splits_across_shards() {
+    fn exclusive_takes_and_returns_every_attr() {
         let columns: Vec<Vec<u64>> = (0..4)
             .map(|a| (0..80).map(|i| (i * (3 + a)) % 80).collect())
             .collect();
         let oracle = PlainOracle::from_columns(columns);
-        let sched = SessionScheduler::with_shards(engine_with(&oracle, 4), ShardMap::new(8));
+        let sched = SessionScheduler::new(engine_with(&oracle, 4));
         let ((), seq) = sched
-            .with_exclusive(|engine| engine.delete(5))
+            .with_exclusive(|engine| {
+                assert_eq!(engine.attrs().count(), 4, "every attr checked out");
+                engine.delete(5);
+            })
             .expect("delete");
         assert_eq!(seq, 1);
+        assert_all_free(&sched, "after exclusive");
         sched.inspect(|engine| {
             assert_eq!(engine.attrs().count(), 4, "all attrs back after exclusive");
         });
         let engine = sched.into_engine();
         assert_eq!(engine.attrs().count(), 4);
+    }
+
+    /// Every attribute lock is free and holds its knowledge — nothing
+    /// leaked by a checkout that ended.
+    fn assert_all_free(sched: &SessionScheduler<Predicate>, what: &str) {
+        for (attr, lock) in sched.attrs.iter().zip(&sched.locks) {
+            let own = match lock.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => panic!("{what}: attr {attr} still locked"),
+            };
+            assert!(own.knowledge(*attr).is_some(), "{what}: attr {attr} leaked");
+        }
     }
 
     #[test]
@@ -962,40 +860,37 @@ mod tests {
         ];
         let oracle = PlainOracle::from_columns(vec![(0..40).collect(); 4]);
         for (name, run) in cases {
-            let sched = SessionScheduler::with_shards(engine_with(&oracle, 4), ShardMap::new(8));
+            let sched = SessionScheduler::new(engine_with(&oracle, 4));
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&sched)));
             assert!(unwound.is_err(), "{name}: the panic propagates");
-            for shard in &sched.shards {
-                assert!(shard.lock().busy.is_empty(), "{name}: attribute leaked");
-            }
+            assert_all_free(&sched, name);
             sched.inspect(|engine| assert_eq!(engine.attrs().count(), 4, "{name}"));
             let ((), seq) = sched.with_exclusive(|e| e.delete(1)).expect("delete");
             assert_eq!(seq, 1, "{name}: the unwound operation drew no number");
         }
     }
 
-    /// Spins until some session is parked on `attr` — the deterministic
-    /// "it is waiting" signal (a checkout that wrongly ran would never park).
-    fn await_parked(sched: &SessionScheduler<Predicate>, attr: AttrId) {
-        let give_up = Instant::now() + std::time::Duration::from_secs(10);
-        while !sched.shards[0].lock().waiters.contains_key(&attr) {
-            assert!(Instant::now() < give_up, "nobody parked on attr {attr}");
-            std::thread::yield_now();
-        }
+    /// Whether some checkout holds `attr`'s lock right now.
+    fn held(sched: &SessionScheduler<Predicate>, attr: AttrId) -> bool {
+        matches!(
+            sched.locks[attr as usize].try_lock(),
+            Err(TryLockError::WouldBlock)
+        )
     }
 
     #[test]
     fn exclusive_waits_for_held_attr_and_holds_off_later_checkouts() {
         use std::sync::mpsc::channel;
         let oracle = PlainOracle::from_columns(vec![(0..40).collect(); 2]);
-        // One shard, so attributes 0 and 1 share it.
-        let sched = SessionScheduler::with_shards(engine_with(&oracle, 2), ShardMap::new(1));
+        let sched = SessionScheduler::new(engine_with(&oracle, 2));
         let order = Mutex::new(Vec::new());
         let (sched, order) = (&sched, &order);
         let (a_held, a_is_held) = channel();
         let (release_a, a_released) = channel::<()>();
+        let (x_asks, x_asked) = channel();
         let (x_runs, x_is_running) = channel();
         let (release_x, x_released) = channel::<()>();
+        let (b_asks, b_asked) = channel();
         std::thread::scope(|s| {
             s.spawn(move || {
                 sched.with_detached(&[0], |_| {
@@ -1006,7 +901,9 @@ mod tests {
                 })
             });
             a_is_held.recv().expect("attr 0 checked out");
+            assert!(held(sched, 0) && !held(sched, 1), "a holds attr 0 alone");
             s.spawn(move || {
+                x_asks.send(()).expect("main listens");
                 sched.with_exclusive(|_| {
                     order.lock().expect("order").push("x-start");
                     x_runs.send(()).expect("main listens");
@@ -1014,21 +911,25 @@ mod tests {
                     order.lock().expect("order").push("x-end");
                 })
             });
-            await_parked(sched, 0);
+            x_asked.recv().expect("exclusive asked for the pool");
+            assert!(held(sched, 0), "the exclusive cannot have attr 0 yet");
             release_a.send(()).expect("a's holder listens");
             x_is_running.recv().expect("exclusive got the pool");
+            assert!(held(sched, 0) && held(sched, 1), "the exclusive holds both");
             s.spawn(move || {
+                b_asks.send(()).expect("main listens");
                 sched.with_detached(&[1], |_| {
                     order.lock().expect("order").push("b");
                     Ok(())
                 })
             });
-            await_parked(sched, 1);
+            b_asked.recv().expect("b asked for attr 1");
             release_x.send(()).expect("exclusive listens");
         });
         assert_eq!(
             *order.lock().expect("order"),
             ["a", "x-start", "x-end", "b"]
         );
+        assert!(!held(sched, 0) && !held(sched, 1), "every lock free");
     }
 }

@@ -30,7 +30,7 @@ pub struct QueryStats {
     /// `try_eval_batch` calls made by the pipeline (NS partitions, overflow
     /// sweeps, MD waves, BETWEEN hunt waves and fallback rounds); nothing to
     /// evaluate makes no call.
-    /// Invariant across server thread counts, shard counts and fault
+    /// Invariant across server thread counts, lock layouts and fault
     /// wrappers.
     pub oracle_batches: u64,
     /// Partitions resolved to *true* from separator labels, no scan; a

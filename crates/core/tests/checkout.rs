@@ -1,6 +1,6 @@
 //! What one checkout leaves on disk: a committed operation journals one
-//! WAL record on the pool's one log, however many shards its footprint
-//! spans; one that changed nothing draws its number and journals nothing;
+//! WAL record on the pool's one log, however many attributes its
+//! footprint spans; one that changed nothing draws its number and journals nothing;
 //! an operation that fails commits nothing at all; and an insert's ack
 //! carries every earlier refinement to disk with it.
 
@@ -17,13 +17,13 @@ use std::path::Path;
 
 const ROWS: usize = 50;
 
-fn open_pool(dir: &Path, shards: usize) -> Pool {
-    reopen_pool(dir, EngineConfig::default(), shards).expect("open")
+fn open_pool(dir: &Path) -> Pool {
+    reopen_pool(dir, EngineConfig::default()).expect("open")
 }
 
 /// WAL records, as a reopen replays them: one count, for the pool's log.
-fn records(dir: &Path, shards: usize) -> Vec<u64> {
-    let pool = open_pool(dir, shards);
+fn records(dir: &Path) -> Vec<u64> {
+    let pool = open_pool(dir);
     pool.reports().iter().map(|r| r.records_replayed).collect()
 }
 
@@ -32,7 +32,7 @@ fn failed_insert_draws_no_sequence_number_and_journals_nothing() {
     let dir = TmpDir::new("failed-insert");
     let mut oracle = PlainOracle::single_column((0..ROWS as u64).collect());
     let uploaded = oracle.insert(&[17]);
-    let mut pool = open_pool(&dir.0, 1);
+    let mut pool = open_pool(&dir.0);
     pool.init_attr(0, ROWS).expect("init");
     let sched = SessionScheduler::durable(pool);
 
@@ -62,22 +62,15 @@ fn failed_insert_draws_no_sequence_number_and_journals_nothing() {
         "next dense number"
     );
     drop(sched.into_engine());
-    assert_eq!(records(&dir.0, 1), [3], "init + select + delete, no insert");
+    assert_eq!(records(&dir.0), [3], "init + select + delete, no insert");
 }
 
 #[test]
 fn whole_table_commit_journals_one_record_across_its_shards() {
-    const SHARDS: usize = 8;
-    let dir = TmpDir::new("footprint-shards");
+    let dir = TmpDir::new("footprint-attrs");
     let mut oracle = PlainOracle::from_columns(vec![(0..ROWS as u64).collect(); 2]);
     let uploaded = oracle.insert(&[7, 31]);
-    let mut pool = open_pool(&dir.0, SHARDS);
-    let map = pool.map();
-    assert_ne!(
-        map.shard_of(0),
-        map.shard_of(1),
-        "the insert spans two shards"
-    );
+    let mut pool = open_pool(&dir.0);
     for attr in 0..2 {
         pool.init_attr(attr, ROWS).expect("init");
     }
@@ -88,9 +81,9 @@ fn whole_table_commit_journals_one_record_across_its_shards() {
 
     // One init record per attribute, then one for the insert, which holds
     // both attributes' entries.
-    assert_eq!(records(&dir.0, SHARDS), [3]);
+    assert_eq!(records(&dir.0), [3]);
 
-    let reopened = SessionScheduler::durable(open_pool(&dir.0, SHARDS));
+    let reopened = SessionScheduler::durable(open_pool(&dir.0));
     assert_eq!(reopened.inspect(kb_bytes), live, "reopen ≡ live");
 }
 
@@ -98,7 +91,7 @@ fn whole_table_commit_journals_one_record_across_its_shards() {
 fn empty_commit_draws_a_number_and_journals_nothing() {
     let dir = TmpDir::new("empty-commit");
     let oracle = PlainOracle::single_column((0..ROWS as u64).collect());
-    let mut pool = open_pool(&dir.0, 1);
+    let mut pool = open_pool(&dir.0);
     pool.init_attr(0, ROWS).expect("init");
     let sched = SessionScheduler::durable(pool);
     let wal_len = || {
@@ -130,14 +123,13 @@ fn empty_commit_draws_a_number_and_journals_nothing() {
     assert_eq!(wal_len(), converged, "an empty commit appends nothing");
 
     drop(sched.into_engine());
-    assert_eq!(records(&dir.0, 1), [3], "init + the two refining selects");
+    assert_eq!(records(&dir.0), [3], "init + the two refining selects");
 }
 
 #[test]
 fn deleting_an_unindexed_tuple_appends_to_no_shard() {
-    const SHARDS: usize = 2;
     let dir = TmpDir::new("repeat-delete");
-    let mut pool = open_pool(&dir.0, SHARDS);
+    let mut pool = open_pool(&dir.0);
     for attr in 0..4 {
         pool.init_attr(attr, ROWS).expect("init");
     }
@@ -164,11 +156,10 @@ fn deleting_an_unindexed_tuple_appends_to_no_shard() {
 
 #[test]
 fn insert_ack_carries_every_earlier_refinement_of_its_shards() {
-    const SHARDS: usize = 8;
     let dir = TmpDir::new("insert-carries");
     let mut oracle = PlainOracle::from_columns(vec![(0..ROWS as u64).collect(); 2]);
     let uploaded = oracle.insert(&[7, 31]);
-    let mut pool = open_pool(&dir.0, SHARDS);
+    let mut pool = open_pool(&dir.0);
     for attr in 0..2 {
         pool.init_attr(attr, ROWS).expect("init");
     }
@@ -185,7 +176,7 @@ fn insert_ack_carries_every_earlier_refinement_of_its_shards() {
     // A crash right after the ack — no flush, no shutdown.
     drop(sched);
 
-    let recovered = SessionScheduler::durable(open_pool(&dir.0, SHARDS));
+    let recovered = SessionScheduler::durable(open_pool(&dir.0));
     assert_eq!(
         recovered.inspect(kb_bytes),
         served,

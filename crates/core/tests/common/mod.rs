@@ -9,10 +9,8 @@
 
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::{
-    DurableError, EngineConfig, PrkbEngine, SessionScheduler, ShardMap, ShardedDurablePool,
-    SpPredicate,
+    DurableError, EngineConfig, PrkbEngine, SessionScheduler, ShardedDurablePool, SpPredicate,
 };
-use prkb_edbms::durability::CrashInjector;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
 use prkb_sim::{FaultFs, IoOp};
@@ -89,24 +87,8 @@ pub fn kb_bytes<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>) -> Vec<Vec<u
         .collect()
 }
 
-/// The byte state of a whole pool: `[sid]` = shard `sid`'s [`kb_bytes`].
-pub type PoolBytes = Vec<Vec<Vec<u8>>>;
-
-/// [`kb_bytes`] split by shard: what each shard's own engine reports for
-/// the attributes `map` routes to it.
-pub fn kb_bytes_by_shard<P: SpPredicate + WireCodec>(
-    engine: &PrkbEngine<P>,
-    map: ShardMap,
-) -> PoolBytes {
-    let mut attrs: Vec<_> = engine.attrs().collect();
-    attrs.sort_unstable();
-    let mut shards = vec![Vec::new(); map.shards()];
-    for a in attrs {
-        let kb = engine.knowledge(a).expect("attr indexed");
-        shards[map.shard_of(a)].push(snapshot::save(kb));
-    }
-    shards
-}
+/// The byte state of a whole pool: its [`kb_bytes`].
+pub type PoolBytes = Vec<Vec<u8>>;
 
 /// `cols` seeded columns of `n + extra` values in `0..1000` (`extra` rows
 /// are there to be inserted later).
@@ -149,25 +131,24 @@ pub type Sched = SessionScheduler<Predicate>;
 pub fn open_pool(
     dir: &Path,
     config: EngineConfig,
-    shards: usize,
     fs: Arc<dyn StorageFs>,
 ) -> Result<Pool, DurableError> {
-    ShardedDurablePool::open_with_storage(dir, config, ShardMap::new(shards), CrashInjector, fs)
+    ShardedDurablePool::open_on(dir, config, fs)
 }
 
 /// [`open_pool`] the way recovery does: the real filesystem, no faults.
-pub fn reopen_pool(dir: &Path, config: EngineConfig, shards: usize) -> Result<Pool, DurableError> {
-    open_pool(dir, config, shards, real_fs())
+pub fn reopen_pool(dir: &Path, config: EngineConfig) -> Result<Pool, DurableError> {
+    open_pool(dir, config, real_fs())
 }
 
-/// A single-owner durable engine: the scheduler over a one-shard pool
-/// rooted at `dir`.
+/// A single-owner durable engine: the scheduler over the pool rooted at
+/// `dir`.
 pub fn open_single(
     dir: &Path,
     config: EngineConfig,
     fs: Arc<dyn StorageFs>,
 ) -> Result<Sched, DurableError> {
-    open_pool(dir, config, 1, fs).map(SessionScheduler::durable)
+    open_pool(dir, config, fs).map(SessionScheduler::durable)
 }
 
 /// [`open_single`] on a fresh directory, with attributes `0..attrs` of `n`
@@ -180,7 +161,7 @@ pub fn create_single(
     attrs: u32,
     n: usize,
 ) -> Result<Sched, DurableError> {
-    let mut pool = open_pool(dir, config, 1, fs)?;
+    let mut pool = open_pool(dir, config, fs)?;
     for attr in 0..attrs {
         pool.init_attr(attr, n)?;
     }
@@ -195,21 +176,17 @@ pub fn select_lt(sched: &Sched, oracle: &PlainOracle, attr: u32, bound: u64, rng
         .expect("select");
 }
 
-/// The byte state of a reopened pool, shard by shard, every knowledge base
-/// checked against its invariants on the way.
+/// The byte state of a reopened pool, every knowledge base checked against
+/// its invariants on the way.
 pub fn pool_bytes(pool: &Pool) -> PoolBytes {
-    (0..pool.map().shards())
-        .map(|sid| {
-            let engine = pool.shard_engine(sid);
-            for attr in engine.attrs() {
-                engine
-                    .knowledge(attr)
-                    .expect("attr indexed")
-                    .check_invariants();
-            }
-            kb_bytes(engine)
-        })
-        .collect()
+    let engine = pool.engine();
+    for attr in engine.attrs() {
+        engine
+            .knowledge(attr)
+            .expect("attr indexed")
+            .check_invariants();
+    }
+    kb_bytes(engine)
 }
 
 /// What an acknowledged operation was, as far as recovery is concerned.
@@ -222,7 +199,7 @@ pub enum Ack {
     Derived,
 }
 
-/// Per-shard byte states of a crash- or fault-armed run.
+/// The byte states of a crash- or fault-armed run.
 pub struct Run {
     /// The pool's state after every acknowledged operation, in commit
     /// order; `history[0]` is the pool as opened.
@@ -251,7 +228,6 @@ pub fn drive(
     n: usize,
     ops: impl FnOnce(&Sched, &mut dyn FnMut(Ack)) -> Result<(), DurableError>,
 ) -> Run {
-    let map = pool.map();
     let mut history = vec![pool_bytes(&pool)];
     for attr in 0..attrs {
         if pool.init_attr(attr, n).is_err() {
@@ -266,16 +242,15 @@ pub fn drive(
     }
     let mut fact = history.len() - 1;
     let sched = SessionScheduler::durable(pool);
-    let by_shard = |engine: &PrkbEngine<Predicate>| kb_bytes_by_shard(engine, map);
     let mut ack = |kind| {
-        history.push(sched.inspect(by_shard));
+        history.push(sched.inspect(kb_bytes));
         if kind == Ack::Fact {
             fact = history.len() - 1;
         }
     };
     let failed = ops(&sched, &mut ack).is_err() || sched.flush_durable().is_err();
     Run {
-        live: sched.inspect(by_shard),
+        live: sched.inspect(kb_bytes),
         history,
         fact,
         failed,
@@ -285,10 +260,10 @@ pub fn drive(
 /// The recovery contract, for the pool as a whole: a clean shutdown
 /// recovers the final state; a crash recovers one prefix of the pool's
 /// commit order that contains every acknowledged fact — some `history[j]`,
-/// `j ≥ fact`, on every shard at once, or the in-flight state — never less,
-/// never a state off the history, and never one shard ahead of another.
+/// `j ≥ fact`, on every attribute at once, or the in-flight state — never
+/// less, never a state off the history, and never one attribute ahead of
+/// another.
 pub fn assert_recovered(run: &Run, recovered: &PoolBytes, tag: &str) {
-    assert_eq!(recovered.len(), run.live.len(), "{tag}: shard count");
     if run.failed {
         let on_history = run.history[run.fact..].iter().any(|h| h == recovered);
         assert!(
@@ -306,12 +281,11 @@ pub fn assert_recovered(run: &Run, recovered: &PoolBytes, tag: &str) {
 
 /// The run of a pool whose open itself crashed: nothing was acknowledged,
 /// so the least recovery may find is the empty pool.
-pub fn crashed_open(shards: usize) -> Run {
-    let empty = vec![Vec::new(); shards];
+pub fn crashed_open() -> Run {
     Run {
-        history: vec![empty.clone()],
+        history: vec![Vec::new()],
         fact: 0,
-        live: empty,
+        live: Vec::new(),
         failed: true,
     }
 }

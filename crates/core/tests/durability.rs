@@ -1,5 +1,5 @@
 //! Durability properties of the PRKB (DESIGN.md §8), driven the way a
-//! server drives them: a one-shard pool behind its `SessionScheduler`.
+//! server drives them: a pool behind its `SessionScheduler`.
 //!
 //! Pinned guarantees:
 //!
@@ -54,7 +54,7 @@ fn columns(n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
     common::columns(2, n, extra, seed)
 }
 
-/// A fresh one-shard pool with both attributes initialized, behind the
+/// A fresh pool with both attributes initialized, behind the
 /// scheduler.
 fn create(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, n: usize) -> Sched {
     common::create_single(dir, config, fs, 2, n).expect("open + init")
@@ -231,7 +231,7 @@ impl CrashRun {
     }
 }
 
-/// Drives the workload against a one-shard pool on `fs` — inits on the
+/// Drives the workload against a pool on `fs` — inits on the
 /// pool, everything after through its scheduler, a closing
 /// `flush_durable` if nothing failed — and a plain reference engine in
 /// lockstep, stopping at the first storage error (a failed open included).
@@ -244,7 +244,7 @@ fn drive(dir: &Path, seed: u64, config: EngineConfig, fs: Arc<dyn StorageFs>) ->
         reference.init_attr(attr, n);
         history.push(kb_bytes(&reference));
     }
-    let mut run = match open_pool(dir, config, 1, fs) {
+    let run = match open_pool(dir, config, fs) {
         Ok(pool) => common::drive(pool, 2, n, |durable, ack| {
             for (i, step) in workload(n, extra, seed ^ 0x77).iter().enumerate() {
                 apply_ref(&mut reference, &oracle, step, &mut step_rng(seed, i));
@@ -254,12 +254,12 @@ fn drive(dir: &Path, seed: u64, config: EngineConfig, fs: Arc<dyn StorageFs>) ->
             }
             Ok(())
         }),
-        Err(_) => common::crashed_open(1),
+        Err(_) => common::crashed_open(),
     };
     CrashRun {
         history,
         fact: run.fact,
-        live: run.live.remove(0),
+        live: run.live,
         crashed: run.failed,
     }
 }
@@ -291,11 +291,7 @@ fn recover(dir: &TmpDir, config: EngineConfig, tag: &str) -> (Vec<Vec<u8>>, u64,
     let pool = try_open(dir, config)
         .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
     let report = pool.reports()[0];
-    (
-        pool_bytes(&pool).remove(0),
-        report.records_replayed,
-        report.tail,
-    )
+    (pool_bytes(&pool), report.records_replayed, report.tail)
 }
 
 /// A cut at a WAL write tears that frame (or the header of a fresh log):
@@ -430,7 +426,7 @@ proptest! {
         common::copy_tree(&dir.0, &probe_dir.0);
 
         // The recovered state is a commit-order prefix holding every fact.
-        let recovered = pool_bytes(&try_open(&dir, config).expect("recovery opens")).remove(0);
+        let recovered = pool_bytes(&try_open(&dir, config).expect("recovery opens"));
         let run = CrashRun { live: history[stop].clone(), history, fact, crashed: true };
         let j = run.assert_recovered(&recovered, &format!("crash after {stop} steps"));
 
@@ -498,7 +494,7 @@ fn wal_path(dir: &TmpDir, epoch: u64) -> PathBuf {
 
 /// Opens the directory as recovery would, on the real filesystem.
 fn try_open(dir: &TmpDir, config: EngineConfig) -> Result<common::Pool, DurableError> {
-    reopen_pool(&dir.0, config, 1)
+    reopen_pool(&dir.0, config)
 }
 
 /// Runs a short clean workload with rotation disabled and returns the WAL
@@ -594,7 +590,7 @@ fn a_checksummed_record_that_does_not_fit_refuses_to_open() {
     ];
     for (what, payload) in cases {
         let dir = TmpDir::new("misfit");
-        let mut pool = open_pool(&dir.0, no_rotation(), 1, real_fs()).expect("opens");
+        let mut pool = open_pool(&dir.0, no_rotation(), real_fs()).expect("opens");
         pool.init_attr(0, 8).expect("durable init");
         drop(pool);
         let fs = real_fs();
@@ -653,7 +649,7 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
         "rotation must keep the replayed suffix short, got {}",
         report.records_replayed
     );
-    assert_eq!(kb_bytes(pool.shard_engine(0)), run.live);
+    assert_eq!(kb_bytes(pool.engine()), run.live);
     // Exactly one WAL file — the active epoch's — survives rotation.
     let wals: Vec<String> = std::fs::read_dir(&dir.0)
         .expect("dir")
@@ -690,7 +686,7 @@ fn rotation_ops(ops: &[Op]) -> Vec<usize> {
 
 /// A crash at every kind of rotation op — the 1st, 2nd and 5th time the
 /// rotations of the run make it — still recovers the exact live state: a
-/// rotation drains the shard's whole un-synced tail before any segment
+/// rotation drains the pool's whole un-synced tail before any segment
 /// byte moves, so the full committed history is durable at every such cut.
 /// Before the manifest rename the old segment set + WAL replay reproduce
 /// it; from the rename on the new segment subsumes the old WAL.
@@ -714,7 +710,7 @@ fn checkpoint_crash_sweep_recovers_live_state() {
             .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
         let report = pool.reports()[0];
         assert_eq!(
-            kb_bytes(pool.shard_engine(0)),
+            kb_bytes(pool.engine()),
             run.live,
             "{tag}: rotation crash lost committed state"
         );
@@ -771,7 +767,7 @@ fn poisoned_handle_refuses_work_and_reopen_resumes() {
         matches!(err, DurableError::Storage(DurabilityError::Io(_))),
         "{err}"
     );
-    // The shard is poisoned: new work is refused before it runs.
+    // The pool is poisoned: new work is refused before it runs.
     assert!(matches!(
         durable.select_where(&oracle, &[p], None, &mut rng),
         Err(DurableError::Poisoned)
@@ -811,7 +807,7 @@ fn a_crash_during_recovery_recovers_on_the_next_open() {
         let run = drive_cut(&crashed, 23, config, crash);
         let reopen = |dir: &Path, fs: Arc<dyn StorageFs>| {
             common::copy_tree(&crashed.0, dir);
-            open_pool(dir, config, 1, fs)
+            open_pool(dir, config, fs)
         };
         let reopen_ops = clean_ops("recovery-ops", |dir, fs| {
             reopen(dir, fs.handle()).expect("a crashed directory reopens");
@@ -825,7 +821,7 @@ fn a_crash_during_recovery_recovers_on_the_next_open() {
             let dir = TmpDir::new("recovery-cut");
             drop(reopen(&dir.0, FaultFs::crash_at(real_fs(), cut).handle()));
             let pool = try_open(&dir, config).unwrap_or_else(|e| panic!("{tag}: {e}"));
-            run.assert_recovered(&pool_bytes(&pool).remove(0), &tag);
+            run.assert_recovered(&pool_bytes(&pool), &tag);
         }
     }
 }
@@ -900,8 +896,8 @@ fn empty_and_single_partition_kbs_roundtrip_through_wal_and_checkpoint() {
     let report = pool.reports()[0];
     assert!(report.checkpoint_loaded);
     assert_eq!(report.epoch, 1);
-    let kb0 = pool.shard_engine(0).knowledge(0).expect("indexed");
-    let kb1 = pool.shard_engine(0).knowledge(1).expect("indexed");
+    let kb0 = pool.engine().knowledge(0).expect("indexed");
+    let kb1 = pool.engine().knowledge(1).expect("indexed");
     kb0.check_invariants();
     kb1.check_invariants();
     assert_eq!(kb0.k(), 1, "solo partition must survive recovery");
@@ -970,9 +966,5 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
     };
     let pool = try_open(&dir, config).expect("reopen");
     assert!(pool.reports()[0].checkpoint_loaded);
-    assert_eq!(
-        kb_bytes(pool.shard_engine(0)),
-        live,
-        "fan-out grid diverged"
-    );
+    assert_eq!(kb_bytes(pool.engine()), live, "fan-out grid diverged");
 }

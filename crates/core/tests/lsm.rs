@@ -25,8 +25,8 @@
 mod common;
 
 use common::{
-    clean_ops, columns, copy_tree, cut_name, fixture, kb_bytes, reopen_pool, rotate_every,
-    select_lt, Pool, Sched, TmpDir,
+    clean_ops, columns, copy_tree, cut_name, fixture, kb_bytes, pool_bytes, reopen_pool,
+    rotate_every, select_lt, Pool, Sched, TmpDir,
 };
 use prkb_core::lsm::manifest::read_segment_manifest;
 use prkb_core::lsm::{
@@ -54,7 +54,7 @@ fn manual() -> EngineConfig {
     rotate_every(0)
 }
 
-/// A fresh one-shard pool under [`manual`] with attributes `0..attrs`
+/// A fresh pool under [`manual`] with attributes `0..attrs`
 /// initialized, behind the scheduler.
 fn create_manual(dir: &Path, fs: Arc<dyn StorageFs>, attrs: u32, n: usize) -> Sched {
     common::create_single(dir, manual(), fs, attrs, n).expect("open + init")
@@ -188,8 +188,8 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
         "every dirty partition must reach the segment in one flush"
     );
     drop(durable);
-    let pool = reopen_pool(&dir.0, config, 1).expect("reopen");
-    assert_eq!(kb_bytes(pool.shard_engine(0)), live);
+    let pool = reopen_pool(&dir.0, config).expect("reopen");
+    assert_eq!(kb_bytes(pool.engine()), live);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,30 +427,7 @@ fn served_images() -> Vec<Vec<u8>> {
 }
 
 fn open_pool(dir: &Path) -> Pool {
-    // Requesting one shard, where the parent wrote two: the files of the
-    // converted pool do not depend on the count.
-    common::open_pool(dir, EngineConfig::default(), 1, real_fs())
-        .expect("a parent-written pool opens")
-}
-
-/// Attribute-ordered images across every shard of the pool.
-fn pool_images(pool: &Pool) -> Vec<Vec<u8>> {
-    let mut images: Vec<(u32, Vec<u8>)> = (0..pool.map().shards())
-        .flat_map(|sid| {
-            let engine = pool.shard_engine(sid);
-            engine
-                .attrs()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(move |a| {
-                    let kb = engine.knowledge(a).expect("attr indexed");
-                    kb.check_invariants();
-                    (a, snapshot::save(kb))
-                })
-        })
-        .collect();
-    images.sort();
-    images.into_iter().map(|(_, bytes)| bytes).collect()
+    reopen_pool(dir, EngineConfig::default()).expect("a parent-written pool opens")
 }
 
 /// The first rotation of the converted pool, with every partition
@@ -514,7 +491,7 @@ fn parent_written_segmented_pool_opens_unchanged() {
         "converted: every per-shard file is gone"
     );
     assert_eq!(segment_version(&dir.0, 0), SEGMENT_VERSION);
-    assert_eq!(pool_images(&pool), served_images());
+    assert_eq!(pool_bytes(&pool), served_images());
     assert!(pool.scrub(false).is_clean());
     first_rotation_supersedes_segment_0(&dir.0, pool);
 }
@@ -541,19 +518,19 @@ fn parent_written_list_form_splits_recover_to_the_served_images() {
     copy_tree(&fixture("parent_wal_lists"), &dir.0);
     let pool = open_pool(&dir.0);
     assert_eq!(pool.reports()[0].records_replayed, 12);
-    assert_eq!(pool_images(&pool), served, "checked ascending on the way");
+    assert_eq!(pool_bytes(&pool), served, "checked ascending on the way");
     SessionScheduler::durable(pool)
         .checkpoint()
         .expect("rotates");
-    assert_eq!(pool_images(&open_pool(&dir.0)), served);
+    assert_eq!(pool_bytes(&open_pool(&dir.0)), served);
 }
 
 /// `pool_v2`: a pool written in the current layout by the commit that
 /// introduced it — one engine directory: segment 0 at epoch 1 holding four
 /// attributes of 48 tuples, then a WAL of five records (two splits, a
 /// delete and an insert that each hold all four attributes' entries, one
-/// more split). Under any requested shard count it opens to the
-/// `attr.<a>.snap` images beside it, and rewrites nothing.
+/// more split). It opens to the `attr.<a>.snap` images beside it, and
+/// rewrites nothing.
 #[test]
 fn current_layout_pool_opens_to_its_served_images() {
     let served: Vec<Vec<u8>> = (0..4)
@@ -561,25 +538,22 @@ fn current_layout_pool_opens_to_its_served_images() {
             std::fs::read(fixture("pool_v2").join(format!("attr.{a}.snap"))).expect("served image")
         })
         .collect();
-    for shards in [1, 2, 5] {
-        let dir = TmpDir::new("pool-v2");
-        copy_tree(&fixture("pool_v2"), &dir.0);
-        let bytes = |dir: &Path| -> Vec<(String, Vec<u8>)> {
-            (listing(dir).into_iter())
-                .map(|name| (name.clone(), std::fs::read(dir.join(&name)).expect("read")))
-                .collect()
-        };
-        let before = bytes(&dir.0);
-        let pool = common::open_pool(&dir.0, EngineConfig::default(), shards, real_fs())
-            .expect("the committed pool opens");
-        let [report] = pool.reports() else {
-            panic!("one report, for the one log")
-        };
-        let found = (report.epoch, report.segments_live, report.records_replayed);
-        assert_eq!(found, (1, 1, 5), "{shards} shards");
-        assert_eq!(pool_images(&pool), served, "{shards} shards");
-        assert_eq!(bytes(&dir.0), before, "{shards} shards: nothing rewritten");
-    }
+    let dir = TmpDir::new("pool-v2");
+    copy_tree(&fixture("pool_v2"), &dir.0);
+    let bytes = |dir: &Path| -> Vec<(String, Vec<u8>)> {
+        (listing(dir).into_iter())
+            .map(|name| (name.clone(), std::fs::read(dir.join(&name)).expect("read")))
+            .collect()
+    };
+    let before = bytes(&dir.0);
+    let pool = reopen_pool(&dir.0, EngineConfig::default()).expect("the committed pool opens");
+    let [report] = pool.reports() else {
+        panic!("one report, for the one log")
+    };
+    let found = (report.epoch, report.segments_live, report.records_replayed);
+    assert_eq!(found, (1, 1, 5));
+    assert_eq!(pool_bytes(&pool), served);
+    assert_eq!(bytes(&dir.0), before, "nothing rewritten");
 }
 
 /// A shard directory that holds a generation-1 `checkpoint.bin` — alone
@@ -610,7 +584,7 @@ fn generation_1_checkpoint_is_refused_and_left_untouched() {
         );
         let before = listing(&shard);
 
-        let err = reopen_pool(&dir.0, EngineConfig::default(), 2)
+        let err = reopen_pool(&dir.0, EngineConfig::default())
             .expect_err("a generation-1 directory must not open");
         assert!(
             matches!(err, DurableError::CorruptSegment(what) if what.contains("checkpoint.bin")

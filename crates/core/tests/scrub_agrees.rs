@@ -65,10 +65,10 @@ fn superseded_rot(f: &ScrubFinding) -> bool {
 }
 
 /// Scrubs the pool rooted at `root` over a logging filesystem — no
-/// mutating op, no byte changed — then opens it asking for `shards`, and
-/// checks that scrub reports a corruption (superseded rot aside) exactly
-/// when the open refuses. Returns the report and the open's error.
-fn agree(root: &Path, shards: usize, tag: &str) -> (ScrubReport, Option<DurableError>) {
+/// mutating op, no byte changed — then opens it, and checks that scrub
+/// reports a corruption (superseded rot aside) exactly when the open
+/// refuses. Returns the report and the open's error.
+fn agree(root: &Path, tag: &str) -> (ScrubReport, Option<DurableError>) {
     let before = tree(root);
     let fs = FaultFs::scripted(real_fs(), Vec::new());
     let report = scrub_dir::<Predicate>(fs.handle().as_ref(), root, false);
@@ -77,7 +77,7 @@ fn agree(root: &Path, shards: usize, tag: &str) -> (ScrubReport, Option<DurableE
         .collect();
     assert!(mutating.is_empty(), "{tag}: scrub issued {mutating:?}");
     assert_eq!(tree(root), before, "{tag}: scrub changed the directory");
-    let refused = reopen_pool(root, EngineConfig::default(), shards).err();
+    let refused = reopen_pool(root, EngineConfig::default()).err();
     let corrupt = (report.findings.iter()).any(|f| f.damage.is_corruption() && !superseded_rot(f));
     assert_eq!(
         corrupt,
@@ -104,7 +104,7 @@ fn finding<'a>(report: &'a ScrubReport, damage: ScrubDamage, path: &Path) -> &'a
 fn drive(dir: &Path, fs: Arc<dyn StorageFs>, rounds: u64) -> Result<(), DurableError> {
     let oracle = oracle();
     let mut rng = StdRng::seed_from_u64(11);
-    let mut pool = open_pool(dir, rotate_every(3), 2, fs)?;
+    let mut pool = open_pool(dir, rotate_every(3), fs)?;
     for a in 0..ATTRS {
         pool.init_attr(a, N)?;
     }
@@ -136,7 +136,7 @@ fn scrub_agrees_with_the_open_over_every_crash_survivor() {
         let dir = TmpDir::new("agree-crash");
         let crashed = drive(&dir.0, FaultFs::crash_at(real_fs(), cut).handle(), 12);
         assert!(crashed.is_err(), "{tag}: never fired");
-        let (report, refused) = agree(&dir.0, 2, &tag);
+        let (report, refused) = agree(&dir.0, &tag);
         assert!(refused.is_none(), "{tag}: a crash survivor opens");
         assert!(!report.has_corruption(), "{tag}: {}", report.to_json());
     }
@@ -147,7 +147,7 @@ fn scrub_agrees_with_the_open_after_seeded_io_faults() {
     for seed in 1..=8u64 {
         let dir = TmpDir::new("agree-seeded");
         let _ = drive(&dir.0, FaultFs::seeded(real_fs(), seed).handle(), 12);
-        let (_, refused) = agree(&dir.0, 2, &format!("seed {seed}"));
+        let (_, refused) = agree(&dir.0, &format!("seed {seed}"));
         assert!(
             refused.is_none(),
             "seed {seed}: a faulted run's directory opens"
@@ -187,27 +187,27 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
     let mut bytes = std::fs::read(&wal).expect("read");
     bytes.extend_from_slice(&[0xAB; 5]);
     std::fs::write(&wal, bytes).expect("tear");
-    let (report, refused) = agree(&dir.0, 2, "torn tail");
+    let (report, refused) = agree(&dir.0, "torn tail");
     assert!(refused.is_none());
     finding(&report, ScrubDamage::TornTail, &wal);
 
     // A flipped byte inside the WAL's first record, valid records after it.
     let dir = TmpDir::new("agree-midlog");
-    let mut pool = open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("opens");
+    let mut pool = open_pool(&dir.0, rotate_every(0), real_fs()).expect("opens");
     for a in 0..3 {
         pool.init_attr(a, N).expect("init");
     }
     drop(pool);
     let wal = dir.0.join("wal.0.log");
     flip(&wal, 8 + 8 + 2);
-    let (report, refused) = agree(&dir.0, 1, "mid-log flip");
+    let (report, refused) = agree(&dir.0, "mid-log flip");
     assert!(refused.is_some());
     finding(&report, ScrubDamage::MidLogCorruption, &wal);
 
     // A generation-1 checkpoint beside the shard's files.
     let (dir, shard, _, _) = clean_pool("agree-gen1");
     std::fs::write(shard.join("checkpoint.bin"), b"PCKP\x01\x00 old").expect("plant");
-    let (report, _) = agree(&dir.0, 2, "checkpoint.bin");
+    let (report, _) = agree(&dir.0, "checkpoint.bin");
     finding(
         &report,
         ScrubDamage::Unreadable,
@@ -217,7 +217,7 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
     // A rotted segment manifest.
     let (dir, shard, _, _) = clean_pool("agree-segment-manifest");
     flip(&shard.join(SEGMENT_MANIFEST_FILE), 6);
-    let (report, _) = agree(&dir.0, 2, "segment manifest");
+    let (report, _) = agree(&dir.0, "segment manifest");
     finding(
         &report,
         ScrubDamage::ManifestMismatch,
@@ -228,7 +228,7 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
     let dir = TmpDir::new("agree-pool-manifest");
     copy_tree(&fixture("parent_pool_seg"), &dir.0);
     flip(&dir.0.join("manifest.bin"), 6);
-    let (report, _) = agree(&dir.0, 2, "pool manifest");
+    let (report, _) = agree(&dir.0, "pool manifest");
     finding(
         &report,
         ScrubDamage::ManifestMismatch,
@@ -238,14 +238,14 @@ fn scrub_agrees_with_the_open_over_deliberate_damage() {
     // A live segment removed: the manifest names a file that is not there.
     let (dir, _, _, segments) = clean_pool("agree-missing");
     std::fs::remove_file(&segments[0]).expect("remove");
-    let (report, _) = agree(&dir.0, 2, "missing segment");
+    let (report, _) = agree(&dir.0, "missing segment");
     finding(&report, ScrubDamage::ManifestMismatch, &segments[0]);
 
     // A segment cut short.
     let (dir, _, _, segments) = clean_pool("agree-torn-segment");
     let bytes = std::fs::read(&segments[0]).expect("read");
     std::fs::write(&segments[0], &bytes[..bytes.len() - 9]).expect("cut");
-    let (report, _) = agree(&dir.0, 2, "torn segment");
+    let (report, _) = agree(&dir.0, "torn segment");
     finding(&report, ScrubDamage::TornSegment, &segments[0]);
 }
 
@@ -258,7 +258,7 @@ fn scrub_checks_superseded_blocks_the_open_does_not_read() {
         let dir = TmpDir::new(tag);
         let oracle = oracle();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut pool = open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("opens");
+        let mut pool = open_pool(&dir.0, rotate_every(0), real_fs()).expect("opens");
         for a in 0..2 {
             pool.init_attr(a, N).expect("init");
         }
@@ -282,7 +282,7 @@ fn scrub_checks_superseded_blocks_the_open_does_not_read() {
     let (dir, old, _) = build("agree-superseded");
     let block = old.index.iter().find(|e| e.attr == 1).expect("attribute 1");
     flip(&old.path, block.offset as usize + 3);
-    let (report, refused) = agree(&dir.0, 1, "superseded block");
+    let (report, refused) = agree(&dir.0, "superseded block");
     assert!(refused.is_none(), "the open does not read the block");
     let rot = finding(&report, ScrubDamage::SegmentRot, &old.path);
     assert!(superseded_rot(rot), "{}", rot.detail);
@@ -292,18 +292,18 @@ fn scrub_checks_superseded_blocks_the_open_does_not_read() {
 
     let (dir, _, new) = build("agree-newest");
     flip(&new.path, new.index[0].offset as usize + 3);
-    let (report, refused) = agree(&dir.0, 1, "newest block");
+    let (report, refused) = agree(&dir.0, "newest block");
     assert!(refused.is_some());
     let rot = finding(&report, ScrubDamage::SegmentRot, &new.path);
     assert!(!superseded_rot(rot), "{}", rot.detail);
 }
 
-/// A one-shard pool whose attribute 1 is one partition of tuples `0..8`,
+/// A pool whose attribute 1 is one partition of tuples `0..8`,
 /// with `payload` appended to its WAL as one CRC-valid record. Returns the
 /// directory, the WAL and the new record's index.
 fn with_record(tag: &str, payload: &[u8]) -> (TmpDir, PathBuf, u64) {
     let dir = TmpDir::new(tag);
-    let mut pool = open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("opens");
+    let mut pool = open_pool(&dir.0, rotate_every(0), real_fs()).expect("opens");
     pool.init_attr(1, 8).expect("init");
     drop(pool);
     let path = dir.0.join("wal.0.log");
@@ -339,7 +339,7 @@ fn scrub_agrees_with_the_open_over_records_that_do_not_fit() {
     ];
     for (what, payload) in cases {
         let (dir, wal, index) = with_record("agree-misfit", &payload);
-        let (report, refused) = agree(&dir.0, 1, what);
+        let (report, refused) = agree(&dir.0, what);
         assert!(
             matches!(refused, Some(DurableError::CorruptWal(_))),
             "{what}"
@@ -357,7 +357,7 @@ fn scrub_agrees_with_the_open_over_records_that_do_not_fit() {
 #[test]
 fn scrub_agrees_with_the_open_over_a_block_that_is_not_a_snapshot() {
     let dir = TmpDir::new("agree-not-snapshot");
-    drop(open_pool(&dir.0, rotate_every(0), 1, real_fs()).expect("creates"));
+    drop(open_pool(&dir.0, rotate_every(0), real_fs()).expect("creates"));
     let shard = dir.0.clone();
     let golden: &[u8] = include_bytes!("fixtures/segment_v2.bin");
     std::fs::write(shard.join(segment_file_name(7)), golden).expect("plant");
@@ -371,7 +371,7 @@ fn scrub_agrees_with_the_open_over_a_block_that_is_not_a_snapshot() {
     .concat();
     let manifest = seal(b"PSGM", 1, &body);
     publish(real_fs().as_ref(), &shard, SEGMENT_MANIFEST_FILE, &manifest).expect("publish");
-    let (report, refused) = agree(&dir.0, 1, "not a snapshot");
+    let (report, refused) = agree(&dir.0, "not a snapshot");
     assert!(matches!(refused, Some(DurableError::CorruptSegment(_))));
     let f = finding(
         &report,
@@ -402,7 +402,7 @@ fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
     let dir = parent("agree-no-manifest");
     let manifest = dir.0.join("manifest.bin");
     std::fs::remove_file(&manifest).expect("remove");
-    let (report, refused) = agree(&dir.0, 1, "no manifest");
+    let (report, refused) = agree(&dir.0, "no manifest");
     assert!(matches!(refused, Some(DurableError::CorruptManifest(_))));
     let f = finding(&report, ScrubDamage::ManifestMismatch, &manifest);
     assert!(f.detail.contains("shard.0, shard.1"), "{}", f.detail);
@@ -412,7 +412,7 @@ fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
     // A directory past the declared count.
     let dir = parent("agree-extra-shard");
     std::fs::create_dir(dir.shard(5)).expect("mkdir");
-    let (report, refused) = agree(&dir.0, 2, "extra shard");
+    let (report, refused) = agree(&dir.0, "extra shard");
     assert!(matches!(refused, Some(DurableError::CorruptManifest(_))));
     let f = finding(
         &report,
@@ -424,7 +424,7 @@ fn scrub_agrees_with_the_open_over_unaccounted_shard_directories() {
     // Fewer directories than declared.
     let dir = parent("agree-fewer");
     std::fs::remove_dir_all(dir.shard(1)).expect("remove");
-    let (report, refused) = agree(&dir.0, 4, "fewer shards");
+    let (report, refused) = agree(&dir.0, "fewer shards");
     assert!(
         refused.is_none() && report.is_clean(),
         "{}",
@@ -448,7 +448,7 @@ fn an_open_reads_each_wal_once() {
     copy_tree(&fixture("parent_pool_seg"), &previous.0);
     for (dir, wals) in [(&dir, 1), (&previous, 2)] {
         let fs = FaultFs::scripted(real_fs(), Vec::new());
-        drop(open_pool(&dir.0, rotate_every(3), 2, fs.handle()).expect("opens"));
+        drop(open_pool(&dir.0, rotate_every(3), fs.handle()).expect("opens"));
         let mut reads: Vec<PathBuf> = (fs.log().into_iter())
             .filter(|(op, path)| *op == IoOp::Read && path.extension().is_some_and(|e| e == "log"))
             .map(|(_, path)| path)

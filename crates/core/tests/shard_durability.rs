@@ -1,21 +1,20 @@
-//! Durability properties of the sharded engine pool (DESIGN.md §8), every
-//! commit made through its `SessionScheduler`. A pool is one engine
-//! directory with one log, whatever its shard count.
+//! Durability properties of the engine pool under concurrent, multi-
+//! attribute commits (DESIGN.md §8), every commit made through its
+//! `SessionScheduler`. A pool is one engine directory with one log.
 //!
 //! Pinned guarantees:
 //!
 //! 1. **Pool replay equivalence** — for a crash at any storage op (the
 //!    group flush's first append included), reopening the pool recovers a
-//!    state that validates and is byte-identical, across all its shards at
-//!    once, to a prefix of the *pool's* commit order containing every
+//!    state that validates and is byte-identical, across all its attributes
+//!    at once, to a prefix of the *pool's* commit order containing every
 //!    acknowledged insert, delete and init (the single in-flight operation
 //!    at most on top); a clean shutdown recovers the whole order. So a
 //!    recovered insert or delete is on every attribute or on none.
-//! 2. **One log, any shard count** — a reopen under any requested count
-//!    serves every attribute from the one log, and a corrupt root segment
-//!    manifest refuses to open.
-//! 3. **Group commit under concurrency** — concurrent writers on a
-//!    four-shard pool are all acknowledged, and after the drain the pool's
+//! 2. **One log** — every reopen serves every attribute from the one log,
+//!    and a corrupt root segment manifest refuses to open.
+//! 3. **Group commit under concurrency** — concurrent writers on one
+//!    pool are all acknowledged, and after the drain the pool's
 //!    WAL holds exactly one record per committed operation that refined;
 //!    an insert or a delete costs exactly one fsync, and so does the select
 //!    that fills the un-synced tail.
@@ -37,7 +36,7 @@ use common::{
 };
 use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::scrub_dir;
-use prkb_core::{snapshot, DurableError, EngineConfig};
+use prkb_core::{DurableError, EngineConfig};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, ComparisonOp, Predicate, StorageFs};
 use prkb_sim::{FaultFs, IoOp};
@@ -72,10 +71,10 @@ fn oracle_with_uploads(extra: usize) -> (PlainOracle, Vec<u32>) {
 /// BETWEENs, periodic whole-table inserts and deletes, policy-driven
 /// checkpoints) through the scheduler of a pool on `fs`, stopping at the
 /// first durability error (a failed open included).
-fn drive_pool(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, shards: usize) -> Run {
+fn drive_pool(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>) -> Run {
     let (oracle, uploads) = oracle_with_uploads(4);
-    let Ok(pool) = open_pool(dir, config, shards, fs) else {
-        return common::crashed_open(shards);
+    let Ok(pool) = open_pool(dir, config, fs) else {
+        return common::crashed_open();
     };
     common::drive(pool, ATTRS, N, |sched, ack| {
         for round in 0..24u64 {
@@ -108,13 +107,8 @@ fn drive_pool(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>, shards: 
 
 /// Reopens the pool on the real filesystem; every knowledge base must
 /// validate.
-fn recover_pool(
-    dir: &TmpDir,
-    config: EngineConfig,
-    requested: usize,
-    tag: &str,
-) -> Vec<Vec<Vec<u8>>> {
-    let pool = reopen_pool(&dir.0, config, requested)
+fn recover_pool(dir: &TmpDir, config: EngineConfig, tag: &str) -> Vec<Vec<u8>> {
+    let pool = reopen_pool(&dir.0, config)
         .unwrap_or_else(|e| panic!("{tag}: recovery must open after a crash: {e}"));
     pool_bytes(&pool)
 }
@@ -123,48 +117,46 @@ fn recover_pool(
 // 1. Pool replay equivalence across every crash point
 // ---------------------------------------------------------------------------
 
-/// Pools of 1, 4 and 8 shards rotating every four records, and a pool of
-/// 4 rotating every five, each crashed at the 1st, 2nd and 5th op of every
-/// (class, file kind) of its own clean run, pool creation included: a
-/// crash — in the WAL, the segment flush, the manifest swap or the segment
-/// retirement — recovers one prefix of the pool's commit order, the same
-/// on every shard, so an insert or a delete is on all its attributes or on
-/// none. (The one-shard workload of `durability.rs` is crashed at every
-/// op.)
+/// A pool rotating every four records and one rotating every five, each
+/// crashed at the 1st, 2nd and 5th op of every (class, file kind) of its
+/// own clean run, pool creation included: a crash — in the WAL, the
+/// segment flush, the manifest swap or the segment retirement — recovers
+/// one prefix of the pool's commit order, the same on every attribute, so
+/// an insert or a delete is on all its attributes or on none. (The
+/// one-attribute workload of `durability.rs` is crashed at every op.)
 #[test]
 fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
-    for (shards, rotate) in [(1usize, 4), (4, 4), (8, 4), (4, 5)] {
+    for rotate in [4, 5] {
         let config = rotate_every(rotate);
         let ops = clean_ops("sweep-ops", |dir, fs| {
-            assert!(!drive_pool(dir, config, fs.handle(), shards).failed);
+            assert!(!drive_pool(dir, config, fs.handle()).failed);
         });
         for cut in grouped_cuts(&ops, &[1, 2, 5]) {
             let dir = TmpDir::new("sweep");
             let fs = FaultFs::crash_at(real_fs(), cut).handle();
-            let run = drive_pool(&dir.0, config, fs, shards);
-            let tag = format!("{shards} shards / {rotate}, {}", cut_name(&ops, cut));
+            let run = drive_pool(&dir.0, config, fs);
+            let tag = format!("rotate every {rotate}, {}", cut_name(&ops, cut));
             // The survivor opens, so scrub finds no corruption in it.
             let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
             assert!(!report.has_corruption(), "{tag}: {}", report.to_json());
-            let recovered = recover_pool(&dir, config, shards, &tag);
+            let recovered = recover_pool(&dir, config, &tag);
             assert_recovered(&run, &recovered, &tag);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// 2. One log, any shard count
+// 2. One log
 // ---------------------------------------------------------------------------
 
-/// The files do not depend on the shard count: a reopen under any
-/// requested count serves every attribute from the one log (the map only
-/// stripes the locks), and a corrupt root segment manifest still refuses.
+/// Every reopen serves every attribute from the root segment manifest and
+/// the one log, and a corrupt root segment manifest refuses.
 #[test]
 fn manifest_pins_shard_count_across_reopens() {
     let dir = TmpDir::new("manifest");
     let config = EngineConfig::default();
     let live = {
-        let mut pool = reopen_pool(&dir.0, config, 4).expect("create");
+        let mut pool = reopen_pool(&dir.0, config).expect("create");
         for a in 0..ATTRS {
             pool.init_attr(a, N).expect("init");
         }
@@ -173,14 +165,15 @@ fn manifest_pins_shard_count_across_reopens() {
         sched.delete(7, None).expect("a fact in the log");
         sched.inspect(kb_bytes)
     };
-    for requested in [1, 4, 7] {
-        let pool = reopen_pool(&dir.0, config, requested).expect("reopen");
-        assert_eq!(pool.map().shards(), requested, "the requested count wins");
-        let recovered_attrs: usize = (0..requested)
-            .map(|s| pool.shard_engine(s).attrs().count())
-            .sum();
+    for reopen in 0..2 {
+        let pool = reopen_pool(&dir.0, config).expect("reopen");
+        let recovered_attrs = pool.engine().attrs().count();
         assert_eq!(recovered_attrs, ATTRS as usize, "every attribute recovered");
-        assert_eq!(Sched::durable(pool).inspect(kb_bytes), live, "{requested}");
+        assert_eq!(
+            Sched::durable(pool).inspect(kb_bytes),
+            live,
+            "reopen {reopen}"
+        );
     }
 
     // A corrupt manifest must refuse to open.
@@ -188,7 +181,7 @@ fn manifest_pins_shard_count_across_reopens() {
     let mut bytes = std::fs::read(&path).expect("manifest exists");
     bytes[6] ^= 0xFF;
     std::fs::write(&path, &bytes).expect("corrupt");
-    let err = reopen_pool(&dir.0, config, 4).expect_err("corrupt manifest must not open");
+    let err = reopen_pool(&dir.0, config).expect_err("corrupt manifest must not open");
     assert!(
         matches!(err, DurableError::CorruptSegment(_)),
         "got {err:?}"
@@ -201,14 +194,13 @@ fn manifest_pins_shard_count_across_reopens() {
 
 #[test]
 fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
-    const SHARDS: usize = 4;
     let dir = TmpDir::new("writers");
     let config = EngineConfig {
         group_commit_records: 8,
         ..rotate_every(0)
     };
     let oracle = Arc::new(oracle());
-    let mut pool = open_pool(&dir.0, config, SHARDS, real_fs()).expect("create");
+    let mut pool = open_pool(&dir.0, config, real_fs()).expect("create");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("init");
     }
@@ -246,7 +238,7 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
     let live = sched.inspect(kb_bytes);
     drop(sched);
 
-    let pool = reopen_pool(&dir.0, config, SHARDS).expect("reopen");
+    let pool = reopen_pool(&dir.0, config).expect("reopen");
     let refined = refined.load(std::sync::atomic::Ordering::Relaxed);
     assert!(refined > 8, "the writers must fill the tail at least once");
     let [report] = pool.reports() else {
@@ -264,10 +256,10 @@ fn concurrent_writers_all_get_durable_acks_and_one_record_per_commit() {
     );
 }
 
-/// The fsyncs an operation pays on a four-shard pool, counted through the
-/// storage seam: an insert or a delete — a footprint of every attribute,
-/// on every shard — pays exactly one, and so does the select whose record
-/// fills the un-synced tail; the selects before it pay none.
+/// The fsyncs an operation pays, counted through the storage seam: an
+/// insert or a delete — a footprint of every attribute — pays exactly one,
+/// and so does the select whose record fills the un-synced tail; the
+/// selects before it pay none.
 #[test]
 fn a_fact_costs_one_fsync_however_many_shards_it_spans() {
     let dir = TmpDir::new("one-fsync");
@@ -277,13 +269,7 @@ fn a_fact_costs_one_fsync_however_many_shards_it_spans() {
     };
     let (oracle, uploads) = oracle_with_uploads(1);
     let fs = FaultFs::scripted(real_fs(), Vec::new());
-    let mut pool = open_pool(&dir.0, config, 4, fs.handle()).expect("create");
-    let map = pool.map();
-    let spanned: std::collections::BTreeSet<usize> = (0..ATTRS).map(|a| map.shard_of(a)).collect();
-    assert!(
-        spanned.len() >= 3,
-        "the footprint spans shards: {spanned:?}"
-    );
+    let mut pool = open_pool(&dir.0, config, fs.handle()).expect("create");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("init");
     }
@@ -332,7 +318,7 @@ fn a_fact_costs_one_fsync_however_many_shards_it_spans() {
 // 4. A crashed drain
 // ---------------------------------------------------------------------------
 
-/// Two refinements on different shards are acknowledged without waiting —
+/// Two refinements on different attributes are acknowledged without waiting —
 /// the deferred tail — and the shutdown drain that flushes them crashes at
 /// its first append: the recovered pool is exactly the acknowledged inits.
 /// No fact is missing, and the refinements are lost, not mangled.
@@ -347,13 +333,11 @@ fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
     // Returns the state after the inits, the op index where the drain
     // starts, and whether the drain failed.
     let script = |dir: &Path, fs: &FaultFs| {
-        let mut pool = open_pool(dir, config, 2, fs.handle()).expect("open");
+        let mut pool = open_pool(dir, config, fs.handle()).expect("open");
         for a in 0..ATTRS {
             pool.init_attr(a, N).expect("inits are acknowledged");
         }
         let post_init = pool_bytes(&pool);
-        let map = pool.map();
-        assert_ne!(map.shard_of(0), map.shard_of(1), "two shards refine");
         let sched = common::Sched::durable(pool);
         let mut rng = StdRng::seed_from_u64(9);
         for attr in [0u32, 1] {
@@ -381,7 +365,7 @@ fn drain_crash_at_flush_boundary_loses_only_unacked_records() {
     let (post_init, _, failed) = script(&dir.0, &FaultFs::crash_at(real_fs(), cut));
     assert!(failed, "the crashed drain reports the failure");
     assert_eq!(
-        recover_pool(&dir, config, 2, "drain"),
+        recover_pool(&dir, config, "drain"),
         post_init,
         "a crash at the drain recovers the prefix up to the last fact"
     );
@@ -421,23 +405,10 @@ fn conversion_crash_sweep_recovers_the_parent_images_at_every_op() {
     let served: Vec<Vec<u8>> = (0..4)
         .map(|a| std::fs::read(parent.join(format!("attr.{a}.snap"))).expect("served image"))
         .collect();
-    let images = |pool: &common::Pool| -> Vec<Vec<u8>> {
-        let mut images: Vec<(u32, Vec<u8>)> = (0..pool.map().shards())
-            .flat_map(|sid| {
-                let engine = pool.shard_engine(sid);
-                let attrs: Vec<u32> = engine.attrs().collect();
-                attrs
-                    .into_iter()
-                    .map(move |a| (a, snapshot::save(engine.knowledge(a).expect("indexed"))))
-            })
-            .collect();
-        images.sort();
-        images.into_iter().map(|(_, bytes)| bytes).collect()
-    };
     let config = EngineConfig::default();
     let ops = clean_ops("convert-ops", |dir, fs| {
         copy_tree(&parent, dir);
-        open_pool(dir, config, 2, fs.handle()).expect("converts");
+        open_pool(dir, config, fs.handle()).expect("converts");
     });
     let mut before_manifest = 0;
     for cut in 0..ops.len() {
@@ -445,12 +416,7 @@ fn conversion_crash_sweep_recovers_the_parent_images_at_every_op() {
         let dir = TmpDir::new("convert-cut");
         copy_tree(&parent, &dir.0);
         let previous = tree(&dir.0);
-        let crashed = open_pool(
-            &dir.0,
-            config,
-            2,
-            FaultFs::crash_at(real_fs(), cut).handle(),
-        );
+        let crashed = open_pool(&dir.0, config, FaultFs::crash_at(real_fs(), cut).handle());
         assert!(crashed.is_err(), "{tag}: never fired");
         if !dir.0.join(SEGMENT_MANIFEST_FILE).exists() {
             // Before the commit point: the previous layout is untouched,
@@ -464,9 +430,9 @@ fn conversion_crash_sweep_recovers_the_parent_images_at_every_op() {
         }
         let report = scrub_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
         assert!(!report.has_corruption(), "{tag}: {}", report.to_json());
-        let pool = reopen_pool(&dir.0, config, 2)
+        let pool = reopen_pool(&dir.0, config)
             .unwrap_or_else(|e| panic!("{tag}: a crashed conversion reopens: {e}"));
-        assert_eq!(images(&pool), served, "{tag}");
+        assert_eq!(pool_bytes(&pool), served, "{tag}");
         assert!(!dir.0.join("manifest.bin").exists(), "{tag}: converted");
     }
     assert!(

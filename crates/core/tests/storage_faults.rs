@@ -25,7 +25,7 @@
 //!    reports no corruption, and as residue exactly the files the reopen
 //!    removes.
 //! 5. **Blast radius** — the pool has one log, so poison is pool-wide: a
-//!    failed fsync rejects new commits on every shard with `SyncFailed`.
+//!    failed fsync rejects new commits on every attribute with `SyncFailed`.
 
 mod common;
 
@@ -35,7 +35,7 @@ use common::{
 };
 use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::{scrub_dir, ScrubDamage, QUARANTINE_DIR};
-use prkb_core::{DurableError, EngineConfig, SessionScheduler, ShardMap};
+use prkb_core::{DurableError, EngineConfig, SessionScheduler};
 use prkb_edbms::durability::{DurabilityError, WAL_HEADER_LEN};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{real_fs, StorageFs};
@@ -58,19 +58,18 @@ fn oracle() -> PlainOracle {
     common::oracle(ATTRS as usize, N, 0xFA_11)
 }
 
-/// A fresh one-shard pool with every attribute initialized, behind the
-/// scheduler.
+/// A fresh pool with every attribute initialized, behind the scheduler.
 fn create(dir: &Path, config: EngineConfig, fs: Arc<dyn StorageFs>) -> Sched {
     common::create_single(dir, config, fs, ATTRS, N).expect("open + init")
 }
 
 /// Drives a deterministic select/BETWEEN/delete workload through the
-/// scheduler of a one-shard pool opened over `fs`, stopping cleanly at the
+/// scheduler of a pool opened over `fs`, stopping cleanly at the
 /// first storage error. `None` when the fault killed the open itself (a
 /// clean error — nothing was acknowledged).
 fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
     let oracle = oracle();
-    let pool = open_pool(dir, rotate_every(4), 1, fs).ok()?;
+    let pool = open_pool(dir, rotate_every(4), fs).ok()?;
     Some(common::drive(pool, ATTRS, N, |durable, ack| {
         for round in 0..20u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
@@ -95,9 +94,9 @@ fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
 
 /// Reopens over the real filesystem; recovery must validate.
 fn recover_engine(dir: &Path, config: EngineConfig) -> Vec<Vec<u8>> {
-    let pool = reopen_pool(dir, config, 1)
+    let pool = reopen_pool(dir, config)
         .expect("recovery over the real fs must open after an injected fault");
-    pool_bytes(&pool).remove(0)
+    pool_bytes(&pool)
 }
 
 fn no_stray_tmp(dir: &Path) {
@@ -137,7 +136,7 @@ fn seeded_fault_sweep_engine_never_loses_a_durable_ack() {
         let dir = TmpDir::new("sweep-engine");
         let faults = FaultFs::seeded(real_fs(), seed);
         let run = drive_engine(&dir.0, faults.handle());
-        let recovered = recover_pool(&dir.0, 1);
+        let recovered = recover_pool(&dir.0);
         match run {
             // The fault killed the open; nothing was ever acknowledged, so
             // an empty recovery is the only acceptable state.
@@ -152,12 +151,12 @@ fn seeded_fault_sweep_engine_never_loses_a_durable_ack() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Seeded fault sweep: sharded group-commit path
+// 2. Seeded fault sweep: group-commit path
 // ---------------------------------------------------------------------------
 
-fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> {
+fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>) -> Option<Run> {
     let oracle = oracle();
-    let pool = open_pool(dir, rotate_every(4), shards, fs).ok()?;
+    let pool = open_pool(dir, rotate_every(4), fs).ok()?;
     Some(common::drive(pool, ATTRS, N, |sched, ack| {
         for round in 0..16u64 {
             let attr = (round % u64::from(ATTRS)) as u32;
@@ -171,9 +170,8 @@ fn drive_pool(dir: &Path, fs: Arc<dyn StorageFs>, shards: usize) -> Option<Run> 
     }))
 }
 
-fn recover_pool(dir: &Path, shards: usize) -> Vec<Vec<Vec<u8>>> {
-    let pool =
-        reopen_pool(dir, rotate_every(4), shards).expect("recovery over the real fs must open");
+fn recover_pool(dir: &Path) -> Vec<Vec<u8>> {
+    let pool = reopen_pool(dir, rotate_every(4)).expect("recovery over the real fs must open");
     pool_bytes(&pool)
 }
 
@@ -181,24 +179,22 @@ fn recover_pool(dir: &Path, shards: usize) -> Vec<Vec<Vec<u8>>> {
 /// pins plain replay equivalence.
 #[test]
 fn seeded_fault_sweep_pool_never_loses_a_durable_ack() {
-    for shards in [2usize, 8] {
-        for seed in 0..=10u64 {
-            let dir = TmpDir::new("sweep-pool");
-            let faults = match seed {
-                0 => FaultFs::scripted(real_fs(), Vec::new()),
-                _ => FaultFs::seeded(real_fs(), seed),
-            };
-            let run = drive_pool(&dir.0, faults.handle(), shards);
-            let recovered = recover_pool(&dir.0, shards);
-            // A fault at pool creation is a clean error: nothing acknowledged.
-            if let Some(run) = &run {
-                assert_recovered(run, &recovered, &format!("{shards} shards, seed {seed}"));
-            }
-            if seed == 0 {
-                assert!(run.is_some_and(|run| !run.failed), "nothing was injected");
-            }
-            no_stray_tmp(&dir.0);
+    for seed in 0..=10u64 {
+        let dir = TmpDir::new("sweep-pool");
+        let faults = match seed {
+            0 => FaultFs::scripted(real_fs(), Vec::new()),
+            _ => FaultFs::seeded(real_fs(), seed),
+        };
+        let run = drive_pool(&dir.0, faults.handle());
+        let recovered = recover_pool(&dir.0);
+        // A fault at pool creation is a clean error: nothing acknowledged.
+        if let Some(run) = &run {
+            assert_recovered(run, &recovered, &format!("seed {seed}"));
         }
+        if seed == 0 {
+            assert!(run.is_some_and(|run| !run.failed), "nothing was injected");
+        }
+        no_stray_tmp(&dir.0);
     }
 }
 
@@ -267,7 +263,7 @@ fn failed_wal_sync_poisons_engine_and_every_later_commit_says_sync_failed() {
 #[test]
 fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     let dir = TmpDir::new("enospc");
-    let shard = dir.0.clone();
+    let root = dir.0.clone();
     let oracle = oracle();
     let config = rotate_every(0);
     // Phase 1: a clean first checkpoint over the real fs.
@@ -280,7 +276,7 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     let checkpoint_files = ["segments.manifest", "segment.0.seg"];
     let old_checkpoint: Vec<Vec<u8>> = checkpoint_files
         .iter()
-        .map(|f| std::fs::read(shard.join(f)).expect("checkpoint exists"))
+        .map(|f| std::fs::read(root.join(f)).expect("checkpoint exists"))
         .collect();
 
     // Phase 2: reopen over a disk that fills up exactly when the *next*
@@ -312,13 +308,13 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     // The previous checkpoint + WAL must be byte-identical and still live…
     for (f, old) in checkpoint_files.iter().zip(&old_checkpoint) {
         assert_eq!(
-            &std::fs::read(shard.join(f)).expect("still there"),
+            &std::fs::read(root.join(f)).expect("still there"),
             old,
             "aborted rotation must leave {f} untouched"
         );
     }
     assert!(
-        !shard.join("segment.1.seg").exists(),
+        !root.join("segment.1.seg").exists(),
         "the aborted segment must never be published"
     );
     // …recovery must be exactly the committed prefix…
@@ -331,27 +327,25 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
 /// Every barrier of a pool creation is load-bearing, and a failed one is
 /// `SyncFailed` (the disk lied), not a plain I/O error: the fresh
 /// `wal.0.log`'s fsync, then the root's directory fsync for its entry.
-/// There is no second directory fsync, whatever the shard count.
+/// There is no second directory fsync.
 #[test]
 fn failed_pool_creation_sync_is_sync_failed() {
-    for shards in [1, 4] {
-        let barriers = [(IoOp::SyncAll, Some("wal.0.log"), 1)]
-            .into_iter()
-            .chain((1..=2).map(|nth| (IoOp::SyncDir, None, nth)));
-        for (op, path, nth) in barriers {
-            let dir = TmpDir::new("creation-sync");
-            let faults = eio_on(op, path, nth);
-            let config = EngineConfig::default();
-            let created = open_pool(&dir.0, config, shards, faults.handle());
-            if op == IoOp::SyncDir && nth == 2 {
-                created.expect("a creation fsyncs one directory");
-            } else {
-                assert!(
-                    is_sync_failed(&created),
-                    "{shards} shards, {op:?} {nth}: {:?}",
-                    created.err()
-                );
-            }
+    let barriers = [(IoOp::SyncAll, Some("wal.0.log"), 1)]
+        .into_iter()
+        .chain((1..=2).map(|nth| (IoOp::SyncDir, None, nth)));
+    for (op, path, nth) in barriers {
+        let dir = TmpDir::new("creation-sync");
+        let faults = eio_on(op, path, nth);
+        let config = EngineConfig::default();
+        let created = open_pool(&dir.0, config, faults.handle());
+        if op == IoOp::SyncDir && nth == 2 {
+            created.expect("a creation fsyncs one directory");
+        } else {
+            assert!(
+                is_sync_failed(&created),
+                "{op:?} {nth}: {:?}",
+                created.err()
+            );
         }
     }
 }
@@ -380,7 +374,7 @@ fn failed_wal_directory_fsync_poisons_the_rotation() {
 // 5. Scrub verdicts over deliberately rotted artifacts
 // ---------------------------------------------------------------------------
 
-/// Builds a real engine directory — `dir.0` of a one-shard pool —
+/// Builds a real engine directory — `dir.0` of a pool —
 /// with a non-trivial checkpoint (one segment behind the manifest) and a
 /// WAL holding several frames, returning its committed byte state.
 fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
@@ -398,7 +392,7 @@ fn build_engine_dir(dir: &TmpDir) -> Vec<Vec<u8>> {
 
 /// Opens `dir` as recovery would: the default config over the real fs.
 fn try_open(dir: &TmpDir) -> Result<common::Pool, DurableError> {
-    reopen_pool(&dir.0, EngineConfig::default(), 1)
+    reopen_pool(&dir.0, EngineConfig::default())
 }
 
 fn wal_path(dir: &Path) -> PathBuf {
@@ -527,18 +521,18 @@ fn scrub_reports_generation_1_checkpoint_unreadable_and_leaves_it() {
 fn lost_segment_manifest_refuses_to_open_and_keeps_the_data() {
     let dir = TmpDir::new("scrub-lost-manifest");
     build_engine_dir(&dir);
-    let shard = dir.0.clone();
-    let manifest = shard.join(SEGMENT_MANIFEST_FILE);
+    let root = dir.0.clone();
+    let manifest = root.join(SEGMENT_MANIFEST_FILE);
     let mut bytes = std::fs::read(&manifest).expect("read");
     bytes[6] ^= 0xFF;
     std::fs::write(&manifest, &bytes).expect("rot");
     let data = ["segment.0.seg", "wal.1.log"];
     let before: Vec<Vec<u8>> = data
         .iter()
-        .map(|f| std::fs::read(shard.join(f)).expect("written by the run"))
+        .map(|f| std::fs::read(root.join(f)).expect("written by the run"))
         .collect();
 
-    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, true);
+    let report = scrub_dir::<Predicate>(real_fs().as_ref(), &root, true);
     let moved: Vec<&Path> = report
         .findings
         .iter()
@@ -554,18 +548,18 @@ fn lost_segment_manifest_refuses_to_open_and_keeps_the_data() {
     );
     // Now the WAL is refused and the segment unlisted: residue of a
     // directory no reopen sweeps, so it stays where it is.
-    let again = scrub_dir::<Predicate>(real_fs().as_ref(), &shard, true);
+    let again = scrub_dir::<Predicate>(real_fs().as_ref(), &root, true);
     assert!(again.has_corruption(), "{}", again.to_json());
     assert_eq!(again.quarantined, 0, "{}", again.to_json());
     for (f, old) in data.iter().zip(&before) {
-        let now = std::fs::read(shard.join(f)).expect("still on disk");
+        let now = std::fs::read(root.join(f)).expect("still on disk");
         assert_eq!(&now, old, "{f} changed");
     }
 }
 
-/// A fresh pool of `shards` shards with every attribute initialized.
-fn create_pool(dir: &TmpDir, shards: usize) -> common::Pool {
-    let mut pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("create");
+/// A fresh pool with every attribute initialized.
+fn create_pool(dir: &TmpDir) -> common::Pool {
+    let mut pool = reopen_pool(&dir.0, EngineConfig::default()).expect("create");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("init");
     }
@@ -596,26 +590,23 @@ fn scrub_classifies_manifest_rot_on_pools() {
     assert!(f.quarantined_to.is_some());
 
     // With the rotted manifest quarantined the shard directories are left
-    // without one: the open refuses rather than convert without them,
-    // whatever count is asked for.
-    for requested in [1, 2] {
-        let err = reopen_pool(&dir.0, EngineConfig::default(), requested)
-            .expect_err("shard directories without a manifest must not open");
-        assert!(matches!(err, DurableError::CorruptManifest(_)), "{err}");
-    }
+    // without one: the open refuses rather than convert without them.
+    let err = reopen_pool(&dir.0, EngineConfig::default())
+        .expect_err("shard directories without a manifest must not open");
+    assert!(matches!(err, DurableError::CorruptManifest(_)), "{err}");
     assert!(!manifest.exists(), "the refused open publishes no manifest");
     assert!(!dir.0.join(SEGMENT_MANIFEST_FILE).exists(), "nor converts");
 }
 
-/// Every shard of a pool journals to the one log at its root, and the
+/// Every attribute of a pool journals to the one log at its root, and the
 /// scrub through the pool's handle reads it.
 #[test]
 fn pool_scrub_via_handle_walks_every_shard() {
     let dir = TmpDir::new("scrub-pool-handle");
-    let report = create_pool(&dir, 4).scrub(false);
+    let report = create_pool(&dir).scrub(false);
     assert!(report.is_clean(), "{}", report.to_json());
     let [wal] = report.findings.as_slice() else {
-        panic!("one log for four shards: {}", report.to_json())
+        panic!("one log for every attribute: {}", report.to_json())
     };
     assert_eq!(wal.path, dir.0.join("wal.0.log"));
     assert_eq!(wal.frames_valid, Some(u64::from(ATTRS)), "one init each");
@@ -645,7 +636,7 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
     // as a dying process would.
     let script = |dir: &Path, fs: Arc<dyn StorageFs>| -> Result<(), DurableError> {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut pool = open_pool(dir, rotate_every(3), 1, fs)?;
+        let mut pool = open_pool(dir, rotate_every(3), fs)?;
         for a in 0..ATTRS {
             pool.init_attr(a, N)?;
         }
@@ -698,24 +689,17 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
 // 7. Pool-wide poison
 // ---------------------------------------------------------------------------
 
-/// The pool has one log, so a failed fsync of it leaves every shard's
-/// memory possibly ahead of the disk: every later commit, on any shard, is
+/// The pool has one log, so a failed fsync of it leaves every attribute's
+/// memory possibly ahead of the disk: every later commit, on any attribute, is
 /// refused with `SyncFailed` — never a durable ack — and the reopen
 /// recovers a commit-order prefix holding every acknowledged fact.
 #[test]
 fn poisoned_pool_rejects_every_later_commit_with_sync_failed() {
     let dir = TmpDir::new("pool-poison");
     let oracle = oracle();
-    let shards = 4usize;
-    let map = ShardMap::new(shards);
-    assert!(
-        (1..ATTRS).any(|a| map.shard_of(a) != map.shard_of(0)),
-        "the attributes span shards"
-    );
     // One awaited flush per init, then the armed one.
     let faults = eio_on(IoOp::SyncData, None, u64::from(ATTRS) + 1);
-    let mut pool =
-        open_pool(&dir.0, EngineConfig::default(), shards, faults.handle()).expect("open");
+    let mut pool = open_pool(&dir.0, EngineConfig::default(), faults.handle()).expect("open");
     for a in 0..ATTRS {
         pool.init_attr(a, N).expect("inits precede the armed sync");
     }
@@ -731,11 +715,11 @@ fn poisoned_pool_rejects_every_later_commit_with_sync_failed() {
     // The first refinement replies before its fsync; the barrier that
     // syncs it trips the armed failure.
     commit(0, ComparisonOp::Lt, 500).expect("deferred");
-    let refined = sched.inspect(|engine| common::kb_bytes_by_shard(engine, map));
+    let refined = sched.inspect(kb_bytes);
     let failed = sched.flush_durable();
     assert!(is_sync_failed(&failed), "got {:?}", failed.err());
     // Retry (the rule is spent, the disk "works"): the poison class is
-    // remembered as SyncFailed — never a durable ack — on every shard.
+    // remembered as SyncFailed — never a durable ack — on every attribute.
     for a in 0..ATTRS {
         let refused = commit(a, ComparisonOp::Gt, 100);
         assert!(
@@ -753,7 +737,7 @@ fn poisoned_pool_rejects_every_later_commit_with_sync_failed() {
 
     // The refused commits left no trace; the failed flush's record may or
     // may not have reached the file.
-    let pool = reopen_pool(&dir.0, EngineConfig::default(), shards).expect("reopen");
+    let pool = reopen_pool(&dir.0, EngineConfig::default()).expect("reopen");
     let recovered = pool_bytes(&pool); // checks every knowledge base's invariants
     assert!(
         recovered == inits || recovered == refined,

@@ -219,7 +219,7 @@ pub enum DurabilityError {
     /// A durability barrier (`sync_data`/`sync_all`) failed, or the handle
     /// was already poisoned by an earlier write/sync failure. After a failed
     /// fsync the kernel may have *dropped* the dirty pages (the fsyncgate
-    /// lesson), so retry-and-assume-durable is a lie: the affected WAL/shard
+    /// lesson), so retry-and-assume-durable is a lie: the affected WAL/pool
     /// is permanently poisoned and never issues a durable ack again until
     /// the process reopens and re-reads what actually persisted.
     SyncFailed(String),

@@ -1,7 +1,7 @@
 //! Injectable storage substrate for the durability layer.
 //!
 //! Every byte the durability code puts on disk — WAL frames, checkpoint
-//! images, shard manifests — flows through the [`StorageFs`] /
+//! images, manifests — flows through the [`StorageFs`] /
 //! [`StorageFile`] trait pair instead of calling `std::fs` directly.
 //! Production code uses the zero-cost [`RealFs`] passthrough; tests swap in
 //! `prkb-sim`'s fault-injecting filesystem, which fails
@@ -44,7 +44,7 @@ pub trait StorageFile: Send + fmt::Debug {
 /// A filesystem namespace: open/create/rename/remove plus directory sync.
 ///
 /// Implementations must be cheap to clone via `Arc<dyn StorageFs>` and
-/// safe to share across shard threads.
+/// safe to share across threads.
 pub trait StorageFs: Send + Sync + fmt::Debug {
     /// Creates (truncating if present) a read+write file.
     fn create_file(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;

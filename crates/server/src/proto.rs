@@ -106,7 +106,7 @@ pub mod code {
     /// request's own, or an earlier one that synced the refinements
     /// selects had deferred. The pool is poisoned until it is reopened:
     /// every later select, insert and delete gets this code, on any
-    /// shard, and no insert or delete was or will be acknowledged over the
+    /// attribute, and no insert or delete was or will be acknowledged over the
     /// lost writes (a select is acknowledged before its refinements are
     /// synced; losing those costs QPF, never an answer). The connection
     /// stays up.

@@ -155,7 +155,7 @@ where
     }
 
     /// Binds `addr` and fronts a recovered [`ShardedDurablePool`]: the
-    /// session scheduler checks footprints out per shard, every commit is
+    /// session scheduler locks each footprint per attribute, every commit is
     /// one record group-committed to the pool's one WAL, an insert's or
     /// delete's reply waits for that record's fsync, and a select's
     /// refinements are durable by the pool's next fsync — a later fact, a
@@ -173,7 +173,7 @@ where
     }
 
     /// Binds `addr` and fronts `sched` as it stands — in-memory or durable,
-    /// over whatever shard map it was built with. [`bind`](Self::bind) and
+    /// one lock per attribute. [`bind`](Self::bind) and
     /// [`bind_durable_pool`](Self::bind_durable_pool) build the scheduler
     /// and call this.
     ///

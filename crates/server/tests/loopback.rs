@@ -18,7 +18,7 @@
 mod common;
 
 use common::{copy_tree, kb_bytes, strided_columns, TmpDir};
-use prkb_core::{snapshot, EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_core::{snapshot, EngineConfig, PrkbEngine, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate, TupleId};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
@@ -253,9 +253,7 @@ fn four_clients_match_sequential_replay() {
 fn durable_pool_backend_survives_restart() {
     let dir = TmpDir::new("durable-pool");
     let oracle = PlainOracle::from_columns(strided_columns(ROWS));
-    let map = ShardMap::new(4);
-    let mut pool =
-        ShardedDurablePool::open(&dir.0, EngineConfig::default(), map).expect("open pool");
+    let mut pool = ShardedDurablePool::open(&dir.0, EngineConfig::default()).expect("open pool");
     pool.init_attr(0, ROWS).expect("init");
     pool.init_attr(1, ROWS).expect("init");
 
@@ -276,8 +274,8 @@ fn durable_pool_backend_survives_restart() {
             .expect("select");
         assert_eq!(reply.tuples.len(), bound as usize);
     }
-    // A cross-shard footprint too: PRKB(MD) over both attributes commits
-    // one WAL record holding both shards' entries.
+    // A two-attribute footprint too: PRKB(MD) over both attributes
+    // commits one WAL record holding both attributes' entries.
     let preds = vec![
         Predicate::cmp(0, ComparisonOp::Gt, 30),
         Predicate::cmp(0, ComparisonOp::Lt, 120),
@@ -285,7 +283,7 @@ fn durable_pool_backend_survives_restart() {
         Predicate::cmp(1, ComparisonOp::Lt, 200),
     ];
     client.select_where(9, preds).expect("md select");
-    client.shutdown().expect("shutdown (drains every shard)");
+    client.shutdown().expect("shutdown (drains the pool)");
     let report = handle.join().expect("join");
     let (k0_live, k1_live) = report.inspect(|e| {
         (
@@ -296,22 +294,14 @@ fn durable_pool_backend_survives_restart() {
     assert!(k0_live > 1, "queries refined attr 0 (k = {k0_live})");
     drop(report);
 
-    // Reopen under another shard count: the pool's one log replays its
-    // whole committed history, whatever the count stripes.
-    let pool =
-        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(1))
-            .expect("reopen pool");
-    assert_eq!(pool.map().shards(), 1, "the requested count wins");
-    let mut k_disk = (0, 0);
-    for sid in 0..pool.map().shards() {
-        let engine = pool.shard_engine(sid);
-        if let Some(kb) = engine.knowledge(0) {
-            k_disk.0 = kb.k();
-        }
-        if let Some(kb) = engine.knowledge(1) {
-            k_disk.1 = kb.k();
-        }
-    }
+    // Reopen: the pool's one log replays its whole committed history.
+    let pool = ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default())
+        .expect("reopen pool");
+    let engine = pool.engine();
+    let k_disk = (
+        engine.knowledge(0).expect("attr 0").k(),
+        engine.knowledge(1).expect("attr 1").k(),
+    );
     assert_eq!(
         k_disk,
         (k0_live, k1_live),
@@ -328,9 +318,7 @@ fn durable_pool_backend_survives_restart() {
 fn idle_server_syncs_its_deferred_tail() {
     let dir = TmpDir::new("idle-sync");
     let oracle = PlainOracle::from_columns(strided_columns(ROWS));
-    let map = ShardMap::new(4);
-    let mut pool =
-        ShardedDurablePool::open(&dir.0, EngineConfig::default(), map).expect("open pool");
+    let mut pool = ShardedDurablePool::open(&dir.0, EngineConfig::default()).expect("open pool");
     pool.init_attr(0, ROWS).expect("init");
     pool.init_attr(1, ROWS).expect("init");
     let server =
@@ -357,12 +345,9 @@ fn idle_server_syncs_its_deferred_tail() {
     let recovered_copy = || {
         let copy = TmpDir::new("idle-sync-copy");
         copy_tree(&dir.0, &copy.0);
-        let pool = ShardedDurablePool::<Predicate>::open(&copy.0, EngineConfig::default(), map)
+        let pool = ShardedDurablePool::<Predicate>::open(&copy.0, EngineConfig::default())
             .expect("a copy of a live pool reopens");
-        let image = |attr| {
-            let engine = pool.shard_engine(map.shard_of(attr));
-            snapshot::save(engine.knowledge(attr).expect("attr indexed"))
-        };
+        let image = |attr| snapshot::save(pool.engine().knowledge(attr).expect("attr indexed"));
         vec![image(0), image(1)]
     };
     let give_up = std::time::Instant::now() + std::time::Duration::from_secs(20);

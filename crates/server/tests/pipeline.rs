@@ -11,16 +11,12 @@
 //! every selection spends the same QPF. The comparison is on raw frame
 //! payloads, not decoded structs: equality down to the byte.
 //!
-//! Every case runs at 1 and at 8 shards — both twins are built over the
-//! same explicit [`ShardMap`] — so the equivalence must hold whether
-//! attributes share one lock or are spread across eight.
-//!
 //! The chaos variant re-runs the pipelined side through a [`ChaosProxy`]
 //! that trickles some frames one byte at a time (non-destructive frame
 //! splitting): mid-pipeline stalls between TCP segments must not reorder,
 //! drop, or alter a single response byte.
 
-use prkb_core::{EngineConfig, PrkbEngine, SessionScheduler, ShardMap};
+use prkb_core::{EngineConfig, PrkbEngine, SessionScheduler};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
 use prkb_server::proto::{Request, RequestHeader};
@@ -38,11 +34,8 @@ use std::time::{Duration, Instant};
 const ROWS: usize = 96;
 const ATTRS: u32 = 4;
 
-/// The shard counts every case runs at.
-const SHARDS: [usize; 2] = [1, 8];
-
-/// Four deterministic columns so the 8-shard run actually spreads
-/// footprints across shard locks.
+/// Four deterministic columns, so footprints spread across attribute
+/// locks.
 fn columns() -> Vec<Vec<u64>> {
     (0..ATTRS as u64)
         .map(|a| {
@@ -61,10 +54,10 @@ fn fresh_engine() -> PrkbEngine<Predicate> {
     engine
 }
 
-fn spawn_twin(shards: usize) -> (SocketAddr, ServerHandle<Predicate, PlainOracle>) {
+fn spawn_twin() -> (SocketAddr, ServerHandle<Predicate, PlainOracle>) {
     let server = PrkbServer::bind_scheduler(
         "127.0.0.1:0",
-        SessionScheduler::with_shards(fresh_engine(), ShardMap::new(shards)),
+        SessionScheduler::new(fresh_engine()),
         PlainOracle::from_columns(columns()),
         ServerConfig::default(),
     )
@@ -205,23 +198,21 @@ proptest! {
         n in 4usize..16,
     ) {
         let script = build_script(seed, n);
-        for shards in SHARDS {
-            let (addr_a, handle_a) = spawn_twin(shards);
-            let pipelined = run_pipelined(addr_a, &script);
-            handle_a.shutdown();
-            let report_a = handle_a.join().expect("join A");
+        let (addr_a, handle_a) = spawn_twin();
+        let pipelined = run_pipelined(addr_a, &script);
+        handle_a.shutdown();
+        let report_a = handle_a.join().expect("join A");
 
-            let (addr_b, handle_b) = spawn_twin(shards);
-            let sequential = run_sequential(addr_b, &script);
-            handle_b.shutdown();
-            let report_b = handle_b.join().expect("join B");
+        let (addr_b, handle_b) = spawn_twin();
+        let sequential = run_sequential(addr_b, &script);
+        handle_b.shutdown();
+        let report_b = handle_b.join().expect("join B");
 
-            assert_byte_identical(&pipelined, &sequential);
-            prop_assert_eq!(report_a.requests(), n as u64);
-            prop_assert_eq!(report_a.requests(), report_b.requests());
-            prop_assert_eq!(report_a.frame_errors(), 0);
-            prop_assert_eq!(report_b.frame_errors(), 0);
-        }
+        assert_byte_identical(&pipelined, &sequential);
+        prop_assert_eq!(report_a.requests(), n as u64);
+        prop_assert_eq!(report_a.requests(), report_b.requests());
+        prop_assert_eq!(report_a.frame_errors(), 0);
+        prop_assert_eq!(report_b.frame_errors(), 0);
     }
 
     /// Same equivalence with the pipelined side squeezed through a chaos
@@ -233,26 +224,24 @@ proptest! {
         n in 4usize..10,
     ) {
         let script = build_script(seed, n);
-        for shards in SHARDS {
-            let (addr_a, handle_a) = spawn_twin(shards);
-            let plan = Arc::new(FaultPlan::scripted([
-                FaultAction::Forward,
-                FaultAction::Trickle,
-                FaultAction::Forward,
-                FaultAction::Trickle,
-            ]));
-            let proxy = ChaosProxy::spawn(addr_a, plan).expect("proxy");
-            let pipelined = run_pipelined(proxy.addr(), &script);
-            proxy.stop();
-            handle_a.shutdown();
-            handle_a.join().expect("join A");
+        let (addr_a, handle_a) = spawn_twin();
+        let plan = Arc::new(FaultPlan::scripted([
+            FaultAction::Forward,
+            FaultAction::Trickle,
+            FaultAction::Forward,
+            FaultAction::Trickle,
+        ]));
+        let proxy = ChaosProxy::spawn(addr_a, plan).expect("proxy");
+        let pipelined = run_pipelined(proxy.addr(), &script);
+        proxy.stop();
+        handle_a.shutdown();
+        handle_a.join().expect("join A");
 
-            let (addr_b, handle_b) = spawn_twin(shards);
-            let sequential = run_sequential(addr_b, &script);
-            handle_b.shutdown();
-            handle_b.join().expect("join B");
+        let (addr_b, handle_b) = spawn_twin();
+        let sequential = run_sequential(addr_b, &script);
+        handle_b.shutdown();
+        handle_b.join().expect("join B");
 
-            assert_byte_identical(&pipelined, &sequential);
-        }
+        assert_byte_identical(&pipelined, &sequential);
     }
 }

@@ -1,14 +1,14 @@
-//! Sharded-execution equivalence (DESIGN.md §6).
+//! Concurrent-execution equivalence (DESIGN.md §6).
 //!
 //! The scheduler's observable contract: a random multi-attribute workload —
-//! conjunctions whose footprints span shards, BETWEENs, single-attribute
-//! comparisons — executed by 4 concurrent worker threads over an 8-shard
-//! pool must
+//! conjunctions whose footprints span several attributes, BETWEENs,
+//! single-attribute comparisons — executed by 4 concurrent worker threads
+//! over one lock per attribute must
 //!
-//! 1. never deadlock (two-phase checkout in ascending shard-id order),
+//! 1. never deadlock (footprints locked in ascending attribute id),
 //! 2. assign dense commit sequence numbers, and
 //! 3. be **byte-equivalent** to replaying the same operations sequentially,
-//!    in commit-sequence order, on a single unsharded engine: identical
+//!    in commit-sequence order, on a single plain engine: identical
 //!    result tuples, identical per-query (hence total) QPF spend, identical
 //!    final knowledge-base bytes.
 
@@ -16,7 +16,7 @@
 mod common;
 
 use common::kb_bytes;
-use prkb_core::{EngineConfig, PrkbEngine, ShardMap};
+use prkb_core::{EngineConfig, PrkbEngine};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate};
 use prkb_server::scheduler::{SessionOracle, SessionScheduler};
@@ -28,7 +28,6 @@ use std::sync::Arc;
 const ATTRS: u32 = 6;
 const ROWS: usize = 240;
 const THREADS: usize = 4;
-const SHARDS: usize = 8;
 
 /// One scripted operation: a conjunction over `preds` (a single predicate
 /// degenerates to a plain selection) with a pinned per-op RNG seed, so the
@@ -101,13 +100,13 @@ proptest! {
         let script = build_script(seed, rounds);
         let oracle = Arc::new(PlainOracle::from_columns(columns(seed)));
 
-        // Concurrent run: 4 worker threads over an 8-shard pool, exactly
-        // the server's worker-pool shape.
+        // Concurrent run: 4 worker threads, exactly the server's
+        // worker-pool shape.
         let mut engine: PrkbEngine<Predicate> = PrkbEngine::new(EngineConfig::default());
         for a in 0..ATTRS {
             engine.init_attr(a, ROWS);
         }
-        let sched = Arc::new(SessionScheduler::with_shards(engine, ShardMap::new(SHARDS)));
+        let sched = Arc::new(SessionScheduler::new(engine));
         let mut handles = Vec::new();
         for ops in script.iter().cloned() {
             let sched = Arc::clone(&sched);
@@ -150,7 +149,7 @@ proptest! {
             prop_assert_eq!(o.seq, i as u64 + 1, "commit sequence must be dense");
         }
 
-        // Sequential replay on a single unsharded engine, in commit order.
+        // Sequential replay on a single plain engine, in commit order.
         let mut replay: PrkbEngine<Predicate> = PrkbEngine::new(EngineConfig::default());
         for a in 0..ATTRS {
             replay.init_attr(a, ROWS);
@@ -182,8 +181,8 @@ proptest! {
         }
         prop_assert_eq!(concurrent_qpf, replay_qpf, "total QPF spend must match");
 
-        // The final knowledge is byte-identical too: sharding changed the
-        // execution, not the refinement history.
+        // The final knowledge is byte-identical too: concurrency changed
+        // the execution, not the refinement history.
         let merged = match Arc::try_unwrap(sched) {
             Ok(s) => s.into_engine(),
             Err(_) => panic!("all workers joined"),

@@ -1,13 +1,13 @@
 //! Wire-level fsync-failure semantics: a poisoned pool must surface as a
 //! stable error code on the connection — never a connection drop. The pool
 //! has one log, so the poison is pool-wide: after the failed barrier every
-//! select and fact on the same socket, on any shard, gets the code.
+//! select and fact on the same socket, on any attribute, gets the code.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
 
 use common::{open_pool, strided_columns, TmpDir};
-use prkb_core::{EngineConfig, ShardMap, ShardedDurablePool};
+use prkb_core::{EngineConfig, ShardedDurablePool};
 use prkb_edbms::real_fs;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{ComparisonOp, Predicate};
@@ -25,13 +25,7 @@ fn sync_failed<T: std::fmt::Debug>(result: Result<T, ClientError>) -> bool {
 fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     let dir = TmpDir::new("poison");
     let oracle = PlainOracle::from_columns(strided_columns(ROWS));
-    let map = ShardMap::new(4);
     let (sick_attr, healthy_attr) = (0u32, 1u32);
-    assert_ne!(
-        map.shard_of(sick_attr),
-        map.shard_of(healthy_attr),
-        "test needs the two attributes on different shards"
-    );
     // Let the two init commits through, then fail the next durability
     // barrier the pool's one log crosses.
     let faults = FaultFs::scripted(
@@ -44,13 +38,7 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
             sticky: false,
         }],
     );
-    let mut pool = open_pool(
-        &dir.0,
-        EngineConfig::default(),
-        map.shards(),
-        faults.handle(),
-    )
-    .expect("open pool");
+    let mut pool = open_pool(&dir.0, EngineConfig::default(), faults.handle()).expect("open pool");
     pool.init_attr(sick_attr, ROWS).expect("init");
     pool.init_attr(healthy_attr, ROWS).expect("init");
 
@@ -79,18 +67,18 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
         "expected SYNC_FAILED wire code, got {err:?}"
     );
 
-    // Same connection, the other shard: refused with the same code, for the
+    // Same connection, the other attribute: refused with the same code, for the
     // log it would journal to is the one that failed.
     let refused = client.select_where(2, vec![Predicate::cmp(healthy_attr, ComparisonOp::Lt, 90)]);
     assert!(sync_failed(refused), "poison is pool-wide");
 
     // The poison is permanent for this pool: the injected fault is spent
-    // (non-sticky), yet every shard still refuses with the same code — no
+    // (non-sticky), yet every attribute still refuses with the same code — no
     // retry-and-assume-durable behind the wire — selects and facts alike.
     let refused = client.select_where(3, vec![Predicate::cmp(sick_attr, ComparisonOp::Gt, 150)]);
     assert!(sync_failed(refused), "poisoned pool must keep refusing");
     let refused = client.select_where(4, vec![Predicate::cmp(healthy_attr, ComparisonOp::Gt, 160)]);
-    assert!(sync_failed(refused), "on every shard");
+    assert!(sync_failed(refused), "on every attribute");
     assert!(sync_failed(client.delete(8)), "and every fact");
 
     assert_eq!(faults.injected(), 1, "exactly the armed fault fired");
@@ -114,11 +102,9 @@ fn poisoned_shard_is_a_stable_wire_error_not_a_connection_drop() {
     // Reopen over the real filesystem: every attribute recovers a committed
     // prefix (the init at least).
     let pool =
-        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default(), ShardMap::new(4))
-            .expect("reopen");
+        ShardedDurablePool::<Predicate>::open(&dir.0, EngineConfig::default()).expect("reopen");
     for attr in [sick_attr, healthy_attr] {
-        let engine = pool.shard_engine(map.shard_of(attr));
-        engine
+        pool.engine()
             .knowledge(attr)
             .expect("attr indexed")
             .check_invariants();

@@ -1,7 +1,7 @@
-//! Product code reads no environment variable: what the service provider
-//! does is a function of the arguments it was handed — `TmConfig`,
-//! `ShardMap::new`, `ServerConfig` — and nothing ambient, so a test or a
-//! bench row means the same thing on every box and under every CI job.
+//! Product code reads no environment variable and no core count: what the
+//! service provider does is a function of the arguments it was handed —
+//! `TmConfig`, `ServerConfig` — and nothing ambient, so a test or a bench
+//! row means the same thing on every box and under every CI job.
 //!
 //! Outside the walk, on purpose: `crates/bench` is a command-line tool and
 //! reads `PRKB_SCALE` (a size preset) and `PRKB_BENCH_DIR` (an output path)
@@ -17,6 +17,16 @@ fn product_code_reads_no_environment_variable() {
     assert!(
         hits.is_empty(),
         "configuration arrives as an argument, never from the environment:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn product_code_reads_no_core_count() {
+    let hits = product_src::hits(&["available_parallelism"]);
+    assert!(
+        hits.is_empty(),
+        "a count of threads or locks arrives as an argument, never from the machine:\n{}",
         hits.join("\n")
     );
 }
