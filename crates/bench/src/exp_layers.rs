@@ -43,6 +43,22 @@
 //!
 //! The report prints each as a multiple of `qpf_batch_ns`.
 //!
+//! **Warm-select rows** price a select on a warm knowledge base, where PRKB
+//! has made the QPF few: µs of engine time per select — the replay's wall
+//! time less the clocked oracle's busy time, over its selects — on four
+//! uniform attributes, each warmed by 1-D 1 % ranges that refine it. Every
+//! sample replays the same selects, with refinement on, from a copy of the
+//! same warmed engine (the copy outside the clock), so the QPF count is the
+//! replay's and the row's `k` is the partitions per attribute it starts
+//! from:
+//!
+//! * `engine_us_per_warm_select_{1d,2d}_n{15k,60k,240k}` — 15 000, 60 000
+//!   and 240 000 rows, 600 warm-up ranges per attribute; 1 500 1-D 1 %
+//!   ranges, or 1 000 2-D ones (a 1 % range on each of two attributes);
+//! * `engine_us_per_warm_select_2d_box10_n60k` — `warm_select`'s 2-D
+//!   shape: 60 000 rows, 150 warm-up ranges per attribute, 300 boxes of
+//!   10 % x 10 %.
+//!
 //! **Checksum-and-framing rows** are the layer the wire, the WAL and the
 //! checkpoint codecs share. Each is a public function in a loop over a
 //! buffer of the size the served workloads use — 64 B (a request), 1.3 KB
@@ -75,9 +91,11 @@
 //!   id.
 //!
 //! A trajectory row carries `ms` per `n` = 1 000 000 units (bytes,
-//! evaluations or scanned tuples), which reads as ns per unit; it is the
-//! fastest of [`SAMPLES`] samples, since the interest is the code's cost,
-//! not the box's noise. `qpf_uses` is 0 except on the engine rows.
+//! evaluations or scanned tuples), which reads as ns per unit — or, on a
+//! warm-select row, per `n` = 1 000 selects, which reads as µs per select;
+//! it is the fastest of [`SAMPLES`] samples, since the interest is the
+//! code's cost, not the box's noise. `qpf_uses` is 0 except on the engine
+//! and warm-select rows, whose QPF CI compares exactly.
 
 use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
@@ -119,6 +137,13 @@ pub struct LayerPoint {
     pub ns_per_unit: f64,
     /// QPF uses of one sample (engine rows; 0 elsewhere).
     pub qpf_uses: u64,
+    /// Units the trajectory row's `ms` is per: 1 000 000, so it reads as
+    /// ns per unit, or 1 000 on a warm-select row, so it reads as µs per
+    /// select.
+    pub per: usize,
+    /// Partitions per attribute the replay started from (warm-select
+    /// rows; 0 elsewhere).
+    pub k: usize,
 }
 
 /// Fastest-sample ns/unit of `f` over `len`-unit calls, each sample
@@ -367,8 +392,117 @@ fn engine_rows() -> Vec<LayerPoint> {
             len: 1,
             ns_per_unit,
             qpf_uses,
+            per: 1_000_000,
+            k: 0,
         })
         .collect()
+}
+
+/// Attributes of a warm-select row's table.
+const WARM_ATTRS: u32 = 4;
+
+/// `count` selects, each a range `width` wide (`Ge lo`, `Lt lo + width`)
+/// on each of `d` distinct attributes drawn uniformly from `attrs`.
+fn range_selects(
+    rng: &mut StdRng,
+    attrs: &[u32],
+    count: usize,
+    d: usize,
+    width: u64,
+) -> Vec<Vec<Predicate>> {
+    (0..count)
+        .map(|_| {
+            let mut on: Vec<u32> = Vec::with_capacity(d);
+            while on.len() < d {
+                let attr = attrs[rng.gen_range(0..attrs.len())];
+                if !on.contains(&attr) {
+                    on.push(attr);
+                }
+            }
+            on.iter()
+                .flat_map(|&attr| {
+                    let lo = rng.gen_range(0..DOMAIN - width);
+                    [
+                        Predicate::cmp(attr, ComparisonOp::Ge, lo),
+                        Predicate::cmp(attr, ComparisonOp::Lt, lo + width),
+                    ]
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// An engine over every attribute of `oracle`, each warmed by `per_attr`
+/// 1-D 1 % ranges that refine it.
+fn warmed_engine(oracle: &PlainOracle, per_attr: usize, rng: &mut StdRng) -> PrkbEngine<Predicate> {
+    let mut engine = PrkbEngine::new(EngineConfig::default());
+    let attrs: Vec<u32> = (0..WARM_ATTRS).collect();
+    for &attr in &attrs {
+        engine.init_attr(attr, oracle.n_slots());
+        for select in range_selects(rng, &[attr], per_attr, 1, DOMAIN / 100) {
+            engine.select_where(oracle, &select, rng);
+        }
+    }
+    engine
+}
+
+/// The warm-select rows (see the module docs): µs of engine time per
+/// select, each sample replaying the selects from the same warmed
+/// knowledge.
+fn warm_select_rows() -> Vec<LayerPoint> {
+    let mut rng = StdRng::seed_from_u64(46);
+    let attrs: Vec<u32> = (0..WARM_ATTRS).collect();
+    let (narrow, side) = (DOMAIN / 100, DOMAIN / 10);
+    // Per table: its rows, its warm-up ranges per attribute, and per row
+    // the id's suffix, the select's dimensions, count and range width; the
+    // last is `warm_select`'s 2-D shape.
+    let ranges = |n: &str| {
+        vec![
+            (format!("1d_{n}"), 1, 1_500, narrow),
+            (format!("2d_{n}"), 2, 1_000, narrow),
+        ]
+    };
+    let box10 = ("2d_box10_n60k".to_string(), 2, 300, side);
+    let tables = [
+        (15_000, 600, ranges("n15k")),
+        (60_000, 600, ranges("n60k")),
+        (240_000, 600, ranges("n240k")),
+        (60_000, 150, vec![box10]),
+    ];
+    let mut points = Vec::new();
+    for (n, warm_up, rows) in tables {
+        let columns = (0..WARM_ATTRS)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect())
+            .collect();
+        let oracle = PlainOracle::from_columns(columns);
+        let warmed = warmed_engine(&oracle, warm_up, &mut rng);
+        let k = attrs
+            .iter()
+            .map(|&a| warmed.knowledge(a).map_or(0, |kb| kb.k()));
+        let k = k.sum::<usize>() / attrs.len();
+        for (suffix, d, count, width) in rows {
+            let selects = range_selects(&mut rng, &attrs, count, d, width);
+            let (ns_per_unit, qpf_uses) = engine_row(
+                &oracle,
+                || warmed.clone(),
+                |engine, oracle, rng| {
+                    for select in &selects {
+                        black_box(engine.select_where(oracle, select, rng));
+                    }
+                    selects.len() as u64
+                },
+            );
+            points.push(LayerPoint {
+                id: format!("engine_us_per_warm_select_{suffix}"),
+                len: 1,
+                ns_per_unit,
+                qpf_uses,
+                per: 1_000,
+                k,
+            });
+        }
+    }
+    points
 }
 
 /// Members of the split the journal row prices.
@@ -445,6 +579,8 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
             len,
             ns_per_unit,
             qpf_uses: 0,
+            per: 1_000_000,
+            k: 0,
         });
     };
     oracle_rows(scale, sample_bytes, &mut push);
@@ -486,6 +622,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         push(&format!("idset_decode_ns_per_id_{shape}"), ids, decode);
     }
     points.extend(engine_rows());
+    points.extend(warm_select_rows());
     points
 }
 
@@ -501,11 +638,11 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         "layers — the oracle, checksum and framing: ns per unit (fastest of {SAMPLES} samples)"
     ));
     report.line(format!(
-        "{:>32}{:>12}{:>10}",
+        "{:>40}{:>12}{:>14}",
         "row", "units/call", "ns/unit"
     ));
     for p in &points {
-        report.line(format!("{:>32}{:>12}{:>10.3}", p.id, p.len, p.ns_per_unit));
+        report.line(format!("{:>40}{:>12}{:>14.3}", p.id, p.len, p.ns_per_unit));
     }
     report.line(format!(
         "a QPF use is {:.0}x a plain comparison ({:.0}x at work factor 16)",
@@ -530,6 +667,18 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("engine_ns_per_scanned_tuple_cmp"),
         of("engine_ns_per_scanned_tuple_md1") / of("qpf_batch_ns"),
         of("engine_ns_per_scanned_tuple_cmp") / of("qpf_batch_ns"),
+    ));
+    let warm: Vec<String> = points
+        .iter()
+        .filter_map(|p| {
+            let shape = p.id.strip_prefix("engine_us_per_warm_select_")?;
+            let us = p.ns_per_unit / 1e3;
+            Some(format!("{shape} {us:.1} µs / {} QPF", p.qpf_uses))
+        })
+        .collect();
+    report.line(format!(
+        "engine per warm select, replay total QPF: {}",
+        warm.join(", ")
     ));
     report.line(format!(
         "floor for a framed 120 KB buffer (one checksum pass + one copy): {floor:.3} ns/byte; \
@@ -556,9 +705,9 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         .map(|p| BenchRow {
             id: p.id.clone(),
             qpf_uses: p.qpf_uses,
-            ms: p.ns_per_unit,
-            k: 0,
-            n: 1_000_000,
+            ms: p.ns_per_unit * p.per as f64 / 1e6,
+            k: p.k as u64,
+            n: p.per as u64,
             threads: 1,
         })
         .collect();

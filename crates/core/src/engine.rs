@@ -122,7 +122,7 @@ where
 }
 
 /// The per-table PRKB engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PrkbEngine<P> {
     kbs: HashMap<AttrId, Knowledge<P>>,
     /// Engine configuration (mutable between queries).
@@ -486,6 +486,66 @@ mod tests {
             engine.select(&oracle, &p, &mut rng).sorted(),
             oracle.expected_select(&p)
         );
+    }
+
+    /// A multi-dimensional select reads a clear bit of another dimension's
+    /// sieve as "known false there" (`md::exec`), which holds because every
+    /// attribute indexes the same tuples: an insert reaches every knowledge
+    /// base, placed or parked, a repeated one is refused before anything
+    /// changes, and a delete leaves none behind.
+    #[test]
+    fn every_attribute_indexes_the_same_tuples() {
+        let (mut engine, mut oracle) = engine_2d(400, 11);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut live: Vec<TupleId> = (0..400).collect();
+        let mut parked = 0;
+        for round in 0..80u32 {
+            let (attr, lo) = (round % 2, rng.gen_range(0..800u64));
+            match round % 4 {
+                // BETWEEN cuts leave windows no separator resolves, so
+                // some inserts park.
+                0 | 1 => {
+                    engine.select(&oracle, &Predicate::between(attr, lo, lo + 150), &mut rng);
+                }
+                2 => {
+                    let t = oracle.insert(&[rng.gen_range(0..1000), rng.gen_range(0..1000)]);
+                    let outcomes = engine.insert(&oracle, t);
+                    parked += outcomes
+                        .iter()
+                        .filter(|(_, o)| matches!(o, InsertOutcome::Parked { .. }))
+                        .count();
+                    let again = engine.try_insert(&oracle, t);
+                    assert!(matches!(again, Err(QueryError::AlreadyIndexed(_))));
+                    live.push(t);
+                }
+                _ => {
+                    let t = live.swap_remove(rng.gen_range(0..live.len()));
+                    oracle.delete(t);
+                    engine.delete(t);
+                }
+            }
+            for t in 0..=oracle.n_slots() as TupleId {
+                let mut indexed = engine
+                    .attrs()
+                    .map(|a| engine.knowledge(a).unwrap().indexes(t));
+                let first = indexed.next().unwrap();
+                assert!(indexed.all(|i| i == first), "round {round}, tuple {t}");
+                assert_eq!(first, live.contains(&t), "round {round}, tuple {t}");
+            }
+            let boxed = [
+                Predicate::cmp(0, ComparisonOp::Ge, lo),
+                Predicate::cmp(0, ComparisonOp::Lt, lo + 300),
+                Predicate::cmp(1, ComparisonOp::Ge, 1000 - lo),
+                Predicate::cmp(1, ComparisonOp::Lt, 1200 - lo),
+            ];
+            let sel = engine.select_where(&oracle, &boxed, &mut rng);
+            assert_eq!(
+                sel.sorted(),
+                oracle.expected_conjunction(&boxed),
+                "round {round}"
+            );
+        }
+        assert!(parked > 0, "some insert parks");
     }
 
     #[test]

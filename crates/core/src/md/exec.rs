@@ -270,7 +270,9 @@ impl Pending {
 #[derive(Debug, Clone, Copy)]
 enum Segment {
     /// The survivors `tuples[start..end]` of one driver partition (`rank`),
-    /// or of the driver's overflow (`rank: None`).
+    /// of a run of driver partitions every driver trapdoor labels true
+    /// (`rank` is its first, whose labels hold for every survivor), or of
+    /// the driver's overflow (`rank: None`).
     Held {
         rank: Option<usize>,
         start: usize,
@@ -387,7 +389,71 @@ impl Band {
     }
 }
 
-/// What phase 1 hands to the candidate walk and the refinement.
+/// One bit per tuple slot.
+struct TupleBits(Vec<u64>);
+
+impl TupleBits {
+    /// No bit set, with room for `slots` tuples.
+    fn with_slots(slots: usize) -> Self {
+        TupleBits(vec![0; slots.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, t: TupleId) {
+        let word = t as usize / 64;
+        // `slots` is the table's; a knowledge base initialized over more
+        // rows than it holds indexes slots past it.
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (t % 64);
+    }
+
+    #[inline]
+    fn contains(&self, t: TupleId) -> bool {
+        self.0
+            .get(t as usize / 64)
+            .is_some_and(|w| w >> (t % 64) & 1 == 1)
+    }
+}
+
+/// What a dimension other than the driver decides for each tuple before
+/// any QPF: its zones' runs, walked once into two bitmaps.
+struct Sieve {
+    /// The members of its runs not known false, and its overflow tuples:
+    /// every tuple the dimension does not exclude.
+    open: TupleBits,
+    /// The members of its runs every trapdoor labels true: the tuples its
+    /// waves pass without a look.
+    passed: TupleBits,
+}
+
+impl Sieve {
+    fn new<P: SpPredicate>(dim: &MdDim<'_, P>, zones: &Zones, slots: usize) -> Self {
+        let pop = dim.knowledge.pop();
+        let mut sieve = Sieve {
+            open: TupleBits::with_slots(slots),
+            passed: TupleBits::with_slots(slots),
+        };
+        for (ranks, class) in zones.runs() {
+            let members = ranks.clone().flat_map(|r| pop.members_at(r));
+            match class {
+                Some(false) => {}
+                Some(true) => members.for_each(|&t| {
+                    sieve.open.insert(t);
+                    sieve.passed.insert(t);
+                }),
+                None => members.for_each(|&t| sieve.open.insert(t)),
+            }
+        }
+        for e in dim.knowledge.overflow() {
+            sieve.open.insert(e.tuple);
+        }
+        sieve
+    }
+}
+
+/// What phase 1 hands to the candidate band, the walk and the refinement.
 struct Prepared {
     /// The oracle's QPF counter when the query started.
     qpf_before: u64,
@@ -396,6 +462,9 @@ struct Prepared {
     zones: Vec<Zones>,
     /// The dimension whose band the candidates come from.
     driver: usize,
+    /// The driver's band before the free pass: its members in runs not
+    /// known false, and its overflow tuples.
+    driver_band: usize,
     /// The fields phase 1 decides; the walk adds to `oracle_batches`.
     stats: QueryStats,
 }
@@ -438,11 +507,12 @@ where
             ..Selection::default()
         });
     }
-    let (mut p, band) = prepare(dims, oracle, rng)?;
+    let mut p = prepare(dims, oracle, rng)?;
+    let (band, sieves) = candidates(dims, &p, oracle.n_slots());
     let tuples = walk(
         dims,
         oracle,
-        &p.zones,
+        &sieves,
         &mut p.trapdoors,
         p.driver,
         band,
@@ -471,18 +541,14 @@ where
     })
 }
 
-/// Phase 1 — locate every trapdoor and classify every partition (as runs
-/// of ranks: never O(k), let alone O(n)) — then the candidate band with the free pruning pass
-/// applied, built segment by segment: for each driver partition not known
-/// false, its members not provably out in another dimension, in member
-/// order; then the driver's overflow tuples, filtered alike. The knowledge
-/// base is the authority on which tuples exist (see `PrkbEngine::delete`),
-/// so with no other dimension (d = 1) a partition joins as one slice copy.
+/// Phase 1 — locates every trapdoor, classifies every partition (as runs
+/// of ranks: never O(k), let alone O(n)), and picks the driver: the
+/// dimension with the narrowest band.
 fn prepare<O, R>(
     dims: &[MdDim<'_, O::Pred>],
     oracle: &O,
     rng: &mut R,
-) -> Result<(Prepared, Band), OracleError>
+) -> Result<Prepared, OracleError>
 where
     O: SelectionOracle,
     O::Pred: SpPredicate,
@@ -537,31 +603,74 @@ where
         bands.push(band);
     }
     let driver = (0..d).min_by_key(|&di| bands[di]).unwrap_or(0);
+    Ok(Prepared {
+        qpf_before,
+        trapdoors,
+        zones,
+        driver,
+        driver_band: bands[driver],
+        stats: QueryStats {
+            k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
+            overflow_scanned: dims[driver].knowledge.overflow().len(),
+            ..stats
+        },
+    })
+}
 
+/// The candidate band, built segment by segment: for each driver partition
+/// not known false, its members not provably out in another dimension, in
+/// member order — a run of partitions every driver trapdoor labels true as
+/// one segment — then the driver's overflow tuples, filtered alike; with
+/// the sieve of every other dimension (`None` at the driver), over `slots`
+/// tuple slots. The knowledge base is the authority on which tuples exist
+/// (see `PrkbEngine::delete`), so with no other dimension (d = 1) a
+/// partition joins as one slice copy, and a true run stays in place.
+fn candidates<P: SpPredicate>(
+    dims: &[MdDim<'_, P>],
+    p: &Prepared,
+    slots: usize,
+) -> (Band, Vec<Option<Sieve>>) {
+    let (d, driver) = (dims.len(), p.driver);
+    let sieves: Vec<Option<Sieve>> = dims
+        .iter()
+        .zip(&p.zones)
+        .enumerate()
+        .map(|(di, (dim, zones))| (di != driver).then(|| Sieve::new(dim, zones, slots)))
+        .collect();
     // Free pass first: a tuple provably out in *any* dimension is discarded
-    // before a single QPF is spent on it (Fig. 6b pruning). Every candidate
-    // comes from a driver partition not known false, or is unplaced there,
-    // so only the other dimensions are checked — and with none, nothing is.
+    // before a single QPF is spent on it (Fig. 6b pruning), at one bit test
+    // per other dimension. Every candidate comes from a driver partition
+    // not known false, or is unplaced there, so only the other dimensions
+    // are checked — and with none, nothing is. Every knowledge base indexes
+    // the same tuples (`PrkbEngine::insert` and `delete` keep them so), so
+    // a clear bit is a member of a run known false.
     let passes = |t: &TupleId| {
-        dims.iter().enumerate().all(|(di, dim)| {
-            di == driver
-                || dim
-                    .knowledge
-                    .pop()
-                    .rank_of_tuple(*t)
-                    .is_none_or(|r| zones[di].class_of(r) != Some(false))
+        sieves.iter().zip(dims).all(|(sieve, dim)| {
+            sieve.as_ref().is_none_or(|s| {
+                let open = s.open.contains(*t);
+                debug_assert!(
+                    open || dim.knowledge.pop().rank_of_tuple(*t).is_some(),
+                    "tuple {t} is indexed in every dimension"
+                );
+                open
+            })
         })
     };
     let mut band = Band::default();
     if d > 1 {
-        band.tuples.reserve(bands[driver]);
+        band.tuples.reserve(p.driver_band);
     }
     let pop = dims[driver].knowledge.pop();
-    for (ranks, class) in zones[driver].runs() {
+    for (ranks, class) in p.zones[driver].runs() {
         match class {
             Some(false) => continue,
             Some(true) if d == 1 => band.push_in_place(ranks.clone()),
-            _ => {
+            Some(true) => band.push_segment(Some(ranks.start), |out| {
+                for r in ranks.clone() {
+                    out.extend(pop.members_at(r).iter().copied().filter(passes));
+                }
+            }),
+            None => {
                 for r in ranks.clone() {
                     let members = pop.members_at(r);
                     band.push_segment(Some(r), |out| {
@@ -579,19 +688,7 @@ where
     band.push_segment(None, |out| {
         out.extend(overflow.iter().map(|e| e.tuple).filter(passes));
     });
-
-    let prepared = Prepared {
-        qpf_before,
-        trapdoors,
-        zones,
-        driver,
-        stats: QueryStats {
-            k_before: dims.iter().map(|d| d.knowledge.k()).sum(),
-            overflow_scanned: overflow.len(),
-            ..stats
-        },
-    };
-    Ok((prepared, band))
+    (band, sieves)
 }
 
 /// Phase 2 — evaluates the band wave-major, one wave per (dimension,
@@ -610,16 +707,17 @@ where
 /// candidate order, and settled when the side changes — before the next
 /// side is asked for its inference. A decided partition's verdicts are read.
 ///
-/// The driver wave is partition-major: a segment is one driver rank, so it
-/// is decided whole — by label, inferred, read, or evaluated as one run
-/// straight from its slice — the trapdoor's partitions in its probe order
-/// (a BETWEEN's outer ones first), then the rest batch. The other waves are
-/// tuple-major inside the driver's segments, since their ranks interleave
-/// and runs are short.
+/// The driver wave is partition-major: a segment is one driver rank or a
+/// run of true ones, so it is decided whole — by label, inferred, read, or
+/// evaluated as one run straight from its slice — the trapdoor's partitions
+/// in its probe order (a BETWEEN's outer ones first), then the rest batch.
+/// The other waves are tuple-major inside the driver's segments, since
+/// their ranks interleave and runs are short; a tuple in a run its
+/// dimension's `sieves` entry holds true costs one bit test, not a rank.
 fn walk<O>(
     dims: &[MdDim<'_, O::Pred>],
     oracle: &O,
-    zones: &[Zones],
+    sieves: &[Option<Sieve>],
     trapdoors: &mut [Vec<Trapdoor>],
     driver: usize,
     mut band: Band,
@@ -690,17 +788,18 @@ where
                     }
                 }
             } else {
+                let sieve = sieves[di]
+                    .as_ref()
+                    .expect("a dimension other than the driver");
                 let mut run_side = usize::MAX;
                 for (i, &t) in band.tuples.iter().enumerate() {
+                    debug_assert!(sieve.open.contains(t), "filtered by the free pass");
+                    if sieve.passed.contains(t) {
+                        continue;
+                    }
                     let rank = pop.rank_of_tuple(t);
-                    if let Some(r) = rank {
-                        debug_assert!(
-                            zones[di].class_of(r) != Some(false),
-                            "filtered by the free pass"
-                        );
-                        if td.label(r) == Some(true) {
-                            continue;
-                        }
+                    if rank.is_some_and(|r| td.label(r) == Some(true)) {
+                        continue;
                     }
                     let Some(s) = rank.and_then(|r| td.side_at(r)) else {
                         rest.push(t, i);
@@ -1029,15 +1128,43 @@ mod tests {
         Ok(survivors)
     }
 
-    /// `run` with the reference walk in place of `walk`.
+    /// The per-tuple free pass that `candidates` replaced, kept as its
+    /// reference: the driver's band in band order, each tuple looked up by
+    /// its rank in every other dimension, and kept unless that rank's class
+    /// is false — or unless it has no rank there at all.
+    fn band_reference(dims: &[MdDim<'_, Predicate>], p: &Prepared) -> Vec<TupleId> {
+        let passes = |t: &TupleId| {
+            dims.iter().enumerate().all(|(di, dim)| {
+                di == p.driver
+                    || dim
+                        .knowledge
+                        .pop()
+                        .rank_of_tuple(*t)
+                        .is_none_or(|r| p.zones[di].class_of(r) != Some(false))
+            })
+        };
+        let driver = &dims[p.driver].knowledge;
+        let mut band = Vec::new();
+        for (ranks, class) in p.zones[p.driver].runs() {
+            if *class != Some(false) {
+                let members = ranks.clone().flat_map(|r| driver.pop().members_at(r));
+                band.extend(members.copied().filter(passes));
+            }
+        }
+        band.extend(driver.overflow().iter().map(|e| e.tuple).filter(passes));
+        band
+    }
+
+    /// `run` with the reference free pass and walk in place of
+    /// `candidates` and `walk`.
     fn run_reference(
         dims: &mut [MdDim<'_, Predicate>],
         oracle: &impl SelectionOracle<Pred = Predicate>,
         rng: &mut StdRng,
         refine_with: Option<MdUpdatePolicy>,
     ) -> Result<Selection, OracleError> {
-        let (mut p, band) = prepare(dims, oracle, rng)?;
-        let survivors = band.into_tuples(dims[p.driver].knowledge.pop());
+        let mut p = prepare(dims, oracle, rng)?;
+        let survivors = band_reference(dims, &p);
         let tuples = walk_reference(
             dims,
             oracle,
@@ -1209,17 +1336,19 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The segment walk is the tuple-major walk: same winners in the
-        /// same order, same QPF count, same stats (the run rule's batch
-        /// count included), same splits, byte-identical knowledge — query
-        /// after query, as the KB grows from k = 1. With `cold_first`,
-        /// dimension 0 stays at k = 1 under a wide range, so the warmed
-        /// dimension 1 drives and dimension 0's wave is the tuple-major one.
+        /// The bitmap free pass and the segment walk are the per-tuple
+        /// free pass and the tuple-major walk: same winners in the same
+        /// order, same QPF count, same stats (the run rule's batch count
+        /// included), same splits, byte-identical knowledge — query after
+        /// query, as the KB grows from k = 1, with up to two dimensions
+        /// other than the driver. With `cold_first`, dimension 0 stays at
+        /// k = 1 under a wide range, so a warmed dimension drives and
+        /// dimension 0's wave is a tuple-major one.
         #[test]
         fn run_batched_walk_matches_tuple_major_reference(
             seed in proptest::prelude::any::<u64>(),
             n in 40usize..2_000,
-            d in 1usize..3,
+            d in 1usize..=3,
             cuts in 0usize..6,
             cold_first in proptest::prelude::any::<bool>(),
             policy in 0usize..3,
@@ -1229,9 +1358,13 @@ mod tests {
                 Some(MdUpdatePolicy::CompleteSplits),
                 None,
             ][policy];
-            let cold_first = cold_first && d == 2;
+            let cold_first = cold_first && d > 1;
             let cuts: Vec<usize> = (0..d)
-                .map(|a| if cold_first { [0, cuts + 2][a] } else { cuts })
+                .map(|a| match a {
+                    0 if cold_first => 0,
+                    _ if cold_first => cuts + 2,
+                    _ => cuts,
+                })
                 .collect();
             let (mut kbs_new, oracle_new) = scenario(n, &cuts, seed);
             let (mut kbs_ref, oracle_ref) = scenario(n, &cuts, seed);
@@ -1432,7 +1565,10 @@ mod tests {
         let mut reference = new.clone();
         let preds = range_preds(&ranges);
         let rng = || StdRng::seed_from_u64(24);
-        let (p, band) = prepare(&to_dims(&mut new, &pairs(&preds)), &oracle, &mut rng()).unwrap();
+        let borrowed = pairs(&preds);
+        let dims = to_dims(&mut new, &borrowed);
+        let p = prepare(&dims, &oracle, &mut rng()).unwrap();
+        let (band, _) = candidates(&dims, &p, oracle.n_slots());
         assert_eq!(p.driver, 1);
         assert!(band.segments.len() > 1, "{:?}", band.segments);
 
@@ -1507,7 +1643,7 @@ mod tests {
         for seed in 0..32 {
             let mut probe = kbs.clone();
             let rng = &mut StdRng::seed_from_u64(seed);
-            let (p, _) = prepare(&dims(&mut probe, &preds), &oracle, rng).unwrap();
+            let p = prepare(&dims(&mut probe, &preds), &oracle, rng).unwrap();
             assert_eq!(p.driver, 0, "the BETWEEN dimension does not drive");
             // Probe order: a = 0, d = 2, then b = c = 1.
             let ranks: Vec<usize> = p.trapdoors[1][0].sides.iter().map(|s| s.rank).collect();

@@ -7,8 +7,10 @@
 //! to it; a d-dimensional hyper-rectangle is 2d comparison trapdoors, two
 //! per dimension; a BETWEEN is a trapdoor whose locator is App. A's hunt;
 //! a SQL conjunction is all of them at once. `PRKB(MD)` locates every
-//! trapdoor, classifies every tuple per dimension through its partition
-//! rank, and then tests only tuples in the *candidate region* — not
+//! trapdoor, classifies every partition per dimension as runs of ranks,
+//! takes its candidates from the narrowest dimension's band and sieves them
+//! through a bitmap per other dimension — one bit test per tuple, no rank
+//! lookup — and then tests only tuples in the *candidate region* — not
 //! provably out in any dimension — evaluating only the trapdoors still
 //! unknown for them, with the paper's two optimizations:
 //!

@@ -6,9 +6,11 @@
 //! or not-sure, and each label is constant between a few ranks (its
 //! partitions to test and the ends of their span). So a dimension's classes
 //! are kept as maximal runs of ranks — O(trapdoors) space and time, never
-//! O(k) — and tuples are classified on the fly through their partition
-//! rank, so the executor never has to touch ranks or tuples outside the
-//! candidate band.
+//! O(k). The executor reads tuples through the runs, never through their
+//! ranks: the driver's runs not known false are its candidate band, and
+//! every other dimension's are walked once into bitmaps over tuple slots
+//! (its runs not known false, its all-true runs), so deciding a candidate
+//! there is a bit test, and no rank or tuple outside the bands is touched.
 
 use std::ops::Range;
 
@@ -63,8 +65,8 @@ impl Zones {
         &self.0
     }
 
-    /// The class of `rank`.
-    #[inline]
+    /// The class of `rank` (the tests' per-tuple reference asks it).
+    #[cfg(test)]
     pub(crate) fn class_of(&self, rank: usize) -> RankClass {
         self.0[self.0.partition_point(|(ranks, _)| ranks.end <= rank)].1
     }
