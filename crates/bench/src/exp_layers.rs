@@ -13,8 +13,17 @@
 //! * `qpf_batch_ns` — [`SpOracle::try_eval_batch`] at 1 000 scattered
 //!   tuples per call, per tuple: the same QPF with the keystream and the
 //!   tag computed 16 or 8 cells per pass, by CPU (verdicts equal `qpf`'s
-//!   and the QPF delta equals the batch length, both asserted). The report
-//!   names the widest kernel that ran;
+//!   and the QPF delta equals the batch length, both asserted). Every call
+//!   asks for the same 1 000 ids, so their cells stay cached: this prices
+//!   a cache-warm gather. The report names the widest kernel that ran;
+//! * `qpf_batch_ns_cold` / `qpf_batch_ns_contig` — the same call, per
+//!   tuple, on a 200 000-row column, where each call asks for 2 000 ids it
+//!   did not ask for last time: a fresh ascending random set (`cold_start`'s
+//!   QScan shape; the calls cycle through [`COLD_SETS`] sets, whose cells
+//!   together exceed L2), or the next contiguous run of the column (the
+//!   floor a gather in storage order sets). Each carries its QPF, calls ×
+//!   2 000 per sample (asserted), and the report prints cold ÷ contig —
+//!   a ratio from one run, which is what compares across builds;
 //! * `oracle_call_ns_{1,4,12,16,1000}` — one call, in ns, through the
 //!   served stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline,
 //!   so its clock read is priced) → [`SpOracle`], at 1 (the scalar cell),
@@ -94,8 +103,8 @@
 //! evaluations or scanned tuples), which reads as ns per unit — or, on a
 //! warm-select row, per `n` = 1 000 selects, which reads as µs per select;
 //! it is the fastest of [`SAMPLES`] samples, since the interest is the
-//! code's cost, not the box's noise. `qpf_uses` is 0 except on the engine
-//! and warm-select rows, whose QPF CI compares exactly.
+//! code's cost, not the box's noise. `qpf_uses` is 0 except on the cold
+//! gather, engine and warm-select rows, whose QPF CI compares exactly.
 
 use crate::harness::{EncSetup, Report, TmpDir};
 use crate::scale::Scale;
@@ -234,6 +243,71 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
         let id = format!("scan_ns_per_tuple_wf{work_factor}_t1");
         push(&id, n, ns_per_unit(n, n, scan));
     }
+}
+
+/// Rows of the cold-gather column: `cold_start`'s table size.
+const GATHER_ROWS: usize = 200_000;
+/// Tuples per cold-gather call: about `cold_start`'s tuples per call.
+const GATHER_LEN: usize = 2_000;
+/// Random id sets `qpf_batch_ns_cold` cycles through: 64 × 2 000 cells
+/// touch most of the column's 5.6 MB, more than an L2 holds.
+pub const COLD_SETS: usize = 64;
+
+/// `GATHER_LEN` ascending ids drawn uniformly from `0..GATHER_ROWS`
+/// (selection sampling, so they come out in order).
+fn ascending_set(rng: &mut StdRng) -> Vec<TupleId> {
+    let mut ids = Vec::with_capacity(GATHER_LEN);
+    for t in 0..GATHER_ROWS {
+        let (need, left) = (GATHER_LEN - ids.len(), GATHER_ROWS - t);
+        if rng.gen_range(0..left) < need {
+            ids.push(t as TupleId);
+        }
+    }
+    ids
+}
+
+/// The cold-gather rows: `qpf_batch_ns_cold` and `qpf_batch_ns_contig`,
+/// each with one sample's QPF.
+fn gather_rows(sample_units: usize) -> Vec<LayerPoint> {
+    let setup = EncSetup::new("gather", vec![(0..GATHER_ROWS as u64).collect()], 43);
+    let mut rng = StdRng::seed_from_u64(44);
+    let pred = setup.cmp_trapdoor(0, ComparisonOp::Lt, GATHER_ROWS as u64 / 2, &mut rng);
+    let oracle = setup.oracle();
+    let cold: Vec<Vec<TupleId>> = (0..COLD_SETS).map(|_| ascending_set(&mut rng)).collect();
+    let contig: Vec<Vec<TupleId>> = (0..GATHER_ROWS / GATHER_LEN)
+        .map(|run| {
+            (0..GATHER_LEN)
+                .map(|i| (run * GATHER_LEN + i) as TupleId)
+                .collect()
+        })
+        .collect();
+    let calls = (sample_units / GATHER_LEN).max(1);
+    let mut verdicts = Vec::new();
+    [("qpf_batch_ns_cold", cold), ("qpf_batch_ns_contig", contig)]
+        .into_iter()
+        .map(|(id, sets)| {
+            let mut next = sets.iter().cycle();
+            let before = oracle.qpf_uses();
+            let ns = ns_per_unit(GATHER_LEN, calls * GATHER_LEN, || {
+                let ids = next.next().expect("a cycle never ends");
+                oracle.eval_batch(black_box(&pred), black_box(ids), &mut verdicts);
+            });
+            let qpf_uses = (calls * GATHER_LEN) as u64;
+            assert_eq!(
+                oracle.qpf_uses() - before,
+                SAMPLES as u64 * qpf_uses,
+                "{id}: one use per tuple"
+            );
+            LayerPoint {
+                id: id.to_string(),
+                len: GATHER_LEN,
+                ns_per_unit: ns,
+                qpf_uses,
+                per: 1_000_000,
+                k: 0,
+            }
+        })
+        .collect()
 }
 
 /// Values of the engine rows' columns are uniform in `[0, DOMAIN)`, and a
@@ -621,6 +695,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         push(&format!("idset_encode_ns_per_id_{shape}"), ids, encode);
         push(&format!("idset_decode_ns_per_id_{shape}"), ids, decode);
     }
+    points.extend(gather_rows(sample_bytes / 16));
     points.extend(engine_rows());
     points.extend(warm_select_rows());
     points
@@ -659,6 +734,13 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("qpf_batch_ns") / of("qpf_ns"),
         call_12 - 12.0 * per_tuple,
         100.0 * (call_12 - 12.0 * per_tuple) / call_12,
+    ));
+    report.line(format!(
+        "cold gather: a batched QPF over fresh ascending ids costs {:.1} ns, over a fresh \
+         contiguous run {:.1} ns — cold ÷ contig {:.2}x",
+        of("qpf_batch_ns_cold"),
+        of("qpf_batch_ns_contig"),
+        of("qpf_batch_ns_cold") / of("qpf_batch_ns_contig"),
     ));
     report.line(format!(
         "engine per scanned NS-pair tuple: {:.1} ns for a 1-D range, {:.1} ns for a \

@@ -22,6 +22,12 @@
 //! [`crate::chacha20::block`] and [`crate::siphash::siphash24`] stay the
 //! reference and the fallback: `ValueCipher::decrypt_slices` takes a kernel
 //! only when a token exists, and never on a target other than `x86_64`.
+//!
+//! Beside the kernels sits one hint, [`prefetch`]: it asks the cache for a
+//! cell's lines (`_mm_prefetch` with `_MM_HINT_T0`, which SSE, baseline on
+//! `x86_64`, provides) so that an oracle batch can load the cells of its
+//! next passes while this pass decrypts. A prefetch reads nothing the
+//! program sees and cannot fault; off `x86_64` it does nothing.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::chacha20::KEY_LEN;
@@ -183,6 +189,28 @@ impl Avx512 {
     ) -> ([u64; X16], [u64; X16]) {
         match self.0 {}
     }
+}
+
+/// Asks the cache for the lines holding `bytes`: its first and its last
+/// byte, since a 28-byte cell straddles two 64-byte lines at 27 of every
+/// 64 offsets. A hint only — nothing is read that the caller sees, and an
+/// empty slice issues nothing. A no-op on targets other than `x86_64`.
+#[inline]
+pub(crate) fn prefetch(bytes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(first), Some(last)) = (bytes.first(), bytes.last()) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: both pointers come from references into `bytes`, and a
+        // prefetch only hints the cache: it reads no memory the program
+        // observes, writes none, and cannot fault. SSE, which provides
+        // it, is part of the `x86_64` baseline.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(first).cast());
+            _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(last).cast());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = bytes;
 }
 
 #[cfg(target_arch = "x86_64")]

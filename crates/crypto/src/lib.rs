@@ -18,7 +18,8 @@
 //! the ChaCha20 keystream and the SipHash-2-4 tag of many cells in one pass,
 //! which [`cipher::ValueCipher::decrypt_slices`] runs 16 cells per pass on a
 //! CPU with AVX-512F and 8 on one with AVX2, with the safe code kept as
-//! reference and fallback.
+//! reference and fallback — and the cache prefetch hint behind
+//! [`cipher::prefetch`].
 //!
 //! Security disclaimer: the implementations are correct against test vectors
 //! and constant-structure, but this crate exists to reproduce a systems

@@ -114,6 +114,9 @@ fn connect_to_ping_p50_under_5ms() {
     }
     samples_us.sort_unstable();
     let p50 = samples_us[49];
+    // A liveness bound, an order of magnitude wide: it catches a sleep on
+    // the accept path, not a slower reactor. The number itself is gated by
+    // `exp_server_conns`' `connect_ping_p99` row (`repro server_conns`).
     assert!(
         p50 < 5_000,
         "connect-to-ping p50 {}us >= 5ms: the accept path has a latency floor again",
@@ -154,6 +157,10 @@ fn trickled_frame_outlives_a_shorter_idle_deadline() {
     client
         .ping()
         .expect("trickled ping answered, not idle-reaped");
+    // An order-of-magnitude lower bound, and the test's precondition: a
+    // ~100 ms trickle must outlast the 40 ms idle deadline, or the test
+    // proves nothing. No bench row prices the deadlines; this suite pins
+    // which clock governs, not how fast.
     assert!(
         start.elapsed() > Duration::from_millis(40),
         "trickle too fast to prove anything: transfer finished inside the idle deadline"
@@ -190,6 +197,8 @@ fn silent_partial_frame_is_reaped_by_the_stall_deadline() {
         "stalled connection must be closed, not answered"
     );
     let reaped_after = start.elapsed();
+    // A liveness bound 30x the 100 ms stall deadline: it catches a deadline
+    // that is never enforced, not a slow reap. No bench row prices the reap.
     assert!(
         reaped_after < Duration::from_secs(3),
         "stall reap took {reaped_after:?}; the stall deadline is not being enforced"
@@ -372,6 +381,10 @@ fn hundreds_of_idle_connections_do_not_degrade_service() {
         samples_us.push(start.elapsed().as_micros());
     }
     samples_us.sort_unstable();
+    // A liveness bound, an order of magnitude wide: it catches service that
+    // stalls behind the idle crowd. The number through a resident crowd is
+    // gated by `exp_server_conns`' `connect_ping_p99` row (its in-bench p99
+    // < 50 ms assert).
     assert!(
         samples_us[19] < 100_000,
         "worst connect-to-ping {}us with 200 idle conns",

@@ -1,7 +1,9 @@
 //! `unsafe` lives in exactly two product files: the epoll syscall shim
-//! (`crates/server/src/epoll.rs`) and the AVX2 / AVX-512F ChaCha20 and
-//! SipHash lane kernels (`crates/crypto/src/arch.rs`). Their crates `deny(unsafe_code)` and let
-//! only that module in; every other product crate forbids it.
+//! (`crates/server/src/epoll.rs`) and `crates/crypto/src/arch.rs`, which
+//! holds the AVX2 / AVX-512F ChaCha20 and SipHash lane kernels and, beside
+//! them, the cache prefetch hint an oracle batch issues for its next
+//! passes' cells. Their crates `deny(unsafe_code)` and let only that module
+//! in; every other product crate forbids it.
 
 mod product_src;
 
