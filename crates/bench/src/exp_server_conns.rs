@@ -69,7 +69,7 @@ fn idle_target(scale: Scale) -> usize {
     };
     match fd_soft_limit() {
         // Two fds per loopback connection plus the active clients,
-        // workers, and slack.
+        // server threads, and slack.
         Some(limit) => want.min(limit.saturating_sub(512) / 2),
         None => want.min(1_000),
     }

@@ -142,9 +142,9 @@ schema_enum! {
         ScrubCorruptions => "scrub_corruptions",
         /// Files moved into a `quarantine/` subdirectory by scrub passes.
         QuarantinedFiles => "quarantined_files",
-        /// Times the server reactor's `epoll_wait` returned with events (each
-        /// return may carry many connections' readiness — the whole point of
-        /// retiring per-connection poll ticks).
+        /// Readiness events the server threads' waits returned: a wait hands
+        /// out at most one, so this is the waits that ended with an event
+        /// (a served connection, an accept, or the shutdown wake).
         EpollWakeups => "epoll_wakeups",
         /// Live segment files across open durable engines — a gauge kept
         /// current via `MetricsRegistry::set` after every rotation.
@@ -168,11 +168,14 @@ schema_enum! {
         /// Microseconds a session spent waiting to lock its checkout's
         /// footprint (summed over the attributes of one checkout).
         LockWaitUs => "shard_lock_wait_us",
-        /// Pipelined requests already queued on a connection when one more
-        /// frame arrived (0 = strictly request/response clients).
+        /// Frames of the same connection a server thread had already answered
+        /// in one turn when it decoded one more — the requests pipelined
+        /// ahead of it (0 = strictly request/response clients).
         PipelinedDepth => "pipelined_depth",
-        /// Microseconds a decoded request waited in the reactor's bounded work
-        /// queue before a worker picked it up.
+        /// Retired, observed by nothing: a request runs on the thread that
+        /// read it, with no work queue to wait in. Kept because
+        /// `prkb_e2e` reads it (`server.reactor.queue_wait_p50_us`); it
+        /// retires with that reader at ROADMAP item 8(b)'s schema bump.
         ReactorQueueWaitUs => "reactor_queue_wait_us",
     }
 }

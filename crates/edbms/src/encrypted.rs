@@ -154,17 +154,26 @@ impl EncryptedTable {
     /// # Errors
     /// Returns an out-of-range error for bad ids.
     pub fn cell(&self, attr: AttrId, t: TupleId) -> Result<&[u8], EdbmsError> {
-        let col = self
-            .columns
+        let col = self.column(attr)?;
+        col.cell(t).ok_or_else(|| self.tuple_out_of_range(t))
+    }
+
+    /// Borrows column `attr`, for a caller that reads many of its cells.
+    pub(crate) fn column(&self, attr: AttrId) -> Result<&EncryptedColumn, EdbmsError> {
+        self.columns
             .get(attr as usize)
             .ok_or(EdbmsError::AttrOutOfRange {
                 attr,
                 n_attrs: self.schema.arity(),
-            })?;
-        col.cell(t).ok_or(EdbmsError::TupleOutOfRange {
+            })
+    }
+
+    /// The error for a tuple id with no cell.
+    pub(crate) fn tuple_out_of_range(&self, t: TupleId) -> EdbmsError {
+        EdbmsError::TupleOutOfRange {
             tuple: t,
             len: self.len(),
-        })
+        }
     }
 
     /// Storage consumed by the encrypted data in bytes (used as the

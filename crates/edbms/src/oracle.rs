@@ -15,7 +15,7 @@
 //! wrappers remain for code that treats a boundary failure as a programming
 //! error (benchmarks, tests).
 
-use crate::encrypted::EncryptedTable;
+use crate::encrypted::{EncryptedColumn, EncryptedTable};
 use crate::error::EdbmsError;
 use crate::schema::TupleId;
 use crate::trapdoor::{EncryptedPredicate, PredicateKind};
@@ -220,7 +220,7 @@ impl<'a> SpOracle<'a> {
     fn eval_chunk<const W: usize>(
         &self,
         session: &QpfSession<'_>,
-        pred: &EncryptedPredicate,
+        column: &EncryptedColumn,
         tuples: &[TupleId],
         out: &mut [bool],
     ) -> Result<(), OracleError> {
@@ -239,19 +239,15 @@ impl<'a> SpOracle<'a> {
                 &[]
             };
             for &t in fresh {
-                match self.table.cell(pred.attr(), t) {
-                    Ok(cell) => {
-                        if W > BATCH_LANES {
-                            prefetch(cell);
-                        }
-                        ring[resolved % W] = cell;
-                        resolved += 1;
-                    }
-                    Err(e) => {
-                        missing = Some(e);
-                        break;
-                    }
+                let Some(cell) = column.cell(t) else {
+                    missing = Some(self.table.tuple_out_of_range(t));
+                    break;
+                };
+                if W > BATCH_LANES {
+                    prefetch(cell);
                 }
+                ring[resolved % W] = cell;
+                resolved += 1;
             }
             // Short only in the pass that holds the out-of-range tuple.
             let gathered = out.len().min(resolved - start);
@@ -349,11 +345,12 @@ impl SelectionOracle for SpOracle<'_> {
             return Ok(());
         }
         let session = self.tm.session(pred).map_err(OracleError::from)?;
+        let column = self.table.column(pred.attr())?;
         out.resize(tuples.len(), false);
         let result = if tuples.len() > BATCH_LANES {
-            self.eval_chunk::<WINDOW>(&session, pred, tuples, out)
+            self.eval_chunk::<WINDOW>(&session, column, tuples, out)
         } else {
-            self.eval_chunk::<BATCH_LANES>(&session, pred, tuples, out)
+            self.eval_chunk::<BATCH_LANES>(&session, column, tuples, out)
         };
         if result.is_err() {
             out.clear(); // partial verdicts must not be readable
@@ -482,6 +479,29 @@ mod tests {
                 );
             }
         }
+        // A trapdoor on an attribute the table lacks fails the batch fatal,
+        // with the per-tuple path's text, before any decrypt.
+        let absent = owner
+            .trapdoor("t", &Predicate::cmp(1, ComparisonOp::Lt, 5), &mut rng)
+            .unwrap();
+        let per_tuple = oracle.try_eval(&absent, 0).unwrap_err().to_string();
+        assert!(per_tuple.starts_with("fatal"), "{per_tuple}");
+        for len in [BATCH_LANES, LEN] {
+            let tuples: Vec<TupleId> = (0..len as TupleId).collect();
+            out.push(true);
+            let before = oracle.qpf_uses();
+            let err = oracle
+                .try_eval_batch(&absent, &tuples, &mut out)
+                .unwrap_err();
+            assert_eq!(err.to_string(), per_tuple, "{len} tuples");
+            assert!(out.is_empty(), "no partial verdicts ({len} tuples)");
+            assert_eq!(oracle.qpf_uses(), before, "{len} tuples");
+        }
+        // An empty batch evaluates nothing, so it succeeds whatever the
+        // attribute.
+        oracle
+            .try_eval_batch(&absent, &[], &mut out)
+            .expect("empty batch");
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //!
 //! Two independent mechanisms live here:
 //!
-//! * [`AdmissionGate`] — a bounded connection-slot counter owned by the
-//!   reactor. The reactor offers every accepted socket to the gate; when
-//!   all slots are taken the connection is *shed* with a best-effort
-//!   [`code::BUSY`] error frame and closed, instead of parking in an
-//!   unbounded backlog. Overload therefore degrades into fast, explicit
-//!   rejections the client can back off on — never into silently growing
-//!   latency or hung accepts. The slot count is `threads + queue` (the
-//!   worker pool plus its queue depth); `queue` is
-//!   [`ServerConfig::queue`](crate::ServerConfig).
+//! * [`AdmissionGate`] — a bounded connection-slot counter kept beside the
+//!   reactor's connection slab, under the same lock. The server thread
+//!   that accepts a socket offers it to the gate; when all slots are taken
+//!   the connection is *shed* with a best-effort [`code::BUSY`] error
+//!   frame and closed, instead of parking in an unbounded backlog.
+//!   Overload therefore degrades into fast, explicit rejections the client
+//!   can back off on — never into silently growing latency or hung
+//!   accepts. The slot count is `threads + queue` (the server threads plus
+//!   [`ServerConfig::queue`](crate::ServerConfig) more slots).
 //!
 //! * [`DedupWindow`] — a bounded request-id → response memo that makes
 //!   retried mutations idempotent. A client that loses its connection
@@ -26,8 +26,8 @@
 //! The in-flight case is handled, not raced: while a request id is being
 //! executed, a duplicate arrival parks on a condvar until the first
 //! execution either completes (then replays) or aborts (then re-executes).
-//! Abort is a drop-guard ([`ExecuteClaim`]): a worker that errors or
-//! panics mid-request never wedges the id.
+//! Abort is a drop-guard ([`ExecuteClaim`]): a request that errors or
+//! panics mid-execution never wedges the id.
 
 use crate::proto::{code, Response};
 use std::collections::{HashMap, VecDeque};
@@ -54,8 +54,8 @@ pub(crate) enum Admit {
     Shed,
 }
 
-/// Bounded connection-slot gate owned by the reactor (see module docs).
-/// Single-threaded by design — only the reactor admits and releases — so
+/// Bounded connection-slot gate (see module docs). It lives under the
+/// reactor's slab lock — admitting and releasing happen only there — so
 /// plain counters suffice.
 pub(crate) struct AdmissionGate {
     capacity: usize,
@@ -90,7 +90,7 @@ impl AdmissionGate {
 
 /// Tells the shed peer why it was turned away, best effort, then closes.
 /// Runs on the still-blocking just-accepted socket, bounded by the write
-/// timeout so a dead peer cannot stall the reactor.
+/// timeout so a dead peer holds the accepting thread no longer than that.
 pub(crate) fn shed_busy(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let frame = Response::Error {
@@ -103,10 +103,10 @@ pub(crate) fn shed_busy(mut stream: TcpStream) {
 }
 
 enum Entry {
-    /// A worker is executing this request id right now.
+    /// A server thread is executing this request id right now.
     Pending,
     /// Executed: the exact framed [`Response`] that was (or would have
-    /// been) written back — the buffer the reactor wrote from, shared.
+    /// been) written back — the buffer the reply was written from, shared.
     Done(Arc<Vec<u8>>),
 }
 
@@ -115,7 +115,7 @@ struct DedupState {
     entries: HashMap<u64, Entry>,
     /// Completed ids in completion order — the FIFO eviction queue.
     /// Pending ids are *not* here: an in-flight request is never evicted
-    /// (in-flight count is bounded by the worker pool anyway).
+    /// (in-flight count is bounded by the server threads anyway).
     order: VecDeque<u64>,
     /// Bytes held by the `Done` frames.
     bytes: usize,
@@ -149,8 +149,8 @@ pub(crate) enum DedupClaim<'a> {
 /// Exclusive license to execute one tracked request id.
 ///
 /// Dropping without [`complete`](Self::complete) aborts: the id is
-/// released so a retry re-executes — this is what keeps a worker panic or
-/// error from wedging the id forever.
+/// released so a retry re-executes — this is what keeps a panic or an
+/// error mid-request from wedging the id forever.
 pub(crate) struct ExecuteClaim<'a> {
     window: &'a DedupWindow,
     rid: u64,

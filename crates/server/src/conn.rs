@@ -1,18 +1,18 @@
 //! Request processing: shared server state + the decode/dispatch path.
 //!
-//! I/O lives in [`crate::reactor`]; this module is the compute side. A
-//! worker thread receives one decoded frame payload, runs [`process`], and
-//! hands the response back to the reactor already framed. Failure handling is
-//! two-tier, mirroring the WAL's trust model:
+//! I/O lives in [`crate::reactor`]; this module is the compute side. The
+//! server thread that read a frame runs [`process`] on its payload, in the
+//! reader's buffer, and gets the response back already framed. Failure
+//! handling is two-tier, mirroring the WAL's trust model:
 //!
 //! * **frame damage** (bad CRC, oversized length, truncation) destroys
-//!   framing — the reactor sends a best-effort error frame and closes the
-//!   connection;
+//!   framing — the reactor answers the frames before the damage, sends a
+//!   best-effort error frame and closes the connection;
 //! * **payload damage** (unknown tag, truncated body, hostile counts) is
 //!   contained to one request — the server answers with a structured error
 //!   and keeps the connection alive.
 //!
-//! Hostile-but-well-framed input must never panic a worker: a select
+//! Hostile-but-well-framed input must never panic a server thread: a select
 //! with no trapdoor is refused by the decoder, and an out-of-range tuple id
 //! here, before dispatch.
 //!
@@ -37,10 +37,10 @@ use prkb_edbms::{DurabilityError, OracleError, SelectionOracle, TupleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// State shared between the reactor thread and every worker.
+/// State shared by every server thread.
 pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     /// The engine pool behind its checkout/checkin discipline.
     pub sched: SessionScheduler<P>,
@@ -48,7 +48,7 @@ pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     /// `&mut` operation on test oracles) between queries.
     pub oracle: Arc<RwLock<O>>,
     /// Set once by a Shutdown request (or [`crate::ServerHandle`]): the
-    /// reactor stops accepting, in-flight requests finish, responses
+    /// server stops accepting, in-flight requests finish, responses
     /// flush, then everything closes.
     pub shutdown: AtomicBool,
     /// Close connections with no completed frame for this long (only
@@ -72,33 +72,26 @@ pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
     pub deadline_timeouts: AtomicU64,
     /// Requests answered from the dedup window instead of re-executing.
     pub dedup_hits: AtomicU64,
-    /// The reactor's eventfd, installed by [`crate::PrkbServer::run`]
-    /// before the reactor starts. Workers and shutdown both bump it.
-    pub wake: OnceLock<crate::epoll::Waker>,
+    /// The eventfd the server threads wait on beside their sockets. Only
+    /// shutdown bumps it.
+    pub wake: crate::epoll::Waker,
 }
 
 impl<P: SpPredicate + WireCodec, O> Shared<P, O> {
-    /// Flips the shutdown flag and wakes the reactor so it observes the
-    /// flag immediately instead of on its next sweep.
+    /// Flips the shutdown flag and bumps the eventfd, so that a waiting
+    /// server thread observes the flag at once instead of on its next
+    /// timeout.
     pub(crate) fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.wake_reactor();
-    }
-
-    /// Bumps the reactor's eventfd (no-op before the reactor starts —
-    /// it checks the shutdown flag on entry anyway).
-    pub(crate) fn wake_reactor(&self) {
-        if let Some(w) = self.wake.get() {
-            w.wake();
-        }
+        self.wake.wake();
     }
 }
 
 /// Decodes one request payload, applies the resilience header (deadline
 /// budget, idempotent-replay window), and dispatches. Returns the response
-/// as a complete wire frame — built and checksummed here, on the worker,
-/// so the reactor only moves its bytes — and whether the connection must
-/// close afterwards.
+/// as a complete wire frame — built and checksummed once, here, and
+/// shared with the dedup window — and whether the connection must close
+/// afterwards.
 pub(crate) fn process<P, O>(shared: &Shared<P, O>, payload: &[u8]) -> (Arc<Vec<u8>>, bool)
 where
     P: SpPredicate + WireCodec,

@@ -1,24 +1,29 @@
 //! Thin epoll + eventfd wrapper — the crate's only unsafe module.
 //!
-//! The reactor ([`crate::server`]) needs exactly four kernel facilities:
-//! create an epoll instance, register/modify/remove interest, wait for
-//! readiness, and a cross-thread wake primitive. All four are one syscall
-//! each on Linux, so this module declares them directly (`extern "C"`
-//! against the libc the std runtime already links) instead of pulling in a
-//! dependency. Everything above this module is `#![deny(unsafe_code)]`
+//! The server threads ([`crate::reactor`]) need exactly four kernel
+//! facilities: create an epoll instance, register/re-arm/remove interest,
+//! wait for readiness, and a cross-thread wake primitive. All four are one
+//! syscall each on Linux, so this module declares them directly (`extern
+//! "C"` against the libc the std runtime already links) instead of pulling
+//! in a dependency. Everything above this module is `#![deny(unsafe_code)]`
 //! clean; everything in it is a direct, argument-checked syscall shim.
 //!
 //! Design notes:
 //!
-//! * **Level-triggered only.** The reactor re-arms write interest
-//!   explicitly and drains read buffers until `WouldBlock`, so
-//!   level-triggered semantics (the default) are exactly right and spare
-//!   us the `EPOLLET` starvation folklore.
+//! * **One-shot sockets, one event per wait.** Every server thread waits
+//!   on the same instance. A socket is registered `EPOLLONESHOT`, so one
+//!   readiness report reaches exactly one thread and disarms the socket
+//!   until that thread re-arms it; [`Poller::wait`] hands out at most one
+//!   event, so a thread never holds a second socket's report while it
+//!   serves the first.
+//! * **The waker is a level-triggered `eventfd`**: once left readable, it
+//!   reaches every thread in turn — that is how a drained server tells all
+//!   of its threads to exit. An eventfd, not a pipe: one fd instead of
+//!   two, a single 8-byte counter the kernel coalesces for us, and a read
+//!   drains every pending wake at once.
 //! * **Tokens are plain `u64`s** stored in `epoll_data`; the caller owns
-//!   the meaning (the reactor uses slab indices plus two sentinels).
-//! * **The waker is an `eventfd`**, not a pipe: one fd instead of two, a
-//!   single 8-byte counter the kernel coalesces for us, and a read drains
-//!   every pending wake at once.
+//!   the meaning (the reactor packs a slab index and a generation, plus
+//!   two sentinels).
 #![allow(unsafe_code)]
 
 use std::fs::File;
@@ -32,6 +37,7 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -74,8 +80,6 @@ pub(crate) struct Event {
     pub token: u64,
     /// Readable (or a peer half-close — data may still be buffered).
     pub readable: bool,
-    /// Writable.
-    pub writable: bool,
     /// Error or hangup: the fd is beyond use once any buffered data is
     /// drained.
     pub hangup: bool,
@@ -96,9 +100,11 @@ impl Poller {
     }
 
     fn interest(readable: bool, writable: bool) -> u32 {
-        let mut events = EPOLLRDHUP;
+        // Peer half-close is read interest: a socket that stopped reading
+        // must not keep reporting it.
+        let mut events = EPOLLONESHOT;
         if readable {
-            events |= EPOLLIN;
+            events |= EPOLLIN | EPOLLRDHUP;
         }
         if writable {
             events |= EPOLLOUT;
@@ -115,7 +121,7 @@ impl Poller {
         Ok(())
     }
 
-    /// Registers `fd` under `token` with the given interest.
+    /// Registers `fd` under `token`, armed for one readiness report.
     pub(crate) fn add(
         &self,
         fd: RawFd,
@@ -126,8 +132,9 @@ impl Poller {
         self.ctl(EPOLL_CTL_ADD, fd, Self::interest(readable, writable), token)
     }
 
-    /// Replaces the interest set of an already-registered `fd`.
-    pub(crate) fn modify(
+    /// Re-arms an already-registered `fd` for one more readiness report,
+    /// replacing its interest set.
+    pub(crate) fn rearm(
         &self,
         fd: RawFd,
         token: u64,
@@ -137,60 +144,61 @@ impl Poller {
         self.ctl(EPOLL_CTL_MOD, fd, Self::interest(readable, writable), token)
     }
 
+    /// Registers `waker` under `token`, level-triggered: it reports
+    /// readable to every wait until it is drained.
+    pub(crate) fn add_waker(&self, waker: &Waker, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, waker.file.as_raw_fd(), EPOLLIN, token)
+    }
+
     /// Removes `fd` from the interest list. Harmless if the fd is already
     /// gone (closing an fd deregisters it kernel-side).
     pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks until readiness or `timeout` (None = forever), refilling
-    /// `out`. A signal interruption returns an empty batch rather than an
-    /// error — the caller's loop re-enters wait anyway.
-    pub(crate) fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        out.clear();
+    /// Blocks until one readiness report or `timeout`, and returns that
+    /// report (`None` on timeout). A signal interruption returns `None`
+    /// rather than an error — the caller's loop re-enters wait anyway.
+    pub(crate) fn wait(&self, timeout: Duration) -> io::Result<Option<Event>> {
         // Round the timeout up so a 0.4 ms residue does not busy-spin.
-        let timeout_ms = match timeout {
-            None => -1,
-            Some(d) => i32::try_from(d.as_millis().saturating_add(u128::from(!d.is_zero())))
-                .unwrap_or(i32::MAX),
-        };
-        let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
-        let n = unsafe {
-            epoll_wait(
-                self.epfd.as_raw_fd(),
-                buf.as_mut_ptr(),
-                buf.len() as i32,
-                timeout_ms,
-            )
-        };
+        let timeout_ms = i32::try_from(
+            timeout
+                .as_millis()
+                .saturating_add(u128::from(!timeout.is_zero())),
+        )
+        .unwrap_or(i32::MAX);
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `epfd` is an open epoll fd owned by `self`, and `ev` is a
+        // live, writable `epoll_event` for the one report `maxevents = 1`
+        // lets the kernel store.
+        let n = unsafe { epoll_wait(self.epfd.as_raw_fd(), &mut ev, 1, timeout_ms) };
         if n < 0 {
             let e = io::Error::last_os_error();
             return if e.kind() == io::ErrorKind::Interrupted {
-                Ok(())
+                Ok(None)
             } else {
                 Err(e)
             };
         }
-        for ev in &buf[..n as usize] {
-            // Copy out of the (possibly packed) struct before touching
-            // the fields.
-            let (events, data) = (ev.events, ev.data);
-            out.push(Event {
-                token: data,
-                readable: events & (EPOLLIN | EPOLLRDHUP) != 0,
-                writable: events & EPOLLOUT != 0,
-                hangup: events & (EPOLLERR | EPOLLHUP) != 0,
-            });
+        if n == 0 {
+            return Ok(None);
         }
-        Ok(())
+        // Copy out of the (possibly packed) struct before touching the
+        // fields.
+        let (events, data) = (ev.events, ev.data);
+        Ok(Some(Event {
+            token: data,
+            readable: events & (EPOLLIN | EPOLLRDHUP) != 0,
+            hangup: events & (EPOLLERR | EPOLLHUP) != 0,
+        }))
     }
 }
 
-/// Cross-thread wake primitive for the reactor: an 8-byte eventfd counter.
-/// Worker threads and [`crate::ServerHandle::shutdown`] bump it; the
-/// reactor registers it read-side and drains it on wakeup. Replaces the
-/// old "connect to your own listener" shutdown poke, which consumed an
-/// admission slot and showed up in the request counters.
+/// Cross-thread wake primitive: an 8-byte eventfd counter. Shutdown bumps
+/// it so that a waiting server thread sees the flag at once, and a drained
+/// server leaves it readable so that every thread wakes and exits. Unlike
+/// a connection to the server's own listener, it takes no admission slot
+/// and shows up in no request counter.
 pub(crate) struct Waker {
     file: File,
 }
@@ -203,11 +211,6 @@ impl Waker {
         Ok(Waker {
             file: File::from(owned),
         })
-    }
-
-    /// The fd to register with a [`Poller`].
-    pub(crate) fn as_raw_fd(&self) -> RawFd {
-        self.file.as_raw_fd()
     }
 
     /// Bumps the counter (coalesced by the kernel; best effort — a full
@@ -228,34 +231,33 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
+    const SHORT: Duration = Duration::from_millis(10);
+    const LONG: Duration = Duration::from_secs(5);
+
     #[test]
     fn waker_wakes_and_drains() {
         let poller = Poller::new().expect("epoll");
         let waker = Waker::new().expect("eventfd");
-        poller
-            .add(waker.as_raw_fd(), 42, true, false)
-            .expect("register");
+        poller.add_waker(&waker, 42).expect("register");
 
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "no spurious readiness");
+        assert!(
+            poller.wait(SHORT).expect("wait").is_none(),
+            "no spurious readiness"
+        );
 
         waker.wake();
         waker.wake(); // coalesced
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 42);
-        assert!(events[0].readable);
+        let ev = poller.wait(LONG).expect("wait").expect("woken");
+        assert_eq!(ev.token, 42);
+        assert!(ev.readable);
+        // Level-triggered: an undrained waker reports to the next wait too.
+        assert!(poller.wait(LONG).expect("wait").is_some());
 
         waker.drain();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty(), "drain resets the counter");
+        assert!(
+            poller.wait(SHORT).expect("wait").is_none(),
+            "drain resets the counter"
+        );
     }
 
     #[test]
@@ -265,19 +267,19 @@ mod tests {
         listener.set_nonblocking(true).expect("nonblocking");
 
         let poller = Poller::new().expect("epoll");
-        use std::os::fd::AsRawFd as _;
         poller
             .add(listener.as_raw_fd(), 1, true, false)
             .expect("register listener");
 
         let mut client = TcpStream::connect(addr).expect("connect");
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
+        let ev = poller.wait(LONG).expect("wait").expect("accept ready");
         assert!(
-            events.iter().any(|e| e.token == 1 && e.readable),
+            ev.token == 1 && ev.readable,
             "pending accept reports readable"
+        );
+        assert!(
+            poller.wait(SHORT).expect("wait").is_none(),
+            "one report per arming, although the accept is still pending"
         );
 
         let (server_side, _) = listener.accept().expect("accept");
@@ -287,33 +289,29 @@ mod tests {
             .expect("register conn");
 
         client.write_all(b"hi").expect("write");
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
+        let ev = poller.wait(LONG).expect("wait").expect("bytes ready");
         assert!(
-            events.iter().any(|e| e.token == 2 && e.readable),
+            ev.token == 2 && ev.readable,
             "buffered bytes report readable"
         );
 
-        // A fresh socket is writable the moment EPOLLOUT interest is set.
+        // A fresh socket is writable the moment EPOLLOUT interest is armed.
         poller
-            .modify(server_side.as_raw_fd(), 2, true, true)
-            .expect("modify");
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
+            .rearm(server_side.as_raw_fd(), 2, false, true)
+            .expect("rearm");
+        let ev = poller.wait(LONG).expect("wait").expect("writable");
         assert!(
-            events.iter().any(|e| e.token == 2 && e.writable),
+            ev.token == 2 && !ev.readable,
             "empty send buffer reports writable"
         );
 
+        poller
+            .rearm(server_side.as_raw_fd(), 2, true, false)
+            .expect("rearm");
         poller.delete(server_side.as_raw_fd()).expect("delete");
         drop(client);
-        poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .expect("wait");
         assert!(
-            events.iter().all(|e| e.token != 2),
+            poller.wait(SHORT).expect("wait").is_none(),
             "deleted fd reports nothing"
         );
     }

@@ -23,13 +23,15 @@
 //!   and the idempotent-replay dedup window;
 //! * `epoll` (private) — the thin epoll/eventfd syscall wrapper, the
 //!   crate's only unsafe module;
-//! * `reactor` (private) — the readiness-driven event loop: non-blocking
-//!   accept, per-connection state machines, request pipelining, write
-//!   buffering with EPOLLOUT re-arm;
-//! * `conn` (private) — request decode/dispatch, run on the worker pool;
+//! * `reactor` (private) — the readiness-driven event loop, run by every
+//!   server thread over one epoll instance: non-blocking accept,
+//!   per-connection state machines, request pipelining, write buffering
+//!   with EPOLLOUT re-arm;
+//! * `conn` (private) — request decode/dispatch, run on the thread that
+//!   read the request;
 //! * `server` (private; [`PrkbServer`] and its config, handle and report
-//!   are re-exported here) — server wiring: reactor thread + bounded
-//!   worker pool + graceful drain;
+//!   are re-exported here) — server wiring: `threads` server threads +
+//!   graceful drain;
 //! * `client` (private; [`PrkbClient`]) — the blocking client: timeouts,
 //!   deterministic retries with exactly-once request ids, circuit breaker,
 //!   and pipelined submit/drain on the same connection. It is the one

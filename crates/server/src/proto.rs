@@ -115,8 +115,9 @@ pub mod code {
     pub const DRAINING: u16 = 60;
     /// Frame-level damage (reported back best-effort before closing).
     pub const FRAME: u16 = 70;
-    /// The admission gate shed this connection: worker pool and queue are
-    /// full. Retryable after backoff — nothing was executed.
+    /// The admission gate shed this connection: every connection slot
+    /// (`threads + queue`) is taken. Retryable after backoff — nothing was
+    /// executed.
     pub const BUSY: u16 = 80;
     /// The request's `deadline_ms` budget expired before it could commit.
     /// The attribute footprint was released and the knowledge base is
@@ -567,7 +568,7 @@ impl Response {
 
     /// Encodes this response in its final wire form: the payload written
     /// once, with exact capacity, behind a reserved frame header whose
-    /// `len`/`crc` are then filled in place. The buffer a worker builds
+    /// `len`/`crc` are then filled in place. The buffer built
     /// here is the buffer the dedup window keeps and the socket is written
     /// from. A payload over [`DEFAULT_MAX_FRAME_LEN`], which no client
     /// reads, is not built: the answer is [`code::REPLY_TOO_LARGE`].

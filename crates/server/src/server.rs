@@ -1,50 +1,43 @@
-//! The TCP server: epoll reactor front-end, bounded worker pool, graceful
-//! shutdown.
+//! The TCP server: `threads` server threads over one epoll instance,
+//! graceful shutdown.
 //!
-//! One thread runs the reactor ([`crate::reactor`]): non-blocking accept,
-//! readiness-driven frame reads, buffered writes, and the admission gate.
-//! A fixed pool of workers ([`ServerConfig::threads`]) pulls decoded
-//! requests off a bounded channel,
-//! runs [`crate::conn::process`], and hands encoded responses back through
-//! a completion queue plus an eventfd wake. Shutdown — requested over the
-//! wire or via [`ServerHandle::shutdown`] — is graceful: the flag flips,
-//! the eventfd wakes the reactor, accepting stops, every in-flight request
+//! [`PrkbServer::run`] runs the reactor ([`crate::reactor`]) on
+//! [`ServerConfig::threads`] threads, the calling one included: each
+//! accepts, reads, runs [`crate::conn::process`] and writes on whichever
+//! connection it saw become ready. Shutdown — requested over the wire or
+//! via [`ServerHandle::shutdown`] — is graceful: the flag flips, the
+//! eventfd wakes a waiting thread, accepting stops, every in-flight request
 //! finishes (commits included) and its response flushes before the
-//! connection closes, and [`PrkbServer::run`] returns only after both the
-//! reactor and the pool have drained and the pool's un-synced tail is
-//! flushed. Committed refinements are never lost to shutdown;
-//! decoded-but-unsubmitted pipelined frames are dropped. An idle server
-//! syncs too: a worker that waits `IDLE_FLUSH_TICK` for a request without
-//! getting one flushes the durable tails before it waits again.
+//! connection closes, and [`PrkbServer::run`] returns only after every
+//! thread has exited and the pool's un-synced tail is flushed. Committed
+//! refinements are never lost to shutdown; pipelined frames not yet
+//! answered are dropped. An idle server syncs too: a thread whose wait
+//! for an event ends with none flushes the durable tails before it waits
+//! again.
 
 use crate::admission::{DedupWindow, DEDUP_WINDOW};
-use crate::conn::{self, Shared};
+use crate::conn::Shared;
 use crate::epoll::Waker;
-use crate::reactor::{self, Completion, CompletionQueue, WorkItem};
+use crate::reactor;
 use crate::scheduler::SessionScheduler;
-use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{PrkbEngine, ShardedDurablePool, SpPredicate};
 use prkb_edbms::SelectionOracle;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Worker-pool size used when the config does not say.
+/// Server threads used when the config does not say.
 const DEFAULT_THREADS: usize = 4;
-
-/// How long a worker waits for a request before it flushes the pool's
-/// un-synced tails: a select's refinements reply before their fsync, so
-/// when traffic stops this bounds how long they stay exposed to a crash.
-const IDLE_FLUSH_TICK: Duration = Duration::from_millis(50);
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker-pool size. `None` is 4. Clamped to at least 1.
+    /// Server threads, each of which accepts, reads, runs requests and
+    /// writes replies. `None` is 4. Clamped to at least 1.
     pub threads: Option<usize>,
     /// Connections with no *completed* frame for this long are closed.
     /// Only consulted between frames; a connection that has buffered a
@@ -55,10 +48,11 @@ pub struct ServerConfig {
     /// this long are closed. Reset on every received byte, so a
     /// slow-but-progressing sender is never reaped mid-frame.
     pub stall_deadline: Duration,
-    /// Extra admitted-connection slots beyond `threads`: the server
-    /// admits up to `threads + queue` concurrent connections before the
-    /// gate sheds new arrivals with BUSY. `None` is `threads * 2`. Clamped
-    /// to at least 1.
+    /// Admission slots beyond `threads`: the server admits up to
+    /// `threads + queue` concurrent connections before the gate sheds new
+    /// arrivals with BUSY. Nothing queues behind a slot — an admitted
+    /// connection is served by whichever thread sees it ready. `None` is
+    /// `threads * 2`. Clamped to at least 1.
     pub queue: Option<usize>,
 }
 
@@ -132,7 +126,8 @@ pub struct PrkbServer<P: SpPredicate + WireCodec, O> {
     listener: TcpListener,
     shared: Arc<Shared<P, O>>,
     threads: usize,
-    queue: usize,
+    /// Admitted connections at most: `threads + queue`.
+    conn_cap: usize,
 }
 
 impl<P, O> PrkbServer<P, O>
@@ -144,7 +139,7 @@ where
     /// session scheduler.
     ///
     /// # Errors
-    /// Socket bind failure.
+    /// Socket bind failure, or the OS refused the shutdown eventfd.
     pub fn bind(
         addr: impl ToSocketAddrs,
         engine: PrkbEngine<P>,
@@ -162,7 +157,7 @@ where
     /// full tail, an idle tick or the shutdown drain.
     ///
     /// # Errors
-    /// Socket bind failure.
+    /// Socket bind failure, or the OS refused the shutdown eventfd.
     pub fn bind_durable_pool(
         addr: impl ToSocketAddrs,
         pool: ShardedDurablePool<P>,
@@ -178,7 +173,7 @@ where
     /// and call this.
     ///
     /// # Errors
-    /// Socket bind failure.
+    /// Socket bind failure, or the OS refused the shutdown eventfd.
     pub fn bind_scheduler(
         addr: impl ToSocketAddrs,
         sched: SessionScheduler<P>,
@@ -200,13 +195,13 @@ where
             busy_rejections: AtomicU64::new(0),
             deadline_timeouts: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
-            wake: OnceLock::new(),
+            wake: Waker::new()?,
         });
         Ok(PrkbServer {
             listener,
             shared,
             threads,
-            queue: config.resolve_queue(threads),
+            conn_cap: threads + config.resolve_queue(threads),
         })
     }
 
@@ -218,94 +213,23 @@ where
         self.listener.local_addr()
     }
 
-    /// Runs the reactor on the current thread until shutdown, then drains
-    /// the worker pool and reports.
+    /// Serves on the current thread and `threads - 1` more until
+    /// shutdown, then reports.
     ///
     /// # Errors
     /// Unrecoverable epoll/listener failure.
     ///
     /// # Panics
-    /// Panics if a worker thread panicked (a bug — workers contain every
-    /// per-request failure).
+    /// Panics if a server thread panicked (a bug — request handling
+    /// contains every per-request failure).
     pub fn run(self) -> io::Result<ServerReport<P, O>> {
         let PrkbServer {
             listener,
             shared,
             threads,
-            queue,
+            conn_cap,
         } = self;
-
-        // The reactor's wake fd must exist before workers can complete
-        // anything; install it first (bind_scheduler makes a fresh OnceLock,
-        // so this set never loses a race).
-        let _ = shared.wake.set(Waker::new()?);
-
-        // The work queue is sized to the admission cap: with at most one
-        // request in flight per admitted connection, try_send can never
-        // legitimately report Full.
-        let conn_cap = threads + queue;
-        let (tx, rx) = mpsc::sync_channel::<WorkItem>(conn_cap);
-        let rx = Arc::new(Mutex::new(rx));
-        let completions: Arc<CompletionQueue> = Arc::new(Mutex::new(Vec::new()));
-        let workers: Vec<JoinHandle<()>> = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                let completions = Arc::clone(&completions);
-                thread::Builder::new()
-                    .name(format!("prkb-server-worker-{i}"))
-                    .spawn(move || loop {
-                        let next = {
-                            let rx = match rx.lock() {
-                                Ok(g) => g,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            rx.recv_timeout(IDLE_FLUSH_TICK)
-                        };
-                        match next {
-                            // Nothing to do for a tick: sync what the
-                            // selects deferred (a lock and an empty-check
-                            // when nothing is pending). A failure poisons
-                            // the pool, whose next checkout reports it.
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                let _ = shared.sched.flush_durable();
-                            }
-                            Ok(item) => {
-                                metrics::global().observe(
-                                    HistogramId::ReactorQueueWaitUs,
-                                    u64::try_from(item.enqueued.elapsed().as_micros())
-                                        .unwrap_or(u64::MAX),
-                                );
-                                let (frame, close) = conn::process(&shared, &item.payload);
-                                {
-                                    let mut q = match completions.lock() {
-                                        Ok(g) => g,
-                                        Err(poisoned) => poisoned.into_inner(),
-                                    };
-                                    q.push(Completion {
-                                        token: item.token,
-                                        gen: item.gen,
-                                        frame,
-                                        close,
-                                    });
-                                }
-                                shared.wake_reactor();
-                            }
-                            // channel closed and drained
-                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        // The reactor owns all socket I/O until drain completes; returning
-        // drops `tx`, which is what releases the worker pool.
-        let reactor_result = reactor::run(listener, &shared, tx, &completions, conn_cap);
-        for w in workers {
-            w.join().expect("worker thread panicked");
-        }
-        reactor_result?;
+        reactor::run(listener, &shared, threads, conn_cap)?;
 
         // Drain barrier: acked inserts and deletes already waited for
         // durability; flush-and-fsync the tail of deferred refinements so
@@ -321,11 +245,11 @@ where
     /// out-of-band shutdown.
     ///
     /// # Errors
-    /// The OS refused the reactor thread.
+    /// The OS refused the thread.
     pub fn spawn(self) -> io::Result<ServerHandle<P, O>> {
         let shared = Arc::clone(&self.shared);
         let join = thread::Builder::new()
-            .name("prkb-server-reactor".into())
+            .name("prkb-server-0".into())
             .spawn(move || self.run())?;
         Ok(ServerHandle { shared, join })
     }
@@ -355,10 +279,10 @@ impl<P: SpPredicate + WireCodec, O> ServerHandle<P, O> {
     /// Propagated from [`PrkbServer::run`].
     ///
     /// # Panics
-    /// Panics if the reactor thread panicked.
+    /// Panics if a server thread panicked.
     pub fn join(self) -> io::Result<ServerReport<P, O>> {
         let ServerHandle { join, shared, .. } = self;
         drop(shared);
-        join.join().expect("reactor thread panicked")
+        join.join().expect("server thread panicked")
     }
 }

@@ -3,10 +3,10 @@
 //! N requests issued sequentially over N fresh connections against a twin
 //! server.
 //!
-//! This is the reactor's FIFO contract under test: per connection, at
-//! most one request is ever with the workers, the rest park in the
-//! connection's inbox, so pipelined execution order equals submission
-//! order equals the sequential replay's order — and with both servers
+//! This is the reactor's FIFO contract under test: a connection is held
+//! by one server thread at a time, which answers its frames in the order
+//! they were read, so pipelined execution order equals submission order
+//! equals the sequential replay's order — and with both servers
 //! seeded identically, every commit draws the same sequence number and
 //! every selection spends the same QPF. The comparison is on raw frame
 //! payloads, not decoded structs: equality down to the byte.

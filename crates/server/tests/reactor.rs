@@ -16,21 +16,28 @@
 //!   listener to unblock accept; the poke consumed an admission slot and
 //!   leaked into the counters. Drain is now an eventfd wake: after N
 //!   requests the report shows exactly N, zero sheds, zero frame errors.
+//! * **A held request holds up no one else.** While one connection's
+//!   select is stuck inside the oracle, another connection is served, and
+//!   a drain waits for the stuck request to answer. This is why the
+//!   threads share one poller instead of each owning its connections.
 //! * **Deadline edge semantics.** `deadline_ms` is `Option<u32>` on the
 //!   v2 wire: `Some(0)` is an explicit already-expired budget (DEADLINE
 //!   before dispatch, nothing committed), `None` is absent (never times
 //!   out), `Some(u32::MAX)` is a ~49-day budget that must not overflow.
 
 use prkb_core::{EngineConfig, PrkbEngine};
+use prkb_edbms::resilience::RetryPolicy;
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::Predicate;
+use prkb_edbms::trapdoor::PredicateKind;
+use prkb_edbms::{ComparisonOp, OracleError, Predicate, SelectionOracle, TupleId};
 use prkb_server::proto::{code, Request, RequestHeader, Response};
 use prkb_server::wire::{encode_frame, ReadStep, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::{FrameReader, PrkbClient, PrkbServer, ServerConfig, ServerHandle};
+use prkb_server::{ClientConfig, FrameReader, PrkbClient, PrkbServer, ServerConfig, ServerHandle};
 use prkb_sim::{ChaosProxy, FaultAction, FaultPlan};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const ROWS: usize = 64;
@@ -264,6 +271,119 @@ fn drain_leaves_counters_poke_free() {
         "drain consumed no admission slot"
     );
     assert_eq!(report.frame_errors(), 0, "drain wrote no junk frame");
+}
+
+// ---------------------------------------------------------------------------
+// A request held inside the oracle stalls neither other connections nor the
+// drain's bookkeeping.
+// ---------------------------------------------------------------------------
+
+/// Delegates to [`PlainOracle`], except that the first evaluation announces
+/// itself on `entered` and then blocks until the test sends on `release`.
+struct GatedOracle {
+    inner: PlainOracle,
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl GatedOracle {
+    fn hold_once(&self) {
+        let gate = self.gate.lock().expect("gate lock").take();
+        if let Some((entered, release)) = gate {
+            entered.send(()).expect("test waits for the hold");
+            release.recv().expect("test releases the hold");
+        }
+    }
+}
+
+impl SelectionOracle for GatedOracle {
+    type Pred = Predicate;
+
+    fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+        self.hold_once();
+        self.inner.try_eval(pred, t)
+    }
+
+    fn try_eval_batch(
+        &self,
+        pred: &Predicate,
+        tuples: &[TupleId],
+        out: &mut Vec<bool>,
+    ) -> Result<(), OracleError> {
+        self.hold_once();
+        self.inner.try_eval_batch(pred, tuples, out)
+    }
+
+    fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+        self.inner.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.inner.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.inner.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.inner.qpf_uses()
+    }
+}
+
+/// Connection A's select blocks inside the oracle on one of two server
+/// threads. Connection B is still answered — a ping, then a Shutdown — and
+/// the drain waits for A: once released, A gets its selection and the
+/// report counts it. Nothing here is timed; the client's read timeout only
+/// turns a hang into a failure.
+#[test]
+fn a_held_select_stalls_no_other_connection_and_the_drain_waits_for_it() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let oracle = GatedOracle {
+        inner: PlainOracle::single_column(values()),
+        gate: Mutex::new(Some((entered_tx, release_rx))),
+    };
+    let config = ServerConfig {
+        threads: Some(2),
+        ..ServerConfig::default()
+    };
+    let server = PrkbServer::bind("127.0.0.1:0", fresh_engine(), oracle, config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let client_config = ClientConfig {
+        read_timeout: Duration::from_secs(10),
+        retry: RetryPolicy::fast(1),
+        ..ClientConfig::default()
+    };
+
+    let mut a: PrkbClient<Predicate> =
+        PrkbClient::connect_with(addr, client_config.clone()).expect("connect A");
+    let held = std::thread::spawn(move || {
+        a.select_where(7, vec![Predicate::cmp(0, ComparisonOp::Lt, 20)])
+    });
+    entered_rx.recv().expect("A's select reaches the oracle");
+
+    let mut b: PrkbClient<Predicate> =
+        PrkbClient::connect_with(addr, client_config).expect("connect B");
+    b.ping().expect("B is served while A is held");
+    b.shutdown()
+        .expect("B's shutdown is acknowledged while A is held");
+
+    release_tx.send(()).expect("release A");
+    let reply = held
+        .join()
+        .expect("A's thread")
+        .expect("A is answered by the drain");
+    let mut tuples = reply.tuples;
+    tuples.sort_unstable();
+    assert_eq!(tuples, (0..20).collect::<Vec<TupleId>>());
+
+    let report = handle.join().expect("join");
+    assert_eq!(
+        report.requests(),
+        3,
+        "A's select, B's ping and B's shutdown"
+    );
 }
 
 // ---------------------------------------------------------------------------

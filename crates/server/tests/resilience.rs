@@ -98,8 +98,8 @@ fn saturated_server_sheds_busy_then_drains_to_replay_equivalence() {
     let addr = server.local_addr().expect("addr");
     let handle = server.spawn().expect("spawn");
 
-    // Occupy the single worker: the ping round trip proves the worker is
-    // parked on this connection's poll loop, not that it is still queued.
+    // Admit the holder: the ping round trip proves it holds a connection
+    // slot, not that it is still waiting to be accepted.
     let mut holder: PrkbClient<Predicate> =
         PrkbClient::connect_with(addr, no_retry_config()).expect("connect holder");
     holder.ping().expect("holder served");
@@ -132,8 +132,8 @@ fn saturated_server_sheds_busy_then_drains_to_replay_equivalence() {
         .expect("holder query");
     assert_eq!(first.seq, 1);
 
-    // Drain the holder; the worker picks up the queued connection, which
-    // is served to completion (ping round trip on the raw socket).
+    // Drop the holder; the queued connection is served to completion
+    // (ping round trip on the raw socket).
     drop(holder);
     queued
         .write_all(&encode_frame(&Request::<Predicate>::Ping.encode()))

@@ -443,7 +443,7 @@ fn drain(stream: &mut TcpStream) -> Vec<u8> {
 
 /// Extreme-but-well-formed resilience headers (max request id, max or
 /// tiny deadline) must be served or rejected with a structured error —
-/// never panic the worker or wedge the connection.
+/// never panic the server thread or wedge the connection.
 #[test]
 fn hostile_headers_on_a_live_server_are_contained() {
     let (addr, handle) = start_server();
@@ -516,7 +516,8 @@ fn tuple_ids_beyond_the_table_are_malformed_before_dispatch() {
 
 /// Inserting a row the server already indexes (every uploaded row is) is
 /// refused with its own code — not a worker panic that leaves the request
-/// unanswered — and the connection, the worker and the drain carry on.
+/// unanswered — and the connection, the server thread and the drain carry
+/// on.
 #[test]
 fn an_indexed_row_is_refused_and_the_worker_serves_on() {
     let oracle = PlainOracle::single_column((0..100).collect());

@@ -11,9 +11,10 @@
 //!
 //! Arguments: `[port] [threads] [queue]`, all optional. Port defaults to
 //! 4641 (pass 0 to let the OS pick — the bound address is printed either
-//! way), the worker pool to 4 threads and the admission queue depth to 2×
-//! the workers — connections beyond `threads + queue` are shed with the
-//! stable BUSY code instead of piling up.
+//! way), the server threads to 4 (this one included) and the extra
+//! admission slots to 2× the threads — connections beyond
+//! `threads + queue` are shed with the stable BUSY code instead of piling
+//! up.
 
 use prkb::core::{EngineConfig, PrkbEngine};
 use prkb::edbms::testing::PlainOracle;
