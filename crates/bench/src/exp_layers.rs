@@ -35,6 +35,29 @@
 //!   construction (asserted). The `_t1` suffix is kept so the row ids stay
 //!   comparable with earlier runs.
 //!
+//! **Seal rows** price the data owner's upload (paper §3.1), per cell of a
+//! fresh 200 000-row column (`cold_start`'s table size):
+//!
+//! * `seal_ns_per_cell` — [`DataOwner::encrypt_table`] of a one-column
+//!   table, which seals the column in one [`ValueCipher::seal_into`],
+//!   through the lane kernels where the CPU has them;
+//! * `seal_ns_per_cell_scalar` — the [`ValueCipher::encrypt_into`] loop,
+//!   the reference, over the same values from the same RNG seed.
+//!
+//! The report prints scalar ÷ batched and the kernel that ran.
+//!
+//! **Round-trip rows** price the served path's floor, each the p50 of
+//! [`ROUND_TRIPS`] round trips over loopback, in µs:
+//!
+//! * `loopback_echo_rtt_us` — a std-only probe: 64-byte messages with
+//!   `TCP_NODELAY`, each answered on the thread that read it, the floor any
+//!   server on this host sets;
+//! * `served_ping_rtt_us` — [`PrkbClient::ping`] against an idle
+//!   [`PrkbServer`] with two server threads (the served benchmark's
+//!   count).
+//!
+//! The report prints the gap between them.
+//!
 //! **Engine rows** price what PRKB itself does per tuple once the oracle is
 //! out of the way: a [`PrkbEngine`] over a [`PlainOracle`] wrapped in a
 //! clock, each row the replay's wall time minus the oracle's busy time,
@@ -103,7 +126,8 @@
 //! evaluations or scanned tuples), which reads as ns per unit — or, on a
 //! warm-select row, per `n` = 1 000 selects, which reads as µs per select;
 //! it is the fastest of [`SAMPLES`] samples, since the interest is the
-//! code's cost, not the box's noise. `qpf_uses` is 0 except on the cold
+//! code's cost, not the box's noise. A round-trip row carries its p50 in
+//! ns per `n` = 1 000, which reads as µs. `qpf_uses` is 0 except on the cold
 //! gather, engine and warm-select rows, whose QPF CI compares exactly.
 
 use crate::harness::{EncSetup, Report, TmpDir};
@@ -114,18 +138,22 @@ use prkb_core::{
     DeadlineOracle, EngineConfig, Knowledge, PrkbEngine, QueryStats, RefinementOp, Separator,
     SessionOracle, SplitBits,
 };
+use prkb_crypto::cipher::CIPHERTEXT_LEN;
+use prkb_crypto::{KeyPurpose, MasterKey, ValueCipher};
 use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{
-    real_fs, ComparisonOp, OracleError, Predicate, PredicateKind, SelectionOracle, SpOracle,
-    TmConfig, TrustedMachine, TupleId,
+    real_fs, ComparisonOp, DataOwner, OracleError, PlainTable, Predicate, PredicateKind, Schema,
+    SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
 };
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
-use prkb_server::Response;
+use prkb_server::{PrkbClient, PrkbServer, Response, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -308,6 +336,120 @@ fn gather_rows(sample_units: usize) -> Vec<LayerPoint> {
             }
         })
         .collect()
+}
+
+/// The seal rows (see the module docs), through `push`.
+fn seal_rows(push: &mut impl FnMut(&str, usize, f64)) {
+    let mut rng = StdRng::seed_from_u64(47);
+    let values: Vec<u64> = (0..GATHER_ROWS).map(|_| rng.gen_range(0..DOMAIN)).collect();
+    let schema = Schema::new("seal", &["a0"]);
+    let plain = PlainTable::from_columns(schema, vec![values.clone()]).expect("one column");
+    let owner = DataOwner::with_seed(47);
+    let sealed = ns_per_unit(GATHER_ROWS, GATHER_ROWS, || {
+        let table = owner.encrypt_table(&plain, &mut StdRng::seed_from_u64(48));
+        assert_eq!(table.len(), GATHER_ROWS);
+        table
+    });
+    push("seal_ns_per_cell", GATHER_ROWS, sealed);
+    let key = MasterKey::from_bytes([47; 32]).derive(KeyPurpose::ValueEncryption, "seal", 0);
+    let cipher = ValueCipher::new(key);
+    let scalar = ns_per_unit(GATHER_ROWS, GATHER_ROWS, || {
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut column = Vec::with_capacity(GATHER_ROWS * CIPHERTEXT_LEN);
+        for &v in &values {
+            cipher.encrypt_into(&mut rng, v, &mut column);
+        }
+        column
+    });
+    push("seal_ns_per_cell_scalar", GATHER_ROWS, scalar);
+}
+
+/// Round trips per round-trip row.
+pub const ROUND_TRIPS: usize = 20_000;
+/// Bytes of one echoed message: a small request's frame.
+const ECHO_BYTES: usize = 64;
+
+/// The p50 of `samples`, in ns.
+fn p50_ns(mut samples: Vec<u64>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2] as f64
+}
+
+/// `loopback_echo_rtt_us` (see the module docs), in ns.
+fn loopback_echo_rtt_ns() -> f64 {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let echo = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        conn.set_nodelay(true).expect("TCP_NODELAY");
+        let mut buf = [0u8; ECHO_BYTES];
+        // Until the client hangs up.
+        while conn.read_exact(&mut buf).is_ok() {
+            conn.write_all(&buf).expect("echo");
+        }
+    });
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client.set_nodelay(true).expect("TCP_NODELAY");
+    let mut buf = [0u8; ECHO_BYTES];
+    let rtts = (0..ROUND_TRIPS)
+        .map(|i| {
+            buf[0] = i as u8;
+            let start = Instant::now();
+            client.write_all(&buf).expect("send");
+            client.read_exact(&mut buf).expect("echoed");
+            let ns = start.elapsed().as_nanos() as u64;
+            assert_eq!(buf[0], i as u8, "the echo of this round trip");
+            ns
+        })
+        .collect();
+    drop(client);
+    echo.join().expect("echo thread");
+    p50_ns(rtts)
+}
+
+/// `served_ping_rtt_us` (see the module docs), in ns.
+fn served_ping_rtt_ns() -> f64 {
+    const ROWS: usize = 64;
+    let mut engine: PrkbEngine<Predicate> = PrkbEngine::new(EngineConfig::default());
+    engine.init_attr(0, ROWS);
+    let oracle = PlainOracle::single_column((0..ROWS as u64).collect());
+    let config = ServerConfig {
+        threads: Some(2),
+        ..ServerConfig::default()
+    };
+    let server = PrkbServer::bind("127.0.0.1:0", engine, oracle, config).expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    let handle = server.spawn().expect("spawn server");
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    let rtts = (0..ROUND_TRIPS)
+        .map(|_| {
+            let start = Instant::now();
+            client.ping().expect("ping");
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    drop(client);
+    handle.shutdown();
+    handle.join().expect("drain");
+    p50_ns(rtts)
+}
+
+/// The round-trip rows, taken one after the other in this run.
+fn rtt_rows() -> Vec<LayerPoint> {
+    [
+        ("loopback_echo_rtt_us", loopback_echo_rtt_ns()),
+        ("served_ping_rtt_us", served_ping_rtt_ns()),
+    ]
+    .into_iter()
+    .map(|(id, ns_per_unit)| LayerPoint {
+        id: id.to_string(),
+        len: 1,
+        ns_per_unit,
+        qpf_uses: 0,
+        per: 1_000,
+        k: 0,
+    })
+    .collect()
 }
 
 /// Values of the engine rows' columns are uniform in `[0, DOMAIN)`, and a
@@ -658,6 +800,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
         });
     };
     oracle_rows(scale, sample_bytes, &mut push);
+    seal_rows(&mut push);
 
     for (id, len) in [
         ("crc32_ns_per_byte_64", 64),
@@ -698,6 +841,7 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     points.extend(gather_rows(sample_bytes / 16));
     points.extend(engine_rows());
     points.extend(warm_select_rows());
+    points.extend(rtt_rows());
     points
 }
 
@@ -734,6 +878,14 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("qpf_batch_ns") / of("qpf_ns"),
         call_12 - 12.0 * per_tuple,
         100.0 * (call_12 - 12.0 * per_tuple) / call_12,
+    ));
+    report.line(format!(
+        "seal kernel {}: encrypt_table seals a fresh {GATHER_ROWS}-row column at {:.1} ns per \
+         cell, the encrypt_into loop at {:.1} — {:.2}x",
+        prkb_crypto::batch_kernel(),
+        of("seal_ns_per_cell"),
+        of("seal_ns_per_cell_scalar"),
+        of("seal_ns_per_cell_scalar") / of("seal_ns_per_cell"),
     ));
     report.line(format!(
         "cold gather: a batched QPF over fresh ascending ids costs {:.1} ns, over a fresh \
@@ -776,6 +928,14 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("idset_decode_ns_per_id_dense"),
         of("idset_encode_ns_per_id_sparse"),
         of("idset_decode_ns_per_id_sparse"),
+    ));
+    let (echo, ping) = (of("loopback_echo_rtt_us"), of("served_ping_rtt_us"));
+    report.line(format!(
+        "round trips over loopback (p50 of {ROUND_TRIPS}): a std-only echo {:.1} µs, an idle \
+         server's Ping {:.1} µs — {:.1} µs above the floor",
+        echo / 1e3,
+        ping / 1e3,
+        (ping - echo) / 1e3,
     ));
     report.line(format!(
         "journal: a split of {SPLIT_MEMBERS} members costs {:.2} ns per member to encode, decode \

@@ -1,27 +1,33 @@
 //! `std::arch` kernels — the crate's one `unsafe` module.
 //!
-//! A QPF reads one 28-byte cell, so it needs keystream bytes 0..8 of
-//! ChaCha20 block 1 under that cell's nonce and the SipHash-2-4 tag of its
-//! 21-byte tag input, and nothing else. The kernels here compute both for
-//! many cells in one pass: each vector lane runs one cell, the lanes share
-//! the keys and the counter, and every lane carries its own 96-bit nonce
-//! (each cell was sealed under an independent random one) and its own tag
-//! input. Written in safe Rust, the same transposed kernels are scalarised
-//! by LLVM and are no faster than one cell at a time.
+//! A cell is a 12-byte nonce, an 8-byte payload and an 8-byte tag. Opening
+//! one (a QPF) and sealing one (the data owner's upload) need the same two
+//! functions and nothing else: keystream bytes 0..8 of ChaCha20 block 1
+//! under that cell's nonce, and the SipHash-2-4 tag of its 21-byte tag
+//! input. The kernels here compute both for many cells in one pass: each
+//! vector lane runs one cell, the lanes share the keys and the counter, and
+//! every lane carries its own 96-bit nonce (each cell is sealed under an
+//! independent random one) and its own tag input. Written in safe Rust, the
+//! same transposed kernels are scalarised by LLVM and are no faster than
+//! one cell at a time.
 //!
 //! Two tiers, each a token that only runtime detection makes:
 //!
 //! * [`Avx2`]: [`Avx2::chacha20_x8`] and [`Avx2::siphash_x8`], 8 cells per
 //!   pass (32-bit ChaCha20 lanes; SipHash as two sets of 4 × u64 lanes,
-//!   rotations by shift-or and byte or word shuffles);
-//! * [`Avx512`]: [`Avx512::open_x16`], 16 cells per pass, both functions
-//!   in one kernel (one zmm per ChaCha20 state row, SipHash as two
-//!   interleaved sets of 8 × u64 lanes, rotations native).
+//!   rotations by shift-or and byte or word shuffles). An open runs the
+//!   two side by side; a seal runs the keystream, forms the payload and
+//!   its tag words, then runs the tags;
+//! * [`Avx512`]: [`Avx512::open_x16`] and [`Avx512::seal_x16`], 16 cells
+//!   per pass, both functions in one kernel over the same rounds (one zmm
+//!   per ChaCha20 state row, SipHash as two interleaved sets of 8 × u64
+//!   lanes, rotations native).
 //!
 //! [`Tier::detect`] picks the widest this CPU has. The safe
 //! [`crate::chacha20::block`] and [`crate::siphash::siphash24`] stay the
-//! reference and the fallback: `ValueCipher::decrypt_slices` takes a kernel
-//! only when a token exists, and never on a target other than `x86_64`.
+//! reference and the fallback: `ValueCipher::decrypt_slices` and
+//! `ValueCipher::seal_into` take a kernel only when a token exists, and
+//! never on a target other than `x86_64`.
 //!
 //! Beside the kernels sits one hint, [`prefetch`]: it asks the cache for a
 //! cell's lines (`_mm_prefetch` with `_MM_HINT_T0`, which SSE, baseline on
@@ -47,16 +53,6 @@ pub(crate) struct Lanes<const N: usize> {
     /// The tag input as SipHash-2-4 message words, the last one already
     /// carrying the length byte.
     pub(crate) msg: [[u64; N]; 3],
-}
-
-impl<const N: usize> Lanes<N> {
-    /// All-zero lanes: a lane no cell fills computes garbage nobody reads.
-    pub(crate) fn zeroed() -> Self {
-        Lanes {
-            nonce: [[0; N]; 3],
-            msg: [[0; N]; 3],
-        }
-    }
 }
 
 /// Proof that this CPU runs AVX2: only [`Avx2::detect`] makes one, and on
@@ -178,6 +174,25 @@ impl Avx512 {
         unsafe { x86::open_x16(key, counter, sip, lanes) }
     }
 
+    /// For 16 lanes at once, each lane's value sealed under its nonce: the
+    /// payload (the value xor the keystream words [`Avx512::open_x16`]
+    /// computes) and the SipHash-2-4 tag under `sip` of the
+    /// [`crate::cipher::tag_words`] of nonce and payload. The same rounds
+    /// as `open_x16`, in one kernel.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn seal_x16(
+        self,
+        key: &[u8; KEY_LEN],
+        counter: u32,
+        sip: &SipKey,
+        nonce: &[[u32; X16]; 3],
+        values: &[u64; X16],
+    ) -> ([u64; X16], [u64; X16]) {
+        // SAFETY: as in `open_x16`: AVX-512F is present, and the kernel
+        // touches only its arguments and locals.
+        unsafe { x86::seal_x16(key, counter, sip, nonce, values) }
+    }
+
     /// Unreachable: no `Avx512` exists off `x86_64`.
     #[cfg(not(target_arch = "x86_64"))]
     pub(crate) fn open_x16(
@@ -186,6 +201,19 @@ impl Avx512 {
         _counter: u32,
         _sip: &SipKey,
         _lanes: &Lanes<X16>,
+    ) -> ([u64; X16], [u64; X16]) {
+        match self.0 {}
+    }
+
+    /// Unreachable: no `Avx512` exists off `x86_64`.
+    #[cfg(not(target_arch = "x86_64"))]
+    pub(crate) fn seal_x16(
+        self,
+        _key: &[u8; KEY_LEN],
+        _counter: u32,
+        _sip: &SipKey,
+        _nonce: &[[u32; X16]; 3],
+        _values: &[u64; X16],
     ) -> ([u64; X16], [u64; X16]) {
         match self.0 {}
     }
@@ -217,6 +245,7 @@ pub(crate) fn prefetch(bytes: &[u8]) {
 mod x86 {
     use super::{Lanes, X16, X8};
     use crate::chacha20::KEY_LEN;
+    use crate::cipher::tag_words;
     use crate::siphash::SipKey;
     use std::arch::x86_64::*;
 
@@ -446,21 +475,15 @@ mod x86 {
         }
     }
 
-    /// Sixteen ChaCha20 blocks and sixteen SipHash-2-4 tags, one of each
-    /// per lane: words 0–1 of each block, and each tag.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
+    /// Sixteen ChaCha20 blocks, one per lane, returning words 0–1 of each:
+    /// rows 0–12 are the same in every lane, rows 13–15 are the nonces.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn open_x16(
+    unsafe fn chacha20_x16(
         key: &[u8; KEY_LEN],
         counter: u32,
-        sip: &SipKey,
-        lanes: &Lanes<X16>,
-    ) -> ([u64; X16], [u64; X16]) {
-        // ChaCha20: rows 0–12 are the same in every lane; rows 13–15 are
-        // the nonces. The two functions share no data, and each has
-        // independent chains enough to fill the vector ports on its own.
+        nonce: &[[u32; X16]; 3],
+    ) -> [u64; X16] {
         let mut x = [_mm512_setzero_si512(); 16];
         for (row, s) in x.iter_mut().zip(SIGMA) {
             *row = _mm512_set1_epi32(s as i32);
@@ -469,7 +492,7 @@ mod x86 {
             *row = _mm512_set1_epi32(key_word(key, i));
         }
         x[12] = _mm512_set1_epi32(counter as i32);
-        for (row, column) in x[13..].iter_mut().zip(&lanes.nonce) {
+        for (row, column) in x[13..].iter_mut().zip(nonce) {
             *row = _mm512_loadu_si512(column.as_ptr().cast());
         }
 
@@ -484,13 +507,24 @@ mod x86 {
             quarter16(&mut x, [3, 4, 9, 14]);
         }
 
-        // SipHash: two sets of eight lanes.
+        let mut w0 = [0u32; X16];
+        let mut w1 = [0u32; X16];
+        _mm512_storeu_si512(w0.as_mut_ptr().cast(), x[0]);
+        _mm512_storeu_si512(w1.as_mut_ptr().cast(), x[1]);
+        join(w0, w1)
+    }
+
+    /// Sixteen SipHash-2-4 tags of pre-encoded three-word messages, as two
+    /// interleaved sets of eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn siphash_x16(sip: &SipKey, msg: &[[u64; X16]; 3]) -> [u64; X16] {
         let mut v = [_mm512_setzero_si512(); 4];
         for (v, w) in v.iter_mut().zip(sip_init(sip)) {
             *v = _mm512_set1_epi64(w);
         }
         let mut sets = [v; 2];
-        for words in &lanes.msg {
+        for words in msg {
             let m = [
                 _mm512_loadu_si512(words[..8].as_ptr().cast()),
                 _mm512_loadu_si512(words[8..].as_ptr().cast()),
@@ -508,16 +542,52 @@ mod x86 {
         }
         siprounds8(&mut sets, 4);
 
-        let mut w0 = [0u32; X16];
-        let mut w1 = [0u32; X16];
-        _mm512_storeu_si512(w0.as_mut_ptr().cast(), x[0]);
-        _mm512_storeu_si512(w1.as_mut_ptr().cast(), x[1]);
         let mut tags = [0u64; X16];
         for (v, half) in sets.iter().zip(tags.chunks_exact_mut(8)) {
             let tag = _mm512_xor_si512(_mm512_xor_si512(v[0], v[1]), _mm512_xor_si512(v[2], v[3]));
             _mm512_storeu_si512(half.as_mut_ptr().cast(), tag);
         }
-        (join(w0, w1), tags)
+        tags
+    }
+
+    /// Sixteen ChaCha20 blocks and sixteen SipHash-2-4 tags, one of each
+    /// per lane: words 0–1 of each block, and each tag. The two functions
+    /// share no data, and each has independent chains enough to fill the
+    /// vector ports on its own.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn open_x16(
+        key: &[u8; KEY_LEN],
+        counter: u32,
+        sip: &SipKey,
+        lanes: &Lanes<X16>,
+    ) -> ([u64; X16], [u64; X16]) {
+        (
+            chacha20_x16(key, counter, &lanes.nonce),
+            siphash_x16(sip, &lanes.msg),
+        )
+    }
+
+    /// Seals sixteen values, one per lane: the keystream of each lane's
+    /// nonce, then the payload (value xor keystream), then the tag words
+    /// of nonce and payload, then their tag. Returns payloads and tags.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn seal_x16(
+        key: &[u8; KEY_LEN],
+        counter: u32,
+        sip: &SipKey,
+        nonce: &[[u32; X16]; 3],
+        values: &[u64; X16],
+    ) -> ([u64; X16], [u64; X16]) {
+        let keystream = chacha20_x16(key, counter, nonce);
+        let payload = std::array::from_fn(|lane| values[lane] ^ keystream[lane]);
+        let tags = siphash_x16(sip, &tag_words(nonce, &payload));
+        (payload, tags)
     }
 }
 
@@ -537,9 +607,17 @@ mod tests {
         u64::from_le_bytes(block[..8].try_into().expect("8 bytes"))
     }
 
+    /// All-zero lanes.
+    fn zeroed<const N: usize>() -> Lanes<N> {
+        Lanes {
+            nonce: [[0; N]; 3],
+            msg: [[0; N]; 3],
+        }
+    }
+
     /// Lanes carrying `nonces` (and no tag input).
     fn with_nonces<const N: usize>(nonces: &[[u8; NONCE_LEN]; N]) -> Lanes<N> {
-        let mut lanes = Lanes::zeroed();
+        let mut lanes = zeroed();
         for (lane, nonce) in nonces.iter().enumerate() {
             for (w, row) in lanes.nonce.iter_mut().enumerate() {
                 row[lane] =
@@ -551,7 +629,7 @@ mod tests {
 
     /// Lanes carrying SipHash's encoding of `msgs` (16 to 23 bytes each).
     fn with_messages<const N: usize>(msgs: &[Vec<u8>; N]) -> Lanes<N> {
-        let mut lanes = Lanes::zeroed();
+        let mut lanes = zeroed();
         for (lane, msg) in msgs.iter().enumerate() {
             let mut padded = [0u8; 24];
             padded[..msg.len()].copy_from_slice(msg);

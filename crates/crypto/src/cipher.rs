@@ -6,7 +6,9 @@
 //! randomized, a fresh nonce per encryption, so equal plaintexts yield
 //! unlinkable ciphertexts (the paper's security baseline: SP learns nothing
 //! from ciphertexts alone). It seals stored cells and trapdoor payloads
-//! alike, each under its own derived key.
+//! alike, each under its own derived key: a whole column in one
+//! [`ValueCipher::seal_into`], a single cell with
+//! [`ValueCipher::encrypt_into`].
 
 use crate::arch::{self, Lanes, Tier};
 use crate::chacha20::{self, NONCE_LEN};
@@ -17,8 +19,9 @@ use crate::siphash::{siphash24, SipKey};
 use bytes::Bytes;
 use rand::RngCore;
 
-/// The widest kernel [`ValueCipher::decrypt_slices`] runs on this CPU:
-/// `"chacha20+siphash-avx512-x16"`, `"chacha20+siphash-avx2-x8"` or
+/// The widest kernel [`ValueCipher::decrypt_slices`] opens and
+/// [`ValueCipher::seal_into`] seals with on this CPU — both take the same
+/// tier: `"chacha20+siphash-avx512-x16"`, `"chacha20+siphash-avx2-x8"` or
 /// `"scalar"`.
 pub fn batch_kernel() -> &'static str {
     match Tier::detect() {
@@ -148,22 +151,86 @@ fn le64(cell: &[u8; CIPHERTEXT_LEN], at: usize) -> u64 {
     u64::from_le_bytes(cell[at..at + 8].try_into().expect("8 bytes"))
 }
 
+/// The SipHash-2-4 message words of each lane's tag input — [`TAG_PREFIX`],
+/// the nonce, the payload, then the length in the last byte — from its
+/// nonce words and its payload (as the cell stores it, still encrypted).
+pub(crate) fn tag_words<const N: usize>(
+    nonce: &[[u32; N]; 3],
+    payload: &[u64; N],
+) -> [[u64; N]; 3] {
+    let mut msg = [[0; N]; 3];
+    for lane in 0..N {
+        let head = u64::from(nonce[0][lane]) | u64::from(nonce[1][lane]) << 32;
+        msg[0][lane] = head << 8 | u64::from(TAG_PREFIX);
+        msg[1][lane] = head >> 56 | u64::from(nonce[2][lane]) << 8 | payload[lane] << 40;
+        msg[2][lane] = payload[lane] >> 24 | (TAG_INPUT_LEN as u64) << 56;
+    }
+    msg
+}
+
 /// One pass's cells as the kernels read them: each lane's nonce words and
-/// the SipHash message words of its tag input ([`TAG_PREFIX`], then
-/// the cell's first 20 bytes, then the length). A cell of the wrong length
-/// leaves its lane zero; its length check fails before the lane is read.
+/// the [`tag_words`] of its tag input. A cell of the wrong length leaves
+/// its nonce and payload zero; its length check fails before the lane is
+/// read.
 fn gather<const N: usize>(pass: &[&[u8]]) -> Lanes<N> {
-    let mut lanes = Lanes::zeroed();
+    let mut nonce = [[0; N]; 3];
+    let mut payload = [0; N];
     for (lane, bytes) in pass.iter().enumerate() {
         let Ok(c) = cell(bytes) else { continue };
-        for (w, row) in lanes.nonce.iter_mut().enumerate() {
+        for (w, row) in nonce.iter_mut().enumerate() {
             row[lane] = u32::from_le_bytes(c[4 * w..4 * w + 4].try_into().expect("4 bytes"));
         }
-        lanes.msg[0][lane] = le64(c, 0) << 8 | u64::from(TAG_PREFIX);
-        lanes.msg[1][lane] = le64(c, 7);
-        lanes.msg[2][lane] = le64(c, 12) >> 24 | (TAG_INPUT_LEN as u64) << 56;
+        payload[lane] = le64(c, NONCE_LEN);
     }
-    lanes
+    Lanes {
+        msg: tag_words(&nonce, &payload),
+        nonce,
+    }
+}
+
+/// One seal pass: up to `N` values with their nonces, drawn in cell order.
+struct Pass<const N: usize> {
+    /// Cells in the pass; the lanes after them are zero.
+    cells: usize,
+    nonce: [[u32; N]; 3],
+    values: [u64; N],
+}
+
+impl<const N: usize> Pass<N> {
+    /// The first `N` of `values` (or all, if fewer), each with a nonce of
+    /// one 12-byte `fill_bytes`, drawn in order as `encrypt_into` draws.
+    fn draw<R: RngCore>(rng: &mut R, values: &[u64]) -> Self {
+        let mut pass = Pass {
+            cells: values.len().min(N),
+            nonce: [[0; N]; 3],
+            values: [0; N],
+        };
+        for (lane, &value) in values[..pass.cells].iter().enumerate() {
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill_bytes(&mut nonce);
+            for (w, row) in pass.nonce.iter_mut().enumerate() {
+                row[lane] =
+                    u32::from_le_bytes(nonce[4 * w..4 * w + 4].try_into().expect("4 bytes"));
+            }
+            pass.values[lane] = value;
+        }
+        pass
+    }
+
+    /// Appends the pass's cells — nonce, payload, tag — to `out`, and
+    /// returns how many.
+    fn emit(&self, payload: &[u64; N], tags: &[u64; N], out: &mut Vec<u8>) -> usize {
+        for lane in 0..self.cells {
+            let mut cell = [0u8; CIPHERTEXT_LEN];
+            for (w, row) in self.nonce.iter().enumerate() {
+                cell[4 * w..4 * w + 4].copy_from_slice(&row[lane].to_le_bytes());
+            }
+            cell[NONCE_LEN..NONCE_LEN + PAYLOAD_LEN].copy_from_slice(&payload[lane].to_le_bytes());
+            cell[NONCE_LEN + PAYLOAD_LEN..].copy_from_slice(&tags[lane].to_le_bytes());
+            out.extend_from_slice(&cell);
+        }
+        self.cells
+    }
 }
 
 /// Settles one lane pass in lane order: each cell's length, then its
@@ -228,6 +295,58 @@ impl ValueCipher {
         out.extend_from_slice(&nonce);
         out.extend_from_slice(&payload);
         out.extend_from_slice(&tag);
+    }
+
+    /// Appends the ciphertexts of `values` to `out`, one cell per value in
+    /// order: byte for byte what [`ValueCipher::encrypt_into`] appends when
+    /// called on each value in turn, and `rng` ends where that loop leaves
+    /// it — each cell's nonce is one 12-byte `fill_bytes`, in cell order.
+    ///
+    /// On an x86-64 CPU with AVX2 (detected once per call), the cells are
+    /// sealed through the lane kernels [`ValueCipher::decrypt_slices`]
+    /// opens with: up to 16 per pass where the CPU has AVX-512F, up to 8
+    /// where it has only AVX2; a last single cell is cheaper through
+    /// `encrypt_into`. Otherwise — a CPU without AVX2, a target other than
+    /// `x86_64` — this is the `encrypt_into` loop, which stays the
+    /// reference.
+    pub fn seal_into<R: RngCore>(&self, rng: &mut R, values: &[u64], out: &mut Vec<u8>) {
+        self.seal_into_on(Tier::detect(), rng, values, out);
+    }
+
+    /// [`ValueCipher::seal_into`] on `tier`'s kernels.
+    fn seal_into_on<R: RngCore>(&self, tier: Tier, rng: &mut R, values: &[u64], out: &mut Vec<u8>) {
+        out.reserve(values.len() * CIPHERTEXT_LEN);
+        let mut at = 0;
+        while at < values.len() {
+            let rest = &values[at..];
+            at += match tier {
+                Tier::X16(wide) if rest.len() > SCALAR_PASS_MAX => {
+                    let pass = Pass::<{ arch::X16 }>::draw(rng, rest);
+                    let (payload, tags) = wide.seal_x16(
+                        &self.key,
+                        PAYLOAD_BLOCK,
+                        &self.tkey,
+                        &pass.nonce,
+                        &pass.values,
+                    );
+                    pass.emit(&payload, &tags, out)
+                }
+                Tier::X8(avx2) if rest.len() > SCALAR_PASS_MAX => {
+                    let pass = Pass::<{ arch::X8 }>::draw(rng, rest);
+                    let keystream = avx2.chacha20_x8(&self.key, PAYLOAD_BLOCK, &pass.nonce);
+                    let payload = std::array::from_fn(|lane| pass.values[lane] ^ keystream[lane]);
+                    let tags = avx2.siphash_x8(&self.tkey, &tag_words(&pass.nonce, &payload));
+                    pass.emit(&payload, &tags, out)
+                }
+                // No kernel, or too few cells left to pay for a lane pass.
+                _ => {
+                    for &value in rest {
+                        self.encrypt_into(rng, value, out);
+                    }
+                    rest.len()
+                }
+            };
+        }
     }
 
     /// Decrypts a raw [`CIPHERTEXT_LEN`]-byte slice (flat column storage
@@ -577,6 +696,49 @@ mod proptests {
                         prop_assert_eq!(&out[..settled], &reference[..settled], "{:?}", tier);
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every tier this CPU has, on every length 0..=40 — each tail of 1
+        /// to 15 lanes after whole passes: the batched seal appends exactly
+        /// the bytes of the `encrypt_into` loop under the same seed, leaves
+        /// the RNG where the loop leaves it, and every cell it sealed opens
+        /// through `decrypt_slices` to its value.
+        #[test]
+        fn every_tier_seals_like_the_encrypt_into_loop(key in any::<u64>(), seed in any::<u64>()) {
+            let c = random_cipher(key);
+            let mut draw = StdRng::seed_from_u64(!seed);
+            let values: Vec<u64> = (0..40).map(|_| draw.next_u64()).collect();
+            let mut tiers = tiers();
+            tiers.push(Tier::Scalar);
+            for len in 0..=values.len() {
+                let values = &values[..len];
+                // A byte already in `out`, which both must append after.
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let mut reference = vec![0xa5];
+                for &v in values {
+                    c.encrypt_into(&mut reference_rng, v, &mut reference);
+                }
+                let next = reference_rng.next_u64();
+                for &tier in &tiers {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut out = vec![0xa5];
+                    c.seal_into_on(tier, &mut rng, values, &mut out);
+                    prop_assert_eq!(&out, &reference, "{:?}, {} values", tier, len);
+                    prop_assert_eq!(rng.next_u64(), next, "{:?}: the RNG's position", tier);
+                    let cells: Vec<&[u8]> = out[1..].chunks(CIPHERTEXT_LEN).collect();
+                    let mut opened = vec![0u64; len];
+                    c.decrypt_slices(&cells, &mut opened).expect("own cells");
+                    prop_assert_eq!(&opened[..], values, "{:?}", tier);
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut out = vec![0xa5];
+                c.seal_into(&mut rng, values, &mut out);
+                prop_assert_eq!(&out, &reference, "the detected tier, {} values", len);
             }
         }
     }

@@ -39,7 +39,7 @@ impl EncryptedColumn {
     }
 
     /// Mutable access to the raw buffer for bulk encryption
-    /// (`ValueCipher::encrypt_into` appends directly).
+    /// (`ValueCipher::seal_into` appends directly).
     pub(crate) fn raw_mut(&mut self) -> &mut Vec<u8> {
         &mut self.data
     }

@@ -104,9 +104,14 @@ pub trait SelectionOracle {
     /// The encrypted-predicate (trapdoor) type.
     type Pred: Clone;
 
-    /// Evaluates Θ(`pred`, tuple `t`). Every evaluation that reaches the
-    /// trusted machine costs one QPF use — including failed ones, because
-    /// the decrypt round-trip is spent either way.
+    /// Evaluates Θ(`pred`, tuple `t`).
+    ///
+    /// The counting rule, on this path and the batch path alike: a QPF use
+    /// is spent when a cell's decrypt is attempted — including one whose
+    /// cell then fails its integrity check, because the decrypt round-trip
+    /// is spent either way. Nothing is spent before that: not on a
+    /// trapdoor the trusted machine cannot resolve (a malformed payload),
+    /// nor on a tuple that has no cell.
     ///
     /// # Errors
     /// Returns an [`OracleError`] classifying the boundary failure.
@@ -378,6 +383,7 @@ impl SelectionOracle for SpOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Reader;
     use crate::owner::DataOwner;
     use crate::predicate::{ComparisonOp, Predicate};
     use crate::table::PlainTable;
@@ -433,6 +439,43 @@ mod tests {
             Err(OracleError::Corruption(_))
         ));
         assert_eq!(oracle.qpf_uses(), 1);
+    }
+
+    /// A trapdoor whose payload fails its tag never resolves, so no cell's
+    /// decrypt is attempted: one tuple through `try_eval` and the same tuple
+    /// through `try_eval_batch` return the same corruption and spend no
+    /// use, and the intact trapdoor then spends one per cell on both.
+    #[test]
+    fn a_malformed_trapdoor_costs_no_use_on_either_path() {
+        let owner = DataOwner::with_seed(10);
+        let mut rng = StdRng::seed_from_u64(10);
+        let plain = PlainTable::single_column("t", "x", vec![1, 5, 9]);
+        let enc = owner.encrypt_table(&plain, &mut rng);
+        let tm = owner.trusted_machine(TmConfig::default());
+        let oracle = SpOracle::new(&enc, &tm);
+        let good = owner
+            .trapdoor("t", &Predicate::cmp(0, ComparisonOp::Ge, 5), &mut rng)
+            .unwrap();
+        let mut bytes = Vec::new();
+        good.encode_into(&mut bytes);
+        // The last byte is the payload's last tag byte.
+        *bytes.last_mut().expect("an encoded trapdoor") ^= 1;
+        let bad = EncryptedPredicate::decode(&mut Reader::new(&bytes)).expect("well-formed");
+
+        let single = oracle.try_eval(&bad, 0).unwrap_err();
+        assert!(matches!(single, OracleError::Corruption(_)), "{single}");
+        assert_eq!(oracle.qpf_uses(), 0, "try_eval");
+        let mut out = Vec::new();
+        let batch = oracle.try_eval_batch(&bad, &[0], &mut out).unwrap_err();
+        assert_eq!(batch, single);
+        assert_eq!(oracle.qpf_uses(), 0, "try_eval_batch");
+        assert!(out.is_empty());
+
+        assert!(!oracle.try_eval(&good, 0).unwrap());
+        assert_eq!(oracle.qpf_uses(), 1);
+        oracle.try_eval_batch(&good, &[0, 1, 2], &mut out).unwrap();
+        assert_eq!(out, [false, true, true]);
+        assert_eq!(oracle.qpf_uses(), 4);
     }
 
     #[test]

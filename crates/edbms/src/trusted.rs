@@ -122,14 +122,22 @@ impl TrustedMachine {
     /// trapdoor's first use this is one read lock and one id lookup; the
     /// cell is decrypted under the lock with the cached cipher.
     ///
+    /// A use is counted once the trapdoor has resolved, when the cell's
+    /// decrypt is attempted — as a [`TrustedMachine::session`] batch
+    /// counts — so a malformed trapdoor costs none and a bad cell one.
+    ///
     /// # Errors
     /// Fails on corrupted ciphertexts or malformed trapdoors.
     pub fn qpf(&self, pred: &EncryptedPredicate, cell: &[u8]) -> Result<bool, EdbmsError> {
+        let opened = self.with_trapdoor(pred, |decoded, cipher| {
+            cipher
+                .decrypt_slice(cell)
+                .map(|value| decoded.matches(value))
+        })?;
+        // The trapdoor resolved, so the cell's decrypt was attempted.
         self.qpf_uses.fetch_add(1, Ordering::Relaxed);
         self.emulated_work();
-        self.with_trapdoor(pred, |decoded, cipher| {
-            Ok(decoded.matches(cipher.decrypt_slice(cell)?))
-        })?
+        Ok(opened?)
     }
 
     /// Opens a batch-evaluation session for `pred`: resolves the value
