@@ -141,10 +141,18 @@ pub mod rngs {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
+        /// Little-endian draws, one per 8 bytes, the last one cut short:
+        /// whole words are fixed-size copies, and only the tail's length
+        /// is known at run time.
         fn fill_bytes(&mut self, dest: &mut [u8]) {
-            for chunk in dest.chunks_mut(8) {
-                let b = self.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&b[..chunk.len()]);
+            let mut words = dest.chunks_exact_mut(8);
+            for word in &mut words {
+                word.copy_from_slice(&self.next_u64().to_le_bytes());
+            }
+            let tail = words.into_remainder();
+            if !tail.is_empty() {
+                let len = tail.len();
+                tail.copy_from_slice(&self.next_u64().to_le_bytes()[..len]);
             }
         }
     }

@@ -24,6 +24,11 @@
 //!   floor a gather in storage order sets). Each carries its QPF, calls ×
 //!   2 000 per sample (asserted), and the report prints cold ÷ contig —
 //!   a ratio from one run, which is what compares across builds;
+//! * `qpf_batch_ns_cold4` — the gather `cold_start` really does: fresh
+//!   ascending 2 000-id sets over four such columns (22 MB of cells), the
+//!   calls taking the columns in turn, each with its own trapdoor. It
+//!   carries its QPF like the two above, and the report prints cold4 ÷
+//!   contig next to cold ÷ contig;
 //! * `oracle_call_ns_{1,4,12,16,1000}` — one call, in ns, through the
 //!   served stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline,
 //!   so its clock read is priced) → [`SpOracle`], at 1 (the scalar cell),
@@ -73,7 +78,10 @@
 //!   uniform bound, each through the same executor as a one-trapdoor
 //!   dimension.
 //!
-//! The report prints each as a multiple of `qpf_batch_ns`.
+//! The report prints each as a multiple of `qpf_batch_ns`, and the run
+//! fails when `md1` exceeds [`MD1_PER_CONTIG_MAX`] times
+//! `qpf_batch_ns_contig` of the same run (the gate is a ratio, so it holds
+//! on any box).
 //!
 //! **Warm-select rows** price a select on a warm knowledge base, where PRKB
 //! has made the QPF few: µs of engine time per select — the replay's wall
@@ -144,8 +152,8 @@ use prkb_edbms::durability::{crc32, Wal};
 use prkb_edbms::select::linear_scan;
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{
-    real_fs, ComparisonOp, DataOwner, OracleError, PlainTable, Predicate, PredicateKind, Schema,
-    SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
+    real_fs, ComparisonOp, DataOwner, EncryptedPredicate, OracleError, PlainTable, Predicate,
+    PredicateKind, Schema, SelectionOracle, SpOracle, TmConfig, TrustedMachine, TupleId,
 };
 use prkb_server::wire::{decode_frame, encode_frame, DEFAULT_MAX_FRAME_LEN};
 use prkb_server::{PrkbClient, PrkbServer, Response, ServerConfig};
@@ -294,13 +302,15 @@ fn ascending_set(rng: &mut StdRng) -> Vec<TupleId> {
     ids
 }
 
-/// The cold-gather rows: `qpf_batch_ns_cold` and `qpf_batch_ns_contig`,
-/// each with one sample's QPF.
+/// Columns of `qpf_batch_ns_cold4`'s table: `cold_start`'s four.
+const GATHER_COLUMNS: usize = 4;
+
+/// The cold-gather rows: `qpf_batch_ns_cold`, `qpf_batch_ns_contig` and
+/// `qpf_batch_ns_cold4`, each with one sample's QPF.
 fn gather_rows(sample_units: usize) -> Vec<LayerPoint> {
     let setup = EncSetup::new("gather", vec![(0..GATHER_ROWS as u64).collect()], 43);
     let mut rng = StdRng::seed_from_u64(44);
     let pred = setup.cmp_trapdoor(0, ComparisonOp::Lt, GATHER_ROWS as u64 / 2, &mut rng);
-    let oracle = setup.oracle();
     let cold: Vec<Vec<TupleId>> = (0..COLD_SETS).map(|_| ascending_set(&mut rng)).collect();
     let contig: Vec<Vec<TupleId>> = (0..GATHER_ROWS / GATHER_LEN)
         .map(|run| {
@@ -309,16 +319,35 @@ fn gather_rows(sample_units: usize) -> Vec<LayerPoint> {
                 .collect()
         })
         .collect();
+    // Four columns, each with its own trapdoor and fresh sets; the calls
+    // take the columns in turn, as `cold_start`'s clients do.
+    let columns = (0..GATHER_COLUMNS).map(|_| (0..GATHER_ROWS as u64).collect());
+    let wide = EncSetup::new("gather4", columns.collect(), 49);
+    let mut rng = StdRng::seed_from_u64(50);
+    let preds: Vec<_> = (0..GATHER_COLUMNS as u32)
+        .map(|a| wide.cmp_trapdoor(a, ComparisonOp::Lt, GATHER_ROWS as u64 / 2, &mut rng))
+        .collect();
+    let cold4: Vec<(&EncryptedPredicate, Vec<TupleId>)> = preds
+        .iter()
+        .cycle()
+        .take(COLD_SETS * GATHER_COLUMNS)
+        .map(|pred| (pred, ascending_set(&mut rng)))
+        .collect();
+    let on_one = |sets: Vec<Vec<TupleId>>| sets.into_iter().map(|ids| (&pred, ids)).collect();
+    let rows: [(&str, SpOracle, Vec<_>); 3] = [
+        ("qpf_batch_ns_cold", setup.oracle(), on_one(cold)),
+        ("qpf_batch_ns_contig", setup.oracle(), on_one(contig)),
+        ("qpf_batch_ns_cold4", wide.oracle(), cold4),
+    ];
     let calls = (sample_units / GATHER_LEN).max(1);
     let mut verdicts = Vec::new();
-    [("qpf_batch_ns_cold", cold), ("qpf_batch_ns_contig", contig)]
-        .into_iter()
-        .map(|(id, sets)| {
-            let mut next = sets.iter().cycle();
+    rows.into_iter()
+        .map(|(id, oracle, batches)| {
+            let mut next = batches.iter().cycle();
             let before = oracle.qpf_uses();
             let ns = ns_per_unit(GATHER_LEN, calls * GATHER_LEN, || {
-                let ids = next.next().expect("a cycle never ends");
-                oracle.eval_batch(black_box(&pred), black_box(ids), &mut verdicts);
+                let (pred, ids) = next.next().expect("a cycle never ends");
+                oracle.eval_batch(black_box(pred), black_box(ids), &mut verdicts);
             });
             let qpf_uses = (calls * GATHER_LEN) as u64;
             assert_eq!(
@@ -845,7 +874,17 @@ pub fn measure(scale: Scale) -> Vec<LayerPoint> {
     points
 }
 
+/// The most `engine_ns_per_scanned_tuple_md1` may be, as a multiple of
+/// `qpf_batch_ns_contig` from the same run: a same-run ratio, so the gate
+/// holds on any box, and 2x the worst ratio sixteen runs read when it was set
+/// (EXPERIMENTS.md, "layers").
+pub const MD1_PER_CONTIG_MAX: f64 = 0.2;
+
 /// Renders the report and the trajectory rows.
+///
+/// # Panics
+/// Panics when the engine's cold 1-D pass costs more than
+/// [`MD1_PER_CONTIG_MAX`] contiguous batched QPFs per scanned tuple.
 pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let points = measure(scale);
     let of = |id: &str| {
@@ -887,12 +926,15 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("seal_ns_per_cell_scalar"),
         of("seal_ns_per_cell_scalar") / of("seal_ns_per_cell"),
     ));
+    let contig = of("qpf_batch_ns_contig");
     report.line(format!(
         "cold gather: a batched QPF over fresh ascending ids costs {:.1} ns, over a fresh \
-         contiguous run {:.1} ns — cold ÷ contig {:.2}x",
+         contiguous run {contig:.1} ns, over fresh ids of four columns in turn {:.1} ns — \
+         cold ÷ contig {:.2}x, cold4 ÷ contig {:.2}x",
         of("qpf_batch_ns_cold"),
-        of("qpf_batch_ns_contig"),
-        of("qpf_batch_ns_cold") / of("qpf_batch_ns_contig"),
+        of("qpf_batch_ns_cold4"),
+        of("qpf_batch_ns_cold") / contig,
+        of("qpf_batch_ns_cold4") / contig,
     ));
     report.line(format!(
         "engine per scanned NS-pair tuple: {:.1} ns for a 1-D range, {:.1} ns for a \
@@ -902,6 +944,16 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
         of("engine_ns_per_scanned_tuple_md1") / of("qpf_batch_ns"),
         of("engine_ns_per_scanned_tuple_cmp") / of("qpf_batch_ns"),
     ));
+    let md1 = of("engine_ns_per_scanned_tuple_md1") / contig;
+    report.line(format!(
+        "gate: engine per scanned tuple of a 1-D range ÷ a contiguous batched QPF = {md1:.3}, \
+         at most {MD1_PER_CONTIG_MAX}"
+    ));
+    assert!(
+        md1 <= MD1_PER_CONTIG_MAX,
+        "engine_ns_per_scanned_tuple_md1 is {md1:.3}x qpf_batch_ns_contig of the same run, \
+         above the gate's {MD1_PER_CONTIG_MAX}x"
+    );
     let warm: Vec<String> = points
         .iter()
         .filter_map(|p| {

@@ -14,7 +14,7 @@
 //!   are parked with a candidate rank interval, always scanned by queries,
 //!   and promoted into the POP as soon as some cut pins them down.
 
-use crate::pop::{Pop, RemoveOutcome, SplitBits};
+use crate::pop::{self, Halves, Pop, RemoveOutcome, SplitBits};
 use crate::traits::SpPredicate;
 use prkb_edbms::TupleId;
 
@@ -240,13 +240,32 @@ impl<P: SpPredicate> Knowledge<P> {
     /// Splits the partition at `rank`: the members whose bit in `left` is
     /// set (in ascending member order) form the left half, the rest the
     /// right, and `sep` is retained as the new cut between them. Live
-    /// commits and WAL replay both come through here.
+    /// commits and WAL replay both come through here; `halves`, when the
+    /// caller has built them already, are those two halves, and the split
+    /// installs them as they are.
     ///
     /// Maintains separator alignment and overflow intervals. Callers are
     /// responsible for having oriented `left` per the update rule (§5.3 /
     /// DESIGN.md §7).
-    pub(crate) fn apply_split(&mut self, rank: usize, left: SplitBits, sep: Option<Separator<P>>) {
-        self.pop.split_at(rank, &left);
+    pub(crate) fn apply_split(
+        &mut self,
+        rank: usize,
+        left: SplitBits,
+        halves: Option<Halves>,
+        sep: Option<Separator<P>>,
+    ) {
+        match halves {
+            Some(halves) => {
+                debug_assert!(
+                    halves == pop::halves(self.pop.members_at(rank), &left),
+                    "the halves are the bits'"
+                );
+                self.pop.split_into(rank, halves);
+            }
+            None => {
+                self.pop.split_at(rank, &left);
+            }
+        }
         if self.recording {
             self.journal.push(RefinementOp::Split {
                 rank,
@@ -447,7 +466,7 @@ impl<P: SpPredicate> Knowledge<P> {
         self.fits(&op)?;
         let was = std::mem::replace(&mut self.recording, false);
         match op {
-            RefinementOp::Split { rank, left, sep } => self.apply_split(rank, left, sep),
+            RefinementOp::Split { rank, left, sep } => self.apply_split(rank, left, None, sep),
             RefinementOp::Delete { tuple } => self.delete(tuple),
             RefinementOp::Park { tuple, lo, hi } => self.park(tuple, lo, hi),
             RefinementOp::Place { tuple, rank } => self.place(tuple, rank),
@@ -611,7 +630,7 @@ pub(crate) mod tests {
     ) {
         let left: HashSet<TupleId> = left.iter().copied().collect();
         let bits = kb.pop().members_at(rank).iter().map(|t| left.contains(t));
-        kb.apply_split(rank, bits.collect(), sep);
+        kb.apply_split(rank, bits.collect(), None, sep);
     }
 
     fn sep(bound: u64, left_label: bool) -> Separator<Predicate> {

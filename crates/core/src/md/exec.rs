@@ -7,7 +7,7 @@ use super::zones::{rank_class, Zones};
 use super::{MdDim, MdUpdatePolicy};
 use crate::between::{self, Found};
 use crate::knowledge::{BetweenEdge, Separator};
-use crate::pop::{Pop, SplitBits};
+use crate::pop::{self, Halves, Pop, SplitBits};
 use crate::qfilter::{try_qfilter, FilterResult};
 use crate::selection::{QueryStats, Selection};
 use crate::traits::SpPredicate;
@@ -22,8 +22,18 @@ use std::ops::Range;
 struct NsSide {
     rank: usize,
     label: bool,
+    /// The members tested, unless `whole`.
     tested: Vec<TupleId>,
     verdicts: Vec<bool>,
+    /// Every member was tested, as one run in member order (the driver
+    /// wave's case): `verdicts[i]` is the `i`-th member's, and `tested` is
+    /// left empty rather than a copy of the partition.
+    whole: bool,
+    /// With `whole` and both outcomes seen: the members whose verdict is
+    /// true, then the rest, each in member order — built while the run was
+    /// at hand, so that the true half is the segment's survivors and a
+    /// split installs the two as they are.
+    halves: Option<Halves>,
     trues: usize,
     /// The ranks of the sides that must all prove mixed before this one is
     /// implied to have its label (Alg. 2's early stop); none: always tested.
@@ -41,6 +51,8 @@ impl NsSide {
             label,
             tested: Vec::new(),
             verdicts: Vec::new(),
+            whole: false,
+            halves: None,
             trues: 0,
             inferred_by,
             inferred: None,
@@ -51,14 +63,31 @@ impl NsSide {
     /// Appends one run of tested members and their verdicts.
     fn extend(&mut self, ids: &[TupleId], verdicts: &[bool]) {
         debug_assert_eq!(ids.len(), verdicts.len(), "one verdict per member");
+        debug_assert!(!self.whole, "a whole run is a side's only one");
         self.tested.extend_from_slice(ids);
+        self.add_verdicts(verdicts);
+    }
+
+    /// Records the verdicts of every member, `members` in member order, as
+    /// the side's only run, and its halves when they differ.
+    fn extend_whole(&mut self, members: &[TupleId], verdicts: &[bool]) {
+        debug_assert!(self.verdicts.is_empty(), "a whole run is a side's only one");
+        self.whole = true;
+        self.add_verdicts(verdicts);
+        if self.mixed() {
+            let trues = SplitBits::from_verdicts(verdicts, true);
+            self.halves = Some(pop::halves(members, &trues));
+        }
+    }
+
+    fn add_verdicts(&mut self, verdicts: &[bool]) {
         self.verdicts.extend_from_slice(verdicts);
-        self.trues += verdicts.iter().filter(|&&v| v).count();
+        self.trues += verdicts.iter().map(|&v| usize::from(v)).sum::<usize>();
     }
 
     /// Both outcomes seen: this partition holds a cut.
     fn mixed(&self) -> bool {
-        self.trues > 0 && self.trues < self.tested.len()
+        self.trues > 0 && self.trues < self.verdicts.len()
     }
 
     /// The verdict of `t` when this side was decided, or the side's
@@ -214,6 +243,18 @@ impl Trapdoor {
     /// can only make side `i` mixed, which implies other sides, never `i`.
     fn record_run(&mut self, i: usize, ids: &[TupleId], verdicts: &[bool]) {
         self.sides[i].extend(ids, verdicts);
+        self.infer();
+    }
+
+    /// [`record_run`](Self::record_run) of every member of side `i`,
+    /// `members` in member order.
+    fn record_whole(&mut self, i: usize, members: &[TupleId], verdicts: &[bool]) {
+        self.sides[i].extend_whole(members, verdicts);
+        self.infer();
+    }
+
+    /// Sets each side's inference from which sides have proved mixed.
+    fn infer(&mut self) {
         for j in 0..self.sides.len() {
             let side = &self.sides[j];
             let mixed = |rank| self.sides.iter().any(|s| s.rank == rank && s.mixed());
@@ -267,7 +308,7 @@ impl Pending {
 }
 
 /// A run of the band, in driver order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
     /// The survivors `tuples[start..end]` of one driver partition (`rank`),
     /// of a run of driver partitions every driver trapdoor labels true
@@ -291,6 +332,8 @@ enum Fate {
     All(bool),
     /// Each survivor's verdict sits at its position in the wave.
     Each,
+    /// The segment's first `n` tuples are its survivors, already in place.
+    Kept(usize),
 }
 
 /// The candidates still in the running, in driver order, as segments: the
@@ -360,18 +403,23 @@ impl Band {
             let from = w;
             match fate {
                 Fate::All(false) => {}
-                Fate::All(true) => {
+                Fate::All(true) | Fate::Kept(_) => {
+                    let end = match fate {
+                        Fate::Kept(n) => start + n,
+                        _ => end,
+                    };
                     if w != start {
                         self.tuples.copy_within(start..end, w);
                     }
                     w += end - start;
                 }
+                // Branch-free, as verdicts are scattered: every survivor is
+                // written at the cursor (never past `i`), which only a true
+                // verdict advances.
                 Fate::Each => {
                     for (i, &keep) in (start..end).zip(&wave[start..end]) {
-                        if keep {
-                            self.tuples[w] = self.tuples[i];
-                            w += 1;
-                        }
+                        self.tuples[w] = self.tuples[i];
+                        w += usize::from(keep);
                     }
                 }
             }
@@ -463,7 +511,8 @@ struct Prepared {
     /// The dimension whose band the candidates come from.
     driver: usize,
     /// The driver's band before the free pass: its members in runs not
-    /// known false, and its overflow tuples.
+    /// known false (with d = 1, in runs not known either way, as a true run
+    /// stays in place), and its overflow tuples.
     driver_band: usize,
     /// The fields phase 1 decides; the walk adds to `oracle_batches`.
     stats: QueryStats,
@@ -521,7 +570,7 @@ where
     for td in p.trapdoors.iter().flatten().filter(|td| !td.comparison) {
         for side in &td.sides {
             if !side.decided {
-                p.stats.ns_width += side.tested.len() as u64;
+                p.stats.ns_width += side.verdicts.len() as u64;
             }
             p.stats.pruned_true += usize::from(side.inferred == Some(true));
         }
@@ -589,13 +638,14 @@ where
         for (ranks, class) in of_dim.runs() {
             match class {
                 Some(false) => stats.pruned_false += ranks.len(),
-                _ if d > 1 => {
+                // With d = 1 a true run stays in place (see `candidates`).
+                Some(true) if d == 1 => {}
+                _ => {
                     band += ranks
                         .clone()
                         .map(|r| pop.members_at(r).len())
                         .sum::<usize>()
                 }
-                _ => {}
             }
             stats.pruned_true += if *class == Some(true) { ranks.len() } else { 0 };
         }
@@ -657,9 +707,7 @@ fn candidates<P: SpPredicate>(
         })
     };
     let mut band = Band::default();
-    if d > 1 {
-        band.tuples.reserve(p.driver_band);
-    }
+    band.tuples.reserve(p.driver_band);
     let pop = dims[driver].knowledge.pop();
     for (ranks, class) in p.zones[driver].runs() {
         match class {
@@ -783,8 +831,24 @@ where
                         let ids = &band.tuples[start..end];
                         *oracle_batches += 1;
                         oracle.try_eval_batch(pred, ids, &mut verdicts)?;
-                        td.record_run(i, ids, &verdicts);
-                        wave[start..end].copy_from_slice(&verdicts);
+                        // A segment is its partition's members in member
+                        // order less those an earlier wave dropped, so one
+                        // as long as the partition is all of them. Its
+                        // survivors are then its true half, moved in place
+                        // as one copy.
+                        if ids.len() == pop.members_at(side.rank).len() {
+                            td.record_whole(i, ids, &verdicts);
+                            fates[s] = match &td.sides[i].halves {
+                                Some((trues, _)) => {
+                                    band.tuples[start..start + trues.len()].copy_from_slice(trues);
+                                    Fate::Kept(trues.len())
+                                }
+                                None => Fate::All(td.sides[i].trues > 0),
+                            };
+                        } else {
+                            td.record_run(i, ids, &verdicts);
+                            wave[start..end].copy_from_slice(&verdicts);
+                        }
                     }
                 }
             } else {
@@ -848,7 +912,7 @@ where
     O::Pred: SpPredicate,
 {
     let mut all_pending: Vec<Vec<PendingSplit<O::Pred>>> = Vec::with_capacity(dims.len());
-    for (dim, tds) in dims.iter().zip(trapdoors.iter()) {
+    for (dim, tds) in dims.iter().zip(trapdoors.iter_mut()) {
         all_pending.push(collect_dim_updates(dim, oracle, tds, policy)?);
     }
     // ---- Commit phase: infallible, no oracle calls past this point. ----
@@ -860,10 +924,18 @@ where
         .sum())
 }
 
-/// A staged split: (rank, which members go left, separator, and for a
-/// comparison cut its left label and trapdoor, whose wave's overflow
-/// verdicts the fresh cut refines).
-type PendingSplit<P> = (usize, SplitBits, Separator<P>, Option<(bool, usize)>);
+/// A staged split.
+struct PendingSplit<P> {
+    rank: usize,
+    /// Which members go left.
+    left: SplitBits,
+    /// The halves, left then right, when the walk built them.
+    halves: Option<Halves>,
+    sep: Separator<P>,
+    /// For a comparison cut, its left label and trapdoor, whose wave's
+    /// overflow verdicts the fresh cut refines.
+    refines: Option<(bool, usize)>,
+}
 
 /// The verdicts `side` tested for `members`, one bit per member in member
 /// order, set where the verdict equals `left` — so the bits say which
@@ -875,12 +947,13 @@ fn member_verdicts(
     left: bool,
     mut untested: impl FnMut(TupleId) -> Result<bool, OracleError>,
 ) -> Result<SplitBits, OracleError> {
-    let mut bits = SplitBits::with_capacity(members.len());
-    // The driver dimension tests a whole partition in member order.
-    if side.tested == members {
-        side.verdicts.iter().for_each(|&v| bits.push(v == left));
-        return Ok(bits);
+    // A side tested whole in member order (the driver's case) packs its
+    // verdicts as they stand.
+    if side.whole || side.tested == members {
+        debug_assert_eq!(side.verdicts.len(), members.len(), "one verdict per member");
+        return Ok(SplitBits::from_verdicts(&side.verdicts, left));
     }
+    let mut bits = SplitBits::with_capacity(members.len());
     let mut by_tuple: Vec<(TupleId, bool)> = side
         .tested
         .iter()
@@ -919,13 +992,14 @@ fn between_edge(td: &Trapdoor, rank: usize) -> Option<BetweenEdge> {
     }
 }
 
-/// Gathers the sound refinements for one dimension without mutating it.
-/// Under [`MdUpdatePolicy::CompleteSplits`] this may spend QPF uses to
-/// finish partially-decided partitions — the only fallible step of phase 3.
+/// Gathers the sound refinements for one dimension without mutating it,
+/// taking the halves the walk built into them. Under
+/// [`MdUpdatePolicy::CompleteSplits`] this may spend QPF uses to finish
+/// partially-decided partitions — the only fallible step of phase 3.
 fn collect_dim_updates<O>(
     dim: &MdDim<'_, O::Pred>,
     oracle: &O,
-    trapdoors: &[Trapdoor],
+    trapdoors: &mut [Trapdoor],
     policy: MdUpdatePolicy,
 ) -> Result<Vec<PendingSplit<O::Pred>>, OracleError>
 where
@@ -933,15 +1007,16 @@ where
     O::Pred: SpPredicate,
 {
     let mut pending = Vec::new();
-    for (j, (td, pred)) in trapdoors.iter().zip(dim.preds).enumerate() {
+    for (j, (td, pred)) in trapdoors.iter_mut().zip(dim.preds).enumerate() {
         let comparison = td.comparison;
-        for side in &td.sides {
+        for i in 0..td.sides.len() {
+            let side = &td.sides[i];
             if !side.mixed() {
                 continue; // homogeneous so far: nothing to refine
             }
             let r = side.rank;
             let members = dim.knowledge.pop().members_at(r);
-            if side.tested.len() < members.len() && policy != MdUpdatePolicy::CompleteSplits {
+            if side.verdicts.len() < members.len() && policy != MdUpdatePolicy::CompleteSplits {
                 continue; // partial knowledge: a split would be unsound
             }
             let edge = match comparison {
@@ -972,7 +1047,20 @@ where
             };
             // Ablation mode: pay the missing QPF to finish the split.
             let left = member_verdicts(members, side, left_label, |t| oracle.try_eval(pred, t))?;
-            pending.push((r, left, sep, refines));
+            let halves = td.sides[i]
+                .halves
+                .take()
+                .map(|(trues, rest)| match left_label {
+                    true => (trues, rest),
+                    false => (rest, trues),
+                });
+            pending.push(PendingSplit {
+                rank: r,
+                left,
+                halves,
+                sep,
+                refines,
+            });
         }
     }
     Ok(pending)
@@ -996,14 +1084,21 @@ fn commit_dim_updates<P: SpPredicate>(
     // if two trapdoors split the same partition, keep the first only
     // (re-deriving the second against the new sub-partitions is future
     // work the paper does not require).
-    pending.sort_by_key(|e| std::cmp::Reverse(e.0));
-    pending.dedup_by_key(|e| e.0);
+    pending.sort_by_key(|e| std::cmp::Reverse(e.rank));
+    pending.dedup_by_key(|e| e.rank);
     let n = pending.len();
     for td in trapdoors.iter_mut() {
         td.overflow.sort_unstable_by_key(|e| e.0);
     }
-    for (rank, left, sep, refines) in pending {
-        dim.knowledge.apply_split(rank, left, Some(sep));
+    for split in pending {
+        let PendingSplit {
+            rank,
+            left,
+            halves,
+            sep,
+            refines,
+        } = split;
+        dim.knowledge.apply_split(rank, left, halves, Some(sep));
         if let Some((left_label, j)) = refines {
             let verdicts = &trapdoors[j].overflow;
             dim.knowledge.refine_overflow(rank, left_label, |t| {
@@ -1454,6 +1549,73 @@ mod tests {
             let missing: Vec<TupleId> =
                 members.iter().copied().filter(|t| !map.contains_key(t)).collect();
             proptest::prop_assert_eq!(asked, missing);
+        }
+    }
+
+    /// `Band::retain` is a filter: segment by segment, an in-place one
+    /// kept whole, a held one's tuples kept by its fate (for `Each`, by
+    /// their own verdicts; for `Kept(n)`, its first `n`) and the segment
+    /// dropped when none is left — over random segments, fates and waves.
+    #[test]
+    fn retain_is_a_filter_of_each_segment() {
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut band = Band::default();
+            let mut fates = Vec::new();
+            for rank in 0..rng.gen_range(0..12) {
+                if rng.gen_range(0..5) == 0 {
+                    band.segments.push(Segment::InPlace {
+                        first: rank,
+                        end: rank + 1,
+                    });
+                    fates.push(Fate::All(true));
+                    continue;
+                }
+                let len = rng.gen_range(1..40);
+                let start = band.tuples.len();
+                band.tuples
+                    .extend((0..len).map(|_| rng.gen_range(0..1_000)));
+                let rank = (rank % 4 > 0).then_some(rank);
+                let end = band.tuples.len();
+                band.segments.push(Segment::Held { rank, start, end });
+                fates.push(match rng.gen_range(0..5) {
+                    0 => Fate::All(false),
+                    1 => Fate::All(true),
+                    2 => Fate::Kept(rng.gen_range(0..=len)),
+                    _ => Fate::Each,
+                });
+            }
+            // A wave true everywhere, false everywhere, or mixed.
+            let share = [0, 100, rng.gen_range(1..100)][seed as usize % 3];
+            let wave: Vec<bool> = (0..band.tuples.len())
+                .map(|_| rng.gen_range(0..100) < share)
+                .collect();
+
+            let (mut tuples, mut segments) = (Vec::new(), Vec::new());
+            for (seg, fate) in band.segments.iter().zip(&fates) {
+                let Segment::Held { rank, start, end } = *seg else {
+                    segments.push(*seg);
+                    continue;
+                };
+                let from = tuples.len();
+                let kept = (start..end).filter(|&i| match fate {
+                    Fate::All(v) => *v,
+                    Fate::Kept(n) => i < start + n,
+                    Fate::Each => wave[i],
+                });
+                tuples.extend(kept.map(|i| band.tuples[i]));
+                if tuples.len() > from {
+                    let end = tuples.len();
+                    segments.push(Segment::Held {
+                        rank,
+                        start: from,
+                        end,
+                    });
+                }
+            }
+            band.retain(&fates, &wave);
+            assert_eq!(band.tuples, tuples, "seed {seed}");
+            assert_eq!(band.segments, segments, "seed {seed}");
         }
     }
 

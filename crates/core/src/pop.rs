@@ -115,58 +115,69 @@ impl Pop {
 
     /// Splits the partition at `rank` into two adjacent partitions: member
     /// `i` (in ascending order) goes to the left half at `rank` when bit `i`
-    /// of `left` is set, else to the right half at `rank + 1`. Both halves
-    /// keep ascending order (a stable partition); the left half stays in the
-    /// partition's own `Vec` and the right half moves to a new one.
-    ///
-    /// Returns `(id_left, id_right)`: the partition at `rank` keeps the old
-    /// id (so the left endpoint of any range that included it stays valid);
-    /// the right half gets a fresh id.
+    /// of `left` is set, else to the right half at `rank + 1` — see
+    /// [`split_into`](Self::split_into).
     ///
     /// # Panics
     /// Panics unless there is one bit per member and both halves are
     /// non-empty.
     pub(crate) fn split_at(&mut self, rank: usize, left: &SplitBits) -> (PartId, PartId) {
-        let id = self.order[rank];
-        let members = &mut self.members[id as usize];
+        let members = self.members_at(rank);
         assert_eq!(left.len(), members.len(), "one split bit per member");
         let ones = left.count_ones();
         assert!(
             ones > 0 && ones < left.len(),
             "split halves must be non-empty"
         );
-        // Branch-free, as verdicts are scattered in id order: every member
-        // is written to both halves and only its own half's cursor advances
-        // (so `right` has one slot of slack).
-        let n = members.len();
-        let mut right = vec![0; n - ones + 1];
-        let (mut l, mut r) = (0, 0);
-        for (at, &byte) in (0..n).step_by(8).zip(left.as_bytes()) {
-            let mut byte = usize::from(byte);
-            for i in at..n.min(at + 8) {
-                let (t, bit) = (members[i], byte & 1);
-                byte >>= 1;
-                members[l] = t;
-                right[r] = t;
-                l += bit;
-                r += 1 - bit;
-            }
-        }
-        members.truncate(l);
-        members.shrink_to_fit();
-        right.truncate(r);
+        let halves = halves(members, left);
+        self.split_into(rank, halves)
+    }
+
+    /// Splits the partition at `rank` into its members `left`, at `rank`,
+    /// and `right`, at `rank + 1`, each ascending (a stable partition) at
+    /// exact capacity. The larger half (the left on a tie) keeps the
+    /// partition's id and the smaller moves in under a fresh id, so that only
+    /// the smaller half's `locate` entries change.
+    ///
+    /// Returns `(id_left, id_right)`.
+    ///
+    /// # Panics
+    /// Panics unless both halves are non-empty.
+    pub(crate) fn split_into(&mut self, rank: usize, (left, right): Halves) -> (PartId, PartId) {
+        assert!(
+            !left.is_empty() && !right.is_empty(),
+            "split halves must be non-empty"
+        );
+        let id = self.order[rank];
+        debug_assert_eq!(
+            left.len() + right.len(),
+            self.members[id as usize].len(),
+            "the halves hold the partition's members"
+        );
         let new_id = self.members.len() as PartId;
-        for &t in &right {
+        let keep_left = left.len() >= right.len();
+        let (kept, moved) = if keep_left {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        for &t in &moved {
             self.locate[t as usize] = new_id;
         }
-        self.members.push(right);
-        self.rank.push((rank + 1) as u32);
-        self.order.insert(rank + 1, new_id);
-        // Ranks after the insertion point shift right.
-        for r in (rank + 2)..self.order.len() {
+        self.members[id as usize] = kept;
+        self.members.push(moved);
+        let (id_left, id_right) = match keep_left {
+            true => (id, new_id),
+            false => (new_id, id),
+        };
+        self.order[rank] = id_left;
+        self.order.insert(rank + 1, id_right);
+        self.rank.push(DEAD_RANK);
+        // Ranks from the split one on are renumbered.
+        for r in rank..self.order.len() {
             self.rank[self.order[r] as usize] = r as u32;
         }
-        (id, new_id)
+        (id_left, id_right)
     }
 
     /// Places an unplaced tuple into the partition at `rank`, at its place
@@ -324,6 +335,55 @@ impl Pop {
     }
 }
 
+/// A split partition's members: the left half's, then the right half's.
+pub(crate) type Halves = (Vec<TupleId>, Vec<TupleId>);
+
+/// The `members` whose bit in `bits` is set, and the rest, each in order at
+/// exact capacity.
+///
+/// Branch-free, as the bits are scattered in id order: every member is
+/// written at both halves' cursors and only its own half's cursor advances.
+/// While each half still has a member to come, neither cursor can pass its
+/// half's end; the members after the first half is complete all belong to
+/// the other, and go as one copy.
+///
+/// # Panics
+/// Panics unless both halves are non-empty.
+pub(crate) fn halves(members: &[TupleId], bits: &SplitBits) -> Halves {
+    let last_set = bits.last(true).expect("a member whose bit is set");
+    let last_clear = bits.last(false).expect("a member whose bit is clear");
+    let both = last_set.min(last_clear) + 1;
+    let ones = bits.count_ones();
+    let (mut set, mut clear) = (vec![0; ones], vec![0; members.len() - ones]);
+    let (mut s, mut c) = (0, 0);
+    let mut put = |t: TupleId, bit: usize| {
+        set[s] = t;
+        clear[c] = t;
+        s += bit;
+        c += 1 - bit;
+    };
+    for (eight, &byte) in members[..both].chunks(8).zip(bits.as_bytes()) {
+        let mut byte = usize::from(byte);
+        // A whole eight has a fixed length, so its loop unrolls.
+        match <[TupleId; 8]>::try_from(eight) {
+            Ok(eight) => eight.into_iter().for_each(|t| {
+                put(t, byte & 1);
+                byte >>= 1;
+            }),
+            Err(_) => eight.iter().for_each(|&t| {
+                put(t, byte & 1);
+                byte >>= 1;
+            }),
+        }
+    }
+    let tail = &members[both..];
+    match last_set > last_clear {
+        true => set[s..].copy_from_slice(tail),
+        false => clear[c..].copy_from_slice(tail),
+    }
+    (set, clear)
+}
+
 /// Result of [`Pop::remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RemoveOutcome {
@@ -379,6 +439,31 @@ impl SplitBits {
         })
     }
 
+    /// One bit per verdict, set where it equals `left`: eight verdicts
+    /// packed into a byte by one multiply, with no branch on a verdict.
+    pub(crate) fn from_verdicts(verdicts: &[bool], left: bool) -> Self {
+        // Byte `i` of a little-endian word, 0 or 1, lands at bit 56 + i.
+        const GATHER: u64 = 0x0102_0408_1020_4080;
+        let flip = if left { 0 } else { u8::MAX };
+        let pack = |eight: [bool; 8]| {
+            let lanes = u64::from_le_bytes(eight.map(u8::from));
+            (lanes.wrapping_mul(GATHER) >> 56) as u8 ^ flip
+        };
+        let mut eights = verdicts.chunks_exact(8);
+        let mut bytes = Vec::with_capacity(verdicts.len().div_ceil(8));
+        bytes.extend((&mut eights).map(|e| pack(e.try_into().expect("8 verdicts"))));
+        let rest = eights.remainder();
+        if !rest.is_empty() {
+            let mut eight = [false; 8];
+            eight[..rest.len()].copy_from_slice(rest);
+            bytes.push(pack(eight) & ((1 << rest.len()) - 1));
+        }
+        SplitBits {
+            len: verdicts.len(),
+            bytes,
+        }
+    }
+
     /// Appends one bit.
     pub(crate) fn push(&mut self, bit: bool) {
         if self.len.is_multiple_of(8) {
@@ -393,9 +478,30 @@ impl SplitBits {
         self.len
     }
 
-    /// Number of set bits (members of the left half).
+    /// Number of set bits (members of the left half), a word at a time:
+    /// without `popcnt` in the baseline target a count is a software
+    /// sequence, so eight bytes share one.
     pub(crate) fn count_ones(&self) -> usize {
-        self.bytes.iter().map(|b| b.count_ones() as usize).sum()
+        let mut words = self.bytes.chunks_exact(8);
+        let whole: u32 = (&mut words)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")).count_ones())
+            .sum();
+        let tail: u32 = words.remainder().iter().map(|b| b.count_ones()).sum();
+        (whole + tail) as usize
+    }
+
+    /// The index of the last bit equal to `bit`, if any.
+    pub(crate) fn last(&self, bit: bool) -> Option<usize> {
+        let flip = if bit { 0 } else { u8::MAX };
+        let (bytes, tail) = (self.bytes.len(), self.len % 8);
+        self.bytes.iter().enumerate().rev().find_map(|(at, &b)| {
+            let valid = match at + 1 == bytes && tail != 0 {
+                true => (1 << tail) - 1,
+                false => u8::MAX,
+            };
+            let hits = (b ^ flip) & valid;
+            (hits != 0).then(|| at * 8 + 7 - hits.leading_zeros() as usize)
+        })
     }
 
     /// The packed bytes.
@@ -417,7 +523,7 @@ impl FromIterator<bool> for SplitBits {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Splits the partition at `rank` so that exactly `left` goes left.
     fn split(pop: &mut Pop, rank: usize, left: &[TupleId]) -> (PartId, PartId) {
@@ -541,6 +647,107 @@ mod tests {
             "padding bit set"
         );
         assert!(SplitBits::from_bytes(0, &[]).is_ok());
+    }
+
+    /// The bit-by-bit `push` loop the packed constructor replaced.
+    fn pushed(verdicts: &[bool], left: bool) -> SplitBits {
+        let mut bits = SplitBits::with_capacity(verdicts.len());
+        verdicts.iter().for_each(|&v| bits.push(v == left));
+        bits
+    }
+
+    /// The packed constructor, the word-wise `count_ones` and `last` equal
+    /// the `push` loop and a count and a search bit by bit, at every length
+    /// across two words, for mixed, all-true and all-false verdicts.
+    #[test]
+    fn packed_split_bits_equal_the_push_loop() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in 0..=130 {
+            let mixed: Vec<bool> = (0..len).map(|_| rng.gen_range(0..2) == 1).collect();
+            for verdicts in [mixed, vec![true; len], vec![false; len]] {
+                for left in [false, true] {
+                    let reference = pushed(&verdicts, left);
+                    let packed = SplitBits::from_verdicts(&verdicts, left);
+                    assert_eq!(packed, reference, "len {len}, left {left}");
+                    let is_left: Vec<bool> = verdicts.iter().map(|&v| v == left).collect();
+                    let ones = is_left.iter().filter(|&&b| b).count();
+                    assert_eq!(packed.count_ones(), ones, "len {len}");
+                    for bit in [false, true] {
+                        let last = is_left.iter().rposition(|&b| b == bit);
+                        assert_eq!(packed.last(bit), last, "len {len}, bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `split_at` equals two filters of the members by their bits, split
+    /// after split from one partition: each half's members in order, at
+    /// exact capacity, every tuple's rank (so `locate`), and the invariants.
+    #[test]
+    fn split_at_equals_two_filters() {
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..3_000);
+            let mut pop = Pop::init(n);
+            // A skewed share now and then, so one half is a long tail.
+            let share = [1, 2, 50, 98, 99][seed as usize % 5];
+            for _ in 0..40 {
+                let splittable: Vec<usize> = (0..pop.k())
+                    .filter(|&r| pop.members_at(r).len() > 1)
+                    .collect();
+                let Some(&rank) = splittable.get(rng.gen_range(0..splittable.len().max(1))) else {
+                    break;
+                };
+                let members = pop.members_at(rank).to_vec();
+                let mut bits: Vec<bool> = members
+                    .iter()
+                    .map(|_| rng.gen_range(0..100) < share)
+                    .collect();
+                let flip = rng.gen_range(0..members.len());
+                if bits.iter().all(|&b| b == bits[0]) {
+                    bits[flip] = !bits[0];
+                }
+                let left: Vec<TupleId> = members
+                    .iter()
+                    .zip(&bits)
+                    .filter(|e| *e.1)
+                    .map(|e| *e.0)
+                    .collect();
+                let right: Vec<TupleId> = members
+                    .iter()
+                    .zip(&bits)
+                    .filter(|e| !*e.1)
+                    .map(|e| *e.0)
+                    .collect();
+                let goes_left: std::collections::HashSet<TupleId> = left.iter().copied().collect();
+                let before: Vec<Option<usize>> =
+                    (0..n as TupleId).map(|t| pop.rank_of_tuple(t)).collect();
+
+                let (id_left, id_right) = pop.split_at(rank, &pushed(&bits, true));
+                assert_eq!(pop.members_at(rank), left);
+                assert_eq!(pop.members_at(rank + 1), right);
+                assert_eq!(
+                    (pop.rank_of(id_left), pop.rank_of(id_right)),
+                    (Some(rank), Some(rank + 1))
+                );
+                for id in [id_left, id_right] {
+                    let half = &pop.members[id as usize];
+                    assert_eq!(half.capacity(), half.len(), "exact capacity");
+                }
+                for (t, was) in (0..n as TupleId).zip(before) {
+                    let now = match was {
+                        Some(r) if r < rank => Some(r),
+                        Some(r) if r > rank => Some(r + 1),
+                        Some(_) if goes_left.contains(&t) => Some(rank),
+                        Some(_) => Some(rank + 1),
+                        None => None,
+                    };
+                    assert_eq!(pop.rank_of_tuple(t), now, "tuple {t}");
+                }
+                pop.validate().unwrap();
+            }
+        }
     }
 
     #[test]

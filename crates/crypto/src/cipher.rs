@@ -558,6 +558,47 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The RNG stream every nonce is drawn from: `fill_bytes` of each
+    /// length 0..=20 in turn from one seed, one little-endian word per 8
+    /// bytes and the last cut short. Every stored ciphertext depends on
+    /// these bytes, so a change here is a format change.
+    #[test]
+    fn nonce_stream_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let drawn: Vec<String> = (0..=20)
+            .map(|len| {
+                let mut buf = vec![0; len];
+                rng.fill_bytes(&mut buf);
+                hex(&buf)
+            })
+            .collect();
+        let recorded = [
+            "",
+            "95",
+            "03f1",
+            "529f0f",
+            "94e34a0e",
+            "f22348245a",
+            "06db803cfa31",
+            "5d6d37451c67e9",
+            "a42f9e9eee35f6cc",
+            "d57d3d0b77b80557ae",
+            "bf195b774a727434be50",
+            "e6463e7f89ed6d83b76ded",
+            "dc8ee7021ce347aaf2337c4d",
+            "75ba5ef352d7831a1d9e7ff603",
+            "076aa848f4dfea1760b872291aca",
+            "e8a355644b4413f5996e1f26dda6b3",
+            "d515ca00b18f8d9991c87454d475ac9e",
+            "50b9b729f233fc1211e59079e3a70e4735",
+            "1f99b98f197e16c9076dc8cd312622f1435e",
+            "75d91342a16d37ca5e2c9d5092162cd79df4a4",
+            "de7fcb3b02653bc855c2a4c97f1c35a3436ef04a",
+        ];
+        assert_eq!(drawn, recorded);
+        assert_eq!(rng.next_u64(), 0x1022_67f0_f38c_5511, "the next draw");
+    }
+
     /// The exact bytes the cipher seals under a fixed key and RNG. Every
     /// stored cell, trapdoor and fixture depends on them, so a change here
     /// is a format change.
