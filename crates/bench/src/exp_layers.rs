@@ -30,7 +30,7 @@
 //!   carries its QPF like the two above, and the report prints cold4 ÷
 //!   contig next to cold ÷ contig;
 //! * `oracle_call_ns_{1,4,12,16,1000}` — one call, in ns, through the
-//!   served stack [`SessionOracle`] → [`DeadlineOracle`] (with a deadline,
+//!   served stack: the one query-scoped [`SessionOracle`] (with a deadline,
 //!   so its clock read is priced) → [`SpOracle`], at 1 (the scalar cell),
 //!   4 (a short pass), 12 (`warm_select`'s batch size), 16 (one full
 //!   widest pass) and 1 000 tuples. The report fits the per-call term from
@@ -143,8 +143,8 @@ use crate::scale::Scale;
 use crate::trajectory::BenchRow;
 use prkb_core::durability::{decode_txn, encode_txn, TxnEntry};
 use prkb_core::{
-    DeadlineOracle, EngineConfig, Knowledge, PrkbEngine, QueryStats, RefinementOp, Separator,
-    SessionOracle, SplitBits,
+    EngineConfig, Knowledge, PrkbEngine, QueryStats, RefinementOp, Separator, SessionOracle,
+    SplitBits,
 };
 use prkb_crypto::cipher::CIPHERTEXT_LEN;
 use prkb_crypto::{KeyPurpose, MasterKey, ValueCipher};
@@ -251,8 +251,8 @@ fn oracle_rows(scale: Scale, sample_units: usize, push: &mut impl FnMut(&str, us
     });
     push("qpf_batch_ns", batch.len(), batched);
 
-    let session = SessionOracle::new(&oracle);
-    let served = DeadlineOracle::new(&session, Some(Instant::now() + Duration::from_secs(3600)));
+    let far = Instant::now() + Duration::from_secs(3600);
+    let served = SessionOracle::with_deadline(&oracle, Some(far));
     for (len, calls) in [
         (1, sample_units / 32),
         (4, sample_units / 64),

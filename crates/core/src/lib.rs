@@ -93,7 +93,7 @@ pub use metrics::{Metric, MetricsRegistry, MetricsSnapshot};
 pub use pop::{Pop, SplitBits};
 #[doc(hidden)]
 pub use scheduler::ShardMap;
-pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
+pub use scheduler::{SessionOracle, SessionScheduler};
 pub use scrub::{ScrubDamage, ScrubFinding, ScrubReport};
 pub use selection::{QueryStats, Selection};
 pub use skyline::skyline_candidates;

@@ -46,9 +46,11 @@
 //!
 //! Because per-query cost accounting in the core pipelines is delta-based
 //! over [`SelectionOracle::qpf_uses`], a *shared* oracle counter would bleed
-//! concurrent queries' costs into each other's stats. [`SessionOracle`]
-//! wraps the shared oracle with a per-query counter so stats stay exact
-//! under concurrency.
+//! concurrent queries' costs into each other's stats. A select or insert
+//! therefore evaluates through one [`SessionOracle`]: the query-scoped
+//! wrapper around the shared oracle that holds its own QPF counter, so
+//! stats stay exact under concurrency, and the operation's deadline, which
+//! it checks before every oracle batch.
 
 use crate::durability::{Committer, DurableError, ShardedDurablePool};
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
@@ -85,7 +87,7 @@ impl ShardMap {
 }
 
 /// The canonical "budget expired" failure, raised at scheduler checkout and
-/// by [`DeadlineOracle`] between evaluation batches.
+/// by [`SessionOracle`] between evaluation batches.
 fn deadline_error() -> DurableError {
     DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
 }
@@ -94,24 +96,41 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Per-session QPF counting wrapper over a shared oracle.
+/// The query-scoped oracle: one operation's QPF counter and deadline over
+/// the shared oracle.
 ///
 /// Delegates every evaluation to the inner oracle but answers
 /// [`SelectionOracle::qpf_uses`] from its own counter, so the delta-based
 /// per-query stats in the core pipelines are exact even while other
 /// sessions spend QPF uses on the same shared oracle. Counting follows the
 /// batch contract: one use per tuple, whether batched or not.
+///
+/// `try_eval` and `try_eval_batch` check the deadline first and return
+/// [`OracleError::DeadlineExceeded`] once it has passed, counting nothing.
+/// Because the core pipelines evaluate in batches and every abort path
+/// unwinds through the evaluate-then-commit split, an expired operation
+/// surfaces `DEADLINE` between batches, frees its attribute footprint, and
+/// leaves the KB byte-identical — no partial refinement or insert is ever
+/// committed. With no deadline the check is one branch.
 #[derive(Debug)]
 pub struct SessionOracle<'a, O> {
     inner: &'a O,
+    deadline: Option<Instant>,
     uses: AtomicU64,
 }
 
 impl<'a, O> SessionOracle<'a, O> {
-    /// Wraps `inner` with a fresh zero counter.
+    /// Wraps `inner` with a fresh zero counter and no deadline.
     pub fn new(inner: &'a O) -> Self {
+        Self::with_deadline(inner, None)
+    }
+
+    /// Wraps `inner` with a fresh zero counter and an absolute deadline
+    /// (`None` = unbounded).
+    pub fn with_deadline(inner: &'a O, deadline: Option<Instant>) -> Self {
         SessionOracle {
             inner,
+            deadline,
             uses: AtomicU64::new(0),
         }
     }
@@ -121,6 +140,9 @@ impl<O: SelectionOracle> SelectionOracle for SessionOracle<'_, O> {
     type Pred = O::Pred;
 
     fn try_eval(&self, pred: &Self::Pred, t: TupleId) -> Result<bool, OracleError> {
+        if expired(self.deadline) {
+            return Err(OracleError::DeadlineExceeded);
+        }
         self.uses.fetch_add(1, Ordering::Relaxed);
         self.inner.try_eval(pred, t)
     }
@@ -131,6 +153,9 @@ impl<O: SelectionOracle> SelectionOracle for SessionOracle<'_, O> {
         tuples: &[TupleId],
         out: &mut Vec<bool>,
     ) -> Result<(), OracleError> {
+        if expired(self.deadline) {
+            return Err(OracleError::DeadlineExceeded);
+        }
         self.uses.fetch_add(tuples.len() as u64, Ordering::Relaxed);
         self.inner.try_eval_batch(pred, tuples, out)
     }
@@ -152,70 +177,20 @@ impl<O: SelectionOracle> SelectionOracle for SessionOracle<'_, O> {
     }
 }
 
-/// Enforces a per-request deadline budget at every oracle call site.
-///
-/// Wraps an oracle (typically a [`SessionOracle`]) and checks the budget on
-/// entry to `try_eval`/`try_eval_batch`, returning
-/// [`OracleError::DeadlineExceeded`] once the deadline passes. Because the
-/// core pipelines evaluate in batches and every abort path unwinds through
-/// the evaluate-then-commit split, an expired query surfaces `DEADLINE`
-/// between batches, frees its attribute footprint, and leaves the KB
-/// byte-identical — no partial refinement is ever committed.
-///
-/// `deadline = None` means no budget: every check is a cheap branch.
-#[derive(Debug)]
-pub struct DeadlineOracle<'a, O> {
-    inner: &'a O,
-    deadline: Option<Instant>,
+/// Kept only for `prkb_e2e/src/sut.rs`, whose
+/// `DeadlineOracle::new(&session, None)` now builds a second
+/// [`SessionOracle`] over the same inner oracle: the deadline is the
+/// session's own. Deleted with that call, in the next change to the
+/// benchmark (ROADMAP 7(a)).
+#[doc(hidden)]
+pub trait DeadlineOracle: Sized {
+    /// A fresh session over `session`'s inner oracle, with `deadline`.
+    fn new(session: &Self, deadline: Option<Instant>) -> Self;
 }
 
-impl<'a, O> DeadlineOracle<'a, O> {
-    /// Wraps `inner` with an absolute deadline (`None` = unbounded).
-    pub fn new(inner: &'a O, deadline: Option<Instant>) -> Self {
-        DeadlineOracle { inner, deadline }
-    }
-
-    fn check(&self) -> Result<(), OracleError> {
-        if expired(self.deadline) {
-            Err(OracleError::DeadlineExceeded)
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl<O: SelectionOracle> SelectionOracle for DeadlineOracle<'_, O> {
-    type Pred = O::Pred;
-
-    fn try_eval(&self, pred: &Self::Pred, t: TupleId) -> Result<bool, OracleError> {
-        self.check()?;
-        self.inner.try_eval(pred, t)
-    }
-
-    fn try_eval_batch(
-        &self,
-        pred: &Self::Pred,
-        tuples: &[TupleId],
-        out: &mut Vec<bool>,
-    ) -> Result<(), OracleError> {
-        self.check()?;
-        self.inner.try_eval_batch(pred, tuples, out)
-    }
-
-    fn kind_of(&self, pred: &Self::Pred) -> PredicateKind {
-        self.inner.kind_of(pred)
-    }
-
-    fn n_slots(&self) -> usize {
-        self.inner.n_slots()
-    }
-
-    fn is_live(&self, t: TupleId) -> bool {
-        self.inner.is_live(t)
-    }
-
-    fn qpf_uses(&self) -> u64 {
-        self.inner.qpf_uses()
+impl<O> DeadlineOracle for SessionOracle<'_, O> {
+    fn new(session: &Self, deadline: Option<Instant>) -> Self {
+        SessionOracle::with_deadline(session.inner, deadline)
     }
 }
 
@@ -331,7 +306,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// expired while the session waited fails with
     /// [`OracleError::DeadlineExceeded`] without running `f`, so a doomed
     /// operation never pins contended attributes. Expiry *during* `f` is the
-    /// oracle layer's job ([`DeadlineOracle`] with the same instant).
+    /// oracle layer's job ([`SessionOracle`] with the same instant).
     fn checkout<T>(
         &self,
         attrs: &[AttrId],
@@ -506,11 +481,11 @@ impl<P: SpPredicate + WireCodec> Drop for Checkin<'_, P> {
 }
 
 /// The three deadline-bounded operations a server dispatches (and the
-/// durability suites drive). `deadline`
-/// bounds the whole operation: the checkout wait and every oracle batch
-/// check it, and expiry aborts with [`OracleError::DeadlineExceeded`]
-/// leaving the KB untouched. (Insert routing passes `oracle` through as is,
-/// so for whole-table operations the only deadline point is checkout.)
+/// durability suites drive). `deadline` bounds the whole operation: the
+/// checkout wait and every oracle batch check it, and expiry aborts with
+/// [`OracleError::DeadlineExceeded`] leaving the KB untouched. A select
+/// and an insert each evaluate through one [`SessionOracle`] around
+/// `oracle`; a delete calls no oracle, so checkout is its only check.
 impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// A selection — a list of trapdoors read as a conjunction, see
     /// [`PrkbEngine::try_select_where`] — over a footprint of the
@@ -534,15 +509,16 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         R: Rng,
     {
         let attrs: Vec<AttrId> = preds.iter().map(SpPredicate::attr).collect();
-        let session = SessionOracle::new(oracle);
-        let bounded = DeadlineOracle::new(&session, deadline);
+        let session = SessionOracle::with_deadline(oracle, deadline);
         self.checkout(&attrs, deadline, |sub| {
-            sub.try_select_where(&bounded, preds, rng)
+            sub.try_select_where(&session, preds, rng)
         })
     }
 
     /// Insert routing across every indexed attribute (whole-table
-    /// footprint). An oracle failure commits nothing.
+    /// footprint). An oracle failure, an expired deadline included, commits
+    /// nothing: [`PrkbEngine::try_insert`] decides every attribute before it
+    /// applies any.
     ///
     /// # Errors
     /// [`DurableError::Query`] when the engine fails (nothing committed),
@@ -556,7 +532,10 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     where
         O: SelectionOracle<Pred = P>,
     {
-        self.checkout(&self.attrs, deadline, |engine| engine.try_insert(oracle, t))
+        let session = SessionOracle::with_deadline(oracle, deadline);
+        self.checkout(&self.attrs, deadline, |engine| {
+            engine.try_insert(&session, t)
+        })
     }
 
     /// Delete across every indexed attribute.
@@ -684,27 +663,37 @@ mod tests {
     }
 
     #[test]
-    fn deadline_oracle_cuts_off_between_batches() {
+    fn session_oracle_cuts_off_between_batches() {
         let oracle = PlainOracle::single_column((0..10).collect());
-        let session = SessionOracle::new(&oracle);
-        let live = DeadlineOracle::new(&session, None);
-        assert!(live
-            .try_eval(&Predicate::cmp(0, ComparisonOp::Lt, 5), 0)
-            .is_ok());
+        let pred = Predicate::cmp(0, ComparisonOp::Lt, 5);
+        let live = SessionOracle::with_deadline(&oracle, None);
+        assert!(live.try_eval(&pred, 0).is_ok());
         assert_eq!(live.qpf_uses(), 1, "passthrough counter");
 
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let dead = DeadlineOracle::new(&session, Some(past));
+        let dead = SessionOracle::with_deadline(&oracle, Some(past));
         let mut out = Vec::new();
         assert!(matches!(
-            dead.try_eval(&Predicate::cmp(0, ComparisonOp::Lt, 5), 0),
+            dead.try_eval(&pred, 0),
             Err(OracleError::DeadlineExceeded)
         ));
         assert!(matches!(
-            dead.try_eval_batch(&Predicate::cmp(0, ComparisonOp::Lt, 5), &[1, 2], &mut out),
+            dead.try_eval_batch(&pred, &[1, 2], &mut out),
             Err(OracleError::DeadlineExceeded)
         ));
-        assert_eq!(session.qpf_uses(), 1, "no uses spent after expiry");
+        assert_eq!(dead.qpf_uses(), 0, "an expired budget counts nothing");
+        assert_eq!(oracle.qpf_uses(), 1, "no uses spent after expiry");
+
+        // The benchmark's shim builds the same wrapper: a fresh counter
+        // over the same inner oracle, with the deadline it is given.
+        let shim = DeadlineOracle::new(&live, Some(past));
+        assert_eq!(shim.qpf_uses(), 0, "fresh counter");
+        assert!(matches!(
+            shim.try_eval(&pred, 0),
+            Err(OracleError::DeadlineExceeded)
+        ));
+        assert!(DeadlineOracle::new(&live, None).eval(&pred, 3));
+        assert_eq!(oracle.qpf_uses(), 2, "the same inner oracle");
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! What one checkout leaves on disk: a committed operation journals one
 //! WAL record on the pool's one log, however many attributes its
 //! footprint spans; one that changed nothing draws its number and journals nothing;
-//! an operation that fails commits nothing at all; and an insert's ack
-//! carries every earlier refinement to disk with it.
+//! an operation that fails (an expired budget included) commits nothing at
+//! all; and an insert's ack carries every earlier refinement to disk with
+//! it.
 
 mod common;
 
 use common::{kb_bytes, reopen_pool, Pool, TmpDir};
-use prkb_core::{EngineConfig, SessionScheduler};
+use prkb_core::{DurableError, EngineConfig, QueryError, SessionScheduler};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{ComparisonOp, Predicate};
+use prkb_edbms::{ComparisonOp, OracleError, Predicate, PredicateKind, SelectionOracle, TupleId};
 use prkb_sim::{FaultConfig, FaultInjector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 50;
 
@@ -63,6 +65,104 @@ fn failed_insert_draws_no_sequence_number_and_journals_nothing() {
     );
     drop(sched.into_engine());
     assert_eq!(records(&dir.0), [3], "init + select + delete, no insert");
+}
+
+/// Answers every call after `delay`, as a trusted machine under load would.
+struct SlowOracle {
+    inner: PlainOracle,
+    delay: Duration,
+}
+
+impl SelectionOracle for SlowOracle {
+    type Pred = Predicate;
+
+    fn try_eval(&self, pred: &Predicate, t: TupleId) -> Result<bool, OracleError> {
+        std::thread::sleep(self.delay);
+        self.inner.try_eval(pred, t)
+    }
+
+    fn try_eval_batch(
+        &self,
+        pred: &Predicate,
+        tuples: &[TupleId],
+        out: &mut Vec<bool>,
+    ) -> Result<(), OracleError> {
+        std::thread::sleep(self.delay);
+        self.inner.try_eval_batch(pred, tuples, out)
+    }
+
+    fn kind_of(&self, pred: &Predicate) -> PredicateKind {
+        self.inner.kind_of(pred)
+    }
+
+    fn n_slots(&self) -> usize {
+        self.inner.n_slots()
+    }
+
+    fn is_live(&self, t: TupleId) -> bool {
+        self.inner.is_live(t)
+    }
+
+    fn qpf_uses(&self) -> u64 {
+        self.inner.qpf_uses()
+    }
+}
+
+#[test]
+fn insert_whose_deadline_passes_during_routing_commits_nothing() {
+    let dir = TmpDir::new("insert-deadline");
+    let mut oracle = PlainOracle::from_columns(vec![(0..ROWS as u64).collect(); 2]);
+    let uploaded = oracle.insert(&[7, 31]);
+    let mut pool = open_pool(&dir.0);
+    for attr in 0..2 {
+        pool.init_attr(attr, ROWS).expect("init");
+    }
+    let sched = SessionScheduler::durable(pool);
+    // One boundary per attribute, so routing asks the oracle once for each,
+    // attribute 0 first.
+    let mut rng = StdRng::seed_from_u64(4);
+    for (attr, number) in [(0, 1), (1, 2)] {
+        let pred = Predicate::cmp(attr, ComparisonOp::Lt, 25);
+        let (_, seq) = sched
+            .select_where(&oracle, &[pred], None, &mut rng)
+            .expect("select");
+        assert_eq!(seq, number);
+    }
+    let before = sched.inspect(kb_bytes);
+    let spent = oracle.qpf_uses();
+
+    // Attribute 0's call starts inside the budget and returns after it, so
+    // attribute 0 is decided and attribute 1's call is refused.
+    let slow = SlowOracle {
+        inner: oracle,
+        delay: Duration::from_millis(1000),
+    };
+    let deadline = Instant::now() + Duration::from_millis(500);
+    let err = sched
+        .insert(&slow, uploaded, Some(deadline))
+        .expect_err("the budget runs out while routing");
+    assert!(
+        matches!(
+            err,
+            DurableError::Query(QueryError::Oracle(OracleError::DeadlineExceeded))
+        ),
+        "{err}"
+    );
+    assert_eq!(
+        slow.qpf_uses() - spent,
+        1,
+        "attribute 0 was routed, attribute 1 was not asked"
+    );
+    assert_eq!(
+        sched.inspect(kb_bytes),
+        before,
+        "the decided attribute was not applied"
+    );
+    assert_eq!(
+        sched.delete(3, None).expect("delete"),
+        3,
+        "the expired insert drew no sequence number"
+    );
 }
 
 #[test]

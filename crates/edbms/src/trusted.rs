@@ -265,10 +265,11 @@ impl TrustedMachine {
 ///
 /// Holds the decoded trapdoor and a handle on the value cipher, so
 /// evaluation is lock-free: it pays only the real per-tuple cost (emulated
-/// enclave work + decrypt + compare). The batch path evaluates a chunk of
-/// up to [`BATCH_LANES`] cells per keystream pass (`QpfSession::eval_pass`,
-/// over [`ValueCipher::decrypt_slices`]); [`QpfSession::eval`] is the
-/// one-cell form.
+/// enclave work + decrypt + compare). Its one evaluation path is
+/// `QpfSession::eval_pass`: up to [`BATCH_LANES`] cells per keystream pass,
+/// over [`ValueCipher::decrypt_slices`] (a single cell takes the scalar
+/// decrypt). [`TrustedMachine::qpf`] is the per-cell reference it agrees
+/// with.
 ///
 /// Evaluations through a session are not counted individually; the batch
 /// driver must call `QpfSession::settle` with the number of evaluations
@@ -281,23 +282,21 @@ pub struct QpfSession<'a> {
 }
 
 impl QpfSession<'_> {
-    /// Evaluates the session's predicate against one encrypted cell.
-    /// Same semantics and per-call work as [`TrustedMachine::qpf`], minus
-    /// the counter bump (see `QpfSession::settle`).
-    ///
-    /// # Errors
-    /// Fails on corrupted ciphertexts.
-    #[inline]
+    /// Kept only for `prkb_e2e/src/sut.rs`'s `probe_trusted_ns`: a
+    /// one-cell `QpfSession::eval_pass`, uncounted. Deleted with that call,
+    /// in the next change to the benchmark (ROADMAP 7(a)).
+    #[doc(hidden)]
     pub fn eval(&self, cell: &[u8]) -> Result<bool, EdbmsError> {
-        self.tm.emulated_work();
-        let value = self.cipher.decrypt_slice(cell)?;
-        Ok(self.decoded.matches(value))
+        let mut verdict = [false];
+        self.eval_pass(&[cell], &mut verdict).map_err(|(_, e)| e)?;
+        Ok(verdict[0])
     }
 
     /// Evaluates the session's predicate against up to [`BATCH_LANES`]
     /// cells in one keystream pass ([`ValueCipher::decrypt_slices`]),
     /// writing one verdict per cell to `out`. Each cell costs the enclave
-    /// what one [`QpfSession::eval`] does: the emulated work runs per cell.
+    /// what one [`TrustedMachine::qpf`] does: the emulated work runs per
+    /// cell.
     ///
     /// # Errors
     /// The first cell that fails to decrypt, with its index `i`: `i + 1`
@@ -351,6 +350,13 @@ mod tests {
     use crate::table::PlainTable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `session`'s verdict on one cell: a one-cell keystream pass.
+    fn eval_one(session: &QpfSession<'_>, cell: &[u8]) -> bool {
+        let mut verdict = [false];
+        session.eval_pass(&[cell], &mut verdict).unwrap();
+        verdict[0]
+    }
 
     #[test]
     fn qpf_counts_every_use() {
@@ -427,7 +433,7 @@ mod tests {
         let mut n = 0u64;
         for t in 0..50 {
             let cell = enc.cell(0, t).unwrap();
-            let via_session = session.eval(cell).unwrap();
+            let via_session = eval_one(&session, cell);
             n += 1;
             assert_eq!(
                 via_session,
@@ -463,10 +469,10 @@ mod tests {
             .unwrap();
         assert_eq!(gt.id(), lt.id(), "the restarted owner reuses the id");
         assert!(!tm.qpf(&gt, cell).unwrap(), "5 > 7 must be false");
-        assert!(!tm.session(&gt).unwrap().eval(cell).unwrap());
+        assert!(!eval_one(&tm.session(&gt).unwrap(), cell));
         // The first trapdoor may live on as a PRKB separator: still right.
         assert!(tm.qpf(&lt, cell).unwrap());
-        assert!(tm.session(&lt).unwrap().eval(cell).unwrap());
+        assert!(eval_one(&tm.session(&lt).unwrap(), cell));
     }
 
     #[test]

@@ -76,11 +76,13 @@ pub mod wire;
 /// The session scheduler lives in `prkb-core`, beside the pool it drives;
 /// these are the names a deployment needs from it.
 pub mod scheduler {
-    pub use prkb_core::scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
+    #[doc(hidden)]
+    pub use prkb_core::scheduler::DeadlineOracle;
+    pub use prkb_core::scheduler::{SessionOracle, SessionScheduler};
 }
 
 pub use client::{ClientConfig, ClientError, PrkbClient, SelectionReply};
 pub use proto::{ProtoError, Request, RequestHeader, Response};
-pub use scheduler::{DeadlineOracle, SessionOracle, SessionScheduler};
+pub use scheduler::{SessionOracle, SessionScheduler};
 pub use server::{PrkbServer, ServerConfig, ServerHandle, ServerReport};
 pub use wire::{FrameError, FrameReader, DEFAULT_MAX_FRAME_LEN};
